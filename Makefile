@@ -2,7 +2,7 @@ PYTHON ?= python
 WORKERS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick paper-benches
+.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick ledger-test ledger-selftest paper-benches
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -57,6 +57,14 @@ obs-quick:
 # journal and flow tables (docs/VERIFICATION.md).
 verify-quick:
 	$(PYTHON) -m repro.verify quick
+
+# The layer ledger's own unit tests (not in the Tier-1 testpaths) and
+# its smoke-sized determinism self-test (benchmarks/ledger/README.md).
+ledger-test:
+	$(PYTHON) -m pytest benchmarks/ledger -q
+
+ledger-selftest:
+	$(PYTHON) benchmarks/ledger/run.py --selftest
 
 paper-benches:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

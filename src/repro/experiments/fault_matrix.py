@@ -111,7 +111,8 @@ def _leak_details(farm, subs) -> List[dict]:
     must not appear upstream.  Each violation is returned with the
     leaking flow's (vlan, dst, proto) tuple so the matrix summary can
     name the path, not just count it."""
-    upstream = farm.gateway.upstream_trace.records
+    # Scanned once per unverdicted flow: rebuild the records once.
+    upstream = list(farm.gateway.upstream_trace.records)
     leaks: List[dict] = []
     for sub in subs:
         for record in sub.router._flows:

@@ -35,6 +35,8 @@ class Gateway:
         self.upstream_port = Port(self, name=f"{name}.upstream")
         self._service_ports: Dict[IPv4Address, Port] = {}
         self._service_macs: Dict[IPv4Address, MacAddress] = {}
+        self._service_routers: Dict[IPv4Address, SubfarmRouter] = {}
+        self._port_routers: Dict[Port, SubfarmRouter] = {}
         self._port_kinds: Dict[Port, str] = {
             self.trunk_port: "trunk",
             self.upstream_port: "upstream",
@@ -87,6 +89,8 @@ class Gateway:
         self._service_ports[host.ip] = port
         self._service_macs[host.ip] = host.mac
         self._port_kinds[port] = "service"
+        self._service_routers[host.ip] = router
+        self._port_routers[port] = router
         host.configure(host.ip, gateway_ip=router.gateway_ip)
         router.register_service(host.ip, trusted=trusted)
 
@@ -128,16 +132,9 @@ class Gateway:
         mac = self._service_macs[service_ip]
         frame = EthernetFrame(self.mac, mac, packet,
                               ethertype=ETHERTYPE_IPV4)
-        router = self._router_for_service_ip(service_ip)
-        if router is not None:
-            router.trace.capture(self.sim.now, frame, point="containment")
+        self._service_routers[service_ip].trace.capture(
+            self.sim.now, frame, point="containment")
         port.send(frame)
-
-    def _router_for_service_ip(self, ip: IPv4Address) -> Optional[SubfarmRouter]:
-        for router in self.routers:
-            if ip in router.service_ips:
-                return router
-        return None
 
     def send_upstream(self, packet: IPv4Packet) -> None:
         # Egress sourced from tunneled (donated) space returns through
@@ -188,14 +185,9 @@ class Gateway:
             self.frames_unroutable += 1
             self._m_unroutable.inc()
         elif kind == "service":
-            router = self._router_for_service_port(port)
-            if router is not None:
-                router.trace.capture(self.sim.now, frame,
-                                     point="containment")
-                router.service_frame(frame)
-            else:
-                self.frames_unroutable += 1
-                self._m_unroutable.inc()
+            router = self._port_routers[port]
+            router.trace.capture(self.sim.now, frame, point="containment")
+            router.service_frame(frame)
 
     def receive_frame_batch(self, frames: List[EthernetFrame],
                             port: Port) -> None:
@@ -241,21 +233,6 @@ class Gateway:
             run_items = [(frame, vlan)]
         if run_router is not None:
             run_router.inmate_frame_batch(run_items)
-
-    def _ip_for_port(self, port: Port) -> Optional[IPv4Address]:
-        for ip, candidate in self._service_ports.items():
-            if candidate is port:
-                return ip
-        return None
-
-    def _router_for_service_port(self, port: Port) -> Optional[SubfarmRouter]:
-        ip = self._ip_for_port(port)
-        if ip is None:
-            return None
-        for router in self.routers:
-            if ip in router.service_ips:
-                return router
-        return None
 
     def _proxy_arp(self, frame: EthernetFrame, port: Port) -> None:
         """Answer every ARP request with our own MAC — the gateway is

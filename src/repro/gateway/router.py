@@ -99,6 +99,15 @@ EmitToService = Callable[[IPv4Address, IPv4Packet], None]
 EmitUpstream = Callable[[IPv4Packet], None]
 
 
+def _readdressed(packet: IPv4Packet, src: Optional[IPv4Address] = None,
+                 dst: Optional[IPv4Address] = None) -> IPv4Packet:
+    """NAT rewrite of a received packet: a new header over the same
+    transport payload.  The packet itself belongs to whoever sent it
+    (docs/PERFORMANCE.md, "Packet ownership")."""
+    return IPv4Packet(src or packet.src, dst or packet.dst, packet.payload,
+                      packet.proto, packet.ttl, packet.ident)
+
+
 class SubfarmRouter:
     """Packet forwarding plus containment mechanism for one subfarm."""
 
@@ -824,8 +833,8 @@ class SubfarmRouter:
         # Return traffic for service-originated outbound?
         internal = self._service_nat_rev.get(packet.dst)
         if internal is not None:
-            packet.dst = internal
-            self._emit_to_service(internal, packet)
+            self._emit_to_service(internal, _readdressed(packet,
+                                                         dst=internal))
             return
         # Unsolicited inbound toward an inmate's global address.
         vlan = self.nat.vlan_for_global(packet.dst)
@@ -1808,8 +1817,9 @@ class SubfarmRouter:
         else:
             # Inbound flow: the originator lives outside; restore the
             # inmate's global source address.
-            packet.src = record.orig.resp_ip
-            self._emit_shaped(record, packet, self._emit_upstream)
+            self._emit_shaped(
+                record, _readdressed(packet, src=record.orig.resp_ip),
+                self._emit_upstream)
 
     def _send_to_dst(self, record: FlowRecord, segment: TCPSegment,
                      raw: bool = False) -> None:
@@ -2051,8 +2061,7 @@ class SubfarmRouter:
             global_ip = self.control_pool.allocate()
             self._service_nat[packet.src] = global_ip
             self._service_nat_rev[global_ip] = packet.src
-        packet.src = global_ip
-        self._emit_upstream(packet)
+        self._emit_upstream(_readdressed(packet, src=global_ip))
 
     # ------------------------------------------------------------------
     # Inmate life-cycle hooks

@@ -11,10 +11,13 @@ libpcap files for interoperability.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from typing import Callable, Iterable, Iterator, List, Optional
 
+from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.flow import FiveTuple
-from repro.net.packet import EthernetFrame, IPv4Packet, PROTO_TCP, PROTO_UDP
+from repro.net.packet import (EthernetFrame, IPv4Packet, PROTO_TCP, PROTO_UDP,
+                              TCPSegment, UDPDatagram)
 
 PCAP_MAGIC = 0xA1B2C3D4
 LINKTYPE_ETHERNET = 1
@@ -49,6 +52,75 @@ class TraceRecord:
         return f"<TraceRecord t={self.timestamp:.6f} {self.point} {self.frame!r}>"
 
 
+# Column order of a by-value row.  UDP rows stop after _PAYLOAD, TCP
+# rows carry the four columns behind it; a frame that is not plain
+# TCP/UDP over IPv4 is stored as (timestamp, point, frame copy).
+(_TS, _POINT, _ETH_SRC, _ETH_DST, _VLAN, _ETHERTYPE, _SRC, _DST, _PROTO,
+ _TTL, _IDENT, _SPORT, _DPORT, _PAYLOAD, _SEQ, _ACK, _FLAGS,
+ _WINDOW) = range(18)
+_FRAME = 2
+_FRAME_ROW_LEN = 3
+
+
+def _record(row: tuple) -> TraceRecord:
+    """Rebuild the record (and its frame) a row describes."""
+    if len(row) == _FRAME_ROW_LEN:
+        return TraceRecord(row[_TS], row[_FRAME], row[_POINT])
+    if row[_PROTO] == PROTO_TCP:
+        transport = TCPSegment(row[_SPORT], row[_DPORT], row[_SEQ],
+                               row[_ACK], row[_FLAGS], row[_WINDOW],
+                               row[_PAYLOAD])
+    else:
+        transport = UDPDatagram(row[_SPORT], row[_DPORT], row[_PAYLOAD])
+    packet = IPv4Packet(IPv4Address(row[_SRC]), IPv4Address(row[_DST]),
+                        transport, row[_PROTO], row[_TTL], row[_IDENT])
+    frame = EthernetFrame(MacAddress(row[_ETH_SRC]), MacAddress(row[_ETH_DST]),
+                          packet, row[_VLAN], row[_ETHERTYPE])
+    return TraceRecord(row[_TS], frame, row[_POINT])
+
+
+def _headers(row: tuple) -> tuple:
+    """``(vlan, proto, src, sport, dst, dport)`` of a row, addresses as
+    ints; whatever the frame does not carry is None."""
+    if len(row) != _FRAME_ROW_LEN:
+        return (row[_VLAN], row[_PROTO], row[_SRC], row[_SPORT],
+                row[_DST], row[_DPORT])
+    frame = row[_FRAME]
+    packet = frame.payload
+    if not isinstance(packet, IPv4Packet):
+        return frame.vlan, None, None, None, None, None
+    transport = packet.payload
+    if not isinstance(transport, (TCPSegment, UDPDatagram)):
+        return frame.vlan, packet.proto, None, None, None, None
+    return (frame.vlan, packet.proto, packet.src.value, transport.sport,
+            packet.dst.value, transport.dport)
+
+
+class _RecordView(Sequence):
+    """``trace.records``: a read-only sequence over the trace's rows
+    that builds each :class:`TraceRecord` when it is read.  Indexing
+    and iterating return fresh records; a slice returns a list."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[tuple]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_record(row) for row in self._rows[index]]
+        return _record(self._rows[index])
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_record, self._rows)
+
+    def __repr__(self) -> str:
+        return f"<records of {len(self._rows)} captured frames>"
+
+
 class PacketTrace:
     """A capture buffer with query helpers and live observers.
 
@@ -61,13 +133,20 @@ class PacketTrace:
     * *Streaming*: observers registered via :meth:`subscribe` see every
       record as it is captured — how the Bro-style analyzers process
       multi-day activity without retaining the packets.
+
+    A capture is, as in a pcap, the bytes at the capture instant: each
+    TCP/UDP frame is stored as one flat tuple of its header fields by
+    value plus the (immutable) payload ``bytes``, holding no packet
+    object and nothing the cyclic GC tracks.  ``records`` is a view
+    that rebuilds :class:`TraceRecord` objects on access.
     """
 
     def __init__(self, name: str = "trace",
                  max_records: Optional[int] = None) -> None:
         self.name = name
         self.max_records = max_records
-        self.records: List[TraceRecord] = []
+        self._rows: List[tuple] = []
+        self.records = _RecordView(self._rows)
         self.rotated_out = 0
         self._observers: List[Callable[[TraceRecord], None]] = []
 
@@ -77,18 +156,42 @@ class PacketTrace:
 
     def capture(self, timestamp: float, frame: EthernetFrame,
                 point: str = "") -> None:
-        """Record a deep copy of the frame (it may be mutated later)."""
-        record = TraceRecord(timestamp, frame.copy(), point)
-        for observer in self._observers:
-            observer(record)
-        self.records.append(record)
-        if self.max_records is not None and len(self.records) > self.max_records:
-            overflow = len(self.records) - self.max_records
-            del self.records[:overflow]
+        """Record the frame as it is now (it may be mutated later)."""
+        row = None
+        packet = frame.payload
+        if type(packet) is IPv4Packet:
+            transport = packet.payload
+            kind = type(transport)
+            proto = packet.proto
+            if (kind is TCPSegment and proto == PROTO_TCP
+                    and type(transport.payload) is bytes):
+                row = (timestamp, point, frame.src.value, frame.dst.value,
+                       frame.vlan, frame.ethertype, packet.src.value,
+                       packet.dst.value, proto, packet.ttl, packet.ident,
+                       transport.sport, transport.dport, transport.payload,
+                       transport.seq, transport.ack, transport.flags,
+                       transport.window)
+            elif (kind is UDPDatagram and proto == PROTO_UDP
+                    and type(transport.payload) is bytes):
+                row = (timestamp, point, frame.src.value, frame.dst.value,
+                       frame.vlan, frame.ethertype, packet.src.value,
+                       packet.dst.value, proto, packet.ttl, packet.ident,
+                       transport.sport, transport.dport, transport.payload)
+        if row is None:
+            row = (timestamp, point, frame.copy())
+        if self._observers:
+            record = _record(row)
+            for observer in self._observers:
+                observer(record)
+        rows = self._rows
+        rows.append(row)
+        if self.max_records is not None and len(rows) > self.max_records:
+            overflow = len(rows) - self.max_records
+            del rows[:overflow]
             self.rotated_out += overflow
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -106,23 +209,17 @@ class PacketTrace:
     ) -> List[TraceRecord]:
         """Filter records by capture point, VLAN tag, proto, dst port."""
         out = []
-        for record in self.records:
-            if point is not None and record.point != point:
+        for row in self._rows:
+            if point is not None and row[_POINT] != point:
                 continue
-            if vlan is not None and record.frame.vlan != vlan:
+            row_vlan, row_proto, _src, _sport, _dst, row_dport = _headers(row)
+            if vlan is not None and row_vlan != vlan:
                 continue
-            ip = record.ip
-            if proto is not None and (ip is None or ip.proto != proto):
+            if proto is not None and row_proto != proto:
                 continue
-            if dport is not None:
-                if ip is None:
-                    continue
-                if ip.proto == PROTO_TCP and ip.tcp.dport != dport:
-                    continue
-                if ip.proto == PROTO_UDP and ip.udp.dport != dport:
-                    continue
-                if ip.proto not in (PROTO_TCP, PROTO_UDP):
-                    continue
+            if dport is not None and row_dport != dport:
+                continue
+            record = _record(row)
             if predicate is not None and not predicate(record):
                 continue
             out.append(record)
@@ -135,14 +232,17 @@ class PacketTrace:
         for TCP that is the SYN sender.
         """
         seen = {}
-        for record in self.records:
-            key = record.five_tuple
-            if key is None:
+        for row in self._rows:
+            _vlan, proto, src, sport, dst, dport = _headers(row)
+            if sport is None or proto not in (PROTO_TCP, PROTO_UDP):
                 continue
-            if key in seen or key.reversed() in seen:
+            if ((src, sport, dst, dport, proto) in seen
+                    or (dst, dport, src, sport, proto) in seen):
                 continue
-            seen[key] = True
-        return list(seen)
+            seen[(src, sport, dst, dport, proto)] = True
+        return [FiveTuple(IPv4Address(src), sport, IPv4Address(dst), dport,
+                          proto)
+                for src, sport, dst, dport, proto in seen]
 
     def tcp_payload(self, flow: FiveTuple, direction: str = "orig") -> bytes:
         """Concatenated TCP payload bytes for one direction of a flow.
@@ -150,22 +250,34 @@ class PacketTrace:
         Duplicate segments (same sequence number) are ignored so NAT'd
         captures of retransmissions do not double bytes.
         """
-        seen = set()
-        chunks = []
-        for record in self.records:
-            ip = record.ip
-            if ip is None or ip.proto != PROTO_TCP:
+        if flow.proto != PROTO_TCP:
+            return b""
+        orig = (flow.orig_ip.value, flow.orig_port)
+        resp = (flow.resp_ip.value, flow.resp_port)
+        forward, backward = orig + resp, resp + orig
+        chunks = {}
+        for row in self._rows:
+            _vlan, proto, src, sport, dst, dport = _headers(row)
+            if proto != PROTO_TCP:
                 continue
-            match = flow.matches_packet(ip)
-            if match is None or match.value != direction:
+            # Originator direction wins for a flow that is its own
+            # reverse, as in FiveTuple.matches_packet.
+            if (src, sport, dst, dport) == forward:
+                match = "orig"
+            elif (src, sport, dst, dport) == backward:
+                match = "resp"
+            else:
                 continue
-            segment = ip.tcp
-            if not segment.payload or segment.seq in seen:
+            if match != direction:
                 continue
-            seen.add(segment.seq)
-            chunks.append((segment.seq, segment.payload))
-        chunks.sort(key=lambda pair: pair[0])
-        return b"".join(payload for _seq, payload in chunks)
+            if len(row) == _FRAME_ROW_LEN:
+                segment = row[_FRAME].payload.payload
+                seq, payload = segment.seq, segment.payload
+            else:
+                seq, payload = row[_SEQ], row[_PAYLOAD]
+            if payload and seq not in chunks:
+                chunks[seq] = payload
+        return b"".join(chunks[seq] for seq in sorted(chunks))
 
 
 def write_pcap(path: str, records: Iterable[TraceRecord],

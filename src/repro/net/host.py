@@ -12,6 +12,7 @@ reproducing the "boot-time chatter" the paper's NAT keys on).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Dict, List, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
@@ -129,8 +130,11 @@ class Host:
 
     @staticmethod
     def _derive_mac(name: str) -> MacAddress:
-        digest = abs(hash(("mac", name))) & 0xFFFFFFFFFF
-        return MacAddress(0x02_00_00_00_00_00 | digest & 0xFF_FF_FF_FF_FF)
+        # A stable digest, not salted hash(): inmate-side pcaps must
+        # not differ per process.
+        digest = int.from_bytes(
+            hashlib.sha256(name.encode()).digest()[:5], "big")
+        return MacAddress(0x02_00_00_00_00_00 | digest)
 
     # ------------------------------------------------------------------
     # Wiring

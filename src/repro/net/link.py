@@ -226,13 +226,11 @@ class Switch:
                 self._emit(frame, candidate, vlan)
 
     def _emit(self, frame: EthernetFrame, port: Port, vlan: int) -> None:
-        config = self.configs[port]
-        out = frame.copy()
-        if config.mode is PortMode.ACCESS:
-            out.retag(None)
-        else:
-            out.retag(vlan)
-        port.send(out)
+        # Only the Ethernet header differs per egress port; a sent
+        # frame is never mutated again, so the IPv4 payload is shared.
+        tag = None if self.configs[port].mode is PortMode.ACCESS else vlan
+        port.send(EthernetFrame(frame.src, frame.dst, frame.payload, tag,
+                                frame.ethertype))
 
     def mac_table_snapshot(self) -> Dict[Tuple[int, MacAddress], Port]:
         return dict(self._mac_table)

@@ -6,9 +6,11 @@ reference; every layer also serializes to and from real wire bytes
 so that wire formats — in particular the shim protocol the gateway
 injects into TCP streams — are bit-accurate and testable.
 
-The gateway mutates packets in flight (NAT rewriting, VLAN retagging,
-sequence-number bumping), so :meth:`copy` is provided on each layer and
-frames are deep-copied at capture points to keep traces immutable.
+Ownership: a frame handed to ``Port.send`` is never mutated again, so
+switches and traces share it without copying.  A device that rewrites
+(NAT, VLAN retagging, sequence-number bumping, TTL) builds a new header
+over the shared payload, or takes a private :meth:`copy` first
+(docs/PERFORMANCE.md, "Packet ownership").
 """
 
 from __future__ import annotations
@@ -136,14 +138,18 @@ class TCPSegment:
         window: int = 65535,
         payload: bytes = b"",
     ) -> None:
-        self.sport = sport
-        self.dport = dport
-        self.seq = seq & 0xFFFFFFFF
-        self.ack = ack & 0xFFFFFFFF
-        self.flags = flags
-        self.window = window
-        self.payload = payload
-        object.__setattr__(self, "_wire_key", None)
+        # Nothing is cached yet, so skip the mutation hook: segments
+        # are built per packet sent and per trace record read.
+        setter = object.__setattr__
+        setter(self, "sport", sport)
+        setter(self, "dport", dport)
+        setter(self, "seq", seq & 0xFFFFFFFF)
+        setter(self, "ack", ack & 0xFFFFFFFF)
+        setter(self, "flags", flags)
+        setter(self, "window", window)
+        setter(self, "payload", payload)
+        setter(self, "_wire", None)
+        setter(self, "_wire_key", None)
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
@@ -280,10 +286,12 @@ class UDPDatagram:
     __slots__ = ("sport", "dport", "payload", "_wire", "_wire_key")
 
     def __init__(self, sport: int, dport: int, payload: bytes = b"") -> None:
-        self.sport = sport
-        self.dport = dport
-        self.payload = payload
-        object.__setattr__(self, "_wire_key", None)
+        setter = object.__setattr__
+        setter(self, "sport", sport)
+        setter(self, "dport", dport)
+        setter(self, "payload", payload)
+        setter(self, "_wire", None)
+        setter(self, "_wire_key", None)
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
@@ -544,13 +552,6 @@ class EthernetFrame:
         clone.ethertype = self.ethertype
         clone.payload = payload
         return clone
-
-    def retag(self, vlan: Optional[int]) -> "EthernetFrame":
-        """Return self with the VLAN tag replaced (mutates in place)."""
-        if vlan is not None and not 1 <= vlan <= 4094:
-            raise ValueError(f"VLAN ID out of 802.1Q range: {vlan}")
-        self.vlan = vlan
-        return self
 
     def to_bytes(self) -> bytes:
         if isinstance(self.payload, IPv4Packet):

@@ -98,7 +98,10 @@ class Router:
         if packet.ttl <= 1:
             self.packets_dropped += 1
             return
-        packet.ttl -= 1
+        # The sender may still hold (and a trace may share) this packet:
+        # forward a header rebuild, never decrement in place.
+        packet = IPv4Packet(packet.src, packet.dst, packet.payload,
+                            packet.proto, packet.ttl - 1, packet.ident)
         dst_mac = self._neighbor_macs.get(out, MacAddress.broadcast())
         self.packets_forwarded += 1
         out.send(EthernetFrame(self.mac, dst_mac, packet, ethertype=ETHERTYPE_IPV4))

@@ -29,6 +29,7 @@ framing lives in :mod:`repro.parallel.transport`.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import socket as socket_module
@@ -114,8 +115,13 @@ def execute_spec(spec_dict: dict) -> dict:
         payload = json.loads(json.dumps(payload))
     except Exception as exc:  # noqa: BLE001
         return failure("payload", exc)
-    return {"ok": True, "payload": payload, "error": None,
-            "seconds": time.perf_counter() - started}
+    result = {"ok": True, "payload": payload, "error": None,
+              "seconds": time.perf_counter() - started}
+    # The shard's farm is dead but cyclic, and a farm allocates too few
+    # GC-tracked objects for an automatic full collection to come soon:
+    # without this a warm worker's RSS is the sum of its past shards.
+    gc.collect()
+    return result
 
 
 def _apply_worker_fault(fault: dict, started: float) -> Optional[dict]:
