@@ -108,6 +108,7 @@ class Host:
         self.ip = IPv4Address(ip) if ip is not None else None
         self.prefix_len = prefix_len
         self.gateway_ip = IPv4Address(gateway_ip) if gateway_ip is not None else None
+        self._bind_subnet()
         self.mac = mac if mac is not None else self._derive_mac(name)
         self.rng = sim.rng(f"host/{name}")
 
@@ -154,23 +155,22 @@ class Host:
             self.prefix_len = prefix_len
         if gateway_ip is not None:
             self.gateway_ip = IPv4Address(gateway_ip)
+        self._bind_subnet()
 
     # ------------------------------------------------------------------
     # IPv4 send path
     # ------------------------------------------------------------------
-    def _subnet_mask(self) -> int:
-        if self.prefix_len == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
-
-    def _on_link(self, dst: IPv4Address) -> bool:
-        if self.ip is None:
-            return True  # unconfigured hosts only broadcast anyway
-        mask = self._subnet_mask()
-        return (dst.value & mask) == (self.ip.value & mask)
+    def _bind_subnet(self) -> None:
+        """Fix the on-link test's mask and subnet when the address
+        changes, not per packet sent."""
+        self._mask = (0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
+        self._subnet = (None if self.ip is None
+                        else self.ip.value & self._mask)
 
     def _next_hop(self, dst: IPv4Address) -> Optional[IPv4Address]:
-        if self._on_link(dst):
+        subnet = self._subnet
+        # Unconfigured hosts only broadcast anyway: everything is on-link.
+        if subnet is None or dst.value & self._mask == subnet:
             return dst
         return self.gateway_ip  # None means no route (ENETUNREACH)
 
@@ -182,7 +182,7 @@ class Host:
         application just never hears back.
         """
         self.packets_sent += 1
-        if packet.dst == BROADCAST_IP or packet.dst.value == 0xFFFFFFFF:
+        if packet.dst.value == 0xFFFFFFFF:
             self._transmit(packet, MacAddress.broadcast())
             return
         next_hop = self._next_hop(packet.dst)

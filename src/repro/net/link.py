@@ -44,35 +44,40 @@ class Port:
 
     def send(self, frame: EthernetFrame) -> None:
         """Transmit a frame out this port (no-op when unplugged)."""
-        if self.link is None:
+        link = self.link
+        if link is None:
             return
         self.frames_sent += 1
-        self.link.transmit(self, frame)
+        link.transmit(self, frame)
 
     def deliver(self, frame: EthernetFrame) -> None:
         sim = self.coalesce
         if sim is not None:
-            more = sim.drain_coincident(self.deliver)
+            # Peek before paying a call: drain_coincident can claim (or
+            # discard) only a head entry due this instant (or dead).
+            queue = sim._queue
+            if queue and (queue[0].time == sim.now or queue[0].cancelled):
+                more = sim.drain_coincident(self.deliver)
+            else:
+                more = None
             if more:
+                self.frames_received += 1 + len(more)
                 receive_batch = getattr(self.owner, "receive_frame_batch",
                                         None)
                 if receive_batch is not None:
                     frames = [frame]
                     frames.extend(args[0] for args in more)
-                    self.frames_received += len(frames)
                     receive_batch(frames, self)
                     return
                 # Owner cannot batch: replay the claimed frames
                 # individually, preserving order.
-                self.frames_received += 1 + len(more)
-                receive = getattr(self.owner, "receive_frame")
+                receive = self.owner.receive_frame
                 receive(frame, self)
                 for args in more:
                     receive(args[0], self)
                 return
         self.frames_received += 1
-        receive = getattr(self.owner, "receive_frame")
-        receive(frame, self)
+        self.owner.receive_frame(frame, self)
 
     def __repr__(self) -> str:
         return f"<Port {self.name or id(self)} of {self.owner!r}>"
@@ -91,9 +96,18 @@ class Link:
     ) -> None:
         if port_a.link is not None or port_b.link is not None:
             raise RuntimeError("port already linked")
+        # Checked once here (NaN fails too) so transmit never has to.
+        if not latency >= 0:
+            raise ValueError(f"link latency must be >= 0, not {latency}")
+        if batch_window is not None and not batch_window >= 0:
+            raise ValueError(
+                f"batch_window must be >= 0, not {batch_window}")
         self.sim = sim
         self.port_a = port_a
         self.port_b = port_b
+        # Each direction's receiver, bound once rather than per frame.
+        self._deliver_a = port_a.deliver
+        self._deliver_b = port_b.deliver
         self.latency = latency
         # Coalescing window (virtual seconds).  A positive window
         # quantizes delivery times up to the next window boundary, so
@@ -107,15 +121,16 @@ class Link:
         port_b.link = self
 
     def transmit(self, from_port: Port, frame: EthernetFrame) -> None:
-        peer = self.port_b if from_port is self.port_a else self.port_a
+        deliver = (self._deliver_b if from_port is self.port_a
+                   else self._deliver_a)
         self.frames_carried += 1
         window = self.batch_window
         if window:
             when = self.sim.now + self.latency
-            self.sim.schedule_at(-(-when // window) * window, peer.deliver,
+            self.sim.schedule_at(-(-when // window) * window, deliver,
                                  frame, label="link-deliver")
             return
-        self.sim.schedule(self.latency, peer.deliver, frame, label="link-deliver")
+        self.sim.schedule(self.latency, deliver, frame, label="link-deliver")
 
     def disconnect(self) -> None:
         self.port_a.link = None

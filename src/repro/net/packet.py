@@ -402,8 +402,10 @@ class IPv4Packet:
         ttl: int = 64,
         ident: int = 0,
     ) -> None:
-        self.src = IPv4Address(src)
-        self.dst = IPv4Address(dst)
+        # Canonical instances (the per-packet case) skip the coercing
+        # constructor; anything else is validated by it.
+        self.src = src if type(src) is IPv4Address else IPv4Address(src)
+        self.dst = dst if type(dst) is IPv4Address else IPv4Address(dst)
         if proto is None:
             if isinstance(payload, TCPSegment):
                 proto = PROTO_TCP
@@ -527,8 +529,8 @@ class EthernetFrame:
         vlan: Optional[int] = None,
         ethertype: int = ETHERTYPE_IPV4,
     ) -> None:
-        self.src = MacAddress(src)
-        self.dst = MacAddress(dst)
+        self.src = src if type(src) is MacAddress else MacAddress(src)
+        self.dst = dst if type(dst) is MacAddress else MacAddress(dst)
         if vlan is not None and not 1 <= vlan <= 4094:
             raise ValueError(f"VLAN ID out of 802.1Q range: {vlan}")
         self.vlan = vlan

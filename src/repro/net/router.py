@@ -31,7 +31,8 @@ class Router:
         self.name = name
         self.mac = MacAddress(0x02_FE_00_00_00_01)
         self.ports: List[Port] = []
-        self._routes: List[Tuple[IPv4Network, Port]] = []
+        # (mask, network, port), longest prefix (largest mask) first.
+        self._routes: List[Tuple[int, int, Port]] = []
         self._neighbor_macs: Dict[Port, MacAddress] = {}
         self.packets_forwarded = 0
         self.packets_dropped = 0
@@ -42,9 +43,9 @@ class Router:
         return port
 
     def add_route(self, network: IPv4Network, port: Port) -> None:
-        self._routes.append((network, port))
+        self._routes.append((network.mask, network.network, port))
         # Keep longest prefixes first for LPM.
-        self._routes.sort(key=lambda entry: -entry[0].prefix_len)
+        self._routes.sort(key=lambda entry: -entry[0])
 
     def attach_host(self, host: Host, latency: float = 0.01,
                     gateway_ip: Optional[IPv4Address] = None) -> Port:
@@ -102,13 +103,16 @@ class Router:
         # forward a header rebuild, never decrement in place.
         packet = IPv4Packet(packet.src, packet.dst, packet.payload,
                             packet.proto, packet.ttl - 1, packet.ident)
-        dst_mac = self._neighbor_macs.get(out, MacAddress.broadcast())
+        dst_mac = self._neighbor_macs.get(out)
+        if dst_mac is None:
+            dst_mac = MacAddress.broadcast()
         self.packets_forwarded += 1
         out.send(EthernetFrame(self.mac, dst_mac, packet, ethertype=ETHERTYPE_IPV4))
 
     def _lookup(self, dst: IPv4Address) -> Optional[Port]:
-        for network, port in self._routes:
-            if network.contains(dst):
+        value = dst.value
+        for mask, network, port in self._routes:
+            if value & mask == network:
                 return port
         return None
 

@@ -13,73 +13,62 @@ every other subsystem builds on.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
+from heapq import heapify, heappop, heappush
+from math import inf
+from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.journal import NULL_JOURNAL
-from repro.obs.metrics import NULL_INSTRUMENT
 from repro.obs.telemetry import NULL_TELEMETRY
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback, and the heap entry itself:
+    ``[time, seq, callback, args, label, sim, cancelled]``.
 
-    Events are created through :meth:`Simulator.schedule` and compared by
-    ``(time, seq)`` so the heap pops them deterministically.  Cancelling
-    an event marks it dead; the heap lazily discards dead entries, and
-    the owning simulator compacts the heap when dead entries dominate.
+    The heap orders entries with ``list``'s own C comparison, which
+    never looks past the unique ``seq``; defining a rich comparison
+    here would re-enter Python on every sift step (docs/PERFORMANCE.md,
+    "The per-hop kernel").  ``sim`` is the owning simulator while queued, so a
+    cancel can be accounted for incrementally; it is cleared at pop
+    time (a cancel after firing is a no-op for accounting).  Dead
+    entries are discarded lazily and compacted when they dominate.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label",
-                 "_sim")
+    __slots__ = ()
+    __hash__ = object.__hash__  # a handle, not a value
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-        label: str = "",
-        sim: "Optional[Simulator]" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.label = label
-        # Back-reference to the owning simulator while queued, so
-        # cancellation can be accounted for incrementally.  Cleared at
-        # pop time (a cancel after firing is a no-op for accounting).
-        self._sim = sim
+    time = property(itemgetter(0))
+    seq = property(itemgetter(1))
+    callback = property(itemgetter(2))
+    args = property(itemgetter(3))
+    label = property(itemgetter(4))
+    cancelled = property(itemgetter(6))
 
     def cancel(self) -> None:
         """Mark this event dead; it will be skipped when popped."""
-        if self.cancelled:
+        if self[6]:
             return
-        self.cancelled = True
-        sim = self._sim
+        self[6] = True
+        sim = self[5]
         if sim is not None:
             sim._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     @property
     def effective_label(self) -> str:
         """The scheduling label, falling back to the callback's name so
         traces and per-label histograms never show an anonymous event."""
-        return self.label or getattr(
-            self.callback, "__qualname__",
-            getattr(self.callback, "__name__", "callback"),
+        return self[4] or getattr(
+            self[2], "__qualname__",
+            getattr(self[2], "__name__", "callback"),
         )
 
     def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return (f"<Event t={self.time:.6f} seq={self.seq} "
+        state = "cancelled" if self[6] else "pending"
+        return (f"<Event t={self[0]:.6f} seq={self[1]} "
                 f"{self.effective_label} ({state})>")
 
 
@@ -106,7 +95,6 @@ class Simulator:
         self._queue: List[Event] = []
         self._seq = itertools.count()
         self._now = 0.0
-        self._running = False
         self.seed = seed
         self._rngs: Dict[str, random.Random] = {}
         self.events_processed = 0
@@ -114,20 +102,17 @@ class Simulator:
         # so ``pending`` is O(1) and compaction can trigger cheaply.
         self._dead = 0
 
-        # Telemetry (disabled by default): the no-op instruments keep
-        # the hot loop branch-free; attach_telemetry() swaps them for
-        # live ones.  The decision journal (repro.obs.journal) follows
-        # the same pattern and is independent of telemetry: components
+        # Telemetry (disabled by default): the sim.* instruments exist
+        # only while a live domain is attached, and every site that
+        # feeds them checks first — a detached simulator makes no
+        # instrument call at all.  The decision journal
+        # (repro.obs.journal) is independent of telemetry: components
         # capture sim.journal at construction, so it must be attached
         # before they are built.
         self.telemetry = NULL_TELEMETRY
         self.journal = NULL_JOURNAL
         self.profile_callbacks = False
-        self._m_scheduled = NULL_INSTRUMENT
-        self._m_fired = NULL_INSTRUMENT
-        self._m_cancelled = NULL_INSTRUMENT
-        self._g_queue_depth = NULL_INSTRUMENT
-        self._h_callback = NULL_INSTRUMENT
+        self._live = False
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -142,7 +127,8 @@ class Simulator:
         opt-in and kept out of snapshot-diff workflows.
         """
         self.telemetry = telemetry
-        self.profile_callbacks = bool(profile_callbacks) and telemetry.enabled
+        self._live = telemetry.enabled
+        self.profile_callbacks = bool(profile_callbacks) and self._live
         self._m_scheduled = telemetry.counter(
             "sim.events.scheduled", "Events pushed onto the queue").bind()
         self._m_fired = telemetry.counter(
@@ -165,10 +151,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+    # A C-level getter: reading the clock costs no Python frame.
+    now = property(attrgetter("_now"),
+                   doc="Current virtual time in seconds.")
 
     # ------------------------------------------------------------------
     # Randomness
@@ -194,12 +179,13 @@ class Simulator:
         label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would unorder the heap
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq), callback, args,
-                      label, self)
-        heapq.heappush(self._queue, event)
-        self._m_scheduled.inc()
+        event = Event((self._now + delay, next(self._seq), callback, args,
+                       label, self, False))
+        heappush(self._queue, event)
+        if self._live:
+            self._m_scheduled.inc()
         return event
 
     def schedule_at(
@@ -210,13 +196,15 @@ class Simulator:
         label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule at t={time} < now={self._now}"
             )
-        event = Event(time, next(self._seq), callback, args, label, self)
-        heapq.heappush(self._queue, event)
-        self._m_scheduled.inc()
+        event = Event((time, next(self._seq), callback, args, label, self,
+                       False))
+        heappush(self._queue, event)
+        if self._live:
+            self._m_scheduled.inc()
         return event
 
     # ------------------------------------------------------------------
@@ -240,10 +228,11 @@ class Simulator:
         removed = self._dead
         if removed == 0:
             return
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
+        self._queue[:] = [e for e in self._queue if not e[6]]
+        heapify(self._queue)
         self._dead = 0
-        self._m_cancelled.inc(removed)
+        if self._live:
+            self._m_cancelled.inc(removed)
 
     # ------------------------------------------------------------------
     # Execution
@@ -256,55 +245,56 @@ class Simulator:
         at which execution stopped.  When stopped by ``until``, the clock
         is advanced to exactly ``until`` (events beyond it stay queued).
         """
-        self._running = True
         processed = 0
         # Hot-loop kernel: bind everything the per-event path touches to
-        # locals so each iteration pays local loads, not attribute walks.
+        # locals, index the entry directly, and fold the two optional
+        # bounds into plain comparisons.
         queue = self._queue
-        heappop = heapq.heappop
-        fired = self._m_fired
-        cancelled_c = self._m_cancelled
-        depth_g = self._g_queue_depth
-        h_callback = self._h_callback
+        horizon = inf if until is None else until
+        budget = inf if max_events is None else max_events
+        live = self._live
         profile = self.profile_callbacks
         stride = self.QUEUE_DEPTH_STRIDE
         try:
             while queue:
                 event = queue[0]
-                if event.cancelled:
+                if event[6]:
                     heappop(queue)
                     self._dead -= 1
-                    cancelled_c.inc()
+                    if live:
+                        self._m_cancelled.inc()
                     continue
-                if until is not None and event.time > until:
+                time = event[0]
+                if time > horizon:
                     self._now = until
                     break
-                if max_events is not None and processed >= max_events:
+                if processed >= budget:
                     break
                 heappop(queue)
-                event._sim = None
-                self._now = event.time
+                event[5] = None
+                self._now = time
                 if profile:
                     started = perf_counter()
-                    event.callback(*event.args)
-                    h_callback.observe(perf_counter() - started,
-                                       label=event.effective_label)
+                    event[2](*event[3])
+                    self._h_callback.observe(perf_counter() - started,
+                                             label=event.effective_label)
                 else:
-                    event.callback(*event.args)
-                fired.inc()
+                    event[2](*event[3])
                 processed += 1
                 self.events_processed += 1
-                # Sample the depth gauge on a virtual-event stride: the
-                # trigger is event-count based, so with a fixed seed the
-                # sampled values replay identically.
-                if not self.events_processed % stride:
-                    depth_g.set(len(queue))
+                if live:
+                    self._m_fired.inc()
+                    # Sample the depth gauge on a virtual-event stride:
+                    # the trigger is event-count based, so with a fixed
+                    # seed the sampled values replay identically.
+                    if not self.events_processed % stride:
+                        self._g_queue_depth.set(len(queue))
             else:
                 if until is not None and until > self._now:
                     self._now = until
         finally:
-            self._running = False
-            depth_g.set(len(queue))
+            if live:
+                self._g_queue_depth.set(len(queue))
         return self._now
 
     def drain_coincident(self, callback: Callable[..., None]) -> List[tuple]:
@@ -323,22 +313,24 @@ class Simulator:
         """
         queue = self._queue
         drained: List[tuple] = []
-        heappop = heapq.heappop
         now = self._now
+        live = self._live
         while queue:
             head = queue[0]
-            if head.cancelled:
+            if head[6]:
                 heappop(queue)
                 self._dead -= 1
-                self._m_cancelled.inc()
+                if live:
+                    self._m_cancelled.inc()
                 continue
-            if head.time != now or head.callback != callback:
+            if head[0] != now or head[2] != callback:
                 break
             heappop(queue)
-            head._sim = None
-            drained.append(head.args)
+            head[5] = None
+            drained.append(head[3])
             self.events_processed += 1
-            self._m_fired.inc()
+            if live:
+                self._m_fired.inc()
         return drained
 
     def step(self) -> bool:

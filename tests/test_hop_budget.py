@@ -1,0 +1,166 @@
+"""The per-hop budget, counted rather than timed.
+
+A hop is the path a frame takes from ``Port.send`` on one device to
+``receive_frame`` on the next.  These tests pin what it may cost in
+Python frames (docs/PERFORMANCE.md, "The per-hop kernel"): heap
+ordering never enters Python, the plumbing is five calls, and a
+simulator without a live telemetry domain makes no instrument call at
+all.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.net.addresses import MacAddress
+from repro.net.link import Link, Port
+from repro.net.packet import EthernetFrame
+from repro.obs.export import snapshot
+from repro.obs.telemetry import Telemetry
+from repro.sim.engine import Simulator
+
+FRAMES_EACH_WAY = 1000
+
+
+class _Stub:
+    """A device that only counts what reaches it."""
+
+    def __init__(self) -> None:
+        self.port = Port(self, "stub")
+        self.received = 0
+
+    def receive_frame(self, frame, port) -> None:
+        self.received += 1
+
+
+def _python_calls(fn) -> Counter:
+    """Run ``fn`` and count Python-level calls by
+    ``(file basename, function name)``; C calls are not counted."""
+    calls: Counter = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls[(code.co_filename.rpartition("/")[2], code.co_name)] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _two_stubs(coalesce: bool):
+    """Two stubs on one link, 1,000 sends queued each way at distinct
+    instants (so the heap is deep and nothing is ever coincident)."""
+    sim = Simulator()
+    a, b = _Stub(), _Stub()
+    Link(sim, a.port, b.port, latency=0.125)
+    if coalesce:
+        a.port.coalesce = b.port.coalesce = sim
+    frame = EthernetFrame(MacAddress(0x020000000001),
+                          MacAddress(0x020000000002), b"x")
+    for index in range(FRAMES_EACH_WAY):
+        sim.schedule_at(float(index), a.port.send, frame)
+        sim.schedule_at(index + 0.5, b.port.send, frame)
+    return sim, a, b
+
+
+@pytest.mark.parametrize("coalesce", [False, True])
+def test_hop_is_five_python_frames_and_no_python_ordering(coalesce):
+    sim, a, b = _two_stubs(coalesce)
+    calls = _python_calls(sim.run)
+    assert (a.received, b.received) == (FRAMES_EACH_WAY, FRAMES_EACH_WAY)
+    hops = 2 * FRAMES_EACH_WAY
+    assert not [key for key in calls if key[1] == "__lt__"]
+    # send -> transmit -> schedule | deliver -> receive_frame, and the
+    # one run() that drove them.  Nothing else: no Event.__init__, no
+    # instrument, no clock property, no drain_coincident.
+    assert calls == {
+        ("engine.py", "run"): 1,
+        ("link.py", "send"): hops,
+        ("link.py", "transmit"): hops,
+        ("engine.py", "schedule"): hops,
+        ("link.py", "deliver"): hops,
+        ("test_hop_budget.py", "receive_frame"): hops,
+    }
+
+
+def test_batch_window_hop_costs_the_same():
+    sim, a, b = _two_stubs(coalesce=True)
+    a.port.link.batch_window = 0.25
+    calls = _python_calls(sim.run)
+    assert a.received + b.received == 2 * FRAMES_EACH_WAY
+    assert calls[("engine.py", "schedule_at")] == 2 * FRAMES_EACH_WAY
+    assert sum(calls.values()) == 5 * 2 * FRAMES_EACH_WAY + 1
+
+
+def _ticking_sim():
+    """40 ticks at t=1..40, the depth gauge sampled every 8 events."""
+    sim = Simulator()
+    sim.QUEUE_DEPTH_STRIDE = 8
+    ticks = [sim.schedule_at(float(t), lambda: None) for t in range(1, 41)]
+    return sim, ticks
+
+
+def test_sim_instruments_in_a_mid_run_snapshot():
+    sim, ticks = _ticking_sim()
+    telemetry = Telemetry(clock=lambda: sim.now)
+    sim.attach_telemetry(telemetry)
+    # Attached after the ticks were queued: those 40 are not counted,
+    # exactly as before; the three schedules below are.
+    mid = []
+    sim.schedule_at(20.5, lambda: mid.append(
+        snapshot(telemetry, include_traces=False)))
+    late = [sim.schedule_at(50.0, lambda: None) for _ in range(2)]
+    ticks[4].cancel()
+    ticks[9].cancel()
+    late[0].cancel()
+    sim.run()
+
+    (snap,) = mid
+    assert snap["time"] == 20.5
+    assert snap["counters"] == {
+        "sim.events.scheduled": 3.0,
+        "sim.events.fired": 18.0,      # ticks 1..20 less the two dead
+        "sim.events.cancelled": 2.0,   # discarded lazily at the head
+    }
+    # Sampled when the 16th callback returned (tick 18): 43 entries
+    # queued in all, 18 popped by then.
+    assert snap["gauges"] == {"sim.queue.depth": 43 - 18}
+
+    final = snapshot(telemetry, include_traces=False)
+    assert final["counters"] == {
+        "sim.events.scheduled": 3.0,
+        "sim.events.fired": 40.0,      # 38 ticks, the reader, one late
+        "sim.events.cancelled": 3.0,
+    }
+    assert final["gauges"] == {"sim.queue.depth": 0}
+    assert sim.events_processed == 40
+
+
+def test_detached_simulator_makes_no_instrument_call():
+    sim, ticks = _ticking_sim()
+    ticks[4].cancel()
+
+    def drive():
+        sim.schedule(0.5, lambda: None)
+        ticks[9].cancel()
+        sim.step()
+        sim.run(until=20.0)
+        sim.run()
+
+    calls = _python_calls(drive)
+    assert sim.events_processed == 39
+    assert not [key for key in calls
+                if key[0] in ("metrics.py", "telemetry.py")]
+    assert set(calls) == {
+        ("test_hop_budget.py", "drive"), ("test_hop_budget.py", "<lambda>"),
+        ("engine.py", "schedule"), ("engine.py", "cancel"),
+        ("engine.py", "_note_cancel"), ("engine.py", "step"),
+        ("engine.py", "run"),
+    }

@@ -7,7 +7,7 @@ import pytest
 
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.host import Host
-from repro.net.link import Link, PortMode, Switch
+from repro.net.link import Link, Port, PortMode, Switch
 from repro.net.packet import EthernetFrame, IPv4Packet, UDPDatagram
 from repro.sim.engine import Simulator
 from tests.helpers import lan
@@ -17,6 +17,21 @@ def attach_host(sim, switch, name, ip, vlan):
     host = Host(sim, name, ip=IPv4Address(ip))
     Link(sim, host.attach_port(), switch.attach_port(access_vlan=vlan))
     return host
+
+
+class TestLink:
+    @pytest.mark.parametrize("kwargs", [
+        {"latency": -0.001}, {"latency": float("nan")},
+        {"batch_window": -0.005}, {"batch_window": float("nan")},
+    ])
+    def test_bad_timing_rejected_at_construction(self, kwargs):
+        sim = Simulator()
+        a, b = Port(object(), "a"), Port(object(), "b")
+        with pytest.raises(ValueError):
+            Link(sim, a, b, **kwargs)
+        # A refused link leaves the ports free.
+        assert not a.connected and not b.connected
+        Link(sim, a, b, latency=0.0, batch_window=0.0)
 
 
 class TestSwitch:

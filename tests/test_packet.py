@@ -125,6 +125,18 @@ class TestIPv4Packet:
         assert packet.tcp.seq == 0
         assert str(packet.src) == "10.0.0.1"
 
+    def test_addresses_coerced_unless_canonical(self):
+        dst = IPv4Address("10.0.0.2")
+        packet = IPv4Packet("10.0.0.1", dst, UDPDatagram(1, 2))
+        assert packet.src is IPv4Address("10.0.0.1") and packet.dst is dst
+        assert packet.proto == 17
+        with pytest.raises(ValueError):
+            IPv4Packet("10.0.0", dst, UDPDatagram(1, 2))
+        with pytest.raises(TypeError):
+            IPv4Packet(dst, 1.5, UDPDatagram(1, 2))
+        with pytest.raises(ValueError):
+            IPv4Packet(dst, dst, b"opaque")
+
 
 class TestEthernetFrame:
     def test_untagged_round_trip(self):
@@ -153,3 +165,13 @@ class TestEthernetFrame:
             EthernetFrame(src, src, b"", vlan=4095)
         with pytest.raises(ValueError):
             EthernetFrame(src, src, b"", vlan=0)
+
+    def test_addresses_coerced_unless_canonical(self):
+        src = MacAddress("02:00:00:00:00:01")
+        frame = EthernetFrame(src, "02:00:00:00:00:02", b"")
+        assert frame.src is src
+        assert frame.dst is MacAddress(0x020000000002)
+        with pytest.raises(ValueError):
+            EthernetFrame(src, "02:00:00", b"")
+        with pytest.raises(TypeError):
+            EthernetFrame(b"\x02" * 6, src, b"")

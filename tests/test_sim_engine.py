@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.process import Process, Timer
@@ -44,6 +45,19 @@ class TestScheduling:
         sim.run()
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
+
+    def test_nan_times_rejected(self):
+        # ``nan < 0`` is false, so a plain "< 0" check lets NaN through:
+        # the event then fires past ``until`` and the clock turns NaN.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending == 1
+        assert sim.run(until=5.0) == 5.0
+        assert sim.now == 5.0
 
     def test_cancelled_events_do_not_fire(self):
         sim = Simulator()
@@ -239,3 +253,186 @@ class TestQueueKernel:
         assert sim.step() is True
         assert sim.now == 1.0
         assert sim.step() is False
+
+
+# ----------------------------------------------------------------------
+# Model check: the engine against a sort-in-plain-Python reference
+# ----------------------------------------------------------------------
+# Binary-exact delays, few of them, so equal timestamps are the norm.
+DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])
+CHILD = st.tuples(DELAYS, st.sampled_from(["plain", "drain"]))
+ACTIONS = st.one_of(
+    st.tuples(st.just("plain")),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("spawn"), CHILD),
+    st.tuples(st.just("cancel"), st.integers(0, 200)),
+    st.tuples(st.just("compact")),
+)
+OPS = st.one_of(
+    st.tuples(st.just("schedule"), DELAYS, ACTIONS),
+    st.tuples(st.just("schedule_at"), DELAYS, ACTIONS),
+    st.tuples(st.just("cancel"), st.integers(0, 200)),
+    st.tuples(st.just("run_until"), DELAYS),
+    st.tuples(st.just("run_max"), st.integers(0, 4)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("compact")),
+)
+
+
+class _Reference:
+    """The engine's contract with no heap: a list re-sorted by
+    ``(time, seq)`` whenever the head is needed."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.queued = []      # [time, seq, ident, action, cancelled]
+        self.records = []     # every record ever made, by handle index
+        self.events_processed = 0
+        self.log = []
+
+    @property
+    def pending(self):
+        return sum(1 for record in self.queued if not record[4])
+
+    def schedule_at(self, time, action):
+        record = [time, self.seq, len(self.records), action, False]
+        self.seq += 1
+        self.queued.append(record)
+        self.records.append(record)
+
+    def cancel(self, index):
+        if self.records:
+            self.records[index % len(self.records)][4] = True
+
+    def _head(self):
+        """Discard dead heads, return the live one (or None)."""
+        self.queued.sort(key=lambda record: (record[0], record[1]))
+        while self.queued and self.queued[0][4]:
+            self.queued.pop(0)
+        return self.queued[0] if self.queued else None
+
+    def run(self, until=None, max_events=None):
+        processed = 0
+        while True:
+            head = self._head()
+            if head is None:
+                if until is not None and until > self.now:
+                    self.now = until
+                return
+            if until is not None and head[0] > until:
+                self.now = until
+                return
+            if max_events is not None and processed >= max_events:
+                return
+            self.queued.pop(0)
+            self.now = head[0]
+            self._fire(head)
+            processed += 1
+            self.events_processed += 1
+
+    def _fire(self, record):
+        ident, action = record[2], record[3]
+        if action[0] == "drain":
+            while True:
+                head = self._head()
+                if (head is None or head[0] != self.now
+                        or head[3][0] != "drain"):
+                    break
+                self.queued.pop(0)
+                self.events_processed += 1
+                self.log.append(("drained", head[2]))
+        elif action[0] == "spawn":
+            delay, kind = action[1]
+            self.schedule_at(self.now + delay, (kind,))
+        elif action[0] == "cancel":
+            self.cancel(action[1])
+        self.log.append(("fired", ident, self.now))
+
+
+class _Driver:
+    """The same program against the real engine."""
+
+    def __init__(self, compact_min_queue):
+        self.sim = Simulator()
+        self.sim.COMPACT_MIN_QUEUE = compact_min_queue
+        self.handles = []
+        self.log = []
+
+    def schedule_at(self, time, action, relative=None):
+        ident = len(self.handles)
+        callback = self._drainer if action[0] == "drain" else self._plain
+        if relative is None:
+            event = self.sim.schedule_at(time, callback, ident, action)
+        else:
+            event = self.sim.schedule(relative, callback, ident, action)
+        self.handles.append(event)
+
+    def cancel(self, index):
+        if self.handles:
+            self.handles[index % len(self.handles)].cancel()
+
+    def _plain(self, ident, action):
+        sim = self.sim
+        if action[0] == "spawn":
+            delay, kind = action[1]
+            self.schedule_at(None, (kind,), relative=delay)
+        elif action[0] == "cancel":
+            self.cancel(action[1])
+        elif action[0] == "compact":
+            sim._compact()
+        self.log.append(("fired", ident, sim.now))
+
+    def _drainer(self, ident, action):
+        for drained_ident, _ in self.sim.drain_coincident(self._drainer):
+            self.log.append(("drained", drained_ident))
+        self.log.append(("fired", ident, self.sim.now))
+
+
+def _play(program, compact_min_queue):
+    ref, real = _Reference(), _Driver(compact_min_queue)
+    sim = real.sim
+    for op in program:
+        if op[0] == "schedule":
+            ref.schedule_at(ref.now + op[1], op[2])
+            real.schedule_at(None, op[2], relative=op[1])
+        elif op[0] == "schedule_at":
+            ref.schedule_at(ref.now + op[1], op[2])
+            real.schedule_at(sim.now + op[1], op[2])
+        elif op[0] == "cancel":
+            ref.cancel(op[1])
+            real.cancel(op[1])
+        elif op[0] == "run_until":
+            ref.run(until=ref.now + op[1])
+            assert sim.run(until=sim.now + op[1]) == ref.now
+        elif op[0] == "run_max":
+            ref.run(max_events=op[1])
+            sim.run(max_events=op[1])
+        elif op[0] == "step":
+            before = ref.events_processed
+            ref.run(max_events=1)
+            assert sim.step() is (ref.events_processed != before)
+        else:
+            sim._compact()
+        assert real.log == ref.log
+        assert sim.now == ref.now
+        assert sim.pending == ref.pending
+        assert sim.events_processed == ref.events_processed
+    ref.run()
+    sim.run()
+    assert real.log == ref.log
+    assert (sim.now, sim.pending) == (ref.now, 0)
+    assert sim.events_processed == ref.events_processed
+    assert sim._queue == [] and sim._dead == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(OPS, max_size=60))
+def test_engine_matches_sorting_reference(program):
+    """Random interleavings of schedule / schedule_at / cancel (before
+    and after firing, repeatedly) / bounded runs / step / in-callback
+    drain_coincident, cancel, spawn and compaction fire in exactly the
+    reference's ``(time, seq)`` order — with compaction eager (floor
+    of 2 entries, so it triggers mid-run) and with it never running."""
+    _play(program, compact_min_queue=2)
+    _play(program, compact_min_queue=10 ** 9)
