@@ -21,7 +21,7 @@ a flag set with exactly one endpoint op.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Dict, Optional, Set
 
 from repro.net.addresses import IPv4Address
 
@@ -40,20 +40,23 @@ class Verdict(enum.IntFlag):
     def label(self) -> str:
         """Stable human-readable name, e.g. ``FORWARD`` or
         ``REDIRECT|REWRITE`` (IntFlag.__str__ is version-dependent)."""
-        parts = [
-            op.name for op in (Verdict.FORWARD, Verdict.LIMIT, Verdict.DROP,
-                               Verdict.REDIRECT, Verdict.REFLECT,
-                               Verdict.REWRITE)
-            if self & op
-        ]
-        return "|".join(parts) if parts else "NONE"
+        label = _LABELS.get(self._value_)
+        if label is None:
+            parts = [
+                op.name for op in (Verdict.FORWARD, Verdict.LIMIT,
+                                   Verdict.DROP, Verdict.REDIRECT,
+                                   Verdict.REFLECT, Verdict.REWRITE)
+                if self & op
+            ]
+            label = _LABELS[self._value_] = "|".join(parts) or "NONE"
+        return label
 
     @property
     def endpoint_op(self) -> "Verdict":
         """The single endpoint-control component of this verdict."""
-        for op in (Verdict.DROP, Verdict.REDIRECT, Verdict.REFLECT,
-                   Verdict.FORWARD, Verdict.LIMIT):
-            if self & op:
+        value = self._value_
+        for bit, op in _ENDPOINT_PRIORITY:
+            if value & bit:
                 return op
         raise ValueError(f"verdict {self!r} has no endpoint op")
 
@@ -74,6 +77,8 @@ class Verdict(enum.IntFlag):
 
     def validate(self) -> None:
         """Reject nonsensical combinations (e.g. DROP + REWRITE)."""
+        if self._value_ in _VALIDATED:
+            return
         endpoint_ops = [
             op for op in (Verdict.FORWARD, Verdict.LIMIT, Verdict.DROP,
                           Verdict.REDIRECT, Verdict.REFLECT)
@@ -87,6 +92,19 @@ class Verdict(enum.IntFlag):
             raise ValueError(f"conflicting endpoint ops in {self!r}")
         if self & Verdict.DROP and self & Verdict.REWRITE:
             raise ValueError("DROP cannot combine with REWRITE")
+        _VALIDATED.add(self._value_)
+
+
+# A verdict is one of a handful of bit patterns issued once per flow,
+# and every ``self & op`` above re-enters enum.py: answer per ``_value_``
+# instead.  The enum caches one pseudo-member per distinct value, so
+# these never hold more keys than ``Verdict`` itself does.
+_LABELS: Dict[int, str] = {}
+_VALIDATED: Set[int] = set()
+_ENDPOINT_PRIORITY = tuple(
+    (op._value_, op) for op in (Verdict.DROP, Verdict.REDIRECT,
+                                Verdict.REFLECT, Verdict.FORWARD,
+                                Verdict.LIMIT))
 
 
 class ContainmentDecision:

@@ -116,8 +116,9 @@ class Host:
         self.tcp = TcpStack(self)
         self.udp = UdpStack(self)
 
-        self._arp_cache: Dict[IPv4Address, MacAddress] = {}
-        self._arp_pending: Dict[IPv4Address, List[IPv4Packet]] = {}
+        # Both keyed on the next hop's 32-bit value: an int hashes in C.
+        self._arp_cache: Dict[int, MacAddress] = {}
+        self._arp_pending: Dict[int, List[IPv4Packet]] = {}
 
         # Sink servers accept traffic for *any* destination address:
         # reflected flows arrive still addressed to their original
@@ -167,13 +168,6 @@ class Host:
         self._subnet = (None if self.ip is None
                         else self.ip.value & self._mask)
 
-    def _next_hop(self, dst: IPv4Address) -> Optional[IPv4Address]:
-        subnet = self._subnet
-        # Unconfigured hosts only broadcast anyway: everything is on-link.
-        if subnet is None or dst.value & self._mask == subnet:
-            return dst
-        return self.gateway_ip  # None means no route (ENETUNREACH)
-
     def send_ip(self, packet: IPv4Packet) -> None:
         """Send an IPv4 packet, resolving the next hop via ARP.
 
@@ -182,25 +176,28 @@ class Host:
         application just never hears back.
         """
         self.packets_sent += 1
-        if packet.dst.value == 0xFFFFFFFF:
+        next_hop = packet.dst
+        if next_hop.value == 0xFFFFFFFF:
             self._transmit(packet, MacAddress.broadcast())
             return
-        next_hop = self._next_hop(packet.dst)
-        if next_hop is None:
-            self.packets_unroutable += 1
-            return
-        mac = self._arp_cache.get(next_hop)
+        subnet = self._subnet
+        # Unconfigured hosts only broadcast anyway: everything is on-link.
+        if subnet is not None and next_hop.value & self._mask != subnet:
+            next_hop = self.gateway_ip
+            if next_hop is None:  # no route (ENETUNREACH)
+                self.packets_unroutable += 1
+                return
+        mac = self._arp_cache.get(next_hop.value)
         if mac is not None:
-            self._transmit(packet, mac)
+            self.port.send(EthernetFrame(self.mac, mac, packet))
             return
-        queue = self._arp_pending.setdefault(next_hop, [])
+        queue = self._arp_pending.setdefault(next_hop.value, [])
         queue.append(packet)
         if len(queue) == 1:
             self._send_arp_request(next_hop)
 
     def _transmit(self, packet: IPv4Packet, dst_mac: MacAddress) -> None:
-        frame = EthernetFrame(self.mac, dst_mac, packet, ethertype=ETHERTYPE_IPV4)
-        self.port.send(frame)
+        self.port.send(EthernetFrame(self.mac, dst_mac, packet))
 
     def _send_arp_request(self, target_ip: IPv4Address) -> None:
         sender_ip = self.ip if self.ip is not None else IPv4Address(0)
@@ -217,24 +214,25 @@ class Host:
     # Receive path
     # ------------------------------------------------------------------
     def receive_frame(self, frame: EthernetFrame, port: Port) -> None:
-        if not frame.dst.is_broadcast and frame.dst != self.mac:
+        # Addresses are interned, so unicast to this host is normally an
+        # identity hit; .value settles the rest without a Python call.
+        dst_mac = frame.dst
+        if (dst_mac is not self.mac and dst_mac.value != self.mac.value
+                and dst_mac.value != MacAddress.BROADCAST_VALUE):
             return
         if frame.ethertype == ETHERTYPE_ARP:
             self._handle_arp(frame)
             return
-        if frame.ethertype != ETHERTYPE_IPV4 or not isinstance(
-            frame.payload, IPv4Packet
-        ):
-            return
         packet = frame.payload
-        is_broadcast = packet.dst == BROADCAST_IP
-        if (not is_broadcast and self.ip is not None
-                and packet.dst != self.ip and not self.accept_any_ip):
+        if frame.ethertype != ETHERTYPE_IPV4 or not isinstance(
+                packet, IPv4Packet):
             return
-        if not is_broadcast and self.ip is None:
-            # Unconfigured host: only DHCP-style broadcast is interesting,
-            # but accept unicast addressed to our MAC (DHCP offers do this).
-            pass
+        # An unconfigured host takes anything addressed to its MAC
+        # (DHCP offers arrive as unicast).
+        dst, ip = packet.dst, self.ip
+        if (dst is not ip and ip is not None and dst.value != ip.value
+                and dst.value != 0xFFFFFFFF and not self.accept_any_ip):
+            return
         self.packets_received += 1
         if packet.proto == PROTO_TCP:
             self.tcp.packet_arrived(packet)
@@ -246,9 +244,10 @@ class Host:
             message = ArpMessage.from_bytes(bytes(frame.payload))
         except ValueError:
             return
-        if message.sender_ip.value != 0:
-            self._arp_cache[message.sender_ip] = message.sender_mac
-            self._drain_pending(message.sender_ip)
+        sender = message.sender_ip.value
+        if sender != 0:
+            self._arp_cache[sender] = message.sender_mac
+            self._drain_pending(sender)
         if (
             message.op == OP_REQUEST
             and self.ip is not None
@@ -262,7 +261,7 @@ class Host:
             )
             self.port.send(out)
 
-    def _drain_pending(self, ip: IPv4Address) -> None:
+    def _drain_pending(self, ip: int) -> None:
         pending = self._arp_pending.pop(ip, None)
         if not pending:
             return
@@ -271,7 +270,7 @@ class Host:
             self._transmit(packet, mac)
 
     def arp_cache_snapshot(self) -> Dict[IPv4Address, MacAddress]:
-        return dict(self._arp_cache)
+        return {IPv4Address(ip): mac for ip, mac in self._arp_cache.items()}
 
     def __repr__(self) -> str:
         return f"<Host {self.name} ip={self.ip} mac={self.mac}>"

@@ -9,8 +9,8 @@ injects into TCP streams — are bit-accurate and testable.
 Ownership: a frame handed to ``Port.send`` is never mutated again, so
 switches and traces share it without copying.  A device that rewrites
 (NAT, VLAN retagging, sequence-number bumping, TTL) builds a new header
-over the shared payload, or takes a private :meth:`copy` first
-(docs/PERFORMANCE.md, "Packet ownership").
+over the shared payload, or mutates only its own :meth:`copy` before
+sending it (docs/PERFORMANCE.md, "Packet ownership").
 """
 
 from __future__ import annotations
@@ -120,13 +120,11 @@ def _validate_tcp_options(options: bytes) -> None:
 class TCPSegment:
     """A TCP segment with a byte-accurate sequence space.
 
-    Serialization is cached per (src, dst) pseudo-header: the gateway
-    mutates segments in flight, so any field write invalidates the
-    cached wire image (see :meth:`__setattr__`).
+    A plain value object: whoever builds or copies one owns its fields
+    until the enclosing frame is handed to ``Port.send``.
     """
 
-    __slots__ = ("sport", "dport", "seq", "ack", "flags", "window", "payload",
-                 "_wire", "_wire_key")
+    __slots__ = ("sport", "dport", "seq", "ack", "flags", "window", "payload")
 
     def __init__(
         self,
@@ -138,22 +136,13 @@ class TCPSegment:
         window: int = 65535,
         payload: bytes = b"",
     ) -> None:
-        # Nothing is cached yet, so skip the mutation hook: segments
-        # are built per packet sent and per trace record read.
-        setter = object.__setattr__
-        setter(self, "sport", sport)
-        setter(self, "dport", dport)
-        setter(self, "seq", seq & 0xFFFFFFFF)
-        setter(self, "ack", ack & 0xFFFFFFFF)
-        setter(self, "flags", flags)
-        setter(self, "window", window)
-        setter(self, "payload", payload)
-        setter(self, "_wire", None)
-        setter(self, "_wire_key", None)
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        object.__setattr__(self, "_wire", None)
+        self.sport = sport
+        self.dport = dport
+        self.seq = seq & 0xFFFFFFFF
+        self.ack = ack & 0xFFFFFFFF
+        self.flags = flags
+        self.window = window
+        self.payload = payload
 
     # Flag helpers -----------------------------------------------------
     @property
@@ -192,45 +181,24 @@ class TCPSegment:
         return "|".join(names) or "-"
 
     def copy(self) -> "TCPSegment":
-        # Slot-level clone bypassing __init__ and the mutation hook —
-        # the hot relay path copies every packet it forwards.  The
-        # cached wire image stays valid for a field-identical copy and
-        # is invalidated by the hook on the first mutation.
-        clone = object.__new__(TCPSegment)
-        setter = object.__setattr__
-        setter(clone, "sport", self.sport)
-        setter(clone, "dport", self.dport)
-        setter(clone, "seq", self.seq)
-        setter(clone, "ack", self.ack)
-        setter(clone, "flags", self.flags)
-        setter(clone, "window", self.window)
-        setter(clone, "payload", self.payload)
-        setter(clone, "_wire", self._wire)
-        setter(clone, "_wire_key", self._wire_key)
-        return clone
+        return self.rebind(self.sport, self.dport, self.seq, self.ack)
 
     def rebind(self, sport: int, dport: int, seq: int, ack: int) -> "TCPSegment":
         """New segment carrying this one's flags/window/payload under
         translated addressing and sequence fields — the relay's inner
-        operation, built in one pass with no mutation-hook churn."""
+        operation.  A slot-level clone: the fields are already masked."""
         clone = object.__new__(TCPSegment)
-        setter = object.__setattr__
-        setter(clone, "sport", sport)
-        setter(clone, "dport", dport)
-        setter(clone, "seq", seq)
-        setter(clone, "ack", ack)
-        setter(clone, "flags", self.flags)
-        setter(clone, "window", self.window)
-        setter(clone, "payload", self.payload)
-        setter(clone, "_wire", None)
-        setter(clone, "_wire_key", None)
+        clone.sport = sport
+        clone.dport = dport
+        clone.seq = seq
+        clone.ack = ack
+        clone.flags = self.flags
+        clone.window = self.window
+        clone.payload = self.payload
         return clone
 
     def to_bytes(self, src: IPv4Address, dst: IPv4Address) -> bytes:
         """Serialize with a valid checksum over the pseudo-header."""
-        key = (src.value, dst.value)
-        if self._wire is not None and self._wire_key == key:
-            return self._wire
         header = struct.pack(
             "!HHIIBBHHH",
             self.sport, self.dport, self.seq, self.ack,
@@ -242,12 +210,7 @@ class TCPSegment:
         )
         checksum = internet_checksum(pseudo + header + self.payload)
         header = header[:16] + struct.pack("!H", checksum) + header[18:]
-        wire = header + self.payload
-        # Cached via object.__setattr__ so the write doesn't invalidate
-        # itself through the mutation hook.
-        object.__setattr__(self, "_wire_key", key)
-        object.__setattr__(self, "_wire", wire)
-        return wire
+        return header + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TCPSegment":
@@ -277,51 +240,23 @@ class TCPSegment:
 
 
 class UDPDatagram:
-    """A UDP datagram.
+    """A UDP datagram; a plain value object like :class:`TCPSegment`."""
 
-    Like :class:`TCPSegment`, the serialized wire image is cached per
-    (src, dst) pseudo-header and invalidated on any field write.
-    """
-
-    __slots__ = ("sport", "dport", "payload", "_wire", "_wire_key")
+    __slots__ = ("sport", "dport", "payload")
 
     def __init__(self, sport: int, dport: int, payload: bytes = b"") -> None:
-        setter = object.__setattr__
-        setter(self, "sport", sport)
-        setter(self, "dport", dport)
-        setter(self, "payload", payload)
-        setter(self, "_wire", None)
-        setter(self, "_wire_key", None)
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        object.__setattr__(self, "_wire", None)
+        self.sport = sport
+        self.dport = dport
+        self.payload = payload
 
     def copy(self) -> "UDPDatagram":
-        clone = object.__new__(UDPDatagram)
-        setter = object.__setattr__
-        setter(clone, "sport", self.sport)
-        setter(clone, "dport", self.dport)
-        setter(clone, "payload", self.payload)
-        setter(clone, "_wire", self._wire)
-        setter(clone, "_wire_key", self._wire_key)
-        return clone
+        return UDPDatagram(self.sport, self.dport, self.payload)
 
     def rebind(self, sport: int, dport: int) -> "UDPDatagram":
         """New datagram with this payload under translated ports."""
-        clone = object.__new__(UDPDatagram)
-        setter = object.__setattr__
-        setter(clone, "sport", sport)
-        setter(clone, "dport", dport)
-        setter(clone, "payload", self.payload)
-        setter(clone, "_wire", None)
-        setter(clone, "_wire_key", None)
-        return clone
+        return UDPDatagram(sport, dport, self.payload)
 
     def to_bytes(self, src: IPv4Address, dst: IPv4Address) -> bytes:
-        key = (src.value, dst.value)
-        if self._wire is not None and self._wire_key == key:
-            return self._wire
         length = 8 + len(self.payload)
         header = struct.pack("!HHHH", self.sport, self.dport, length, 0)
         pseudo = src.to_bytes() + dst.to_bytes() + struct.pack(
@@ -330,11 +265,7 @@ class UDPDatagram:
         checksum = internet_checksum(pseudo + header + self.payload)
         if checksum == 0:
             checksum = 0xFFFF
-        header = header[:6] + struct.pack("!H", checksum)
-        wire = header + self.payload
-        object.__setattr__(self, "_wire_key", key)
-        object.__setattr__(self, "_wire", wire)
-        return wire
+        return header[:6] + struct.pack("!H", checksum) + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "UDPDatagram":

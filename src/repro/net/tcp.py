@@ -21,7 +21,16 @@ import enum
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.addresses import IPv4Address
-from repro.net.packet import ACK, FIN, IPv4Packet, PSH, RST, SYN, TCPSegment
+from repro.net.packet import (
+    ACK,
+    FIN,
+    IPv4Packet,
+    PROTO_TCP,
+    PSH,
+    RST,
+    SYN,
+    TCPSegment,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.host import Host
@@ -29,6 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MSS = 1460
 
 SEQ_MOD = 1 << 32
+
+_PSH_ACK = PSH | ACK  # every data segment
+_SYN_ACK = SYN | ACK
 
 
 def seq_add(a: int, b: int) -> int:
@@ -78,6 +90,24 @@ class TcpState(enum.Enum):
     LAST_ACK = "last-ack"
     CLOSING = "closing"
     TIME_WAIT = "time-wait"
+
+
+# Members are singletons, so the per-segment path compares states by
+# identity against these aliases (an enum class attribute lookup costs
+# four times a global).
+_CLOSED = TcpState.CLOSED
+_SYN_SENT = TcpState.SYN_SENT
+_SYN_RCVD = TcpState.SYN_RCVD
+_ESTABLISHED = TcpState.ESTABLISHED
+_FIN_WAIT_1 = TcpState.FIN_WAIT_1
+_FIN_WAIT_2 = TcpState.FIN_WAIT_2
+_CLOSE_WAIT = TcpState.CLOSE_WAIT
+_LAST_ACK = TcpState.LAST_ACK
+_CLOSING = TcpState.CLOSING
+
+#: Demultiplexing key: (local ip, local port, remote ip, remote port)
+#: with the addresses as plain ints, so a probe hashes in C.
+ConnectionKey = Tuple[int, int, int, int]
 
 
 class TcpConnection:
@@ -134,8 +164,9 @@ class TcpConnection:
 
     # ------------------------------------------------------------------
     @property
-    def key(self) -> Tuple[IPv4Address, int, IPv4Address, int]:
-        return (self.local_ip, self.local_port, self.remote_ip, self.remote_port)
+    def key(self) -> ConnectionKey:
+        return (self.local_ip.value, self.local_port,
+                self.remote_ip.value, self.remote_port)
 
     @property
     def is_open(self) -> bool:
@@ -153,23 +184,22 @@ class TcpConnection:
     # ------------------------------------------------------------------
     def send(self, data: bytes) -> None:
         """Queue application bytes for transmission."""
-        if self.state == TcpState.CLOSED and self.opened_at is None:
-            # Connection not yet opened (SYN deferred a tick, or server
-            # accept callback running before the SYN is processed):
-            # queue the bytes; they flush at establishment.
-            self._send_buffer.extend(data)
-            return
-        if self.state not in (
-            TcpState.ESTABLISHED,
-            TcpState.CLOSE_WAIT,
-            TcpState.SYN_SENT,
-            TcpState.SYN_RCVD,
-        ):
-            raise RuntimeError(f"cannot send in state {self.state}")
+        state = self.state
+        if state is not _ESTABLISHED:
+            if state is _CLOSED and self.opened_at is None:
+                # Connection not yet opened (SYN deferred a tick, or
+                # server accept callback running before the SYN is
+                # processed): queue the bytes; they flush at
+                # establishment.
+                self._send_buffer.extend(data)
+                return
+            if (state is not _CLOSE_WAIT and state is not _SYN_SENT
+                    and state is not _SYN_RCVD):
+                raise RuntimeError(f"cannot send in state {state}")
         if self._fin_pending or self._fin_sent:
             raise RuntimeError("cannot send after close()")
         self._send_buffer.extend(data)
-        if self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+        if state is _ESTABLISHED or state is _CLOSE_WAIT:
             self._flush()
 
     def close(self) -> None:
@@ -201,43 +231,48 @@ class TcpConnection:
 
     def segment_arrived(self, segment: TCPSegment) -> None:
         """The stack demultiplexed a segment to this connection."""
-        if self.state == TcpState.SYN_SENT:
+        state = self.state
+        if state is _SYN_SENT:
             self._handle_syn_sent(segment)
             return
-        if self.state == TcpState.CLOSED:
+        if state is _CLOSED:
             return
 
-        if segment.rst:
+        flags = segment.flags
+        if flags & RST:
             self._enter_closed(notify_reset=True)
             return
 
-        if segment.syn and self.state == TcpState.SYN_RCVD:
-            # Retransmitted SYN from peer: re-ack.
-            self._emit(flags=SYN | ACK, seq=self.iss, ack=self.rcv_nxt)
-            return
-
-        if self.state == TcpState.SYN_RCVD and segment.has_ack:
-            if segment.ack == self.snd_nxt:
+        if state is _SYN_RCVD:
+            if flags & SYN:
+                # Retransmitted SYN from peer: re-ack.
+                self._emit(_SYN_ACK, self.iss, self.rcv_nxt)
+                return
+            if flags & ACK and segment.ack == self.snd_nxt:
                 self._enter_established()
             # fall through to process any piggybacked payload
 
-        self._process_payload(segment)
-        self._process_ack_side_effects(segment)
-
-        if segment.fin:
+        if segment.payload:
+            self._process_payload(segment)
+        # Callbacks above may have moved the state; only the closing
+        # states care what a segment acknowledges.
+        if flags & ACK and self.state is not _ESTABLISHED:
+            self._process_ack_side_effects(segment)
+        if flags & FIN:
             self._handle_fin(segment)
 
     # ------------------------------------------------------------------
     # Handshake
     # ------------------------------------------------------------------
     def _handle_syn_sent(self, segment: TCPSegment) -> None:
-        if segment.rst:
+        flags = segment.flags
+        if flags & RST:
             self.state = TcpState.CLOSED
             if self.on_fail:
                 self.on_fail(self)
             self.host.tcp.forget(self)
             return
-        if segment.syn and segment.has_ack and segment.ack == self.snd_nxt:
+        if flags & SYN and flags & ACK and segment.ack == self.snd_nxt:
             self.irs = segment.seq
             self.rcv_nxt = seq_add(segment.seq, 1)
             self._emit(flags=ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
@@ -266,43 +301,44 @@ class TcpConnection:
     # Data path
     # ------------------------------------------------------------------
     def _process_payload(self, segment: TCPSegment) -> None:
-        if not segment.payload:
-            return
-        seg_seq = segment.seq
         payload = segment.payload
-        # Trim any already-received prefix.
-        if seq_lt(seg_seq, self.rcv_nxt):
-            overlap = seq_sub(self.rcv_nxt, seg_seq)
+        seg_seq = segment.seq
+        rcv_nxt = self.rcv_nxt
+        if seg_seq != rcv_nxt:
+            if not seq_lt(seg_seq, rcv_nxt):
+                # Out of order: buffer for later.
+                self._reassembly[seg_seq] = payload
+                self._emit(ACK, self.snd_nxt, rcv_nxt)
+                return
+            # Trim the already-received prefix.
+            overlap = seq_sub(rcv_nxt, seg_seq)
             if overlap >= len(payload):
-                self._send_ack()
+                self._emit(ACK, self.snd_nxt, rcv_nxt)
                 return
             payload = payload[overlap:]
-            seg_seq = self.rcv_nxt
-        if seg_seq != self.rcv_nxt:
-            # Out of order: buffer for later.
-            self._reassembly[seg_seq] = payload
-            self._send_ack()
-            return
         self._deliver(payload)
         # Drain any contiguous buffered segments.
-        while self.rcv_nxt in self._reassembly:
-            self._deliver(self._reassembly.pop(self.rcv_nxt))
-        self._send_ack()
+        reassembly = self._reassembly
+        while reassembly and self.rcv_nxt in reassembly:
+            self._deliver(reassembly.pop(self.rcv_nxt))
+        self._emit(ACK, self.snd_nxt, self.rcv_nxt)
 
     def _deliver(self, payload: bytes) -> None:
-        self.rcv_nxt = seq_add(self.rcv_nxt, len(payload))
-        self.bytes_received += len(payload)
+        size = len(payload)
+        self.rcv_nxt = (self.rcv_nxt + size) & 0xFFFFFFFF
+        self.bytes_received += size
         if self.on_data:
             self.on_data(self, payload)
 
     def _process_ack_side_effects(self, segment: TCPSegment) -> None:
-        if not segment.has_ack:
+        if segment.ack != self.snd_nxt:
             return
-        if self.state == TcpState.FIN_WAIT_1 and segment.ack == self.snd_nxt:
+        state = self.state
+        if state is _FIN_WAIT_1:
             self.state = TcpState.FIN_WAIT_2
-        elif self.state == TcpState.CLOSING and segment.ack == self.snd_nxt:
+        elif state is _CLOSING:
             self._enter_time_wait()
-        elif self.state == TcpState.LAST_ACK and segment.ack == self.snd_nxt:
+        elif state is _LAST_ACK:
             self._enter_closed(notify_reset=False)
 
     def _handle_fin(self, segment: TCPSegment) -> None:
@@ -310,61 +346,60 @@ class TcpConnection:
         if fin_seq != self.rcv_nxt:
             return  # FIN for data we have not seen; ignore (no retransmit model)
         self.rcv_nxt = seq_add(self.rcv_nxt, 1)
-        self._send_ack()
-        if self.state in (TcpState.ESTABLISHED, TcpState.SYN_RCVD):
+        self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+        state = self.state
+        if state is _ESTABLISHED or state is _SYN_RCVD:
             self.state = TcpState.CLOSE_WAIT
             if self.on_remote_close:
                 self.on_remote_close(self)
-        elif self.state == TcpState.FIN_WAIT_1:
+        elif state is _FIN_WAIT_1:
             self.state = TcpState.CLOSING
-        elif self.state == TcpState.FIN_WAIT_2:
+        elif state is _FIN_WAIT_2:
             self._enter_time_wait()
 
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
     def _flush(self) -> None:
-        while self._send_buffer:
-            chunk = bytes(self._send_buffer[:MSS])
-            del self._send_buffer[:MSS]
-            flags = ACK | PSH
-            fin_here = self._fin_pending and not self._send_buffer
-            if fin_here:
-                flags |= FIN
+        buffer = self._send_buffer
+        while buffer:
+            if len(buffer) <= MSS:
+                chunk = bytes(buffer)
+                buffer.clear()
+            else:
+                chunk = bytes(buffer[:MSS])
+                del buffer[:MSS]
+            size = len(chunk)
+            seq = self.snd_nxt
+            self.bytes_sent += size
+            if self._fin_pending and not buffer:
                 self._fin_pending = False
                 self._fin_sent = True
-            self._emit(flags=flags, seq=self.snd_nxt, ack=self.rcv_nxt, payload=chunk)
-            self.snd_nxt = seq_add(self.snd_nxt, len(chunk) + (1 if fin_here else 0))
-            self.bytes_sent += len(chunk)
-            if fin_here:
+                self._emit(_PSH_ACK | FIN, seq, self.rcv_nxt, chunk)
+                self.snd_nxt = (seq + size + 1) & 0xFFFFFFFF
                 self._after_fin_sent()
+            else:
+                self._emit(_PSH_ACK, seq, self.rcv_nxt, chunk)
+                self.snd_nxt = (seq + size) & 0xFFFFFFFF
         if self._fin_pending:
             self._fin_pending = False
             self._fin_sent = True
-            self._emit(flags=FIN | ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
+            self._emit(FIN | ACK, self.snd_nxt, self.rcv_nxt)
             self.snd_nxt = seq_add(self.snd_nxt, 1)
             self._after_fin_sent()
 
     def _after_fin_sent(self) -> None:
-        if self.state == TcpState.ESTABLISHED:
+        if self.state is _ESTABLISHED:
             self.state = TcpState.FIN_WAIT_1
-        elif self.state == TcpState.CLOSE_WAIT:
+        elif self.state is _CLOSE_WAIT:
             self.state = TcpState.LAST_ACK
 
-    def _send_ack(self) -> None:
-        self._emit(flags=ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
-
     def _emit(self, flags: int, seq: int, ack: int, payload: bytes = b"") -> None:
-        segment = TCPSegment(
-            sport=self.local_port,
-            dport=self.remote_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            payload=payload,
-        )
-        packet = IPv4Packet(self.local_ip, self.remote_ip, segment)
-        self.host.send_ip(packet)
+        self.host.send_ip(IPv4Packet.wrap(
+            self.local_ip, self.remote_ip,
+            TCPSegment(self.local_port, self.remote_port, seq, ack, flags,
+                       65535, payload),
+            PROTO_TCP))
 
     # ------------------------------------------------------------------
     # Teardown
@@ -419,9 +454,9 @@ class TcpStack:
 
     def __init__(self, host: "Host") -> None:
         self.host = host
-        self._connections: Dict[
-            Tuple[IPv4Address, int, IPv4Address, int], TcpConnection
-        ] = {}
+        self._connections: Dict[ConnectionKey, TcpConnection] = {}
+        # Connections per local port, so allocate_port never scans.
+        self._port_use: Dict[int, int] = {}
         self._listeners: Dict[int, TcpListener] = {}
         self._any_listener: Optional[TcpListener] = None
         self._next_ephemeral = self.EPHEMERAL_BASE
@@ -438,9 +473,7 @@ class TcpStack:
             self._next_ephemeral += 1
             if self._next_ephemeral > 65535:
                 self._next_ephemeral = self.EPHEMERAL_BASE
-            if port not in self._listeners and not any(
-                key[1] == port for key in self._connections
-            ):
+            if port not in self._listeners and port not in self._port_use:
                 return port
         raise RuntimeError("ephemeral port space exhausted")
 
@@ -478,13 +511,27 @@ class TcpStack:
         conn = TcpConnection(
             self.host, self.host.ip, local_port, IPv4Address(remote_ip), remote_port
         )
-        self._connections[conn.key] = conn
+        self._register(conn)
         # Defer the SYN one scheduler tick so callers can set callbacks first.
         self.host.sim.schedule(0.0, conn.open_active, label="tcp-connect")
         return conn
 
+    def _register(self, conn: TcpConnection) -> None:
+        key = conn.key
+        if key not in self._connections:
+            port = conn.local_port
+            self._port_use[port] = self._port_use.get(port, 0) + 1
+        self._connections[key] = conn
+
     def forget(self, conn: TcpConnection) -> None:
-        self._connections.pop(conn.key, None)
+        if self._connections.pop(conn.key, None) is None:
+            return
+        port = conn.local_port
+        left = self._port_use[port] - 1
+        if left:
+            self._port_use[port] = left
+        else:
+            del self._port_use[port]
 
     def connection_count(self) -> int:
         return len(self._connections)
@@ -494,34 +541,37 @@ class TcpStack:
 
     # ------------------------------------------------------------------
     def packet_arrived(self, packet: IPv4Packet) -> None:
-        segment = packet.tcp
-        key = (packet.dst, segment.dport, packet.src, segment.sport)
-        conn = self._connections.get(key)
+        segment = packet.payload
+        if not isinstance(segment, TCPSegment):
+            raise TypeError("payload is not TCP")
+        flags = segment.flags
+        pure_syn = flags & _SYN_ACK == SYN
+        conn = self._connections.get(
+            (packet.dst.value, segment.dport, packet.src.value, segment.sport))
         if conn is not None:
             # A pure SYN with a new ISN on an established tuple is a
             # new incarnation (the peer was reverted/rebooted and is
             # reusing its ports): retire the stale connection and let
             # the listener take the SYN.
-            if (segment.syn and not segment.has_ack
-                    and conn.state not in (TcpState.SYN_SENT,
-                                           TcpState.SYN_RCVD)
+            if (pure_syn and conn.state is not _SYN_SENT
+                    and conn.state is not _SYN_RCVD
                     and segment.seq != conn.irs):
                 conn._enter_closed(notify_reset=True)
             else:
                 conn.segment_arrived(segment)
                 return
-        if segment.syn and not segment.has_ack:
+        if pure_syn:
             listener = self._listeners.get(segment.dport) or self._any_listener
             if listener is not None:
                 conn = TcpConnection(
                     self.host, packet.dst, segment.dport, packet.src, segment.sport
                 )
-                self._connections[conn.key] = conn
+                self._register(conn)
                 listener.accepted += 1
                 listener.on_accept(conn)
                 conn.handle_passive_syn(segment)
                 return
-        if not segment.rst:
+        if not flags & RST:
             self._send_reset(packet)
 
     def _send_reset(self, packet: IPv4Packet) -> None:

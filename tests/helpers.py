@@ -2,12 +2,32 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import sys
+from collections import Counter
+from typing import Callable, List, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.net.host import Host
 from repro.net.link import Link, Switch
 from repro.sim.engine import Simulator
+
+
+def python_calls(fn: Callable[[], object]) -> Counter:
+    """Run ``fn`` and count Python-level calls by
+    ``(file basename, function name)``; C calls are not counted."""
+    calls: Counter = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls[(code.co_filename.rpartition("/")[2], code.co_name)] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def lan(

@@ -10,9 +10,6 @@ all.
 
 from __future__ import annotations
 
-import sys
-from collections import Counter
-
 import pytest
 
 from repro.net.addresses import MacAddress
@@ -21,6 +18,7 @@ from repro.net.packet import EthernetFrame
 from repro.obs.export import snapshot
 from repro.obs.telemetry import Telemetry
 from repro.sim.engine import Simulator
+from tests.helpers import python_calls
 
 FRAMES_EACH_WAY = 1000
 
@@ -34,24 +32,6 @@ class _Stub:
 
     def receive_frame(self, frame, port) -> None:
         self.received += 1
-
-
-def _python_calls(fn) -> Counter:
-    """Run ``fn`` and count Python-level calls by
-    ``(file basename, function name)``; C calls are not counted."""
-    calls: Counter = Counter()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            calls[(code.co_filename.rpartition("/")[2], code.co_name)] += 1
-
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def _two_stubs(coalesce: bool):
@@ -73,7 +53,7 @@ def _two_stubs(coalesce: bool):
 @pytest.mark.parametrize("coalesce", [False, True])
 def test_hop_is_five_python_frames_and_no_python_ordering(coalesce):
     sim, a, b = _two_stubs(coalesce)
-    calls = _python_calls(sim.run)
+    calls = python_calls(sim.run)
     assert (a.received, b.received) == (FRAMES_EACH_WAY, FRAMES_EACH_WAY)
     hops = 2 * FRAMES_EACH_WAY
     assert not [key for key in calls if key[1] == "__lt__"]
@@ -93,7 +73,7 @@ def test_hop_is_five_python_frames_and_no_python_ordering(coalesce):
 def test_batch_window_hop_costs_the_same():
     sim, a, b = _two_stubs(coalesce=True)
     a.port.link.batch_window = 0.25
-    calls = _python_calls(sim.run)
+    calls = python_calls(sim.run)
     assert a.received + b.received == 2 * FRAMES_EACH_WAY
     assert calls[("engine.py", "schedule_at")] == 2 * FRAMES_EACH_WAY
     assert sum(calls.values()) == 5 * 2 * FRAMES_EACH_WAY + 1
@@ -154,7 +134,7 @@ def test_detached_simulator_makes_no_instrument_call():
         sim.run(until=20.0)
         sim.run()
 
-    calls = _python_calls(drive)
+    calls = python_calls(drive)
     assert sim.events_processed == 39
     assert not [key for key in calls
                 if key[0] in ("metrics.py", "telemetry.py")]

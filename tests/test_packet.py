@@ -96,6 +96,48 @@ class TestUdpDatagram:
         assert (parsed.sport, parsed.dport, parsed.payload) == (5353, 53, b"query")
 
 
+class TestPlainValueObjects:
+    """TCP/UDP carry no serialization cache, so there is no write hook:
+    ``to_bytes`` always answers for the fields as they are now."""
+
+    SRC, DST = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
+
+    @pytest.mark.parametrize("cls", [TCPSegment, UDPDatagram])
+    def test_no_write_hook_and_no_cache_slot(self, cls):
+        assert "__setattr__" not in vars(cls)
+        assert not [slot for slot in cls.__slots__
+                    if slot.startswith("_wire")]
+
+    @pytest.mark.parametrize("original, field, value", [
+        (TCPSegment(1234, 80, seq=1000, ack=2000, flags=ACK | PSH,
+                    payload=b"hello"), "seq", 0xFFFFFFFF),
+        (TCPSegment(1234, 80, flags=SYN), "dport", 8080),
+        (TCPSegment(1234, 80, flags=ACK, payload=b"a"), "payload", b"bcd"),
+        (UDPDatagram(5353, 53, b"query"), "sport", 53),
+        (UDPDatagram(5353, 53, b"query"), "payload", b""),
+    ])
+    def test_write_on_a_copy_shows_in_its_bytes_only(self, original, field,
+                                                     value):
+        before = original.to_bytes(self.SRC, self.DST)
+        clone = original.copy()
+        assert clone.to_bytes(self.SRC, self.DST) == before
+        setattr(clone, field, value)
+        parsed = type(original).from_bytes(
+            clone.to_bytes(self.SRC, self.DST))
+        assert getattr(parsed, field) == value
+        assert original.to_bytes(self.SRC, self.DST) == before
+
+    def test_rebind_keeps_flags_window_and_payload(self):
+        seg = TCPSegment(1234, 80, seq=1, ack=2, flags=ACK | PSH,
+                         window=4096, payload=b"hello")
+        out = seg.rebind(40000, 25, 11, 12)
+        assert (out.sport, out.dport, out.seq, out.ack) == (40000, 25, 11, 12)
+        assert (out.flags, out.window, out.payload) == (
+            ACK | PSH, 4096, b"hello")
+        gram = UDPDatagram(5353, 53, b"query").rebind(1, 2)
+        assert (gram.sport, gram.dport, gram.payload) == (1, 2, b"query")
+
+
 class TestIPv4Packet:
     def test_round_trip_tcp(self):
         packet = IPv4Packet(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.net.tcp import TcpState, seq_add, seq_lt, seq_sub
@@ -195,3 +198,62 @@ class TestSequenceArithmetic:
         assert seq_lt(0xFFFFFFF0, 0x10)
         assert not seq_lt(0x10, 0xFFFFFFF0)
         assert not seq_lt(5, 5)
+
+
+def scan_allocate(stack) -> int:
+    """The port ``allocate_port`` would hand out next, found the way it
+    used to be: one scan of every connection per candidate port."""
+    candidate = stack._next_ephemeral
+    for _ in range(64512):
+        port = candidate
+        candidate += 1
+        if candidate > 65535:
+            candidate = stack.EPHEMERAL_BASE
+        if port not in stack._listeners and not any(
+                key[1] == port for key in stack._connections):
+            return port
+    raise RuntimeError("ephemeral port space exhausted")
+
+
+class TestPortAllocation:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_open_close_script_allocates_what_the_scan_did(self, seed):
+        sim, _switch, (a, b) = lan(seed=seed)
+        echo_server(b)
+        a.tcp.listen(9, lambda conn: None)
+        rng = random.Random(seed)
+        stack = a.tcp
+        stack._next_ephemeral = 65500    # wrap past 65535 mid-script
+        conns = []
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.40:
+                # Ephemeral connect; port 999 is closed on b, so those
+                # are refused and forgotten by the RST.
+                expected = scan_allocate(stack)
+                conn = stack.connect(b.ip, rng.choice((7, 999)))
+                assert conn.local_port == expected
+                conns.append(conn)
+            elif roll < 0.55:
+                # Pinned local port just ahead of the allocator (twice
+                # to the same remote overwrites the first connection;
+                # two remote ports share one local port).
+                ahead = stack._next_ephemeral + rng.randrange(4)
+                if ahead <= 65535:
+                    conns.append(stack.connect(b.ip, rng.choice((7, 8)),
+                                               local_port=ahead))
+            elif roll < 0.60:
+                ahead = stack._next_ephemeral + rng.randrange(4)
+                if ahead <= 65535 and ahead not in stack._listeners:
+                    stack.listen(ahead, lambda conn: None)
+            elif roll < 0.70:
+                # Passive accepts occupy a's port 9 under new tuples.
+                b.tcp.connect(a.ip, 9)
+            elif roll < 0.85 and conns:
+                conns.pop(rng.randrange(len(conns))).abort()
+            elif conns:
+                conns.pop(rng.randrange(len(conns))).close()
+            sim.run(until=sim.now + rng.choice((0.0, 0.001, 0.5)))
+            in_use = Counter(key[1] for key in stack._connections)
+            assert stack._port_use == in_use
+        assert stack._next_ephemeral < 65500    # it did wrap

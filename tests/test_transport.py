@@ -108,8 +108,11 @@ class TestSocketDispatch:
             ShardSpec(2, NOOP, {"seed": 3}),
             ShardSpec(3, NOOP, {"seed": 4}),
         ])
+        # One worker, so shards 2-3 are still pending when shard 1
+        # kills it: the pool respawns only while work is waiting, and a
+        # second worker could drain them before the crash is reaped.
         with local_agents(1) as endpoints:
-            result = run_campaign(campaign, workers=2, hosts=endpoints)
+            result = run_campaign(campaign, workers=1, hosts=endpoints)
         assert len(result.shard_results) == 4
         assert not result.ok
         (failure,) = result.failures
