@@ -21,10 +21,10 @@ bench-parallel:
 bench-parallel-quick:
 	$(PYTHON) benchmarks/bench_parallel_scaling.py --quick-socket --workers $(WORKERS)
 
-# Determinism smoke: same-seed replay + fast/slow-path digest parity,
-# plus the batched datapath gates — ingest_batch wire/counter/stat
-# parity vs scalar and farm-level batch-window determinism
-# (docs/PERFORMANCE.md).  Exits 1 on any drift.
+# Determinism smoke: same-seed replay, plus the batched datapath
+# gates — ingest_batch wire/counter/stat parity vs scalar and
+# farm-level batch-window determinism (docs/PERFORMANCE.md).  Exits 1
+# on any drift.
 bench-quick:
 	$(PYTHON) benchmarks/bench_hotpath.py --quick
 	$(PYTHON) benchmarks/bench_parallel_scaling.py --quick --workers $(WORKERS)

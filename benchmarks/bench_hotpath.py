@@ -5,20 +5,21 @@ Three measurements (see docs/PERFORMANCE.md for methodology):
 
 1. *Forwarding* — a standalone :class:`SubfarmRouter` harness drives an
    established (post-verdict) TCP flow and pumps data packets through
-   both directions, with the fast path disabled ("before") and enabled
-   ("after").  This isolates the per-packet router cost the tentpole
-   optimizes and is where the ≥2× target applies.
+   both directions of its flow-table entries, one frame at a time
+   (``forwarding``) and as prebuilt :class:`WireBatch` columns through
+   ``ingest_batch`` (``batch``, with a ≥3× floor over the scalar pump
+   and byte-parity gates).  This isolates the per-packet router cost.
 2. *Flow setup* — the same harness measures full shim round-trips
    (SYN → CS handshake → request/response shim → handoff) per second:
    the slow-path cost every flow pays exactly once.
 3. *End-to-end* — a whole farm (gateway, switches, host TCP stacks,
    containment server) runs a streaming workload; virtual events/sec
-   and packets/sec of wall-clock time, before/after.
+   and packets/sec of wall-clock time.
 
 Determinism: the end-to-end scenario is run twice with the same seed
-and digested (flow logs, counters, upstream trace bytes); the digest
-must match run-to-run AND fastpath-on vs fastpath-off.  ``--quick``
-runs only this check (CI smoke) and exits non-zero on drift.
+and digested (flow logs, counters, upstream trace bytes, telemetry);
+the digests must match.  ``--quick`` runs only the determinism and
+batch-parity gates (CI smoke) and exits non-zero on drift.
 
 Usage::
 
@@ -72,7 +73,7 @@ class RouterHarness:
     hand-crafted packets so no host stacks or links dilute the
     measurement."""
 
-    def __init__(self, seed: int = 7, fastpath: bool = True) -> None:
+    def __init__(self, seed: int = 7) -> None:
         self.sim = Simulator(seed=seed)
         internal = AddressPool([IPv4Network("10.100.0.0/16")])
         global_pool = AddressPool([IPv4Network("198.18.0.0/24")])
@@ -96,7 +97,6 @@ class RouterHarness:
             emit_to_service=lambda ip, p: self.to_service.append(p),
             emit_upstream=self.upstream.append,
         )
-        self.router.fastpath_enabled = fastpath
         # Bound capture so multi-hundred-thousand-packet pumps do not
         # hold every frame (identical cost in both modes).
         self.router.trace.max_records = 256
@@ -196,7 +196,7 @@ class RouterHarness:
         return record
 
 
-def bench_forwarding(fastpath: bool, packets: int, seed: int = 7,
+def bench_forwarding(packets: int, seed: int = 7,
                      repeats: int = 3) -> dict:
     """Packets/sec through an established flow, both directions.
 
@@ -204,7 +204,7 @@ def bench_forwarding(fastpath: bool, packets: int, seed: int = 7,
     GC pause) only ever makes a run slower, so the fastest repeat is
     the most faithful estimate of the code's cost.
     """
-    harness = RouterHarness(seed=seed, fastpath=fastpath)
+    harness = RouterHarness(seed=seed)
     record = harness.establish_flow(vlan=2, sport=40000)
     assert record.phase.value == "enforced", record.phase
     inmate_ip = record.orig.orig_ip
@@ -235,7 +235,6 @@ def bench_forwarding(fastpath: bool, packets: int, seed: int = 7,
         best = min(best, elapsed)
         forwarded = len(harness.to_vlan) + len(harness.upstream)
     return {
-        "fastpath": fastpath,
         "packets": 2 * half,
         "forwarded": forwarded,
         "seconds": round(best, 4),
@@ -276,7 +275,7 @@ def bench_batch(packets: int, seed: int = 7, chunk: int = 256,
     serializes) and once including the per-run wire serialization pass
     (``wire``).
     """
-    harness = RouterHarness(seed=seed, fastpath=True)
+    harness = RouterHarness(seed=seed)
     record = harness.establish_flow(vlan=2, sport=40000)
     assert record.phase.value == "enforced", record.phase
     payload = b"x" * 512
@@ -321,7 +320,7 @@ def batch_parity(seed: int = 7, rows: int = 64) -> dict:
     payload = b"x" * 512
     target = IPv4Address(TARGET_IP)
 
-    scalar = RouterHarness(seed=seed, fastpath=True)
+    scalar = RouterHarness(seed=seed)
     record = scalar.establish_flow(vlan=2, sport=40000)
     inmate_ip = record.orig.orig_ip
     nat_global = record.nat_global or inmate_ip
@@ -343,7 +342,7 @@ def batch_parity(seed: int = 7, rows: int = 64) -> dict:
         EMIT_VLAN: [p.to_bytes() for p in scalar.to_vlan],
     }
 
-    batched = RouterHarness(seed=seed, fastpath=True)
+    batched = RouterHarness(seed=seed)
     batched.establish_flow(vlan=2, sport=40000)
     batch = WireBatch()
     for index in range(rows):
@@ -373,7 +372,7 @@ def batch_parity(seed: int = 7, rows: int = 64) -> dict:
 def bench_flow_setup(flows: int, seed: int = 7) -> dict:
     """Full shim round-trips per second (the slow path, paid once per
     flow)."""
-    harness = RouterHarness(seed=seed, fastpath=True)
+    harness = RouterHarness(seed=seed)
     started = perf_counter()
     for index in range(flows):
         harness.establish_flow(vlan=2 + (index % 64), sport=30000 + index)
@@ -423,13 +422,12 @@ def _echo_server(host) -> None:
     host.tcp.listen(TARGET_PORT, on_accept)
 
 
-def run_farm(seed: int, inmates: int, rounds: int, duration: float,
-             fastpath: bool) -> dict:
+def run_farm(seed: int, inmates: int, rounds: int,
+             duration: float) -> dict:
     farm = Farm(FarmConfig(seed=seed, telemetry=True))
     _echo_server(farm.add_external_host("echo", TARGET_IP))
     sub = farm.create_subfarm("bench")
     sub.set_default_policy(AllowAll())
-    sub.router.fastpath_enabled = fastpath
     for _ in range(inmates):
         sub.create_inmate(image_factory=streaming_image(rounds))
     started = perf_counter()
@@ -446,16 +444,14 @@ def run_farm(seed: int, inmates: int, rounds: int, duration: float,
         digest.update(rec.frame.to_bytes())
     # Telemetry snapshots only keep deterministic instruments, so the
     # whole metric surface folds into the digest too — except the
-    # flowtable.* instruments, which exist only when the fast path is
-    # enabled and would trivially break the on/off parity digest while
-    # saying nothing about wire behavior.
+    # flowtable.* instruments, which the tracked digests have never
+    # included (they say nothing about wire behavior).
     snapshot = farm.telemetry_snapshot(include_traces=False)
     for family in ("counters", "gauges"):
         snapshot[family] = {k: v for k, v in snapshot[family].items()
                             if not k.startswith("flowtable.")}
     digest.update(json.dumps(snapshot, sort_keys=True).encode())
     return {
-        "fastpath": fastpath,
         "events": farm.sim.events_processed,
         "packets_relayed": counters["packets_relayed"],
         "flows_created": counters["flows_created"],
@@ -482,7 +478,6 @@ def run_farm_flow_digest(seed: int, inmates: int, rounds: int,
     _echo_server(farm.add_external_host("echo", TARGET_IP))
     sub = farm.create_subfarm("bench")
     sub.set_default_policy(AllowAll())
-    sub.router.fastpath_enabled = True
     for _ in range(inmates):
         sub.create_inmate(image_factory=streaming_image(rounds))
     farm.run(until=duration)
@@ -529,14 +524,12 @@ def run_batch_determinism(seed: int, inmates: int, rounds: int,
 # ----------------------------------------------------------------------
 def run_determinism(seed: int, inmates: int, rounds: int,
                     duration: float) -> dict:
-    """Same-seed replay and fastpath-parity digests."""
-    first = run_farm(seed, inmates, rounds, duration, fastpath=True)
-    second = run_farm(seed, inmates, rounds, duration, fastpath=True)
-    slow = run_farm(seed, inmates, rounds, duration, fastpath=False)
+    """Same-seed replay digests."""
+    first = run_farm(seed, inmates, rounds, duration)
+    second = run_farm(seed, inmates, rounds, duration)
     return {
         "digest": first["digest"],
         "same_seed_match": first["digest"] == second["digest"],
-        "fastpath_parity_match": first["digest"] == slow["digest"],
     }
 
 
@@ -563,17 +556,15 @@ def main(argv=None) -> int:
         parity = batch_parity(seed=args.seed)
         batch_det = run_batch_determinism(args.seed, inmates=3,
                                           rounds=40, duration=120.0)
-        fwd_fast = bench_forwarding(True, 5_000, seed=args.seed)
+        forwarding = bench_forwarding(5_000, seed=args.seed)
         print(json.dumps({"determinism": determinism,
                           "batch_parity": parity,
                           "batch_determinism": batch_det,
-                          "forward_smoke_pps": fwd_fast["packets_per_sec"]},
+                          "forward_smoke_pps":
+                              forwarding["packets_per_sec"]},
                          indent=2))
         if not determinism["same_seed_match"]:
             print("FAIL: same-seed replay digests differ", file=sys.stderr)
-            return 1
-        if not determinism["fastpath_parity_match"]:
-            print("FAIL: fastpath on/off digests differ", file=sys.stderr)
             return 1
         if not (parity["wires_match"] and parity["counters_match"]
                 and parity["stats_match"]):
@@ -591,22 +582,16 @@ def main(argv=None) -> int:
         print("determinism OK")
         return 0
 
-    before_fwd = bench_forwarding(False, args.packets, seed=args.seed)
-    after_fwd = bench_forwarding(True, args.packets, seed=args.seed)
+    forwarding = bench_forwarding(args.packets, seed=args.seed)
     batch = bench_batch(args.packets, seed=args.seed)
     parity = batch_parity(seed=args.seed)
     batch_det = run_batch_determinism(args.seed, inmates=3, rounds=40,
                                       duration=120.0)
     setup = bench_flow_setup(args.flows, seed=args.seed)
-    before_e2e = run_farm(args.seed, args.inmates, args.rounds,
-                          args.duration, fastpath=False)
-    after_e2e = run_farm(args.seed, args.inmates, args.rounds,
-                         args.duration, fastpath=True)
+    end_to_end = run_farm(args.seed, args.inmates, args.rounds,
+                          args.duration)
     determinism = run_determinism(args.seed, inmates=3, rounds=40,
                                   duration=120.0)
-
-    def speedup(before, after, key):
-        return round(after[key] / before[key], 3) if before[key] else 0.0
 
     result = {
         "benchmark": "bench_hotpath",
@@ -616,27 +601,19 @@ def main(argv=None) -> int:
             "rounds": args.rounds, "duration": args.duration,
             "python": sys.version.split()[0],
         },
-        "forwarding": {
-            "before": before_fwd,
-            "after": after_fwd,
-            "speedup": speedup(before_fwd, after_fwd, "packets_per_sec"),
-        },
+        "forwarding": forwarding,
         "batch": {
             "datapath": batch,
-            "speedup_vs_fastpath": round(
+            "speedup_vs_scalar": round(
                 batch["ingest_packets_per_sec"]
-                / after_fwd["packets_per_sec"], 3)
-            if after_fwd["packets_per_sec"] else 0.0,
+                / forwarding["packets_per_sec"], 3)
+            if forwarding["packets_per_sec"] else 0.0,
             "parity": parity,
             "determinism": batch_det,
         },
         "flow_setup": setup,
-        "end_to_end": {
-            "before": {k: v for k, v in before_e2e.items() if k != "digest"},
-            "after": {k: v for k, v in after_e2e.items() if k != "digest"},
-            "events_per_sec_speedup": speedup(before_e2e, after_e2e,
-                                              "events_per_sec"),
-        },
+        "end_to_end": {k: v for k, v in end_to_end.items()
+                       if k != "digest"},
         "determinism": determinism,
     }
     print(json.dumps(result, indent=2))
@@ -645,7 +622,6 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(f"\nwrote {args.output}")
     ok = (determinism["same_seed_match"]
-          and determinism["fastpath_parity_match"]
           and parity["wires_match"] and parity["counters_match"]
           and parity["stats_match"]
           and batch_det["coincident_parity_match"]

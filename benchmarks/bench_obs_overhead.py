@@ -63,7 +63,6 @@ def run_farm_journal(seed: int, inmates: int, rounds: int,
         farm.add_external_host("echo", bench_hotpath.TARGET_IP))
     sub = farm.create_subfarm("bench")
     sub.set_default_policy(AllowAll())
-    sub.router.fastpath_enabled = True
     for _ in range(inmates):
         sub.create_inmate(
             image_factory=bench_hotpath.streaming_image(rounds))
@@ -80,8 +79,7 @@ def run_farm_journal(seed: int, inmates: int, rounds: int,
     for rec in farm.gateway.upstream_trace.records:
         digest.update(rec.frame.to_bytes())
     # flowtable.* instruments are excluded to match the recipe in
-    # bench_hotpath.run_farm (they exist only when the fast path is on,
-    # so the tracked on/off parity digest must not see them).
+    # bench_hotpath.run_farm (the tracked digests never included them).
     snapshot = farm.telemetry_snapshot(include_traces=False)
     for family in ("counters", "gauges"):
         snapshot[family] = {k: v for k, v in snapshot[family].items()
@@ -108,7 +106,7 @@ def _forwarding_pump(journal_on: bool, packets: int, seed: int):
     from repro.net.packet import ACK, PSH, EthernetFrame, IPv4Packet, \
         TCPSegment
 
-    harness = RouterHarness(seed=seed, fastpath=True)
+    harness = RouterHarness(seed=seed)
     if journal_on:
         journal = Journal(clock=lambda: harness.sim.now)
         harness.sim.journal = journal
@@ -184,7 +182,7 @@ def run_gate(packets: int) -> dict:
             tracked_digest = json.load(handle).get(
                 "determinism", {}).get("digest")
 
-    off = run_farm(SEED, INMATES, ROUNDS, DURATION, fastpath=True)
+    off = run_farm(SEED, INMATES, ROUNDS, DURATION)
     on = run_farm_journal(SEED, INMATES, ROUNDS, DURATION)
     replay = run_farm_journal(SEED, INMATES, ROUNDS, DURATION)
 

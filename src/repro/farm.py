@@ -132,9 +132,9 @@ class FarmConfig:
         self.quarantine_max_frames = quarantine_max_frames
         # Match-action flow tables (docs/PERFORMANCE.md): entries for
         # flows idle longer than flowtable_idle_timeout (or older than
-        # flowtable_hard_timeout) are evicted back to the slow path.
-        # None (the default) leaves entries resident for the life of
-        # the flow, matching the pre-timeout fast path byte-for-byte.
+        # flowtable_hard_timeout) are evicted; the flow's next packet
+        # is a table miss and re-installs them.  None (the default)
+        # leaves entries resident for the life of the flow.
         self.flowtable_idle_timeout = flowtable_idle_timeout
         self.flowtable_hard_timeout = flowtable_hard_timeout
         # Batched trunk ingest: batch_window=None (default) keeps

@@ -426,10 +426,7 @@ class RouterResilience:
             self._m_fail_closed.inc()
         else:
             self.fail_open += 1
-        if record.orig.proto == PROTO_TCP:
-            self.router._apply_decision(record, decision)
-        else:
-            self.router._apply_udp_decision(record, decision, b"")
+        self.router._apply_decision(record, decision)
 
     def _pending_decision(self, record: FlowRecord,
                           annotation: str) -> ContainmentDecision:

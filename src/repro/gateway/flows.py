@@ -124,7 +124,7 @@ class FlowRecord:
         # Router bookkeeping ----------------------------------------------
         # Every directed tuple this record registered in the router's
         # flow index, so eviction is O(aliases) instead of an O(table)
-        # scan; and the tuples carrying compiled fast-path handlers.
+        # scan; and the tuples carrying its installed flow-table entries.
         self.index_keys: list = []
         self.fast_keys: list = []
 

@@ -1,23 +1,24 @@
-"""OpenFlow-style exact-match flow tables for the gateway fast path.
+"""OpenFlow-style exact-match flow tables: the gateway's datapath.
 
-PR 2 compiled post-verdict forwarding into per-flow Python closures.
-This module replaces those closures with *match-action table entries*:
-pure data — ports, an address pair, sequence-number deltas, an emission
-code, and timeout parameters — interpreted by a small set of shared
-executor functions.  Rules-as-data is the property the ROADMAP needs
-for live policy reconfiguration: an entry can be inspected, journaled,
-dumped (examples/flowtable_dump.py), aged out on the virtual clock,
-and re-installed on the next table miss, none of which a closure
-allows.
+Once a flow has a verdict its forwarding is fixed, so the router
+compiles it into *match-action table entries* — pure data: ports, an
+address pair, sequence-number deltas, an emission code, timeout
+parameters — and every post-verdict packet is rewritten by the one
+executor in this module, :func:`apply`.  Rules-as-data is what lets an
+entry be inspected, journaled, dumped (examples/flowtable_dump.py),
+aged out on the virtual clock and re-installed on the next table miss.
 
 The table is exact-match on the directed int tuple
 ``(src_ip, sport, dst_ip, dport, proto)`` (``SubfarmRouter._fp_key``);
 the VLAN is implicit in the inmate-side addressing each entry inherits
-from its flow record.  A miss — no entry, an idle/hard timeout
-expired, or a state-changing segment (SYN/RST) — falls through to the
-containment slow path byte-identically to PR 2's closure fallback.
-In OpenFlow terms: install/evict is ``ofp_flow_mod`` add/delete, the
-slow path is the controller, and ``_dispatch_known`` is packet-in.
+from its flow record.  In OpenFlow terms: install/evict is
+``ofp_flow_mod`` add/delete, the router's slow path is the controller,
+and ``SubfarmRouter._dispatch_known`` is packet-in.  The controller
+sees a packet only on a miss — no entry, or an idle/hard timeout
+expired — or when an entry's kind marks the segment's TCP flags as
+state-changing (:data:`SPECS`); having decided, it installs entries and
+re-injects the packet through :func:`apply` with packet-in disabled, so
+there is no second copy of the rewrite.
 
 Timeout semantics (both default off, so the steady-state probe pays a
 single float compare):
@@ -28,17 +29,11 @@ single float compare):
   ``idle_timeout`` virtual seconds, judged against the record's
   ``last_activity`` (the same clock ``expire_idle_flows`` uses, so the
   two aging mechanisms cannot disagree about what "idle" means).
-
-Executors run with ``(router, entry, packet)`` and translate PR 2's
-closure bodies statement-for-statement; every counter ordering quirk
-(e.g. the REWRITE return leg bumping ``s2c_packets`` before its RST
-check and ``s2c_bytes`` after emission) is preserved so fast path,
-slow path, and batch path stay byte- and counter-identical.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.net.packet import (
     ACK,
@@ -54,7 +49,7 @@ from repro.net.packet import (
 _MASK = 0xFFFFFFFF
 _INF = float("inf")
 
-# Action kinds: which executor interprets the entry.
+# Action kinds: which row of SPECS governs the entry.
 ACT_TCP_C2D = 0    # endpoint verdicts, originator -> enforced destination
 ACT_TCP_D2C = 1    # endpoint verdicts, destination -> originator
 ACT_TCP_C2CS = 2   # REWRITE, originator -> containment server
@@ -65,16 +60,55 @@ ACT_UDP_C2CS = 6   # REWRITE UDP request leg (shim prefix re-injected)
 ACT_DROP_TCP = 7
 ACT_DROP_UDP = 8
 
-KIND_NAMES = {
-    ACT_TCP_C2D: "tcp-c2d",
-    ACT_TCP_D2C: "tcp-d2c",
-    ACT_TCP_C2CS: "tcp-c2cs",
-    ACT_TCP_CS2C: "tcp-cs2c",
-    ACT_UDP_C2D: "udp-c2d",
-    ACT_UDP_D2C: "udp-d2c",
-    ACT_UDP_C2CS: "udp-c2cs",
-    ACT_DROP_TCP: "drop-tcp",
-    ACT_DROP_UDP: "drop-udp",
+
+class KindSpec(NamedTuple):
+    """Everything that differs between action kinds, as data.  Entries
+    hold their row by reference (``FlowEntry.spec``)."""
+
+    name: str
+    proto: int
+    #: TCP flags that send the packet to the controller instead of
+    #: being rewritten here (0: the entry handles every segment).
+    packet_in: int
+    #: True: originator leg (``c2s_*`` counters; packet-in goes to
+    #: ``_dispatch_known``).  False: return leg (``s2c_*`` counters;
+    #: packet-in goes to the containment-server leg handler).  None:
+    #: swallow — no counters, nothing emitted.
+    originator: Optional[bool]
+    #: Whether a hit refreshes the record's ``last_activity``.
+    touch: bool
+    #: Router counter bumped per packet (None: not counted as relayed).
+    counter: Optional[str]
+    #: Emit ``ack = 0`` when the segment carries no ACK flag (the
+    #: containment server never sees a client's garbage ack field).
+    ack_zero: bool
+    #: Whether a FIN marks ``record.client_fin`` (content-control flows
+    #: need it to synthesize the client's next sequence number).
+    fin_marks: bool
+
+
+SPECS = {
+    ACT_TCP_C2D: KindSpec("tcp-c2d", PROTO_TCP, SYN | RST, True, True,
+                          "packets_relayed", False, False),
+    ACT_TCP_D2C: KindSpec("tcp-d2c", PROTO_TCP, 0, False, True,
+                          "packets_relayed", False, False),
+    ACT_TCP_C2CS: KindSpec("tcp-c2cs", PROTO_TCP, SYN | RST, True, True,
+                           "packets_relayed", True, True),
+    # The CS leg never refreshed last_activity on the slow path; an RST
+    # from the server is its abort and belongs to the controller.
+    ACT_TCP_CS2C: KindSpec("tcp-cs2c", PROTO_TCP, RST, False, False,
+                           "packets_relayed", False, False),
+    ACT_UDP_C2D: KindSpec("udp-c2d", PROTO_UDP, 0, True, True,
+                          "packets_relayed", False, False),
+    ACT_UDP_D2C: KindSpec("udp-d2c", PROTO_UDP, 0, False, True,
+                          None, False, False),
+    ACT_UDP_C2CS: KindSpec("udp-c2cs", PROTO_UDP, 0, True, True,
+                           "shims_injected", False, False),
+    # A SYN on a dropped tuple may be a new incarnation of the flow.
+    ACT_DROP_TCP: KindSpec("drop-tcp", PROTO_TCP, SYN, None, True,
+                           None, False, False),
+    ACT_DROP_UDP: KindSpec("drop-udp", PROTO_UDP, 0, None, True,
+                           None, False, False),
 }
 
 # Emission codes: where the translated packet leaves the router.
@@ -85,7 +119,7 @@ EMIT_CS = 3        # emit_arg = containment-server IPv4Address (fault seam)
 
 
 class FlowEntry:
-    """One match-action rule: pure data plus a shared executor ref.
+    """One match-action rule: pure data, interpreted by :func:`apply`.
 
     ``seq_delta``/``ack_delta`` are mod-2^32 *adders* (negative shifts
     stored as their two's complement residue), so every translation is
@@ -93,7 +127,7 @@ class FlowEntry:
     """
 
     __slots__ = (
-        "key", "kind", "record", "run",
+        "key", "kind", "record", "spec",
         "out_sport", "out_dport", "src_ip", "dst_ip",
         "seq_delta", "ack_delta",
         "emit_code", "emit_arg", "shaped", "payload_prefix",
@@ -108,7 +142,7 @@ class FlowEntry:
         self.key = key
         self.kind = kind
         self.record = record
-        self.run = _EXECUTORS[kind]
+        self.spec = SPECS[kind]
         self.out_sport = out_sport
         self.out_dport = out_dport
         self.src_ip = src_ip
@@ -124,11 +158,6 @@ class FlowEntry:
         self.idle_timeout = idle_timeout
         self.expires_at = (installed_at + hard_timeout
                           if hard_timeout is not None else _INF)
-
-    @property
-    def owner(self):
-        """The FlowRecord this rule enforces (eviction identity guard)."""
-        return self.record
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at or (
@@ -146,7 +175,7 @@ class FlowEntry:
                 "dst": self.key[2], "dport": self.key[3],
                 "proto": self.key[4],
             },
-            "action": KIND_NAMES[self.kind],
+            "action": self.spec.name,
             "out_sport": self.out_sport,
             "out_dport": self.out_dport,
             "seq_delta": self.seq_delta,
@@ -164,7 +193,7 @@ class FlowEntry:
         }
 
     def __repr__(self) -> str:
-        return (f"<FlowEntry {KIND_NAMES[self.kind]} {self.key} "
+        return (f"<FlowEntry {self.spec.name} {self.key} "
                 f"hits={self.hits}>")
 
 
@@ -276,270 +305,60 @@ class FlowTable:
                 "dport": entry.out_dport,
                 "dst": str(entry.dst_ip),
                 "verdict": record.verdict_name,
-                "kind": KIND_NAMES[entry.kind],
+                "kind": entry.spec.name,
             })
         return grants
 
 
-# ----------------------------------------------------------------------
-# Scalar executors — statement-for-statement translations of the PR 2
-# closures.  ``entry.run(router, entry, packet)`` is the whole calling
-# convention; nothing here may allocate per-flow state.
-# ----------------------------------------------------------------------
-
-def _run_tcp_c2d(router, entry, packet):
-    segment = packet.payload
-    flags = segment.flags
-    if flags & 0x06:  # SYN or RST: state-changing, packet-in
-        router._dispatch_known(entry.record, packet, entry.record.orig)
-        return
+def apply(router, entry: FlowEntry, packet: IPv4Packet,
+          packet_in: bool = True) -> None:
+    """The executor: rewrite ``packet`` as ``entry`` prescribes and
+    emit it.  Table hits arrive with ``packet_in`` enabled, so
+    state-changing segments go to the controller; the controller
+    re-injects with it disabled.  Nothing here may allocate per-flow
+    state."""
+    (_name, proto, packet_in_flags, originator, touch, counter, ack_zero,
+     fin_marks) = entry.spec
     record = entry.record
-    record.last_activity = router.sim.now
-    record.c2s_packets += 1
-    record.c2s_bytes += len(segment.payload)
-    ack = ((segment.ack + entry.ack_delta) & _MASK
-           if flags & ACK else segment.ack)
-    out = segment.rebind(entry.out_sport, entry.out_dport, segment.seq, ack)
-    router.counters["packets_relayed"] += 1
-    router._m_packets.inc()
-    router._emit_entry(entry, IPv4Packet.wrap(entry.src_ip, entry.dst_ip,
-                                              out, PROTO_TCP))
-
-
-def _run_tcp_d2c(router, entry, packet):
-    segment = packet.payload
-    record = entry.record
-    record.last_activity = router.sim.now
-    record.s2c_packets += 1
-    if segment.payload:
-        record.s2c_bytes += len(segment.payload)
-    ack = ((segment.ack + entry.ack_delta) & _MASK
-           if segment.flags & ACK else segment.ack)
-    out = segment.rebind(entry.out_sport, entry.out_dport,
-                         (segment.seq + entry.seq_delta) & _MASK, ack)
-    router.counters["packets_relayed"] += 1
-    router._m_packets.inc()
-    router._emit_entry(entry, IPv4Packet.wrap(entry.src_ip, entry.dst_ip,
-                                              out, PROTO_TCP))
-
-
-def _run_tcp_c2cs(router, entry, packet):
-    segment = packet.payload
-    flags = segment.flags
-    if flags & 0x06:  # SYN or RST: state-changing, packet-in
-        router._dispatch_known(entry.record, packet, entry.record.orig)
-        return
-    record = entry.record
-    record.last_activity = router.sim.now
-    record.c2s_packets += 1
-    record.c2s_bytes += len(segment.payload)
-    if flags & FIN:
-        record.client_fin = True
-    ack = ((segment.ack + entry.ack_delta) & _MASK if flags & ACK else 0)
-    out = segment.rebind(entry.out_sport, entry.out_dport,
-                         (segment.seq + entry.seq_delta) & _MASK, ack)
-    router.counters["packets_relayed"] += 1
-    router._m_packets.inc()
-    router._emit_entry(entry, IPv4Packet.wrap(entry.src_ip, entry.dst_ip,
-                                              out, PROTO_TCP))
-
-
-def _run_tcp_cs2c(router, entry, packet):
-    segment = packet.payload
-    record = entry.record
-    record.s2c_packets += 1
-    if segment.flags & RST:  # server abort: slow path
-        router._server_packet_from_cs(record, segment)
-        return
-    ack = ((segment.ack + entry.ack_delta) & _MASK
-           if segment.flags & ACK else segment.ack)
-    out = segment.rebind(entry.out_sport, entry.out_dport,
-                         (segment.seq + entry.seq_delta) & _MASK, ack)
-    router.counters["packets_relayed"] += 1
-    router._m_packets.inc()
-    router._emit_entry(entry, IPv4Packet.wrap(entry.src_ip, entry.dst_ip,
-                                              out, PROTO_TCP))
-    if segment.payload:
-        record.s2c_bytes += len(segment.payload)
-
-
-def _run_udp_c2d(router, entry, packet):
-    datagram = packet.payload
-    record = entry.record
-    record.last_activity = router.sim.now
-    record.c2s_packets += 1
-    record.c2s_bytes += len(datagram.payload)
-    out = datagram.rebind(entry.out_sport, entry.out_dport)
-    router.counters["packets_relayed"] += 1
-    router._m_packets.inc()
-    router._emit_entry(entry, IPv4Packet.wrap(entry.src_ip, entry.dst_ip,
-                                              out, PROTO_UDP))
-
-
-def _run_udp_d2c(router, entry, packet):
-    record = entry.record
-    record.last_activity = router.sim.now
-    record.s2c_packets += 1
-    payload = packet.payload.payload
-    record.s2c_bytes += len(payload)
-    out = UDPDatagram(entry.out_sport, entry.out_dport, payload)
-    router._emit_entry(entry, IPv4Packet.wrap(entry.src_ip, entry.dst_ip,
-                                              out, PROTO_UDP))
-
-
-def _run_udp_c2cs(router, entry, packet):
-    datagram = packet.payload
-    record = entry.record
-    record.last_activity = router.sim.now
-    record.c2s_packets += 1
-    record.c2s_bytes += len(datagram.payload)
-    wrapped = UDPDatagram(entry.out_sport, entry.out_dport,
-                          entry.payload_prefix + datagram.payload)
-    router.counters["shims_injected"] += 1
-    router._m_shims_injected.inc()
-    router._emit_entry(entry, IPv4Packet.wrap(entry.src_ip, entry.dst_ip,
-                                              wrapped, PROTO_UDP))
-
-
-def _run_drop_tcp(router, entry, packet):
-    if packet.payload.flags & SYN:  # may be a new incarnation
-        router._dispatch_known(entry.record, packet, entry.record.orig)
-        return
-    entry.record.last_activity = router.sim.now
-
-
-def _run_drop_udp(router, entry, packet):
-    entry.record.last_activity = router.sim.now
-
-
-_EXECUTORS = {
-    ACT_TCP_C2D: _run_tcp_c2d,
-    ACT_TCP_D2C: _run_tcp_d2c,
-    ACT_TCP_C2CS: _run_tcp_c2cs,
-    ACT_TCP_CS2C: _run_tcp_cs2c,
-    ACT_UDP_C2D: _run_udp_c2d,
-    ACT_UDP_D2C: _run_udp_d2c,
-    ACT_UDP_C2CS: _run_udp_c2cs,
-    ACT_DROP_TCP: _run_drop_tcp,
-    ACT_DROP_UDP: _run_drop_udp,
-}
-
-#: Kinds the batched engine may vectorize over a same-key run.  Shaped
-#: entries are excluded at run-detection time (the token bucket is
-#: per-packet stateful), and runs containing state-changing flags fall
-#: back row-by-row to the scalar executors.
-BATCHABLE_KINDS = frozenset(_EXECUTORS)
-
-
-# ----------------------------------------------------------------------
-# Batched (object-mode) execution: one entry, a run of packets.
-# ----------------------------------------------------------------------
-
-def execute_run(router, entry, packets) -> None:
-    """Vectorized execution of a same-entry run of IPv4Packet objects.
-
-    Counters are bulk-applied, sequence translations run as one
-    comprehension per column (struct-of-arrays over Python lists), and
-    emission stays per-row in arrival order so wire output is
-    byte-identical to scalar execution.  Runs containing SYN/RST (or a
-    DROP run containing SYN) degrade row-by-row to the scalar
-    executors, which own all state transitions.
-    """
-    kind = entry.kind
-    run = entry.run
-    if kind in (ACT_DROP_TCP, ACT_DROP_UDP):
-        if kind == ACT_DROP_TCP and any(
-                p.payload.flags & SYN for p in packets):
-            for packet in packets:
-                run(router, entry, packet)
-            return
-        entry.record.last_activity = router.sim.now
-        return
-
-    if kind in (ACT_TCP_C2D, ACT_TCP_C2CS) and any(
-            p.payload.flags & 0x06 for p in packets):
-        for packet in packets:
-            run(router, entry, packet)
-        return
-    if kind == ACT_TCP_CS2C and any(
-            p.payload.flags & RST for p in packets):
-        for packet in packets:
-            run(router, entry, packet)
-        return
-
-    record = entry.record
-    counters = router.counters
-    n = len(packets)
-    emit = router._emit_entry
-    wrap = IPv4Packet.wrap
-    src_ip, dst_ip = entry.src_ip, entry.dst_ip
-    sport, dport = entry.out_sport, entry.out_dport
-
-    if kind == ACT_TCP_C2D or kind == ACT_TCP_C2CS or kind == ACT_TCP_CS2C \
-            or kind == ACT_TCP_D2C:
-        segs = [p.payload for p in packets]
-        sd = entry.seq_delta
-        ad = entry.ack_delta
-        if kind == ACT_TCP_C2CS:
-            acks = [(s.ack + ad) & _MASK if s.flags & ACK else 0
-                    for s in segs]
+    transport = packet.payload
+    flags = transport.flags if proto == PROTO_TCP else 0
+    if packet_in and flags & packet_in_flags:
+        if originator is False:
+            router._relay_server_packet(record, packet, "cs")
         else:
-            acks = [(s.ack + ad) & _MASK if s.flags & ACK else s.ack
-                    for s in segs]
-        seqs = ([(s.seq + sd) & _MASK for s in segs] if sd
-                else [s.seq for s in segs])
-        nbytes = sum(len(s.payload) for s in segs)
-        if kind == ACT_TCP_C2D or kind == ACT_TCP_C2CS:
-            record.last_activity = router.sim.now
-            record.c2s_packets += n
-            record.c2s_bytes += nbytes
-            if kind == ACT_TCP_C2CS and any(s.flags & FIN for s in segs):
-                record.client_fin = True
-        elif kind == ACT_TCP_D2C:
-            record.last_activity = router.sim.now
-            record.s2c_packets += n
-            record.s2c_bytes += nbytes
-        else:  # CS2C: no last_activity (slow-path parity)
-            record.s2c_packets += n
-            record.s2c_bytes += nbytes
-        counters["packets_relayed"] += n
-        router._m_packets.inc(n)
-        for seg, seq, ack in zip(segs, seqs, acks):
-            emit(entry, wrap(src_ip, dst_ip,
-                             seg.rebind(sport, dport, seq, ack), PROTO_TCP))
+            router._dispatch_known(record, packet, record.orig)
         return
-
-    if kind == ACT_UDP_C2D:
-        grams = [p.payload for p in packets]
+    if touch:
         record.last_activity = router.sim.now
-        record.c2s_packets += n
-        record.c2s_bytes += sum(len(g.payload) for g in grams)
-        counters["packets_relayed"] += n
-        router._m_packets.inc(n)
-        for gram in grams:
-            emit(entry, wrap(src_ip, dst_ip, gram.rebind(sport, dport),
-                             PROTO_UDP))
+    if originator is None:
         return
-
-    if kind == ACT_UDP_D2C:
-        payloads = [p.payload.payload for p in packets]
-        record.last_activity = router.sim.now
-        record.s2c_packets += n
-        record.s2c_bytes += sum(len(b) for b in payloads)
-        for body in payloads:
-            emit(entry, wrap(src_ip, dst_ip,
-                             UDPDatagram(sport, dport, body), PROTO_UDP))
-        return
-
-    # ACT_UDP_C2CS
-    prefix = entry.payload_prefix
-    grams = [p.payload for p in packets]
-    record.last_activity = router.sim.now
-    record.c2s_packets += n
-    record.c2s_bytes += sum(len(g.payload) for g in grams)
-    counters["shims_injected"] += n
-    router._m_shims_injected.inc(n)
-    for gram in grams:
-        emit(entry, wrap(src_ip, dst_ip,
-                         UDPDatagram(sport, dport, prefix + gram.payload),
-                         PROTO_UDP))
+    payload = transport.payload
+    if originator:
+        record.c2s_packets += 1
+        record.c2s_bytes += len(payload)
+        if fin_marks and flags & FIN:
+            record.client_fin = True
+    else:
+        record.s2c_packets += 1
+        record.s2c_bytes += len(payload)
+    if proto == PROTO_TCP:
+        # A zero delta passes the int through untouched: traces hold
+        # sequence numbers by reference, and a fresh equal int per
+        # packet is 32 bytes a streaming run never gets back.
+        seq = transport.seq
+        if entry.seq_delta:
+            seq = (seq + entry.seq_delta) & _MASK
+        if flags & ACK:
+            ack = (transport.ack + entry.ack_delta) & _MASK
+        else:
+            ack = 0 if ack_zero else transport.ack
+        out = transport.rebind(entry.out_sport, entry.out_dport, seq, ack)
+    else:
+        out = UDPDatagram(entry.out_sport, entry.out_dport,
+                          entry.payload_prefix + payload)
+    if counter is not None:
+        router.counters[counter] += 1
+        router._cells[counter].inc()
+    router._emit(entry.emit_code, entry.emit_arg,
+                 IPv4Packet.wrap(entry.src_ip, entry.dst_ip, out, proto),
+                 record.shaper if entry.shaped else None)

@@ -29,6 +29,17 @@ TCP containment walk-through (Figure 5, REWRITE case):
    enforced destination, aborts the containment-server leg, and
    translates sequence numbers between the two server ISNs for the
    rest of the flow's life.
+
+Division of labour (docs/PERFORMANCE.md, "The flow table and the
+controller"): everything *after* the verdict is data — the router
+compiles the flow into :class:`~repro.gateway.flowtable.FlowEntry`
+rules and ``flowtable.apply`` rewrites every packet they match.  What
+is written out as code here is what decides or changes flow state:
+admission and the safety filter, the shim handshake, the handoff, the
+containment-server and nonce legs, eviction and housekeeping.  A packet
+of an ENFORCED flow that reaches that code anyway (a table miss after a
+timeout, a SYN retransmit) is re-injected through the flow's entry, so
+the translations of Figure 5 have exactly one definition.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ from repro.gateway.flowtable import (
     EMIT_VLAN,
     FlowEntry,
     FlowTable,
-    execute_run,
+    apply,
 )
 from repro.net.wirebatch import ORIGIN_UPSTREAM
 from repro.gateway.nat import InboundMode, NatTable
@@ -178,10 +189,12 @@ class SubfarmRouter:
 
         # Infra services reachable without containment (the restricted
         # broadcast domain of §5.3) plus all registered service hosts.
-        self.trusted_ips: Set[IPv4Address] = set()
+        # Trusted addresses are held as ints: the per-frame membership
+        # test must not pay IPv4Address.__hash__/__eq__.
+        self.trusted_ips: Set[int] = set()
         self.service_ips: Set[IPv4Address] = set()
         if self.dns_ip is not None:
-            self.trusted_ips.add(self.dns_ip)
+            self.trusted_ips.add(self.dns_ip.value)
 
         self._flows: List[FlowRecord] = []
         self._index: Dict[FiveTuple, FlowRecord] = {}
@@ -190,21 +203,19 @@ class SubfarmRouter:
         self._next_mux = self.MUX_PORT_BASE
         self._next_nonce = self.NONCE_PORT_BASE
 
-        # Established-flow fast path (the compiled forwarding path of
-        # §4), realised as a match-action flow table: post-verdict
-        # flows get pure-data FlowEntry rules bound to the directed
-        # tuples their packets arrive on, so the steady state pays one
-        # dict hit and one executor call instead of _dispatch_known's
-        # branch tree.  Toggleable for A/B benchmarking.
-        self.fastpath_enabled = True
+        # The compiled forwarding path of §4, realised as a
+        # match-action flow table: post-verdict flows get pure-data
+        # FlowEntry rules bound to the directed tuples their packets
+        # arrive on, so the steady state pays one dict hit and one
+        # executor call and never enters _dispatch_known's branch tree.
         self.flowtable = FlowTable(name, telemetry=self.telemetry)
         # Alias of the table's entry dict, keyed by int-tuple (see
         # _fp_key), not FiveTuple: the per-packet probe must not pay
         # Python-level __hash__/__eq__ or an extra attribute hop.
         self._fastpath: Dict[tuple, FlowEntry] = self.flowtable.entries
-        # Entry aging on the virtual clock (None = no aging, matching
-        # the pre-table fast path): consulted at install time, enforced
-        # lazily at probe time and eagerly by the housekeeping sweep.
+        # Entry aging on the virtual clock (None = no aging): consulted
+        # at install time, enforced lazily at probe time and eagerly by
+        # the housekeeping sweep.
         self.flowtable_idle_timeout: Optional[float] = None
         self.flowtable_hard_timeout: Optional[float] = None
 
@@ -258,6 +269,11 @@ class SubfarmRouter:
         self._m_dhcp = tel.counter(
             "service.dhcp.leases", "DHCP leases acknowledged"
         ).bind(subfarm=name)
+        # Telemetry cell per counter a flow-table action may bump
+        # (KindSpec.counter), so the executor indexes instead of
+        # branching.
+        self._cells = {"packets_relayed": self._m_packets,
+                       "shims_injected": self._m_shims_injected}
         self._m_verdicts = tel.counter(
             "router.flows.verdict",
             "Containment verdicts applied, by verdict and protocol")
@@ -289,7 +305,7 @@ class SubfarmRouter:
         ip = IPv4Address(ip)
         self.service_ips.add(ip)
         if trusted:
-            self.trusted_ips.add(ip)
+            self.trusted_ips.add(ip.value)
 
     def add_containment_server(self, ip: IPv4Address) -> None:
         """Register an additional containment server (cluster mode)."""
@@ -372,159 +388,81 @@ class SubfarmRouter:
         except ParseError as error:
             self._on_parse_error(error, vlan=vlan, data=data)
 
-    def _inmate_preamble(self, frame, vlan: int) -> Optional[IPv4Packet]:
-        """Per-frame admission work shared by the scalar and batched
-        trunk paths: trace capture, bridge learning, and the traffic
-        classes that never reach containment (DHCP, gateway-addressed,
-        broadcast, trusted services).  Returns the packet when it
-        should continue to the flow table / slow path, None when the
-        frame was fully handled here."""
+    def _inmate_frame_body(self, frame, vlan: int) -> None:
+        """One admitted trunk frame: trace capture, bridge learning, the
+        traffic classes that never reach containment (DHCP,
+        gateway-addressed, broadcast, trusted services), then the flow
+        table — and a new flow when nothing knows the packet."""
         self.trace.capture(self.sim.now, frame, point="inmate")
         packet = frame.payload
         if not isinstance(packet, IPv4Packet):
-            return None
+            return
         self.bridge.learn(vlan, frame.src, self.sim.now,
                           ip=packet.src if packet.src.value else None)
 
         if packet.proto == PROTO_UDP and packet.udp.dport == DHCP_SERVER_PORT:
             self._handle_dhcp(vlan, frame, packet)
-            return None
-        if packet.dst == self.gateway_ip:
-            return None  # traffic to the gateway itself (nothing listens)
-        if packet.dst.value == 0xFFFFFFFF:
-            return None  # other broadcast boot chatter
-        if packet.dst in self.trusted_ips:
+            return
+        dst = packet.dst.value
+        if dst == self.gateway_ip.value:
+            return  # traffic to the gateway itself (nothing listens)
+        if dst == 0xFFFFFFFF:
+            return  # other broadcast boot chatter
+        if dst in self.trusted_ips:
             # Restricted broadcast domain: DHCP/DNS-style services are
             # reachable without containment.
             self._emit_to_service(packet.dst, packet)
-            return None
-        return packet
-
-    def _inmate_frame_body(self, frame, vlan: int) -> None:
-        packet = self._inmate_preamble(frame, vlan)
-        if packet is None:
             return
-        proto = packet.proto
-        if proto == PROTO_TCP or proto == PROTO_UDP:
-            transport = packet.payload
-            entry = self._fastpath.get(
-                (packet.src.value, transport.sport,
-                 packet.dst.value, transport.dport, proto))
-            if entry is not None:
-                now = self.sim.now
-                if now < entry.expires_at and (
-                        entry.idle_timeout is None
-                        or now - entry.record.last_activity
-                        < entry.idle_timeout):
-                    entry.hits += 1
-                    self.flowtable.hits += 1
-                    entry.run(self, entry, packet)
-                    return
-                self._fastpath_timeout(entry, now)
-            self.flowtable.misses += 1
-            key = FiveTuple(packet.src, transport.sport,
-                            packet.dst, transport.dport, proto)
-            record = self._index.get(key)
-            if record is not None:
-                self._dispatch_known(record, packet, key)
-                return
-        self._new_flow(packet, vlan=vlan, inmate_is_originator=True)
+        if not self._lookup(packet):
+            self._new_flow(packet, vlan=vlan, inmate_is_originator=True)
 
-    def _inmate_packet_or_entry(self, packet: IPv4Packet,
-                                vlan: int) -> Optional[FlowEntry]:
-        """Probe the flow table for an admitted inmate packet.  A live
-        hit returns the entry (the caller starts or extends a batched
-        run; hits are counted at flush time); otherwise the packet is
-        fully handled on the slow path here and None is returned."""
+    def _lookup(self, packet: IPv4Packet) -> bool:
+        """Probe the flow table, then the flow index; True when the
+        packet found its flow and was handled.  A live entry is a hit
+        and runs the executor; anything else is a miss and goes to the
+        controller (``_dispatch_known``) if the flow is known at all."""
         proto = packet.proto
-        if proto == PROTO_TCP or proto == PROTO_UDP:
-            transport = packet.payload
-            entry = self._fastpath.get(
-                (packet.src.value, transport.sport,
-                 packet.dst.value, transport.dport, proto))
-            if entry is not None:
-                now = self.sim.now
-                if now < entry.expires_at and (
-                        entry.idle_timeout is None
-                        or now - entry.record.last_activity
-                        < entry.idle_timeout):
-                    return entry
-                self._fastpath_timeout(entry, now)
-            self.flowtable.misses += 1
-            key = FiveTuple(packet.src, transport.sport,
-                            packet.dst, transport.dport, proto)
-            record = self._index.get(key)
-            if record is not None:
-                self._dispatch_known(record, packet, key)
-                return None
-        self._new_flow(packet, vlan=vlan, inmate_is_originator=True)
-        return None
-
-    def _flush_entry_run(self, entry: FlowEntry, packets: list) -> None:
-        count = len(packets)
-        entry.hits += count
-        self.flowtable.hits += count
-        if count == 1:
-            entry.run(self, entry, packets[0])
-        else:
-            execute_run(self, entry, packets)
+        if proto != PROTO_TCP and proto != PROTO_UDP:
+            return False
+        transport = packet.payload
+        entry = self._fastpath.get(
+            (packet.src.value, transport.sport,
+             packet.dst.value, transport.dport, proto))
+        if entry is not None:
+            now = self.sim.now
+            if now < entry.expires_at and (
+                    entry.idle_timeout is None
+                    or now - entry.record.last_activity
+                    < entry.idle_timeout):
+                entry.hits += 1
+                self.flowtable.hits += 1
+                apply(self, entry, packet)
+                return True
+            self._fastpath_timeout(entry, now)
+        self.flowtable.misses += 1
+        key = FiveTuple(packet.src, transport.sport,
+                        packet.dst, transport.dport, proto)
+        record = self._index.get(key)
+        if record is None:
+            return False
+        self._dispatch_known(record, packet, key)
+        return True
 
     def inmate_frame_batch(self, items) -> None:
         """Trunk ingest for a coalesced batch of ``(frame, vlan)``
-        pairs delivered at the same virtual instant.
-
-        Per-frame admission (trace capture, bridge learning, DHCP,
-        trusted-service delivery, parse errors) runs scalar and in
-        order; consecutive packets matching the same live flow-table
-        entry execute as one vectorized run.  A pending run is always
-        flushed before any frame that does not extend it, so every
-        emission happens in exactly the scalar order and the output is
-        byte-identical to per-frame ingestion.
-        """
+        pairs delivered at the same virtual instant: per-frame
+        ingestion, in order.  (Vectorizing same-entry runs of packet
+        objects was measured to buy nothing end to end — see
+        docs/PERFORMANCE.md, "Batching".)"""
         barrier = self.barrier
-        run_entry = None
-        run_packets = None
         for frame, vlan in items:
-            if run_entry is not None:
-                payload = frame.payload
-                if (not barrier.fail_stopped
-                        and isinstance(payload, IPv4Packet)
-                        and (payload.proto == PROTO_TCP
-                             or payload.proto == PROTO_UDP)):
-                    transport = payload.payload
-                    if (payload.src.value, transport.sport,
-                            payload.dst.value, transport.dport,
-                            payload.proto) == run_entry.key:
-                        # Extends the current run.  A key can only be
-                        # live in the table if its packets clear the
-                        # preamble's special cases, so only the
-                        # preamble's observation side runs here.
-                        self.trace.capture(self.sim.now, frame,
-                                           point="inmate")
-                        self.bridge.learn(
-                            vlan, frame.src, self.sim.now,
-                            ip=(payload.src if payload.src.value
-                                else None))
-                        run_packets.append(payload)
-                        continue
-                self._flush_entry_run(run_entry, run_packets)
-                run_entry = None
             if barrier.fail_stopped:
                 barrier.note_failstop_drop()
                 continue
             try:
-                packet = self._inmate_preamble(frame, vlan)
-                if packet is None:
-                    continue
-                entry = self._inmate_packet_or_entry(packet, vlan)
+                self._inmate_frame_body(frame, vlan)
             except ParseError as error:
                 self._on_parse_error(error, vlan=vlan, frame=frame)
-                continue
-            if entry is not None:
-                run_entry = entry
-                run_packets = [packet]
-        if run_entry is not None:
-            self._flush_entry_run(run_entry, run_packets)
 
     # ------------------------------------------------------------------
     # Struct-of-arrays batched datapath
@@ -539,18 +477,21 @@ class SubfarmRouter:
         learning happens here).  Runs whose entry declines batching —
         state-changing flags, shaped emission, an active shim-link
         fault view — and table-miss rows are materialized back into
-        packet objects and take the ordinary scalar paths, with their
-        emissions captured into ``out`` so row order across the whole
-        batch is preserved exactly.  Inmate-origin rows must carry
-        their vlan; upstream rows fall back to _upstream_packet_body.
+        packet objects and take the ordinary scalar path row by row
+        (each row probes afresh: an earlier one may have installed or
+        evicted the rule), with their emissions captured into ``out``
+        so row order across the whole batch is preserved exactly.  A
+        shaped packet the token bucket delays is emitted later by the
+        simulator, straight to the wire like any scalar emission:
+        ``out`` only ever holds what left during this call.
+        Inmate-origin rows must carry their vlan.
         """
         barrier = self.barrier
         if barrier.fail_stopped:
             for _ in range(len(batch)):
                 barrier.note_failstop_drop()
             return
-        table = self.flowtable
-        entries = table.entries
+        entries = self.flowtable.entries
         keys = batch.keys
         n = len(keys)
         saved = (self._emit_to_vlan, self._emit_to_service,
@@ -571,146 +512,94 @@ class SubfarmRouter:
                 entry = entries.get(key)
                 if entry is not None:
                     now = self.sim.now
-                    if now < entry.expires_at and (
+                    if not (now < entry.expires_at and (
                             entry.idle_timeout is None
                             or now - entry.record.last_activity
-                            < entry.idle_timeout):
-                        count = j - i
-                        entry.hits += count
-                        table.hits += count
-                        self._run_soa(entry, batch, i, j, out)
+                            < entry.idle_timeout)):
+                        self._fastpath_timeout(entry, now)
+                    elif self._run_soa(entry, batch, i, j, out):
                         i = j
                         continue
-                    self._fastpath_timeout(entry, now)
                 for row in range(i, j):
-                    self._ingest_row_slow(batch, row, entries, table)
+                    packet = batch.materialize(row)
+                    if self._lookup(packet):
+                        continue
+                    if batch.origin[row] == ORIGIN_UPSTREAM:
+                        self._upstream_unmatched(packet)
+                    else:
+                        self._new_flow(packet, vlan=batch.vlan[row],
+                                       inmate_is_originator=True)
                 i = j
         finally:
             (self._emit_to_vlan, self._emit_to_service,
              self._emit_upstream) = saved
 
-    def _ingest_row_slow(self, batch, row: int, entries, table) -> None:
-        packet = batch.materialize(row)
-        if batch.origin[row] == ORIGIN_UPSTREAM:
-            self._upstream_packet_body(packet)  # probes internally
-            return
-        # Inmate-origin: an earlier row in this batch may have
-        # (re-)installed a rule for this key, so probe again.
-        entry = entries.get(batch.keys[row])
-        if entry is not None:
-            now = self.sim.now
-            if now < entry.expires_at and (
-                    entry.idle_timeout is None
-                    or now - entry.record.last_activity
-                    < entry.idle_timeout):
-                entry.hits += 1
-                table.hits += 1
-                entry.run(self, entry, packet)
-                return
-            self._fastpath_timeout(entry, now)
-        table.misses += 1
-        transport = packet.payload
-        key = FiveTuple(packet.src, transport.sport,
-                        packet.dst, transport.dport, packet.proto)
-        record = self._index.get(key)
-        if record is not None:
-            self._dispatch_known(record, packet, key)
-            return
-        self._new_flow(packet, vlan=batch.vlan[row],
-                       inmate_is_originator=True)
-
     def _run_soa(self, entry: FlowEntry, batch, i: int, j: int,
-                 out) -> None:
-        """Apply one entry's action vectorized over rows [i, j) of a
-        WireBatch, appending a single run to ``out``.  Runs the entry
-        cannot batch degrade to per-row scalar execution (emissions
-        still land in ``out`` via the swapped emit callbacks)."""
-        kind = entry.kind
+                 out) -> bool:
+        """Apply one live entry's action vectorized over rows [i, j) of
+        a WireBatch, appending a single run to ``out``: the executor's
+        reading of the entry and its kind spec, over columns.  Returns
+        False, having done nothing, for a run that must execute packet
+        by packet (a per-packet token bucket or fault view, or a
+        state-changing segment among the rows)."""
+        (_name, proto, packet_in_flags, originator, touch, counter,
+         ack_zero, fin_marks) = entry.spec
         record = entry.record
+        rows = range(i, j)
         flags_col = batch.flags
-        scalar = (entry.shaped
-                  or (entry.emit_code == EMIT_CS
-                      and self.shim_link_faults is not None))
-        if not scalar:
-            if kind == ACT_TCP_C2D or kind == ACT_TCP_C2CS:
-                scalar = any(flags_col[r] & 0x06 for r in range(i, j))
-            elif kind == ACT_TCP_CS2C:
-                scalar = any(flags_col[r] & RST for r in range(i, j))
-            elif kind == ACT_DROP_TCP:
-                scalar = any(flags_col[r] & SYN for r in range(i, j))
-        if scalar:
-            run = entry.run
-            for row in range(i, j):
-                run(self, entry, batch.materialize(row))
-            return
+        if (entry.shaped
+                or (entry.emit_code == EMIT_CS
+                    and self.shim_link_faults is not None)
+                or (packet_in_flags and any(
+                    flags_col[r] & packet_in_flags for r in rows))):
+            return False
         count = j - i
-        if kind == ACT_DROP_TCP or kind == ACT_DROP_UDP:
+        entry.hits += count
+        self.flowtable.hits += count
+        if touch:
             record.last_activity = self.sim.now
-            return
-        payloads = batch.pay_obj[i:j]
-        nbytes = 0
-        pay_len = batch.pay_len
-        for r in range(i, j):
-            nbytes += pay_len[r]
-        counters = self.counters
-        if kind <= ACT_TCP_CS2C:  # the four TCP translations
-            seq_col = batch.seq
-            ack_col = batch.ack
-            sd = entry.seq_delta
-            ad = entry.ack_delta
-            mask = 0xFFFFFFFF
-            seqs = ([(seq_col[r] + sd) & mask for r in range(i, j)]
-                    if sd else list(seq_col[i:j]))
-            if kind == ACT_TCP_C2CS:
-                acks = [(ack_col[r] + ad) & mask
-                        if flags_col[r] & ACK else 0
-                        for r in range(i, j)]
-            else:
-                acks = [(ack_col[r] + ad) & mask
-                        if flags_col[r] & ACK else ack_col[r]
-                        for r in range(i, j)]
-            if kind == ACT_TCP_C2D or kind == ACT_TCP_C2CS:
-                record.last_activity = self.sim.now
-                record.c2s_packets += count
-                record.c2s_bytes += nbytes
-                if kind == ACT_TCP_C2CS and any(
-                        flags_col[r] & FIN for r in range(i, j)):
-                    record.client_fin = True
-            elif kind == ACT_TCP_D2C:
-                record.last_activity = self.sim.now
-                record.s2c_packets += count
-                record.s2c_bytes += nbytes
-            else:  # ACT_TCP_CS2C: no last_activity (slow-path parity)
-                record.s2c_packets += count
-                record.s2c_bytes += nbytes
-            counters["packets_relayed"] += count
-            self._m_packets.inc(count)
-            out.append_run(entry.emit_code, entry.emit_arg, PROTO_TCP,
-                           entry.src_ip, entry.dst_ip, entry.out_sport,
-                           entry.out_dport, seqs, acks,
-                           list(flags_col[i:j]), list(batch.window[i:j]),
-                           payloads)
-            return
-        if kind == ACT_UDP_C2D:
-            record.last_activity = self.sim.now
+        if originator is None:
+            return True
+        nbytes = sum(batch.pay_len[i:j])
+        if originator:
             record.c2s_packets += count
             record.c2s_bytes += nbytes
-            counters["packets_relayed"] += count
-            self._m_packets.inc(count)
-        elif kind == ACT_UDP_D2C:
-            record.last_activity = self.sim.now
+            if fin_marks and any(flags_col[r] & FIN for r in rows):
+                record.client_fin = True
+        else:
             record.s2c_packets += count
             record.s2c_bytes += nbytes
-        else:  # ACT_UDP_C2CS: shim prefix per datagram
-            record.last_activity = self.sim.now
-            record.c2s_packets += count
-            record.c2s_bytes += nbytes
-            counters["shims_injected"] += count
-            self._m_shims_injected.inc(count)
-            payloads = [entry.payload_prefix + p for p in payloads]
-        out.append_run(entry.emit_code, entry.emit_arg, PROTO_UDP,
+        if counter is not None:
+            self.counters[counter] += count
+            self._cells[counter].inc(count)
+        payloads = batch.pay_obj[i:j]
+        if proto == PROTO_UDP:
+            if entry.payload_prefix:
+                payloads = [entry.payload_prefix + p for p in payloads]
+            out.append_run(entry.emit_code, entry.emit_arg, PROTO_UDP,
+                           entry.src_ip, entry.dst_ip, entry.out_sport,
+                           entry.out_dport, None, None, None, None,
+                           payloads)
+            return True
+        seq_col = batch.seq
+        ack_col = batch.ack
+        sd = entry.seq_delta
+        ad = entry.ack_delta
+        mask = 0xFFFFFFFF
+        seqs = ([(seq_col[r] + sd) & mask for r in rows]
+                if sd else list(seq_col[i:j]))
+        if ack_zero:
+            acks = [(ack_col[r] + ad) & mask if flags_col[r] & ACK else 0
+                    for r in rows]
+        else:
+            acks = [(ack_col[r] + ad) & mask
+                    if flags_col[r] & ACK else ack_col[r] for r in rows]
+        out.append_run(entry.emit_code, entry.emit_arg, PROTO_TCP,
                        entry.src_ip, entry.dst_ip, entry.out_sport,
-                       entry.out_dport, None, None, None, None, payloads)
+                       entry.out_dport, seqs, acks,
+                       list(flags_col[i:j]), list(batch.window[i:j]),
+                       payloads)
+        return True
 
     # ------------------------------------------------------------------
     # Entry point: frames from subfarm service hosts
@@ -739,32 +628,8 @@ class SubfarmRouter:
 
     def _service_frame_inner(self, frame) -> None:
         packet = frame.payload
-        if not isinstance(packet, IPv4Packet):
+        if not isinstance(packet, IPv4Packet) or self._lookup(packet):
             return
-        proto = packet.proto
-        if proto == PROTO_TCP or proto == PROTO_UDP:
-            transport = packet.payload
-            entry = self._fastpath.get(
-                (packet.src.value, transport.sport,
-                 packet.dst.value, transport.dport, proto))
-            if entry is not None:
-                now = self.sim.now
-                if now < entry.expires_at and (
-                        entry.idle_timeout is None
-                        or now - entry.record.last_activity
-                        < entry.idle_timeout):
-                    entry.hits += 1
-                    self.flowtable.hits += 1
-                    entry.run(self, entry, packet)
-                    return
-                self._fastpath_timeout(entry, now)
-            self.flowtable.misses += 1
-            key = FiveTuple(packet.src, transport.sport,
-                            packet.dst, transport.dport, proto)
-            record = self._index.get(key)
-            if record is not None:
-                self._dispatch_known(record, packet, key)
-                return
         # Containment-server legs are matched by mux/nonce source port
         # when not in the alias index yet (first SYN of a nonce leg).
         if packet.src in self.cs_ips and packet.proto == PROTO_TCP:
@@ -801,35 +666,13 @@ class SubfarmRouter:
             barrier.note_failstop_drop()
             return
         try:
-            self._upstream_packet_body(packet)
+            if not self._lookup(packet):
+                self._upstream_unmatched(packet)
         except ParseError as error:
             self._on_parse_error(error, vlan=None, packet=packet)
 
-    def _upstream_packet_body(self, packet: IPv4Packet) -> None:
-        proto = packet.proto
-        if proto == PROTO_TCP or proto == PROTO_UDP:
-            transport = packet.payload
-            entry = self._fastpath.get(
-                (packet.src.value, transport.sport,
-                 packet.dst.value, transport.dport, proto))
-            if entry is not None:
-                now = self.sim.now
-                if now < entry.expires_at and (
-                        entry.idle_timeout is None
-                        or now - entry.record.last_activity
-                        < entry.idle_timeout):
-                    entry.hits += 1
-                    self.flowtable.hits += 1
-                    entry.run(self, entry, packet)
-                    return
-                self._fastpath_timeout(entry, now)
-            self.flowtable.misses += 1
-            key = FiveTuple(packet.src, transport.sport,
-                            packet.dst, transport.dport, proto)
-            record = self._index.get(key)
-            if record is not None:
-                self._dispatch_known(record, packet, key)
-                return
+    def _upstream_unmatched(self, packet: IPv4Packet) -> None:
+        """An upstream packet that belongs to no known flow."""
         # Return traffic for service-originated outbound?
         internal = self._service_nat_rev.get(packet.dst)
         if internal is not None:
@@ -1102,79 +945,101 @@ class SubfarmRouter:
     # ------------------------------------------------------------------
     def _dispatch_known(self, record: FlowRecord, packet: IPv4Packet,
                         key: FiveTuple) -> None:
+        """Packet-in: a packet of a known flow that no live table entry
+        took.  Decide what it means for the flow's state; *forwarding*
+        an ENFORCED flow's packet is not decided here but re-injected
+        through the flow's own entry (``_reinject``)."""
         record.touch(self.sim.now)
+        tcp = packet.proto == PROTO_TCP
         # A pure SYN with a new ISN on the originator tuple is a new
         # incarnation of the flow (port reuse after close, or a fresh
         # host generation after a revert): evict the stale record and
         # start containment over.
-        if (packet.proto == PROTO_TCP and key == record.orig
+        if (tcp and key == record.orig
                 and packet.tcp.syn and not packet.tcp.has_ack
                 and packet.tcp.seq != record.client_isn):
             self._evict(record)
             self._new_flow(packet, vlan=record.vlan,
                            inmate_is_originator=record.inmate_is_originator)
             return
-        if record.phase in (FlowPhase.DROPPED, FlowPhase.REFUSED,
-                            FlowPhase.CLOSED):
+        phase = record.phase
+        if phase in (FlowPhase.DROPPED, FlowPhase.REFUSED,
+                     FlowPhase.CLOSED):
             # Table-miss after a timeout eviction: re-install a DROPPED
             # flow's swallow rule so repeat traffic stays off the slow
             # path (OpenFlow's table-miss -> flow_mod cycle).
-            if (record.phase is FlowPhase.DROPPED and self.fastpath_enabled
-                    and not record.fast_keys):
+            if phase is FlowPhase.DROPPED and not record.fast_keys:
                 self._fastpath_install(record)
             return
+        enforced = (phase is FlowPhase.ENFORCED
+                    and record.decision is not None)
         # Table-miss re-install for live enforced flows whose rules
         # were evicted by an idle/hard timeout: the flow is still
-        # valid, so compile fresh entries before relaying this packet
-        # on the slow path.
-        if (self.fastpath_enabled and not record.fast_keys
-                and record.phase is FlowPhase.ENFORCED
-                and record.decision is not None):
+        # valid, so compile fresh entries before re-injecting.
+        if enforced and not record.fast_keys:
             self._fastpath_install(record)
         # Which leg did this packet arrive on?
         if key == record.orig:
-            self._relay_client_packet(record, packet)
-        elif key == record.orig.reversed():
-            # Only possible for legs whose return alias equals the
-            # reversed originator tuple (never the case: CS and dst legs
-            # register their own aliases).  Treat as server packet.
-            self._relay_server_packet(record, packet, "dst")
-        elif packet.src in self.cs_ips:
-            if (packet.proto == PROTO_TCP
-                    and packet.tcp.sport == record.nonce_port):
-                self._handle_nonce_leg(record, packet)
-            elif packet.proto == PROTO_UDP:
-                self._handle_cs_udp(record, packet)
+            if enforced and not (tcp and packet.tcp.rst):
+                self._reinject(record, packet, key)
             else:
-                self._relay_server_packet(record, packet, "cs")
-        elif record.nonce_active and self._is_nonce_return(record, packet):
-            self._relay_nonce_return(record, packet)
-        else:
+                self._relay_client_packet(record, packet)
+            return
+        if key != record.orig.reversed():
+            if packet.src in self.cs_ips:
+                if tcp and packet.tcp.sport == record.nonce_port:
+                    self._handle_nonce_leg(record, packet)
+                elif tcp:
+                    self._relay_server_packet(record, packet, "cs")
+                else:
+                    self._handle_cs_udp(record, packet)
+                return
+            if record.nonce_active and self._is_nonce_return(record,
+                                                             packet):
+                self._relay_nonce_return(record, packet)
+                return
+        # The enforced destination's return alias (for inmate-to-inmate
+        # and REFLECT flows that *is* the reversed originator tuple).
+        if enforced:
+            self._reinject(record, packet, key)
+        elif tcp:
             self._relay_server_packet(record, packet, "dst")
 
+    def _reinject(self, record: FlowRecord, packet: IPv4Packet,
+                  key: FiveTuple) -> None:
+        """Forward an ENFORCED flow's packet through the flow's own
+        table entry with packet-in disabled — a SYN retransmit, or the
+        first packet after an idle/hard timeout evicted the rules."""
+        fp_key = self._fp_key(key)
+        entry = self._fastpath.get(fp_key)
+        if entry is None:
+            if fp_key not in record.fast_keys:
+                return  # the flow has no rule for this leg
+            # Compiled, but a flow aliasing the tuple displaced it and
+            # has since left; the index says the tuple is ours again.
+            self._fastpath_install(record)
+            entry = self._fastpath[fp_key]
+        apply(self, entry, packet, packet_in=False)
+
     # ------------------------------------------------------------------
-    # Established-flow fast path (the paper's compiled forwarding path)
+    # Compiling a verdict into flow-table entries
     # ------------------------------------------------------------------
     # At verdict time the flow's forwarding becomes fixed: which leg
     # each directed tuple belongs to, the port/sequence translations,
     # the destination addressing, and the emission target are all
-    # decided.  _fastpath_install compiles that knowledge into bound
-    # per-packet closures keyed by the tuples the flow's packets arrive
-    # on, so steady-state forwarding is one dict hit plus one call.
-    # Packets that can change flow state (SYN, RST) fall back to the
-    # slow path, which is kept byte-identical and remains the single
-    # source of truth for verdicts and handoffs.
+    # decided.  _fastpath_install compiles that knowledge into FlowEntry
+    # rules keyed by the tuples the flow's packets arrive on; the one
+    # executor (flowtable.apply) does the rest.  This is the only place
+    # the post-verdict translations of Figure 5 are written down.
 
     @staticmethod
     def _fp_key(tuple_: FiveTuple):
-        """Fast-path dict key: a plain int tuple, so probes hash and
+        """Flow-table key: a plain int tuple, so probes hash and
         compare in C instead of through IPv4Address's methods."""
         return (tuple_.orig_ip.value, tuple_.orig_port,
                 tuple_.resp_ip.value, tuple_.resp_port, tuple_.proto)
 
     def _fastpath_install(self, record: FlowRecord) -> None:
-        if not self.fastpath_enabled:
-            return
         if record.phase == FlowPhase.DROPPED:
             entries = self._compile_dropped(record)
         elif record.phase == FlowPhase.ENFORCED and record.decision is not None:
@@ -1235,151 +1100,116 @@ class SubfarmRouter:
             self.flowtable.timeout_idle += 1
         self._fastpath_uninstall(entry.record, reason=reason)
 
-    def _client_emit_plan(self, record: FlowRecord):
-        """Resolve _emit_to_client's routing to (emit_code, arg)."""
+    def _client_plan(self, record: FlowRecord):
+        """(emit_code, emit_arg) toward the flow's originator."""
         if record.inmate_is_originator:
             return EMIT_VLAN, record.vlan
+        # Inbound flow: the originator lives outside.
         return EMIT_UPSTREAM, None
 
-    def _dst_emit_plan(self, record: FlowRecord):
-        """Resolve _emit_dst's routing to (emit_code, arg)."""
+    def _dst_plan(self, record: FlowRecord):
+        """How packets reach the enforced destination, as ``(src_ip,
+        dst_ip, emit_code, emit_arg)`` — a function of what the verdict
+        and ``_classify_destination`` fixed on the record.  Everything
+        that addresses the destination leg (handoff replay, the
+        compiled entries, the return alias) reads this one plan."""
+        orig = record.orig
         if record.dst_is_inmate_vlan is not None:
-            return EMIT_VLAN, record.dst_is_inmate_vlan
-        if record.dst_ip in self.service_ips:
-            return EMIT_SERVICE, record.dst_ip
-        return EMIT_UPSTREAM, None
-
-    def _emit_entry(self, entry: FlowEntry, packet: IPv4Packet) -> None:
-        """Dispatch a translated packet on the entry's emission code —
-        the action half of a match-action rule, shared by the scalar
-        executors and the batched run executor."""
-        code = entry.emit_code
-        if not entry.shaped:
-            if code == EMIT_VLAN:
-                self._emit_to_vlan(entry.emit_arg, packet)
-            elif code == EMIT_UPSTREAM:
-                self._emit_upstream(packet)
-            elif code == EMIT_CS:
-                self._emit_to_cs(entry.emit_arg, packet)
-            else:
-                self._emit_to_service(entry.emit_arg, packet)
-            return
-        if code == EMIT_VLAN:
-            base = (lambda p, emit=self._emit_to_vlan,
-                    vlan=entry.emit_arg: emit(vlan, p))
-        elif code == EMIT_UPSTREAM:
-            base = self._emit_upstream
+            src_ip, emit = orig.orig_ip, (EMIT_VLAN, record.dst_is_inmate_vlan)
+        elif record.dst_ip in self.service_ips:
+            src_ip, emit = orig.orig_ip, (EMIT_SERVICE, record.dst_ip)
         else:
-            base = (lambda p, emit=self._emit_to_service,
-                    ip=entry.emit_arg: emit(ip, p))
-        self._emit_shaped(entry.record, packet, base)
+            src_ip = record.nat_global or orig.orig_ip
+            emit = (EMIT_UPSTREAM, None)
+        if record.spoof_preserve:
+            # Physically delivered to the sink, but still addressed to
+            # (and answered from) the original destination.
+            return (orig.orig_ip, orig.resp_ip) + emit
+        return (src_ip, record.dst_ip) + emit
+
+    def _dst_alias(self, record: FlowRecord) -> FiveTuple:
+        """The directed tuple of return traffic from the enforced
+        destination: its plan's addresses, reversed."""
+        src_ip, dst_ip, _code, _arg = self._dst_plan(record)
+        return FiveTuple(dst_ip, record.dst_port, src_ip,
+                         record.orig.orig_port, record.orig.proto)
+
+    def _entry(self, record: FlowRecord, key: FiveTuple, kind: int,
+               out_sport: int, out_dport: int, src_ip, dst_ip, emit,
+               shaped: bool = False, **translation) -> FlowEntry:
+        """One rule for ``record``, stamped with the table's timeouts;
+        ``shaped`` asks for the flow's LIMIT shaper if it has one."""
+        emit_code, emit_arg = emit
+        return FlowEntry(self._fp_key(key), kind, record,
+                         out_sport, out_dport, src_ip, dst_ip,
+                         emit_code=emit_code, emit_arg=emit_arg,
+                         shaped=shaped and record.shaper is not None,
+                         installed_at=self.sim.now,
+                         idle_timeout=self.flowtable_idle_timeout,
+                         hard_timeout=self.flowtable_hard_timeout,
+                         **translation)
 
     def _compile_endpoint(self, record: FlowRecord):
         """Entries for handed-off flows (FORWARD/LIMIT/REDIRECT/
         REFLECT over TCP, plus all UDP endpoint verdicts)."""
         orig = record.orig
-        orig_ip, orig_port = orig.orig_ip, orig.orig_port
-        resp_ip, resp_port = orig.resp_ip, orig.resp_port
-        dst_port = record.dst_port
-        proto = orig.proto
-        shaped = record.shaper is not None
-        client_code, client_arg = self._client_emit_plan(record)
-        dst_code, dst_arg = self._dst_emit_plan(record)
-        now = self.sim.now
-        idle = self.flowtable_idle_timeout
-        hard = self.flowtable_hard_timeout
-
-        # Destination addressing, as _address_dst_packet decides it.
-        if record.spoof_preserve:
-            dst_src_ip, dst_dst_ip = orig_ip, resp_ip
-            dst_key = FiveTuple(resp_ip, dst_port, orig_ip, orig_port, proto)
+        src_ip, dst_ip, dst_code, dst_arg = self._dst_plan(record)
+        if orig.proto == PROTO_TCP:
+            # ISN delta after handoff (Figure 5): the client handshook
+            # against the containment server, so it acks in that ISN
+            # space and the destination's sequence numbers must be
+            # shifted into it.  The return ack_delta is the one
+            # docs/VERIFICATION.md gap 7 is about.
+            isn_delta = record.isn_delta
+            c2d, d2c = ACT_TCP_C2D, ACT_TCP_D2C
+            c2d_shift = {"ack_delta": (-isn_delta) & 0xFFFFFFFF}
+            d2c_shift = {"seq_delta": isn_delta,
+                         "ack_delta": (-record.c2s_inj) & 0xFFFFFFFF}
         else:
-            if (record.dst_is_inmate_vlan is not None
-                    or record.dst_ip in self.service_ips):
-                local_ip = orig_ip
-            else:
-                local_ip = record.nat_global or orig_ip
-            dst_src_ip, dst_dst_ip = local_ip, record.dst_ip
-            dst_key = FiveTuple(record.dst_ip, dst_port, local_ip,
-                                orig_port, proto)
-
-        if proto == PROTO_UDP:
-            return [
-                FlowEntry(self._fp_key(orig), ACT_UDP_C2D, record,
-                          orig_port, dst_port, dst_src_ip, dst_dst_ip,
-                          emit_code=dst_code, emit_arg=dst_arg,
-                          shaped=shaped, installed_at=now,
-                          idle_timeout=idle, hard_timeout=hard),
-                FlowEntry(self._fp_key(dst_key), ACT_UDP_D2C, record,
-                          resp_port, orig_port, resp_ip, orig_ip,
-                          emit_code=client_code, emit_arg=client_arg,
-                          shaped=shaped, installed_at=now,
-                          idle_timeout=idle, hard_timeout=hard),
-            ]
-
-        isn_delta = record.isn_delta
-        c2s_inj = record.c2s_inj
+            c2d, d2c = ACT_UDP_C2D, ACT_UDP_D2C
+            c2d_shift = d2c_shift = {}
         return [
-            FlowEntry(self._fp_key(orig), ACT_TCP_C2D, record,
-                      orig_port, dst_port, dst_src_ip, dst_dst_ip,
-                      seq_delta=0, ack_delta=(-isn_delta) & 0xFFFFFFFF,
-                      emit_code=dst_code, emit_arg=dst_arg,
-                      shaped=shaped, installed_at=now,
-                      idle_timeout=idle, hard_timeout=hard),
-            FlowEntry(self._fp_key(dst_key), ACT_TCP_D2C, record,
-                      resp_port, orig_port, resp_ip, orig_ip,
-                      seq_delta=isn_delta,
-                      ack_delta=(-c2s_inj) & 0xFFFFFFFF,
-                      emit_code=client_code, emit_arg=client_arg,
-                      shaped=shaped, installed_at=now,
-                      idle_timeout=idle, hard_timeout=hard),
+            self._entry(record, orig, c2d, orig.orig_port, record.dst_port,
+                        src_ip, dst_ip, (dst_code, dst_arg), shaped=True,
+                        **c2d_shift),
+            self._entry(record, self._dst_alias(record), d2c,
+                        orig.resp_port, orig.orig_port,
+                        orig.resp_ip, orig.orig_ip,
+                        self._client_plan(record), shaped=True,
+                        **d2c_shift),
         ]
 
     def _compile_rewrite(self, record: FlowRecord):
         """Entries for REWRITE flows, which stay coupled to the
         containment server for life.  Toward-CS rules emit on EMIT_CS
-        (the shim-link fault seam is re-read per packet)."""
+        (the shim-link fault seam is re-read per packet) and are never
+        shaped."""
         orig = record.orig
-        orig_ip, orig_port = orig.orig_ip, orig.orig_port
-        resp_ip, resp_port = orig.resp_ip, orig.resp_port
         cs_ip = record.cs_ip
         mux = record.mux_port
-        client_code, client_arg = self._client_emit_plan(record)
-        shaped = record.shaper is not None
-        now = self.sim.now
-        idle = self.flowtable_idle_timeout
-        hard = self.flowtable_hard_timeout
-
+        to_cs = (EMIT_CS, cs_ip)
         if orig.proto == PROTO_UDP:
             shim_bytes = RequestShim(orig, record.vlan,
                                      record.nonce_port).to_bytes()
             # Return datagrams carry a response shim each and must be
             # parsed, so the CS->client direction stays on the slow path.
-            return [FlowEntry(self._fp_key(orig), ACT_UDP_C2CS, record,
-                              mux, self.cs_udp_port, orig_ip, cs_ip,
-                              emit_code=EMIT_CS, emit_arg=cs_ip,
-                              payload_prefix=shim_bytes,
-                              installed_at=now, idle_timeout=idle,
-                              hard_timeout=hard)]
-
+            return [self._entry(record, orig, ACT_UDP_C2CS, mux,
+                                self.cs_udp_port, orig.orig_ip, cs_ip,
+                                to_cs, payload_prefix=shim_bytes)]
+        # SEQ += |REQ SHIM| toward the server, SEQ -= |RSP SHIM| back.
         c2s_inj = record.c2s_inj
         s2c_rem = record.s2c_rem
-        cs_key = FiveTuple(cs_ip, self.cs_tcp_port, orig_ip, mux,
+        cs_key = FiveTuple(cs_ip, self.cs_tcp_port, orig.orig_ip, mux,
                            PROTO_TCP)
         return [
-            FlowEntry(self._fp_key(orig), ACT_TCP_C2CS, record,
-                      mux, self.cs_tcp_port, orig_ip, cs_ip,
-                      seq_delta=c2s_inj, ack_delta=s2c_rem,
-                      emit_code=EMIT_CS, emit_arg=cs_ip,
-                      installed_at=now, idle_timeout=idle,
-                      hard_timeout=hard),
-            FlowEntry(self._fp_key(cs_key), ACT_TCP_CS2C, record,
-                      resp_port, orig_port, resp_ip, orig_ip,
-                      seq_delta=(-s2c_rem) & 0xFFFFFFFF,
-                      ack_delta=(-c2s_inj) & 0xFFFFFFFF,
-                      emit_code=client_code, emit_arg=client_arg,
-                      shaped=shaped, installed_at=now,
-                      idle_timeout=idle, hard_timeout=hard),
+            self._entry(record, orig, ACT_TCP_C2CS, mux, self.cs_tcp_port,
+                        orig.orig_ip, cs_ip, to_cs,
+                        seq_delta=c2s_inj, ack_delta=s2c_rem),
+            self._entry(record, cs_key, ACT_TCP_CS2C, orig.resp_port,
+                        orig.orig_port, orig.resp_ip, orig.orig_ip,
+                        self._client_plan(record), shaped=True,
+                        seq_delta=(-s2c_rem) & 0xFFFFFFFF,
+                        ack_delta=(-c2s_inj) & 0xFFFFFFFF),
         ]
 
     def _compile_dropped(self, record: FlowRecord):
@@ -1387,100 +1217,59 @@ class SubfarmRouter:
         which may be a new incarnation of the tuple."""
         orig = record.orig
         kind = ACT_DROP_TCP if orig.proto == PROTO_TCP else ACT_DROP_UDP
-        return [FlowEntry(self._fp_key(orig), kind, record,
-                          orig.orig_port, orig.resp_port,
-                          orig.orig_ip, orig.resp_ip,
-                          installed_at=self.sim.now,
-                          idle_timeout=self.flowtable_idle_timeout,
-                          hard_timeout=self.flowtable_hard_timeout)]
+        return [self._entry(record, orig, kind, orig.orig_port,
+                            orig.resp_port, orig.orig_ip, orig.resp_ip,
+                            (EMIT_UPSTREAM, None))]
 
     # ------------------------------------------------------------------
-    # Client-side relay
+    # Pre-verdict relay (what the flow table does not own)
     # ------------------------------------------------------------------
-    def _relay_client_packet(self, record: FlowRecord, packet: IPv4Packet) -> None:
-        if packet.proto == PROTO_UDP:
-            self._relay_client_udp(record, packet)
-            return
-        segment = packet.tcp
+    def _relay_client_packet(self, record: FlowRecord,
+                             packet: IPv4Packet) -> None:
+        """An originator packet no table entry forwards: anything before
+        the verdict, and the client's RST at any time."""
+        transport = packet.payload
         record.c2s_packets += 1
-        record.c2s_bytes += len(segment.payload)
-
-        if segment.rst:
+        record.c2s_bytes += len(transport.payload)
+        if packet.proto == PROTO_UDP:
+            if record.phase == FlowPhase.SHIM:
+                record.udp_pending.append(transport.copy())
+            return
+        if transport.rst:
             self._abort_flow(record, notify_client=False)
             return
-
-        if record.phase == FlowPhase.SHIM or (
-            record.phase == FlowPhase.ENFORCED and record.decision is not None
-            and record.decision.verdict & Verdict.REWRITE
-        ):
-            # Toward the containment server.  Inject the request shim
-            # the moment the inmate completes the handshake.
-            if (record.phase == FlowPhase.SHIM
-                    and not record.shim_injected
-                    and record.cs_isn is not None
-                    and segment.has_ack and not segment.syn):
-                self._send_to_cs_tcp(record, segment)
-                self._inject_request_shim(record)
-                if segment.payload:
-                    record.client_buffer.extend(segment.payload)
-                if segment.fin:
-                    record.client_fin = True
-                return
-            if record.phase == FlowPhase.SHIM and segment.payload:
-                record.client_buffer.extend(segment.payload)
-            if segment.fin:
-                record.client_fin = True
-            self._send_to_cs_tcp(record, segment)
+        if record.phase not in (FlowPhase.SHIM, FlowPhase.HANDOFF):
             return
-
-        if record.phase == FlowPhase.HANDOFF:
-            # Destination handshake still in flight: buffer payload.
-            if segment.payload:
-                record.client_buffer.extend(segment.payload)
-            if segment.fin:
-                record.client_fin = True
-            return
-
-        if record.phase == FlowPhase.ENFORCED:
-            self._send_to_dst(record, segment)
-
-    def _relay_client_udp(self, record: FlowRecord, packet: IPv4Packet) -> None:
-        datagram = packet.udp
-        record.c2s_packets += 1
-        record.c2s_bytes += len(datagram.payload)
+        # Verdict (SHIM) or destination handshake (HANDOFF) still in
+        # flight: buffer payload for the handoff replay.
+        if transport.payload:
+            record.client_buffer.extend(transport.payload)
+        if transport.fin:
+            record.client_fin = True
         if record.phase == FlowPhase.SHIM:
-            record.udp_pending.append(datagram.copy())
-            return
-        if record.phase != FlowPhase.ENFORCED or record.decision is None:
-            return
-        verdict = record.decision.verdict
-        if verdict & Verdict.REWRITE:
-            self._send_to_cs_udp(record, datagram)
-            return
-        self._send_udp_to_dst(record, datagram)
+            # Toward the containment server; the request shim goes in
+            # the moment the inmate completes the handshake.
+            self._send_to_cs_tcp(record, transport)
+            if (not record.shim_injected and record.cs_isn is not None
+                    and transport.has_ack and not transport.syn):
+                self._inject_request_shim(record)
 
-    # ------------------------------------------------------------------
-    # Server-side relay (containment server leg or destination leg)
-    # ------------------------------------------------------------------
     def _relay_server_packet(self, record: FlowRecord, packet: IPv4Packet,
                              leg: str) -> None:
-        if packet.proto == PROTO_UDP:
-            # Return datagrams from the enforced destination (or sink)
-            # flow straight back to the originator, re-addressed as the
-            # original destination.
-            if leg == "dst" and record.phase == FlowPhase.ENFORCED:
-                record.s2c_packets += 1
-                self._deliver_udp_to_client(record, packet.udp.payload)
-            return
-        if packet.proto != PROTO_TCP:
-            return
+        """A TCP segment from the containment server (``"cs"``) or,
+        before the flow is ENFORCED, from its destination (``"dst"``)."""
         segment = packet.tcp
         record.s2c_packets += 1
-
         if leg == "cs":
             self._server_packet_from_cs(record, segment)
-        else:
-            self._server_packet_from_dst(record, segment)
+        elif record.phase == FlowPhase.HANDOFF:
+            # The enforced destination answering the replayed SYN.
+            if segment.rst:
+                self._synthesize_client_rst(record)
+                record.phase = FlowPhase.CLOSED
+            elif segment.syn and segment.has_ack:
+                record.dst_isn = segment.seq
+                self._complete_handoff(record)
 
     def _server_packet_from_cs(self, record: FlowRecord,
                                segment: TCPSegment) -> None:
@@ -1523,23 +1312,6 @@ class SubfarmRouter:
         self._forward_to_client(record, segment)
         if segment.payload:
             record.s2c_bytes += len(segment.payload)
-
-    def _server_packet_from_dst(self, record: FlowRecord,
-                                segment: TCPSegment) -> None:
-        if record.phase == FlowPhase.HANDOFF:
-            if segment.rst:
-                self._synthesize_client_rst(record)
-                record.phase = FlowPhase.CLOSED
-                return
-            if segment.syn and segment.has_ack:
-                record.dst_isn = segment.seq
-                self._complete_handoff(record, segment)
-            return
-        if record.phase != FlowPhase.ENFORCED:
-            return
-        if segment.payload:
-            record.s2c_bytes += len(segment.payload)
-        self._forward_to_client(record, segment)
 
     # ------------------------------------------------------------------
     # Response shim parsing and verdict application
@@ -1612,24 +1384,31 @@ class SubfarmRouter:
     def _apply_decision(self, record: FlowRecord,
                         decision: ContainmentDecision,
                         leftover: bytes = b"") -> None:
+        """Decide and install: record the verdict, fix the flow's
+        forwarding, compile it into table entries."""
         record.decision = decision
         self.flow_log.append(FlowLogEntry(self.sim.now, record))
         self._record_verdict(record, decision)
         verdict = decision.verdict
+        tcp = record.orig.proto == PROTO_TCP
 
         if verdict & Verdict.REWRITE:
             # Content control: stay coupled to the containment server.
             record.phase = FlowPhase.ENFORCED
-            if decision.rate is not None:
+            record.udp_pending.clear()
+            if tcp and decision.rate is not None:
                 record.shaper = TokenBucket(decision.rate)
-            if leftover:
+            if leftover and tcp:
                 self._deliver_cs_content(record, leftover)
+            elif leftover:
+                self._deliver_udp_to_client(record, leftover)
             self._fastpath_install(record)
             return
 
         endpoint = verdict.endpoint_op
         if endpoint == Verdict.DROP:
             record.phase = FlowPhase.DROPPED
+            record.udp_pending.clear()
             self._teardown_cs_leg(record)
             self._synthesize_client_rst(record)
             self._fastpath_install(record)
@@ -1646,8 +1425,9 @@ class SubfarmRouter:
                 else record.orig.resp_port
             )
             # Reflection preserves the spoofed original destination
-            # address so the sink sees what the specimen dialled.
-            record.spoof_preserve = endpoint == Verdict.REFLECT
+            # address so the sink sees what the specimen dialled (TCP
+            # only: a reflected datagram is readdressed to the sink).
+            record.spoof_preserve = tcp and endpoint == Verdict.REFLECT
         else:
             if record.inmate_is_originator:
                 record.dst_ip = record.orig.resp_ip
@@ -1661,11 +1441,13 @@ class SubfarmRouter:
 
         self._classify_destination(record)
         self._teardown_cs_leg(record)
-        if record.orig.proto == PROTO_TCP:
+        alias = self._dst_alias(record)
+        self._index[alias] = record
+        record.index_keys.append(alias)
+        if tcp:
             self._begin_handoff(record)
         else:
             record.phase = FlowPhase.ENFORCED
-            self._register_dst_alias(record)
             while record.udp_pending:
                 self._send_udp_to_dst(record, record.udp_pending.popleft())
             self._fastpath_install(record)
@@ -1673,7 +1455,7 @@ class SubfarmRouter:
     def _classify_destination(self, record: FlowRecord) -> None:
         """Work out whether the enforced destination is an inmate, a
         subfarm service, or an external host (and NAT accordingly)."""
-        assert record.dst_ip is not None
+        assert record.dst_ip is not None and record.dst_port is not None
         record.dst_is_inmate_vlan = None
         vlan = self.bridge.vlan_for_ip(record.dst_ip)
         if vlan is None:
@@ -1701,15 +1483,13 @@ class SubfarmRouter:
         record.phase = FlowPhase.HANDOFF
         self.counters["handoffs"] += 1
         self._m_handoffs.inc()
-        self._register_dst_alias(record)
         syn = TCPSegment(
             sport=record.orig.orig_port, dport=record.dst_port,
             seq=record.client_isn, flags=SYN,
         )
-        self._send_to_dst(record, syn, raw=True)
+        self._send_to_dst(record, syn)
 
-    def _complete_handoff(self, record: FlowRecord,
-                          synack: TCPSegment) -> None:
+    def _complete_handoff(self, record: FlowRecord) -> None:
         record.phase = FlowPhase.ENFORCED
         ack = TCPSegment(
             sport=record.orig.orig_port, dport=record.dst_port,
@@ -1717,7 +1497,7 @@ class SubfarmRouter:
             ack=seq_add(record.dst_isn, 1),
             flags=ACK,
         )
-        self._send_to_dst(record, ack, raw=True)
+        self._send_to_dst(record, ack)
         seq = seq_add(record.client_isn, 1)
         buffered = bytes(record.client_buffer)
         record.client_buffer.clear()
@@ -1736,39 +1516,15 @@ class SubfarmRouter:
                 flags=flags, payload=chunk,
             )
             seq = seq_add(seq, len(chunk))
-            self._send_to_dst(record, data, raw=True)
+            self._send_to_dst(record, data)
         if record.client_fin and not record.client_fin_relayed:
             fin = TCPSegment(
                 sport=record.orig.orig_port, dport=record.dst_port,
                 seq=seq, ack=seq_add(record.dst_isn, 1), flags=FIN | ACK,
             )
             record.client_fin_relayed = True
-            self._send_to_dst(record, fin, raw=True)
+            self._send_to_dst(record, fin)
         self._fastpath_install(record)
-
-    def _register_dst_alias(self, record: FlowRecord) -> None:
-        """Register the directed tuple of return traffic from the
-        enforced destination."""
-        assert record.dst_ip is not None and record.dst_port is not None
-        if record.spoof_preserve:
-            # The sink answers from the spoofed original destination.
-            alias = FiveTuple(
-                record.orig.resp_ip, record.dst_port,
-                record.orig.orig_ip, record.orig.orig_port, record.orig.proto,
-            )
-            self._index[alias] = record
-            record.index_keys.append(alias)
-            return
-        if record.dst_is_inmate_vlan is not None or record.dst_ip in self.service_ips:
-            local_ip = record.orig.orig_ip
-        else:
-            local_ip = record.nat_global or record.orig.orig_ip
-        alias = FiveTuple(
-            record.dst_ip, record.dst_port,
-            local_ip, record.orig.orig_port, record.orig.proto,
-        )
-        self._index[alias] = record
-        record.index_keys.append(alias)
 
     # ------------------------------------------------------------------
     # Emission toward each party
@@ -1791,7 +1547,7 @@ class SubfarmRouter:
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, out)
         self.counters["packets_relayed"] += 1
         self._m_packets.inc()
-        self._emit_to_client(record, packet)
+        self._emit(*self._client_plan(record), packet, record.shaper)
 
     def _deliver_cs_content(self, record: FlowRecord, payload: bytes) -> None:
         """Deliver REWRITE content that shared a segment with the
@@ -1804,87 +1560,50 @@ class SubfarmRouter:
         )
         record.s2c_bytes += len(payload)
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, segment)
-        self._emit_to_client(record, packet)
+        self._emit(*self._client_plan(record), packet, record.shaper)
 
     def _client_snd_nxt(self, record: FlowRecord) -> int:
         return seq_add(record.client_isn, 1 + record.c2s_bytes
                        + (1 if record.client_fin else 0))
 
-    def _emit_to_client(self, record: FlowRecord, packet: IPv4Packet) -> None:
-        if record.inmate_is_originator:
-            self._emit_shaped(record, packet,
-                              lambda p: self._emit_to_vlan(record.vlan, p))
-        else:
-            # Inbound flow: the originator lives outside; restore the
-            # inmate's global source address.
-            self._emit_shaped(
-                record, _readdressed(packet, src=record.orig.resp_ip),
-                self._emit_upstream)
-
-    def _send_to_dst(self, record: FlowRecord, segment: TCPSegment,
-                     raw: bool = False) -> None:
-        out = segment if raw else segment.copy()
-        if not raw:
-            # Live relay from the client: translate the ack (client acks
-            # in containment-server ISN space, destination expects its
-            # own).
-            if out.has_ack and record.dst_isn is not None:
-                out.ack = seq_sub(out.ack, record.isn_delta)
-            out.dport = record.dst_port
-            out.sport = record.orig.orig_port
-            if out.payload:
-                record.c2s_bytes += 0  # already counted at client relay
-        packet = self._address_dst_packet(record, out)
+    def _send_to_dst(self, record: FlowRecord, transport) -> None:
+        """Emit a router-built segment or datagram (handoff replay,
+        a datagram held for the verdict) along the destination plan."""
+        src_ip, dst_ip, code, arg = self._dst_plan(record)
         self.counters["packets_relayed"] += 1
         self._m_packets.inc()
-        self._emit_dst(record, packet)
+        self._emit(code, arg, IPv4Packet(src_ip, dst_ip, transport),
+                   record.shaper)
 
     def _send_udp_to_dst(self, record: FlowRecord,
                          datagram: UDPDatagram) -> None:
         out = datagram.copy()
         out.dport = record.dst_port
         out.sport = record.orig.orig_port
-        packet = self._address_dst_packet(record, out)
-        self.counters["packets_relayed"] += 1
-        self._m_packets.inc()
-        self._emit_dst(record, packet)
+        self._send_to_dst(record, out)
 
-    def _address_dst_packet(self, record: FlowRecord, transport) -> IPv4Packet:
-        if record.spoof_preserve:
-            # Physically delivered to the sink, but still addressed to
-            # the original destination.
-            return IPv4Packet(record.orig.orig_ip, record.orig.resp_ip,
-                              transport)
-        if record.dst_is_inmate_vlan is not None or record.dst_ip in self.service_ips:
-            src = record.orig.orig_ip
+    def _emit(self, code: int, arg, packet: IPv4Packet,
+              shaper: Optional[TokenBucket] = None) -> None:
+        """Where every flow-table action, and every controller packet
+        toward a flow's originator or destination, leaves: dispatch on
+        the emission code, after the flow's LIMIT shaper (if any) has
+        had its say.  A delayed packet reschedules this method, so the
+        emit callbacks are read when it actually leaves."""
+        if shaper is not None:
+            delay = shaper.delay_for(self.sim.now,
+                                     40 + len(packet.payload.payload))
+            if delay > 0:
+                self.sim.schedule(delay, self._emit, code, arg, packet,
+                                  label="limit-shaper")
+                return
+        if code == EMIT_VLAN:
+            self._emit_to_vlan(arg, packet)
+        elif code == EMIT_UPSTREAM:
+            self._emit_upstream(packet)
+        elif code == EMIT_CS:
+            self._emit_to_cs(arg, packet)
         else:
-            src = record.nat_global or record.orig.orig_ip
-        return IPv4Packet(src, record.dst_ip, transport)
-
-    def _emit_dst(self, record: FlowRecord, packet: IPv4Packet) -> None:
-        if record.dst_is_inmate_vlan is not None:
-            self._emit_shaped(
-                record, packet,
-                lambda p, v=record.dst_is_inmate_vlan: self._emit_to_vlan(v, p),
-            )
-        elif record.dst_ip in self.service_ips:
-            self._emit_shaped(record, packet,
-                              lambda p: self._emit_to_service(record.dst_ip, p))
-        else:
-            self._emit_shaped(record, packet, self._emit_upstream)
-
-    def _emit_shaped(self, record: FlowRecord, packet: IPv4Packet,
-                     emit: Callable[[IPv4Packet], None]) -> None:
-        if record.shaper is None:
-            emit(packet)
-            return
-        size = 40 + (len(packet.tcp.payload) if packet.proto == PROTO_TCP
-                     else len(packet.udp.payload))
-        delay = record.shaper.delay_for(self.sim.now, size)
-        if delay <= 0:
-            emit(packet)
-        else:
-            self.sim.schedule(delay, emit, packet, label="limit-shaper")
+            self._emit_to_service(arg, packet)
 
     # ------------------------------------------------------------------
     # REWRITE nonce leg (containment server connecting onward)
@@ -1955,58 +1674,17 @@ class SubfarmRouter:
         if self.resilience is not None:
             self.resilience.note_verdict(record.cs_ip)
         if record.decision is None:
-            decision = shim.to_decision(record.orig)
-            self._apply_udp_decision(record, decision, leftover)
+            self._apply_decision(record, shim.to_decision(record.orig),
+                                 leftover)
         elif leftover and record.decision.verdict & Verdict.REWRITE:
             self._deliver_udp_to_client(record, leftover)
-
-    def _apply_udp_decision(self, record: FlowRecord,
-                            decision: ContainmentDecision,
-                            leftover: bytes) -> None:
-        record.decision = decision
-        self.flow_log.append(FlowLogEntry(self.sim.now, record))
-        self._record_verdict(record, decision)
-        verdict = decision.verdict
-        if verdict & Verdict.REWRITE:
-            record.phase = FlowPhase.ENFORCED
-            record.udp_pending.clear()
-            if leftover:
-                self._deliver_udp_to_client(record, leftover)
-            self._fastpath_install(record)
-            return
-        endpoint = verdict.endpoint_op
-        if endpoint == Verdict.DROP:
-            record.phase = FlowPhase.DROPPED
-            record.udp_pending.clear()
-            self._fastpath_install(record)
-            return
-        if endpoint in (Verdict.REDIRECT, Verdict.REFLECT):
-            record.dst_ip = decision.target_ip
-            record.dst_port = (decision.target_port
-                               if decision.target_port is not None
-                               else record.orig.resp_port)
-        else:
-            if record.inmate_is_originator:
-                record.dst_ip = record.orig.resp_ip
-                record.dst_port = record.orig.resp_port
-            else:
-                record.dst_ip = self.nat.internal_for(record.vlan)
-                record.dst_port = record.orig.resp_port
-        if verdict & Verdict.LIMIT and decision.rate is not None:
-            record.shaper = TokenBucket(decision.rate)
-        self._classify_destination(record)
-        record.phase = FlowPhase.ENFORCED
-        self._register_dst_alias(record)
-        while record.udp_pending:
-            self._send_udp_to_dst(record, record.udp_pending.popleft())
-        self._fastpath_install(record)
 
     def _deliver_udp_to_client(self, record: FlowRecord, payload: bytes) -> None:
         datagram = UDPDatagram(record.orig.resp_port, record.orig.orig_port,
                                payload)
         record.s2c_bytes += len(payload)
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, datagram)
-        self._emit_to_client(record, packet)
+        self._emit(*self._client_plan(record), packet, record.shaper)
 
     # ------------------------------------------------------------------
     # Teardown helpers
@@ -2036,7 +1714,7 @@ class SubfarmRouter:
             seq=seq, ack=self._client_snd_nxt(record), flags=RST | ACK,
         )
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, rst)
-        self._emit_to_client(record, packet)
+        self._emit(*self._client_plan(record), packet, record.shaper)
 
     def _abort_flow(self, record: FlowRecord, notify_client: bool) -> None:
         if record.phase in (FlowPhase.CLOSED, FlowPhase.DROPPED):

@@ -116,9 +116,8 @@ def streaming_farm_shard(seed: int, subfarms: int = 2, inmates: int = 2,
                 f"|{entry.orig}|{entry.policy}".encode())
     for rec in farm.gateway.upstream_trace.records:
         digest.update(rec.frame.to_bytes())
-    # flowtable.* instruments exist only when the fast path is enabled;
-    # the shard digest excludes them (matching bench_hotpath.run_farm)
-    # so the tracked baselines stay mode-independent.
+    # The shard digest excludes the flowtable.* instruments (matching
+    # bench_hotpath.run_farm): the tracked baselines never held them.
     snapshot = farm.telemetry_snapshot(include_traces=False)
     for family in ("counters", "gauges"):
         snapshot[family] = {k: v for k, v in snapshot[family].items()

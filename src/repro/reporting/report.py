@@ -71,8 +71,7 @@ class ActivityReport:
         # whose barrier rejected at least one input).
         self.malformed: Dict[str, dict] = {}
         # subfarm name -> match-action flow-table summary (only for
-        # subfarms that installed at least one rule — a fastpath-off
-        # run renders exactly as before).
+        # subfarms that installed at least one rule).
         self.flowtables: Dict[str, dict] = {}
         # Decision-journal snapshot (repro.obs.journal) backing the
         # "Decision audit" section; attached explicitly because the

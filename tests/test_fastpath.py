@@ -1,16 +1,17 @@
-"""Established-flow fast path: byte-level parity with the slow path.
+"""Flow-table forwarding against the golden slow-path wire digests.
 
-Every test runs the same scripted packet sequence through two routers —
-one with the fast path enabled, one without — and asserts the emissions
-(as serialized wire bytes per output channel), the router counters, the
-flow log, and the per-flow byte/packet accounting are identical.  The
-compiled handlers are an optimization, never a behavior change.
+Every scripted packet sequence here was first run through the router's
+pre-table branch tree (the "slow path" post-verdict packets used to
+take) and a sha256 of everything observable — emissions as serialized
+wire bytes per output channel, router counters, flow log, per-flow
+byte/packet accounting — recorded in ``tests/golden/router_wire.json``.
+The flow table is now the only post-verdict path; these tests hold it
+to those digests, which also catches the case a two-path comparison
+cannot: both paths drifting together.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import sys
 
@@ -34,10 +35,10 @@ from repro.net.packet import (  # noqa: E402
     IPv4Packet,
     PSH,
     RST,
-    SYN,
     TCPSegment,
     UDPDatagram,
 )
+from tests.golden import expected, wire_digest  # noqa: E402
 
 VLAN = 2
 SPORT = 40000
@@ -66,17 +67,26 @@ def wire_state(harness: RouterHarness) -> dict:
     }
 
 
-def run_both(script) -> None:
-    """Run ``script(harness)`` with the fast path on and off and
-    assert the observable outcomes are identical."""
-    outcomes = []
-    for fastpath in (True, False):
-        harness = RouterHarness(seed=7, fastpath=fastpath)
-        script(harness)
-        harness.sim.run(until=600.0)  # flush shaped (LIMIT) emissions
-        outcomes.append(wire_state(harness))
-    fast, slow = outcomes
-    assert fast == slow
+#: name -> zero-argument callable returning the script's wire_state();
+#: tests/golden/regen.py digests every entry.
+GOLDEN = {}
+
+
+def golden(name):
+    """Register ``script(harness)`` under ``name`` in :data:`GOLDEN`."""
+    def register(script):
+        def run() -> dict:
+            harness = RouterHarness(seed=7)
+            script(harness)
+            harness.sim.run(until=600.0)  # flush shaped (LIMIT) emissions
+            return wire_state(harness)
+        GOLDEN[name] = run
+        return script
+    return register
+
+
+def check_golden(name) -> None:
+    assert wire_digest(GOLDEN[name]()) == expected(name)
 
 
 def pump_tcp(harness: RouterHarness, record, rounds: int = 5) -> None:
@@ -150,69 +160,79 @@ TCP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,verdict,kwargs",
-                         TCP_CASES, ids=[c[0] for c in TCP_CASES])
-def test_tcp_parity(name, verdict, kwargs):
+def _tcp_script(verdict, kwargs):
     def script(harness):
         record = harness.establish_flow(
             VLAN, SPORT, verdict=verdict,
             client_isn=CLIENT_ISN, dst_isn=DST_ISN, **kwargs)
         pump_tcp(harness, record)
+    return script
 
-    run_both(script)
 
-
-@pytest.mark.parametrize("name,verdict,kwargs",
-                         TCP_CASES, ids=[c[0] for c in TCP_CASES])
-def test_udp_parity(name, verdict, kwargs):
-    if verdict & Verdict.DROP:
-        kwargs = dict(kwargs)
-
+def _udp_script(verdict, kwargs):
     def script(harness):
         record = harness.establish_udp_flow(
             VLAN, SPORT, verdict=verdict, **kwargs)
         pump_udp(harness, record)
+    return script
 
-    run_both(script)
+
+for _name, _verdict, _kwargs in TCP_CASES:
+    golden(f"tcp-{_name}")(_tcp_script(_verdict, _kwargs))
+    golden(f"udp-{_name}")(_udp_script(_verdict, _kwargs))
+
+
+@pytest.mark.parametrize("name", [c[0] for c in TCP_CASES])
+def test_tcp_parity(name):
+    check_golden(f"tcp-{name}")
+
+
+@pytest.mark.parametrize("name", [c[0] for c in TCP_CASES])
+def test_udp_parity(name):
+    check_golden(f"udp-{name}")
+
+
+@golden("tcp-fin-and-rst")
+def _fin_and_rst(harness):
+    record = harness.establish_flow(
+        VLAN, SPORT, client_isn=CLIENT_ISN, dst_isn=DST_ISN)
+    pump_tcp(harness, record, rounds=2)
+    inmate_ip = record.orig.orig_ip
+    harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT,
+                       CLIENT_ISN + 129, CS_ISN + 1, FIN | ACK)
+    harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT,
+                       CLIENT_ISN + 130, CS_ISN + 1, RST)
 
 
 def test_tcp_fin_and_rst_parity():
-    """FIN close and RST abort traverse identically (RST falls back to
-    the slow path from the compiled handler)."""
-    def script(harness):
-        record = harness.establish_flow(
-            VLAN, SPORT, client_isn=CLIENT_ISN, dst_isn=DST_ISN)
-        pump_tcp(harness, record, rounds=2)
-        inmate_ip = record.orig.orig_ip
-        harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT,
-                           CLIENT_ISN + 129, CS_ISN + 1, FIN | ACK)
-        harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT,
-                           CLIENT_ISN + 130, CS_ISN + 1, RST)
+    """FIN close rides the table entry; RST goes packet-in and aborts
+    the flow, exactly as the slow path did."""
+    check_golden("tcp-fin-and-rst")
 
-    run_both(script)
+
+@golden("reverdict-after-eviction")
+def _reverdict_after_eviction(harness):
+    record = harness.establish_flow(
+        VLAN, SPORT, client_isn=CLIENT_ISN, dst_isn=DST_ISN)
+    pump_tcp(harness, record, rounds=3)
+    # Same five-tuple, new ISN: port reuse after close.  The old
+    # record is evicted mid-establishment and the new flow draws a
+    # DROP this time.
+    harness.establish_flow(
+        VLAN, SPORT, verdict=Verdict.DROP,
+        client_isn=CLIENT_ISN + 77777, dst_isn=DST_ISN)
+    newest = harness.router.flows()[-1]
+    pump_tcp(harness, newest, rounds=3)
 
 
 def test_reverdict_after_eviction_parity():
-    """A new SYN incarnation evicts the flow (and its handlers); the
+    """A new SYN incarnation evicts the flow (and its entries); the
     re-contained flow can land on a different verdict."""
-    def script(harness):
-        record = harness.establish_flow(
-            VLAN, SPORT, client_isn=CLIENT_ISN, dst_isn=DST_ISN)
-        pump_tcp(harness, record, rounds=3)
-        # Same five-tuple, new ISN: port reuse after close.  The old
-        # record is evicted mid-establishment and the new flow draws a
-        # DROP this time.
-        harness.establish_flow(
-            VLAN, SPORT, verdict=Verdict.DROP,
-            client_isn=CLIENT_ISN + 77777, dst_isn=DST_ISN)
-        newest = harness.router.flows()[-1]
-        pump_tcp(harness, newest, rounds=3)
-
-    run_both(script)
+    check_golden("reverdict-after-eviction")
 
 
 def test_evicted_handlers_are_uninstalled():
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     assert record.fast_keys
@@ -224,7 +244,7 @@ def test_evicted_handlers_are_uninstalled():
 
 
 def test_reverdict_reinstalls_fresh_handlers():
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     first = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                    dst_isn=DST_ISN)
     first_keys = list(first.fast_keys)
@@ -235,16 +255,16 @@ def test_reverdict_reinstalls_fresh_handlers():
     assert not first.fast_keys, "stale handlers must not survive eviction"
     assert second.fast_keys
     handler = harness.router._fastpath[second.fast_keys[0]]
-    assert handler.owner is second
+    assert handler.record is second
     # The orig-tuple key is shared between incarnations; the live
     # handler must belong to the newest record.
     assert second.fast_keys[0] in first_keys
 
 
 def test_pumped_packets_bypass_slow_dispatch():
-    """Parity tests are not vacuous: established-flow data really is
-    handled by the compiled handlers, not the branch tree."""
-    harness = RouterHarness(seed=7, fastpath=True)
+    """The golden tests are not vacuous: established-flow data really
+    is handled by the table entries, not the controller's branch tree."""
+    harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     calls = []
@@ -257,52 +277,43 @@ def test_pumped_packets_bypass_slow_dispatch():
     assert record.c2s_packets > 1 and record.s2c_packets > 1
 
 
-def test_fastpath_disabled_installs_nothing():
-    harness = RouterHarness(seed=7, fastpath=False)
-    record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
-                                    dst_isn=DST_ISN)
-    assert not harness.router._fastpath
-    assert not record.fast_keys
+@golden("udp-rewrite-return-content")
+def _udp_rewrite_return_content(harness):
+    from repro.core.shim import ResponseShim
+
+    record = harness.establish_udp_flow(VLAN, SPORT,
+                                        verdict=Verdict.REWRITE)
+    pump_udp(harness, record, rounds=3)
+    shim = ResponseShim(record.orig, Verdict.REWRITE,
+                        policy="bench").to_bytes()
+    content = UDPDatagram(CS_DEFAULT_PORT, record.mux_port,
+                          shim + b"rewritten-content")
+    harness.router.service_frame(_service_frame(harness, record,
+                                                content))
 
 
 def test_udp_rewrite_return_content_parity():
-    """CS->client UDP REWRITE content (shim-wrapped) stays on the slow
-    path in both modes and reaches the client identically."""
-    from repro.core.shim import ResponseShim
-
-    def script(harness):
-        record = harness.establish_udp_flow(VLAN, SPORT,
-                                            verdict=Verdict.REWRITE)
-        pump_udp(harness, record, rounds=3)
-        shim = ResponseShim(record.orig, Verdict.REWRITE,
-                            policy="bench").to_bytes()
-        content = UDPDatagram(CS_DEFAULT_PORT, record.mux_port,
-                              shim + b"rewritten-content")
-        harness.router.service_frame(_service_frame(harness, record,
-                                                    content))
-
-    run_both(script)
+    """CS->client UDP REWRITE content (shim-wrapped) stays with the
+    controller and reaches the client as it always did."""
+    check_golden("udp-rewrite-return-content")
 
 
 # ----------------------------------------------------------------------
 # Golden seed: the whole farm, byte for byte
 # ----------------------------------------------------------------------
-def _digest(result: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(result, sort_keys=True).encode()).hexdigest()
+def _farm_seed_23() -> dict:
+    result = run_farm(seed=23, inmates=2, rounds=12, duration=60.0)
+    return {key: result[key]
+            for key in ("digest", "events", "packets_relayed")}
+
+
+GOLDEN["farm-seed-23"] = _farm_seed_23
 
 
 def test_golden_seed_farm_parity():
-    """End-to-end: same seed, fast path on vs off — identical flow
-    logs, counters, upstream trace bytes, and virtual-clock outcome."""
-    fast = run_farm(seed=23, inmates=2, rounds=12, duration=60.0,
-                    fastpath=True)
-    slow = run_farm(seed=23, inmates=2, rounds=12, duration=60.0,
-                    fastpath=False)
-    assert fast["digest"] == slow["digest"]
-    assert fast["events"] == slow["events"]
-    assert fast["packets_relayed"] == slow["packets_relayed"]
-    # And replaying the same seed reproduces the digest exactly.
-    again = run_farm(seed=23, inmates=2, rounds=12, duration=60.0,
-                     fastpath=True)
-    assert again["digest"] == fast["digest"]
+    """End-to-end: flow logs, counters, upstream trace bytes, telemetry
+    and the virtual-clock outcome match the slow-path recording, and
+    replaying the same seed reproduces them exactly."""
+    first = _farm_seed_23()
+    assert wire_digest(first) == expected("farm-seed-23")
+    assert _farm_seed_23() == first

@@ -43,8 +43,7 @@ class TestTrackedBaselines:
         """run_farm with the tracked determinism parameters must still
         produce the digest recorded in BENCH_hotpath.json."""
         baseline = tracked("BENCH_hotpath.json")["determinism"]["digest"]
-        result = run_farm(seed=11, inmates=3, rounds=40, duration=120.0,
-                          fastpath=True)
+        result = run_farm(seed=11, inmates=3, rounds=40, duration=120.0)
         assert result["digest"] == baseline
 
     def test_campaign_digest_matches_bench_parallel(self):

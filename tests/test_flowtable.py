@@ -49,6 +49,7 @@ from repro.net.wirebatch import (  # noqa: E402
     serialize_udp_rows,
 )
 from repro.sim.engine import Simulator  # noqa: E402
+from tests.golden import expected, wire_digest  # noqa: E402
 
 VLAN = 2
 SPORT = 40000
@@ -86,7 +87,7 @@ def pump_once(harness: RouterHarness, record, seq: int) -> None:
 # Timeouts
 # ----------------------------------------------------------------------
 def test_idle_timeout_evicts_and_reinstalls():
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     harness.router.flowtable_idle_timeout = 30.0
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
@@ -111,7 +112,7 @@ def test_idle_timeout_evicts_and_reinstalls():
 
 
 def test_hard_timeout_evicts_active_flow():
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     harness.router.flowtable_hard_timeout = 50.0
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
@@ -130,7 +131,7 @@ def test_hard_timeout_evicts_active_flow():
 
 
 def test_sweep_reclaims_quiet_flows():
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     harness.router.flowtable_idle_timeout = 30.0
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
@@ -143,31 +144,36 @@ def test_sweep_reclaims_quiet_flows():
     assert not record.fast_keys
 
 
+def _mid_conversation_expiry() -> dict:
+    harness = RouterHarness(seed=7)
+    harness.router.flowtable_idle_timeout = 30.0
+    record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
+                                    dst_isn=DST_ISN)
+    pump_once(harness, record, CLIENT_ISN + 1)
+    harness.sim.run(until=200.0)
+    pump_once(harness, record, CLIENT_ISN + 65)
+    pump_once(harness, record, CLIENT_ISN + 129)
+    harness.sim.run(until=300.0)
+    return wire_state(harness)
+
+
+#: Digested by tests/golden/regen.py alongside test_fastpath.GOLDEN.
+GOLDEN = {"mid-conversation-expiry": _mid_conversation_expiry}
+
+
 def test_mid_conversation_expiry_byte_parity():
     """A flow whose rules expire mid-conversation (idle gap, then more
-    data) must emit byte-identically to a fastpath-off router."""
-    outcomes = []
-    for fastpath in (True, False):
-        harness = RouterHarness(seed=7, fastpath=fastpath)
-        harness.router.flowtable_idle_timeout = 30.0
-        record = harness.establish_flow(VLAN, SPORT,
-                                        client_isn=CLIENT_ISN,
-                                        dst_isn=DST_ISN)
-        pump_once(harness, record, CLIENT_ISN + 1)
-        harness.sim.run(until=200.0)
-        pump_once(harness, record, CLIENT_ISN + 65)
-        pump_once(harness, record, CLIENT_ISN + 129)
-        harness.sim.run(until=300.0)
-        outcomes.append(wire_state(harness))
-    fast, slow = outcomes
-    assert fast == slow
+    data) must emit byte-identically to the slow-path recording: the
+    table-miss packet re-installs and runs through the fresh entry."""
+    assert (wire_digest(_mid_conversation_expiry())
+            == expected("mid-conversation-expiry"))
 
 
 # ----------------------------------------------------------------------
 # Transactional install
 # ----------------------------------------------------------------------
 def test_failed_compile_leaves_table_intact():
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     table = harness.router.flowtable
@@ -190,7 +196,7 @@ def test_failed_compile_leaves_table_intact():
 
 
 def test_failed_compile_installs_nothing_from_empty():
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     harness.router._fastpath_uninstall(record)
@@ -283,7 +289,7 @@ def test_ingest_batch_miss_rows_take_slow_path():
     """Rows whose key misses the table (a brand-new flow mid-batch)
     fall back to the scalar slow path, in row order, with the new
     flow's shim emissions captured in the batch output."""
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     inmate_ip = record.orig.orig_ip
@@ -304,6 +310,52 @@ def test_ingest_batch_miss_rows_take_slow_path():
     # emission toward the inmate (the CS SYN proxying).
     assert codes[0] == EMIT_UPSTREAM
     assert len(codes) >= 2
+
+
+def test_shaped_rows_through_ingest_batch_reach_the_wire():
+    """A LIMIT flow's rows run scalar inside ingest_batch; the packets
+    its token bucket delays must leave on the real emit callbacks when
+    their time comes — not into a BatchOutput the caller has already
+    consumed — at exactly the instants the scalar path emits them."""
+    from repro.core.verdicts import Verdict
+
+    def limited(log):
+        harness = RouterHarness(seed=7)
+        record = harness.establish_flow(VLAN, SPORT, verdict=Verdict.LIMIT,
+                                        rate=4000.0, client_isn=CLIENT_ISN,
+                                        dst_isn=DST_ISN)
+        harness.router._emit_upstream = lambda packet: log.append(
+            (harness.sim.now, packet.to_bytes()))
+        return harness, record.orig.orig_ip
+
+    target = IPv4Address(TARGET_IP)
+    rows = [(CLIENT_ISN + 1 + 512 * index, b"s" * 512)
+            for index in range(20)]
+
+    scalar_log = []
+    harness, inmate_ip = limited(scalar_log)
+    for seq, payload in rows:
+        harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, seq, 5001,
+                           ACK | PSH, payload)
+    harness.sim.run()
+
+    batched_log = []
+    harness, inmate_ip = limited(batched_log)
+    batch = WireBatch()
+    for seq, payload in rows:
+        batch.append_tcp(inmate_ip.value, SPORT, target.value, TARGET_PORT,
+                         seq, 5001, ACK | PSH, 65535, payload, vlan=VLAN)
+    out = BatchOutput()
+    harness.router.ingest_batch(batch, out)
+    held = out.rows()
+    batched_log.extend((harness.sim.now, wire)
+                       for _code, _arg, wire in out.serialize())
+    harness.sim.run()
+    assert out.rows() == held, "late emissions leaked into a spent output"
+
+    assert len(scalar_log) == 20
+    assert 0 < held < 20, "the bucket should pass a burst and delay the rest"
+    assert batched_log == scalar_log
 
 
 def test_inmate_frame_batch_matches_scalar():
@@ -330,7 +382,7 @@ def test_inmate_frame_batch_matches_scalar():
 
     outcomes = []
     for batched in (True, False):
-        harness = RouterHarness(seed=7, fastpath=True)
+        harness = RouterHarness(seed=7)
         first = harness.establish_flow(VLAN, SPORT,
                                        client_isn=CLIENT_ISN,
                                        dst_isn=DST_ISN)
@@ -519,7 +571,7 @@ def test_farm_batch_window_parity():
 # Telemetry and report surfaces
 # ----------------------------------------------------------------------
 def test_flowtable_stats_and_snapshot():
-    harness = RouterHarness(seed=7, fastpath=True)
+    harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     pump_once(harness, record, CLIENT_ISN + 1)
@@ -552,7 +604,6 @@ def test_report_renders_flow_table_section():
     _echo_server(farm.add_external_host("echo", TARGET_IP))
     sub = farm.create_subfarm("tables")
     sub.set_default_policy(AllowAll())
-    sub.router.fastpath_enabled = True
     sub.create_inmate(image_factory=streaming_image(6))
     farm.run(until=40.0)
     assert sub.router.flowtable.installs > 0
@@ -564,13 +615,11 @@ def test_report_renders_flow_table_section():
     assert "occupancy" in rendered
     assert "tcp-c2d" in rendered
 
-    # Fastpath-off farms render without the section.
-    off = Farm(FarmConfig(seed=5, telemetry=True))
-    _echo_server(off.add_external_host("echo", TARGET_IP))
-    sub_off = off.create_subfarm("tables")
-    sub_off.set_default_policy(AllowAll())
-    sub_off.router.fastpath_enabled = False
-    sub_off.create_inmate(image_factory=streaming_image(6))
-    off.run(until=40.0)
+    # A subfarm that installed no rule renders without the section.
+    idle = Farm(FarmConfig(seed=5, telemetry=True))
+    sub_idle = idle.create_subfarm("tables")
+    sub_idle.set_default_policy(AllowAll())
+    idle.run(until=40.0)
+    assert sub_idle.router.flowtable.installs == 0
     assert "Flow tables" not in render_report(
-        ActivityReport.from_subfarms([sub_off]))
+        ActivityReport.from_subfarms([sub_idle]))

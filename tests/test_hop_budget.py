@@ -10,15 +10,28 @@ all.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
-from repro.net.addresses import MacAddress
-from repro.net.link import Link, Port
-from repro.net.packet import EthernetFrame
-from repro.obs.export import snapshot
-from repro.obs.telemetry import Telemetry
-from repro.sim.engine import Simulator
-from tests.helpers import python_calls
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
+                                "benchmarks"))
+from bench_hotpath import RouterHarness, TARGET_IP, TARGET_PORT  # noqa: E402
+
+from repro.net.addresses import IPv4Address, MacAddress  # noqa: E402
+from repro.net.link import Link, Port  # noqa: E402
+from repro.net.packet import (  # noqa: E402
+    ACK,
+    EthernetFrame,
+    IPv4Packet,
+    PSH,
+    TCPSegment,
+)
+from repro.obs.export import snapshot  # noqa: E402
+from repro.obs.telemetry import Telemetry  # noqa: E402
+from repro.sim.engine import Simulator  # noqa: E402
+from tests.helpers import python_calls  # noqa: E402
 
 FRAMES_EACH_WAY = 1000
 
@@ -144,3 +157,71 @@ def test_detached_simulator_makes_no_instrument_call():
         ("engine.py", "_note_cancel"), ("engine.py", "step"),
         ("engine.py", "run"),
     }
+
+
+# ----------------------------------------------------------------------
+# The router's share: a table-hit data segment, entry point to emit
+# ----------------------------------------------------------------------
+def _established_router():
+    harness = RouterHarness(seed=7)
+    record = harness.establish_flow(2, 40000, client_isn=1000,
+                                    dst_isn=9000)
+    inmate_ip = record.orig.orig_ip
+    frame = EthernetFrame(
+        harness.mac, MacAddress("02:00:00:00:00:01"),
+        IPv4Packet(inmate_ip, IPv4Address(TARGET_IP), TCPSegment(
+            40000, TARGET_PORT, 1001, 5001, ACK | PSH, payload=b"d" * 64)),
+        vlan=2)
+    reply = IPv4Packet(
+        record.dst_ip, record.nat_global, TCPSegment(
+            TARGET_PORT, 40000, 9001, 1065, ACK | PSH, payload=b"r" * 64))
+    harness.drain()
+    return harness, frame, reply
+
+
+def test_router_table_hit_budget():
+    """What the one executor and the shared probe may cost.  Before
+    them an inmate data segment took 16 Python frames from
+    ``inmate_frame`` to the emit callback (two of them, four with a
+    trusted service registered, IPv4Address ``__eq__``/``__hash__`` in
+    the preamble) and an upstream one 8; the shared ``_lookup`` adds a
+    frame to each path and must be paid for (the inmate path also
+    lost its separate preamble frame with the object-batch kernels)."""
+    harness, frame, reply = _established_router()
+    router = harness.router
+
+    inmate = python_calls(lambda: router.inmate_frame(frame, 2))
+    assert len(harness.upstream) == 1
+    del inmate[("test_hop_budget.py", "<lambda>")]
+    assert inmate == {
+        ("router.py", "inmate_frame"): 1,
+        ("router.py", "_inmate_frame_body"): 1,
+        ("capture.py", "capture"): 1,
+        ("bridge.py", "learn"): 1,
+        # bridge.learn's table lookups; the preamble's own address
+        # tests are int compares.
+        ("addresses.py", "__eq__"): 2,
+        ("addresses.py", "__hash__"): 1,
+        ("router.py", "_lookup"): 1,
+        ("flowtable.py", "apply"): 1,
+        ("packet.py", "rebind"): 1,
+        ("packet.py", "wrap"): 1,
+        ("metrics.py", "inc"): 2,      # bridge frames, packets relayed
+        ("router.py", "_emit"): 1,
+    }
+    assert sum(inmate.values()) <= 16
+
+    upstream = python_calls(lambda: router.upstream_packet(reply))
+    assert len(harness.to_vlan) == 1
+    del upstream[("test_hop_budget.py", "<lambda>")]
+    assert upstream == {
+        ("router.py", "upstream_packet"): 1,
+        ("router.py", "_lookup"): 1,
+        ("flowtable.py", "apply"): 1,
+        ("packet.py", "rebind"): 1,
+        ("packet.py", "wrap"): 1,
+        ("metrics.py", "inc"): 1,
+        ("router.py", "_emit"): 1,
+        ("bench_hotpath.py", "<lambda>"): 1,   # the emit callback
+    }
+    assert sum(upstream.values()) <= 8
