@@ -2,7 +2,7 @@ PYTHON ?= python
 WORKERS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick ledger-test ledger-selftest paper-benches
+.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick trace-budget ledger-test ledger-selftest paper-benches
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -57,6 +57,15 @@ obs-quick:
 # journal and flow tables (docs/VERIFICATION.md).
 verify-quick:
 	$(PYTHON) -m repro.verify quick
+
+# Trace-memory gate: the packed capture store's round-trip, ring and
+# bytes-per-frame budget tests under two hash seeds — what a captured
+# frame costs, counted not timed (docs/PERFORMANCE.md, "Trace memory").
+trace-budget:
+	for seed in 0 4242; do \
+		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
+			tests/test_capture.py tests/test_capture_budget.py || exit 1; \
+	done
 
 # The layer ledger's own unit tests (not in the Tier-1 testpaths) and
 # its smoke-sized determinism self-test (benchmarks/ledger/README.md).

@@ -113,7 +113,9 @@ class FlowRecord:
         self.spoof_preserve = False
 
         # UDP state -------------------------------------------------------
-        self.udp_pending: Deque[UDPDatagram] = deque()
+        # Datagrams held for replay at the verdict; allocated on first
+        # use (hold_udp) — only UDP flows in the SHIM phase have any.
+        self.udp_pending: Optional[Deque[UDPDatagram]] = None
 
         # REWRITE upstream (nonce) leg -------------------------------------
         self.nonce_active = False
@@ -146,6 +148,12 @@ class FlowRecord:
 
     def touch(self, now: float) -> None:
         self.last_activity = now
+
+    def hold_udp(self, datagram: UDPDatagram) -> None:
+        """Queue a datagram for replay once the verdict is in."""
+        if self.udp_pending is None:
+            self.udp_pending = deque()
+        self.udp_pending.append(datagram)
 
     def __repr__(self) -> str:
         return (

@@ -109,6 +109,9 @@ EmitToVlan = Callable[[int, IPv4Packet], None]
 EmitToService = Callable[[IPv4Address, IPv4Packet], None]
 EmitUpstream = Callable[[IPv4Packet], None]
 
+# Phases in which a record still owns demux state worth housekeeping.
+_LIVE_PHASES = (FlowPhase.SHIM, FlowPhase.HANDOFF, FlowPhase.ENFORCED)
+
 
 def _readdressed(packet: IPv4Packet, src: Optional[IPv4Address] = None,
                  dst: Optional[IPv4Address] = None) -> IPv4Packet:
@@ -295,11 +298,19 @@ class SubfarmRouter:
     def flows(self) -> List[FlowRecord]:
         return list(self._flows)
 
+    def _live_flows(self) -> List[FlowRecord]:
+        """Records still coupled or forwarding, oldest first.
+
+        Read off ``_by_mux``, which holds exactly the records not yet
+        evicted, in creation order — so housekeeping costs what is
+        live, not everything the deployment ever saw (``_flows``).  A
+        list, because callers evict while they walk it.
+        """
+        return [record for record in self._by_mux.values()
+                if record.phase in _LIVE_PHASES]
+
     def active_flow_count(self) -> int:
-        return sum(
-            1 for f in self._flows
-            if f.phase in (FlowPhase.SHIM, FlowPhase.HANDOFF, FlowPhase.ENFORCED)
-        )
+        return len(self._live_flows())
 
     def register_service(self, ip: IPv4Address, trusted: bool = False) -> None:
         ip = IPv4Address(ip)
@@ -871,7 +882,7 @@ class SubfarmRouter:
                 return  # degraded: resolved by the pending policy
             self._send_to_cs_tcp(record, packet.tcp)
         else:
-            record.udp_pending.append(packet.udp.copy())
+            record.hold_udp(packet.udp.copy())
             if resilience is not None and resilience.handle_new_flow(record):
                 return  # degraded: resolved by the pending policy
             self._send_to_cs_udp(record, packet.udp)
@@ -1233,7 +1244,7 @@ class SubfarmRouter:
         record.c2s_bytes += len(transport.payload)
         if packet.proto == PROTO_UDP:
             if record.phase == FlowPhase.SHIM:
-                record.udp_pending.append(transport.copy())
+                record.hold_udp(transport.copy())
             return
         if transport.rst:
             self._abort_flow(record, notify_client=False)
@@ -1395,7 +1406,7 @@ class SubfarmRouter:
         if verdict & Verdict.REWRITE:
             # Content control: stay coupled to the containment server.
             record.phase = FlowPhase.ENFORCED
-            record.udp_pending.clear()
+            record.udp_pending = None
             if tcp and decision.rate is not None:
                 record.shaper = TokenBucket(decision.rate)
             if leftover and tcp:
@@ -1408,7 +1419,7 @@ class SubfarmRouter:
         endpoint = verdict.endpoint_op
         if endpoint == Verdict.DROP:
             record.phase = FlowPhase.DROPPED
-            record.udp_pending.clear()
+            record.udp_pending = None
             self._teardown_cs_leg(record)
             self._synthesize_client_rst(record)
             self._fastpath_install(record)
@@ -1450,6 +1461,7 @@ class SubfarmRouter:
             record.phase = FlowPhase.ENFORCED
             while record.udp_pending:
                 self._send_udp_to_dst(record, record.udp_pending.popleft())
+            record.udp_pending = None
             self._fastpath_install(record)
 
     def _classify_destination(self, record: FlowRecord) -> None:
@@ -1719,8 +1731,7 @@ class SubfarmRouter:
     def _abort_flow(self, record: FlowRecord, notify_client: bool) -> None:
         if record.phase in (FlowPhase.CLOSED, FlowPhase.DROPPED):
             return
-        if record.phase in (FlowPhase.SHIM, FlowPhase.ENFORCED,
-                            FlowPhase.HANDOFF):
+        if record.phase in _LIVE_PHASES:
             self._teardown_cs_leg(record)
         if notify_client:
             self._synthesize_client_rst(record)
@@ -1814,10 +1825,8 @@ class SubfarmRouter:
         """
         expired = 0
         horizon = self.sim.now - max_idle
-        for record in self._flows:
-            if record.phase in (FlowPhase.SHIM, FlowPhase.HANDOFF,
-                                FlowPhase.ENFORCED) \
-                    and record.last_activity <= horizon:
+        for record in self._live_flows():
+            if record.last_activity <= horizon:
                 self._evict(record)
                 expired += 1
         return expired
@@ -1826,10 +1835,8 @@ class SubfarmRouter:
         """Clear state when an inmate is reverted or terminated."""
         self.safety.reset_inmate(vlan)
         self.bridge.forget(vlan)
-        for record in self._flows:
-            if record.vlan == vlan and record.phase in (
-                FlowPhase.SHIM, FlowPhase.HANDOFF, FlowPhase.ENFORCED
-            ):
+        for record in self._live_flows():
+            if record.vlan == vlan:
                 self._evict(record)
 
     def __repr__(self) -> str:

@@ -52,48 +52,38 @@ class TraceRecord:
         return f"<TraceRecord t={self.timestamp:.6f} {self.point} {self.frame!r}>"
 
 
-# Column order of a by-value row.  UDP rows stop after _PAYLOAD, TCP
-# rows carry the four columns behind it; a frame that is not plain
-# TCP/UDP over IPv4 is stored as (timestamp, point, frame copy).
-(_TS, _POINT, _ETH_SRC, _ETH_DST, _VLAN, _ETHERTYPE, _SRC, _DST, _PROTO,
- _TTL, _IDENT, _SPORT, _DPORT, _PAYLOAD, _SEQ, _ACK, _FLAGS,
- _WINDOW) = range(18)
-_FRAME = 2
-_FRAME_ROW_LEN = 3
+# One packed header per captured TCP/UDP-over-IPv4 frame (little-endian,
+# no padding, 56 bytes): timestamp f64 | Ethernet src, dst u64 | vlan u16
+# (_UNTAGGED for none) | ethertype u16 | IPv4 src, dst u32 | proto, ttl
+# u8 | ident, sport, dport u16 | seq, ack u32 | flags u8 | window u16 |
+# capture-point code u8.  UDP rows leave seq/ack/flags/window zero.
+_ROW = struct.Struct("<dQQHHIIBBHHHIIBHB")
+_ROW_SIZE = _ROW.size
+_pack = _ROW.pack
+_unpack_from = _ROW.unpack_from
+(_TS, _ETH_SRC, _ETH_DST, _VLAN, _ETHERTYPE, _SRC, _DST, _PROTO, _TTL,
+ _IDENT, _SPORT, _DPORT, _SEQ, _ACK, _FLAGS, _WINDOW, _POINT) = range(17)
+_UNTAGGED = 0xFFFF
+_MAX_POINTS = 256
+# A frame that is not plain TCP/UDP over IPv4, or whose fields do not
+# fit the header, keeps an all-zero header (proto 0 marks it) and puts
+# ``(timestamp, point, frame copy)`` in its payload slot.
+_FALLBACK = bytes(_ROW_SIZE)
 
 
-def _record(row: tuple) -> TraceRecord:
-    """Rebuild the record (and its frame) a row describes."""
-    if len(row) == _FRAME_ROW_LEN:
-        return TraceRecord(row[_TS], row[_FRAME], row[_POINT])
-    if row[_PROTO] == PROTO_TCP:
-        transport = TCPSegment(row[_SPORT], row[_DPORT], row[_SEQ],
-                               row[_ACK], row[_FLAGS], row[_WINDOW],
-                               row[_PAYLOAD])
-    else:
-        transport = UDPDatagram(row[_SPORT], row[_DPORT], row[_PAYLOAD])
-    packet = IPv4Packet(IPv4Address(row[_SRC]), IPv4Address(row[_DST]),
-                        transport, row[_PROTO], row[_TTL], row[_IDENT])
-    frame = EthernetFrame(MacAddress(row[_ETH_SRC]), MacAddress(row[_ETH_DST]),
-                          packet, row[_VLAN], row[_ETHERTYPE])
-    return TraceRecord(row[_TS], frame, row[_POINT])
-
-
-def _headers(row: tuple) -> tuple:
-    """``(vlan, proto, src, sport, dst, dport)`` of a row, addresses as
-    ints; whatever the frame does not carry is None."""
-    if len(row) != _FRAME_ROW_LEN:
-        return (row[_VLAN], row[_PROTO], row[_SRC], row[_SPORT],
-                row[_DST], row[_DPORT])
-    frame = row[_FRAME]
+def _frame_columns(frame: EthernetFrame) -> tuple:
+    """``(vlan, proto, src, sport, dst, dport, seq, payload)`` of a
+    stored frame copy, addresses as ints; whatever the frame does not
+    carry is None."""
     packet = frame.payload
     if not isinstance(packet, IPv4Packet):
-        return frame.vlan, None, None, None, None, None
+        return frame.vlan, None, None, None, None, None, None, None
     transport = packet.payload
     if not isinstance(transport, (TCPSegment, UDPDatagram)):
-        return frame.vlan, packet.proto, None, None, None, None
+        return frame.vlan, packet.proto, None, None, None, None, None, None
     return (frame.vlan, packet.proto, packet.src.value, transport.sport,
-            packet.dst.value, transport.dport)
+            packet.dst.value, transport.dport,
+            getattr(transport, "seq", None), transport.payload)
 
 
 class _RecordView(Sequence):
@@ -101,24 +91,33 @@ class _RecordView(Sequence):
     that builds each :class:`TraceRecord` when it is read.  Indexing
     and iterating return fresh records; a slice returns a list."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_trace",)
 
-    def __init__(self, rows: List[tuple]) -> None:
-        self._rows = rows
+    def __init__(self, trace: "PacketTrace") -> None:
+        self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._trace)
 
     def __getitem__(self, index):
+        trace = self._trace
+        # A range over the live slots indexes and slices as a list would.
+        picked = range(trace._head, len(trace._payloads))[index]
         if isinstance(index, slice):
-            return [_record(row) for row in self._rows[index]]
-        return _record(self._rows[index])
+            return [trace._record(slot) for slot in picked]
+        return trace._record(picked)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return map(_record, self._rows)
+        # By position, as a list iterator would: the trace may grow (or
+        # rotate) while a consumer is part-way through.
+        trace = self._trace
+        index = 0
+        while index < len(trace):
+            yield trace._record(trace._head + index)
+            index += 1
 
     def __repr__(self) -> str:
-        return f"<records of {len(self._rows)} captured frames>"
+        return f"<records of {len(self._trace)} captured frames>"
 
 
 class PacketTrace:
@@ -135,66 +134,170 @@ class PacketTrace:
       multi-day activity without retaining the packets.
 
     A capture is, as in a pcap, the bytes at the capture instant: each
-    TCP/UDP frame is stored as one flat tuple of its header fields by
-    value plus the (immutable) payload ``bytes``, holding no packet
-    object and nothing the cyclic GC tracks.  ``records`` is a view
-    that rebuilds :class:`TraceRecord` objects on access.
+    TCP/UDP frame is one packed header appended to a single
+    ``bytearray`` plus a reference to the (immutable) payload ``bytes``
+    in a parallel list — no per-row Python object at all.  ``records``
+    is a view that rebuilds :class:`TraceRecord` objects on access.
+
+    The store is a ring: rotation advances ``_head`` past the oldest
+    row, and the dead prefix is cut off (``compactions``) once it
+    outgrows the live rows, so a bounded trace costs the same per
+    capture as an unbounded one.
     """
 
     def __init__(self, name: str = "trace",
                  max_records: Optional[int] = None) -> None:
         self.name = name
         self.max_records = max_records
-        self._rows: List[tuple] = []
-        self.records = _RecordView(self._rows)
+        self._headers = bytearray()
+        self._payloads: list = []
+        self._head = 0
+        self._points: List[str] = []
+        self._point_codes: dict = {}
+        self.records = _RecordView(self)
         self.rotated_out = 0
+        self.compactions = 0
         self._observers: List[Callable[[TraceRecord], None]] = []
 
     def subscribe(self, observer: Callable[[TraceRecord], None]) -> None:
         """Register a live observer; it sees each record at capture."""
         self._observers.append(observer)
 
+    def _point_code(self, point: str) -> Optional[int]:
+        """Register a capture point; None once the codes are used up
+        (the row then takes the fallback)."""
+        if len(self._points) == _MAX_POINTS:
+            return None
+        code = self._point_codes[point] = len(self._points)
+        self._points.append(point)
+        return code
+
     def capture(self, timestamp: float, frame: EthernetFrame,
                 point: str = "") -> None:
         """Record the frame as it is now (it may be mutated later)."""
-        row = None
+        header = slot = None
         packet = frame.payload
         if type(packet) is IPv4Packet:
             transport = packet.payload
             kind = type(transport)
             proto = packet.proto
-            if (kind is TCPSegment and proto == PROTO_TCP
-                    and type(transport.payload) is bytes):
-                row = (timestamp, point, frame.src.value, frame.dst.value,
-                       frame.vlan, frame.ethertype, packet.src.value,
-                       packet.dst.value, proto, packet.ttl, packet.ident,
-                       transport.sport, transport.dport, transport.payload,
-                       transport.seq, transport.ack, transport.flags,
-                       transport.window)
-            elif (kind is UDPDatagram and proto == PROTO_UDP
-                    and type(transport.payload) is bytes):
-                row = (timestamp, point, frame.src.value, frame.dst.value,
-                       frame.vlan, frame.ethertype, packet.src.value,
-                       packet.dst.value, proto, packet.ttl, packet.ident,
-                       transport.sport, transport.dport, transport.payload)
-        if row is None:
-            row = (timestamp, point, frame.copy())
+            vlan = frame.vlan
+            if vlan is None:
+                vlan = _UNTAGGED
+            elif vlan == _UNTAGGED:
+                kind = None  # a tag equal to the sentinel: fallback row
+            try:
+                code = self._point_codes[point]
+            except KeyError:
+                code = self._point_code(point)
+            # A field that does not fit its column (or a None code)
+            # makes pack raise: the frame takes the fallback row.
+            try:
+                if (kind is TCPSegment and proto == PROTO_TCP
+                        and type(transport.payload) is bytes):
+                    header = _pack(
+                        timestamp, frame.src.value, frame.dst.value, vlan,
+                        frame.ethertype, packet.src.value, packet.dst.value,
+                        proto, packet.ttl, packet.ident, transport.sport,
+                        transport.dport, transport.seq, transport.ack,
+                        transport.flags, transport.window, code)
+                    slot = transport.payload
+                elif (kind is UDPDatagram and proto == PROTO_UDP
+                        and type(transport.payload) is bytes):
+                    header = _pack(
+                        timestamp, frame.src.value, frame.dst.value, vlan,
+                        frame.ethertype, packet.src.value, packet.dst.value,
+                        proto, packet.ttl, packet.ident, transport.sport,
+                        transport.dport, 0, 0, 0, 0, code)
+                    slot = transport.payload
+            except struct.error:
+                pass
+        if header is None:
+            header, slot = _FALLBACK, (timestamp, point, frame.copy())
         if self._observers:
-            record = _record(row)
+            record = self._build(_unpack_from(header), slot)
             for observer in self._observers:
                 observer(record)
-        rows = self._rows
-        rows.append(row)
-        if self.max_records is not None and len(rows) > self.max_records:
-            overflow = len(rows) - self.max_records
-            del rows[:overflow]
-            self.rotated_out += overflow
+        self._headers += header
+        payloads = self._payloads
+        payloads.append(slot)
+        bound = self.max_records
+        if bound is None:
+            return
+        head = self._head
+        overflow = len(payloads) - head - bound
+        if overflow <= 0:
+            return
+        # Rotate the oldest rows out: release their payloads now, cut
+        # their slots off once the dead prefix outgrows the live rows.
+        if overflow == 1:
+            payloads[head] = None
+        else:  # the bound was lowered (below zero, even) on a full trace
+            overflow = min(overflow, len(payloads) - head)
+            payloads[head:head + overflow] = [None] * overflow
+        head += overflow
+        self.rotated_out += overflow
+        if head > bound:
+            del self._headers[:head * _ROW_SIZE]
+            del payloads[:head]
+            head = 0
+            self.compactions += 1
+        self._head = head
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._payloads) - self._head
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
+
+    def _build(self, fields: tuple, slot) -> TraceRecord:
+        """The record (and its frame) one unpacked header and its
+        payload slot describe."""
+        proto = fields[_PROTO]
+        if not proto:
+            timestamp, point, frame = slot
+            return TraceRecord(timestamp, frame, point)
+        if proto == PROTO_TCP:
+            transport = TCPSegment(fields[_SPORT], fields[_DPORT],
+                                   fields[_SEQ], fields[_ACK],
+                                   fields[_FLAGS], fields[_WINDOW], slot)
+        else:
+            transport = UDPDatagram(fields[_SPORT], fields[_DPORT], slot)
+        packet = IPv4Packet(IPv4Address(fields[_SRC]),
+                            IPv4Address(fields[_DST]), transport, proto,
+                            fields[_TTL], fields[_IDENT])
+        frame = EthernetFrame(MacAddress(fields[_ETH_SRC]),
+                              MacAddress(fields[_ETH_DST]), packet, None,
+                              fields[_ETHERTYPE])
+        # Assigned, not passed: the constructor's 802.1Q range check is
+        # for senders; a capture returns whatever was on the frame.
+        if fields[_VLAN] != _UNTAGGED:
+            frame.vlan = fields[_VLAN]
+        return TraceRecord(fields[_TS], frame, self._points[fields[_POINT]])
+
+    def _record(self, slot: int) -> TraceRecord:
+        return self._build(_unpack_from(self._headers, slot * _ROW_SIZE),
+                           self._payloads[slot])
+
+    def _columns(self) -> Iterator[tuple]:
+        """``(slot, point, vlan, proto, src, sport, dst, dport, seq,
+        payload)`` of every live row, read off the packed headers —
+        what the queries filter on without building a record."""
+        headers, payloads, points = self._headers, self._payloads, self._points
+        for slot in range(self._head, len(payloads)):
+            fields = _unpack_from(headers, slot * _ROW_SIZE)
+            proto = fields[_PROTO]
+            if proto:
+                vlan = fields[_VLAN]
+                yield (slot, points[fields[_POINT]],
+                       None if vlan == _UNTAGGED else vlan, proto,
+                       fields[_SRC], fields[_SPORT], fields[_DST],
+                       fields[_DPORT],
+                       fields[_SEQ] if proto == PROTO_TCP else None,
+                       payloads[slot])
+            else:
+                _timestamp, point, frame = payloads[slot]
+                yield (slot, point) + _frame_columns(frame)
 
     # ------------------------------------------------------------------
     # Queries
@@ -209,17 +312,17 @@ class PacketTrace:
     ) -> List[TraceRecord]:
         """Filter records by capture point, VLAN tag, proto, dst port."""
         out = []
-        for row in self._rows:
-            if point is not None and row[_POINT] != point:
+        for (slot, row_point, row_vlan, row_proto, _src, _sport, _dst,
+             row_dport, _seq, _payload) in self._columns():
+            if point is not None and row_point != point:
                 continue
-            row_vlan, row_proto, _src, _sport, _dst, row_dport = _headers(row)
             if vlan is not None and row_vlan != vlan:
                 continue
             if proto is not None and row_proto != proto:
                 continue
             if dport is not None and row_dport != dport:
                 continue
-            record = _record(row)
+            record = self._record(slot)
             if predicate is not None and not predicate(record):
                 continue
             out.append(record)
@@ -232,8 +335,8 @@ class PacketTrace:
         for TCP that is the SYN sender.
         """
         seen = {}
-        for row in self._rows:
-            _vlan, proto, src, sport, dst, dport = _headers(row)
+        for (_slot, _point, _vlan, proto, src, sport, dst, dport, _seq,
+             _payload) in self._columns():
             if sport is None or proto not in (PROTO_TCP, PROTO_UDP):
                 continue
             if ((src, sport, dst, dport, proto) in seen
@@ -256,8 +359,8 @@ class PacketTrace:
         resp = (flow.resp_ip.value, flow.resp_port)
         forward, backward = orig + resp, resp + orig
         chunks = {}
-        for row in self._rows:
-            _vlan, proto, src, sport, dst, dport = _headers(row)
+        for (_slot, _point, _vlan, proto, src, sport, dst, dport, seq,
+             payload) in self._columns():
             if proto != PROTO_TCP:
                 continue
             # Originator direction wins for a flow that is its own
@@ -270,11 +373,6 @@ class PacketTrace:
                 continue
             if match != direction:
                 continue
-            if len(row) == _FRAME_ROW_LEN:
-                segment = row[_FRAME].payload.payload
-                seq, payload = segment.seq, segment.payload
-            else:
-                seq, payload = row[_SEQ], row[_PAYLOAD]
             if payload and seq not in chunks:
                 chunks[seq] = payload
         return b"".join(chunks[seq] for seq in sorted(chunks))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import gc
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,7 +253,7 @@ class TestPcapTimestamps:
 # By-value rows: a capture is the bytes at the capture instant
 # ----------------------------------------------------------------------
 class ListTrace:
-    """The deep-copy design the row store replaced — a list of records
+    """The deep-copy design the packed store replaced — a list of records
     each holding ``frame.copy()`` — kept as the reference the view and
     the column queries must agree with."""
 
@@ -396,12 +396,27 @@ class TestByValueRows:
         reference = ListTrace(max_records=max_records)
         observed = []
         trace.subscribe(observed.append)
-        for index, (captured, point) in enumerate(captures):
-            trace.capture(float(index), captured, point=point)
-            reference.capture(float(index), captured, point=point)
+        # The drawn captures over and over, so that a bounded trace
+        # runs to at least ten times its bound.
+        laps = 1
+        if max_records is not None and captures:
+            laps = -(-10 * max_records // len(captures))
+        for lap in range(laps):
+            for index, (captured, point) in enumerate(captures):
+                stamp = float(lap * len(captures) + index)
+                trace.capture(stamp, captured, point=point)
+                reference.capture(stamp, captured, point=point)
 
         assert wire(observed) == wire(reference.observed)
         assert trace.rotated_out == reference.rotated_out
+        if max_records is None:
+            assert trace.compactions == 0
+        else:
+            assert not captures or len(observed) >= 10 * max_records
+            # The ring cuts its dead prefix once per bound's worth of
+            # rotations, not once per capture.
+            assert trace.compactions <= trace.rotated_out // (
+                max_records + 1)
         records = trace.records
         assert len(records) == len(trace) == len(reference.records)
         assert bool(records) == bool(reference.records)
@@ -439,17 +454,203 @@ class TestByValueRows:
             records[0] = records[1]
 
     def test_tcp_udp_rows_are_invisible_to_the_cyclic_gc(self):
+        """Capturing N TCP frames creates no per-row Python object, so
+        there is nothing for the collector (or the allocator) to see."""
         trace = PacketTrace()
-        trace.capture(1.0, frame(TCPSegment(1000, 80, seq=7, flags=SYN,
-                                            payload=b"x" * 64), vlan=5))
+        captured = frame(TCPSegment(1000, 80, seq=7, flags=SYN,
+                                    payload=b"x" * 64), vlan=5)
+        trace.capture(1.0, captured, point="inmate")
+        stamps = [float(index) for index in range(5000)]
+        before = sys.getallocatedblocks()
+        for stamp in stamps:
+            trace.capture(stamp, captured, point="inmate")
+        grown = sys.getallocatedblocks() - before
+        # Two buffers that grow in place; a tuple row per capture (let
+        # alone the floats and ints it kept alive) would be >= 5000.
+        assert len(trace) == 5001 and grown < 50
+
+    def test_only_fallback_rows_hold_a_frame(self):
+        trace = PacketTrace()
+        payload = b"x" * 64
+        trace.capture(1.0, frame(TCPSegment(1000, 80, payload=payload)))
         trace.capture(2.0, frame(UDPDatagram(53, 53, b"q")))
         message = ArpMessage.request(MAC_A, IP_A, IP_B)
         trace.capture(3.0, EthernetFrame(MAC_A, MAC_B, message.to_bytes(),
                                          ethertype=ETHERTYPE_ARP))
-        gc.collect()
-        tracked = [gc.is_tracked(row) for row in trace._rows]
-        # Only the ARP frame (a stored frame copy) is a live object.
-        assert tracked == [False, False, True]
+        assert trace._payloads[0] is payload  # by reference, not copied
+        assert [type(slot) for slot in trace._payloads] == [
+            bytes, bytes, tuple]
+
+    def test_bounded_capture_compacts_in_chunks(self):
+        bound, captures = 100, 5000
+        trace = PacketTrace(max_records=bound)
+        captured = frame(TCPSegment(1000, 80, flags=SYN, payload=b"p"))
+        for index in range(captures):
+            trace.capture(float(index), captured)
+        assert len(trace) == bound
+        assert trace.rotated_out == captures - bound
+        assert [r.timestamp for r in trace.records] == [
+            float(i) for i in range(captures - bound, captures)]
+        # Linear in chunks of the bound, not per capture (the store's
+        # size is held in tests/test_capture_budget.py) ...
+        assert 1 <= trace.compactions <= captures // bound
+        # ... and a rotated-out payload is released at once.
+        assert all(slot is None
+                   for slot in trace._payloads[:trace._head])
+
+    def test_lowering_the_bound_on_a_full_trace(self):
+        trace = PacketTrace()
+        for index in range(10):
+            trace.capture(float(index), frame(UDPDatagram(53, 53, b"q")))
+        trace.max_records = 3
+        trace.capture(10.0, frame(UDPDatagram(53, 53, b"q")))
+        assert trace.rotated_out == 8
+        assert [r.timestamp for r in trace] == [8.0, 9.0, 10.0]
+        trace.max_records = -1
+        trace.capture(11.0, frame(UDPDatagram(53, 53, b"q")))
+        assert len(trace) == 0 and trace.rotated_out == 12
+
+
+# ----------------------------------------------------------------------
+# The packed store: what fits the header, and what takes the fallback
+# ----------------------------------------------------------------------
+edge_macs = st.sampled_from([0, 1, 0xFFFFFFFFFFFF]).map(MacAddress)
+edge_ips = st.sampled_from([0, 1, 0xFFFFFFFF]).map(IPv4Address)
+edge16 = st.sampled_from([0, 1, 0xFFFF])
+edge32 = st.sampled_from([0, 1, 0xFFFFFFFF])
+edge_vlans = st.sampled_from([None, 0, 1, 4094, 4095])
+edge_blobs = st.one_of(st.just(b""), st.binary(max_size=16))
+
+
+@st.composite
+def edge_frames(draw):
+    """Plain TCP/UDP frames with fields at the ends of their ranges."""
+    if draw(st.booleans()):
+        transport = TCPSegment(draw(edge16), draw(edge16), draw(edge32),
+                               draw(edge32), draw(st.sampled_from([0, 0xFF])),
+                               draw(edge16), draw(edge_blobs))
+    else:
+        transport = UDPDatagram(draw(edge16), draw(edge16),
+                                draw(edge_blobs))
+    packet = IPv4Packet(draw(edge_ips), draw(edge_ips), transport,
+                        ttl=draw(st.sampled_from([0, 255])),
+                        ident=draw(edge16))
+    built = EthernetFrame(draw(edge_macs), draw(edge_macs), packet,
+                          ethertype=draw(st.sampled_from([0x0800, 0xFFFF])))
+    built.vlan = draw(edge_vlans)  # 0 and 4095 are not constructible
+    return built
+
+
+class TestPackedStore:
+    @settings(max_examples=200)
+    @given(st.lists(edge_frames(), min_size=1, max_size=6))
+    def test_edge_fields_round_trip_packed(self, originals):
+        trace = PacketTrace()
+        expected = []
+        for index, original in enumerate(originals):
+            expected.append((original.to_bytes(), original.vlan))
+            trace.capture(index + 0.5, original, point="inmate")
+        for original in originals:
+            scramble(original)
+        assert [(r.frame.to_bytes(), r.frame.vlan)
+                for r in trace.records] == expected
+        assert [r.timestamp for r in trace] == [
+            i + 0.5 for i in range(len(originals))]
+        # Every one of them fitted the header: no frame was copied.
+        assert all(type(slot) is bytes for slot in trace._payloads)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda f: setattr(f, "vlan", 0xFFFF),       # the untagged sentinel
+        lambda f: setattr(f, "vlan", -1),
+        lambda f: setattr(f, "vlan", 1 << 16),
+        lambda f: setattr(f, "ethertype", 1 << 16),
+        lambda f: setattr(f.ip, "ttl", 256),
+        lambda f: setattr(f.ip, "ident", -1),
+        lambda f: setattr(f.ip.payload, "sport", 1 << 16),
+        lambda f: setattr(f.ip.payload, "seq", 1 << 32),
+        lambda f: setattr(f.ip.payload, "ack", -1),
+        lambda f: setattr(f.ip.payload, "flags", 0x100),
+        lambda f: setattr(f.ip.payload, "window", 1 << 16),
+        lambda f: setattr(f.ip.payload, "dport", None),
+    ])
+    def test_a_field_that_does_not_fit_takes_the_fallback(self, spoil):
+        """Never a struct.error out of the datapath: the frame is
+        stored as a copy, exactly as the fields stood."""
+        original = frame(TCPSegment(1000, 80, seq=7, flags=SYN,
+                                    payload=b"data"), vlan=5)
+        spoil(original)
+        trace = PacketTrace()
+        trace.capture(1.0, original, point="inmate")
+        expected = original.copy()
+        scramble(original)
+        (record,) = trace.records
+        assert type(trace._payloads[0]) is tuple
+        assert (record.timestamp, record.point) == (1.0, "inmate")
+        stored, segment = record.frame, record.frame.ip.tcp
+        assert (stored.vlan, stored.ethertype, stored.ip.ttl,
+                stored.ip.ident) == (expected.vlan, expected.ethertype,
+                                     expected.ip.ttl, expected.ip.ident)
+        assert (segment.sport, segment.dport, segment.seq, segment.ack,
+                segment.flags, segment.window, segment.payload) == (
+            expected.ip.tcp.sport, expected.ip.tcp.dport,
+            expected.ip.tcp.seq, expected.ip.tcp.ack,
+            expected.ip.tcp.flags, expected.ip.tcp.window, b"data")
+
+    def test_sentinel_vlan_round_trips_on_the_wire(self):
+        original = frame(UDPDatagram(53, 53, b"q"), vlan=5)
+        original.vlan = 0xFFFF
+        trace = PacketTrace()
+        trace.capture(1.0, original)
+        assert trace.records[0].frame.to_bytes() == original.to_bytes()
+        assert trace.select(vlan=0xFFFF) and not trace.select(vlan=5)
+
+    def test_capture_points_beyond_the_code_space_fall_back(self):
+        trace = PacketTrace()
+        captured = frame(UDPDatagram(53, 53, b"q"))
+        for index in range(300):
+            trace.capture(float(index), captured, point=f"tap-{index}")
+        assert [r.point for r in trace] == [
+            f"tap-{index}" for index in range(300)]
+        assert [type(slot) for slot in trace._payloads] == (
+            [bytes] * 256 + [tuple] * 44)
+        assert len(trace.select(point="tap-7")) == 1
+        assert len(trace.select(point="tap-299")) == 1
+        assert trace.select(point="never") == []
+
+    def test_queries_read_columns_without_building_records(self):
+        """Header-only filters build a record only for the rows the
+        caller receives."""
+        trace = PacketTrace()
+        for index in range(50):
+            trace.capture(float(index), frame(
+                TCPSegment(1000 + index, 80, seq=index, flags=ACK,
+                           payload=b"x"), vlan=5), point="inmate")
+        trace.capture(99.0, frame(TCPSegment(7, 25, flags=SYN), vlan=6),
+                      point="inmate")
+        built = []
+        build = trace._build
+        trace._build = lambda fields, slot: built.append(1) or build(
+            fields, slot)
+        assert len(trace.select(vlan=6)) == 1
+        assert len(trace.select(dport=25, proto=PROTO_TCP)) == 1
+        assert len(built) == 2
+        assert len(trace.flows()) == 51
+        key = FiveTuple(IP_A, 1003, IP_B, 80, PROTO_TCP)
+        assert trace.tcp_payload(key, "orig") == b"x"
+        assert len(built) == 2
+
+    def test_iterating_while_capturing(self):
+        """``records`` is position-based like a list: a consumer may
+        be part-way through while the farm keeps capturing."""
+        trace = PacketTrace()
+        captured = frame(UDPDatagram(53, 53, b"q"))
+        trace.capture(0.0, captured)
+        seen = []
+        for record in trace.records:
+            seen.append(record.timestamp)
+            if len(seen) < 5:
+                trace.capture(float(len(seen)), captured)
+        assert seen == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_derived_host_macs_are_the_same_in_every_process():
