@@ -2,7 +2,7 @@ PYTHON ?= python
 WORKERS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick trace-budget ledger-test ledger-selftest paper-benches
+.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick trace-budget ledger-test ledger-selftest paper-benches loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,11 +42,15 @@ chaos-quick:
 fuzz-quick:
 	$(PYTHON) -m repro.fuzz --quick
 
-# Journal overhead gate: with the flight recorder off, farm digests
-# must stay byte-identical to the ones tracked in BENCH_hotpath.json;
-# with it on, digests are unchanged (observing never perturbs), the
-# journal digest is seed-stable, and fast-path forwarding stays within
-# 10% of the journal-off rate (docs/OBSERVABILITY.md).
+# Observability overhead gate, both instruments in one bench: with the
+# flight recorder off, farm digests must stay byte-identical to the
+# ones tracked in BENCH_hotpath.json; with it on, digests are
+# unchanged (observing never perturbs), the journal digest is
+# seed-stable, fast-path forwarding stays within 10% of the
+# journal-off rate and a scan-shaped run (>= 4 journal events per
+# flow) within its whole-run bound; with telemetry off, the residual
+# no-op instrument calls cost under 5% of the run
+# (docs/OBSERVABILITY.md, "Overhead").
 obs-quick:
 	$(PYTHON) benchmarks/bench_obs_overhead.py --quick
 
@@ -77,3 +81,14 @@ ledger-selftest:
 
 paper-benches:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Files and lines per src/repro package: the before/after table a
+# deletion PR reports (ROADMAP direction 5).
+loc:
+	@count() { label=$$1; shift; \
+		printf '%-22s %4d files %6d lines\n' "$$label" \
+			$$(find "$$@" -name '*.py' | wc -l) \
+			$$(find "$$@" -name '*.py' -exec cat {} + | wc -l); }; \
+	for pkg in src/repro/*/; do count $$pkg $$pkg; done; \
+	count 'src/repro/*.py' src/repro -maxdepth 1; \
+	count 'src/ (total)' src

@@ -57,6 +57,7 @@ from repro.net.packet import (
     TCPSegment,
     UDPDatagram,
 )
+from repro.parallel.tasks import farm_digest
 from repro.services.dhcp import DhcpClient
 from repro.sim.engine import Simulator
 
@@ -434,23 +435,7 @@ def run_farm(seed: int, inmates: int, rounds: int,
     farm.run(until=duration)
     elapsed = perf_counter() - started
     counters = dict(sub.router.counters)
-    digest = hashlib.sha256()
-    digest.update(json.dumps(counters, sort_keys=True).encode())
-    for entry in sub.router.flow_log:
-        digest.update(
-            f"{entry.timestamp:.9f}|{entry.vlan}|{entry.verdict}"
-            f"|{entry.orig}|{entry.policy}".encode())
-    for rec in farm.gateway.upstream_trace.records:
-        digest.update(rec.frame.to_bytes())
-    # Telemetry snapshots only keep deterministic instruments, so the
-    # whole metric surface folds into the digest too — except the
-    # flowtable.* instruments, which the tracked digests have never
-    # included (they say nothing about wire behavior).
-    snapshot = farm.telemetry_snapshot(include_traces=False)
-    for family in ("counters", "gauges"):
-        snapshot[family] = {k: v for k, v in snapshot[family].items()
-                            if not k.startswith("flowtable.")}
-    digest.update(json.dumps(snapshot, sort_keys=True).encode())
+    digest, _ = farm_digest(farm)
     return {
         "events": farm.sim.events_processed,
         "packets_relayed": counters["packets_relayed"],
@@ -461,7 +446,7 @@ def run_farm(seed: int, inmates: int, rounds: int,
         if elapsed else 0,
         "packets_per_sec": round(counters["packets_relayed"] / elapsed)
         if elapsed else 0,
-        "digest": digest.hexdigest(),
+        "digest": digest,
     }
 
 

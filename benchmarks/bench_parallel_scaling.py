@@ -1,10 +1,10 @@
-"""Parallel campaign scaling: adaptive work stealing vs static chunks.
+"""Parallel campaign scaling under the work-stealing scheduler.
 
 Measures the :mod:`repro.parallel` runner on seed sweeps of complete
 streaming-farm runs (the ``streaming_farm_shard`` reference task) at
 1, 2, 4, and 8 workers, and asserts the determinism contract: the
-merged campaign digest at every worker count, under every scheduler
-and transport, is byte-identical to the serial run of the same
+merged campaign digest at every worker count, over every transport,
+is byte-identical to the serial run of the same
 :class:`~repro.parallel.Campaign` spec.
 
 Recorded sweeps (see docs/PARALLELISM.md for why each exists):
@@ -18,11 +18,10 @@ Recorded sweeps (see docs/PARALLELISM.md for why each exists):
 * ``cpu_bound`` — the same sweep with no wait: pure simulation CPU.
   Its speedup tracks the host's core count (recorded alongside), so a
   single-core CI box honestly shows ~1x here.
-* ``straggler`` — the scheduler comparison: a 16-shard sweep where two
-  shards model slow detonations (a straggling subfarm).  Static
-  contiguous chunks put both stragglers on one worker; work stealing
-  drains around them.  The JSON records both curves — steal must be at
-  least as fast at every worker count and strictly faster at 4+.
+* ``straggler`` — a 16-shard sweep where two shards model slow
+  detonations (a straggling subfarm); work stealing drains around
+  them.  (The curve against the contiguous pre-partition it replaced
+  is kept as a dated table in docs/PARALLELISM.md.)
 * ``socket`` — digest parity of the same campaign dispatched to a
   localhost ``python -m repro.parallel.worker`` agent over TCP.
 
@@ -74,7 +73,7 @@ def build_straggler_sweep(shards: int, base_seed: int,
                           straggler_wait: float, base_wait: float,
                           stragglers: int = 2) -> Campaign:
     """A sweep whose first ``stragglers`` shards model slow
-    detonations — contiguous static chunks land them on one worker."""
+    detonations."""
     grid = [
         {
             "subfarms": 1, "inmates": 1, "rounds": 5, "duration": 30.0,
@@ -87,20 +86,15 @@ def build_straggler_sweep(shards: int, base_seed: int,
                                  base_seed=base_seed)
 
 
-def run_sweep(campaign: Campaign, worker_counts,
-              scheduler: str = "steal") -> dict:
+def run_sweep(campaign: Campaign, worker_counts) -> dict:
     """Run the same campaign at each worker count; verify digests."""
-    runs = {}
-    for workers in worker_counts:
-        result = run_campaign(campaign, workers=workers,
-                              scheduler=scheduler)
-        runs[workers] = result
+    runs = {workers: run_campaign(campaign, workers=workers)
+            for workers in worker_counts}
     serial = runs[worker_counts[0]]
     assert serial.workers == 1, "first worker count must be the serial run"
     out = {
         "digest": serial.digest,
         "spec_digest": serial.spec_digest,
-        "scheduler": scheduler,
         "digest_parity": {},
         "workers": {},
     }
@@ -121,59 +115,6 @@ def run_sweep(campaign: Campaign, worker_counts,
         == serial.merged.get("telemetry")
         for w in worker_counts
     )
-    return out
-
-
-def run_straggler_comparison(campaign: Campaign, worker_counts) -> dict:
-    """Static chunks vs work stealing over the straggler sweep.
-
-    ``workers=1`` is the shared serial baseline (scheduler-independent
-    by construction); every other count runs both schedulers.
-    """
-    serial = run_campaign(campaign, workers=1)
-    out = {
-        "digest": serial.digest,
-        "serial_wall_seconds": round(serial.wall_seconds, 3),
-        "workers": {},
-    }
-    parity = True
-    never_worse = True
-    strictly_better_at_4 = True
-    for workers in worker_counts:
-        if workers <= 1:
-            wall = {"static": serial.wall_seconds,
-                    "steal": serial.wall_seconds}
-        else:
-            wall = {}
-            for mode in ("static", "steal"):
-                result = run_campaign(campaign, workers=workers,
-                                      scheduler=mode)
-                parity = parity and result.digest == serial.digest \
-                    and result.ok
-                wall[mode] = result.wall_seconds
-        entry = {
-            mode: {
-                "wall_seconds": round(wall[mode], 3),
-                "speedup": round(serial.wall_seconds / wall[mode], 3)
-                if wall[mode] else 0.0,
-            }
-            for mode in ("static", "steal")
-        }
-        entry["steal_vs_static"] = round(
-            wall["static"] / wall["steal"], 3) if wall["steal"] else 0.0
-        out["workers"][str(workers)] = entry
-        if workers > 1:
-            # 3% tolerance absorbs scheduler-loop noise on the "at
-            # least as fast" side; the strictly-better bar at 4+ has
-            # real margin behind it (both stragglers on one static
-            # chunk) so it gets no tolerance.
-            if wall["steal"] > wall["static"] * 1.03:
-                never_worse = False
-            if workers >= 4 and wall["steal"] >= wall["static"]:
-                strictly_better_at_4 = False
-    out["parity_ok"] = parity
-    out["steal_never_worse"] = never_worse
-    out["steal_strictly_better_at_4"] = strictly_better_at_4
     return out
 
 
@@ -212,7 +153,7 @@ def run_crash_isolation(workers: int = 2, hosts=None) -> dict:
         ShardSpec(3, "repro.parallel.tasks:noop_shard", {"seed": 4}),
     ]
     result = run_campaign(Campaign("crash-isolation", specs),
-                          workers=workers, chunk_size=1, hosts=hosts)
+                          workers=workers, hosts=hosts)
     failures = result.failures
     ok = (
         len(result.shard_results) == 4
@@ -312,7 +253,7 @@ def main(argv=None) -> int:
         build_sweep(args.shards, args.seed, detonation_wait=0.0,
                     **farm_params),
         worker_counts)
-    straggler = run_straggler_comparison(
+    straggler = run_sweep(
         build_straggler_sweep(16, args.seed,
                               straggler_wait=args.straggler_wait,
                               base_wait=0.1),
@@ -348,8 +289,7 @@ def main(argv=None) -> int:
 
     ok = (campaign_sweep["parity_ok"] and cpu_sweep["parity_ok"]
           and campaign_sweep["telemetry_parity"]
-          and straggler["parity_ok"] and straggler["steal_never_worse"]
-          and straggler["steal_strictly_better_at_4"]
+          and straggler["parity_ok"]
           and socket_parity["digest_parity"] and socket_parity["ok"]
           and crash["ok"])
     if result["speedup_at_4_workers"] < 2.5:
@@ -357,8 +297,8 @@ def main(argv=None) -> int:
               f"{result['speedup_at_4_workers']}x (< 2.5x target)",
               file=sys.stderr)
     if not ok:
-        print("FAIL: determinism, isolation, or scheduler contract "
-              "violated", file=sys.stderr)
+        print("FAIL: determinism or isolation contract violated",
+              file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Farm telemetry: run a contained fetch, snapshot it, read it back.
+"""Farm observability: run a contained fetch, snapshot it, read it back.
 
 This is the worked example behind ``docs/OBSERVABILITY.md``:
 
-1. Build a farm with ``telemetry=True`` — the virtual clock drives
-   every timestamp, so the snapshot is deterministic per seed.
+1. Build a farm with ``telemetry=True, journal=True`` — the virtual
+   clock drives every timestamp, so both instruments are
+   deterministic per seed.
 2. Let one inmate boot over DHCP and fetch a file through the full
    containment path (bridge -> safety filter -> shim -> verdict).
-3. Dump the registry + traces as JSON, then read the snapshot back
-   the way an operator would: verdict mix, shim latency quantiles,
-   and one flow's span-by-span timeline.
+3. Dump the metrics as JSON, then read the snapshot back the way an
+   operator would — verdict mix, shim latency quantiles (*how many*)
+   — and ask the journal for one flow's timeline (*why and when*).
 
 Run:  python examples/telemetry_snapshot.py
 """
@@ -21,6 +22,7 @@ from repro.core.policy import AllowAll
 from repro.net.addresses import IPv4Address
 from repro.net.http import HttpParser, HttpRequest, HttpResponse
 from repro.obs.export import to_json
+from repro.obs.provenance import flows_in, render_why
 from repro.services.dhcp import DhcpClient
 
 WEB_IP = "203.0.113.80"
@@ -56,8 +58,8 @@ def fetch_image(host):
 
 
 def main():
-    # -- 1. run a telemetry-enabled farm ------------------------------
-    farm = Farm(FarmConfig(seed=7, telemetry=True,
+    # -- 1. run a farm with both instruments on -----------------------
+    farm = Farm(FarmConfig(seed=7, telemetry=True, journal=True,
                            telemetry_snapshot_interval=30.0))
     sub = farm.create_subfarm("demo")
     sub.add_catchall_sink()
@@ -84,16 +86,10 @@ def main():
                   f"p50={hist['p50'] * 1000:.1f}ms "
                   f"p99={hist['p99'] * 1000:.1f}ms")
 
-    print("\nOne flow, span by span:")
-    trace_id, spans = next(
-        (tid, spans) for tid, spans in sorted(snap["traces"].items())
-        if any(s["name"] == "flow.verdict" for s in spans))
-    print(f"  {trace_id}")
-    for span in spans:
-        end = "..." if span["end"] is None else f"{span['end']:8.3f}"
-        labels = " ".join(f"{k}={v}" for k, v in span["labels"].items())
-        print(f"    {span['start']:8.3f} -> {end}  "
-              f"{span['name']:<14} {labels}")
+    # -- 4. one flow's timeline, from the journal ---------------------
+    print("\nOne flow, decision by decision:")
+    events = farm.journal_snapshot()["events"]
+    print(render_why(events, flows_in(events)[0]))
 
     print(f"\nPeriodic snapshots on the virtual clock: "
           f"{[s['time'] for s in farm.telemetry_snapshots]}")

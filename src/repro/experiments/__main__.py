@@ -15,8 +15,7 @@ works.
 
 ``--hosts h1:9000,h2:9000`` dispatches shards to running
 ``python -m repro.parallel.worker`` agents instead of the local pool;
-``--scheduler static`` swaps adaptive work stealing for contiguous
-chunks; ``--topology farm.json`` (streaming-farm) compiles a
+``--topology farm.json`` (streaming-farm) compiles a
 FarmTopology file into a placement and derives the campaign — and the
 agent endpoints — from it.
 
@@ -103,7 +102,7 @@ def _run_gateway_load_sweep(args) -> dict:
         seeds=args.seeds, count=args.count, base_seed=args.seed,
         subfarms=args.subfarms, inmates_per=args.inmates_per,
         duration=args.duration, workers=args.workers,
-        hosts=args.hosts, scheduler=args.scheduler)
+        hosts=args.hosts)
     return _campaign_summary(result)
 
 
@@ -145,16 +144,14 @@ def _run_streaming_farm(args) -> dict:
             count=None if args.seeds is not None else args.count,
             base_seed=args.seed)
     return _campaign_summary(run_campaign(
-        campaign, workers=args.workers, hosts=hosts,
-        scheduler=args.scheduler))
+        campaign, workers=args.workers, hosts=hosts))
 
 
 def _run_smtp_strictness(args) -> dict:
     from repro.experiments.smtp_strictness import run_matrix
 
     matrix = run_matrix(duration=args.duration, seed=args.seed,
-                        workers=args.workers, hosts=args.hosts,
-                        scheduler=args.scheduler)
+                        workers=args.workers, hosts=args.hosts)
     return {
         "experiment": "smtp-strictness",
         "duration": args.duration,
@@ -173,8 +170,7 @@ def _run_containment_tradeoff(args) -> dict:
     from repro.experiments.containment_tradeoff import run_all_regimes
 
     regimes = run_all_regimes(duration=args.duration, seed=args.seed,
-                              workers=args.workers, hosts=args.hosts,
-                              scheduler=args.scheduler)
+                              workers=args.workers, hosts=args.hosts)
     return {
         "experiment": "containment-tradeoff",
         "duration": args.duration,
@@ -196,8 +192,7 @@ def _run_fault_matrix(args) -> dict:
 
     result = run_matrix(seeds=args.seeds, base_seed=args.seed,
                         duration=args.duration, workers=args.workers,
-                        timeout=600.0, hosts=args.hosts,
-                        scheduler=args.scheduler)
+                        timeout=600.0, hosts=args.hosts)
     return summarize(result)
 
 
@@ -259,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(python -m repro.parallel.worker); "
                               "shards dispatch over TCP instead of "
                               "the local pool")
-        cmd.add_argument("--scheduler", choices=("steal", "static"),
-                         default="steal",
-                         help="shard scheduler: adaptive work "
-                              "stealing (default) or static "
-                              "contiguous chunks")
         cmd.add_argument("--topology", metavar="FILE", default=None,
                          help="compile a FarmTopology JSON file into "
                               "a placement and derive the campaign "

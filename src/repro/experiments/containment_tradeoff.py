@@ -191,8 +191,7 @@ def _regime_from_payload(payload: dict) -> RegimeResult:
 
 
 def run_all_regimes(duration: float = 900.0, seed: int = 77,
-                    workers: int = 1, hosts=None,
-                    scheduler: str = "steal"
+                    workers: int = 1, hosts=None
                     ) -> Dict[str, RegimeResult]:
     """Every regime against the same universe — four independent farm
     runs, fanned out across a campaign worker pool (``workers=1`` =
@@ -207,8 +206,7 @@ def run_all_regimes(duration: float = 900.0, seed: int = 77,
         base_seed=seed,
         labels=list(REGIMES),
     )
-    result = run_campaign(campaign, workers=workers, hosts=hosts,
-                          scheduler=scheduler)
+    result = run_campaign(campaign, workers=workers, hosts=hosts)
     if not result.ok:
         raise RuntimeError(
             f"containment-tradeoff shards failed: {result.failures}")

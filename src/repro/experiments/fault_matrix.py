@@ -215,7 +215,7 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
                 f"|{entry.orig}|{entry.policy}".encode())
     for rec in farm.gateway.upstream_trace.records:
         digest.update(rec.frame.to_bytes())
-    snapshot = farm.telemetry_snapshot(include_traces=False)
+    snapshot = farm.telemetry_snapshot()
     digest.update(json.dumps(snapshot, sort_keys=True).encode())
 
     resilience = {sub.name: sub.resilience.summary() for sub in subs
@@ -290,14 +290,12 @@ def build_matrix_campaign(scenarios=None, seeds=None, base_seed: int = 11,
 def run_matrix(scenarios=None, seeds=None, base_seed: int = 11,
                subfarms: int = 2, inmates: int = 3, rounds: int = 30,
                duration: float = 120.0, workers: int = 1,
-               timeout: Optional[float] = None, hosts=None,
-               scheduler: str = "steal"):
+               timeout: Optional[float] = None, hosts=None):
     campaign = build_matrix_campaign(
         scenarios, seeds, base_seed=base_seed, subfarms=subfarms,
         inmates=inmates, rounds=rounds, duration=duration,
         timeout=timeout)
-    return run_campaign(campaign, workers=workers, hosts=hosts,
-                        scheduler=scheduler)
+    return run_campaign(campaign, workers=workers, hosts=hosts)
 
 
 def summarize(result) -> dict:

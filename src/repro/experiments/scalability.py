@@ -214,7 +214,6 @@ def run_gateway_load_sweep(
     duration: float = 120.0,
     workers: int = 1,
     hosts=None,
-    scheduler: str = "steal",
 ):
     """The paper's operating point as a seed sweep: N independent
     whole-farm gateway-load runs fanned out across a worker pool
@@ -236,8 +235,7 @@ def run_gateway_load_sweep(
         count=None if seeds is not None else count,
         base_seed=base_seed,
     )
-    return run_campaign(campaign, workers=workers, hosts=hosts,
-                        scheduler=scheduler)
+    return run_campaign(campaign, workers=workers, hosts=hosts)
 
 
 def vlan_capacity_demo() -> Dict[str, int]:

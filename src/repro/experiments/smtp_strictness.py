@@ -106,8 +106,7 @@ def _cell_from_payload(payload: dict) -> StrictnessCell:
 
 
 def run_matrix(duration: float = 600.0, seed: int = 11,
-               workers: int = 1, hosts=None,
-               scheduler: str = "steal"
+               workers: int = 1, hosts=None
                ) -> Dict[Tuple[str, str], StrictnessCell]:
     """The full family × strictness matrix, one farm per cell.
 
@@ -130,8 +129,7 @@ def run_matrix(duration: float = 600.0, seed: int = 11,
         base_seed=seed,
         labels=[f"{cell['family']}/{cell['strictness']}" for cell in grid],
     )
-    result = run_campaign(campaign, workers=workers, hosts=hosts,
-                          scheduler=scheduler)
+    result = run_campaign(campaign, workers=workers, hosts=hosts)
     if not result.ok:
         raise RuntimeError(
             f"strictness matrix shards failed: {result.failures}")

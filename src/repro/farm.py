@@ -60,7 +60,6 @@ class FarmConfig:
         safety_window: float = 60.0,
         telemetry: bool = False,
         telemetry_snapshot_interval: Optional[float] = None,
-        profile_callbacks: bool = False,
         journal: bool = False,
         journal_capacity: int = 65536,
         journal_sample_interval: Optional[float] = None,
@@ -95,7 +94,6 @@ class FarmConfig:
         self.safety_window = safety_window
         self.telemetry = telemetry
         self.telemetry_snapshot_interval = telemetry_snapshot_interval
-        self.profile_callbacks = profile_callbacks
         # Decision journal (repro.obs.journal, docs/OBSERVABILITY.md):
         # off by default so a plain run schedules no sampling events
         # and stays byte-identical to a build without the journal.
@@ -164,7 +162,6 @@ class FarmConfig:
             "safety_window": self.safety_window,
             "telemetry": self.telemetry,
             "telemetry_snapshot_interval": self.telemetry_snapshot_interval,
-            "profile_callbacks": self.profile_callbacks,
             "journal": self.journal,
             "journal_capacity": self.journal_capacity,
             "journal_sample_interval": self.journal_sample_interval,
@@ -193,7 +190,6 @@ class FarmConfig:
             "safety_max_flows_per_window",
             "safety_max_flows_per_destination", "safety_window",
             "telemetry", "telemetry_snapshot_interval",
-            "profile_callbacks",
             "journal", "journal_capacity", "journal_sample_interval",
             "fault_plan", "verdict_deadline", "verdict_retries",
             "retry_backoff", "pending_policy", "cs_probe_interval",
@@ -546,9 +542,7 @@ class Farm:
             from repro.obs.telemetry import Telemetry
 
             self.sim.attach_telemetry(
-                Telemetry(clock=lambda: self.sim.now),
-                profile_callbacks=self.config.profile_callbacks,
-            )
+                Telemetry(clock=lambda: self.sim.now))
             interval = self.config.telemetry_snapshot_interval
             if interval is not None and interval > 0:
                 self._schedule_snapshot(interval)
@@ -688,11 +682,15 @@ class Farm:
         return self.sim.telemetry
 
     def telemetry_snapshot(self, include_traces: bool = True) -> dict:
-        """Capture a point-in-time snapshot of every metric, trace,
-        and hub event (see repro.obs.export)."""
+        """Capture a point-in-time snapshot of every metric (schema
+        ``gq.telemetry/2``; see repro.obs.export).
+
+        ``include_traces`` is accepted and ignored: snapshots hold no
+        traces, but the frozen ``benchmarks/ledger`` still passes it —
+        to be removed by the ledger-refresh PR."""
         from repro.obs.export import snapshot
 
-        return snapshot(self.sim.telemetry, include_traces=include_traces)
+        return snapshot(self.sim.telemetry)
 
     def _schedule_snapshot(self, interval: float) -> None:
         def capture() -> None:

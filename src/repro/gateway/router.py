@@ -288,8 +288,9 @@ class SubfarmRouter:
             "router.shim.rtt",
             "Virtual seconds from flow creation to verdict"
         ).bind(subfarm=name)
-        self._shim_spans: Dict[int, object] = {}
-        self._proxy_spans: Dict[int, object] = {}
+        # mux port -> journal flow id; filled only while a journal is
+        # live (a telemetry-only run keeps no per-flow observation
+        # state).
         self._trace_ids: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
@@ -806,13 +807,6 @@ class SubfarmRouter:
             self.flow_log.append(FlowLogEntry(self.sim.now, record))
             self.counters["flows_refused"] += 1
             self._m_flows_refused.inc()
-            if self.telemetry.enabled:
-                trace_id = (f"{self.name}/vlan{vlan}/refused"
-                            f"/t{self.sim.now:.6f}")
-                self.telemetry.point(
-                    trace_id, "flow.safety", subfarm=self.name,
-                    vlan=str(vlan), admitted="false",
-                    destination=str(key.resp_ip))
             if self.journal.enabled:
                 self.journal.record(
                     "flow.refused",
@@ -840,34 +834,13 @@ class SubfarmRouter:
         record.index_keys.append(key)
         record.index_keys.append(reverse)
 
-        if self.telemetry.enabled:
-            proto = "tcp" if packet.proto == PROTO_TCP else "udp"
-            trace_id = (f"{self.name}/vlan{vlan}/mux{mux}"
-                        f"/t{self.sim.now:.6f}")
-            self._trace_ids[mux] = trace_id
-            self.telemetry.point(
-                trace_id, "flow.bridge", subfarm=self.name,
-                vlan=str(vlan), proto=proto,
-                destination=str(key.resp_ip))
-            if inmate_is_originator:
-                self.telemetry.point(
-                    trace_id, "flow.safety", subfarm=self.name,
-                    vlan=str(vlan), admitted="true")
-            self._shim_spans[mux] = self.telemetry.span(
-                trace_id, "flow.shim_rtt", subfarm=self.name,
-                vlan=str(vlan), proto=proto)
-
         if self.journal.enabled:
-            # Same id scheme as flow traces, computed independently so
-            # journaling works with telemetry off.  The five-tuple
-            # alias lets the containment server — which only ever sees
-            # the flow through serialized shim bytes — journal onto the
-            # same causal chain.
-            flow_id = self._trace_ids.get(mux)
-            if flow_id is None:
-                flow_id = (f"{self.name}/vlan{vlan}/mux{mux}"
-                           f"/t{self.sim.now:.6f}")
-                self._trace_ids[mux] = flow_id
+            # The five-tuple alias lets the containment server — which
+            # only ever sees the flow through serialized shim bytes —
+            # journal onto the same causal chain.
+            flow_id = (f"{self.name}/vlan{vlan}/mux{mux}"
+                       f"/t{self.sim.now:.6f}")
+            self._trace_ids[mux] = flow_id
             self.journal.bind_flow(f"vlan{vlan}/{key}", flow_id)
             self.journal.record(
                 "flow.created", flow=flow_id, vlan=vlan,
@@ -1351,9 +1324,8 @@ class SubfarmRouter:
 
     def _record_verdict(self, record: FlowRecord,
                         decision: ContainmentDecision) -> None:
-        """Telemetry bookkeeping at verdict time: close the shim-RTT
-        span, observe the RTT histogram, count the verdict, and (for
-        REWRITE) open the long-lived proxy span."""
+        """Bookkeeping at verdict time: count the verdict, observe the
+        shim RTT histogram, journal ``verdict.applied``."""
         proto = "tcp" if record.orig.proto == PROTO_TCP else "udp"
         verdict = decision.verdict.label
         cell_key = (record.vlan, verdict, proto)
@@ -1372,25 +1344,6 @@ class SubfarmRouter:
                 vlan=record.vlan, verdict=verdict, proto=proto,
                 policy=decision.policy,
                 annotation=decision.annotation or "")
-        if not self.telemetry.enabled:
-            return
-        span = self._shim_spans.pop(record.mux_port, None)
-        if span is not None:
-            span.finish()
-        trace_id = self._trace_ids.get(record.mux_port)
-        if trace_id is not None:
-            self.telemetry.point(trace_id, "flow.verdict",
-                                 subfarm=self.name, verdict=verdict,
-                                 proto=proto, policy=decision.policy)
-            if decision.verdict & Verdict.REWRITE:
-                self._proxy_spans[record.mux_port] = self.telemetry.span(
-                    trace_id, "flow.proxy", subfarm=self.name,
-                    vlan=str(record.vlan), proto=proto)
-
-    def _finish_proxy_span(self, record: FlowRecord) -> None:
-        span = self._proxy_spans.pop(record.mux_port, None)
-        if span is not None:
-            span.finish()
 
     def _apply_decision(self, record: FlowRecord,
                         decision: ContainmentDecision,
@@ -1480,13 +1433,6 @@ class SubfarmRouter:
         # External: the inmate-side endpoint needs its global address.
         if record.inmate_is_originator:
             record.nat_global = self.nat.global_for(record.vlan)
-            if self.telemetry.enabled and record.nat_global is not None:
-                trace_id = self._trace_ids.get(record.mux_port)
-                if trace_id is not None:
-                    self.telemetry.point(
-                        trace_id, "flow.nat", subfarm=self.name,
-                        vlan=str(record.vlan),
-                        global_ip=str(record.nat_global))
 
     # ------------------------------------------------------------------
     # Handoff to the enforced destination
@@ -1735,7 +1681,6 @@ class SubfarmRouter:
             self._teardown_cs_leg(record)
         if notify_client:
             self._synthesize_client_rst(record)
-        self._finish_proxy_span(record)
         self._fastpath_uninstall(record)
         record.phase = FlowPhase.CLOSED
 
@@ -1772,10 +1717,6 @@ class SubfarmRouter:
         record.index_keys.clear()
         self._by_mux.pop(record.mux_port, None)
         self._by_nonce.pop(record.nonce_port, None)
-        shim_span = self._shim_spans.pop(record.mux_port, None)
-        if shim_span is not None:
-            shim_span.finish()
-        self._finish_proxy_span(record)
         self._trace_ids.pop(record.mux_port, None)
         if record.phase not in (FlowPhase.DROPPED, FlowPhase.REFUSED):
             record.phase = FlowPhase.CLOSED

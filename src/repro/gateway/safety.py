@@ -112,10 +112,6 @@ class SafetyFilter:
                 reason: str) -> None:
         self.flows_refused += 1
         self.alerts.append(SafetyAlert(now, vlan, destination, reason))
-        if self.telemetry.enabled:
-            self.telemetry.publish("safety.trip", vlan=vlan,
-                                   destination=str(destination),
-                                   reason=reason)
 
     def bounds(self) -> dict:
         """The filter's static rate envelope, for isolation

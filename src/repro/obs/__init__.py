@@ -1,4 +1,4 @@
-"""Farm-wide telemetry: metrics, flow traces, and structured events.
+"""Farm-wide observability: two instruments and one merge.
 
 The paper's reporting layer is "the operator's eyes" (§6.5); this
 package is the live counterpart — in-path visibility into where
@@ -6,20 +6,23 @@ packets are dropped, how long shim round trips take on the virtual
 clock, and how hot the safety filter runs, all captured deterministically
 so two runs with the same seed snapshot identically.
 
+*Metrics* say how many; the *journal* says why and when — it is the
+farm's only flow-level recorder, and the record ``repro.verify``
+cross-validates the containment certificate against.
+
 Layout:
 
 * :mod:`repro.obs.metrics` — labeled counters/gauges/histograms,
-* :mod:`repro.obs.trace` — per-flow spans on the simulation clock,
-* :mod:`repro.obs.hub` — ring-buffered structured events,
-* :mod:`repro.obs.telemetry` — the facade (plus the disabled no-op),
+* :mod:`repro.obs.telemetry` — the metrics domain (plus the disabled
+  no-op),
 * :mod:`repro.obs.journal` — the flight recorder: bounded causal
   decision journal plus time-series sample rings,
 * :mod:`repro.obs.provenance` — causal-chain reconstruction over
   journal snapshots (``why <flow>``),
 * :mod:`repro.obs.export` — JSON/text snapshot exporters plus
   OpenMetrics, JSONL, and Chrome trace-event renderings,
-* :mod:`repro.obs.merge` — shard-labeled snapshot and journal
-  relabeling/merging for parallel campaigns (:mod:`repro.parallel`).
+* :mod:`repro.obs.merge` — the one shard-labeled merge, for both
+  snapshot schemas, for parallel campaigns (:mod:`repro.parallel`).
 
 ``python -m repro.obs`` (:mod:`repro.obs.__main__`) is the operator
 CLI: ``snapshot``, ``diff``, ``grep``, and ``why <flow>``.
@@ -41,30 +44,22 @@ from repro.obs.journal import (
     NullJournal,
     journal_digest,
 )
-from repro.obs.merge import (
-    label_identity,
-    label_snapshot,
-    merge_journals,
-    merge_snapshots,
-)
+from repro.obs.merge import label_identity, merge
 from repro.obs.provenance import (
     chain_for,
     deepest_chains,
     event_counts,
     render_why,
 )
-from repro.obs.hub import NULL_HUB, TelemetryEvent, TelemetryHub
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
-    MetricsRegistry,
     NULL_INSTRUMENT,
     format_key,
 )
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
-from repro.obs.trace import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -74,12 +69,9 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "Journal",
     "JournalEvent",
-    "MetricsRegistry",
-    "NULL_HUB",
     "NULL_INSTRUMENT",
     "NULL_JOURNAL",
     "NULL_TELEMETRY",
-    "NULL_TRACER",
     "NullJournal",
     "NullTelemetry",
     "chain_for",
@@ -87,18 +79,12 @@ __all__ = [
     "event_counts",
     "journal_digest",
     "label_identity",
-    "label_snapshot",
-    "merge_journals",
-    "merge_snapshots",
+    "merge",
     "render_chrome_trace",
     "render_jsonl",
     "render_openmetrics",
     "render_why",
-    "Span",
     "Telemetry",
-    "TelemetryEvent",
-    "TelemetryHub",
-    "Tracer",
     "format_key",
     "render_text",
     "snapshot",

@@ -174,15 +174,13 @@ def _cmd_snapshot(args) -> int:
                   "(pass --snapshot)", file=sys.stderr)
             return 2
         text = render_openmetrics(telemetry)
-    elif args.format == "jsonl":
+    elif args.format in ("jsonl", "chrome"):
         if journal is None:
-            print("jsonl needs a journal (pass --journal)",
+            print(f"{args.format} needs a journal (pass --journal)",
                   file=sys.stderr)
             return 2
-        text = render_jsonl(journal)
-    elif args.format == "chrome":
-        text = render_chrome_trace(telemetry_snap=telemetry,
-                                   journal_snap=journal, indent=args.indent)
+        text = render_jsonl(journal) if args.format == "jsonl" \
+            else render_chrome_trace(journal, indent=args.indent)
     else:
         doc = {}
         if telemetry is not None:

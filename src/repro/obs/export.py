@@ -1,10 +1,11 @@
 """Snapshot exporters: the telemetry domain as JSON or text.
 
 A snapshot is a plain dict (JSON-ready, keys sorted) capturing every
-counter, gauge, histogram summary, retained trace, and hub accounting
-at one virtual instant.  Because all inputs are deterministic under a
-fixed seed, ``to_json`` produces byte-identical output across replays
-— snapshots can be diffed like any other run artifact.
+counter, gauge and histogram summary at one virtual instant — schema
+``gq.telemetry/2``, exactly the keys ``schema, enabled, time,
+counters, gauges, histograms``.  Because all inputs are deterministic
+under a fixed seed, ``to_json`` produces byte-identical output across
+replays — snapshots can be diffed like any other run artifact.
 
 Metric identities render as ``name{label=value,...}`` with labels in
 sorted order (see :func:`repro.obs.metrics.format_key`).
@@ -15,34 +16,34 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from repro.obs.metrics import Counter, Gauge, Histogram, format_key
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    format_key,
+    parse_identity,
+)
 
-SNAPSHOT_SCHEMA = "gq.telemetry/1"
+SNAPSHOT_SCHEMA = "gq.telemetry/2"
 
 
-def snapshot(telemetry, include_traces: bool = True) -> dict:
+def snapshot(telemetry) -> dict:
     """Capture the whole telemetry domain as a JSON-ready dict."""
-    out: dict = {
-        "schema": SNAPSHOT_SCHEMA,
-        "enabled": bool(getattr(telemetry, "enabled", False)),
-        "time": telemetry.clock() if getattr(telemetry, "enabled", False)
-        else 0.0,
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-        "traces": {},
-        "hub": {"published": 0, "retained": 0, "evicted": 0},
-        "tracer": {"spans": 0, "traces": 0, "evicted": 0},
-    }
-    if not out["enabled"]:
-        return out
-
+    enabled = bool(getattr(telemetry, "enabled", False))
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     histograms: Dict[str, dict] = {}
-    for metric in telemetry.registry.metrics():
-        if not getattr(metric, "deterministic", True):
-            continue
+    out: dict = {
+        "schema": SNAPSHOT_SCHEMA,
+        "enabled": enabled,
+        "time": telemetry.clock() if enabled else 0.0,
+        "counters": counters,
+        "gauges": gauges,
+        "histograms": histograms,
+    }
+    if not enabled:
+        return out
+    for metric in telemetry.metrics():
         for key, cell in sorted(metric.cells().items()):
             identity = format_key(metric.name, key)
             if isinstance(metric, Counter):
@@ -58,38 +59,17 @@ def snapshot(telemetry, include_traces: bool = True) -> dict:
                     if count
                 ]
                 histograms[identity] = entry
-    out["counters"] = counters
-    out["gauges"] = gauges
-    out["histograms"] = histograms
-
-    if include_traces:
-        out["traces"] = {
-            trace_id: [span.to_dict() for span in spans]
-            for trace_id, spans in telemetry.tracer.traces().items()
-        }
-    out["hub"] = {
-        "published": telemetry.hub.published,
-        "retained": len(telemetry.hub),
-        "evicted": telemetry.hub.evicted,
-    }
-    out["tracer"] = {
-        "spans": telemetry.tracer.spans_created,
-        "traces": len(telemetry.tracer),
-        "evicted": telemetry.tracer.evicted,
-    }
     return out
 
 
-def to_json(telemetry, include_traces: bool = True,
-            indent: int = None) -> str:
+def to_json(telemetry, indent: int = None) -> str:
     """Deterministic JSON rendering of :func:`snapshot`."""
-    return json.dumps(snapshot(telemetry, include_traces=include_traces),
-                      sort_keys=True, indent=indent)
+    return json.dumps(snapshot(telemetry), sort_keys=True, indent=indent)
 
 
-def render_text(telemetry, include_traces: bool = False) -> str:
+def render_text(telemetry) -> str:
     """Human-readable snapshot — the report appendix format."""
-    snap = snapshot(telemetry, include_traces=include_traces)
+    snap = snapshot(telemetry)
     lines: List[str] = []
     if not snap["enabled"]:
         return "(telemetry disabled)"
@@ -114,48 +94,16 @@ def render_text(telemetry, include_traces: bool = False) -> str:
                 f"p95={entry.get('p95', 0.0):.6f} "
                 f"p99={entry.get('p99', 0.0):.6f}"
             )
-    if include_traces and snap["traces"]:
-        lines.append("")
-        lines.append("Traces")
-        for trace_id, spans in snap["traces"].items():
-            lines.append(f"  {trace_id}")
-            for span in spans:
-                end = span["end"]
-                end_text = f"{end:.6f}" if end is not None else "open"
-                lines.append(
-                    f"    {span['name']:<16} "
-                    f"[{span['start']:.6f} .. {end_text}]"
-                )
-    hub = snap["hub"]
-    tracer = snap["tracer"]
-    lines.append("")
-    lines.append(
-        f"Hub: {hub['published']} events ({hub['evicted']} evicted) · "
-        f"Tracer: {tracer['spans']} spans in {tracer['traces']} traces "
-        f"({tracer['evicted']} evicted)"
-    )
     return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
-# Interchange formats: OpenMetrics, JSONL event stream, Chrome trace.
-# All three consume *snapshot dicts* (not live domains), so they work
-# equally on a live farm's capture, a ``--snapshot``/``--journal``
-# file, and a shard-labeled merged snapshot from a parallel campaign.
+# Interchange formats: OpenMetrics (telemetry), JSONL event stream and
+# Chrome trace (journal).  All three consume *snapshot dicts* (not
+# live domains), so they work equally on a live farm's capture, a
+# ``--snapshot``/``--journal`` file, and a shard-labeled merged
+# snapshot from a parallel campaign.
 # ----------------------------------------------------------------------
-def _split_identity(identity: str):
-    """``name{k=v,...}`` → (name, [(k, v), ...])."""
-    if "{" not in identity:
-        return identity, []
-    name, _, rest = identity.partition("{")
-    pairs = []
-    for part in rest.rstrip("}").split(","):
-        if part:
-            key, _, value = part.partition("=")
-            pairs.append((key, value))
-    return name, pairs
-
-
 def _om_name(name: str) -> str:
     """OpenMetrics-safe metric name (dots become underscores)."""
     return "".join(ch if (ch.isalnum() or ch == "_") else "_"
@@ -177,7 +125,7 @@ def render_openmetrics(snap: dict) -> str:
     kinds: Dict[str, str] = {}
     for section, kind in (("counters", "counter"), ("gauges", "gauge")):
         for identity in sorted(snap.get(section) or {}):
-            name, pairs = _split_identity(identity)
+            name, pairs = parse_identity(identity)
             om = _om_name(name)
             kinds[om] = kind
             suffix = "_total" if kind == "counter" else ""
@@ -186,7 +134,7 @@ def render_openmetrics(snap: dict) -> str:
                 f"{snap[section][identity]:g}")
     for identity in sorted(snap.get("histograms") or {}):
         entry = snap["histograms"][identity]
-        name, pairs = _split_identity(identity)
+        name, pairs = parse_identity(identity)
         om = _om_name(name)
         kinds[om] = "histogram"
         samples = families.setdefault(om, [])
@@ -224,47 +172,25 @@ def render_jsonl(journal_snap: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_chrome_trace(telemetry_snap: dict = None,
-                        journal_snap: dict = None,
-                        indent: int = None) -> str:
-    """Spans plus journal events in Chrome trace-event JSON, viewable
-    in ``about:tracing`` / Perfetto.
-
-    Finished spans become complete ("X") events with microsecond
-    ``ts``/``dur``; journal events become instants ("i") on a track
-    per VLAN.  Virtual seconds map to trace microseconds.
-    """
+def render_chrome_trace(journal_snap: dict, indent: int = None) -> str:
+    """A journal snapshot in Chrome trace-event JSON, viewable in
+    ``about:tracing`` / Perfetto: every event an instant ("i") on a
+    track per VLAN, virtual seconds mapped to trace microseconds."""
     trace_events = []
-    if telemetry_snap:
-        for trace_id in sorted(telemetry_snap.get("traces") or {}):
-            for span in telemetry_snap["traces"][trace_id]:
-                end = span["end"] if span["end"] is not None \
-                    else span["start"]
-                trace_events.append({
-                    "name": span["name"],
-                    "cat": "span",
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": trace_id,
-                    "ts": round(span["start"] * 1e6, 3),
-                    "dur": round((end - span["start"]) * 1e6, 3),
-                    "args": dict(span.get("labels") or {}),
-                })
-    if journal_snap:
-        for event in journal_snap.get("events", []):
-            vlan = event.get("vlan")
-            trace_events.append({
-                "name": event["kind"],
-                "cat": "journal",
-                "ph": "i",
-                "s": "t",
-                "pid": 2,
-                "tid": f"vlan{vlan}" if vlan is not None else "farm",
-                "ts": round(event["t"] * 1e6, 3),
-                "args": {"flow": event.get("flow"),
-                         "seq": event["seq"],
-                         "parent": event.get("parent"),
-                         **(event.get("fields") or {})},
-            })
+    for event in journal_snap.get("events", []):
+        vlan = event.get("vlan")
+        trace_events.append({
+            "name": event["kind"],
+            "cat": "journal",
+            "ph": "i",
+            "s": "t",
+            "pid": 2,
+            "tid": f"vlan{vlan}" if vlan is not None else "farm",
+            "ts": round(event["t"] * 1e6, 3),
+            "args": {"flow": event.get("flow"),
+                     "seq": event["seq"],
+                     "parent": event.get("parent"),
+                     **(event.get("fields") or {})},
+        })
     document = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
     return json.dumps(document, sort_keys=True, indent=indent)

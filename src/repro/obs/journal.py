@@ -1,6 +1,6 @@
 """The flight recorder: a bounded, append-only decision journal.
 
-Where the metrics registry answers "how many", the journal answers
+Where telemetry (metrics) answers "how many", the journal answers
 "why": every containment-relevant decision — a verdict issued, a
 fast-path handler installed or evicted, a failover, a degraded-mode
 transition, a malice-barrier quarantine, a lifecycle action — lands
@@ -17,8 +17,11 @@ Determinism contract
   :class:`~repro.sim.engine.Simulator` and turns each ``record()``
   into a no-op, so instrumented call sites need no conditionals and
   disabled runs stay byte-identical to a build without the journal.
-* The store is bounded: beyond ``capacity`` the oldest events fall
-  off and ``evicted`` counts them — truncation is never silent.
+* The store is bounded: at ``capacity`` the journal **drops the
+  oldest** event for each new one (it never samples and never
+  refuses) and ``evicted`` counts the drops — truncation is never
+  silent.  Eviction is O(1), so a full journal costs what a filling
+  one does.
 
 Causal parenting
 ----------------
@@ -37,7 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, List, Optional
+from collections import OrderedDict, deque
+from typing import Callable, Deque, Dict, List, Optional
 
 Clock = Callable[[], float]
 
@@ -98,12 +102,11 @@ class SampleRing:
                  ) -> None:
         self.name = name
         self.capacity = capacity
-        self.samples: List[List[float]] = []
+        self.samples: Deque[List[float]] = deque(maxlen=capacity)
         self.dropped = 0
 
     def sample(self, time: float, value: float) -> None:
-        if len(self.samples) >= self.capacity:
-            del self.samples[0]
+        if len(self.samples) == self.capacity:
             self.dropped += 1
         self.samples.append([round(time, 9), value])
 
@@ -125,18 +128,20 @@ class Journal:
         self.clock = clock
         self.capacity = max(1, int(capacity))
         self.ring_capacity = ring_capacity
-        self._events: List[JournalEvent] = []
+        self._events: Deque[JournalEvent] = deque(maxlen=self.capacity)
         self._seq = 0
         self.recorded = 0
         self.evicted = 0
         self._rings: Dict[str, SampleRing] = {}
         # Causal bookkeeping: last event seq per flow id / per VLAN,
-        # plus five-tuple → flow-id aliases.  All bounded FIFO at the
-        # journal's own capacity so week-scale runs cannot grow them
-        # without bound (dicts preserve insertion order).
-        self._last_for_flow: Dict[str, int] = {}
-        self._last_for_vlan: Dict[int, int] = {}
-        self._aliases: Dict[str, str] = {}
+        # plus five-tuple → flow-id aliases.  All bounded FIFO (by
+        # first insertion) at the journal's own capacity so week-scale
+        # runs cannot grow them without bound; OrderedDict because its
+        # popitem(last=False) is O(1) where deleting a plain dict's
+        # first key rescans the dead prefix.
+        self._last_for_flow: "OrderedDict[str, int]" = OrderedDict()
+        self._last_for_vlan: "OrderedDict[int, int]" = OrderedDict()
+        self._aliases: "OrderedDict[str, str]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Recording
@@ -156,8 +161,7 @@ class Journal:
                              parent, fields)
         self._seq += 1
         self.recorded += 1
-        if len(self._events) >= self.capacity:
-            del self._events[0]
+        if len(self._events) == self.capacity:
             self.evicted += 1
         self._events.append(event)
         if flow is not None:
@@ -166,9 +170,9 @@ class Journal:
             self._remember(self._last_for_vlan, vlan, event.seq)
         return event
 
-    def _remember(self, table: dict, key, seq: int) -> None:
+    def _remember(self, table: OrderedDict, key, seq: int) -> None:
         if key not in table and len(table) >= self.capacity:
-            del table[next(iter(table))]
+            table.popitem(last=False)
         table[key] = seq
 
     # ------------------------------------------------------------------

@@ -1,50 +1,47 @@
-"""Snapshot relabeling and merging for sharded campaigns.
+"""The one labelled merge for sharded campaigns.
 
 A parallel campaign (:mod:`repro.parallel`) produces one telemetry
-snapshot per shard, each captured by :func:`repro.obs.export.snapshot`
-inside its own process.  To view a campaign as one telemetry domain
-without losing per-shard attribution — or determinism — the merge
+snapshot (:func:`repro.obs.export.snapshot`) and, when journaling, one
+journal snapshot (:meth:`repro.obs.journal.Journal.snapshot`) per
+shard, each captured inside its own process.  :func:`merge` views a
+campaign as one domain without losing per-shard attribution — or
+determinism.  Whatever the schema, it
 
-* stamps every metric identity with the shard's labels
-  (``name{a=b}`` becomes ``name{a=b,shard=3}``, labels re-sorted so
-  identities stay canonical),
-* unions the relabeled metric maps (colliding identities are a
-  caller bug and raise),
-* prefixes retained trace ids with the shard labels, and
-* sums hub/tracer accounting while taking the max virtual time.
+* checks its arguments and that every snapshot has the same schema,
+* folds ``enabled`` (any) and ``time`` (max),
+* stamps every identity with the shard's labels,
+* unions the stamped identities (a collision is a caller bug and
+  raises, naming both contributing sources), and
+* orders the result canonically, so merging the same shard snapshots
+  in any order, from any number of worker processes on any hosts,
+  yields byte-identical JSON.
 
-Relabeling instead of summing keeps the merge lossless and
-order-independent: merging the same shard snapshots in any order, from
-any number of worker processes, yields byte-identical JSON.
+What differs per schema is data (:data:`SHAPES`): which sections are
+identity-keyed unions, which are accounting sums, whether there is an
+event list, and how an identity takes labels — a metric identity
+``name{a=b}`` becomes ``name{a=b,shard=3}`` (labels re-sorted so
+identities stay canonical); a journal ring name, event seq, parent or
+flow id ``x`` becomes ``shard=3/x``, so causal chains stay intact and
+cannot collide across shards.  Events sort by ``(time, shard labels,
+per-shard seq)`` — a pure function of the shard snapshots.
+
+Relabeling instead of summing keeps the merge lossless.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-__all__ = ["label_identity", "label_snapshot", "merge_journals",
-           "merge_snapshots"]
+from repro.obs.export import SNAPSHOT_SCHEMA
+from repro.obs.journal import JOURNAL_SCHEMA
+from repro.obs.metrics import parse_identity
 
-_METRIC_SECTIONS = ("counters", "gauges", "histograms")
-
-
-def _parse_identity(identity: str) -> Tuple[str, List[Tuple[str, str]]]:
-    name, brace, rest = identity.partition("{")
-    if not brace:
-        return identity, []
-    inner = rest[:-1] if rest.endswith("}") else rest
-    labels = []
-    for pair in inner.split(","):
-        if not pair:
-            continue
-        key, _, value = pair.partition("=")
-        labels.append((key, value))
-    return name, labels
+__all__ = ["SHAPES", "label_identity", "merge"]
 
 
 def label_identity(identity: str, **labels: str) -> str:
     """Add labels to a rendered metric identity, keeping sorted order."""
-    name, existing = _parse_identity(identity)
+    name, existing = parse_identity(identity)
     merged = dict(existing)
     for key, value in labels.items():
         if key in merged and merged[key] != str(value):
@@ -58,183 +55,130 @@ def label_identity(identity: str, **labels: str) -> str:
     return f"{name}{{{inner}}}"
 
 
-def _label_prefix(labels: Dict[str, str]) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+def _stamp_metric(identity: str, labels: Dict[str, str],
+                  prefix: str) -> str:
+    return label_identity(identity, **labels)
 
 
-def label_snapshot(snap: dict, **labels: str) -> dict:
-    """A copy of ``snap`` with every metric identity (and trace id)
-    carrying the extra labels."""
-    if not labels:
-        return dict(snap)
-    out = dict(snap)
-    for section in _METRIC_SECTIONS:
-        out[section] = {
-            label_identity(identity, **labels): value
-            for identity, value in snap.get(section, {}).items()
-        }
-    prefix = _label_prefix({k: str(v) for k, v in labels.items()})
-    out["traces"] = {
-        f"{prefix}/{trace_id}": spans
-        for trace_id, spans in snap.get("traces", {}).items()
-    }
-    return out
+def _stamp_path(identity: object, labels: Dict[str, str],
+                prefix: str) -> str:
+    return f"{prefix}/{identity}"
 
 
-def _source_name(sources: Optional[List[str]], position: int) -> str:
-    if sources is not None and position < len(sources):
-        return sources[position]
-    return f"snapshot {position}"
+class Shape(NamedTuple):
+    """How snapshots of one schema merge."""
+
+    unions: Tuple[str, ...]  # identity-keyed sections, stamped + unioned
+    sums: Tuple[str, ...]    # scalar accounting, added across shards
+    events: bool             # an "events" list, stamped + time-sorted
+    stamp: Callable          # (identity, labels, prefix) -> identity
 
 
-def merge_snapshots(snaps: List[dict],
-                    labels: Optional[List[Dict[str, str]]] = None,
-                    sources: Optional[List[str]] = None) -> dict:
-    """Merge shard snapshots into one labeled campaign snapshot.
+SHAPES: Dict[str, Shape] = {
+    SNAPSHOT_SCHEMA: Shape(("counters", "gauges", "histograms"), (),
+                           False, _stamp_metric),
+    JOURNAL_SCHEMA: Shape(("rings",), ("recorded", "evicted"),
+                          True, _stamp_path),
+}
 
-    ``labels[i]`` (e.g. ``{"shard": "3"}``) is applied to ``snaps[i]``
-    before the union; omit it only when identities are already
-    disjoint.  ``sources[i]`` (e.g. ``"shard 3 @ hostB:9000"``) names
-    where ``snaps[i]`` came from, for error messages only.  Raises
-    ``ValueError`` on identity collisions, naming both colliding
-    sources.
+
+def merge(snaps: List[dict],
+          labels: Optional[List[Dict[str, str]]] = None,
+          sources: Optional[List[str]] = None) -> dict:
+    """Merge shard snapshots of one schema into one campaign snapshot.
+
+    ``labels[i]`` (e.g. ``{"shard": "3"}``) stamps ``snaps[i]``; label
+    sets must be unique per shard.  Omit ``labels`` only when
+    identities are already disjoint.  ``sources[i]`` (e.g. ``"shard 3
+    @ hostB:9000"``) names where ``snaps[i]`` came from, for error
+    messages only.  Raises ``ValueError`` on a schema mismatch, a
+    duplicate label set or an identity collision, naming both sources.
     """
     if labels is not None and len(labels) != len(snaps):
         raise ValueError("need exactly one label set per snapshot")
     if sources is not None and len(sources) != len(snaps):
         raise ValueError("need exactly one source name per snapshot")
-    merged: dict = {
-        "schema": None,
-        "enabled": False,
-        "time": 0.0,
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-        "traces": {},
-        "hub": {"published": 0, "retained": 0, "evicted": 0},
-        "tracer": {"spans": 0, "traces": 0, "evicted": 0},
-    }
-    origins: Dict[str, int] = {}  # identity -> contributing position
+
+    def source(position: int) -> str:
+        return sources[position] if sources is not None \
+            else f"snapshot {position}"
+
+    merged: dict = {"schema": None, "enabled": False, "time": 0.0}
+    shape: Optional[Shape] = None
+    prefixes: Dict[str, int] = {}              # label set -> position
+    origins: Dict[Tuple[str, object], int] = {}  # identity -> position
+    keyed_events = []
+
+    def claim(section: str, identity: object, position: int) -> None:
+        first = origins.setdefault((section, identity), position)
+        if first != position:
+            raise ValueError(
+                f"identity collision while merging {section}: "
+                f"{identity!r} contributed by both {source(first)} "
+                f"and {source(position)} (pass unique labels= to "
+                f"disambiguate)")
+
     for position, snap in enumerate(snaps):
-        if labels is not None:
-            snap = label_snapshot(snap, **labels[position])
-        if merged["schema"] is None:
-            merged["schema"] = snap.get("schema")
-        elif snap.get("schema") != merged["schema"]:
-            raise ValueError(
-                f"snapshot schema mismatch: {snap.get('schema')!r} "
-                f"!= {merged['schema']!r}")
-        merged["enabled"] = merged["enabled"] or bool(snap.get("enabled"))
-        merged["time"] = max(merged["time"], snap.get("time", 0.0))
-        for section in _METRIC_SECTIONS + ("traces",):
-            target = merged[section]
-            for identity, value in snap.get(section, {}).items():
-                if identity in target:
-                    raise ValueError(
-                        f"identity collision while merging snapshots: "
-                        f"{identity!r} contributed by both "
-                        f"{_source_name(sources, origins[identity])} "
-                        f"and {_source_name(sources, position)} "
-                        f"(pass labels= to disambiguate)")
-                target[identity] = value
-                origins[identity] = position
-        for group in ("hub", "tracer"):
-            for key, value in snap.get(group, {}).items():
-                merged[group][key] = merged[group].get(key, 0) + value
-    # Canonical ordering so merged snapshots render byte-identically
-    # regardless of shard arrival order.
-    for section in _METRIC_SECTIONS + ("traces",):
-        merged[section] = dict(sorted(merged[section].items()))
-    return merged
-
-
-# ----------------------------------------------------------------------
-# Journal merge (repro.obs.journal snapshots)
-# ----------------------------------------------------------------------
-def _label_journal(snap: dict, prefix: str) -> List[dict]:
-    """Shard-label one journal snapshot's events: seq/parent become
-    ``"<prefix>/<seq>"`` strings and flow ids gain the same prefix, so
-    causal chains stay intact and cannot collide across shards."""
-    events = []
-    for event in snap.get("events", []):
-        relabeled = dict(event)
-        relabeled["seq"] = f"{prefix}/{event['seq']}"
-        if event.get("parent") is not None:
-            relabeled["parent"] = f"{prefix}/{event['parent']}"
-        if event.get("flow") is not None:
-            relabeled["flow"] = f"{prefix}/{event['flow']}"
-        relabeled["shard"] = prefix
-        events.append(relabeled)
-    return events
-
-
-def merge_journals(snaps: List[dict],
-                   labels: Optional[List[Dict[str, str]]] = None,
-                   sources: Optional[List[str]] = None) -> dict:
-    """Merge per-shard journal snapshots into one causally-consistent
-    campaign journal.
-
-    ``labels[i]`` stamps shard *i*; duplicate shard label sets would
-    silently interleave two shards' causal chains, so they **raise**,
-    naming the colliding label set and — when ``sources`` names where
-    each snapshot came from (``"shard 3 @ hostB:9000"``) — both source
-    hosts.  Events sort by ``(time, shard, per-shard seq)`` — a pure
-    function of the shard snapshots, so a serial and a parallel run of
-    the same campaign merge to byte-identical journals regardless of
-    arrival order or which host ran which shard (digest parity).
-    """
-    if labels is not None and len(labels) != len(snaps):
-        raise ValueError("need exactly one label set per journal")
-    if sources is not None and len(sources) != len(snaps):
-        raise ValueError("need exactly one source name per journal")
-    merged: dict = {
-        "schema": None,
-        "enabled": False,
-        "time": 0.0,
-        "recorded": 0,
-        "evicted": 0,
-        "events": [],
-        "rings": {},
-    }
-    keyed = []
-    seen_prefixes: Dict[str, int] = {}  # prefix -> contributing position
-    ring_origins: Dict[str, int] = {}
-    for position, snap in enumerate(snaps):
-        if merged["schema"] is None:
-            merged["schema"] = snap.get("schema")
-        elif snap.get("schema") != merged["schema"]:
-            raise ValueError(
-                f"journal schema mismatch: {snap.get('schema')!r} "
-                f"!= {merged['schema']!r}")
-        label_set = labels[position] if labels is not None \
-            else {"shard": str(position)}
-        prefix = _label_prefix({k: str(v) for k, v in label_set.items()})
-        if prefix in seen_prefixes:
-            raise ValueError(
-                f"duplicate shard labels while merging journals: "
-                f"{prefix!r} used by both "
-                f"{_source_name(sources, seen_prefixes[prefix])} and "
-                f"{_source_name(sources, position)} "
-                f"(labels must be unique per shard)")
-        seen_prefixes[prefix] = position
-        merged["enabled"] = merged["enabled"] or bool(snap.get("enabled"))
-        merged["time"] = max(merged["time"], snap.get("time", 0.0))
-        merged["recorded"] += snap.get("recorded", 0)
-        merged["evicted"] += snap.get("evicted", 0)
-        for event, original in zip(_label_journal(snap, prefix),
-                                   snap.get("events", [])):
-            keyed.append(((event["t"], prefix, original["seq"]), event))
-        for name in snap.get("rings") or {}:
-            identity = f"{prefix}/{name}"
-            if identity in merged["rings"]:
+        schema = snap.get("schema")
+        if shape is None:
+            shape = SHAPES.get(schema)
+            if shape is None:
                 raise ValueError(
-                    f"ring collision while merging journals: {identity!r} "
-                    f"contributed by both "
-                    f"{_source_name(sources, ring_origins[identity])} and "
-                    f"{_source_name(sources, position)}")
-            merged["rings"][identity] = snap["rings"][name]
-            ring_origins[identity] = position
-    keyed.sort(key=lambda pair: pair[0])
-    merged["events"] = [event for _, event in keyed]
-    merged["rings"] = dict(sorted(merged["rings"].items()))
+                    f"cannot merge snapshots of unknown schema "
+                    f"{schema!r} (from {source(position)})")
+            merged["schema"] = schema
+            for section in shape.sums:
+                merged[section] = 0
+            if shape.events:
+                merged["events"] = []
+            for section in shape.unions:
+                merged[section] = {}
+        elif schema != merged["schema"]:
+            raise ValueError(
+                f"snapshot schema mismatch: {schema!r} from "
+                f"{source(position)} != {merged['schema']!r} from "
+                f"{source(0)}")
+        label_set = None
+        prefix = ""
+        if labels is not None:
+            label_set = {k: str(v) for k, v in labels[position].items()}
+            prefix = ",".join(f"{k}={v}"
+                              for k, v in sorted(label_set.items()))
+            first = prefixes.setdefault(prefix, position)
+            if first != position:
+                raise ValueError(
+                    f"duplicate shard labels while merging: {prefix!r} "
+                    f"used by both {source(first)} and "
+                    f"{source(position)} (labels must be unique per "
+                    f"shard)")
+        merged["enabled"] = merged["enabled"] or bool(snap.get("enabled"))
+        merged["time"] = max(merged["time"], snap.get("time", 0.0))
+        for section in shape.sums:
+            merged[section] += snap.get(section, 0)
+        for section in shape.unions:
+            target = merged[section]
+            for identity, value in (snap.get(section) or {}).items():
+                if label_set is not None:
+                    identity = shape.stamp(identity, label_set, prefix)
+                claim(section, identity, position)
+                target[identity] = value
+        if shape.events:
+            for event in snap.get("events", ()):
+                out = dict(event)
+                if label_set is not None:
+                    for ref in ("seq", "parent", "flow"):
+                        if event.get(ref) is not None:
+                            out[ref] = shape.stamp(event[ref], label_set,
+                                                   prefix)
+                    out["shard"] = prefix
+                claim("events", out["seq"], position)
+                keyed_events.append(
+                    ((event["t"], prefix, event["seq"]), out))
+
+    if shape is not None:
+        for section in shape.unions:
+            merged[section] = dict(sorted(merged[section].items()))
+        if shape.events:
+            keyed_events.sort(key=lambda pair: pair[0])
+            merged["events"] = [event for _, event in keyed_events]
     return merged

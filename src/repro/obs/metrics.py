@@ -5,11 +5,12 @@ allocation-light, and deterministic: histogram quantiles come from
 fixed bucket boundaries (linear interpolation inside the winning
 bucket), so the same run always snapshots to the same numbers.
 
-Two usage styles:
+Instruments are handed out by name from a
+:class:`~repro.obs.telemetry.Telemetry` domain.  Two usage styles:
 
-* ad-hoc — ``registry.counter("router.flows.created").inc(subfarm="x")``
+* ad-hoc — ``telemetry.counter("router.flows.created").inc(subfarm="x")``
   pays one label sort + dict lookup per call;
-* bound — ``cell = registry.counter(...).bind(subfarm="x")`` resolves
+* bound — ``cell = telemetry.counter(...).bind(subfarm="x")`` resolves
   the label set once and hands back the raw cell, so hot paths pay a
   single method call per update.
 
@@ -21,7 +22,7 @@ conditionals and benchmarks see near-zero overhead.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -52,6 +53,21 @@ def format_key(name: str, key: LabelKey) -> str:
         return name
     inner = ",".join(f"{k}={v}" for k, v in key)
     return f"{name}{{{inner}}}"
+
+
+def parse_identity(identity: str) -> Tuple[str, List[Tuple[str, str]]]:
+    """Inverse of :func:`format_key`: ``name{k=v,...}`` →
+    ``(name, [(k, v), ...])``."""
+    name, brace, rest = identity.partition("{")
+    if not brace:
+        return identity, []
+    inner = rest[:-1] if rest.endswith("}") else rest
+    labels = []
+    for pair in inner.split(","):
+        if pair:
+            key, _, value = pair.partition("=")
+            labels.append((key, value))
+    return name, labels
 
 
 class _NullInstrument:
@@ -186,14 +202,10 @@ class _Metric:
     kind = "metric"
 
     def __init__(self, name: str, help: str = "",
-                 max_cardinality: int = DEFAULT_MAX_CARDINALITY,
-                 deterministic: bool = True) -> None:
+                 max_cardinality: int = DEFAULT_MAX_CARDINALITY) -> None:
         self.name = name
         self.help = help
         self.max_cardinality = max_cardinality
-        # Wall-clock instruments (deterministic=False) stay out of
-        # snapshots so replays remain byte-identical.
-        self.deterministic = deterministic
         self._cells: Dict[LabelKey, object] = {}
 
     def _make_cell(self) -> object:
@@ -271,10 +283,8 @@ class Histogram(_Metric):
 
     def __init__(self, name: str, help: str = "",
                  buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-                 max_cardinality: int = DEFAULT_MAX_CARDINALITY,
-                 deterministic: bool = True) -> None:
-        super().__init__(name, help, max_cardinality,
-                         deterministic=deterministic)
+                 max_cardinality: int = DEFAULT_MAX_CARDINALITY) -> None:
+        super().__init__(name, help, max_cardinality)
         self.buckets = tuple(sorted(buckets))
 
     def _make_cell(self) -> HistogramCell:
@@ -292,44 +302,3 @@ class Histogram(_Metric):
         if cell is None:
             return {"count": 0.0, "sum": 0.0}
         return cell.summary()
-
-
-class MetricsRegistry:
-    """Name-keyed instrument store; one per telemetry domain."""
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, _Metric] = {}
-
-    def _get_or_create(self, name: str, cls, *args, **kwargs):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = cls(name, *args, **kwargs)
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as {metric.kind}"
-            )
-        return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, help)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-                  deterministic: bool = True) -> Histogram:
-        return self._get_or_create(name, Histogram, help, buckets,
-                                   deterministic=deterministic)
-
-    def get(self, name: str) -> Optional[_Metric]:
-        return self._metrics.get(name)
-
-    def metrics(self) -> List[_Metric]:
-        return [self._metrics[name] for name in sorted(self._metrics)]
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __repr__(self) -> str:
-        return f"<MetricsRegistry metrics={len(self._metrics)}>"

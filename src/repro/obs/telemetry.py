@@ -1,30 +1,33 @@
-"""The telemetry facade: registry + tracer + hub behind one handle.
+"""The telemetry domain: a clock plus a name-keyed instrument store.
+
+Telemetry is metrics only — *how many* and *how long*, as counters,
+gauges and histograms (:mod:`repro.obs.metrics`).  Per-flow facts
+(*why* and *when*) live in the decision journal
+(:mod:`repro.obs.journal`), the farm's one flow-level recorder.
 
 Every instrumented component takes (or finds on its ``Simulator``) a
 ``Telemetry`` object and asks it for instruments.  The disabled form,
-:data:`NULL_TELEMETRY`, hands out shared no-op singletons, so the
+:data:`NULL_TELEMETRY`, hands out the shared no-op instrument, so the
 instrumentation points cost one attribute access plus an empty method
 call — cheap enough to leave compiled into every packet path.
 
-Hot call sites that would do real work just to *feed* an instrument
-(string formatting, span bookkeeping) should guard on
+Call sites that would do real work just to *feed* an instrument
+(string formatting, label lookups) should guard on
 ``telemetry.enabled`` first; plain counter bumps need no guard.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.hub import NULL_HUB, TelemetryHub
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
-    MetricsRegistry,
     NULL_INSTRUMENT,
+    _Metric,
 )
-from repro.obs.trace import NULL_TRACER, Span, Tracer
 
 Clock = Callable[[], float]
 
@@ -34,50 +37,45 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(self, clock: Optional[Clock] = None,
-                 max_traces: int = 1024,
-                 hub_capacity: int = 4096) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock: Clock = clock if clock is not None else (lambda: 0.0)
-        self.registry = MetricsRegistry()
-        self.tracer = Tracer(self.clock, max_traces=max_traces)
-        self.hub = TelemetryHub(self.clock, capacity=hub_capacity)
+        self._metrics: Dict[str, _Metric] = {}
 
-    # ---- instrument accessors (delegate to the registry) -------------
+    def _get_or_create(self, name: str, cls, *args):
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = cls(name, *args)
+        elif not isinstance(metric, cls):
+            raise TypeError(
+                f"metric {name!r} already registered as {metric.kind}"
+            )
+        return metric
+
     def counter(self, name: str, help: str = "") -> Counter:
-        return self.registry.counter(name, help)
+        return self._get_or_create(name, Counter, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self.registry.gauge(name, help)
+        return self._get_or_create(name, Gauge, help)
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-                  deterministic: bool = True) -> Histogram:
-        return self.registry.histogram(name, help, buckets,
-                                       deterministic=deterministic)
+                  buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
+                  ) -> Histogram:
+        return self._get_or_create(name, Histogram, help, buckets)
 
-    # ---- tracing -----------------------------------------------------
-    def span(self, trace_id: str, name: str, **labels: str) -> Span:
-        return self.tracer.start_span(trace_id, name, **labels)
+    def get(self, name: str) -> Optional[_Metric]:
+        return self._metrics.get(name)
 
-    def point(self, trace_id: str, name: str, **labels: str) -> Span:
-        return self.tracer.point(trace_id, name, **labels)
-
-    # ---- events ------------------------------------------------------
-    def publish(self, kind: str, **fields: object):
-        return self.hub.publish(kind, **fields)
+    def metrics(self) -> List[_Metric]:
+        return [self._metrics[name] for name in sorted(self._metrics)]
 
     def __repr__(self) -> str:
-        return (f"<Telemetry metrics={len(self.registry)} "
-                f"traces={len(self.tracer)}>")
+        return f"<Telemetry metrics={len(self._metrics)}>"
 
 
 class NullTelemetry:
-    """Disabled telemetry: every accessor returns a shared no-op."""
+    """Disabled telemetry: every accessor returns the shared no-op."""
 
     enabled = False
-    registry = None  # replaced below with a null-ish registry view
-    tracer = NULL_TRACER
-    hub = NULL_HUB
 
     def counter(self, name: str, help: str = ""):
         return NULL_INSTRUMENT
@@ -85,18 +83,8 @@ class NullTelemetry:
     def gauge(self, name: str, help: str = ""):
         return NULL_INSTRUMENT
 
-    def histogram(self, name: str, help: str = "", buckets=None,
-                  deterministic: bool = True):
+    def histogram(self, name: str, help: str = "", buckets=None):
         return NULL_INSTRUMENT
-
-    def span(self, trace_id: str, name: str, **labels: str):
-        return NULL_TRACER.start_span(trace_id, name)
-
-    def point(self, trace_id: str, name: str, **labels: str):
-        return NULL_TRACER.point(trace_id, name)
-
-    def publish(self, kind: str, **fields: object) -> None:
-        return None
 
     def clock(self) -> float:
         return 0.0

@@ -35,7 +35,7 @@ from repro.parallel.campaign import (
     task_name,
 )
 from repro.parallel.merge import CampaignResult, campaign_digest
-from repro.parallel.pool import SCHEDULERS, ShardResult, run_campaign
+from repro.parallel.pool import ShardResult, run_campaign
 from repro.parallel.topology import (
     FarmTopology,
     HostSpec,
@@ -59,7 +59,6 @@ __all__ = [
     "HostSpec",
     "LocalTransport",
     "Placement",
-    "SCHEDULERS",
     "ShardResult",
     "ShardSpec",
     "SocketTransport",

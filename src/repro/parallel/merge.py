@@ -6,8 +6,8 @@ order from any number of workers, but the merge always
 * orders shards by index,
 * folds per-shard determinism digests into one **campaign digest**
   (sha256 over ``"index:shard_digest"`` lines in index order), and
-* merges shard telemetry snapshots with a ``shard=N`` label on every
-  metric identity (:func:`repro.obs.merge.merge_snapshots`),
+* merges shard telemetry and journal snapshots with a ``shard=N``
+  label on every identity (:func:`repro.obs.merge.merge`),
 
 so a parallel run of a campaign is byte-identical to a serial run of
 the same spec — the property the benchmark and the parity tests
@@ -26,7 +26,7 @@ Shard payload conventions (all optional):
     into ``merged["telemetry"]``.
 ``journal``
     a :meth:`repro.obs.journal.Journal.snapshot` dict; merged
-    shard-labeled (:func:`repro.obs.merge.merge_journals`) into
+    shard-labeled (the same :func:`repro.obs.merge.merge`) into
     ``merged["journal"]``, with the merged journal's digest in
     ``merged["journal_digest"]``.
 ``certificate``
@@ -46,6 +46,9 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Dict, List, Optional
+
+from repro.obs.journal import journal_digest
+from repro.obs.merge import merge
 
 __all__ = ["CampaignResult", "campaign_digest", "merge_results"]
 
@@ -147,61 +150,47 @@ def merge_results(campaign, shard_results, workers: int,
     """
     merged: dict = {"shards_ok": 0, "shards_failed": 0}
     metrics: Dict[str, float] = {}
-    snapshots = []
-    snapshot_labels = []
-    snapshot_sources = []
-    journals = []
-    journal_labels = []
-    journal_sources = []
-    certificates = []
+    ok_results = []
     for result in sorted(shard_results, key=lambda r: r.index):
         if not result.ok:
             merged["shards_failed"] += 1
             continue
         merged["shards_ok"] += 1
-        payload = result.payload or {}
-        source = f"shard {result.index}" + (
-            f" @ {result.host}" if getattr(result, "host", None) else "")
-        for name, value in (payload.get("metrics") or {}).items():
+        ok_results.append(result)
+        for name, value in ((result.payload or {}).get("metrics")
+                            or {}).items():
             if isinstance(value, (int, float)):
                 metrics[name] = metrics.get(name, 0) + value
-        telemetry = payload.get("telemetry")
-        if isinstance(telemetry, dict):
-            snapshots.append(telemetry)
-            snapshot_labels.append({"shard": str(result.index)})
-            snapshot_sources.append(source)
-        journal = payload.get("journal")
-        if isinstance(journal, dict):
-            journals.append(journal)
-            journal_labels.append({"shard": str(result.index)})
-            journal_sources.append(source)
-        certificate = payload.get("certificate")
-        if isinstance(certificate, dict):
-            certificates.append(certificate)
     merged["metrics"] = dict(sorted(metrics.items()))
-    if certificates:
+
+    def carrying(key: str) -> List:
+        """Successful shards whose payload has a dict under ``key``."""
+        return [result for result in ok_results
+                if isinstance((result.payload or {}).get(key), dict)]
+
+    certified = carrying("certificate")
+    if certified:
         from repro.verify import merge_certificates
 
         merged["certificate"] = merge_certificates(
-            certificates, label=campaign.name)
+            [result.payload["certificate"] for result in certified],
+            label=campaign.name)
     if hosts:
         merged["hosts"] = {host: dict(info)
                            for host, info in sorted(hosts.items())}
     if scheduler_stats:
         merged["scheduler"] = scheduler_stats
-    if snapshots:
-        from repro.obs.merge import merge_snapshots
-
-        merged["telemetry"] = merge_snapshots(snapshots,
-                                              labels=snapshot_labels,
-                                              sources=snapshot_sources)
-    if journals:
-        from repro.obs.journal import journal_digest
-        from repro.obs.merge import merge_journals
-
-        merged["journal"] = merge_journals(journals,
-                                           labels=journal_labels,
-                                           sources=journal_sources)
+    for key in ("telemetry", "journal"):
+        shards = carrying(key)
+        if shards:
+            merged[key] = merge(
+                [result.payload[key] for result in shards],
+                labels=[{"shard": str(result.index)}
+                        for result in shards],
+                sources=[f"shard {result.index}"
+                         + (f" @ {result.host}" if result.host else "")
+                         for result in shards])
+    if "journal" in merged:
         merged["journal_digest"] = journal_digest(merged["journal"])
     return CampaignResult(campaign.name, campaign.spec_digest(),
                           list(shard_results), workers, wall_seconds,

@@ -12,25 +12,23 @@ point):
   ``transport=``).  Digests are byte-identical across transports
   because the JSON round trip has been the wire contract since the
   pool existed.
-* **Work stealing, not static chunks.**  The default scheduler
-  (``scheduler="steal"``) keeps one shared shard queue and dispatches
-  a single shard per idle slot: fast workers automatically drain the
-  work a slow host would otherwise straggle.  Per-worker EWMA
-  shard-cost estimates feed a deficit counter (faster-than-average
-  workers accumulate first claim on the queue) and, once the queue is
-  dry, **speculative re-dispatch**: a tail shard that has been running
-  far beyond its worker's estimate is duplicated onto an idle slot and
-  the first completion wins — results are unchanged because shards are
-  deterministic, so the twin's payload is byte-identical.
-  ``scheduler="static"`` keeps the classic contiguous pre-partition
-  (one block per worker) for comparison; the scaling benchmark records
-  both.
+* **Work stealing.**  The one scheduler keeps a shared shard queue
+  and dispatches a single shard per idle slot: fast workers
+  automatically drain the work a slow host would otherwise straggle.
+  Per-worker EWMA shard-cost estimates feed a deficit counter
+  (faster-than-average workers accumulate first claim on the queue)
+  and, once the queue is dry, **speculative re-dispatch**: a tail
+  shard that has been running far beyond its worker's estimate is
+  duplicated onto an idle slot and the first completion wins —
+  results are unchanged because shards are deterministic, so the
+  twin's payload is byte-identical.  (The contiguous pre-partition it
+  replaced is recorded as a dated table in docs/PARALLELISM.md.)
 * **Crash isolation.**  A worker announces each shard before executing
   it, so when a slot dies — crash, OOM-kill, or the scheduler
   enforcing a shard timeout — the master knows exactly which shard was
   in flight: that shard fails with a structured error (unless a
-  speculative twin is still running it), the unstarted remainder of a
-  static chunk is requeued, and a replacement slot is launched under a
+  speculative twin is still running it), a shard it had not yet
+  announced is requeued, and a replacement slot is launched under a
   bounded respawn budget.  A dead worker fails its shard, never the
   campaign.
 * **Round-trip timeouts.**  Per-shard timeouts are measured on the
@@ -67,10 +65,7 @@ from repro.parallel.worker import execute_spec, host_info
 __all__ = [
     "ShardResult",
     "run_campaign",
-    "SCHEDULERS",
 ]
-
-SCHEDULERS = ("steal", "static")
 
 # EWMA smoothing for per-worker shard-cost estimates.
 EWMA_ALPHA = 0.4
@@ -123,7 +118,6 @@ class ShardResult:
 # The runner
 # ----------------------------------------------------------------------
 def run_campaign(campaign: Campaign, workers: int = 1,
-                 chunk_size: Optional[int] = None,
                  default_timeout: Optional[float] = None,
                  max_respawns: Optional[int] = None,
                  fault_plan=None,
@@ -137,19 +131,18 @@ def run_campaign(campaign: Campaign, workers: int = 1,
     (same execution function, no subprocesses).  ``hosts`` (a list of
     ``"host:port"`` agent endpoints, or one comma-separated string)
     selects :class:`~repro.parallel.transport.SocketTransport`; an
-    explicit ``transport=`` overrides both.  ``scheduler`` is
-    ``"steal"`` (adaptive work stealing, the default) or ``"static"``
-    (contiguous pre-partition; ``chunk_size`` overrides the block
-    size).  ``default_timeout`` applies to shards whose spec does not
-    set its own timeout.  ``fault_plan`` (a
+    explicit ``transport=`` overrides both.  ``scheduler`` accepts
+    only ``"steal"`` (adaptive work stealing, the one scheduler there
+    is; the frozen ``benchmarks/ledger`` passes it by name).
+    ``default_timeout`` applies to shards whose spec does not set its
+    own timeout.  ``fault_plan`` (a
     :class:`repro.faults.FaultPlan` or its dict form) stamps
     worker-process faults onto the matching shard specs.
     """
     from repro.faults.plan import FaultPlan
 
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"scheduler must be one of {SCHEDULERS}, "
-                         f"got {scheduler!r}")
+    if scheduler != "steal":
+        raise ValueError(f"scheduler must be 'steal', got {scheduler!r}")
     started = time.perf_counter()
     overlay = FaultPlan.coerce(fault_plan).worker_faults()
     owns_transport = False
@@ -178,7 +171,6 @@ def run_campaign(campaign: Campaign, workers: int = 1,
         try:
             shard_results, hosts_info, sched_stats = _run_scheduled(
                 campaign, max(1, workers), transport,
-                scheduler=scheduler, chunk_size=chunk_size,
                 default_timeout=default_timeout,
                 max_respawns=max_respawns, overlay=overlay,
                 speculate=speculate)
@@ -241,14 +233,14 @@ def _run_serial(campaign: Campaign,
 class _Slot:
     """Master-side view of one worker slot, any transport."""
 
-    __slots__ = ("handle", "chunk", "done", "current", "shard_clock",
+    __slots__ = ("handle", "spec", "finished", "current", "shard_clock",
                  "ewma", "deficit", "completed", "busy_seconds",
                  "speculative", "host_key")
 
     def __init__(self, handle) -> None:
         self.handle = handle
-        self.chunk: Optional[List[dict]] = None  # specs last dispatched
-        self.done: set = set()
+        self.spec: Optional[dict] = None         # shard last dispatched
+        self.finished: bool = False              # ... and reported done
         self.current: Optional[int] = None       # last announced shard
         self.shard_clock: float = 0.0            # monotonic, round-trip
         self.ewma: Optional[float] = None        # est. shard cost (s)
@@ -260,24 +252,17 @@ class _Slot:
 
     @property
     def idle(self) -> bool:
-        return self.chunk is None
+        return self.spec is None
 
     def next_pending(self) -> Optional[dict]:
-        """The chunk spec currently executing (or next to): dispatch
-        order, skipping completed ones.  This is what a timeout or a
-        death is charged against — it does not rely on the ``start``
-        announcement having crossed a slow link yet."""
-        if not self.chunk:
-            return None
-        for spec in self.chunk:
-            if spec["index"] not in self.done:
-                return spec
-        return None
+        """The dispatched spec while it is still executing.  This is
+        what a timeout or a death is charged against — it does not
+        rely on the ``start`` announcement having crossed a slow link
+        yet."""
+        return None if self.finished else self.spec
 
 
 def _run_scheduled(campaign: Campaign, workers: int, transport,
-                   scheduler: str,
-                   chunk_size: Optional[int],
                    default_timeout: Optional[float],
                    max_respawns: Optional[int],
                    overlay: Dict[int, dict],
@@ -293,13 +278,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         max_respawns = total  # every shard may kill at most one worker
 
     ordered = _spec_dicts(campaign, overlay)
-    pending: deque = deque()
-    if scheduler == "static":
-        size = chunk_size or -(-total // workers)  # ceil
-        for at in range(0, total, size):
-            pending.append(ordered[at:at + size])
-    else:
-        pending.extend([spec] for spec in ordered)
+    pending: deque = deque(ordered)
 
     results: Dict[int, ShardResult] = {}
     inflight: Dict[int, set] = {}       # index -> slots running it
@@ -307,7 +286,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
     live_per_host: Dict[str, int] = {}
     hosts_info: Dict[str, dict] = {}
     stats = {
-        "mode": scheduler,
+        "mode": "steal",
         "transport": transport.kind,
         "workers": workers,
         "dispatches": 0,
@@ -350,7 +329,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         entry["workers"] = max(entry["workers"], live_per_host[host])
 
     def record_done(slot: _Slot, index: int, result: dict) -> None:
-        slot.done.add(index)
+        slot.finished = True
         slot.current = None
         now = time.monotonic()
         round_trip = now - slot.shard_clock
@@ -386,8 +365,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
             elif tag == "done":
                 record_done(slot, message[1], message[2])
             elif tag == "idle":
-                slot.chunk = None
-                slot.done = set()
+                slot.spec = None
                 slot.current = None
                 slot.speculative = False
 
@@ -400,70 +378,56 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
              elapsed: float = 0.0,
              charge_unannounced: bool = False) -> None:
         """A slot died (crash) or was killed (timeout/stale): fail its
-        in-flight shard unless a twin still runs it, requeue the
-        unstarted rest of a static chunk.
+        in-flight shard unless a twin still runs it, or requeue it.
 
         A crash only *charges* the shard the worker had announced
-        (``start``) — a slot that dies before announcing anything gets
-        its whole chunk requeued, exactly like the chunked pool did.
-        Timeouts pass ``charge_unannounced=True``: the round-trip
-        clock covers dispatch itself, so an unannounced shard that
-        blew its deadline is a timeout, not a requeue.
+        (``start``) — a slot that dies before announcing its shard
+        gets it requeued.  Timeouts pass ``charge_unannounced=True``:
+        the round-trip clock covers dispatch itself, so an unannounced
+        shard that blew its deadline is a timeout, not a requeue.
         """
         failed = slot.next_pending()
-        if slot.chunk:
-            for spec in slot.chunk:
-                runners = inflight.get(spec["index"])
-                if runners is not None:
-                    runners.discard(slot)
-        charged = (failed is not None and kind is not None
-                   and (charge_unannounced
-                        or slot.current == failed["index"]))
-        if charged:
+        if slot.spec is not None:
+            runners = inflight.get(slot.spec["index"])
+            if runners is not None:
+                runners.discard(slot)
+        if failed is not None:
             index = failed["index"]
-            if index not in results and not inflight.get(index):
-                fail_shard(index, kind, message, slot.handle.id,
-                           slot.host_key, seconds=elapsed)
-        if slot.chunk:
-            leftover = [
-                spec for spec in slot.chunk
-                if spec["index"] not in slot.done
-                and spec["index"] not in results
-                and not (charged and spec["index"] == failed["index"])
-                and not inflight.get(spec["index"])
-            ]
-            if leftover:
-                pending.appendleft(leftover)
-                stats["requeues"] += len(leftover)
-        slot.chunk = None
+            orphaned = index not in results and not inflight.get(index)
+            if kind is not None and (charge_unannounced
+                                     or slot.current == index):
+                if orphaned:
+                    fail_shard(index, kind, message, slot.handle.id,
+                               slot.host_key, seconds=elapsed)
+            elif orphaned:
+                pending.appendleft(failed)
+                stats["requeues"] += 1
+        slot.spec = None
         slot.current = None
         release_slot(slot)
         slot.handle.kill()
         slot.handle.close()
 
-    def dispatch(slot: _Slot, chunk: List[dict],
+    def dispatch(slot: _Slot, spec: dict,
                  speculative: bool = False) -> bool:
-        chunk = [spec for spec in chunk
-                 if spec["index"] not in results]
-        if not chunk:
+        if spec["index"] in results:
             return False
-        slot.chunk = chunk
-        slot.done = set()
+        slot.spec = spec
+        slot.finished = False
         slot.current = None
         slot.speculative = speculative
         # Round-trip clock starts at serialization time (satellite
         # contract: serialize → dispatch → result on one monotonic
-        # clock); record_done re-arms it per shard within a chunk.
+        # clock).
         slot.shard_clock = time.monotonic()
         try:
-            slot.handle.send(("run", chunk))
+            slot.handle.send(("run", [spec]))
         except TransportError as exc:
             reap(slot, "crash", str(exc))
             if slot in active:
                 active.remove(slot)
             return False
-        for spec in chunk:
-            inflight.setdefault(spec["index"], set()).add(slot)
+        inflight.setdefault(spec["index"], set()).add(slot)
         stats["dispatches"] += 1
         if speculative:
             stats["speculations"] += 1
@@ -526,8 +490,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
 
             # Tail speculation: queue dry, idle capacity, and a shard
             # far beyond its worker's cost estimate still in flight.
-            if (speculate and scheduler == "steal" and not pending
-                    and len(results) < total):
+            if speculate and not pending and len(results) < total:
                 _speculate_tail(active, inflight, results, specs,
                                 speculated, dispatch, mean_cost)
 
@@ -542,7 +505,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
                     missing = [spec for spec in ordered
                                if spec["index"] not in results
                                and not inflight.get(spec["index"])]
-                    pending.extend([spec] for spec in missing)
+                    pending.extend(missing)
                     if not missing:
                         continue
                 continue
@@ -563,8 +526,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
                     continue
                 spec = slot.next_pending()
                 if spec is None:
-                    # A slot that silently died between shards: its
-                    # chunk simply gets requeued.
+                    # A slot that silently died between shards.
                     if not slot.idle and not slot.handle.alive():
                         dead.append((slot, "worker died between shards"))
                     continue
@@ -658,6 +620,5 @@ def _speculate_tail(active, inflight, results, specs, speculated,
                                index, spec))
     candidates.sort(key=lambda item: -item[0])
     for slot, (_, index, spec) in zip(idle, candidates):
-        twin = dict(spec)
-        if dispatch(slot, [twin], speculative=True):
+        if dispatch(slot, dict(spec), speculative=True):
             speculated.add(index)

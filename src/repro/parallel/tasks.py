@@ -10,8 +10,10 @@ wrap (see :mod:`repro.experiments.scalability`).
 ``streaming_farm_shard`` is the canonical one: a complete farm —
 gateway, subfarm routers, containment servers, host TCP stacks — under
 a streaming workload, returning counters, a telemetry snapshot, and a
-determinism digest covering flow logs, counters, upstream trace bytes,
-and the metric surface (the same recipe as ``bench_hotpath``).
+determinism digest.  :func:`farm_digest` is that digest's one recipe
+(flow logs, counters, upstream trace bytes, the metric surface);
+``bench_hotpath``, ``bench_obs_overhead`` and the fault-baseline tests
+call it rather than spell it out again.
 
 ``detonation_wait`` models the *real-time* cost that dominates
 production campaigns — §6.3's multi-hour malware runs and §7.3's 6-10
@@ -29,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from typing import Tuple
 
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
@@ -36,6 +39,7 @@ from repro.net.addresses import IPv4Address
 from repro.services.dhcp import DhcpClient
 
 __all__ = [
+    "farm_digest",
     "streaming_farm_shard",
     "noop_shard",
     "sleepy_shard",
@@ -82,6 +86,35 @@ def _echo_server(host) -> None:
     host.tcp.listen(TARGET_PORT, on_accept)
 
 
+def farm_digest(farm) -> Tuple[str, dict]:
+    """The farm determinism digest, defined once: sha256 over, per
+    subfarm in name order, the router counters and flow log, then the
+    upstream trace bytes, then the telemetry snapshot minus the
+    ``flowtable.*`` instruments (they say nothing about wire
+    behaviour, and the tracked digests have never included them).
+
+    Returns ``(hexdigest, snapshot)`` — the folded, stripped snapshot,
+    for callers that ship it beside the digest.
+    """
+    digest = hashlib.sha256()
+    for name in sorted(farm.subfarms):
+        router = farm.subfarms[name].router
+        digest.update(json.dumps(dict(router.counters),
+                                 sort_keys=True).encode())
+        for entry in router.flow_log:
+            digest.update(
+                f"{entry.timestamp:.9f}|{entry.vlan}|{entry.verdict}"
+                f"|{entry.orig}|{entry.policy}".encode())
+    for rec in farm.gateway.upstream_trace.records:
+        digest.update(rec.frame.to_bytes())
+    snapshot = farm.telemetry_snapshot()
+    for family in ("counters", "gauges"):
+        snapshot[family] = {k: v for k, v in snapshot[family].items()
+                            if not k.startswith("flowtable.")}
+    digest.update(json.dumps(snapshot, sort_keys=True).encode())
+    return digest.hexdigest(), snapshot
+
+
 def streaming_farm_shard(seed: int, subfarms: int = 2, inmates: int = 2,
                          rounds: int = 60, duration: float = 120.0,
                          telemetry: bool = True, journal: bool = False,
@@ -91,38 +124,16 @@ def streaming_farm_shard(seed: int, subfarms: int = 2, inmates: int = 2,
     farm = Farm(FarmConfig(seed=seed, telemetry=telemetry,
                            journal=journal))
     _echo_server(farm.add_external_host("echo", TARGET_IP))
-    subs = []
     for index in range(subfarms):
         sub = farm.create_subfarm(f"shard-sub-{index}")
         sub.set_default_policy(AllowAll())
         for _ in range(inmates):
             sub.create_inmate(image_factory=_streaming_image(rounds))
-        subs.append(sub)
     farm.run(until=duration)
 
-    digest = hashlib.sha256()
-    counters = {}
-    flows_created = packets_relayed = 0
-    for sub in subs:
-        sub_counters = dict(sub.router.counters)
-        counters[sub.name] = sub_counters
-        flows_created += sub_counters.get("flows_created", 0)
-        packets_relayed += sub_counters.get("packets_relayed", 0)
-        digest.update(json.dumps({sub.name: sub_counters},
-                                 sort_keys=True).encode())
-        for entry in sub.router.flow_log:
-            digest.update(
-                f"{entry.timestamp:.9f}|{entry.vlan}|{entry.verdict}"
-                f"|{entry.orig}|{entry.policy}".encode())
-    for rec in farm.gateway.upstream_trace.records:
-        digest.update(rec.frame.to_bytes())
-    # The shard digest excludes the flowtable.* instruments (matching
-    # bench_hotpath.run_farm): the tracked baselines never held them.
-    snapshot = farm.telemetry_snapshot(include_traces=False)
-    for family in ("counters", "gauges"):
-        snapshot[family] = {k: v for k, v in snapshot[family].items()
-                            if not k.startswith("flowtable.")}
-    digest.update(json.dumps(snapshot, sort_keys=True).encode())
+    counters = {name: dict(sub.router.counters)
+                for name, sub in farm.subfarms.items()}
+    digest, snapshot = farm_digest(farm)
 
     if detonation_wait > 0:
         time.sleep(detonation_wait)
@@ -132,12 +143,14 @@ def streaming_farm_shard(seed: int, subfarms: int = 2, inmates: int = 2,
         "virtual_seconds": farm.sim.now,
         "metrics": {
             "events": farm.sim.events_processed,
-            "flows_created": flows_created,
-            "packets_relayed": packets_relayed,
+            "flows_created": sum(c.get("flows_created", 0)
+                                 for c in counters.values()),
+            "packets_relayed": sum(c.get("packets_relayed", 0)
+                                   for c in counters.values()),
         },
         "counters": counters,
         "telemetry": snapshot,
-        "digest": digest.hexdigest(),
+        "digest": digest,
     }
     if journal:
         # The journal rides alongside the determinism digest, never

@@ -77,7 +77,7 @@ class HealthChecker:
             for vlan, activity in inmates.items():
                 warnings.extend(self._check_inmate(subfarm_name, vlan,
                                                    activity))
-        # Live rules over the metrics registry: skipped entirely when
+        # Live rules over the telemetry domain: skipped entirely when
         # no telemetry was passed or the domain is disabled.
         if telemetry is not None and telemetry.enabled:
             warnings.extend(self._check_live(telemetry))
@@ -99,12 +99,11 @@ class HealthChecker:
 
     def _check_live(self, telemetry) -> List[HealthWarning]:
         warnings: List[HealthWarning] = []
-        registry = telemetry.registry
 
         # Rule 1: safety-filter trip rate — a tripping filter means an
         # inmate is being actively rate-limited (flooder, scan storm).
-        trips = self._by_subfarm(registry.get("gw.safety.trips"))
-        admitted = self._by_subfarm(registry.get("gw.safety.admitted"))
+        trips = self._by_subfarm(telemetry.get("gw.safety.trips"))
+        admitted = self._by_subfarm(telemetry.get("gw.safety.admitted"))
         for subfarm, cells in trips.items():
             tripped = sum(c.value for c in cells)
             total = tripped + sum(
@@ -117,7 +116,7 @@ class HealthChecker:
 
         # Rule 2: shim round-trip p99 — a slow verdict path stalls
         # every new flow in the subfarm behind the containment server.
-        rtt = registry.get("router.shim.rtt")
+        rtt = telemetry.get("router.shim.rtt")
         if rtt is not None:
             for key, cell in rtt.cells().items():
                 if cell.count == 0:
@@ -132,8 +131,8 @@ class HealthChecker:
 
         # Rule 3: NAT pool exhaustion — no free global addresses means
         # new inmates cannot come up at all.
-        used = self._by_subfarm(registry.get("gw.nat.pool.used"))
-        capacity = self._by_subfarm(registry.get("gw.nat.pool.capacity"))
+        used = self._by_subfarm(telemetry.get("gw.nat.pool.used"))
+        capacity = self._by_subfarm(telemetry.get("gw.nat.pool.capacity"))
         for subfarm, cells in used.items():
             in_use = sum(c.value for c in cells)
             cap = sum(c.value for c in capacity.get(subfarm, []))

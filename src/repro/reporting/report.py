@@ -443,5 +443,5 @@ def render_report(report: ActivityReport, telemetry=None,
         lines.append(appendix)
         lines.append("=" * len(appendix))
         lines.append("")
-        lines.append(render_text(telemetry, include_traces=False))
+        lines.append(render_text(telemetry))
     return "\n".join(lines)

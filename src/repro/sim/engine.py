@@ -18,7 +18,6 @@ import random
 from heapq import heapify, heappop, heappush
 from math import inf
 from operator import attrgetter, itemgetter
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.journal import NULL_JOURNAL
@@ -111,24 +110,15 @@ class Simulator:
         # before they are built.
         self.telemetry = NULL_TELEMETRY
         self.journal = NULL_JOURNAL
-        self.profile_callbacks = False
         self._live = False
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def attach_telemetry(self, telemetry,
-                         profile_callbacks: bool = False) -> None:
-        """Wire a live :class:`~repro.obs.telemetry.Telemetry` domain.
-
-        ``profile_callbacks`` additionally records a *wall-clock*
-        histogram of callback run time keyed by event label — useful
-        for finding hot event types, but nondeterministic, so it is
-        opt-in and kept out of snapshot-diff workflows.
-        """
+    def attach_telemetry(self, telemetry) -> None:
+        """Wire a live :class:`~repro.obs.telemetry.Telemetry` domain."""
         self.telemetry = telemetry
         self._live = telemetry.enabled
-        self.profile_callbacks = bool(profile_callbacks) and self._live
         self._m_scheduled = telemetry.counter(
             "sim.events.scheduled", "Events pushed onto the queue").bind()
         self._m_fired = telemetry.counter(
@@ -137,10 +127,6 @@ class Simulator:
             "sim.events.cancelled", "Dead events discarded at pop").bind()
         self._g_queue_depth = telemetry.gauge(
             "sim.queue.depth", "Events currently queued (incl. dead)").bind()
-        self._h_callback = telemetry.histogram(
-            "sim.callback.wall_time",
-            "Wall-clock seconds per callback, by event label",
-            deterministic=False)
 
     def attach_journal(self, journal) -> None:
         """Wire a live :class:`~repro.obs.journal.Journal`.  Must run
@@ -253,7 +239,6 @@ class Simulator:
         horizon = inf if until is None else until
         budget = inf if max_events is None else max_events
         live = self._live
-        profile = self.profile_callbacks
         stride = self.QUEUE_DEPTH_STRIDE
         try:
             while queue:
@@ -273,13 +258,7 @@ class Simulator:
                 heappop(queue)
                 event[5] = None
                 self._now = time
-                if profile:
-                    started = perf_counter()
-                    event[2](*event[3])
-                    self._h_callback.observe(perf_counter() - started,
-                                             label=event.effective_label)
-                else:
-                    event[2](*event[3])
+                event[2](*event[3])
                 processed += 1
                 self.events_processed += 1
                 if live:
@@ -337,7 +316,7 @@ class Simulator:
         """Run a single event.  Returns False if the queue is empty.
 
         Shares :meth:`run`'s firing path, so stepped events see the same
-        telemetry instruments and ``profile_callbacks`` handling.
+        telemetry instruments.
         """
         before = self.events_processed
         self.run(max_events=1)

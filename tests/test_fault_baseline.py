@@ -10,7 +10,6 @@ pin that against the digests tracked in `BENCH_hotpath.json` and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -23,12 +22,14 @@ sys.path.insert(0, os.path.join(REPO, "benchmarks"))
 from bench_hotpath import run_farm  # noqa: E402
 from bench_parallel_scaling import build_sweep  # noqa: E402
 
+from tests.golden import wire_digest  # noqa: E402
+
 from repro.core.policy import AllowAll  # noqa: E402
 from repro.farm import Farm, FarmConfig  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
 from repro.parallel.pool import run_campaign  # noqa: E402
 from repro.parallel.tasks import TARGET_IP, _echo_server, \
-    _streaming_image  # noqa: E402
+    _streaming_image, farm_digest  # noqa: E402
 
 pytestmark = pytest.mark.integration
 
@@ -57,8 +58,54 @@ class TestTrackedBaselines:
         assert result.digest == baseline
 
 
+#: The pins that folded the whole ``gq.telemetry/1`` snapshot JSON, as
+#: recorded at the last commit that emitted it, with the sections that
+#: commit's snapshot carried beyond today's six keys (the span counts
+#: are what its per-flow span recorder had seen by the end of each
+#: run).
+V1_PINS = [
+    # BENCH_hotpath.json /determinism/digest, BENCH_obs.json
+    # /digest_identity/*.
+    ((11, 3, 40, 120.0), {"spans": 15, "traces": 3, "evicted": 0},
+     lambda result: result["digest"],
+     "8621645c7cf7d77b3152a43ec6d82e83873871c4ce28b6f4a5ad71575637a91f"),
+    # tests/golden/router_wire.json "farm-seed-23".
+    ((23, 2, 12, 60.0), {"spans": 10, "traces": 2, "evicted": 0},
+     lambda result: wire_digest(
+         {key: result[key]
+          for key in ("digest", "events", "packets_relayed")}),
+     "85835cfef3e0674fe5e2f59d10eebb0df833d705474f615cd6e0c4ce7a48c6b7"),
+]
+
+
+@pytest.mark.parametrize("params, tracer, fold, old_pin", V1_PINS,
+                         ids=["bench-hotpath", "golden-farm-seed-23"])
+def test_v1_digest_reconstructs(monkeypatch, params, tracer, fold,
+                                old_pin):
+    """Schema /1 -> /2 moved the snapshot's own keys and not one other
+    byte of the snapshot or the wire: today's snapshot plus the
+    constants the old schema emitted hashes to the old pin."""
+    real = Farm.telemetry_snapshot
+
+    def v1_snapshot(farm, include_traces=True):
+        snap = real(farm)
+        assert sorted(snap) == ["counters", "enabled", "gauges",
+                                "histograms", "schema", "time"]
+        assert snap["schema"] == "gq.telemetry/2"
+        snap.update({
+            "schema": "gq.telemetry/1",
+            "traces": {},
+            "hub": {"published": 0, "retained": 0, "evicted": 0},
+            "tracer": tracer,
+        })
+        return snap
+
+    monkeypatch.setattr(Farm, "telemetry_snapshot", v1_snapshot)
+    assert fold(run_farm(*params)) == old_pin
+
+
 def digest_farm(config):
-    """The bench_hotpath digest recipe over an explicit FarmConfig."""
+    """The one farm digest recipe over an explicit FarmConfig."""
     farm = Farm(config)
     _echo_server(farm.add_external_host("echo", TARGET_IP))
     sub = farm.create_subfarm("bench")
@@ -66,18 +113,7 @@ def digest_farm(config):
     for _ in range(3):
         sub.create_inmate(image_factory=_streaming_image(20))
     farm.run(until=90.0)
-    digest = hashlib.sha256()
-    digest.update(json.dumps(dict(sub.router.counters),
-                             sort_keys=True).encode())
-    for entry in sub.router.flow_log:
-        digest.update(
-            f"{entry.timestamp:.9f}|{entry.vlan}|{entry.verdict}"
-            f"|{entry.orig}|{entry.policy}".encode())
-    for rec in farm.gateway.upstream_trace.records:
-        digest.update(rec.frame.to_bytes())
-    digest.update(json.dumps(farm.telemetry_snapshot(include_traces=False),
-                             sort_keys=True).encode())
-    return digest.hexdigest()
+    return farm_digest(farm)[0]
 
 
 class TestEmptyPlanIsInvisible:

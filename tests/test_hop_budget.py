@@ -108,7 +108,7 @@ def test_sim_instruments_in_a_mid_run_snapshot():
     # exactly as before; the three schedules below are.
     mid = []
     sim.schedule_at(20.5, lambda: mid.append(
-        snapshot(telemetry, include_traces=False)))
+        snapshot(telemetry)))
     late = [sim.schedule_at(50.0, lambda: None) for _ in range(2)]
     ticks[4].cancel()
     ticks[9].cancel()
@@ -126,7 +126,7 @@ def test_sim_instruments_in_a_mid_run_snapshot():
     # queued in all, 18 popped by then.
     assert snap["gauges"] == {"sim.queue.depth": 43 - 18}
 
-    final = snapshot(telemetry, include_traces=False)
+    final = snapshot(telemetry)
     assert final["counters"] == {
         "sim.events.scheduled": 3.0,
         "sim.events.fired": 40.0,      # 38 ticks, the reader, one late

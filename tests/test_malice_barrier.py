@@ -126,10 +126,10 @@ class TestRouterBarrier:
     def test_telemetry_binds_only_on_error(self):
         farm = Farm(FarmConfig(seed=3, telemetry=True))
         sub = farm.create_subfarm("s")
-        clean = farm.telemetry_snapshot(include_traces=False)
+        clean = farm.telemetry_snapshot()
         assert not any("barrier" in key for key in clean["counters"])
         sub.router.ingest_wire(5, GARBAGE)
-        dirty = farm.telemetry_snapshot(include_traces=False)
+        dirty = farm.telemetry_snapshot()
         key = "barrier.parse_errors{protocol=ipv4,subfarm=s,vlan=5}"
         assert dirty["counters"][key] == 1.0
 

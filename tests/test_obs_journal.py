@@ -14,6 +14,8 @@ The acceptance bar for the audit plane (docs/OBSERVABILITY.md):
 from __future__ import annotations
 
 import json
+import random
+from time import perf_counter
 
 import pytest
 
@@ -103,6 +105,145 @@ class TestRecording:
         ring = journal.snapshot()["rings"]["gw.flows"]
         assert ring["dropped"] == 2
         assert [pair[1] for pair in ring["samples"]] == [2.0, 3.0]
+
+
+class ListJournal:
+    """Reference model: the journal's bookkeeping on plain lists and
+    insertion-ordered dicts, every eviction a delete-the-first — the
+    O(capacity) form the live journal's deques replaced."""
+
+    def __init__(self, clock, capacity, ring_capacity):
+        self.clock = clock
+        self.capacity = capacity
+        self.ring_capacity = ring_capacity
+        self.events = []
+        self.seq = self.recorded = self.evicted = 0
+        self.last_for_flow, self.last_for_vlan, self.aliases = {}, {}, {}
+        self.rings = {}
+
+    def _remember(self, table, key, value):
+        if key not in table and len(table) >= self.capacity:
+            del table[next(iter(table))]
+        table[key] = value
+
+    def record(self, kind, flow=None, vlan=None, parent=None, **fields):
+        if parent is ROOT:
+            parent = None
+        elif parent is None:
+            if flow is not None:
+                parent = self.last_for_flow.get(flow)
+            if parent is None and vlan is not None:
+                parent = self.last_for_vlan.get(vlan)
+        event = {"seq": self.seq, "t": round(self.clock(), 9),
+                 "kind": kind, "flow": flow, "vlan": vlan,
+                 "parent": parent, "fields": fields}
+        self.seq += 1
+        self.recorded += 1
+        if len(self.events) >= self.capacity:
+            del self.events[0]
+            self.evicted += 1
+        self.events.append(event)
+        if flow is not None:
+            self._remember(self.last_for_flow, flow, event["seq"])
+        if vlan is not None:
+            self._remember(self.last_for_vlan, vlan, event["seq"])
+        return event
+
+    def bind_flow(self, alias, flow_id):
+        self._remember(self.aliases, alias, flow_id)
+
+    def sample(self, name, value):
+        ring = self.rings.setdefault(name, {
+            "capacity": self.ring_capacity, "dropped": 0, "samples": []})
+        if len(ring["samples"]) >= self.ring_capacity:
+            del ring["samples"][0]
+            ring["dropped"] += 1
+        ring["samples"].append([round(self.clock(), 9), float(value)])
+
+    def snapshot(self):
+        return {"schema": JOURNAL_SCHEMA, "enabled": True,
+                "time": round(self.clock(), 9),
+                "recorded": self.recorded, "evicted": self.evicted,
+                "events": list(self.events),
+                "rings": {name: self.rings[name]
+                          for name in sorted(self.rings)}}
+
+
+class TestAtCapacity:
+    """What the bounded journal does when full: drop-oldest, counted
+    by ``evicted``, byte-identical to the list model, at the cost of a
+    filling journal (docs/OBSERVABILITY.md, "The journal at
+    capacity")."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("capacity", [1, 7, 32])
+    def test_matches_list_model_past_capacity(self, capacity, seed):
+        rng = random.Random(seed)
+        journal = make_journal(capacity=capacity, ring_capacity=2)
+        model = ListJournal(journal.clock, capacity, 2)
+        # More distinct flows, VLANs and aliases than capacity, so all
+        # three FIFO-bounded maps evict as well as the event store.
+        flows = [f"flow-{n}" for n in range(3 * capacity)]
+        vlans = list(range(2, 2 + 2 * capacity))
+        for step in range(max(200, 5 * capacity)):
+            journal.tick(rng.choice([0.0, 0.25]))
+            op = rng.random()
+            if op < 0.7:
+                kwargs = dict(
+                    flow=rng.choice(flows + [None]),
+                    vlan=rng.choice(vlans + [None]),
+                    parent=rng.choice([None, None, ROOT, 0]), step=step)
+                live = journal.record("k", **kwargs)
+                assert live.to_dict() == model.record("k", **kwargs)
+            elif op < 0.85:
+                alias, flow = rng.choice(flows), rng.choice(flows)
+                journal.bind_flow(alias, flow)
+                model.bind_flow(alias, flow)
+            else:
+                name = rng.choice(["a", "b"])
+                journal.sample(name, step)
+                model.sample(name, step)
+            for alias in rng.sample(flows, 3):
+                assert journal.flow_for(alias) == model.aliases.get(alias)
+        assert journal.recorded >= 4 * capacity
+        assert journal.evicted == model.evicted == \
+            journal.recorded - capacity
+        assert len(journal) == capacity
+        snap = journal.snapshot()
+        assert snap == model.snapshot()
+        assert journal.digest() == journal_digest(model.snapshot())
+        assert all(ring["dropped"] >= 4 * 2
+                   for ring in snap["rings"].values())
+
+    def test_full_journal_costs_what_a_filling_one_does(self):
+        """Guard on O(1) eviction: per-event cost over 20k events at
+        capacity within 3x of the cost below it.  At the default
+        capacity the list-and-dict form was 16x (a 65,536-pointer
+        memmove plus a dead-prefix rescan per event)."""
+        capacity, batch = 65536, 20000
+
+        def per_event(journal, start):
+            best = float("inf")
+            for repeat in range(3):
+                base = start + repeat * batch
+                started = perf_counter()
+                for n in range(base, base + batch):
+                    journal.record("k", flow=n, vlan=n)
+                best = min(best, perf_counter() - started)
+            return best / batch
+
+        filling = make_journal(capacity=capacity)
+        below = per_event(filling, 0)          # 60k events: still filling
+        assert filling.evicted == 0
+        full = make_journal(capacity=capacity)
+        for n in range(2 * capacity):
+            full.record("k", flow=n, vlan=n)
+        assert full.evicted == capacity
+        at = per_event(full, 2 * capacity)
+        assert full.evicted == capacity + 3 * batch
+        assert at <= 3.0 * below, (
+            f"{at * 1e6:.2f} us/event at capacity vs "
+            f"{below * 1e6:.2f} us/event below it")
 
 
 class TestProvenance:

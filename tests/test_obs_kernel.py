@@ -1,9 +1,8 @@
-"""The telemetry kernel: metrics, traces, hub, exporters.
+"""The telemetry kernel: metrics and exporters.
 
 Covers the zero-dependency obs layer in isolation — counters, gauges
-and histogram quantiles; label-cardinality capping; span ordering
-under same-virtual-timestamp events; hub ring-buffer eviction; and the
-JSON exporter round-trip.
+and histogram quantiles; label-cardinality capping; and the JSON
+exporter round-trip (schema ``gq.telemetry/2``).
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ from repro.obs.metrics import (
     OVERFLOW_KEY,
     Counter,
     Histogram,
-    MetricsRegistry,
     format_key,
 )
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.obs.trace import Tracer
 
 pytestmark = pytest.mark.obs
 
@@ -40,8 +37,8 @@ class FakeClock:
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_counter_labels_and_totals(self):
-        registry = MetricsRegistry()
-        flows = registry.counter("flows", "flows by verdict")
+        telemetry = Telemetry()
+        flows = telemetry.counter("flows", "flows by verdict")
         flows.inc(verdict="FORWARD")
         flows.inc(3, verdict="DROP")
         flows.inc(verdict="DROP")
@@ -51,33 +48,33 @@ class TestMetrics:
         assert flows.total() == 5
 
     def test_bound_cell_shares_state_with_labeled_calls(self):
-        registry = MetricsRegistry()
-        metric = registry.counter("hits")
+        telemetry = Telemetry()
+        metric = telemetry.counter("hits")
         cell = metric.bind(subfarm="a")
         cell.inc()
         metric.inc(subfarm="a")
         assert metric.value(subfarm="a") == 2
 
     def test_gauge_set_inc_dec(self):
-        registry = MetricsRegistry()
-        depth = registry.gauge("depth")
+        telemetry = Telemetry()
+        depth = telemetry.gauge("depth")
         depth.set(10)
         depth.inc(5)
         depth.dec(2)
         assert depth.value() == 13
 
     def test_registry_get_or_create_and_kind_mismatch(self):
-        registry = MetricsRegistry()
-        a = registry.counter("x")
-        assert registry.counter("x") is a
-        assert registry.get("x") is a
-        assert registry.get("missing") is None
+        telemetry = Telemetry()
+        a = telemetry.counter("x")
+        assert telemetry.counter("x") is a
+        assert telemetry.get("x") is a
+        assert telemetry.get("missing") is None
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            telemetry.gauge("x")
 
     def test_histogram_quantiles(self):
-        registry = MetricsRegistry()
-        latency = registry.histogram("latency")
+        telemetry = Telemetry()
+        latency = telemetry.histogram("latency")
         for ms in range(1, 101):
             latency.observe(ms / 1000.0)
         assert latency.quantile(0.0) == pytest.approx(0.001)
@@ -131,82 +128,6 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# Tracing
-# ----------------------------------------------------------------------
-class TestTracer:
-    def test_span_ordering_under_same_timestamp(self):
-        clock = FakeClock(5.0)
-        tracer = Tracer(clock)
-        # All three spans start at the same virtual instant — creation
-        # order must still be recoverable via seq.
-        a = tracer.start_span("t1", "flow.bridge")
-        b = tracer.point("t1", "flow.safety")
-        c = tracer.start_span("t1", "flow.shim_rtt")
-        spans = tracer.trace("t1")
-        assert [s.name for s in spans] == [
-            "flow.bridge", "flow.safety", "flow.shim_rtt"]
-        assert a.seq < b.seq < c.seq
-        assert b.finished and b.duration == 0.0
-        clock.now = 7.5
-        c.finish()
-        assert c.duration == pytest.approx(2.5)
-        # finish() is idempotent.
-        clock.now = 9.0
-        c.finish()
-        assert c.end == 7.5
-
-    def test_fifo_eviction(self):
-        tracer = Tracer(FakeClock(), max_traces=2)
-        tracer.point("t1", "a")
-        tracer.point("t2", "b")
-        tracer.point("t3", "c")
-        assert tracer.trace_ids() == ["t2", "t3"]
-        assert tracer.evicted == 1
-        assert tracer.trace("t1") == []
-        # Appending to a retained trace does not evict.
-        tracer.point("t2", "d")
-        assert tracer.evicted == 1
-
-    def test_span_labels_sorted(self):
-        tracer = Tracer(FakeClock())
-        span = tracer.start_span("t", "s", zebra="1", apple="2")
-        assert span.labels == (("apple", "2"), ("zebra", "1"))
-        assert span.to_dict()["labels"] == {"apple": "2", "zebra": "1"}
-
-
-# ----------------------------------------------------------------------
-# Hub
-# ----------------------------------------------------------------------
-class TestHub:
-    def test_ring_buffer_eviction(self):
-        telemetry = Telemetry(clock=FakeClock(), hub_capacity=3)
-        for i in range(5):
-            telemetry.publish("tick", n=i)
-        hub = telemetry.hub
-        assert hub.published == 5
-        assert hub.evicted == 2
-        assert [e.fields["n"] for e in hub.events()] == [2, 3, 4]
-
-    def test_subscribe_and_unsubscribe(self):
-        telemetry = Telemetry(clock=FakeClock())
-        seen = []
-        unsubscribe = telemetry.hub.subscribe(
-            lambda event: seen.append(event.kind))
-        telemetry.publish("safety.trip", vlan=3)
-        unsubscribe()
-        telemetry.publish("safety.trip", vlan=4)
-        assert seen == ["safety.trip"]
-
-    def test_events_filtered_by_kind(self):
-        telemetry = Telemetry(clock=FakeClock())
-        telemetry.publish("a")
-        telemetry.publish("b")
-        telemetry.publish("a")
-        assert len(telemetry.hub.events("a")) == 2
-        assert len(telemetry.hub.events()) == 3
-
-
-# ----------------------------------------------------------------------
 # Export
 # ----------------------------------------------------------------------
 class TestExport:
@@ -218,10 +139,7 @@ class TestExport:
         hist = telemetry.histogram("rtt")
         hist.observe(0.01)
         hist.observe(0.02)
-        span = telemetry.span("trace-1", "flow.shim_rtt", subfarm="s")
         clock.now = 43.0
-        span.finish()
-        telemetry.publish("safety.trip", vlan=2)
         return telemetry
 
     def test_json_round_trip(self):
@@ -229,7 +147,9 @@ class TestExport:
         text = to_json(telemetry)
         parsed = json.loads(text)
         assert parsed == snapshot(telemetry)
-        assert parsed["schema"] == SNAPSHOT_SCHEMA
+        assert parsed["schema"] == SNAPSHOT_SCHEMA == "gq.telemetry/2"
+        assert sorted(parsed) == ["counters", "enabled", "gauges",
+                                  "histograms", "schema", "time"]
         assert parsed["enabled"] is True
         assert parsed["time"] == 43.0
         assert parsed["counters"]["flows{verdict=DROP}"] == 1
@@ -238,10 +158,6 @@ class TestExport:
         assert entry["count"] == 2
         assert entry["p50"] > 0
         assert all(count > 0 for _bound, count in entry["buckets"])
-        (spans,) = parsed["traces"].values()
-        assert spans[0]["name"] == "flow.shim_rtt"
-        assert spans[0]["start"] == 42.0 and spans[0]["end"] == 43.0
-        assert parsed["hub"]["published"] == 1
 
     def test_json_deterministic(self):
         a, b = self._populated(), self._populated()
@@ -251,12 +167,13 @@ class TestExport:
         snap = snapshot(NULL_TELEMETRY)
         assert snap["enabled"] is False
         assert snap["counters"] == {}
+        assert sorted(snap) == sorted(snapshot(Telemetry()))
         assert render_text(NULL_TELEMETRY) == "(telemetry disabled)"
 
     def test_render_text_sections(self):
-        text = render_text(self._populated(), include_traces=True)
+        text = render_text(self._populated())
         assert "Counters" in text
         assert "flows{verdict=DROP}" in text
+        assert "Gauges" in text
         assert "Histograms" in text
-        assert "flow.shim_rtt" in text
-        assert "Hub: 1 events" in text
+        assert "rtt" in text

@@ -13,7 +13,7 @@ import pytest
 
 from repro.farm import FarmConfig
 from repro.gateway.nat import InboundMode
-from repro.obs.merge import label_identity, label_snapshot, merge_snapshots
+from repro.obs.merge import label_identity, merge
 from repro.parallel import (
     Campaign,
     ShardSpec,
@@ -212,33 +212,29 @@ class TestSnapshotMerge:
             label_identity("flows{shard=1}", shard="2")
 
     def test_merge_disjoint_and_ordered(self):
-        snap_a = {"schema": "s", "enabled": True, "time": 5.0,
-                  "counters": {"c{x=1}": 2}, "gauges": {}, "histograms": {},
-                  "traces": {}, "hub": {"published": 1},
-                  "tracer": {"spans": 2}}
-        snap_b = {"schema": "s", "enabled": True, "time": 9.0,
-                  "counters": {"c{x=1}": 5}, "gauges": {}, "histograms": {},
-                  "traces": {}, "hub": {"published": 3},
-                  "tracer": {"spans": 1}}
-        merged = merge_snapshots([snap_a, snap_b],
-                                 labels=[{"shard": "0"}, {"shard": "1"}])
+        snap_a = {"schema": "gq.telemetry/2", "enabled": True,
+                  "time": 5.0, "counters": {"c{x=1}": 2}, "gauges": {},
+                  "histograms": {}}
+        snap_b = {"schema": "gq.telemetry/2", "enabled": True,
+                  "time": 9.0, "counters": {"c{x=1}": 5}, "gauges": {},
+                  "histograms": {}}
+        merged = merge([snap_a, snap_b],
+                       labels=[{"shard": "0"}, {"shard": "1"}])
         assert merged["counters"] == {"c{shard=0,x=1}": 2,
                                       "c{shard=1,x=1}": 5}
         assert merged["time"] == 9.0
-        assert merged["hub"]["published"] == 4
-        assert merged["tracer"]["spans"] == 3
+        assert sorted(merged) == sorted(snap_a)
         # Order-independence: the other arrival order merges identically.
-        flipped = merge_snapshots([snap_b, snap_a],
-                                  labels=[{"shard": "1"}, {"shard": "0"}])
+        flipped = merge([snap_b, snap_a],
+                        labels=[{"shard": "1"}, {"shard": "0"}])
         assert json.dumps(merged, sort_keys=True) \
             == json.dumps(flipped, sort_keys=True)
 
     def test_collision_without_labels_raises(self):
-        snap = {"schema": "s", "enabled": True, "time": 1.0,
-                "counters": {"c": 1}, "gauges": {}, "histograms": {},
-                "traces": {}, "hub": {}, "tracer": {}}
+        snap = {"schema": "gq.telemetry/2", "enabled": True, "time": 1.0,
+                "counters": {"c": 1}, "gauges": {}, "histograms": {}}
         with pytest.raises(ValueError):
-            merge_snapshots([snap, dict(snap)])
+            merge([snap, dict(snap)])
 
 
 @pytest.mark.integration

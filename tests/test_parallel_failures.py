@@ -29,7 +29,7 @@ def test_shard_timeout_kills_only_that_shard():
         ShardSpec(2, NOOP, {"seed": 3}),
     ])
     started = time.monotonic()
-    result = run_campaign(campaign, workers=2, chunk_size=1)
+    result = run_campaign(campaign, workers=2)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, "timeout enforcement must not hang"
     assert len(result.shard_results) == 3
@@ -47,7 +47,7 @@ def test_worker_crash_fails_only_its_shard():
         ShardSpec(2, NOOP, {"seed": 3}),
         ShardSpec(3, NOOP, {"seed": 4}),
     ])
-    result = run_campaign(campaign, workers=2, chunk_size=1)
+    result = run_campaign(campaign, workers=2)
     assert len(result.shard_results) == 4
     assert not result.ok
     failure = result.failures[0]
@@ -59,15 +59,15 @@ def test_worker_crash_fails_only_its_shard():
 
 
 def test_crash_mid_chunk_requeues_the_rest_of_the_chunk():
-    # One chunk of three shards with the crasher in the middle: the
-    # in-flight shard fails, the unstarted tail is requeued and still
-    # completes on a respawned worker.
+    # The crasher in the middle of three shards: the in-flight shard
+    # fails, the rest still complete (on a respawned worker if the
+    # dead one was to run them).
     campaign = Campaign("chunked", [
         ShardSpec(0, NOOP, {"seed": 1}),
         ShardSpec(1, CRASH, {"seed": 2}),
         ShardSpec(2, NOOP, {"seed": 3}),
     ])
-    result = run_campaign(campaign, workers=1 + 1, chunk_size=3)
+    result = run_campaign(campaign, workers=1 + 1)
     assert len(result.shard_results) == 3
     assert [r.ok for r in result.shard_results] == [True, False, True]
     assert result.failures[0]["kind"] == "crash"
@@ -90,7 +90,7 @@ def test_every_shard_crashing_still_terminates():
         ShardSpec(index, CRASH, {"seed": index}) for index in range(3)
     ])
     started = time.monotonic()
-    result = run_campaign(campaign, workers=2, chunk_size=1)
+    result = run_campaign(campaign, workers=2)
     assert time.monotonic() - started < 60.0
     assert len(result.shard_results) == 3
     assert not result.ok
@@ -105,7 +105,7 @@ def test_default_timeout_applies_to_unmarked_shards():
         ShardSpec(0, SLEEP, {"seed": 1, "wall_seconds": 60.0}),
         ShardSpec(1, NOOP, {"seed": 2}),
     ])
-    result = run_campaign(campaign, workers=2, chunk_size=1,
+    result = run_campaign(campaign, workers=2,
                           default_timeout=1.0)
     assert result.failures[0]["shard"] == 0
     assert result.failures[0]["kind"] == "timeout"

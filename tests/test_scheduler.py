@@ -1,13 +1,12 @@
 """The adaptive shard scheduler: work-stealing digest parity against
-serial runs, static-vs-steal equivalence, scheduling-honesty metadata,
-and the oversubscription warning."""
+serial runs, scheduling-honesty metadata, and the oversubscription
+warning."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.parallel import Campaign, ShardSpec, run_campaign
-from repro.parallel.pool import SCHEDULERS
 
 NOOP = "repro.parallel.tasks:noop_shard"
 FARM = "repro.parallel.tasks:streaming_farm_shard"
@@ -36,26 +35,14 @@ class TestStealParity:
         # identical too — host names never leak into identities.
         assert stolen.merged["metrics"] == serial.merged["metrics"]
 
-    def test_static_and_steal_agree(self):
-        campaign = farm_campaign()
-        static = run_campaign(campaign, workers=2, scheduler="static")
-        stolen = run_campaign(campaign, workers=2, scheduler="steal")
-        assert static.digest == stolen.digest
-        assert static.merged["scheduler"]["mode"] == "static"
-        assert stolen.merged["scheduler"]["mode"] == "steal"
-
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            run_campaign(farm_campaign(count=2), workers=2,
-                         scheduler="magic")
-        assert SCHEDULERS == ("steal", "static")
-
-    def test_chunk_size_still_accepted(self):
-        # Legacy kwarg: sizes static blocks, ignored by steal.
-        campaign = Campaign.seed_sweep("chunked", NOOP, count=6,
-                                       base_seed=1)
-        result = run_campaign(campaign, workers=2, chunk_size=3)
-        assert result.ok
+        # One scheduler: the name is accepted (the frozen ledger
+        # passes it), anything else — the deleted "static" included —
+        # is refused before any worker starts.
+        for name in ("magic", "static"):
+            with pytest.raises(ValueError, match="scheduler"):
+                run_campaign(farm_campaign(count=2), workers=2,
+                             scheduler=name)
 
 
 class TestSchedulingHonesty:

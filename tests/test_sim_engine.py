@@ -228,7 +228,7 @@ class TestQueueKernel:
         for use_step in (False, True):
             sim = Simulator()
             telemetry = Telemetry(clock=lambda: sim.now)
-            sim.attach_telemetry(telemetry, profile_callbacks=True)
+            sim.attach_telemetry(telemetry)
             for i in range(6):
                 sim.schedule(float(i + 1), lambda: None, label="tick")
             if use_step:
@@ -239,8 +239,6 @@ class TestQueueKernel:
             results.append({
                 "fired": telemetry.counter("sim.events.fired").bind().value,
                 "processed": sim.events_processed,
-                "profiled": telemetry.histogram(
-                    "sim.callback.wall_time").bind(label="tick").count,
                 "now": sim.now,
             })
         run_result, step_result = results
