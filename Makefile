@@ -2,7 +2,7 @@ PYTHON ?= python
 WORKERS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick trace-budget ledger-test ledger-selftest paper-benches loc
+.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick trace-budget budget ledger-test ledger-selftest paper-benches loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -70,6 +70,18 @@ trace-budget:
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
 			tests/test_capture.py tests/test_capture_budget.py || exit 1; \
 	done
+
+# Frame budgets, counted not timed, under two hash seeds: what a hop,
+# an endpoint segment, a table hit, an echo round and an HTTP fetch may
+# cost in Python frames — then the frames-by-file table behind the last
+# two (docs/PERFORMANCE.md, "The gateway kernel").
+budget:
+	for seed in 0 4242; do \
+		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
+			tests/test_hop_budget.py tests/test_endpoint_budget.py \
+			tests/test_forwarding_budget.py || exit 1; \
+	done
+	$(PYTHON) -m tests.test_forwarding_budget
 
 # The layer ledger's own unit tests (not in the Tier-1 testpaths) and
 # its smoke-sized determinism self-test (benchmarks/ledger/README.md).

@@ -41,7 +41,8 @@ from repro.core.server import CS_DEFAULT_PORT
 from repro.core.shim import ResponseShim
 from repro.core.verdicts import Verdict
 from repro.farm import Farm, FarmConfig
-from repro.gateway.flowtable import EMIT_UPSTREAM, EMIT_VLAN
+from repro.gateway.egress import Egress
+from repro.gateway.flowtable import EMIT_SERVICE, EMIT_UPSTREAM, EMIT_VLAN
 from repro.gateway.nat import AddressPool, InboundMode, NatTable
 from repro.gateway.router import SubfarmRouter
 from repro.gateway.safety import SafetyFilter
@@ -69,10 +70,25 @@ TARGET_PORT = 80
 # ----------------------------------------------------------------------
 # Router micro-harness
 # ----------------------------------------------------------------------
+class CaptureEgress(Egress):
+    """An egress that only appends what is sent through it to a log."""
+
+    def __init__(self, code: int, arg, log: list) -> None:
+        self.code = code
+        self.arg = arg
+        self.log = log
+
+    def send(self, packet) -> None:
+        self.log.append(packet)
+
+
 class RouterHarness:
-    """A SubfarmRouter wired to capture-only emit stubs, driven by
+    """A SubfarmRouter wired to capture-only egress stubs, driven by
     hand-crafted packets so no host stacks or links dilute the
-    measurement."""
+    measurement.  The harness is the router's egress side — what the
+    Gateway is in a farm: one :class:`CaptureEgress` per target, all
+    VLANs appending to ``to_vlan``, all service hosts to
+    ``to_service``."""
 
     def __init__(self, seed: int = 7) -> None:
         self.sim = Simulator(seed=seed)
@@ -83,6 +99,9 @@ class RouterHarness:
         self.to_vlan = []
         self.to_service = []
         self.upstream = []
+        self.upstream_egress = CaptureEgress(EMIT_UPSTREAM, None,
+                                             self.upstream)
+        self._captures = {}
         self.router = SubfarmRouter(
             sim=self.sim,
             name="bench",
@@ -94,14 +113,29 @@ class RouterHarness:
             cs_udp_port=CS_DEFAULT_PORT,
             gateway_ip=IPv4Address("10.100.0.1"),
             dns_ip=None,
-            emit_to_vlan=lambda vlan, p: self.to_vlan.append(p),
-            emit_to_service=lambda ip, p: self.to_service.append(p),
-            emit_upstream=self.upstream.append,
+            egress=self,
         )
         # Bound capture so multi-hundred-thousand-packet pumps do not
         # hold every frame (identical cost in both modes).
         self.router.trace.max_records = 256
         self.mac = MacAddress("02:00:00:00:00:02")
+
+    def vlan_egress(self, vlan: int) -> CaptureEgress:
+        egress = self._captures.get(vlan)
+        if egress is None:
+            egress = self._captures[vlan] = CaptureEgress(
+                EMIT_VLAN, vlan, self.to_vlan)
+        return egress
+
+    def service_egress(self, ip: IPv4Address) -> CaptureEgress:
+        egress = self._captures.get(ip)
+        if egress is None:
+            egress = self._captures[ip] = CaptureEgress(
+                EMIT_SERVICE, ip, self.to_service)
+        return egress
+
+    def egresses(self) -> list:
+        return [self.upstream_egress, *self._captures.values()]
 
     def drain(self) -> None:
         self.to_vlan.clear()

@@ -255,9 +255,7 @@ class Subfarm:
             cs_udp_port=CS_DEFAULT_PORT,
             gateway_ip=self.gateway_ip,
             dns_ip=self.dns_ip,
-            emit_to_vlan=farm.gateway.send_to_vlan,
-            emit_to_service=farm.gateway.send_to_service,
-            emit_upstream=farm.gateway.send_upstream,
+            egress=farm.gateway,
             control_pool=farm.control_pool,
         )
         farm.gateway.add_router(self.router)
@@ -474,7 +472,7 @@ class Subfarm:
         else:
             self.farm.vlan_pool.allocate_specific(vlan)
         self.router.vlan_ids.add(vlan)
-        self.farm.gateway._router_by_vlan[vlan] = self.router
+        self.farm.gateway.bind_vlan(vlan, self.router)
         inmate = Inmate(self.farm.sim, vlan, self.farm.inmate_switch,
                         image_factory, backend)
         self.inmates[vlan] = inmate
@@ -520,7 +518,7 @@ class Subfarm:
         self.farm.controller.unregister(vlan)
         self.router.forget_inmate(vlan)
         self.router.vlan_ids.discard(vlan)
-        self.farm.gateway._router_by_vlan.pop(vlan, None)
+        self.farm.gateway.unbind_vlan(vlan)
         self.farm.vlan_pool.release(vlan)
         self.nat.unbind(vlan)
 

@@ -64,8 +64,9 @@ class ShimLinkFaults:
         self.drops = [s for s in specs if s.kind == "shim_drop"]
         self.delays = [s for s in specs if s.kind == "shim_delay"]
         # Crashed-server silence is enforced here too (both directions);
-        # FaultInjector.attach_server registers states by server IP.
-        self.server_states: Dict[object, "ServerFaultState"] = {}
+        # FaultInjector.attach_server registers states by server IP
+        # (its 32-bit value: this is consulted per packet).
+        self.server_states: Dict[int, "ServerFaultState"] = {}
         self._m_injected = metric
         # Per-direction FIFO horizon for delayed delivery.
         self._fifo_to_cs = 0.0
@@ -81,7 +82,7 @@ class ShimLinkFaults:
 
     def _drop_or_delay(self, now: float, server_ip) -> object:
         """Shared disposition: ``"drop"``, a delay in seconds, or 0."""
-        state = self.server_states.get(server_ip)
+        state = self.server_states.get(server_ip.value)
         if state is not None and state.crashed:
             self._count("cs-crash-drop")
             return "drop"
@@ -102,7 +103,7 @@ class ShimLinkFaults:
         return delay
 
     def send(self, cs_ip, packet, emit) -> None:
-        """Router → containment server.  ``emit(cs_ip, packet)`` is the
+        """Router → containment server.  ``emit(packet)`` is the
         underlying service-network emission."""
         now = self.sim.now
         disposition = self._drop_or_delay(now, cs_ip)
@@ -114,10 +115,10 @@ class ShimLinkFaults:
                 when = self._fifo_to_cs
             self._fifo_to_cs = when
             self._count("shim-delay")
-            self.sim.schedule_at(when, emit, cs_ip, packet,
+            self.sim.schedule_at(when, emit, packet,
                                  label="fault-shim-delay")
             return
-        emit(cs_ip, packet)
+        emit(packet)
 
     def admit_return(self, frame, deliver) -> bool:
         """Containment server → router.  ``True`` means deliver now;
@@ -275,7 +276,7 @@ class FaultInjector:
         server.fault_state = state
         link = self._links.get(subfarm.name)
         if link is not None:
-            link.server_states[server.host.ip] = state
+            link.server_states[server.host.ip.value] = state
 
     def attach_inmate(self, subfarm, inmate) -> None:
         specs = [s for s in self.plan.for_subfarm(subfarm.name)

@@ -39,12 +39,21 @@ class BridgeEntry:
 
 
 class LearningBridge:
-    """Per-VLAN inmate learning table."""
+    """Per-VLAN inmate learning table.
+
+    ``entries`` is the live ``vlan -> BridgeEntry`` dict; the VLAN's
+    egress binds it once and probes it per packet (the
+    ``FlowTable.entries`` idiom), so resolving a learned MAC costs no
+    call.  The IP index is keyed on the address's 32-bit value.
+    """
 
     def __init__(self, telemetry=None, subfarm: str = "") -> None:
-        self._by_vlan: Dict[int, BridgeEntry] = {}
-        self._vlan_by_ip: Dict[IPv4Address, int] = {}
+        self.entries: Dict[int, BridgeEntry] = {}
+        self._vlan_by_ip: Dict[int, int] = {}
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        # learn() runs per frame: no instrument call while telemetry
+        # is off (docs/OBSERVABILITY.md).
+        self._live = telemetry.enabled
         self._m_learned = telemetry.counter(
             "gw.bridge.learned", "New (VLAN, MAC) entries"
         ).bind(subfarm=subfarm)
@@ -55,38 +64,42 @@ class LearningBridge:
     def learn(self, vlan: int, mac: MacAddress, now: float,
               ip: Optional[IPv4Address] = None) -> BridgeEntry:
         """Record an observation of traffic from an inmate."""
-        self._m_observations.inc()
-        entry = self._by_vlan.get(vlan)
-        if entry is None or entry.mac != mac:
+        live = self._live
+        if live:
+            self._m_observations.inc()
+        entry = self.entries.get(vlan)
+        if entry is None or entry.mac.value != mac.value:
             entry = BridgeEntry(vlan, mac, now)
-            self._by_vlan[vlan] = entry
-            self._m_learned.inc()
+            self.entries[vlan] = entry
+            if live:
+                self._m_learned.inc()
         entry.last_seen = now
         entry.frames += 1
         if ip is not None and ip.value != 0:
-            if entry.ip is not None and entry.ip != ip:
-                self._vlan_by_ip.pop(entry.ip, None)
+            known = entry.ip
+            if known is not None and known.value != ip.value:
+                self._vlan_by_ip.pop(known.value, None)
             entry.ip = ip
-            self._vlan_by_ip[ip] = vlan
+            self._vlan_by_ip[ip.value] = vlan
         return entry
 
     def forget(self, vlan: int) -> None:
-        entry = self._by_vlan.pop(vlan, None)
+        entry = self.entries.pop(vlan, None)
         if entry is not None and entry.ip is not None:
-            self._vlan_by_ip.pop(entry.ip, None)
+            self._vlan_by_ip.pop(entry.ip.value, None)
 
     def entry(self, vlan: int) -> Optional[BridgeEntry]:
-        return self._by_vlan.get(vlan)
+        return self.entries.get(vlan)
 
     def mac_for(self, vlan: int) -> Optional[MacAddress]:
-        entry = self._by_vlan.get(vlan)
+        entry = self.entries.get(vlan)
         return entry.mac if entry else None
 
     def vlan_for_ip(self, ip: IPv4Address) -> Optional[int]:
-        return self._vlan_by_ip.get(ip)
+        return self._vlan_by_ip.get(ip.value)
 
     def known_vlans(self) -> List[int]:
-        return sorted(self._by_vlan)
+        return sorted(self.entries)
 
     def __len__(self) -> int:
-        return len(self._by_vlan)
+        return len(self.entries)

@@ -53,7 +53,25 @@ class FlowPhase(enum.Enum):
 
 
 class FlowRecord:
-    """Containment state for one flow."""
+    """Containment state for one flow.
+
+    Slotted: the router keeps every record for the whole run
+    (``flows()``), so a ``__dict__`` apiece is the single largest item
+    on a churn workload's heap.
+    """
+
+    __slots__ = (
+        "orig", "orig_key", "resp_key", "vlan", "inmate_is_originator",
+        "created_at", "last_activity", "mux_port", "nonce_port",
+        "phase", "decision", "cs_ip",
+        "client_isn", "cs_isn", "dst_isn", "c2s_inj", "s2c_rem",
+        "shim_injected", "cs_handshake_replay", "shim_buffer",
+        "client_buffer", "client_fin", "client_fin_relayed",
+        "c2s_bytes", "s2c_bytes", "c2s_packets", "s2c_packets",
+        "dst_ip", "dst_port", "dst_is_inmate_vlan", "nat_global",
+        "spoof_preserve", "udp_pending", "nonce_active", "shaper",
+        "index_keys", "fast_keys",
+    )
 
     def __init__(
         self,
@@ -68,6 +86,13 @@ class FlowRecord:
         # internal addresses for inmate-originated flows, the inmate's
         # *global* address as destination for inbound flows.
         self.orig = orig
+        # The same tuple and its reverse as the router's flow keys:
+        # ``(src ip as int, sport, dst ip as int, dport, proto)``.
+        src, dst = orig.orig_ip.value, orig.resp_ip.value
+        self.orig_key = (src, orig.orig_port, dst, orig.resp_port,
+                         orig.proto)
+        self.resp_key = (dst, orig.resp_port, src, orig.orig_port,
+                         orig.proto)
         self.vlan = vlan
         self.inmate_is_originator = inmate_is_originator
         self.created_at = created_at
@@ -124,9 +149,9 @@ class FlowRecord:
         self.shaper: Optional["TokenBucket"] = None
 
         # Router bookkeeping ----------------------------------------------
-        # Every directed tuple this record registered in the router's
-        # flow index, so eviction is O(aliases) instead of an O(table)
-        # scan; and the tuples carrying its installed flow-table entries.
+        # Every flow key this record registered in the router's flow
+        # index, so eviction is O(aliases) instead of an O(table) scan;
+        # and the keys carrying its installed flow-table entries.
         self.index_keys: list = []
         self.fast_keys: list = []
 
@@ -145,9 +170,6 @@ class FlowRecord:
         if self.decision is None:
             return "PENDING"
         return self.decision.verdict.label
-
-    def touch(self, now: float) -> None:
-        self.last_activity = now
 
     def hold_udp(self, datagram: UDPDatagram) -> None:
         """Queue a datagram for replay once the verdict is in."""

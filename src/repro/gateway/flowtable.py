@@ -2,15 +2,16 @@
 
 Once a flow has a verdict its forwarding is fixed, so the router
 compiles it into *match-action table entries* — pure data: ports, an
-address pair, sequence-number deltas, an emission code, timeout
+address pair, sequence-number deltas, a resolved egress, timeout
 parameters — and every post-verdict packet is rewritten by the one
 executor in this module, :func:`apply`.  Rules-as-data is what lets an
 entry be inspected, journaled, dumped (examples/flowtable_dump.py),
 aged out on the virtual clock and re-installed on the next table miss.
 
-The table is exact-match on the directed int tuple
-``(src_ip, sport, dst_ip, dport, proto)`` (``SubfarmRouter._fp_key``);
-the VLAN is implicit in the inmate-side addressing each entry inherits
+The table is exact-match on the router's one flow key, the directed int
+tuple ``(src_ip, sport, dst_ip, dport, proto)`` that
+``SubfarmRouter._lookup`` computes once per packet and probes both this
+table and the flow index with; the VLAN is implicit in the inmate-side addressing each entry inherits
 from its flow record.  In OpenFlow terms: install/evict is
 ``ofp_flow_mod`` add/delete, the router's slow path is the controller,
 and ``SubfarmRouter._dispatch_known`` is packet-in.  The controller
@@ -111,7 +112,9 @@ SPECS = {
                            None, False, False),
 }
 
-# Emission codes: where the translated packet leaves the router.
+# Emission codes: which egress the translated packet leaves through —
+# the rule's target as data (dumps, the verifier, batched output rows).
+# The object itself is resolved once, at compile time (FlowEntry.egress).
 EMIT_VLAN = 0      # emit_arg = VLAN id
 EMIT_SERVICE = 1   # emit_arg = service IPv4Address
 EMIT_UPSTREAM = 2  # emit_arg unused
@@ -124,18 +127,22 @@ class FlowEntry:
     ``seq_delta``/``ack_delta`` are mod-2^32 *adders* (negative shifts
     stored as their two's complement residue), so every translation is
     the same ``(value + delta) & 0xFFFFFFFF`` regardless of direction.
+    ``egress`` is where the rewritten packet leaves: the target
+    ``emit_code``/``emit_arg`` name, resolved to its
+    :class:`~repro.gateway.egress.Egress` (behind the flow's LIMIT
+    shaper when ``shaped``) by whoever compiled the rule.
     """
 
     __slots__ = (
         "key", "kind", "record", "spec",
         "out_sport", "out_dport", "src_ip", "dst_ip",
         "seq_delta", "ack_delta",
-        "emit_code", "emit_arg", "shaped", "payload_prefix",
+        "emit_code", "emit_arg", "egress", "shaped", "payload_prefix",
         "hits", "installed_at", "idle_timeout", "expires_at",
     )
 
     def __init__(self, key, kind, record, out_sport, out_dport,
-                 src_ip, dst_ip, seq_delta=0, ack_delta=0,
+                 src_ip, dst_ip, egress, seq_delta=0, ack_delta=0,
                  emit_code=EMIT_UPSTREAM, emit_arg=None, shaped=False,
                  payload_prefix=b"", installed_at=0.0,
                  idle_timeout=None, hard_timeout=None):
@@ -151,6 +158,7 @@ class FlowEntry:
         self.ack_delta = ack_delta
         self.emit_code = emit_code
         self.emit_arg = emit_arg
+        self.egress = egress
         self.shaped = shaped
         self.payload_prefix = payload_prefix
         self.hits = 0
@@ -217,7 +225,7 @@ class FlowTable:
         self.timeout_idle = 0
         self.timeout_hard = 0
         tel = telemetry
-        if tel is not None:
+        if tel is not None and tel.enabled:
             self._g_occupancy = tel.gauge(
                 "flowtable.occupancy", "Installed flow-table entries"
             ).bind(subfarm=name)
@@ -326,7 +334,7 @@ def apply(router, entry: FlowEntry, packet: IPv4Packet,
         if originator is False:
             router._relay_server_packet(record, packet, "cs")
         else:
-            router._dispatch_known(record, packet, record.orig)
+            router._dispatch_known(record, packet, record.orig_key)
         return
     if touch:
         record.last_activity = router.sim.now
@@ -358,7 +366,7 @@ def apply(router, entry: FlowEntry, packet: IPv4Packet,
                           entry.payload_prefix + payload)
     if counter is not None:
         router.counters[counter] += 1
-        router._cells[counter].inc()
-    router._emit(entry.emit_code, entry.emit_arg,
-                 IPv4Packet.wrap(entry.src_ip, entry.dst_ip, out, proto),
-                 record.shaper if entry.shaped else None)
+        if router._live:
+            router._cells[counter].inc()
+    entry.egress.send(
+        IPv4Packet.wrap(entry.src_ip, entry.dst_ip, out, proto))

@@ -11,7 +11,7 @@ servers) — per-subfarm configurable.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.net.addresses import IPv4Address, IPv4Network
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -87,7 +87,8 @@ class NatTable:
     preserved (1:1 NAT), which keeps flow bookkeeping simple and
     matches how GQ gives each inmate a stable, dedicated global
     address (§6.7 — a scarce resource worth protecting from
-    blacklisting).
+    blacklisting).  The reverse maps are keyed on the address's 32-bit
+    value, so a per-packet lookup hashes an int.
     """
 
     def __init__(self, internal_pool: AddressPool,
@@ -99,8 +100,10 @@ class NatTable:
         self.inbound_mode = inbound_mode
         self._internal_by_vlan: Dict[int, IPv4Address] = {}
         self._global_by_vlan: Dict[int, IPv4Address] = {}
-        self._vlan_by_internal: Dict[IPv4Address, int] = {}
-        self._vlan_by_global: Dict[IPv4Address, int] = {}
+        self._vlan_by_internal: Dict[int, int] = {}
+        self._vlan_by_global: Dict[int, int] = {}
+        self._global_watcher: Optional[
+            Callable[[IPv4Address, bool], None]] = None
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._m_binds = telemetry.counter(
             "gw.nat.binds", "Inmate address bindings created"
@@ -120,6 +123,15 @@ class NatTable:
         self._g_pool_used.set(self.global_pool.allocated)
         self._g_pool_capacity.set(self.global_pool.capacity)
 
+    def watch_globals(
+            self, watcher: Callable[[IPv4Address, bool], None]) -> None:
+        """Report every global address this table binds or unbinds as
+        ``watcher(address, bound)``, starting with the ones bound now —
+        what keeps the gateway's upstream demux map exact."""
+        self._global_watcher = watcher
+        for global_ip in self._global_by_vlan.values():
+            watcher(global_ip, True)
+
     # ------------------------------------------------------------------
     def bind(self, vlan: int) -> IPv4Address:
         """Assign (or return) the internal address for an inmate."""
@@ -129,8 +141,10 @@ class NatTable:
         global_ip = self.global_pool.allocate()
         self._internal_by_vlan[vlan] = internal
         self._global_by_vlan[vlan] = global_ip
-        self._vlan_by_internal[internal] = vlan
-        self._vlan_by_global[global_ip] = vlan
+        self._vlan_by_internal[internal.value] = vlan
+        self._vlan_by_global[global_ip.value] = vlan
+        if self._global_watcher is not None:
+            self._global_watcher(global_ip, True)
         self._m_binds.inc()
         self._update_pool_gauges()
         return internal
@@ -139,10 +153,12 @@ class NatTable:
         internal = self._internal_by_vlan.pop(vlan, None)
         global_ip = self._global_by_vlan.pop(vlan, None)
         if internal is not None:
-            del self._vlan_by_internal[internal]
+            del self._vlan_by_internal[internal.value]
             self.internal_pool.release(internal)
         if global_ip is not None:
-            del self._vlan_by_global[global_ip]
+            del self._vlan_by_global[global_ip.value]
+            if self._global_watcher is not None:
+                self._global_watcher(global_ip, False)
             self.global_pool.release(global_ip)
         self._update_pool_gauges()
 
@@ -154,17 +170,17 @@ class NatTable:
         return self._global_by_vlan.get(vlan)
 
     def vlan_for_internal(self, address: IPv4Address) -> Optional[int]:
-        return self._vlan_by_internal.get(address)
+        return self._vlan_by_internal.get(address.value)
 
     def vlan_for_global(self, address: IPv4Address) -> Optional[int]:
-        return self._vlan_by_global.get(address)
+        return self._vlan_by_global.get(address.value)
 
     def to_global(self, internal: IPv4Address) -> Optional[IPv4Address]:
-        vlan = self._vlan_by_internal.get(internal)
+        vlan = self._vlan_by_internal.get(internal.value)
         return self._global_by_vlan.get(vlan) if vlan is not None else None
 
     def to_internal(self, global_ip: IPv4Address) -> Optional[IPv4Address]:
-        vlan = self._vlan_by_global.get(global_ip)
+        vlan = self._vlan_by_global.get(global_ip.value)
         return self._internal_by_vlan.get(vlan) if vlan is not None else None
 
     def bindings(self) -> Dict[int, tuple]:

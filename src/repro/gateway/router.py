@@ -40,11 +40,19 @@ containment-server and nonce legs, eviction and housekeeping.  A packet
 of an ENFORCED flow that reaches that code anyway (a table miss after a
 timeout, a SYN retransmit) is re-injected through the flow's entry, so
 the translations of Figure 5 have exactly one definition.
+
+One flow key (docs/PERFORMANCE.md, "The gateway kernel"): ``_lookup``
+computes the directed int tuple ``(src ip, sport, dst ip, dport,
+proto)`` once per packet and probes both the flow table and the flow
+index with it; records carry their keys in the same form, so nothing on
+a per-packet path builds a ``FiveTuple`` or hashes an address object.
+Packets leave through resolved :mod:`~repro.gateway.egress` objects:
+entries hold theirs from compile time, the controller looks its own up.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.shim import (
     RequestShim,
@@ -55,6 +63,7 @@ from repro.core.shim import (
 from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.gateway.barrier import MaliceBarrier
 from repro.gateway.bridge import LearningBridge
+from repro.gateway.egress import Shaped, ShimLink
 from repro.gateway.flows import (
     FlowLogEntry,
     FlowPhase,
@@ -104,11 +113,6 @@ from repro.net.tcp import seq_add, seq_sub
 from repro.services.dhcp import DhcpMessage, DHCP_SERVER_PORT, DHCP_CLIENT_PORT
 from repro.sim.engine import Simulator
 
-# Emission callbacks supplied by the owning Gateway.
-EmitToVlan = Callable[[int, IPv4Packet], None]
-EmitToService = Callable[[IPv4Address, IPv4Packet], None]
-EmitUpstream = Callable[[IPv4Packet], None]
-
 # Phases in which a record still owns demux state worth housekeeping.
 _LIVE_PHASES = (FlowPhase.SHIM, FlowPhase.HANDOFF, FlowPhase.ENFORCED)
 
@@ -140,9 +144,7 @@ class SubfarmRouter:
         cs_udp_port: int,
         gateway_ip: IPv4Address,
         dns_ip: Optional[IPv4Address],
-        emit_to_vlan: EmitToVlan,
-        emit_to_service: EmitToService,
-        emit_upstream: EmitUpstream,
+        egress,
         control_pool=None,
     ) -> None:
         self.sim = sim
@@ -154,15 +156,19 @@ class SubfarmRouter:
         # Containment-server cluster support (§7.2): additional
         # servers registered via add_containment_server(); selection
         # is sticky per inmate (same VLAN -> same server).
-        self.cs_ips = {self.cs_ip}
         self._cs_list = [self.cs_ip]
         self.cs_tcp_port = cs_tcp_port
         self.cs_udp_port = cs_udp_port
         self.gateway_ip = IPv4Address(gateway_ip)
         self.dns_ip = IPv4Address(dns_ip) if dns_ip is not None else None
-        self._emit_to_vlan = emit_to_vlan
-        self._emit_to_service = emit_to_service
-        self._emit_upstream = emit_upstream
+        # The gateway's egress side (the Gateway itself, or a stand-in
+        # with the same vlan_egress / service_egress / upstream_egress /
+        # egresses names): one object per target.
+        self.egress = egress
+        # Shim link per containment server, keyed on the address's
+        # 32-bit value (also the "is this a containment server" test).
+        self._cs_links: Dict[int, ShimLink] = {}
+        self._link_cs(self.cs_ip)
         self.control_pool = control_pool
 
         # Fault-injection and resilience seams.  Both stay None unless
@@ -181,6 +187,9 @@ class SubfarmRouter:
         self.barrier = MaliceBarrier(sim, name, telemetry=sim.telemetry)
 
         self.telemetry = sim.telemetry
+        # Per-packet instrument sites make no call while telemetry is
+        # off (docs/OBSERVABILITY.md).
+        self._live = self.telemetry.enabled
         # Decision journal (repro.obs.journal): NULL_JOURNAL unless the
         # farm attached a live one before building this router.  All
         # journal call sites are flow-level (never per-packet) and
@@ -195,12 +204,16 @@ class SubfarmRouter:
         # Trusted addresses are held as ints: the per-frame membership
         # test must not pay IPv4Address.__hash__/__eq__.
         self.trusted_ips: Set[int] = set()
-        self.service_ips: Set[IPv4Address] = set()
+        self.service_ips: Set[int] = set()
         if self.dns_ip is not None:
             self.trusted_ips.add(self.dns_ip.value)
 
         self._flows: List[FlowRecord] = []
-        self._index: Dict[FiveTuple, FlowRecord] = {}
+        # Flow index: every flow key (see _lookup) a live record
+        # answers to — both client-side directions, the
+        # containment-server leg, the enforced destination's return
+        # alias, a nonce leg's return path.
+        self._index: Dict[tuple, FlowRecord] = {}
         self._by_mux: Dict[int, FlowRecord] = {}
         self._by_nonce: Dict[int, FlowRecord] = {}
         self._next_mux = self.MUX_PORT_BASE
@@ -212,9 +225,9 @@ class SubfarmRouter:
         # arrive on, so the steady state pays one dict hit and one
         # executor call and never enters _dispatch_known's branch tree.
         self.flowtable = FlowTable(name, telemetry=self.telemetry)
-        # Alias of the table's entry dict, keyed by int-tuple (see
-        # _fp_key), not FiveTuple: the per-packet probe must not pay
-        # Python-level __hash__/__eq__ or an extra attribute hop.
+        # Alias of the table's entry dict, probed with the same flow
+        # key as the index: no Python-level __hash__/__eq__, no extra
+        # attribute hop.
         self._fastpath: Dict[tuple, FlowEntry] = self.flowtable.entries
         # Entry aging on the virtual clock (None = no aging): consulted
         # at install time, enforced lazily at probe time and eagerly by
@@ -222,9 +235,14 @@ class SubfarmRouter:
         self.flowtable_idle_timeout: Optional[float] = None
         self.flowtable_hard_timeout: Optional[float] = None
 
-        # Per-service NAT for outbound service traffic (control /24).
-        self._service_nat: Dict[IPv4Address, IPv4Address] = {}
-        self._service_nat_rev: Dict[IPv4Address, IPv4Address] = {}
+        # Per-service NAT for outbound service traffic (control /24),
+        # both ways keyed on the address's 32-bit value.
+        self._service_nat: Dict[int, IPv4Address] = {}
+        self._service_nat_rev: Dict[int, IPv4Address] = {}
+        # Global address (int) -> router: the gateway's upstream demux
+        # map once publish_globals() has been handed it; until then a
+        # private one, so a standalone router needs no special case.
+        self._demux: Dict[int, "SubfarmRouter"] = {}
 
         # Flow-table housekeeping: mux/nonce ports and index entries of
         # idle flows are reclaimed periodically so day-scale runs never
@@ -315,30 +333,77 @@ class SubfarmRouter:
 
     def register_service(self, ip: IPv4Address, trusted: bool = False) -> None:
         ip = IPv4Address(ip)
-        self.service_ips.add(ip)
+        self.service_ips.add(ip.value)
         if trusted:
             self.trusted_ips.add(ip.value)
+        if ip.value in self._cs_links:
+            self._link_cs(ip)  # its gateway port exists now
 
     def add_containment_server(self, ip: IPv4Address) -> None:
         """Register an additional containment server (cluster mode)."""
         ip = IPv4Address(ip)
-        if ip not in self.cs_ips:
-            self.cs_ips.add(ip)
+        if ip.value not in self._cs_links:
+            self._link_cs(ip)
             self._cs_list.append(ip)
+            # Any server of the cluster may come to answer a live
+            # flow's mux port (failover re-homes pending flows).
+            for record in self._by_mux.values():
+                self._index_cs_leg(record, ip)
 
     def _select_cs(self, vlan: int) -> IPv4Address:
         """Sticky selection: the same server always handles the same
         inmate (§7.2's suggested policy)."""
         return self._cs_list[vlan % len(self._cs_list)]
 
+    # ------------------------------------------------------------------
+    # Egress: resolved objects, one path
+    # ------------------------------------------------------------------
+    def _link_cs(self, cs_ip: IPv4Address) -> None:
+        self._cs_links[cs_ip.value] = ShimLink(
+            self, cs_ip, self.egress.service_egress(cs_ip))
+
+    def _egress_for(self, code: int, arg):
+        """The egress object an emission code names (flowtable.EMIT_*).
+        Entries resolve theirs once, at compile time; the controller
+        per emission."""
+        if code == EMIT_VLAN:
+            return self.egress.vlan_egress(arg)
+        if code == EMIT_UPSTREAM:
+            return self.egress.upstream_egress
+        if code == EMIT_CS:
+            return self._cs_links[arg.value]
+        return self.egress.service_egress(arg)
+
+    def _send(self, plan, packet: IPv4Packet, shaper=None) -> None:
+        """A controller packet toward a flow's originator or
+        destination: out the ``(code, arg)`` plan's egress, after the
+        flow's LIMIT shaper (if any) has had its say."""
+        egress = self._egress_for(*plan)
+        if shaper is not None:
+            egress = Shaped(self.sim, shaper, egress)
+        egress.send(packet)
+
     def _emit_to_cs(self, cs_ip: IPv4Address, packet: IPv4Packet) -> None:
-        """Emit toward a containment server, through the shim-link
-        fault view when one is installed."""
-        faults = self.shim_link_faults
-        if faults is None:
-            self._emit_to_service(cs_ip, packet)
-        else:
-            faults.send(cs_ip, packet, self._emit_to_service)
+        """Emit toward a containment server: its shim link, which
+        consults the fault view when one is installed."""
+        self._cs_links[cs_ip.value].send(packet)
+
+    def publish_globals(self, demux: Dict[int, "SubfarmRouter"]) -> None:
+        """Keep ``demux`` — the gateway's ``global address (int) ->
+        router`` map — exact for the addresses this subfarm answers
+        for: inmates' global addresses as the NAT table binds and
+        unbinds them (whoever calls it), service-NAT addresses as they
+        are allocated.  Pools are farm-wide, so an address has one
+        owner at a time."""
+        demux.update(dict.fromkeys(self._service_nat_rev, self))
+        self._demux = demux
+        self.nat.watch_globals(self._global_changed)
+
+    def _global_changed(self, address: IPv4Address, bound: bool) -> None:
+        if bound:
+            self._demux[address.value] = self
+        elif self._demux.get(address.value) is self:
+            del self._demux[address.value]
 
     # ------------------------------------------------------------------
     # Allocation helpers
@@ -405,12 +470,12 @@ class SubfarmRouter:
         traffic classes that never reach containment (DHCP,
         gateway-addressed, broadcast, trusted services), then the flow
         table — and a new flow when nothing knows the packet."""
-        self.trace.capture(self.sim.now, frame, point="inmate")
+        now = self.sim.now
+        self.trace.capture(now, frame, "inmate")
         packet = frame.payload
         if not isinstance(packet, IPv4Packet):
             return
-        self.bridge.learn(vlan, frame.src, self.sim.now,
-                          ip=packet.src if packet.src.value else None)
+        self.bridge.learn(vlan, frame.src, now, packet.src)
 
         if packet.proto == PROTO_UDP and packet.udp.dport == DHCP_SERVER_PORT:
             self._handle_dhcp(vlan, frame, packet)
@@ -423,23 +488,26 @@ class SubfarmRouter:
         if dst in self.trusted_ips:
             # Restricted broadcast domain: DHCP/DNS-style services are
             # reachable without containment.
-            self._emit_to_service(packet.dst, packet)
+            self.egress.service_egress(packet.dst).send(packet)
             return
         if not self._lookup(packet):
             self._new_flow(packet, vlan=vlan, inmate_is_originator=True)
 
     def _lookup(self, packet: IPv4Packet) -> bool:
-        """Probe the flow table, then the flow index; True when the
-        packet found its flow and was handled.  A live entry is a hit
-        and runs the executor; anything else is a miss and goes to the
-        controller (``_dispatch_known``) if the flow is known at all."""
+        """Probe the flow table, then the flow index, with the packet's
+        flow key — ``(src ip as int, sport, dst ip as int, dport,
+        proto)``, computed here and nowhere else on the packet's way
+        through.  True when the packet found its flow and was handled.
+        A live entry is a hit and runs the executor; anything else is a
+        miss and goes to the controller (``_dispatch_known``) if the
+        flow is known at all."""
         proto = packet.proto
         if proto != PROTO_TCP and proto != PROTO_UDP:
             return False
         transport = packet.payload
-        entry = self._fastpath.get(
-            (packet.src.value, transport.sport,
-             packet.dst.value, transport.dport, proto))
+        key = (packet.src.value, transport.sport,
+               packet.dst.value, transport.dport, proto)
+        entry = self._fastpath.get(key)
         if entry is not None:
             now = self.sim.now
             if now < entry.expires_at and (
@@ -452,8 +520,6 @@ class SubfarmRouter:
                 return True
             self._fastpath_timeout(entry, now)
         self.flowtable.misses += 1
-        key = FiveTuple(packet.src, transport.sport,
-                        packet.dst, transport.dport, proto)
         record = self._index.get(key)
         if record is None:
             return False
@@ -506,14 +572,11 @@ class SubfarmRouter:
         entries = self.flowtable.entries
         keys = batch.keys
         n = len(keys)
-        saved = (self._emit_to_vlan, self._emit_to_service,
-                 self._emit_upstream)
-        self._emit_to_vlan = (lambda vlan, p:
-                              out.append_packet(EMIT_VLAN, vlan, p))
-        self._emit_to_service = (lambda ip, p:
-                                 out.append_packet(EMIT_SERVICE, ip, p))
-        self._emit_upstream = (lambda p:
-                               out.append_packet(EMIT_UPSTREAM, None, p))
+        # What the scalar rows emit during this call lands in ``out``.
+        diverted = self.egress.egresses()
+        for egress in diverted:
+            egress.divert(lambda packet, code=egress.code, arg=egress.arg:
+                          out.append_packet(code, arg, packet))
         try:
             i = 0
             while i < n:
@@ -543,8 +606,8 @@ class SubfarmRouter:
                                        inmate_is_originator=True)
                 i = j
         finally:
-            (self._emit_to_vlan, self._emit_to_service,
-             self._emit_upstream) = saved
+            for egress in diverted:
+                egress.restore()
 
     def _run_soa(self, entry: FlowEntry, batch, i: int, j: int,
                  out) -> bool:
@@ -620,7 +683,8 @@ class SubfarmRouter:
         faults = self.shim_link_faults
         if faults is not None:
             packet = frame.payload
-            if isinstance(packet, IPv4Packet) and packet.src in self.cs_ips:
+            if (isinstance(packet, IPv4Packet)
+                    and packet.src.value in self._cs_links):
                 # Frames from a containment server cross the faulty
                 # link too; delayed frames re-enter via the body so
                 # they are not charged twice.
@@ -640,32 +704,28 @@ class SubfarmRouter:
 
     def _service_frame_inner(self, frame) -> None:
         packet = frame.payload
+        # The containment server's mux-port leg is in the flow index
+        # from the flow's first packet (_index_cs_leg), so _lookup finds
+        # it like any other leg.
         if not isinstance(packet, IPv4Packet) or self._lookup(packet):
             return
-        # Containment-server legs are matched by mux/nonce source port
-        # when not in the alias index yet (first SYN of a nonce leg).
-        if packet.src in self.cs_ips and packet.proto == PROTO_TCP:
-            segment = packet.tcp
-            if segment.sport == self.cs_tcp_port and segment.dport in self._by_mux:
-                self._relay_server_packet(self._by_mux[segment.dport], packet, "cs")
-                return
-            if segment.sport in self._by_nonce:
-                self._handle_nonce_leg(self._by_nonce[segment.sport], packet)
-                return
-        if packet.src in self.cs_ips and packet.proto == PROTO_UDP:
-            datagram = packet.udp
-            if datagram.sport == self.cs_udp_port and datagram.dport in self._by_mux:
-                self._handle_cs_udp(self._by_mux[datagram.dport], packet)
+        # The server's onward (nonce) leg has no key of its own — the
+        # router learns the target from these very packets — and is
+        # matched by its source port.
+        if packet.proto == PROTO_TCP and packet.src.value in self._cs_links:
+            record = self._by_nonce.get(packet.payload.sport)
+            if record is not None:
+                self._handle_nonce_leg(record, packet)
                 return
         # Stateless service traffic: replies to inmates, service-to-
         # service chatter, or service-originated outbound (DNS
         # recursion, banner grabs) which rides the control-network NAT.
         vlan = self.bridge.vlan_for_ip(packet.dst)
         if vlan is not None:
-            self._emit_to_vlan(vlan, packet)
+            self.egress.vlan_egress(vlan).send(packet)
             return
-        if packet.dst in self.service_ips:
-            self._emit_to_service(packet.dst, packet)
+        if packet.dst.value in self.service_ips:
+            self.egress.service_egress(packet.dst).send(packet)
             return
         self._service_outbound(packet)
 
@@ -686,10 +746,10 @@ class SubfarmRouter:
     def _upstream_unmatched(self, packet: IPv4Packet) -> None:
         """An upstream packet that belongs to no known flow."""
         # Return traffic for service-originated outbound?
-        internal = self._service_nat_rev.get(packet.dst)
+        internal = self._service_nat_rev.get(packet.dst.value)
         if internal is not None:
-            self._emit_to_service(internal, _readdressed(packet,
-                                                         dst=internal))
+            self.egress.service_egress(internal).send(
+                _readdressed(packet, dst=internal))
             return
         # Unsolicited inbound toward an inmate's global address.
         vlan = self.nat.vlan_for_global(packet.dst)
@@ -697,9 +757,8 @@ class SubfarmRouter:
             return
         if self.nat.inbound_mode is InboundMode.DROP:
             return  # home-user NAT: nothing gets in
-        if packet.proto == PROTO_TCP and (
-            not packet.tcp.syn or packet.tcp.has_ack
-        ):
+        if (packet.proto == PROTO_TCP
+                and packet.payload.flags & (SYN | ACK) != SYN):
             return  # stray non-SYN (or SYN-ACK) for an unknown flow
         self._new_flow(packet, vlan=vlan, inmate_is_originator=False)
 
@@ -707,7 +766,7 @@ class SubfarmRouter:
         """Does this router answer for a global (upstream) address?"""
         return (
             self.nat.vlan_for_global(address) is not None
-            or address in self._service_nat_rev
+            or address.value in self._service_nat_rev
         )
 
     # ------------------------------------------------------------------
@@ -734,7 +793,10 @@ class SubfarmRouter:
         demux state, so nothing more from it reaches a parser."""
         if packet.proto not in (PROTO_TCP, PROTO_UDP):
             return
-        record = self._index.get(FiveTuple.from_packet(packet))
+        transport = packet.payload
+        record = self._index.get((packet.src.value, transport.sport,
+                                  packet.dst.value, transport.dport,
+                                  packet.proto))
         if record is None:
             return
         if self.journal.enabled:
@@ -773,7 +835,7 @@ class SubfarmRouter:
             self.gateway_ip, internal,
             UDPDatagram(DHCP_SERVER_PORT, DHCP_CLIENT_PORT, reply.to_bytes()),
         )
-        self._emit_to_vlan(vlan, out)
+        self.egress.vlan_egress(vlan).send(out)
 
     # ------------------------------------------------------------------
     # Flow creation and the shim (SHIM phase)
@@ -789,9 +851,8 @@ class SubfarmRouter:
         key = self._directed_key(packet)
         if key is None:
             return
-        if packet.proto == PROTO_TCP and (
-            not packet.tcp.syn or packet.tcp.has_ack
-        ):
+        if (packet.proto == PROTO_TCP
+                and packet.payload.flags & (SYN | ACK) != SYN):
             return  # mid-flow packet for an unknown flow: drop
 
         # The safety filter guards against *outbound* harm; inbound
@@ -827,12 +888,13 @@ class SubfarmRouter:
         self._m_flows_created.inc()
         self._by_mux[mux] = record
         self._by_nonce[nonce] = record
-        # Client-side aliases (as the originator addresses the flow).
-        reverse = key.reversed()
-        self._index[key] = record
-        self._index[reverse] = record
-        record.index_keys.append(key)
-        record.index_keys.append(reverse)
+        # Client-side aliases (as the originator addresses the flow),
+        # then the leg every server of the cluster would answer on.
+        for alias in (record.orig_key, record.resp_key):
+            self._index[alias] = record
+            record.index_keys.append(alias)
+        for cs_ip in self._cs_list:
+            self._index_cs_leg(record, cs_ip)
 
         if self.journal.enabled:
             # The five-tuple alias lets the containment server — which
@@ -849,18 +911,29 @@ class SubfarmRouter:
                 destination=str(key.resp_ip))
 
         resilience = self.resilience
+        transport = packet.payload
         if packet.proto == PROTO_TCP:
-            record.client_isn = packet.tcp.seq
+            record.client_isn = transport.seq
             if resilience is not None and resilience.handle_new_flow(record):
                 return  # degraded: resolved by the pending policy
-            self._send_to_cs_tcp(record, packet.tcp)
+            self._send_to_cs_tcp(record, transport)
         else:
-            record.hold_udp(packet.udp.copy())
+            record.hold_udp(transport.copy())
             if resilience is not None and resilience.handle_new_flow(record):
                 return  # degraded: resolved by the pending policy
-            self._send_to_cs_udp(record, packet.udp)
+            self._send_to_cs_udp(record, transport)
         if resilience is not None:
             resilience.arm(record)
+
+    def _index_cs_leg(self, record: FlowRecord, cs_ip: IPv4Address) -> None:
+        """Index the tuple ``cs_ip`` answers the flow's mux port on, so
+        the server's packets are found by the same probe as anyone
+        else's."""
+        tcp = record.orig.proto == PROTO_TCP
+        alias = (cs_ip.value, self.cs_tcp_port if tcp else self.cs_udp_port,
+                 record.orig_key[0], record.mux_port, record.orig.proto)
+        self._index[alias] = record
+        record.index_keys.append(alias)
 
     # ---- TCP toward the containment server ---------------------------
     def _send_to_cs_tcp(self, record: FlowRecord, segment: TCPSegment) -> None:
@@ -868,10 +941,12 @@ class SubfarmRouter:
         out.sport = record.mux_port
         out.dport = self.cs_tcp_port
         out.seq = seq_add(out.seq, record.c2s_inj)
-        out.ack = seq_add(out.ack, record.s2c_rem) if out.has_ack else 0
+        out.ack = (seq_add(out.ack, record.s2c_rem) if out.flags & ACK
+                   else 0)
         packet = IPv4Packet(record.orig.orig_ip, record.cs_ip, out)
         self.counters["packets_relayed"] += 1
-        self._m_packets.inc()
+        if self._live:
+            self._m_packets.inc()
         self._emit_to_cs(record.cs_ip, packet)
 
     def _inject_request_shim(self, record: FlowRecord) -> None:
@@ -928,20 +1003,33 @@ class SubfarmRouter:
     # Known-flow dispatch
     # ------------------------------------------------------------------
     def _dispatch_known(self, record: FlowRecord, packet: IPv4Packet,
-                        key: FiveTuple) -> None:
+                        key: tuple) -> None:
         """Packet-in: a packet of a known flow that no live table entry
-        took.  Decide what it means for the flow's state; *forwarding*
-        an ENFORCED flow's packet is not decided here but re-injected
-        through the flow's own entry (``_reinject``)."""
-        record.touch(self.sim.now)
+        took, under the flow key ``_lookup`` found it by.  Decide what
+        it means for the flow's state; *forwarding* an ENFORCED flow's
+        packet is not decided here but re-injected through the flow's
+        own entry (``_reinject``)."""
         tcp = packet.proto == PROTO_TCP
+        from_orig = key == record.orig_key
+        from_cs = (not from_orig and key != record.resp_key
+                   and key[0] in self._cs_links)
+        if from_cs and key[3] == record.mux_port and key[1] == (
+                self.cs_tcp_port if tcp else self.cs_udp_port):
+            # The containment server's leg of the shim handshake.  It
+            # never refreshes last_activity, whatever the flow's phase.
+            if tcp:
+                self._relay_server_packet(record, packet, "cs")
+            else:
+                self._handle_cs_udp(record, packet)
+            return
+        record.last_activity = self.sim.now
         # A pure SYN with a new ISN on the originator tuple is a new
         # incarnation of the flow (port reuse after close, or a fresh
         # host generation after a revert): evict the stale record and
         # start containment over.
-        if (tcp and key == record.orig
-                and packet.tcp.syn and not packet.tcp.has_ack
-                and packet.tcp.seq != record.client_isn):
+        if (tcp and from_orig
+                and packet.payload.flags & (SYN | ACK) == SYN
+                and packet.payload.seq != record.client_isn):
             self._evict(record)
             self._new_flow(packet, vlan=record.vlan,
                            inmate_is_originator=record.inmate_is_originator)
@@ -963,25 +1051,25 @@ class SubfarmRouter:
         if enforced and not record.fast_keys:
             self._fastpath_install(record)
         # Which leg did this packet arrive on?
-        if key == record.orig:
-            if enforced and not (tcp and packet.tcp.rst):
+        if from_orig:
+            if enforced and not (tcp and packet.payload.flags & RST):
                 self._reinject(record, packet, key)
             else:
                 self._relay_client_packet(record, packet)
             return
-        if key != record.orig.reversed():
-            if packet.src in self.cs_ips:
-                if tcp and packet.tcp.sport == record.nonce_port:
-                    self._handle_nonce_leg(record, packet)
-                elif tcp:
-                    self._relay_server_packet(record, packet, "cs")
-                else:
-                    self._handle_cs_udp(record, packet)
-                return
-            if record.nonce_active and self._is_nonce_return(record,
-                                                             packet):
-                self._relay_nonce_return(record, packet)
-                return
+        if from_cs:
+            # An alias that happens to start at a containment server.
+            if tcp and key[1] == record.nonce_port:
+                self._handle_nonce_leg(record, packet)
+            elif tcp:
+                self._relay_server_packet(record, packet, "cs")
+            else:
+                self._handle_cs_udp(record, packet)
+            return
+        if (key != record.resp_key and record.nonce_active
+                and self._is_nonce_return(record, packet)):
+            self._relay_nonce_return(record, packet)
+            return
         # The enforced destination's return alias (for inmate-to-inmate
         # and REFLECT flows that *is* the reversed originator tuple).
         if enforced:
@@ -990,19 +1078,18 @@ class SubfarmRouter:
             self._relay_server_packet(record, packet, "dst")
 
     def _reinject(self, record: FlowRecord, packet: IPv4Packet,
-                  key: FiveTuple) -> None:
+                  key: tuple) -> None:
         """Forward an ENFORCED flow's packet through the flow's own
         table entry with packet-in disabled — a SYN retransmit, or the
         first packet after an idle/hard timeout evicted the rules."""
-        fp_key = self._fp_key(key)
-        entry = self._fastpath.get(fp_key)
+        entry = self._fastpath.get(key)
         if entry is None:
-            if fp_key not in record.fast_keys:
+            if key not in record.fast_keys:
                 return  # the flow has no rule for this leg
             # Compiled, but a flow aliasing the tuple displaced it and
             # has since left; the index says the tuple is ours again.
             self._fastpath_install(record)
-            entry = self._fastpath[fp_key]
+            entry = self._fastpath[key]
         apply(self, entry, packet, packet_in=False)
 
     # ------------------------------------------------------------------
@@ -1015,13 +1102,6 @@ class SubfarmRouter:
     # rules keyed by the tuples the flow's packets arrive on; the one
     # executor (flowtable.apply) does the rest.  This is the only place
     # the post-verdict translations of Figure 5 are written down.
-
-    @staticmethod
-    def _fp_key(tuple_: FiveTuple):
-        """Flow-table key: a plain int tuple, so probes hash and
-        compare in C instead of through IPv4Address's methods."""
-        return (tuple_.orig_ip.value, tuple_.orig_port,
-                tuple_.resp_ip.value, tuple_.resp_port, tuple_.proto)
 
     def _fastpath_install(self, record: FlowRecord) -> None:
         if record.phase == FlowPhase.DROPPED:
@@ -1100,7 +1180,7 @@ class SubfarmRouter:
         orig = record.orig
         if record.dst_is_inmate_vlan is not None:
             src_ip, emit = orig.orig_ip, (EMIT_VLAN, record.dst_is_inmate_vlan)
-        elif record.dst_ip in self.service_ips:
+        elif record.dst_ip.value in self.service_ips:
             src_ip, emit = orig.orig_ip, (EMIT_SERVICE, record.dst_ip)
         else:
             src_ip = record.nat_global or orig.orig_ip
@@ -1111,23 +1191,29 @@ class SubfarmRouter:
             return (orig.orig_ip, orig.resp_ip) + emit
         return (src_ip, record.dst_ip) + emit
 
-    def _dst_alias(self, record: FlowRecord) -> FiveTuple:
-        """The directed tuple of return traffic from the enforced
+    def _dst_alias(self, record: FlowRecord) -> tuple:
+        """The flow key of return traffic from the enforced
         destination: its plan's addresses, reversed."""
         src_ip, dst_ip, _code, _arg = self._dst_plan(record)
-        return FiveTuple(dst_ip, record.dst_port, src_ip,
-                         record.orig.orig_port, record.orig.proto)
+        return (dst_ip.value, record.dst_port, src_ip.value,
+                record.orig.orig_port, record.orig.proto)
 
-    def _entry(self, record: FlowRecord, key: FiveTuple, kind: int,
+    def _entry(self, record: FlowRecord, key: tuple, kind: int,
                out_sport: int, out_dport: int, src_ip, dst_ip, emit,
                shaped: bool = False, **translation) -> FlowEntry:
-        """One rule for ``record``, stamped with the table's timeouts;
-        ``shaped`` asks for the flow's LIMIT shaper if it has one."""
+        """One rule for ``record`` under flow key ``key``, stamped with
+        the table's timeouts and holding its resolved egress;
+        ``shaped`` puts the flow's LIMIT shaper, if it has one, in
+        front of it."""
         emit_code, emit_arg = emit
-        return FlowEntry(self._fp_key(key), kind, record,
-                         out_sport, out_dport, src_ip, dst_ip,
+        egress = self._egress_for(emit_code, emit_arg)
+        shaped = shaped and record.shaper is not None
+        if shaped:
+            egress = Shaped(self.sim, record.shaper, egress)
+        return FlowEntry(key, kind, record,
+                         out_sport, out_dport, src_ip, dst_ip, egress,
                          emit_code=emit_code, emit_arg=emit_arg,
-                         shaped=shaped and record.shaper is not None,
+                         shaped=shaped,
                          installed_at=self.sim.now,
                          idle_timeout=self.flowtable_idle_timeout,
                          hard_timeout=self.flowtable_hard_timeout,
@@ -1153,9 +1239,9 @@ class SubfarmRouter:
             c2d, d2c = ACT_UDP_C2D, ACT_UDP_D2C
             c2d_shift = d2c_shift = {}
         return [
-            self._entry(record, orig, c2d, orig.orig_port, record.dst_port,
-                        src_ip, dst_ip, (dst_code, dst_arg), shaped=True,
-                        **c2d_shift),
+            self._entry(record, record.orig_key, c2d, orig.orig_port,
+                        record.dst_port, src_ip, dst_ip,
+                        (dst_code, dst_arg), shaped=True, **c2d_shift),
             self._entry(record, self._dst_alias(record), d2c,
                         orig.resp_port, orig.orig_port,
                         orig.resp_ip, orig.orig_ip,
@@ -1177,17 +1263,17 @@ class SubfarmRouter:
                                      record.nonce_port).to_bytes()
             # Return datagrams carry a response shim each and must be
             # parsed, so the CS->client direction stays on the slow path.
-            return [self._entry(record, orig, ACT_UDP_C2CS, mux,
+            return [self._entry(record, record.orig_key, ACT_UDP_C2CS, mux,
                                 self.cs_udp_port, orig.orig_ip, cs_ip,
                                 to_cs, payload_prefix=shim_bytes)]
         # SEQ += |REQ SHIM| toward the server, SEQ -= |RSP SHIM| back.
         c2s_inj = record.c2s_inj
         s2c_rem = record.s2c_rem
-        cs_key = FiveTuple(cs_ip, self.cs_tcp_port, orig.orig_ip, mux,
-                           PROTO_TCP)
+        cs_key = (cs_ip.value, self.cs_tcp_port, orig.orig_ip.value, mux,
+                  PROTO_TCP)
         return [
-            self._entry(record, orig, ACT_TCP_C2CS, mux, self.cs_tcp_port,
-                        orig.orig_ip, cs_ip, to_cs,
+            self._entry(record, record.orig_key, ACT_TCP_C2CS, mux,
+                        self.cs_tcp_port, orig.orig_ip, cs_ip, to_cs,
                         seq_delta=c2s_inj, ack_delta=s2c_rem),
             self._entry(record, cs_key, ACT_TCP_CS2C, orig.resp_port,
                         orig.orig_port, orig.resp_ip, orig.orig_ip,
@@ -1201,7 +1287,7 @@ class SubfarmRouter:
         which may be a new incarnation of the tuple."""
         orig = record.orig
         kind = ACT_DROP_TCP if orig.proto == PROTO_TCP else ACT_DROP_UDP
-        return [self._entry(record, orig, kind, orig.orig_port,
+        return [self._entry(record, record.orig_key, kind, orig.orig_port,
                             orig.resp_port, orig.orig_ip, orig.resp_ip,
                             (EMIT_UPSTREAM, None))]
 
@@ -1219,7 +1305,8 @@ class SubfarmRouter:
             if record.phase == FlowPhase.SHIM:
                 record.hold_udp(transport.copy())
             return
-        if transport.rst:
+        flags = transport.flags
+        if flags & RST:
             self._abort_flow(record, notify_client=False)
             return
         if record.phase not in (FlowPhase.SHIM, FlowPhase.HANDOFF):
@@ -1228,36 +1315,37 @@ class SubfarmRouter:
         # flight: buffer payload for the handoff replay.
         if transport.payload:
             record.client_buffer.extend(transport.payload)
-        if transport.fin:
+        if flags & FIN:
             record.client_fin = True
         if record.phase == FlowPhase.SHIM:
             # Toward the containment server; the request shim goes in
             # the moment the inmate completes the handshake.
             self._send_to_cs_tcp(record, transport)
             if (not record.shim_injected and record.cs_isn is not None
-                    and transport.has_ack and not transport.syn):
+                    and flags & (SYN | ACK) == ACK):
                 self._inject_request_shim(record)
 
     def _relay_server_packet(self, record: FlowRecord, packet: IPv4Packet,
                              leg: str) -> None:
         """A TCP segment from the containment server (``"cs"``) or,
         before the flow is ENFORCED, from its destination (``"dst"``)."""
-        segment = packet.tcp
+        segment = packet.payload
         record.s2c_packets += 1
         if leg == "cs":
             self._server_packet_from_cs(record, segment)
         elif record.phase == FlowPhase.HANDOFF:
             # The enforced destination answering the replayed SYN.
-            if segment.rst:
+            if segment.flags & RST:
                 self._synthesize_client_rst(record)
                 record.phase = FlowPhase.CLOSED
-            elif segment.syn and segment.has_ack:
+            elif segment.flags & (SYN | ACK) == SYN | ACK:
                 record.dst_isn = segment.seq
                 self._complete_handoff(record)
 
     def _server_packet_from_cs(self, record: FlowRecord,
                                segment: TCPSegment) -> None:
-        if segment.rst:
+        flags = segment.flags
+        if flags & RST:
             # The containment server aborted (or acknowledged our own
             # teardown); surface as reset to the client if still coupled.
             if record.phase == FlowPhase.SHIM or (
@@ -1267,7 +1355,7 @@ class SubfarmRouter:
                 self._abort_flow(record, notify_client=True)
             return
 
-        if segment.syn and segment.has_ack and record.cs_isn is None:
+        if flags & (SYN | ACK) == SYN | ACK and record.cs_isn is None:
             record.cs_isn = segment.seq
             if record.cs_handshake_replay:
                 # Failover re-home of a flow whose client already
@@ -1284,7 +1372,7 @@ class SubfarmRouter:
             if segment.payload:
                 record.shim_buffer.extend(segment.payload)
                 self._try_parse_response_shim(record)
-            elif segment.fin:
+            elif flags & FIN:
                 # Server closed before issuing a verdict: treat as drop.
                 self._apply_decision(record, ContainmentDecision.drop(
                     policy="cs-closed", annotation="no verdict"))
@@ -1428,7 +1516,7 @@ class SubfarmRouter:
         if vlan is not None:
             record.dst_is_inmate_vlan = vlan
             return
-        if record.dst_ip in self.service_ips:
+        if record.dst_ip.value in self.service_ips:
             return
         # External: the inmate-side endpoint needs its global address.
         if record.inmate_is_originator:
@@ -1500,12 +1588,13 @@ class SubfarmRouter:
             out.seq = seq_add(out.seq, record.isn_delta)
         else:
             out.seq = seq_sub(out.seq, record.s2c_rem)
-        if out.has_ack:
+        if out.flags & ACK:
             out.ack = seq_sub(out.ack, record.c2s_inj)
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, out)
         self.counters["packets_relayed"] += 1
-        self._m_packets.inc()
-        self._emit(*self._client_plan(record), packet, record.shaper)
+        if self._live:
+            self._m_packets.inc()
+        self._send(self._client_plan(record), packet, record.shaper)
 
     def _deliver_cs_content(self, record: FlowRecord, payload: bytes) -> None:
         """Deliver REWRITE content that shared a segment with the
@@ -1518,7 +1607,7 @@ class SubfarmRouter:
         )
         record.s2c_bytes += len(payload)
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, segment)
-        self._emit(*self._client_plan(record), packet, record.shaper)
+        self._send(self._client_plan(record), packet, record.shaper)
 
     def _client_snd_nxt(self, record: FlowRecord) -> int:
         return seq_add(record.client_isn, 1 + record.c2s_bytes
@@ -1529,8 +1618,9 @@ class SubfarmRouter:
         a datagram held for the verdict) along the destination plan."""
         src_ip, dst_ip, code, arg = self._dst_plan(record)
         self.counters["packets_relayed"] += 1
-        self._m_packets.inc()
-        self._emit(code, arg, IPv4Packet(src_ip, dst_ip, transport),
+        if self._live:
+            self._m_packets.inc()
+        self._send((code, arg), IPv4Packet(src_ip, dst_ip, transport),
                    record.shaper)
 
     def _send_udp_to_dst(self, record: FlowRecord,
@@ -1539,29 +1629,6 @@ class SubfarmRouter:
         out.dport = record.dst_port
         out.sport = record.orig.orig_port
         self._send_to_dst(record, out)
-
-    def _emit(self, code: int, arg, packet: IPv4Packet,
-              shaper: Optional[TokenBucket] = None) -> None:
-        """Where every flow-table action, and every controller packet
-        toward a flow's originator or destination, leaves: dispatch on
-        the emission code, after the flow's LIMIT shaper (if any) has
-        had its say.  A delayed packet reschedules this method, so the
-        emit callbacks are read when it actually leaves."""
-        if shaper is not None:
-            delay = shaper.delay_for(self.sim.now,
-                                     40 + len(packet.payload.payload))
-            if delay > 0:
-                self.sim.schedule(delay, self._emit, code, arg, packet,
-                                  label="limit-shaper")
-                return
-        if code == EMIT_VLAN:
-            self._emit_to_vlan(arg, packet)
-        elif code == EMIT_UPSTREAM:
-            self._emit_upstream(packet)
-        elif code == EMIT_CS:
-            self._emit_to_cs(arg, packet)
-        else:
-            self._emit_to_service(arg, packet)
 
     # ------------------------------------------------------------------
     # REWRITE nonce leg (containment server connecting onward)
@@ -1578,30 +1645,31 @@ class SubfarmRouter:
             # Register the return path so replies from the real target
             # are recognized and relayed back to the nonce port.
             local = record.nat_global or record.orig.orig_ip
-            alias = FiveTuple(packet.dst, segment.dport,
-                              local, record.orig.orig_port, PROTO_TCP)
+            alias = (packet.dst.value, segment.dport,
+                     local.value, record.orig.orig_port, PROTO_TCP)
             self._index[alias] = record
             record.index_keys.append(alias)
             # If another flow had compiled a rule on this tuple, the
             # index now routes it here — drop the stale entry.  (Its
             # owner's fast_keys retains the key, which is harmless: the
             # uninstall path identity-checks entry.record.)
-            stale = self._fastpath.pop(self._fp_key(alias), None)
+            stale = self._fastpath.pop(alias, None)
             if stale is not None:
                 self.flowtable.evictions += 1
         out = segment.copy()
         out.sport = record.orig.orig_port
         src = record.nat_global or record.orig.orig_ip
         self.counters["packets_relayed"] += 1
-        self._m_packets.inc()
-        self._emit_upstream(IPv4Packet(src, packet.dst, out))
+        if self._live:
+            self._m_packets.inc()
+        self.egress.upstream_egress.send(IPv4Packet(src, packet.dst, out))
 
     def _is_nonce_return(self, record: FlowRecord,
                          packet: IPv4Packet) -> bool:
         if packet.proto != PROTO_TCP:
             return False
         expected_dst = record.nat_global or record.orig.orig_ip
-        return (packet.dst == expected_dst
+        return (packet.dst.value == expected_dst.value
                 and packet.tcp.dport == record.orig.orig_port
                 and record.nonce_active)
 
@@ -1610,7 +1678,8 @@ class SubfarmRouter:
         out = packet.tcp.copy()
         out.dport = record.nonce_port
         self.counters["packets_relayed"] += 1
-        self._m_packets.inc()
+        if self._live:
+            self._m_packets.inc()
         self._emit_to_cs(record.cs_ip,
                          IPv4Packet(packet.src, record.cs_ip, out))
 
@@ -1642,7 +1711,7 @@ class SubfarmRouter:
                                payload)
         record.s2c_bytes += len(payload)
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, datagram)
-        self._emit(*self._client_plan(record), packet, record.shaper)
+        self._send(self._client_plan(record), packet, record.shaper)
 
     # ------------------------------------------------------------------
     # Teardown helpers
@@ -1672,7 +1741,7 @@ class SubfarmRouter:
             seq=seq, ack=self._client_snd_nxt(record), flags=RST | ACK,
         )
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, rst)
-        self._emit(*self._client_plan(record), packet, record.shaper)
+        self._send(self._client_plan(record), packet, record.shaper)
 
     def _abort_flow(self, record: FlowRecord, notify_client: bool) -> None:
         if record.phase in (FlowPhase.CLOSED, FlowPhase.DROPPED):
@@ -1690,12 +1759,14 @@ class SubfarmRouter:
     def _service_outbound(self, packet: IPv4Packet) -> None:
         if self.control_pool is None:
             return
-        global_ip = self._service_nat.get(packet.src)
+        global_ip = self._service_nat.get(packet.src.value)
         if global_ip is None:
             global_ip = self.control_pool.allocate()
-            self._service_nat[packet.src] = global_ip
-            self._service_nat_rev[global_ip] = packet.src
-        self._emit_upstream(_readdressed(packet, src=global_ip))
+            self._service_nat[packet.src.value] = global_ip
+            self._service_nat_rev[global_ip.value] = packet.src
+            self._demux[global_ip.value] = self
+        self.egress.upstream_egress.send(
+            _readdressed(packet, src=global_ip))
 
     # ------------------------------------------------------------------
     # Inmate life-cycle hooks

@@ -8,7 +8,10 @@ into a usable flooder.
 
 Implementation: sliding-window counters per inmate (across all
 destinations) and per (inmate, destination) pair.  Flows beyond a
-threshold are refused at creation and counted as alerts.
+threshold are refused at creation and counted as alerts.  A pair's
+history is dropped once its newest flow has left the window, so a
+scanning inmate costs memory for one window of destinations, not for
+every destination it ever tried.
 """
 
 from __future__ import annotations
@@ -66,7 +69,12 @@ class SafetyFilter:
         self.max_flows_per_destination = max_flows_per_destination
         self.window = window
         self._per_inmate: Dict[int, Deque[float]] = {}
-        self._per_pair: Dict[Tuple[int, IPv4Address], Deque[float]] = {}
+        # Keyed (vlan, destination as int).
+        self._per_pair: Dict[Tuple[int, int], Deque[float]] = {}
+        # (admit time, pair key) of every admitted flow, oldest first:
+        # what tells admit() which pair histories may have gone stale
+        # without walking the table.  ``now`` must not run backwards.
+        self._pair_clock: Deque[Tuple[float, Tuple[int, int]]] = deque()
         self.alerts: List[SafetyAlert] = []
         self.flows_admitted = 0
         self.flows_refused = 0
@@ -80,30 +88,48 @@ class SafetyFilter:
         self._m_trip_pair = trips.bind(subfarm=subfarm,
                                        reason="per-destination")
 
-    def _prune(self, history: Deque[float], now: float) -> None:
-        horizon = now - self.window
-        while history and history[0] <= horizon:
-            history.popleft()
-
     def admit(self, now: float, vlan: int, destination: IPv4Address) -> bool:
         """Account a new flow; False means the flow must be refused."""
-        inmate_history = self._per_inmate.setdefault(vlan, deque())
-        pair_key = (vlan, destination)
-        pair_history = self._per_pair.setdefault(pair_key, deque())
-        self._prune(inmate_history, now)
-        self._prune(pair_history, now)
+        horizon = now - self.window
+        per_pair = self._per_pair
+        # Each admitted flow is looked at once more, when it leaves the
+        # window: amortised O(1) per call.
+        clock = self._pair_clock
+        while clock and clock[0][0] <= horizon:
+            stale = clock.popleft()[1]
+            history = per_pair.get(stale)
+            if history is not None and (not history
+                                        or history[-1] <= horizon):
+                del per_pair[stale]
+
+        inmate_history = self._per_inmate.get(vlan)
+        if inmate_history is None:
+            inmate_history = self._per_inmate[vlan] = deque()
+        while inmate_history and inmate_history[0] <= horizon:
+            inmate_history.popleft()
+        pair_key = (vlan, destination.value)
+        pair_history = per_pair.get(pair_key)
+        if pair_history is None:
+            pair_flows = 0
+        else:
+            while pair_history and pair_history[0] <= horizon:
+                pair_history.popleft()
+            pair_flows = len(pair_history)
 
         if len(inmate_history) >= self.max_flows_per_window:
             self._m_trip_inmate.inc()
             self._refuse(now, vlan, destination, "per-inmate flow rate")
             return False
-        if len(pair_history) >= self.max_flows_per_destination:
+        if pair_flows >= self.max_flows_per_destination:
             self._m_trip_pair.inc()
             self._refuse(now, vlan, destination, "per-destination flow rate")
             return False
 
         inmate_history.append(now)
+        if pair_history is None:
+            pair_history = per_pair[pair_key] = deque()
         pair_history.append(now)
+        clock.append((now, pair_key))
         self.flows_admitted += 1
         self._m_admitted.inc()
         return True
@@ -126,5 +152,6 @@ class SafetyFilter:
     def reset_inmate(self, vlan: int) -> None:
         """Forget an inmate's history (it was reverted/terminated)."""
         self._per_inmate.pop(vlan, None)
+        # Their _pair_clock rows stay behind and expire harmlessly.
         for key in [k for k in self._per_pair if k[0] == vlan]:
             del self._per_pair[key]

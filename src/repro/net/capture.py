@@ -61,6 +61,7 @@ _ROW = struct.Struct("<dQQHHIIBBHHHIIBHB")
 _ROW_SIZE = _ROW.size
 _pack = _ROW.pack
 _unpack_from = _ROW.unpack_from
+_iter_unpack = _ROW.iter_unpack
 (_TS, _ETH_SRC, _ETH_DST, _VLAN, _ETHERTYPE, _SRC, _DST, _PROTO, _TTL,
  _IDENT, _SPORT, _DPORT, _SEQ, _ACK, _FLAGS, _WINDOW, _POINT) = range(17)
 _UNTAGGED = 0xFFFF
@@ -69,6 +70,17 @@ _MAX_POINTS = 256
 # fit the header, keeps an all-zero header (proto 0 marks it) and puts
 # ``(timestamp, point, frame copy)`` in its payload slot.
 _FALLBACK = bytes(_ROW_SIZE)
+# Rows decoded per snapshot when iterating ``records``: large enough to
+# amortise the slice, small enough that reading a long trace back adds
+# nothing to the process's peak memory.
+_READ_CHUNK = 1024
+# Rebuilding a record fills slots directly, as the packet plane's own
+# clones do (TCPSegment.rebind, IPv4Packet.wrap): every field was
+# validated when the frame was captured.  Addresses come from the
+# intern tables — a hit, the common case, costs no call.
+_new = object.__new__
+_IP_INTERNED = IPv4Address._intern
+_MAC_INTERNED = MacAddress._intern
 
 
 def _frame_columns(frame: EthernetFrame) -> tuple:
@@ -109,12 +121,27 @@ class _RecordView(Sequence):
 
     def __iter__(self) -> Iterator[TraceRecord]:
         # By position, as a list iterator would: the trace may grow (or
-        # rotate) while a consumer is part-way through.
+        # rotate) while a consumer is part-way through.  Rows are
+        # decoded a chunk of headers at a time (copied, so a capture
+        # between two reads is free to grow the store); a rotation
+        # moves positions, so the chunk is dropped and re-read.
         trace = self._trace
+        build = trace._build
         index = 0
-        while index < len(trace):
-            yield trace._record(trace._head + index)
-            index += 1
+        while True:
+            rotated = trace.rotated_out
+            payloads = trace._payloads
+            start = trace._head + index
+            stop = min(len(payloads), start + _READ_CHUNK)
+            if start >= stop:
+                return
+            headers = trace._headers[start * _ROW_SIZE:stop * _ROW_SIZE]
+            for fields, slot in zip(_iter_unpack(headers),
+                                    payloads[start:stop]):
+                yield build(fields, slot)
+                index += 1
+                if trace.rotated_out != rotated:
+                    break
 
     def __repr__(self) -> str:
         return f"<records of {len(self._trace)} captured frames>"
@@ -253,27 +280,42 @@ class PacketTrace:
     def _build(self, fields: tuple, slot) -> TraceRecord:
         """The record (and its frame) one unpacked header and its
         payload slot describe."""
-        proto = fields[_PROTO]
+        (timestamp, eth_src, eth_dst, vlan, ethertype, src, dst, proto, ttl,
+         ident, sport, dport, seq, ack, flags, window, point) = fields
         if not proto:
             timestamp, point, frame = slot
             return TraceRecord(timestamp, frame, point)
         if proto == PROTO_TCP:
-            transport = TCPSegment(fields[_SPORT], fields[_DPORT],
-                                   fields[_SEQ], fields[_ACK],
-                                   fields[_FLAGS], fields[_WINDOW], slot)
+            transport = _new(TCPSegment)
+            transport.seq = seq
+            transport.ack = ack
+            transport.flags = flags
+            transport.window = window
         else:
-            transport = UDPDatagram(fields[_SPORT], fields[_DPORT], slot)
-        packet = IPv4Packet(IPv4Address(fields[_SRC]),
-                            IPv4Address(fields[_DST]), transport, proto,
-                            fields[_TTL], fields[_IDENT])
-        frame = EthernetFrame(MacAddress(fields[_ETH_SRC]),
-                              MacAddress(fields[_ETH_DST]), packet, None,
-                              fields[_ETHERTYPE])
-        # Assigned, not passed: the constructor's 802.1Q range check is
-        # for senders; a capture returns whatever was on the frame.
-        if fields[_VLAN] != _UNTAGGED:
-            frame.vlan = fields[_VLAN]
-        return TraceRecord(fields[_TS], frame, self._points[fields[_POINT]])
+            transport = _new(UDPDatagram)
+        transport.sport = sport
+        transport.dport = dport
+        transport.payload = slot
+        packet = _new(IPv4Packet)
+        packet.src = _IP_INTERNED.get(src) or IPv4Address(src)
+        packet.dst = _IP_INTERNED.get(dst) or IPv4Address(dst)
+        packet.proto = proto
+        packet.ttl = ttl
+        packet.ident = ident
+        packet.payload = transport
+        frame = _new(EthernetFrame)
+        frame.src = _MAC_INTERNED.get(eth_src) or MacAddress(eth_src)
+        frame.dst = _MAC_INTERNED.get(eth_dst) or MacAddress(eth_dst)
+        # No 802.1Q range check (that is for senders): a capture
+        # returns whatever was on the frame.
+        frame.vlan = None if vlan == _UNTAGGED else vlan
+        frame.ethertype = ethertype
+        frame.payload = packet
+        record = _new(TraceRecord)
+        record.timestamp = timestamp
+        record.frame = frame
+        record.point = self._points[point]
+        return record
 
     def _record(self, slot: int) -> TraceRecord:
         return self._build(_unpack_from(self._headers, slot * _ROW_SIZE),

@@ -181,6 +181,8 @@ class Switch:
     tagged frames for their allowed VLAN set.  MAC learning is keyed on
     (vlan, mac) so identical MACs on different VLANs never collide —
     inmates are routinely cloned from the same image and share MACs.
+    The table holds the MAC's 48-bit value, not the address object: an
+    int pair hashes and compares in C, once per frame each way.
     """
 
     def __init__(self, sim: Simulator, name: str = "switch") -> None:
@@ -188,7 +190,7 @@ class Switch:
         self.name = name
         self.ports: List[Port] = []
         self.configs: Dict[Port, SwitchPortConfig] = {}
-        self._mac_table: Dict[Tuple[int, MacAddress], Port] = {}
+        self._mac_table: Dict[Tuple[int, int], Port] = {}
         self.frames_switched = 0
         self.frames_flooded = 0
         self.frames_filtered = 0
@@ -214,41 +216,44 @@ class Switch:
         if config.mode is PortMode.ACCESS:
             vlan = config.access_vlan
         else:
-            if frame.vlan is None:
-                self.frames_filtered += 1
-                return  # untagged frames on trunks are dropped
             vlan = frame.vlan
-            if not config.carries(vlan):
+            # Untagged frames on trunks are dropped, like tagged ones
+            # outside the port's allowed set.
+            if vlan is None or not (config.trunk_vlans is None
+                                    or vlan in config.trunk_vlans):
                 self.frames_filtered += 1
                 return
 
-        self._mac_table[(vlan, frame.src)] = port
+        table = self._mac_table
+        table[(vlan, frame.src.value)] = port
 
-        if not frame.dst.is_broadcast:
-            out = self._mac_table.get((vlan, frame.dst))
-            if out is not None and out is not port:
-                self._emit(frame, out, vlan)
-                self.frames_switched += 1
-                return
+        configs = self.configs
+        out = None
+        dst = frame.dst.value
+        if dst != MacAddress.BROADCAST_VALUE:
+            out = table.get((vlan, dst))
             if out is port:
                 return  # hairpin; drop
-        # Flood within the VLAN.
-        self.frames_flooded += 1
-        for candidate in self.ports:
-            if candidate is port:
-                continue
-            if self.configs[candidate].carries(vlan):
-                self._emit(frame, candidate, vlan)
-
-    def _emit(self, frame: EthernetFrame, port: Port, vlan: int) -> None:
+        if out is not None:
+            self.frames_switched += 1
+            targets = (out,)
+        else:
+            # Flood within the VLAN.
+            self.frames_flooded += 1
+            targets = [candidate for candidate in self.ports
+                       if candidate is not port
+                       and configs[candidate].carries(vlan)]
         # Only the Ethernet header differs per egress port; a sent
         # frame is never mutated again, so the IPv4 payload is shared.
-        tag = None if self.configs[port].mode is PortMode.ACCESS else vlan
-        port.send(EthernetFrame(frame.src, frame.dst, frame.payload, tag,
-                                frame.ethertype))
+        for target in targets:
+            tag = (None if configs[target].mode is PortMode.ACCESS
+                   else vlan)
+            target.send(EthernetFrame(frame.src, frame.dst, frame.payload,
+                                      tag, frame.ethertype))
 
     def mac_table_snapshot(self) -> Dict[Tuple[int, MacAddress], Port]:
-        return dict(self._mac_table)
+        return {(vlan, MacAddress(mac)): port
+                for (vlan, mac), port in self._mac_table.items()}
 
     def __repr__(self) -> str:
         return f"<Switch {self.name} ports={len(self.ports)}>"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 from typing import Callable, List, Tuple
@@ -22,11 +23,18 @@ def python_calls(fn: Callable[[], object]) -> Counter:
             code = frame.f_code
             calls[(code.co_filename.rpartition("/")[2], code.co_name)] += 1
 
+    # A cyclic-GC pass in the middle of ``fn`` would run whatever
+    # finalizers earlier tests left behind (a suspended generator is
+    # resumed to be closed) and charge their frames to ``fn``.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(hook)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 

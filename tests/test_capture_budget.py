@@ -98,3 +98,28 @@ def test_capture_is_one_python_frame(bound):
         ("capture.py", "capture"): 1000,
         ("capture.py", "_point_code"): 1,
     }
+
+
+def test_reading_a_record_back_is_two_python_frames():
+    """The read side (what a campaign shard pays to digest and check
+    its upstream trace): one generator step and one decode per record.
+    Headers are unpacked a chunk at a time in C and the interned
+    addresses cost no constructor call — it was twelve frames."""
+    trace = PacketTrace()
+    frame = tcp_frame()
+    for index in range(3000):
+        trace.capture(index * 0.001, frame, point="upstream-out")
+
+    def run():
+        for record in trace.records:
+            pass
+
+    calls = python_calls(run)
+    assert calls == {
+        ("test_capture_budget.py", "run"): 1,
+        ("capture.py", "__iter__"): 3001,       # one more to finish
+        ("capture.py", "_build"): 3000,
+    }
+    record = trace.records[2999]
+    assert record.frame.to_bytes() == frame.to_bytes()
+    assert (record.timestamp, record.point) == (2.999, "upstream-out")

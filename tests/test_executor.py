@@ -303,7 +303,8 @@ steps = st.lists(
 
 class _Delivery:
     """One harness plus the emission log every mode fills the same way:
-    ``(channel code, wire bytes)`` in emission order per channel."""
+    per channel, in emission order, the packets the harness captured
+    (or, from a serialized BatchOutput, their wire bytes)."""
 
     def __init__(self, flows, idle_timeout) -> None:
         self.harness = harness = RouterHarness(seed=7)
@@ -315,14 +316,9 @@ class _Delivery:
             self.flows.append((udp, establish(VLAN, SPORT + index,
                                               verdict=verdict, **kwargs)))
         harness.drain()
-        self.wires = {EMIT_VLAN: [], EMIT_SERVICE: [], EMIT_UPSTREAM: []}
-        router = harness.router
-        router._emit_to_vlan = (
-            lambda vlan, p: self.wires[EMIT_VLAN].append(p.to_bytes()))
-        router._emit_to_service = (
-            lambda ip, p: self.wires[EMIT_SERVICE].append(p.to_bytes()))
-        router._emit_upstream = (
-            lambda p: self.wires[EMIT_UPSTREAM].append(p.to_bytes()))
+        self.wires = {EMIT_VLAN: harness.to_vlan,
+                      EMIT_SERVICE: harness.to_service,
+                      EMIT_UPSTREAM: harness.upstream}
         self.now = 0.0
 
     def packet(self, step):
@@ -363,7 +359,11 @@ class _Delivery:
         self.harness.sim.run(until=self.now + 600.0)  # flush the shaper
         router = self.harness.router
         return {
-            "wires": self.wires,
+            # A sent packet is never mutated again, so its bytes now
+            # are its bytes at emission.
+            "wires": {code: [wire if isinstance(wire, bytes)
+                             else wire.to_bytes() for wire in log]
+                      for code, log in self.wires.items()},
             "counters": dict(router.counters),
             "flows": [(str(r.orig), r.phase.value, r.c2s_packets,
                        r.s2c_packets, r.c2s_bytes, r.s2c_bytes,

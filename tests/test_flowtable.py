@@ -312,9 +312,20 @@ def test_ingest_batch_miss_rows_take_slow_path():
     assert len(codes) >= 2
 
 
+class _Stamped:
+    """A capture log that keeps ``(virtual time, wire bytes)``."""
+
+    def __init__(self, sim, log) -> None:
+        self.sim = sim
+        self.log = log
+
+    def append(self, packet) -> None:
+        self.log.append((self.sim.now, packet.to_bytes()))
+
+
 def test_shaped_rows_through_ingest_batch_reach_the_wire():
     """A LIMIT flow's rows run scalar inside ingest_batch; the packets
-    its token bucket delays must leave on the real emit callbacks when
+    its token bucket delays must leave through the real egress when
     their time comes — not into a BatchOutput the caller has already
     consumed — at exactly the instants the scalar path emits them."""
     from repro.core.verdicts import Verdict
@@ -324,8 +335,7 @@ def test_shaped_rows_through_ingest_batch_reach_the_wire():
         record = harness.establish_flow(VLAN, SPORT, verdict=Verdict.LIMIT,
                                         rate=4000.0, client_isn=CLIENT_ISN,
                                         dst_isn=DST_ISN)
-        harness.router._emit_upstream = lambda packet: log.append(
-            (harness.sim.now, packet.to_bytes()))
+        harness.upstream_egress.log = _Stamped(harness.sim, log)
         return harness, record.orig.orig_ip
 
     target = IPv4Address(TARGET_IP)

@@ -180,13 +180,14 @@ def _established_router():
 
 
 def test_router_table_hit_budget():
-    """What the one executor and the shared probe may cost.  Before
-    them an inmate data segment took 16 Python frames from
-    ``inmate_frame`` to the emit callback (two of them, four with a
-    trusted service registered, IPv4Address ``__eq__``/``__hash__`` in
-    the preamble) and an upstream one 8; the shared ``_lookup`` adds a
-    frame to each path and must be paid for (the inmate path also
-    lost its separate preamble frame with the object-batch kernels)."""
+    """What the one executor, the shared probe and the resolved egress
+    may cost.  An inmate data segment once took 16 Python frames from
+    ``inmate_frame`` to the emit callback (five of them
+    ``IPv4Address`` ``__eq__``/``__hash__`` and no-op ``metrics.inc``
+    calls) and an upstream one 8; with int-keyed tables, instrument
+    sites that make no call while telemetry is off, and the entry's
+    egress called directly there are 10 and 6, the last of each being
+    the egress itself (docs/PERFORMANCE.md, "The gateway kernel")."""
     harness, frame, reply = _established_router()
     router = harness.router
 
@@ -198,18 +199,12 @@ def test_router_table_hit_budget():
         ("router.py", "_inmate_frame_body"): 1,
         ("capture.py", "capture"): 1,
         ("bridge.py", "learn"): 1,
-        # bridge.learn's table lookups; the preamble's own address
-        # tests are int compares.
-        ("addresses.py", "__eq__"): 2,
-        ("addresses.py", "__hash__"): 1,
         ("router.py", "_lookup"): 1,
         ("flowtable.py", "apply"): 1,
         ("packet.py", "rebind"): 1,
         ("packet.py", "wrap"): 1,
-        ("metrics.py", "inc"): 2,      # bridge frames, packets relayed
-        ("router.py", "_emit"): 1,
+        ("bench_hotpath.py", "send"): 1,       # the entry's egress
     }
-    assert sum(inmate.values()) <= 16
 
     upstream = python_calls(lambda: router.upstream_packet(reply))
     assert len(harness.to_vlan) == 1
@@ -220,8 +215,5 @@ def test_router_table_hit_budget():
         ("flowtable.py", "apply"): 1,
         ("packet.py", "rebind"): 1,
         ("packet.py", "wrap"): 1,
-        ("metrics.py", "inc"): 1,
-        ("router.py", "_emit"): 1,
-        ("bench_hotpath.py", "<lambda>"): 1,   # the emit callback
+        ("bench_hotpath.py", "send"): 1,       # the entry's egress
     }
-    assert sum(upstream.values()) <= 8
