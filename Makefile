@@ -35,12 +35,16 @@ bench-quick:
 chaos-quick:
 	$(PYTHON) -m repro.experiments.fault_matrix --quick --workers $(WORKERS)
 
-# Fuzz smoke: fixed-seed hostile inputs through every parser (twice,
-# asserting a byte-identical corpus digest) and through a live farm
-# trunk under both isolate and fail-stop malice policies, compared
-# against the digests tracked in FUZZ_quick.json (docs/HARDENING.md).
+# Fuzz smoke, under two hash seeds: fixed-seed hostile inputs through
+# every parser (twice, asserting a byte-identical corpus digest) and
+# through a live farm trunk under both isolate and fail-stop malice
+# policies, then the first hundred router differential scripts — all
+# compared against the digests tracked in FUZZ_quick.json
+# (docs/HARDENING.md).
 fuzz-quick:
-	$(PYTHON) -m repro.fuzz --quick
+	for seed in 0 4242; do \
+		PYTHONHASHSEED=$$seed $(PYTHON) -m repro.fuzz --quick || exit 1; \
+	done
 
 # Observability overhead gate, both instruments in one bench: with the
 # flight recorder off, farm digests must stay byte-identical to the

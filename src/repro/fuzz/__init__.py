@@ -3,7 +3,7 @@
 GQ's inmates are live malware: every parser between them and the farm
 fabric reads attacker-controlled bytes.  The containment story
 therefore needs an adversary of its own, and this package is it — a
-seed-driven fuzzing subsystem with three pieces:
+seed-driven fuzzing subsystem with four pieces:
 
 * :mod:`repro.fuzz.mutate` — a deterministic mutation engine (bit
   flips, truncations, lying length fields, duplicated/overlapping
@@ -18,6 +18,9 @@ seed-driven fuzzing subsystem with three pieces:
   store with a shrinking minimizer, a replay-regression runner (every
   crash found becomes a pinned test under ``tests/fuzz_corpus/``), and
   the parser- and farm-level fuzz loops.
+* :mod:`repro.fuzz.router` — seeded random scripts against a bare
+  subfarm router, digested: the differential net a datapath refactor
+  is held to (``tests/golden/router_scripts.json``).
 
 The contract being enforced (docs/HARDENING.md): a parser given
 hostile bytes either succeeds or raises

@@ -1,6 +1,7 @@
 """Parser-level and farm-level fuzz loops, plus the pinned quick mode.
 
-Two loops, one contract (docs/HARDENING.md):
+Two loops, one contract (docs/HARDENING.md) — and a third, differential
+one for the router, :func:`fuzz_router`:
 
 * :func:`fuzz_parsers` drives every registered
   :class:`~repro.fuzz.generators.FuzzTarget` round-robin with
@@ -41,6 +42,7 @@ PINNED_NAME = "FUZZ_quick.json"
 QUICK_SEED = 1211
 QUICK_ITERATIONS = 2000
 QUICK_FRAMES = 300
+QUICK_ROUTER_SCRIPTS = 100
 
 #: Fraction of parser-loop inputs that get a second, grammar-blind
 #: mutation pass on top of the grammar-aware generator output.
@@ -171,12 +173,26 @@ def fuzz_farm(seed: int, frames: int, policy: str = "isolate",
     }
 
 
+def fuzz_router(scripts: int) -> dict:
+    """Run router scripts ``0..scripts-1`` (:mod:`repro.fuzz.router`)
+    and fold their digests into one: any observable change in the bare
+    router's behaviour — wire bytes, counters, per-flow accounting,
+    table statistics — on any script moves it."""
+    from repro.fuzz.router import digest, run_script
+
+    rollup = hashlib.sha256()
+    for seed in range(scripts):
+        rollup.update(digest(run_script(seed)).encode())
+    return {"scripts": scripts, "digest": rollup.hexdigest()}
+
+
 def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
               frames: int = QUICK_FRAMES,
               pinned_path: Optional[str] = None) -> dict:
     """The ``make fuzz-quick`` smoke: parser loop (twice, for the
     determinism digest), farm loop under both isolate and fail-stop,
-    all compared against the tracked ``FUZZ_quick.json``."""
+    the first hundred router scripts, all compared against the tracked
+    ``FUZZ_quick.json``."""
     violations: List[str] = []
 
     parsers = fuzz_parsers(seed, iterations)
@@ -213,6 +229,13 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
                 f"events vs {run['barrier']['parse_errors']} parse "
                 f"errors — a quarantine went unjournaled")
 
+    try:
+        router = fuzz_router(QUICK_ROUTER_SCRIPTS)
+    except Exception as exc:  # noqa: BLE001 - a script broke the router
+        router = {}
+        violations.append(f"router script crashed the bare router: "
+                          f"{type(exc).__name__}: {exc}")
+
     summary = {
         "experiment": "fuzz-quick",
         "seed": seed,
@@ -237,6 +260,7 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
             }
             for policy, run in sorted(farm_runs.items())
         },
+        "router": router,
         "determinism": {"match": determinism},
         "violations": violations,
     }
@@ -265,6 +289,11 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
                 violations.append(
                     f"quarantine journal digest for policy={policy} "
                     f"drifted from {PINNED_NAME}")
+        pinned_router = tracked.get("router", {}).get("digest")
+        if pinned_router and router and pinned_router != router["digest"]:
+            violations.append(
+                f"router differential digest drifted from {PINNED_NAME}: "
+                f"run tests/test_router_differential.py for the scripts")
         summary["pinned"] = {"path": os.path.basename(path),
                              "match": not any(
                                  "drifted" in v for v in violations)}
@@ -274,8 +303,10 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
 __all__ = [
     "QUICK_FRAMES",
     "QUICK_ITERATIONS",
+    "QUICK_ROUTER_SCRIPTS",
     "QUICK_SEED",
     "fuzz_farm",
     "fuzz_parsers",
+    "fuzz_router",
     "run_quick",
 ]
