@@ -77,8 +77,9 @@ trace-budget:
 
 # Frame budgets, counted not timed, under two hash seeds: what a hop,
 # an endpoint segment, a table hit, an echo round and an HTTP fetch may
-# cost in Python frames — then the frames-by-file table behind the last
-# two (docs/PERFORMANCE.md, "The gateway kernel").
+# cost in Python frames, and one flow-table probe per packet in every
+# phase of a flow's life — then the frames-by-file table behind the
+# fetch and the echo round (docs/PERFORMANCE.md, "The gateway kernel").
 budget:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \

@@ -301,7 +301,9 @@ class RouterResilience:
         the pending policy (the caller must not open a CS leg)."""
         cs_ip = self.pool.select(record.vlan)
         if cs_ip is not None:
-            record.cs_ip = cs_ip
+            if cs_ip != record.cs_ip:
+                record.cs_ip = cs_ip
+                self.router._couple(record)
             return False
         self.degraded_refusals += 1
         self._apply_pending(record, annotation="containment degraded")
@@ -384,6 +386,7 @@ class RouterResilience:
                 target=str(target))
         record.cs_ip = target
         if record.orig.proto != PROTO_TCP:
+            self.router._couple(record)
             self._resend_udp(record)
             return
         # If the client already handshook against the old leg, the new
@@ -397,6 +400,8 @@ class RouterResilience:
         record.s2c_rem = 0
         record.shim_injected = False
         record.shim_buffer.clear()
+        # The coupled rows again, from scratch, toward the new server.
+        self.router._couple(record)
         self._resend_syn(record)
 
     def _resend_syn(self, record: FlowRecord) -> None:
@@ -404,11 +409,11 @@ class RouterResilience:
             sport=record.orig.orig_port, dport=record.orig.resp_port,
             seq=record.client_isn, flags=SYN,
         )
-        self.router._send_to_cs_tcp(record, syn)
+        self.router._offer(record, syn)
 
     def _resend_udp(self, record: FlowRecord) -> None:
         if record.udp_pending:
-            self.router._send_to_cs_udp(record, record.udp_pending[0])
+            self.router._offer(record, record.udp_pending[0])
 
     # ------------------------------------------------------------------
     # Pending-policy resolution

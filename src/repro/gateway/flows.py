@@ -69,8 +69,8 @@ class FlowRecord:
         "client_buffer", "client_fin", "client_fin_relayed",
         "c2s_bytes", "s2c_bytes", "c2s_packets", "s2c_packets",
         "dst_ip", "dst_port", "dst_is_inmate_vlan", "nat_global",
-        "spoof_preserve", "udp_pending", "nonce_active", "shaper",
-        "index_keys", "fast_keys",
+        "spoof_preserve", "udp_pending", "shaper",
+        "keys", "installed",
     )
 
     def __init__(
@@ -142,18 +142,15 @@ class FlowRecord:
         # use (hold_udp) — only UDP flows in the SHIM phase have any.
         self.udp_pending: Optional[Deque[UDPDatagram]] = None
 
-        # REWRITE upstream (nonce) leg -------------------------------------
-        self.nonce_active = False
-
         # LIMIT shaping ----------------------------------------------------
         self.shaper: Optional["TokenBucket"] = None
 
         # Router bookkeeping ----------------------------------------------
-        # Every flow key this record registered in the router's flow
-        # index, so eviction is O(aliases) instead of an O(table) scan;
-        # and the keys carrying its installed flow-table entries.
-        self.index_keys: list = []
-        self.fast_keys: list = []
+        # Every flow key this record is bound under in the router's
+        # flow table, so eviction is O(legs) instead of an O(table)
+        # scan; and whether its rules are installed there now.
+        self.keys: list = []
+        self.installed = False
 
     # ------------------------------------------------------------------
     @property

@@ -1,25 +1,31 @@
 """OpenFlow-style exact-match flow tables: the gateway's datapath.
 
-Once a flow has a verdict its forwarding is fixed, so the router
-compiles it into *match-action table entries* — pure data: ports, an
-address pair, sequence-number deltas, a resolved egress, timeout
-parameters — and every post-verdict packet is rewritten by the one
-executor in this module, :func:`apply`.  Rules-as-data is what lets an
-entry be inspected, journaled, dumped (examples/flowtable_dump.py),
-aged out on the virtual clock and re-installed on the next table miss.
+The table is the router's one per-packet lookup structure.  Every flow
+key a live flow answers to — the originator tuple, its reverse, the
+mux-port leg of every containment server of the cluster, the enforced
+destination's return alias, both directions of a nonce leg — is bound
+to a :class:`Row` naming the flow and the *leg* the key is, and, where
+that leg's packets are relayed at all, a :class:`Rewrite`: pure data —
+ports, an address pair, sequence-number deltas, a resolved egress —
+interpreted by the one executor in this module, :func:`apply`.
+Rules-as-data is what lets a row be inspected, journaled, dumped
+(examples/flowtable_dump.py), aged out on the virtual clock and
+re-installed on the next table miss.
 
 The table is exact-match on the router's one flow key, the directed int
 tuple ``(src_ip, sport, dst_ip, dport, proto)`` that
-``SubfarmRouter._lookup`` computes once per packet and probes both this
-table and the flow index with; the VLAN is implicit in the inmate-side addressing each entry inherits
-from its flow record.  In OpenFlow terms: install/evict is
-``ofp_flow_mod`` add/delete, the router's slow path is the controller,
-and ``SubfarmRouter._dispatch_known`` is packet-in.  The controller
-sees a packet only on a miss — no entry, or an idle/hard timeout
-expired — or when an entry's kind marks the segment's TCP flags as
-state-changing (:data:`SPECS`); having decided, it installs entries and
-re-injects the packet through :func:`apply` with packet-in disabled, so
-there is no second copy of the rewrite.
+``SubfarmRouter._lookup`` computes once per packet and probes this
+table with, once; the VLAN is implicit in the inmate-side addressing
+each row inherits from its flow record.  In OpenFlow terms: a
+:class:`FlowEntry` is a rewrite *installed* (``ofp_flow_mod`` add), the
+router's slow path is the controller, and a row that is not installed
+is the send-to-controller entry for its key.  The controller sees a
+packet only on a miss — no installed rule, or one whose idle/hard
+timeout expired, which demotes the flow's rules back to bare rewrites —
+or when an entry's kind marks the segment's TCP flags as state-changing
+(:data:`SPECS`); having decided, it installs entries and runs the
+packet through its row with packet-in disabled, so there is no second
+copy of the rewrite.
 
 Timeout semantics (both default off, so the steady-state probe pays a
 single float compare):
@@ -53,13 +59,23 @@ _INF = float("inf")
 # Action kinds: which row of SPECS governs the entry.
 ACT_TCP_C2D = 0    # endpoint verdicts, originator -> enforced destination
 ACT_TCP_D2C = 1    # endpoint verdicts, destination -> originator
-ACT_TCP_C2CS = 2   # REWRITE, originator -> containment server
-ACT_TCP_CS2C = 3   # REWRITE, containment server -> originator
+ACT_TCP_C2CS = 2   # coupled (SHIM, REWRITE), originator -> containment server
+ACT_TCP_CS2C = 3   # coupled, containment server -> originator
 ACT_UDP_C2D = 4
 ACT_UDP_D2C = 5
-ACT_UDP_C2CS = 6   # REWRITE UDP request leg (shim prefix re-injected)
+ACT_UDP_C2CS = 6   # coupled UDP request leg (the shim is the payload prefix)
 ACT_DROP_TCP = 7
 ACT_DROP_UDP = 8
+ACT_TCP_CS2W = 9   # nonce leg: the server's onward connection -> the world
+ACT_TCP_W2CS = 10  # nonce leg, return path
+
+# Legs: which party a key's packets come from, i.e. which controller
+# handler takes a packet no installed rule did (SubfarmRouter._legs).
+LEG_ORIGINATOR = 0  # the flow's originator
+LEG_RETURN = 1      # whoever answers it: the reversed tuple, the enforced
+                    # destination's alias, a nonce leg's return path
+LEG_CS = 2          # a containment server, on the flow's mux port
+LEG_NONCE = 3       # a containment server's onward connection
 
 
 class KindSpec(NamedTuple):
@@ -71,10 +87,10 @@ class KindSpec(NamedTuple):
     #: TCP flags that send the packet to the controller instead of
     #: being rewritten here (0: the entry handles every segment).
     packet_in: int
-    #: True: originator leg (``c2s_*`` counters; packet-in goes to
-    #: ``_dispatch_known``).  False: return leg (``s2c_*`` counters;
-    #: packet-in goes to the containment-server leg handler).  None:
-    #: swallow — no counters, nothing emitted.
+    #: Which side of the flow's accounting a packet lands on.  True:
+    #: ``c2s_*``.  False: ``s2c_*``.  None: neither — a dropped tuple
+    #: (whose rule has no egress and swallows), the server's own nonce
+    #: connection.
     originator: Optional[bool]
     #: Whether a hit refreshes the record's ``last_activity``.
     touch: bool
@@ -110,6 +126,12 @@ SPECS = {
                            None, False, False),
     ACT_DROP_UDP: KindSpec("drop-udp", PROTO_UDP, 0, None, True,
                            None, False, False),
+    # The nonce leg is NAT only; like the mux-port leg, what the server
+    # sends is not the flow's activity, what comes back for it is.
+    ACT_TCP_CS2W: KindSpec("tcp-cs2w", PROTO_TCP, 0, None, False,
+                           "packets_relayed", False, False),
+    ACT_TCP_W2CS: KindSpec("tcp-w2cs", PROTO_TCP, 0, None, True,
+                           "packets_relayed", False, False),
 }
 
 # Emission codes: which egress the translated packet leaves through —
@@ -121,8 +143,29 @@ EMIT_UPSTREAM = 2  # emit_arg unused
 EMIT_CS = 3        # emit_arg = containment-server IPv4Address (fault seam)
 
 
-class FlowEntry:
-    """One match-action rule: pure data, interpreted by :func:`apply`.
+class Row:
+    """What the table holds under one flow key: the flow and the leg.
+    A row that is no more than that is never relayed: its packets are
+    the controller's to consume (or drop)."""
+
+    __slots__ = ("key", "record", "leg")
+    spec = None
+    installed = False
+
+    def __init__(self, key, record, leg):
+        self.key = key
+        self.record = record
+        self.leg = leg
+
+    def __repr__(self) -> str:
+        name = self.spec.name if self.spec is not None else "-"
+        return f"<{type(self).__name__} leg={self.leg} {name} {self.key}>"
+
+
+class Rewrite(Row):
+    """A row whose leg is relayed, and how: pure data, interpreted by
+    :func:`apply`.  Not installed, it is no rule: its packets go to the
+    controller, which runs them through the rewrite itself.
 
     ``seq_delta``/``ack_delta`` are mod-2^32 *adders* (negative shifts
     stored as their two's complement residue), so every translation is
@@ -130,25 +173,23 @@ class FlowEntry:
     ``egress`` is where the rewritten packet leaves: the target
     ``emit_code``/``emit_arg`` name, resolved to its
     :class:`~repro.gateway.egress.Egress` (behind the flow's LIMIT
-    shaper when ``shaped``) by whoever compiled the rule.
+    shaper when ``shaped``) by whoever compiled the row; a rewrite with
+    no egress swallows (OpenFlow's empty action list).
     """
 
     __slots__ = (
-        "key", "kind", "record", "spec",
-        "out_sport", "out_dport", "src_ip", "dst_ip",
+        "spec", "out_sport", "out_dport", "src_ip", "dst_ip",
         "seq_delta", "ack_delta",
         "emit_code", "emit_arg", "egress", "shaped", "payload_prefix",
-        "hits", "installed_at", "idle_timeout", "expires_at",
     )
 
-    def __init__(self, key, kind, record, out_sport, out_dport,
-                 src_ip, dst_ip, egress, seq_delta=0, ack_delta=0,
+    def __init__(self, key, record, leg, kind, out_sport, out_dport,
+                 src_ip, dst_ip, egress=None, seq_delta=0, ack_delta=0,
                  emit_code=EMIT_UPSTREAM, emit_arg=None, shaped=False,
-                 payload_prefix=b"", installed_at=0.0,
-                 idle_timeout=None, hard_timeout=None):
+                 payload_prefix=b""):
         self.key = key
-        self.kind = kind
         self.record = record
+        self.leg = leg
         self.spec = SPECS[kind]
         self.out_sport = out_sport
         self.out_dport = out_dport
@@ -161,11 +202,35 @@ class FlowEntry:
         self.egress = egress
         self.shaped = shaped
         self.payload_prefix = payload_prefix
+
+
+_REWRITE_FIELDS = Row.__slots__ + Rewrite.__slots__
+
+
+class FlowEntry(Rewrite):
+    """One match-action rule: a rewrite installed under its key, with
+    timeouts and a hit count."""
+
+    __slots__ = ("hits", "installed_at", "idle_timeout", "expires_at")
+    installed = True
+
+    def __init__(self, rewrite, installed_at=0.0, idle_timeout=None,
+                 hard_timeout=None):
+        for name in _REWRITE_FIELDS:
+            setattr(self, name, getattr(rewrite, name))
         self.hits = 0
         self.installed_at = installed_at
         self.idle_timeout = idle_timeout
         self.expires_at = (installed_at + hard_timeout
                           if hard_timeout is not None else _INF)
+
+    def demoted(self) -> Rewrite:
+        """The rewrite alone again, to take the key back when the rule
+        times out or its flow aborts."""
+        rewrite = object.__new__(Rewrite)
+        for name in _REWRITE_FIELDS:
+            setattr(rewrite, name, getattr(self, name))
+        return rewrite
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at or (
@@ -200,24 +265,23 @@ class FlowEntry:
             "verdict": self.record.verdict_name,
         }
 
-    def __repr__(self) -> str:
-        return (f"<FlowEntry {self.spec.name} {self.key} "
-                f"hits={self.hits}>")
-
 
 class FlowTable:
     """One subfarm's exact-match table plus its counters.
 
-    ``entries`` is the raw probe dict — the router aliases it as
-    ``_fastpath`` so the per-packet path is still one C-level dict hit.
-    Stats are plain ints bumped on the packet path; telemetry cells are
-    synchronized at flow-rate events (install/evict/sweep/stats) so
-    observation never costs the datapath anything.
+    ``entries`` is the raw probe dict, flow key -> :class:`Row` — the
+    router aliases it as ``_table`` so the per-packet path is one
+    C-level dict hit.  Keys enter it through :meth:`bind` and leave
+    through :meth:`unbind` only; everything the table reports is about
+    *installed* rules.  Stats are plain ints bumped on the packet path;
+    telemetry cells are synchronized at flow-rate events (install/
+    evict/sweep/stats) so observation never costs the datapath anything.
     """
 
     def __init__(self, name: str, telemetry=None) -> None:
         self.name = name
-        self.entries: Dict[tuple, FlowEntry] = {}
+        self.entries: Dict[tuple, Row] = {}
+        self.occupancy = 0
         self.hits = 0
         self.misses = 0
         self.installs = 0
@@ -247,14 +311,48 @@ class FlowTable:
         self._synced = [0, 0, 0, 0, 0]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.occupancy
+
+    def bind(self, row: Row) -> None:
+        """Put ``row`` under its key, whatever answered the key before
+        (an installed rule it displaces counts as evicted).  The key is
+        re-inserted, so the table iterates in binding order: the sweep
+        ages flows in the order their rules went in."""
+        held = self.entries.pop(row.key, None)
+        if held is None or held.record is not row.record:
+            row.record.keys.append(row.key)
+        if held is not None and held.installed:
+            self.occupancy -= 1
+            self.evictions += 1
+        self.entries[row.key] = row
+        if row.installed:
+            self.occupancy += 1
+
+    def unbind(self, record) -> None:
+        """Take every key ``record`` still answers to out of the table
+        (its rules uninstalled first).  A key a newer flow has since
+        bound is that flow's, and stays."""
+        entries = self.entries
+        for key in record.keys:
+            row = entries.get(key)
+            if row is not None and row.record is record:
+                del entries[key]
+        record.keys.clear()
+
+    def rules(self, record=None) -> List[FlowEntry]:
+        """The installed rules, of one flow or of the whole table."""
+        if record is None:
+            return [row for row in self.entries.values() if row.installed]
+        return [row for row in map(self.entries.get, record.keys)
+                if row is not None and row.installed
+                and row.record is record]
 
     def sync_metrics(self) -> None:
         """Mirror the plain-int stats into telemetry cells (monotonic
         deltas, so disabled telemetry costs nothing here either)."""
         if self._g_occupancy is None:
             return
-        self._g_occupancy.set(float(len(self.entries)))
+        self._g_occupancy.set(float(self.occupancy))
         synced = self._synced
         for index, (count, cell) in enumerate((
             (self.hits, self._c_hits),
@@ -271,7 +369,7 @@ class FlowTable:
     def stats(self) -> dict:
         self.sync_metrics()
         return {
-            "occupancy": len(self.entries),
+            "occupancy": self.occupancy,
             "hits": self.hits,
             "misses": self.misses,
             "installs": self.installs,
@@ -284,12 +382,11 @@ class FlowTable:
         """Describe every installed rule (stable order: install time,
         then key) — the ``flow dump`` equivalent."""
         return [entry.describe() for entry in
-                sorted(self.entries.values(),
+                sorted(self.rules(),
                        key=lambda e: (e.installed_at, e.key))]
 
     def expired_entries(self, now: float) -> List[FlowEntry]:
-        return [entry for entry in self.entries.values()
-                if entry.expired(now)]
+        return [entry for entry in self.rules() if entry.expired(now)]
 
     def world_grants(self) -> List[dict]:
         """Every installed rule that emits toward the upstream trunk,
@@ -302,7 +399,7 @@ class FlowTable:
         verify what was compiled, not just what was decided).
         """
         grants = []
-        for entry in sorted(self.entries.values(),
+        for entry in sorted(self.rules(),
                             key=lambda e: (e.installed_at, e.key)):
             if entry.emit_code != EMIT_UPSTREAM:
                 continue
@@ -318,27 +415,25 @@ class FlowTable:
         return grants
 
 
-def apply(router, entry: FlowEntry, packet: IPv4Packet,
+def apply(router, row: Rewrite, packet: IPv4Packet,
           packet_in: bool = True) -> None:
-    """The executor: rewrite ``packet`` as ``entry`` prescribes and
-    emit it.  Table hits arrive with ``packet_in`` enabled, so
-    state-changing segments go to the controller; the controller
-    re-injects with it disabled.  Nothing here may allocate per-flow
-    state."""
+    """The executor: rewrite ``packet`` as ``row`` prescribes and emit
+    it.  Table hits arrive with ``packet_in`` enabled, so
+    state-changing segments go to the controller; the controller runs
+    packets through their rows with it disabled.  Nothing here may
+    allocate per-flow state."""
     (_name, proto, packet_in_flags, originator, touch, counter, ack_zero,
-     fin_marks) = entry.spec
-    record = entry.record
+     fin_marks) = row.spec
+    record = row.record
     transport = packet.payload
     flags = transport.flags if proto == PROTO_TCP else 0
     if packet_in and flags & packet_in_flags:
-        if originator is False:
-            router._relay_server_packet(record, packet, "cs")
-        else:
-            router._dispatch_known(record, packet, record.orig_key)
+        router._legs[row.leg](row, packet)   # like a miss at the row
         return
     if touch:
         record.last_activity = router.sim.now
-    if originator is None:
+    egress = row.egress
+    if egress is None:
         return
     payload = transport.payload
     if originator:
@@ -346,7 +441,7 @@ def apply(router, entry: FlowEntry, packet: IPv4Packet,
         record.c2s_bytes += len(payload)
         if fin_marks and flags & FIN:
             record.client_fin = True
-    else:
+    elif originator is False:
         record.s2c_packets += 1
         record.s2c_bytes += len(payload)
     if proto == PROTO_TCP:
@@ -354,19 +449,18 @@ def apply(router, entry: FlowEntry, packet: IPv4Packet,
         # sequence numbers by reference, and a fresh equal int per
         # packet is 32 bytes a streaming run never gets back.
         seq = transport.seq
-        if entry.seq_delta:
-            seq = (seq + entry.seq_delta) & _MASK
+        if row.seq_delta:
+            seq = (seq + row.seq_delta) & _MASK
         if flags & ACK:
-            ack = (transport.ack + entry.ack_delta) & _MASK
+            ack = (transport.ack + row.ack_delta) & _MASK
         else:
             ack = 0 if ack_zero else transport.ack
-        out = transport.rebind(entry.out_sport, entry.out_dport, seq, ack)
+        out = transport.rebind(row.out_sport, row.out_dport, seq, ack)
     else:
-        out = UDPDatagram(entry.out_sport, entry.out_dport,
-                          entry.payload_prefix + payload)
+        out = UDPDatagram(row.out_sport, row.out_dport,
+                          row.payload_prefix + payload)
     if counter is not None:
         router.counters[counter] += 1
         if router._live:
             router._cells[counter].inc()
-    entry.egress.send(
-        IPv4Packet.wrap(entry.src_ip, entry.dst_ip, out, proto))
+    egress.send(IPv4Packet.wrap(row.src_ip, row.dst_ip, out, proto))

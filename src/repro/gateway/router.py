@@ -31,27 +31,32 @@ TCP containment walk-through (Figure 5, REWRITE case):
    rest of the flow's life.
 
 Division of labour (docs/PERFORMANCE.md, "The flow table and the
-controller"): everything *after* the verdict is data — the router
-compiles the flow into :class:`~repro.gateway.flowtable.FlowEntry`
-rules and ``flowtable.apply`` rewrites every packet they match.  What
-is written out as code here is what decides or changes flow state:
-admission and the safety filter, the shim handshake, the handoff, the
-containment-server and nonce legs, eviction and housekeeping.  A packet
-of an ENFORCED flow that reaches that code anyway (a table miss after a
-timeout, a SYN retransmit) is re-injected through the flow's entry, so
-the translations of Figure 5 have exactly one definition.
+controller"): every relayed packet is rewritten by data — each leg of a
+flow's life is a :class:`~repro.gateway.flowtable.Row` of the flow
+table, the coupled SHIM-phase legs from the flow's first packet on, and
+``flowtable.apply`` is the only code that translates one.  After the
+verdict the rows are installed as
+:class:`~repro.gateway.flowtable.FlowEntry` rules and packets never
+reach the controller; before it (and on a table miss after a timeout,
+a SYN retransmit, an RST) the row hands the packet to the controller's
+handler for its leg, which does the bookkeeping — buffer for the
+handoff replay, strip the shim, learn ISNs — and runs the packet
+through the row itself.  What is written out as code here is what
+decides or changes flow state: admission and the safety filter, the
+shim handshake, the handoff, eviction and housekeeping.
 
-One flow key (docs/PERFORMANCE.md, "The gateway kernel"): ``_lookup``
-computes the directed int tuple ``(src ip, sport, dst ip, dport,
-proto)`` once per packet and probes both the flow table and the flow
-index with it; records carry their keys in the same form, so nothing on
-a per-packet path builds a ``FiveTuple`` or hashes an address object.
+One flow key, one probe (docs/PERFORMANCE.md, "The gateway kernel"):
+``_lookup`` computes the directed int tuple ``(src ip, sport, dst ip,
+dport, proto)`` once per packet and probes the flow table with it,
+once; records carry their keys in the same form, so nothing on a
+per-packet path builds a ``FiveTuple`` or hashes an address object.
 Packets leave through resolved :mod:`~repro.gateway.egress` objects:
-entries hold theirs from compile time, the controller looks its own up.
+rows hold theirs from compile time, the controller looks its own up.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set
 
 from repro.core.shim import (
@@ -76,7 +81,9 @@ from repro.gateway.flowtable import (
     ACT_TCP_C2CS,
     ACT_TCP_C2D,
     ACT_TCP_CS2C,
+    ACT_TCP_CS2W,
     ACT_TCP_D2C,
+    ACT_TCP_W2CS,
     ACT_UDP_C2CS,
     ACT_UDP_C2D,
     ACT_UDP_D2C,
@@ -84,8 +91,14 @@ from repro.gateway.flowtable import (
     EMIT_SERVICE,
     EMIT_UPSTREAM,
     EMIT_VLAN,
+    LEG_CS,
+    LEG_NONCE,
+    LEG_ORIGINATOR,
+    LEG_RETURN,
     FlowEntry,
     FlowTable,
+    Rewrite,
+    Row,
     apply,
 )
 from repro.net.wirebatch import ORIGIN_UPSTREAM
@@ -109,12 +122,14 @@ from repro.net.packet import (
     TCPSegment,
     UDPDatagram,
 )
-from repro.net.tcp import seq_add, seq_sub
+from repro.net.tcp import seq_add
 from repro.services.dhcp import DhcpMessage, DHCP_SERVER_PORT, DHCP_CLIENT_PORT
 from repro.sim.engine import Simulator
 
 # Phases in which a record still owns demux state worth housekeeping.
 _LIVE_PHASES = (FlowPhase.SHIM, FlowPhase.HANDOFF, FlowPhase.ENFORCED)
+# Phases in which a verdict stands as installed rules.
+_DECIDED = (FlowPhase.ENFORCED, FlowPhase.DROPPED)
 
 
 def _readdressed(packet: IPv4Packet, src: Optional[IPv4Address] = None,
@@ -131,6 +146,7 @@ class SubfarmRouter:
 
     MUX_PORT_BASE = 20000
     NONCE_PORT_BASE = 40000
+    PORT_SLOTS = 20000
 
     def __init__(
         self,
@@ -209,26 +225,27 @@ class SubfarmRouter:
             self.trusted_ips.add(self.dns_ip.value)
 
         self._flows: List[FlowRecord] = []
-        # Flow index: every flow key (see _lookup) a live record
-        # answers to — both client-side directions, the
-        # containment-server leg, the enforced destination's return
-        # alias, a nonce leg's return path.
-        self._index: Dict[tuple, FlowRecord] = {}
+        # Records that still hold rows, by mux port (creation order),
+        # and by the nonce port their server's onward leg starts from.
         self._by_mux: Dict[int, FlowRecord] = {}
         self._by_nonce: Dict[int, FlowRecord] = {}
-        self._next_mux = self.MUX_PORT_BASE
-        self._next_nonce = self.NONCE_PORT_BASE
+        self._next_slot = 0
 
         # The compiled forwarding path of §4, realised as a
-        # match-action flow table: post-verdict flows get pure-data
-        # FlowEntry rules bound to the directed tuples their packets
-        # arrive on, so the steady state pays one dict hit and one
-        # executor call and never enters _dispatch_known's branch tree.
+        # match-action flow table and the router's one per-packet
+        # lookup structure: every flow key a live record answers to is
+        # bound to a row naming the flow and the leg, and post-verdict
+        # flows get FlowEntry rules installed under the keys their
+        # packets arrive on, so the steady state pays one dict hit and
+        # one executor call and never enters the controller.
         self.flowtable = FlowTable(name, telemetry=self.telemetry)
-        # Alias of the table's entry dict, probed with the same flow
-        # key as the index: no Python-level __hash__/__eq__, no extra
-        # attribute hop.
-        self._fastpath: Dict[tuple, FlowEntry] = self.flowtable.entries
+        # Alias of the table's row dict: no Python-level
+        # __hash__/__eq__, no extra attribute hop.
+        self._table: Dict[tuple, Row] = self.flowtable.entries
+        # The controller's handler per leg (flowtable.LEG_*).  The
+        # nonce leg has no state to keep: its handler is the executor.
+        self._legs = (self._from_originator, self._from_return,
+                      self._from_cs, partial(apply, self))
         # Entry aging on the virtual clock (None = no aging): consulted
         # at install time, enforced lazily at probe time and eagerly by
         # the housekeeping sweep.
@@ -244,11 +261,11 @@ class SubfarmRouter:
         # private one, so a standalone router needs no special case.
         self._demux: Dict[int, "SubfarmRouter"] = {}
 
-        # Flow-table housekeeping: mux/nonce ports and index entries of
-        # idle flows are reclaimed periodically so day-scale runs never
-        # exhaust the port spaces.  The sweeper arms itself while flows
-        # exist and goes quiet with them (keeping the event queue
-        # drainable).
+        # Housekeeping: the mux/nonce ports and rows of every record
+        # idle past flow_idle_timeout — live, dropped or aborted — are
+        # reclaimed periodically so day-scale runs never exhaust the
+        # port space.  The sweeper arms itself while records hold rows
+        # and goes quiet with them (keeping the event queue drainable).
         self.housekeeping_interval = 300.0
         self.flow_idle_timeout = 600.0
         self._housekeeping_armed = False
@@ -267,7 +284,7 @@ class SubfarmRouter:
         # Telemetry: bound cells mirroring the counters dict, the
         # per-verdict flow counter (bound lazily — label set depends on
         # the decision), the shim round-trip histogram, and per-flow
-        # trace state keyed by mux port (cleaned up in _evict).
+        # trace state keyed by mux port (cleaned up on eviction).
         tel = self.telemetry
         self._m_flows_created = tel.counter(
             "router.flows.created", "Flows entering containment"
@@ -321,9 +338,9 @@ class SubfarmRouter:
         """Records still coupled or forwarding, oldest first.
 
         Read off ``_by_mux``, which holds exactly the records not yet
-        evicted, in creation order — so housekeeping costs what is
-        live, not everything the deployment ever saw (``_flows``).  A
-        list, because callers evict while they walk it.
+        evicted, in creation order — so it costs what holds rows, not
+        everything the deployment ever saw (``_flows``).  A list,
+        because callers evict while they walk it.
         """
         return [record for record in self._by_mux.values()
                 if record.phase in _LIVE_PHASES]
@@ -348,7 +365,7 @@ class SubfarmRouter:
             # Any server of the cluster may come to answer a live
             # flow's mux port (failover re-homes pending flows).
             for record in self._by_mux.values():
-                self._index_cs_leg(record, ip)
+                self.flowtable.bind(self._cs_row(record, ip))
 
     def _select_cs(self, vlan: int) -> IPv4Address:
         """Sticky selection: the same server always handles the same
@@ -383,10 +400,22 @@ class SubfarmRouter:
             egress = Shaped(self.sim, shaper, egress)
         egress.send(packet)
 
-    def _emit_to_cs(self, cs_ip: IPv4Address, packet: IPv4Packet) -> None:
-        """Emit toward a containment server: its shim link, which
-        consults the fault view when one is installed."""
-        self._cs_links[cs_ip.value].send(packet)
+    def _to_client(self, record: FlowRecord, transport) -> None:
+        """Emit a router-built segment or datagram toward the flow's
+        originator, as from the destination it addressed."""
+        self._send(self._client_plan(record), IPv4Packet(
+            record.orig.resp_ip, record.orig.orig_ip, transport),
+            record.shaper)
+
+    def _to_cs(self, record: FlowRecord, seq: int, ack: int, flags: int,
+               payload: bytes = b"") -> None:
+        """Emit a router-built segment on the flow's containment-server
+        leg — already in the server's port and sequence space — over its
+        shim link, which consults the fault view when one is installed."""
+        segment = TCPSegment(record.mux_port, self.cs_tcp_port, seq, ack,
+                             flags, payload=payload)
+        self._cs_links[record.cs_ip.value].send(
+            IPv4Packet(record.orig.orig_ip, record.cs_ip, segment))
 
     def publish_globals(self, demux: Dict[int, "SubfarmRouter"]) -> None:
         """Keep ``demux`` — the gateway's ``global address (int) ->
@@ -408,25 +437,16 @@ class SubfarmRouter:
     # ------------------------------------------------------------------
     # Allocation helpers
     # ------------------------------------------------------------------
-    def _allocate_mux(self) -> int:
-        for _ in range(20000):
-            port = self._next_mux
-            self._next_mux += 1
-            if self._next_mux >= self.NONCE_PORT_BASE:
-                self._next_mux = self.MUX_PORT_BASE
-            if port not in self._by_mux:
-                return port
-        raise RuntimeError("mux port space exhausted")
-
-    def _allocate_nonce(self) -> int:
-        for _ in range(20000):
-            port = self._next_nonce
-            self._next_nonce += 1
-            if self._next_nonce >= 60000:
-                self._next_nonce = self.NONCE_PORT_BASE
-            if port not in self._by_nonce:
-                return port
-        raise RuntimeError("nonce port space exhausted")
+    def _allocate_slot(self) -> Optional[int]:
+        """A free per-flow slot — mux port ``MUX_PORT_BASE + slot`` toward
+        the containment server, nonce port ``NONCE_PORT_BASE + slot`` for
+        its onward leg — or None when records hold all of them."""
+        for _ in range(self.PORT_SLOTS):
+            slot = self._next_slot
+            self._next_slot = (slot + 1) % self.PORT_SLOTS
+            if self.MUX_PORT_BASE + slot not in self._by_mux:
+                return slot
+        return None
 
     # ------------------------------------------------------------------
     # Entry point: frames from inmates (trunk, tagged)
@@ -494,36 +514,35 @@ class SubfarmRouter:
             self._new_flow(packet, vlan=vlan, inmate_is_originator=True)
 
     def _lookup(self, packet: IPv4Packet) -> bool:
-        """Probe the flow table, then the flow index, with the packet's
-        flow key — ``(src ip as int, sport, dst ip as int, dport,
-        proto)``, computed here and nowhere else on the packet's way
-        through.  True when the packet found its flow and was handled.
-        A live entry is a hit and runs the executor; anything else is a
-        miss and goes to the controller (``_dispatch_known``) if the
-        flow is known at all."""
+        """Probe the flow table, once, with the packet's flow key —
+        ``(src ip as int, sport, dst ip as int, dport, proto)``,
+        computed here and nowhere else on the packet's way through.
+        True when the packet found its flow and was handled.  A live
+        installed rule is a hit and runs the executor; any other row is
+        a miss and hands the packet to the controller's handler for
+        the leg the row names."""
         proto = packet.proto
         if proto != PROTO_TCP and proto != PROTO_UDP:
             return False
         transport = packet.payload
-        key = (packet.src.value, transport.sport,
-               packet.dst.value, transport.dport, proto)
-        entry = self._fastpath.get(key)
-        if entry is not None:
+        row = self._table.get((packet.src.value, transport.sport,
+                               packet.dst.value, transport.dport, proto))
+        if row is not None and row.installed:
             now = self.sim.now
-            if now < entry.expires_at and (
-                    entry.idle_timeout is None
-                    or now - entry.record.last_activity
-                    < entry.idle_timeout):
-                entry.hits += 1
+            if now < row.expires_at and (
+                    row.idle_timeout is None
+                    or now - row.record.last_activity
+                    < row.idle_timeout):
+                row.hits += 1
                 self.flowtable.hits += 1
-                apply(self, entry, packet)
+                apply(self, row, packet)
                 return True
-            self._fastpath_timeout(entry, now)
+            self._fastpath_timeout(row, now)
+            row = self._table[row.key]   # demoted: the rewrite alone
         self.flowtable.misses += 1
-        record = self._index.get(key)
-        if record is None:
+        if row is None:
             return False
-        self._dispatch_known(record, packet, key)
+        self._legs[row.leg](row, packet)
         return True
 
     def inmate_frame_batch(self, items) -> None:
@@ -585,7 +604,7 @@ class SubfarmRouter:
                 while j < n and keys[j] == key:
                     j += 1
                 entry = entries.get(key)
-                if entry is not None:
+                if entry is not None and entry.installed:
                     now = self.sim.now
                     if not (now < entry.expires_at and (
                             entry.idle_timeout is None
@@ -704,18 +723,18 @@ class SubfarmRouter:
 
     def _service_frame_inner(self, frame) -> None:
         packet = frame.payload
-        # The containment server's mux-port leg is in the flow index
-        # from the flow's first packet (_index_cs_leg), so _lookup finds
-        # it like any other leg.
+        # The containment server's mux-port leg is in the table from
+        # the flow's first packet (_couple), so _lookup finds it like
+        # any other leg.
         if not isinstance(packet, IPv4Packet) or self._lookup(packet):
             return
-        # The server's onward (nonce) leg has no key of its own — the
-        # router learns the target from these very packets — and is
+        # The server's onward (nonce) leg has no key until the router
+        # has learned the target from its first packet, which is
         # matched by its source port.
         if packet.proto == PROTO_TCP and packet.src.value in self._cs_links:
             record = self._by_nonce.get(packet.payload.sport)
             if record is not None:
-                self._handle_nonce_leg(record, packet)
+                self._open_nonce_leg(record, packet)
                 return
         # Stateless service traffic: replies to inmates, service-to-
         # service chatter, or service-originated outbound (DNS
@@ -794,11 +813,12 @@ class SubfarmRouter:
         if packet.proto not in (PROTO_TCP, PROTO_UDP):
             return
         transport = packet.payload
-        record = self._index.get((packet.src.value, transport.sport,
-                                  packet.dst.value, transport.dport,
-                                  packet.proto))
-        if record is None:
+        row = self._table.get((packet.src.value, transport.sport,
+                               packet.dst.value, transport.dport,
+                               packet.proto))
+        if row is None:
             return
+        record = row.record
         if self.journal.enabled:
             self.journal.record(
                 "barrier.isolated",
@@ -840,20 +860,15 @@ class SubfarmRouter:
     # ------------------------------------------------------------------
     # Flow creation and the shim (SHIM phase)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _directed_key(packet: IPv4Packet) -> Optional[FiveTuple]:
-        if packet.proto not in (PROTO_TCP, PROTO_UDP):
-            return None
-        return FiveTuple.from_packet(packet)
-
     def _new_flow(self, packet: IPv4Packet, vlan: int,
                   inmate_is_originator: bool) -> None:
-        key = self._directed_key(packet)
-        if key is None:
+        proto = packet.proto
+        if proto != PROTO_TCP and proto != PROTO_UDP:
             return
-        if (packet.proto == PROTO_TCP
+        if (proto == PROTO_TCP
                 and packet.payload.flags & (SYN | ACK) != SYN):
             return  # mid-flow packet for an unknown flow: drop
+        key = FiveTuple.from_packet(packet)
 
         # The safety filter guards against *outbound* harm; inbound
         # traffic (e.g. worm scans the honeyfarm wants to attract) is
@@ -861,40 +876,29 @@ class SubfarmRouter:
         if inmate_is_originator and not self.safety.admit(
             self.sim.now, vlan, key.resp_ip
         ):
-            record = FlowRecord(key, vlan, inmate_is_originator,
-                                self.sim.now, 0, 0)
-            record.phase = FlowPhase.REFUSED
-            self._flows.append(record)
-            self.flow_log.append(FlowLogEntry(self.sim.now, record))
-            self.counters["flows_refused"] += 1
-            self._m_flows_refused.inc()
-            if self.journal.enabled:
-                self.journal.record(
-                    "flow.refused",
-                    flow=(f"{self.name}/vlan{vlan}/refused"
-                          f"/t{self.sim.now:.6f}"),
-                    vlan=vlan, parent=JOURNAL_ROOT,
-                    destination=str(key.resp_ip))
+            self._refuse(key, vlan, inmate_is_originator)
+            return
+        slot = self._allocate_slot()
+        if slot is None:
+            # Every slot is held by a record active within
+            # flow_idle_timeout: refuse, never unwind the event loop.
+            self._refuse(key, vlan, inmate_is_originator,
+                         reason="mux-exhausted")
             return
 
-        mux = self._allocate_mux()
-        nonce = self._allocate_nonce()
-        record = FlowRecord(key, vlan, inmate_is_originator,
-                            self.sim.now, mux, nonce)
+        mux = self.MUX_PORT_BASE + slot
+        record = FlowRecord(key, vlan, inmate_is_originator, self.sim.now,
+                            mux, self.NONCE_PORT_BASE + slot)
         record.cs_ip = self._select_cs(vlan)
         self._arm_housekeeping()
         self._flows.append(record)
         self.counters["flows_created"] += 1
         self._m_flows_created.inc()
         self._by_mux[mux] = record
-        self._by_nonce[nonce] = record
-        # Client-side aliases (as the originator addresses the flow),
-        # then the leg every server of the cluster would answer on.
-        for alias in (record.orig_key, record.resp_key):
-            self._index[alias] = record
-            record.index_keys.append(alias)
-        for cs_ip in self._cs_list:
-            self._index_cs_leg(record, cs_ip)
+        self._by_nonce[record.nonce_port] = record
+        # The originator's tuple reversed, then the coupled legs.
+        self.flowtable.bind(Row(record.resp_key, record, LEG_RETURN))
+        self._couple(record)
 
         if self.journal.enabled:
             # The five-tuple alias lets the containment server — which
@@ -907,210 +911,254 @@ class SubfarmRouter:
             self.journal.record(
                 "flow.created", flow=flow_id, vlan=vlan,
                 parent=JOURNAL_ROOT,
-                proto="tcp" if packet.proto == PROTO_TCP else "udp",
+                proto="tcp" if proto == PROTO_TCP else "udp",
                 destination=str(key.resp_ip))
 
-        resilience = self.resilience
         transport = packet.payload
-        if packet.proto == PROTO_TCP:
+        if proto == PROTO_TCP:
             record.client_isn = transport.seq
-            if resilience is not None and resilience.handle_new_flow(record):
-                return  # degraded: resolved by the pending policy
-            self._send_to_cs_tcp(record, transport)
         else:
             record.hold_udp(transport.copy())
-            if resilience is not None and resilience.handle_new_flow(record):
-                return  # degraded: resolved by the pending policy
-            self._send_to_cs_udp(record, transport)
+        resilience = self.resilience
+        if resilience is not None and resilience.handle_new_flow(record):
+            return  # degraded: resolved by the pending policy
+        self._offer(record, transport)
         if resilience is not None:
             resilience.arm(record)
 
-    def _index_cs_leg(self, record: FlowRecord, cs_ip: IPv4Address) -> None:
-        """Index the tuple ``cs_ip`` answers the flow's mux port on, so
-        the server's packets are found by the same probe as anyone
-        else's."""
-        tcp = record.orig.proto == PROTO_TCP
-        alias = (cs_ip.value, self.cs_tcp_port if tcp else self.cs_udp_port,
-                 record.orig_key[0], record.mux_port, record.orig.proto)
-        self._index[alias] = record
-        record.index_keys.append(alias)
+    def _refuse(self, key: FiveTuple, vlan: int, inmate_is_originator: bool,
+                **why) -> None:
+        """Log a flow that never gets rows: REFUSED, counted, journalled
+        (with the reason when it is not the safety filter's)."""
+        record = FlowRecord(key, vlan, inmate_is_originator,
+                            self.sim.now, 0, 0)
+        record.phase = FlowPhase.REFUSED
+        self._flows.append(record)
+        self.flow_log.append(FlowLogEntry(self.sim.now, record))
+        self.counters["flows_refused"] += 1
+        self._m_flows_refused.inc()
+        if self.journal.enabled:
+            self.journal.record(
+                "flow.refused",
+                flow=(f"{self.name}/vlan{vlan}/refused"
+                      f"/t{self.sim.now:.6f}"),
+                vlan=vlan, parent=JOURNAL_ROOT,
+                destination=str(key.resp_ip), **why)
 
-    # ---- TCP toward the containment server ---------------------------
-    def _send_to_cs_tcp(self, record: FlowRecord, segment: TCPSegment) -> None:
-        out = segment.copy()
-        out.sport = record.mux_port
-        out.dport = self.cs_tcp_port
-        out.seq = seq_add(out.seq, record.c2s_inj)
-        out.ack = (seq_add(out.ack, record.s2c_rem) if out.flags & ACK
-                   else 0)
-        packet = IPv4Packet(record.orig.orig_ip, record.cs_ip, out)
-        self.counters["packets_relayed"] += 1
-        if self._live:
-            self._m_packets.inc()
-        self._emit_to_cs(record.cs_ip, packet)
+    # ---- The coupled legs (SHIM phase; REWRITE for life) --------------
+    def _couple(self, record: FlowRecord) -> None:
+        """Bind the coupled legs — originator to the flow's containment
+        server, every server of the cluster back on the flow's mux port
+        — from the record's present state: at creation, when the
+        request shim goes in, at a failover re-home."""
+        self.flowtable.bind(self._c2cs_row(record))
+        self._bind_cs_legs(record)
+
+    def _bind_cs_legs(self, record: FlowRecord) -> None:
+        """The servers' side of the coupling alone — all the verdict still
+        has to refresh: the response shim has come out, a shaper may have
+        gone in."""
+        for cs_ip in self._cs_list:
+            self.flowtable.bind(self._cs_row(record, cs_ip))
+
+    def _offer(self, record: FlowRecord, transport) -> None:
+        """Put a flow's opening packet — at creation, and again when
+        failover retries or replays it — before its containment server,
+        through the coupled row.  The flow's own accounting and idle
+        clock never saw these (every tracked digest pins that), so the
+        row's bookkeeping is put back."""
+        kept = record.c2s_packets, record.c2s_bytes, record.last_activity
+        orig = record.orig
+        apply(self, self._table[record.orig_key], IPv4Packet.wrap(
+            orig.orig_ip, orig.resp_ip, transport, orig.proto),
+            packet_in=False)
+        record.c2s_packets, record.c2s_bytes, record.last_activity = kept
 
     def _inject_request_shim(self, record: FlowRecord) -> None:
-        shim = RequestShim(record.orig, record.vlan, record.nonce_port)
-        payload = shim.to_bytes()
-        segment = TCPSegment(
-            sport=record.mux_port, dport=self.cs_tcp_port,
-            seq=seq_add(record.client_isn, 1),
-            ack=seq_add(record.cs_isn, 1),
-            flags=ACK | PSH, payload=payload,
-        )
+        payload = RequestShim(record.orig, record.vlan,
+                              record.nonce_port).to_bytes()
+        # SEQ += |REQ SHIM| for everything the originator sends after.
         record.c2s_inj = len(payload)
         record.shim_injected = True
         self.counters["shims_injected"] += 1
         self._m_shims_injected.inc()
-        packet = IPv4Packet(record.orig.orig_ip, record.cs_ip, segment)
-        self._emit_to_cs(record.cs_ip, packet)
+        self._to_cs(record, seq_add(record.client_isn, 1),
+                    seq_add(record.cs_isn, 1), ACK | PSH, payload)
+        self._couple(record)
 
     def _replay_cs_handshake(self, record: FlowRecord) -> None:
         """Complete a re-homed containment-server leg on the client's
         behalf: ACK the fresh SYN-ACK, re-inject the request shim, and
         replay any payload the client already sent (the handoff replay
         idiom of _complete_handoff, pointed at the new server)."""
-        ack = TCPSegment(
-            sport=record.orig.orig_port, dport=record.orig.resp_port,
-            seq=seq_add(record.client_isn, 1),
-            ack=seq_add(record.cs_isn, 1),
-            flags=ACK,
-        )
-        self._send_to_cs_tcp(record, ack)
+        orig = record.orig
+
+        def as_client(flags: int, payload: bytes = b"") -> TCPSegment:
+            return TCPSegment(
+                sport=orig.orig_port, dport=orig.resp_port,
+                seq=seq_add(record.client_isn, 1),
+                ack=seq_add(record.cs_isn, 1), flags=flags, payload=payload)
+
+        self._offer(record, as_client(ACK))
         self._inject_request_shim(record)
         if record.client_buffer:
-            data = TCPSegment(
-                sport=record.orig.orig_port, dport=record.orig.resp_port,
-                seq=seq_add(record.client_isn, 1),
-                ack=seq_add(record.cs_isn, 1),
-                flags=ACK | PSH, payload=bytes(record.client_buffer),
-            )
-            self._send_to_cs_tcp(record, data)
-
-    # ---- UDP toward the containment server ---------------------------
-    def _send_to_cs_udp(self, record: FlowRecord, datagram: UDPDatagram) -> None:
-        shim = RequestShim(record.orig, record.vlan, record.nonce_port)
-        wrapped = UDPDatagram(
-            record.mux_port, self.cs_udp_port,
-            shim.to_bytes() + datagram.payload,
-        )
-        self.counters["shims_injected"] += 1
-        self._m_shims_injected.inc()
-        packet = IPv4Packet(record.orig.orig_ip, record.cs_ip, wrapped)
-        self._emit_to_cs(record.cs_ip, packet)
+            self._offer(record, as_client(ACK | PSH,
+                                          bytes(record.client_buffer)))
 
     # ------------------------------------------------------------------
-    # Known-flow dispatch
+    # The controller: one handler per leg (SubfarmRouter._legs)
     # ------------------------------------------------------------------
-    def _dispatch_known(self, record: FlowRecord, packet: IPv4Packet,
-                        key: tuple) -> None:
-        """Packet-in: a packet of a known flow that no live table entry
-        took, under the flow key ``_lookup`` found it by.  Decide what
-        it means for the flow's state; *forwarding* an ENFORCED flow's
-        packet is not decided here but re-injected through the flow's
-        own entry (``_reinject``)."""
-        tcp = packet.proto == PROTO_TCP
-        from_orig = key == record.orig_key
-        from_cs = (not from_orig and key != record.resp_key
-                   and key[0] in self._cs_links)
-        if from_cs and key[3] == record.mux_port and key[1] == (
-                self.cs_tcp_port if tcp else self.cs_udp_port):
-            # The containment server's leg of the shim handshake.  It
-            # never refreshes last_activity, whatever the flow's phase.
-            if tcp:
-                self._relay_server_packet(record, packet, "cs")
-            else:
-                self._handle_cs_udp(record, packet)
-            return
+    def _from_originator(self, row: Row, packet: IPv4Packet) -> None:
+        """A packet on the originator's tuple: a new incarnation of it,
+        a miss or SYN retransmit of a decided flow, the client's RST,
+        or anything before the verdict."""
+        record = row.record
         record.last_activity = self.sim.now
-        # A pure SYN with a new ISN on the originator tuple is a new
-        # incarnation of the flow (port reuse after close, or a fresh
-        # host generation after a revert): evict the stale record and
-        # start containment over.
-        if (tcp and from_orig
-                and packet.payload.flags & (SYN | ACK) == SYN
-                and packet.payload.seq != record.client_isn):
+        transport = packet.payload
+        tcp = packet.proto == PROTO_TCP
+        flags = transport.flags if tcp else 0
+        # A pure SYN with a new ISN is a new incarnation of the flow
+        # (port reuse after close, or a fresh host generation after a
+        # revert): evict the stale record and start containment over.
+        if (flags & (SYN | ACK) == SYN
+                and transport.seq != record.client_isn):
             self._evict(record)
             self._new_flow(packet, vlan=record.vlan,
                            inmate_is_originator=record.inmate_is_originator)
             return
         phase = record.phase
-        if phase in (FlowPhase.DROPPED, FlowPhase.REFUSED,
-                     FlowPhase.CLOSED):
-            # Table-miss after a timeout eviction: re-install a DROPPED
-            # flow's swallow rule so repeat traffic stays off the slow
-            # path (OpenFlow's table-miss -> flow_mod cycle).
-            if phase is FlowPhase.DROPPED and not record.fast_keys:
-                self._fastpath_install(record)
-            return
-        enforced = (phase is FlowPhase.ENFORCED
-                    and record.decision is not None)
-        # Table-miss re-install for live enforced flows whose rules
-        # were evicted by an idle/hard timeout: the flow is still
-        # valid, so compile fresh entries before re-injecting.
-        if enforced and not record.fast_keys:
+        if phase in _DECIDED and not record.installed:
+            # Table miss on a flow whose verdict stands — an idle/hard
+            # timeout demoted its rules: install them afresh (OpenFlow's
+            # table-miss -> flow_mod cycle).
             self._fastpath_install(record)
-        # Which leg did this packet arrive on?
-        if from_orig:
-            if enforced and not (tcp and packet.payload.flags & RST):
-                self._reinject(record, packet, key)
-            else:
-                self._relay_client_packet(record, packet)
-            return
-        if from_cs:
-            # An alias that happens to start at a containment server.
-            if tcp and key[1] == record.nonce_port:
-                self._handle_nonce_leg(record, packet)
-            elif tcp:
-                self._relay_server_packet(record, packet, "cs")
-            else:
-                self._handle_cs_udp(record, packet)
-            return
-        if (key != record.resp_key and record.nonce_active
-                and self._is_nonce_return(record, packet)):
-            self._relay_nonce_return(record, packet)
-            return
-        # The enforced destination's return alias (for inmate-to-inmate
-        # and REFLECT flows that *is* the reversed originator tuple).
-        if enforced:
-            self._reinject(record, packet, key)
-        elif tcp:
-            self._relay_server_packet(record, packet, "dst")
+            row = self._table[row.key]
+        if phase not in _LIVE_PHASES:
+            return  # dropped or aborted: swallowed
+        if flags & RST:
+            record.c2s_packets += 1
+            record.c2s_bytes += len(transport.payload)
+            self._abort_flow(record, notify_client=False)
+        elif phase is FlowPhase.ENFORCED:
+            # Decided: forwarded by the flow's own rule and nothing
+            # else, packet-in disabled.
+            apply(self, row, packet, packet_in=False)
+        elif tcp and phase is FlowPhase.SHIM:
+            # Coupled: buffer for the handoff replay, relay through the
+            # row, and put the request shim in the moment the inmate
+            # completes the handshake.
+            record.client_buffer.extend(transport.payload)
+            apply(self, row, packet, packet_in=False)
+            if (not record.shim_injected and record.cs_isn is not None
+                    and flags & (SYN | ACK) == ACK):
+                self._inject_request_shim(record)
+        else:
+            # Held for the verdict (a datagram after the first is not
+            # shown to the server) or for the destination's handshake.
+            record.c2s_packets += 1
+            record.c2s_bytes += len(transport.payload)
+            if not tcp:
+                record.hold_udp(transport.copy())
+                return
+            record.client_buffer.extend(transport.payload)
+            if flags & FIN:
+                record.client_fin = True
 
-    def _reinject(self, record: FlowRecord, packet: IPv4Packet,
-                  key: tuple) -> None:
-        """Forward an ENFORCED flow's packet through the flow's own
-        table entry with packet-in disabled — a SYN retransmit, or the
-        first packet after an idle/hard timeout evicted the rules."""
-        entry = self._fastpath.get(key)
-        if entry is None:
-            if key not in record.fast_keys:
-                return  # the flow has no rule for this leg
-            # Compiled, but a flow aliasing the tuple displaced it and
-            # has since left; the index says the tuple is ours again.
-            self._fastpath_install(record)
-            entry = self._fastpath[key]
-        apply(self, entry, packet, packet_in=False)
+    def _from_return(self, row: Row, packet: IPv4Packet) -> None:
+        """A packet on a tuple that answers the originator: the
+        enforced destination (for inmate-to-inmate and REFLECT flows
+        its alias *is* the reversed originator tuple), a nonce leg's
+        far end, or a stray on the reversed tuple, which has no rule."""
+        record = row.record
+        record.last_activity = self.sim.now
+        phase = record.phase
+        if phase in _DECIDED and not record.installed:
+            self._fastpath_install(record)  # table miss, as above
+            row = self._table[row.key]
+        if phase not in _LIVE_PHASES:
+            return
+        if row.spec is not None:
+            apply(self, row, packet, packet_in=False)
+        elif packet.proto == PROTO_TCP and phase is not FlowPhase.ENFORCED:
+            record.s2c_packets += 1
+            segment = packet.payload
+            answering = phase is FlowPhase.HANDOFF  # the replayed SYN
+            if answering and segment.flags & RST:
+                self._synthesize_client_rst(record)
+                record.phase = FlowPhase.CLOSED
+            elif answering and segment.flags & (SYN | ACK) == SYN | ACK:
+                record.dst_isn = segment.seq
+                self._complete_handoff(record)
+
+    def _from_cs(self, row: Row, packet: IPv4Packet) -> None:
+        """A containment server on the flow's mux port.  This leg never
+        refreshes last_activity, whatever the flow's phase; what the
+        controller does not consume — an RST, the SYN-ACK of a replayed
+        handshake, the response shim, a close without one — is relayed
+        through the row, a late segment after an endpoint verdict
+        included."""
+        record = row.record
+        if packet.proto != PROTO_TCP:
+            self._handle_cs_udp(record, packet)
+            return
+        segment = packet.payload
+        flags = segment.flags
+        if flags & RST:
+            # The containment server aborted (or acknowledged our own
+            # teardown); surface as reset to the client if still coupled.
+            record.s2c_packets += 1
+            if record.phase is FlowPhase.SHIM or (
+                record.decision is not None
+                and record.decision.verdict & Verdict.REWRITE
+            ):
+                self._abort_flow(record, notify_client=True)
+            return
+        if flags & (SYN | ACK) == SYN | ACK and record.cs_isn is None:
+            record.cs_isn = segment.seq
+            if record.cs_handshake_replay:
+                # Failover re-home of a flow whose client already
+                # handshook against the old server: finish the fresh
+                # leg ourselves, never showing the client a second
+                # SYN-ACK — unless the flow was resolved meanwhile and
+                # there is nothing left to couple.
+                record.s2c_packets += 1
+                record.cs_handshake_replay = False
+                if record.phase is FlowPhase.SHIM:
+                    self._replay_cs_handshake(record)
+                return
+        elif record.phase is FlowPhase.SHIM and (segment.payload
+                                                 or flags & FIN):
+            record.s2c_packets += 1
+            if segment.payload:
+                record.shim_buffer.extend(segment.payload)
+                self._try_parse_response_shim(record)
+            else:
+                # Server closed before issuing a verdict: treat as drop.
+                self._apply_decision(record, ContainmentDecision.drop(
+                    policy="cs-closed", annotation="no verdict"))
+            return
+        apply(self, row, packet, packet_in=False)
 
     # ------------------------------------------------------------------
     # Compiling a verdict into flow-table entries
     # ------------------------------------------------------------------
-    # At verdict time the flow's forwarding becomes fixed: which leg
-    # each directed tuple belongs to, the port/sequence translations,
-    # the destination addressing, and the emission target are all
-    # decided.  _fastpath_install compiles that knowledge into FlowEntry
-    # rules keyed by the tuples the flow's packets arrive on; the one
-    # executor (flowtable.apply) does the rest.  This is the only place
-    # the post-verdict translations of Figure 5 are written down.
+    # At verdict time the flow's forwarding becomes fixed: the
+    # port/sequence translations, the destination addressing, and the
+    # emission target are all decided.  _fastpath_install compiles that
+    # knowledge into rows and installs them as FlowEntry rules under the
+    # keys the flow's packets arrive on; the one executor
+    # (flowtable.apply) does the rest.  The _compile_* steps (and the
+    # coupled and nonce rows beside them) are the only place the
+    # translations of Figure 5 are written down.
 
     def _fastpath_install(self, record: FlowRecord) -> None:
         if record.phase == FlowPhase.DROPPED:
-            entries = self._compile_dropped(record)
+            rows = self._compile_dropped(record)
         elif record.phase == FlowPhase.ENFORCED and record.decision is not None:
             if record.decision.verdict & Verdict.REWRITE:
-                entries = self._compile_rewrite(record)
+                rows = self._compile_rewrite(record)
             else:
-                entries = self._compile_endpoint(record)
+                rows = self._compile_endpoint(record)
         else:
             return
         # Transactional commit: compilation finished (and may have
@@ -1118,42 +1166,41 @@ class SubfarmRouter:
         # never leave orphan entries or a half-installed rule set.
         self._fastpath_uninstall(record)
         table = self.flowtable
-        for entry in entries:
-            table.entries[entry.key] = entry
-            record.fast_keys.append(entry.key)
-        table.installs += len(entries)
+        for row in rows:
+            table.bind(FlowEntry(row, self.sim.now,
+                                 self.flowtable_idle_timeout,
+                                 self.flowtable_hard_timeout))
+        table.installs += len(rows)
+        record.installed = True
         table.sync_metrics()
-        if record.fast_keys and self.journal.enabled:
+        if self.journal.enabled:
             self.journal.record(
                 "fastpath.install",
                 flow=self._trace_ids.get(record.mux_port),
                 vlan=record.vlan, phase=record.phase.value,
-                handlers=len(record.fast_keys))
+                handlers=len(rows))
 
     def _fastpath_uninstall(self, record: FlowRecord,
                             reason: Optional[str] = None) -> None:
-        if record.fast_keys and self.journal.enabled:
+        """Demote the flow's rules to the plain rows they were
+        installed from: its keys go back to the controller."""
+        if not record.installed:
+            return
+        record.installed = False
+        rules = self.flowtable.rules(record)
+        for entry in rules:
+            self.flowtable.bind(entry.demoted())
+        if rules and self.journal.enabled:
             payload = dict(flow=self._trace_ids.get(record.mux_port),
-                           vlan=record.vlan,
-                           handlers=len(record.fast_keys))
+                           vlan=record.vlan, handlers=len(rules))
             if reason is not None:
                 payload["reason"] = reason
             self.journal.record("fastpath.evict", **payload)
-        table = self.flowtable
-        entries = table.entries
-        removed = 0
-        for key in record.fast_keys:
-            entry = entries.get(key)
-            if entry is not None and entry.record is record:
-                del entries[key]
-                removed += 1
-        record.fast_keys.clear()
-        if removed:
-            table.evictions += removed
-            table.sync_metrics()
+        if rules:
+            self.flowtable.sync_metrics()
 
     def _fastpath_timeout(self, entry: FlowEntry, now: float) -> None:
-        """An entry's idle or hard timeout has passed: evict the whole
+        """An entry's idle or hard timeout has passed: demote the whole
         flow's rules (both directions age together, like
         expire_idle_flows) and journal the reason.  The next packet
         re-installs via the table-miss path if the flow is still live."""
@@ -1198,26 +1245,20 @@ class SubfarmRouter:
         return (dst_ip.value, record.dst_port, src_ip.value,
                 record.orig.orig_port, record.orig.proto)
 
-    def _entry(self, record: FlowRecord, key: tuple, kind: int,
-               out_sport: int, out_dport: int, src_ip, dst_ip, emit,
-               shaped: bool = False, **translation) -> FlowEntry:
-        """One rule for ``record`` under flow key ``key``, stamped with
-        the table's timeouts and holding its resolved egress;
-        ``shaped`` puts the flow's LIMIT shaper, if it has one, in
-        front of it."""
+    def _row(self, record: FlowRecord, key: tuple, leg: int, kind: int,
+             out_sport: int, out_dport: int, src_ip, dst_ip, emit,
+             shaped: bool = False, **translation) -> Rewrite:
+        """One leg's rewrite for ``record`` under flow key ``key``,
+        holding its resolved egress; ``shaped`` puts the flow's LIMIT
+        shaper, if it has one, in front of it."""
         emit_code, emit_arg = emit
         egress = self._egress_for(emit_code, emit_arg)
         shaped = shaped and record.shaper is not None
         if shaped:
             egress = Shaped(self.sim, record.shaper, egress)
-        return FlowEntry(key, kind, record,
-                         out_sport, out_dport, src_ip, dst_ip, egress,
-                         emit_code=emit_code, emit_arg=emit_arg,
-                         shaped=shaped,
-                         installed_at=self.sim.now,
-                         idle_timeout=self.flowtable_idle_timeout,
-                         hard_timeout=self.flowtable_hard_timeout,
-                         **translation)
+        return Rewrite(key, record, leg, kind, out_sport, out_dport, src_ip,
+                       dst_ip, egress, emit_code=emit_code,
+                       emit_arg=emit_arg, shaped=shaped, **translation)
 
     def _compile_endpoint(self, record: FlowRecord):
         """Entries for handed-off flows (FORWARD/LIMIT/REDIRECT/
@@ -1239,151 +1280,71 @@ class SubfarmRouter:
             c2d, d2c = ACT_UDP_C2D, ACT_UDP_D2C
             c2d_shift = d2c_shift = {}
         return [
-            self._entry(record, record.orig_key, c2d, orig.orig_port,
-                        record.dst_port, src_ip, dst_ip,
-                        (dst_code, dst_arg), shaped=True, **c2d_shift),
-            self._entry(record, self._dst_alias(record), d2c,
-                        orig.resp_port, orig.orig_port,
-                        orig.resp_ip, orig.orig_ip,
-                        self._client_plan(record), shaped=True,
-                        **d2c_shift),
+            self._row(record, record.orig_key, LEG_ORIGINATOR, c2d,
+                      orig.orig_port, record.dst_port, src_ip, dst_ip,
+                      (dst_code, dst_arg), shaped=True, **c2d_shift),
+            self._row(record, self._dst_alias(record), LEG_RETURN, d2c,
+                      orig.resp_port, orig.orig_port,
+                      orig.resp_ip, orig.orig_ip,
+                      self._client_plan(record), shaped=True, **d2c_shift),
         ]
 
     def _compile_rewrite(self, record: FlowRecord):
-        """Entries for REWRITE flows, which stay coupled to the
-        containment server for life.  Toward-CS rules emit on EMIT_CS
-        (the shim-link fault seam is re-read per packet) and are never
-        shaped."""
+        """The coupled rows as rules: a REWRITE flow stays coupled to
+        its containment server for life.  (Return datagrams carry a
+        response shim each and must be parsed, so a UDP flow's
+        CS->client direction stays with the controller.)"""
+        rows = [self._c2cs_row(record)]
+        if record.orig.proto == PROTO_TCP:
+            rows.append(self._cs_row(record, record.cs_ip))
+        return rows
+
+    def _c2cs_row(self, record: FlowRecord) -> Rewrite:
+        """Originator -> the flow's containment server: the mux port,
+        and ``SEQ += |REQ SHIM|`` once the request shim has gone in
+        (for a datagram the shim is a prefix of every payload).  Emits
+        on EMIT_CS (the shim-link fault seam is re-read per packet) and
+        is never shaped."""
         orig = record.orig
         cs_ip = record.cs_ip
-        mux = record.mux_port
-        to_cs = (EMIT_CS, cs_ip)
         if orig.proto == PROTO_UDP:
-            shim_bytes = RequestShim(orig, record.vlan,
-                                     record.nonce_port).to_bytes()
-            # Return datagrams carry a response shim each and must be
-            # parsed, so the CS->client direction stays on the slow path.
-            return [self._entry(record, record.orig_key, ACT_UDP_C2CS, mux,
-                                self.cs_udp_port, orig.orig_ip, cs_ip,
-                                to_cs, payload_prefix=shim_bytes)]
-        # SEQ += |REQ SHIM| toward the server, SEQ -= |RSP SHIM| back.
-        c2s_inj = record.c2s_inj
-        s2c_rem = record.s2c_rem
-        cs_key = (cs_ip.value, self.cs_tcp_port, orig.orig_ip.value, mux,
-                  PROTO_TCP)
-        return [
-            self._entry(record, record.orig_key, ACT_TCP_C2CS, mux,
-                        self.cs_tcp_port, orig.orig_ip, cs_ip, to_cs,
-                        seq_delta=c2s_inj, ack_delta=s2c_rem),
-            self._entry(record, cs_key, ACT_TCP_CS2C, orig.resp_port,
-                        orig.orig_port, orig.resp_ip, orig.orig_ip,
-                        self._client_plan(record), shaped=True,
-                        seq_delta=(-s2c_rem) & 0xFFFFFFFF,
-                        ack_delta=(-c2s_inj) & 0xFFFFFFFF),
-        ]
+            kind, port = ACT_UDP_C2CS, self.cs_udp_port
+            translation = {"payload_prefix": RequestShim(
+                orig, record.vlan, record.nonce_port).to_bytes()}
+        else:
+            kind, port = ACT_TCP_C2CS, self.cs_tcp_port
+            translation = {"seq_delta": record.c2s_inj,
+                           "ack_delta": record.s2c_rem}
+        return Rewrite(record.orig_key, record, LEG_ORIGINATOR, kind,
+                       record.mux_port, port, orig.orig_ip, cs_ip,
+                       self._cs_links[cs_ip.value], emit_code=EMIT_CS,
+                       emit_arg=cs_ip, **translation)
+
+    def _cs_row(self, record: FlowRecord, cs_ip: IPv4Address) -> Row:
+        """Containment server ``cs_ip`` -> originator, on the flow's mux
+        port: ``SEQ -= |RSP SHIM|`` once the response shim has come
+        out, the request shim out of the ack.  A datagram from the
+        server is parsed, never relayed: its row names the leg only."""
+        orig = record.orig
+        if orig.proto == PROTO_UDP:
+            return Row((cs_ip.value, self.cs_udp_port, orig.orig_ip.value,
+                        record.mux_port, PROTO_UDP), record, LEG_CS)
+        return self._row(
+            record, (cs_ip.value, self.cs_tcp_port, orig.orig_ip.value,
+                     record.mux_port, PROTO_TCP), LEG_CS, ACT_TCP_CS2C,
+            orig.resp_port, orig.orig_port, orig.resp_ip, orig.orig_ip,
+            self._client_plan(record), shaped=True,
+            seq_delta=(-record.s2c_rem) & 0xFFFFFFFF,
+            ack_delta=(-record.c2s_inj) & 0xFFFFFFFF)
 
     def _compile_dropped(self, record: FlowRecord):
-        """Terminal-phase rule: touch and swallow, except TCP SYNs
-        which may be a new incarnation of the tuple."""
+        """Terminal-phase rule: touch and swallow (no egress), except
+        TCP SYNs which may be a new incarnation of the tuple."""
         orig = record.orig
         kind = ACT_DROP_TCP if orig.proto == PROTO_TCP else ACT_DROP_UDP
-        return [self._entry(record, record.orig_key, kind, orig.orig_port,
-                            orig.resp_port, orig.orig_ip, orig.resp_ip,
-                            (EMIT_UPSTREAM, None))]
-
-    # ------------------------------------------------------------------
-    # Pre-verdict relay (what the flow table does not own)
-    # ------------------------------------------------------------------
-    def _relay_client_packet(self, record: FlowRecord,
-                             packet: IPv4Packet) -> None:
-        """An originator packet no table entry forwards: anything before
-        the verdict, and the client's RST at any time."""
-        transport = packet.payload
-        record.c2s_packets += 1
-        record.c2s_bytes += len(transport.payload)
-        if packet.proto == PROTO_UDP:
-            if record.phase == FlowPhase.SHIM:
-                record.hold_udp(transport.copy())
-            return
-        flags = transport.flags
-        if flags & RST:
-            self._abort_flow(record, notify_client=False)
-            return
-        if record.phase not in (FlowPhase.SHIM, FlowPhase.HANDOFF):
-            return
-        # Verdict (SHIM) or destination handshake (HANDOFF) still in
-        # flight: buffer payload for the handoff replay.
-        if transport.payload:
-            record.client_buffer.extend(transport.payload)
-        if flags & FIN:
-            record.client_fin = True
-        if record.phase == FlowPhase.SHIM:
-            # Toward the containment server; the request shim goes in
-            # the moment the inmate completes the handshake.
-            self._send_to_cs_tcp(record, transport)
-            if (not record.shim_injected and record.cs_isn is not None
-                    and flags & (SYN | ACK) == ACK):
-                self._inject_request_shim(record)
-
-    def _relay_server_packet(self, record: FlowRecord, packet: IPv4Packet,
-                             leg: str) -> None:
-        """A TCP segment from the containment server (``"cs"``) or,
-        before the flow is ENFORCED, from its destination (``"dst"``)."""
-        segment = packet.payload
-        record.s2c_packets += 1
-        if leg == "cs":
-            self._server_packet_from_cs(record, segment)
-        elif record.phase == FlowPhase.HANDOFF:
-            # The enforced destination answering the replayed SYN.
-            if segment.flags & RST:
-                self._synthesize_client_rst(record)
-                record.phase = FlowPhase.CLOSED
-            elif segment.flags & (SYN | ACK) == SYN | ACK:
-                record.dst_isn = segment.seq
-                self._complete_handoff(record)
-
-    def _server_packet_from_cs(self, record: FlowRecord,
-                               segment: TCPSegment) -> None:
-        flags = segment.flags
-        if flags & RST:
-            # The containment server aborted (or acknowledged our own
-            # teardown); surface as reset to the client if still coupled.
-            if record.phase == FlowPhase.SHIM or (
-                record.decision is not None
-                and record.decision.verdict & Verdict.REWRITE
-            ):
-                self._abort_flow(record, notify_client=True)
-            return
-
-        if flags & (SYN | ACK) == SYN | ACK and record.cs_isn is None:
-            record.cs_isn = segment.seq
-            if record.cs_handshake_replay:
-                # Failover re-home of a flow whose client already
-                # handshook against the old server: finish the fresh
-                # leg ourselves, never showing the client a second
-                # SYN-ACK.
-                record.cs_handshake_replay = False
-                self._replay_cs_handshake(record)
-                return
-            self._forward_to_client(record, segment)
-            return
-
-        if record.phase == FlowPhase.SHIM:
-            if segment.payload:
-                record.shim_buffer.extend(segment.payload)
-                self._try_parse_response_shim(record)
-            elif flags & FIN:
-                # Server closed before issuing a verdict: treat as drop.
-                self._apply_decision(record, ContainmentDecision.drop(
-                    policy="cs-closed", annotation="no verdict"))
-            else:
-                self._forward_to_client(record, segment)  # bare ACK
-            return
-
-        # ENFORCED REWRITE: continuous proxying through the server.
-        self._forward_to_client(record, segment)
-        if segment.payload:
-            record.s2c_bytes += len(segment.payload)
+        return [Rewrite(record.orig_key, record, LEG_ORIGINATOR, kind,
+                        orig.orig_port, orig.resp_port, orig.orig_ip,
+                        orig.resp_ip)]
 
     # ------------------------------------------------------------------
     # Response shim parsing and verdict application
@@ -1445,11 +1406,15 @@ class SubfarmRouter:
         tcp = record.orig.proto == PROTO_TCP
 
         if verdict & Verdict.REWRITE:
-            # Content control: stay coupled to the containment server.
+            # Content control: stay coupled to the containment server —
+            # the coupled rows, as the record stands now (the response
+            # shim out, maybe a shaper in), become its rules.
             record.phase = FlowPhase.ENFORCED
             record.udp_pending = None
             if tcp and decision.rate is not None:
                 record.shaper = TokenBucket(decision.rate)
+            if tcp:
+                self._bind_cs_legs(record)
             if leftover and tcp:
                 self._deliver_cs_content(record, leftover)
             elif leftover:
@@ -1458,6 +1423,13 @@ class SubfarmRouter:
             return
 
         endpoint = verdict.endpoint_op
+        if verdict & Verdict.LIMIT and decision.rate is not None:
+            record.shaper = TokenBucket(decision.rate)
+        if tcp:
+            # The server leaves the path, but what it still sends on
+            # the flow's mux port keeps its translation (the response
+            # shim is out now) until the flow's rows are reclaimed.
+            self._bind_cs_legs(record)
         if endpoint == Verdict.DROP:
             record.phase = FlowPhase.DROPPED
             record.udp_pending = None
@@ -1488,20 +1460,19 @@ class SubfarmRouter:
                 # Inbound flow: the enforced destination is the inmate.
                 record.dst_ip = self.nat.internal_for(record.vlan)
                 record.dst_port = record.orig.resp_port
-        if verdict & Verdict.LIMIT and decision.rate is not None:
-            record.shaper = TokenBucket(decision.rate)
 
         self._classify_destination(record)
         self._teardown_cs_leg(record)
-        alias = self._dst_alias(record)
-        self._index[alias] = record
-        record.index_keys.append(alias)
+        # The destination's return alias, to the controller until the
+        # handoff completes and the rules go in.
+        self.flowtable.bind(Row(self._dst_alias(record), record, LEG_RETURN))
         if tcp:
             self._begin_handoff(record)
         else:
             record.phase = FlowPhase.ENFORCED
             while record.udp_pending:
-                self._send_udp_to_dst(record, record.udp_pending.popleft())
+                self._send_to_dst(record, record.udp_pending.popleft().rebind(
+                    record.orig.orig_port, record.dst_port))
             record.udp_pending = None
             self._fastpath_install(record)
 
@@ -1537,14 +1508,15 @@ class SubfarmRouter:
 
     def _complete_handoff(self, record: FlowRecord) -> None:
         record.phase = FlowPhase.ENFORCED
-        ack = TCPSegment(
-            sport=record.orig.orig_port, dport=record.dst_port,
-            seq=seq_add(record.client_isn, 1),
-            ack=seq_add(record.dst_isn, 1),
-            flags=ACK,
-        )
-        self._send_to_dst(record, ack)
+        ack = seq_add(record.dst_isn, 1)
+
+        def replay(seq: int, flags: int, payload: bytes = b"") -> None:
+            self._send_to_dst(record, TCPSegment(
+                sport=record.orig.orig_port, dport=record.dst_port,
+                seq=seq, ack=ack, flags=flags, payload=payload))
+
         seq = seq_add(record.client_isn, 1)
+        replay(seq, ACK)
         buffered = bytes(record.client_buffer)
         record.client_buffer.clear()
         offset = 0
@@ -1556,46 +1528,16 @@ class SubfarmRouter:
             if fin_here:
                 flags |= FIN
                 record.client_fin_relayed = True
-            data = TCPSegment(
-                sport=record.orig.orig_port, dport=record.dst_port,
-                seq=seq, ack=seq_add(record.dst_isn, 1),
-                flags=flags, payload=chunk,
-            )
+            replay(seq, flags, chunk)
             seq = seq_add(seq, len(chunk))
-            self._send_to_dst(record, data)
         if record.client_fin and not record.client_fin_relayed:
-            fin = TCPSegment(
-                sport=record.orig.orig_port, dport=record.dst_port,
-                seq=seq, ack=seq_add(record.dst_isn, 1), flags=FIN | ACK,
-            )
             record.client_fin_relayed = True
-            self._send_to_dst(record, fin)
+            replay(seq, FIN | ACK)
         self._fastpath_install(record)
 
     # ------------------------------------------------------------------
     # Emission toward each party
     # ------------------------------------------------------------------
-    def _forward_to_client(self, record: FlowRecord,
-                           segment: TCPSegment) -> None:
-        """Send a server-leg segment back to the originator, restoring
-        the illusion of the original destination."""
-        out = segment.copy()
-        out.sport = record.orig.resp_port
-        out.dport = record.orig.orig_port
-        if record.cs_isn is not None and record.dst_isn is not None:
-            # Post-handoff: translate the destination ISN space into the
-            # containment server's (which the client handshook against).
-            out.seq = seq_add(out.seq, record.isn_delta)
-        else:
-            out.seq = seq_sub(out.seq, record.s2c_rem)
-        if out.flags & ACK:
-            out.ack = seq_sub(out.ack, record.c2s_inj)
-        packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, out)
-        self.counters["packets_relayed"] += 1
-        if self._live:
-            self._m_packets.inc()
-        self._send(self._client_plan(record), packet, record.shaper)
-
     def _deliver_cs_content(self, record: FlowRecord, payload: bytes) -> None:
         """Deliver REWRITE content that shared a segment with the
         response shim."""
@@ -1606,8 +1548,7 @@ class SubfarmRouter:
             flags=ACK | PSH, payload=payload,
         )
         record.s2c_bytes += len(payload)
-        packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, segment)
-        self._send(self._client_plan(record), packet, record.shaper)
+        self._to_client(record, segment)
 
     def _client_snd_nxt(self, record: FlowRecord) -> int:
         return seq_add(record.client_isn, 1 + record.c2s_bytes
@@ -1623,65 +1564,34 @@ class SubfarmRouter:
         self._send((code, arg), IPv4Packet(src_ip, dst_ip, transport),
                    record.shaper)
 
-    def _send_udp_to_dst(self, record: FlowRecord,
-                         datagram: UDPDatagram) -> None:
-        out = datagram.copy()
-        out.dport = record.dst_port
-        out.sport = record.orig.orig_port
-        self._send_to_dst(record, out)
-
     # ------------------------------------------------------------------
     # REWRITE nonce leg (containment server connecting onward)
     # ------------------------------------------------------------------
-    def _handle_nonce_leg(self, record: FlowRecord, packet: IPv4Packet) -> None:
-        """The containment server opened (or continues) its onward
-        connection from the flow's nonce port.  NAT it so the real
-        target sees the inmate's global address and original port."""
-        segment = packet.tcp
-        if segment.syn and not record.nonce_active:
-            record.nonce_active = True
-            if record.inmate_is_originator and record.nat_global is None:
-                record.nat_global = self.nat.global_for(record.vlan)
-            # Register the return path so replies from the real target
-            # are recognized and relayed back to the nonce port.
-            local = record.nat_global or record.orig.orig_ip
-            alias = (packet.dst.value, segment.dport,
-                     local.value, record.orig.orig_port, PROTO_TCP)
-            self._index[alias] = record
-            record.index_keys.append(alias)
-            # If another flow had compiled a rule on this tuple, the
-            # index now routes it here — drop the stale entry.  (Its
-            # owner's fast_keys retains the key, which is harmless: the
-            # uninstall path identity-checks entry.record.)
-            stale = self._fastpath.pop(alias, None)
-            if stale is not None:
-                self.flowtable.evictions += 1
-        out = segment.copy()
-        out.sport = record.orig.orig_port
-        src = record.nat_global or record.orig.orig_ip
-        self.counters["packets_relayed"] += 1
-        if self._live:
-            self._m_packets.inc()
-        self.egress.upstream_egress.send(IPv4Packet(src, packet.dst, out))
-
-    def _is_nonce_return(self, record: FlowRecord,
-                         packet: IPv4Packet) -> bool:
-        if packet.proto != PROTO_TCP:
-            return False
-        expected_dst = record.nat_global or record.orig.orig_ip
-        return (packet.dst.value == expected_dst.value
-                and packet.tcp.dport == record.orig.orig_port
-                and record.nonce_active)
-
-    def _relay_nonce_return(self, record: FlowRecord,
-                            packet: IPv4Packet) -> None:
-        out = packet.tcp.copy()
-        out.dport = record.nonce_port
-        self.counters["packets_relayed"] += 1
-        if self._live:
-            self._m_packets.inc()
-        self._emit_to_cs(record.cs_ip,
-                         IPv4Packet(packet.src, record.cs_ip, out))
+    def _open_nonce_leg(self, record: FlowRecord, packet: IPv4Packet) -> None:
+        """The containment server opened an onward connection from the
+        flow's nonce port: bind both directions, NATed so the real
+        target sees the inmate's global address and original port, and
+        run the packet through."""
+        segment = packet.payload
+        orig = record.orig
+        if record.inmate_is_originator and record.nat_global is None:
+            record.nat_global = self.nat.global_for(record.vlan)
+        local = record.nat_global or orig.orig_ip
+        target, cs_ip = packet.dst, packet.src
+        out = self._row(
+            record, (cs_ip.value, segment.sport, target.value,
+                     segment.dport, PROTO_TCP), LEG_NONCE, ACT_TCP_CS2W,
+            orig.orig_port, segment.dport, local, target,
+            (EMIT_UPSTREAM, None))
+        back = self._row(
+            record, (target.value, segment.dport, local.value,
+                     orig.orig_port, PROTO_TCP), LEG_RETURN, ACT_TCP_W2CS,
+            segment.dport, segment.sport, target, record.cs_ip,
+            (EMIT_CS, record.cs_ip))
+        self.flowtable.bind(out)
+        if back.key != record.resp_key:
+            self.flowtable.bind(back)
+        apply(self, out, packet, packet_in=False)
 
     # ------------------------------------------------------------------
     # UDP verdicts from the containment server
@@ -1707,11 +1617,9 @@ class SubfarmRouter:
             self._deliver_udp_to_client(record, leftover)
 
     def _deliver_udp_to_client(self, record: FlowRecord, payload: bytes) -> None:
-        datagram = UDPDatagram(record.orig.resp_port, record.orig.orig_port,
-                               payload)
         record.s2c_bytes += len(payload)
-        packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, datagram)
-        self._send(self._client_plan(record), packet, record.shaper)
+        self._to_client(record, UDPDatagram(
+            record.orig.resp_port, record.orig.orig_port, payload))
 
     # ------------------------------------------------------------------
     # Teardown helpers
@@ -1721,27 +1629,19 @@ class SubfarmRouter:
         (the server is out of the path from here on)."""
         if record.orig.proto != PROTO_TCP or record.cs_isn is None:
             return
-        rst = TCPSegment(
-            sport=record.mux_port, dport=self.cs_tcp_port,
-            seq=seq_add(record.client_isn, 1 + record.c2s_inj
-                        + len(record.client_buffer) + record.c2s_bytes),
-            ack=seq_add(record.cs_isn, 1 + record.s2c_rem),
-            flags=RST | ACK,
-        )
-        self._emit_to_cs(
-            record.cs_ip, IPv4Packet(record.orig.orig_ip, record.cs_ip, rst)
-        )
+        self._to_cs(
+            record,
+            seq_add(record.client_isn, 1 + record.c2s_inj
+                    + len(record.client_buffer) + record.c2s_bytes),
+            seq_add(record.cs_isn, 1 + record.s2c_rem), RST | ACK)
 
     def _synthesize_client_rst(self, record: FlowRecord) -> None:
         if record.orig.proto != PROTO_TCP:
             return
         seq = seq_add(record.cs_isn, 1) if record.cs_isn is not None else 0
-        rst = TCPSegment(
+        self._to_client(record, TCPSegment(
             sport=record.orig.resp_port, dport=record.orig.orig_port,
-            seq=seq, ack=self._client_snd_nxt(record), flags=RST | ACK,
-        )
-        packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, rst)
-        self._send(self._client_plan(record), packet, record.shaper)
+            seq=seq, ack=self._client_snd_nxt(record), flags=RST | ACK))
 
     def _abort_flow(self, record: FlowRecord, notify_client: bool) -> None:
         if record.phase in (FlowPhase.CLOSED, FlowPhase.DROPPED):
@@ -1772,7 +1672,8 @@ class SubfarmRouter:
     # Inmate life-cycle hooks
     # ------------------------------------------------------------------
     def _evict(self, record: FlowRecord) -> None:
-        """Drop a record's demux state so its tuples can be reused."""
+        """Give a record's rows and ports back so its tuples can be
+        reused."""
         if self.journal.enabled:
             flow_id = self._trace_ids.get(record.mux_port)
             if flow_id is not None:
@@ -1780,12 +1681,7 @@ class SubfarmRouter:
                                     vlan=record.vlan,
                                     phase=record.phase.value)
         self._fastpath_uninstall(record)
-        for key in record.index_keys:
-            # Guard on identity: an alias may have been overwritten by a
-            # newer record, whose entry must survive this eviction.
-            if self._index.get(key) is record:
-                del self._index[key]
-        record.index_keys.clear()
+        self.flowtable.unbind(record)
         self._by_mux.pop(record.mux_port, None)
         self._by_nonce.pop(record.nonce_port, None)
         self._trace_ids.pop(record.mux_port, None)
@@ -1803,7 +1699,7 @@ class SubfarmRouter:
         self._housekeeping_armed = False
         self.sweep_flowtable()
         self.expire_idle_flows(self.flow_idle_timeout)
-        if self.active_flow_count() > 0:
+        if self._by_mux:
             self._arm_housekeeping()
 
     def sweep_flowtable(self) -> int:
@@ -1815,7 +1711,7 @@ class SubfarmRouter:
         quiet.  Returns the number of flows whose rules were evicted.
         """
         table = self.flowtable
-        if not table.entries:
+        if not len(table):
             return 0
         now = self.sim.now
         swept = 0
@@ -1828,7 +1724,10 @@ class SubfarmRouter:
         return swept
 
     def expire_idle_flows(self, max_idle: float) -> int:
-        """Evict demux state for flows idle longer than ``max_idle``.
+        """Evict every record idle longer than ``max_idle`` that still
+        holds rows and ports — a dropped or aborted flow as much as a
+        live one (afterwards a SYN on the tuple is a new flow and gets
+        its verdict again; anything else is dropped as mid-flow).
 
         Long deployments (the paper ran for six years) must not grow
         the flow table without bound; run this periodically.  Records
@@ -1837,7 +1736,7 @@ class SubfarmRouter:
         """
         expired = 0
         horizon = self.sim.now - max_idle
-        for record in self._live_flows():
+        for record in list(self._by_mux.values()):
             if record.last_activity <= horizon:
                 self._evict(record)
                 expired += 1

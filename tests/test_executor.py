@@ -1,12 +1,16 @@
 """The one flow-table executor, kind by kind and delivery by delivery.
 
 ``test_executor_table`` drives ``flowtable.apply`` with five segment
-shapes against an installed entry of each of the nine action kinds and
-checks, per packet, everything the executor may do: the emitted bytes,
-the flow's accounting, the router counter, and whether the packet went
-to the controller instead.  The expectations are written out here, not
-read from ``flowtable.SPECS`` — the table under test cannot vouch for
-itself.
+shapes against a row of each of the eleven action kinds and checks, per
+packet, everything the executor may do: the emitted bytes, the flow's
+accounting, the router counter, and whether the packet went to the
+controller instead.  Nine kinds are met as installed rules; the coupled
+ones are met a second time as what they are before the verdict — the
+same rows, not installed, every packet a packet-in that the controller
+runs through the row itself (deltas 0 until the request shim has gone
+in and the response shim has come out) — and the two nonce kinds only
+so.  The expectations are written out here, not read from
+``flowtable.SPECS`` — the table under test cannot vouch for itself.
 
 ``test_delivery_modes_agree`` is the property that used to be held by
 three hand-kept copies of the rewrite: a random script gives the same
@@ -81,9 +85,30 @@ SEGMENTS = {
     "rst": (RST | ACK, b""),
 }
 
+WORLD = IPv4Address("203.0.113.99")   # whom the server dials onward
+WORLD_PORT = 8080
+NONCE = 40000
+
 # kind -> (verdict, udp flow?, arrives as (src, sport, dst, dport),
-#          leaves as (channel, src, sport, dst, dport))
+#          leaves as (channel, src, sport, dst, dport)).  A verdict of
+# None stops the flow in the SHIM phase, the request shim just in: the
+# "/shim" kinds are the coupled rows as the controller uses them.
 KINDS = {
+    "tcp-c2cs/shim": (None, False,
+                      (INMATE, SPORT, TARGET, TARGET_PORT),
+                      ("to_service", INMATE, MUX, CS, CS_PORT)),
+    "tcp-cs2c/shim": (None, False,
+                      (CS, CS_PORT, INMATE, MUX),
+                      ("to_vlan", TARGET, TARGET_PORT, INMATE, SPORT)),
+    "udp-c2cs/shim": (None, True,
+                      (INMATE, SPORT, TARGET, TARGET_PORT),
+                      ("to_service", INMATE, MUX, CS, CS_PORT)),
+    "tcp-cs2w": (Verdict.REWRITE, False,
+                 (CS, NONCE, WORLD, WORLD_PORT),
+                 ("upstream", GLOBAL, SPORT, WORLD, WORLD_PORT)),
+    "tcp-w2cs": (Verdict.REWRITE, False,
+                 (WORLD, WORLD_PORT, GLOBAL, SPORT),
+                 ("to_service", WORLD, WORLD_PORT, CS, NONCE)),
     "tcp-c2d": (Verdict.FORWARD, False,
                 (INMATE, SPORT, TARGET, TARGET_PORT),
                 ("upstream", GLOBAL, SPORT, TARGET, TARGET_PORT)),
@@ -176,6 +201,25 @@ EXPECT = {
     ("drop-tcp", "syn"): PACKET_IN,
     ("drop-tcp", "rst"): SWALLOW,
     ("drop-udp", "data"): SWALLOW,
+    # The nonce leg is NAT: nothing moves but addresses and ports, and
+    # the flow's own accounting does not see it.  Only what comes back
+    # counts as the flow's activity.
+    **{("tcp-cs2w", shape): (SEQ, ACK_FIELD, None, False, False,
+                             "packets_relayed") for shape in SEGMENTS},
+    **{("tcp-w2cs", shape): (SEQ, ACK_FIELD, None, False, True,
+                             "packets_relayed") for shape in SEGMENTS},
+    # Coupled, before the verdict: the request shim is in, the response
+    # shim not yet out.  The controller has disabled packet-in, so SYN
+    # and RST are rewritten like anything else.
+    **{("tcp-c2cs/shim", shape): (
+        SEQ + REQ_SHIM, ACK_FIELD if SEGMENTS[shape][0] & ACK else 0,
+        "c2s", shape == "fin", True, "packets_relayed")
+       for shape in SEGMENTS},
+    **{("tcp-cs2c/shim", shape): (
+        SEQ, ACK_FIELD - (REQ_SHIM if SEGMENTS[shape][0] & ACK else 0),
+        "s2c", False, False, "packets_relayed") for shape in SEGMENTS},
+    ("udp-c2cs/shim", "data"): (None, None, "c2s", False, True,
+                                "shims_injected"),
 }
 
 
@@ -186,20 +230,50 @@ def _accounting(record) -> dict:
             "last_activity": record.last_activity}
 
 
+def _coupled(harness, udp: bool):
+    """A flow stopped in the SHIM phase: handshake relayed, request
+    shim in (the first datagram, for UDP), no verdict yet."""
+    inmate_ip = harness.nat.bind(VLAN)
+    if udp:
+        harness.inmate_udp(VLAN, inmate_ip, SPORT, TARGET_PORT, b"hello")
+        return harness.router.flows()[-1]
+    harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, CLIENT_ISN, 0,
+                       SYN)
+    harness.router.service_frame(EthernetFrame(
+        MacAddress("02:00:00:00:00:03"), harness.mac,
+        IPv4Packet(CS, inmate_ip, TCPSegment(
+            CS_PORT, MUX, CS_ISN, CLIENT_ISN + 1, SYN | ACK))))
+    harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, CLIENT_ISN + 1,
+                       CS_ISN + 1, ACK)
+    return harness.router.flows()[-1]
+
+
 @pytest.mark.parametrize("kind,shape", sorted(EXPECT))
 def test_executor_table(kind, shape):
     verdict, udp, (src, sport, dst, dport), leaves = KINDS[kind]
     harness = RouterHarness(seed=7)
-    if udp:
+    if verdict is None:
+        record = _coupled(harness, udp)
+        assert record.phase.value == "shim"
+    elif udp:
         record = harness.establish_udp_flow(VLAN, SPORT, verdict=verdict)
     else:
         record = harness.establish_flow(VLAN, SPORT, verdict=verdict,
                                         client_isn=CLIENT_ISN,
                                         dst_isn=DST_ISN)
     router = harness.router
-    entry = router._fastpath[(src.value, sport, dst.value, dport,
-                              17 if udp else 6)]
-    assert entry.describe()["action"] == kind
+    if kind in ("tcp-cs2w", "tcp-w2cs"):
+        # The server dials onward from the flow's nonce port.
+        router.service_frame(EthernetFrame(
+            MacAddress("02:00:00:00:00:03"), harness.mac,
+            IPv4Packet(CS, WORLD, TCPSegment(NONCE, WORLD_PORT, 1, 0, SYN))))
+    entry = router._table[(src.value, sport, dst.value, dport,
+                           17 if udp else 6)]
+    assert entry.spec.name == kind.partition("/")[0]
+    # A coupled or nonce row is not a rule: every packet on it is a
+    # miss, which the controller runs through the row itself.
+    by_controller = verdict is None or kind in ("tcp-cs2w", "tcp-w2cs")
+    assert entry.installed is not by_controller
     assert record.c2s_inj == (0 if udp else REQ_SHIM)
 
     flags, payload = SEGMENTS[shape]
@@ -210,21 +284,21 @@ def test_executor_table(kind, shape):
         transport = TCPSegment(sport, dport, SEQ, ACK_FIELD, flags,
                                payload=payload)
     controller = []
-    router._dispatch_known = lambda *args: controller.append(args)
-    router._relay_server_packet = lambda *args: controller.append(args)
+    router._legs = [lambda *args: controller.append(args)] * 4
     harness.drain()
     harness.sim.run(until=5.0)
     before = _accounting(record)
     counters = dict(router.counters)
 
-    apply(router, entry, IPv4Packet(src, dst, transport))
+    apply(router, entry, IPv4Packet(src, dst, transport),
+          packet_in=not by_controller)
 
     expected = EXPECT[kind, shape]
     emitted = {"to_vlan": harness.to_vlan, "upstream": harness.upstream,
                "to_service": harness.to_service}
     after = _accounting(record)
     if expected == PACKET_IN:
-        assert len(controller) == 1 and controller[0][0] is record
+        assert len(controller) == 1 and controller[0][0] is entry
         assert after == before and router.counters == counters
         assert not any(emitted.values())
         return
@@ -240,7 +314,7 @@ def test_executor_table(kind, shape):
     if udp:
         prefix = (RequestShim(record.orig, VLAN,
                               record.nonce_port).to_bytes()
-                  if kind == "udp-c2cs" else b"")
+                  if kind.startswith("udp-c2cs") else b"")
         wire = IPv4Packet(out_src, out_dst, UDPDatagram(
             out_sport, out_dport, prefix + DATA)).to_bytes()
     else:
@@ -252,8 +326,9 @@ def test_executor_table(kind, shape):
         == {channel: [wire]}
 
     want = dict(before)
-    packets, nbytes = before[side]
-    want[side] = (packets + 1, nbytes + len(payload))
+    if side is not None:
+        packets, nbytes = before[side]
+        want[side] = (packets + 1, nbytes + len(payload))
     want["client_fin"] = fin_set
     if touched:
         want["last_activity"] = 5.0

@@ -235,30 +235,32 @@ def test_evicted_handlers_are_uninstalled():
     harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
-    assert record.fast_keys
-    installed = list(record.fast_keys)
+    table = harness.router.flowtable
+    assert len(table.rules(record)) == 2 and record.installed
+    bound = list(record.keys)
+    assert len(bound) >= 4   # both tuples, the server's leg, the alias
     harness.router._evict(record)
-    for key in installed:
-        assert key not in harness.router._fastpath
-    assert not record.fast_keys
+    for key in bound:
+        assert key not in table.entries
+    assert not record.keys and not record.installed and not len(table)
 
 
 def test_reverdict_reinstalls_fresh_handlers():
     harness = RouterHarness(seed=7)
     first = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                    dst_isn=DST_ISN)
-    first_keys = list(first.fast_keys)
+    table = harness.router.flowtable
+    first_keys = [rule.key for rule in table.rules(first)]
     harness.establish_flow(VLAN, SPORT, verdict=Verdict.DROP,
                            client_isn=CLIENT_ISN + 5, dst_isn=DST_ISN)
     second = harness.router.flows()[-1]
     assert second is not first
-    assert not first.fast_keys, "stale handlers must not survive eviction"
-    assert second.fast_keys
-    handler = harness.router._fastpath[second.fast_keys[0]]
-    assert handler.record is second
+    assert not first.keys, "stale rows must not survive eviction"
+    (handler,) = table.rules(second)
+    assert table.entries[handler.key] is handler
     # The orig-tuple key is shared between incarnations; the live
     # handler must belong to the newest record.
-    assert second.fast_keys[0] in first_keys
+    assert handler.key in first_keys
 
 
 def test_pumped_packets_bypass_slow_dispatch():
@@ -267,13 +269,11 @@ def test_pumped_packets_bypass_slow_dispatch():
     harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
-    calls = []
-    original = harness.router._dispatch_known
-    harness.router._dispatch_known = (
-        lambda *a, **k: (calls.append(a), original(*a, **k)))
+    table = harness.router.flowtable
+    misses = table.misses
     pump_tcp(harness, record, rounds=4)
-    harness.router._dispatch_known = original
-    assert not calls, "post-verdict data should never hit the slow path"
+    assert table.misses == misses and table.hits >= 8, \
+        "post-verdict data should never hit the slow path"
     assert record.c2s_packets > 1 and record.s2c_packets > 1
 
 

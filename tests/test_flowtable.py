@@ -91,9 +91,8 @@ def test_idle_timeout_evicts_and_reinstalls():
     harness.router.flowtable_idle_timeout = 30.0
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
-    assert record.fast_keys
     table = harness.router.flowtable
-    entry = table.entries[record.fast_keys[0]]
+    entry = table.rules(record)[0]
     assert entry.idle_timeout == 30.0
     pump_once(harness, record, CLIENT_ISN + 1)
     assert table.hits > 0
@@ -106,8 +105,8 @@ def test_idle_timeout_evicts_and_reinstalls():
     stats = table.stats()
     assert stats["timeout_evictions"]["idle"] == 1
     assert table.misses > misses_before
-    assert record.fast_keys, "live flow must re-install after expiry"
-    fresh = table.entries[record.fast_keys[0]]
+    assert record.installed, "live flow must re-install after expiry"
+    fresh = table.rules(record)[0]
     assert fresh.installed_at == 100.0
 
 
@@ -117,7 +116,7 @@ def test_hard_timeout_evicts_active_flow():
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     table = harness.router.flowtable
-    assert table.entries[record.fast_keys[0]].expires_at == 50.0
+    assert table.rules(record)[0].expires_at == 50.0
 
     # Activity does not extend a hard timeout.
     harness.sim.run(until=40.0)
@@ -126,7 +125,7 @@ def test_hard_timeout_evicts_active_flow():
     harness.sim.run(until=60.0)
     pump_once(harness, record, CLIENT_ISN + 65)
     assert table.stats()["timeout_evictions"]["hard"] == 1
-    fresh = table.entries[record.fast_keys[0]]
+    fresh = table.rules(record)[0]
     assert fresh.expires_at == 60.0 + 50.0
 
 
@@ -135,13 +134,15 @@ def test_sweep_reclaims_quiet_flows():
     harness.router.flowtable_idle_timeout = 30.0
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
-    assert len(record.fast_keys) == 2
+    table = harness.router.flowtable
+    assert len(table.rules(record)) == 2
     harness.sim.run(until=100.0)
     assert harness.router.sweep_flowtable() == 1
-    table = harness.router.flowtable
-    assert not table.entries
+    assert not len(table) and not table.rules()
     assert table.stats()["timeout_evictions"]["idle"] == 1
-    assert not record.fast_keys
+    # Demoted, not gone: the flow's keys still find the controller.
+    assert not record.installed
+    assert not table.entries[record.orig_key].installed
 
 
 def _mid_conversation_expiry() -> dict:
@@ -177,8 +178,8 @@ def test_failed_compile_leaves_table_intact():
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     table = harness.router.flowtable
-    keys_before = list(record.fast_keys)
-    entries_before = {key: table.entries[key] for key in keys_before}
+    entries_before = {rule.key: rule for rule in table.rules(record)}
+    assert len(entries_before) == 2
 
     dst_isn = record.dst_isn
     record.dst_isn = None  # isn_delta now raises mid-compile
@@ -186,13 +187,13 @@ def test_failed_compile_leaves_table_intact():
         harness.router._fastpath_install(record)
     # The failed install must not have uninstalled, replaced, or
     # half-written anything.
-    assert list(record.fast_keys) == keys_before
+    assert record.installed
     for key, entry in entries_before.items():
         assert table.entries[key] is entry
 
     record.dst_isn = dst_isn
     harness.router._fastpath_install(record)
-    assert len(record.fast_keys) == len(keys_before)
+    assert len(table.rules(record)) == len(entries_before)
 
 
 def test_failed_compile_installs_nothing_from_empty():
@@ -200,12 +201,13 @@ def test_failed_compile_installs_nothing_from_empty():
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     harness.router._fastpath_uninstall(record)
-    assert not harness.router.flowtable.entries
+    table = harness.router.flowtable
+    assert not table.rules()
     record.dst_isn = None
     with pytest.raises(RuntimeError):
         harness.router._fastpath_install(record)
-    assert not harness.router.flowtable.entries
-    assert not record.fast_keys
+    assert not table.rules() and not len(table)
+    assert not record.installed
 
 
 # ----------------------------------------------------------------------
@@ -587,7 +589,7 @@ def test_flowtable_stats_and_snapshot():
     pump_once(harness, record, CLIENT_ISN + 1)
     table = harness.router.flowtable
     stats = table.stats()
-    assert stats["occupancy"] == len(record.fast_keys) == 2
+    assert stats["occupancy"] == len(table.rules(record)) == 2
     assert stats["hits"] == 2
     assert stats["installs"] == 2
     snapshot = table.snapshot()

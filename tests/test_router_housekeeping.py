@@ -1,13 +1,17 @@
-"""Router housekeeping costs what is live, not what ever was.
+"""Router housekeeping costs what is live, not what ever was — and
+gives back everything that is not.
 
 A GQ deployment runs for years (the paper's did for six), so anything
 the router does per tick or per inmate revert must not grow with the
 flow history.  Scripted against the bare router (the bench harness):
 ``expire_idle_flows`` / ``active_flow_count`` / ``forget_inmate`` walk
 the live demux table, evict in creation order and never touch the
-history list; a flow's UDP hold queue exists only while it is needed;
-and a stray on an ENFORCED flow's reversed originator tuple — a tuple
-the flow is indexed under but has no rule for — is dropped.
+history list; every record idle past ``flow_idle_timeout`` — dropped
+and aborted flows as much as live ones — gives its ports and rows
+back, and a port space that is genuinely full refuses the flow instead
+of unwinding the event loop; a flow's UDP hold queue exists only while
+it is needed; and a stray on an ENFORCED flow's reversed originator
+tuple — a tuple the flow has a row for but no rule — is dropped.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ from repro.net.packet import (  # noqa: E402
     EthernetFrame,
     IPv4Packet,
     PSH,
+    RST,
+    SYN,
     TCPSegment,
     UDPDatagram,
 )
+from repro.obs.journal import Journal  # noqa: E402
 
 VLAN = 2
 HISTORY, LIVE = 120, 5
@@ -65,7 +72,8 @@ def _aged_router():
     for index in range(HISTORY):
         verdict = Verdict.DROP if index % 10 == 0 else Verdict.FORWARD
         harness.establish_flow(VLAN, 30000 + index, verdict=verdict)
-    assert router.expire_idle_flows(max_idle=-1.0) == HISTORY - HISTORY // 10
+    assert router.expire_idle_flows(max_idle=-1.0) == HISTORY
+    assert not router._by_mux and not router.flowtable.entries
     live = [harness.establish_flow(VLAN, 40000 + index)
             for index in range(LIVE)]
     for record in live[::2]:
@@ -82,9 +90,9 @@ def _aged_router():
 def test_expiry_visits_only_records_that_still_hold_demux_state():
     harness, live, mux, evicted = _aged_router()
     router = harness.router
-    # DROPPED flows keep their drop rule (and mux port) until evicted;
-    # everything else of the history is gone from the demux table.
-    in_table = HISTORY // 10 + LIVE
+    # The whole history — the dropped flows too — is gone from the
+    # demux table.
+    in_table = LIVE
     assert len(mux) == in_table and len(router._flows) == HISTORY + LIVE
 
     assert router.active_flow_count() == LIVE
@@ -105,12 +113,93 @@ def test_forget_inmate_evicts_the_inmates_live_flows_in_order():
     assert evicted == []
     router.forget_inmate(VLAN)
     assert evicted == live
-    assert mux.visited == 2 * (HISTORY // 10 + LIVE)
+    assert mux.visited == 2 * LIVE
     assert router.active_flow_count() == 0
     # Their tuples are free again: the same five-tuple starts afresh.
     router._flows.housekeeping = False
     again = harness.establish_flow(VLAN, 40000)
     assert again is not live[0] and again.phase is FlowPhase.ENFORCED
+
+
+def test_terminal_flows_give_their_demux_state_back():
+    """A dropped flow keeps its mux port, rows and drop rule only while
+    it is of any use: 20,050 DROP verdicts — more than there are mux
+    ports — on one router with housekeeping running raise nothing, and
+    what is held at any time is what was active within
+    ``flow_idle_timeout`` (plus one housekeeping interval)."""
+    harness = RouterHarness()
+    router = harness.router
+    spacing = 0.5
+    bound = (router.flow_idle_timeout + router.housekeeping_interval) \
+        / spacing + 1
+    peak = 0
+    for index in range(20050):
+        harness.establish_flow(VLAN, 1024 + index % 50000,
+                               verdict=Verdict.DROP)
+        harness.sim.run(until=harness.sim.now + spacing)
+        harness.drain()
+        peak = max(peak, len(router._by_mux))
+    assert router.counters["flows_created"] == 20050
+    assert router.counters["flows_refused"] == 0
+    assert peak <= bound and router.active_flow_count() == 0
+    # Rows and rules go with the ports: three keys (both tuples, the
+    # server's leg) and one rule apiece.
+    assert len(router.flowtable.entries) == 3 * len(router._by_mux)
+    assert len(router.flowtable) == len(router._by_mux)
+    # ... and all of it once the router has been quiet long enough.
+    harness.sim.run(until=harness.sim.now + 1000.0)
+    assert not router._by_mux and not router._by_nonce
+    assert not router.flowtable.entries and not len(router.flowtable)
+
+
+def test_aborted_flows_are_reclaimed_like_any_other():
+    harness = RouterHarness()
+    router = harness.router
+    inmate_ip = harness.nat.bind(VLAN)
+    for index in range(100):
+        record = harness.establish_flow(VLAN, 30000 + index)
+        harness.inmate_tcp(VLAN, inmate_ip, 30000 + index, TARGET_PORT,
+                           2000, 9001, RST | ACK)
+        assert record.phase is FlowPhase.CLOSED
+    assert len(router._by_mux) == 100 and router.active_flow_count() == 0
+    harness.sim.run(until=1000.0)
+    assert not router._by_mux and not router.flowtable.entries
+    # The tuple is free: a SYN on it is a new flow with its own verdict,
+    # anything else is dropped as mid-flow.
+    harness.drain()
+    harness.inmate_tcp(VLAN, inmate_ip, 30000, TARGET_PORT, 2001, 9001,
+                       ACK | PSH, b"late")
+    assert harness.to_service == harness.upstream == []
+    assert harness.establish_flow(VLAN, 30000).phase is FlowPhase.ENFORCED
+
+
+def test_a_full_port_space_refuses_the_flow():
+    """Exhaustion is a refusal with a journalled reason, never an
+    exception out of ``inmate_frame`` (i.e. through ``sim.run``)."""
+    harness = RouterHarness()
+    router = harness.router
+    router.PORT_SLOTS = 8
+    router.journal = Journal(clock=lambda: harness.sim.now)
+    for index in range(8):
+        harness.establish_flow(VLAN, 30000 + index)
+    assert len(router._by_mux) == 8
+    harness.drain()
+
+    inmate_ip = harness.nat.bind(VLAN)
+    harness.inmate_tcp(VLAN, inmate_ip, 31000, TARGET_PORT, 1000, 0, SYN)
+    refused = router.flows()[-1]
+    assert refused.phase is FlowPhase.REFUSED and not refused.keys
+    assert router.counters["flows_refused"] == 1
+    assert router.flow_log[-1].verdict == "REFUSED"
+    assert harness.to_service == harness.to_vlan == harness.upstream == []
+    (event,) = [event for event in router.journal.events()
+                if event.kind == "flow.refused"]
+    assert event.fields["reason"] == "mux-exhausted"
+
+    # Housekeeping frees a slot; the retransmitted SYN is admitted.
+    router.expire_idle_flows(max_idle=-1.0)
+    harness.inmate_tcp(VLAN, inmate_ip, 31000, TARGET_PORT, 1000, 0, SYN)
+    assert router.flows()[-1].phase is FlowPhase.SHIM
 
 
 def test_udp_hold_queue_exists_only_while_the_verdict_is_pending():
@@ -139,10 +228,10 @@ def test_udp_hold_queue_exists_only_while_the_verdict_is_pending():
 
 
 def test_stray_on_the_reversed_originator_tuple_is_dropped():
-    """A NATed FORWARD flow is indexed under its reversed originator
-    tuple (destination -> the inmate's *internal* address) but has no
-    rule for it: the destination only ever answers the global address.
-    A packet on that tuple is dropped — not handed to the inmate."""
+    """A NATed FORWARD flow has a row for its reversed originator
+    tuple (destination -> the inmate's *internal* address) but no rule
+    on it: the destination only ever answers the global address.  A
+    packet on that tuple is dropped — not handed to the inmate."""
     harness = RouterHarness()
     router = harness.router
     record = harness.establish_flow(VLAN, 40000)
