@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.verdicts import ContainmentDecision, Verdict
+from repro.gateway import coupling, handoff
 from repro.gateway.flows import FlowPhase, FlowRecord
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, SYN, TCPSegment
@@ -293,7 +294,7 @@ class RouterResilience:
             self.trigger_engine.resume()
 
     # ------------------------------------------------------------------
-    # New-flow hook (called from SubfarmRouter._new_flow)
+    # New-flow hook (called from admission.new_flow)
     # ------------------------------------------------------------------
     def handle_new_flow(self, record: FlowRecord) -> bool:
         """Pick the flow's containment server.  Returns ``True`` when
@@ -303,7 +304,7 @@ class RouterResilience:
         if cs_ip is not None:
             if cs_ip != record.cs_ip:
                 record.cs_ip = cs_ip
-                self.router._couple(record)
+                coupling.couple(self.router, record)
             return False
         self.degraded_refusals += 1
         self._apply_pending(record, annotation="containment degraded")
@@ -386,13 +387,13 @@ class RouterResilience:
                 target=str(target))
         record.cs_ip = target
         if record.orig.proto != PROTO_TCP:
-            self.router._couple(record)
+            coupling.couple(self.router, record)
             self._resend_udp(record)
             return
         # If the client already handshook against the old leg, the new
         # SYN-ACK must not reach it — the router completes the fresh
         # handshake itself and replays the shim plus buffered payload
-        # (the same replay idiom _complete_handoff uses toward enforced
+        # (the same replay idiom complete_handoff uses toward enforced
         # destinations).
         record.cs_handshake_replay = record.cs_isn is not None
         record.cs_isn = None
@@ -401,7 +402,7 @@ class RouterResilience:
         record.shim_injected = False
         record.shim_buffer.clear()
         # The coupled rows again, from scratch, toward the new server.
-        self.router._couple(record)
+        coupling.couple(self.router, record)
         self._resend_syn(record)
 
     def _resend_syn(self, record: FlowRecord) -> None:
@@ -409,11 +410,11 @@ class RouterResilience:
             sport=record.orig.orig_port, dport=record.orig.resp_port,
             seq=record.client_isn, flags=SYN,
         )
-        self.router._offer(record, syn)
+        coupling.offer(self.router, record, syn)
 
     def _resend_udp(self, record: FlowRecord) -> None:
         if record.udp_pending:
-            self.router._offer(record, record.udp_pending[0])
+            coupling.offer(self.router, record, record.udp_pending[0])
 
     # ------------------------------------------------------------------
     # Pending-policy resolution
@@ -431,7 +432,7 @@ class RouterResilience:
             self._m_fail_closed.inc()
         else:
             self.fail_open += 1
-        self.router._apply_decision(record, decision)
+        handoff.apply_decision(self.router, record, decision)
 
     def _pending_decision(self, record: FlowRecord,
                           annotation: str) -> ContainmentDecision:

@@ -52,6 +52,12 @@ class FlowPhase(enum.Enum):
     CLOSED = "closed"
 
 
+# Phases in which a record still owns demux state worth housekeeping.
+LIVE_PHASES = (FlowPhase.SHIM, FlowPhase.HANDOFF, FlowPhase.ENFORCED)
+# Phases in which a verdict stands as installed rules.
+DECIDED_PHASES = (FlowPhase.ENFORCED, FlowPhase.DROPPED)
+
+
 class FlowRecord:
     """Containment state for one flow.
 

@@ -28,6 +28,7 @@ from bench_hotpath import (  # noqa: E402
 
 from repro.core.server import CS_DEFAULT_PORT  # noqa: E402
 from repro.core.verdicts import Verdict  # noqa: E402
+from repro.gateway import housekeeping  # noqa: E402
 from repro.net.addresses import IPv4Address  # noqa: E402
 from repro.net.packet import (  # noqa: E402
     ACK,
@@ -239,7 +240,7 @@ def test_evicted_handlers_are_uninstalled():
     assert len(table.rules(record)) == 2 and record.installed
     bound = list(record.keys)
     assert len(bound) >= 4   # both tuples, the server's leg, the alias
-    harness.router._evict(record)
+    housekeeping.evict(harness.router, record)
     for key in bound:
         assert key not in table.entries
     assert not record.keys and not record.installed and not len(table)

@@ -28,6 +28,7 @@ from bench_hotpath import (  # noqa: E402
 )
 
 from repro.farm import FarmConfig  # noqa: E402
+from repro.gateway import handoff  # noqa: E402
 from repro.gateway.flowtable import EMIT_UPSTREAM, EMIT_VLAN  # noqa: E402
 from repro.net.addresses import IPv4Address, MacAddress  # noqa: E402
 from repro.net.packet import (  # noqa: E402
@@ -184,7 +185,7 @@ def test_failed_compile_leaves_table_intact():
     dst_isn = record.dst_isn
     record.dst_isn = None  # isn_delta now raises mid-compile
     with pytest.raises(RuntimeError):
-        harness.router._fastpath_install(record)
+        handoff.install(harness.router, record)
     # The failed install must not have uninstalled, replaced, or
     # half-written anything.
     assert record.installed
@@ -192,7 +193,7 @@ def test_failed_compile_leaves_table_intact():
         assert table.entries[key] is entry
 
     record.dst_isn = dst_isn
-    harness.router._fastpath_install(record)
+    handoff.install(harness.router, record)
     assert len(table.rules(record)) == len(entries_before)
 
 
@@ -200,12 +201,12 @@ def test_failed_compile_installs_nothing_from_empty():
     harness = RouterHarness(seed=7)
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
-    harness.router._fastpath_uninstall(record)
+    handoff.uninstall(harness.router, record)
     table = harness.router.flowtable
     assert not table.rules()
     record.dst_isn = None
     with pytest.raises(RuntimeError):
-        harness.router._fastpath_install(record)
+        handoff.install(harness.router, record)
     assert not table.rules() and not len(table)
     assert not record.installed
 

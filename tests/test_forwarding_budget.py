@@ -181,14 +181,14 @@ def _assert_one_probe_per_packet(table, others, calls) -> int:
     # swaps it in with ``pop``; the controller reads a row it has just
     # re-installed, and the opening packet's coupled row, by item.)
     assert table.reads["_lookup"] == entered
-    assert set(table.reads) <= {"_lookup", "bind", "_offer",
-                                "_from_originator", "_from_return"}
-    assert table.reads["_offer"] <= others["_by_mux"].reads["_allocate_slot"]
-    assert (table.reads["_from_originator"] + table.reads["_from_return"]
-            <= calls[("router.py", "_fastpath_install")])
+    assert set(table.reads) <= {"_lookup", "bind", "offer",
+                                "from_originator", "from_return"}
+    assert table.reads["offer"] <= others["_by_mux"].reads["allocate_slot"]
+    assert (table.reads["from_originator"] + table.reads["from_return"]
+            <= calls[("handoff.py", "install")])
     # A flow is created under a free slot; nothing else reads a
     # per-flow map on a packet's way.
-    assert set(others["_by_mux"].reads) <= {"_allocate_slot"}
+    assert set(others["_by_mux"].reads) <= {"allocate_slot"}
     assert not others["_by_nonce"].reads and not others["_trace_ids"].reads
     return entered
 

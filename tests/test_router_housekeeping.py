@@ -25,6 +25,7 @@ from bench_hotpath import RouterHarness, TARGET_IP, TARGET_PORT  # noqa: E402
 
 from repro.core.shim import ResponseShim  # noqa: E402
 from repro.core.verdicts import Verdict  # noqa: E402
+from repro.gateway import housekeeping  # noqa: E402
 from repro.gateway.flows import FlowPhase  # noqa: E402
 from repro.net.addresses import IPv4Address, MacAddress  # noqa: E402
 from repro.net.packet import (  # noqa: E402
@@ -64,7 +65,7 @@ class _NeverWalked(list):
         return super().__iter__()
 
 
-def _aged_router():
+def _aged_router(monkeypatch):
     """HISTORY flows long since evicted (a few refused or dropped among
     them), then LIVE enforced ones — every other one of those idle."""
     harness = RouterHarness()
@@ -82,13 +83,14 @@ def _aged_router():
     router._by_mux = mux = _CountingMux(router._by_mux)
     router._flows = _NeverWalked(router._flows)
     evicted = []
-    evict = router._evict
-    router._evict = lambda record: evicted.append(record) or evict(record)
+    evict = housekeeping.evict
+    monkeypatch.setattr(housekeeping, "evict", lambda router, record: (
+        evicted.append(record), evict(router, record)))
     return harness, live, mux, evicted
 
 
-def test_expiry_visits_only_records_that_still_hold_demux_state():
-    harness, live, mux, evicted = _aged_router()
+def test_expiry_visits_only_records_that_still_hold_demux_state(monkeypatch):
+    harness, live, mux, evicted = _aged_router(monkeypatch)
     router = harness.router
     # The whole history — the dropped flows too — is gone from the
     # demux table.
@@ -106,8 +108,8 @@ def test_expiry_visits_only_records_that_still_hold_demux_state():
     assert router.active_flow_count() == 2
 
 
-def test_forget_inmate_evicts_the_inmates_live_flows_in_order():
-    harness, live, mux, evicted = _aged_router()
+def test_forget_inmate_evicts_the_inmates_live_flows_in_order(monkeypatch):
+    harness, live, mux, evicted = _aged_router(monkeypatch)
     router = harness.router
     router.forget_inmate(VLAN + 1)
     assert evicted == []

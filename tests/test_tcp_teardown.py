@@ -45,7 +45,7 @@ def _fetch_then_close(conns, closed):
     "After a FORWARD handoff the gateway still subtracts c2s_inj (the "
     "24-byte request shim the destination never saw) from every "
     "destination->inmate ACK (the compiled tcp-d2c entry's ack_delta, "
-    "SubfarmRouter._compile_endpoint), so the ACK of the inmate's FIN is "
+    "handoff.compile_endpoint), so the ACK of the inmate's FIN is "
     "24 too low: "
     "the inmate sits in CLOSING forever, on_closed never fires and its "
     "TcpStack keeps one connection per flow.  The fix changes inmate-side "
