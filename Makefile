@@ -58,12 +58,20 @@ fuzz-quick:
 obs-quick:
 	$(PYTHON) benchmarks/bench_obs_overhead.py --quick
 
-# Isolation-certificate gate: certify the golden-seed farm twice
-# (exhaustive reachability over the compiled decision surface must be
-# CONTAINED with a byte-stable certificate digest) plus one
-# fault-matrix scenario, cross-validated against its own runtime
-# journal and flow tables (docs/VERIFICATION.md).
+# Isolation-certificate gate.  First the policy differential under two
+# hash seeds (derandomized): the decision table a DSL policy executes
+# = a brute-force first-match evaluator = the model's cells, over
+# random programs x atom-edge probes x content in 1-3 chunks.  Then
+# certify the golden-seed farm twice (exhaustive reachability over the
+# published decision surface must be CONTAINED with a byte-stable
+# certificate digest) plus one fault-matrix scenario, cross-validated
+# against its own runtime journal and flow tables
+# (docs/VERIFICATION.md).
 verify-quick:
+	for seed in 0 4242; do \
+		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
+			tests/test_policy_differential.py || exit 1; \
+	done
 	$(PYTHON) -m repro.verify quick
 
 # Trace-memory gate: the packed capture store's round-trip, ring and

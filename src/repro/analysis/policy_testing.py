@@ -126,13 +126,37 @@ class SurfaceReport:
 
     def forwarded(self) -> List[ProbeOutcome]:
         """The harm surface: everything that leaves the farm."""
-        return [o for o in self.outcomes
-                if o.decision.verdict & (Verdict.FORWARD | Verdict.LIMIT)]
+        return [o for o in self.outcomes if o.decision.verdict.grants_world]
 
     def __repr__(self) -> str:
         return (f"<SurfaceReport {self.policy_name}: "
                 f"{len(self.outcomes)} probes, "
                 f"{len(self.forwarded())} forwarded>")
+
+
+_INMATE_IP = IPv4Address("10.100.0.2")
+_OUTSIDE_IP = IPv4Address("203.0.113.200")
+
+
+def drive(policy: ContainmentPolicy,
+          probe: Probe) -> Tuple[Optional[ContainmentDecision], bool]:
+    """Put one probe to a policy the way the containment server puts a
+    flow: ``decide`` on the endpoint, then ``decide_content`` on the
+    probe's bytes.  Returns the decision (None: still waiting for
+    content) and whether the endpoint alone settled it.  The one
+    prober: :func:`enumerate_surface` and the isolation model of an
+    opaque policy (:func:`repro.verify.model.probe_policy`) read it."""
+    outbound = probe.direction == "outbound"
+    orig, resp = ((_INMATE_IP, _OUTSIDE_IP) if outbound
+                  else (_OUTSIDE_IP, _INMATE_IP))
+    ctx = PolicyContext(
+        FiveTuple(orig, 4321, resp, probe.port, probe.proto),
+        vlan_id=2, nonce_port=40000, now=0.0, services=policy.services,
+        inmate_is_originator=outbound)
+    decision = policy.decide(ctx)
+    if decision is not None:
+        return decision, True
+    return policy.decide_content(ctx, probe.content), False
 
 
 def enumerate_surface(
@@ -150,23 +174,8 @@ def enumerate_surface(
         }
     probes = probes if probes is not None else generate_probes()
     report = SurfaceReport(policy.policy_name)
-    inmate_ip = IPv4Address("10.100.0.2")
-    outside_ip = IPv4Address("203.0.113.200")
     for probe in probes:
-        if probe.direction == "outbound":
-            flow = FiveTuple(inmate_ip, 4321, outside_ip, probe.port,
-                             probe.proto)
-            inmate_orig = True
-        else:
-            flow = FiveTuple(outside_ip, 4321, IPv4Address("198.18.0.5"),
-                             probe.port, probe.proto)
-            inmate_orig = False
-        ctx = PolicyContext(flow=flow, vlan_id=2, nonce_port=40000,
-                            now=0.0, services=policy.services,
-                            inmate_is_originator=inmate_orig)
-        decision = policy.decide(ctx)
-        if decision is None:
-            decision = policy.decide_content(ctx, probe.content)
+        decision, _ = drive(policy, probe)
         if decision is None:
             report.undecided.append(probe)
             continue
@@ -181,8 +190,7 @@ Invariant = Tuple[str, Callable[[ProbeOutcome], Optional[str]]]
 
 
 def _no_smtp_escape(outcome: ProbeOutcome) -> Optional[str]:
-    if (outcome.probe.port == 25
-            and outcome.decision.verdict & (Verdict.FORWARD | Verdict.LIMIT)):
+    if outcome.probe.port == 25 and outcome.decision.verdict.grants_world:
         return "SMTP allowed out of the farm"
     return None
 
@@ -258,14 +266,16 @@ def verify_enforcement(
     sink = sub.add_catchall_sink()
     sub.add_smtp_sink()
 
-    witness_ip = IPv4Address("203.0.113.200")
+    witness_ip = _OUTSIDE_IP
     witness = farm.add_external_host("witness", str(witness_ip))
     witness_seen: List[Tuple[int, bytes]] = []
+    witness_heard: List[bytes] = []
 
     def witness_accept(conn):
         # NAT preserves the inmate's source port, so (dst port,
         # src port) identifies the flow for verdict correlation.
         witness_seen.append((conn.local_port, conn.remote_port))
+        conn.on_data = lambda c, data: witness_heard.append(bytes(data))
 
     witness.tcp.listen_any(witness_accept)
 
@@ -307,7 +317,7 @@ def verify_enforcement(
         label = record.decision.verdict.label
         probe = Probe("outbound", record.flow.resp_port, PROTO_TCP,
                       "?", b"")
-        if label in ("FORWARD", "FORWARD|LIMIT", "LIMIT"):
+        if record.decision.verdict.grants_world:
             if key not in witness_flows:
                 mismatches.append(EnforcementMismatch(
                     probe, label, "never reached the real destination"))
@@ -329,6 +339,7 @@ def verify_enforcement(
     summary = {
         "verdicts": dict(sub.containment_server.verdict_counts),
         "witness_ports": sorted({port for port, _src in witness_flows}),
+        "witness_heard": witness_heard,
         "sink_ports": sorted({port for port, _src in sink_flows}),
         "smtp_sink_sessions": smtp_sink.sessions_accepted,
     }

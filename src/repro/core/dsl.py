@@ -8,10 +8,28 @@ simplify this."
 
 This module implements that language.  A policy is a list of rules,
 evaluated top to bottom; the first match wins; the mandatory
-``default`` clause catches the rest.  Because rules are data, the
-tool-chain the paper wished for becomes straightforward — the test
-generator in :mod:`repro.analysis.policy_testing` enumerates the
-rule set's decision surface mechanically.
+``default`` clause catches the rest.  Because rules are data, a
+program compiles **once** (:func:`compile_table`) into a decision
+table: per (direction, proto) the partition of ``[0, 65535]`` into port
+atoms on the rules' boundaries, and per atom the ordered branches
+(content matcher → action) of the rules covering it, ending in exactly
+one unconditional branch — the first endpoint-only rule, or the
+default.  First-match semantics live in that compiler and nowhere
+else: the runtime (``decide`` / ``decide_content``), the parser's
+shadow check (a rule that owns no branch in any atom can never fire,
+whether one earlier rule covers it or several do between them) and the
+isolation model (:meth:`DslPolicy.surface`) are readings of the table.
+Two rules follow from its shape:
+
+* **Content before fallback.**  An endpoint-only rule after content
+  rules on the same atom is the atom's fallback; it does not pre-empt
+  them.  ``decide`` returns None and the content decides.
+* **One wait rule.**  ``decide_content`` walks the atom's branches in
+  order; a branch that matches the bytes so far decides.  A prefix
+  branch those bytes could still grow into holds the flow while fewer
+  than 256 have arrived — nothing later, rule or default, pre-empts it
+  — so a request split over segments gets the verdict it gets in one.
+  (A regex branch sees the bytes that have arrived; it never holds.)
 
 Grammar (one rule per line, ``#`` comments)::
 
@@ -39,11 +57,15 @@ from __future__ import annotations
 
 import re
 import shlex
-from typing import List, Optional
+from bisect import bisect_right
+from typing import List, Optional, Tuple
 
 from repro.core.policy import (
+    DIRECTIONS,
+    PROTOS,
     ContainmentPolicy,
     PolicyContext,
+    Surface,
     register_policy,
 )
 from repro.core.verdicts import ContainmentDecision
@@ -92,17 +114,19 @@ class Action:
 
 
 class Rule:
-    """One ``match -> action`` line."""
+    """One ``match -> action`` line; ``any`` is ports 0-65535 of both
+    protocols (``proto`` None)."""
 
     __slots__ = ("direction", "port_lo", "port_hi", "proto",
                  "content_prefix", "content_regex", "action", "line",
-                 "hits")
+                 "line_number", "hits")
 
-    def __init__(self, direction: Optional[str], port_lo: Optional[int],
-                 port_hi: Optional[int], proto: Optional[int],
+    def __init__(self, direction: Optional[str], port_lo: int,
+                 port_hi: int, proto: Optional[int],
                  content_prefix: Optional[bytes],
                  content_regex: Optional["re.Pattern"],
-                 action: Action, line: str) -> None:
+                 action: Action, line: str,
+                 line_number: Optional[int] = None) -> None:
         self.direction = direction
         self.port_lo = port_lo
         self.port_hi = port_hi
@@ -111,23 +135,12 @@ class Rule:
         self.content_regex = content_regex
         self.action = action
         self.line = line
+        self.line_number = line_number
         self.hits = 0
 
     @property
     def needs_content(self) -> bool:
         return self.content_prefix is not None or self.content_regex is not None
-
-    def matches_endpoint(self, ctx: PolicyContext) -> bool:
-        if self.direction == "inbound" and ctx.inmate_is_originator:
-            return False
-        if self.direction == "outbound" and not ctx.inmate_is_originator:
-            return False
-        if self.proto is not None and ctx.flow.proto != self.proto:
-            return False
-        if self.port_lo is not None:
-            if not self.port_lo <= ctx.flow.resp_port <= self.port_hi:
-                return False
-        return True
 
     def matches_content(self, data: bytes) -> bool:
         if self.content_prefix is not None:
@@ -136,37 +149,25 @@ class Rule:
             return self.content_regex.match(data) is not None
         return True
 
-    def port_interval(self) -> tuple:
-        """The rule's port match as an inclusive ``(lo, hi)`` interval
-        (``(0, 65535)`` for ``any``) — the boundaries the isolation
-        verifier partitions the port space on."""
-        if self.port_lo is None:
-            return (0, 65535)
-        return (self.port_lo, self.port_hi)
-
-    def covers(self, other: "Rule") -> bool:
-        """Does this rule match *every* flow ``other`` matches?  Used
-        to reject programs whose later rules are unreachable (first
-        match wins, so a fully-shadowed rule is dead text — usually a
-        mis-ordering that silently changes the decision table)."""
-        if self.direction is not None and self.direction != other.direction:
-            return False
-        if self.proto is not None and self.proto != other.proto:
-            return False
-        lo, hi = self.port_interval()
-        other_lo, other_hi = other.port_interval()
-        if not (lo <= other_lo and other_hi <= hi):
-            return False
-        # Content: this rule must fire on any content the other would.
+    @property
+    def content_class(self) -> str:
+        """The name of the content this rule decides, as the isolation
+        model's cells spell it."""
         if self.content_prefix is not None:
-            if other.content_prefix is None:
-                return False
-            return other.content_prefix.startswith(self.content_prefix)
+            return f"prefix:{self.content_prefix.decode('latin-1')!r}"
         if self.content_regex is not None:
-            return (other.content_regex is not None
-                    and self.content_regex.pattern
-                    == other.content_regex.pattern)
-        return True
+            return f"regex:{self.content_regex.pattern.decode('latin-1')!r}"
+        return "other"
+
+    def content_covers(self, later: "Rule") -> bool:
+        """Does this content rule fire on every content ``later`` fires
+        on?  (What ports and directions they share is the table's
+        business, not a pairwise question.)"""
+        if self.content_prefix is not None:
+            return (later.content_prefix is not None
+                    and later.content_prefix.startswith(self.content_prefix))
+        return (later.content_regex is not None
+                and self.content_regex.pattern == later.content_regex.pattern)
 
     def __repr__(self) -> str:
         return f"<Rule {self.line!r}>"
@@ -205,27 +206,28 @@ def _parse_action(tokens: List[str], line: str) -> Action:
                    reason="unknown-action", line=line)
 
 
-def parse_program(text: str) -> tuple:
-    """Parse a policy program; returns (rules, default_action)."""
+def _parse_lines(text: str) -> Tuple[List[Rule], Action]:
+    """Syntax only: the program's rules in order and its default."""
     rules: List[Rule] = []
     default: Optional[Action] = None
+
+    def fail(message: str, reason: str) -> DslError:
+        return DslError(f"line {line_number}: {message}", reason=reason,
+                        line_number=line_number, line=line)
+
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "->" not in line:
-            raise DslError(f"line {line_number}: expected 'match -> action'",
-                           reason="missing-arrow",
-                           line_number=line_number, line=line)
+            raise fail("expected 'match -> action'", "missing-arrow")
         match_text, _, action_text = line.partition("->")
         action = _parse_action(shlex.split(action_text.strip()), line)
         tokens = shlex.split(match_text.strip())
 
         if tokens and tokens[0] == "default":
             if default is not None:
-                raise DslError(f"line {line_number}: duplicate default",
-                               reason="duplicate-default",
-                               line_number=line_number, line=line)
+                raise fail("duplicate default", "duplicate-default")
             default = action
             continue
 
@@ -233,7 +235,7 @@ def parse_program(text: str) -> tuple:
         if tokens and tokens[0] in ("inbound", "outbound"):
             direction = tokens.pop(0)
 
-        port_lo = port_hi = proto = None
+        port_lo, port_hi, proto = 0, 65535, None
         content_prefix = content_regex = None
         index = 0
         while index < len(tokens):
@@ -242,25 +244,22 @@ def parse_program(text: str) -> tuple:
                 index += 1
             elif token == "port":
                 if index + 1 >= len(tokens):
-                    raise DslError(f"line {line_number}: port needs a spec",
-                                   reason="bad-port-spec",
-                                   line_number=line_number, line=line)
+                    raise fail("port needs a spec", "bad-port-spec")
                 spec = _PORT_RE.match(tokens[index + 1])
                 if spec is None:
-                    raise DslError(
-                        f"line {line_number}: bad port spec "
-                        f"{tokens[index + 1]!r}", reason="bad-port-spec",
-                        line_number=line_number, line=line)
+                    raise fail(f"bad port spec {tokens[index + 1]!r}",
+                               "bad-port-spec")
                 port_lo = int(spec.group(1))
                 port_hi = int(spec.group(2) or port_lo)
+                if not port_lo <= port_hi <= 65535:
+                    raise fail("empty or out-of-range port spec "
+                               f"{tokens[index + 1]!r}", "bad-port-spec")
                 proto = PROTO_TCP if spec.group(3) == "tcp" else PROTO_UDP
                 index += 2
             elif token == "content":
-                if index + 2 >= len(tokens) + 1:
-                    raise DslError(f"line {line_number}: content needs "
-                                   "an operator and a pattern",
-                                   reason="bad-content-spec",
-                                   line_number=line_number, line=line)
+                if index + 2 >= len(tokens):
+                    raise fail("content needs an operator and a pattern",
+                               "bad-content-spec")
                 operator = tokens[index + 1]
                 pattern = tokens[index + 2]
                 if operator == "~":
@@ -268,31 +267,77 @@ def parse_program(text: str) -> tuple:
                 elif operator == "=~":
                     content_regex = re.compile(pattern.encode("latin-1"))
                 else:
-                    raise DslError(f"line {line_number}: bad content "
-                                   f"operator {operator!r}",
-                                   reason="bad-content-spec",
-                                   line_number=line_number, line=line)
+                    raise fail(f"bad content operator {operator!r}",
+                               "bad-content-spec")
                 index += 3
             else:
-                raise DslError(
-                    f"line {line_number}: unexpected token {token!r}",
-                    reason="unexpected-token",
-                    line_number=line_number, line=line)
+                raise fail(f"unexpected token {token!r}", "unexpected-token")
 
-        rule = Rule(direction, port_lo, port_hi, proto,
-                    content_prefix, content_regex, action, line)
-        for earlier in rules:
-            if earlier.covers(rule):
-                raise DslError(
-                    f"line {line_number}: rule {line!r} is fully shadowed "
-                    f"by earlier rule {earlier.line!r} — first match wins, "
-                    "so this rule can never fire (mis-ordered policy?)",
-                    reason="shadowed-rule",
-                    line_number=line_number, line=line)
-        rules.append(rule)
+        rules.append(Rule(direction, port_lo, port_hi, proto,
+                          content_prefix, content_regex, action, line,
+                          line_number))
     if default is None:
         raise DslError("policy program needs a 'default -> action' clause",
                        reason="missing-default")
+    return rules, default
+
+
+def compile_table(rules: List[Rule], default: Action) -> dict:
+    """First-match semantics, stated once (see the module docstring):
+    ``(direction, proto) -> (ascending atom lower bounds, branches per
+    atom)``.
+
+    Raises ``DslError(reason="shadowed-rule")`` for the first rule that
+    owns no branch in any atom: every flow it matches is decided ahead
+    of it, so it is dead text — usually a mis-ordering that silently
+    changes the decision table.
+    """
+    fallback = Rule(None, 0, 65535, None, None, None, default, "default")
+    table = {}
+    live = set()
+    for direction in DIRECTIONS:
+        for proto in PROTOS:
+            applicable = [rule for rule in rules
+                          if rule.direction in (None, direction)
+                          and rule.proto in (None, proto)]
+            edges = {0}
+            for rule in applicable:
+                edges.update((rule.port_lo, rule.port_hi + 1))
+            los = sorted(edges - {65536})
+            atoms = []
+            for lo in los:
+                # An atom lies wholly inside or outside every rule's
+                # interval, so its lower bound speaks for all of it.
+                branches: List[Rule] = []
+                for rule in applicable:
+                    if not rule.port_lo <= lo <= rule.port_hi or any(
+                            earlier.content_covers(rule)
+                            for earlier in branches):
+                        continue
+                    branches.append(rule)
+                    live.add(rule)
+                    if not rule.needs_content:
+                        break
+                else:
+                    branches.append(fallback)
+                atoms.append(branches)
+            table[direction, proto] = (los, atoms)
+    for rule in rules:
+        if rule not in live:
+            raise DslError(
+                f"line {rule.line_number}: rule {rule.line!r} is fully "
+                "shadowed by the rules before it — first match wins, so "
+                "this rule can never fire (mis-ordered policy?)",
+                reason="shadowed-rule",
+                line_number=rule.line_number, line=rule.line)
+    return table
+
+
+def parse_program(text: str) -> tuple:
+    """Parse a policy program; returns (rules, default_action).  The
+    program is compiled too, so one with a dead rule is rejected."""
+    rules, default = _parse_lines(text)
+    compile_table(rules, default)
     return rules, default
 
 
@@ -306,7 +351,8 @@ class DslPolicy(ContainmentPolicy):
                  services=None, config=None) -> None:
         super().__init__(services, config)
         self.program = program
-        self.rules, self.default_action = parse_program(program)
+        self.rules, self.default_action = _parse_lines(program)
+        self.table = compile_table(self.rules, self.default_action)
 
     # ------------------------------------------------------------------
     def _decision_for(self, ctx: PolicyContext,
@@ -327,44 +373,47 @@ class DslPolicy(ContainmentPolicy):
             return self.limit(ctx, action.rate, annotation="dsl limit")
         raise DslError(f"unhandled action kind {action.kind!r}")
 
+    def _branches(self, ctx: PolicyContext) -> List[Rule]:
+        """The branches of the atom ``ctx``'s flow falls in."""
+        flow = ctx.flow
+        los, atoms = self.table[
+            "outbound" if ctx.inmate_is_originator else "inbound", flow.proto]
+        return atoms[bisect_right(los, flow.resp_port) - 1]
+
     def decide(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        content_possible = False
-        for rule in self.rules:
-            if not rule.matches_endpoint(ctx):
-                continue
-            if rule.needs_content:
-                content_possible = True
-                continue
-            rule.hits += 1
-            return self._decision_for(ctx, rule.action)
-        if content_possible:
+        branch = self._branches(ctx)[0]
+        if branch.needs_content:
             return None  # wait for the first payload bytes
-        return self._decision_for(ctx, self.default_action)
+        branch.hits += 1
+        return self._decision_for(ctx, branch.action)
 
     def decide_content(self, ctx: PolicyContext,
                        data: bytes) -> Optional[ContainmentDecision]:
-        undecided_possible = False
-        for rule in self.rules:
-            if not rule.matches_endpoint(ctx):
-                continue
-            if rule.needs_content:
-                if rule.matches_content(data):
-                    rule.hits += 1
-                    return self._decision_for(ctx, rule.action)
-                # A longer prefix might still match later.
-                prefix = rule.content_prefix
-                if prefix is not None and prefix.startswith(data):
-                    undecided_possible = True
-            else:
-                rule.hits += 1
-                return self._decision_for(ctx, rule.action)
-        if undecided_possible and len(data) < 256:
-            return None
-        return self._decision_for(ctx, self.default_action)
+        # The atom's last branch is unconditional, so the walk returns.
+        for branch in self._branches(ctx):
+            if branch.matches_content(data):
+                branch.hits += 1
+                return self._decision_for(ctx, branch.action)
+            prefix = branch.content_prefix
+            if (prefix is not None and len(data) < 256
+                    and prefix.startswith(data)):
+                return None  # more bytes could still make this one match
+
+    def surface(self) -> Surface:
+        ctx = self._surface_context()
+        published: Surface = {}
+        for key, (los, atoms) in self.table.items():
+            his = [lo - 1 for lo in los[1:]] + [65535]
+            published[key] = [
+                (lo, hi, [("*" if len(branches) == 1 else branch.content_class,
+                           self._decision_for(ctx, branch.action))
+                          for branch in branches])
+                for lo, hi, branches in zip(los, his, atoms)]
+        return published
 
     def coverage(self) -> List[tuple]:
         """Per-rule hit counts — the policy-development feedback loop."""
-        return [(rule.line, rule.hits) for rule in self.rules]
+        return [(r.line, r.hits) for r in self.rules]
 
     def describe(self) -> dict:
         """Self-description for the isolation verifier: the program

@@ -17,13 +17,31 @@ flow through the containment server.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Type
+from collections import defaultdict
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.net.addresses import IPv4Address
 from repro.net.flow import FiveTuple
+from repro.net.packet import PROTO_TCP, PROTO_UDP
 
 ServiceMap = Dict[str, Tuple[IPv4Address, int]]
+
+DIRECTIONS = ("outbound", "inbound")
+PROTOS = (PROTO_TCP, PROTO_UDP)
+
+#: A published decision surface: per (direction, proto), port atoms
+#: ``(lo, hi, branches)`` partitioning ``[0, 65535]`` in ascending
+#: order; ``branches`` is the atom's ordered ``(content class,
+#: decision)`` list, ending in its one unconditional branch (``"*"``
+#: when it is the only one, ``"other"`` after content branches).
+Surface = Dict[Tuple[str, int],
+               List[Tuple[int, int, List[Tuple[str, ContainmentDecision]]]]]
+
+#: Where a published reflect points while its service is not bound to
+#: the policy yet (a policy outside a subfarm): the isolation model
+#: records such a cell without an address.
+UNBOUND = IPv4Address("0.0.0.0")
 
 
 class PolicyContext:
@@ -198,6 +216,30 @@ class ContainmentPolicy:
                                            annotation=annotation)
 
     # ------------------------------------------------------------------
+    def surface(self) -> Optional[Surface]:
+        """The policy's whole decision surface as data, or None when
+        only probing can tell (general Python: the isolation model
+        built from probes is marked inexact).  Whoever publishes one
+        answers every flow from it — it is what the verifier reads."""
+        return None
+
+    def _surface_context(self) -> PolicyContext:
+        """What a surface is published under: no flow, and the policy's
+        own service map — an unbound name answering :data:`UNBOUND`,
+        not the runtime's ``KeyError``."""
+        return PolicyContext(None, 0, 0, 0.0, defaultdict(
+            lambda: (UNBOUND, 0), self.services))
+
+    def _uniform_surface(self, owner: type) -> Optional[Surface]:
+        """The one-cell table of a policy whose ``decide`` ignores the
+        flow.  A subclass may decide otherwise, so only ``owner``
+        itself publishes it."""
+        if type(self) is not owner:
+            return None
+        decision = self.decide(self._surface_context())
+        return {(direction, proto): [(0, 65535, [("*", decision)])]
+                for direction in DIRECTIONS for proto in PROTOS}
+
     def describe(self) -> dict:
         """Identity card for the isolation verifier's certificates.
 
@@ -248,6 +290,9 @@ def policy_class(name: str) -> Type[ContainmentPolicy]:
 class DefaultDeny(ContainmentPolicy):
     """Drop every flow — the starting point of policy development."""
 
+    def surface(self) -> Optional[Surface]:
+        return self._uniform_surface(DefaultDeny)
+
 
 @register_policy
 class AllowAll(ContainmentPolicy):
@@ -259,6 +304,9 @@ class AllowAll(ContainmentPolicy):
 
     def decide_content(self, ctx, data):
         return self.forward(ctx, annotation="allow-all")
+
+    def surface(self) -> Optional[Surface]:
+        return self._uniform_surface(AllowAll)
 
 
 @register_policy
@@ -277,6 +325,9 @@ class ReflectAll(ContainmentPolicy):
 
     def decide_content(self, ctx, data):
         return self.decide(ctx)
+
+    def surface(self) -> Optional[Surface]:
+        return self._uniform_surface(ReflectAll)
 
 
 class PolicyMap:

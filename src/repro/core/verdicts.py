@@ -51,6 +51,17 @@ class Verdict(enum.IntFlag):
             label = _LABELS[self._value_] = "|".join(parts) or "NONE"
         return label
 
+    @classmethod
+    def from_label(cls, label: str) -> "Verdict":
+        """Inverse of :attr:`label`, for the sites that hold verdicts as
+        text (certificates, journal events, activity reports).  A name
+        it does not know contributes nothing: those documents can come
+        from disk."""
+        value = 0
+        for name in label.split("|"):
+            value |= cls.__members__.get(name, 0)
+        return cls(value)
+
     @property
     def endpoint_op(self) -> "Verdict":
         """The single endpoint-control component of this verdict."""

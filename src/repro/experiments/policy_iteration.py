@@ -42,9 +42,6 @@ class WhitelistRule:
         self.port = port
         self.token = token
 
-    def matches(self, port: int, payload: bytes) -> bool:
-        return port == self.port and normalize_payload(payload) == self.token
-
     def __repr__(self) -> str:
         return f"<Rule port={self.port} token={self.token!r}>"
 
@@ -58,21 +55,22 @@ class IterativePolicy(AutoInfectionPolicy):
                  services=None, config=None) -> None:
         super().__init__(services, config)
         self.rules = list(rules or [])
+        self._ports = {r.port for r in self.rules}
+        self._shapes = {(r.port, r.token) for r in self.rules}
 
     def decide_other(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
         if ctx.flow.resp_port == SMTP_PORT:
             # Malicious activity stays inside, always.
             service = "smtp_sink" if ctx.has_service("smtp_sink") else "sink"
             return self.reflect(ctx, service, annotation="SMTP containment")
-        if any(rule.port == ctx.flow.resp_port for rule in self.rules):
+        if ctx.flow.resp_port in self._ports:
             return None  # a whitelist may apply: check content
         return self.reflect(ctx, "sink", annotation="default-deny to sink")
 
     def decide_other_content(self, ctx: PolicyContext, data: bytes
                              ) -> Optional[ContainmentDecision]:
-        for rule in self.rules:
-            if rule.matches(ctx.flow.resp_port, data):
-                return self.forward(ctx, annotation="whitelisted C&C shape")
+        if (ctx.flow.resp_port, normalize_payload(data)) in self._shapes:
+            return self.forward(ctx, annotation="whitelisted C&C shape")
         if len(data) >= 8:
             return self.reflect(ctx, "sink",
                                 annotation="content mismatch to sink")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.verdicts import Verdict
 from repro.reporting.report import ActivityReport, InmateActivity
 
 
@@ -149,7 +150,7 @@ class HealthChecker:
         total = sum(activity.verdict_total(v) for v in activity.groups)
         forwards = sum(
             count for verdict, bucket in activity.groups.items()
-            if "FORWARD" in verdict or verdict == "LIMIT"
+            if Verdict.from_label(verdict).grants_world
             for count in bucket.values()
         )
         if total and forwards / total > self.max_forward_fraction:

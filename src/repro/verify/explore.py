@@ -39,13 +39,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.verdicts import Verdict
 from repro.gateway.failover import fail_open_possible
 from repro.net.packet import PROTO_TCP
 from repro.verify.model import DIRECTIONS, IsolationModel, PROTO_NAMES
 
 __all__ = ["ExplorationResult", "explore"]
-
-_WORLD_OPS = ("FORWARD", "LIMIT")
 
 
 class ExplorationResult:
@@ -163,10 +162,10 @@ def explore(model: IsolationModel,
                                 "verdict": cell.verdict,
                                 "content": cell.content,
                             }
-                            ops = set(cell.verdict.split("|"))
+                            verdict = Verdict.from_label(cell.verdict)
                             world_reaching = (
                                 dst == "world" or direction == "inbound")
-                            if ops & set(_WORLD_OPS):
+                            if verdict.grants_world:
                                 if world_reaching:
                                     emit = {"step": "emit.upstream",
                                             "dst": dst}
@@ -184,12 +183,12 @@ def explore(model: IsolationModel,
                                             else "explicit",
                                             base, via="policy")
                                 visit(root + ("terminal", "granted"))
-                            elif "REWRITE" in ops:
+                            elif verdict.is_content_control:
                                 if world_reaching:
                                     grant("content-controlled", base,
                                           via="policy")
                                 visit(root + ("terminal", "rewritten"))
-                            elif "REDIRECT" in ops:
+                            elif verdict & Verdict.REDIRECT:
                                 if cell.target_class == "world":
                                     leak("redirect-to-world",
                                          dict(base, target=cell.target),

@@ -12,12 +12,14 @@ windows during which the pending policy — not the containment policy
   atom is one interval of the partition of ``[0, 65535]`` induced by
   the policy's rule boundaries;
 * a :class:`PolicyModel` is the policy's complete decision surface
-  over abstract flows — computed **symbolically** for
-  :class:`~repro.core.dsl.DslPolicy` (rules are data; the model is
-  exact) and for the registry built-ins with closed-form behaviour,
-  or by **concolic probing** for opaque general-Python policies
-  (probe ports + the probe content corpus; the model is marked
-  ``exact=False`` and the certificate inherits the flag);
+  over abstract flows — a projection of the table the policy
+  **publishes** (:meth:`~repro.core.policy.ContainmentPolicy.surface`:
+  for a DSL program the very table the containment server answers
+  flows from, for the registry built-ins their one cell; the model is
+  exact), or built by **concolic probing** for opaque general-Python
+  policies, which publish nothing (probe ports + the probe content
+  corpus; the model is marked ``exact=False`` and the certificate
+  inherits the flag);
 * a :class:`SubfarmModel` adds the subfarm's pending policy, its
   verdict-outage overlay windows from the fault plan
   (:meth:`~repro.faults.plan.FaultPlan.verdict_outage_windows`), and
@@ -33,19 +35,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.dsl import DslPolicy
 from repro.core.policy import (
-    AllowAll,
+    DIRECTIONS,
+    PROTOS,
+    UNBOUND,
     ContainmentPolicy,
-    DefaultDeny,
-    PolicyContext,
-    ReflectAll,
+    Surface,
 )
+from repro.core.verdicts import ContainmentDecision
 from repro.faults.plan import FaultPlan
-from repro.net.addresses import IPv4Address
-from repro.net.flow import FiveTuple
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 
 __all__ = [
@@ -58,18 +58,11 @@ __all__ = [
     "compile_policy",
 ]
 
-DIRECTIONS = ("outbound", "inbound")
 PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 
 #: Probe points for opaque policies: the analysis corpus ports plus a
 #: representative for "every other port".
 _PROBE_OTHER_PORT = 49999
-
-#: Addresses used when concolically probing an opaque policy.  The
-#: inmate side is internal; the destination is a textbook TEST-NET
-#: address, standing in for "the world".
-_PROBE_INMATE_IP = "10.1.0.23"
-_PROBE_WORLD_IP = "198.51.100.77"
 
 
 class Outcome:
@@ -79,20 +72,23 @@ class Outcome:
                  "verdict", "target", "target_class", "rate", "exact")
 
     def __init__(self, direction: str, proto: int, port_lo: int,
-                 port_hi: int, content: str, verdict: str,
-                 target: Optional[str] = None,
-                 target_class: Optional[str] = None,
-                 rate: Optional[float] = None, exact: bool = True) -> None:
+                 port_hi: int, content: str, decision: ContainmentDecision,
+                 exact: bool = True) -> None:
         self.direction = direction
         self.proto = proto
         self.port_lo = port_lo
         self.port_hi = port_hi
         self.content = content
-        self.verdict = verdict
-        self.target = target
-        self.target_class = target_class
-        self.rate = rate
+        self.verdict = decision.verdict.label
+        self.rate = decision.rate
         self.exact = exact
+        ip = decision.target_ip
+        self.target = self.target_class = None
+        if ip == UNBOUND:  # wherever it gets bound, a service is in the farm
+            self.target_class = "farm"
+        elif ip is not None:
+            self.target = str(ip)
+            self.target_class = "farm" if ip.is_rfc1918() else "world"
 
     def to_dict(self) -> dict:
         out = {
@@ -143,136 +139,13 @@ class PolicyModel:
 # ----------------------------------------------------------------------
 # Policy compilation
 # ----------------------------------------------------------------------
-def _target_class(ip: Optional[IPv4Address]) -> Optional[str]:
-    if ip is None:
-        return None
-    return "farm" if ip.is_rfc1918() else "world"
-
-
-def _dsl_action_outcome(action, services: Dict[str, tuple]) -> dict:
-    """Verdict/target fields for one parsed DSL action clause."""
-    kind = action.kind
-    if kind == "forward":
-        return {"verdict": "FORWARD"}
-    if kind == "drop":
-        return {"verdict": "DROP"}
-    if kind == "rewrite":
-        return {"verdict": "REWRITE"}
-    if kind == "limit":
-        return {"verdict": "LIMIT", "rate": action.rate}
-    if kind == "reflect":
-        service = services.get(action.service or "sink")
-        ip = service[0] if service else None
-        return {"verdict": "REFLECT",
-                "target": str(ip) if ip is not None else None,
-                "target_class": _target_class(ip) or "farm"}
-    if kind == "redirect":
-        return {"verdict": "REDIRECT", "target": str(action.target_ip),
-                "target_class": _target_class(action.target_ip)}
-    raise ValueError(f"unhandled DSL action kind {kind!r}")
-
-
-def _dsl_atoms(rules, direction: str, proto: int) -> List[Tuple[int, int]]:
-    """Partition [0, 65535] on the applicable rules' port boundaries."""
-    bounds = {0, 65536}
-    for rule in rules:
-        lo, hi = rule.port_interval()
-        bounds.add(lo)
-        bounds.add(hi + 1)
-    edges = sorted(bound for bound in bounds if 0 <= bound <= 65536)
-    return [(lo, nxt - 1) for lo, nxt in zip(edges, edges[1:])]
-
-
-def _content_tag(rule) -> str:
-    if rule.content_prefix is not None:
-        return f"prefix:{rule.content_prefix.decode('latin-1')!r}"
-    return f"regex:{rule.content_regex.pattern.decode('latin-1')!r}"
-
-
-def compile_dsl_policy(policy: DslPolicy) -> PolicyModel:
-    """Exact symbolic evaluation of a DSL program.
-
-    Mirrors ``DslPolicy.decide``/``decide_content`` first-match
-    semantics: within one port atom, each applicable content rule
-    ahead of the first applicable endpoint-only rule contributes a
-    branch for "content matches this pattern"; the endpoint-only rule
-    (or the default) decides every other content.
-    """
-    outcomes: List[Outcome] = []
-    for direction in DIRECTIONS:
-        for proto in (PROTO_TCP, PROTO_UDP):
-            applicable = [
-                rule for rule in policy.rules
-                if rule.direction in (None, direction)
-                and rule.proto in (None, proto)
-            ]
-            for lo, hi in _dsl_atoms(applicable, direction, proto):
-                in_atom = [
-                    rule for rule in applicable
-                    if rule.port_interval()[0] <= lo
-                    and hi <= rule.port_interval()[1]
-                ]
-                branched = False
-                decided = False
-                for rule in in_atom:
-                    fields = _dsl_action_outcome(rule.action,
-                                                 policy.services)
-                    if rule.needs_content:
-                        outcomes.append(Outcome(
-                            direction, proto, lo, hi,
-                            content=_content_tag(rule), **fields))
-                        branched = True
-                    else:
-                        outcomes.append(Outcome(
-                            direction, proto, lo, hi,
-                            content="other" if branched else "*",
-                            **fields))
-                        decided = True
-                        break
-                if not decided:
-                    fields = _dsl_action_outcome(policy.default_action,
-                                                 policy.services)
-                    outcomes.append(Outcome(
-                        direction, proto, lo, hi,
-                        content="other" if branched else "*", **fields))
-    return PolicyModel(policy.describe(), outcomes, exact=True)
-
-
-def _closed_form(policy: ContainmentPolicy) -> Optional[str]:
-    """Verdict for registry built-ins with whole-surface behaviour."""
-    if type(policy) is AllowAll:
-        return "FORWARD"
-    if type(policy) is DefaultDeny or type(policy) is ContainmentPolicy:
-        return "DROP"
-    return None
-
-
-def _probe_decision(policy: ContainmentPolicy, direction: str, proto: int,
-                    port: int, content: Dict[str, bytes]) -> List[tuple]:
-    """Concolic probe of one (direction, proto, port) point; returns
-    ``(content_tag, decision)`` pairs."""
-    outbound = direction == "outbound"
-    if outbound:
-        flow = FiveTuple(IPv4Address(_PROBE_INMATE_IP), 51000,
-                         IPv4Address(_PROBE_WORLD_IP), port, proto)
-    else:
-        flow = FiveTuple(IPv4Address(_PROBE_WORLD_IP), 51000,
-                         IPv4Address(_PROBE_INMATE_IP), port, proto)
-    ctx = PolicyContext(flow, vlan_id=101, nonce_port=40000, now=0.0,
-                        services=dict(policy.services),
-                        inmate_is_originator=outbound)
-    pairs = []
-    decision = policy.decide(ctx)
-    if decision is not None:
-        pairs.append(("*", decision))
-        return pairs
-    for tag, payload in content.items():
-        if not payload:
-            continue
-        settled = policy.decide_content(ctx, payload)
-        if settled is not None:
-            pairs.append((tag, settled))
-    return pairs
+def _model(policy: ContainmentPolicy, surface: Surface,
+           exact: bool) -> PolicyModel:
+    outcomes = [Outcome(direction, proto, lo, hi, content, decision, exact)
+                for (direction, proto), atoms in surface.items()
+                for lo, hi, branches in atoms
+                for content, decision in branches]
+    return PolicyModel(policy.describe(), outcomes, exact)
 
 
 def probe_policy(policy: ContainmentPolicy) -> PolicyModel:
@@ -280,51 +153,41 @@ def probe_policy(policy: ContainmentPolicy) -> PolicyModel:
     ports (plus one representative for every other port) with the
     probe content corpus.  ``exact=False`` — the certificate carries
     the caveat."""
-    from repro.analysis.policy_testing import DEFAULT_CONTENT, DEFAULT_PORTS
+    from repro.analysis.policy_testing import (
+        DEFAULT_CONTENT,
+        DEFAULT_PORTS,
+        Probe,
+        drive,
+    )
 
-    outcomes: List[Outcome] = []
-    ports = list(DEFAULT_PORTS)
+    surface: Surface = {}
     for direction in DIRECTIONS:
-        for proto in (PROTO_TCP, PROTO_UDP):
-            for port in ports + [_PROBE_OTHER_PORT]:
-                atom = ((port, port) if port != _PROBE_OTHER_PORT
-                        else (0, 65535))
-                for tag, decision in _probe_decision(
-                        policy, direction, proto, port, DEFAULT_CONTENT):
-                    outcomes.append(Outcome(
-                        direction, proto, atom[0], atom[1], content=tag,
-                        verdict=decision.verdict.label,
-                        target=(str(decision.target_ip)
-                                if decision.target_ip is not None else None),
-                        target_class=_target_class(decision.target_ip),
-                        rate=decision.rate, exact=False))
-    return PolicyModel(policy.describe(), outcomes, exact=False)
+        for proto in PROTOS:
+            atoms = surface[direction, proto] = []
+            for port in DEFAULT_PORTS + [_PROBE_OTHER_PORT]:
+                branches = []
+                for tag, payload in DEFAULT_CONTENT.items():
+                    if not payload:
+                        continue
+                    decision, at_endpoint = drive(
+                        policy, Probe(direction, port, proto, tag, payload))
+                    if at_endpoint:
+                        branches = [("*", decision)]
+                        break
+                    if decision is not None:
+                        branches.append((tag, decision))
+                lo, hi = ((port, port) if port != _PROBE_OTHER_PORT
+                          else (0, 65535))
+                atoms.append((lo, hi, branches))
+    return _model(policy, surface, exact=False)
 
 
 def compile_policy(policy: ContainmentPolicy) -> PolicyModel:
-    """Route a policy to its most precise available model."""
-    if isinstance(policy, DslPolicy):
-        return compile_dsl_policy(policy)
-    verdict = _closed_form(policy)
-    if verdict is not None:
-        outcomes = [
-            Outcome(direction, proto, 0, 65535, "*", verdict)
-            for direction in DIRECTIONS
-            for proto in (PROTO_TCP, PROTO_UDP)
-        ]
-        return PolicyModel(policy.describe(), outcomes, exact=True)
-    if type(policy) is ReflectAll:
-        service = policy.services.get(policy.sink_service)
-        ip = service[0] if service else None
-        outcomes = [
-            Outcome(direction, proto, 0, 65535, "*", "REFLECT",
-                    target=str(ip) if ip is not None else None,
-                    target_class=_target_class(ip) or "farm")
-            for direction in DIRECTIONS
-            for proto in (PROTO_TCP, PROTO_UDP)
-        ]
-        return PolicyModel(policy.describe(), outcomes, exact=True)
-    return probe_policy(policy)
+    """A policy publishes its surface or is probed."""
+    surface = policy.surface()
+    if surface is None:
+        return probe_policy(policy)
+    return _model(policy, surface, exact=True)
 
 
 # ----------------------------------------------------------------------

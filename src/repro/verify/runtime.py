@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.verdicts import Verdict
 from repro.net.addresses import IPv4Address
 
 __all__ = [
@@ -34,8 +35,6 @@ __all__ = [
     "check_journal",
     "render_violations",
 ]
-
-_WORLD_OPS = frozenset({"FORWARD", "LIMIT", "REWRITE"})
 
 
 def _vlan_covered(spec: str, vlan: Optional[int]) -> bool:
@@ -54,6 +53,11 @@ class GrantIndex:
     def __init__(self, certificate: dict) -> None:
         self.certificate = certificate
         self.grants: List[dict] = list(certificate.get("grants", []))
+        # What each grant lets out; a pending-policy grant is a FORWARD.
+        self._granted = [
+            Verdict.from_label(grant["verdict"])
+            | (Verdict.FORWARD if grant.get("via") == "pending" else 0)
+            for grant in self.grants]
 
     def cover(self, vlan: Optional[int], proto: str, verdict: str,
               port: Optional[int] = None,
@@ -62,11 +66,11 @@ class GrantIndex:
 
         ``port=None`` (journal events don't record one) matches any
         port range; a concrete port must fall inside the grant's
-        atom.  The verdict matches when the observed endpoint ops are
-        a subset of the granted ones.
+        atom.  The verdict matches when no op of the observation that
+        the grant does not name reaches the world.
         """
-        observed = set(verdict.split("|")) & _WORLD_OPS
-        for grant in self.grants:
+        observed = Verdict.from_label(verdict)
+        for grant, granted in zip(self.grants, self._granted):
             if subfarm is not None and grant["subfarm"] != subfarm:
                 continue
             if grant["proto"] != proto:
@@ -77,11 +81,8 @@ class GrantIndex:
                 lo, hi = grant["ports"]
                 if not lo <= port <= hi:
                     continue
-            granted = set(grant["verdict"].split("|"))
-            if grant.get("via") == "pending":
-                granted |= {"FORWARD"}
-            if not observed <= (granted | {"REWRITE"}
-                                if "REWRITE" in granted else granted):
+            excess = observed & ~granted
+            if excess.grants_world or excess.is_content_control:
                 continue
             return grant
         return None
@@ -147,7 +148,8 @@ def check_journal(certificate: dict, journal_snapshot: dict,
             proto = protos.get(event.get("flow"), "tcp")
         else:
             continue
-        if not set(verdict.split("|")) & _WORLD_OPS:
+        observed = Verdict.from_label(verdict)
+        if not (observed.grants_world or observed.is_content_control):
             continue
         flow = event.get("flow")
         destination = destinations.get(flow)

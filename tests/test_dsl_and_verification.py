@@ -109,6 +109,33 @@ class TestDslParsing:
                 "default -> drop\n")
         assert exc.value.reason == "shadowed-rule"
 
+    def test_rule_shadowed_by_a_union_rejected(self):
+        # No single earlier rule covers 85-95, two do between them:
+        # shadowing is reachability in the decision table.
+        with pytest.raises(DslError) as exc:
+            parse_program(
+                "port 80-90/tcp -> drop\n"
+                "port 91-100/tcp -> drop\n"
+                "port 85-95/tcp -> forward\n"
+                "default -> drop\n")
+        assert exc.value.reason == "shadowed-rule"
+        assert exc.value.line_number == 3
+        assert "port 85-95/tcp" in exc.value.line
+
+    @pytest.mark.parametrize("spec", ["90-80/tcp", "70000/tcp",
+                                      "80-65536/udp"])
+    def test_empty_or_out_of_range_port_spec_rejected(self, spec):
+        # Such a rule matches no flow; it is a typo, not a shadowed rule.
+        with pytest.raises(DslError) as exc:
+            parse_program(f"port {spec} -> drop\ndefault -> drop\n")
+        assert exc.value.reason == "bad-port-spec"
+        assert exc.value.line_number == 1
+
+    def test_content_spec_without_a_pattern_rejected(self):
+        with pytest.raises(DslError) as exc:
+            parse_program("port 80/tcp content ~ -> drop\ndefault -> drop\n")
+        assert exc.value.reason == "bad-content-spec"
+
     def test_partial_overlap_allowed(self):
         # Overlap without full coverage is legitimate layering.
         rules, _ = parse_program(
@@ -206,6 +233,31 @@ class TestLiveEnforcement:
             lambda: DslPolicy(GRUM_PROGRAM))
         assert mismatches == []
         assert summary["verdicts"].get("REFLECT", 0) > 0
+
+    def test_content_rule_ahead_of_its_fallback_rule_is_enforced(self):
+        """Whitelist on port 80, blacklist on port 8080: in both the
+        endpoint-only rule is the atom's fallback, not a pre-emption —
+        the whitelisted request reaches the witness, the blacklisted
+        one never does, and everything else follows the fallback."""
+        program = (
+            'port 80/tcp content ~ "GET /grum/" -> forward\n'
+            "port 80/tcp -> reflect sink\n"
+            'port 8080/tcp content ~ "GET /evil" -> drop\n'
+            "port 8080/tcp -> forward\n"
+            "default -> drop\n")
+        content = {"grum-cnc": DEFAULT_CONTENT["grum-cnc"],
+                   "evil": b"GET /evil.exe HTTP/1.1\r\n\r\n",
+                   "http-get": DEFAULT_CONTENT["http-get"]}
+        summary, mismatches = verify_enforcement(
+            lambda: DslPolicy(program), ports=[80, 8080], content=content)
+        assert mismatches == []
+        # 80: grum forwarded, two reflected; 8080: evil dropped, two
+        # forwarded.
+        assert summary["verdicts"] == {"FORWARD": 3, "REFLECT": 2, "DROP": 1}
+        heard = summary["witness_heard"]
+        assert sorted(heard) == sorted(
+            [content["grum-cnc"], content["grum-cnc"], content["http-get"]])
+        assert not any(data.startswith(b"GET /evil") for data in heard)
 
     def test_forward_policy_reaches_witness(self):
         summary, mismatches = verify_enforcement(AllowAll)

@@ -53,6 +53,7 @@ def test_every_bit_pattern_matches_the_reference(value):
     # combination must raise the same text every time.
     for _ in range(2):
         assert verdict.label == reference_label(verdict)
+        assert Verdict.from_label(verdict.label) == verdict
         assert (outcome(lambda: verdict.endpoint_op)
                 == outcome(lambda: reference_endpoint_op(verdict)))
         assert (outcome(verdict.validate)
@@ -67,3 +68,17 @@ def test_the_patterns_split_as_documented():
     assert len(valid) == 12
     assert Verdict(0).label == "NONE"
     assert (Verdict.REDIRECT | Verdict.REWRITE).label == "REDIRECT|REWRITE"
+
+
+def test_world_reaching_is_spelled_once():
+    """``grants_world``: FORWARD / LIMIT on their own, with or without
+    content control — what every consumer (explorer, runtime coverage,
+    surface invariants, health rules) now asks instead of spelling it."""
+    valid = [Verdict(value) for value in range(64)
+             if outcome(Verdict(value).validate)[0] == "ok"]
+    assert {verdict.label for verdict in valid if verdict.grants_world} == {
+        "FORWARD", "LIMIT", "FORWARD|LIMIT", "FORWARD|REWRITE",
+        "LIMIT|REWRITE", "FORWARD|LIMIT|REWRITE"}
+    # Text from disk: names from_label does not know contribute nothing.
+    assert Verdict.from_label("FORWARD|BOGUS") == Verdict.FORWARD
+    assert Verdict.from_label("") == Verdict(0)

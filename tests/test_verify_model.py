@@ -1,5 +1,5 @@
-"""The isolation-model compiler: symbolic DSL evaluation, closed-form
-built-ins, concolic probing, fault-plan overlays, and digest identity.
+"""The isolation-model compiler: published surfaces (DSL tables, built-in
+cells), concolic probing, fault-plan overlays, and digest identity.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.farm import Farm, FarmConfig
 from repro.faults.plan import FaultPlan
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.verify.model import (
-    compile_dsl_policy,
     compile_farm,
     compile_policy,
 )
@@ -39,7 +38,7 @@ class TestDslCompilation:
             "port 80-100/tcp -> drop\n"
             "port 80-443/tcp -> forward\n"
             "default -> reflect\n")
-        model = compile_dsl_policy(policy)
+        model = compile_policy(policy)
         assert model.exact
         assert _cell_for(model, "outbound", PROTO_TCP, 80).verdict == "DROP"
         assert _cell_for(model, "outbound", PROTO_TCP, 100).verdict == "DROP"
@@ -60,7 +59,7 @@ class TestDslCompilation:
             "port 25/tcp -> drop\n"
             "port 6000-7000/udp -> limit 2000\n"
             "default -> forward\n")
-        model = compile_dsl_policy(policy)
+        model = compile_policy(policy)
         for direction in ("outbound", "inbound"):
             for proto in (PROTO_TCP, PROTO_UDP):
                 cells = [cell for cell in model.cells(direction, proto)
@@ -78,7 +77,7 @@ class TestDslCompilation:
             'port 80/tcp content ~ "GET " -> rewrite\n'
             "port 80/tcp -> drop\n"
             "default -> forward\n")
-        model = compile_dsl_policy(policy)
+        model = compile_policy(policy)
         cells = [cell for cell in model.cells("outbound", PROTO_TCP)
                  if cell.port_lo <= 80 <= cell.port_hi]
         by_content = {cell.content: cell.verdict for cell in cells}
@@ -86,13 +85,13 @@ class TestDslCompilation:
         assert by_content["other"] == "DROP"
 
     def test_redirect_target_classified(self):
-        world = compile_dsl_policy(DslPolicy(
+        world = compile_policy(DslPolicy(
             "port 80/tcp -> redirect 203.0.113.99\ndefault -> drop\n"))
         cell = _cell_for(world, "outbound", PROTO_TCP, 80)
         assert cell.verdict == "REDIRECT"
         assert cell.target == "203.0.113.99"
         assert cell.target_class == "world"
-        farm = compile_dsl_policy(DslPolicy(
+        farm = compile_policy(DslPolicy(
             "port 80/tcp -> redirect 10.9.9.9\ndefault -> drop\n"))
         assert _cell_for(farm, "outbound", PROTO_TCP,
                          80).target_class == "farm"
