@@ -1,30 +1,33 @@
-"""Rewrite ``router_wire.json`` and ``router_scripts.json`` from the
-router as it is now.
+"""Rewrite the golden files from the tree as it is now.
 
-Run this only when a change alters the router's wire behaviour on
+``router`` rewrites ``router_wire.json`` and ``router_scripts.json``.
+Run it only when a change alters the router's wire behaviour on
 purpose (the post-handoff ACK fix, docs/VERIFICATION.md gap 7, will),
 and review the resulting diff — every digest that moves is a scripted
-scenario whose bytes, counters or per-flow accounting changed::
+scenario whose bytes, counters or per-flow accounting changed.
+``policy`` rewrites ``policy_decisions.json``, what every library and
+experiment policy answers (``tests/test_policy_decisions.py``)::
 
-    PYTHONPATH=src python -m tests.golden.regen
+    PYTHONPATH=src python -m tests.golden.regen [router] [policy]
 
-A refactor does the opposite: it records ``router_scripts.json`` from
+A refactor does the opposite: it records the file that pins it from
 its *parent* commit (run this there, or in a clone of it) before
-touching the router, and never again.
+touching the code, and never again.
 """
 
 from __future__ import annotations
 
 import json
 import subprocess
+import sys
 
 from repro.fuzz.router import run_script
-from tests import test_fastpath, test_flowtable
+from tests import test_fastpath, test_flowtable, test_policy_decisions
 from tests.golden import (GOLDEN_PATH, SCRIPTS_PATH, script_digests,
                           wire_digest)
 
 
-def main() -> None:
+def regen_router() -> None:
     scripts = {**test_fastpath.GOLDEN, **test_flowtable.GOLDEN}
     digests = {name: wire_digest(run()) for name, run in scripts.items()}
     with open(GOLDEN_PATH, "w") as handle:
@@ -43,5 +46,14 @@ def main() -> None:
     print(f"wrote {len(fuzzed)} digests to {SCRIPTS_PATH}")
 
 
+def regen_policy() -> None:
+    print(f"wrote {test_policy_decisions.write_corpus()}")
+
+
+def main(argv) -> None:
+    for name in argv or ("router", "policy"):
+        {"router": regen_router, "policy": regen_policy}[name]()
+
+
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
