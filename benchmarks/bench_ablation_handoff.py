@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.core.policy import AllowAll, ContainmentPolicy
+from repro.core.policy import Action, AllowAll, ContainmentPolicy
 from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
 from repro.net.http import HttpParser, HttpRequest, HttpResponse
@@ -27,8 +27,7 @@ TRANSFER_SIZE = 64 * 1024  # per fetch
 class PassthroughRewrite(ContainmentPolicy):
     """Content control with a do-nothing rewriter: maximum CS load."""
 
-    def decide(self, ctx):
-        return self.rewrite(ctx, annotation="ablation passthrough")
+    default = Action("rewrite", "ablation passthrough")
 
 
 def _run(policy_cls, seed=33, fetches=8):

@@ -7,26 +7,33 @@ One bench for both instruments (``make obs-quick``).  Asserted:
    (``repro.parallel.tasks.farm_digest`` — the recipe of
    ``bench_hotpath.run_farm``) must be byte-identical with the journal
    off, with it on, and to the digest tracked in ``BENCH_hotpath.json``.
-2. **Forwarding overhead.**  Journal recording happens on decision
-   events (flow setup, verdicts, failover), never per packet, so the
-   established-flow fast path with a live journal attached must stay
-   within ``MAX_FORWARDING_SLOWDOWN`` (10%) of the journal-off rate.
-3. **Where events actually fire.**  The forwarding pump journals 3
-   events in 200k packets, so it bounds nothing about recording
-   itself.  The ``scan`` section runs a worm-style scan (every probe a
-   new flow, DROP/REFLECT/FORWARD verdicts under a DSL policy, >= 4
-   journal events per flow) with the journal off and on, bounds the
-   whole-run slowdown at ``MAX_SCAN_SLOWDOWN``, and reports the
-   recorder's ns/event and events/s over that run's own event stream.
+2. **Nothing recorded per packet.**  Journal recording happens on
+   decision events (flow setup, verdicts, failover), so pumping the
+   established-flow fast path with a live journal attached may record
+   at most ``MAX_PUMP_EVENTS`` (the flow's setup; 3 today) however
+   many packets go through.  The journal-on vs journal-off rate of the
+   same pump is *reported*, not gated: as the difference of two
+   sub-second runs it scatters by 10% on a busy shared host, parent
+   and change alike.
+3. **Where events actually fire.**  The ``scan`` section runs a
+   worm-style scan (every probe a new flow, DROP/REFLECT/FORWARD
+   verdicts under a DSL policy) with the journal off and on and gates
+   what it can count: journal events per flow (>= 4, or the run is not
+   scan-shaped; <= ``MAX_EVENTS_PER_FLOW``, or a call site started
+   journaling more) and the recorder's ns/event over that run's own
+   event stream replayed into a fresh journal (``MAX_RECORD_NS``, a
+   gross-regression bound several times the reference host's figure).
+   The whole-run slowdown is reported next to them.
 4. **Disabled telemetry is (nearly) free.**  Per-packet sites make
    no instrument call at all while telemetry is off; flow-rate sites
    bump a pre-bound no-op cell.  There is no uninstrumented build to
    diff against, so the ``telemetry`` section counts the no-op calls
    that actually happen — Python frames entered in
    ``repro/obs/metrics.py`` over a telemetry-DISABLED flow workload —
-   microbenchmarks one no-op touch, and asserts ``touches x per-touch
-   cost`` is under ``MAX_DISABLED_OVERHEAD`` (5%) of the same
-   workload's un-profiled wall time.  The same workload with telemetry
+   and gates the count per simulator event
+   (``MAX_TOUCHES_PER_EVENT``); ``touches x one microbenchmarked no-op
+   touch`` over the same workload's un-profiled wall time is reported
+   (``disabled_overhead``, 0.1%).  The same workload with telemetry
    ENABLED must touch its instruments (``enabled_touches``, read back
    from the domain), or the section measures nothing.
 
@@ -71,17 +78,20 @@ INMATES = 3
 ROUNDS = 40
 DURATION = 120.0
 
-MAX_FORWARDING_SLOWDOWN = 0.10
+#: Journal events a fast-path pump may record: its one flow's setup.
+MAX_PUMP_EVENTS = 8
 
-#: Whole-run bound on the scan workload, journal on vs off.  Being
-#: journaled costs a few us x 4 events against ~500 us of slow path per
-#: flow (best-of-5 reads 1-9% around a true ~5% on the reference
-#: host); the bound is a gross-regression guard sized above that
-#: scatter, not a budget.
-MAX_SCAN_SLOWDOWN = 0.25
+#: Scan workload: journal events per flow (4 today: flow.created,
+#: verdict.issued, verdict.applied, fastpath.install), and the
+#: recorder's replayed cost per event (~1.6 us on the reference host; a
+#: gross-regression bound, sized so a loaded shared host does not trip
+#: it).
+MAX_EVENTS_PER_FLOW = 5.0
+MAX_RECORD_NS = 10_000
 
-#: Disabled-telemetry bound (PR 1's gate) and its workload.
-MAX_DISABLED_OVERHEAD = 0.05
+#: Disabled-telemetry bound (PR 1's gate) and its workload: no-op
+#: instrument calls per simulator event (0.15 today).
+MAX_TOUCHES_PER_EVENT = 0.25
 TELEMETRY_SUBFARMS = 2
 TELEMETRY_INMATES_PER = 6
 TELEMETRY_FLOW_INTERVAL = 2.0
@@ -181,8 +191,9 @@ def forwarding_rates(packets: int, seed: int = 7, repeats: int = 9):
     each repeat (best-of per side), so a host whose speed swings for
     seconds at a time slows both sides of a pair rather than one.
     Single ``--quick`` pumps (~0.1 s) still scatter by 10% on such a
-    host: best-of-3 read -9% to +4% around a true ~0 over six
-    processes, best-of-9 -3% to +1%.
+    host (best-of-3 read -9% to +4% around a true ~0 over six
+    processes, best-of-9 -3% to +1%), which is why the rates are
+    reported and the gate is on ``journal_events``.
     """
     # Both lists are indexed by journal_on (False, True).
     sides = [_forwarding_pump(on, packets, seed) for on in (False, True)]
@@ -274,7 +285,7 @@ def scan_cost(duration: float) -> dict:
     :func:`forwarding_rates`) — ``slowdown`` is everything being
     journaled costs (call-site id formatting and alias lookups as well
     as recording), but as the difference of two seconds-long runs it
-    only resolves a few percent, so it is a gross-regression bound.
+    only resolves a few percent, so it is reported, not gated.
     Recorder: ``ns_per_event`` / ``events_per_sec`` time
     ``Journal.record`` itself over the journaled run's event stream
     (:func:`_record_cost`); ``farm_events_per_sec`` is what the
@@ -371,9 +382,10 @@ def _noop_cost() -> float:
 
 
 def disabled_telemetry_overhead() -> dict:
-    """The analytic disabled-path bound (see module docstring, 4).
-    The enabled/disabled wall ratio is context, not asserted —
-    single-run wall times are too noisy for a hard bound."""
+    """The disabled-path count (see module docstring, 4).  The
+    analytic overhead and the enabled/disabled wall ratio are context,
+    not asserted — single-run wall times are too noisy for a hard
+    bound."""
     enabled_farm, enabled_wall = _telemetry_run(True)
     touches = _disabled_touches()
     # Disabled is the production configuration: best of three.
@@ -430,45 +442,46 @@ def run_gate(packets: int, scan_duration: float) -> dict:
     off_pps = fwd_off["packets_per_sec"]
     on_pps = fwd_on["packets_per_sec"]
     slowdown = (off_pps - on_pps) / off_pps if off_pps else 1.0
-    if slowdown > MAX_FORWARDING_SLOWDOWN:
+    if fwd_on["journal_events"] > MAX_PUMP_EVENTS:
         violations.append(
-            f"journal-on forwarding is {slowdown:.1%} slower than "
-            f"journal-off (limit {MAX_FORWARDING_SLOWDOWN:.0%}): "
-            f"{on_pps} vs {off_pps} pps")
+            f"{fwd_on['journal_events']} journal events over "
+            f"{fwd_on['packets']} fast-path packets (limit "
+            f"{MAX_PUMP_EVENTS}) — something journals per packet")
 
     scan = scan_cost(scan_duration)
-    if scan["events_per_flow"] < 4:
+    if not 4 <= scan["events_per_flow"] <= MAX_EVENTS_PER_FLOW:
         violations.append(
             f"scan run journals {scan['events_per_flow']} events per "
-            f"flow (< 4) — the gate is not scan-shaped")
+            f"flow, outside [4, {MAX_EVENTS_PER_FLOW}] — not scan-shaped, "
+            "or a call site journals more than it did")
     if not scan["digest_match"]:
         violations.append("journal-on scan digest differs from "
                           "journal-off — the journal perturbed the run")
-    if scan["slowdown"] > MAX_SCAN_SLOWDOWN:
+    if scan["ns_per_event"] > MAX_RECORD_NS:
         violations.append(
-            f"journal-on scan run is {scan['slowdown']:.1%} slower than "
-            f"journal-off (limit {MAX_SCAN_SLOWDOWN:.0%}): "
-            f"{scan['seconds_on']} vs {scan['seconds_off']} s")
+            f"Journal.record costs {scan['ns_per_event']} ns per event "
+            f"over the scan's own stream (limit {MAX_RECORD_NS})")
 
     telemetry = disabled_telemetry_overhead()
     if telemetry["enabled_touches"] <= 1000:
         violations.append("telemetry workload touched only "
                           f"{telemetry['enabled_touches']} instruments "
                           "when enabled — the gate is measuring nothing")
-    if telemetry["disabled_overhead"] >= MAX_DISABLED_OVERHEAD:
+    if telemetry["touches"] > MAX_TOUCHES_PER_EVENT * telemetry["events"]:
         violations.append(
-            f"disabled telemetry overhead "
-            f"{telemetry['disabled_overhead']:.2%} exceeds "
-            f"{MAX_DISABLED_OVERHEAD:.0%}")
+            f"disabled telemetry makes {telemetry['touches']} no-op "
+            f"instrument calls over {telemetry['events']} events (limit "
+            f"{MAX_TOUCHES_PER_EVENT} per event)")
 
     return {
         "benchmark": "bench_obs_overhead",
         "config": {
             "seed": SEED, "inmates": INMATES, "rounds": ROUNDS,
             "duration": DURATION, "packets": packets,
-            "max_forwarding_slowdown": MAX_FORWARDING_SLOWDOWN,
-            "max_scan_slowdown": MAX_SCAN_SLOWDOWN,
-            "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
+            "max_pump_events": MAX_PUMP_EVENTS,
+            "max_events_per_flow": MAX_EVENTS_PER_FLOW,
+            "max_record_ns": MAX_RECORD_NS,
+            "max_touches_per_event": MAX_TOUCHES_PER_EVENT,
             "python": sys.version.split()[0],
         },
         "digest_identity": {
@@ -520,7 +533,10 @@ def main(argv=None) -> int:
         for violation in result["violations"]:
             print(f"FAIL: {violation}", file=sys.stderr)
         return 1
-    print("observability overhead gate OK")
+    print("observability overhead gate OK (reported, not gated: "
+          f"forwarding slowdown {result['forwarding']['slowdown']:.1%}, "
+          f"scan slowdown {result['scan']['slowdown']:.1%}, disabled "
+          f"telemetry {result['telemetry']['disabled_overhead']:.2%})")
     return 0
 
 

@@ -14,7 +14,14 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Farm, FarmConfig
-from repro.core.policy import ContainmentPolicy, ReflectAll
+from repro.core.policy import (
+    Action,
+    ContainmentPolicy,
+    Content,
+    ReflectAll,
+    Rule,
+    shorter_than,
+)
 from repro.net.addresses import IPv4Address
 from repro.net.http import HttpParser, HttpRequest, HttpResponse
 from repro.services.dhcp import DhcpClient
@@ -87,19 +94,15 @@ def main() -> None:
 
     # --- Phase 2: whitelist exactly the C&C shape -------------------
     class GatePolicy(ContainmentPolicy):
-        """Forward only GET /gate.php — the observed C&C shape."""
+        """Forward only GET /gate.php — the observed C&C shape; a
+        request still shorter than 16 bytes waits for the rest."""
 
-        def decide(self, ctx):
-            if ctx.flow.resp_port == 80:
-                return None  # decide on content
-            return self.reflect(ctx, "sink")
+        default = Action("reflect", service="sink")
 
-        def decide_content(self, ctx, data):
-            if data.startswith(b"GET /gate.php"):
-                return self.forward(ctx, annotation="C&C lifeline")
-            if len(data) >= 16:
-                return self.reflect(ctx, "sink")
-            return None
+        def declare(self):
+            return super().declare() + [Rule(
+                Action("forward", "C&C lifeline"), 80,
+                content=Content.prefix(b"GET /gate.php", shorter_than(16)))]
 
     farm2 = Farm(FarmConfig(seed=1))
     subfarm2 = farm2.create_subfarm("deployment")

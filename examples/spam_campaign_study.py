@@ -13,28 +13,12 @@ Run:  python examples/spam_campaign_study.py
 """
 
 from repro.core.config import ContainmentConfig, SampleLibrary, apply_config
+from repro.experiments.figure7 import BOTFARM_CONFIG
 from repro.farm import Farm, FarmConfig
 from repro.inmates.images import autoinfect_image
 from repro.malware.corpus import Sample
 from repro.reporting.report import ActivityReport, render_report
 from repro.world.builder import ExternalWorld
-
-CONFIG = """
-[VLAN 16-17]
-Decider = Rustock
-Infection = rustock.100921.*.exe
-
-[VLAN 18-19]
-Decider = Grum
-Infection = grum.100818.*.exe
-
-[VLAN 16-19]
-Trigger = *:25/tcp / 30min < 1 -> revert
-
-[Autoinfect]
-Address = 10.9.8.7
-Port = 6543
-"""
 
 
 def main() -> None:
@@ -67,7 +51,8 @@ def main() -> None:
     library = SampleLibrary()
     library.add("rustock.100921.a.exe", Sample("rustock"))
     library.add("grum.100818.a.exe", Sample("grum"))
-    apply_config(ContainmentConfig.parse(CONFIG), deployment, library)
+    apply_config(ContainmentConfig.parse(BOTFARM_CONFIG), deployment,
+                 library)
     for vlan in (16, 17, 18, 19):
         deployment.create_inmate(image_factory=autoinfect_image(),
                                  vlan=vlan)

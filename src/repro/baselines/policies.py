@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Set
 
-from repro.core.policy import PolicyContext, register_policy
-from repro.core.verdicts import ContainmentDecision
+from repro.core.policy import Action, Rule, register_policy
 from repro.policies.autoinfect import AutoInfectionPolicy
 
 #: Ports Botlab's description singles out: privileged ports are
@@ -19,12 +18,7 @@ class UnconstrainedPolicy(AutoInfectionPolicy):
     """Everything out, unchanged.  Maximum behaviour, maximum harm."""
 
     name = "Unconstrained"
-
-    def decide_other(self, ctx: PolicyContext) -> ContainmentDecision:
-        return self.forward(ctx, annotation="unconstrained")
-
-    def decide_other_content(self, ctx, data):
-        return self.forward(ctx, annotation="unconstrained")
+    default = Action("forward", "unconstrained")
 
 
 @register_policy
@@ -34,12 +28,7 @@ class FullIsolationPolicy(AutoInfectionPolicy):
     malware never comes alive."""
 
     name = "FullIsolation"
-
-    def decide_other(self, ctx: PolicyContext) -> ContainmentDecision:
-        return self.deny(ctx, annotation="full isolation")
-
-    def decide_other_content(self, ctx, data):
-        return self.deny(ctx, annotation="full isolation")
+    default = Action("drop", "full isolation")
 
 
 @register_policy
@@ -60,14 +49,10 @@ class BotlabStaticPolicy(AutoInfectionPolicy):
     def __init__(self, services=None, config=None,
                  rate_limit: float = 10000.0) -> None:
         super().__init__(services, config)
-        self.rate_limit = rate_limit
+        self.default = Action("limit", "static rule: rate-limited",
+                              rate=rate_limit)
 
-    def decide_other(self, ctx: PolicyContext) -> ContainmentDecision:
-        port = ctx.flow.resp_port
-        if port < 1024 or port in KNOWN_VULNERABLE_PORTS:
-            return self.deny(ctx, annotation="static rule: privileged/vuln port")
-        return self.limit(ctx, self.rate_limit,
-                          annotation="static rule: rate-limited")
-
-    def decide_other_content(self, ctx, data):
-        return self.decide_other(ctx)
+    def declare(self) -> List[Rule]:
+        dropped = Action("drop", "static rule: privileged/vuln port")
+        return super().declare() + [Rule(dropped, (0, 1023))] + [
+            Rule(dropped, port) for port in sorted(KNOWN_VULNERABLE_PORTS)]

@@ -13,12 +13,50 @@ inspecting the flow's first content bytes (content-dependent
 decisions, e.g. whitelisting only C&C-shaped HTTP requests).  REWRITE
 decisions additionally supply a :class:`Rewriter` that proxies the
 flow through the containment server.
+
+**A policy is a rule list.**  :meth:`ContainmentPolicy.declare` returns
+:class:`Rule` objects — first match wins, and what no rule decides gets
+the class's ``default`` action; a subclass specializes with
+``super().declare() + [more rules]`` and, where it differs, its own
+``default``.  The list compiles once per instance
+(:func:`compile_table`) into the decision table that the one walker
+behind ``decide`` / ``decide_content`` executes and that
+:meth:`~ContainmentPolicy.surface` publishes to the isolation verifier:
+a policy cannot answer one thing and certify another.  The fields:
+
+* :class:`Rule` — *which flows*: ``direction`` (None: both),
+  ``port_lo``–``port_hi``, ``proto`` (None: TCP and UDP), ``dst`` (the
+  responder address dialled; published as branch class
+  ``dst:<address>``) and ``content`` (a :class:`Content` matcher: the
+  flow waits for payload).  A rule with neither ``dst`` nor ``content``
+  is unconditional and ends its port atoms' branch lists, so after
+  content rules on the same ports it is their fallback, not a
+  pre-emption.
+* :class:`Content` — ``name`` (the model's content class),
+  ``matches(data)`` on the client bytes so far and ``holds(data)``:
+  could more bytes still make it match?  Branches are walked in rule
+  order: a matching one decides, a holding one waits (nothing later
+  pre-empts it), else the next.
+* :class:`Action` — ``kind`` (the verdict) and ``annotation``, plus
+  ``service`` / ``otherwise`` (reflect to that service, or take
+  ``otherwise`` — another sink, a drop — while it is not configured:
+  resolved per decision, since policies meet their services after
+  construction), ``target_ip`` / ``target_port`` (redirect), ``rate``
+  (limit) and ``build`` (the name of a policy method that builds the
+  decision per flow, e.g. with the served sample's MD5; ``kind`` stays
+  the verdict the surface declares).
+
+A subclass that overrides ``decide`` or ``decide_content`` by hand
+still works; it publishes nothing and the verifier probes it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from functools import cached_property
+from typing import (Callable, Dict, List, NamedTuple, Optional, Tuple, Type,
+                    Union)
 
 from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.net.addresses import IPv4Address
@@ -34,7 +72,7 @@ PROTOS = (PROTO_TCP, PROTO_UDP)
 #: ``(lo, hi, branches)`` partitioning ``[0, 65535]`` in ascending
 #: order; ``branches`` is the atom's ordered ``(content class,
 #: decision)`` list, ending in its one unconditional branch (``"*"``
-#: when it is the only one, ``"other"`` after content branches).
+#: when it is the only one, ``"other"`` after conditional branches).
 Surface = Dict[Tuple[str, int],
                List[Tuple[int, int, List[Tuple[str, ContainmentDecision]]]]]
 
@@ -42,6 +80,160 @@ Surface = Dict[Tuple[str, int],
 #: the policy yet (a policy outside a subfarm): the isolation model
 #: records such a cell without an address.
 UNBOUND = IPv4Address("0.0.0.0")
+
+
+# ----------------------------------------------------------------------
+# Rules as data
+# ----------------------------------------------------------------------
+class Action(NamedTuple):
+    """What a rule does with the flows it decides (module docstring)."""
+
+    kind: str
+    annotation: str = ""
+    service: Optional[str] = None
+    otherwise: Optional["Action"] = None
+    target_ip: Optional[IPv4Address] = None
+    target_port: Optional[int] = None
+    rate: Optional[float] = None
+    build: Optional[str] = None
+
+
+def never(data: bytes) -> bool:
+    """The wait rule of a matcher that judges the bytes it has."""
+    return False
+
+
+def short_line(data: bytes) -> bool:
+    """The families' wait rule: a request line still being typed."""
+    return len(data) < 16 and b"\r\n" not in data
+
+
+def shorter_than(length: int) -> Callable[[bytes], bool]:
+    return lambda data: len(data) < length
+
+
+class Content(NamedTuple):
+    """A content matcher: its name, what it matches, how long it waits
+    (module docstring); ``starts`` is a prefix matcher's pattern."""
+
+    name: str
+    matches: Callable[[bytes], object]
+    holds: Callable[[bytes], bool] = never
+    starts: Optional[bytes] = None
+
+    @classmethod
+    def prefix(cls, pattern: bytes,
+               holds: Optional[Callable[[bytes], bool]] = None) -> "Content":
+        """Content starting with ``pattern``; unless told otherwise it
+        holds a flow whose bytes so far (under 256) are a proper prefix
+        of it."""
+        def proper_prefix(data: bytes) -> bool:
+            return len(data) < 256 and pattern.startswith(data)
+        return cls(f"prefix:{pattern.decode('latin-1')!r}",
+                   lambda data: data.startswith(pattern),
+                   holds or proper_prefix, pattern)
+
+    @classmethod
+    def regex(cls, pattern, holds: Callable[[bytes], bool] = never
+              ) -> "Content":
+        """Content a compiled bytes pattern matches from its start."""
+        return cls(f"regex:{pattern.pattern.decode('latin-1')!r}",
+                   pattern.match, holds)
+
+
+class Rule:
+    """One ``match -> action`` (module docstring).  ``ports`` is a port
+    or a ``(lo, hi)`` range; the defaults match every flow."""
+
+    __slots__ = ("action", "port_lo", "port_hi", "proto", "direction",
+                 "content", "dst", "line", "line_number", "hits")
+
+    def __init__(self, action: Action,
+                 ports: Union[int, Tuple[int, int]] = (0, 65535),
+                 proto: Optional[int] = None,
+                 direction: Optional[str] = None,
+                 content: Optional[Content] = None,
+                 dst: Optional[IPv4Address] = None,
+                 line: str = "", line_number: Optional[int] = None) -> None:
+        self.action = action
+        self.port_lo, self.port_hi = (
+            ports if isinstance(ports, tuple) else (ports, ports))
+        self.proto = proto
+        self.direction = direction
+        self.content = content
+        self.dst = dst
+        self.line = line
+        self.line_number = line_number
+        self.hits = 0
+
+    @property
+    def content_class(self) -> str:
+        """The name of what this rule decides within its port atom, as
+        the isolation model's cells spell it."""
+        parts = [f"dst:{self.dst}"] if self.dst is not None else []
+        if self.content is not None:
+            parts.append(self.content.name)
+        return " ".join(parts) or "other"
+
+    def covers(self, later: "Rule") -> bool:
+        """Inside one port atom: does this conditional rule fire on
+        every flow ``later`` fires on?  (What ports and directions they
+        share is the table's business, not a pairwise question.)"""
+        if self.dst not in (None, later.dst):
+            return False
+        mine, theirs = self.content, later.content
+        if mine is None or theirs is None:
+            return mine is None
+        if mine.starts is not None and theirs.starts is not None:
+            return theirs.starts.startswith(mine.starts)  # prefix of prefix
+        return mine.name == theirs.name  # the same class
+
+    def __repr__(self) -> str:
+        return f"<Rule {self.line or self.content_class!r}>"
+
+
+def compile_table(rules: List[Rule], default: Action
+                  ) -> Tuple[dict, List[Rule]]:
+    """First-match semantics, stated once: ``(direction, proto) ->
+    (ascending atom lower bounds, branches per atom)`` — per (direction,
+    proto) the partition of ``[0, 65535]`` into port atoms on the
+    rules' boundaries, and per atom the rules covering it in order,
+    ending in exactly one unconditional branch: the first unconditional
+    rule, or ``default``.
+
+    Also returns the dead rules, those that own no branch in any atom:
+    every flow such a rule matches is decided ahead of it.
+    """
+    fallback = Rule(default, line="default")
+    table = {}
+    live = set()
+    for direction in DIRECTIONS:
+        for proto in PROTOS:
+            applicable = [rule for rule in rules
+                          if rule.direction in (None, direction)
+                          and rule.proto in (None, proto)]
+            edges = {0}
+            for rule in applicable:
+                edges.update((rule.port_lo, rule.port_hi + 1))
+            los = sorted(edges - {65536})
+            atoms = []
+            for lo in los:
+                # An atom lies wholly inside or outside every rule's
+                # interval, so its lower bound speaks for all of it.
+                branches: List[Rule] = []
+                for rule in applicable:
+                    if not rule.port_lo <= lo <= rule.port_hi or any(
+                            earlier.covers(rule) for earlier in branches):
+                        continue
+                    branches.append(rule)
+                    live.add(rule)
+                    if rule.content is None and rule.dst is None:
+                        break
+                else:
+                    branches.append(fallback)
+                atoms.append(branches)
+            table[direction, proto] = (los, atoms)
+    return table, [rule for rule in rules if rule not in live]
 
 
 class PolicyContext:
@@ -139,14 +331,17 @@ class ContainmentPolicy:
     """Base class: complete default-deny.
 
     "Beginning from a complete default-deny of interaction with the
-    outside world" (§3) — the root of the hierarchy drops everything.
-    Subclasses loosen specific traffic in the most narrow fashion
-    possible.
+    outside world" (§3) — the root of the hierarchy declares no rule
+    and drops everything.  Subclasses loosen specific traffic in the
+    most narrow fashion possible.
     """
 
     #: Name used in response shims and configuration files; defaults
     #: to the class name.
     name: Optional[str] = None
+
+    #: What a flow no declared rule decides gets.
+    default = Action("drop", "default-deny")
 
     def __init__(self, services: Optional[ServiceMap] = None,
                  config: Optional[dict] = None) -> None:
@@ -158,14 +353,72 @@ class ContainmentPolicy:
         return self.name or type(self).__name__
 
     # ------------------------------------------------------------------
+    def declare(self) -> List[Rule]:
+        """The policy's rules, first match wins (module docstring).
+        Subclasses extend ``super().declare()``."""
+        return []
+
+    @cached_property
+    def table(self) -> dict:
+        """The decision table ``declare()`` and ``default`` compile to,
+        built on first use: subclass constructors have run by then."""
+        return compile_table(self.declare(), self.default)[0]
+
     def decide(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        """Endpoint-control decision; return None to wait for content."""
-        return self.deny(ctx)
+        """Endpoint-control decision; None to wait for content."""
+        return self._walk(ctx, None)
 
     def decide_content(self, ctx: PolicyContext,
                        data: bytes) -> Optional[ContainmentDecision]:
         """Called with accumulated client content while undecided."""
-        return self.deny(ctx)
+        return self._walk(ctx, data)
+
+    def decide_datagram(self, ctx: PolicyContext,
+                        data: bytes) -> Optional[ContainmentDecision]:
+        """``decide_content`` for a datagram, which is the whole content:
+        a branch holding out for more bytes is passed over.  (A policy
+        that decides by hand is asked through its ``decide_content``.)"""
+        if self._walks():
+            return self._walk(ctx, data, whole=True)
+        return self.decide_content(ctx, data)
+
+    def _walk(self, ctx: PolicyContext, data: Optional[bytes],
+              whole: bool = False) -> Optional[ContainmentDecision]:
+        """The one reading of the table: the branches of the flow's
+        port atom in order.  The last is unconditional, so with content
+        in hand the walk always returns."""
+        flow = ctx.flow
+        los, atoms = self.table[
+            "outbound" if ctx.inmate_is_originator else "inbound", flow.proto]
+        for branch in atoms[bisect_right(los, flow.resp_port) - 1]:
+            if branch.dst is not None and branch.dst != flow.resp_ip:
+                continue
+            content = branch.content
+            if content is not None:
+                if data is None:
+                    return None  # wait for the first payload bytes
+                if not content.matches(data):
+                    if not whole and content.holds(data):
+                        return None  # more bytes could still match
+                    continue
+            branch.hits += 1
+            action = branch.action
+            if action.build is not None:
+                return getattr(self, action.build)(ctx)
+            return self._decision_for(ctx, action)
+
+    def _decision_for(self, ctx: PolicyContext,
+                      action: Action) -> ContainmentDecision:
+        """The decision ``action`` declares, under ``ctx``'s services."""
+        while (action.otherwise is not None
+               and not ctx.has_service(action.service)):
+            action = action.otherwise
+        if action.kind == "reflect":
+            return self.reflect(ctx, action.service, action.annotation)
+        return ContainmentDecision(
+            Verdict[action.kind.upper()], action.target_ip,
+            action.target_port, action.rate, self.policy_name,
+            action.annotation)
 
     def make_rewriter(self, ctx: PolicyContext) -> Rewriter:
         """Rewriter for flows this policy answered with REWRITE."""
@@ -216,36 +469,42 @@ class ContainmentPolicy:
                                            annotation=annotation)
 
     # ------------------------------------------------------------------
+    def _walks(self) -> bool:
+        """Does this class decide by its table?  Not if a subclass
+        overrides the walker by hand (an alias of it, or a tracer's
+        ``__wrapped__`` wrapper around one, is still the walker)."""
+        from inspect import unwrap  # a farm that never asks skips the import
+        cls, base = type(self), ContainmentPolicy
+        return (unwrap(cls.decide) is base.decide
+                and unwrap(cls.decide_content) is base.decide_content)
+
     def surface(self) -> Optional[Surface]:
-        """The policy's whole decision surface as data, or None when
-        only probing can tell (general Python: the isolation model
-        built from probes is marked inexact).  Whoever publishes one
-        answers every flow from it — it is what the verifier reads."""
-        return None
-
-    def _surface_context(self) -> PolicyContext:
-        """What a surface is published under: no flow, and the policy's
-        own service map — an unbound name answering :data:`UNBOUND`,
-        not the runtime's ``KeyError``."""
-        return PolicyContext(None, 0, 0, 0.0, defaultdict(
-            lambda: (UNBOUND, 0), self.services))
-
-    def _uniform_surface(self, owner: type) -> Optional[Surface]:
-        """The one-cell table of a policy whose ``decide`` ignores the
-        flow.  A subclass may decide otherwise, so only ``owner``
-        itself publishes it."""
-        if type(self) is not owner:
+        """The policy's whole decision surface as data — the table it
+        executes, each action as the decision it declares — or None
+        when only probing can tell (``decide`` overridden by hand: the
+        isolation model built from probes is marked inexact)."""
+        if not self._walks():
             return None
-        decision = self.decide(self._surface_context())
-        return {(direction, proto): [(0, 65535, [("*", decision)])]
-                for direction in DIRECTIONS for proto in PROTOS}
+        # Published under no flow and the policy's own service map, an
+        # unbound name answering UNBOUND, not the runtime's KeyError.
+        ctx = PolicyContext(None, 0, 0, 0.0, defaultdict(
+            lambda: (UNBOUND, 0), self.services))
+        published: Surface = {}
+        for key, (los, atoms) in self.table.items():
+            his = [lo - 1 for lo in los[1:]] + [65535]
+            published[key] = [
+                (lo, hi, [("*" if len(branches) == 1 else branch.content_class,
+                           self._decision_for(ctx, branch.action))
+                          for branch in branches])
+                for lo, hi, branches in zip(los, his, atoms)]
+        return published
 
     def describe(self) -> dict:
         """Identity card for the isolation verifier's certificates.
 
-        Opaque (general-Python) policies carry no decision-surface
-        digest — the verifier falls back to concolic probing and marks
-        the resulting model inexact.  :class:`repro.core.dsl.DslPolicy`
+        Class policies carry no decision-surface digest (``kind`` reads
+        ``opaque`` whether or not :meth:`surface` publishes; the model's
+        ``exact`` flag says which).  :class:`repro.core.dsl.DslPolicy`
         overrides this with the program digest.
         """
         return {"policy": self.policy_name, "kind": "opaque"}
@@ -290,23 +549,18 @@ def policy_class(name: str) -> Type[ContainmentPolicy]:
 class DefaultDeny(ContainmentPolicy):
     """Drop every flow — the starting point of policy development."""
 
-    def surface(self) -> Optional[Surface]:
-        return self._uniform_surface(DefaultDeny)
-
 
 @register_policy
 class AllowAll(ContainmentPolicy):
     """Forward everything.  The *absence* of containment; exists as the
     unconstrained-execution baseline and for trusted test traffic."""
 
-    def decide(self, ctx: PolicyContext) -> ContainmentDecision:
-        return self.forward(ctx, annotation="allow-all")
+    default = Action("forward", "allow-all")
 
-    def decide_content(self, ctx, data):
-        return self.forward(ctx, annotation="allow-all")
-
-    def surface(self) -> Optional[Surface]:
-        return self._uniform_surface(AllowAll)
+    # Frozen names (docs/PERFORMANCE.md): the ledger's tracer wraps
+    # these through the class's own __dict__.
+    decide = ContainmentPolicy.decide
+    decide_content = ContainmentPolicy.decide_content
 
 
 @register_policy
@@ -317,17 +571,7 @@ class ReflectAll(ContainmentPolicy):
     alive against the sink, and the analyst inspects what it tried.
     """
 
-    sink_service = "sink"
-
-    def decide(self, ctx: PolicyContext) -> ContainmentDecision:
-        return self.reflect(ctx, self.sink_service,
-                            annotation="reflect-all to sink")
-
-    def decide_content(self, ctx, data):
-        return self.decide(ctx)
-
-    def surface(self) -> Optional[Surface]:
-        return self._uniform_surface(ReflectAll)
+    default = Action("reflect", "reflect-all to sink", "sink")
 
 
 class PolicyMap:

@@ -406,7 +406,7 @@ class ContainmentServer:
         if first:
             decision = policy.decide(ctx)
             if decision is None:
-                decision = policy.decide_content(ctx, content)
+                decision = policy.decide_datagram(ctx, content)
             if decision is None:
                 decision = ContainmentDecision.drop(
                     policy=policy.policy_name, annotation="udp undecided")
@@ -415,8 +415,7 @@ class ContainmentServer:
 
         response = ResponseShim.from_decision(shim.flow, decision).to_bytes()
         if decision.verdict & Verdict.REWRITE:
-            reply = policy.rewrite_datagram(ctx, content) \
-                if hasattr(policy, "rewrite_datagram") else None
+            reply = policy.rewrite_datagram(ctx, content)
             if reply:
                 response += reply
             elif not first:

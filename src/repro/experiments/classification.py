@@ -24,7 +24,7 @@ from repro.analysis.fingerprint import (
     FingerprintClassifier,
     fingerprint_from_sink,
 )
-from repro.core.policy import PolicyContext, register_policy
+from repro.core.policy import Action, register_policy
 from repro.farm import Farm, FarmConfig
 from repro.inmates.images import autoinfect_image
 from repro.malware.corpus import Sample, generate_corpus
@@ -39,12 +39,7 @@ class ClassificationPolicy(AutoInfectionPolicy):
     """Reflect everything except the auto-infection flow."""
 
     name = "Classification"
-
-    def decide_other(self, ctx: PolicyContext):
-        return self.reflect(ctx, "sink", annotation="classification sweep")
-
-    def decide_other_content(self, ctx, data):
-        return self.reflect(ctx, "sink", annotation="classification sweep")
+    default = Action("reflect", "classification sweep", "sink")
 
 
 def fingerprint_sample(sample: Sample, duration: float = 180.0,

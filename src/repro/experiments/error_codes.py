@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.policy import Action, Content, Rule, shorter_than
 from repro.farm import Farm, FarmConfig
 from repro.inmates.images import autoinfect_image
 from repro.malware.base import register_specimen
 from repro.malware.corpus import Sample
 from repro.malware.spambots import SpambotSpecimen
 from repro.net.addresses import IPv4Address
+from repro.net.packet import PROTO_TCP
 from repro.policies.spambot import SpambotPolicy
 from repro.world.builder import ExternalWorld
 
@@ -104,6 +106,15 @@ class ErrorCodeResult:
         return f"<ErrorCodes recovered={self.recovered}>"
 
 
+class DronePolicy(SpambotPolicy):
+    name = "ReportingDrone"
+
+    def declare(self) -> List[Rule]:
+        return super().declare() + [Rule(
+            Action("forward", "C&C"), 80, PROTO_TCP,
+            content=Content.prefix(b"GET /drone/", shorter_than(16)))]
+
+
 def run_condition(condition: str, duration: float = 300.0,
                   seed: int = 141) -> List[int]:
     """Run the drone under one injected condition; return the internal
@@ -124,21 +135,6 @@ def run_condition(condition: str, duration: float = 300.0,
         fault=fault,
         drop_probability=0.999 if condition == "refuse-connection" else 0.0,
     )
-
-    class DronePolicy(SpambotPolicy):
-        name = "ReportingDrone"
-
-        def decide_cnc(self, ctx):
-            if ctx.flow.resp_port == 80 and ctx.flow.proto == 6:
-                return None
-            return self.fallthrough(ctx)
-
-        def decide_other_content(self, ctx, data):
-            if data.startswith(b"GET /drone/"):
-                return self.forward(ctx, annotation="C&C")
-            if len(data) >= 16:
-                return self.fallthrough(ctx)
-            return None
 
     policy = DronePolicy()
     inmate = sub.create_inmate(image_factory=autoinfect_image(),

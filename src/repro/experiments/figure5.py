@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.policy import ContainmentPolicy, Rewriter
+from repro.core.policy import Action, ContainmentPolicy, Rewriter
 from repro.farm import Farm, FarmConfig
 from repro.net.http import HttpParser, HttpRequest, HttpResponse
 from repro.net.packet import PROTO_TCP
@@ -35,9 +35,7 @@ class _Fig5Rewriter(Rewriter):
 
 class Figure5Policy(ContainmentPolicy):
     name = "Figure5"
-
-    def decide(self, ctx):
-        return self.rewrite(ctx, annotation="fig5 rewrite")
+    default = Action("rewrite", "fig5 rewrite")
 
     def make_rewriter(self, ctx):
         return _Fig5Rewriter()

@@ -58,9 +58,10 @@ class Figure7Result:
         )
 
 
-def run_figure7(duration: float = 1200.0, seed: int = 7,
-                drop_probability: float = 0.2,
-                send_interval: float = 0.5) -> Figure7Result:
+def build_botfarm(seed: int = 7, drop_probability: float = 0.2,
+                  send_interval: float = 0.5):
+    """The Figure 6 deployment, not yet run: returns the farm, its
+    "Botfarm" subfarm, the external world and the two samples."""
     farm = Farm(FarmConfig(seed=seed))
     sub = farm.create_subfarm("Botfarm")
     world = ExternalWorld(farm)
@@ -93,6 +94,14 @@ def run_figure7(duration: float = 1200.0, seed: int = 7,
 
     for vlan in (16, 17, 18, 19):
         sub.create_inmate(image_factory=autoinfect_image(), vlan=vlan)
+    return farm, sub, world, {"rustock": rustock_sample, "grum": grum_sample}
+
+
+def run_figure7(duration: float = 1200.0, seed: int = 7,
+                drop_probability: float = 0.2,
+                send_interval: float = 0.5) -> Figure7Result:
+    farm, sub, world, samples = build_botfarm(seed, drop_probability,
+                                              send_interval)
 
     # Bro-style streaming analysis: the analyzers see every frame as
     # it is captured, so the stored trace can rotate — day-scale runs
@@ -115,6 +124,6 @@ def run_figure7(duration: float = 1200.0, seed: int = 7,
     result.smtp_data_transfers = sink.data_transfers
     result.sink_sessions_dropped = sink.sessions_dropped
     result.spam_delivered_outside = world.total_spam_delivered()
-    result.sample_md5s = {"rustock": rustock_sample.md5,
-                          "grum": grum_sample.md5}
+    result.sample_md5s = {family: sample.md5
+                          for family, sample in samples.items()}
     return result

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.policy import (
+    Action,
     AllowAll,
     ContainmentPolicy,
     DefaultDeny,
@@ -44,14 +45,12 @@ class ModeObservation:
 
 
 class _RedirectPolicy(ContainmentPolicy):
-    def decide(self, ctx):
-        return self.redirect(ctx, IPv4Address(ALT_IP), 80,
-                             annotation="figure2 redirect")
+    default = Action("redirect", "figure2 redirect",
+                     target_ip=IPv4Address(ALT_IP), target_port=80)
 
 
 class _LimitPolicy(ContainmentPolicy):
-    def decide(self, ctx):
-        return self.limit(ctx, rate=2000.0, annotation="figure2 rate-limit")
+    default = Action("limit", "figure2 rate-limit", rate=2000.0)
 
 
 class _RewritePolicy(ContainmentPolicy):
@@ -61,8 +60,7 @@ class _RewritePolicy(ContainmentPolicy):
         def on_server_data(self, proxy, data):
             proxy.send_to_client(data.replace(b"REAL", b"FAKE"))
 
-    def decide(self, ctx):
-        return self.rewrite(ctx, annotation="figure2 rewrite")
+    default = Action("rewrite", "figure2 rewrite")
 
     def make_rewriter(self, ctx):
         return self._Rw()

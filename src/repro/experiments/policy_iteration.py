@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.fingerprint import normalize_payload
-from repro.core.policy import PolicyContext
-from repro.core.verdicts import ContainmentDecision
+from repro.core.policy import Action, Content, Rule, shorter_than
 from repro.farm import Farm, FarmConfig
 from repro.inmates.images import autoinfect_image
 from repro.malware.corpus import Sample
@@ -50,31 +49,32 @@ class IterativePolicy(AutoInfectionPolicy):
     """Default-deny-to-sink plus the analyst's accumulated whitelist."""
 
     name = "Iterative"
+    default = Action("reflect", "default-deny to sink", "sink")
 
     def __init__(self, rules: Optional[List[WhitelistRule]] = None,
                  services=None, config=None) -> None:
         super().__init__(services, config)
         self.rules = list(rules or [])
-        self._ports = {r.port for r in self.rules}
-        self._shapes = {(r.port, r.token) for r in self.rules}
 
-    def decide_other(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == SMTP_PORT:
-            # Malicious activity stays inside, always.
-            service = "smtp_sink" if ctx.has_service("smtp_sink") else "sink"
-            return self.reflect(ctx, service, annotation="SMTP containment")
-        if ctx.flow.resp_port in self._ports:
-            return None  # a whitelist may apply: check content
-        return self.reflect(ctx, "sink", annotation="default-deny to sink")
-
-    def decide_other_content(self, ctx: PolicyContext, data: bytes
-                             ) -> Optional[ContainmentDecision]:
-        if (ctx.flow.resp_port, normalize_payload(data)) in self._shapes:
-            return self.forward(ctx, annotation="whitelisted C&C shape")
-        if len(data) >= 8:
-            return self.reflect(ctx, "sink",
-                                annotation="content mismatch to sink")
-        return None
+    def declare(self) -> List[Rule]:
+        # Malicious activity stays inside, always.
+        smtp = "SMTP containment"
+        declared = super().declare() + [Rule(
+            Action("reflect", smtp, "smtp_sink",
+                   Action("reflect", smtp, "sink")), SMTP_PORT)]
+        # Per whitelisted port: the shapes let out, the rest to the sink.
+        for port in sorted({r.port for r in self.rules}):
+            shapes = frozenset(r.token for r in self.rules if r.port == port)
+            declared += [
+                Rule(Action("forward", "whitelisted C&C shape"), port,
+                     content=Content(
+                         f"shape:{sorted(shapes)!r}",
+                         lambda data, shapes=shapes:
+                             normalize_payload(data) in shapes,
+                         shorter_than(8))),
+                Rule(Action("reflect", "content mismatch to sink", "sink"),
+                     port)]
+        return declared
 
 
 class IterationOutcome:

@@ -16,10 +16,9 @@ Two containment postures around the same infiltration:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
-from repro.core.policy import PolicyContext
-from repro.core.verdicts import ContainmentDecision
+from repro.core.policy import Action, Rule
 from repro.farm import Farm, FarmConfig
 from repro.gateway.nat import InboundMode
 from repro.inmates.images import autoinfect_image
@@ -38,10 +37,10 @@ class StormLoosePolicy(StormPolicy):
 
     name = "StormLoose"
 
-    def decide_other(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.inmate_is_originator and ctx.flow.resp_port == 21:
-            return self.forward(ctx, annotation="loose: FTP believed benign")
-        return super().decide_other(ctx)
+    def declare(self) -> List[Rule]:
+        return super().declare() + [Rule(
+            Action("forward", "loose: FTP believed benign"), 21,
+            direction="outbound")]
 
 
 class StormResult:

@@ -17,13 +17,15 @@ chronology:
 
 from __future__ import annotations
 
-from repro.core.policy import PolicyContext
-from repro.core.verdicts import ContainmentDecision
+from typing import List
+
+from repro.core.policy import Action, Rule
 from repro.farm import Farm, FarmConfig
 from repro.inmates.images import autoinfect_image
 from repro.malware.corpus import Sample
 from repro.net.addresses import IPv4Address
-from repro.policies.spambot import Waledac as WaledacPolicy
+from repro.net.packet import PROTO_TCP
+from repro.policies.spambot import SMTP_PORT, Waledac as WaledacPolicy
 from repro.world.builder import ExternalWorld
 
 MODES = ("test-message", "plain-sink", "banner-grabbing")
@@ -39,10 +41,10 @@ class WaledacEarlyPolicy(WaledacPolicy):
         super().__init__(services, config)
         self.gmail_mx_ip = IPv4Address(gmail_mx_ip)
 
-    def smtp_decision(self, ctx: PolicyContext) -> ContainmentDecision:
-        if ctx.flow.resp_ip == self.gmail_mx_ip:
-            return self.forward(ctx, annotation="permitted test message")
-        return super().smtp_decision(ctx)
+    def declare(self) -> List[Rule]:
+        # Ahead of the family's own rules: theirs reflect all of port 25.
+        return [Rule(Action("forward", "permitted test message"), SMTP_PORT,
+                     PROTO_TCP, dst=self.gmail_mx_ip)] + super().declare()
 
 
 class WaledacResult:

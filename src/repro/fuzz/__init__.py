@@ -12,7 +12,7 @@ seed-driven fuzzing subsystem with four pieces:
 * :mod:`repro.fuzz.generators` — grammar-aware malformed-input
   generators for every protocol the farm parses (DNS, SMTP, HTTP,
   IRC, FTP, SOCKS, DHCP, ARP, GRE, TCP options, Ethernet/IPv4 framing,
-  and the shim protocol itself), registered as named
+  the shim protocol itself, and policy programs), registered as named
   :class:`~repro.fuzz.generators.FuzzTarget` entries.
 * :mod:`repro.fuzz.corpus` + :mod:`repro.fuzz.runner` — a corpus
   store with a shrinking minimizer, a replay-regression runner (every
@@ -36,15 +36,17 @@ digest on every machine (pinned in ``FUZZ_quick.json``).
 """
 
 from repro.fuzz.corpus import CorpusStore, minimize, replay_corpus
-from repro.fuzz.generators import TARGETS, FuzzTarget
+from repro.fuzz.generators import DSL_TARGET, TARGETS, FuzzTarget
 from repro.fuzz.mutate import MutationEngine
-from repro.fuzz.runner import fuzz_farm, fuzz_parsers, run_quick
+from repro.fuzz.runner import fuzz_dsl, fuzz_farm, fuzz_parsers, run_quick
 
 __all__ = [
     "CorpusStore",
+    "DSL_TARGET",
     "FuzzTarget",
     "MutationEngine",
     "TARGETS",
+    "fuzz_dsl",
     "fuzz_farm",
     "fuzz_parsers",
     "minimize",

@@ -8,10 +8,10 @@ Usage::
     python -m repro.fuzz --replay tests/fuzz_corpus
 
 ``--quick`` runs the fixed-seed smoke (parser determinism replay,
-farm loop under isolate and fail-stop, comparison against the tracked
-``FUZZ_quick.json``) and exits non-zero on any violation.  ``--replay``
-re-parses a pinned corpus directory and exits non-zero if any input
-escapes the ParseError taxonomy.
+policy-program loop, farm loop under isolate and fail-stop, comparison
+against the tracked ``FUZZ_quick.json``) and exits non-zero on any
+violation.  ``--replay`` re-parses a pinned corpus directory and exits
+non-zero if any input escapes the ParseError taxonomy.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.fuzz.runner import (
     QUICK_FRAMES,
     QUICK_ITERATIONS,
     QUICK_SEED,
+    fuzz_dsl,
     fuzz_farm,
     fuzz_parsers,
     run_quick,
@@ -76,15 +77,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parsers = fuzz_parsers(args.seed, args.iterations,
                            corpus_dir=args.corpus)
+    dsl = fuzz_dsl(args.seed, args.iterations, corpus_dir=args.corpus)
     try:
         farm = fuzz_farm(args.seed, args.frames)
     except Exception as exc:  # noqa: BLE001 - containment failure
         farm = {"survived": False,
                 "error": f"{type(exc).__name__}: {exc}"}
-    summary = {"parsers": parsers, "farm": farm}
+    summary = {"parsers": parsers, "dsl": dsl, "farm": farm}
     print(json.dumps(summary, indent=args.indent, sort_keys=True))
-    if parsers["escapes"] or not farm.get("survived"):
-        print(f"FUZZ ESCAPES: {len(parsers['escapes'])} parser, "
+    escapes = parsers["escapes"] + dsl["escapes"]
+    if escapes or not farm.get("survived"):
+        print(f"FUZZ ESCAPES: {len(escapes)} parser, "
               f"farm survived={farm.get('survived')}", file=sys.stderr)
         return 1
     return 0

@@ -14,7 +14,7 @@ import hashlib
 import os
 from typing import Callable, Dict, List, Tuple
 
-from repro.fuzz.generators import TARGETS
+from repro.fuzz.generators import DSL_TARGET, TARGETS
 from repro.net.errors import ParseError
 
 
@@ -82,8 +82,9 @@ def replay_corpus(directory: str) -> Dict[str, object]:
     replayed = 0
     skipped: List[str] = []
     escapes: List[dict] = []
+    targets = {**TARGETS, DSL_TARGET.name: DSL_TARGET}
     for protocol, filename, data in store.entries():
-        target = TARGETS.get(protocol)
+        target = targets.get(protocol)
         if target is None:
             skipped.append(filename)
             continue

@@ -21,11 +21,13 @@ import random
 import struct
 from typing import Callable, Dict, NamedTuple
 
+from repro.core.dsl import DslError, parse_program
 from repro.core.shim import RequestShim, ResponseShim, peek_length
 from repro.core.verdicts import Verdict
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.arp import ArpMessage
 from repro.net.dns import DnsMessage, DnsRecord, encode_name, decode_name
+from repro.net.errors import ParseError
 from repro.net.flow import FiveTuple
 from repro.net.ftp import FtpServerEngine
 from repro.net.gre import GRE_PROTO_IPV4, PROTO_GRE, encapsulate, unwrap
@@ -406,6 +408,40 @@ def _parse_ftp(data: bytes) -> object:
     return engine
 
 
+#: Every clause of the grammar once; ``{a}``-``{c}`` are random ports.
+_DSL_PROGRAM = """\
+outbound port {a}/tcp -> reflect smtp_sink
+port {b}-{c}/udp content ~ "GET /grum/" -> forward
+inbound port {b}/tcp content =~ "POST /[a-z]+/" -> limit 2500
+port {c}/tcp -> redirect 10.3.0.9:25
+inbound any -> drop
+default -> rewrite"""
+#: Tokens a clause's own check lets through to a constructor, or not.
+_DSL_BREAKS = ('"(a|b"', '"a{99999999999}"', '"unclosed', '"\u20ac"',
+               '"' + "(" * 600 + '"', "fast", "10.3.0:x", "65536/tcp",
+               "tarpit", "==", "->", "-", "default", "")
+
+
+def gen_dsl(rng: random.Random) -> bytes:
+    """A policy program: a shuffled subset of the grammar's clauses on
+    random ports, up to three words swapped for breaking ones."""
+    a, b, c = sorted(rng.choice((25, 80, rng.randrange(65536)))
+                     for _ in range(3))
+    lines = _DSL_PROGRAM.format(a=a, b=b, c=c).split("\n")
+    lines = rng.sample(lines[:-1], rng.randrange(1, 6)) + lines[-1:]
+    words = "\n".join(lines).split(" ")
+    for _ in range(rng.randrange(4)):
+        words[rng.randrange(len(words))] = rng.choice(_DSL_BREAKS)
+    return " ".join(words).encode("utf-8")
+
+
+def _parse_dsl(data: bytes) -> object:
+    try:
+        return parse_program(data.decode("utf-8", "replace"))
+    except DslError as error:           # the language's own ParseError
+        raise ParseError("dsl", str(error)) from None
+
+
 def hostile_frame(rng: random.Random) -> bytes:
     """A wire frame for farm-level fuzzing via ``ingest_wire``."""
     case = rng.randrange(4)
@@ -452,4 +488,10 @@ TARGETS: Dict[str, FuzzTarget] = {
     ]
 }
 
-__all__ = ["FuzzTarget", "TARGETS", "hostile_frame"]
+#: The policy-language parser reads analyst text, not wire bytes.  It
+#: has a loop and a pinned key of its own (``runner.fuzz_dsl``): one
+#: more name in the round-robin above would move the corpus digest
+#: FUZZ_quick.json tracks.
+DSL_TARGET = FuzzTarget("dsl", gen_dsl, _parse_dsl)
+
+__all__ = ["DSL_TARGET", "FuzzTarget", "TARGETS", "hostile_frame"]

@@ -31,7 +31,7 @@ import random
 from typing import Dict, List, Optional
 
 from repro.fuzz.corpus import CorpusStore, minimize
-from repro.fuzz.generators import TARGETS, hostile_frame
+from repro.fuzz.generators import DSL_TARGET, TARGETS, hostile_frame
 from repro.fuzz.mutate import MutationEngine
 from repro.net.errors import ParseError
 
@@ -43,6 +43,7 @@ QUICK_SEED = 1211
 QUICK_ITERATIONS = 2000
 QUICK_FRAMES = 300
 QUICK_ROUTER_SCRIPTS = 100
+QUICK_DSL_ITERATIONS = 500
 
 #: Fraction of parser-loop inputs that get a second, grammar-blind
 #: mutation pass on top of the grammar-aware generator output.
@@ -63,11 +64,24 @@ def _escape_of(parse, data: bytes) -> Optional[BaseException]:
 
 def fuzz_parsers(seed: int, iterations: int,
                  corpus_dir: Optional[str] = None) -> dict:
-    """Round-robin every target for ``iterations`` inputs; minimize and
-    pin any escape into ``corpus_dir`` (when given)."""
+    """Round-robin every wire-format target for ``iterations`` inputs;
+    minimize and pin any escape into ``corpus_dir`` (when given)."""
+    return _fuzz_targets(TARGETS, seed, iterations, corpus_dir)
+
+
+def fuzz_dsl(seed: int, iterations: int,
+             corpus_dir: Optional[str] = None) -> dict:
+    """The same loop over the policy-language parser alone: a program
+    compiles or raises ``DslError`` (docs/HARDENING.md)."""
+    return _fuzz_targets({DSL_TARGET.name: DSL_TARGET}, seed, iterations,
+                         corpus_dir)
+
+
+def _fuzz_targets(targets: dict, seed: int, iterations: int,
+                  corpus_dir: Optional[str]) -> dict:
     rng = random.Random(seed)
     engine = MutationEngine(seed ^ 0x5EED5EED)
-    names = sorted(TARGETS)
+    names = sorted(targets)
     store = CorpusStore(corpus_dir) if corpus_dir else None
 
     digest = hashlib.sha256()
@@ -75,7 +89,7 @@ def fuzz_parsers(seed: int, iterations: int,
     escapes: List[dict] = []
     for index in range(iterations):
         name = names[index % len(names)]
-        target = TARGETS[name]
+        target = targets[name]
         data = target.generate(rng)
         if rng.random() < MUTATE_RATE:
             data = engine.mutate(data)
@@ -186,13 +200,25 @@ def fuzz_router(scripts: int) -> dict:
     return {"scripts": scripts, "digest": rollup.hexdigest()}
 
 
+def _digests(summary: dict, prefix: str = "") -> Dict[str, str]:
+    """Every digest a quick summary holds, by dotted path
+    (``parsers.digest``, ``farm.isolate.journal_digest``, ...)."""
+    found = {}
+    for key, value in summary.items():
+        if isinstance(value, dict):
+            found.update(_digests(value, f"{prefix}{key}."))
+        elif key.endswith("digest") and value:
+            found[prefix + key] = value
+    return found
+
+
 def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
               frames: int = QUICK_FRAMES,
               pinned_path: Optional[str] = None) -> dict:
     """The ``make fuzz-quick`` smoke: parser loop (twice, for the
-    determinism digest), farm loop under both isolate and fail-stop,
-    the first hundred router scripts, all compared against the tracked
-    ``FUZZ_quick.json``."""
+    determinism digest), policy-program loop, farm loop under both
+    isolate and fail-stop, the first hundred router scripts, all
+    compared against the tracked ``FUZZ_quick.json``."""
     violations: List[str] = []
 
     parsers = fuzz_parsers(seed, iterations)
@@ -202,11 +228,11 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
         violations.append(
             f"parser corpus digest drifts across identical runs "
             f"({parsers['digest']} != {replay['digest']})")
-    if parsers["escapes"]:
-        for escape in parsers["escapes"]:
-            violations.append(
-                f"{escape['protocol']}: {escape['exception']} escaped "
-                f"the parser ({escape['message']})")
+    dsl = fuzz_dsl(seed, QUICK_DSL_ITERATIONS)
+    for escape in parsers["escapes"] + dsl["escapes"]:
+        violations.append(
+            f"{escape['protocol']}: {escape['exception']} escaped "
+            f"the parser ({escape['message']})")
 
     farm_runs: Dict[str, dict] = {}
     for policy in ("isolate", "fail-stop"):
@@ -261,6 +287,8 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
             for policy, run in sorted(farm_runs.items())
         },
         "router": router,
+        "dsl": {key: dsl[key] for key in
+                ("iterations", "ok", "parse_errors", "digest")},
         "determinism": {"match": determinism},
         "violations": violations,
     }
@@ -269,34 +297,15 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
         else os.path.join(REPO_ROOT, PINNED_NAME)
     if os.path.exists(path):
         with open(path) as handle:
-            tracked = json.load(handle)
-        pinned_parser = tracked.get("parsers", {}).get("digest")
-        if pinned_parser and pinned_parser != parsers["digest"]:
-            violations.append(
-                f"parser corpus digest drifted from {PINNED_NAME} "
-                f"({pinned_parser} != {parsers['digest']})")
-        for policy, cell in tracked.get("farm", {}).items():
-            current = summary["farm"].get(policy, {}).get("digest")
-            if cell.get("digest") and current and \
-                    cell["digest"] != current:
-                violations.append(
-                    f"farm fuzz digest for policy={policy} drifted "
-                    f"from {PINNED_NAME}")
-            current_journal = summary["farm"].get(policy, {}) \
-                .get("journal_digest")
-            if cell.get("journal_digest") and current_journal and \
-                    cell["journal_digest"] != current_journal:
-                violations.append(
-                    f"quarantine journal digest for policy={policy} "
-                    f"drifted from {PINNED_NAME}")
-        pinned_router = tracked.get("router", {}).get("digest")
-        if pinned_router and router and pinned_router != router["digest"]:
-            violations.append(
-                f"router differential digest drifted from {PINNED_NAME}: "
-                f"run tests/test_router_differential.py for the scripts")
+            tracked = _digests(json.load(handle))
+        current = _digests(summary)
+        drifted = sorted(name for name in tracked.keys() & current.keys()
+                         if tracked[name] != current[name])
+        violations.extend(
+            f"{name} drifted from {PINNED_NAME} ({tracked[name]} != "
+            f"{current[name]})" for name in drifted)
         summary["pinned"] = {"path": os.path.basename(path),
-                             "match": not any(
-                                 "drifted" in v for v in violations)}
+                             "match": not drifted}
     return summary
 
 
@@ -305,6 +314,7 @@ __all__ = [
     "QUICK_ITERATIONS",
     "QUICK_ROUTER_SCRIPTS",
     "QUICK_SEED",
+    "fuzz_dsl",
     "fuzz_farm",
     "fuzz_parsers",
     "fuzz_router",

@@ -13,12 +13,14 @@ its own batch of binaries, served sequentially for batch processing.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.policy import (
+    Action,
     ContainmentPolicy,
     PolicyContext,
     Rewriter,
+    Rule,
     register_policy,
 )
 from repro.core.verdicts import ContainmentDecision
@@ -63,9 +65,9 @@ class AutoInfectionPolicy(ContainmentPolicy):
     """Base class for all policies using auto-infection.
 
     Flows to the configured infection address/port get REWRITE
-    containment with an impersonating HTTP server; everything else
-    falls through to :meth:`decide_other`, which subclasses override
-    (the base denies, staying faithful to default-deny roots).
+    containment with an impersonating HTTP server — the first rule,
+    ahead of whatever subclasses append to ``declare()`` (the base
+    declares nothing else, staying faithful to default-deny roots).
     """
 
     def __init__(self, services=None, config=None) -> None:
@@ -103,21 +105,20 @@ class AutoInfectionPolicy(ContainmentPolicy):
         return (ctx.flow.resp_ip == self.infect_address
                 and ctx.flow.resp_port == self.infect_port)
 
-    def decide(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if self.is_infection_flow(ctx):
-            # Pick the sample now so its MD5 rides in the annotation
-            # (visible in the Figure 7 REWRITE rows) and the rewriter
-            # serves exactly that binary.
-            sample = self.sample_for(ctx.vlan_id)
-            self._pending_samples[(ctx.vlan_id, ctx.flow)] = sample
-            annotation = (f"autoinfection {sample.md5}" if sample
-                          else "autoinfection (no batch)")
-            return self.rewrite(ctx, annotation=annotation)
-        return self.decide_other(ctx)
+    def declare(self) -> List[Rule]:
+        return super().declare() + [Rule(
+            Action("rewrite", "autoinfection", build="serve_sample"),
+            self.infect_port, dst=self.infect_address)]
 
-    def decide_content(self, ctx: PolicyContext,
-                       data: bytes) -> Optional[ContainmentDecision]:
-        return self.decide_other_content(ctx, data)
+    def serve_sample(self, ctx: PolicyContext) -> ContainmentDecision:
+        """Pick the sample now so its MD5 rides in the annotation
+        (visible in the Figure 7 REWRITE rows) and the rewriter serves
+        exactly that binary."""
+        sample = self.sample_for(ctx.vlan_id)
+        self._pending_samples[(ctx.vlan_id, ctx.flow)] = sample
+        annotation = (f"autoinfection {sample.md5}" if sample
+                      else "autoinfection (no batch)")
+        return self.rewrite(ctx, annotation=annotation)
 
     def make_rewriter(self, ctx: PolicyContext) -> Rewriter:
         if self.is_infection_flow(ctx):
@@ -128,15 +129,6 @@ class AutoInfectionPolicy(ContainmentPolicy):
             return _SampleServer(self, ctx, sample)
         return self.make_other_rewriter(ctx)
 
-    # ------------------------------------------------------------------
-    # Subclass surface for non-infection traffic
-    # ------------------------------------------------------------------
-    def decide_other(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        return self.deny(ctx)
-
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        return self.deny(ctx)
-
     def make_other_rewriter(self, ctx: PolicyContext) -> Rewriter:
+        """Rewriter for a subclass's own REWRITE rules."""
         return Rewriter()

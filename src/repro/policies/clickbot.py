@@ -10,11 +10,21 @@ live click fraud against advertisers.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import List
 
-from repro.core.policy import PolicyContext, register_policy
-from repro.core.verdicts import ContainmentDecision
+from repro.core.policy import (
+    Action,
+    Content,
+    Rule,
+    register_policy,
+    shorter_than,
+)
+from repro.net.packet import PROTO_TCP
 from repro.policies.autoinfect import AutoInfectionPolicy
+
+
+def _is_click(data: bytes) -> bool:
+    return data.startswith((b"GET ", b"POST ")) and b"\r\n" in data
 
 
 @register_policy
@@ -25,29 +35,16 @@ class ClickbotPolicy(AutoInfectionPolicy):
 
     CNC_RE = re.compile(rb"^GET /click/tasks\?aff=[0-9a-f]+")
 
-    def decide_other(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == 80 and ctx.flow.proto == 6:
-            return None  # C&C fetch or a click? decide on content
-        if ctx.has_service("sink"):
-            return self.reflect(ctx, "sink", annotation="non-HTTP to sink")
-        return self.deny(ctx)
+    _DENY = Action("drop", "default-deny")
+    default = Action("reflect", "non-HTTP to sink", "sink", _DENY)
 
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        if self.CNC_RE.match(data):
-            return self.forward(ctx, annotation="C&C task fetch")
-        if (data.startswith(b"GET ") or data.startswith(b"POST ")) \
-                and b"\r\n" in data:
-            # A click: contain it.
-            if ctx.has_service("sink"):
-                return self.reflect(ctx, "sink",
-                                    annotation="click traffic contained")
-            return self.deny(ctx, annotation="click traffic")
-        if len(data) >= 16:
-            return self.fall_back(ctx)
-        return None
-
-    def fall_back(self, ctx: PolicyContext) -> ContainmentDecision:
-        if ctx.has_service("sink"):
-            return self.reflect(ctx, "sink", annotation="unrecognized")
-        return self.deny(ctx)
+    def declare(self) -> List[Rule]:
+        # Port 80: a C&C fetch or a click?  Decided on content.
+        return super().declare() + [
+            Rule(Action("forward", "C&C task fetch"), 80, PROTO_TCP,
+                 content=Content.regex(self.CNC_RE)),
+            Rule(Action("reflect", "click traffic contained", "sink",
+                        Action("drop", "click traffic")), 80, PROTO_TCP,
+                 content=Content("click", _is_click, shorter_than(16))),
+            Rule(Action("reflect", "unrecognized", "sink", self._DENY),
+                 80, PROTO_TCP)]

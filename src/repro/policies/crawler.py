@@ -10,12 +10,22 @@ everything else reflects.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import List
 
-from repro.core.policy import ContainmentPolicy, PolicyContext, register_policy
-from repro.core.verdicts import ContainmentDecision
+from repro.core.policy import (
+    Action,
+    ContainmentPolicy,
+    Content,
+    Rule,
+    register_policy,
+)
+from repro.net.packet import PROTO_TCP
 
 SMTP_PORT = 25
+
+
+def _headers_incomplete(data: bytes) -> bool:
+    return b"\r\n\r\n" not in data and len(data) < 512
 
 
 @register_policy
@@ -30,21 +40,16 @@ class HoneycrawlerPolicy(ContainmentPolicy):
         re.DOTALL,
     )
 
-    def decide(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if not ctx.inmate_is_originator:
-            return self.deny(ctx, annotation="unsolicited inbound")
-        if ctx.flow.resp_port == SMTP_PORT:
-            service = "smtp_sink" if ctx.has_service("smtp_sink") else "sink"
-            return self.reflect(ctx, service, annotation="SMTP containment")
-        if ctx.flow.resp_port == 80 and ctx.flow.proto == 6:
-            return None  # crawl or post-infection traffic? check content
-        return self.reflect(ctx, "sink", annotation="non-crawl to sink")
+    default = Action("reflect", "non-crawl to sink", "sink")
 
-    def decide_content(self, ctx: PolicyContext,
-                       data: bytes) -> Optional[ContainmentDecision]:
-        if self.CRAWL_RE.match(data):
-            return self.forward(ctx, annotation="crawl fetch")
-        if b"\r\n\r\n" in data or len(data) >= 512:
-            return self.reflect(ctx, "sink",
-                                annotation="post-infection to sink")
-        return None
+    def declare(self) -> List[Rule]:
+        smtp = "SMTP containment"
+        return super().declare() + [
+            Rule(Action("drop", "unsolicited inbound"), direction="inbound"),
+            Rule(Action("reflect", smtp, "smtp_sink",
+                        Action("reflect", smtp, "sink")), SMTP_PORT),
+            # Port 80: crawl or post-infection traffic?  Check content.
+            Rule(Action("forward", "crawl fetch"), 80, PROTO_TCP,
+                 content=Content.regex(self.CRAWL_RE, _headers_incomplete)),
+            Rule(Action("reflect", "post-infection to sink", "sink"),
+                 80, PROTO_TCP)]

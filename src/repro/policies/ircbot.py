@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import List
 
-from repro.core.policy import PolicyContext, register_policy
-from repro.core.verdicts import ContainmentDecision
+from repro.core.policy import (
+    Action,
+    Content,
+    Rule,
+    register_policy,
+    short_line,
+)
+from repro.net.packet import PROTO_TCP
 from repro.policies.spambot import SpambotPolicy
 
 IRC_PORT = 6667
@@ -20,18 +26,10 @@ class IrcBotPolicy(SpambotPolicy):
     name = "IrcBot"
     IRC_HELLO = re.compile(rb"^NICK gq[0-9a-f]+\r\n")
 
-    def decide_cnc(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == IRC_PORT and ctx.flow.proto == 6:
-            return None  # check the registration shape first
-        return self.fallthrough(ctx)
-
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        if self.IRC_HELLO.match(data):
-            return self.forward(ctx, annotation="IRC C&C")
-        if len(data) >= 16 or b"\r\n" in data:
-            return self.fallthrough(ctx)
-        return None
+    def declare(self) -> List[Rule]:
+        return super().declare() + [Rule(
+            Action("forward", "IRC C&C"), IRC_PORT, PROTO_TCP,
+            content=Content.regex(self.IRC_HELLO, short_line))]
 
 
 @register_policy
@@ -43,15 +41,7 @@ class DgaBotPolicy(SpambotPolicy):
     name = "DgaBot"
     CNC_RE = re.compile(rb"^GET /dga/cmd\?id=[0-9a-f]+ HTTP/1\.[01]")
 
-    def decide_cnc(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == 80 and ctx.flow.proto == 6:
-            return None
-        return self.fallthrough(ctx)
-
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        if self.CNC_RE.match(data):
-            return self.forward(ctx, annotation="C&C (DGA-located)")
-        if len(data) >= 16 or b"\r\n" in data:
-            return self.fallthrough(ctx)
-        return None
+    def declare(self) -> List[Rule]:
+        return super().declare() + [Rule(
+            Action("forward", "C&C (DGA-located)"), 80, PROTO_TCP,
+            content=Content.regex(self.CNC_RE, short_line))]

@@ -12,19 +12,26 @@ REWRITE http C&C filtering, REWRITE autoinfection).
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import List
 
 from repro.core.policy import (
+    Action,
+    Content,
     PolicyContext,
     Rewriter,
+    Rule,
     register_policy,
+    short_line,
+    shorter_than,
 )
-from repro.core.verdicts import ContainmentDecision
+from repro.net.packet import PROTO_TCP
 from repro.policies.autoinfect import AutoInfectionPolicy
 from repro.world.cnc import MEGAD_MAGIC_REQ, MEGAD_PORT
 
 SMTP_PORT = 25
-DNS_PORT = 53
+
+#: Whitelisted C&C: what every family leaf forwards.
+CNC = Action("forward", "C&C")
 
 
 @register_policy
@@ -32,33 +39,20 @@ class SpambotPolicy(AutoInfectionPolicy):
     """Base class for spambots: reflect all outbound SMTP to the sink.
 
     Port 25 is never allowed out — period.  The C&C lifeline is left
-    to family subclasses; anything not understood is denied or, when a
-    catch-all sink is configured, reflected for inspection.
+    to family subclasses, which append their rules; anything not
+    understood is denied or, when a catch-all sink is configured,
+    reflected for inspection.
     """
 
-    smtp_sink_service = "smtp_sink"
-    fallback_sink_service = "sink"
+    default = Action("reflect", "unrecognized traffic to sink", "sink",
+                     Action("drop", "unrecognized traffic"))
 
-    def smtp_decision(self, ctx: PolicyContext) -> ContainmentDecision:
-        service = (self.smtp_sink_service
-                   if ctx.has_service(self.smtp_sink_service)
-                   else self.fallback_sink_service)
-        return self.reflect(ctx, service, annotation="full SMTP containment")
-
-    def decide_other(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == SMTP_PORT and ctx.flow.proto == 6:
-            return self.smtp_decision(ctx)
-        return self.decide_cnc(ctx)
-
-    def decide_cnc(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        """Family subclasses whitelist their C&C here."""
-        return self.fallthrough(ctx)
-
-    def fallthrough(self, ctx: PolicyContext) -> ContainmentDecision:
-        if ctx.has_service(self.fallback_sink_service):
-            return self.reflect(ctx, self.fallback_sink_service,
-                                annotation="unrecognized traffic to sink")
-        return self.deny(ctx, annotation="unrecognized traffic")
+    def declare(self) -> List[Rule]:
+        smtp = "full SMTP containment"
+        return super().declare() + [Rule(
+            Action("reflect", smtp, "smtp_sink",
+                   Action("reflect", smtp, "sink")),
+            SMTP_PORT, PROTO_TCP)]
 
 
 @register_policy
@@ -72,18 +66,10 @@ class Grum(SpambotPolicy):
     name = "Grum"
     CNC_PATH = re.compile(rb"^GET /grum/spm\?id=[0-9a-f]+ HTTP/1\.[01]")
 
-    def decide_cnc(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == 80 and ctx.flow.proto == 6:
-            return None  # content-dependent: wait for the request line
-        return self.fallthrough(ctx)
-
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        if self.CNC_PATH.match(data):
-            return self.forward(ctx, annotation="C&C")
-        if len(data) >= 16 or b"\r\n" in data:
-            return self.fallthrough(ctx)
-        return None  # not enough content yet
+    def declare(self) -> List[Rule]:
+        return super().declare() + [Rule(
+            CNC, 80, PROTO_TCP,
+            content=Content.regex(self.CNC_PATH, short_line))]
 
 
 GrumPolicy = Grum
@@ -109,20 +95,11 @@ class Rustock(SpambotPolicy):
     CNC_TLS_PORT = 443
     BEACON_RE = re.compile(rb"^GET /stat\?r=\d+")
 
-    def decide_cnc(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == self.CNC_TLS_PORT and ctx.flow.proto == 6:
-            return self.forward(ctx, annotation="C&C")
-        if ctx.flow.resp_port == 80 and ctx.flow.proto == 6:
-            return None  # wait for content: beacon or something else?
-        return self.fallthrough(ctx)
-
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        if self.BEACON_RE.match(data):
-            return self.rewrite(ctx, annotation="C&C filtering")
-        if len(data) >= 16 or b"\r\n" in data:
-            return self.fallthrough(ctx)
-        return None
+    def declare(self) -> List[Rule]:
+        return super().declare() + [
+            Rule(CNC, self.CNC_TLS_PORT, PROTO_TCP),
+            Rule(Action("rewrite", "C&C filtering"), 80, PROTO_TCP,
+                 content=Content.regex(self.BEACON_RE, short_line))]
 
     def make_other_rewriter(self, ctx: PolicyContext) -> Rewriter:
         return _RustockStatFilter()
@@ -140,18 +117,10 @@ class Waledac(SpambotPolicy):
     name = "Waledac"
     CNC_RE = re.compile(rb"^POST /waledac/ctrl HTTP/1\.[01]")
 
-    def decide_cnc(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == 80 and ctx.flow.proto == 6:
-            return None
-        return self.fallthrough(ctx)
-
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        if self.CNC_RE.match(data):
-            return self.forward(ctx, annotation="C&C")
-        if len(data) >= 16 or b"\r\n" in data:
-            return self.fallthrough(ctx)
-        return None
+    def declare(self) -> List[Rule]:
+        return super().declare() + [Rule(
+            CNC, 80, PROTO_TCP,
+            content=Content.regex(self.CNC_RE, short_line))]
 
 
 WaledacPolicy = Waledac
@@ -163,18 +132,11 @@ class MegaDContainment(SpambotPolicy):
 
     name = "MegaD"
 
-    def decide_cnc(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if ctx.flow.resp_port == MEGAD_PORT and ctx.flow.proto == 6:
-            return None  # verify the magic before forwarding
-        return self.fallthrough(ctx)
-
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        if data.startswith(MEGAD_MAGIC_REQ):
-            return self.forward(ctx, annotation="C&C")
-        if len(data) >= len(MEGAD_MAGIC_REQ):
-            return self.fallthrough(ctx)
-        return None
+    def declare(self) -> List[Rule]:
+        # Verify the whole magic before forwarding.
+        return super().declare() + [Rule(
+            CNC, MEGAD_PORT, PROTO_TCP, content=Content.prefix(
+                MEGAD_MAGIC_REQ, shorter_than(len(MEGAD_MAGIC_REQ))))]
 
 
 MegadPolicy = MegaDContainment

@@ -14,10 +14,16 @@ SOCKS capability landed at the sink instead of at the victim sites.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import List
 
-from repro.core.policy import PolicyContext, register_policy
-from repro.core.verdicts import ContainmentDecision
+from repro.core.policy import (
+    Action,
+    Content,
+    Rule,
+    register_policy,
+    short_line,
+)
+from repro.net.packet import PROTO_TCP
 from repro.policies.autoinfect import AutoInfectionPolicy
 
 
@@ -29,20 +35,12 @@ class StormPolicy(AutoInfectionPolicy):
 
     HTTP_CNC_RE = re.compile(rb"^(GET|POST) /storm/")
 
-    def decide_other(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if not ctx.inmate_is_originator:
-            # Outside reachability is the point: let the overlay in.
-            return self.forward(ctx, annotation="inbound overlay reachability")
-        if ctx.flow.resp_port == 80 and ctx.flow.proto == 6:
-            return None  # maybe the HTTP-borne C&C; check content
-        return self.reflect(ctx, "sink",
-                            annotation="non-C&C outbound to sink")
+    default = Action("reflect", "non-C&C outbound to sink", "sink")
 
-    def decide_other_content(self, ctx: PolicyContext,
-                             data: bytes) -> Optional[ContainmentDecision]:
-        if self.HTTP_CNC_RE.match(data):
-            return self.forward(ctx, annotation="HTTP C&C")
-        if len(data) >= 16 or b"\r\n" in data:
-            return self.reflect(ctx, "sink",
-                                annotation="non-C&C outbound to sink")
-        return None
+    def declare(self) -> List[Rule]:
+        return super().declare() + [
+            # Outside reachability is the point: let the overlay in.
+            Rule(Action("forward", "inbound overlay reachability"),
+                 direction="inbound"),
+            Rule(Action("forward", "HTTP C&C"), 80, PROTO_TCP,
+                 content=Content.regex(self.HTTP_CNC_RE, short_line))]

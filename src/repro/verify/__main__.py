@@ -18,9 +18,11 @@ flow-table coverage.  Exit 0 when both the certificate and the
 coverage pass are clean.
 
 ``quick`` is the CI gate behind ``make verify-quick``: certify the
-golden-seed farm twice plus one fault-matrix scenario, assert both
-certificates are CONTAINED and that the two golden runs produced the
-same certificate digest (the determinism claim, checked).
+golden-seed farm twice, the Figure 6 Botfarm and one fault-matrix
+scenario; assert every certificate is CONTAINED, that the two golden
+runs produced the same certificate digest (the determinism claim,
+checked) and that the Botfarm's model is exact (the policy library
+publishes the tables it executes).
 """
 
 from __future__ import annotations
@@ -113,41 +115,44 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_quick(args) -> int:
-    """CI gate: digest stability + scenario containment."""
+    """CI gate: every farm of a fixed list CONTAINED, plus what each is
+    on the list for."""
+    from repro.experiments.fault_matrix import build_fault_farm
+    from repro.experiments.figure7 import build_botfarm
     from repro.obs.__main__ import golden_farm
 
     failures: List[str] = []
-    print("verify-quick: certifying golden-seed farm (run 1/2) ...")
-    cert_a = certify_farm(golden_farm(), label="golden")
-    print("verify-quick: certifying golden-seed farm (run 2/2) ...")
-    cert_b = certify_farm(golden_farm(), label="golden")
-    print(f"  run1 {cert_a['result']} digest={cert_a['digest'][:16]}… "
-          f"states={cert_a['states_explored']}")
-    print(f"  run2 {cert_b['result']} digest={cert_b['digest'][:16]}…")
-    if cert_a["result"] != "CONTAINED":
-        failures.append("golden-seed farm certificate is LEAKY")
-    if cert_a["digest"] != cert_b["digest"]:
+    certs = []
+    for label, build in (
+            ("golden", golden_farm), ("golden", golden_farm),
+            ("Figure 6 Botfarm", lambda: build_botfarm()[0]),
+            (QUICK_SCENARIO, lambda: build_fault_farm(
+                seed=args.seed, scenario=QUICK_SCENARIO))):
+        print(f"verify-quick: certifying {label} ...")
+        farm = build()
+        cert = certify_farm(farm, label=label)
+        certs.append(cert)
+        print(f"  {cert['result']} exact={cert['exact']} "
+              f"digest={cert['digest'][:16]}… grants={len(cert['grants'])} "
+              f"states={cert['states_explored']}")
+        if cert["result"] != "CONTAINED":
+            failures.append(f"{label} certificate is LEAKY")
+        if not verify_digest(cert):
+            failures.append(f"{label} certificate self-digest does not "
+                            "verify")
+    golden_a, golden_b, botfarm, scenario = certs
+    # The determinism claim, checked.
+    if golden_a["digest"] != golden_b["digest"]:
         failures.append("certificate digest unstable across runs")
-    if not (verify_digest(cert_a) and verify_digest(cert_b)):
-        failures.append("certificate self-digest does not verify")
-
-    print(f"verify-quick: certifying fault scenario "
-          f"{QUICK_SCENARIO!r} ...")
-    from repro.experiments.fault_matrix import build_fault_farm
-
-    farm = build_fault_farm(seed=args.seed, scenario=QUICK_SCENARIO)
-    cert_c = certify_farm(farm, label=QUICK_SCENARIO)
-    print(f"  {QUICK_SCENARIO} {cert_c['result']} "
-          f"digest={cert_c['digest'][:16]}… "
-          f"grants={len(cert_c['grants'])}")
-    if cert_c["result"] != "CONTAINED":
-        failures.append(f"scenario {QUICK_SCENARIO} certificate is LEAKY")
-    report = check_farm(cert_c, farm)
+    # The policy library publishes the tables it executes.
+    if not botfarm["exact"]:
+        failures.append("Figure 6 Botfarm model is probed, not exact")
+    # The proof against what the scenario's run (the last farm) did.
+    report = check_farm(scenario, farm)
     print(f"  coverage {report.covered}/{report.checked} covered, "
           f"{len(report.violations)} violation(s)")
     if not report.ok:
-        failures.append("runtime coverage violations in "
-                        f"{QUICK_SCENARIO}")
+        failures.append(f"runtime coverage violations in {QUICK_SCENARIO}")
         print(render_violations(report, farm.journal_snapshot()))
 
     if failures:

@@ -14,12 +14,12 @@ windows during which the pending policy — not the containment policy
 * a :class:`PolicyModel` is the policy's complete decision surface
   over abstract flows — a projection of the table the policy
   **publishes** (:meth:`~repro.core.policy.ContainmentPolicy.surface`:
-  for a DSL program the very table the containment server answers
-  flows from, for the registry built-ins their one cell; the model is
-  exact), or built by **concolic probing** for opaque general-Python
-  policies, which publish nothing (probe ports + the probe content
-  corpus; the model is marked ``exact=False`` and the certificate
-  inherits the flag);
+  the very table the containment server answers flows from, compiled
+  from the rules a policy class declares or a DSL program states; the
+  model is exact), or built by **concolic probing** for a policy that
+  overrides ``decide`` by hand and so publishes nothing (probe ports +
+  the probe content corpus; the model is marked ``exact=False`` and
+  the certificate inherits the flag);
 * a :class:`SubfarmModel` adds the subfarm's pending policy, its
   verdict-outage overlay windows from the fault plan
   (:meth:`~repro.faults.plan.FaultPlan.verdict_outage_windows`), and
@@ -149,10 +149,10 @@ def _model(policy: ContainmentPolicy, surface: Surface,
 
 
 def probe_policy(policy: ContainmentPolicy) -> PolicyModel:
-    """Concolic model of an opaque policy: probe the analysis corpus
-    ports (plus one representative for every other port) with the
-    probe content corpus.  ``exact=False`` — the certificate carries
-    the caveat."""
+    """Concolic model of a policy that decides by hand: probe the
+    analysis corpus ports (plus one representative for every other
+    port) with the probe content corpus.  ``exact=False`` — the
+    certificate carries the caveat."""
     from repro.analysis.policy_testing import (
         DEFAULT_CONTENT,
         DEFAULT_PORTS,

@@ -29,7 +29,7 @@ class TestDslParsing:
         rules, default = parse_program(GRUM_PROGRAM)
         assert len(rules) == 2
         assert rules[0].port_lo == 25 and rules[0].action.kind == "reflect"
-        assert rules[1].needs_content
+        assert rules[1].content is not None
         assert default.kind == "reflect"
 
     def test_port_ranges(self):
@@ -53,8 +53,8 @@ class TestDslParsing:
         rules, _ = parse_program(
             'port 80/tcp content =~ "GET /(a|b)/" -> forward\n'
             "default -> drop\n")
-        assert rules[0].matches_content(b"GET /a/x HTTP/1.1")
-        assert not rules[0].matches_content(b"GET /c/x HTTP/1.1")
+        assert rules[0].content.matches(b"GET /a/x HTTP/1.1")
+        assert not rules[0].content.matches(b"GET /c/x HTTP/1.1")
 
     def test_missing_default_rejected(self):
         with pytest.raises(DslError) as exc:

@@ -19,8 +19,10 @@ import pytest
 from repro.farm import Farm, FarmConfig
 from repro.fuzz import (
     CorpusStore,
+    DSL_TARGET,
     MutationEngine,
     TARGETS,
+    fuzz_dsl,
     fuzz_parsers,
     minimize,
     replay_corpus,
@@ -36,7 +38,7 @@ class TestCorpusReplay:
         entries = CorpusStore(CORPUS_DIR).entries()
         assert len(entries) >= 40
         covered = {protocol for protocol, _, _ in entries}
-        assert covered == set(TARGETS)
+        assert covered == set(TARGETS) | {DSL_TARGET.name}
 
     def test_no_pinned_input_escapes_the_taxonomy(self):
         summary = replay_corpus(CORPUS_DIR)
@@ -78,6 +80,37 @@ class TestFuzzDeterminism:
         b = MutationEngine(7)
         assert [a.mutate(data) for _ in range(20)] == \
             [b.mutate(data) for _ in range(20)]
+
+
+class TestPolicyProgramTarget:
+    """The DSL parser's own loop: a program compiles or raises
+    ``DslError`` (``ParseError`` through the target), nothing else."""
+
+    def test_loop_is_deterministic_and_escape_free(self):
+        first = fuzz_dsl(seed=42, iterations=400)
+        assert first["escapes"] == []
+        assert first["ok"] and first["parse_errors"]  # both sides reached
+        assert first["digest"] == fuzz_dsl(seed=42, iterations=400)["digest"]
+
+    def test_it_stays_out_of_the_tracked_round_robin(self):
+        # One more name there would move FUZZ_quick.json's parser digest.
+        assert DSL_TARGET.name not in TARGETS
+
+    def test_constructor_refusals_come_back_as_dsl_errors(self):
+        """The escapes the loop found at the parent of this target
+        (pinned as ``dsl__*.bin``): a value the grammar let through to
+        float(), shlex, IPv4Address, re.compile or latin-1."""
+        from repro.core.dsl import DslError, parse_program
+
+        for program in ("default -> limit fast",
+                        'default -> reflect "unclosed',
+                        "default -> redirect 10.3.0:x",
+                        'any content =~ "(a|b" -> drop\ndefault -> drop',
+                        'any content ~ "\u20ac" -> drop\ndefault -> drop'):
+            with pytest.raises(DslError) as exc:
+                parse_program(program)
+            assert exc.value.reason == "bad-value"
+            assert exc.value.line_number == 1
 
 
 class TestMinimizer:

@@ -17,6 +17,11 @@ The reference below is the *specification*: rules in program order,
 no atoms, no table.  Content pools are chosen so that what a rule can
 match is decidable from a witness: no regex matches a string a pool
 prefix starts, and each witness belongs to one pattern.
+
+The library leg holds every registered policy class to the same
+reference, read over the rules the class declares: the walker is
+shared, so what differs per class is the rule list, its matchers' wait
+rules, its address guards and its method-built decisions.
 """
 
 from __future__ import annotations
@@ -27,8 +32,17 @@ from typing import List, NamedTuple, Optional, Tuple
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.core.dsl import DslError, DslPolicy
-from repro.core.policy import PolicyContext
+from repro.core.policy import (
+    POLICY_REGISTRY,
+    ContainmentPolicy,
+    PolicyContext,
+    Rule,
+    compile_table,
+    policy_class,
+)
 from repro.net.addresses import IPv4Address
 from repro.net.flow import FiveTuple
 from repro.net.packet import PROTO_TCP, PROTO_UDP
@@ -56,6 +70,7 @@ class RuleSpec(NamedTuple):
     hi: int
     content: Optional[Tuple[str, object]]   # ("~", bytes) | ("=~", str)
     action: str
+    dst = None                      # the grammar has no address guard
 
     def text(self) -> str:
         guard = f"{self.direction} " if self.direction else ""
@@ -83,6 +98,8 @@ class RuleSpec(NamedTuple):
 
     @property
     def content_class(self) -> str:
+        if self.content is None:
+            return "other"
         operator, pattern = self.content
         if operator == "~":
             return f"prefix:{pattern.decode('latin-1')!r}"
@@ -97,29 +114,36 @@ def program_text(rules: List[RuleSpec], default: str) -> str:
 # ----------------------------------------------------------------------
 # The reference: first match over the rule list, per concrete flow
 # ----------------------------------------------------------------------
-def reference(rules: List[RuleSpec], direction: str, proto: int, port: int,
-              deliveries: List[bytes]) -> Tuple[object, str]:
-    """``(rule index | DEFAULT | WAIT, content class)`` for one flow
-    whose content arrives as the successive buffers ``deliveries``."""
-    candidates: List[Tuple[object, Optional[RuleSpec]]] = []
+def reference(rules: list, direction: str, proto: int, port: int,
+              deliveries: List[bytes], dst=None) -> Tuple[object, str]:
+    """``(rule index | DEFAULT | WAIT, content class)`` for one flow to
+    ``dst`` whose content arrives as the successive buffers
+    ``deliveries`` (a datagram: the one buffer there will ever be)."""
+    candidates: List[Tuple[object, object]] = []
     for index, rule in enumerate(rules):
         if (rule.direction in (None, direction)
                 and rule.proto in (None, proto)
                 and rule.lo <= port <= rule.hi):
             candidates.append((index, rule))
-            if rule.content is None:
-                break       # endpoint-only: nothing after it is consulted
+            if rule.content is None and rule.dst is None:
+                break       # unconditional: nothing after it is consulted
     else:
         candidates.append((DEFAULT, None))
     if len(candidates) == 1:
         return candidates[0][0], "*"    # the endpoint alone decides
-    for data in deliveries:
+    for data in [None] + deliveries:    # None: the endpoint, no content yet
         for index, rule in candidates:
-            if rule is None or rule.content is None:
+            if rule is None:
                 return index, "other"
+            if rule.dst not in (None, dst):
+                continue
+            if rule.content is None:
+                return index, rule.content_class
+            if data is None:
+                break       # the endpoint cannot tell: first delivery
             if rule.matches(data):
                 return index, rule.content_class
-            if rule.could_still_match(data):
+            if proto == PROTO_TCP and rule.could_still_match(data):
                 break       # nothing later may pre-empt it: next delivery
     return WAIT, ""
 
@@ -127,23 +151,25 @@ def reference(rules: List[RuleSpec], direction: str, proto: int, port: int,
 # ----------------------------------------------------------------------
 # The runtime, driven the way the containment server drives it
 # ----------------------------------------------------------------------
-def serve(policy: DslPolicy, direction: str, proto: int, port: int,
-          chunks: Tuple[bytes, ...]):
+def serve(policy: ContainmentPolicy, direction: str, proto: int, port: int,
+          chunks: Tuple[bytes, ...], dst: Optional[IPv4Address] = None):
     """``_CsConnection._on_data_body`` / ``_udp_datagram_body`` without
     the sockets: ``decide`` on the request shim, then ``decide_content``
     on the buffer after every segment (TCP, non-empty buffers only) or
-    on the one datagram (UDP).  None: no verdict yet."""
+    ``decide_datagram`` on the one datagram (UDP).  None: no verdict
+    yet.  ``dst`` is the responder dialled, when the far end will not do."""
     outbound = direction == "outbound"
     inmate, world = IPv4Address("10.100.0.2"), IPv4Address("203.0.113.200")
-    flow = (FiveTuple(inmate, 4321, world, port, proto) if outbound
-            else FiveTuple(world, 4321, inmate, port, proto))
+    orig, resp = (inmate, world) if outbound else (world, inmate)
+    flow = FiveTuple(orig, 4321, dst or resp, port, proto)
     ctx = PolicyContext(flow, vlan_id=2, nonce_port=40000, now=0.0,
-                        services=SERVICES, inmate_is_originator=outbound)
+                        services=policy.services or SERVICES,
+                        inmate_is_originator=outbound)
     decision = policy.decide(ctx)
     if decision is not None:
         return decision
     if proto == PROTO_UDP:
-        return policy.decide_content(ctx, b"".join(chunks))
+        return policy.decide_datagram(ctx, b"".join(chunks))
     buffer = bytearray()
     for chunk in chunks:
         buffer.extend(chunk)
@@ -359,3 +385,107 @@ def test_split_request_line_gets_the_verdict_it_gets_whole():
                 for second in range(first, len(line) + 1):
                     chunks = (line[:first], line[first:second], line[second:])
                     assert verdict(policy, chunks) == whole, (text, chunks)
+
+
+# ----------------------------------------------------------------------
+# The library: every registered class, held to the same reference
+# ----------------------------------------------------------------------
+from tests.test_policy_decisions import CONTENT  # noqa: E402
+
+SINK_ONLY = {"sink": SERVICES["sink"]}
+#: Classes that decide by hand and so publish nothing
+#: (docs/VERIFICATION.md says why each may).
+OPAQUE = {"WormHoneyfarm"}
+
+
+class Declared:
+    """A declared :class:`Rule` as ``reference`` reads a ``RuleSpec``:
+    what it matches is the rule's own data (matcher, wait rule, address
+    guard), never the table or the walker."""
+
+    def __init__(self, rule: Rule) -> None:
+        self.direction, self.proto = rule.direction, rule.proto
+        self.lo, self.hi = rule.port_lo, rule.port_hi
+        self.content, self.dst = rule.content, rule.dst
+        self.content_class = rule.content_class
+
+    def matches(self, data: bytes) -> bool:
+        return bool(self.content.matches(data))
+
+    def could_still_match(self, data: bytes) -> bool:
+        return self.content.holds(data)
+
+
+def registered() -> List[str]:
+    policy_class("Grum")        # loads the library
+    import repro.baselines      # noqa: F401 - registers the baselines
+    return sorted(POLICY_REGISTRY)
+
+
+def test_every_registered_policy_but_the_documented_one_publishes():
+    silent = {name for name in registered()
+              if POLICY_REGISTRY[name]().surface() is None}
+    assert silent == OPAQUE
+
+
+@pytest.mark.parametrize("services", [SERVICES, SINK_ONLY],
+                         ids=["both-sinks", "sink-only"])
+@pytest.mark.parametrize("name", [n for n in registered() if n not in OPAQUE])
+def test_library_policy_agrees_with_reference_and_model(name, services):
+    policy = POLICY_REGISTRY[name](services=dict(services))
+    # One rule list for the walker, the reference and the hit counts.
+    declared = policy.declare()
+    policy.declare = lambda: declared
+    assert compile_table(declared, policy.default)[1] == [], "dead rule"
+    rules = [Declared(rule) for rule in declared]
+    model = compile_policy(policy)
+    assert model.exact
+
+    # Per content rule: one content it matches, the start of that (its
+    # wait rule's case) and one it has given up on; plus none at all.
+    witnesses = {OTHER, b""}
+    for rule in rules:
+        if rule.content is not None:
+            wanted = [data for data in CONTENT.values() if rule.matches(data)]
+            refused = [data for data in CONTENT.values() if not (
+                rule.matches(data) or rule.could_still_match(data))]
+            assert wanted and refused, f"no witness for {rule.content_class}"
+            witnesses.update((wanted[0], wanted[0][:3], refused[0]))
+    responders = {None} | {rule.dst for rule in rules}
+
+    for direction in ("outbound", "inbound"):
+        for proto in (PROTO_TCP, PROTO_UDP):
+            for port in edge_ports(rules):
+                for dst in responders:
+                    for content in sorted(witnesses):
+                        for chunks in chunkings(content, (5, 17)):
+                            _check_probe(policy, declared, rules, model,
+                                         direction, proto, port, dst, chunks)
+    assert all(rule.hits for rule in declared)
+
+
+def _check_probe(policy, declared, rules, model, direction, proto, port,
+                 dst, chunks) -> None:
+    index, content = reference(rules, direction, proto, port,
+                               buffers(chunks, proto), dst)
+    before = [rule.hits for rule in declared]
+    decision = serve(policy, direction, proto, port, chunks, dst)
+    fired = [i for i, rule in enumerate(declared) if rule.hits != before[i]]
+    where = f"{direction} {PROTO_NAMES[proto]}:{port} to {dst} {chunks!r}"
+    if index == WAIT:
+        assert decision is None and not fired, where
+        return
+    assert decision is not None, where
+    assert fired == ([] if index == DEFAULT else [index]), where
+    # The model cell covering the probe holds the decision issued: the
+    # verdict kind a rule declares binds the method that builds it too.
+    cell = cell_for(model, direction, proto, port, content)
+    assert (cell.verdict, cell.rate, cell.target) == (
+        decision.verdict.label, decision.rate,
+        str(decision.target_ip) if decision.target_ip else None), where
+    action = policy.default if index == DEFAULT else declared[index].action
+    while action.otherwise and action.service not in policy.services:
+        action = action.otherwise
+    assert decision.verdict.label == action.kind.upper(), where
+    if action.build is None:
+        assert decision.annotation == action.annotation, where

@@ -174,3 +174,62 @@ class TestUdpRewriteDnsTakeover:
         assert str(answer.answers[0].address) == "10.3.0.9"
         counts = sub.containment_server.verdict_counts
         assert counts.get("REWRITE") == 1
+
+
+class TestUdpContentRules:
+    """A datagram is the whole content: a content branch waiting for
+    more bytes will never see them, so the port atom's unconditional
+    branch answers (the isolation model's ``other`` cell) — not the
+    server's out-of-table ``udp undecided`` drop."""
+
+    PROGRAM = ('port 7777/udp content ~ "HELLO WORLD" -> forward\n'
+               "default -> reflect sink\n")
+
+    def run(self, payload: bytes, policy):
+        farm = Farm(FarmConfig(seed=85))
+        sub = farm.create_subfarm("udp")
+        sink = sub.add_catchall_sink()
+        received = echo_service(farm.add_external_host("echo", EXTERNAL_ECHO))
+        sub.create_inmate(
+            image_factory=udp_probe_image(EXTERNAL_ECHO, 7777, payload, []),
+            policy=policy)
+        farm.run(until=120)
+        (record,) = sub.containment_server.verdict_log
+        return record.decision, received, sink
+
+    def test_proper_prefix_of_a_pattern_gets_the_atoms_fallback(self):
+        from repro.core.dsl import DslPolicy
+        from repro.net.packet import PROTO_UDP
+        from repro.verify.model import compile_policy
+
+        policy = DslPolicy(self.PROGRAM)
+        decision, received, sink = self.run(b"HELLO", policy)
+        assert decision.verdict.label == "REFLECT"
+        assert decision.annotation == "dsl reflect"
+        assert received == []
+        assert [bytes(r.payload) for r in sink.records] == [b"HELLO"]
+        (cell,) = [cell for cell in compile_policy(policy).cells(
+            "outbound", PROTO_UDP) if cell.port_lo == 7777
+            and cell.content == "other"]
+        assert cell.verdict == "REFLECT"
+
+    def test_whole_pattern_still_matches(self):
+        from repro.core.dsl import DslPolicy
+
+        decision, received, _ = self.run(b"HELLO WORLD!",
+                                         DslPolicy(self.PROGRAM))
+        assert decision.verdict.label == "FORWARD"
+        assert received == [b"HELLO WORLD!"]
+
+    def test_policy_deciding_by_hand_keeps_the_servers_drop(self):
+        class Undecided(ContainmentPolicy):
+            def decide(self, ctx):
+                return None
+
+            def decide_content(self, ctx, data):
+                return None
+
+        decision, received, _ = self.run(b"HELLO", Undecided())
+        assert decision.verdict.label == "DROP"
+        assert decision.annotation == "udp undecided"
+        assert received == []

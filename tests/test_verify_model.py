@@ -1,5 +1,7 @@
-"""The isolation-model compiler: published surfaces (DSL tables, built-in
-cells), concolic probing, fault-plan overlays, and digest identity.
+"""The isolation-model compiler: published surfaces (the table a DSL
+program or a policy class executes), concolic probing of hand-written
+overrides, fault-plan overlays, digest identity, and the Figure 6
+Botfarm's certificate.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from repro.core.policy import (
 from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.farm import Farm, FarmConfig
 from repro.faults.plan import FaultPlan
+from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.verify import certify_farm
 from repro.verify.model import (
     compile_farm,
     compile_policy,
+    probe_policy,
 )
 
 
@@ -126,6 +131,57 @@ class TestBuiltinsAndProbing:
         verdicts = {cell.verdict for cell in model.outcomes}
         assert verdicts == {"FORWARD", "DROP"}
 
+    def test_hand_written_override_publishes_nothing_and_is_probed(self):
+        """Overriding either half of the walker by hand, anywhere below
+        a publishing class: no surface, ``exact: false`` and the probed
+        model, whatever rules the class also inherits."""
+        from repro.analysis.policy_testing import DEFAULT_PORTS
+        from repro.policies.spambot import Grum
+
+        class ByHand(ContainmentPolicy):
+            def decide(self, ctx):
+                if ctx.flow.resp_port == 80 and ctx.flow.proto == PROTO_TCP:
+                    return self.forward(ctx, annotation="by hand")
+                return self.deny(ctx)
+
+        class ContentByHand(Grum):
+            def decide_content(self, ctx, data):
+                return self.forward(ctx) if data else None
+
+        sinks = {"sink": (IPv4Address("10.3.0.9"), 0)}
+        for policy in (ByHand(), ContentByHand(services=sinks)):
+            assert policy.surface() is None
+            model = compile_policy(policy)
+            assert not model.exact
+            assert model.description["kind"] == "opaque"
+            assert model.to_dict() == probe_policy(policy).to_dict()
+        by_hand = compile_policy(ByHand())
+        # One endpoint cell per probe port plus "every other port".
+        assert len(by_hand.outcomes) == 2 * 2 * (len(DEFAULT_PORTS) + 1)
+        assert [_cell_for(by_hand, "outbound", proto, 80).verdict
+                for proto in (PROTO_TCP, PROTO_UDP)] == ["FORWARD", "DROP"]
+
+    def test_an_alias_or_a_tracers_wrapper_is_still_the_walker(self):
+        """The ledger's tracer wraps ``AllowAll.decide`` and friends
+        through the class ``__dict__`` (docs/PERFORMANCE.md, "Frozen
+        names"); a wrapped walker publishes what it did unwrapped."""
+        for owner in (AllowAll, DslPolicy):
+            assert {"decide", "decide_content"} <= set(vars(owner))
+        published = compile_policy(AllowAll()).to_dict()
+        originals = {name: vars(AllowAll)[name]
+                     for name in ("decide", "decide_content")}
+        try:
+            for name, original in originals.items():
+                def span(*args, _fn=original, **kwargs):
+                    return _fn(*args, **kwargs)
+                span.__wrapped__ = original
+                setattr(AllowAll, name, span)
+            assert AllowAll().surface() is not None
+            assert compile_policy(AllowAll()).to_dict() == published
+        finally:
+            for name, original in originals.items():
+                setattr(AllowAll, name, original)
+
 
 class TestOverlays:
     def test_link_faults_always_window(self):
@@ -181,3 +237,37 @@ class TestFarmCompilation:
             fault_plan=plan, verdict_deadline=5.0))
         assert resilient.subfarms[0].overlays
         assert resilient.subfarms[0].pending_policy is not None
+
+
+class TestFigure6Botfarm:
+    """The flagship deployment certifies exactly: the family policies
+    publish the tables they execute, auto-infection rule included."""
+
+    def test_certificate_is_exact_and_grants_four_rule_shapes(self):
+        from repro.experiments.figure7 import build_botfarm
+
+        farm, sub = build_botfarm()[:2]
+        assert {"sink", "smtp_sink"} <= set(sub.services)
+        cert = certify_farm(farm, label="botfarm")
+        assert cert["result"] == "CONTAINED"
+        assert cert["exact"] is True
+
+        beacon = "regex:'^GET /stat\\\\?r=\\\\d+'"
+        grum = "regex:'^GET /grum/spm\\\\?id=[0-9a-f]+ HTTP/1\\\\.[01]'"
+        shapes = {}
+        for grant in cert["grants"]:
+            assert grant["exact"] and grant["via"] == "policy"
+            (port,) = set(grant["ports"])
+            shape = (grant["verdict"], port, grant["content"], grant["vlan"])
+            shapes.setdefault(shape, set()).add(grant["proto"])
+        # The infection rule never asked the protocol (the decision
+        # corpus records its UDP answers too); the family rules are TCP.
+        assert shapes == {
+            ("FORWARD", 443, "*", "16-17"): {"tcp"},
+            ("REWRITE", 80, beacon, "16-17"): {"tcp"},
+            ("FORWARD", 80, grum, "18-19"): {"tcp"},
+            ("REWRITE", 6543, "dst:10.9.8.7", "16-17"): {"tcp", "udp"},
+            ("REWRITE", 6543, "dst:10.9.8.7", "18-19"): {"tcp", "udp"},
+        }
+        assert not any(lo <= 25 <= hi for lo, hi in
+                       (grant["ports"] for grant in cert["grants"]))
