@@ -2,7 +2,7 @@ PYTHON ?= python
 WORKERS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick trace-budget budget ledger-test ledger-selftest paper-benches loc
+.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick trace-budget budget ledger-test ledger-selftest paper loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,7 +33,7 @@ bench-quick:
 # scenario over resilient farm runs, asserting zero unverdicted-flow
 # leaks and a same-cell determinism replay (docs/RESILIENCE.md).
 chaos-quick:
-	$(PYTHON) -m repro.experiments.fault_matrix --quick --workers $(WORKERS)
+	$(PYTHON) -m repro.experiments fault-matrix --quick --workers $(WORKERS)
 
 # Fuzz smoke, under two hash seeds: fixed-seed hostile inputs through
 # every parser (twice, asserting a byte-identical corpus digest), broken
@@ -102,21 +102,30 @@ budget:
 # The layer ledger's own unit tests (not in the Tier-1 testpaths) and
 # its smoke-sized determinism self-test (benchmarks/ledger/README.md).
 ledger-test:
-	$(PYTHON) -m pytest benchmarks/ledger -q
+	$(PYTHON) -m pytest -q benchmarks/ledger
 
 ledger-selftest:
 	$(PYTHON) benchmarks/ledger/run.py --selftest
 
-paper-benches:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+# The paper gate: regenerate Table 1, Figures 1-7 and the case studies
+# (every row of repro.experiments.registry.ARTEFACTS that is not a
+# sweep, ~55 s) and byte-compare each with its tracked file; prints a
+# unified diff and exits 1 on drift.  Re-record one with
+# `python -m repro.experiments <id> --out benchmarks/output`.
+paper:
+	$(PYTHON) -m repro.experiments paper --check benchmarks/output
 
-# Files and lines per src/repro package: the before/after table a
-# deletion PR reports (ROADMAP direction 5).
+# Files and Python lines per src/repro package, then benchmarks/
+# (ex-ledger) and examples/ beside src/, so code moved between them
+# shows as a move: the before/after table a deletion PR reports.
 loc:
 	@count() { label=$$1; shift; \
 		printf '%-22s %4d files %6d lines\n' "$$label" \
-			$$(find "$$@" -name '*.py' | wc -l) \
+			$$(find "$$@" -name '*.py' -print | wc -l) \
 			$$(find "$$@" -name '*.py' -exec cat {} + | wc -l); }; \
 	for pkg in src/repro/*/; do count $$pkg $$pkg; done; \
 	count 'src/repro/*.py' src/repro -maxdepth 1; \
-	count 'src/ (total)' src
+	count 'src/ (total)' src; \
+	count 'benchmarks/ (ex-ledger)' benchmarks -path benchmarks/ledger -prune -o; \
+	count 'examples/' examples; \
+	count 'all three' src benchmarks examples -path benchmarks/ledger -prune -o

@@ -144,3 +144,36 @@ def run_split_personality(executions: int = 8, duration: float = 180.0,
         predicted, _ = classifier.classify(fingerprint)
         outcomes.append(predicted)
     return outcomes
+
+
+def run_study(corpus_size: int = 120, executions: int = 10,
+              duration: float = 150.0):
+    """The §7.1 artefact: the batch classification plus the
+    split-personality executions."""
+    return (run_classification(corpus_size=corpus_size, duration=duration),
+            run_split_personality(executions=executions, duration=duration))
+
+
+def render(study) -> str:
+    classification, split = study
+    lines = [
+        "Fingerprint-based batch classification (§7.1; the paper "
+        "classified ~10,000 samples this way)",
+        "",
+        f"corpus size          : {classification.total}",
+        f"correctly classified : {classification.correct} "
+        f"({classification.accuracy:.1%})",
+        f"unknown              : {classification.unknown}",
+        f"AV-label disagreement: {classification.label_disagreements} "
+        "(split personalities / mislabels surfaced)",
+        "",
+        "Confusion (true -> predicted):",
+    ]
+    for (truth, predicted), count in sorted(classification.confusion.items()):
+        lines.append(f"    {truth:<18} -> {str(predicted):<18} {count}")
+    lines.append("")
+    lines.append(
+        "Split-personality binary across reverted executions "
+        f"(AV label 'megad'): {split}"
+    )
+    return "\n".join(lines)

@@ -212,3 +212,31 @@ def run_all_regimes(duration: float = 900.0, seed: int = 77,
             f"containment-tradeoff shards failed: {result.failures}")
     return {payload["regime"]: _regime_from_payload(payload)
             for payload in result.payloads()}
+
+
+def render(regimes: Dict[str, RegimeResult]) -> str:
+    lines = [
+        "Containment trade-off: behaviour elicited vs harm inflicted",
+        "(mixed population: Grum, Rustock, MegaD, clickbot; same world, "
+        "same duration)",
+        "",
+        f"{'REGIME':<15} {'FAMILIES':>8} {'BEHAVIOUR':>9} {'HARVEST':>8} "
+        f"{'SPAM OUT':>8} {'FRAUD CLICKS':>12} {'BLACKLISTED':>11}",
+        "-" * 80,
+    ]
+    for regime, result in regimes.items():
+        lines.append(
+            f"{regime:<15} {result.families_active:>8} "
+            f"{result.behaviour_score:>9} {result.spam_harvested:>8} "
+            f"{result.spam_delivered_outside:>8} "
+            f"{result.clicks_on_real_publishers:>12} "
+            f"{result.inmates_blacklisted:>11}"
+        )
+    lines.append("-" * 80)
+    lines.append(
+        "Shape: unconstrained maximizes both axes; isolation zeroes "
+        "both; static\nrules (Botlab) lose most behaviour; GQ matches "
+        "unconstrained behaviour at\nzero harm — the paper's central "
+        "claim."
+    )
+    return "\n".join(lines)

@@ -14,18 +14,16 @@ draws all randomness from named RNG streams off the farm seed,
 identical seed + identical scenario ⇒ identical digest, which
 ``--quick`` asserts by running one cell twice.
 
-CLI::
+CLI (exits 1 when the summary lists a violation)::
 
     python -m repro.experiments fault-matrix --workers 4
-    python -m repro.experiments.fault_matrix --quick   # make chaos-quick
+    python -m repro.experiments fault-matrix --quick   # make chaos-quick
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import sys
 from typing import Dict, List, Optional
 
 from repro.core.policy import AllowAll
@@ -42,6 +40,7 @@ __all__ = [
     "fault_farm_shard",
     "build_matrix_campaign",
     "run_matrix",
+    "run",
 ]
 
 # Named chaos scenarios.  ``trigger`` installs an absence-of-activity
@@ -370,17 +369,23 @@ def summarize(result) -> dict:
     }
 
 
-def run_quick(workers: int = 1, base_seed: int = 11) -> dict:
-    """The ``make chaos-quick`` smoke: one crash, one partition, one
-    hang scenario, plus a same-cell determinism replay."""
-    result = run_matrix(scenarios=QUICK_SCENARIOS, base_seed=base_seed,
-                        workers=workers, timeout=300.0)
-    summary = summarize(result)
+def run(quick: bool = False, workers: int = 1, hosts=None, seeds=None,
+        seed: int = 11, duration: float = 120.0) -> dict:
+    """The matrix summary the registry row renders.  ``quick`` is the
+    ``make chaos-quick`` smoke: one crash, one partition, one hang
+    scenario, plus a same-cell determinism replay."""
+    seeds = list(seeds or [seed])
+    scenarios = QUICK_SCENARIOS if quick else None
+    summary = summarize(run_matrix(
+        scenarios, seeds, base_seed=seed, duration=duration,
+        workers=workers, timeout=600.0, hosts=hosts))
+    if not quick:
+        return summary
 
     # Determinism: the same cell run twice must produce the same digest.
-    replay = run_matrix(scenarios=QUICK_SCENARIOS[:1], base_seed=base_seed,
-                        workers=1, timeout=300.0)
-    first = f"{QUICK_SCENARIOS[0]}/s{base_seed}"
+    replay = run_matrix(QUICK_SCENARIOS[:1], seeds[:1], base_seed=seed,
+                        duration=duration, workers=1, timeout=600.0)
+    first = f"{QUICK_SCENARIOS[0]}/s{seeds[0]}"
     original = summary["cells"].get(first, {}).get("digest")
     replay_shard = replay.shard_results[0]
     replayed = (replay_shard.payload or {}).get("digest") \
@@ -393,37 +398,3 @@ def run_quick(workers: int = 1, base_seed: int = 11) -> dict:
         summary["violations"].append(
             f"{first}: replay digest mismatch ({original} != {replayed})")
     return summary
-
-
-# ----------------------------------------------------------------------
-# CLI (also reachable as ``python -m repro.experiments fault-matrix``)
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.fault_matrix",
-        description="chaos scenarios x seeds over resilient farm runs")
-    parser.add_argument("--quick", action="store_true",
-                        help="crash+partition+hang smoke with a "
-                             "determinism replay (make chaos-quick)")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--duration", type=float, default=120.0)
-    parser.add_argument("--indent", type=int, default=2)
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        summary = run_quick(workers=args.workers, base_seed=args.seed)
-    else:
-        result = run_matrix(base_seed=args.seed, duration=args.duration,
-                            workers=args.workers, timeout=600.0)
-        summary = summarize(result)
-    print(json.dumps(summary, indent=args.indent, sort_keys=True))
-    if summary["violations"]:
-        print(f"FAULT-MATRIX VIOLATIONS: {len(summary['violations'])}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

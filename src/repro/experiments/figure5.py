@@ -127,3 +127,16 @@ def run_figure5(seed: int = 9, duration: float = 120.0) -> Figure5Result:
             f"ack={segment.ack:<10d} len={len(payload):<5d}{note}"
         )
     return result
+
+
+def render(result: Figure5Result) -> str:
+    header = (
+        "Figure 5 — TCP packet flow through gateway and containment "
+        "server (REWRITE)\n"
+        f"Request seen by the real target : GET {result.request_on_wire}  "
+        "(inmate sent /bot.exe)\n"
+        f"Response seen by the inmate     : {result.response_to_inmate}  "
+        "(target sent 200 OK)\n"
+        f"Shims carried in sequence space : {result.shim_lengths} bytes\n"
+    )
+    return header + "\n" + result.rendered()

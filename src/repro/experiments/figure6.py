@@ -1,8 +1,7 @@
-"""Figure 6: the containment server configuration file."""
+"""Figure 6: the containment server configuration file, parsed and
+applied to a subfarm."""
 
 from __future__ import annotations
-
-from conftest import once
 
 from repro.core.config import ContainmentConfig, SampleLibrary, apply_config
 from repro.experiments.figure7 import BOTFARM_CONFIG
@@ -10,7 +9,9 @@ from repro.farm import Farm, FarmConfig
 from repro.malware.corpus import Sample
 
 
-def _parse_and_apply():
+def run_figure6():
+    """Returns the parsed config, the configured subfarm and the
+    policies the config instantiated (nothing runs: no seed)."""
     farm = Farm(FarmConfig(seed=1))
     sub = farm.create_subfarm("Botfarm")
     library = SampleLibrary()
@@ -21,7 +22,8 @@ def _parse_and_apply():
     return config, sub, policies
 
 
-def render(config, sub) -> str:
+def render(applied) -> str:
+    config, sub, _policies = applied
     lines = [
         "Figure 6 — containment configuration, parsed and applied",
         "",
@@ -39,16 +41,3 @@ def render(config, sub) -> str:
         )
     lines.append(f"    services: {sorted(sub.services)}")
     return "\n".join(lines)
-
-
-def test_fig6_config(benchmark, emit):
-    config, sub, policies = once(benchmark, _parse_and_apply)
-    emit("fig6_config", render(config, sub))
-    assert sub.policy_map.resolve(16).policy_name == "Rustock"
-    assert sub.policy_map.resolve(19).policy_name == "Grum"
-    assert sub.policy_map.resolve(20).policy_name == "DefaultDeny"
-    assert len(config.triggers_for_vlan(17)) == 1
-    # The autoinfect service section configured the policies.
-    for policy in policies.values():
-        assert str(policy.infect_address) == "10.9.8.7"
-        assert policy.infect_port == 6543

@@ -140,3 +140,26 @@ def observe_mode(mode: str, duration: float = 120.0,
 def observe_all_modes(duration: float = 120.0,
                       seed: int = 2) -> Dict[str, ModeObservation]:
     return {mode: observe_mode(mode, duration, seed) for mode in MODES}
+
+
+def render(observations: Dict[str, ModeObservation]) -> str:
+    lines = [
+        "Figure 2 — flow manipulation modes (flows initiated by an inmate)",
+        "",
+        f"{'MODE':<12} {'REAL TARGET':>11} {'ALTERNATE':>9} {'SINK':>5} "
+        f"{'CLIENT OUTCOME':<28}",
+        "-" * 70,
+    ]
+    for mode, obs in observations.items():
+        if obs.client_reset:
+            outcome = "connection reset (killed)"
+        elif obs.client_saw_response is not None:
+            outcome = f"response {obs.client_saw_response!r}"
+        else:
+            outcome = "silence (idles)"
+        lines.append(
+            f"{mode:<12} {'yes' if obs.reached_real_target else 'no':>11} "
+            f"{'yes' if obs.reached_alternate else 'no':>9} "
+            f"{'yes' if obs.reached_sink else 'no':>5} {outcome:<28}"
+        )
+    return "\n".join(lines)

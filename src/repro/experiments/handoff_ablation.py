@@ -12,7 +12,7 @@ that reaches the containment server.
 
 from __future__ import annotations
 
-from conftest import once
+from typing import Dict
 
 from repro.core.policy import Action, AllowAll, ContainmentPolicy
 from repro.farm import Farm, FarmConfig
@@ -30,7 +30,14 @@ class PassthroughRewrite(ContainmentPolicy):
     default = Action("rewrite", "ablation passthrough")
 
 
-def _run(policy_cls, seed=33, fetches=8):
+MODES = {
+    "handoff (FORWARD)": AllowAll,
+    "cs-in-path (REWRITE passthrough)": PassthroughRewrite,
+}
+
+
+def run_mode(policy_cls, seed: int = 33, fetches: int = 8,
+             duration: float = 600.0) -> dict:
     farm = Farm(FarmConfig(seed=seed))
     sub = farm.create_subfarm("ablation")
     web = farm.add_external_host("webserver", WEB_IP)
@@ -71,28 +78,27 @@ def _run(policy_cls, seed=33, fetches=8):
         DhcpClient(host, on_configured=lambda h: fetch(h, fetches)).start()
 
     sub.create_inmate(image_factory=image, policy=policy_cls())
-    farm.run(until=600)
+    farm.run(until=duration)
     return {
+        "fetches": fetches,
         "completed": len(completed),
         "bytes": sum(completed),
         "cs_packets": sub.cs_host.packets_received,
-        "cs_bytes_rx": sum(
-            c.bytes_received for c in sub.cs_host.tcp.connections()
-        ),
     }
 
 
-def _run_both():
-    return {
-        "handoff (FORWARD)": _run(AllowAll),
-        "cs-in-path (REWRITE passthrough)": _run(PassthroughRewrite),
-    }
+def run_ablation(seed: int = 33, fetches: int = 8,
+                 duration: float = 600.0) -> Dict[str, dict]:
+    return {mode: run_mode(policy_cls, seed, fetches, duration)
+            for mode, policy_cls in MODES.items()}
 
 
-def render(results) -> str:
+def render(results: Dict[str, dict]) -> str:
+    handoff, in_path = results.values()
     lines = [
         "Ablation — endpoint handoff vs containment server in the path",
-        f"(workload: 8 HTTP fetches of {TRANSFER_SIZE // 1024} KiB each)",
+        f"(workload: {handoff['fetches']} HTTP fetches of "
+        f"{TRANSFER_SIZE // 1024} KiB each)",
         "",
         f"{'MODE':<34} {'FETCHES':>7} {'APP BYTES':>10} "
         f"{'CS PACKETS':>10}",
@@ -103,26 +109,13 @@ def render(results) -> str:
             f"{mode:<34} {stats['completed']:>7} {stats['bytes']:>10} "
             f"{stats['cs_packets']:>10}"
         )
-    handoff = results["handoff (FORWARD)"]["cs_packets"]
-    in_path = results["cs-in-path (REWRITE passthrough)"]["cs_packets"]
     lines.append("-" * 66)
     lines.append(
         f"Handoff cuts containment-server packet load by "
-        f"{in_path / max(handoff, 1):.0f}x for identical application "
+        f"{in_path['cs_packets'] / max(handoff['cs_packets'], 1):.0f}x "
+        f"for identical application "
         f"outcomes —\nwhy §5.4 separates endpoint control (decide once, "
         f"gateway enforces) from\ncontent control (server stays in the "
         f"path only when it must rewrite)."
     )
     return "\n".join(lines)
-
-
-def test_ablation_handoff(benchmark, emit):
-    results = once(benchmark, _run_both)
-    emit("ablation_handoff", render(results))
-    handoff = results["handoff (FORWARD)"]
-    in_path = results["cs-in-path (REWRITE passthrough)"]
-    # Identical application outcome...
-    assert handoff["completed"] == in_path["completed"] > 0
-    assert handoff["bytes"] == in_path["bytes"]
-    # ...at a fraction of the containment-server cost.
-    assert handoff["cs_packets"] * 5 < in_path["cs_packets"]

@@ -83,3 +83,26 @@ def run_comparison(machines: int = 4) -> Dict[str, RawIronResult]:
         "network-boot": run_network_reimage(machines),
         "local-partition": run_local_restore(machines),
     }
+
+
+def render(comparison: Dict[str, RawIronResult]) -> str:
+    lines = [
+        "Raw iron reimaging (§6.4)",
+        "",
+        f"{'STRATEGY':<16} {'PER-MACHINE CYCLE':>17} "
+        f"{'POOL TURNAROUND (4 MACHINES)':>28}",
+        "-" * 64,
+    ]
+    for result in comparison.values():
+        lines.append(
+            f"{result.strategy:<16} {result.mean_cycle:>15.0f}s "
+            f"{result.pool_turnaround:>27.0f}s"
+        )
+    lines.append("-" * 64)
+    lines.append(
+        'Paper: network boot is "around 6 minutes per reimaging cycle"; '
+        'the hidden-\npartition restore is "slightly slower (around 10 '
+        'minutes) but supports\nefficient reimaging of all raw-iron '
+        'systems simultaneously".'
+    )
+    return "\n".join(lines)

@@ -53,17 +53,23 @@ def flowgen_image(interval: float, target: str = WEB_IP,
 
 
 def _web_server(host):
+    """Answer every GET with ``pong``; returns the (live) list of
+    requests served."""
+    served = []
+
     def on_accept(conn):
         parser = HttpParser("request")
 
         def on_data(c, data):
-            for _request in parser.feed(data):
+            for request in parser.feed(data):
+                served.append(request)
                 c.send(HttpResponse(200, body=b"pong").to_bytes())
 
         conn.on_data = on_data
         conn.on_remote_close = lambda c: c.close()
 
     host.tcp.listen(80, on_accept)
+    return served
 
 
 class CsLoadResult:
@@ -207,7 +213,7 @@ def gateway_load_shard(seed: int, subfarms: int = 3, inmates_per: int = 4,
 def run_gateway_load_sweep(
     seeds=None,
     count: int = 8,
-    base_seed: int = 6,
+    seed: int = 6,
     subfarms: int = 3,
     inmates_per: int = 4,
     flow_interval: float = 5.0,
@@ -233,7 +239,7 @@ def run_gateway_load_sweep(
         },
         seeds=seeds,
         count=None if seeds is not None else count,
-        base_seed=base_seed,
+        base_seed=seed,
     )
     return run_campaign(campaign, workers=workers, hosts=hosts)
 
@@ -249,3 +255,52 @@ def vlan_capacity_demo() -> Dict[str, int]:
     except VlanPoolExhausted:
         pass
     return {"capacity": pool.capacity, "allocated": allocated}
+
+
+# ----------------------------------------------------------------------
+# The §7.2 artefact: all three constraints in one table
+# ----------------------------------------------------------------------
+CS_SWEEP = [(4, 1), (8, 1), (12, 1), (12, 2), (12, 4)]
+
+
+def run_scalability(duration: float = 200.0):
+    vlan = vlan_capacity_demo()
+    cs = [run_cs_load(inmates, cluster, duration=duration)
+          for inmates, cluster in CS_SWEEP]
+    gateway = run_gateway_load(subfarms=6, inmates_per=12,
+                               flow_interval=5.0, duration=duration)
+    return vlan, cs, gateway
+
+
+def render(study) -> str:
+    vlan, cs_results, gateway = study
+    lines = [
+        "System scalability (§7.2)",
+        "",
+        f"1. VLAN ID pool: {vlan['capacity']} usable IDs "
+        "(IEEE 802.1Q, 12 bits) — hard ceiling on inmates per network",
+        "",
+        "2. Containment-server load (verdict queue under flow load):",
+        f"   {'INMATES':>7} {'CLUSTER':>7} {'VERDICTS':>8} "
+        f"{'MEAN DELAY':>10} {'MAX DELAY':>9} {'BALANCE'}",
+    ]
+    for result in cs_results:
+        lines.append(
+            f"   {result.inmates:>7} {result.cluster_size:>7} "
+            f"{result.verdicts:>8} "
+            f"{result.mean_queue_delay * 1000:>8.1f}ms "
+            f"{result.max_queue_delay * 1000:>7.1f}ms "
+            f"{result.load_balance}"
+        )
+    lines.extend([
+        "",
+        "3. Gateway at the paper's operating point "
+        "(5-6 subfarms, a dozen inmates each):",
+        f"   subfarms={gateway.subfarms} inmates/subfarm="
+        f"{gateway.inmates_per}",
+        f"   flows carried      : {gateway.flows_created}",
+        f"   packets relayed    : {gateway.packets_relayed}",
+        f"   flows/simulated-sec: "
+        f"{gateway.flows_per_simulated_second:.1f}",
+    ])
+    return "\n".join(lines)

@@ -111,3 +111,28 @@ def run_storm(posture: str, duration: float = 900.0,
 def run_both(duration: float = 900.0, seed: int = 2008):
     return {posture: run_storm(posture, duration, seed)
             for posture in POSTURES}
+
+
+def render(results) -> str:
+    lines = [
+        "Storm proxy-bot containment postures (§7.1)",
+        "",
+        f"{'POSTURE':<8} {'OVERLAY CONNS':>13} {'SOCKS JOBS':>10} "
+        f"{'FTP AT SINK':>11} {'JOBS SUCCEEDED':>14} {'SITE DEFACED':>12}",
+        "-" * 76,
+    ]
+    for posture, result in results.items():
+        lines.append(
+            f"{posture:<8} {result.overlay_connections:>13} "
+            f"{result.socks_jobs:>10} {result.ftp_attempts_at_sink:>11} "
+            f"{result.jobs_succeeded:>14} "
+            f"{'YES' if result.site_defaced else 'no':>12}"
+        )
+    lines.append("-" * 76)
+    lines.append(
+        "The tight policy preserved reachability and C&C while the "
+        "reflect-\neverything-else stance caught the iframe-injection "
+        "jobs at the sink;\nthe loose counterfactual let the site get "
+        "defaced."
+    )
+    return "\n".join(lines)

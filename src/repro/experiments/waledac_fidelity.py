@@ -120,3 +120,29 @@ def run_waledac(mode: str, duration: float = 900.0,
 
 def run_all(duration: float = 900.0, seed: int = 2009):
     return {mode: run_waledac(mode, duration, seed) for mode in MODES}
+
+
+def render(results) -> str:
+    lines = [
+        "Waledac containment configurations (§7.1)",
+        "",
+        f"{'MODE':<16} {'BOT ALIVE':>9} {'HARVESTED':>9} "
+        f"{'SENT OUTSIDE':>12} {'BLACKLISTED':>11} {'BANNER GRABS':>12}",
+        "-" * 76,
+    ]
+    for mode, result in results.items():
+        lines.append(
+            f"{mode:<16} {'yes' if result.bot_alive else 'no':>9} "
+            f"{result.sink_data_transfers:>9} "
+            f"{result.spam_delivered_outside:>12} "
+            f"{'LISTED' if result.inmate_blacklisted else 'clean':>11} "
+            f"{result.banner_fetches:>12}"
+        )
+    lines.append("-" * 76)
+    lines.append(
+        "Paper narrative: the permitted test message got the inmates CBL-"
+        "listed\n(recognizable wergvan HELO); the plain sink silenced the "
+        "bots; banner\ngrabbing restored fidelity with zero outside "
+        "interaction."
+    )
+    return "\n".join(lines)

@@ -19,7 +19,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.policy import ContainmentPolicy, DefaultDeny, PolicyMap
 from repro.core.server import CS_DEFAULT_PORT, ContainmentServer
@@ -47,103 +47,99 @@ from repro.sim.engine import Simulator
 
 
 class FarmConfig:
-    """Deployment-wide knobs (defaults mirror the paper's §6.7 setup)."""
+    """Deployment-wide knobs (defaults mirror the paper's §6.7 setup).
 
-    def __init__(
-        self,
-        seed: int = 0,
-        global_networks: Optional[List[str]] = None,
-        control_network: str = "198.18.100.0/24",
-        inbound_mode: InboundMode = InboundMode.FORWARD,
-        safety_max_flows_per_window: int = 100000,
-        safety_max_flows_per_destination: int = 50000,
-        safety_window: float = 60.0,
-        telemetry: bool = False,
-        telemetry_snapshot_interval: Optional[float] = None,
-        journal: bool = False,
-        journal_capacity: int = 65536,
-        journal_sample_interval: Optional[float] = None,
-        fault_plan: Optional[object] = None,
-        verdict_deadline: Optional[float] = None,
-        verdict_retries: int = 2,
-        retry_backoff: float = 2.0,
-        pending_policy: str = "drop",
-        cs_probe_interval: float = 5.0,
-        cs_failure_threshold: int = 2,
-        lifecycle_retry_limit: int = 2,
-        lifecycle_retry_backoff: float = 30.0,
-        malice_policy: str = "isolate",
-        quarantine_max_frames: int = 1024,
-        flowtable_idle_timeout: Optional[float] = None,
-        flowtable_hard_timeout: Optional[float] = None,
-        batch_window: Optional[float] = None,
-    ) -> None:
-        self.seed = seed
-        # Four /24s for the inmate population, one for control (§6.7).
-        self.global_networks = [
-            IPv4Network(cidr) for cidr in (
-                global_networks
-                or ["198.18.0.0/24", "198.18.1.0/24",
-                    "198.18.2.0/24", "198.18.3.0/24"]
-            )
-        ]
-        self.control_network = IPv4Network(control_network)
-        self.inbound_mode = inbound_mode
-        self.safety_max_flows_per_window = safety_max_flows_per_window
-        self.safety_max_flows_per_destination = safety_max_flows_per_destination
-        self.safety_window = safety_window
-        self.telemetry = telemetry
-        self.telemetry_snapshot_interval = telemetry_snapshot_interval
+    Each field is stated once, in :attr:`FIELDS`: the constructor's
+    keywords and defaults, :meth:`to_dict` and :meth:`from_dict`'s
+    unknown-key check all follow that table, and
+    ``tests/test_farm_api.py`` names the test showing each one changes
+    behaviour.
+    """
+
+    #: Field -> default, in :meth:`to_dict` order.
+    FIELDS: Dict[str, Any] = {
+        "seed": 0,
+        # Given as CIDR strings, held as IPv4Network: four /24s for
+        # the inmate population when None, one for control (§6.7).
+        "global_networks": None,
+        "control_network": "198.18.100.0/24",
+        "inbound_mode": InboundMode.FORWARD,
+        "safety_max_flows_per_window": 100000,
+        "safety_max_flows_per_destination": 50000,
+        "safety_window": 60.0,
+        "telemetry": False,
+        "telemetry_snapshot_interval": None,
         # Decision journal (repro.obs.journal, docs/OBSERVABILITY.md):
         # off by default so a plain run schedules no sampling events
         # and stays byte-identical to a build without the journal.
-        self.journal = journal
-        self.journal_capacity = journal_capacity
-        self.journal_sample_interval = journal_sample_interval
-        # Fault plane + shim resilience (repro.faults, docs/RESILIENCE.md).
-        # An empty plan and verdict_deadline=None leave every run path
-        # byte-identical to a build without the fault plane.
-        self.fault_plan = FaultPlan.coerce(fault_plan)
-        if pending_policy not in ("drop", "forward"):
-            raise ValueError(
-                f"pending_policy must be 'drop' or 'forward', "
-                f"not {pending_policy!r}")
-        self.verdict_deadline = verdict_deadline
-        self.verdict_retries = verdict_retries
-        self.retry_backoff = retry_backoff
-        self.pending_policy = pending_policy
-        self.cs_probe_interval = cs_probe_interval
-        self.cs_failure_threshold = cs_failure_threshold
-        self.lifecycle_retry_limit = lifecycle_retry_limit
-        self.lifecycle_retry_backoff = lifecycle_retry_backoff
+        "journal": False,
+        "journal_capacity": 65536,
+        "journal_sample_interval": None,
+        # Fault plane + shim resilience (repro.faults,
+        # docs/RESILIENCE.md).  An empty plan and verdict_deadline=None
+        # leave every run path byte-identical to a build without the
+        # fault plane.  None, a plan dict or a spec list are coerced
+        # to a FaultPlan.
+        "fault_plan": None,
+        "verdict_deadline": None,
+        "verdict_retries": 2,
+        "retry_backoff": 2.0,
+        "pending_policy": "drop",
+        "lifecycle_retry_limit": 2,
+        "lifecycle_retry_backoff": 30.0,
         # Malice barrier (docs/HARDENING.md): what happens when a
         # parser rejects ingested bytes — "isolate" aborts the
         # offending flow, "fail-stop" freezes the subfarm's ingest,
         # "count" only records.
-        from repro.gateway.barrier import POLICIES
-
-        if malice_policy not in POLICIES:
-            raise ValueError(
-                f"malice_policy must be one of {POLICIES}, "
-                f"not {malice_policy!r}")
-        self.malice_policy = malice_policy
-        self.quarantine_max_frames = quarantine_max_frames
+        "malice_policy": "isolate",
+        "quarantine_max_frames": 1024,
         # Match-action flow tables (docs/PERFORMANCE.md): entries for
         # flows idle longer than flowtable_idle_timeout (or older than
         # flowtable_hard_timeout) are evicted; the flow's next packet
         # is a table miss and re-installs them.  None (the default)
         # leaves entries resident for the life of the flow.
-        self.flowtable_idle_timeout = flowtable_idle_timeout
-        self.flowtable_hard_timeout = flowtable_hard_timeout
+        "flowtable_idle_timeout": None,
+        "flowtable_hard_timeout": None,
         # Batched trunk ingest: batch_window=None (default) keeps
         # per-frame delivery; 0.0 coalesces only naturally coincident
         # frames (timing untouched); a positive value quantizes trunk
         # delivery to window boundaries so concurrent inmates' frames
         # arrive together and run the struct-of-arrays datapath.
-        if batch_window is not None and batch_window < 0:
+        "batch_window": None,
+    }
+
+    def __init__(self, **values: Any) -> None:
+        """``FarmConfig(seed=7, journal=True)``: any of :attr:`FIELDS`
+        by keyword.  Coerces the JSON-safe spellings and validates —
+        the one place a bad value is refused."""
+        from repro.gateway.barrier import POLICIES
+
+        unknown = set(values) - set(self.FIELDS)
+        if unknown:
+            raise TypeError(
+                f"FarmConfig() got unexpected keyword arguments "
+                f"{sorted(unknown)}")
+        for name, default in self.FIELDS.items():
+            setattr(self, name, values.get(name, default))
+        self.global_networks = [
+            IPv4Network(cidr) for cidr in (
+                self.global_networks
+                or ["198.18.0.0/24", "198.18.1.0/24",
+                    "198.18.2.0/24", "198.18.3.0/24"])]
+        self.control_network = IPv4Network(self.control_network)
+        self.inbound_mode = InboundMode(self.inbound_mode)
+        self.fault_plan = FaultPlan.coerce(self.fault_plan)
+        if self.pending_policy not in ("drop", "forward"):
             raise ValueError(
-                f"batch_window must be >= 0, not {batch_window}")
-        self.batch_window = batch_window
+                f"pending_policy must be 'drop' or 'forward', "
+                f"not {self.pending_policy!r}")
+        if self.malice_policy not in POLICIES:
+            raise ValueError(
+                f"malice_policy must be one of {POLICIES}, "
+                f"not {self.malice_policy!r}")
+        if self.batch_window is not None and self.batch_window < 0:
+            raise ValueError(
+                f"batch_window must be >= 0, not {self.batch_window}")
 
     # ------------------------------------------------------------------
     # Serialization — ships configs to campaign workers
@@ -151,61 +147,22 @@ class FarmConfig:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """A JSON-safe dict that :meth:`from_dict` round-trips."""
-        return {
-            "seed": self.seed,
-            "global_networks": [str(net) for net in self.global_networks],
-            "control_network": str(self.control_network),
-            "inbound_mode": self.inbound_mode.value,
-            "safety_max_flows_per_window": self.safety_max_flows_per_window,
-            "safety_max_flows_per_destination":
-                self.safety_max_flows_per_destination,
-            "safety_window": self.safety_window,
-            "telemetry": self.telemetry,
-            "telemetry_snapshot_interval": self.telemetry_snapshot_interval,
-            "journal": self.journal,
-            "journal_capacity": self.journal_capacity,
-            "journal_sample_interval": self.journal_sample_interval,
-            "fault_plan": self.fault_plan.to_dict(),
-            "verdict_deadline": self.verdict_deadline,
-            "verdict_retries": self.verdict_retries,
-            "retry_backoff": self.retry_backoff,
-            "pending_policy": self.pending_policy,
-            "cs_probe_interval": self.cs_probe_interval,
-            "cs_failure_threshold": self.cs_failure_threshold,
-            "lifecycle_retry_limit": self.lifecycle_retry_limit,
-            "lifecycle_retry_backoff": self.lifecycle_retry_backoff,
-            "malice_policy": self.malice_policy,
-            "quarantine_max_frames": self.quarantine_max_frames,
-            "flowtable_idle_timeout": self.flowtable_idle_timeout,
-            "flowtable_hard_timeout": self.flowtable_hard_timeout,
-            "batch_window": self.batch_window,
-        }
+        out = {name: getattr(self, name) for name in self.FIELDS}
+        out["global_networks"] = [str(net) for net in self.global_networks]
+        out["control_network"] = str(self.control_network)
+        out["inbound_mode"] = self.inbound_mode.value
+        out["fault_plan"] = self.fault_plan.to_dict()
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "FarmConfig":
         """Rebuild a config from :meth:`to_dict` output (unknown keys
         rejected so config drift fails loudly)."""
-        known = {
-            "seed", "global_networks", "control_network", "inbound_mode",
-            "safety_max_flows_per_window",
-            "safety_max_flows_per_destination", "safety_window",
-            "telemetry", "telemetry_snapshot_interval",
-            "journal", "journal_capacity", "journal_sample_interval",
-            "fault_plan", "verdict_deadline", "verdict_retries",
-            "retry_backoff", "pending_policy", "cs_probe_interval",
-            "cs_failure_threshold", "lifecycle_retry_limit",
-            "lifecycle_retry_backoff", "malice_policy",
-            "quarantine_max_frames", "flowtable_idle_timeout",
-            "flowtable_hard_timeout", "batch_window",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.FIELDS)
         if unknown:
             raise ValueError(
                 f"unknown FarmConfig keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "inbound_mode" in kwargs:
-            kwargs["inbound_mode"] = InboundMode(kwargs["inbound_mode"])
-        return cls(**kwargs)
+        return cls(**data)
 
     def __repr__(self) -> str:
         return (f"<FarmConfig seed={self.seed} "
@@ -329,8 +286,6 @@ class Subfarm:
             verdict_retries=config.verdict_retries,
             retry_backoff=config.retry_backoff,
             pending_policy=config.pending_policy,
-            probe_interval=config.cs_probe_interval,
-            failure_threshold=config.cs_failure_threshold,
         )
         pool = CsFailoverPool(self.farm.sim, self.router, rconfig,
                               prober=self._probe_cs)

@@ -9,9 +9,10 @@ Usage::
 
 Every subcommand reads from one of two sources:
 
-* ``--journal PATH`` / ``--snapshot PATH`` — previously dumped JSON
-  (e.g. from ``python -m repro.experiments ... --journal out.json``,
-  or a merged campaign journal); or
+* ``--journal PATH`` / ``--snapshot PATH`` — previously dumped JSON:
+  a snapshot, or a campaign summary carrying the merged ones (e.g.
+  the file ``python -m repro.experiments streaming-farm --journal
+  --out DIR`` writes, given to both flags); or
 * nothing, in which case the CLI runs the built-in **golden-seed
   farm** (:func:`golden_farm`): a deterministic single-subfarm run
   that exercises the whole decision surface — admission, verdicts,
@@ -137,21 +138,26 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
+def _load_snapshot(path: str, key: str, marker: str) -> dict:
+    """A dumped snapshot, or the one a campaign summary
+    (``python -m repro.experiments <sweep> --out DIR``) or shard
+    payload carries under ``key`` rather than at top level."""
+    doc = _load_json(path)
+    if marker not in doc:
+        for outer in (key, "merged"):
+            inner = doc.get(outer)
+            if isinstance(inner, dict):
+                return inner.get(key, inner)
+    return doc
+
+
 def _sources(args) -> tuple:
     """(telemetry snapshot or None, journal snapshot or None)."""
     telemetry = journal = None
     if getattr(args, "snapshot", None):
-        telemetry = _load_json(args.snapshot)
+        telemetry = _load_snapshot(args.snapshot, "telemetry", "counters")
     if getattr(args, "journal", None):
-        journal = _load_json(args.journal)
-        # Accept a merged campaign result or shard payload that
-        # carries the journal under a key, not at top level.
-        if "events" not in journal:
-            for key in ("journal", "merged"):
-                inner = journal.get(key)
-                if isinstance(inner, dict):
-                    journal = inner.get("journal", inner)
-                    break
+        journal = _load_snapshot(args.journal, "journal", "events")
     if telemetry is None and journal is None:
         farm = golden_farm(seed=args.seed, duration=args.duration)
         telemetry = farm.telemetry_snapshot()

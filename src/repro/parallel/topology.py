@@ -1,10 +1,9 @@
 """Declarative farm-of-farms topology, lowered by compiler passes.
 
-GQ scales by replicating subfarms — each an independent habitat with
-its own VLANs and containment servers (§3, Figure 3) — across however
-many physical hosts the experimenter owns.  This module makes that
-layout *data*: a :class:`FarmTopology` declares subfarm counts, VLAN
-ranges, containment-server pools, service placement, and the host
+GQ scales by replicating subfarms — each an independent habitat (§3,
+Figure 3) — across however many physical hosts the experimenter owns.
+This module makes that layout *data*: a :class:`FarmTopology` declares
+the subfarm count, how subfarms group into shards and the host
 inventory; :meth:`FarmTopology.compile` lowers the declaration through
 a fixed sequence of named passes (the FireSim topology-with-passes
 pattern) into a concrete :class:`Placement`:
@@ -13,24 +12,20 @@ pattern) into a concrete :class:`Placement`:
     fill defaulted per-subfarm entries and apply explicit overrides.
 ``validate_hosts``
     host names unique, addresses well-formed, worker caps sane.
-``assign_vlans``
-    give every subfarm a disjoint VLAN range; overlapping explicit
-    ranges and 802.1Q exhaustion (id > 4094) are compile errors.
-``allocate_cs``
-    mint each subfarm's containment-server pool.
-``place_services``
-    pin each containment service (dns, smtp, http, ...) to a CS in
-    every subfarm, round-robin over the pool.
 ``pack_shards``
     group subfarms into campaign shards and assign each shard to a
     host — explicit pins win, the rest round-robin; pinning one shard
     to two hosts or to an unknown host is a compile error.
 ``validate_placement``
-    every shard landed on a known host and no VLAN is claimed twice.
+    every shard landed on a known host.
 
-A failing pass raises :class:`TopologyError` carrying a structured
-``errors`` list (``{"pass", "error", "detail"}`` dicts), so a bad
-placement dies loudly at compile time — never as a mystery mid-
+Every pass feeds :meth:`Placement.campaign` or
+:meth:`Placement.endpoints`; a pass computing what a farm would be
+*built* from (VLAN ranges, containment-server pools, service
+placement) arrives together with the code that builds a farm from a
+placement.  A failing pass raises :class:`TopologyError` carrying a
+structured ``errors`` list (``{"pass", "error", "detail"}`` dicts), so
+a bad placement dies loudly at compile time — never as a mystery mid-
 campaign.  Both the topology and the compiled placement round-trip
 through JSON with stable sha256 digests, and
 :meth:`Placement.campaign` derives the :class:`~repro.parallel.campaign.Campaign`
@@ -42,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.parallel.campaign import Campaign, ShardSpec, derive_seed
 
@@ -51,12 +46,7 @@ __all__ = [
     "HostSpec",
     "Placement",
     "TopologyError",
-    "DEFAULT_SERVICES",
-    "MAX_VLAN_ID",
 ]
-
-DEFAULT_SERVICES: Tuple[str, ...] = ("dns", "smtp", "http")
-MAX_VLAN_ID = 4094  # highest usable 802.1Q VLAN id
 
 
 class TopologyError(ValueError):
@@ -123,28 +113,22 @@ class HostSpec:
 
 
 _TOPOLOGY_KEYS = (
-    "name", "subfarms", "hosts", "vlan_base", "vlans_per_subfarm",
-    "cs_per_subfarm", "services", "subfarm_specs",
+    "name", "subfarms", "hosts", "subfarm_specs",
     "subfarms_per_shard", "inmates_per_subfarm", "metadata",
 )
-_SUBFARM_KEYS = ("name", "vlans", "host", "cs")
+_SUBFARM_KEYS = ("name", "host")
 
 
 class FarmTopology:
     """The declarative layer: what the farm-of-farms should look like.
 
-    ``subfarm_specs[i]`` optionally overrides subfarm *i* with any of
-    ``name`` / ``vlans`` (explicit VLAN id list) / ``host`` (pin to a
-    host name) / ``cs`` (explicit CS name list).  Everything else is
+    ``subfarm_specs[i]`` optionally overrides subfarm *i* with
+    ``name`` and/or ``host`` (pin to a host name).  Everything else is
     derived by the compile passes.
     """
 
     def __init__(self, name: str, subfarms: int,
                  hosts: Optional[Sequence[HostSpec]] = None,
-                 vlan_base: int = 100,
-                 vlans_per_subfarm: int = 1,
-                 cs_per_subfarm: int = 1,
-                 services: Sequence[str] = DEFAULT_SERVICES,
                  subfarm_specs: Optional[Sequence[dict]] = None,
                  subfarms_per_shard: int = 1,
                  inmates_per_subfarm: int = 2,
@@ -153,10 +137,6 @@ class FarmTopology:
         self.subfarms = int(subfarms)
         self.hosts: List[HostSpec] = list(hosts) if hosts \
             else [HostSpec("local")]
-        self.vlan_base = int(vlan_base)
-        self.vlans_per_subfarm = int(vlans_per_subfarm)
-        self.cs_per_subfarm = int(cs_per_subfarm)
-        self.services: Tuple[str, ...] = tuple(services)
         self.subfarm_specs: List[dict] = [dict(s)
                                           for s in (subfarm_specs or [])]
         self.subfarms_per_shard = int(subfarms_per_shard)
@@ -171,10 +151,6 @@ class FarmTopology:
             "name": self.name,
             "subfarms": self.subfarms,
             "hosts": [host.to_dict() for host in self.hosts],
-            "vlan_base": self.vlan_base,
-            "vlans_per_subfarm": self.vlans_per_subfarm,
-            "cs_per_subfarm": self.cs_per_subfarm,
-            "services": list(self.services),
             "subfarm_specs": [dict(s) for s in self.subfarm_specs],
             "subfarms_per_shard": self.subfarms_per_shard,
             "inmates_per_subfarm": self.inmates_per_subfarm,
@@ -191,10 +167,6 @@ class FarmTopology:
             subfarms=data["subfarms"],
             hosts=[HostSpec.from_dict(h) for h in data.get("hosts") or []]
             or None,
-            vlan_base=data.get("vlan_base", 100),
-            vlans_per_subfarm=data.get("vlans_per_subfarm", 1),
-            cs_per_subfarm=data.get("cs_per_subfarm", 1),
-            services=data.get("services", DEFAULT_SERVICES),
             subfarm_specs=data.get("subfarm_specs"),
             subfarms_per_shard=data.get("subfarms_per_shard", 1),
             inmates_per_subfarm=data.get("inmates_per_subfarm", 2),
@@ -214,9 +186,6 @@ class FarmTopology:
         for pass_name, pass_fn in (
             ("normalize", _pass_normalize),
             ("validate_hosts", _pass_validate_hosts),
-            ("assign_vlans", _pass_assign_vlans),
-            ("allocate_cs", _pass_allocate_cs),
-            ("place_services", _pass_place_services),
             ("pack_shards", _pass_pack_shards),
             ("validate_placement", _pass_validate_placement),
         ):
@@ -286,12 +255,7 @@ def _pass_normalize(state: _CompileState) -> None:
         state.subfarms.append({
             "index": index,
             "name": str(override.get("name") or f"sf-{index}"),
-            "vlans": list(override["vlans"])
-            if override.get("vlans") is not None else None,
             "host": override.get("host"),
-            "cs": list(override["cs"])
-            if override.get("cs") is not None else None,
-            "services": {},
         })
     names = [sf["name"] for sf in state.subfarms]
     for name in sorted({n for n in names if names.count(n) > 1}):
@@ -317,61 +281,6 @@ def _pass_validate_hosts(state: _CompileState) -> None:
             state.error("bad_cap",
                         f"host {host.name!r} max_workers must be >= 1, "
                         f"got {host.max_workers}")
-
-
-def _pass_assign_vlans(state: _CompileState) -> None:
-    topo = state.topo
-    if topo.vlans_per_subfarm < 1:
-        state.error("bad_count", "vlans_per_subfarm must be >= 1, got "
-                    f"{topo.vlans_per_subfarm}")
-        return
-    next_vlan = topo.vlan_base
-    claimed: Dict[int, str] = {}
-    for sf in state.subfarms:
-        if sf["vlans"] is None:
-            sf["vlans"] = list(range(next_vlan,
-                                     next_vlan + topo.vlans_per_subfarm))
-            next_vlan += topo.vlans_per_subfarm
-        for vlan in sf["vlans"]:
-            if not isinstance(vlan, int) or vlan < 1 \
-                    or vlan > MAX_VLAN_ID:
-                state.error("vlan_exhausted",
-                            f"subfarm {sf['name']!r} VLAN {vlan!r} "
-                            f"outside 1..{MAX_VLAN_ID} — raise "
-                            "vlan_base headroom or shrink the farm")
-            elif vlan in claimed:
-                state.error("vlan_overlap",
-                            f"VLAN {vlan} claimed by both "
-                            f"{claimed[vlan]!r} and {sf['name']!r}")
-            else:
-                claimed[vlan] = sf["name"]
-
-
-def _pass_allocate_cs(state: _CompileState) -> None:
-    topo = state.topo
-    if topo.cs_per_subfarm < 1:
-        state.error("bad_count", "cs_per_subfarm must be >= 1, got "
-                    f"{topo.cs_per_subfarm}")
-        return
-    for sf in state.subfarms:
-        if sf["cs"] is None:
-            sf["cs"] = [f"cs-{sf['name']}-{i}"
-                        for i in range(topo.cs_per_subfarm)]
-        elif not sf["cs"]:
-            state.error("empty_cs_pool",
-                        f"subfarm {sf['name']!r} declares an empty "
-                        "containment-server pool")
-
-
-def _pass_place_services(state: _CompileState) -> None:
-    for sf in state.subfarms:
-        pool = sf["cs"] or []
-        if not pool:
-            continue  # already an error from allocate_cs
-        sf["services"] = {
-            service: pool[position % len(pool)]
-            for position, service in enumerate(state.topo.services)
-        }
 
 
 def _pass_pack_shards(state: _CompileState) -> None:
@@ -408,19 +317,11 @@ def _pass_pack_shards(state: _CompileState) -> None:
 
 def _pass_validate_placement(state: _CompileState) -> None:
     host_names = {host.name for host in state.topo.hosts}
-    claimed: Dict[int, str] = {}
     for shard in state.shards:
         if shard["host"] not in host_names:
             state.error("unknown_host",
                         f"shard {shard['index']} placed on unknown "
                         f"host {shard['host']!r}")
-    for sf in state.subfarms:
-        for vlan in sf["vlans"] or []:
-            if vlan in claimed and claimed[vlan] != sf["name"]:
-                state.error("vlan_overlap",
-                            f"placement claims VLAN {vlan} for both "
-                            f"{claimed[vlan]!r} and {sf['name']!r}")
-            claimed[vlan] = sf["name"]
 
 
 _PLACEMENT_KEYS = ("topology", "topology_digest", "passes_used",
@@ -429,7 +330,7 @@ _PLACEMENT_KEYS = ("topology", "topology_digest", "passes_used",
 
 
 class Placement:
-    """The compiled layer: concrete subfarm → VLAN/CS/host mapping.
+    """The compiled layer: concrete subfarm → shard → host mapping.
 
     Pure data — JSON round-trips losslessly and :meth:`digest` is
     stable, so a placement can be logged next to the campaign it drove

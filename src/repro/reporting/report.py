@@ -28,6 +28,8 @@ from repro.reporting.analyzer import (
 
 VERDICT_ORDER = ["FORWARD", "LIMIT", "DROP", "REDIRECT", "REFLECT",
                  "REWRITE", "FORWARD|LIMIT", "REDIRECT|REWRITE"]
+# Rules per subfarm the rendered "Flow tables" section lists.
+FLOWTABLE_RULES_SHOWN = 10
 
 
 class InmateActivity:
@@ -414,12 +416,15 @@ def render_report(report: ActivityReport, telemetry=None,
                 f"  evictions {summary['evictions']:>6}   "
                 f"idle timeouts {timeouts['idle']:>6}   "
                 f"hard timeouts {timeouts['hard']:>6}")
-            entries = summary["entries"]
+            # The busiest rules only: a day-scale run installs
+            # thousands, and report.flowtables keeps them all.
+            entries = sorted(summary["entries"],
+                             key=lambda entry: -entry["hits"])
             if entries:
                 lines.append(
                     f"  {'action':<10} {'vlan':>4} {'verdict':<16} "
                     f"{'hits':>8} {'emit':<8} match")
-                for entry in entries:
+                for entry in entries[:FLOWTABLE_RULES_SHOWN]:
                     match = entry["match"]
                     match_text = (
                         f"{IPv4Address(match['src'])}:{match['sport']} "
@@ -429,6 +434,10 @@ def render_report(report: ActivityReport, telemetry=None,
                         f"{entry['verdict'] or '-':<16} "
                         f"{entry['hits']:>8} {entry['emit']:<8} "
                         f"{match_text}")
+                hidden = len(entries) - FLOWTABLE_RULES_SHOWN
+                if hidden > 0:
+                    lines.append(f"  … {hidden} more "
+                                 "(examples/flowtable_dump.py prints all)")
             lines.append("")
     if report.certificate is not None:
         _render_certificate(lines, report.certificate,

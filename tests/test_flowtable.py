@@ -604,10 +604,10 @@ def test_flowtable_stats_and_snapshot():
         assert entry["hard_expires_at"] is None
 
 
-def test_report_renders_flow_table_section():
+def _report_of_streaming_farm(inmates):
     from repro.core.policy import AllowAll
     from repro.farm import Farm
-    from repro.reporting.report import ActivityReport, render_report
+    from repro.reporting.report import ActivityReport
 
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
                                     "benchmarks"))
@@ -617,22 +617,52 @@ def test_report_renders_flow_table_section():
     _echo_server(farm.add_external_host("echo", TARGET_IP))
     sub = farm.create_subfarm("tables")
     sub.set_default_policy(AllowAll())
-    sub.create_inmate(image_factory=streaming_image(6))
+    for _ in range(inmates):
+        sub.create_inmate(image_factory=streaming_image(6))
     farm.run(until=40.0)
-    assert sub.router.flowtable.installs > 0
+    return sub, ActivityReport.from_subfarms([sub])
 
-    report = ActivityReport.from_subfarms([sub])
+
+def _rule_lines(rendered):
+    return [line for line in rendered.splitlines() if " -> " in line]
+
+
+def test_report_renders_flow_table_section():
+    from repro.reporting.report import (FLOWTABLE_RULES_SHOWN,
+                                        render_report)
+
+    sub, report = _report_of_streaming_farm(inmates=1)
+    installed = len(report.flowtables["tables"]["entries"])
+    assert 0 < installed <= FLOWTABLE_RULES_SHOWN
     rendered = render_report(report)
     assert "Flow tables" in rendered
     assert "Subfarm 'tables'" in rendered
     assert "occupancy" in rendered
     assert "tcp-c2d" in rendered
+    # Under the cap every installed rule is listed and nothing is elided.
+    assert len(_rule_lines(rendered)) == installed
+    assert "more (examples/flowtable_dump.py" not in rendered
 
     # A subfarm that installed no rule renders without the section.
-    idle = Farm(FarmConfig(seed=5, telemetry=True))
-    sub_idle = idle.create_subfarm("tables")
-    sub_idle.set_default_policy(AllowAll())
-    idle.run(until=40.0)
+    sub_idle, idle_report = _report_of_streaming_farm(inmates=0)
     assert sub_idle.router.flowtable.installs == 0
-    assert "Flow tables" not in render_report(
-        ActivityReport.from_subfarms([sub_idle]))
+    assert "Flow tables" not in render_report(idle_report)
+
+
+def test_report_caps_flow_table_rules():
+    """The rendered section lists the busiest rules only; the report
+    object still carries every rule (Figure 7 installs 2,688)."""
+    from repro.reporting.report import (FLOWTABLE_RULES_SHOWN,
+                                        render_report)
+
+    _sub, report = _report_of_streaming_farm(inmates=8)
+    entries = report.flowtables["tables"]["entries"]
+    assert len(entries) > FLOWTABLE_RULES_SHOWN
+    rendered = render_report(report)
+    shown = _rule_lines(rendered)
+    assert len(shown) == FLOWTABLE_RULES_SHOWN
+    hits = [int(line.split()[3]) for line in shown]
+    assert hits == sorted((e["hits"] for e in entries),
+                          reverse=True)[:FLOWTABLE_RULES_SHOWN]
+    assert (f"  … {len(entries) - FLOWTABLE_RULES_SHOWN} more "
+            "(examples/flowtable_dump.py prints all)") in rendered

@@ -137,8 +137,6 @@ class TestFarmConfigRoundTrip:
             verdict_retries=3,
             retry_backoff=1.5,
             pending_policy="forward",
-            cs_probe_interval=2.5,
-            cs_failure_threshold=4,
             lifecycle_retry_limit=1,
             lifecycle_retry_backoff=10.0,
         )

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.parallel.topology import (
-    DEFAULT_SERVICES,
     FarmTopology,
     HostSpec,
     Placement,
@@ -35,25 +34,9 @@ class TestCompile:
     def test_all_passes_run_in_order(self):
         placement = two_host_topology().compile()
         assert placement.passes_used == [
-            "normalize", "validate_hosts", "assign_vlans",
-            "allocate_cs", "place_services", "pack_shards",
+            "normalize", "validate_hosts", "pack_shards",
             "validate_placement",
         ]
-
-    def test_vlans_disjoint_and_sequential(self):
-        placement = FarmTopology("t", subfarms=3, vlan_base=200,
-                                 vlans_per_subfarm=2).compile()
-        vlans = [sf["vlans"] for sf in placement.subfarms]
-        assert vlans == [[200, 201], [202, 203], [204, 205]]
-
-    def test_cs_pool_and_service_placement(self):
-        placement = FarmTopology("t", subfarms=1,
-                                 cs_per_subfarm=2).compile()
-        (sf,) = placement.subfarms
-        assert sf["cs"] == ["cs-sf-0-0", "cs-sf-0-1"]
-        # Services round-robin over the pool.
-        assert set(sf["services"]) == set(DEFAULT_SERVICES)
-        assert set(sf["services"].values()) <= set(sf["cs"])
 
     def test_shards_round_robin_over_hosts(self):
         placement = two_host_topology().compile()
@@ -73,31 +56,12 @@ class TestCompile:
 
 
 class TestCompileErrors:
-    def test_overlapping_vlans_fail_at_compile_time(self):
-        topo = FarmTopology(
-            "bad", subfarms=2,
-            subfarm_specs=[{"vlans": [100, 101]},
-                           {"vlans": [101, 102]}])
-        with pytest.raises(TopologyError) as excinfo:
-            topo.compile()
-        (error,) = excinfo.value.errors
-        assert error["pass"] == "assign_vlans"
-        assert error["error"] == "vlan_overlap"
-        assert "101" in error["detail"]
-
     def test_unknown_host_fails_at_compile_time(self):
         topo = FarmTopology("bad", subfarms=1,
                             subfarm_specs=[{"host": "ghost"}])
         with pytest.raises(TopologyError) as excinfo:
             topo.compile()
         assert any(e["error"] == "unknown_host"
-                   for e in excinfo.value.errors)
-
-    def test_vlan_exhaustion_is_structured(self):
-        topo = FarmTopology("bad", subfarms=2, vlan_base=4094)
-        with pytest.raises(TopologyError) as excinfo:
-            topo.compile()
-        assert any(e["error"] == "vlan_exhausted"
                    for e in excinfo.value.errors)
 
     def test_duplicate_subfarm_names_rejected(self):
@@ -154,6 +118,30 @@ class TestSerialization:
                 "name": "x", "subfarms": 1,
                 "subfarm_specs": [{"vlan": 100}],
             })
+
+    def test_file_naming_a_removed_key_rejected(self):
+        """A topology file written for the VLAN / containment-server /
+        service passes (gone until a farm is built from a placement)
+        fails structurally, naming every key nothing reads any more."""
+        old_file = {
+            "name": "old", "subfarms": 2, "vlan_base": 200,
+            "vlans_per_subfarm": 2, "cs_per_subfarm": 2,
+            "services": ["dns", "smtp"],
+        }
+        with pytest.raises(TopologyError) as excinfo:
+            FarmTopology.from_dict(old_file)
+        assert [(e["pass"], e["error"]) for e in excinfo.value.errors] \
+            == [("parse", "unknown_key")] * 4
+        assert {e["detail"] for e in excinfo.value.errors} == {
+            f"topology key {key!r}" for key in
+            ("vlan_base", "vlans_per_subfarm", "cs_per_subfarm",
+             "services")}
+        with pytest.raises(TopologyError) as excinfo:
+            FarmTopology.from_dict({
+                "name": "old", "subfarms": 1,
+                "subfarm_specs": [{"vlans": [100], "cs": ["cs-a"]}]})
+        assert {e["detail"] for e in excinfo.value.errors} == {
+            "subfarm key 'cs'", "subfarm key 'vlans'"}
 
     def test_recompile_is_deterministic(self):
         topo = two_host_topology()

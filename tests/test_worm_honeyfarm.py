@@ -3,6 +3,8 @@ measurement machinery."""
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.experiments.worm_capture import run_worm_capture
@@ -82,6 +84,38 @@ class TestWormCapture:
         result = run_worm_capture(WELCHIA, inmates=3, duration=900, seed=5)
         assert result.event_count >= 2
         assert result.conns_per_infection == WELCHIA.conns
+
+    @pytest.mark.parametrize("index", [9, 17, 63, 65])
+    def test_table1_shape_at_the_tracked_parameters(self, index):
+        """The >3-minute classes and the 72-connection extreme, run as
+        ``python -m repro.experiments table1-worms`` runs them:
+        connections per infection reproduce exactly, incubation tracks
+        the paper within the band."""
+        row = TABLE_1[index]
+        result = run_worm_capture(row, inmates=4, duration=3600.0,
+                                  seed=100 + index)
+        assert result.event_count >= 2
+        assert result.conns_per_infection == row.conns
+        assert (row.incubation * 0.4 <= result.mean_incubation
+                <= row.incubation * 2.5 + 30.0)
+
+    def test_tracked_table1_reproduces_every_row(self):
+        """All 66 rows, read from the artefact ``make paper`` holds
+        byte-equal to what ``table1-worms`` regenerates: every class
+        was measured, its connection count is the paper's exactly and
+        its incubation lies within the band."""
+        tracked = (pathlib.Path(__file__).parent.parent
+                   / "benchmarks/output/table1_worms.txt")
+        lines = tracked.read_text(encoding="utf-8").splitlines()[4:-2]
+        assert len(lines) == len(TABLE_1)
+        for row, line in zip(TABLE_1, lines):
+            events, conns, paper, measured = \
+                line.replace("<-- >3min", "").split()[-4:]
+            assert int(events) >= 2, line
+            assert int(conns) == row.conns, line
+            assert float(paper) == round(row.incubation, 1), line
+            assert (row.incubation * 0.4 <= float(measured)
+                    <= row.incubation * 2.5 + 30.0), line
 
     def test_no_propagation_escapes_upstream(self):
         """Containment invariant: exploit traffic never reaches the
