@@ -30,8 +30,9 @@ class Port:
         self.owner = owner
         self.name = name
         self.link: Optional["Link"] = None
+        # The other end of the link, set by Link and cleared with it.
+        self.peer: Optional["Port"] = None
         self.frames_sent = 0
-        self.frames_received = 0
         # Batch coalescing: set to the owning Simulator to let this
         # port claim all same-instant deliveries queued behind the one
         # firing and hand them to the owner's receive_frame_batch in
@@ -48,20 +49,34 @@ class Port:
         if link is None:
             return
         self.frames_sent += 1
-        link.transmit(self, frame)
+        peer = self.peer
+        # Decided per send: farm.py sets both after the link exists.
+        if link.batch_window or peer.coalesce is not None:
+            link.transmit(self, frame)
+            return
+        # The default hop: one plain heap entry, straight to the peer
+        # device (docs/PERFORMANCE.md, "The per-hop kernel").  The
+        # owner's receive_frame is looked up now, not when the link was
+        # built, so a device that replaces it still sees its frames;
+        # post() rejects a latency reassigned to NaN or below zero.
+        link.frames_carried += 1
+        link.sim.post(link.latency, peer.owner.receive_frame, frame, peer)
 
     def deliver(self, frame: EthernetFrame) -> None:
+        """Receive a frame sent over a windowed link or to a coalescing
+        port (:meth:`Link.transmit`); every other send is posted to the
+        owner's ``receive_frame`` directly."""
         sim = self.coalesce
         if sim is not None:
             # Peek before paying a call: drain_coincident can claim (or
             # discard) only a head entry due this instant (or dead).
             queue = sim._queue
-            if queue and (queue[0].time == sim.now or queue[0].cancelled):
+            # Entries are read by index: a posted one is a plain list.
+            if queue and (queue[0][0] == sim.now or queue[0][6]):
                 more = sim.drain_coincident(self.deliver)
             else:
                 more = None
             if more:
-                self.frames_received += 1 + len(more)
                 receive_batch = getattr(self.owner, "receive_frame_batch",
                                         None)
                 if receive_batch is not None:
@@ -76,7 +91,6 @@ class Port:
                 for args in more:
                     receive(args[0], self)
                 return
-        self.frames_received += 1
         self.owner.receive_frame(frame, self)
 
     def __repr__(self) -> str:
@@ -119,8 +133,12 @@ class Link:
         self.frames_carried = 0
         port_a.link = self
         port_b.link = self
+        port_a.peer = port_b
+        port_b.peer = port_a
 
     def transmit(self, from_port: Port, frame: EthernetFrame) -> None:
+        """The windowed/coalescing hop (:meth:`Port.send` takes it when
+        the link has a ``batch_window`` or the peer port coalesces)."""
         deliver = (self._deliver_b if from_port is self.port_a
                    else self._deliver_a)
         self.frames_carried += 1
@@ -133,8 +151,8 @@ class Link:
         self.sim.schedule(self.latency, deliver, frame, label="link-deliver")
 
     def disconnect(self) -> None:
-        self.port_a.link = None
-        self.port_b.link = None
+        self.port_a.link = self.port_a.peer = None
+        self.port_b.link = self.port_b.peer = None
 
 
 def connect(

@@ -1,11 +1,13 @@
 """The discrete-event simulation engine.
 
 A :class:`Simulator` owns a virtual clock and a priority queue of
-:class:`Event` records.  Components schedule callbacks at absolute or
-relative virtual times; :meth:`Simulator.run` drains the queue in
-timestamp order.  Ties are broken by a monotonically increasing sequence
-number so that two events scheduled for the same instant fire in the
-order they were scheduled — this keeps runs deterministic.
+:class:`Event` records (and the plain lists of the same shape that
+:meth:`Simulator.post` pushes).  Components schedule callbacks at
+absolute or relative virtual times; :meth:`Simulator.run` drains the
+queue in timestamp order.  Ties are broken by a monotonically
+increasing sequence number so that two events scheduled for the same
+instant fire in the order they were scheduled — this keeps runs
+deterministic.
 
 The engine knows nothing about networks or malware; it is the substrate
 every other subsystem builds on.
@@ -91,7 +93,8 @@ class Simulator:
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: List[Event] = []
+        # Event handles and post()'s plain lists, one shape, read by index.
+        self._queue: List[list] = []
         self._seq = itertools.count()
         self._now = 0.0
         self.seed = seed
@@ -192,6 +195,20 @@ class Simulator:
         if self._live:
             self._m_scheduled.inc()
         return event
+
+    def post(self, delay: float, callback: Callable[..., None],
+             *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule`: the same ``(time, seq)``
+        drawn at the same moment, so the run is the same run, but the
+        heap entry is a plain list and no handle comes back.  For the
+        caller that never cancels (a link delivery); anything that
+        keeps or cancels its event wants :meth:`schedule`."""
+        if not delay >= 0:  # also rejects NaN, which would unorder the heap
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        heappush(self._queue, [self._now + delay, next(self._seq), callback,
+                               args, "", None, False])
+        if self._live:
+            self._m_scheduled.inc()
 
     # ------------------------------------------------------------------
     # Cancellation accounting and heap compaction

@@ -3,7 +3,8 @@
 A hop is the path a frame takes from ``Port.send`` on one device to
 ``receive_frame`` on the next.  These tests pin what it may cost in
 Python frames (docs/PERFORMANCE.md, "The per-hop kernel"): heap
-ordering never enters Python, the plumbing is five calls, and a
+ordering never enters Python, the plumbing is three calls (five when
+the link has a batch window or the receiving port coalesces), and a
 simulator without a live telemetry domain makes no instrument call at
 all.
 """
@@ -70,15 +71,18 @@ def test_hop_is_five_python_frames_and_no_python_ordering(coalesce):
     assert (a.received, b.received) == (FRAMES_EACH_WAY, FRAMES_EACH_WAY)
     hops = 2 * FRAMES_EACH_WAY
     assert not [key for key in calls if key[1] == "__lt__"]
-    # send -> transmit -> schedule | deliver -> receive_frame, and the
+    # send -> post | receive_frame by default; to a coalescing port,
+    # send -> transmit -> schedule | deliver -> receive_frame.  And the
     # one run() that drove them.  Nothing else: no Event.__init__, no
     # instrument, no clock property, no drain_coincident.
+    plumbing = ({("link.py", "transmit"): hops,
+                 ("engine.py", "schedule"): hops,
+                 ("link.py", "deliver"): hops} if coalesce
+                else {("engine.py", "post"): hops})
     assert calls == {
         ("engine.py", "run"): 1,
         ("link.py", "send"): hops,
-        ("link.py", "transmit"): hops,
-        ("engine.py", "schedule"): hops,
-        ("link.py", "deliver"): hops,
+        **plumbing,
         ("test_hop_budget.py", "receive_frame"): hops,
     }
 

@@ -59,6 +59,35 @@ class TestScheduling:
         assert sim.run(until=5.0) == 5.0
         assert sim.now == 5.0
 
+    def test_post_rejects_what_schedule_rejects(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        before = list(sim._queue)
+        for delay in (-1.0, -0.0001, float("nan"), float("-inf")):
+            with pytest.raises(ValueError):
+                sim.post(delay, lambda: None)
+        # Nothing was pushed and no sequence number was drawn.
+        assert sim._queue == before and sim.pending == 1
+        assert sim.schedule(1.0, lambda: None).seq == 1
+
+    def test_post_is_schedule_without_a_handle(self):
+        from repro.obs.telemetry import Telemetry
+
+        sim = Simulator()
+        telemetry = Telemetry(clock=lambda: sim.now)
+        sim.attach_telemetry(telemetry)
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        assert sim.post(1.0, fired.append, "b") is None
+        sim.schedule_at(1.0, fired.append, "c")
+        sim.post(0.5, fired.append, "first")
+        assert type(sim._queue[0]) is list and sim.pending == 4
+        sim.run()
+        assert fired == ["first", "a", "b", "c"]
+        assert sim.events_processed == 4
+        scheduled = telemetry.counter("sim.events.scheduled").bind().value
+        assert scheduled == 4
+
     def test_cancelled_events_do_not_fire(self):
         sim = Simulator()
         fired = []
@@ -258,7 +287,9 @@ class TestQueueKernel:
 # ----------------------------------------------------------------------
 # Binary-exact delays, few of them, so equal timestamps are the norm.
 DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])
-CHILD = st.tuples(DELAYS, st.sampled_from(["plain", "drain"]))
+# (delay, what the child does, whether it is posted or scheduled)
+CHILD = st.tuples(DELAYS, st.sampled_from(["plain", "drain"]),
+                  st.booleans())
 ACTIONS = st.one_of(
     st.tuples(st.just("plain")),
     st.tuples(st.just("drain")),
@@ -269,6 +300,7 @@ ACTIONS = st.one_of(
 OPS = st.one_of(
     st.tuples(st.just("schedule"), DELAYS, ACTIONS),
     st.tuples(st.just("schedule_at"), DELAYS, ACTIONS),
+    st.tuples(st.just("post"), DELAYS, ACTIONS),
     st.tuples(st.just("cancel"), st.integers(0, 200)),
     st.tuples(st.just("run_until"), DELAYS),
     st.tuples(st.just("run_max"), st.integers(0, 4)),
@@ -285,7 +317,7 @@ class _Reference:
         self.now = 0.0
         self.seq = 0
         self.queued = []      # [time, seq, ident, action, cancelled]
-        self.records = []     # every record ever made, by handle index
+        self.records = []     # the ones a handle came back for
         self.events_processed = 0
         self.log = []
 
@@ -293,11 +325,12 @@ class _Reference:
     def pending(self):
         return sum(1 for record in self.queued if not record[4])
 
-    def schedule_at(self, time, action):
-        record = [time, self.seq, len(self.records), action, False]
+    def schedule_at(self, time, action, handle=True):
+        record = [time, self.seq, self.seq, action, False]
         self.seq += 1
         self.queued.append(record)
-        self.records.append(record)
+        if handle:  # a posted entry has none, so is never cancelled
+            self.records.append(record)
 
     def cancel(self, index):
         if self.records:
@@ -341,8 +374,8 @@ class _Reference:
                 self.events_processed += 1
                 self.log.append(("drained", head[2]))
         elif action[0] == "spawn":
-            delay, kind = action[1]
-            self.schedule_at(self.now + delay, (kind,))
+            delay, kind, posted = action[1]
+            self.schedule_at(self.now + delay, (kind,), handle=not posted)
         elif action[0] == "cancel":
             self.cancel(action[1])
         self.log.append(("fired", ident, self.now))
@@ -355,11 +388,16 @@ class _Driver:
         self.sim = Simulator()
         self.sim.COMPACT_MIN_QUEUE = compact_min_queue
         self.handles = []
+        self.idents = 0
         self.log = []
 
-    def schedule_at(self, time, action, relative=None):
-        ident = len(self.handles)
+    def schedule_at(self, time, action, relative=None, post=False):
+        ident = self.idents
+        self.idents += 1
         callback = self._drainer if action[0] == "drain" else self._plain
+        if post:
+            assert self.sim.post(relative, callback, ident, action) is None
+            return
         if relative is None:
             event = self.sim.schedule_at(time, callback, ident, action)
         else:
@@ -373,8 +411,8 @@ class _Driver:
     def _plain(self, ident, action):
         sim = self.sim
         if action[0] == "spawn":
-            delay, kind = action[1]
-            self.schedule_at(None, (kind,), relative=delay)
+            delay, kind, posted = action[1]
+            self.schedule_at(None, (kind,), relative=delay, post=posted)
         elif action[0] == "cancel":
             self.cancel(action[1])
         elif action[0] == "compact":
@@ -397,6 +435,9 @@ def _play(program, compact_min_queue):
         elif op[0] == "schedule_at":
             ref.schedule_at(ref.now + op[1], op[2])
             real.schedule_at(sim.now + op[1], op[2])
+        elif op[0] == "post":
+            ref.schedule_at(ref.now + op[1], op[2], handle=False)
+            real.schedule_at(None, op[2], relative=op[1], post=True)
         elif op[0] == "cancel":
             ref.cancel(op[1])
             real.cancel(op[1])
@@ -427,10 +468,14 @@ def _play(program, compact_min_queue):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(OPS, max_size=60))
 def test_engine_matches_sorting_reference(program):
-    """Random interleavings of schedule / schedule_at / cancel (before
-    and after firing, repeatedly) / bounded runs / step / in-callback
-    drain_coincident, cancel, spawn and compaction fire in exactly the
-    reference's ``(time, seq)`` order — with compaction eager (floor
-    of 2 entries, so it triggers mid-run) and with it never running."""
+    """Random interleavings of schedule / schedule_at / post / cancel
+    (before and after firing, repeatedly) / bounded runs / step /
+    in-callback drain_coincident, cancel, spawn and compaction fire in
+    exactly the reference's ``(time, seq)`` order — with compaction
+    eager (floor of 2 entries, so it triggers mid-run) and with it
+    never running.  A posted entry is a plain list beside the ``Event``
+    handles: it draws from the same counter, survives compaction, is
+    claimed by drain_coincident like any other, and is never
+    cancelled."""
     _play(program, compact_min_queue=2)
     _play(program, compact_min_queue=10 ** 9)
