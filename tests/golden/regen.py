@@ -6,9 +6,11 @@ purpose (the post-handoff ACK fix, docs/VERIFICATION.md gap 7, will),
 and review the resulting diff — every digest that moves is a scripted
 scenario whose bytes, counters or per-flow accounting changed.
 ``policy`` rewrites ``policy_decisions.json``, what every library and
-experiment policy answers (``tests/test_policy_decisions.py``)::
+experiment policy answers (``tests/test_policy_decisions.py``); ``obs``
+rewrites ``obs_parity.json``, the telemetry and journal snapshots of
+two observed scan-shaped runs (``tests/test_obs_parity.py``)::
 
-    PYTHONPATH=src python -m tests.golden.regen [router] [policy]
+    PYTHONPATH=src python -m tests.golden.regen [router] [policy] [obs]
 
 A refactor does the opposite: it records the file that pins it from
 its *parent* commit (run this there, or in a clone of it) before
@@ -22,7 +24,8 @@ import subprocess
 import sys
 
 from repro.fuzz.router import run_script
-from tests import test_fastpath, test_flowtable, test_policy_decisions
+from tests import (test_fastpath, test_flowtable, test_obs_parity,
+                   test_policy_decisions)
 from tests.golden import (GOLDEN_PATH, SCRIPTS_PATH, script_digests,
                           wire_digest)
 
@@ -50,9 +53,14 @@ def regen_policy() -> None:
     print(f"wrote {test_policy_decisions.write_corpus()}")
 
 
+def regen_obs() -> None:
+    print(f"wrote {test_obs_parity.write_corpus()}")
+
+
 def main(argv) -> None:
-    for name in argv or ("router", "policy"):
-        {"router": regen_router, "policy": regen_policy}[name]()
+    for name in argv or ("router", "policy", "obs"):
+        {"router": regen_router, "policy": regen_policy,
+         "obs": regen_obs}[name]()
 
 
 if __name__ == "__main__":
