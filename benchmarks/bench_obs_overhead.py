@@ -17,25 +17,39 @@ One bench for both instruments (``make obs-quick``).  Asserted:
    and change alike.
 3. **Where events actually fire.**  The ``scan`` section runs a
    worm-style scan (every probe a new flow, DROP/REFLECT/FORWARD
-   verdicts under a DSL policy) with the journal off and on and gates
-   what it can count: journal events per flow (>= 4, or the run is not
-   scan-shaped; <= ``MAX_EVENTS_PER_FLOW``, or a call site started
-   journaling more) and the recorder's ns/event over that run's own
-   event stream replayed into a fresh journal (``MAX_RECORD_NS``, a
-   gross-regression bound several times the reference host's figure).
-   The whole-run slowdown is reported next to them.
-4. **Disabled telemetry is (nearly) free.**  Per-packet sites make
-   no instrument call at all while telemetry is off; flow-rate sites
-   bump a pre-bound no-op cell.  There is no uninstrumented build to
-   diff against, so the ``telemetry`` section counts the no-op calls
-   that actually happen — Python frames entered in
-   ``repro/obs/metrics.py`` over a telemetry-DISABLED flow workload —
-   and gates the count per simulator event
-   (``MAX_TOUCHES_PER_EVENT``); ``touches x one microbenchmarked no-op
-   touch`` over the same workload's un-profiled wall time is reported
-   (``disabled_overhead``, 0.1%).  The same workload with telemetry
-   ENABLED must touch its instruments (``enabled_touches``, read back
-   from the domain), or the section measures nothing.
+   verdicts under a DSL policy) under all four on/off combinations of
+   telemetry and journal, each run ending with what an operator does
+   with an observed run (a telemetry snapshot and a journal digest).
+   It gates what it can count: journal events per flow (>= 4, or the
+   run is not scan-shaped; <= ``MAX_EVENTS_PER_FLOW``, or a call site
+   started journaling more), the recorder's ns/event over that run's
+   own event stream replayed into a fresh journal (``MAX_RECORD_NS``,
+   a gross-regression bound several times the reference host's
+   figure), and — under a profile hook, over the fully observed run
+   up to its export — Python frames entered in
+   ``repro/obs/metrics.py`` per simulator event
+   (``MAX_ENABLED_TOUCHES_PER_EVENT``: telemetry reads the counts the
+   farm keeps, so only labelled per-flow cells, histograms and the
+   strided queue-depth sample are ever pushed) and frames entered
+   anywhere in ``repro/obs/`` per journaled flow
+   (``MAX_OBS_FRAMES_PER_FLOW``).  ``observed`` splits the whole-run
+   cost into counters / journal recording / export from the four
+   timings; like every wall-clock difference here it is reported, not
+   gated.
+4. **Disabled telemetry is (nearly) free, enabled telemetry nearly
+   so.**  A site whose component keeps its own count registered a
+   read and makes no instrument call in either mode; what remains
+   pushed bumps a pre-bound cell (the shared no-op when disabled).
+   There is no uninstrumented build to diff against, so the
+   ``telemetry`` section counts the calls that actually happen —
+   Python frames entered in ``repro/obs/metrics.py`` over a flow
+   workload — DISABLED (``touches``, gated per simulator event by
+   ``MAX_TOUCHES_PER_EVENT``; ``touches x one microbenchmarked no-op
+   touch`` over the un-profiled wall time is reported as
+   ``disabled_overhead``, 0.1%) and ENABLED (``enabled_touches``,
+   gated by ``MAX_ENABLED_TOUCHES_PER_EVENT``).  The enabled domain
+   must also *show* the run (``enabled_readings``: instruments with a
+   non-zero value in its snapshot), or the section measures nothing.
 
 The journal's own digest is additionally asserted stable across two
 same-seed runs — the reproducibility that makes ``python -m repro.obs
@@ -64,7 +78,7 @@ from repro.experiments.scalability import WEB_IP, _web_server, flowgen_image
 from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
 from repro.obs.journal import ROOT as JOURNAL_ROOT, Journal
-from repro.obs.metrics import Counter, Histogram, NULL_INSTRUMENT
+from repro.obs.metrics import NULL_INSTRUMENT
 from repro.parallel.tasks import farm_digest
 from repro.services.dhcp import DhcpClient
 
@@ -89,9 +103,20 @@ MAX_PUMP_EVENTS = 8
 MAX_EVENTS_PER_FLOW = 5.0
 MAX_RECORD_NS = 10_000
 
+#: The fully observed scan, counted up to its export: Python frames in
+#: repro/obs/metrics.py per simulator event (3.2 while telemetry kept
+#: its own counts, 0.09 now) and in repro/obs/ per journaled flow (138
+#: then, 10.5 now: four record() calls, bind_flow, flow_for, and the
+#: verdict cell and two histograms that are still pushed).
+MAX_ENABLED_TOUCHES_PER_EVENT = 0.2
+MAX_OBS_FRAMES_PER_FLOW = 16.0
+
 #: Disabled-telemetry bound (PR 1's gate) and its workload: no-op
-#: instrument calls per simulator event (0.15 today).
+#: instrument calls per simulator event (0.05 today).  Enabled, the
+#: same workload is held to MAX_ENABLED_TOUCHES_PER_EVENT and must show
+#: at least MIN_ENABLED_READINGS non-zero instruments.
 MAX_TOUCHES_PER_EVENT = 0.25
+MIN_ENABLED_READINGS = 20
 TELEMETRY_SUBFARMS = 2
 TELEMETRY_INMATES_PER = 6
 TELEMETRY_FLOW_INTERVAL = 2.0
@@ -242,19 +267,50 @@ def _scan_image(stop_at: float):
     return image
 
 
-def _scan_run(journal_on: bool, duration: float) -> dict:
-    farm = Farm(FarmConfig(seed=SEED, telemetry=True, journal=journal_on))
+def _obs_frames():
+    """``(hook, counts)``: a profile hook counting Python frames
+    entered under ``repro/obs/`` into ``counts`` — ``"metrics"`` for
+    ``metrics.py``, ``"obs"`` for the whole package."""
+    metrics_file = sys.modules[NULL_INSTRUMENT.__module__].__file__
+    obs_dir = os.path.dirname(metrics_file) + os.sep
+    counts = {"metrics": 0, "obs": 0}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename.startswith(obs_dir):
+                counts["obs"] += 1
+                if filename == metrics_file:
+                    counts["metrics"] += 1
+
+    return hook, counts
+
+
+def _scan_run(journal_on: bool, telemetry_on: bool, duration: float,
+              profile=None) -> dict:
+    farm = Farm(FarmConfig(seed=SEED, telemetry=telemetry_on,
+                           journal=journal_on))
     _web_server(farm.add_external_host("web", WEB_IP))
     sub = farm.create_subfarm("scan")
     sub.add_catchall_sink()
     sub.set_default_policy(DslPolicy(SCAN_PROGRAM))
     for _ in range(SCAN_INMATES):
         sub.create_inmate(image_factory=_scan_image(duration - 10.0))
-    started = perf_counter()
-    farm.run(until=duration)
+    sys.setprofile(profile)
+    try:
+        started = perf_counter()
+        farm.run(until=duration)
+        ran = perf_counter()
+    finally:
+        sys.setprofile(None)
+    # What an operator does with an observed run: export it.
+    farm.telemetry_snapshot()
+    farm.journal.digest()
     return {
-        "seconds": perf_counter() - started,
+        "seconds": ran - started,
+        "export_seconds": perf_counter() - ran,
         "flows": sub.router.counters["flows_created"],
+        "sim_events": farm.sim.events_processed,
         "events": farm.journal.events(),
         "digest": farm_digest(farm)[0],
     }
@@ -278,43 +334,71 @@ def _record_cost(events) -> float:
 
 
 def scan_cost(duration: float) -> dict:
-    """Journal cost where it fires per flow.
+    """Observation cost where it fires per flow.
 
-    Whole run: the same scan with the journal off and on, sides
-    alternating within each repeat (best-of per side, as in
-    :func:`forwarding_rates`) — ``slowdown`` is everything being
-    journaled costs (call-site id formatting and alias lookups as well
-    as recording), but as the difference of two seconds-long runs it
-    only resolves a few percent, so it is reported, not gated.
+    Whole run: the same scan under the four (journal, telemetry)
+    combinations, sides alternating within each repeat (best-of per
+    side, as in :func:`forwarding_rates`).  ``slowdown`` is everything
+    being journaled costs a telemetry-on run (call-site id formatting
+    and alias lookups as well as recording); ``observed`` splits what
+    the fully observed run pays over the unobserved one into counters,
+    journal recording and export.  As differences of seconds-long runs
+    they only resolve a few percent, so they are reported, not gated.
     Recorder: ``ns_per_event`` / ``events_per_sec`` time
     ``Journal.record`` itself over the journaled run's event stream
     (:func:`_record_cost`); ``farm_events_per_sec`` is what the
-    journaled farm sustained, not a ceiling on the recorder."""
-    best = [float("inf"), float("inf")]
-    runs = [None, None]
+    journaled farm sustained, not a ceiling on the recorder.
+    Counted: one more fully observed run under :func:`_obs_frames`."""
+    sides = [(journal_on, telemetry_on) for journal_on in (False, True)
+             for telemetry_on in (False, True)]
+    best = {side: float("inf") for side in sides}
+    export = float("inf")
+    runs = {}
     for _ in range(SCAN_REPEATS):
-        for journal_on in (False, True):
-            run = _scan_run(journal_on, duration)
-            best[journal_on] = min(best[journal_on], run["seconds"])
-            runs[journal_on] = run
-    off, on = runs
+        for side in sides:
+            run = runs[side] = _scan_run(*side, duration)
+            best[side] = min(best[side], run["seconds"])
+            if side == (True, True):
+                export = min(export, run["export_seconds"])
+    on, off = runs[True, True], runs[False, True]
     events = len(on["events"])
     per_event = _record_cost(on["events"]) if events else 0.0
+    hook, frames = _obs_frames()
+    counted = _scan_run(True, True, duration, profile=hook)
+    neither, both = best[False, False], best[True, True]
     return {
         "duration": duration,
         "flows": on["flows"],
         "journal_events": events,
         "events_per_flow": round(events / on["flows"], 2)
         if on["flows"] else 0.0,
-        "seconds_off": round(best[False], 4),
-        "seconds_on": round(best[True], 4),
-        "slowdown": round((best[True] - best[False]) / best[False], 4)
-        if best[False] else 1.0,
+        "seconds_off": round(best[False, True], 4),
+        "seconds_on": round(both, 4),
+        "slowdown": round((both - best[False, True]) / best[False, True], 4)
+        if best[False, True] else 1.0,
         "ns_per_event": round(per_event * 1e9),
         "events_per_sec": round(1.0 / per_event) if per_event else 0,
-        "farm_events_per_sec": round(events / best[True])
-        if best[True] else 0,
-        "digest_match": on["digest"] == off["digest"],
+        "farm_events_per_sec": round(events / both) if both else 0,
+        # The digest folds the telemetry snapshot in, so it is compared
+        # journal off against on under each telemetry setting.
+        "digest_match": all(
+            runs[False, telemetry_on]["digest"]
+            == runs[True, telemetry_on]["digest"]
+            for telemetry_on in (False, True)),
+        "observed": {
+            "seconds_neither": round(neither, 4),
+            "seconds_telemetry": round(best[False, True], 4),
+            "seconds_journal": round(best[True, False], 4),
+            "seconds_both": round(both, 4),
+            "counters_s": round(best[False, True] - neither, 4),
+            "journal_s": round(best[True, False] - neither, 4),
+            "export_s": round(export, 4),
+            "share": round((both + export - neither) / (both + export), 4),
+        },
+        "sim_events": counted["sim_events"],
+        "metrics_frames_per_event": round(
+            frames["metrics"] / counted["sim_events"], 3),
+        "obs_frames_per_flow": round(frames["obs"] / counted["flows"], 2),
     }
 
 
@@ -336,37 +420,26 @@ def _telemetry_run(telemetry: bool, profile=None):
         sys.setprofile(None)
 
 
-def _disabled_touches() -> int:
-    """Instrument calls a telemetry-DISABLED run really makes: Python
-    frames entered in ``repro/obs/metrics.py`` (the shared no-op
-    instrument's methods), counted with a profile hook."""
-    metrics_file = sys.modules[NULL_INSTRUMENT.__module__].__file__
-    touches = 0
-
-    def hook(frame, event, arg):
-        nonlocal touches
-        if event == "call" and frame.f_code.co_filename == metrics_file:
-            touches += 1
-
-    _telemetry_run(False, profile=hook)
-    return touches
+def _touches(telemetry: bool):
+    """Instrument calls a run really makes: Python frames entered in
+    ``repro/obs/metrics.py`` (the shared no-op instrument's methods
+    when disabled, the cells still pushed when enabled), counted with
+    a profile hook.  Returns ``(farm, touches)``."""
+    hook, frames = _obs_frames()
+    farm, _ = _telemetry_run(telemetry, profile=hook)
+    return farm, frames["metrics"]
 
 
-def _enabled_touches(telemetry) -> int:
-    """Replay a live domain into a touch count: each counter increment
-    and histogram observation is one call-site touch; the run loop
-    additionally sets the queue-depth gauge once per schedule and once
-    per fire."""
-    touches = 0
-    for metric in telemetry.metrics():
-        if isinstance(metric, Counter):
-            touches += int(metric.total())
-        elif isinstance(metric, Histogram):
-            touches += sum(cell.count for cell in metric.cells().values())
-    for name in ("sim.events.scheduled", "sim.events.fired"):
-        metric = telemetry.get(name)
-        touches += int(metric.total()) if metric is not None else 0
-    return touches
+def _readings(farm) -> int:
+    """Instruments showing the run in an enabled domain's snapshot:
+    counters and gauges with a non-zero value (most of them read
+    straight off the component that counts), histograms with
+    observations."""
+    snap = farm.telemetry_snapshot()
+    return (sum(1 for family in ("counters", "gauges")
+                for value in snap[family].values() if value)
+            + sum(1 for entry in snap["histograms"].values()
+                  if entry["count"]))
 
 
 def _noop_cost() -> float:
@@ -382,12 +455,12 @@ def _noop_cost() -> float:
 
 
 def disabled_telemetry_overhead() -> dict:
-    """The disabled-path count (see module docstring, 4).  The
-    analytic overhead and the enabled/disabled wall ratio are context,
-    not asserted — single-run wall times are too noisy for a hard
-    bound."""
+    """The two counts (see module docstring, 4).  The analytic
+    overhead and the enabled/disabled wall ratio are context, not
+    asserted — single-run wall times are too noisy for a hard bound."""
     enabled_farm, enabled_wall = _telemetry_run(True)
-    touches = _disabled_touches()
+    _, touches = _touches(False)
+    counted_farm, enabled_touches = _touches(True)
     # Disabled is the production configuration: best of three.
     disabled_wall = min(_telemetry_run(False)[1] for _ in range(3))
     per_touch = _noop_cost()
@@ -396,7 +469,8 @@ def disabled_telemetry_overhead() -> dict:
                     f"{TELEMETRY_INMATES_PER} inmates, "
                     f"{TELEMETRY_DURATION:.0f} virtual s",
         "events": enabled_farm.sim.events_processed,
-        "enabled_touches": _enabled_touches(enabled_farm.telemetry),
+        "enabled_touches": enabled_touches,
+        "enabled_readings": _readings(counted_farm),
         "touches": touches,
         "per_touch_ns": round(per_touch * 1e9, 1),
         "disabled_seconds": round(disabled_wall, 4),
@@ -461,12 +535,30 @@ def run_gate(packets: int, scan_duration: float) -> dict:
         violations.append(
             f"Journal.record costs {scan['ns_per_event']} ns per event "
             f"over the scan's own stream (limit {MAX_RECORD_NS})")
+    if scan["metrics_frames_per_event"] > MAX_ENABLED_TOUCHES_PER_EVENT:
+        violations.append(
+            f"the observed scan enters metrics.py "
+            f"{scan['metrics_frames_per_event']} times per simulator "
+            f"event (limit {MAX_ENABLED_TOUCHES_PER_EVENT}) — a site "
+            "pushes a count its component already keeps")
+    if scan["obs_frames_per_flow"] > MAX_OBS_FRAMES_PER_FLOW:
+        violations.append(
+            f"the observed scan enters repro/obs/ "
+            f"{scan['obs_frames_per_flow']} times per journaled flow "
+            f"(limit {MAX_OBS_FRAMES_PER_FLOW})")
 
     telemetry = disabled_telemetry_overhead()
-    if telemetry["enabled_touches"] <= 1000:
-        violations.append("telemetry workload touched only "
-                          f"{telemetry['enabled_touches']} instruments "
-                          "when enabled — the gate is measuring nothing")
+    if telemetry["enabled_readings"] < MIN_ENABLED_READINGS:
+        violations.append("telemetry workload shows only "
+                          f"{telemetry['enabled_readings']} non-zero "
+                          "instruments when enabled — the gate is "
+                          "measuring nothing")
+    if (telemetry["enabled_touches"]
+            > MAX_ENABLED_TOUCHES_PER_EVENT * telemetry["events"]):
+        violations.append(
+            f"enabled telemetry makes {telemetry['enabled_touches']} "
+            f"instrument calls over {telemetry['events']} events (limit "
+            f"{MAX_ENABLED_TOUCHES_PER_EVENT} per event)")
     if telemetry["touches"] > MAX_TOUCHES_PER_EVENT * telemetry["events"]:
         violations.append(
             f"disabled telemetry makes {telemetry['touches']} no-op "
@@ -482,6 +574,8 @@ def run_gate(packets: int, scan_duration: float) -> dict:
             "max_events_per_flow": MAX_EVENTS_PER_FLOW,
             "max_record_ns": MAX_RECORD_NS,
             "max_touches_per_event": MAX_TOUCHES_PER_EVENT,
+            "max_enabled_touches_per_event": MAX_ENABLED_TOUCHES_PER_EVENT,
+            "max_obs_frames_per_flow": MAX_OBS_FRAMES_PER_FLOW,
             "python": sys.version.split()[0],
         },
         "digest_identity": {
@@ -535,7 +629,8 @@ def main(argv=None) -> int:
         return 1
     print("observability overhead gate OK (reported, not gated: "
           f"forwarding slowdown {result['forwarding']['slowdown']:.1%}, "
-          f"scan slowdown {result['scan']['slowdown']:.1%}, disabled "
+          f"scan slowdown {result['scan']['slowdown']:.1%}, observed "
+          f"share {result['scan']['observed']['share']:.1%}, disabled "
           f"telemetry {result['telemetry']['disabled_overhead']:.2%})")
     return 0
 

@@ -16,6 +16,7 @@ inmate controller on the management network.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.policy import (
@@ -30,7 +31,7 @@ from repro.core.shim import (
     RequestShim,
     ResponseShim,
 )
-from repro.core.verdicts import ContainmentDecision, Verdict
+from repro.core.verdicts import ContainmentDecision
 from repro.net.addresses import IPv4Address
 from repro.net.errors import ParseError
 from repro.net.flow import FiveTuple
@@ -200,7 +201,7 @@ class _CsConnection:
                             received_at=self.shim_seen_at)
         response = ResponseShim.from_decision(self.shim.flow, decision)
         self.conn.send(response.to_bytes())
-        if decision.verdict & Verdict.REWRITE:
+        if decision.verdict.is_content_control:
             self.rewriter = self.policy.make_rewriter(self.ctx)
             self.proxy = _ServerFlowProxy(self.server, self.conn, self.ctx,
                                           self.rewriter)
@@ -352,19 +353,25 @@ class ContainmentServer:
         record = VerdictRecord(self.sim.now, shim.vlan_id, shim.flow, decision)
         self.verdict_log.append(record)
         key = decision.verdict.label
-        self.verdict_counts[key] = self.verdict_counts.get(key, 0) + 1
-        self._m_verdicts.inc(server=self.host.name, verdict=key)
+        if key not in self.verdict_counts:
+            self.verdict_counts[key] = 0
+            self._m_verdicts.register(
+                partial(self.verdict_counts.__getitem__, key),
+                server=self.host.name, verdict=key)
+        self.verdict_counts[key] += 1
         if received_at is not None:
             self._h_latency.observe(self.sim.now - received_at)
         if self.journal.enabled:
             # The router bound the gateway-side flow id to this alias
             # when it admitted the flow; resolving it stitches the CS
-            # verdict into the same causal chain.
-            alias = f"vlan{shim.vlan_id}/{shim.flow}"
+            # verdict into the same causal chain.  A flow nobody bound
+            # (or whose binding aged out) goes by its rendered tuple.
             engine = self.trigger_engine
             self.journal.record(
                 "verdict.issued",
-                flow=self.journal.flow_for(alias) or alias,
+                flow=(self.journal.flow_for(
+                    (shim.vlan_id, shim.flow.as_key()))
+                    or f"vlan{shim.vlan_id}/{shim.flow}"),
                 vlan=shim.vlan_id, server=self.host.name,
                 verdict=key, policy=decision.policy,
                 trigger_rules=(len(engine._rules)
@@ -414,7 +421,7 @@ class ContainmentServer:
             self._record(shim, decision)
 
         response = ResponseShim.from_decision(shim.flow, decision).to_bytes()
-        if decision.verdict & Verdict.REWRITE:
+        if decision.verdict.is_content_control:
             reply = policy.rewrite_datagram(ctx, content)
             if reply:
                 response += reply

@@ -189,7 +189,7 @@ class ResponseShim:
     def to_decision(self, original: FiveTuple) -> ContainmentDecision:
         """Reconstruct the decision the gateway must enforce."""
         target_ip = target_port = None
-        if self.verdict & (Verdict.REDIRECT | Verdict.REFLECT):
+        if self.verdict.needs_target:
             target_ip = self.flow.resp_ip
             target_port = self.flow.resp_port
         return ContainmentDecision(

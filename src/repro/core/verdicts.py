@@ -73,7 +73,15 @@ class Verdict(enum.IntFlag):
 
     @property
     def is_content_control(self) -> bool:
-        return bool(self & Verdict.REWRITE)
+        return self._value_ & _REWRITE != 0
+
+    @property
+    def is_limited(self) -> bool:
+        return self._value_ & _LIMIT != 0
+
+    @property
+    def needs_target(self) -> bool:
+        return self._value_ & _NEEDS_TARGET != 0
 
     @property
     def grants_world(self) -> bool:
@@ -107,11 +115,15 @@ class Verdict(enum.IntFlag):
 
 
 # A verdict is one of a handful of bit patterns issued once per flow,
-# and every ``self & op`` above re-enters enum.py: answer per ``_value_``
-# instead.  The enum caches one pseudo-member per distinct value, so
-# these never hold more keys than ``Verdict`` itself does.
+# and every ``self & op`` or ``op | op`` re-enters enum.py four frames
+# deep: answer per ``_value_`` or against an int mask instead.  The enum
+# caches one pseudo-member per distinct value, so the two caches never
+# hold more keys than ``Verdict`` itself does.
 _LABELS: Dict[int, str] = {}
 _VALIDATED: Set[int] = set()
+_LIMIT = Verdict.LIMIT._value_
+_REWRITE = Verdict.REWRITE._value_
+_NEEDS_TARGET = (Verdict.REDIRECT | Verdict.REFLECT)._value_
 _ENDPOINT_PRIORITY = tuple(
     (op._value_, op) for op in (Verdict.DROP, Verdict.REDIRECT,
                                 Verdict.REFLECT, Verdict.FORWARD,
@@ -147,8 +159,7 @@ class ContainmentDecision:
         self.rate = rate
         self.policy = policy
         self.annotation = annotation
-        needs_target = verdict & (Verdict.REDIRECT | Verdict.REFLECT)
-        if needs_target and self.target_ip is None:
+        if verdict._value_ & _NEEDS_TARGET and self.target_ip is None:
             raise ValueError(f"{verdict!r} requires a target address")
 
     # Convenience constructors mirror Figure 2 -------------------------

@@ -60,7 +60,6 @@ def handle_dhcp(router, vlan: int, frame, packet: IPv4Packet) -> None:
             router=router.gateway_ip, dns=router.dns_ip or router.gateway_ip,
         )
         router.counters["dhcp_leases"] += 1
-        router._m_dhcp.inc()
     else:
         return
     out = IPv4Packet(
@@ -106,7 +105,6 @@ def new_flow(router, packet: IPv4Packet, vlan: int,
     housekeeping.arm(router)
     router._flows.append(record)
     router.counters["flows_created"] += 1
-    router._m_flows_created.inc()
     router._by_mux[mux] = record
     router._by_nonce[record.nonce_port] = record
     # The originator's tuple reversed, then the coupled legs.
@@ -114,13 +112,13 @@ def new_flow(router, packet: IPv4Packet, vlan: int,
     coupling.couple(router, record)
 
     if router.journal.enabled:
-        # The five-tuple alias lets the containment server — which
-        # only ever sees the flow through serialized shim bytes —
-        # journal onto the same causal chain.
+        # The (VLAN, five-tuple) alias lets the containment server —
+        # which only ever sees the flow through serialized shim bytes
+        # — journal onto the same causal chain.
         flow_id = (f"{router.name}/vlan{vlan}/mux{mux}"
                    f"/t{router.sim.now:.6f}")
         router._trace_ids[mux] = flow_id
-        router.journal.bind_flow(f"vlan{vlan}/{key}", flow_id)
+        router.journal.bind_flow((vlan, record.orig_key), flow_id)
         router.journal.record(
             "flow.created", flow=flow_id, vlan=vlan,
             parent=JOURNAL_ROOT,
@@ -150,7 +148,6 @@ def refuse(router, key: FiveTuple, vlan: int, inmate_is_originator: bool,
     router._flows.append(record)
     router.flow_log.append(FlowLogEntry(router.sim.now, record))
     router.counters["flows_refused"] += 1
-    router._m_flows_refused.inc()
     if router.journal.enabled:
         router.journal.record(
             "flow.refused",

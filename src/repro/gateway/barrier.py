@@ -27,6 +27,7 @@ definition a parser bug, and exactly what :mod:`repro.fuzz` hunts.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.capture import write_pcap
@@ -112,11 +113,6 @@ class MaliceBarrier:
         self.quarantine: List[QuarantineEntry] = []
         self.quarantine_rotated = 0
 
-        # Telemetry cells bound lazily per (vlan, protocol): a clean
-        # run binds nothing, so snapshots stay byte-identical.
-        self._metric = None
-        self._cells: Dict[Tuple[int, str], object] = {}
-
     # ------------------------------------------------------------------
     def record(self, error: ParseError, vlan: Optional[int] = None,
                data: Optional[bytes] = None, frame=None) -> str:
@@ -128,21 +124,20 @@ class MaliceBarrier:
         protocol = getattr(error, "protocol", None) or "unknown"
         vkey = vlan if vlan is not None else 0
         key = (vkey, protocol)
-        self.counts[key] = self.counts.get(key, 0) + 1
         self.parse_errors += 1
-
-        if self.telemetry is not None:
-            cell = self._cells.get(key)
-            if cell is None:
-                if self._metric is None:
-                    self._metric = self.telemetry.counter(
-                        "barrier.parse_errors",
-                        "Frames dropped by the malice barrier, "
-                        "by VLAN and protocol")
-                cell = self._metric.bind(subfarm=self.name, vlan=str(vkey),
-                                         protocol=protocol)
-                self._cells[key] = cell
-            cell.inc()
+        if key not in self.counts:
+            # Telemetry reads the count from its first appearance: a
+            # clean run registers nothing, so snapshots stay identical.
+            self.counts[key] = 0
+            if self.telemetry is not None:
+                self.telemetry.counter(
+                    "barrier.parse_errors",
+                    "Frames dropped by the malice barrier, "
+                    "by VLAN and protocol"
+                ).register(partial(self.counts.__getitem__, key),
+                           subfarm=self.name, vlan=str(vkey),
+                           protocol=protocol)
+        self.counts[key] += 1
 
         raw = data
         if raw is None and frame is not None:

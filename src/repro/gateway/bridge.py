@@ -50,29 +50,25 @@ class LearningBridge:
     def __init__(self, telemetry=None, subfarm: str = "") -> None:
         self.entries: Dict[int, BridgeEntry] = {}
         self._vlan_by_ip: Dict[int, int] = {}
+        self.observations = 0
+        self.learned = 0
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # learn() runs per frame: no instrument call while telemetry
-        # is off (docs/OBSERVABILITY.md).
-        self._live = telemetry.enabled
-        self._m_learned = telemetry.counter(
+        telemetry.counter(
             "gw.bridge.learned", "New (VLAN, MAC) entries"
-        ).bind(subfarm=subfarm)
-        self._m_observations = telemetry.counter(
+        ).register(lambda: self.learned, subfarm=subfarm)
+        telemetry.counter(
             "gw.bridge.observations", "Frames observed by the bridge"
-        ).bind(subfarm=subfarm)
+        ).register(lambda: self.observations, subfarm=subfarm)
 
     def learn(self, vlan: int, mac: MacAddress, now: float,
               ip: Optional[IPv4Address] = None) -> BridgeEntry:
         """Record an observation of traffic from an inmate."""
-        live = self._live
-        if live:
-            self._m_observations.inc()
+        self.observations += 1
         entry = self.entries.get(vlan)
         if entry is None or entry.mac.value != mac.value:
             entry = BridgeEntry(vlan, mac, now)
             self.entries[vlan] = entry
-            if live:
-                self._m_learned.inc()
+            self.learned += 1
         entry.last_seen = now
         entry.frames += 1
         if ip is not None and ip.value != 0:

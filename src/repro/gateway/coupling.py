@@ -22,7 +22,7 @@ from repro.core.shim import (
     ShimError,
     peek_length,
 )
-from repro.core.verdicts import ContainmentDecision, Verdict
+from repro.core.verdicts import ContainmentDecision
 from repro.gateway import admission, handoff, housekeeping
 from repro.gateway.flows import (
     DECIDED_PHASES,
@@ -203,7 +203,6 @@ def inject_request_shim(router, record: FlowRecord) -> None:
     record.c2s_inj = len(payload)
     record.shim_injected = True
     router.counters["shims_injected"] += 1
-    router._m_shims_injected.inc()
     to_cs(router, record, seq_add(record.client_isn, 1),
           seq_add(record.cs_isn, 1), ACK | PSH, payload)
     couple(router, record)
@@ -231,7 +230,7 @@ def from_cs(router, row: Row, packet: IPv4Packet) -> None:
         record.s2c_packets += 1
         if record.phase is FlowPhase.SHIM or (
             record.decision is not None
-            and record.decision.verdict & Verdict.REWRITE
+            and record.decision.verdict.is_content_control
         ):
             housekeeping.abort_flow(router, record, notify_client=True)
         return
@@ -298,7 +297,6 @@ def try_parse_response_shim(router, record: FlowRecord) -> None:
         return
     record.s2c_rem = length
     router.counters["shims_stripped"] += 1
-    router._m_shims_stripped.inc()
     if router.resilience is not None:
         router.resilience.note_verdict(record.cs_ip)
     decision = shim.to_decision(record.orig)
@@ -316,13 +314,12 @@ def handle_cs_udp(router, record: FlowRecord, packet: IPv4Packet) -> None:
         return
     leftover = payload[length:]
     router.counters["shims_stripped"] += 1
-    router._m_shims_stripped.inc()
     if router.resilience is not None:
         router.resilience.note_verdict(record.cs_ip)
     if record.decision is None:
         handoff.apply_decision(router, record, shim.to_decision(record.orig),
                                leftover)
-    elif leftover and record.decision.verdict & Verdict.REWRITE:
+    elif leftover and record.decision.verdict.is_content_control:
         deliver_udp_to_client(router, record, leftover)
 
 

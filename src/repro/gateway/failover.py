@@ -252,17 +252,17 @@ class RouterResilience:
         self.degraded_refusals = 0
 
         tel = sim.telemetry
-        self._m_fail_closed = tel.counter(
+        tel.counter(
             "resilience.fail_closed",
             "Flows resolved by the fail-closed pending policy"
-        ).bind(subfarm=subfarm)
-        self._m_retries = tel.counter(
+        ).register(lambda: self.fail_closed, subfarm=subfarm)
+        tel.counter(
             "resilience.retries", "Shim verdict delivery retries"
-        ).bind(subfarm=subfarm)
-        self._m_failovers = tel.counter(
+        ).register(lambda: self.retries, subfarm=subfarm)
+        tel.counter(
             "resilience.failovers",
             "Flows re-homed to a standby containment server"
-        ).bind(subfarm=subfarm)
+        ).register(lambda: self.failovers, subfarm=subfarm)
         self._g_degraded = tel.gauge(
             "resilience.degraded",
             "1 while every containment server is down"
@@ -352,7 +352,6 @@ class RouterResilience:
             self._apply_pending(record, annotation="containment degraded")
             return True
         self.retries += 1
-        self._m_retries.inc()
         if self.journal.enabled:
             self.journal.record(
                 "failover.retry",
@@ -361,7 +360,6 @@ class RouterResilience:
         router = self.router
         if target != record.cs_ip:
             self.failovers += 1
-            self._m_failovers.inc()
             self._rehome(record, target)
             return False
         if record.orig.proto == PROTO_TCP:
@@ -429,7 +427,6 @@ class RouterResilience:
                 policy=decision.policy, annotation=annotation)
         if decision.verdict is Verdict.DROP:
             self.fail_closed += 1
-            self._m_fail_closed.inc()
         else:
             self.fail_open += 1
         handoff.apply_decision(self.router, record, decision)

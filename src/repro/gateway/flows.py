@@ -94,11 +94,9 @@ class FlowRecord:
         self.orig = orig
         # The same tuple and its reverse as the router's flow keys:
         # ``(src ip as int, sport, dst ip as int, dport, proto)``.
-        src, dst = orig.orig_ip.value, orig.resp_ip.value
-        self.orig_key = (src, orig.orig_port, dst, orig.resp_port,
-                         orig.proto)
-        self.resp_key = (dst, orig.resp_port, src, orig.orig_port,
-                         orig.proto)
+        self.orig_key = orig.as_key()
+        src, sport, dst, dport, proto = self.orig_key
+        self.resp_key = (dst, dport, src, sport, proto)
         self.vlan = vlan
         self.inmate_is_originator = inmate_is_originator
         self.created_at = created_at

@@ -274,8 +274,8 @@ class FlowTable:
     C-level dict hit.  Keys enter it through :meth:`bind` and leave
     through :meth:`unbind` only; everything the table reports is about
     *installed* rules.  Stats are plain ints bumped on the packet path;
-    telemetry cells are synchronized at flow-rate events (install/
-    evict/sweep/stats) so observation never costs the datapath anything.
+    telemetry reads the copy :meth:`sync_metrics` takes at flow-rate
+    events (install/evict/stats), costing the datapath nothing.
     """
 
     def __init__(self, name: str, telemetry=None) -> None:
@@ -288,27 +288,27 @@ class FlowTable:
         self.evictions = 0
         self.timeout_idle = 0
         self.timeout_hard = 0
+        # (occupancy, hits, misses, installs, idle, hard) for telemetry.
+        self._synced = None
         tel = telemetry
         if tel is not None and tel.enabled:
-            self._g_occupancy = tel.gauge(
+            self._synced = (0, 0, 0, 0, 0, 0)
+            tel.gauge(
                 "flowtable.occupancy", "Installed flow-table entries"
-            ).bind(subfarm=name)
-            self._c_hits = tel.counter(
-                "flowtable.hits", "Flow-table probe hits").bind(subfarm=name)
-            self._c_misses = tel.counter(
-                "flowtable.misses",
-                "Flow-table misses (slow-path packets)").bind(subfarm=name)
-            self._c_installs = tel.counter(
-                "flowtable.installs", "Entries installed").bind(subfarm=name)
-            self._c_timeout_idle = tel.counter(
-                "flowtable.evictions.timeout", "Entries aged out"
-            ).bind(subfarm=name, reason="idle")
-            self._c_timeout_hard = tel.counter(
-                "flowtable.evictions.timeout", "Entries aged out"
-            ).bind(subfarm=name, reason="hard")
-        else:
-            self._g_occupancy = None
-        self._synced = [0, 0, 0, 0, 0]
+            ).register(lambda: self._synced[0], subfarm=name)
+            for index, (metric, help, labels) in enumerate((
+                ("flowtable.hits", "Flow-table probe hits", {}),
+                ("flowtable.misses",
+                 "Flow-table misses (slow-path packets)", {}),
+                ("flowtable.installs", "Entries installed", {}),
+                ("flowtable.evictions.timeout", "Entries aged out",
+                 {"reason": "idle"}),
+                ("flowtable.evictions.timeout", "Entries aged out",
+                 {"reason": "hard"}),
+            ), 1):
+                tel.counter(metric, help).register(
+                    lambda index=index: self._synced[index],
+                    subfarm=name, **labels)
 
     def __len__(self) -> int:
         return self.occupancy
@@ -348,23 +348,12 @@ class FlowTable:
                 and row.record is record]
 
     def sync_metrics(self) -> None:
-        """Mirror the plain-int stats into telemetry cells (monotonic
-        deltas, so disabled telemetry costs nothing here either)."""
-        if self._g_occupancy is None:
-            return
-        self._g_occupancy.set(float(self.occupancy))
-        synced = self._synced
-        for index, (count, cell) in enumerate((
-            (self.hits, self._c_hits),
-            (self.misses, self._c_misses),
-            (self.installs, self._c_installs),
-            (self.timeout_idle, self._c_timeout_idle),
-            (self.timeout_hard, self._c_timeout_hard),
-        )):
-            delta = count - synced[index]
-            if delta:
-                cell.inc(delta)
-                synced[index] = count
+        """Publish the plain-int stats to telemetry: a snapshot shows
+        them as of the last call, as it always has."""
+        if self._synced is not None:
+            self._synced = (self.occupancy, self.hits, self.misses,
+                            self.installs, self.timeout_idle,
+                            self.timeout_hard)
 
     def stats(self) -> dict:
         self.sync_metrics()
@@ -461,8 +450,6 @@ def apply(router, row: Rewrite, packet: IPv4Packet,
                           row.payload_prefix + payload)
     if counter is not None:
         router.counters[counter] += 1
-        if router._live:
-            router._cells[counter].inc()
     egress.send(IPv4Packet.wrap(row.src_ip, row.dst_ip, out, proto))
 
 
@@ -503,7 +490,6 @@ def run_soa(router, entry: FlowEntry, batch, i: int, j: int,
         record.s2c_bytes += nbytes
     if counter is not None:
         router.counters[counter] += count
-        router._cells[counter].inc(count)
     payloads = batch.pay_obj[i:j]
     if proto == PROTO_UDP:
         if entry.payload_prefix:

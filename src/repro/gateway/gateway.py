@@ -75,17 +75,19 @@ class Gateway:
         self.frames_received = 0
         self.frames_unroutable = 0
 
+        # Telemetry reads the two counts above; floods, which only the
+        # VLAN egresses see, are pushed (docs/OBSERVABILITY.md).
         telemetry = sim.telemetry
-        # Per-frame instrument sites make no call while telemetry is
-        # off (docs/OBSERVABILITY.md).
-        self._live = telemetry.enabled
-        self._m_frames = telemetry.counter(
-            "gw.frames.received", "Frames hitting the gateway").bind()
-        self._m_unroutable = telemetry.counter(
-            "gw.frames.unroutable", "Frames with no owning subfarm").bind()
+        telemetry.counter(
+            "gw.frames.received", "Frames hitting the gateway"
+        ).register(lambda: self.frames_received)
+        telemetry.counter(
+            "gw.frames.unroutable", "Frames with no owning subfarm"
+        ).register(lambda: self.frames_unroutable)
         self._m_floods = telemetry.counter(
             "gw.bridge.floods",
-            "VLAN deliveries broadcast for lack of a learned MAC").bind()
+            "VLAN deliveries broadcast for lack of a learned MAC"
+        ).bind() if telemetry.enabled else None
 
         # GRE tunnels connecting donated address space (§7.2).
         self.tunnels: List = []
@@ -148,7 +150,7 @@ class Gateway:
         self._router_by_vlan[vlan] = router
         self._vlan_egress[vlan] = VlanEgress(
             self.sim, self.trunk_port, self.mac, vlan, router,
-            self._m_floods if self._live else None)
+            self._m_floods)
 
     def unbind_vlan(self, vlan: int) -> None:
         """Take a VLAN back (its inmate is gone).  The addresses it held
@@ -205,13 +207,9 @@ class Gateway:
     # ------------------------------------------------------------------
     def _note_unroutable(self) -> None:
         self.frames_unroutable += 1
-        if self._live:
-            self._m_unroutable.inc()
 
     def receive_frame(self, frame: EthernetFrame, port: GatewayPort) -> None:
         self.frames_received += 1
-        if self._live:
-            self._m_frames.inc()
         if frame.ethertype == ETHERTYPE_ARP:
             self._proxy_arp(frame, port)
             return
@@ -259,13 +257,10 @@ class Gateway:
             for frame in frames:
                 self.receive_frame(frame, port)
             return
-        live = self._live
         run_router = None
         run_items = None
         for frame in frames:
             self.frames_received += 1
-            if live:
-                self._m_frames.inc()
             if frame.ethertype == ETHERTYPE_ARP:
                 if run_router is not None:
                     run_router.inmate_frame_batch(run_items)

@@ -71,7 +71,7 @@ def apply_decision(router, record: FlowRecord,
     verdict = decision.verdict
     tcp = record.orig.proto == PROTO_TCP
 
-    if verdict & Verdict.REWRITE:
+    if verdict.is_content_control:
         # Content control: stay coupled to the containment server —
         # the coupled rows, as the record stands now (the response
         # shim out, maybe a shaper in), become its rules.
@@ -89,7 +89,7 @@ def apply_decision(router, record: FlowRecord,
         return
 
     endpoint = verdict.endpoint_op
-    if verdict & Verdict.LIMIT and decision.rate is not None:
+    if verdict.is_limited and decision.rate is not None:
         record.shaper = TokenBucket(decision.rate)
     if tcp:
         # The server leaves the path, but what it still sends on
@@ -231,7 +231,6 @@ def dst_alias(router, record: FlowRecord) -> tuple:
 def begin_handoff(router, record: FlowRecord) -> None:
     record.phase = FlowPhase.HANDOFF
     router.counters["handoffs"] += 1
-    router._m_handoffs.inc()
     syn = TCPSegment(
         sport=record.orig.orig_port, dport=record.dst_port,
         seq=record.client_isn, flags=SYN,
@@ -301,8 +300,6 @@ def send_to_dst(router, record: FlowRecord, transport) -> None:
     a datagram held for the verdict) along the destination plan."""
     src_ip, dst_ip, code, arg = dst_plan(router, record)
     router.counters["packets_relayed"] += 1
-    if router._live:
-        router._m_packets.inc()
     router._send((code, arg), IPv4Packet(src_ip, dst_ip, transport),
                  record.shaper)
 
@@ -314,7 +311,7 @@ def install(router, record: FlowRecord) -> None:
     if record.phase == FlowPhase.DROPPED:
         rows = compile_dropped(router, record)
     elif record.phase == FlowPhase.ENFORCED and record.decision is not None:
-        if record.decision.verdict & Verdict.REWRITE:
+        if record.decision.verdict.is_content_control:
             rows = compile_rewrite(router, record)
         else:
             rows = compile_endpoint(router, record)

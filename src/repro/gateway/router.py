@@ -89,6 +89,22 @@ from repro.services.dhcp import DHCP_SERVER_PORT
 from repro.sim.engine import Simulator
 
 
+#: ``SubfarmRouter.counters`` keys and the counter that reads each.
+COUNTER_METRICS = (
+    ("flows_created", "router.flows.created", "Flows entering containment"),
+    ("flows_refused", "router.flows.refused",
+     "Flows refused by the safety filter"),
+    ("shims_injected", "router.shims.injected",
+     "Request shims sent to the CS"),
+    ("shims_stripped", "router.shims.stripped",
+     "Response shims parsed and removed"),
+    ("handoffs", "router.handoffs", "Flows handed off to their destination"),
+    ("packets_relayed", "router.packets.relayed",
+     "Packets relayed through the router"),
+    ("dhcp_leases", "service.dhcp.leases", "DHCP leases acknowledged"),
+)
+
+
 class SubfarmRouter:
     """Packet forwarding plus containment mechanism for one subfarm."""
 
@@ -151,9 +167,6 @@ class SubfarmRouter:
         self.barrier = MaliceBarrier(sim, name, telemetry=sim.telemetry)
 
         self.telemetry = sim.telemetry
-        # Per-packet instrument sites make no call while telemetry is
-        # off (docs/OBSERVABILITY.md).
-        self._live = self.telemetry.enabled
         # Decision journal (repro.obs.journal): NULL_JOURNAL unless the
         # farm attached a live one before building this router.  All
         # journal call sites are flow-level (never per-packet) and
@@ -220,47 +233,16 @@ class SubfarmRouter:
         self._housekeeping_armed = False
 
         self.flow_log: List[FlowLogEntry] = []
-        self.counters = {
-            "flows_created": 0,
-            "flows_refused": 0,
-            "shims_injected": 0,
-            "shims_stripped": 0,
-            "handoffs": 0,
-            "packets_relayed": 0,
-            "dhcp_leases": 0,
-        }
+        self.counters = {key: 0 for key, _, _ in COUNTER_METRICS}
 
-        # Telemetry: bound cells mirroring the counters dict, the
-        # per-verdict flow counter (bound lazily — label set depends on
-        # the decision), the shim round-trip histogram, and per-flow
-        # trace state keyed by mux port (cleaned up on eviction).
+        # Telemetry: reads of the counters dict, the per-verdict flow
+        # counter (bound lazily — label set depends on the decision),
+        # the shim round-trip histogram, and per-flow trace state keyed
+        # by mux port (cleaned up on eviction).
         tel = self.telemetry
-        self._m_flows_created = tel.counter(
-            "router.flows.created", "Flows entering containment"
-        ).bind(subfarm=name)
-        self._m_flows_refused = tel.counter(
-            "router.flows.refused", "Flows refused by the safety filter"
-        ).bind(subfarm=name)
-        self._m_shims_injected = tel.counter(
-            "router.shims.injected", "Request shims sent to the CS"
-        ).bind(subfarm=name)
-        self._m_shims_stripped = tel.counter(
-            "router.shims.stripped", "Response shims parsed and removed"
-        ).bind(subfarm=name)
-        self._m_handoffs = tel.counter(
-            "router.handoffs", "Flows handed off to their destination"
-        ).bind(subfarm=name)
-        self._m_packets = tel.counter(
-            "router.packets.relayed", "Packets relayed through the router"
-        ).bind(subfarm=name)
-        self._m_dhcp = tel.counter(
-            "service.dhcp.leases", "DHCP leases acknowledged"
-        ).bind(subfarm=name)
-        # Telemetry cell per counter a flow-table action may bump
-        # (KindSpec.counter), so the executor indexes instead of
-        # branching.
-        self._cells = {"packets_relayed": self._m_packets,
-                       "shims_injected": self._m_shims_injected}
+        for key, metric, help in COUNTER_METRICS:
+            tel.counter(metric, help).register(
+                partial(self.counters.__getitem__, key), subfarm=name)
         self._m_verdicts = tel.counter(
             "router.flows.verdict",
             "Containment verdicts applied, by verdict and protocol")

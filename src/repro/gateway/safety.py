@@ -79,9 +79,9 @@ class SafetyFilter:
         self.flows_admitted = 0
         self.flows_refused = 0
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._m_admitted = self.telemetry.counter(
+        self.telemetry.counter(
             "gw.safety.admitted", "Flows the safety filter admitted"
-        ).bind(subfarm=subfarm)
+        ).register(lambda: self.flows_admitted, subfarm=subfarm)
         trips = self.telemetry.counter(
             "gw.safety.trips", "Flows the safety filter refused, by reason")
         self._m_trip_inmate = trips.bind(subfarm=subfarm, reason="per-inmate")
@@ -131,7 +131,6 @@ class SafetyFilter:
         pair_history.append(now)
         clock.append((now, pair_key))
         self.flows_admitted += 1
-        self._m_admitted.inc()
         return True
 
     def _refuse(self, now: float, vlan: int, destination: IPv4Address,

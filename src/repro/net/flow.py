@@ -41,6 +41,11 @@ class FiveTuple(NamedTuple):
             raise ValueError(f"flow tuples require TCP or UDP, got proto {packet.proto}")
         return cls(packet.src, transport.sport, packet.dst, transport.dport, packet.proto)
 
+    def as_key(self) -> tuple:
+        """``(src ip as int, sport, dst ip as int, dport, proto)``: the
+        gateway's flow key and, with the VLAN, the journal's alias."""
+        return (self[0].value, self[1], self[2].value, self[3], self[4])
+
     def reversed(self) -> "FiveTuple":
         return FiveTuple(
             self.resp_ip, self.resp_port, self.orig_ip, self.orig_port, self.proto

@@ -270,7 +270,7 @@ class TcpConnection:
             self.state = TcpState.CLOSED
             if self.on_fail:
                 self.on_fail(self)
-            self.host.tcp.forget(self)
+            self._release()
             return
         if flags & SYN and flags & ACK and segment.ack == self.snd_nxt:
             self.irs = segment.seq
@@ -415,7 +415,7 @@ class TcpConnection:
     def _expire_time_wait(self) -> None:
         if self.state == TcpState.TIME_WAIT:
             self.state = TcpState.CLOSED
-            self.host.tcp.forget(self)
+            self._release()
 
     def _enter_closed(self, notify_reset: bool) -> None:
         was_open = self.state not in (TcpState.CLOSED,)
@@ -425,7 +425,15 @@ class TcpConnection:
             self.on_reset(self)
         elif was_open and not notify_reset and self.on_closed:
             self.on_closed(self)
+        self._release()
+
+    def _release(self) -> None:
+        """Closed for good, the last notification delivered: leave the
+        stack's table and drop the callbacks — usually bound methods of
+        an object holding this connection, a cycle per flow."""
         self.host.tcp.forget(self)
+        self.on_established = self.on_data = self.on_remote_close = None
+        self.on_closed = self.on_reset = self.on_fail = None
 
     def __repr__(self) -> str:
         return (

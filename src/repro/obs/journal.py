@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict, deque
+from operator import itemgetter
 from typing import Callable, Deque, Dict, List, Optional
 
 Clock = Callable[[], float]
@@ -60,36 +61,34 @@ DEFAULT_RING_CAPACITY = 512
 ROOT = object()
 
 
-class JournalEvent:
-    """One recorded decision."""
+def _event_dict(row: tuple, fields: dict) -> dict:
+    return {
+        "seq": row[0],
+        "t": round(row[1], 9),
+        "kind": row[2],
+        "flow": row[3],
+        "vlan": row[4],
+        "parent": row[5],
+        "fields": fields,
+    }
 
-    __slots__ = ("seq", "time", "kind", "flow", "vlan", "parent", "fields")
 
-    def __init__(self, seq: int, time: float, kind: str,
-                 flow: Optional[str], vlan: Optional[int],
-                 parent: Optional[int], fields: dict) -> None:
-        self.seq = seq
-        self.time = time
-        self.kind = kind
-        self.flow = flow
-        self.vlan = vlan
-        self.parent = parent
-        self.fields = fields
+class JournalEvent(tuple):
+    """One recorded decision: a named view ``(seq, time, kind, flow,
+    vlan, parent, fields)`` of a stored row and its fields."""
+
+    __slots__ = ()
+
+    seq = property(itemgetter(0))
+    time = property(itemgetter(1))
+    kind = property(itemgetter(2))
+    flow = property(itemgetter(3))
+    vlan = property(itemgetter(4))
+    parent = property(itemgetter(5))
+    fields = property(itemgetter(6))
 
     def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "t": round(self.time, 9),
-            "kind": self.kind,
-            "flow": self.flow,
-            "vlan": self.vlan,
-            "parent": self.parent,
-            "fields": self.fields,
-        }
-
-    def __repr__(self) -> str:
-        return (f"<JournalEvent #{self.seq} t={self.time:.6f} "
-                f"{self.kind} flow={self.flow}>")
+        return _event_dict(self, self[6])
 
 
 class SampleRing:
@@ -128,20 +127,26 @@ class Journal:
         self.clock = clock
         self.capacity = max(1, int(capacity))
         self.ring_capacity = ring_capacity
-        self._events: Deque[JournalEvent] = deque(maxlen=self.capacity)
-        self._seq = 0
+        # Two rings in step, ``(seq, time, kind, flow, vlan, parent)``
+        # and the event's fields: a tuple of atoms and a dict of atoms
+        # are not tracked by the cyclic collector, a tuple *holding*
+        # the dict would be.  The next seq is ``recorded``.
+        self._events: Deque[tuple] = deque(maxlen=self.capacity)
+        self._fields: Deque[dict] = deque(maxlen=self.capacity)
         self.recorded = 0
-        self.evicted = 0
         self._rings: Dict[str, SampleRing] = {}
         # Causal bookkeeping: last event seq per flow id / per VLAN,
-        # plus five-tuple → flow-id aliases.  All bounded FIFO (by
-        # first insertion) at the journal's own capacity so week-scale
+        # plus flow aliases → flow ids.  All bounded FIFO (by first
+        # insertion) at the journal's own capacity so week-scale
         # runs cannot grow them without bound; OrderedDict because its
         # popitem(last=False) is O(1) where deleting a plain dict's
         # first key rescans the dead prefix.
         self._last_for_flow: "OrderedDict[str, int]" = OrderedDict()
         self._last_for_vlan: "OrderedDict[int, int]" = OrderedDict()
-        self._aliases: "OrderedDict[str, str]" = OrderedDict()
+        self._aliases: "OrderedDict[object, str]" = OrderedDict()
+
+    #: Events dropped from the full ring, oldest first.
+    evicted = property(lambda self: self.recorded - len(self._events))
 
     # ------------------------------------------------------------------
     # Recording
@@ -157,32 +162,33 @@ class Journal:
                 parent = self._last_for_flow.get(flow)
             if parent is None and vlan is not None:
                 parent = self._last_for_vlan.get(vlan)
-        event = JournalEvent(self._seq, self.clock(), kind, flow, vlan,
-                             parent, fields)
-        self._seq += 1
-        self.recorded += 1
-        if len(self._events) == self.capacity:
-            self.evicted += 1
-        self._events.append(event)
+        seq = self.recorded
+        self.recorded = seq + 1
+        row = (seq, self.clock(), kind, flow, vlan, parent)
+        self._events.append(row)
+        self._fields.append(fields)
+        # Neither map can be full before the ring is: plain stores.
+        remember = (OrderedDict.__setitem__ if seq < self.capacity
+                    else self._remember)
         if flow is not None:
-            self._remember(self._last_for_flow, flow, event.seq)
+            remember(self._last_for_flow, flow, seq)
         if vlan is not None:
-            self._remember(self._last_for_vlan, vlan, event.seq)
-        return event
+            remember(self._last_for_vlan, vlan, seq)
+        return JournalEvent((*row, fields))
 
-    def _remember(self, table: OrderedDict, key, seq: int) -> None:
-        if key not in table and len(table) >= self.capacity:
+    def _remember(self, table: OrderedDict, key, value) -> None:
+        if len(table) >= self.capacity and key not in table:
             table.popitem(last=False)
-        table[key] = seq
+        table[key] = value
 
     # ------------------------------------------------------------------
-    # Flow aliases — five-tuple keys to flow ids, linking the two ends
-    # of the shim protocol.
+    # Flow aliases — ``(vlan, FiveTuple.as_key())``, ints either end of
+    # the shim protocol can compute without rendering — to flow ids.
     # ------------------------------------------------------------------
-    def bind_flow(self, alias: str, flow_id: str) -> None:
+    def bind_flow(self, alias: object, flow_id: str) -> None:
         self._remember(self._aliases, alias, flow_id)
 
-    def flow_for(self, alias: str) -> Optional[str]:
+    def flow_for(self, alias: object) -> Optional[str]:
         return self._aliases.get(alias)
 
     # ------------------------------------------------------------------
@@ -201,7 +207,8 @@ class Journal:
     # Export
     # ------------------------------------------------------------------
     def events(self) -> List[JournalEvent]:
-        return list(self._events)
+        return [JournalEvent((*row, fields))
+                for row, fields in zip(self._events, self._fields)]
 
     def snapshot(self) -> dict:
         """JSON-safe view of the whole journal (schema
@@ -213,7 +220,8 @@ class Journal:
             "time": round(self.clock(), 9),
             "recorded": self.recorded,
             "evicted": self.evicted,
-            "events": [event.to_dict() for event in self._events],
+            "events": [_event_dict(row, fields) for row, fields
+                       in zip(self._events, self._fields)],
             "rings": {name: self._rings[name].to_dict()
                       for name in sorted(self._rings)},
         }
@@ -242,10 +250,10 @@ class NullJournal:
                **fields) -> None:
         return None
 
-    def bind_flow(self, alias: str, flow_id: str) -> None:
+    def bind_flow(self, alias: object, flow_id: str) -> None:
         pass
 
-    def flow_for(self, alias: str) -> Optional[str]:
+    def flow_for(self, alias: object) -> Optional[str]:
         return None
 
     def sample(self, name: str, value: float) -> None:

@@ -6,13 +6,15 @@ fixed bucket boundaries (linear interpolation inside the winning
 bucket), so the same run always snapshots to the same numbers.
 
 Instruments are handed out by name from a
-:class:`~repro.obs.telemetry.Telemetry` domain.  Two usage styles:
+:class:`~repro.obs.telemetry.Telemetry` domain.  Three usage styles:
 
-* ad-hoc — ``telemetry.counter("router.flows.created").inc(subfarm="x")``
-  pays one label sort + dict lookup per call;
+* read — ``telemetry.counter("gw.frames.received").register(read)``:
+  the component keeps the count itself; the exporter calls ``read()``;
 * bound — ``cell = telemetry.counter(...).bind(subfarm="x")`` resolves
-  the label set once and hands back the raw cell, so hot paths pay a
-  single method call per update.
+  the label set once and hands back the raw cell, so a site with no
+  plain count of its own pays a single method call per update;
+* ad-hoc — ``telemetry.counter("trigger.fired").inc(action="x")``
+  pays one label sort + dict lookup per call.
 
 When telemetry is disabled every instrument is the shared
 :data:`NULL_INSTRUMENT`, whose methods do nothing — call sites need no
@@ -22,7 +24,7 @@ conditionals and benchmarks see near-zero overhead.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -78,6 +80,9 @@ class _NullInstrument:
     def bind(self, **labels: str) -> "_NullInstrument":
         return self
 
+    def register(self, read, **labels: str) -> None:
+        pass
+
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         pass
 
@@ -116,6 +121,16 @@ class CounterCell:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
+
+
+class ReadCell:
+    """One (metric, label set) whose value lives in the component that
+    counts it: ``value`` evaluates the registered read, as a float."""
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self.read = read
+
+    value = property(lambda self: float(self.read()))
 
 
 class GaugeCell:
@@ -227,6 +242,10 @@ class _Metric:
     def bind(self, **labels: str):
         """Resolve a label set once; returns the raw cell."""
         return self._cell(labels)
+
+    def register(self, read: Callable[[], float], **labels: str) -> None:
+        """Make ``read()`` the value of this label set."""
+        self._cells[label_key(labels)] = ReadCell(read)
 
     def cells(self) -> Dict[LabelKey, object]:
         return dict(self._cells)

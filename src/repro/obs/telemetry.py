@@ -6,14 +6,17 @@ gauges and histograms (:mod:`repro.obs.metrics`).  Per-flow facts
 (:mod:`repro.obs.journal`), the farm's one flow-level recorder.
 
 Every instrumented component takes (or finds on its ``Simulator``) a
-``Telemetry`` object and asks it for instruments.  The disabled form,
-:data:`NULL_TELEMETRY`, hands out the shared no-op instrument, so the
-instrumentation points cost one attribute access plus an empty method
-call — cheap enough to leave compiled into every packet path.
+``Telemetry`` object and asks it for instruments.  One count per fact:
+a component that keeps a number as a plain attribute *registers a
+read* of it (``counter(...).register(read)``) for the exporter; only
+what has no plain twin (labelled per-flow cells, histograms, a strided
+sample) is pushed into a bound cell.  The disabled form,
+:data:`NULL_TELEMETRY`, hands out the shared no-op instrument: a pushed
+site costs an attribute access and an empty call, a read nothing.
 
 Call sites that would do real work just to *feed* an instrument
 (string formatting, label lookups) should guard on
-``telemetry.enabled`` first; plain counter bumps need no guard.
+``telemetry.enabled`` first.
 """
 
 from __future__ import annotations

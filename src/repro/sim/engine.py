@@ -99,37 +99,52 @@ class Simulator:
         self._now = 0.0
         self.seed = seed
         self._rngs: Dict[str, random.Random] = {}
+        # What left the queue: callbacks that ran, dead entries
+        # discarded, and events popped but not counted as processed —
+        # one per run() while its callback runs, for good if it raised.
         self.events_processed = 0
+        self.events_discarded = 0
+        self._in_flight = 0
         # Cancelled-but-still-queued entries, maintained incrementally
         # so ``pending`` is O(1) and compaction can trigger cheaply.
         self._dead = 0
 
-        # Telemetry (disabled by default): the sim.* instruments exist
-        # only while a live domain is attached, and every site that
-        # feeds them checks first — a detached simulator makes no
-        # instrument call at all.  The decision journal
-        # (repro.obs.journal) is independent of telemetry: components
-        # capture sim.journal at construction, so it must be attached
-        # before they are built.
+        # Telemetry (disabled by default) reads those counts; only the
+        # strided queue-depth sample is pushed, and only while a live
+        # domain is attached.  The decision journal (repro.obs.journal)
+        # is independent of telemetry: components capture sim.journal
+        # at construction, so it must be attached before they are built.
         self.telemetry = NULL_TELEMETRY
         self.journal = NULL_JOURNAL
-        self._live = False
+        self._g_queue_depth = None
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
     def attach_telemetry(self, telemetry) -> None:
-        """Wire a live :class:`~repro.obs.telemetry.Telemetry` domain."""
+        """Wire a live :class:`~repro.obs.telemetry.Telemetry` domain.
+        The ``sim.events.*`` counters count from this moment."""
         self.telemetry = telemetry
-        self._live = telemetry.enabled
-        self._m_scheduled = telemetry.counter(
-            "sim.events.scheduled", "Events pushed onto the queue").bind()
-        self._m_fired = telemetry.counter(
-            "sim.events.fired", "Callbacks executed").bind()
-        self._m_cancelled = telemetry.counter(
-            "sim.events.cancelled", "Dead events discarded at pop").bind()
+        fired, discarded = self.events_processed, self.events_discarded
+        # Every entry ever pushed is still queued or left in one of
+        # three ways, so pushes need no count of their own.
+        scheduled = self._left_or_queued()
+        telemetry.counter(
+            "sim.events.scheduled", "Events pushed onto the queue"
+        ).register(lambda: self._left_or_queued() - scheduled)
+        telemetry.counter(
+            "sim.events.fired", "Callbacks executed"
+        ).register(lambda: self.events_processed - fired)
+        telemetry.counter(
+            "sim.events.cancelled", "Dead events discarded at pop"
+        ).register(lambda: self.events_discarded - discarded)
         self._g_queue_depth = telemetry.gauge(
-            "sim.queue.depth", "Events currently queued (incl. dead)").bind()
+            "sim.queue.depth", "Events currently queued (incl. dead)"
+        ).bind() if telemetry.enabled else None
+
+    def _left_or_queued(self) -> int:
+        return (self.events_processed + self.events_discarded
+                + self._in_flight + len(self._queue))
 
     def attach_journal(self, journal) -> None:
         """Wire a live :class:`~repro.obs.journal.Journal`.  Must run
@@ -173,8 +188,6 @@ class Simulator:
         event = Event((self._now + delay, next(self._seq), callback, args,
                        label, self, False))
         heappush(self._queue, event)
-        if self._live:
-            self._m_scheduled.inc()
         return event
 
     def schedule_at(
@@ -192,8 +205,6 @@ class Simulator:
         event = Event((time, next(self._seq), callback, args, label, self,
                        False))
         heappush(self._queue, event)
-        if self._live:
-            self._m_scheduled.inc()
         return event
 
     def post(self, delay: float, callback: Callable[..., None],
@@ -207,8 +218,6 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         heappush(self._queue, [self._now + delay, next(self._seq), callback,
                                args, "", None, False])
-        if self._live:
-            self._m_scheduled.inc()
 
     # ------------------------------------------------------------------
     # Cancellation accounting and heap compaction
@@ -234,8 +243,7 @@ class Simulator:
         self._queue[:] = [e for e in self._queue if not e[6]]
         heapify(self._queue)
         self._dead = 0
-        if self._live:
-            self._m_cancelled.inc(removed)
+        self.events_discarded += removed
 
     # ------------------------------------------------------------------
     # Execution
@@ -255,16 +263,16 @@ class Simulator:
         queue = self._queue
         horizon = inf if until is None else until
         budget = inf if max_events is None else max_events
-        live = self._live
+        depth = self._g_queue_depth
         stride = self.QUEUE_DEPTH_STRIDE
+        self._in_flight += 1
         try:
             while queue:
                 event = queue[0]
                 if event[6]:
                     heappop(queue)
                     self._dead -= 1
-                    if live:
-                        self._m_cancelled.inc()
+                    self.events_discarded += 1
                     continue
                 time = event[0]
                 if time > horizon:
@@ -278,19 +286,19 @@ class Simulator:
                 event[2](*event[3])
                 processed += 1
                 self.events_processed += 1
-                if live:
-                    self._m_fired.inc()
-                    # Sample the depth gauge on a virtual-event stride:
-                    # the trigger is event-count based, so with a fixed
-                    # seed the sampled values replay identically.
-                    if not self.events_processed % stride:
-                        self._g_queue_depth.set(len(queue))
+                # Sample the depth gauge on a virtual-event stride:
+                # the trigger is event-count based, so with a fixed
+                # seed the sampled values replay identically.
+                if depth is not None and not self.events_processed % stride:
+                    depth.set(len(queue))
             else:
                 if until is not None and until > self._now:
                     self._now = until
         finally:
-            if live:
-                self._g_queue_depth.set(len(queue))
+            if depth is not None:
+                depth.set(len(queue))
+        # Not reached when a callback raised: its event stays in flight.
+        self._in_flight -= 1
         return self._now
 
     def drain_coincident(self, callback: Callable[..., None]) -> List[tuple]:
@@ -310,14 +318,12 @@ class Simulator:
         queue = self._queue
         drained: List[tuple] = []
         now = self._now
-        live = self._live
         while queue:
             head = queue[0]
             if head[6]:
                 heappop(queue)
                 self._dead -= 1
-                if live:
-                    self._m_cancelled.inc()
+                self.events_discarded += 1
                 continue
             if head[0] != now or head[2] != callback:
                 break
@@ -325,16 +331,10 @@ class Simulator:
             head[5] = None
             drained.append(head[3])
             self.events_processed += 1
-            if live:
-                self._m_fired.inc()
         return drained
 
     def step(self) -> bool:
-        """Run a single event.  Returns False if the queue is empty.
-
-        Shares :meth:`run`'s firing path, so stepped events see the same
-        telemetry instruments.
-        """
+        """Run a single event.  Returns False if the queue is empty."""
         before = self.events_processed
         self.run(max_events=1)
         return self.events_processed != before

@@ -140,6 +140,33 @@ def test_sim_instruments_in_a_mid_run_snapshot():
     assert sim.events_processed == 40
 
 
+def test_scheduled_stays_exact_when_a_callback_raises():
+    """``sim.events.scheduled`` is read off what left the queue plus
+    what is still in it; an event whose callback raised out of
+    ``run()`` left it without ever counting as fired."""
+    sim = Simulator()
+    telemetry = Telemetry(clock=lambda: sim.now)
+    sim.attach_telemetry(telemetry)
+
+    def nested():
+        sim.schedule(0.5, lambda: 1 / 0)
+        sim.step()
+
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, nested)
+    sim.schedule(3.0, lambda: None).cancel()
+    sim.schedule(4.0, lambda: None)
+    with pytest.raises(ZeroDivisionError):
+        sim.run()
+    assert snapshot(telemetry)["counters"] == {
+        "sim.events.scheduled": 5.0, "sim.events.fired": 1.0,
+        "sim.events.cancelled": 0.0}
+    sim.run()
+    assert snapshot(telemetry)["counters"] == {
+        "sim.events.scheduled": 5.0, "sim.events.fired": 2.0,
+        "sim.events.cancelled": 1.0}
+
+
 def test_detached_simulator_makes_no_instrument_call():
     sim, ticks = _ticking_sim()
     ticks[4].cancel()

@@ -55,6 +55,28 @@ class TestMetrics:
         metric.inc(subfarm="a")
         assert metric.value(subfarm="a") == 2
 
+    def test_registered_read_is_evaluated_at_export(self):
+        """A component that keeps its own count registers a read of it
+        once; the exporter (and ``value`` / ``total``) evaluates it, as
+        a float whatever the component counts in."""
+        telemetry = Telemetry(clock=lambda: 3.0)
+        counts = {"frames": 0}
+        frames = telemetry.counter("frames", "frames seen")
+        frames.register(lambda: counts["frames"], subfarm="a")
+        frames.inc(2, subfarm="b")
+        telemetry.gauge("occupancy").register(lambda: len(counts))
+        assert snapshot(telemetry)["counters"]["frames{subfarm=a}"] == 0.0
+        counts["frames"] += 41
+        counts["bytes"] = 7
+        snap = snapshot(telemetry)
+        assert snap["counters"] == {"frames{subfarm=a}": 41.0,
+                                    "frames{subfarm=b}": 2.0}
+        assert type(snap["counters"]["frames{subfarm=a}"]) is float
+        assert snap["gauges"] == {"occupancy": 2.0}
+        assert frames.value(subfarm="a") == 41 and frames.total() == 43
+        assert frames.bind(subfarm="a").value == 41
+        assert NULL_INSTRUMENT.register(lambda: 1, subfarm="a") is None
+
     def test_gauge_set_inc_dec(self):
         telemetry = Telemetry()
         depth = telemetry.gauge("depth")
