@@ -86,16 +86,19 @@ trace-budget:
 			tests/test_capture.py tests/test_capture_budget.py || exit 1; \
 	done
 
-# Frame budgets, counted not timed, under two hash seeds: what a hop,
-# an endpoint segment, a table hit, an echo round and an HTTP fetch may
-# cost in Python frames, and one flow-table probe per packet in every
-# phase of a flow's life — then the frames-by-file table behind the
-# fetch and the echo round (docs/PERFORMANCE.md, "The gateway kernel").
+# Frame and memory budgets, counted not timed, under two hash seeds:
+# what a hop, an endpoint segment, a table hit, an echo round and an
+# HTTP fetch may cost in Python frames, one flow-table probe per packet
+# in every phase of a flow's life, no payload copy made by the send
+# path, and a journal digest whose peak does not grow with the journal
+# — then the frames-by-file table behind the fetch and the echo round
+# (docs/PERFORMANCE.md, "The gateway kernel" and "Trace memory").
 budget:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
 			tests/test_hop_budget.py tests/test_endpoint_budget.py \
-			tests/test_forwarding_budget.py || exit 1; \
+			tests/test_forwarding_budget.py \
+			tests/test_memory_budget.py || exit 1; \
 	done
 	$(PYTHON) -m tests.test_forwarding_budget
 

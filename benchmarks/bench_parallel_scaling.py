@@ -31,6 +31,10 @@ fails only its shard, and exits non-zero on any violation.
 ``--quick-socket`` does the same over a localhost worker agent
 (SocketTransport), including crash isolation across the socket.
 
+The full sweep refuses (exit 2, nothing written) on a host with fewer
+schedulable CPUs than its largest worker count: what it would record
+there is contention, not scaling.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py                # writes BENCH_parallel.json
@@ -242,6 +246,14 @@ def main(argv=None) -> int:
         return _quick(args, socket_mode=args.quick_socket)
 
     worker_counts = [1, 2, 4, 8]
+    sched_cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if sched_cpus is None or sched_cpus < max(worker_counts):
+        # A sweep past the host's CPUs records contention, not scaling.
+        print(f"refusing to record scaling: {sched_cpus} schedulable "
+              f"cpus, the sweep runs up to {max(worker_counts)} workers "
+              f"(--quick and --quick-socket run anywhere)")
+        return 2
     farm_params = dict(subfarms=args.subfarms, inmates=args.inmates,
                        rounds=args.rounds, duration=args.duration)
 
@@ -269,8 +281,7 @@ def main(argv=None) -> int:
             "detonation_wait": args.detonation_wait,
             "straggler_wait": args.straggler_wait,
             "host_cpus": os.cpu_count(),
-            "sched_cpus": len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else None,
+            "sched_cpus": sched_cpus,
             "python": sys.version.split()[0],
             **farm_params,
         },

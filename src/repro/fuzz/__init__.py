@@ -12,7 +12,8 @@ seed-driven fuzzing subsystem with four pieces:
 * :mod:`repro.fuzz.generators` — grammar-aware malformed-input
   generators for every protocol the farm parses (DNS, SMTP, HTTP,
   IRC, FTP, SOCKS, DHCP, ARP, GRE, TCP options, Ethernet/IPv4 framing,
-  the shim protocol itself, and policy programs), registered as named
+  the shim protocol itself, policy programs, and the campaign
+  transport's worker frames), registered as named
   :class:`~repro.fuzz.generators.FuzzTarget` entries.
 * :mod:`repro.fuzz.corpus` + :mod:`repro.fuzz.runner` — a corpus
   store with a shrinking minimizer, a replay-regression runner (every
@@ -36,9 +37,20 @@ digest on every machine (pinned in ``FUZZ_quick.json``).
 """
 
 from repro.fuzz.corpus import CorpusStore, minimize, replay_corpus
-from repro.fuzz.generators import DSL_TARGET, TARGETS, FuzzTarget
+from repro.fuzz.generators import (
+    DSL_TARGET,
+    TARGETS,
+    WORKER_FRAME_TARGET,
+    FuzzTarget,
+)
 from repro.fuzz.mutate import MutationEngine
-from repro.fuzz.runner import fuzz_dsl, fuzz_farm, fuzz_parsers, run_quick
+from repro.fuzz.runner import (
+    fuzz_dsl,
+    fuzz_farm,
+    fuzz_parsers,
+    fuzz_worker_frames,
+    run_quick,
+)
 
 __all__ = [
     "CorpusStore",
@@ -46,9 +58,11 @@ __all__ = [
     "FuzzTarget",
     "MutationEngine",
     "TARGETS",
+    "WORKER_FRAME_TARGET",
     "fuzz_dsl",
     "fuzz_farm",
     "fuzz_parsers",
+    "fuzz_worker_frames",
     "minimize",
     "replay_corpus",
     "run_quick",

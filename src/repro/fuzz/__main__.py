@@ -8,10 +8,11 @@ Usage::
     python -m repro.fuzz --replay tests/fuzz_corpus
 
 ``--quick`` runs the fixed-seed smoke (parser determinism replay,
-policy-program loop, farm loop under isolate and fail-stop, comparison
-against the tracked ``FUZZ_quick.json``) and exits non-zero on any
-violation.  ``--replay`` re-parses a pinned corpus directory and exits
-non-zero if any input escapes the ParseError taxonomy.
+policy-program and worker-frame loops, farm loop under isolate and
+fail-stop, comparison against the tracked ``FUZZ_quick.json``) and
+exits non-zero on any violation.  ``--replay`` re-parses a pinned
+corpus directory and exits non-zero if any input escapes the
+ParseError taxonomy.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.fuzz.runner import (
     fuzz_dsl,
     fuzz_farm,
     fuzz_parsers,
+    fuzz_worker_frames,
     run_quick,
 )
 
@@ -78,14 +80,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parsers = fuzz_parsers(args.seed, args.iterations,
                            corpus_dir=args.corpus)
     dsl = fuzz_dsl(args.seed, args.iterations, corpus_dir=args.corpus)
+    frames = fuzz_worker_frames(args.seed, args.iterations,
+                                corpus_dir=args.corpus)
     try:
         farm = fuzz_farm(args.seed, args.frames)
     except Exception as exc:  # noqa: BLE001 - containment failure
         farm = {"survived": False,
                 "error": f"{type(exc).__name__}: {exc}"}
-    summary = {"parsers": parsers, "dsl": dsl, "farm": farm}
+    summary = {"parsers": parsers, "dsl": dsl, "worker_frame": frames,
+               "farm": farm}
     print(json.dumps(summary, indent=args.indent, sort_keys=True))
-    escapes = parsers["escapes"] + dsl["escapes"]
+    escapes = parsers["escapes"] + dsl["escapes"] + frames["escapes"]
     if escapes or not farm.get("survived"):
         print(f"FUZZ ESCAPES: {len(escapes)} parser, "
               f"farm survived={farm.get('survived')}", file=sys.stderr)

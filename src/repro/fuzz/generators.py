@@ -17,8 +17,10 @@ that nothing escapes.
 
 from __future__ import annotations
 
+import json
 import random
 import struct
+import zlib
 from typing import Callable, Dict, NamedTuple
 
 from repro.core.dsl import DslError, parse_program
@@ -44,6 +46,11 @@ from repro.net.packet import (
 )
 from repro.net.smtp import SmtpServerEngine, Strictness
 from repro.net.socks import Socks4Reply, Socks4Request
+from repro.parallel.transport import (
+    MAX_FRAME_BYTES,
+    FrameDecoder,
+    TransportError,
+)
 from repro.services.dhcp import DhcpMessage
 
 
@@ -442,6 +449,85 @@ def _parse_dsl(data: bytes) -> object:
         raise ParseError("dsl", str(error)) from None
 
 
+def _worker_message(rng: random.Random) -> list:
+    """One message of the worker wire vocabulary
+    (:mod:`repro.parallel.transport`)."""
+    index = rng.randrange(64)
+    return rng.choice((
+        ["run", [{"index": index, "task": "repro.parallel.tasks:noop_shard",
+                  "params": {"seed": rng.randrange(1 << 31)}}]],
+        ["stop"],
+        ["ready", {"host": "fuzz", "cpus": rng.randrange(1, 65)}],
+        ["start", index],
+        ["done", index, {"ok": rng.random() < 0.5,
+                         "payload": {"x": rng.random(), "s": "€"}}],
+        ["idle", rng.randrange(8)],
+    ))
+
+
+def _worker_frame_body(rng: random.Random) -> bytes:
+    case = rng.randrange(6)
+    if case == 0:                       # nesting bomb
+        return rng.choice((b"[", b'{"a":')) * rng.choice(
+            (8, 999, 5000, 200_000))
+    if case == 1:                       # an int past the digit bound
+        return b"9" * rng.randrange(4000, 4600)
+    if case == 2:                       # not UTF-8
+        return bytes(rng.randrange(128, 256)
+                     for _ in range(rng.randrange(1, 16)))
+    body = json.dumps(_worker_message(rng),
+                      separators=(",", ":")).encode()
+    if case == 3:                       # cut short
+        return body[:rng.randrange(len(body))]
+    return body
+
+
+def gen_worker_frame(rng: random.Random) -> bytes:
+    """A worker-transport byte stream: one to four length-prefixed JSON
+    frames, each body valid or broken, each length true or lying."""
+    out = bytearray()
+    for _ in range(rng.randrange(1, 5)):
+        body = _worker_frame_body(rng)
+        length = len(body)
+        roll = rng.random()
+        if roll < 0.1:                  # past the frame bound
+            length = MAX_FRAME_BYTES + rng.randrange(1, 1 << 20)
+        elif roll < 0.2:                # short of its body
+            length = rng.randrange(length + 1)
+        out += struct.pack(">I", length) + body
+    return bytes(out)
+
+
+def _decode_frames(data: bytes, cuts) -> object:
+    """What a fresh :class:`FrameDecoder` makes of ``data`` fed in the
+    pieces ``cuts`` delimits: every message, or the error's text."""
+    decoder, messages, start = FrameDecoder(), [], 0
+    try:
+        for end in [*cuts, len(data)]:
+            messages += decoder.feed(data[start:end])
+            start = end
+    except TransportError as error:
+        return str(error)
+    return messages
+
+
+def _parse_worker_frame(data: bytes) -> object:
+    """Feed the stream whole and in a random chunking (drawn from the
+    bytes, so replayable): both must decode the same messages or fail
+    with the same :class:`TransportError`, which is the taxonomy's
+    ParseError here."""
+    rng = random.Random(zlib.crc32(data))
+    cuts = sorted(rng.sample(range(1, len(data)),
+                             min(len(data) - 1, rng.randrange(1, 9)))) \
+        if len(data) > 1 else []
+    whole, chunked = _decode_frames(data, []), _decode_frames(data, cuts)
+    if whole != chunked:
+        raise AssertionError(f"chunking {cuts} changed the decoding")
+    if isinstance(whole, str):
+        raise ParseError("worker-frame", whole)
+    return whole
+
+
 def hostile_frame(rng: random.Random) -> bytes:
     """A wire frame for farm-level fuzzing via ``ingest_wire``."""
     case = rng.randrange(4)
@@ -494,4 +580,11 @@ TARGETS: Dict[str, FuzzTarget] = {
 #: FUZZ_quick.json tracks.
 DSL_TARGET = FuzzTarget("dsl", gen_dsl, _parse_dsl)
 
-__all__ = ["DSL_TARGET", "FuzzTarget", "TARGETS", "hostile_frame"]
+#: The campaign transport's length-prefixed JSON frames, which an agent
+#: port exposed to a network reads from anyone: a loop and a pinned key
+#: of their own for the same reason (``runner.fuzz_worker_frames``).
+WORKER_FRAME_TARGET = FuzzTarget("worker-frame", gen_worker_frame,
+                                 _parse_worker_frame)
+
+__all__ = ["DSL_TARGET", "FuzzTarget", "TARGETS", "WORKER_FRAME_TARGET",
+           "hostile_frame"]

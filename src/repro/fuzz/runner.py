@@ -8,6 +8,8 @@ one for the router, :func:`fuzz_router`:
   generated-then-mutated inputs.  A parser may succeed or raise
   :class:`~repro.net.errors.ParseError`; anything else is an *escape*,
   which gets minimized and pinned into a corpus directory.
+  :func:`fuzz_dsl` and :func:`fuzz_worker_frames` run the same loop
+  over one target each, under pinned keys of their own.
 * :func:`fuzz_farm` builds a whole farm and feeds
   :func:`~repro.fuzz.generators.hostile_frame` bytes straight into the
   gateway trunk (``SubfarmRouter.ingest_wire``).  The malice barrier
@@ -31,7 +33,12 @@ import random
 from typing import Dict, List, Optional
 
 from repro.fuzz.corpus import CorpusStore, minimize
-from repro.fuzz.generators import DSL_TARGET, TARGETS, hostile_frame
+from repro.fuzz.generators import (
+    DSL_TARGET,
+    TARGETS,
+    WORKER_FRAME_TARGET,
+    hostile_frame,
+)
 from repro.fuzz.mutate import MutationEngine
 from repro.net.errors import ParseError
 
@@ -44,6 +51,7 @@ QUICK_ITERATIONS = 2000
 QUICK_FRAMES = 300
 QUICK_ROUTER_SCRIPTS = 100
 QUICK_DSL_ITERATIONS = 500
+QUICK_WORKER_FRAME_ITERATIONS = 500
 
 #: Fraction of parser-loop inputs that get a second, grammar-blind
 #: mutation pass on top of the grammar-aware generator output.
@@ -75,6 +83,15 @@ def fuzz_dsl(seed: int, iterations: int,
     compiles or raises ``DslError`` (docs/HARDENING.md)."""
     return _fuzz_targets({DSL_TARGET.name: DSL_TARGET}, seed, iterations,
                          corpus_dir)
+
+
+def fuzz_worker_frames(seed: int, iterations: int,
+                       corpus_dir: Optional[str] = None) -> dict:
+    """The same loop over the campaign transport's frame decoder: a
+    byte stream, fed whole or in pieces, decodes to the same messages
+    or raises ``TransportError`` (docs/HARDENING.md)."""
+    return _fuzz_targets({WORKER_FRAME_TARGET.name: WORKER_FRAME_TARGET},
+                         seed, iterations, corpus_dir)
 
 
 def _fuzz_targets(targets: dict, seed: int, iterations: int,
@@ -216,9 +233,9 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
               frames: int = QUICK_FRAMES,
               pinned_path: Optional[str] = None) -> dict:
     """The ``make fuzz-quick`` smoke: parser loop (twice, for the
-    determinism digest), policy-program loop, farm loop under both
-    isolate and fail-stop, the first hundred router scripts, all
-    compared against the tracked ``FUZZ_quick.json``."""
+    determinism digest), policy-program loop, worker-frame loop, farm
+    loop under both isolate and fail-stop, the first hundred router
+    scripts, all compared against the tracked ``FUZZ_quick.json``."""
     violations: List[str] = []
 
     parsers = fuzz_parsers(seed, iterations)
@@ -229,7 +246,9 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
             f"parser corpus digest drifts across identical runs "
             f"({parsers['digest']} != {replay['digest']})")
     dsl = fuzz_dsl(seed, QUICK_DSL_ITERATIONS)
-    for escape in parsers["escapes"] + dsl["escapes"]:
+    worker_frames = fuzz_worker_frames(seed, QUICK_WORKER_FRAME_ITERATIONS)
+    for escape in (parsers["escapes"] + dsl["escapes"]
+                   + worker_frames["escapes"]):
         violations.append(
             f"{escape['protocol']}: {escape['exception']} escaped "
             f"the parser ({escape['message']})")
@@ -289,6 +308,8 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
         "router": router,
         "dsl": {key: dsl[key] for key in
                 ("iterations", "ok", "parse_errors", "digest")},
+        "worker_frame": {key: worker_frames[key] for key in
+                         ("iterations", "ok", "parse_errors", "digest")},
         "determinism": {"match": determinism},
         "violations": violations,
     }
@@ -318,5 +339,6 @@ __all__ = [
     "fuzz_farm",
     "fuzz_parsers",
     "fuzz_router",
+    "fuzz_worker_frames",
     "run_quick",
 ]

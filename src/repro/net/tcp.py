@@ -110,6 +110,19 @@ _CLOSING = TcpState.CLOSING
 ConnectionKey = Tuple[int, int, int, int]
 
 
+def _owned(data) -> bytes:
+    """An immutable copy of a write that is not exact ``bytes``.
+
+    ``bytearray.extend`` decides what a write may be, and the error a
+    bad one raises: ``send(5)`` is a ``TypeError``, not five zeros.
+    """
+    if type(data) is bytearray:
+        return bytes(data)
+    owned = bytearray()
+    owned.extend(data)
+    return bytes(owned)
+
+
 class TcpConnection:
     """One endpoint of a TCP connection.
 
@@ -140,7 +153,8 @@ class TcpConnection:
         self.rcv_nxt = 0       # next sequence expected
         self.irs = 0           # initial receive sequence
 
-        self._send_buffer = bytearray()
+        # The queued application writes, each an immutable ``bytes``.
+        self._send_buffer: List[bytes] = []
         self._fin_pending = False
         self._fin_sent = False
         self._reassembly: Dict[int, bytes] = {}
@@ -183,22 +197,28 @@ class TcpConnection:
     # Application API
     # ------------------------------------------------------------------
     def send(self, data: bytes) -> None:
-        """Queue application bytes for transmission."""
+        """Queue one application write for transmission.
+
+        A ``bytes`` write is kept by reference: it is the payload of the
+        segment it becomes, in every trace and at the peer's
+        ``on_data``, whenever it fits one MSS.  Any other input is
+        copied once, here, so the caller may reuse it after ``send``
+        returns.
+        """
         state = self.state
-        if state is not _ESTABLISHED:
-            if state is _CLOSED and self.opened_at is None:
-                # Connection not yet opened (SYN deferred a tick, or
-                # server accept callback running before the SYN is
-                # processed): queue the bytes; they flush at
-                # establishment.
-                self._send_buffer.extend(data)
-                return
-            if (state is not _CLOSE_WAIT and state is not _SYN_SENT
-                    and state is not _SYN_RCVD):
-                raise RuntimeError(f"cannot send in state {state}")
+        if (state is not _ESTABLISHED and state is not _CLOSE_WAIT
+                and state is not _SYN_SENT and state is not _SYN_RCVD
+                # Not yet opened (SYN deferred a tick, or a server
+                # accept callback running before the SYN is processed):
+                # the write waits for establishment.
+                and (state is not _CLOSED or self.opened_at is not None)):
+            raise RuntimeError(f"cannot send in state {state}")
         if self._fin_pending or self._fin_sent:
             raise RuntimeError("cannot send after close()")
-        self._send_buffer.extend(data)
+        if type(data) is not bytes:
+            data = _owned(data)
+        if data:
+            self._send_buffer.append(data)
         if state is _ESTABLISHED or state is _CLOSE_WAIT:
             self._flush()
 
@@ -361,18 +381,19 @@ class TcpConnection:
     # Transmission
     # ------------------------------------------------------------------
     def _flush(self) -> None:
-        buffer = self._send_buffer
-        while buffer:
-            if len(buffer) <= MSS:
-                chunk = bytes(buffer)
-                buffer.clear()
-            else:
-                chunk = bytes(buffer[:MSS])
-                del buffer[:MSS]
+        queue = self._send_buffer
+        # The stream is cut at MSS boundaries whatever the writes were;
+        # one queued write needs no join, and a whole-range slice of
+        # exact ``bytes`` is the object itself.
+        data = queue[0] if len(queue) == 1 else b"".join(queue)
+        queue.clear()
+        total = len(data)
+        for start in range(0, total, MSS):
+            chunk = data[start:start + MSS]
             size = len(chunk)
             seq = self.snd_nxt
             self.bytes_sent += size
-            if self._fin_pending and not buffer:
+            if self._fin_pending and start + size == total:
                 self._fin_pending = False
                 self._fin_sent = True
                 self._emit(_PSH_ACK | FIN, seq, self.rcv_nxt, chunk)

@@ -41,8 +41,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict, deque
+from itertools import islice
 from operator import itemgetter
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 Clock = Callable[[], float]
 
@@ -53,6 +54,9 @@ DEFAULT_CAPACITY = 65536
 
 #: Samples kept per time-series ring before FIFO eviction.
 DEFAULT_RING_CAPACITY = 512
+
+#: Events rendered and encoded per step of :func:`journal_digest`.
+DIGEST_CHUNK = 1024
 
 #: Pass as ``parent=`` to force a chain root: the event records with
 #: no parent even when flow/VLAN history exists (e.g. ``flow.created``
@@ -214,20 +218,26 @@ class Journal:
         """JSON-safe view of the whole journal (schema
         ``gq.journal/1``) — the unit the merge and the exporters
         consume."""
+        return self._snapshot(list(map(_event_dict, self._events,
+                                       self._fields)))
+
+    def digest(self) -> str:
+        """``journal_digest(self.snapshot())`` without the snapshot:
+        each event is rendered as its chunk is hashed."""
+        return journal_digest(self._snapshot(map(_event_dict, self._events,
+                                                 self._fields)))
+
+    def _snapshot(self, events: Iterable[dict]) -> dict:
         return {
             "schema": JOURNAL_SCHEMA,
             "enabled": True,
             "time": round(self.clock(), 9),
             "recorded": self.recorded,
             "evicted": self.evicted,
-            "events": [_event_dict(row, fields) for row, fields
-                       in zip(self._events, self._fields)],
+            "events": events,
             "rings": {name: self._rings[name].to_dict()
                       for name in sorted(self._rings)},
         }
-
-    def digest(self) -> str:
-        return journal_digest(self.snapshot())
 
     def __len__(self) -> int:
         return len(self._events)
@@ -285,14 +295,38 @@ NULL_JOURNAL = NullJournal()
 
 def journal_digest(snapshot: dict) -> str:
     """sha256 over the canonical JSON of a journal snapshot — the
-    event-stream identity the parity checks compare."""
-    blob = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    event-stream identity the parity checks compare.
+
+    The canonical text is ``json.dumps(snapshot, sort_keys=True)``,
+    fed to the hash a piece at a time: the top-level keys one by one,
+    and the ``events`` value — a list, or any iterable of event dicts —
+    :data:`DIGEST_CHUNK` events per encode, so what digesting holds at
+    once does not grow with the journal.
+    """
+    digest = hashlib.sha256(b"{")
+    for index, key in enumerate(sorted(snapshot)):
+        digest.update(f"{', ' if index else ''}{json.dumps(key)}: ".encode())
+        if key != "events":
+            digest.update(json.dumps(snapshot[key], sort_keys=True).encode())
+            continue
+        digest.update(b"[")
+        events, separator = iter(snapshot[key]), b""
+        while chunk := list(islice(events, DIGEST_CHUNK)):
+            # "[e1, e2, ...]" less its brackets is those items and the
+            # separators between them, exactly as in the whole list.
+            blob = json.dumps(chunk, sort_keys=True).encode()
+            digest.update(separator)
+            digest.update(memoryview(blob)[1:-1])
+            separator = b", "
+        digest.update(b"]")
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 __all__ = [
     "DEFAULT_CAPACITY",
     "DEFAULT_RING_CAPACITY",
+    "DIGEST_CHUNK",
     "JOURNAL_SCHEMA",
     "Journal",
     "JournalEvent",

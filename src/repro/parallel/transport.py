@@ -105,7 +105,9 @@ class FrameDecoder:
             del self._buffer[:end]
             try:
                 out.append(json.loads(blob))
-            except ValueError as exc:
+            # Nesting past the interpreter's recursion limit is as
+            # undecodable as bad UTF-8 or bad JSON.
+            except (ValueError, RecursionError) as exc:
                 raise TransportError(f"undecodable frame: {exc}") from exc
         return out
 

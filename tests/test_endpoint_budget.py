@@ -26,7 +26,7 @@ from repro.net.packet import (
     IPv4Packet,
     TCPSegment,
 )
-from repro.net.tcp import TcpState
+from repro.net.tcp import MSS, TcpConnection, TcpState
 from repro.sim.engine import Simulator
 from tests.helpers import python_calls
 
@@ -253,3 +253,158 @@ def test_any_interleaving_delivers_the_stream_once(script):
     assert conn.state is TcpState.CLOSED
     assert events == ["accept", "established", "remote_close", "closed"]
     assert stack.connection_count() == 0
+
+
+# ----------------------------------------------------------------------
+# The send path against the bytearray buffer it replaced
+# ----------------------------------------------------------------------
+class _BytearrayBuffered(TcpConnection):
+    """The send path as it was: every write extended one ``bytearray``
+    and each segment was copied out of it.  Kept as the reference the
+    queue of writes must be indistinguishable from on the wire."""
+
+    def send(self, data) -> None:
+        state = self.state
+        if state is not TcpState.ESTABLISHED:
+            if state is TcpState.CLOSED and self.opened_at is None:
+                self._send_buffer.extend(data)
+                return
+            if state not in (TcpState.CLOSE_WAIT, TcpState.SYN_SENT,
+                             TcpState.SYN_RCVD):
+                raise RuntimeError(f"cannot send in state {state}")
+        if self._fin_pending or self._fin_sent:
+            raise RuntimeError("cannot send after close()")
+        self._send_buffer.extend(data)
+        if state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+            self._flush()
+
+    def _flush(self) -> None:
+        buffer = self._send_buffer
+        while buffer:
+            chunk = bytes(buffer[:MSS])
+            del buffer[:MSS]
+            size = len(chunk)
+            seq = self.snd_nxt
+            self.bytes_sent += size
+            if self._fin_pending and not buffer:
+                self._fin_pending = False
+                self._fin_sent = True
+                self._emit(ACK | PSH | FIN, seq, self.rcv_nxt, chunk)
+                self.snd_nxt = (seq + size + 1) & MASK
+                self._after_fin_sent()
+            else:
+                self._emit(ACK | PSH, seq, self.rcv_nxt, chunk)
+                self.snd_nxt = (seq + size) & MASK
+        if self._fin_pending:
+            self._fin_pending = False
+            self._fin_sent = True
+            self._emit(FIN | ACK, self.snd_nxt, self.rcv_nxt)
+            self.snd_nxt = (self.snd_nxt + 1) & MASK
+            self._after_fin_sent()
+
+
+_WRITE_SIZES = st.one_of(
+    st.integers(0, 4000),
+    st.sampled_from((0, 1, MSS - 1, MSS, MSS + 1, 2 * MSS, 2 * MSS + 1)))
+_WRITES = st.lists(st.tuples(
+    st.sampled_from(("bytes", "bytearray", "memoryview", "ints")),
+    _WRITE_SIZES), max_size=4)
+
+
+@st.composite
+def _send_scripts(draw):
+    return {
+        # In the accept callback, before the SYN is processed; in
+        # SYN_RCVD; in ESTABLISHED; after the peer's FIN.
+        "phases": [draw(_WRITES) for _ in range(4)],
+        # close() while the FIN must wait for the handshake, with
+        # data queued or not, or after either side's FIN.
+        "close": draw(st.sampled_from(
+            (None, "syn_rcvd", "established", "close_wait"))),
+    }
+
+
+def _run_send_script(script, reference: bool):
+    """Drive one accepted connection through ``script``; returns what
+    the peer saw, ``(seq, ack, flags, payload)`` per segment, the
+    application's stream, and every error ``send`` raised."""
+    peer, accepted, errors, stream = _Peer(), [], [], bytearray()
+    same_object = []            # did a <= MSS bytes write go out as-is?
+
+    def attempt(conn, data) -> None:
+        try:
+            conn.send(data)
+        except (TypeError, ValueError, RuntimeError) as exc:
+            errors.append((type(exc).__name__, str(exc)))
+
+    def phase(conn, writes) -> None:
+        attempt(conn, 5)
+        attempt(conn, "text")
+        for kind, size in writes:
+            content = bytes((len(stream) + i) % 251 for i in range(size))
+            stream.extend(content)
+            data = {"bytes": content, "bytearray": bytearray(content),
+                    "memoryview": memoryview(bytearray(content)),
+                    "ints": list(content)}[kind]
+            before = len(peer.sent)
+            attempt(conn, data)
+            if kind != "bytes":
+                # The caller's buffer is its own again once send returns.
+                data[:] = (b"\xee" if kind != "ints" else [0xEE]) * size
+            peer.sim.run(until=peer.sim.now + 0.01)
+            if (kind == "bytes" and 0 < size <= MSS
+                    and conn.state in (TcpState.ESTABLISHED,
+                                       TcpState.CLOSE_WAIT)):
+                (segment,) = peer.sent[before:]
+                same_object.append(segment.payload is data)
+
+    def on_accept(conn):
+        if reference:
+            conn.__class__ = _BytearrayBuffered
+            conn._send_buffer = bytearray()
+        accepted.append(conn)
+        phase(conn, script["phases"][0])
+
+    peer.host.tcp.listen(SERVICE_PORT, on_accept)
+    isn = 5000
+    (syn_ack,) = peer.inject(isn, 0, SYN)[:1]
+    (conn,) = accepted
+
+    def close(when: str) -> None:
+        if script["close"] == when:
+            conn.close()
+            attempt(conn, b"after close")
+
+    phase(conn, script["phases"][1])
+    close("syn_rcvd")
+    peer.inject(isn + 1, (syn_ack.seq + 1) & MASK, ACK)
+    phase(conn, script["phases"][2])
+    close("established")
+    peer.inject(isn + 1, conn.snd_nxt, FIN | ACK)
+    phase(conn, script["phases"][3])
+    close("close_wait")
+    peer.sim.run(until=peer.sim.now + 0.01)
+    wire = [(s.seq, s.ack, s.flags, bytes(s.payload)) for s in peer.sent]
+    return wire, bytes(stream), errors, same_object
+
+
+@settings(max_examples=150, deadline=None)
+@given(_send_scripts())
+def test_send_queue_emits_what_the_bytearray_buffer_did(script):
+    wire, stream, errors, same_object = _run_send_script(script, False)
+    assert (wire, stream, errors) == _run_send_script(script, True)[:3]
+    # The payloads are the application's stream, whatever it did to
+    # its own buffers after each send.
+    sent = b"".join(payload for _, _, flags, payload in wire
+                    if flags & PSH)
+    assert sent == stream[:len(sent)]
+    assert all(same_object)
+    # The errors are the ones the bytearray buffer raised: what it
+    # could not extend itself with, in every state, and what a closed
+    # connection refuses.
+    assert errors.count(("TypeError", "can't extend bytearray with int")) \
+        >= 2
+    if script["close"] == "syn_rcvd":
+        assert ("RuntimeError", "cannot send after close()") in errors
+    elif script["close"]:
+        assert any(kind == "RuntimeError" for kind, _ in errors)

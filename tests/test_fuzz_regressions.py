@@ -22,8 +22,10 @@ from repro.fuzz import (
     DSL_TARGET,
     MutationEngine,
     TARGETS,
+    WORKER_FRAME_TARGET,
     fuzz_dsl,
     fuzz_parsers,
+    fuzz_worker_frames,
     minimize,
     replay_corpus,
 )
@@ -38,7 +40,8 @@ class TestCorpusReplay:
         entries = CorpusStore(CORPUS_DIR).entries()
         assert len(entries) >= 40
         covered = {protocol for protocol, _, _ in entries}
-        assert covered == set(TARGETS) | {DSL_TARGET.name}
+        assert covered == set(TARGETS) | {DSL_TARGET.name,
+                                          WORKER_FRAME_TARGET.name}
 
     def test_no_pinned_input_escapes_the_taxonomy(self):
         summary = replay_corpus(CORPUS_DIR)
@@ -111,6 +114,42 @@ class TestPolicyProgramTarget:
                 parse_program(program)
             assert exc.value.reason == "bad-value"
             assert exc.value.line_number == 1
+
+
+class TestWorkerFrameTarget:
+    """The campaign transport's frame decoder: a byte stream, whole or
+    in pieces, decodes to the same messages or raises
+    ``TransportError`` (``ParseError`` through the target)."""
+
+    def test_loop_is_deterministic_and_escape_free(self):
+        first = fuzz_worker_frames(seed=42, iterations=300)
+        assert first["escapes"] == []
+        assert first["ok"] and first["parse_errors"]  # both sides reached
+        assert first["digest"] == \
+            fuzz_worker_frames(seed=42, iterations=300)["digest"]
+
+    def test_it_stays_out_of_the_tracked_round_robin(self):
+        assert WORKER_FRAME_TARGET.name not in TARGETS
+
+    def test_a_chunking_that_changes_the_decoding_is_an_escape(self):
+        """The target's second contract: feeding in pieces must not
+        change what decodes.  A decoder that drops a frame split across
+        two feeds breaks it."""
+        from unittest import mock
+
+        from repro.parallel.transport import FrameDecoder, encode_frame
+
+        def forgetful(self, data):
+            self._buffer = bytearray(data)      # loses the held prefix
+            return original(self, b"")
+
+        original = FrameDecoder.feed
+        messages = [["start", index] for index in range(8)]
+        data = b"".join(map(encode_frame, messages))
+        assert WORKER_FRAME_TARGET.parse(data) == messages
+        with mock.patch.object(FrameDecoder, "feed", forgetful):
+            with pytest.raises(AssertionError, match="chunking"):
+                WORKER_FRAME_TARGET.parse(data)
 
 
 class TestMinimizer:

@@ -13,6 +13,7 @@ The acceptance bar for the audit plane (docs/OBSERVABILITY.md):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from time import perf_counter
@@ -23,6 +24,8 @@ from repro.farm import FarmConfig
 from repro.obs import __main__ as obs_cli
 from repro.obs.export import render_chrome_trace, render_jsonl
 from repro.obs.journal import (
+    DEFAULT_CAPACITY,
+    DIGEST_CHUNK,
     JOURNAL_SCHEMA,
     NULL_JOURNAL,
     Journal,
@@ -244,6 +247,54 @@ class TestAtCapacity:
         assert at <= 3.0 * below, (
             f"{at * 1e6:.2f} us/event at capacity vs "
             f"{below * 1e6:.2f} us/event below it")
+
+
+def whole_text_digest(snapshot: dict) -> str:
+    """The digest's definition, as it was computed before it streamed:
+    sha256 over the whole canonical text at once."""
+    return hashlib.sha256(
+        json.dumps(snapshot, sort_keys=True).encode()).hexdigest()
+
+
+class TestStreamingDigest:
+    """``Journal.digest()`` encodes a chunk of events at a time and
+    never builds the snapshot; ``journal_digest`` goes through the same
+    encoder.  Both must hash exactly the whole snapshot's canonical
+    text, at and around every chunk boundary."""
+
+    @pytest.mark.parametrize("events", [
+        0, 1, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1,
+        3 * DIGEST_CHUNK + 7])
+    @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 1000])
+    @pytest.mark.parametrize("rings", [False, True])
+    def test_matches_the_whole_text(self, events, capacity, rings):
+        rng = random.Random(events)
+        journal = make_journal(capacity=capacity, ring_capacity=8)
+        for n in range(events):
+            journal.tick(rng.random())
+            journal.record(
+                rng.choice(["flow.created", "verdict.issued"]),
+                flow=f"vlan{n % 9}/ü-{n % 13}", vlan=n % 9,
+                parent=rng.choice([None, ROOT]),
+                policy="Botfarm — «strict»", rate=rng.random() * 1e3,
+                ratio=n / 7, big=1e300, count=n, rules=["a", "☃"],
+                nested={"z": 1, "a": [0.1, None, True]})
+            if rings and n % 5 == 0:
+                journal.sample(rng.choice(["gw.flows", "cs.p99"]), n / 3)
+        assert journal.evicted == max(0, events - capacity)
+        snapshot = journal.snapshot()
+        assert len(snapshot["events"]) == min(events, capacity)
+        assert bool(snapshot["rings"]) == (rings and events > 0)
+        expected = whole_text_digest(snapshot)
+        assert journal.digest() == journal_digest(snapshot) == expected
+
+    @pytest.mark.parametrize("snapshot", [
+        {}, {"events": []}, {"schema": JOURNAL_SCHEMA},
+        {"b": 1, "events": [{"k": "é"}], "a": [2.5]},
+        NULL_JOURNAL.snapshot()])
+    def test_any_snapshot_shape(self, snapshot):
+        # Merged snapshots carry keys of their own; any dict encodes.
+        assert journal_digest(snapshot) == whole_text_digest(snapshot)
 
 
 class TestProvenance:

@@ -59,6 +59,16 @@ class TestFrameCodec:
         with pytest.raises(TransportError):
             decoder.feed(struct.pack(">I", 3) + b"\xff\xfe\xfd")
 
+    @pytest.mark.parametrize("body", [b"[" * 200_000,
+                                      b'{"a":' * 50_000])
+    def test_nesting_past_the_recursion_limit_rejected(self, body):
+        # A hostile peer's bracket bomb used to escape as RecursionError.
+        import struct
+
+        decoder = FrameDecoder()
+        with pytest.raises(TransportError, match="undecodable frame"):
+            decoder.feed(struct.pack(">I", len(body)) + body)
+
 
 class TestParseEndpoint:
     def test_host_port(self):
