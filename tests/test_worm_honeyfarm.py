@@ -134,3 +134,88 @@ class TestWormCapture:
     def test_farm_saturation_stops_chain(self):
         result = run_worm_capture(KORGO_Q, inmates=2, duration=600, seed=7)
         assert result.event_count == 2  # no fresh inmates after that
+
+
+class TestRedirectPolicyLive:
+    """``WormHoneyfarmPolicy``'s redirect path on a live farm: one
+    source inmate scans four world addresses (the first twice) while an
+    infected inmate and two fresh ones listen on the exploit port."""
+
+    SCANS = ["198.18.0.1", "198.18.0.1", "198.18.0.2", "198.18.0.3"]
+
+    def run(self, with_sink: bool):
+        from types import SimpleNamespace
+
+        from repro.farm import Farm, FarmConfig
+        from repro.net.addresses import IPv4Address
+        from repro.policies.worm import WormHoneyfarmPolicy
+        from repro.services.dhcp import DhcpClient
+
+        farm = Farm(FarmConfig(seed=29))
+        sub = farm.create_subfarm("honeyfarm")
+        sink = sub.add_catchall_sink() if with_sink else None
+        policy = WormHoneyfarmPolicy()
+        sub.set_default_policy(policy)
+        heard = {}     # victim address -> [(scanned address, attacker)]
+
+        def image(infected: bool, scans=()):
+            def configured(host):
+                host.vuln = SimpleNamespace(infected=infected)
+
+                def accept(conn):
+                    conn.on_data = lambda c, data: heard.setdefault(
+                        str(host.ip), []).append(
+                            (data.decode(), str(c.remote_ip)))
+                host.tcp.listen(445, accept)
+                for index, scanned in enumerate(scans):
+                    def scan(target=scanned):
+                        conn = host.tcp.connect(IPv4Address(target), 445)
+                        conn.on_established = lambda c: c.send(
+                            target.encode())
+                    host.sim.schedule_at(60.0 + 5 * index, scan)
+            return lambda host: DhcpClient(
+                host, on_configured=configured).start()
+
+        source = sub.create_inmate(image_factory=image(False, self.SCANS))
+        infected = sub.create_inmate(image_factory=image(True))
+        fresh = [sub.create_inmate(image_factory=image(False))
+                 for _ in range(2)]
+        farm.run(until=120)
+        return farm, sub, sink, policy, heard, source, infected, fresh
+
+    def test_sticky_victims_then_sink(self):
+        _farm, sub, sink, policy, heard, source, infected, fresh = \
+            self.run(with_sink=True)
+        attacker = str(source.host.ip)
+        first, second = (str(inmate.host.ip) for inmate in fresh)
+        # The source and the infected inmate are skipped; the scanned
+        # address keeps its victim; a promised victim is not offered to
+        # a second scanned address.
+        assert heard == {
+            first: [("198.18.0.1", attacker), ("198.18.0.1", attacker)],
+            second: [("198.18.0.2", attacker)]}
+        assert str(infected.host.ip) not in heard
+        verdicts = [(str(record.flow.resp_ip), record.decision.verdict.label,
+                     record.decision.target_ip and str(
+                         record.decision.target_ip),
+                     record.decision.annotation)
+                    for record in sub.containment_server.verdict_log]
+        sink_ip = str(sub.services["sink"][0])
+        assert verdicts == [
+            ("198.18.0.1", "REDIRECT", first, "propagation into farm"),
+            ("198.18.0.1", "REDIRECT", first, "propagation into farm"),
+            ("198.18.0.2", "REDIRECT", second, "propagation into farm"),
+            ("198.18.0.3", "REFLECT", sink_ip, "no fresh inmate; to sink")]
+        assert [bytes(record.payload) for record in sink.records] == [
+            b"198.18.0.3"]
+        assert (policy.redirects_issued, policy.no_victim_available) == (3, 1)
+
+    def test_no_victim_and_no_sink_drops(self):
+        _farm, sub, _sink, policy, heard, _source, _infected, fresh = \
+            self.run(with_sink=False)
+        assert set(heard) == {str(inmate.host.ip) for inmate in fresh}
+        last = sub.containment_server.verdict_log[-1]
+        assert str(last.flow.resp_ip) == "198.18.0.3"
+        assert (last.decision.verdict.label, last.decision.annotation) == (
+            "DROP", "no fresh inmate available")
+        assert (policy.redirects_issued, policy.no_victim_available) == (3, 1)
