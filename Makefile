@@ -37,10 +37,12 @@ chaos-quick:
 
 # Fuzz smoke, under two hash seeds: fixed-seed hostile inputs through
 # every parser (twice, asserting a byte-identical corpus digest), broken
-# policy programs through the DSL parser, hostile frames through a live
-# farm trunk under both isolate and fail-stop malice policies, then the
-# first hundred router differential scripts — all compared against the
-# digests tracked in FUZZ_quick.json (docs/HARDENING.md).
+# policy programs through the DSL parser, worker frames through the
+# campaign transport, fault plans through FaultPlan.from_dict, hostile
+# frames through a live farm trunk under both isolate and fail-stop
+# malice policies, then the first hundred router differential scripts
+# — all compared against the digests tracked in FUZZ_quick.json
+# (docs/HARDENING.md).
 fuzz-quick:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m repro.fuzz --quick || exit 1; \
@@ -62,13 +64,16 @@ obs-quick:
 # differential (derandomized: the decision table a policy executes = a
 # brute-force first-match evaluator = the model's cells, over random
 # DSL programs and every registered policy class x atom-edge probes x
-# content in 1-3 chunks) and the decision corpus (every library and
-# experiment policy replays what its hand-written methods answered).
-# Then certify the golden-seed farm twice (exhaustive reachability over
-# the published decision surface must be CONTAINED with a byte-stable
-# certificate digest), one fault-matrix scenario cross-validated
-# against its own runtime journal and flow tables, and the Figure 6
-# Botfarm (CONTAINED and exact) (docs/VERIFICATION.md).
+# content in 1-3 chunks; every table decides every datagram) and the
+# decision corpus (every library and experiment policy replays what
+# its hand-written methods answered before they became rules).  Then
+# certify the golden-seed farm twice (exhaustive reachability over the
+# published decision surface must be CONTAINED with a byte-stable
+# certificate digest), the Figure 6 Botfarm, a worm honeyfarm (its
+# redirect an in-farm cell) and one fault-matrix scenario
+# cross-validated against its own runtime journal and flow tables, and
+# compile a model of every registered policy class
+# (docs/VERIFICATION.md).
 verify-quick:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \

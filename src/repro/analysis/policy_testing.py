@@ -139,13 +139,10 @@ _OUTSIDE_IP = IPv4Address("203.0.113.200")
 
 
 def drive(policy: ContainmentPolicy,
-          probe: Probe) -> Tuple[Optional[ContainmentDecision], bool]:
+          probe: Probe) -> Optional[ContainmentDecision]:
     """Put one probe to a policy the way the containment server puts a
     flow: ``decide`` on the endpoint, then ``decide_content`` on the
-    probe's bytes.  Returns the decision (None: still waiting for
-    content) and whether the endpoint alone settled it.  The one
-    prober: :func:`enumerate_surface` and the isolation model of an
-    opaque policy (:func:`repro.verify.model.probe_policy`) read it."""
+    probe's bytes.  None: still waiting for content."""
     outbound = probe.direction == "outbound"
     orig, resp = ((_INMATE_IP, _OUTSIDE_IP) if outbound
                   else (_OUTSIDE_IP, _INMATE_IP))
@@ -153,10 +150,7 @@ def drive(policy: ContainmentPolicy,
         FiveTuple(orig, 4321, resp, probe.port, probe.proto),
         vlan_id=2, nonce_port=40000, now=0.0, services=policy.services,
         inmate_is_originator=outbound)
-    decision = policy.decide(ctx)
-    if decision is not None:
-        return decision, True
-    return policy.decide_content(ctx, probe.content), False
+    return policy.decide(ctx) or policy.decide_content(ctx, probe.content)
 
 
 def enumerate_surface(
@@ -175,7 +169,7 @@ def enumerate_surface(
     probes = probes if probes is not None else generate_probes()
     report = SurfaceReport(policy.policy_name)
     for probe in probes:
-        decision, _ = drive(policy, probe)
+        decision = drive(policy, probe)
         if decision is None:
             report.undecided.append(probe)
             continue

@@ -49,6 +49,7 @@ from repro.core.policy import (
     Action,
     ContainmentPolicy,
     Content,
+    PolicyError,
     Rule,
     compile_table,
     register_policy,
@@ -56,26 +57,8 @@ from repro.core.policy import (
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 
-
-class DslError(ValueError):
-    """Malformed policy program.
-
-    Structured for tooling (the isolation verifier and tests match on
-    these instead of parsing messages): ``reason`` is a stable
-    kebab-case tag (``missing-default``, ``duplicate-default``,
-    ``unknown-action``, ``bad-port-spec``, ``bad-value``,
-    ``shadowed-rule``, ...),
-    ``line_number`` the 1-based program line (None for whole-program
-    errors), ``line`` the offending source text.
-    """
-
-    def __init__(self, message: str, reason: str = "syntax",
-                 line_number: Optional[int] = None,
-                 line: str = "") -> None:
-        super().__init__(message)
-        self.reason = reason
-        self.line_number = line_number
-        self.line = line
+#: A malformed policy program (``reason``, ``line_number``, ``line``).
+DslError = PolicyError
 
 
 _PORT_RE = re.compile(r"^(\d+)(?:-(\d+))?/(tcp|udp)$")

@@ -43,11 +43,18 @@ a policy cannot answer one thing and certify another.  The fields:
   resolved per decision, since policies meet their services after
   construction), ``target_ip`` / ``target_port`` (redirect), ``rate``
   (limit) and ``build`` (the name of a policy method that builds the
-  decision per flow, e.g. with the served sample's MD5; ``kind`` stays
-  the verdict the surface declares).
+  decision per flow, e.g. with the served sample's MD5 or a fresh
+  inmate to redirect to; ``kind`` stays the verdict the surface
+  declares; a redirect built per flow declares ``target_ip=UNBOUND``,
+  and is dropped if it lands outside RFC 1918 space).  A ``build``
+  method may decline by returning None: the walker then takes
+  ``otherwise``, where :func:`compile_table` refuses anything that
+  could leave the farm.
 
-A subclass that overrides ``decide`` or ``decide_content`` by hand
-still works; it publishes nothing and the verifier probes it.
+The walker is the only decider: a subclass that defines ``decide``,
+``decide_content`` or ``decide_datagram`` is a ``TypeError`` at class
+creation; content control stays in ``make_rewriter`` and
+``rewrite_datagram``.
 """
 
 from __future__ import annotations
@@ -77,8 +84,9 @@ Surface = Dict[Tuple[str, int],
                List[Tuple[int, int, List[Tuple[str, ContainmentDecision]]]]]
 
 #: Where a published reflect points while its service is not bound to
-#: the policy yet (a policy outside a subfarm): the isolation model
-#: records such a cell without an address.
+#: the policy yet (a policy outside a subfarm), and where a built
+#: redirect points before its flow picks the target: the isolation
+#: model records such a cell in the farm, without an address.
 UNBOUND = IPv4Address("0.0.0.0")
 
 
@@ -96,6 +104,10 @@ class Action(NamedTuple):
     target_port: Optional[int] = None
     rate: Optional[float] = None
     build: Optional[str] = None
+
+
+#: What a declining ``build`` without ``otherwise`` answers.
+DECLINED = Action("drop", "declined")
 
 
 def never(data: bytes) -> bool:
@@ -192,6 +204,36 @@ class Rule:
         return f"<Rule {self.line or self.content_class!r}>"
 
 
+class PolicyError(ValueError):
+    """A policy that does not compile (``repro.core.dsl.DslError`` for
+    a policy program).
+
+    Structured for tooling (the isolation verifier and tests match on
+    these instead of parsing messages): ``reason`` is a stable
+    kebab-case tag (``missing-default``, ``duplicate-default``,
+    ``unknown-action``, ``bad-port-spec``, ``bad-value``,
+    ``shadowed-rule``, ``world-granting-otherwise``, ...),
+    ``line_number`` the 1-based program line (None for whole-program
+    errors and class policies), ``line`` the offending source text.
+    """
+
+    def __init__(self, message: str, reason: str = "syntax",
+                 line_number: Optional[int] = None,
+                 line: str = "") -> None:
+        super().__init__(message)
+        self.reason = reason
+        self.line_number = line_number
+        self.line = line
+
+
+def _in_farm(action: Action) -> bool:
+    """Does ``action`` keep a flow inside the farm, whatever the
+    subfarm has configured?"""
+    if action.kind == "redirect":
+        return action.target_ip is not None and action.target_ip.is_rfc1918()
+    return action.kind in ("drop", "reflect")
+
+
 def compile_table(rules: List[Rule], default: Action
                   ) -> Tuple[dict, List[Rule]]:
     """First-match semantics, stated once: ``(direction, proto) ->
@@ -202,8 +244,20 @@ def compile_table(rules: List[Rule], default: Action
     rule, or ``default``.
 
     Also returns the dead rules, those that own no branch in any atom:
-    every flow such a rule matches is decided ahead of it.
+    every flow such a rule matches is decided ahead of it.  Refuses
+    (:class:`PolicyError`) a ``build`` that may decline to an
+    alternative reaching the world: the table publishes the built
+    verdict, not the alternatives.
     """
+    for action in [rule.action for rule in rules] + [default]:
+        alternative = action.otherwise if action.build else None
+        while alternative is not None:
+            if not _in_farm(alternative):
+                raise PolicyError(
+                    f"{action.build!r} may decline to {alternative.kind!r}, "
+                    "which can leave the farm",
+                    reason="world-granting-otherwise")
+            alternative = alternative.otherwise
     fallback = Rule(default, line="default")
     table = {}
     live = set()
@@ -348,6 +402,18 @@ class ContainmentPolicy:
         self.services: ServiceMap = dict(services or {})
         self.config = dict(config or {})
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Refuse a hand-written decider; a name bound to the walker
+        itself (the frozen names of ``AllowAll`` and ``DslPolicy``)
+        is the walker."""
+        super().__init_subclass__(**kwargs)
+        for name in ("decide", "decide_content", "decide_datagram"):
+            if vars(cls).get(name, vars(ContainmentPolicy)[name]) \
+                    is not vars(ContainmentPolicy)[name]:
+                raise TypeError(
+                    f"{cls.__qualname__} defines {name}: a policy declares "
+                    "its rules (declare() / default) and the walker decides")
+
     @property
     def policy_name(self) -> str:
         return self.name or type(self).__name__
@@ -376,11 +442,9 @@ class ContainmentPolicy:
     def decide_datagram(self, ctx: PolicyContext,
                         data: bytes) -> Optional[ContainmentDecision]:
         """``decide_content`` for a datagram, which is the whole content:
-        a branch holding out for more bytes is passed over.  (A policy
-        that decides by hand is asked through its ``decide_content``.)"""
-        if self._walks():
-            return self._walk(ctx, data, whole=True)
-        return self.decide_content(ctx, data)
+        a branch holding out for more bytes is passed over, so the walk
+        always decides."""
+        return self._walk(ctx, data, whole=True)
 
     def _walk(self, ctx: PolicyContext, data: Optional[bytes],
               whole: bool = False) -> Optional[ContainmentDecision]:
@@ -404,13 +468,21 @@ class ContainmentPolicy:
             branch.hits += 1
             action = branch.action
             if action.build is not None:
-                return getattr(self, action.build)(ctx)
+                decision = getattr(self, action.build)(ctx)
+                if decision is None:        # declined: the alternatives
+                    action = action.otherwise or DECLINED
+                elif (decision.verdict & Verdict.REDIRECT
+                      and not decision.target_ip.is_rfc1918()):
+                    return self.deny(ctx, "built redirect outside the farm")
+                else:
+                    return decision
             return self._decision_for(ctx, action)
 
     def _decision_for(self, ctx: PolicyContext,
                       action: Action) -> ContainmentDecision:
-        """The decision ``action`` declares, under ``ctx``'s services."""
-        while (action.otherwise is not None
+        """The decision ``action`` declares, under ``ctx``'s services (a
+        built action's ``otherwise`` is the walker's, taken on decline)."""
+        while (action.otherwise is not None and action.build is None
                and not ctx.has_service(action.service)):
             action = action.otherwise
         if action.kind == "reflect":
@@ -437,16 +509,6 @@ class ContainmentPolicy:
         return ContainmentDecision.drop(policy=self.policy_name,
                                         annotation=annotation)
 
-    def forward(self, ctx: PolicyContext,
-                annotation: str = "") -> ContainmentDecision:
-        return ContainmentDecision.forward(policy=self.policy_name,
-                                           annotation=annotation)
-
-    def limit(self, ctx: PolicyContext, rate: float,
-              annotation: str = "") -> ContainmentDecision:
-        return ContainmentDecision.limit(rate, policy=self.policy_name,
-                                         annotation=annotation)
-
     def redirect(self, ctx: PolicyContext, ip: IPv4Address,
                  port: Optional[int] = None,
                  annotation: str = "") -> ContainmentDecision:
@@ -469,22 +531,9 @@ class ContainmentPolicy:
                                            annotation=annotation)
 
     # ------------------------------------------------------------------
-    def _walks(self) -> bool:
-        """Does this class decide by its table?  Not if a subclass
-        overrides the walker by hand (an alias of it, or a tracer's
-        ``__wrapped__`` wrapper around one, is still the walker)."""
-        from inspect import unwrap  # a farm that never asks skips the import
-        cls, base = type(self), ContainmentPolicy
-        return (unwrap(cls.decide) is base.decide
-                and unwrap(cls.decide_content) is base.decide_content)
-
-    def surface(self) -> Optional[Surface]:
-        """The policy's whole decision surface as data — the table it
-        executes, each action as the decision it declares — or None
-        when only probing can tell (``decide`` overridden by hand: the
-        isolation model built from probes is marked inexact)."""
-        if not self._walks():
-            return None
+    def surface(self) -> Surface:
+        """The policy's whole decision surface as data: the table it
+        executes, each action as the decision it declares."""
         # Published under no flow and the policy's own service map, an
         # unbound name answering UNBOUND, not the runtime's KeyError.
         ctx = PolicyContext(None, 0, 0, 0.0, defaultdict(
@@ -503,11 +552,10 @@ class ContainmentPolicy:
         """Identity card for the isolation verifier's certificates.
 
         Class policies carry no decision-surface digest (``kind`` reads
-        ``opaque`` whether or not :meth:`surface` publishes; the model's
-        ``exact`` flag says which).  :class:`repro.core.dsl.DslPolicy`
-        overrides this with the program digest.
+        ``class``); :class:`repro.core.dsl.DslPolicy` overrides this
+        with the program digest.
         """
-        return {"policy": self.policy_name, "kind": "opaque"}
+        return {"policy": self.policy_name, "kind": "class"}
 
 
 # ----------------------------------------------------------------------

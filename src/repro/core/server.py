@@ -414,9 +414,6 @@ class ContainmentServer:
             decision = policy.decide(ctx)
             if decision is None:
                 decision = policy.decide_datagram(ctx, content)
-            if decision is None:
-                decision = ContainmentDecision.drop(
-                    policy=policy.policy_name, annotation="udp undecided")
             self._udp_decisions[shim.flow] = decision
             self._record(shim, decision)
 

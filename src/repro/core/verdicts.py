@@ -168,11 +168,6 @@ class ContainmentDecision:
         return cls(Verdict.FORWARD, policy=policy, annotation=annotation)
 
     @classmethod
-    def limit(cls, rate: float, policy: str = "",
-              annotation: str = "") -> "ContainmentDecision":
-        return cls(Verdict.LIMIT, rate=rate, policy=policy, annotation=annotation)
-
-    @classmethod
     def drop(cls, policy: str = "", annotation: str = "") -> "ContainmentDecision":
         return cls(Verdict.DROP, policy=policy, annotation=annotation)
 

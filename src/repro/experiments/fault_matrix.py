@@ -315,7 +315,6 @@ def summarize(result) -> dict:
             "certificate": {
                 "result": certificate.get("result"),
                 "digest": certificate.get("digest"),
-                "exact": certificate.get("exact"),
                 "grants": len(certificate.get("grants", [])),
             },
             "coverage": {key: coverage.get(key, 0)

@@ -96,6 +96,16 @@ _DEFAULTS = {
     "restore_after": None,
 }
 
+#: What each field holds besides a default of None: a plan read from a
+#: payload or a file can say anything, and a wrong type is refused as
+#: a ValueError like any other bad value.
+_NUMBER = (int, float)
+_TYPES = {"subfarm": str, "server": int, "vlan": int, "shard": int,
+          "at": _NUMBER, "start": _NUMBER, "end": _NUMBER,
+          "probability": _NUMBER, "delay": _NUMBER, "jitter": _NUMBER,
+          "extra": _NUMBER, "count": int, "exitcode": int,
+          "wall_seconds": _NUMBER, "message": str, "restore_after": _NUMBER}
+
 
 class FaultSpec:
     """One fault: a kind plus targeting and timing fields."""
@@ -112,9 +122,14 @@ class FaultSpec:
         self.validate()
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(known: {sorted(KINDS)})")
+        for name, kind in _TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind) and not (
+                    value is None and _DEFAULTS[name] is None):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be within [0, 1]")
         for name in ("delay", "jitter", "extra", "start", "wall_seconds"):
@@ -149,6 +164,8 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a fault spec is an object, not {data!r}")
         fields = dict(data)
         try:
             kind = fields.pop("kind")
@@ -283,10 +300,15 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        if not isinstance(data, dict):
+            raise ValueError(f"a fault plan is an object, not {data!r}")
         unknown = set(data) - {"specs"}
         if unknown:
             raise ValueError(f"unknown FaultPlan keys: {sorted(unknown)}")
-        return cls(data.get("specs") or ())
+        specs = data.get("specs") or ()
+        if not isinstance(specs, (list, tuple)):
+            raise ValueError(f"fault plan specs are a list, not {specs!r}")
+        return cls(specs)
 
     def digest(self) -> str:
         """sha256 over the canonical JSON of the plan."""

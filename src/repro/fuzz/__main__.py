@@ -8,11 +8,11 @@ Usage::
     python -m repro.fuzz --replay tests/fuzz_corpus
 
 ``--quick`` runs the fixed-seed smoke (parser determinism replay,
-policy-program and worker-frame loops, farm loop under isolate and
-fail-stop, comparison against the tracked ``FUZZ_quick.json``) and
-exits non-zero on any violation.  ``--replay`` re-parses a pinned
-corpus directory and exits non-zero if any input escapes the
-ParseError taxonomy.
+policy-program, worker-frame and fault-plan loops, farm loop under
+isolate and fail-stop, comparison against the tracked
+``FUZZ_quick.json``) and exits non-zero on any violation.
+``--replay`` re-parses a pinned corpus directory and exits non-zero if
+any input escapes the ParseError taxonomy.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ import sys
 from typing import List, Optional
 
 from repro.fuzz.corpus import replay_corpus
+from repro.fuzz.generators import SOLO_TARGETS
 from repro.fuzz.runner import (
     QUICK_FRAMES,
     QUICK_ITERATIONS,
     QUICK_SEED,
-    fuzz_dsl,
     fuzz_farm,
     fuzz_parsers,
-    fuzz_worker_frames,
+    fuzz_target,
     run_quick,
 )
 
@@ -79,18 +79,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parsers = fuzz_parsers(args.seed, args.iterations,
                            corpus_dir=args.corpus)
-    dsl = fuzz_dsl(args.seed, args.iterations, corpus_dir=args.corpus)
-    frames = fuzz_worker_frames(args.seed, args.iterations,
-                                corpus_dir=args.corpus)
+    solo = {key: fuzz_target(target, args.seed, args.iterations,
+                             corpus_dir=args.corpus)
+            for key, target in SOLO_TARGETS.items()}
     try:
         farm = fuzz_farm(args.seed, args.frames)
     except Exception as exc:  # noqa: BLE001 - containment failure
         farm = {"survived": False,
                 "error": f"{type(exc).__name__}: {exc}"}
-    summary = {"parsers": parsers, "dsl": dsl, "worker_frame": frames,
-               "farm": farm}
+    summary = {"parsers": parsers, **solo, "farm": farm}
     print(json.dumps(summary, indent=args.indent, sort_keys=True))
-    escapes = parsers["escapes"] + dsl["escapes"] + frames["escapes"]
+    escapes = parsers["escapes"] + [
+        escape for run in solo.values() for escape in run["escapes"]]
     if escapes or not farm.get("survived"):
         print(f"FUZZ ESCAPES: {len(escapes)} parser, "
               f"farm survived={farm.get('survived')}", file=sys.stderr)

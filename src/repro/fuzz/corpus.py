@@ -14,7 +14,7 @@ import hashlib
 import os
 from typing import Callable, Dict, List, Tuple
 
-from repro.fuzz.generators import DSL_TARGET, TARGETS, WORKER_FRAME_TARGET
+from repro.fuzz.generators import SOLO_TARGETS, TARGETS
 from repro.net.errors import ParseError
 
 
@@ -82,8 +82,8 @@ def replay_corpus(directory: str) -> Dict[str, object]:
     replayed = 0
     skipped: List[str] = []
     escapes: List[dict] = []
-    targets = {**TARGETS, DSL_TARGET.name: DSL_TARGET,
-               WORKER_FRAME_TARGET.name: WORKER_FRAME_TARGET}
+    targets = {**TARGETS, **{target.name: target
+                             for target in SOLO_TARGETS.values()}}
     for protocol, filename, data in store.entries():
         target = targets.get(protocol)
         if target is None:

@@ -26,6 +26,7 @@ from typing import Callable, Dict, NamedTuple
 from repro.core.dsl import DslError, parse_program
 from repro.core.shim import RequestShim, ResponseShim, peek_length
 from repro.core.verdicts import Verdict
+from repro.faults.plan import KINDS, FaultPlan, FaultSpec
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.arp import ArpMessage
 from repro.net.dns import DnsMessage, DnsRecord, encode_name, decode_name
@@ -449,6 +450,49 @@ def _parse_dsl(data: bytes) -> object:
         raise ParseError("dsl", str(error)) from None
 
 
+#: Values of the wrong shape for a fault-plan field, kind or container.
+_FAULT_BREAKS = ("tarpit", "", None, True, -1, 1e308, [], [1], {}, {"a": 1})
+
+
+def gen_fault_plan(rng: random.Random) -> bytes:
+    """A fault plan as the JSON a campaign payload carries: up to three
+    well-formed specs, then up to two fields, specs or containers
+    swapped for a value of the wrong shape."""
+    specs = [{"kind": kind, "at": 10.0, "shard": rng.randrange(4),
+              "start": 5.0, "end": rng.choice((None, 50.0)),
+              rng.choice(("delay", "jitter", "extra")): 0.5}
+             for kind in rng.sample(sorted(KINDS), rng.randrange(4))]
+    plan: object = {"specs": specs}
+    # Fields first, then whole specs, then the containers.
+    for case in sorted(rng.randrange(4) for _ in range(rng.randrange(3))):
+        wrong = rng.choice(_FAULT_BREAKS)
+        if case == 0 and specs:
+            rng.choice(specs)[rng.choice(FaultSpec.__slots__)] = wrong
+        elif case == 1 and specs:
+            specs[rng.randrange(len(specs))] = wrong
+        elif case == 2:
+            plan = {"specs": wrong}
+        elif case == 3:
+            plan = wrong
+    return json.dumps(plan, sort_keys=True).encode()
+
+
+def _parse_fault_plan(data: bytes) -> object:
+    """Build the plan and ask it what the isolation verifier and the
+    campaign runner ask; ``ValueError`` is the taxonomy's ParseError
+    here (what ``json`` refuses, the plan never sees)."""
+    try:
+        document = json.loads(data)
+    except (ValueError, RecursionError) as error:
+        raise ParseError("fault-plan", f"not JSON: {error}") from None
+    try:
+        plan = FaultPlan.from_dict(document)
+    except ValueError as error:
+        raise ParseError("fault-plan", str(error)) from None
+    return (plan.verdict_outage_windows("fuzz", 2), plan.worker_faults(),
+            plan.digest())
+
+
 def _worker_message(rng: random.Random) -> list:
     """One message of the worker wire vocabulary
     (:mod:`repro.parallel.transport`)."""
@@ -574,17 +618,19 @@ TARGETS: Dict[str, FuzzTarget] = {
     ]
 }
 
-#: The policy-language parser reads analyst text, not wire bytes.  It
-#: has a loop and a pinned key of its own (``runner.fuzz_dsl``): one
-#: more name in the round-robin above would move the corpus digest
-#: FUZZ_quick.json tracks.
-DSL_TARGET = FuzzTarget("dsl", gen_dsl, _parse_dsl)
+#: Parsers fuzzed outside the round-robin above, each by a loop and
+#: under a FUZZ_quick.json key of its own (the key here;
+#: ``runner.fuzz_target``): one more name in :data:`TARGETS` would move
+#: the parser corpus digest that file tracks.  The policy language is
+#: analyst text, a worker agent's port reads length-prefixed JSON
+#: frames from anyone, and a fault plan is the isolation verifier's
+#: other input.
+SOLO_TARGETS: Dict[str, FuzzTarget] = {
+    "dsl": FuzzTarget("dsl", gen_dsl, _parse_dsl),
+    "worker_frame": FuzzTarget("worker-frame", gen_worker_frame,
+                               _parse_worker_frame),
+    "fault_plan": FuzzTarget("fault-plan", gen_fault_plan,
+                             _parse_fault_plan),
+}
 
-#: The campaign transport's length-prefixed JSON frames, which an agent
-#: port exposed to a network reads from anyone: a loop and a pinned key
-#: of their own for the same reason (``runner.fuzz_worker_frames``).
-WORKER_FRAME_TARGET = FuzzTarget("worker-frame", gen_worker_frame,
-                                 _parse_worker_frame)
-
-__all__ = ["DSL_TARGET", "FuzzTarget", "TARGETS", "WORKER_FRAME_TARGET",
-           "hostile_frame"]
+__all__ = ["FuzzTarget", "SOLO_TARGETS", "TARGETS", "hostile_frame"]

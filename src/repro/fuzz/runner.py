@@ -8,8 +8,9 @@ one for the router, :func:`fuzz_router`:
   generated-then-mutated inputs.  A parser may succeed or raise
   :class:`~repro.net.errors.ParseError`; anything else is an *escape*,
   which gets minimized and pinned into a corpus directory.
-  :func:`fuzz_dsl` and :func:`fuzz_worker_frames` run the same loop
-  over one target each, under pinned keys of their own.
+  :func:`fuzz_target` runs the same loop over one of
+  :data:`~repro.fuzz.generators.SOLO_TARGETS`, each under a pinned key
+  of its own.
 * :func:`fuzz_farm` builds a whole farm and feeds
   :func:`~repro.fuzz.generators.hostile_frame` bytes straight into the
   gateway trunk (``SubfarmRouter.ingest_wire``).  The malice barrier
@@ -34,9 +35,9 @@ from typing import Dict, List, Optional
 
 from repro.fuzz.corpus import CorpusStore, minimize
 from repro.fuzz.generators import (
-    DSL_TARGET,
+    SOLO_TARGETS,
     TARGETS,
-    WORKER_FRAME_TARGET,
+    FuzzTarget,
     hostile_frame,
 )
 from repro.fuzz.mutate import MutationEngine
@@ -50,8 +51,7 @@ QUICK_SEED = 1211
 QUICK_ITERATIONS = 2000
 QUICK_FRAMES = 300
 QUICK_ROUTER_SCRIPTS = 100
-QUICK_DSL_ITERATIONS = 500
-QUICK_WORKER_FRAME_ITERATIONS = 500
+QUICK_SOLO_ITERATIONS = 500
 
 #: Fraction of parser-loop inputs that get a second, grammar-blind
 #: mutation pass on top of the grammar-aware generator output.
@@ -77,21 +77,12 @@ def fuzz_parsers(seed: int, iterations: int,
     return _fuzz_targets(TARGETS, seed, iterations, corpus_dir)
 
 
-def fuzz_dsl(seed: int, iterations: int,
-             corpus_dir: Optional[str] = None) -> dict:
-    """The same loop over the policy-language parser alone: a program
-    compiles or raises ``DslError`` (docs/HARDENING.md)."""
-    return _fuzz_targets({DSL_TARGET.name: DSL_TARGET}, seed, iterations,
+def fuzz_target(target: FuzzTarget, seed: int, iterations: int,
+                corpus_dir: Optional[str] = None) -> dict:
+    """The same loop over one target alone: the policy-language parser,
+    the worker frame decoder or the fault plan (docs/HARDENING.md)."""
+    return _fuzz_targets({target.name: target}, seed, iterations,
                          corpus_dir)
-
-
-def fuzz_worker_frames(seed: int, iterations: int,
-                       corpus_dir: Optional[str] = None) -> dict:
-    """The same loop over the campaign transport's frame decoder: a
-    byte stream, fed whole or in pieces, decodes to the same messages
-    or raises ``TransportError`` (docs/HARDENING.md)."""
-    return _fuzz_targets({WORKER_FRAME_TARGET.name: WORKER_FRAME_TARGET},
-                         seed, iterations, corpus_dir)
 
 
 def _fuzz_targets(targets: dict, seed: int, iterations: int,
@@ -233,9 +224,10 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
               frames: int = QUICK_FRAMES,
               pinned_path: Optional[str] = None) -> dict:
     """The ``make fuzz-quick`` smoke: parser loop (twice, for the
-    determinism digest), policy-program loop, worker-frame loop, farm
-    loop under both isolate and fail-stop, the first hundred router
-    scripts, all compared against the tracked ``FUZZ_quick.json``."""
+    determinism digest), policy-program, worker-frame and fault-plan
+    loops, farm loop under both isolate and fail-stop, the first
+    hundred router scripts, all compared against the tracked
+    ``FUZZ_quick.json``."""
     violations: List[str] = []
 
     parsers = fuzz_parsers(seed, iterations)
@@ -245,10 +237,10 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
         violations.append(
             f"parser corpus digest drifts across identical runs "
             f"({parsers['digest']} != {replay['digest']})")
-    dsl = fuzz_dsl(seed, QUICK_DSL_ITERATIONS)
-    worker_frames = fuzz_worker_frames(seed, QUICK_WORKER_FRAME_ITERATIONS)
-    for escape in (parsers["escapes"] + dsl["escapes"]
-                   + worker_frames["escapes"]):
+    solo = {key: fuzz_target(target, seed, QUICK_SOLO_ITERATIONS)
+            for key, target in SOLO_TARGETS.items()}
+    for escape in parsers["escapes"] + [
+            escape for run in solo.values() for escape in run["escapes"]]:
         violations.append(
             f"{escape['protocol']}: {escape['exception']} escaped "
             f"the parser ({escape['message']})")
@@ -306,10 +298,9 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
             for policy, run in sorted(farm_runs.items())
         },
         "router": router,
-        "dsl": {key: dsl[key] for key in
-                ("iterations", "ok", "parse_errors", "digest")},
-        "worker_frame": {key: worker_frames[key] for key in
-                         ("iterations", "ok", "parse_errors", "digest")},
+        **{name: {key: run[key] for key in
+                  ("iterations", "ok", "parse_errors", "digest")}
+           for name, run in solo.items()},
         "determinism": {"match": determinism},
         "violations": violations,
     }
@@ -335,10 +326,9 @@ __all__ = [
     "QUICK_ITERATIONS",
     "QUICK_ROUTER_SCRIPTS",
     "QUICK_SEED",
-    "fuzz_dsl",
     "fuzz_farm",
     "fuzz_parsers",
     "fuzz_router",
-    "fuzz_worker_frames",
+    "fuzz_target",
     "run_quick",
 ]

@@ -30,7 +30,7 @@ Shard payload conventions (all optional):
     ``merged["journal"]``, with the merged journal's digest in
     ``merged["journal_digest"]``.
 ``certificate``
-    an isolation certificate (schema ``gq.verify/1``); per-shard
+    an isolation certificate (schema ``gq.verify/2``); per-shard
     certificates merge deterministically
     (:func:`repro.verify.merge_certificates` — shards sorted by
     label, grants deduplicated) into a campaign certificate under

@@ -11,14 +11,22 @@ honeyfarm."
 
 The redirect is sticky per (source VLAN, scanned address): multi-
 connection exploits (Table 1's # CONNS column) must land on the same
-victim for the propagation to complete.
+victim for the propagation to complete.  The victim is farm state, so
+the redirect is built per flow and published as an in-farm cell.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.policy import PolicyContext, register_policy, ContainmentPolicy
+from repro.core.policy import (
+    UNBOUND,
+    Action,
+    ContainmentPolicy,
+    PolicyContext,
+    Rule,
+    register_policy,
+)
 from repro.core.verdicts import ContainmentDecision
 from repro.net.addresses import IPv4Address
 
@@ -26,9 +34,15 @@ from repro.net.addresses import IPv4Address
 @register_policy
 class WormHoneyfarmPolicy(ContainmentPolicy):
     """Inbound infections in; outbound propagation redirected to
-    fresh inmates."""
+    fresh inmates, else reflected to the sink, else dropped."""
 
     name = "WormHoneyfarm"
+
+    default = Action(
+        "redirect", "propagation into farm", target_ip=UNBOUND,
+        build="propagate",
+        otherwise=Action("reflect", "no fresh inmate; to sink", "sink",
+                         Action("drop", "no fresh inmate available")))
 
     def __init__(self, services=None, config=None) -> None:
         super().__init__(services, config)
@@ -37,23 +51,21 @@ class WormHoneyfarmPolicy(ContainmentPolicy):
         self.redirects_issued = 0
         self.no_victim_available = 0
 
-    # ------------------------------------------------------------------
-    def decide(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
-        if not ctx.inmate_is_originator:
-            return self.forward(ctx, annotation="inbound infection attempt")
+    def declare(self) -> List[Rule]:
+        return super().declare() + [Rule(
+            Action("forward", "inbound infection attempt"),
+            direction="inbound")]
+
+    def propagate(self, ctx: PolicyContext) -> Optional[ContainmentDecision]:
+        """The redirect to this scan's victim; None (the walker takes
+        ``otherwise``) while no fresh inmate is left."""
         victim = self._victim_for(ctx)
         if victim is None:
             self.no_victim_available += 1
-            if ctx.has_service("sink"):
-                return self.reflect(ctx, "sink",
-                                    annotation="no fresh inmate; to sink")
-            return self.deny(ctx, annotation="no fresh inmate available")
+            return None
         self.redirects_issued += 1
         return self.redirect(ctx, victim,
                              annotation="propagation into farm")
-
-    def decide_content(self, ctx, data):
-        return self.decide(ctx)
 
     # ------------------------------------------------------------------
     def _victim_for(self, ctx: PolicyContext) -> Optional[IPv4Address]:

@@ -266,8 +266,7 @@ def _render_certificate(lines: List[str], certificate: dict,
     lines.append("=" * len(header))
     lines.append("")
     lines.append(f"Result: {certificate.get('result')}   "
-                 f"schema {certificate.get('schema')}   "
-                 f"exact model: {certificate.get('exact')}")
+                 f"schema {certificate.get('schema')}")
     lines.append(f"Certificate digest: {certificate.get('digest')}")
     model_digest = certificate.get("model_digest")
     if model_digest:

@@ -18,11 +18,12 @@ flow-table coverage.  Exit 0 when both the certificate and the
 coverage pass are clean.
 
 ``quick`` is the CI gate behind ``make verify-quick``: certify the
-golden-seed farm twice, the Figure 6 Botfarm and one fault-matrix
-scenario; assert every certificate is CONTAINED, that the two golden
-runs produced the same certificate digest (the determinism claim,
-checked) and that the Botfarm's model is exact (the policy library
-publishes the tables it executes).
+golden-seed farm twice, the Figure 6 Botfarm, a worm honeyfarm and one
+fault-matrix scenario; assert every certificate is CONTAINED, that the
+two golden runs produced the same certificate digest (the determinism
+claim, checked), that every registered policy class compiles a model
+(every policy declares) and that the honeyfarm's model redirects into
+the farm (a target picked per flow is still a published cell).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import sys
 from typing import List, Optional
 
 from repro.verify.certificate import certify_farm, verify_digest
+from repro.verify.model import compile_farm, compile_policy
 from repro.verify.runtime import check_farm, render_violations
 
 QUICK_SCENARIO = "cs_crash"
@@ -65,7 +67,6 @@ def _print_certificate(cert: dict, as_json: bool, out: Optional[str]) -> None:
     print(f"  schema           {cert['schema']}")
     print(f"  model digest     {cert['model_digest']}")
     print(f"  certificate      {cert['digest']}")
-    print(f"  exact model      {cert['exact']}")
     print(f"  states explored  {cert['states_explored']}")
     print(f"  transitions      {cert['transitions']}")
     print(f"  world grants     {len(cert['grants'])}")
@@ -114,25 +115,41 @@ def _cmd_check(args) -> int:
     return 0 if clean else 1
 
 
+def _worm_farm():
+    from repro.farm import Farm
+    from repro.policies.worm import WormHoneyfarmPolicy
+
+    farm = Farm()
+    sub = farm.create_subfarm("honeyfarm")
+    sub.add_catchall_sink()
+    sub.set_default_policy(WormHoneyfarmPolicy())
+    return farm
+
+
 def _cmd_quick(args) -> int:
     """CI gate: every farm of a fixed list CONTAINED, plus what each is
     on the list for."""
+    import repro.baselines  # noqa: F401 - registers the baselines
+    import repro.policies  # noqa: F401 - registers the library
+    from repro.core.policy import POLICY_REGISTRY
     from repro.experiments.fault_matrix import build_fault_farm
     from repro.experiments.figure7 import build_botfarm
     from repro.obs.__main__ import golden_farm
 
     failures: List[str] = []
-    certs = []
+    certs, farms = [], []
     for label, build in (
             ("golden", golden_farm), ("golden", golden_farm),
             ("Figure 6 Botfarm", lambda: build_botfarm()[0]),
+            ("WormHoneyfarm", _worm_farm),
             (QUICK_SCENARIO, lambda: build_fault_farm(
                 seed=args.seed, scenario=QUICK_SCENARIO))):
         print(f"verify-quick: certifying {label} ...")
         farm = build()
         cert = certify_farm(farm, label=label)
         certs.append(cert)
-        print(f"  {cert['result']} exact={cert['exact']} "
+        farms.append(farm)
+        print(f"  {cert['result']} "
               f"digest={cert['digest'][:16]}… grants={len(cert['grants'])} "
               f"states={cert['states_explored']}")
         if cert["result"] != "CONTAINED":
@@ -140,13 +157,22 @@ def _cmd_quick(args) -> int:
         if not verify_digest(cert):
             failures.append(f"{label} certificate self-digest does not "
                             "verify")
-    golden_a, golden_b, botfarm, scenario = certs
+    golden_a, golden_b, _, _, scenario = certs
     # The determinism claim, checked.
     if golden_a["digest"] != golden_b["digest"]:
         failures.append("certificate digest unstable across runs")
-    # The policy library publishes the tables it executes.
-    if not botfarm["exact"]:
-        failures.append("Figure 6 Botfarm model is probed, not exact")
+    # Every policy declares: each registered class compiles a model,
+    # and a redirect to a fresh inmate is a published in-farm cell.
+    for name, cls in sorted(POLICY_REGISTRY.items()):
+        try:
+            compile_policy(cls())
+        except ValueError as error:     # the rule list's PolicyError
+            failures.append(f"policy {name} compiles no model: {error}")
+    if not any(cell.verdict == "REDIRECT" and cell.target_class == "farm"
+               for _lo, _hi, model in compile_farm(
+                   farms[3]).subfarms[0].assignments
+               for cell in model.outcomes):
+        failures.append("WormHoneyfarm model has no in-farm REDIRECT cell")
     # The proof against what the scenario's run (the last farm) did.
     report = check_farm(scenario, farm)
     print(f"  coverage {report.covered}/{report.checked} covered, "

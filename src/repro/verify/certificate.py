@@ -1,6 +1,6 @@
 """Isolation certificates: signed-by-digest proof artifacts.
 
-A certificate (schema ``gq.verify/1``) is the JSON record of one
+A certificate (schema ``gq.verify/2``) is the JSON record of one
 exhaustive exploration: the model digest that pins *what* was
 verified, the explored state count that pins *how much*, the grant
 table that pins *which* inmate→world paths exist, and either zero
@@ -10,7 +10,7 @@ separators) with the digest field itself excluded — so two runs that
 explored the same model and found the same surface produce
 byte-identical certificates, which ``make verify-quick`` asserts.
 
-Campaign certificates (schema ``gq.verify.campaign/1``) merge
+Campaign certificates (schema ``gq.verify.campaign/2``) merge
 per-shard certificates deterministically: shards sort by label, the
 grant table is the deduplicated union, and the merged digest covers
 the shard digests — so a serial and a parallel run of the same
@@ -37,8 +37,8 @@ __all__ = [
     "verify_digest",
 ]
 
-SCHEMA = "gq.verify/1"
-CAMPAIGN_SCHEMA = "gq.verify.campaign/1"
+SCHEMA = "gq.verify/2"
+CAMPAIGN_SCHEMA = "gq.verify.campaign/2"
 
 #: Leak traces kept verbatim inside a certificate; beyond this only
 #: the count and the minimal counterexample survive (certificates ride
@@ -66,7 +66,6 @@ def build_certificate(model: IsolationModel, result: ExplorationResult,
         "schema": SCHEMA,
         "label": label,
         "model_digest": model.digest(),
-        "exact": model.exact,
         "seed": model.seed,
         "states_explored": result.states_explored,
         "transitions": result.transitions,
@@ -139,7 +138,6 @@ def merge_certificates(certificates: List[dict],
         "grants": grants,
         "leak_count": leak_count,
         "counterexample": counterexample,
-        "exact": all(c.get("exact", False) for c in certs),
         "result": ("CONTAINED"
                    if all(c.get("result") == "CONTAINED" for c in certs)
                    else "LEAKY"),

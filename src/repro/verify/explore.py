@@ -132,7 +132,6 @@ def explore(model: IsolationModel,
                                 "verdict": cell.verdict,
                                 "policy": policy_model.description.get(
                                     "policy"),
-                                "exact": cell.exact,
                             }
                             trace = [{
                                 "step": "flow.created",
@@ -211,7 +210,6 @@ def explore(model: IsolationModel,
                                 "content": "*",
                                 "verdict": "FORWARD",
                                 "policy": "fail-open",
-                                "exact": True,
                             }
                             handshakes = (("new", "established")
                                           if proto == PROTO_TCP

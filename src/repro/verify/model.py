@@ -15,11 +15,8 @@ windows during which the pending policy — not the containment policy
   over abstract flows — a projection of the table the policy
   **publishes** (:meth:`~repro.core.policy.ContainmentPolicy.surface`:
   the very table the containment server answers flows from, compiled
-  from the rules a policy class declares or a DSL program states; the
-  model is exact), or built by **concolic probing** for a policy that
-  overrides ``decide`` by hand and so publishes nothing (probe ports +
-  the probe content corpus; the model is marked ``exact=False`` and
-  the certificate inherits the flag);
+  from the rules a policy class declares or a DSL program states —
+  every policy publishes one, since none may decide by hand);
 * a :class:`SubfarmModel` adds the subfarm's pending policy, its
   verdict-outage overlay windows from the fault plan
   (:meth:`~repro.faults.plan.FaultPlan.verdict_outage_windows`), and
@@ -35,15 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.policy import (
-    DIRECTIONS,
-    PROTOS,
-    UNBOUND,
-    ContainmentPolicy,
-    Surface,
-)
+from repro.core.policy import DIRECTIONS, UNBOUND, ContainmentPolicy
 from repro.core.verdicts import ContainmentDecision
 from repro.faults.plan import FaultPlan
 from repro.net.packet import PROTO_TCP, PROTO_UDP
@@ -60,20 +51,16 @@ __all__ = [
 
 PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 
-#: Probe points for opaque policies: the analysis corpus ports plus a
-#: representative for "every other port".
-_PROBE_OTHER_PORT = 49999
-
 
 class Outcome:
     """One cell of a policy's decision surface."""
 
     __slots__ = ("direction", "proto", "port_lo", "port_hi", "content",
-                 "verdict", "target", "target_class", "rate", "exact")
+                 "verdict", "target", "target_class", "rate")
 
     def __init__(self, direction: str, proto: int, port_lo: int,
-                 port_hi: int, content: str, decision: ContainmentDecision,
-                 exact: bool = True) -> None:
+                 port_hi: int, content: str,
+                 decision: ContainmentDecision) -> None:
         self.direction = direction
         self.proto = proto
         self.port_lo = port_lo
@@ -81,10 +68,9 @@ class Outcome:
         self.content = content
         self.verdict = decision.verdict.label
         self.rate = decision.rate
-        self.exact = exact
         ip = decision.target_ip
         self.target = self.target_class = None
-        if ip == UNBOUND:  # wherever it gets bound, a service is in the farm
+        if ip == UNBOUND:  # a service, or a built redirect's inmate
             self.target_class = "farm"
         elif ip is not None:
             self.target = str(ip)
@@ -97,7 +83,6 @@ class Outcome:
             "ports": [self.port_lo, self.port_hi],
             "content": self.content,
             "verdict": self.verdict,
-            "exact": self.exact,
         }
         if self.target is not None:
             out["target"] = self.target
@@ -116,13 +101,11 @@ class Outcome:
 class PolicyModel:
     """A policy's complete decision surface over abstract flows."""
 
-    __slots__ = ("description", "outcomes", "exact")
+    __slots__ = ("description", "outcomes")
 
-    def __init__(self, description: dict, outcomes: List[Outcome],
-                 exact: bool) -> None:
+    def __init__(self, description: dict, outcomes: List[Outcome]) -> None:
         self.description = description
         self.outcomes = outcomes
-        self.exact = exact
 
     def cells(self, direction: str, proto: int) -> List[Outcome]:
         return [cell for cell in self.outcomes
@@ -131,7 +114,6 @@ class PolicyModel:
     def to_dict(self) -> dict:
         return {
             "policy": self.description,
-            "exact": self.exact,
             "outcomes": [cell.to_dict() for cell in self.outcomes],
         }
 
@@ -139,55 +121,13 @@ class PolicyModel:
 # ----------------------------------------------------------------------
 # Policy compilation
 # ----------------------------------------------------------------------
-def _model(policy: ContainmentPolicy, surface: Surface,
-           exact: bool) -> PolicyModel:
-    outcomes = [Outcome(direction, proto, lo, hi, content, decision, exact)
-                for (direction, proto), atoms in surface.items()
+def compile_policy(policy: ContainmentPolicy) -> PolicyModel:
+    """A policy's model: the cells of the surface it publishes."""
+    outcomes = [Outcome(direction, proto, lo, hi, content, decision)
+                for (direction, proto), atoms in policy.surface().items()
                 for lo, hi, branches in atoms
                 for content, decision in branches]
-    return PolicyModel(policy.describe(), outcomes, exact)
-
-
-def probe_policy(policy: ContainmentPolicy) -> PolicyModel:
-    """Concolic model of a policy that decides by hand: probe the
-    analysis corpus ports (plus one representative for every other
-    port) with the probe content corpus.  ``exact=False`` — the
-    certificate carries the caveat."""
-    from repro.analysis.policy_testing import (
-        DEFAULT_CONTENT,
-        DEFAULT_PORTS,
-        Probe,
-        drive,
-    )
-
-    surface: Surface = {}
-    for direction in DIRECTIONS:
-        for proto in PROTOS:
-            atoms = surface[direction, proto] = []
-            for port in DEFAULT_PORTS + [_PROBE_OTHER_PORT]:
-                branches = []
-                for tag, payload in DEFAULT_CONTENT.items():
-                    if not payload:
-                        continue
-                    decision, at_endpoint = drive(
-                        policy, Probe(direction, port, proto, tag, payload))
-                    if at_endpoint:
-                        branches = [("*", decision)]
-                        break
-                    if decision is not None:
-                        branches.append((tag, decision))
-                lo, hi = ((port, port) if port != _PROBE_OTHER_PORT
-                          else (0, 65535))
-                atoms.append((lo, hi, branches))
-    return _model(policy, surface, exact=False)
-
-
-def compile_policy(policy: ContainmentPolicy) -> PolicyModel:
-    """A policy publishes its surface or is probed."""
-    surface = policy.surface()
-    if surface is None:
-        return probe_policy(policy)
-    return _model(policy, surface, exact=True)
+    return PolicyModel(policy.describe(), outcomes)
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +153,6 @@ class SubfarmModel:
         self.server_count = server_count
         self.malice_policy = malice_policy
 
-    @property
-    def exact(self) -> bool:
-        return all(model.exact for _, _, model in self.assignments)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -236,7 +172,7 @@ class SubfarmModel:
 class IsolationModel:
     """The farm-level transition model the explorer walks."""
 
-    SCHEMA = "gq.verify.model/1"
+    SCHEMA = "gq.verify.model/2"
 
     __slots__ = ("subfarms", "seed")
 
@@ -245,15 +181,10 @@ class IsolationModel:
         self.subfarms = subfarms
         self.seed = seed
 
-    @property
-    def exact(self) -> bool:
-        return all(subfarm.exact for subfarm in self.subfarms)
-
     def describe(self) -> dict:
         return {
             "schema": self.SCHEMA,
             "seed": self.seed,
-            "exact": self.exact,
             "subfarms": [subfarm.to_dict() for subfarm in self.subfarms],
         }
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policy import (
+    Action,
     AllowAll,
     ContainmentPolicy,
     DefaultDeny,
-    PolicyContext,
     ReflectAll,
     Rewriter,
 )
-from repro.core.verdicts import ContainmentDecision
 from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
 from repro.net.http import HttpParser, HttpRequest, HttpResponse
@@ -181,9 +180,9 @@ class TestReflect:
 class TestRedirect:
     def test_redirect_to_alternate_server(self):
         class RedirectToAlt(ContainmentPolicy):
-            def decide(self, ctx):
-                return self.redirect(ctx, IPv4Address("203.0.113.99"), 80,
-                                     annotation="redirect to alt")
+            default = Action("redirect", "redirect to alt",
+                             target_ip=IPv4Address("203.0.113.99"),
+                             target_port=80)
 
         farm = Farm(FarmConfig(seed=5))
         sub = farm.create_subfarm("test")
@@ -206,8 +205,7 @@ class TestRewrite:
         need not exist (the auto-infection pattern of §6.6)."""
 
         class Impersonate(ContainmentPolicy):
-            def decide(self, ctx):
-                return self.rewrite(ctx, annotation="impersonating")
+            default = Action("rewrite", "impersonating")
 
             def make_rewriter(self, ctx):
                 class FakeServer(Rewriter):
@@ -249,8 +247,7 @@ class TestRewrite:
                     proxy.send_to_client(data)
 
         class Fig5Policy(ContainmentPolicy):
-            def decide(self, ctx):
-                return self.rewrite(ctx, annotation="fig5")
+            default = Action("rewrite", "fig5")
 
             def make_rewriter(self, ctx):
                 return Fig5Rewriter()
@@ -272,8 +269,7 @@ class TestRewrite:
         the real target, not the containment server's."""
 
         class Passthrough(ContainmentPolicy):
-            def decide(self, ctx):
-                return self.rewrite(ctx)
+            default = Action("rewrite")
 
         farm = Farm(FarmConfig(seed=13))
         sub = farm.create_subfarm("test")
@@ -297,9 +293,7 @@ class TestRewrite:
 class TestLimit:
     def test_limit_still_delivers_but_slower(self):
         class Limited(ContainmentPolicy):
-            def decide(self, ctx):
-                return self.limit(ctx, rate=500.0,  # 500 B/s
-                                  annotation="trickle")
+            default = Action("limit", "trickle", rate=500.0)  # 500 B/s
 
         farm = Farm(FarmConfig(seed=15))
         sub = farm.create_subfarm("test")
@@ -337,12 +331,10 @@ class TestLimit:
             return done[0] if done else None
 
         class Fast(ContainmentPolicy):
-            def decide(self, ctx):
-                return self.limit(ctx, rate=100000.0)
+            default = Action("limit", rate=100000.0)
 
         class Slow(ContainmentPolicy):
-            def decide(self, ctx):
-                return self.limit(ctx, rate=800.0)
+            default = Action("limit", rate=800.0)
 
         fast_done = run_with(Fast, seed=21)
         slow_done = run_with(Slow, seed=21)

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.policy import AllowAll, ContainmentPolicy
+from repro.core.policy import (
+    Action,
+    AllowAll,
+    Content,
+    ContainmentPolicy,
+    Rule,
+)
 from repro.farm import Farm, FarmConfig
 from tests.test_containment_end_to_end import (
     EXTERNAL_WEB_IP,
@@ -21,18 +27,19 @@ from tests.test_containment_end_to_end import (
 pytestmark = pytest.mark.integration
 
 
+class DyingPolicy(ContainmentPolicy):
+    """Never decides a TCP flow: its one rule never matches the
+    content and always holds out for more."""
+
+    def declare(self):
+        return [Rule(Action("drop", "never decided"), content=Content(
+            "never", lambda data: False, holds=lambda data: True))]
+
+
 class TestContainmentServerFailures:
     def test_cs_closing_before_verdict_drops_the_flow(self):
         """A containment server that dies (FIN) before answering must
         fail closed: the paper's machinery treats it as DROP."""
-
-        class DyingPolicy(ContainmentPolicy):
-            def decide(self, ctx):
-                return None  # never decide; wait for content forever
-
-            def decide_content(self, ctx, data):
-                return None
-
         farm = Farm(FarmConfig(seed=91))
         sub = farm.create_subfarm("test")
         web = farm.add_external_host("webserver", EXTERNAL_WEB_IP)
@@ -51,13 +58,6 @@ class TestContainmentServerFailures:
         assert "DROP" in router_verdicts
 
     def test_cs_reset_before_verdict_kills_client_flow(self):
-        class DyingPolicy(ContainmentPolicy):
-            def decide(self, ctx):
-                return None
-
-            def decide_content(self, ctx, data):
-                return None
-
         farm = Farm(FarmConfig(seed=92))
         sub = farm.create_subfarm("test")
         web = farm.add_external_host("webserver", EXTERNAL_WEB_IP)
@@ -76,7 +76,9 @@ class TestContainmentServerFailures:
         """A buggy policy raising mid-decision must not default-open."""
 
         class BuggyPolicy(ContainmentPolicy):
-            def decide(self, ctx):
+            default = Action("forward", "policy bug", build="crash")
+
+            def crash(self, ctx):
                 raise RuntimeError("policy bug")
 
         farm = Farm(FarmConfig(seed=93))

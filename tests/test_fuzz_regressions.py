@@ -19,13 +19,11 @@ import pytest
 from repro.farm import Farm, FarmConfig
 from repro.fuzz import (
     CorpusStore,
-    DSL_TARGET,
     MutationEngine,
+    SOLO_TARGETS,
     TARGETS,
-    WORKER_FRAME_TARGET,
-    fuzz_dsl,
     fuzz_parsers,
-    fuzz_worker_frames,
+    fuzz_target,
     minimize,
     replay_corpus,
 )
@@ -40,8 +38,8 @@ class TestCorpusReplay:
         entries = CorpusStore(CORPUS_DIR).entries()
         assert len(entries) >= 40
         covered = {protocol for protocol, _, _ in entries}
-        assert covered == set(TARGETS) | {DSL_TARGET.name,
-                                          WORKER_FRAME_TARGET.name}
+        assert covered == set(TARGETS) | {
+            target.name for target in SOLO_TARGETS.values()}
 
     def test_no_pinned_input_escapes_the_taxonomy(self):
         summary = replay_corpus(CORPUS_DIR)
@@ -90,14 +88,15 @@ class TestPolicyProgramTarget:
     ``DslError`` (``ParseError`` through the target), nothing else."""
 
     def test_loop_is_deterministic_and_escape_free(self):
-        first = fuzz_dsl(seed=42, iterations=400)
+        first = fuzz_target(SOLO_TARGETS["dsl"], seed=42, iterations=400)
         assert first["escapes"] == []
         assert first["ok"] and first["parse_errors"]  # both sides reached
-        assert first["digest"] == fuzz_dsl(seed=42, iterations=400)["digest"]
+        assert first["digest"] == fuzz_target(
+            SOLO_TARGETS["dsl"], seed=42, iterations=400)["digest"]
 
     def test_it_stays_out_of_the_tracked_round_robin(self):
         # One more name there would move FUZZ_quick.json's parser digest.
-        assert DSL_TARGET.name not in TARGETS
+        assert SOLO_TARGETS["dsl"].name not in TARGETS
 
     def test_constructor_refusals_come_back_as_dsl_errors(self):
         """The escapes the loop found at the parent of this target
@@ -122,14 +121,15 @@ class TestWorkerFrameTarget:
     ``TransportError`` (``ParseError`` through the target)."""
 
     def test_loop_is_deterministic_and_escape_free(self):
-        first = fuzz_worker_frames(seed=42, iterations=300)
+        target = SOLO_TARGETS["worker_frame"]
+        first = fuzz_target(target, seed=42, iterations=300)
         assert first["escapes"] == []
         assert first["ok"] and first["parse_errors"]  # both sides reached
         assert first["digest"] == \
-            fuzz_worker_frames(seed=42, iterations=300)["digest"]
+            fuzz_target(target, seed=42, iterations=300)["digest"]
 
     def test_it_stays_out_of_the_tracked_round_robin(self):
-        assert WORKER_FRAME_TARGET.name not in TARGETS
+        assert SOLO_TARGETS["worker_frame"].name not in TARGETS
 
     def test_a_chunking_that_changes_the_decoding_is_an_escape(self):
         """The target's second contract: feeding in pieces must not
@@ -146,10 +146,44 @@ class TestWorkerFrameTarget:
         original = FrameDecoder.feed
         messages = [["start", index] for index in range(8)]
         data = b"".join(map(encode_frame, messages))
-        assert WORKER_FRAME_TARGET.parse(data) == messages
+        parse = SOLO_TARGETS["worker_frame"].parse
+        assert parse(data) == messages
         with mock.patch.object(FrameDecoder, "feed", forgetful):
             with pytest.raises(AssertionError, match="chunking"):
-                WORKER_FRAME_TARGET.parse(data)
+                parse(data)
+
+
+class TestFaultPlanTarget:
+    """Fault plans, the isolation verifier's other input: JSON builds a
+    plan or raises ``ValueError`` (``ParseError`` through the target)."""
+
+    def test_loop_is_deterministic_and_escape_free(self):
+        target = SOLO_TARGETS["fault_plan"]
+        first = fuzz_target(target, seed=42, iterations=300)
+        assert first["escapes"] == []
+        assert first["ok"] and first["parse_errors"]  # both sides reached
+        assert first["digest"] == \
+            fuzz_target(target, seed=42, iterations=300)["digest"]
+
+    def test_it_stays_out_of_the_tracked_round_robin(self):
+        assert SOLO_TARGETS["fault_plan"].name not in TARGETS
+
+    def test_wrong_shapes_come_back_as_value_errors(self):
+        """The escapes the loop found at the parent of this target
+        (pinned as ``fault-plan__*.bin``): a wrongly typed field or
+        kind, or a plan, spec list or spec that is not what it says,
+        reached a comparison, a hash or ``dict()`` as a TypeError."""
+        from repro.faults.plan import FaultPlan
+
+        for document in (
+                [], {"specs": -1}, {"specs": [1]},
+                {"specs": [{"kind": "shim_drop", "probability": "x"}]},
+                {"specs": [{"kind": ["cs_crash"], "at": 1.0}]},
+                {"specs": [{"kind": "cs_hang", "delay": "x"}]},
+                {"specs": [{"kind": "cs_hang", "end": {}}]},
+                {"specs": [{"kind": "worker_crash", "shard": "1"}]}):
+            with pytest.raises(ValueError):
+                FaultPlan.from_dict(document)
 
 
 class TestMinimizer:

@@ -21,7 +21,9 @@ prefix starts, and each witness belongs to one pattern.
 The library leg holds every registered policy class to the same
 reference, read over the rules the class declares: the walker is
 shared, so what differs per class is the rule list, its matchers' wait
-rules, its address guards and its method-built decisions.
+rules, its address guards and its method-built decisions (where a
+build declines, exactly its declared ``otherwise`` chain).  With the
+whole content in hand (a datagram) every table decides.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import pytest
 
 from repro.core.dsl import DslError, DslPolicy
 from repro.core.policy import (
+    DECLINED,
     POLICY_REGISTRY,
     ContainmentPolicy,
     PolicyContext,
@@ -151,6 +154,17 @@ def reference(rules: list, direction: str, proto: int, port: int,
 # ----------------------------------------------------------------------
 # The runtime, driven the way the containment server drives it
 # ----------------------------------------------------------------------
+def context(policy: ContainmentPolicy, direction: str, proto: int,
+            port: int, dst: Optional[IPv4Address] = None) -> PolicyContext:
+    outbound = direction == "outbound"
+    inmate, world = IPv4Address("10.100.0.2"), IPv4Address("203.0.113.200")
+    orig, resp = (inmate, world) if outbound else (world, inmate)
+    flow = FiveTuple(orig, 4321, dst or resp, port, proto)
+    return PolicyContext(flow, vlan_id=2, nonce_port=40000, now=0.0,
+                         services=policy.services or SERVICES,
+                         inmate_is_originator=outbound)
+
+
 def serve(policy: ContainmentPolicy, direction: str, proto: int, port: int,
           chunks: Tuple[bytes, ...], dst: Optional[IPv4Address] = None):
     """``_CsConnection._on_data_body`` / ``_udp_datagram_body`` without
@@ -158,13 +172,7 @@ def serve(policy: ContainmentPolicy, direction: str, proto: int, port: int,
     on the buffer after every segment (TCP, non-empty buffers only) or
     ``decide_datagram`` on the one datagram (UDP).  None: no verdict
     yet.  ``dst`` is the responder dialled, when the far end will not do."""
-    outbound = direction == "outbound"
-    inmate, world = IPv4Address("10.100.0.2"), IPv4Address("203.0.113.200")
-    orig, resp = (inmate, world) if outbound else (world, inmate)
-    flow = FiveTuple(orig, 4321, dst or resp, port, proto)
-    ctx = PolicyContext(flow, vlan_id=2, nonce_port=40000, now=0.0,
-                        services=policy.services or SERVICES,
-                        inmate_is_originator=outbound)
+    ctx = context(policy, direction, proto, port, dst)
     decision = policy.decide(ctx)
     if decision is not None:
         return decision
@@ -308,7 +316,6 @@ def test_runtime_reference_and_model_agree(program, cuts):
     assert not dead, f"accepted with dead rule(s) {dead}"
 
     model = compile_policy(policy)
-    assert model.exact
     for (direction, proto, port, chunks), (index, content) in expected.items():
         before = [rule.hits for rule in policy.rules]
         decision = serve(policy, direction, proto, port, chunks)
@@ -393,9 +400,6 @@ def test_split_request_line_gets_the_verdict_it_gets_whole():
 from tests.test_policy_decisions import CONTENT  # noqa: E402
 
 SINK_ONLY = {"sink": SERVICES["sink"]}
-#: Classes that decide by hand and so publish nothing
-#: (docs/VERIFICATION.md says why each may).
-OPAQUE = {"WormHoneyfarm"}
 
 
 class Declared:
@@ -422,15 +426,9 @@ def registered() -> List[str]:
     return sorted(POLICY_REGISTRY)
 
 
-def test_every_registered_policy_but_the_documented_one_publishes():
-    silent = {name for name in registered()
-              if POLICY_REGISTRY[name]().surface() is None}
-    assert silent == OPAQUE
-
-
 @pytest.mark.parametrize("services", [SERVICES, SINK_ONLY],
                          ids=["both-sinks", "sink-only"])
-@pytest.mark.parametrize("name", [n for n in registered() if n not in OPAQUE])
+@pytest.mark.parametrize("name", registered())
 def test_library_policy_agrees_with_reference_and_model(name, services):
     policy = POLICY_REGISTRY[name](services=dict(services))
     # One rule list for the walker, the reference and the hit counts.
@@ -439,7 +437,6 @@ def test_library_policy_agrees_with_reference_and_model(name, services):
     assert compile_table(declared, policy.default)[1] == [], "dead rule"
     rules = [Declared(rule) for rule in declared]
     model = compile_policy(policy)
-    assert model.exact
 
     # Per content rule: one content it matches, the start of that (its
     # wait rule's case) and one it has given up on; plus none at all.
@@ -477,15 +474,59 @@ def _check_probe(policy, declared, rules, model, direction, proto, port,
         return
     assert decision is not None, where
     assert fired == ([] if index == DEFAULT else [index]), where
-    # The model cell covering the probe holds the decision issued: the
-    # verdict kind a rule declares binds the method that builds it too.
     cell = cell_for(model, direction, proto, port, content)
-    assert (cell.verdict, cell.rate, cell.target) == (
-        decision.verdict.label, decision.rate,
-        str(decision.target_ip) if decision.target_ip else None), where
     action = policy.default if index == DEFAULT else declared[index].action
-    while action.otherwise and action.service not in policy.services:
-        action = action.otherwise
-    assert decision.verdict.label == action.kind.upper(), where
+    if action.build is not None and decision.verdict.label != cell.verdict:
+        # The build declined: the walker answers the declared
+        # ``otherwise`` chain, which the model's cell need not name.
+        action = action.otherwise or DECLINED
+    else:
+        # The model cell covering the probe holds the decision issued:
+        # the verdict kind a rule declares binds a built decision too.
+        assert (cell.verdict, cell.rate, cell.target) == (
+            decision.verdict.label, decision.rate,
+            str(decision.target_ip) if decision.target_ip else None), where
     if action.build is None:
+        while action.otherwise and action.service not in policy.services:
+            action = action.otherwise
         assert decision.annotation == action.annotation, where
+    assert decision.verdict.label == action.kind.upper(), where
+
+
+# ----------------------------------------------------------------------
+# A datagram is the whole content: every table decides it
+# ----------------------------------------------------------------------
+def always_decides(policy: ContainmentPolicy, rules: list, payloads,
+                   responders=(None,)) -> None:
+    """``decide_datagram`` answers at every atom edge, both directions,
+    TCP and UDP, for every payload: no branch may hold out for bytes
+    that will never come, so the server needs no answer of its own."""
+    for direction in ("outbound", "inbound"):
+        for proto in (PROTO_TCP, PROTO_UDP):
+            for port in edge_ports(rules):
+                for dst in responders:
+                    for data in payloads:
+                        ctx = context(policy, direction, proto, port, dst)
+                        assert policy.decide_datagram(ctx, data) is not None, (
+                            f"{direction} {PROTO_NAMES[proto]}:{port} "
+                            f"to {dst} {data!r}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(program=programs())
+@example(program=NESTED)
+def test_decide_datagram_decides_every_program(program):
+    rules, default = program
+    try:
+        policy = DslPolicy(program_text(rules, default), services=SERVICES)
+    except DslError:
+        return      # a dead rule: no table to walk
+    always_decides(policy, rules, contents(rules))
+
+
+@pytest.mark.parametrize("name", registered())
+def test_decide_datagram_decides_every_library_table(name):
+    policy = POLICY_REGISTRY[name](services=dict(SERVICES))
+    rules = [Declared(rule) for rule in policy.declare()]
+    always_decides(policy, rules, sorted(set(CONTENT.values()) | {OTHER}),
+                   {None} | {rule.dst for rule in rules})

@@ -6,11 +6,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.policy import AllowAll, ContainmentPolicy, DefaultDeny
+from repro.core.policy import (
+    Action,
+    AllowAll,
+    ContainmentPolicy,
+    DefaultDeny,
+    Rule,
+)
 from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
 from repro.net.dns import DnsMessage, DnsRecord, QTYPE_A
-from repro.net.packet import IPv4Packet, UDPDatagram
+from repro.net.packet import PROTO_UDP, IPv4Packet, UDPDatagram
 from repro.services.dhcp import DhcpClient
 
 pytestmark = pytest.mark.integration
@@ -131,10 +137,8 @@ class DnsTakeoverPolicy(ContainmentPolicy):
 
     SINKHOLE = IPv4Address("10.3.0.9")
 
-    def decide(self, ctx):
-        if ctx.flow.resp_port == 53 and ctx.flow.proto == 17:
-            return self.rewrite(ctx, annotation="DNS sinkholing")
-        return self.deny(ctx)
+    def declare(self):
+        return [Rule(Action("rewrite", "DNS sinkholing"), 53, PROTO_UDP)]
 
     def rewrite_datagram(self, ctx, payload):
         try:
@@ -179,8 +183,7 @@ class TestUdpRewriteDnsTakeover:
 class TestUdpContentRules:
     """A datagram is the whole content: a content branch waiting for
     more bytes will never see them, so the port atom's unconditional
-    branch answers (the isolation model's ``other`` cell) — not the
-    server's out-of-table ``udp undecided`` drop."""
+    branch answers (the isolation model's ``other`` cell)."""
 
     PROGRAM = ('port 7777/udp content ~ "HELLO WORLD" -> forward\n'
                "default -> reflect sink\n")
@@ -220,16 +223,3 @@ class TestUdpContentRules:
                                          DslPolicy(self.PROGRAM))
         assert decision.verdict.label == "FORWARD"
         assert received == [b"HELLO WORLD!"]
-
-    def test_policy_deciding_by_hand_keeps_the_servers_drop(self):
-        class Undecided(ContainmentPolicy):
-            def decide(self, ctx):
-                return None
-
-            def decide_content(self, ctx, data):
-                return None
-
-        decision, received, _ = self.run(b"HELLO", Undecided())
-        assert decision.verdict.label == "DROP"
-        assert decision.annotation == "udp undecided"
-        assert received == []

@@ -32,7 +32,7 @@ class TestContainedCertificates:
         assert cert["result"] == "CONTAINED"
         assert cert["leak_count"] == 0
         assert cert["counterexample"] is None
-        assert cert["exact"]
+        assert cert["schema"] == "gq.verify/2"
         assert cert["grants"]
         assert verify_digest(cert)
 
@@ -117,7 +117,7 @@ class TestCampaignMerge:
         forward = merge_certificates([a, b, c], label="camp")
         backward = merge_certificates([c, b, a], label="camp")
         assert forward["digest"] == backward["digest"]
-        assert forward["schema"] == "gq.verify.campaign/1"
+        assert forward["schema"] == "gq.verify.campaign/2"
         assert forward["result"] == "CONTAINED"
         assert [shard["label"] for shard in forward["shards"]] \
             == ["a", "b", "c"]

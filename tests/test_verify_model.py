@@ -1,7 +1,7 @@
 """The isolation-model compiler: published surfaces (the table a DSL
-program or a policy class executes), concolic probing of hand-written
-overrides, fault-plan overlays, digest identity, and the Figure 6
-Botfarm's certificate.
+program or a policy class executes, a hand-written decider refused),
+fault-plan overlays, digest identity, and the Figure 6 Botfarm's
+certificate.
 """
 
 from __future__ import annotations
@@ -10,22 +10,20 @@ import pytest
 
 from repro.core.dsl import DslPolicy
 from repro.core.policy import (
+    Action,
     AllowAll,
     ContainmentPolicy,
     DefaultDeny,
+    UNBOUND,
+    PolicyError,
     ReflectAll,
 )
-from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.farm import Farm, FarmConfig
 from repro.faults.plan import FaultPlan
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.verify import certify_farm
-from repro.verify.model import (
-    compile_farm,
-    compile_policy,
-    probe_policy,
-)
+from repro.verify.model import compile_farm, compile_policy
 
 
 def _cell_for(model, direction, proto, port, content="*"):
@@ -44,7 +42,6 @@ class TestDslCompilation:
             "port 80-443/tcp -> forward\n"
             "default -> reflect\n")
         model = compile_policy(policy)
-        assert model.exact
         assert _cell_for(model, "outbound", PROTO_TCP, 80).verdict == "DROP"
         assert _cell_for(model, "outbound", PROTO_TCP, 100).verdict == "DROP"
         assert _cell_for(model, "outbound", PROTO_TCP,
@@ -106,60 +103,40 @@ class TestBuiltinsAndProbing:
     def test_closed_forms(self):
         allow = compile_policy(AllowAll())
         deny = compile_policy(DefaultDeny())
-        assert allow.exact and deny.exact
         assert {cell.verdict for cell in allow.outcomes} == {"FORWARD"}
         assert {cell.verdict for cell in deny.outcomes} == {"DROP"}
 
     def test_reflect_all_targets_farm(self):
         model = compile_policy(ReflectAll())
-        assert model.exact
         assert {cell.verdict for cell in model.outcomes} == {"REFLECT"}
         assert all(cell.target_class == "farm" for cell in model.outcomes)
 
-    def test_opaque_policy_probed_inexact(self):
-        class PortParity(ContainmentPolicy):
-            policy_name = "PortParity"
-
-            def decide(self, ctx):
-                verdict = (Verdict.FORWARD if ctx.flow.resp_port % 2
-                           else Verdict.DROP)
-                return ContainmentDecision(verdict, policy=self.policy_name)
-
-        model = compile_policy(PortParity())
-        assert not model.exact
-        assert all(not cell.exact for cell in model.outcomes)
-        verdicts = {cell.verdict for cell in model.outcomes}
-        assert verdicts == {"FORWARD", "DROP"}
-
-    def test_hand_written_override_publishes_nothing_and_is_probed(self):
-        """Overriding either half of the walker by hand, anywhere below
-        a publishing class: no surface, ``exact: false`` and the probed
-        model, whatever rules the class also inherits."""
-        from repro.analysis.policy_testing import DEFAULT_PORTS
+    def test_hand_written_decider_is_refused(self):
+        """Defining any half of the walker, anywhere below a publishing
+        class, fails when the class is created: there is no second
+        decider for the model to miss."""
         from repro.policies.spambot import Grum
 
-        class ByHand(ContainmentPolicy):
-            def decide(self, ctx):
-                if ctx.flow.resp_port == 80 and ctx.flow.proto == PROTO_TCP:
-                    return self.forward(ctx, annotation="by hand")
-                return self.deny(ctx)
+        for base in (ContainmentPolicy, Grum):
+            for name in ("decide", "decide_content", "decide_datagram"):
+                with pytest.raises(TypeError, match=f"ByHand defines {name}"):
+                    type("ByHand", (base,), {name: lambda self, *args: None})
 
-        class ContentByHand(Grum):
-            def decide_content(self, ctx, data):
-                return self.forward(ctx) if data else None
+    def test_worm_redirect_is_an_in_farm_cell(self):
+        """A redirect whose target is picked per flow publishes one
+        cell, in the farm and without an address."""
+        from repro.policies.worm import WormHoneyfarmPolicy
 
-        sinks = {"sink": (IPv4Address("10.3.0.9"), 0)}
-        for policy in (ByHand(), ContentByHand(services=sinks)):
-            assert policy.surface() is None
-            model = compile_policy(policy)
-            assert not model.exact
-            assert model.description["kind"] == "opaque"
-            assert model.to_dict() == probe_policy(policy).to_dict()
-        by_hand = compile_policy(ByHand())
-        # One endpoint cell per probe port plus "every other port".
-        assert len(by_hand.outcomes) == 2 * 2 * (len(DEFAULT_PORTS) + 1)
-        assert [_cell_for(by_hand, "outbound", proto, 80).verdict
-                for proto in (PROTO_TCP, PROTO_UDP)] == ["FORWARD", "DROP"]
+        model = compile_policy(WormHoneyfarmPolicy())
+        assert model.description == {"policy": "WormHoneyfarm",
+                                      "kind": "class"}
+        for proto in (PROTO_TCP, PROTO_UDP):
+            (out,) = model.cells("outbound", proto)
+            assert (out.verdict, out.target, out.target_class,
+                    out.port_lo, out.port_hi) == (
+                        "REDIRECT", None, "farm", 0, 65535)
+            (inbound,) = model.cells("inbound", proto)
+            assert inbound.verdict == "FORWARD"
 
     def test_an_alias_or_a_tracers_wrapper_is_still_the_walker(self):
         """The ledger's tracer wraps ``AllowAll.decide`` and friends
@@ -176,11 +153,56 @@ class TestBuiltinsAndProbing:
                     return _fn(*args, **kwargs)
                 span.__wrapped__ = original
                 setattr(AllowAll, name, span)
-            assert AllowAll().surface() is not None
             assert compile_policy(AllowAll()).to_dict() == published
         finally:
             for name, original in originals.items():
                 setattr(AllowAll, name, original)
+
+
+class TestBuiltDecisions:
+    """A ``build`` method decides per flow; what the table publishes
+    must still bound what it can answer."""
+
+    @staticmethod
+    def policy(answer, otherwise=None):
+        class Built(ContainmentPolicy):
+            default = Action("redirect", "built", target_ip=UNBOUND,
+                             build="pick", otherwise=otherwise)
+
+            def pick(self, ctx):
+                return answer and self.redirect(ctx, IPv4Address(answer))
+        return Built(services={"sink": (IPv4Address("10.3.0.9"), 0)})
+
+    @staticmethod
+    def decide(policy):
+        from repro.analysis.policy_testing import Probe, drive
+
+        return drive(policy, Probe("outbound", 445, PROTO_TCP, "", b""))
+
+    def test_a_world_reaching_alternative_is_refused(self):
+        for otherwise in (Action("forward"),
+                          Action("reflect", "", "sink", Action("limit",
+                                                               rate=1.0)),
+                          Action("redirect", target_ip=IPv4Address(
+                              "203.0.113.9"))):
+            with pytest.raises(PolicyError) as error:
+                compile_policy(self.policy("10.0.0.5", otherwise))
+            assert error.value.reason == "world-granting-otherwise"
+
+    def test_a_redirect_built_outside_the_farm_is_dropped(self):
+        inside = self.decide(self.policy("10.0.0.5"))
+        assert (inside.verdict.label, str(inside.target_ip)) == (
+            "REDIRECT", "10.0.0.5")
+        outside = self.decide(self.policy("203.0.113.9"))
+        assert (outside.verdict.label, outside.annotation) == (
+            "DROP", "built redirect outside the farm")
+
+    def test_a_declining_build_takes_otherwise_else_drops(self):
+        assert self.decide(self.policy(None, Action(
+            "reflect", "to sink", "sink"))).annotation == "to sink"
+        declined = self.decide(self.policy(None))
+        assert (declined.verdict.label, declined.annotation) == (
+            "DROP", "declined")
 
 
 class TestOverlays:
@@ -250,13 +272,12 @@ class TestFigure6Botfarm:
         assert {"sink", "smtp_sink"} <= set(sub.services)
         cert = certify_farm(farm, label="botfarm")
         assert cert["result"] == "CONTAINED"
-        assert cert["exact"] is True
 
         beacon = "regex:'^GET /stat\\\\?r=\\\\d+'"
         grum = "regex:'^GET /grum/spm\\\\?id=[0-9a-f]+ HTTP/1\\\\.[01]'"
         shapes = {}
         for grant in cert["grants"]:
-            assert grant["exact"] and grant["via"] == "policy"
+            assert grant["via"] == "policy"
             (port,) = set(grant["ports"])
             shape = (grant["verdict"], port, grant["content"], grant["vlan"])
             shapes.setdefault(shape, set()).add(grant["proto"])

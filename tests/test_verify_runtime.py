@@ -156,7 +156,7 @@ class TestCli:
         assert verify_main(["certify", "--json", "--duration", "60",
                             "--label", "cli"]) == 0
         cert = json.loads(capsys.readouterr().out)
-        assert cert["schema"] == "gq.verify/1"
+        assert cert["schema"] == "gq.verify/2"
         assert cert["result"] == "CONTAINED"
         assert cert["label"] == "cli"
 
