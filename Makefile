@@ -38,11 +38,11 @@ chaos-quick:
 # Fuzz smoke, under two hash seeds: fixed-seed hostile inputs through
 # every parser (twice, asserting a byte-identical corpus digest), broken
 # policy programs through the DSL parser, worker frames through the
-# campaign transport, fault plans through FaultPlan.from_dict, hostile
-# frames through a live farm trunk under both isolate and fail-stop
-# malice policies, then the first hundred router differential scripts
-# — all compared against the digests tracked in FUZZ_quick.json
-# (docs/HARDENING.md).
+# campaign transport, fault plans through FaultPlan.from_dict, farm
+# configs through FarmConfig.from_dict and back, hostile frames through
+# a live farm trunk under both isolate and fail-stop malice policies,
+# then the first hundred router differential scripts — all compared
+# against the digests tracked in FUZZ_quick.json (docs/HARDENING.md).
 fuzz-quick:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m repro.fuzz --quick || exit 1; \

@@ -58,13 +58,16 @@ from repro.net.packet import (
     TCPSegment,
     UDPDatagram,
 )
-from repro.parallel.tasks import farm_digest
-from repro.services.dhcp import DhcpClient
+from repro.parallel.tasks import (
+    TARGET_IP,
+    TARGET_PORT,
+    _echo_server,
+    _streaming_image,
+    farm_digest,
+)
 from repro.sim.engine import Simulator
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TARGET_IP = "203.0.113.80"
-TARGET_PORT = 80
 
 
 # ----------------------------------------------------------------------
@@ -422,41 +425,6 @@ def bench_flow_setup(flows: int, seed: int = 7) -> dict:
 # ----------------------------------------------------------------------
 # End-to-end farm workload
 # ----------------------------------------------------------------------
-def streaming_image(rounds: int, chunk: int = 512):
-    """An inmate that opens one connection and ping-pongs ``rounds``
-    chunks over it — post-verdict forwarding dominates."""
-
-    def image(host):
-        def configured(h):
-            def start():
-                conn = h.tcp.connect(IPv4Address(TARGET_IP), TARGET_PORT)
-                state = {"rounds": 0}
-
-                def on_data(c, data):
-                    state["rounds"] += 1
-                    if state["rounds"] >= rounds:
-                        c.close()
-                    else:
-                        c.send(b"x" * chunk)
-
-                conn.on_established = lambda c: c.send(b"x" * chunk)
-                conn.on_data = on_data
-
-            h.sim.schedule(1.0, start, label="stream-start")
-
-        DhcpClient(host, on_configured=configured).start()
-
-    return image
-
-
-def _echo_server(host) -> None:
-    def on_accept(conn):
-        conn.on_data = lambda c, data: c.send(data)
-        conn.on_remote_close = lambda c: c.close()
-
-    host.tcp.listen(TARGET_PORT, on_accept)
-
-
 def run_farm(seed: int, inmates: int, rounds: int,
              duration: float) -> dict:
     farm = Farm(FarmConfig(seed=seed, telemetry=True))
@@ -464,7 +432,7 @@ def run_farm(seed: int, inmates: int, rounds: int,
     sub = farm.create_subfarm("bench")
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):
-        sub.create_inmate(image_factory=streaming_image(rounds))
+        sub.create_inmate(image_factory=_streaming_image(rounds))
     started = perf_counter()
     farm.run(until=duration)
     elapsed = perf_counter() - started
@@ -498,7 +466,7 @@ def run_farm_flow_digest(seed: int, inmates: int, rounds: int,
     sub = farm.create_subfarm("bench")
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):
-        sub.create_inmate(image_factory=streaming_image(rounds))
+        sub.create_inmate(image_factory=_streaming_image(rounds))
     farm.run(until=duration)
     counters = dict(sub.router.counters)
     digest = hashlib.sha256()

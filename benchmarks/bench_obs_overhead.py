@@ -69,7 +69,6 @@ import os
 import sys
 from time import perf_counter
 
-import bench_hotpath
 from bench_hotpath import RouterHarness, run_farm
 
 from repro.core.dsl import DslPolicy
@@ -79,7 +78,13 @@ from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
 from repro.obs.journal import ROOT as JOURNAL_ROOT, Journal
 from repro.obs.metrics import NULL_INSTRUMENT
-from repro.parallel.tasks import farm_digest
+from repro.parallel.tasks import (
+    TARGET_IP,
+    TARGET_PORT,
+    _echo_server,
+    _streaming_image,
+    farm_digest,
+)
 from repro.services.dhcp import DhcpClient
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -141,13 +146,11 @@ def run_farm_journal(seed: int, inmates: int, rounds: int,
     workload, same digest recipe, so any digest difference is the
     journal perturbing the run."""
     farm = Farm(FarmConfig(seed=seed, telemetry=True, journal=True))
-    bench_hotpath._echo_server(
-        farm.add_external_host("echo", bench_hotpath.TARGET_IP))
+    _echo_server(farm.add_external_host("echo", TARGET_IP))
     sub = farm.create_subfarm("bench")
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):
-        sub.create_inmate(
-            image_factory=bench_hotpath.streaming_image(rounds))
+        sub.create_inmate(image_factory=_streaming_image(rounds))
     started = perf_counter()
     farm.run(until=duration)
     elapsed = perf_counter() - started
@@ -182,16 +185,16 @@ def _forwarding_pump(journal_on: bool, packets: int, seed: int):
     assert record.phase.value == "enforced", record.phase
     inmate_ip = record.orig.orig_ip
     payload = b"x" * 512
-    c2d = TCPSegment(40000, bench_hotpath.TARGET_PORT, 2000, 9001,
+    c2d = TCPSegment(40000, TARGET_PORT, 2000, 9001,
                      ACK | PSH, payload=payload)
     frame = EthernetFrame(
         harness.mac, MacAddress("02:00:00:00:00:01"),
-        IPv4Packet(inmate_ip, IPv4Address(bench_hotpath.TARGET_IP), c2d),
+        IPv4Packet(inmate_ip, IPv4Address(TARGET_IP), c2d),
         vlan=2)
     d2c = IPv4Packet(
-        IPv4Address(bench_hotpath.TARGET_IP),
+        IPv4Address(TARGET_IP),
         record.nat_global or inmate_ip,
-        TCPSegment(bench_hotpath.TARGET_PORT, 40000, 9500, 2001,
+        TCPSegment(TARGET_PORT, 40000, 9500, 2001,
                    ACK | PSH, payload=payload))
     router = harness.router
     half = packets // 2

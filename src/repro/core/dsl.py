@@ -17,7 +17,8 @@ grammar, and the parser's shadow check: a rule that owns no branch in
 any port atom can never fire — whether one earlier rule covers it or
 several do between them — and is rejected.
 
-Grammar (one rule per line, ``#`` comments)::
+Grammar (one rule per line, ``#`` comments; a ``#`` or ``->`` inside
+a quoted pattern is part of the pattern)::
 
     rule      := [guard] match "->" action
     guard     := "inbound" | "outbound"
@@ -137,6 +138,30 @@ def _parse_match(tokens: List[str], fail) -> dict:
     return match
 
 
+def _unquoted(line: str, needle: str) -> int:
+    """Index of the first ``needle`` in ``line`` outside a quoted span
+    as :mod:`shlex` delimits one (quotes and backslash escapes), else
+    ``len(line)``: ``content ~ "JOIN #botnet"`` is a pattern, not a
+    comment.  A quote left open is a ``ValueError``, as in shlex."""
+    quote = None
+    index = 0
+    while index < len(line):
+        char = line[index]
+        if quote is None and line.startswith(needle, index):
+            return index
+        if char == "\\" and quote != "'":
+            index += 2
+            continue
+        if quote is None and char in "'\"":
+            quote = char
+        elif char == quote:
+            quote = None
+        index += 1
+    if quote is not None:
+        raise ValueError("No closing quotation")
+    return len(line)
+
+
 def _parse_lines(text: str) -> Tuple[List[Rule], Action]:
     """Syntax only: the program's rules in order and its default."""
     rules: List[Rule] = []
@@ -147,15 +172,17 @@ def _parse_lines(text: str) -> Tuple[List[Rule], Action]:
                         line_number=line_number, line=line)
 
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "->" not in line:
-            raise fail("expected 'match -> action'", "missing-arrow")
-        match_text, _, action_text = line.partition("->")
+        line = raw.strip()
         try:
-            action = _parse_action(shlex.split(action_text.strip()), line)
-            tokens = shlex.split(match_text.strip())
+            line = raw[:_unquoted(raw, "#")].strip()
+            if not line:
+                continue
+            arrow = _unquoted(line, "->")
+            if arrow == len(line):
+                raise fail("expected 'match -> action'", "missing-arrow")
+            action = _parse_action(shlex.split(line[arrow + 2:].strip()),
+                                   line)
+            tokens = shlex.split(line[:arrow].strip())
             if tokens[:1] != ["default"]:
                 rules.append(Rule(action, line=line, line_number=line_number,
                                   **_parse_match(tokens, fail)))

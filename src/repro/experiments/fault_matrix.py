@@ -28,7 +28,6 @@ from typing import Dict, List, Optional
 
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
-from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.parallel import Campaign, ShardSpec, run_campaign
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _echo_server, \

@@ -121,11 +121,13 @@ class FarmConfig:
                 f"{sorted(unknown)}")
         for name, default in self.FIELDS.items():
             setattr(self, name, values.get(name, default))
-        self.global_networks = [
-            IPv4Network(cidr) for cidr in (
-                self.global_networks
-                or ["198.18.0.0/24", "198.18.1.0/24",
-                    "198.18.2.0/24", "198.18.3.0/24"])]
+        networks = self.global_networks or [
+            "198.18.0.0/24", "198.18.1.0/24", "198.18.2.0/24",
+            "198.18.3.0/24"]
+        if not isinstance(networks, (list, tuple)):
+            raise ValueError(
+                f"global_networks must be a list, not {networks!r}")
+        self.global_networks = [IPv4Network(cidr) for cidr in networks]
         self.control_network = IPv4Network(self.control_network)
         self.inbound_mode = InboundMode(self.inbound_mode)
         self.fault_plan = FaultPlan.coerce(self.fault_plan)
@@ -137,9 +139,11 @@ class FarmConfig:
             raise ValueError(
                 f"malice_policy must be one of {POLICIES}, "
                 f"not {self.malice_policy!r}")
-        if self.batch_window is not None and self.batch_window < 0:
-            raise ValueError(
-                f"batch_window must be >= 0, not {self.batch_window}")
+        if self.batch_window is not None and not (
+                isinstance(self.batch_window, (int, float))
+                and self.batch_window >= 0):
+            raise ValueError(f"batch_window must be a number >= 0, "
+                             f"not {self.batch_window!r}")
 
     # ------------------------------------------------------------------
     # Serialization — ships configs to campaign workers
@@ -158,6 +162,8 @@ class FarmConfig:
     def from_dict(cls, data: dict) -> "FarmConfig":
         """Rebuild a config from :meth:`to_dict` output (unknown keys
         rejected so config drift fails loudly)."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a FarmConfig is an object, not {data!r}")
         unknown = set(data) - set(cls.FIELDS)
         if unknown:
             raise ValueError(

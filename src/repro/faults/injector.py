@@ -34,7 +34,7 @@ shard payloads by :func:`repro.parallel.run_campaign` (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.faults.plan import (
     FaultPlan,

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
 __all__ = [
     "FaultPlan",
@@ -214,6 +214,9 @@ class FaultPlan:
             return value
         if isinstance(value, dict):
             return cls.from_dict(value)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(
+                f"a fault plan is an object or a spec list, not {value!r}")
         return cls(value)
 
     # ------------------------------------------------------------------

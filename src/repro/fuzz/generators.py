@@ -26,7 +26,9 @@ from typing import Callable, Dict, NamedTuple
 from repro.core.dsl import DslError, parse_program
 from repro.core.shim import RequestShim, ResponseShim, peek_length
 from repro.core.verdicts import Verdict
+from repro.farm import FarmConfig
 from repro.faults.plan import KINDS, FaultPlan, FaultSpec
+from repro.gateway.nat import InboundMode
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.arp import ArpMessage
 from repro.net.dns import DnsMessage, DnsRecord, encode_name, decode_name
@@ -450,7 +452,8 @@ def _parse_dsl(data: bytes) -> object:
         raise ParseError("dsl", str(error)) from None
 
 
-#: Values of the wrong shape for a fault-plan field, kind or container.
+#: Values of the wrong shape for a fault-plan or farm-config field,
+#: kind or container.
 _FAULT_BREAKS = ("tarpit", "", None, True, -1, 1e308, [], [1], {}, {"a": 1})
 
 
@@ -491,6 +494,46 @@ def _parse_fault_plan(data: bytes) -> object:
         raise ParseError("fault-plan", str(error)) from None
     return (plan.verdict_outage_windows("fuzz", 2), plan.worker_faults(),
             plan.digest())
+
+
+def gen_farm_config(rng: random.Random) -> bytes:
+    """A farm config as the JSON a campaign shard carries: a
+    well-formed config, then up to two fields or the document itself
+    swapped for a value of the wrong shape."""
+    config = FarmConfig(
+        seed=rng.randrange(1 << 16),
+        inbound_mode=rng.choice(list(InboundMode)),
+        journal=rng.random() < 0.5,
+        batch_window=rng.choice((None, 0.0, 0.005)),
+        fault_plan=[{"kind": "cs_crash", "at": 10.0}]
+        if rng.random() < 0.5 else None).to_dict()
+    document: object = config
+    # Fields first, then the container.
+    for case in sorted(rng.randrange(3) for _ in range(rng.randrange(3))):
+        wrong = rng.choice(_FAULT_BREAKS)
+        if case < 2:
+            config[rng.choice(sorted(config))] = wrong
+        else:
+            document = wrong
+    return json.dumps(document, sort_keys=True).encode()
+
+
+def _parse_farm_config(data: bytes) -> object:
+    """Build the config a worker would, then ship it back: ``to_dict``
+    must round-trip through ``from_dict``.  ``ValueError`` is the
+    taxonomy's ParseError here."""
+    try:
+        document = json.loads(data)
+    except (ValueError, RecursionError) as error:
+        raise ParseError("farm-config", f"not JSON: {error}") from None
+    try:
+        config = FarmConfig.from_dict(document)
+    except ValueError as error:
+        raise ParseError("farm-config", str(error)) from None
+    out = config.to_dict()
+    if FarmConfig.from_dict(out).to_dict() != out:
+        raise AssertionError("FarmConfig.to_dict does not round-trip")
+    return out
 
 
 def _worker_message(rng: random.Random) -> list:
@@ -623,14 +666,16 @@ TARGETS: Dict[str, FuzzTarget] = {
 #: ``runner.fuzz_target``): one more name in :data:`TARGETS` would move
 #: the parser corpus digest that file tracks.  The policy language is
 #: analyst text, a worker agent's port reads length-prefixed JSON
-#: frames from anyone, and a fault plan is the isolation verifier's
-#: other input.
+#: frames from anyone, a fault plan is the isolation verifier's other
+#: input, and a farm config rides in every campaign shard.
 SOLO_TARGETS: Dict[str, FuzzTarget] = {
     "dsl": FuzzTarget("dsl", gen_dsl, _parse_dsl),
     "worker_frame": FuzzTarget("worker-frame", gen_worker_frame,
                                _parse_worker_frame),
     "fault_plan": FuzzTarget("fault-plan", gen_fault_plan,
                              _parse_fault_plan),
+    "farm_config": FuzzTarget("farm-config", gen_farm_config,
+                              _parse_farm_config),
 }
 
 __all__ = ["FuzzTarget", "SOLO_TARGETS", "TARGETS", "hostile_frame"]

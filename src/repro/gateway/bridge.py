@@ -15,7 +15,7 @@ flow to another inmate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -93,9 +93,6 @@ class LearningBridge:
 
     def vlan_for_ip(self, ip: IPv4Address) -> Optional[int]:
         return self._vlan_by_ip.get(ip.value)
-
-    def known_vlans(self) -> List[int]:
-        return sorted(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -72,9 +72,6 @@ class IPv4Address:
             or (v >> 16) == (192 << 8 | 168)
         )
 
-    def in_network(self, network: "IPv4Network") -> bool:
-        return network.contains(self)
-
     def __add__(self, offset: int) -> "IPv4Address":
         return IPv4Address(self.value + offset)
 
@@ -107,6 +104,8 @@ class IPv4Network:
     __slots__ = ("network", "prefix_len")
 
     def __init__(self, cidr: str) -> None:
+        if not isinstance(cidr, str):
+            raise ValueError(f"a network is a CIDR string, not {cidr!r}")
         address, _, prefix = cidr.partition("/")
         if not prefix:
             raise ValueError(f"network requires a prefix length: {cidr!r}")

@@ -15,8 +15,6 @@ catch the structured type and read ``protocol``/``offset``/``reason``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class ParseError(ValueError):
     """Structured rejection of malformed wire input.
@@ -40,17 +38,4 @@ class ParseError(ValueError):
         return (self.__class__, (self.protocol, self.reason, self.offset))
 
 
-def ensure_length(protocol: str, data: bytes, needed: int,
-                  what: str, offset: int = 0) -> None:
-    """Raise :class:`ParseError` unless ``data`` holds ``needed`` bytes
-    starting at ``offset`` — the common truncation guard."""
-    if len(data) < offset + needed:
-        raise ParseError(
-            protocol,
-            f"truncated {what} (need {needed} bytes at offset {offset}, "
-            f"have {max(0, len(data) - offset)})",
-            offset=min(offset, len(data)),
-        )
-
-
-__all__ = ["ParseError", "ensure_length"]
+__all__ = ["ParseError"]

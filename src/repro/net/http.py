@@ -36,12 +36,6 @@ class HttpMessage:
                 return value
         return default
 
-    def set_header(self, name: str, value: str) -> None:
-        for key in list(self.headers):
-            if key.lower() == name.lower():
-                del self.headers[key]
-        self.headers[name] = value
-
     #: Responses always carry Content-Length so receivers can frame
     #: them without waiting for connection close.
     always_content_length = False

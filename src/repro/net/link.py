@@ -14,13 +14,11 @@ cross VLANs here.  Controlled crosstalk between inmate VLANs is the
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.addresses import MacAddress
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
-
-FrameHandler = Callable[[EthernetFrame, "Port"], None]
 
 
 class Port:
@@ -223,11 +221,6 @@ class Switch:
         self.ports.append(port)
         self.configs[port] = SwitchPortConfig(mode, access_vlan, trunk_vlans)
         return port
-
-    def configure_port(self, port: Port, config: SwitchPortConfig) -> None:
-        if port not in self.configs:
-            raise KeyError("port does not belong to this switch")
-        self.configs[port] = config
 
     def receive_frame(self, frame: EthernetFrame, port: Port) -> None:
         config = self.configs[port]

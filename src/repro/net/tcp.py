@@ -53,27 +53,9 @@ def seq_sub(a: int, b: int) -> int:
     return (a - b) % SEQ_MOD
 
 
-def seq_shift_many(values, delta: int) -> List[int]:
-    """Shift a column of sequence numbers by ``delta`` mod 2^32.
-
-    The batched datapath's vectorized form of :func:`seq_add`: one
-    residue reduction for the whole column, then a single-comprehension
-    mask per element (struct-of-arrays translation of a flow entry's
-    seq/ack delta over a run of packets).
-    """
-    shift = delta % SEQ_MOD
-    if not shift:
-        return list(values)
-    return [(value + shift) & 0xFFFFFFFF for value in values]
-
-
 def seq_lt(a: int, b: int) -> bool:
     """True if a < b in modular sequence space."""
     return 0 < seq_sub(b, a) < (SEQ_MOD // 2)
-
-def seq_le(a: int, b: int) -> bool:
-    """True if a <= b in modular sequence space."""
-    return a == b or seq_lt(a, b)
 
 
 class TcpState(enum.Enum):
@@ -524,9 +506,6 @@ class TcpStack:
         listener = TcpListener(-1, on_accept)
         self._any_listener = listener
         return listener
-
-    def unlisten(self, port: int) -> None:
-        self._listeners.pop(port, None)
 
     def connect(
         self,

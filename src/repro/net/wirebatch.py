@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import (

@@ -10,10 +10,9 @@ hosts and merge back into one deterministic result.
   descriptions and :func:`derive_seed`,
 * :mod:`repro.parallel.topology` — declarative farm-of-farms layouts
   lowered by compiler passes into a concrete :class:`Placement`,
-* :mod:`repro.parallel.pool` — the adaptive work-stealing scheduler
-  (:func:`run_campaign`): shared shard queue, per-worker cost
-  estimates, speculative tail re-dispatch, per-shard timeouts, crash
-  isolation,
+* :mod:`repro.parallel.pool` — the scheduler (:func:`run_campaign`):
+  one FIFO shard queue that idle workers take from, each shard on at
+  most one worker, per-shard timeouts, crash isolation,
 * :mod:`repro.parallel.transport` — how shards reach workers:
   :class:`LocalTransport` (warm spawn pool) and
   :class:`SocketTransport` (length-prefixed JSON frames to

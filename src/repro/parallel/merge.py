@@ -105,12 +105,6 @@ class CampaignResult:
         """Per-shard payloads in index order (``None`` for failures)."""
         return [result.payload for result in self.shard_results]
 
-    def payload_for(self, index: int) -> Optional[dict]:
-        for result in self.shard_results:
-            if result.index == index:
-                return result.payload
-        raise KeyError(index)
-
     def to_dict(self) -> dict:
         return {
             "campaign": self.name,

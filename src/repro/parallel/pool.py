@@ -1,4 +1,4 @@
-"""The sharded campaign runner: an adaptive scheduler over pluggable
+"""The sharded campaign runner: one FIFO work queue over pluggable
 worker transports.
 
 Design (mirrors the farm itself: independent habitats, one merge
@@ -12,25 +12,20 @@ point):
   ``transport=``).  Digests are byte-identical across transports
   because the JSON round trip has been the wire contract since the
   pool existed.
-* **Work stealing.**  The one scheduler keeps a shared shard queue
-  and dispatches a single shard per idle slot: fast workers
-  automatically drain the work a slow host would otherwise straggle.
-  Per-worker EWMA shard-cost estimates feed a deficit counter
-  (faster-than-average workers accumulate first claim on the queue)
-  and, once the queue is dry, **speculative re-dispatch**: a tail
-  shard that has been running far beyond its worker's estimate is
-  duplicated onto an idle slot and the first completion wins —
-  results are unchanged because shards are deterministic, so the
-  twin's payload is byte-identical.  (The contiguous pre-partition it
-  replaced is recorded as a dated table in docs/PARALLELISM.md.)
+* **One work queue.**  Shards wait in a shared queue in launch order
+  and every idle slot takes the next one, a single shard per
+  dispatch, so fast workers drain the work a slow host would
+  otherwise straggle.  A shard runs on at most one slot at a time:
+  every unfinished shard is pending, on exactly one slot, or recorded
+  as failed.  (The contiguous pre-partition this replaced is recorded
+  as a dated table in docs/PARALLELISM.md.)
 * **Crash isolation.**  A worker announces each shard before executing
   it, so when a slot dies — crash, OOM-kill, or the scheduler
   enforcing a shard timeout — the master knows exactly which shard was
-  in flight: that shard fails with a structured error (unless a
-  speculative twin is still running it), a shard it had not yet
-  announced is requeued, and a replacement slot is launched under a
-  bounded respawn budget.  A dead worker fails its shard, never the
-  campaign.
+  in flight: that shard fails with a structured error, a shard it had
+  not yet announced is requeued, and a replacement slot is launched
+  under a respawn budget of one per shard.  A dead worker fails its
+  shard, never the campaign.
 * **Round-trip timeouts.**  Per-shard timeouts are measured on the
   master's monotonic clock around the full transport round trip
   (serialize → dispatch → result).  Before killing a slot the
@@ -66,13 +61,6 @@ __all__ = [
     "ShardResult",
     "run_campaign",
 ]
-
-# EWMA smoothing for per-worker shard-cost estimates.
-EWMA_ALPHA = 0.4
-# A tail shard becomes a speculation candidate once it has run this
-# many times its worker's estimated cost (and at least the floor).
-SPECULATION_FACTOR = 2.0
-SPECULATION_FLOOR_SECONDS = 0.2
 
 
 class ShardResult:
@@ -119,12 +107,10 @@ class ShardResult:
 # ----------------------------------------------------------------------
 def run_campaign(campaign: Campaign, workers: int = 1,
                  default_timeout: Optional[float] = None,
-                 max_respawns: Optional[int] = None,
                  fault_plan=None,
                  transport=None,
                  hosts=None,
-                 scheduler: str = "steal",
-                 speculate: bool = True) -> CampaignResult:
+                 scheduler: str = "steal") -> CampaignResult:
     """Run every shard of ``campaign`` and merge deterministically.
 
     ``workers <= 1`` with no transport is the hermetic serial fallback
@@ -132,7 +118,7 @@ def run_campaign(campaign: Campaign, workers: int = 1,
     ``"host:port"`` agent endpoints, or one comma-separated string)
     selects :class:`~repro.parallel.transport.SocketTransport`; an
     explicit ``transport=`` overrides both.  ``scheduler`` accepts
-    only ``"steal"`` (adaptive work stealing, the one scheduler there
+    only ``"steal"`` (the shared work queue, the one scheduler there
     is; the frozen ``benchmarks/ledger`` passes it by name).
     ``default_timeout`` applies to shards whose spec does not set its
     own timeout.  ``fault_plan`` (a
@@ -171,9 +157,7 @@ def run_campaign(campaign: Campaign, workers: int = 1,
         try:
             shard_results, hosts_info, sched_stats = _run_scheduled(
                 campaign, max(1, workers), transport,
-                default_timeout=default_timeout,
-                max_respawns=max_respawns, overlay=overlay,
-                speculate=speculate)
+                default_timeout=default_timeout, overlay=overlay)
         finally:
             if owns_transport:
                 transport.close()
@@ -234,8 +218,7 @@ class _Slot:
     """Master-side view of one worker slot, any transport."""
 
     __slots__ = ("handle", "spec", "finished", "current", "shard_clock",
-                 "ewma", "deficit", "completed", "busy_seconds",
-                 "speculative", "host_key")
+                 "completed", "busy_seconds", "host_key")
 
     def __init__(self, handle) -> None:
         self.handle = handle
@@ -243,11 +226,8 @@ class _Slot:
         self.finished: bool = False              # ... and reported done
         self.current: Optional[int] = None       # last announced shard
         self.shard_clock: float = 0.0            # monotonic, round-trip
-        self.ewma: Optional[float] = None        # est. shard cost (s)
-        self.deficit: float = 0.0
         self.completed: int = 0
         self.busy_seconds: float = 0.0
-        self.speculative: bool = False           # current dispatch a twin
         self.host_key: Optional[str] = None      # set by the ready frame
 
     @property
@@ -264,9 +244,7 @@ class _Slot:
 
 def _run_scheduled(campaign: Campaign, workers: int, transport,
                    default_timeout: Optional[float],
-                   max_respawns: Optional[int],
-                   overlay: Dict[int, dict],
-                   speculate: bool):
+                   overlay: Dict[int, dict]):
     from multiprocessing.connection import wait as connection_wait
 
     from repro.parallel.transport import TransportError
@@ -274,15 +252,9 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
     specs: Dict[int, ShardSpec] = {s.index: s for s in campaign}
     total = len(specs)
     workers = min(workers, total)
-    if max_respawns is None:
-        max_respawns = total  # every shard may kill at most one worker
-
-    ordered = _spec_dicts(campaign, overlay)
-    pending: deque = deque(ordered)
+    pending: deque = deque(_spec_dicts(campaign, overlay))
 
     results: Dict[int, ShardResult] = {}
-    inflight: Dict[int, set] = {}       # index -> slots running it
-    speculated: set = set()             # indexes already twinned once
     live_per_host: Dict[str, int] = {}
     hosts_info: Dict[str, dict] = {}
     stats = {
@@ -292,14 +264,11 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         "dispatches": 0,
         "requeues": 0,
         "respawns": 0,
-        "speculations": 0,
-        "speculation_wins": 0,
-        "stale_kills": 0,
     }
     active: List[_Slot] = []
     all_slots: List[_Slot] = []
     spawned_total = 0
-    respawns_left = max_respawns
+    respawns_left = total  # every shard may kill at most one worker
 
     # ------------------------------------------------------------------
     def fail_shard(index: int, kind: str, message: str,
@@ -311,12 +280,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
             {"kind": kind, "message": message}, seconds,
             worker=worker_id, host=host)
 
-    def mean_cost() -> Optional[float]:
-        known = [s.ewma for s in all_slots if s.ewma is not None]
-        return sum(known) / len(known) if known else None
-
     def record_ready(slot: _Slot, info: dict) -> None:
-        slot.handle.info = info
         host = info.get("host") or slot.handle.host
         slot.host_key = host
         live_per_host[host] = live_per_host.get(host, 0) + 1
@@ -331,29 +295,14 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
     def record_done(slot: _Slot, index: int, result: dict) -> None:
         slot.finished = True
         slot.current = None
-        now = time.monotonic()
-        round_trip = now - slot.shard_clock
-        slot.shard_clock = now
-        slot.busy_seconds += round_trip
-        cost = result.get("seconds") or round_trip
-        slot.ewma = cost if slot.ewma is None \
-            else EWMA_ALPHA * cost + (1.0 - EWMA_ALPHA) * slot.ewma
+        slot.busy_seconds += time.monotonic() - slot.shard_clock
         slot.completed += 1
-        mean = mean_cost()
-        if mean is not None and slot.ewma is not None:
-            slot.deficit += max(0.0, mean - slot.ewma)
-        runners = inflight.get(index)
-        if runners is not None:
-            runners.discard(slot)
-        if slot.host_key and slot.host_key in hosts_info:
+        if slot.host_key in hosts_info:
             hosts_info[slot.host_key]["shards"] += 1
-        if index not in results:
-            results[index] = ShardResult(
-                index, specs[index].label, result["ok"],
-                result["payload"], result["error"], result["seconds"],
-                worker=slot.handle.id, host=slot.host_key)
-            if slot.speculative:
-                stats["speculation_wins"] += 1
+        results[index] = ShardResult(
+            index, specs[index].label, result["ok"],
+            result["payload"], result["error"], result["seconds"],
+            worker=slot.handle.id, host=slot.host_key)
 
     def ingest(slot: _Slot, messages) -> None:
         for message in messages:
@@ -367,18 +316,17 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
             elif tag == "idle":
                 slot.spec = None
                 slot.current = None
-                slot.speculative = False
 
     def release_slot(slot: _Slot) -> None:
         if slot.host_key:
             live_per_host[slot.host_key] = max(
                 0, live_per_host.get(slot.host_key, 1) - 1)
 
-    def reap(slot: _Slot, kind: Optional[str], message: str,
+    def reap(slot: _Slot, kind: str, message: str,
              elapsed: float = 0.0,
              charge_unannounced: bool = False) -> None:
-        """A slot died (crash) or was killed (timeout/stale): fail its
-        in-flight shard unless a twin still runs it, or requeue it.
+        """A slot died (crash) or was killed (timeout): fail its
+        in-flight shard, or requeue it.
 
         A crash only *charges* the shard the worker had announced
         (``start``) — a slot that dies before announcing its shard
@@ -387,19 +335,11 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         shard that blew its deadline is a timeout, not a requeue.
         """
         failed = slot.next_pending()
-        if slot.spec is not None:
-            runners = inflight.get(slot.spec["index"])
-            if runners is not None:
-                runners.discard(slot)
         if failed is not None:
-            index = failed["index"]
-            orphaned = index not in results and not inflight.get(index)
-            if kind is not None and (charge_unannounced
-                                     or slot.current == index):
-                if orphaned:
-                    fail_shard(index, kind, message, slot.handle.id,
-                               slot.host_key, seconds=elapsed)
-            elif orphaned:
+            if charge_unannounced or slot.current == failed["index"]:
+                fail_shard(failed["index"], kind, message, slot.handle.id,
+                           slot.host_key, seconds=elapsed)
+            else:
                 pending.appendleft(failed)
                 stats["requeues"] += 1
         slot.spec = None
@@ -408,30 +348,21 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         slot.handle.kill()
         slot.handle.close()
 
-    def dispatch(slot: _Slot, spec: dict,
-                 speculative: bool = False) -> bool:
-        if spec["index"] in results:
-            return False
+    def dispatch(slot: _Slot, spec: dict) -> None:
         slot.spec = spec
         slot.finished = False
         slot.current = None
-        slot.speculative = speculative
-        # Round-trip clock starts at serialization time (satellite
-        # contract: serialize → dispatch → result on one monotonic
-        # clock).
+        # Round-trip clock starts at serialization time (serialize →
+        # dispatch → result on one monotonic clock).  A send that
+        # fails still counts: its shard is requeued, and every
+        # requeue is one more dispatch.
         slot.shard_clock = time.monotonic()
+        stats["dispatches"] += 1
         try:
             slot.handle.send(("run", [spec]))
         except TransportError as exc:
             reap(slot, "crash", str(exc))
-            if slot in active:
-                active.remove(slot)
-            return False
-        inflight.setdefault(spec["index"], set()).add(slot)
-        stats["dispatches"] += 1
-        if speculative:
-            stats["speculations"] += 1
-        return True
+            active.remove(slot)
 
     def launch_slot() -> Optional[_Slot]:
         nonlocal spawned_total
@@ -444,14 +375,6 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         active.append(slot)
         all_slots.append(slot)
         return slot
-
-    def idle_slots_by_priority() -> List[_Slot]:
-        """Deficit-based dispatch order: workers whose EWMA beats the
-        pool mean accumulated deficit — they get first claim, so fast
-        hosts drain the queue (and stragglers' leftovers) first."""
-        return sorted((s for s in active if s.idle),
-                      key=lambda s: (-s.deficit, s.ewma or 0.0,
-                                     s.handle.id))
 
     # ------------------------------------------------------------------
     try:
@@ -482,53 +405,35 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
                                    "budget", -1, None)
                 break
 
-            # Dispatch work to idle slots, fastest-estimate first.
-            for slot in idle_slots_by_priority():
+            # Idle slots take the next pending shard, in launch order.
+            for slot in [slot for slot in active if slot.idle]:
                 if not pending:
                     break
                 dispatch(slot, pending.popleft())
 
-            # Tail speculation: queue dry, idle capacity, and a shard
-            # far beyond its worker's cost estimate still in flight.
-            if speculate and not pending and len(results) < total:
-                _speculate_tail(active, inflight, results, specs,
-                                speculated, dispatch, mean_cost)
-
-            if len(results) >= total:
-                break
-
             busy = [slot for slot in active if not slot.idle]
             if not busy:
-                if not pending:
-                    # Defensive refill: no runner owns the remainder
-                    # (e.g. every twin died) — requeue what is missing.
-                    missing = [spec for spec in ordered
-                               if spec["index"] not in results
-                               and not inflight.get(spec["index"])]
-                    pending.extend(missing)
-                    if not missing:
-                        continue
                 continue
 
             connection_wait([slot.handle.waitable for slot in busy],
                             timeout=0.05)
-            dead: List[_Slot] = []
+            dead: Dict[_Slot, str] = {}
             for slot in busy:
                 try:
                     ingest(slot, slot.handle.drain())
                 except TransportError as exc:
-                    dead.append((slot, str(exc)))
+                    dead[slot] = str(exc)
 
             # Timeouts: full-round-trip monotonic clock per shard.
             now = time.monotonic()
             for slot in list(active):
-                if any(slot is candidate for candidate, _ in dead):
+                if slot in dead:
                     continue
                 spec = slot.next_pending()
                 if spec is None:
                     # A slot that silently died between shards.
                     if not slot.idle and not slot.handle.alive():
-                        dead.append((slot, "worker died between shards"))
+                        dead[slot] = "worker died between shards"
                     continue
                 timeout = spec.get("timeout")
                 if timeout is None:
@@ -541,27 +446,18 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
                 try:
                     ingest(slot, slot.handle.drain())
                 except TransportError as exc:
-                    dead.append((slot, str(exc)))
+                    dead[slot] = str(exc)
                     continue
-                spec = slot.next_pending()
-                if spec is None or now - slot.shard_clock <= timeout:
+                if slot.next_pending() is None:
                     continue
                 elapsed = now - slot.shard_clock
-                if spec["index"] in results:
-                    # Stale speculative twin overstaying: reclaim the
-                    # slot without failing anything.
-                    stats["stale_kills"] += 1
-                    reap(slot, None, "stale twin reclaimed", elapsed)
-                else:
-                    reap(slot, "timeout",
-                         f"shard exceeded its {timeout:.3f}s timeout "
-                         f"({elapsed:.3f}s round trip) and its worker "
-                         "was killed", elapsed, charge_unannounced=True)
+                reap(slot, "timeout",
+                     f"shard exceeded its {timeout:.3f}s timeout "
+                     f"({elapsed:.3f}s round trip) and its worker "
+                     "was killed", elapsed, charge_unannounced=True)
                 active.remove(slot)
 
-            for slot, message in dead:
-                if slot not in active:
-                    continue
+            for slot, message in dead.items():
                 reap(slot, "crash", message)
                 active.remove(slot)
     finally:
@@ -580,45 +476,8 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
             "host": slot.host_key,
             "shards": slot.completed,
             "busy_seconds": round(slot.busy_seconds, 4),
-            "ewma_seconds": round(slot.ewma, 6)
-            if slot.ewma is not None else None,
         }
         for slot in all_slots
     ]
     shard_results = [results[index] for index in sorted(results)]
     return shard_results, hosts_info, stats
-
-
-def _speculate_tail(active, inflight, results, specs, speculated,
-                    dispatch, mean_cost) -> None:
-    """Duplicate the most-overdue tail shard onto an idle slot."""
-    idle = [slot for slot in active if slot.idle]
-    if not idle:
-        return
-    now = time.monotonic()
-    mean = mean_cost()
-    candidates = []
-    for index, runners in inflight.items():
-        if index in results or index in speculated or not runners:
-            continue
-        if len(runners) > 1:
-            continue
-        (runner,) = runners
-        spec = runner.next_pending()
-        if spec is None or spec["index"] != index:
-            continue
-        if spec.get("fault") is not None:
-            continue  # deliberately-faulted shards are not re-run
-        estimate = runner.ewma if runner.ewma is not None else mean
-        if estimate is None:
-            continue  # no cost baseline anywhere yet
-        elapsed = now - runner.shard_clock
-        threshold = max(SPECULATION_FLOOR_SECONDS,
-                        SPECULATION_FACTOR * estimate)
-        if elapsed > threshold:
-            candidates.append((elapsed / max(estimate, 1e-9),
-                               index, spec))
-    candidates.sort(key=lambda item: -item[0])
-    for slot, (_, index, spec) in zip(idle, candidates):
-        if dispatch(slot, dict(spec), speculative=True):
-            speculated.add(index)

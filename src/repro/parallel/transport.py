@@ -140,8 +140,7 @@ class WorkerHandle:
     """
 
     id: int
-    host: str        # display name; refined by the worker's ready info
-    info: dict       # the worker's ``ready`` host_info (once received)
+    host: str        # display name; the worker's ready info names its host
 
     def send(self, message: tuple) -> None:
         raise NotImplementedError
@@ -173,7 +172,6 @@ class LocalWorkerHandle(WorkerHandle):
     def __init__(self, wid: int, proc, conn) -> None:
         self.id = wid
         self.host = "local"
-        self.info = {}
         self.proc = proc
         self.conn = conn
 
@@ -228,7 +226,6 @@ class SocketWorkerHandle(WorkerHandle):
     def __init__(self, wid: int, endpoint: str, sock) -> None:
         self.id = wid
         self.host = endpoint
-        self.info = {}
         self.sock = sock
         self._decoder = FrameDecoder()
         self._open = True

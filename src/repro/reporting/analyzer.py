@@ -90,10 +90,6 @@ class ShimAnalyzer:
         trace.subscribe(analyzer.process)
         return analyzer
 
-    @property
-    def unmatched_requests(self) -> int:
-        return len(self._pending)
-
     def process(self, record: TraceRecord) -> None:
         payload = _shim_payload(record)
         if payload is None:
@@ -141,12 +137,6 @@ class ShimAnalyzer:
         self.parse_errors += 1
 
     # ------------------------------------------------------------------
-    def by_vlan(self) -> Dict[int, List[ContainmentEvent]]:
-        out: Dict[int, List[ContainmentEvent]] = {}
-        for event in self.events:
-            out.setdefault(event.vlan, []).append(event)
-        return out
-
     def verdict_counts(self, vlan: Optional[int] = None) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for event in self.events:

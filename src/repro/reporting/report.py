@@ -152,14 +152,6 @@ class ActivityReport:
                         bucket.values())
         return totals
 
-    def blacklisted_inmates(self) -> List[Tuple[str, int]]:
-        out = []
-        for name, inmates in self.subfarms.items():
-            for vlan, activity in inmates.items():
-                if activity.blacklisted:
-                    out.append((name, vlan))
-        return out
-
 
 def _render_group(lines: List[str], verdict: str,
                   bucket: Dict[Tuple[str, str, int], int]) -> None:

@@ -48,9 +48,6 @@ class RecursiveResolver:
             "dns.queries", "DNS queries served, by outcome")
         host.udp.bind(DNS_PORT, self._on_query)
 
-    def add_record(self, name: str, ip: IPv4Address) -> None:
-        self.static_zone[name.lower()] = IPv4Address(ip)
-
     # ------------------------------------------------------------------
     def _on_query(self, host: Host, packet: IPv4Packet,
                   datagram: UDPDatagram) -> None:

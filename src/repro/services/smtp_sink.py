@@ -195,12 +195,6 @@ class SmtpSink:
     # ------------------------------------------------------------------
     # Harvest-side analysis
     # ------------------------------------------------------------------
-    def recipients(self) -> List[str]:
-        out: List[str] = []
-        for message in self.messages:
-            out.extend(message.rcpt_to)
-        return out
-
     def campaigns(self) -> Dict[bytes, int]:
         """Distinct message bodies and their frequencies."""
         counts: Dict[bytes, int] = {}

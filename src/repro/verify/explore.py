@@ -37,7 +37,7 @@ counterexample is the shortest trace (ties broken on
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.verdicts import Verdict
 from repro.gateway.failover import fail_open_possible

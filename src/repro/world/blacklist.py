@@ -71,10 +71,6 @@ class BlockingList:
             if entry.reports >= self.reports_to_list
         }
 
-    def check_many(self, addresses) -> Dict[IPv4Address, bool]:
-        """The reporting component's bulk check of inmate addresses."""
-        return {IPv4Address(a): self.listed(a) for a in addresses}
-
     def __len__(self) -> int:
         return len(self.listed_addresses())
 

@@ -42,9 +42,6 @@ class AuthoritativeDns:
     def add_mx(self, domain: str, exchange: str, priority: int = 10) -> None:
         self._mx.setdefault(domain.lower(), []).append((priority, exchange))
 
-    def lookup_a(self, name: str):
-        return self._a.get(name.lower())
-
     # ------------------------------------------------------------------
     def _on_query(self, host: Host, packet: IPv4Packet,
                   datagram: UDPDatagram) -> None:

@@ -9,7 +9,7 @@ here is what the containment-tradeoff benchmark reads.
 from __future__ import annotations
 
 import json
-from typing import List, Optional
+from typing import List
 
 from repro.net.host import Host
 from repro.net.http import HttpParser, HttpRequest, HttpResponse
@@ -41,9 +41,6 @@ class PublisherSite:
     @property
     def click_count(self) -> int:
         return len(self.hits)
-
-    def referers(self) -> List[Optional[str]]:
-        return [hit.header("Referer") for hit in self.hits]
 
 
 class ClickCncServer:

@@ -56,6 +56,22 @@ class TestDslParsing:
         assert rules[0].content.matches(b"GET /a/x HTTP/1.1")
         assert not rules[0].content.matches(b"GET /c/x HTTP/1.1")
 
+    def test_hash_inside_a_quoted_pattern_is_not_a_comment(self):
+        # An IRC channel is the C&C pattern a policy wants to match.
+        rules, _ = parse_program(
+            'port 6667/tcp content ~ "JOIN #botnet" -> forward  # irc\n'
+            "default -> drop\n")
+        assert rules[0].content.matches(b"JOIN #botnet\r\n")
+        assert not rules[0].content.matches(b"JOIN #other\r\n")
+        assert rules[0].line.endswith("-> forward")
+
+    def test_arrow_inside_a_quoted_pattern_does_not_split(self):
+        rules, _ = parse_program(
+            'port 80/tcp content =~ "a->b" -> forward\ndefault -> drop\n')
+        assert rules[0].action.kind == "forward"
+        assert rules[0].content.matches(b"a->b")
+        assert not rules[0].content.matches(b"a-b")
+
     def test_missing_default_rejected(self):
         with pytest.raises(DslError) as exc:
             parse_program("port 80/tcp -> forward\n")

@@ -256,6 +256,15 @@ class TestFarmConfigShape:
         with pytest.raises(ValueError):
             FarmConfig(**bad)
 
+    @pytest.mark.parametrize("document", [
+        {"global_networks": 5}, {"global_networks": [1]},
+        {"control_network": None}, {"batch_window": "x"},
+        {"fault_plan": 7}, [], 1, None,
+    ])
+    def test_wrongly_shaped_document_is_a_value_error(self, document):
+        with pytest.raises(ValueError):
+            FarmConfig.from_dict(document)
+
     def test_keyword_that_is_not_a_field_is_a_type_error(self):
         with pytest.raises(TypeError, match="cs_probe_interval"):
             FarmConfig(seed=1, cs_probe_interval=2.5)

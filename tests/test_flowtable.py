@@ -21,8 +21,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
                                 "benchmarks"))
 from bench_hotpath import (  # noqa: E402
     RouterHarness,
-    TARGET_IP,
-    TARGET_PORT,
     batch_parity,
     run_farm_flow_digest,
 )
@@ -48,6 +46,12 @@ from repro.net.wirebatch import (  # noqa: E402
     WireBatch,
     serialize_tcp_rows,
     serialize_udp_rows,
+)
+from repro.parallel.tasks import (  # noqa: E402
+    TARGET_IP,
+    TARGET_PORT,
+    _echo_server,
+    _streaming_image,
 )
 from repro.sim.engine import Simulator  # noqa: E402
 from tests.golden import expected, wire_digest  # noqa: E402
@@ -609,16 +613,12 @@ def _report_of_streaming_farm(inmates):
     from repro.farm import Farm
     from repro.reporting.report import ActivityReport
 
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
-                                    "benchmarks"))
-    from bench_hotpath import _echo_server, streaming_image
-
     farm = Farm(FarmConfig(seed=5, telemetry=True))
     _echo_server(farm.add_external_host("echo", TARGET_IP))
     sub = farm.create_subfarm("tables")
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):
-        sub.create_inmate(image_factory=streaming_image(6))
+        sub.create_inmate(image_factory=_streaming_image(6))
     farm.run(until=40.0)
     return sub, ActivityReport.from_subfarms([sub])
 

@@ -21,6 +21,13 @@ SLEEP = "repro.parallel.tasks:sleepy_shard"
 pytestmark = pytest.mark.integration
 
 
+def assert_dispatched_once(result, campaign):
+    """Every shard went to one worker at a time: a dispatch per shard,
+    plus one per shard requeued after its worker died unannounced."""
+    stats = result.merged["scheduler"]
+    assert stats["dispatches"] == len(campaign) + stats["requeues"]
+
+
 def test_shard_timeout_kills_only_that_shard():
     campaign = Campaign("timeouts", [
         ShardSpec(0, NOOP, {"seed": 1}),
@@ -38,6 +45,7 @@ def test_shard_timeout_kills_only_that_shard():
     assert failure["shard"] == 1
     assert failure["kind"] == "timeout"
     assert "timeout" in failure["message"]
+    assert_dispatched_once(result, campaign)
 
 
 def test_worker_crash_fails_only_its_shard():
@@ -56,6 +64,19 @@ def test_worker_crash_fails_only_its_shard():
     assert "died" in failure["message"]
     survivors = [r for r in result.shard_results if r.index != 1]
     assert all(r.ok for r in survivors)
+    assert_dispatched_once(result, campaign)
+
+
+def test_slow_tail_shard_runs_on_one_worker():
+    # The queue runs dry while the slow shard is still going and the
+    # other worker sits idle: the slow shard is not run a second time.
+    campaign = Campaign("tail", [
+        ShardSpec(0, NOOP, {"seed": 1}),
+        ShardSpec(1, SLEEP, {"seed": 2, "wall_seconds": 1.5}),
+    ])
+    result = run_campaign(campaign, workers=2)
+    assert result.ok
+    assert result.merged["scheduler"]["dispatches"] == 2
 
 
 def test_crash_mid_chunk_requeues_the_rest_of_the_chunk():

@@ -1,5 +1,5 @@
-"""The adaptive shard scheduler: work-stealing digest parity against
-serial runs, scheduling-honesty metadata, and the oversubscription
+"""The shard scheduler's shared queue: digest parity against serial
+runs, scheduling-honesty metadata, and the oversubscription
 warning."""
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class TestSchedulingHonesty:
         stats = result.merged["scheduler"]
         assert stats["mode"] == "steal"
         assert stats["transport"] == "local"
-        assert stats["dispatches"] >= 4
+        assert stats["dispatches"] == 4
         assert len(stats["per_worker"]) == 2
         assert sum(w["shards"] for w in stats["per_worker"]) == 4
 
