@@ -14,7 +14,8 @@ bench-parallel:
 	$(PYTHON) benchmarks/bench_parallel_scaling.py
 
 # Multi-host smoke: the same campaign dispatched to a localhost
-# `python -m repro.parallel.worker` agent over TCP (SocketTransport);
+# `python -m repro.parallel.worker` agent over TCP (SocketTransport;
+# WORKERS slots, each a process the agent spawns on its connection);
 # exits 1 on serial-vs-socket digest drift or a crash-isolation
 # violation across the socket (docs/PARALLELISM.md, "Multi-host
 # dispatch").
@@ -23,8 +24,9 @@ bench-parallel-quick:
 
 # Determinism smoke: same-seed replay, plus the batched datapath
 # gates — ingest_batch wire/counter/stat parity vs scalar and
-# farm-level batch-window determinism (docs/PERFORMANCE.md).  Exits 1
-# on any drift.
+# farm-level batch-window determinism (docs/PERFORMANCE.md) — then
+# serial-vs-parallel campaign parity over WORKERS local slots (serial
+# at 1).  Exits 1 on any drift.
 bench-quick:
 	$(PYTHON) benchmarks/bench_hotpath.py --quick
 	$(PYTHON) benchmarks/bench_parallel_scaling.py --quick --workers $(WORKERS)
@@ -39,10 +41,12 @@ chaos-quick:
 # every parser (twice, asserting a byte-identical corpus digest), broken
 # policy programs through the DSL parser, worker frames through the
 # campaign transport, fault plans through FaultPlan.from_dict, farm
-# configs through FarmConfig.from_dict and back, hostile frames through
-# a live farm trunk under both isolate and fail-stop malice policies,
-# then the first hundred router differential scripts — all compared
-# against the digests tracked in FUZZ_quick.json (docs/HARDENING.md).
+# configs through FarmConfig.from_dict and back, topologies through
+# FarmTopology.from_dict, compile and the Placement round trip, hostile
+# frames through a live farm trunk under both isolate and fail-stop
+# malice policies, then the first hundred router differential scripts
+# — all compared against the digests tracked in FUZZ_quick.json
+# (docs/HARDENING.md).
 fuzz-quick:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m repro.fuzz --quick || exit 1; \

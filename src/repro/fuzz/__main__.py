@@ -8,9 +8,9 @@ Usage::
     python -m repro.fuzz --replay tests/fuzz_corpus
 
 ``--quick`` runs the fixed-seed smoke (parser determinism replay,
-policy-program, worker-frame and fault-plan loops, farm loop under
-isolate and fail-stop, comparison against the tracked
-``FUZZ_quick.json``) and exits non-zero on any violation.
+policy-program, worker-frame, fault-plan, farm-config and topology
+loops, farm loop under isolate and fail-stop, comparison against the
+tracked ``FUZZ_quick.json``) and exits non-zero on any violation.
 ``--replay`` re-parses a pinned corpus directory and exits non-zero if
 any input escapes the ParseError taxonomy.
 """

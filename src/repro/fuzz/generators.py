@@ -49,6 +49,7 @@ from repro.net.packet import (
 )
 from repro.net.smtp import SmtpServerEngine, Strictness
 from repro.net.socks import Socks4Reply, Socks4Request
+from repro.parallel.topology import FarmTopology, Placement, TopologyError
 from repro.parallel.transport import (
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -536,9 +537,64 @@ def _parse_farm_config(data: bytes) -> object:
     return out
 
 
+def gen_topology(rng: random.Random) -> bytes:
+    """A topology as a ``--topology FILE`` holds it: a well-formed
+    declaration (hosts, pins, packing), then up to two fields of the
+    topology, a host or a subfarm override, or the document itself
+    swapped for a value of the wrong shape."""
+    hosts = [{"name": f"h{i}", "address": rng.choice(("local", "h:9000")),
+              "cpus": rng.choice((None, 8)),
+              "max_workers": rng.choice((None, 2))}
+             for i in range(rng.randrange(1, 4))]
+    subfarms = rng.randrange(1, 7)
+    pins = [None] + [host["name"] for host in hosts]
+    overrides = [{"name": f"sf{i}", "host": rng.choice(pins)}
+                 for i in range(rng.randrange(subfarms + 1))]
+    topology = {"name": "fuzz", "subfarms": subfarms, "hosts": hosts,
+                "subfarm_specs": overrides,
+                "subfarms_per_shard": rng.randrange(1, 4),
+                "inmates_per_subfarm": rng.randrange(1, 5),
+                "metadata": {"seed": rng.randrange(100)}}
+    document: object = topology
+    # Fields first, then whole entries, then the container.
+    for case in sorted(rng.randrange(4) for _ in range(rng.randrange(3))):
+        wrong = rng.choice(_FAULT_BREAKS)
+        entries = rng.choice((hosts, overrides)) or hosts
+        if case == 0:
+            topology[rng.choice(sorted(topology))] = wrong
+        elif case == 1:
+            entry = rng.choice(entries)
+            entry[rng.choice(sorted(entry))] = wrong
+        elif case == 2:
+            entries[rng.randrange(len(entries))] = wrong
+        else:
+            document = wrong
+    return json.dumps(document, sort_keys=True).encode()
+
+
+def _parse_topology(data: bytes) -> object:
+    """Parse, compile and ship the placement back: ``to_dict`` must
+    round-trip through ``from_dict``.  ``TopologyError`` is the
+    taxonomy's ParseError here."""
+    try:
+        document = json.loads(data)
+    except (ValueError, RecursionError) as error:
+        raise ParseError("topology", f"not JSON: {error}") from None
+    try:
+        placement = FarmTopology.from_dict(document).compile()
+    except TopologyError as error:
+        raise ParseError("topology", str(error)) from None
+    out = placement.to_dict()
+    if Placement.from_dict(out).to_dict() != out:
+        raise AssertionError("Placement.to_dict does not round-trip")
+    return out
+
+
 def _worker_message(rng: random.Random) -> list:
     """One message of the worker wire vocabulary
-    (:mod:`repro.parallel.transport`)."""
+    (:mod:`repro.parallel.transport`) as it stood when the tracked
+    digest was recorded — ``run`` chunk lists, ``stop`` and ``idle``
+    included; the decoder reads any JSON alike."""
     index = rng.randrange(64)
     return rng.choice((
         ["run", [{"index": index, "task": "repro.parallel.tasks:noop_shard",
@@ -667,7 +723,8 @@ TARGETS: Dict[str, FuzzTarget] = {
 #: the parser corpus digest that file tracks.  The policy language is
 #: analyst text, a worker agent's port reads length-prefixed JSON
 #: frames from anyone, a fault plan is the isolation verifier's other
-#: input, and a farm config rides in every campaign shard.
+#: input, a farm config rides in every campaign shard, and a topology
+#: is read from the file ``--topology`` names.
 SOLO_TARGETS: Dict[str, FuzzTarget] = {
     "dsl": FuzzTarget("dsl", gen_dsl, _parse_dsl),
     "worker_frame": FuzzTarget("worker-frame", gen_worker_frame,
@@ -676,6 +733,7 @@ SOLO_TARGETS: Dict[str, FuzzTarget] = {
                              _parse_fault_plan),
     "farm_config": FuzzTarget("farm-config", gen_farm_config,
                               _parse_farm_config),
+    "topology": FuzzTarget("topology", gen_topology, _parse_topology),
 }
 
 __all__ = ["FuzzTarget", "SOLO_TARGETS", "TARGETS", "hostile_frame"]

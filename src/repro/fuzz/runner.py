@@ -80,8 +80,8 @@ def fuzz_parsers(seed: int, iterations: int,
 def fuzz_target(target: FuzzTarget, seed: int, iterations: int,
                 corpus_dir: Optional[str] = None) -> dict:
     """The same loop over one target alone: the policy-language parser,
-    the worker frame decoder, the fault plan or the farm config
-    (docs/HARDENING.md)."""
+    the worker frame decoder, the fault plan, the farm config or the
+    topology (docs/HARDENING.md)."""
     return _fuzz_targets({target.name: target}, seed, iterations,
                          corpus_dir)
 
@@ -225,10 +225,10 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
               frames: int = QUICK_FRAMES,
               pinned_path: Optional[str] = None) -> dict:
     """The ``make fuzz-quick`` smoke: parser loop (twice, for the
-    determinism digest), policy-program, worker-frame, fault-plan and
-    farm-config loops, farm loop under both isolate and fail-stop, the
-    first hundred router scripts, all compared against the tracked
-    ``FUZZ_quick.json``."""
+    determinism digest), policy-program, worker-frame, fault-plan,
+    farm-config and topology loops, farm loop under both isolate and
+    fail-stop, the first hundred router scripts, all compared against
+    the tracked ``FUZZ_quick.json``."""
     violations: List[str] = []
 
     parsers = fuzz_parsers(seed, iterations)

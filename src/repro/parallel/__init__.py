@@ -13,12 +13,13 @@ hosts and merge back into one deterministic result.
 * :mod:`repro.parallel.pool` — the scheduler (:func:`run_campaign`):
   one FIFO shard queue that idle workers take from, each shard on at
   most one worker, per-shard timeouts, crash isolation,
-* :mod:`repro.parallel.transport` — how shards reach workers:
-  :class:`LocalTransport` (warm spawn pool) and
-  :class:`SocketTransport` (length-prefixed JSON frames to
-  ``python -m repro.parallel.worker`` host agents),
-* :mod:`repro.parallel.worker` — shard execution and the multi-host
-  worker agent,
+* :mod:`repro.parallel.transport` — the one wire (length-prefixed
+  JSON frames over a stream socket) and where a slot's far end comes
+  from: :class:`LocalTransport` (spawned here, a socketpair) or
+  :class:`SocketTransport` (spawned by a
+  ``python -m repro.parallel.worker`` host agent),
+* :mod:`repro.parallel.worker` — shard execution, the slot process
+  every transport runs, and the multi-host worker agent,
 * :mod:`repro.parallel.merge` — the ordered merge and campaign digest,
 * :mod:`repro.parallel.tasks` — reference shard tasks.
 
@@ -44,7 +45,6 @@ from repro.parallel.topology import (
 from repro.parallel.transport import (
     LocalTransport,
     SocketTransport,
-    Transport,
     TransportError,
     local_agents,
     start_local_agent,
@@ -62,7 +62,6 @@ __all__ = [
     "ShardSpec",
     "SocketTransport",
     "TopologyError",
-    "Transport",
     "TransportError",
     "campaign_digest",
     "derive_seed",

@@ -1,17 +1,16 @@
-"""The sharded campaign runner: one FIFO work queue over pluggable
-worker transports.
+"""The sharded campaign runner: one FIFO work queue over worker slots.
 
 Design (mirrors the farm itself: independent habitats, one merge
 point):
 
-* **Transport-agnostic.**  The scheduler talks to
-  :class:`repro.parallel.transport.WorkerHandle` slots.
-  ``LocalTransport`` is the warm spawn-based process pool;
-  ``SocketTransport`` reaches ``python -m repro.parallel.worker`` host
-  agents over length-prefixed JSON frames (``hosts=`` or an explicit
-  ``transport=``).  Digests are byte-identical across transports
-  because the JSON round trip has been the wire contract since the
-  pool existed.
+* **One kind of slot.**  Every slot is a spawned
+  :func:`repro.parallel.worker.worker_main` process behind a
+  :class:`repro.parallel.transport.LocalWorkerHandle`, speaking
+  length-prefixed JSON frames over a stream socket.
+  ``LocalTransport`` spawns slots on this host; ``SocketTransport``
+  (``hosts=``) has ``python -m repro.parallel.worker`` host agents
+  spawn them.  Digests are byte-identical either way because the JSON
+  round trip has been the wire contract since the pool existed.
 * **One work queue.**  Shards wait in a shared queue in launch order
   and every idle slot takes the next one, a single shard per
   dispatch, so fast workers drain the work a slow host would
@@ -20,12 +19,12 @@ point):
   as failed.  (The contiguous pre-partition this replaced is recorded
   as a dated table in docs/PARALLELISM.md.)
 * **Crash isolation.**  A worker announces each shard before executing
-  it, so when a slot dies — crash, OOM-kill, or the scheduler
-  enforcing a shard timeout — the master knows exactly which shard was
-  in flight: that shard fails with a structured error, a shard it had
-  not yet announced is requeued, and a replacement slot is launched
-  under a respawn budget of one per shard.  A dead worker fails its
-  shard, never the campaign.
+  it, so when a slot dies — crash, OOM-kill, or the scheduler closing
+  its connection to enforce a shard timeout — the master knows exactly
+  which shard was in flight: that shard fails with a structured error,
+  a shard it had not yet announced is requeued, and a replacement slot
+  is launched under a respawn budget of one per shard.  A dead worker
+  fails its shard, never the campaign.
 * **Round-trip timeouts.**  Per-shard timeouts are measured on the
   master's monotonic clock around the full transport round trip
   (serialize → dispatch → result).  Before killing a slot the
@@ -36,10 +35,10 @@ point):
   host's ``host_cpus``/``sched_cpus``; the merge persists them per
   host in the campaign metadata and the runner emits a one-line
   warning when a host runs more workers than schedulable cpus.
-* **Serial fallback.**  ``workers=1`` (or 0) with no transport runs
+* **Serial fallback.**  ``workers=1`` (or 0) with no ``hosts`` runs
   every shard in-process through the *same* execution function workers
   use (:func:`repro.parallel.worker.execute_spec`) — no subprocess, no
-  pipes — so tests stay hermetic and digests comparable.
+  socket — so tests stay hermetic and digests comparable.
 
 Wall-clock timeouts are only enforceable when shards run in worker
 slots; the serial path documents rather than enforces them.
@@ -47,6 +46,7 @@ slots; the serial path documents rather than enforces them.
 
 from __future__ import annotations
 
+import select
 import socket as socket_module
 import time
 import warnings
@@ -55,6 +55,11 @@ from typing import Dict, List, Optional
 
 from repro.parallel.campaign import Campaign, ShardSpec
 from repro.parallel.merge import CampaignResult, merge_results
+from repro.parallel.transport import (
+    LocalTransport,
+    SocketTransport,
+    TransportError,
+)
 from repro.parallel.worker import execute_spec, host_info
 
 __all__ = [
@@ -108,16 +113,15 @@ class ShardResult:
 def run_campaign(campaign: Campaign, workers: int = 1,
                  default_timeout: Optional[float] = None,
                  fault_plan=None,
-                 transport=None,
                  hosts=None,
                  scheduler: str = "steal") -> CampaignResult:
     """Run every shard of ``campaign`` and merge deterministically.
 
-    ``workers <= 1`` with no transport is the hermetic serial fallback
+    ``workers <= 1`` with no ``hosts`` is the hermetic serial fallback
     (same execution function, no subprocesses).  ``hosts`` (a list of
     ``"host:port"`` agent endpoints, or one comma-separated string)
-    selects :class:`~repro.parallel.transport.SocketTransport`; an
-    explicit ``transport=`` overrides both.  ``scheduler`` accepts
+    selects :class:`~repro.parallel.transport.SocketTransport`;
+    otherwise slots are spawned locally.  ``scheduler`` accepts
     only ``"steal"`` (the shared work queue, the one scheduler there
     is; the frozen ``benchmarks/ledger`` passes it by name).
     ``default_timeout`` applies to shards whose spec does not set its
@@ -131,13 +135,7 @@ def run_campaign(campaign: Campaign, workers: int = 1,
         raise ValueError(f"scheduler must be 'steal', got {scheduler!r}")
     started = time.perf_counter()
     overlay = FaultPlan.coerce(fault_plan).worker_faults()
-    owns_transport = False
-    if transport is None and hosts:
-        from repro.parallel.transport import SocketTransport
-
-        transport = SocketTransport(hosts)
-        owns_transport = True
-    if transport is None and (workers <= 1 or len(campaign) <= 1):
+    if not hosts and (workers <= 1 or len(campaign) <= 1):
         shard_results = _run_serial(campaign, overlay)
         info = host_info()
         hosts_info = {info["host"]: {
@@ -149,19 +147,11 @@ def run_campaign(campaign: Campaign, workers: int = 1,
         sched_stats = None
         effective_workers = 1
     else:
-        if transport is None:
-            from repro.parallel.transport import LocalTransport
-
-            transport = LocalTransport()
-            owns_transport = True
-        try:
-            shard_results, hosts_info, sched_stats = _run_scheduled(
-                campaign, max(1, workers), transport,
-                default_timeout=default_timeout, overlay=overlay)
-        finally:
-            if owns_transport:
-                transport.close()
         effective_workers = max(1, workers)
+        shard_results, hosts_info, sched_stats = _run_scheduled(
+            campaign, effective_workers,
+            SocketTransport(hosts) if hosts else LocalTransport(),
+            default_timeout=default_timeout, overlay=overlay)
     _warn_oversubscribed(hosts_info)
     return merge_results(campaign, shard_results,
                          workers=effective_workers,
@@ -217,13 +207,15 @@ def _run_serial(campaign: Campaign,
 class _Slot:
     """Master-side view of one worker slot, any transport."""
 
-    __slots__ = ("handle", "spec", "finished", "current", "shard_clock",
+    __slots__ = ("handle", "spec", "current", "shard_clock",
                  "completed", "busy_seconds", "host_key")
 
     def __init__(self, handle) -> None:
         self.handle = handle
-        self.spec: Optional[dict] = None         # shard last dispatched
-        self.finished: bool = False              # ... and reported done
+        # The shard dispatched and not yet done.  This is what a
+        # timeout or a death is charged against — it does not rely on
+        # the ``start`` announcement having crossed a slow link yet.
+        self.spec: Optional[dict] = None
         self.current: Optional[int] = None       # last announced shard
         self.shard_clock: float = 0.0            # monotonic, round-trip
         self.completed: int = 0
@@ -234,21 +226,10 @@ class _Slot:
     def idle(self) -> bool:
         return self.spec is None
 
-    def next_pending(self) -> Optional[dict]:
-        """The dispatched spec while it is still executing.  This is
-        what a timeout or a death is charged against — it does not
-        rely on the ``start`` announcement having crossed a slow link
-        yet."""
-        return None if self.finished else self.spec
-
 
 def _run_scheduled(campaign: Campaign, workers: int, transport,
                    default_timeout: Optional[float],
                    overlay: Dict[int, dict]):
-    from multiprocessing.connection import wait as connection_wait
-
-    from repro.parallel.transport import TransportError
-
     specs: Dict[int, ShardSpec] = {s.index: s for s in campaign}
     total = len(specs)
     workers = min(workers, total)
@@ -293,7 +274,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         entry["workers"] = max(entry["workers"], live_per_host[host])
 
     def record_done(slot: _Slot, index: int, result: dict) -> None:
-        slot.finished = True
+        slot.spec = None
         slot.current = None
         slot.busy_seconds += time.monotonic() - slot.shard_clock
         slot.completed += 1
@@ -313,9 +294,6 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
                 slot.current = message[1]
             elif tag == "done":
                 record_done(slot, message[1], message[2])
-            elif tag == "idle":
-                slot.spec = None
-                slot.current = None
 
     def release_slot(slot: _Slot) -> None:
         if slot.host_key:
@@ -334,7 +312,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         the round-trip clock covers dispatch itself, so an unannounced
         shard that blew its deadline is a timeout, not a requeue.
         """
-        failed = slot.next_pending()
+        failed = slot.spec
         if failed is not None:
             if charge_unannounced or slot.current == failed["index"]:
                 fail_shard(failed["index"], kind, message, slot.handle.id,
@@ -345,12 +323,10 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         slot.spec = None
         slot.current = None
         release_slot(slot)
-        slot.handle.kill()
         slot.handle.close()
 
     def dispatch(slot: _Slot, spec: dict) -> None:
         slot.spec = spec
-        slot.finished = False
         slot.current = None
         # Round-trip clock starts at serialization time (serialize →
         # dispatch → result on one monotonic clock).  A send that
@@ -359,7 +335,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
         slot.shard_clock = time.monotonic()
         stats["dispatches"] += 1
         try:
-            slot.handle.send(("run", [spec]))
+            slot.handle.send(["run", spec])
         except TransportError as exc:
             reap(slot, "crash", str(exc))
             active.remove(slot)
@@ -415,8 +391,8 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
             if not busy:
                 continue
 
-            connection_wait([slot.handle.waitable for slot in busy],
-                            timeout=0.05)
+            select.select([slot.handle.sock for slot in busy], [], [],
+                          0.05)
             dead: Dict[_Slot, str] = {}
             for slot in busy:
                 try:
@@ -427,15 +403,9 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
             # Timeouts: full-round-trip monotonic clock per shard.
             now = time.monotonic()
             for slot in list(active):
-                if slot in dead:
+                if slot in dead or slot.idle:
                     continue
-                spec = slot.next_pending()
-                if spec is None:
-                    # A slot that silently died between shards.
-                    if not slot.idle and not slot.handle.alive():
-                        dead[slot] = "worker died between shards"
-                    continue
-                timeout = spec.get("timeout")
+                timeout = slot.spec.get("timeout")
                 if timeout is None:
                     timeout = default_timeout
                 if timeout is None or now - slot.shard_clock <= timeout:
@@ -448,7 +418,7 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
                 except TransportError as exc:
                     dead[slot] = str(exc)
                     continue
-                if slot.next_pending() is None:
+                if slot.idle:
                     continue
                 elapsed = now - slot.shard_clock
                 reap(slot, "timeout",
@@ -461,11 +431,6 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
                 reap(slot, "crash", message)
                 active.remove(slot)
     finally:
-        for slot in active:
-            try:
-                slot.handle.send(("stop",))
-            except Exception:  # noqa: BLE001 — already dying
-                pass
         for slot in active:
             release_slot(slot)
             slot.handle.close()

@@ -64,8 +64,16 @@ class TopologyError(ValueError):
         self.errors: List[dict] = list(errors or [])
 
 
+def _parse_error(code: str, detail: str) -> TopologyError:
+    return TopologyError(detail, errors=[{"pass": "parse", "error": code,
+                                          "detail": detail}])
+
+
 def _reject_unknown_keys(data: dict, allowed: Sequence[str],
                          where: str) -> None:
+    if not isinstance(data, dict):
+        raise _parse_error("bad_type", f"{where} must be a JSON object, "
+                                       f"got {type(data).__name__}")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise TopologyError(
@@ -73,6 +81,28 @@ def _reject_unknown_keys(data: dict, allowed: Sequence[str],
             errors=[{"pass": "parse", "error": "unknown_key",
                      "detail": f"{where} key {key!r}"}
                     for key in unknown])
+
+
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, kind: type, where: str,
+           default: Any = _REQUIRED) -> Any:
+    """``data[key]`` if it is a ``kind`` (a bool is no int).  A missing
+    key takes ``default``; ``null`` is accepted where that is None."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise _parse_error("missing_key",
+                               f"{where} key {key!r} is required")
+        return default
+    value = data[key]
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise _parse_error("bad_type",
+                           f"{where} key {key!r} must be {kind.__name__}, "
+                           f"got {type(value).__name__}")
+    return value
 
 
 class HostSpec:
@@ -103,10 +133,11 @@ class HostSpec:
     def from_dict(cls, data: dict) -> "HostSpec":
         _reject_unknown_keys(data, ("name", "address", "cpus",
                                     "max_workers"), "host")
-        return cls(name=data["name"],
-                   address=data.get("address", "local"),
-                   cpus=data.get("cpus"),
-                   max_workers=data.get("max_workers"))
+        return cls(name=_field(data, "name", str, "host"),
+                   address=_field(data, "address", str, "host", "local"),
+                   cpus=_field(data, "cpus", int, "host", None),
+                   max_workers=_field(data, "max_workers", int, "host",
+                                      None))
 
     def __repr__(self) -> str:
         return f"<HostSpec {self.name} @ {self.address}>"
@@ -117,6 +148,8 @@ _TOPOLOGY_KEYS = (
     "subfarms_per_shard", "inmates_per_subfarm", "metadata",
 )
 _SUBFARM_KEYS = ("name", "host")
+# Every subfarm takes at least one 802.1Q VLAN on the gateway trunk.
+_MAX_SUBFARMS = 4094
 
 
 class FarmTopology:
@@ -160,17 +193,22 @@ class FarmTopology:
     @classmethod
     def from_dict(cls, data: dict) -> "FarmTopology":
         _reject_unknown_keys(data, _TOPOLOGY_KEYS, "topology")
-        for spec in data.get("subfarm_specs") or []:
+        specs = _field(data, "subfarm_specs", list, "topology", None)
+        for spec in specs or []:
             _reject_unknown_keys(spec, _SUBFARM_KEYS, "subfarm")
+            for key in _SUBFARM_KEYS:
+                _field(spec, key, str, "subfarm", None)
+        hosts = _field(data, "hosts", list, "topology", None)
         return cls(
-            name=data["name"],
-            subfarms=data["subfarms"],
-            hosts=[HostSpec.from_dict(h) for h in data.get("hosts") or []]
-            or None,
-            subfarm_specs=data.get("subfarm_specs"),
-            subfarms_per_shard=data.get("subfarms_per_shard", 1),
-            inmates_per_subfarm=data.get("inmates_per_subfarm", 2),
-            metadata=data.get("metadata"),
+            name=_field(data, "name", str, "topology"),
+            subfarms=_field(data, "subfarms", int, "topology"),
+            hosts=[HostSpec.from_dict(h) for h in hosts or []] or None,
+            subfarm_specs=specs,
+            subfarms_per_shard=_field(data, "subfarms_per_shard", int,
+                                      "topology", 1),
+            inmates_per_subfarm=_field(data, "inmates_per_subfarm", int,
+                                       "topology", 2),
+            metadata=_field(data, "metadata", dict, "topology", None),
         )
 
     def spec_digest(self) -> str:
@@ -231,9 +269,10 @@ class _CompileState:
 
 def _pass_normalize(state: _CompileState) -> None:
     topo = state.topo
-    if topo.subfarms < 1:
+    if not 1 <= topo.subfarms <= _MAX_SUBFARMS:
         state.error("bad_count",
-                    f"subfarms must be >= 1, got {topo.subfarms}")
+                    f"subfarms must be 1..{_MAX_SUBFARMS}, got "
+                    f"{topo.subfarms}")
         return
     if topo.subfarms_per_shard < 1:
         state.error("bad_count",

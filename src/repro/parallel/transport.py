@@ -1,33 +1,30 @@
 """Worker transports: how shard dispatch reaches execution slots.
 
-The scheduler (:mod:`repro.parallel.pool`) is transport-agnostic: it
-talks to :class:`WorkerHandle` objects that carry the same message
-vocabulary everywhere —
+Every execution slot is one process running
+:func:`repro.parallel.worker.worker_main` at the far end of a stream
+socket, and the master holds the near end in a
+:class:`LocalWorkerHandle`.  Both ends speak **length-prefixed JSON
+frames** (4-byte big-endian length, UTF-8 JSON body, 64 MiB bound):
 
 ====================  ================================================
-master → worker       ``("run", [spec_dict, ...])`` · ``("stop",)``
-worker → master       ``("ready", host_info)`` · ``("start", index)``
-                      · ``("done", index, result_dict)`` ·
-                      ``("idle", worker_id)``
+master → slot         ``["run", spec_dict]``
+slot → master         ``["ready", host_info]`` · ``["start", index]``
+                      · ``["done", index, result_dict]``
 ====================  ================================================
 
-Two transports implement it:
+A slot runs one shard per ``run`` and is idle again once its ``done``
+arrives.  Two transports differ only in where the far end comes from:
 
-* :class:`LocalTransport` — today's warm spawn-based process pool: a
-  fresh ``spawn`` interpreter per worker, a private duplex pipe,
-  messages pickled by :mod:`multiprocessing`.
-* :class:`SocketTransport` — multi-host dispatch: each worker slot is
-  a TCP connection to a ``python -m repro.parallel.worker`` host agent
-  (see :mod:`repro.parallel.worker`), messages as **length-prefixed
-  JSON frames** (4-byte big-endian length, UTF-8 JSON body).  Because
-  shard payloads already survive a JSON round trip (the pool's wire
-  contract since PR 3), the frames carry exactly the same data the
-  pipe carries — digests are byte-identical across transports.  SSH is
-  just a launcher for the agent; the transport only ever sees
-  ``host:port`` endpoints.
+* :class:`LocalTransport` spawns the slot process itself, handing it
+  one end of a ``socket.socketpair()``.
+* :class:`SocketTransport` dials a ``python -m repro.parallel.worker``
+  host agent (see :mod:`repro.parallel.worker`), which spawns the slot
+  on the accepted connection.  SSH is just a launcher for the agent;
+  the transport only ever sees ``host:port`` endpoints.
 
-Both transports expose crash isolation the same way: a worker that
-dies makes its handle's :meth:`WorkerHandle.drain` raise
+Closing the handle is the only way to stop a slot: the slot ends
+itself when its connection closes, even mid-shard.  A slot that dies
+makes its handle's :meth:`LocalWorkerHandle.drain` raise
 :class:`TransportError` whose message names the death, and the
 scheduler fails only the in-flight shard.
 """
@@ -36,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import socket
 import struct
 import subprocess
@@ -47,10 +45,9 @@ from typing import List, Sequence, Tuple, Union
 __all__ = [
     "FrameDecoder",
     "LocalTransport",
+    "LocalWorkerHandle",
     "SocketTransport",
-    "Transport",
     "TransportError",
-    "WorkerHandle",
     "encode_frame",
     "local_agents",
     "parse_endpoint",
@@ -69,7 +66,7 @@ class TransportError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Frame codec (SocketTransport wire format)
+# Frame codec (the one wire format)
 # ----------------------------------------------------------------------
 def encode_frame(message) -> bytes:
     """``message`` (any JSON-safe tuple/list/dict) → one wire frame."""
@@ -129,193 +126,73 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Worker handles
+# The worker handle
 # ----------------------------------------------------------------------
-class WorkerHandle:
-    """One execution slot, wherever it lives.
+class LocalWorkerHandle:
+    """The master's end of one slot's socket, for local and agent slots
+    alike.
 
-    ``waitable`` is an object :func:`multiprocessing.connection.wait`
-    accepts (a pipe connection or a socket) so the scheduler can sleep
-    on a mixed pool with one call.
+    ``host`` is a display name (the slot's ``ready`` frame names its
+    real host); ``proc`` is the slot process when this master spawned
+    it, joined on :meth:`close` so its resource usage is reaped here.
     """
 
-    id: int
-    host: str        # display name; the worker's ready info names its host
+    def __init__(self, wid: int, host: str, sock, proc=None) -> None:
+        self.id = wid
+        self.host = host
+        self.sock = sock
+        self.proc = proc
+        self._decoder = FrameDecoder()
+        self._open = True
 
-    def send(self, message: tuple) -> None:
-        raise NotImplementedError
+    def send(self, message) -> None:
+        try:
+            self.sock.sendall(encode_frame(message))
+        except OSError as exc:
+            raise TransportError(
+                f"worker {self.id} died before accepting its shard "
+                f"(send to {self.host} failed: {exc})") from exc
 
     def drain(self) -> List[tuple]:
         """All queued messages, non-blocking.  Raises
         :class:`TransportError` (message contains ``died``) once the
-        worker is gone and the queue is empty."""
-        raise NotImplementedError
-
-    @property
-    def waitable(self):
-        raise NotImplementedError
-
-    def alive(self) -> bool:
-        raise NotImplementedError
-
-    def kill(self) -> None:
-        """Hard-stop the slot (timeout enforcement)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class LocalWorkerHandle(WorkerHandle):
-    """A spawn-started process behind a private duplex pipe."""
-
-    def __init__(self, wid: int, proc, conn) -> None:
-        self.id = wid
-        self.host = "local"
-        self.proc = proc
-        self.conn = conn
-
-    def send(self, message: tuple) -> None:
-        try:
-            self.conn.send(tuple(message))
-        except (OSError, BrokenPipeError, ValueError) as exc:
-            raise TransportError(
-                f"worker {self.id} died before accepting its chunk "
-                f"({exc})") from exc
-
-    def drain(self) -> List[tuple]:
-        out = []
-        try:
-            while self.conn.poll():
-                out.append(tuple(self.conn.recv()))
-        except (EOFError, OSError) as exc:
-            if out:
-                return out  # deliver what arrived; death shows next call
-            self.proc.join(timeout=1.0)
-            raise TransportError(
-                f"worker process died "
-                f"(exitcode={self.proc.exitcode})") from exc
-        return out
-
-    @property
-    def waitable(self):
-        return self.conn
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.proc.is_alive():
-            self.proc.kill()
-        self.proc.join(timeout=5.0)
-
-
-class SocketWorkerHandle(WorkerHandle):
-    """One TCP connection to a host agent = one remote slot."""
-
-    def __init__(self, wid: int, endpoint: str, sock) -> None:
-        self.id = wid
-        self.host = endpoint
-        self.sock = sock
-        self._decoder = FrameDecoder()
-        self._open = True
-
-    def send(self, message: tuple) -> None:
-        if not self._open:
-            raise TransportError(
-                f"worker {self.id} died (connection to {self.host} "
-                "already closed)")
-        try:
-            self.sock.sendall(encode_frame(message))
-        except OSError as exc:
-            self._open = False
-            raise TransportError(
-                f"worker {self.id} died before accepting its chunk "
-                f"(send to {self.host} failed: {exc})") from exc
-
-    def drain(self) -> List[tuple]:
-        import select
-
+        slot is gone and nothing is left to deliver."""
         out: List[tuple] = []
-        while self._open:
-            try:
-                readable, _, _ = select.select([self.sock], [], [], 0)
-            except OSError:
-                self._open = False
-                break
-            if not readable:
-                break
+        while self._open and select.select([self.sock], [], [], 0)[0]:
             try:
                 data = self.sock.recv(1 << 16)
-            except BlockingIOError:
-                break
             except OSError:
-                self._open = False
-                break
+                data = b""
             if not data:
                 self._open = False
                 break
-            for message in self._decoder.feed(data):
-                out.append(tuple(message))
+            out.extend(tuple(message)
+                       for message in self._decoder.feed(data))
         if not self._open and not out:
             raise TransportError(
                 f"worker died (connection to {self.host} closed)")
         return out
 
-    @property
-    def waitable(self):
-        return self.sock
-
-    def alive(self) -> bool:
-        return self._open
-
-    def kill(self) -> None:
-        # Closing the connection makes the agent kill the slot
-        # subprocess — remote timeout enforcement without remote state.
+    def close(self) -> None:
+        """Close the connection, which ends the slot (mid-shard too)."""
         self._open = False
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        self.kill()
+        self.sock.close()
+        if self.proc is not None:
+            self.proc.join(timeout=5.0)
+            if self.proc.is_alive():
+                self.proc.kill()
+                self.proc.join(timeout=5.0)
 
 
 # ----------------------------------------------------------------------
 # Transports
 # ----------------------------------------------------------------------
-class Transport:
-    """Factory for worker handles; ``kind`` names it in stats."""
-
-    kind = "abstract"
-
-    def launch(self) -> WorkerHandle:
-        raise NotImplementedError
-
-    def close(self) -> None:  # release transport-owned resources
-        pass
-
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
-
-class LocalTransport(Transport):
-    """The warm spawn-based process pool (the PR-3 behaviour)."""
+class LocalTransport:
+    """Spawned slot processes on this host, one socketpair each."""
 
     kind = "local"
 
@@ -325,22 +202,20 @@ class LocalTransport(Transport):
     def launch(self) -> LocalWorkerHandle:
         import multiprocessing as mp
 
-        from repro.parallel.worker import pipe_worker_main
+        from repro.parallel.worker import worker_main
 
-        ctx = mp.get_context("spawn")
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(target=pipe_worker_main,
-                           args=(child_conn, self._next_id),
-                           name=f"gq-shard-worker-{self._next_id}",
-                           daemon=True)
+        ours, theirs = socket.socketpair()
+        proc = mp.get_context("spawn").Process(
+            target=worker_main, args=(theirs, self._next_id),
+            name=f"gq-shard-worker-{self._next_id}", daemon=True)
         proc.start()
-        child_conn.close()  # EOF on parent_conn when the child dies
-        handle = LocalWorkerHandle(self._next_id, proc, parent_conn)
+        theirs.close()  # the slot holds the only other end
+        handle = LocalWorkerHandle(self._next_id, "local", ours, proc)
         self._next_id += 1
         return handle
 
 
-class SocketTransport(Transport):
+class SocketTransport:
     """TCP connections to one or more host agents, round-robin.
 
     ``endpoints`` is a list of ``"host:port"`` strings (or one
@@ -367,7 +242,7 @@ class SocketTransport(Transport):
         self._next_id = 0
         self._cursor = 0
 
-    def launch(self) -> SocketWorkerHandle:
+    def launch(self) -> LocalWorkerHandle:
         errors = []
         for _ in range(len(self.endpoints)):
             endpoint, (host, port) = \
@@ -381,15 +256,11 @@ class SocketTransport(Transport):
                 continue
             sock.settimeout(None)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            handle = SocketWorkerHandle(self._next_id, endpoint, sock)
+            handle = LocalWorkerHandle(self._next_id, endpoint, sock)
             self._next_id += 1
             return handle
         raise TransportError(
             "no worker agent reachable: " + "; ".join(errors))
-
-    def describe(self) -> dict:
-        return {"kind": self.kind,
-                "endpoints": [endpoint for endpoint, _ in self.endpoints]}
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +273,9 @@ def start_local_agent(host: str = "127.0.0.1",
 
     This is the degenerate launcher — the same agent an SSH launcher
     would start on a remote host, here started locally so tests and
-    the benchmark can exercise the socket path hermetically.
+    the benchmark can exercise the socket path hermetically.  An agent
+    that has not announced its port within ``startup_timeout`` seconds
+    is killed and reported as a :class:`TransportError`.
     """
     src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
@@ -413,23 +286,28 @@ def start_local_agent(host: str = "127.0.0.1",
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.parallel.worker",
          "--host", host, "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        env=env, text=True, bufsize=1)
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
     deadline = time.monotonic() + startup_timeout
-    line = ""
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if "listening on" in line:
-            break
-        if proc.poll() is not None:
+    output = b""
+    # Until the announcement's line is complete: wait on the pipe, not
+    # in a read, so an agent that never writes cannot outlast the
+    # deadline.
+    while b"listening on" not in output.rpartition(b"\n")[0]:
+        remaining = deadline - time.monotonic()
+        ready = remaining > 0 and \
+            select.select([proc.stdout], [], [], remaining)[0]
+        chunk = os.read(proc.stdout.fileno(), 4096) if ready else b""
+        if not chunk:
+            proc.kill()
+            code = proc.wait()
             raise TransportError(
-                f"worker agent exited at startup "
-                f"(code {proc.returncode})")
-    if "listening on" not in line:
-        proc.kill()
-        raise TransportError("worker agent never announced its port")
-    endpoint = line.rsplit("listening on", 1)[1].strip()
-    return proc, endpoint
+                f"worker agent exited at startup (code {code})" if ready
+                else f"worker agent did not announce its port within "
+                     f"{startup_timeout:g}s")
+        output += chunk
+    line = next(line for line in output.decode().splitlines()
+                if "listening on" in line)
+    return proc, line.rsplit("listening on", 1)[1].strip()
 
 
 @contextmanager

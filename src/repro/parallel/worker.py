@@ -1,4 +1,4 @@
-"""Shard execution and the multi-host worker agent.
+"""Shard execution, the worker slot and the multi-host worker agent.
 
 This module is the *execution* half of ``repro.parallel`` — everything
 that runs on the machine that owns the shard, as opposed to the
@@ -7,24 +7,20 @@ Three layers share one execution function:
 
 * :func:`execute_spec` — run one shard spec, always returning a
   structured result dict.  The serial fallback calls it in-process;
-  every worker process calls it behind a pipe or a socket.
-* :func:`pipe_worker_main` — the worker loop over a duplex
-  :mod:`multiprocessing` pipe.  ``LocalTransport`` spawns processes
-  whose target is this function; the socket agent spawns the *same*
-  function behind a relay, so local and remote shards execute through
-  byte-identical machinery.
+  every slot calls it for each shard it is sent.
+* :func:`worker_main` — the slot: one spawned process at the far end
+  of one stream socket, speaking the length-prefixed JSON frames of
+  :mod:`repro.parallel.transport`.  ``LocalTransport`` hands it one
+  end of a socketpair; the agent hands it an accepted connection.  It
+  ends itself when that connection closes, even mid-shard.
 * :func:`serve` / ``python -m repro.parallel.worker`` — the **host
-  agent** for multi-host campaigns.  It listens on TCP; every accepted
-  connection becomes one worker *slot*: a freshly spawned subprocess
-  wired to the connection through a relay thread.  A slot that dies
-  mid-shard (crash, OOM kill) only drops its own connection — the
-  master sees EOF, fails the in-flight shard, reconnects, and the
-  agent spawns a fresh slot.  SSH (or any launcher) only needs to
-  start the agent; the wire contract is the same length-prefixed JSON
-  either way (see docs/PARALLELISM.md, "Multi-host dispatch").
-
-Every message a worker sends or receives is JSON-safe; the socket
-framing lives in :mod:`repro.parallel.transport`.
+  agent** for multi-host campaigns.  It listens on TCP and passes
+  every accepted connection straight to a freshly spawned slot.  A
+  slot that dies mid-shard (crash, OOM kill) only drops its own
+  connection — the master sees EOF, fails the in-flight shard,
+  reconnects, and the agent spawns a fresh slot.  SSH (or any
+  launcher) only needs to start the agent (see docs/PARALLELISM.md,
+  "Multi-host dispatch").
 """
 
 from __future__ import annotations
@@ -32,20 +28,26 @@ from __future__ import annotations
 import gc
 import json
 import os
+import queue
 import socket as socket_module
 import sys
+import threading
 import time
 import traceback
 from typing import Optional
 
+from repro.parallel import transport
 from repro.parallel.campaign import resolve_task
 
 __all__ = [
     "execute_spec",
     "host_info",
-    "pipe_worker_main",
     "serve",
+    "worker_main",
 ]
+
+# What a ``done`` frame adds around its payload, with room to spare.
+_DONE_ENVELOPE = 256
 
 # True only inside a worker process.  Worker-process faults
 # (repro.faults) behave destructively there — os._exit, a real hang —
@@ -109,10 +111,15 @@ def execute_spec(spec_dict: dict) -> dict:
             raise TypeError(
                 f"shard task returned {type(payload).__name__}, "
                 "expected a JSON-safe dict")
-        # The JSON round trip is the wire contract: whatever crosses
-        # process boundaries must survive it, so enforce it in both
-        # the serial and subprocess paths for identical behaviour.
-        payload = json.loads(json.dumps(payload))
+        # The JSON round trip and the frame bound are the wire
+        # contract: whatever crosses process boundaries must survive
+        # them, so enforce both on the serial path too.
+        blob = json.dumps(payload, separators=(",", ":"))
+        if len(blob) > transport.MAX_FRAME_BYTES - _DONE_ENVELOPE:
+            raise ValueError(
+                f"payload of {len(blob)} bytes does not fit a "
+                f"{transport.MAX_FRAME_BYTES}-byte frame")
+        payload = json.loads(blob)
     except Exception as exc:  # noqa: BLE001
         return failure("payload", exc)
     result = {"ok": True, "payload": payload, "error": None,
@@ -167,138 +174,93 @@ def _apply_worker_fault(fault: dict, started: float) -> Optional[dict]:
 
 
 # ----------------------------------------------------------------------
-# The pipe worker loop (LocalTransport processes and agent slots)
+# The slot: one process at the far end of one stream socket
 # ----------------------------------------------------------------------
-def pipe_worker_main(conn, worker_id: int) -> None:
-    """Worker loop: announce the host, receive chunks of spec dicts,
-    announce and run each shard, report results, idle until the next
-    chunk or ``stop``."""
+def worker_main(sock, worker_id: int) -> None:
+    """Slot loop: announce the host, then for every ``["run", spec]``
+    announce the shard, run it and report its result.
+
+    ``LocalTransport`` spawns this on one end of a socketpair and the
+    host agent on each accepted connection, so every slot is the same
+    process speaking the same frames.  A daemon thread reads the
+    socket and ends the process the moment the connection closes,
+    mid-shard included: closing the connection is how a master stops
+    a slot, and how a timed-out shard dies.
+    """
     global _IN_WORKER
     _IN_WORKER = True
+    specs: queue.SimpleQueue = queue.SimpleQueue()
+    threading.Thread(target=_read_specs, args=(sock, specs),
+                     name=f"gq-slot-reader-{worker_id}",
+                     daemon=True).start()
+
+    def send(message: list) -> None:
+        sock.sendall(transport.encode_frame(message))
+
     try:
-        conn.send(("ready", host_info()))
+        send(["ready", host_info()])
         while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                break
-            assert message[0] == "run", message
-            for spec_dict in message[1]:
-                conn.send(("start", spec_dict["index"]))
-                result = execute_spec(spec_dict)
-                conn.send(("done", spec_dict["index"], result))
-            conn.send(("idle", worker_id))
-    except (EOFError, OSError, KeyboardInterrupt):
+            spec_dict = specs.get()
+            send(["start", spec_dict["index"]])
+            send(["done", spec_dict["index"], execute_spec(spec_dict)])
+    except (OSError, KeyboardInterrupt):
         pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+
+
+def _read_specs(sock, specs: queue.SimpleQueue) -> None:
+    """Queue the spec of every ``run`` frame; exit the process when the
+    connection closes or breaks."""
+    decoder = transport.FrameDecoder()
+    try:
+        for data in iter(lambda: sock.recv(1 << 16), b""):
+            for _run, spec_dict in decoder.feed(data):
+                specs.put(spec_dict)
+    # A broken connection, or a peer that does not speak the protocol,
+    # is a closed one.
+    except (OSError, ValueError, TypeError, transport.TransportError):
+        pass
+    os._exit(0)
 
 
 # ----------------------------------------------------------------------
 # The host agent: TCP listener, one spawned slot per connection
 # ----------------------------------------------------------------------
-def _serve_session(ctx, sock, session_id: int) -> None:
-    """Relay one master connection to a freshly spawned worker slot.
-
-    The slot is a real subprocess so a crashing shard kills only the
-    slot: its pipe EOFs, the relay closes the socket, and the master's
-    crash isolation takes over.  A master that closes the socket
-    (timeout kill, campaign end) gets the symmetric treatment — the
-    slot process is killed so a hung shard cannot leak.
-    """
-    from multiprocessing.connection import wait as connection_wait
-
-    from repro.parallel.transport import FrameDecoder, encode_frame
-
-    parent_conn, child_conn = ctx.Pipe(duplex=True)
-    proc = ctx.Process(target=pipe_worker_main,
-                       args=(child_conn, session_id),
-                       name=f"gq-agent-slot-{session_id}",
-                       daemon=True)
-    proc.start()
-    child_conn.close()
-    decoder = FrameDecoder()
-    try:
-        while True:
-            ready = connection_wait([sock, parent_conn], timeout=1.0)
-            if sock in ready:
-                try:
-                    data = sock.recv(1 << 16)
-                except OSError:
-                    break
-                if not data:
-                    break  # master gone: kill the slot below
-                for message in decoder.feed(data):
-                    parent_conn.send(tuple(message))
-            if parent_conn in ready:
-                try:
-                    while parent_conn.poll():
-                        sock.sendall(encode_frame(parent_conn.recv()))
-                except (EOFError, OSError):
-                    break  # slot died (or stopped): drop the socket
-            if not ready and not proc.is_alive():
-                break
-    finally:
-        try:
-            sock.shutdown(socket_module.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
-        try:
-            parent_conn.close()
-        except OSError:
-            pass
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=5.0)
-
-
 def serve(host: str = "127.0.0.1", port: int = 0,
           max_sessions: Optional[int] = None,
           announce=print) -> None:
     """Run the host agent: accept connections forever (or for
-    ``max_sessions``), one spawned worker slot per connection.
+    ``max_sessions``), handing each to a freshly spawned slot.
 
-    ``port=0`` binds an ephemeral port; the agent announces
-    ``gq-worker listening on HOST:PORT`` on stdout either way so a
-    launcher (SSH script, :func:`repro.parallel.transport.start_local_agent`,
-    a test) can discover the address.
+    The agent relays nothing.  A slot that crashes drops only its own
+    connection; a master that closes it ends the slot, whether or not
+    the agent is still alive.  ``port=0`` binds an ephemeral port; the
+    agent announces ``gq-worker listening on HOST:PORT`` on stdout
+    either way so a launcher (SSH script,
+    :func:`repro.parallel.transport.start_local_agent`, a test) can
+    discover the address.
     """
     import multiprocessing as mp
-    import threading
 
     ctx = mp.get_context("spawn")
-    listener = socket_module.socket(socket_module.AF_INET,
-                                    socket_module.SOCK_STREAM)
-    listener.setsockopt(socket_module.SOL_SOCKET,
-                        socket_module.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen()
+    listener = socket_module.create_server((host, port))
     bound_host, bound_port = listener.getsockname()[:2]
     announce(f"gq-worker listening on {bound_host}:{bound_port}",
              flush=True)
     sessions = 0
-    threads = []
     try:
         while max_sessions is None or sessions < max_sessions:
             conn, _addr = listener.accept()
-            thread = threading.Thread(
-                target=_serve_session, args=(ctx, conn, sessions),
-                name=f"gq-agent-session-{sessions}", daemon=True)
-            thread.start()
-            threads.append(thread)
+            ctx.Process(target=worker_main, args=(conn, sessions),
+                        name=f"gq-agent-slot-{sessions}",
+                        daemon=True).start()
+            conn.close()  # the slot holds the connection now
             sessions += 1
     except KeyboardInterrupt:
         pass
     finally:
         listener.close()
-        for thread in threads:
-            thread.join(timeout=5.0)
+        for proc in mp.active_children():
+            proc.join()
 
 
 def main(argv=None) -> int:

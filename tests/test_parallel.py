@@ -189,6 +189,21 @@ class TestSerialFallback:
         result = run_campaign(campaign, workers=1)
         assert result.failures[0]["kind"] == "payload"
 
+    def test_payload_over_the_frame_bound_is_structured(self, monkeypatch):
+        # A result no frame can carry fails the same way on every path:
+        # as kind "payload", never as a crash of the slot that made it.
+        from repro.parallel import transport
+
+        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 1024)
+        campaign = Campaign.config_sweep(
+            "big", NOOP_TASK, [{"seed": 1, "value": "x" * 2048},
+                               {"seed": 2, "value": "x" * 64}])
+        result = run_campaign(campaign, workers=1)
+        assert [r.ok for r in result.shard_results] == [False, True]
+        (failure,) = result.failures
+        assert failure["kind"] == "payload"
+        assert "1024-byte frame" in failure["message"]
+
     def test_merged_metrics_sum_across_shards(self):
         campaign = Campaign.config_sweep(
             "m", NOOP_TASK,

@@ -81,6 +81,13 @@ class TestCompileErrors:
         assert any(e["error"] == "split_shard"
                    for e in excinfo.value.errors)
 
+    def test_subfarm_count_beyond_the_vlan_space_rejected(self):
+        # One 802.1Q VLAN per subfarm at the least; a count past that
+        # is refused before the compile builds a record per subfarm.
+        with pytest.raises(TopologyError) as excinfo:
+            FarmTopology("bad", subfarms=10 ** 9).compile()
+        assert [e["error"] for e in excinfo.value.errors] == ["bad_count"]
+
     def test_bad_host_address_rejected(self):
         topo = FarmTopology("bad", subfarms=1,
                             hosts=[HostSpec("h", "no-port-here")])

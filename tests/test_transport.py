@@ -1,22 +1,30 @@
-"""repro.parallel.transport: the frame codec, endpoint parsing, and
-the SocketTransport round trip against a real localhost worker agent.
+"""repro.parallel.transport: the frame codec, endpoint parsing, the
+SocketTransport round trip against a real localhost worker agent, and
+how long a slot lives.
 
-The codec tests are pure; the agent tests start
-``python -m repro.parallel.worker`` subprocesses and are marked
-``integration`` like the other real-process pool tests.
+The codec tests are pure; the agent and slot tests start
+``python -m repro.parallel.worker`` subprocesses or slot processes and
+are marked ``integration`` like the other real-process pool tests.
 """
 
 from __future__ import annotations
+
+import os
+import select
+import sys
+import time
 
 import pytest
 
 from repro.parallel import (
     Campaign,
+    LocalTransport,
     ShardSpec,
     SocketTransport,
     TransportError,
     local_agents,
     run_campaign,
+    start_local_agent,
 )
 from repro.parallel.transport import (
     FrameDecoder,
@@ -26,6 +34,7 @@ from repro.parallel.transport import (
 
 NOOP = "repro.parallel.tasks:noop_shard"
 CRASH = "repro.parallel.tasks:crashing_shard"
+SLEEP = "repro.parallel.tasks:sleepy_shard"
 FARM = "repro.parallel.tasks:streaming_farm_shard"
 
 TINY_FARM = {"subfarms": 1, "inmates": 1, "rounds": 5, "duration": 30.0}
@@ -39,11 +48,11 @@ class TestFrameCodec:
 
     def test_reassembles_split_frames(self):
         decoder = FrameDecoder()
-        blob = encode_frame(["start", 0]) + encode_frame(["idle", 1])
+        blob = encode_frame(["start", 0]) + encode_frame(["start", 1])
         out = []
         for offset in range(0, len(blob), 3):  # drip-feed 3 bytes
             out.extend(decoder.feed(blob[offset:offset + 3]))
-        assert out == [["start", 0], ["idle", 1]]
+        assert out == [["start", 0], ["start", 1]]
 
     def test_oversize_announcement_rejected(self):
         import struct
@@ -149,3 +158,89 @@ class TestSocketDispatch:
         # The recorded duration is the master-side round trip, so it
         # must cover at least the timeout itself.
         assert result.shard_results[0].seconds >= 1.0
+
+
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its
+    parent (an orphaned slot's new parent may never reap it)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def await_frame(handle, tag: str, timeout: float = 30.0) -> tuple:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        select.select([handle.sock], [], [], 0.1)
+        for message in handle.drain():
+            if message[0] == tag:
+                return message
+    raise AssertionError(f"no {tag!r} frame within {timeout}s")
+
+
+def ends_when_closed(handle, before_close=lambda: None) -> bool:
+    """Start a minute-long shard on a fresh slot, close the handle
+    mid-shard, and report whether the slot process is gone within five
+    seconds."""
+    pid = await_frame(handle, "ready")[1]["pid"]
+    handle.send(["run", ShardSpec(0, SLEEP, {"seed": 1,
+                                             "wall_seconds": 60.0})
+                 .to_dict()])
+    await_frame(handle, "start")
+    before_close()
+    handle.close()
+    deadline = time.monotonic() + 5.0
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not running(pid)
+
+
+@pytest.mark.integration
+class TestSlotLifetime:
+    """A slot lives exactly as long as its connection: closing the
+    handle ends a hung slot wherever it runs (docs/PARALLELISM.md,
+    "Multi-host dispatch")."""
+
+    def test_local_slot(self):
+        assert ends_when_closed(LocalTransport().launch())
+
+    def test_agent_slot(self):
+        with local_agents(1) as endpoints:
+            assert ends_when_closed(SocketTransport(endpoints).launch())
+
+    def test_agent_slot_after_its_agent_is_killed(self):
+        agent, endpoint = start_local_agent()
+        try:
+            handle = SocketTransport([endpoint]).launch()
+
+            def kill_agent():
+                agent.kill()
+                agent.wait(timeout=10.0)
+
+            assert ends_when_closed(handle, before_close=kill_agent)
+        finally:
+            agent.kill()
+            agent.wait(timeout=10.0)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="stand-in is a sh script")
+def test_silent_agent_is_killed_at_the_startup_deadline(tmp_path,
+                                                        monkeypatch):
+    # An "interpreter" that never writes a line: readline() on its
+    # stdout would block forever.
+    pidfile = tmp_path / "pid"
+    stand_in = tmp_path / "python"
+    stand_in.write_text(f"#!/bin/sh\necho $$ > {pidfile}\nexec sleep 60\n")
+    stand_in.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(stand_in))
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="did not announce"):
+        start_local_agent(startup_timeout=0.5)
+    assert time.monotonic() - started < 5.0
+    assert not running(int(pidfile.read_text()))
