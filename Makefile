@@ -58,7 +58,9 @@ fuzz-quick:
 # unchanged (observing never perturbs) and the journal digest is
 # seed-stable.  Cost is gated where it is counted — journal events per
 # fast-path pump and per scanned flow, the recorder's replayed
-# ns/event, no-op instrument calls per event with telemetry off — and
+# ns/event, and Python frames entered in repro/obs/metrics.py per
+# simulator event with telemetry off and on, which are histogram
+# observe calls (counters and gauges are reads and make none) — and
 # the whole-run wall-clock slowdowns are printed, not failed on
 # (docs/OBSERVABILITY.md, "Overhead").
 obs-quick:

@@ -16,7 +16,6 @@ inmate controller on the management network.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.policy import (
@@ -38,6 +37,7 @@ from repro.net.flow import FiveTuple
 from repro.net.host import Host
 from repro.net.packet import IPv4Packet, PROTO_UDP, UDPDatagram
 from repro.net.tcp import TcpConnection
+from repro.obs.telemetry import tally
 from repro.sim.engine import Simulator
 
 LifecycleCallback = Callable[[str, int], None]
@@ -82,7 +82,7 @@ class _ServerFlowProxy(FlowProxy):
 
         if self._client.is_open or self._client.state is TcpState.SYN_RCVD:
             self._client.send(data)
-            self._server._m_bytes_to_client.inc(len(data))
+            self._server.bytes_to_client += len(data)
 
     def send_to_server(self, data: bytes) -> None:
         if self._upstream is None:
@@ -91,7 +91,7 @@ class _ServerFlowProxy(FlowProxy):
             self._upstream.send(data)
         else:
             self._upstream_queue.append(data)
-        self._server._m_bytes_to_server.inc(len(data))
+        self._server.bytes_to_server += len(data)
 
     def connect_out(self, ip: Optional[IPv4Address] = None,
                     port: Optional[int] = None) -> None:
@@ -252,6 +252,9 @@ class ContainmentServer:
 
         self.verdict_log: List[VerdictRecord] = []
         self.verdict_counts: Dict[str, int] = {}
+        # REWRITE bytes the proxy relayed onward and back.
+        self.bytes_to_server = 0
+        self.bytes_to_client = 0
         self.trigger_engine = None  # set via attach_triggers()
         # Fault-injection seam: a ServerFaultState installed by the
         # farm's FaultInjector (None in fault-free farms).
@@ -269,12 +272,12 @@ class ContainmentServer:
             "cs.verdict.latency",
             "Virtual seconds from shim receipt to verdict"
         ).bind(server=host.name)
-        self._m_bytes_to_server = tel.counter(
+        tel.counter(
             "cs.proxy.bytes_to_server", "REWRITE bytes proxied onward"
-        ).bind(server=host.name)
-        self._m_bytes_to_client = tel.counter(
+        ).register(lambda: self.bytes_to_server, server=host.name)
+        tel.counter(
             "cs.proxy.bytes_to_client", "REWRITE bytes proxied back"
-        ).bind(server=host.name)
+        ).register(lambda: self.bytes_to_client, server=host.name)
 
         # Processing model for scalability studies (§7.2): each
         # verdict occupies the (single-CPU) server for service_time
@@ -353,12 +356,8 @@ class ContainmentServer:
         record = VerdictRecord(self.sim.now, shim.vlan_id, shim.flow, decision)
         self.verdict_log.append(record)
         key = decision.verdict.label
-        if key not in self.verdict_counts:
-            self.verdict_counts[key] = 0
-            self._m_verdicts.register(
-                partial(self.verdict_counts.__getitem__, key),
-                server=self.host.name, verdict=key)
-        self.verdict_counts[key] += 1
+        tally(self.verdict_counts, key, self._m_verdicts,
+              server=self.host.name, verdict=key)
         if received_at is not None:
             self._h_latency.observe(self.sim.now - received_at)
         if self.journal.enabled:

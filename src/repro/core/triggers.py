@@ -26,6 +26,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.net.addresses import IPv4Address
 from repro.net.flow import FiveTuple
 from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.obs.telemetry import register_first
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -253,5 +254,7 @@ class TriggerEngine:
         self.firings.append(
             TriggerFiring(self.sim.now, vlan, spec.action, spec)
         )
-        self._m_fired.inc(action=spec.action)
+        register_first(self._m_fired, lambda: sum(
+            firing.action == spec.action for firing in self.firings),
+            action=spec.action)
         self.lifecycle(spec.action, vlan)

@@ -34,7 +34,8 @@ shard payloads by :func:`repro.parallel.run_campaign` (see
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
 from repro.faults.plan import (
     FaultPlan,
@@ -43,6 +44,7 @@ from repro.faults.plan import (
     LINK_KINDS,
     SERVER_KINDS,
 )
+from repro.obs.telemetry import tally
 
 __all__ = [
     "FaultInjector",
@@ -55,11 +57,11 @@ __all__ = [
 class ShimLinkFaults:
     """Link-level fault view for one subfarm's shim link."""
 
-    def __init__(self, sim, rng, specs: List[FaultSpec], metric,
-                 subfarm: str) -> None:
+    def __init__(self, sim, rng, specs: List[FaultSpec],
+                 count: Callable[[str], None]) -> None:
         self.sim = sim
         self.rng = rng
-        self.subfarm = subfarm
+        self._count = count
         self.partitions = [s for s in specs if s.kind == "shim_partition"]
         self.drops = [s for s in specs if s.kind == "shim_drop"]
         self.delays = [s for s in specs if s.kind == "shim_delay"]
@@ -67,19 +69,11 @@ class ShimLinkFaults:
         # FaultInjector.attach_server registers states by server IP
         # (its 32-bit value: this is consulted per packet).
         self.server_states: Dict[int, "ServerFaultState"] = {}
-        self._m_injected = metric
         # Per-direction FIFO horizon for delayed delivery.
         self._fifo_to_cs = 0.0
         self._fifo_from_cs = 0.0
 
     # ------------------------------------------------------------------
-    def _count(self, kind: str) -> None:
-        self._m_injected.inc(subfarm=self.subfarm, kind=kind)
-        journal = self.sim.journal
-        if journal.enabled:
-            journal.record("fault.injected", fault=kind,
-                           subfarm=self.subfarm)
-
     def _drop_or_delay(self, now: float, server_ip) -> object:
         """Shared disposition: ``"drop"``, a delay in seconds, or 0."""
         state = self.server_states.get(server_ip.value)
@@ -144,17 +138,16 @@ class ShimLinkFaults:
 class ServerFaultState:
     """Crash/hang/slow behaviour for one containment server."""
 
-    def __init__(self, sim, server, specs: List[FaultSpec], metric,
-                 subfarm: str) -> None:
+    def __init__(self, sim, server, specs: List[FaultSpec],
+                 count: Callable[[str], None]) -> None:
         self.sim = sim
         self.server = server
-        self.subfarm = subfarm
+        self._count = count
         self.crashed = False
         self.crashes = 0
         self.hang_windows: List[FaultSpec] = []
         self.slow_windows: List[FaultSpec] = []
         self.held: List[tuple] = []
-        self._m_injected = metric
         for spec in specs:
             if spec.kind == "cs_crash":
                 at = max(spec.at, sim.now)
@@ -171,13 +164,6 @@ class ServerFaultState:
                 self.slow_windows.append(spec)
 
     # ------------------------------------------------------------------
-    def _count(self, kind: str) -> None:
-        self._m_injected.inc(subfarm=self.subfarm, kind=kind)
-        journal = self.sim.journal
-        if journal.enabled:
-            journal.record("fault.injected", fault=kind,
-                           subfarm=self.subfarm)
-
     def _crash(self) -> None:
         self.crashed = True
         self.crashes += 1
@@ -213,11 +199,10 @@ class ServerFaultState:
 class LifecycleFaultGate:
     """Count-limited revert/boot failure gate for one inmate."""
 
-    def __init__(self, sim, specs: List[FaultSpec], metric,
-                 subfarm: str) -> None:
+    def __init__(self, sim, specs: List[FaultSpec],
+                 count: Callable[[str], None]) -> None:
         self.sim = sim
-        self.subfarm = subfarm
-        self._m_injected = metric
+        self._count = count
         # [spec, remaining budget]; None = unlimited within the window.
         self._specs = [[spec, spec.count] for spec in specs]
 
@@ -235,11 +220,7 @@ class LifecycleFaultGate:
                 if remaining <= 0:
                     continue
                 entry[1] = remaining - 1
-            self._m_injected.inc(subfarm=self.subfarm, kind=spec.kind)
-            journal = self.sim.journal
-            if journal.enabled:
-                journal.record("fault.injected", fault=spec.kind,
-                               subfarm=self.subfarm)
+            self._count(spec.kind)
             return True
         return False
 
@@ -251,8 +232,20 @@ class FaultInjector:
         self.sim = sim
         self.plan = plan
         self._links: Dict[str, ShimLinkFaults] = {}
+        # Injections applied, by (subfarm, kind); each pair registers a
+        # read of its count when it first happens.
+        self.injected: Dict[Tuple[str, str], int] = {}
         self._m_injected = sim.telemetry.counter(
             "faults.injected", "Fault injections applied, by kind")
+
+    def count(self, subfarm: str, kind: str) -> None:
+        """One injection of ``kind`` in ``subfarm``: counted and
+        journaled."""
+        tally(self.injected, (subfarm, kind), self._m_injected,
+              subfarm=subfarm, kind=kind)
+        journal = self.sim.journal
+        if journal.enabled:
+            journal.record("fault.injected", fault=kind, subfarm=subfarm)
 
     def attach_subfarm(self, subfarm) -> None:
         specs = self.plan.for_subfarm(subfarm.name)
@@ -261,7 +254,7 @@ class FaultInjector:
         if link_specs or server_specs:
             faults = ShimLinkFaults(
                 self.sim, self.sim.rng(f"faults/link/{subfarm.name}"),
-                link_specs, self._m_injected, subfarm.name)
+                link_specs, partial(self.count, subfarm.name))
             subfarm.router.shim_link_faults = faults
             self._links[subfarm.name] = faults
         self.attach_server(subfarm, subfarm.containment_server, 0)
@@ -272,7 +265,7 @@ class FaultInjector:
         if not specs:
             return
         state = ServerFaultState(self.sim, server, specs,
-                                 self._m_injected, subfarm.name)
+                                 partial(self.count, subfarm.name))
         server.fault_state = state
         link = self._links.get(subfarm.name)
         if link is not None:
@@ -284,4 +277,4 @@ class FaultInjector:
                  and (s.vlan is None or s.vlan == inmate.vlan)]
         if specs:
             inmate.lifecycle_faults = LifecycleFaultGate(
-                self.sim, specs, self._m_injected, subfarm.name)
+                self.sim, specs, partial(self.count, subfarm.name))

@@ -13,8 +13,8 @@ seed-driven fuzzing subsystem with four pieces:
   generators for every protocol the farm parses (DNS, SMTP, HTTP,
   IRC, FTP, SOCKS, DHCP, ARP, GRE, TCP options, Ethernet/IPv4 framing,
   the shim protocol itself, policy programs, the campaign
-  transport's worker frames, fault plans, farm configs and farm
-  topologies), registered as named
+  transport's worker frames, fault plans, farm configs, farm
+  topologies and isolation certificates), registered as named
   :class:`~repro.fuzz.generators.FuzzTarget` entries.
 * :mod:`repro.fuzz.corpus` + :mod:`repro.fuzz.runner` — a corpus
   store with a shrinking minimizer, a replay-regression runner (every

@@ -56,6 +56,8 @@ from repro.parallel.transport import (
     TransportError,
 )
 from repro.services.dhcp import DhcpMessage
+from repro.verify import (GrantIndex, canonical_digest, merge_certificates,
+                          verify_digest)
 
 
 class FuzzTarget(NamedTuple):
@@ -590,6 +592,46 @@ def _parse_topology(data: bytes) -> object:
     return out
 
 
+def gen_certificate(rng: random.Random) -> bytes:
+    """A self-signed isolation certificate as a shard payload carries
+    it, then up to two fields of it or of a grant, a whole grant, or
+    the document itself swapped for a value of the wrong shape."""
+    grants = [{"subfarm": "sf0", "vlan": rng.choice(("*", "3", "2-9")),
+               "proto": rng.choice(("tcp", "udp")),
+               "ports": sorted(rng.randrange(1, 1024) for _ in range(2)),
+               "verdict": rng.choice(("FORWARD", "REFLECT|LIMIT")),
+               "via": rng.choice(("policy", "pending"))}
+              for _ in range(rng.randrange(4))]
+    certificate = {"label": "fuzz", "states_explored": rng.randrange(99),
+                   "grants": grants, "leak_count": 0,
+                   "counterexample": None, "result": "CONTAINED"}
+    certificate["digest"] = canonical_digest(certificate)
+    document: object = certificate
+    for case in sorted(rng.randrange(4) for _ in range(rng.randrange(3))):
+        wrong = rng.choice(_FAULT_BREAKS)
+        if case == 3:
+            document = wrong
+        elif case == 2 and grants:
+            grants[rng.randrange(len(grants))] = wrong
+        else:
+            entry = rng.choice(grants) if case and grants else certificate
+            entry[rng.choice(sorted(entry))] = wrong
+    return json.dumps(document, sort_keys=True).encode()
+
+
+def _parse_certificate(data: bytes) -> object:
+    """What ``verify``, the campaign merge and the runtime cross-check
+    ask of a certificate: its digest, a merge with itself, the grant
+    covering a flow.  ``ValueError`` is the taxonomy's ParseError."""
+    try:
+        document = json.loads(data)
+        return (verify_digest(document),
+                merge_certificates([document, document]),
+                GrantIndex(document).cover(3, "tcp", "FORWARD", 80, "sf0"))
+    except (ValueError, RecursionError) as error:
+        raise ParseError("certificate", str(error)) from None
+
+
 def _worker_message(rng: random.Random) -> list:
     """One message of the worker wire vocabulary
     (:mod:`repro.parallel.transport`) as it stood when the tracked
@@ -723,8 +765,9 @@ TARGETS: Dict[str, FuzzTarget] = {
 #: the parser corpus digest that file tracks.  The policy language is
 #: analyst text, a worker agent's port reads length-prefixed JSON
 #: frames from anyone, a fault plan is the isolation verifier's other
-#: input, a farm config rides in every campaign shard, and a topology
-#: is read from the file ``--topology`` names.
+#: input, a farm config rides in every campaign shard, a topology is
+#: read from the file ``--topology`` names, and an isolation
+#: certificate comes back in a shard payload or from disk.
 SOLO_TARGETS: Dict[str, FuzzTarget] = {
     "dsl": FuzzTarget("dsl", gen_dsl, _parse_dsl),
     "worker_frame": FuzzTarget("worker-frame", gen_worker_frame,
@@ -734,6 +777,8 @@ SOLO_TARGETS: Dict[str, FuzzTarget] = {
     "farm_config": FuzzTarget("farm-config", gen_farm_config,
                               _parse_farm_config),
     "topology": FuzzTarget("topology", gen_topology, _parse_topology),
+    "certificate": FuzzTarget("certificate", gen_certificate,
+                              _parse_certificate),
 }
 
 __all__ = ["FuzzTarget", "SOLO_TARGETS", "TARGETS", "hostile_frame"]

@@ -11,9 +11,9 @@ which is the exact opposite of fail-closed containment.
 containment server wrap their ingest paths in it; when a parser rejects
 input the barrier
 
-* **drops and counts** the frame per (vlan, protocol) — mirrored into
-  telemetry as ``barrier.parse_errors`` cells, bound lazily so an
-  all-well-formed run stays byte-identical to a build without the
+* **drops and counts** the frame per (vlan, protocol) — read by
+  telemetry as ``barrier.parse_errors`` from each pair's first drop, so
+  an all-well-formed run stays byte-identical to a build without the
   barrier;
 * **quarantines** the offending bytes verbatim in a bounded ring,
   exportable to a real pcap for offline analysis;
@@ -27,11 +27,11 @@ definition a parser bug, and exactly what :mod:`repro.fuzz` hunts.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.capture import write_pcap
 from repro.net.errors import ParseError
+from repro.obs.telemetry import NULL_TELEMETRY, tally
 
 #: Accepted FarmConfig.malice_policy values.
 POLICIES = ("isolate", "fail-stop", "count")
@@ -95,7 +95,9 @@ class MaliceBarrier:
                              f"got {policy!r}")
         self.sim = sim
         self.name = name
-        self.telemetry = telemetry
+        self._m_parse_errors = (telemetry or NULL_TELEMETRY).counter(
+            "barrier.parse_errors",
+            "Frames dropped by the malice barrier, by VLAN and protocol")
         # Decision journal (NULL_JOURNAL unless the farm attached one
         # before constructing the subfarm).
         self.journal = sim.journal
@@ -123,21 +125,10 @@ class MaliceBarrier:
         """
         protocol = getattr(error, "protocol", None) or "unknown"
         vkey = vlan if vlan is not None else 0
-        key = (vkey, protocol)
         self.parse_errors += 1
-        if key not in self.counts:
-            # Telemetry reads the count from its first appearance: a
-            # clean run registers nothing, so snapshots stay identical.
-            self.counts[key] = 0
-            if self.telemetry is not None:
-                self.telemetry.counter(
-                    "barrier.parse_errors",
-                    "Frames dropped by the malice barrier, "
-                    "by VLAN and protocol"
-                ).register(partial(self.counts.__getitem__, key),
-                           subfarm=self.name, vlan=str(vkey),
-                           protocol=protocol)
-        self.counts[key] += 1
+        # A clean run counts nothing, so it registers nothing either.
+        tally(self.counts, (vkey, protocol), self._m_parse_errors,
+              subfarm=self.name, vlan=str(vkey), protocol=protocol)
 
         raw = data
         if raw is None and frame is not None:

@@ -120,7 +120,7 @@ class VlanEgress(Egress):
     code = EMIT_VLAN
 
     def __init__(self, sim, port, mac: MacAddress, vlan: int,
-                 router=None, floods=None) -> None:
+                 router=None, gateway=None) -> None:
         self._sim = sim
         self._port = port
         self._mac = mac
@@ -128,14 +128,15 @@ class VlanEgress(Egress):
         # Bound once, probed per packet (LearningBridge.entries).
         self._learned = router.bridge.entries if router is not None else {}
         self._trace = router.trace if router is not None else None
-        self._floods = floods if router is not None else None
+        # Whose ``floods`` count a broadcast delivery bumps.
+        self._counts = gateway if router is not None else None
 
     def retire(self) -> None:
         """The VLAN was unbound; rules still pointing here keep a
         working egress."""
         self._learned = {}
         self._trace = None
-        self._floods = None
+        self._counts = None
 
     def send(self, packet: IPv4Packet) -> None:
         entry = self._learned.get(self._vlan)
@@ -143,8 +144,8 @@ class VlanEgress(Egress):
             dst_mac = entry.mac
         else:
             dst_mac = _BROADCAST
-            if self._floods is not None:
-                self._floods.inc()
+            if self._counts is not None:
+                self._counts.floods += 1
         frame = EthernetFrame(self._mac, dst_mac, packet, self._vlan,
                               ETHERTYPE_IPV4)
         trace = self._trace

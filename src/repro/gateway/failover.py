@@ -62,6 +62,11 @@ DOWN = "down"
 
 PENDING_POLICIES = ("drop", "forward")
 
+#: Missed verdict deadlines that mark a containment server down.
+FAILURE_THRESHOLD = 2
+#: Virtual seconds between health probes of a suspect or down server.
+PROBE_INTERVAL = 5.0
+
 
 def fail_open_possible(proto: int, handshake_complete: bool) -> bool:
     """Can a verdict-starved flow fail open under
@@ -83,12 +88,11 @@ class ResilienceConfig:
     """Knobs for one subfarm's shim resilience."""
 
     __slots__ = ("verdict_deadline", "verdict_retries", "retry_backoff",
-                 "pending_policy", "probe_interval", "failure_threshold")
+                 "pending_policy")
 
     def __init__(self, verdict_deadline: float, verdict_retries: int = 2,
-                 retry_backoff: float = 2.0, pending_policy: str = "drop",
-                 probe_interval: float = 5.0,
-                 failure_threshold: int = 2) -> None:
+                 retry_backoff: float = 2.0,
+                 pending_policy: str = "drop") -> None:
         if verdict_deadline <= 0.0:
             raise ValueError("verdict_deadline must be > 0")
         if pending_policy not in PENDING_POLICIES:
@@ -102,8 +106,6 @@ class ResilienceConfig:
         self.verdict_retries = int(verdict_retries)
         self.retry_backoff = float(retry_backoff)
         self.pending_policy = pending_policy
-        self.probe_interval = float(probe_interval)
-        self.failure_threshold = max(1, int(failure_threshold))
 
 
 class CsFailoverPool:
@@ -111,8 +113,8 @@ class CsFailoverPool:
 
     ``healthy`` servers take new flows as usual (sticky by VLAN); a
     missed verdict deadline moves a server to ``suspect`` and, at
-    ``failure_threshold`` misses, to ``down``.  Down and suspect
-    servers are probed every ``probe_interval`` virtual seconds via
+    :data:`FAILURE_THRESHOLD` misses, to ``down``.  Down and suspect
+    servers are probed every :data:`PROBE_INTERVAL` virtual seconds via
     the ``prober`` callable (wired by the subfarm to the server's
     management-network health check); a passing probe restores
     ``healthy``.  All servers down ⇒ *degraded mode* (callbacks fire
@@ -160,7 +162,7 @@ class CsFailoverPool:
         was_degraded = self.degraded
         failures = self._failures.get(ip, 0) + 1
         self._failures[ip] = failures
-        if failures >= self.config.failure_threshold:
+        if failures >= FAILURE_THRESHOLD:
             self._set_state(ip, DOWN)
         else:
             self._set_state(ip, SUSPECT)
@@ -207,7 +209,7 @@ class CsFailoverPool:
                for ip in self.router._cs_list):
             return
         self._probe_armed = True
-        self.sim.schedule(self.config.probe_interval, self._probe,
+        self.sim.schedule(PROBE_INTERVAL, self._probe,
                           label="cs-health-probe")
 
     def _probe(self) -> None:
@@ -263,11 +265,10 @@ class RouterResilience:
             "resilience.failovers",
             "Flows re-homed to a standby containment server"
         ).register(lambda: self.failovers, subfarm=subfarm)
-        self._g_degraded = tel.gauge(
+        tel.gauge(
             "resilience.degraded",
             "1 while every containment server is down"
-        ).bind(subfarm=subfarm)
-        self._g_degraded.set(0.0)
+        ).register(self._degraded, subfarm=subfarm)
         self._h_attempts = tel.histogram(
             "resilience.verdict.attempts",
             "Shim delivery attempts per deadline-missing flow",
@@ -277,8 +278,12 @@ class RouterResilience:
     # ------------------------------------------------------------------
     # Degraded-mode state machine hooks
     # ------------------------------------------------------------------
+    def _degraded(self) -> float:
+        """1.0 inside a degraded interval the pool has logged."""
+        intervals = self.pool.degraded_intervals
+        return float(bool(intervals) and intervals[-1][1] is None)
+
     def _enter_degraded(self) -> None:
-        self._g_degraded.set(1.0)
         if self.journal.enabled:
             self.journal.record("degraded.entered", subfarm=self.subfarm)
         if self.trigger_engine is not None:
@@ -287,7 +292,6 @@ class RouterResilience:
             self.trigger_engine.suspend()
 
     def _exit_degraded(self) -> None:
-        self._g_degraded.set(0.0)
         if self.journal.enabled:
             self.journal.record("degraded.exited", subfarm=self.subfarm)
         if self.trigger_engine is not None:

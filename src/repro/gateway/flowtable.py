@@ -295,7 +295,7 @@ class FlowTable:
             self._synced = (0, 0, 0, 0, 0, 0)
             tel.gauge(
                 "flowtable.occupancy", "Installed flow-table entries"
-            ).register(lambda: self._synced[0], subfarm=name)
+            ).register(lambda: float(self._synced[0]), subfarm=name)
             for index, (metric, help, labels) in enumerate((
                 ("flowtable.hits", "Flow-table probe hits", {}),
                 ("flowtable.misses",

@@ -74,9 +74,9 @@ class Gateway:
         self.upstream_trace = PacketTrace(f"{name}-upstream")
         self.frames_received = 0
         self.frames_unroutable = 0
+        # Bumped by the VLAN egresses of subfarm-owned VLANs.
+        self.floods = 0
 
-        # Telemetry reads the two counts above; floods, which only the
-        # VLAN egresses see, are pushed (docs/OBSERVABILITY.md).
         telemetry = sim.telemetry
         telemetry.counter(
             "gw.frames.received", "Frames hitting the gateway"
@@ -84,10 +84,10 @@ class Gateway:
         telemetry.counter(
             "gw.frames.unroutable", "Frames with no owning subfarm"
         ).register(lambda: self.frames_unroutable)
-        self._m_floods = telemetry.counter(
+        telemetry.counter(
             "gw.bridge.floods",
             "VLAN deliveries broadcast for lack of a learned MAC"
-        ).bind() if telemetry.enabled else None
+        ).register(lambda: self.floods)
 
         # GRE tunnels connecting donated address space (§7.2).
         self.tunnels: List = []
@@ -149,8 +149,7 @@ class Gateway:
             raise ValueError(f"VLAN {vlan} already owned by a subfarm")
         self._router_by_vlan[vlan] = router
         self._vlan_egress[vlan] = VlanEgress(
-            self.sim, self.trunk_port, self.mac, vlan, router,
-            self._m_floods)
+            self.sim, self.trunk_port, self.mac, vlan, router, self)
 
     def unbind_vlan(self, vlan: int) -> None:
         """Take a VLAN back (its inmate is gone).  The addresses it held

@@ -55,6 +55,7 @@ from repro.net.packet import (
     TCPSegment,
 )
 from repro.net.tcp import seq_add
+from repro.obs.telemetry import tally
 
 
 # ----------------------------------------------------------------------
@@ -149,14 +150,9 @@ def record_verdict(router, record: FlowRecord,
     shim RTT histogram, journal ``verdict.applied``."""
     proto = "tcp" if record.orig.proto == PROTO_TCP else "udp"
     verdict = decision.verdict.label
-    cell_key = (record.vlan, verdict, proto)
-    cell = router._verdict_cells.get(cell_key)
-    if cell is None:
-        cell = router._m_verdicts.bind(
-            subfarm=router.name, vlan=str(record.vlan),
-            verdict=verdict, proto=proto)
-        router._verdict_cells[cell_key] = cell
-    cell.inc()
+    tally(router.verdict_counts, (record.vlan, verdict, proto),
+          router._m_verdicts, subfarm=router.name, vlan=str(record.vlan),
+          verdict=verdict, proto=proto)
     router._h_shim_rtt.observe(router.sim.now - record.created_at)
     if router.journal.enabled:
         router.journal.record(

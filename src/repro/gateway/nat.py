@@ -104,24 +104,26 @@ class NatTable:
         self._vlan_by_global: Dict[int, int] = {}
         self._global_watcher: Optional[
             Callable[[IPv4Address, bool], None]] = None
+        self.binds = 0
+        # (bindings, pool used, pool capacity) as of this table's last
+        # bind or unbind: the pool is shared, and gauges show it so.
+        self._published = (0.0, 0.0, 0.0)
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._m_binds = telemetry.counter(
+        telemetry.counter(
             "gw.nat.binds", "Inmate address bindings created"
-        ).bind(subfarm=subfarm)
-        self._g_bindings = telemetry.gauge(
-            "gw.nat.bindings", "Live VLAN->address bindings"
-        ).bind(subfarm=subfarm)
-        self._g_pool_used = telemetry.gauge(
-            "gw.nat.pool.used", "Global addresses allocated"
-        ).bind(subfarm=subfarm)
-        self._g_pool_capacity = telemetry.gauge(
-            "gw.nat.pool.capacity", "Global addresses in the pool"
-        ).bind(subfarm=subfarm)
+        ).register(lambda: self.binds, subfarm=subfarm)
+        for index, (metric, help) in enumerate((
+            ("gw.nat.bindings", "Live VLAN->address bindings"),
+            ("gw.nat.pool.used", "Global addresses allocated"),
+            ("gw.nat.pool.capacity", "Global addresses in the pool"),
+        )):
+            telemetry.gauge(metric, help).register(
+                lambda index=index: self._published[index], subfarm=subfarm)
 
-    def _update_pool_gauges(self) -> None:
-        self._g_bindings.set(len(self._internal_by_vlan))
-        self._g_pool_used.set(self.global_pool.allocated)
-        self._g_pool_capacity.set(self.global_pool.capacity)
+    def _publish(self) -> None:
+        self._published = (len(self._internal_by_vlan),
+                           self.global_pool.allocated,
+                           self.global_pool.capacity)
 
     def watch_globals(
             self, watcher: Callable[[IPv4Address, bool], None]) -> None:
@@ -145,8 +147,8 @@ class NatTable:
         self._vlan_by_global[global_ip.value] = vlan
         if self._global_watcher is not None:
             self._global_watcher(global_ip, True)
-        self._m_binds.inc()
-        self._update_pool_gauges()
+        self.binds += 1
+        self._publish()
         return internal
 
     def unbind(self, vlan: int) -> None:
@@ -160,7 +162,7 @@ class NatTable:
             if self._global_watcher is not None:
                 self._global_watcher(global_ip, False)
             self.global_pool.release(global_ip)
-        self._update_pool_gauges()
+        self._publish()
 
     # ------------------------------------------------------------------
     def internal_for(self, vlan: int) -> Optional[IPv4Address]:

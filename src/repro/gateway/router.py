@@ -235,10 +235,13 @@ class SubfarmRouter:
         self.flow_log: List[FlowLogEntry] = []
         self.counters = {key: 0 for key, _, _ in COUNTER_METRICS}
 
-        # Telemetry: reads of the counters dict, the per-verdict flow
-        # counter (bound lazily — label set depends on the decision),
-        # the shim round-trip histogram, and per-flow trace state keyed
-        # by mux port (cleaned up on eviction).
+        # Verdicts applied, by (vlan, verdict label, "tcp" | "udp").
+        self.verdict_counts: Dict[tuple, int] = {}
+
+        # Telemetry: reads of the counters dict and of the verdict
+        # counts (each combination registers when first applied), the
+        # shim round-trip histogram, and per-flow trace state keyed by
+        # mux port (cleaned up on eviction).
         tel = self.telemetry
         for key, metric, help in COUNTER_METRICS:
             tel.counter(metric, help).register(
@@ -246,10 +249,6 @@ class SubfarmRouter:
         self._m_verdicts = tel.counter(
             "router.flows.verdict",
             "Containment verdicts applied, by verdict and protocol")
-        # Per-(vlan, verdict, proto) bound cells, resolved lazily so the
-        # label-sort-and-lookup cost is paid once per combination rather
-        # than on every verdict.
-        self._verdict_cells: Dict[tuple, object] = {}
         self._h_shim_rtt = tel.histogram(
             "router.shim.rtt",
             "Virtual seconds from flow creation to verdict"

@@ -17,6 +17,7 @@ every destination it ever tried.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Tuple
 
 from repro.net.addresses import IPv4Address
@@ -77,16 +78,21 @@ class SafetyFilter:
         self._pair_clock: Deque[Tuple[float, Tuple[int, int]]] = deque()
         self.alerts: List[SafetyAlert] = []
         self.flows_admitted = 0
-        self.flows_refused = 0
+        # Flows refused, by the budget that tripped.
+        self.trips = {"per-inmate": 0, "per-destination": 0}
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.telemetry.counter(
             "gw.safety.admitted", "Flows the safety filter admitted"
         ).register(lambda: self.flows_admitted, subfarm=subfarm)
         trips = self.telemetry.counter(
             "gw.safety.trips", "Flows the safety filter refused, by reason")
-        self._m_trip_inmate = trips.bind(subfarm=subfarm, reason="per-inmate")
-        self._m_trip_pair = trips.bind(subfarm=subfarm,
-                                       reason="per-destination")
+        for reason in self.trips:
+            trips.register(partial(self.trips.__getitem__, reason),
+                           subfarm=subfarm, reason=reason)
+
+    @property
+    def flows_refused(self) -> int:
+        return sum(self.trips.values())
 
     def admit(self, now: float, vlan: int, destination: IPv4Address) -> bool:
         """Account a new flow; False means the flow must be refused."""
@@ -117,12 +123,10 @@ class SafetyFilter:
             pair_flows = len(pair_history)
 
         if len(inmate_history) >= self.max_flows_per_window:
-            self._m_trip_inmate.inc()
-            self._refuse(now, vlan, destination, "per-inmate flow rate")
+            self._refuse(now, vlan, destination, "per-inmate")
             return False
         if pair_flows >= self.max_flows_per_destination:
-            self._m_trip_pair.inc()
-            self._refuse(now, vlan, destination, "per-destination flow rate")
+            self._refuse(now, vlan, destination, "per-destination")
             return False
 
         inmate_history.append(now)
@@ -134,9 +138,10 @@ class SafetyFilter:
         return True
 
     def _refuse(self, now: float, vlan: int, destination: IPv4Address,
-                reason: str) -> None:
-        self.flows_refused += 1
-        self.alerts.append(SafetyAlert(now, vlan, destination, reason))
+                budget: str) -> None:
+        self.trips[budget] += 1
+        self.alerts.append(SafetyAlert(now, vlan, destination,
+                                       f"{budget} flow rate"))
 
     def bounds(self) -> dict:
         """The filter's static rate envelope, for isolation

@@ -19,6 +19,7 @@ from repro.inmates.hosting import Inmate
 from repro.net.addresses import IPv4Address
 from repro.net.host import Host
 from repro.net.packet import IPv4Packet, UDPDatagram
+from repro.obs.telemetry import register_first, tally
 from repro.sim.engine import Simulator
 
 CONTROLLER_PORT = 9048
@@ -36,8 +37,8 @@ class InmateController:
         self.sim = sim
         self._inmates: Dict[int, Inmate] = {}
         self.actions_executed: List[Tuple[float, str, int]] = []
-        self.unknown_targets = 0
-        self.malformed_messages = 0
+        # Rejected requests, by kind ("malformed", "unknown-target").
+        self.rejected: Dict[str, int] = {}
         # Hook for the subfarm router to clear per-inmate state
         # (safety-filter history, bridge entries, open flows).
         self.on_action = on_action
@@ -49,6 +50,8 @@ class InmateController:
         self._retry_state: Dict[Tuple[str, int], int] = {}
         self.retries_scheduled: List[Tuple[float, str, int]] = []
         self.abandoned: List[Tuple[float, str, int]] = []
+        # Telemetry reads the counts and logs above, each kind from the
+        # first time it happens.
         tel = sim.telemetry
         self._m_lifecycle = tel.counter(
             "inmates.lifecycle", "Life-cycle actions executed, by kind")
@@ -80,19 +83,17 @@ class InmateController:
     def execute(self, action: str, vlan: int,
                 _from_retry: bool = False) -> bool:
         if action not in ACTIONS:
-            self.malformed_messages += 1
-            self._m_errors.inc(kind="malformed")
-            return False
+            return self._reject("malformed")
         inmate = self._inmates.get(vlan)
         if inmate is None:
-            self.unknown_targets += 1
-            self._m_errors.inc(kind="unknown-target")
-            return False
+            return self._reject("unknown-target")
         if not _from_retry:
             # A fresh external request resets the retry budget.
             self._retry_state.pop((action, vlan), None)
         self.actions_executed.append((self.sim.now, action, vlan))
-        self._m_lifecycle.inc(action=action)
+        register_first(self._m_lifecycle, lambda: sum(
+            done[1] == action for done in self.actions_executed),
+            action=action)
         getattr(inmate, action)()
         if self.on_action is not None:
             self.on_action(action, vlan)
@@ -106,13 +107,15 @@ class InmateController:
         attempt = self._retry_state.get(key, 0)
         if attempt >= self.retry_limit:
             self.abandoned.append((self.sim.now, action, inmate.vlan))
-            self._m_errors.inc(kind="abandoned")
+            register_first(self._m_errors, lambda: len(self.abandoned),
+                           kind="abandoned")
             self._retry_state.pop(key, None)
             return
         self._retry_state[key] = attempt + 1
         delay = self.retry_backoff * (2 ** attempt)
         self.retries_scheduled.append((self.sim.now, action, inmate.vlan))
-        self._m_errors.inc(kind="retry")
+        register_first(self._m_errors, lambda: len(self.retries_scheduled),
+                       kind="retry")
         self.sim.schedule(
             delay, self.execute, action, inmate.vlan, True,
             label=f"lifecycle-retry-{action}-v{inmate.vlan}")
@@ -127,10 +130,12 @@ class InmateController:
             action, vlan_text = text.split(" ", 1)
             vlan = int(vlan_text)
         except (UnicodeDecodeError, ValueError):
-            self.malformed_messages += 1
-            self._m_errors.inc(kind="malformed")
-            return False
+            return self._reject("malformed")
         return self.execute(action, vlan)
+
+    def _reject(self, kind: str) -> bool:
+        tally(self.rejected, kind, self._m_errors, kind=kind)
+        return False
 
     def bind(self, host: Host, port: int = CONTROLLER_PORT) -> None:
         """Listen for life-cycle messages on a management-network host."""

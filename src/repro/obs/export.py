@@ -47,7 +47,7 @@ def snapshot(telemetry) -> dict:
         for key, cell in sorted(metric.cells().items()):
             identity = format_key(metric.name, key)
             if isinstance(metric, Counter):
-                counters[identity] = cell.value
+                counters[identity] = float(cell.value)
             elif isinstance(metric, Gauge):
                 gauges[identity] = cell.value
             elif isinstance(metric, Histogram):

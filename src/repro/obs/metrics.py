@@ -6,19 +6,22 @@ fixed bucket boundaries (linear interpolation inside the winning
 bucket), so the same run always snapshots to the same numbers.
 
 Instruments are handed out by name from a
-:class:`~repro.obs.telemetry.Telemetry` domain.  Three usage styles:
+:class:`~repro.obs.telemetry.Telemetry` domain.  A value gets in one
+of two ways:
 
-* read — ``telemetry.counter("gw.frames.received").register(read)``:
-  the component keeps the count itself; the exporter calls ``read()``;
-* bound — ``cell = telemetry.counter(...).bind(subfarm="x")`` resolves
-  the label set once and hands back the raw cell, so a site with no
-  plain count of its own pays a single method call per update;
-* ad-hoc — ``telemetry.counter("trigger.fired").inc(action="x")``
-  pays one label sort + dict lookup per call.
+* counters and gauges are *read* —
+  ``telemetry.counter("gw.frames.received").register(read, **labels)``:
+  the component keeps the number itself and the exporter calls
+  ``read()``.  A label set may hold several reads (two catch-all sinks,
+  one resolver per subfarm); its value is their sum.  A counter exports
+  as a float, a gauge as its reads return it (an int stays an int);
+* histograms are *pushed* — ``cell = telemetry.histogram(...).bind(
+  subfarm="x")`` resolves the label set once, and ``cell.observe(v)``
+  records one sample.
 
 When telemetry is disabled every instrument is the shared
-:data:`NULL_INSTRUMENT`, whose methods do nothing — call sites need no
-conditionals and benchmarks see near-zero overhead.
+:data:`NULL_INSTRUMENT`: a read registers nothing and an observation is
+an empty call, so call sites need no conditionals.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-#: Cells beyond this per metric collapse into one overflow cell rather
-#: than growing without bound (label-cardinality protection).
+#: Label sets beyond this per metric collapse into one overflow cell
+#: rather than growing without bound (label-cardinality protection).
 DEFAULT_MAX_CARDINALITY = 256
 
 OVERFLOW_KEY: LabelKey = (("__overflow__", "1"),)
@@ -77,78 +80,24 @@ class _NullInstrument:
 
     __slots__ = ()
 
-    def bind(self, **labels: str) -> "_NullInstrument":
-        return self
-
     def register(self, read, **labels: str) -> None:
         pass
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
+    def bind(self, **labels: str) -> "_NullInstrument":
+        return self
+
+    def observe(self, value: float) -> None:
         pass
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        pass
-
-    def set(self, value: float, **labels: str) -> None:
-        pass
-
-    def observe(self, value: float, **labels: str) -> None:
-        pass
-
-    def value(self, **labels: str) -> float:
-        return 0.0
-
-    def total(self) -> float:
-        return 0.0
-
-    def quantile(self, q: float, **labels: str) -> float:
-        return 0.0
-
-    def summary(self, **labels: str) -> Dict[str, float]:
-        return {"count": 0.0, "sum": 0.0}
 
 
 NULL_INSTRUMENT = _NullInstrument()
 
 
-class CounterCell:
-    """One (metric, label set) monotonically increasing value."""
+class ReadCell(list):
+    """One (metric, label set) of a counter or gauge: the reads
+    registered under it, whose values add up."""
 
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class ReadCell:
-    """One (metric, label set) whose value lives in the component that
-    counts it: ``value`` evaluates the registered read, as a float."""
-
-    def __init__(self, read: Callable[[], float]) -> None:
-        self.read = read
-
-    value = property(lambda self: float(self.read()))
-
-
-class GaugeCell:
-    """One (metric, label set) point-in-time value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+    value = property(lambda self: sum(read() for read in self))
 
 
 class HistogramCell:
@@ -223,9 +172,6 @@ class _Metric:
         self.max_cardinality = max_cardinality
         self._cells: Dict[LabelKey, object] = {}
 
-    def _make_cell(self) -> object:
-        raise NotImplementedError
-
     def _cell(self, labels: Dict[str, str]):
         key = label_key(labels)
         cell = self._cells.get(key)
@@ -233,19 +179,9 @@ class _Metric:
             if len(self._cells) >= self.max_cardinality:
                 key = OVERFLOW_KEY
                 cell = self._cells.get(key)
-                if cell is None:
-                    cell = self._cells[key] = self._make_cell()
-                return cell
-            cell = self._cells[key] = self._make_cell()
+            if cell is None:
+                cell = self._cells[key] = self._make_cell()
         return cell
-
-    def bind(self, **labels: str):
-        """Resolve a label set once; returns the raw cell."""
-        return self._cell(labels)
-
-    def register(self, read: Callable[[], float], **labels: str) -> None:
-        """Make ``read()`` the value of this label set."""
-        self._cells[label_key(labels)] = ReadCell(read)
 
     def cells(self) -> Dict[LabelKey, object]:
         return dict(self._cells)
@@ -254,45 +190,26 @@ class _Metric:
         return f"<{type(self).__name__} {self.name} cells={len(self._cells)}>"
 
 
-class Counter(_Metric):
+class _ReadMetric(_Metric):
+    """A counter or gauge: every label set's value is read."""
+
+    _make_cell = ReadCell
+
+    def register(self, read: Callable[[], float], **labels: str) -> None:
+        """Add ``read()`` to the value of this label set."""
+        self._cell(labels).append(read)
+
+
+class Counter(_ReadMetric):
     """Monotonically increasing, labeled."""
 
     kind = "counter"
 
-    def _make_cell(self) -> CounterCell:
-        return CounterCell()
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        self._cell(labels).inc(amount)
-
-    def value(self, **labels: str) -> float:
-        cell = self._cells.get(label_key(labels))
-        return cell.value if cell is not None else 0.0
-
-    def total(self) -> float:
-        return sum(cell.value for cell in self._cells.values())
-
-
-class Gauge(_Metric):
+class Gauge(_ReadMetric):
     """Point-in-time value, labeled."""
 
     kind = "gauge"
-
-    def _make_cell(self) -> GaugeCell:
-        return GaugeCell()
-
-    def set(self, value: float, **labels: str) -> None:
-        self._cell(labels).set(value)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        self._cell(labels).inc(amount)
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self._cell(labels).dec(amount)
-
-    def value(self, **labels: str) -> float:
-        cell = self._cells.get(label_key(labels))
-        return cell.value if cell is not None else 0.0
 
 
 class Histogram(_Metric):
@@ -309,15 +226,6 @@ class Histogram(_Metric):
     def _make_cell(self) -> HistogramCell:
         return HistogramCell(self.buckets)
 
-    def observe(self, value: float, **labels: str) -> None:
-        self._cell(labels).observe(value)
-
-    def quantile(self, q: float, **labels: str) -> float:
-        cell = self._cells.get(label_key(labels))
-        return cell.quantile(q) if cell is not None else 0.0
-
-    def summary(self, **labels: str) -> Dict[str, float]:
-        cell = self._cells.get(label_key(labels))
-        if cell is None:
-            return {"count": 0.0, "sum": 0.0}
-        return cell.summary()
+    def bind(self, **labels: str) -> HistogramCell:
+        """Resolve a label set once; returns the raw cell."""
+        return self._cell(labels)

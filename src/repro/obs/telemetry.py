@@ -7,20 +7,18 @@ gauges and histograms (:mod:`repro.obs.metrics`).  Per-flow facts
 
 Every instrumented component takes (or finds on its ``Simulator``) a
 ``Telemetry`` object and asks it for instruments.  One count per fact:
-a component that keeps a number as a plain attribute *registers a
-read* of it (``counter(...).register(read)``) for the exporter; only
-what has no plain twin (labelled per-flow cells, histograms, a strided
-sample) is pushed into a bound cell.  The disabled form,
-:data:`NULL_TELEMETRY`, hands out the shared no-op instrument: a pushed
-site costs an attribute access and an empty call, a read nothing.
-
-Call sites that would do real work just to *feed* an instrument
-(string formatting, label lookups) should guard on
-``telemetry.enabled`` first.
+a component keeps every number it reports as a plain attribute and
+*registers a read* of it (``counter(...).register(read, **labels)``)
+for the exporter — at construction, or when a label set first appears
+at run time.  Only histograms are pushed (``histogram(...).bind(...)``
+then ``observe``).  The disabled form, :data:`NULL_TELEMETRY`, hands
+out the shared no-op instrument: a read costs nothing, an observation
+an empty call.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (
@@ -33,6 +31,23 @@ from repro.obs.metrics import (
 )
 
 Clock = Callable[[], float]
+
+
+def tally(counts: dict, key, metric, amount: int = 1, **labels) -> None:
+    """Add ``amount`` to ``counts[key]``, a count its component owns.
+    The first time ``key`` is counted ``metric`` gets a read of it under
+    ``labels``, so the identity appears with its first event."""
+    if key not in counts:
+        counts[key] = 0
+        metric.register(partial(counts.__getitem__, key), **labels)
+    counts[key] += amount
+
+
+def register_first(metric, read, **labels) -> None:
+    """Register ``read`` once it reads 1.  A component that logs events
+    calls this after each, so the identity appears with the first."""
+    if read() == 1:
+        metric.register(read, **labels)
 
 
 class Telemetry:
@@ -80,14 +95,10 @@ class NullTelemetry:
 
     enabled = False
 
-    def counter(self, name: str, help: str = ""):
+    def counter(self, name: str, help: str = "", buckets=None):
         return NULL_INSTRUMENT
 
-    def gauge(self, name: str, help: str = ""):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "", buckets=None):
-        return NULL_INSTRUMENT
+    gauge = histogram = counter
 
     def clock(self) -> float:
         return 0.0

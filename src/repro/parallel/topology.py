@@ -108,11 +108,12 @@ def _field(data: dict, key: str, kind: type, where: str,
 class HostSpec:
     """One machine in the farm inventory.
 
-    ``address`` is ``"local"`` (run shards in-process pool workers) or
+    ``address`` is ``"local"`` (slots this process spawns) or
     ``"host:port"`` of a running ``python -m repro.parallel.worker``
-    agent.  ``max_workers`` caps how many shards the scheduler may
-    place there at once; ``cpus`` is documentation the scheduling-
-    honesty record can cross-check against what workers report.
+    agent.  ``cpus`` and ``max_workers`` are declarations that round-trip
+    and ``validate_hosts`` checks; nothing reads them after that, and
+    the work queue hands each shard to whichever slot is idle, pinned
+    or not (the merged ``hosts`` record says where shards ran).
     """
 
     __slots__ = ("name", "address", "cpus", "max_workers")

@@ -120,6 +120,9 @@ def execute_spec(spec_dict: dict) -> dict:
                 f"payload of {len(blob)} bytes does not fit a "
                 f"{transport.MAX_FRAME_BYTES}-byte frame")
         payload = json.loads(blob)
+        if payload.get("certificate") is not None:  # the merge reads it
+            from repro.verify.certificate import check_certificate
+            check_certificate(payload["certificate"])
     except Exception as exc:  # noqa: BLE001
         return failure("payload", exc)
     result = {"ok": True, "payload": payload, "error": None,

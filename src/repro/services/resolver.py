@@ -21,6 +21,7 @@ from repro.net.dns import (
 )
 from repro.net.host import Host
 from repro.net.packet import IPv4Packet, UDPDatagram
+from repro.obs.telemetry import tally
 
 DNS_PORT = 53
 
@@ -41,9 +42,10 @@ class RecursiveResolver:
             for name, ip in (static_zone or {}).items()
         }
         self.cache: Dict[Tuple[str, int], list] = {}
-        self.queries_served = 0
-        self.recursions = 0
         self.nxdomains = 0
+        # Queries served by outcome (static, cached, nxdomain, recursed);
+        # each registers a read of its count the first time it happens.
+        self.outcomes: Dict[str, int] = {}
         self._m_queries = host.sim.telemetry.counter(
             "dns.queries", "DNS queries served, by outcome")
         host.udp.bind(DNS_PORT, self._on_query)
@@ -57,25 +59,24 @@ class RecursiveResolver:
             return
         if query.is_response:
             return
-        self.queries_served += 1
         name = query.question.name
         qtype = query.question.qtype
 
         if qtype == QTYPE_A and name in self.static_zone:
-            self._m_queries.inc(outcome="static")
+            self._count("static")
             reply = query.reply([DnsRecord.a(name, self.static_zone[name])])
             self._send_reply(reply, packet.src, datagram.sport)
             return
 
         cached = self.cache.get((name, qtype))
         if cached is not None:
-            self._m_queries.inc(outcome="cached")
+            self._count("cached")
             self._send_reply(query.reply(cached), packet.src, datagram.sport)
             return
 
         if self.upstream_ip is None:
             self.nxdomains += 1
-            self._m_queries.inc(outcome="nxdomain")
+            self._count("nxdomain")
             self._send_reply(query.reply([], rcode=RCODE_NXDOMAIN),
                              packet.src, datagram.sport)
             return
@@ -83,8 +84,7 @@ class RecursiveResolver:
 
     def _recurse(self, query: DnsMessage, client_ip: IPv4Address,
                  client_port: int) -> None:
-        self.recursions += 1
-        self._m_queries.inc(outcome="recursed")
+        self._count("recursed")
         src_port = self.host.udp.allocate_port()
         name, qtype = query.question.name, query.question.qtype
 
@@ -107,6 +107,9 @@ class RecursiveResolver:
         self.host.udp.bind(src_port, on_upstream)
         self.host.udp.sendto(query.to_bytes(), self.upstream_ip, DNS_PORT,
                              src_port)
+
+    def _count(self, outcome: str) -> None:
+        tally(self.outcomes, outcome, self._m_queries, outcome=outcome)
 
     def _send_reply(self, reply: DnsMessage, ip: IPv4Address,
                     port: int) -> None:

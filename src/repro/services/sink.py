@@ -47,17 +47,18 @@ class CatchAllSink:
         self.connections_accepted = 0
         self.datagrams_received = 0
         tel = host.sim.telemetry
-        self._m_connections = tel.counter(
-            "sink.connections", "TCP connections the sink accepted").bind()
-        self._m_datagrams = tel.counter(
-            "sink.datagrams", "UDP datagrams the sink captured").bind()
+        tel.counter(
+            "sink.connections", "TCP connections the sink accepted"
+        ).register(lambda: self.connections_accepted)
+        tel.counter(
+            "sink.datagrams", "UDP datagrams the sink captured"
+        ).register(lambda: self.datagrams_received)
         host.tcp.listen_any(self._accept)
         for port in udp_ports or []:
             host.udp.bind(port, self._datagram)
 
     def _accept(self, conn: TcpConnection) -> None:
         self.connections_accepted += 1
-        self._m_connections.inc()
         record = SinkConnectionRecord(
             self.host.sim.now, conn.remote_ip, conn.remote_port,
             conn.local_port, "tcp",
@@ -69,7 +70,6 @@ class CatchAllSink:
     def _datagram(self, host: Host, packet: IPv4Packet,
                   datagram: UDPDatagram) -> None:
         self.datagrams_received += 1
-        self._m_datagrams.inc()
         record = SinkConnectionRecord(
             host.sim.now, packet.src, datagram.sport, datagram.dport, "udp",
         )

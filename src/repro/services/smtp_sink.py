@@ -26,6 +26,7 @@ from repro.net.addresses import IPv4Address
 from repro.net.host import Host
 from repro.net.smtp import SmtpServerEngine, SmtpTransaction, Strictness
 from repro.net.tcp import TcpConnection
+from repro.obs.telemetry import tally
 
 SMTP_PORT = 25
 
@@ -82,25 +83,28 @@ class SmtpSink:
         self.messages: List[SmtpTransaction] = []
         self.sessions_accepted = 0
         self.sessions_dropped = 0
-        self.data_transfers = 0
         self.banner_cache: Dict[IPv4Address, str] = {}
         self.banner_fetches = 0
         # Protocol anomalies (bare-LF line endings, oversized lines)
-        # aggregated across all sessions; telemetry cells bind lazily
-        # per kind so anomaly-free runs register nothing.
+        # aggregated across all sessions; each kind registers a read of
+        # its count when first seen, so anomaly-free runs show none.
         self.anomalies: Dict[str, int] = {}
-        self._anomaly_metric = None
-        self._anomaly_cells: Dict[str, object] = {}
 
         tel = host.sim.telemetry
         sessions = tel.counter(
             "smtp.sessions", "SMTP sink sessions, by fidelity decision")
-        self._m_accepted = sessions.bind(decision="accepted")
-        self._m_dropped = sessions.bind(decision="dropped")
-        self._m_transfers = tel.counter(
-            "smtp.data_transfers", "Completed SMTP DATA transactions").bind()
-        self._m_banners = tel.counter(
-            "smtp.banner_fetches", "Upstream banner grabs started").bind()
+        sessions.register(lambda: self.sessions_accepted,
+                          decision="accepted")
+        sessions.register(lambda: self.sessions_dropped, decision="dropped")
+        tel.counter(
+            "smtp.data_transfers", "Completed SMTP DATA transactions"
+        ).register(lambda: self.data_transfers)
+        tel.counter(
+            "smtp.banner_fetches", "Upstream banner grabs started"
+        ).register(lambda: self.banner_fetches)
+        self._m_anomalies = tel.counter(
+            "smtp.protocol_anomalies",
+            "SMTP dialect anomalies seen by the sink, by kind")
 
         if listen_any_port:
             host.tcp.listen_any(self._accept)
@@ -111,11 +115,9 @@ class SmtpSink:
     def _accept(self, conn: TcpConnection) -> None:
         if self.drop_probability and self._rng.random() < self.drop_probability:
             self.sessions_dropped += 1
-            self._m_dropped.inc()
             conn.abort()
             return
         self.sessions_accepted += 1
-        self._m_accepted.inc()
         banner = self._banner_for(conn)
         if banner is None:
             # Banner grab in flight: hold the connection, start the
@@ -138,7 +140,6 @@ class SmtpSink:
         """Connect out to the real destination, grab its 220 greeting."""
         target = self.banner_target_resolver(conn.local_ip)
         self.banner_fetches += 1
-        self._m_banners.inc()
         upstream = self.host.tcp.connect(target, SMTP_PORT)
         grabbed = bytearray()
 
@@ -162,16 +163,7 @@ class SmtpSink:
         upstream.on_reset = on_fail
 
     def _note_anomaly(self, kind: str, count: int) -> None:
-        self.anomalies[kind] = self.anomalies.get(kind, 0) + count
-        cell = self._anomaly_cells.get(kind)
-        if cell is None:
-            if self._anomaly_metric is None:
-                self._anomaly_metric = self.host.sim.telemetry.counter(
-                    "smtp.protocol_anomalies",
-                    "SMTP dialect anomalies seen by the sink, by kind")
-            cell = self._anomaly_metric.bind(kind=kind)
-            self._anomaly_cells[kind] = cell
-        cell.inc(count)
+        tally(self.anomalies, kind, self._m_anomalies, count, kind=kind)
 
     def _start_engine(self, conn: TcpConnection, banner: str) -> None:
         engine = SmtpServerEngine(
@@ -188,9 +180,11 @@ class SmtpSink:
 
     def _on_message(self, transaction: SmtpTransaction) -> None:
         transaction.completed_at = self.host.sim.now
-        self.data_transfers += 1
-        self._m_transfers.inc()
         self.messages.append(transaction)
+
+    @property
+    def data_transfers(self) -> int:
+        return len(self.messages)
 
     # ------------------------------------------------------------------
     # Harvest-side analysis

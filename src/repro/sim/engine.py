@@ -83,7 +83,7 @@ class Simulator:
         it via :meth:`rng`, so a given seed replays identically.
     """
 
-    #: Fire the queue-depth gauge once per this many events rather than
+    #: Sample the queue depth once per this many events rather than
     #: per event (the stride is virtual-event-count based, so sampling
     #: stays deterministic under a fixed seed).
     QUEUE_DEPTH_STRIDE = 1024
@@ -109,14 +109,15 @@ class Simulator:
         # so ``pending`` is O(1) and compaction can trigger cheaply.
         self._dead = 0
 
-        # Telemetry (disabled by default) reads those counts; only the
-        # strided queue-depth sample is pushed, and only while a live
-        # domain is attached.  The decision journal (repro.obs.journal)
-        # is independent of telemetry: components capture sim.journal
-        # at construction, so it must be attached before they are built.
+        # Telemetry (disabled by default) reads those counts and the
+        # depth run() samples while a live domain is attached.  The
+        # decision journal (repro.obs.journal) is independent of it:
+        # components capture sim.journal at construction, so it must be
+        # attached before they are built.
         self.telemetry = NULL_TELEMETRY
         self.journal = NULL_JOURNAL
-        self._g_queue_depth = None
+        self._sample_depth = False
+        self.queue_depth_sample = 0.0
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -138,9 +139,10 @@ class Simulator:
         telemetry.counter(
             "sim.events.cancelled", "Dead events discarded at pop"
         ).register(lambda: self.events_discarded - discarded)
-        self._g_queue_depth = telemetry.gauge(
+        telemetry.gauge(
             "sim.queue.depth", "Events currently queued (incl. dead)"
-        ).bind() if telemetry.enabled else None
+        ).register(lambda: self.queue_depth_sample)
+        self._sample_depth = telemetry.enabled
 
     def _left_or_queued(self) -> int:
         return (self.events_processed + self.events_discarded
@@ -263,7 +265,7 @@ class Simulator:
         queue = self._queue
         horizon = inf if until is None else until
         budget = inf if max_events is None else max_events
-        depth = self._g_queue_depth
+        sample = self._sample_depth
         stride = self.QUEUE_DEPTH_STRIDE
         self._in_flight += 1
         try:
@@ -286,17 +288,17 @@ class Simulator:
                 event[2](*event[3])
                 processed += 1
                 self.events_processed += 1
-                # Sample the depth gauge on a virtual-event stride:
-                # the trigger is event-count based, so with a fixed
-                # seed the sampled values replay identically.
-                if depth is not None and not self.events_processed % stride:
-                    depth.set(len(queue))
+                # Sample the depth on a virtual-event stride: the
+                # trigger is event-count based, so with a fixed seed
+                # the sampled values replay identically.
+                if sample and not self.events_processed % stride:
+                    self.queue_depth_sample = len(queue)
             else:
                 if until is not None and until > self._now:
                     self._now = until
         finally:
-            if depth is not None:
-                depth.set(len(queue))
+            if sample:
+                self.queue_depth_sample = len(queue)
         # Not reached when a callback raised: its event stays in flight.
         self._in_flight -= 1
         return self._now

@@ -33,6 +33,7 @@ __all__ = [
     "build_certificate",
     "canonical_digest",
     "certify_farm",
+    "check_certificate",
     "merge_certificates",
     "verify_digest",
 ]
@@ -44,6 +45,36 @@ CAMPAIGN_SCHEMA = "gq.verify.campaign/2"
 #: the count and the minimal counterexample survive (certificates ride
 #: inside shard payloads — they must stay small).
 _MAX_LEAKS = 16
+
+
+#: What the merge, the digest check and the grant index read from a
+#: farm or campaign certificate, and from each of its grants, by type.
+_FIELDS = {"label": str, "digest": str, "states_explored": int,
+           "leak_count": int, "result": str, "grants": list}
+_GRANT_FIELDS = {"subfarm": str, "vlan": str, "proto": str,
+                 "verdict": str, "ports": list}
+
+
+def _check_fields(what: str, document: object, fields: dict) -> None:
+    if not isinstance(document, dict):
+        raise ValueError(f"a {what} is an object, not {document!r:.40}")
+    for name, kind in fields.items():
+        value = document.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{what} field {name!r} is not a "
+                             f"{kind.__name__}: {value!r:.40}")
+
+
+def check_certificate(certificate: object) -> dict:
+    """``certificate`` if it has the shape every reader of one relies
+    on; a ValueError naming the first thing wrong otherwise.  A
+    certificate comes back in a shard payload or from disk."""
+    _check_fields("certificate", certificate, _FIELDS)
+    for grant in certificate["grants"]:
+        _check_fields("grant", grant, _GRANT_FIELDS)
+        if [type(port) for port in grant["ports"]] != [int, int]:
+            raise ValueError(f"grant ports are not [lo, hi]: {grant!r:.60}")
+    return certificate
 
 
 def canonical_digest(payload: dict) -> str:
@@ -91,9 +122,8 @@ def certify_farm(farm, plan=None, label: str = "", allow=None) -> dict:
 
 def verify_digest(certificate: dict) -> bool:
     """Re-derive the digest; False means the certificate was edited."""
-    recorded = certificate.get("digest")
-    return (isinstance(recorded, str)
-            and canonical_digest(certificate) == recorded)
+    return (canonical_digest(check_certificate(certificate))
+            == certificate["digest"])
 
 
 def merge_certificates(certificates: List[dict],
@@ -105,20 +135,20 @@ def merge_certificates(certificates: List[dict],
     shard digest list — identical shard certificates in any arrival
     order produce an identical campaign certificate.
     """
-    certs = [cert for cert in certificates if cert]
+    certs = [check_certificate(cert) for cert in certificates
+             if cert is not None]
     if not certs:
         return None
-    certs = sorted(certs, key=lambda c: (c.get("label", ""),
-                                         c.get("digest", "")))
+    certs = sorted(certs, key=lambda c: (c["label"], c["digest"]))
     seen = set()
     grants = []
     counterexample = None
     leak_count = 0
     for cert in certs:
-        leak_count += cert.get("leak_count", 0)
+        leak_count += cert["leak_count"]
         if counterexample is None and cert.get("counterexample"):
             counterexample = cert["counterexample"]
-        for entry in cert.get("grants", []):
+        for entry in cert["grants"]:
             key = json.dumps(entry, sort_keys=True)
             if key not in seen:
                 seen.add(key)
@@ -128,18 +158,18 @@ def merge_certificates(certificates: List[dict],
         "schema": CAMPAIGN_SCHEMA,
         "label": label,
         "shards": [
-            {"label": cert.get("label", ""),
-             "digest": cert.get("digest", ""),
+            {"label": cert["label"],
+             "digest": cert["digest"],
              "model_digest": cert.get("model_digest", ""),
-             "result": cert.get("result", "")}
+             "result": cert["result"]}
             for cert in certs
         ],
-        "states_explored": sum(c.get("states_explored", 0) for c in certs),
+        "states_explored": sum(c["states_explored"] for c in certs),
         "grants": grants,
         "leak_count": leak_count,
         "counterexample": counterexample,
         "result": ("CONTAINED"
-                   if all(c.get("result") == "CONTAINED" for c in certs)
+                   if all(c["result"] == "CONTAINED" for c in certs)
                    else "LEAKY"),
     }
     merged["digest"] = canonical_digest(merged)

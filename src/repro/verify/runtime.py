@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.core.verdicts import Verdict
 from repro.net.addresses import IPv4Address
+from repro.verify.certificate import check_certificate
 
 __all__ = [
     "CoverageReport",
@@ -51,8 +52,8 @@ class GrantIndex:
     campaign certificate — both carry ``grants``)."""
 
     def __init__(self, certificate: dict) -> None:
-        self.certificate = certificate
-        self.grants: List[dict] = list(certificate.get("grants", []))
+        self.certificate = check_certificate(certificate)
+        self.grants: List[dict] = list(certificate["grants"])
         # What each grant lets out; a pending-policy grant is a FORWARD.
         self._granted = [
             Verdict.from_label(grant["verdict"])

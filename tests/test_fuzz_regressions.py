@@ -227,6 +227,48 @@ class TestTopologyTarget:
             assert error["pass"] == "parse"
 
 
+class TestCertificateTarget:
+    """Isolation certificates, from a shard payload or from disk: JSON
+    digests, merges and indexes its grants, or raises ``ValueError``
+    (``ParseError`` through the target)."""
+
+    def test_loop_is_deterministic_and_escape_free(self):
+        target = SOLO_TARGETS["certificate"]
+        first = fuzz_target(target, seed=42, iterations=300)
+        assert first["escapes"] == []
+        assert first["ok"] and first["parse_errors"]  # both sides reached
+        assert first["digest"] == \
+            fuzz_target(target, seed=42, iterations=300)["digest"]
+
+    def test_it_stays_out_of_the_tracked_round_robin(self):
+        assert SOLO_TARGETS["certificate"].name not in TARGETS
+
+    def test_wrong_shapes_come_back_as_value_errors(self):
+        """The escapes at the parent of this target (pinned as
+        ``certificate__*.bin``): a document or grant that is not an
+        object, a missing grant field, and wrongly typed counts, grant
+        lists, verdicts or VLAN specs reached ``.get``, a subscript, a
+        sum or ``int()`` as AttributeError, KeyError or TypeError."""
+        from repro.verify import merge_certificates, verify_digest
+        from repro.verify.runtime import GrantIndex
+
+        grant = {"subfarm": "s", "vlan": "*", "proto": "tcp",
+                 "verdict": "FORWARD", "ports": [80, 80]}
+        whole = {"label": "x", "digest": "0", "states_explored": 1,
+                 "leak_count": 0, "result": "CONTAINED", "grants": [grant]}
+        for document in (
+                [], ["x"], "", {"states_explored": "x"},
+                {"grants": [{}]}, dict(whole, leak_count={}),
+                dict(whole, grants=None), dict(whole, grants=[None]),
+                dict(whole, grants=[dict(grant, verdict={})]),
+                dict(whole, grants=[dict(grant, vlan=3)]),
+                dict(whole, grants=[dict(grant, ports=[80])])):
+            for load in (verify_digest, GrantIndex,
+                         lambda d: merge_certificates([d])):
+                with pytest.raises(ValueError):
+                    load(document)
+
+
 class TestMinimizer:
     def test_shrinks_while_predicate_holds(self):
         # Failure depends only on a marker byte: the minimizer should

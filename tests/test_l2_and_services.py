@@ -170,7 +170,7 @@ class TestResolverThroughFarm:
         farm.run(until=10)
         assert results and results[0]
         assert str(results[0][0].address) == "198.51.100.77"
-        assert sub.resolver.recursions == 1
+        assert sub.resolver.outcomes["recursed"] == 1
 
     def test_cache_prevents_second_recursion(self):
         from repro.farm import Farm, FarmConfig
@@ -189,7 +189,7 @@ class TestResolverThroughFarm:
         client.resolve("cnc.example", lambda recs: results.append(recs))
         farm.run(until=20)
         assert len(results) == 2 and results[1]
-        assert sub.resolver.recursions == 1
+        assert sub.resolver.outcomes["recursed"] == 1
 
     def test_nxdomain_for_unknown_names(self):
         from repro.farm import Farm, FarmConfig

@@ -30,9 +30,10 @@ def checks_of(warnings):
 class TestSafetyTripRate:
     def _telemetry(self, admitted, tripped):
         telemetry = Telemetry(clock=lambda: 0.0)
-        telemetry.counter("gw.safety.admitted").inc(admitted, subfarm="sf")
-        telemetry.counter("gw.safety.trips").inc(
-            tripped, subfarm="sf", reason="per-inmate")
+        telemetry.counter("gw.safety.admitted").register(
+            lambda: admitted, subfarm="sf")
+        telemetry.counter("gw.safety.trips").register(
+            lambda: tripped, subfarm="sf", reason="per-inmate")
         return telemetry
 
     def test_trips_over_threshold_flagged(self):
@@ -55,9 +56,9 @@ class TestSafetyTripRate:
 class TestShimLatency:
     def test_slow_p99_flagged(self):
         telemetry = Telemetry(clock=lambda: 0.0)
-        rtt = telemetry.histogram("router.shim.rtt")
+        rtt = telemetry.histogram("router.shim.rtt").bind(subfarm="sf")
         for _ in range(100):
-            rtt.observe(5.0, subfarm="sf")
+            rtt.observe(5.0)
         checker = HealthChecker(expect_activity=False, max_shim_p99=2.0)
         warnings = checker.check(empty_report(), telemetry=telemetry)
         assert checks_of(warnings) == ["shim-latency"]
@@ -65,9 +66,9 @@ class TestShimLatency:
 
     def test_fast_p99_clean(self):
         telemetry = Telemetry(clock=lambda: 0.0)
-        rtt = telemetry.histogram("router.shim.rtt")
+        rtt = telemetry.histogram("router.shim.rtt").bind(subfarm="sf")
         for _ in range(100):
-            rtt.observe(0.05, subfarm="sf")
+            rtt.observe(0.05)
         checker = HealthChecker(expect_activity=False, max_shim_p99=2.0)
         assert checker.check(empty_report(), telemetry=telemetry) == []
 
@@ -75,8 +76,10 @@ class TestShimLatency:
 class TestNatExhaustion:
     def _telemetry(self, used, capacity):
         telemetry = Telemetry(clock=lambda: 0.0)
-        telemetry.gauge("gw.nat.pool.used").set(used, subfarm="sf")
-        telemetry.gauge("gw.nat.pool.capacity").set(capacity, subfarm="sf")
+        telemetry.gauge("gw.nat.pool.used").register(
+            lambda: used, subfarm="sf")
+        telemetry.gauge("gw.nat.pool.capacity").register(
+            lambda: capacity, subfarm="sf")
         return telemetry
 
     def test_nearly_exhausted_pool_flagged(self):

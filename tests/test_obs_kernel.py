@@ -1,8 +1,9 @@
 """The telemetry kernel: metrics and exporters.
 
-Covers the zero-dependency obs layer in isolation — counters, gauges
-and histogram quantiles; label-cardinality capping; and the JSON
-exporter round-trip (schema ``gq.telemetry/2``).
+Covers the zero-dependency obs layer in isolation — counters and
+gauges read from the components that count, histogram quantiles;
+label-cardinality capping; and the JSON exporter round-trip (schema
+``gq.telemetry/2``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.obs.metrics import (
     NULL_INSTRUMENT,
     OVERFLOW_KEY,
     Counter,
+    Gauge,
     Histogram,
     format_key,
 )
@@ -38,52 +40,61 @@ class FakeClock:
 class TestMetrics:
     def test_counter_labels_and_totals(self):
         telemetry = Telemetry()
+        counts = {"FORWARD": 1, "DROP": 4}
         flows = telemetry.counter("flows", "flows by verdict")
-        flows.inc(verdict="FORWARD")
-        flows.inc(3, verdict="DROP")
-        flows.inc(verdict="DROP")
-        assert flows.value(verdict="FORWARD") == 1
-        assert flows.value(verdict="DROP") == 4
-        assert flows.value(verdict="REWRITE") == 0
-        assert flows.total() == 5
+        for verdict in counts:
+            flows.register(lambda verdict=verdict: counts[verdict],
+                           verdict=verdict)
+        assert snapshot(telemetry)["counters"] == {
+            "flows{verdict=DROP}": 4.0, "flows{verdict=FORWARD}": 1.0}
+        assert sum(cell.value for cell in flows.cells().values()) == 5
 
-    def test_bound_cell_shares_state_with_labeled_calls(self):
+    def test_reads_sharing_a_label_set_add_up(self):
+        """Two components counting the same identity (two sinks, one
+        resolver per subfarm) each register a read; the value is the
+        sum."""
         telemetry = Telemetry()
+        first, second = [3], [4]
         metric = telemetry.counter("hits")
-        cell = metric.bind(subfarm="a")
-        cell.inc()
-        metric.inc(subfarm="a")
-        assert metric.value(subfarm="a") == 2
+        metric.register(lambda: first[0], subfarm="a")
+        metric.register(lambda: second[0], subfarm="a")
+        assert snapshot(telemetry)["counters"] == {"hits{subfarm=a}": 7.0}
+        second[0] += 1
+        assert snapshot(telemetry)["counters"] == {"hits{subfarm=a}": 8.0}
 
     def test_registered_read_is_evaluated_at_export(self):
         """A component that keeps its own count registers a read of it
-        once; the exporter (and ``value`` / ``total``) evaluates it, as
-        a float whatever the component counts in."""
+        once; the exporter evaluates it, a counter as a float whatever
+        the component counts in."""
         telemetry = Telemetry(clock=lambda: 3.0)
         counts = {"frames": 0}
         frames = telemetry.counter("frames", "frames seen")
         frames.register(lambda: counts["frames"], subfarm="a")
-        frames.inc(2, subfarm="b")
-        telemetry.gauge("occupancy").register(lambda: len(counts))
-        assert snapshot(telemetry)["counters"]["frames{subfarm=a}"] == 0.0
+        assert snapshot(telemetry)["counters"] == {"frames{subfarm=a}": 0.0}
         counts["frames"] += 41
-        counts["bytes"] = 7
         snap = snapshot(telemetry)
-        assert snap["counters"] == {"frames{subfarm=a}": 41.0,
-                                    "frames{subfarm=b}": 2.0}
+        assert snap["counters"] == {"frames{subfarm=a}": 41.0}
         assert type(snap["counters"]["frames{subfarm=a}"]) is float
-        assert snap["gauges"] == {"occupancy": 2.0}
-        assert frames.value(subfarm="a") == 41 and frames.total() == 43
-        assert frames.bind(subfarm="a").value == 41
         assert NULL_INSTRUMENT.register(lambda: 1, subfarm="a") is None
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_exports_what_its_read_returns(self):
+        """A gauge is not coerced: an int read exports as an int, as the
+        NAT gauges and the queue-depth sample always have."""
         telemetry = Telemetry()
-        depth = telemetry.gauge("depth")
-        depth.set(10)
-        depth.inc(5)
-        depth.dec(2)
-        assert depth.value() == 13
+        depth = [10]
+        telemetry.gauge("depth").register(lambda: depth[0])
+        telemetry.gauge("ratio").register(lambda: depth[0] / 4)
+        assert json.dumps(snapshot(telemetry)["gauges"]) == \
+            '{"depth": 10, "ratio": 2.5}'
+
+    def test_only_histograms_are_pushed(self):
+        for kind in (Counter, Gauge):
+            for pushed in ("inc", "dec", "set", "bind", "observe",
+                           "value", "total"):
+                assert not hasattr(kind, pushed), (kind, pushed)
+        cell = Histogram("h").bind(subfarm="a")
+        cell.observe(1.0)
+        assert cell.count == 1
 
     def test_registry_get_or_create_and_kind_mismatch(self):
         telemetry = Telemetry()
@@ -96,7 +107,7 @@ class TestMetrics:
 
     def test_histogram_quantiles(self):
         telemetry = Telemetry()
-        latency = telemetry.histogram("latency")
+        latency = telemetry.histogram("latency").bind()
         for ms in range(1, 101):
             latency.observe(ms / 1000.0)
         assert latency.quantile(0.0) == pytest.approx(0.001)
@@ -115,24 +126,24 @@ class TestMetrics:
         assert summary["max"] == pytest.approx(0.100)
 
     def test_histogram_empty_quantile_is_zero(self):
-        h = Histogram("empty")
+        h = Histogram("empty").bind()
         assert h.quantile(0.99) == 0.0
         assert h.summary()["count"] == 0
 
     def test_label_cardinality_overflow(self):
         metric = Counter("wild", max_cardinality=4)
         for i in range(10):
-            metric.inc(label=str(i))
+            metric.register(lambda: 1, label=str(i))
         cells = metric.cells()
         # The cap holds: 4 distinct cells plus the single overflow cell.
         assert len(cells) == 5
         assert OVERFLOW_KEY in cells
         assert cells[OVERFLOW_KEY].value == 6
-        assert metric.total() == 10
+        assert sum(cell.value for cell in cells.values()) == 10
 
     def test_format_key(self):
         metric = Counter("m")
-        metric.inc(b="2", a="1")
+        metric.register(lambda: 1, b="2", a="1")
         (key,) = metric.cells()
         assert format_key("m", key) == "m{a=1,b=2}"
         assert format_key("m", ()) == "m"
@@ -140,13 +151,10 @@ class TestMetrics:
     def test_null_instrument_is_inert(self):
         cell = NULL_INSTRUMENT.bind(subfarm="x")
         assert cell is NULL_INSTRUMENT
-        cell.inc()
-        cell.dec()
-        cell.set(5)
-        cell.observe(1.0)
-        assert cell.value() == 0.0
-        assert cell.total() == 0.0
-        assert cell.quantile(0.99) == 0.0
+        assert cell.register(lambda: 1, subfarm="x") is None
+        assert cell.observe(1.0) is None
+        for pushed in ("inc", "dec", "set", "value", "total"):
+            assert not hasattr(cell, pushed), pushed
 
 
 # ----------------------------------------------------------------------
@@ -156,9 +164,9 @@ class TestExport:
     def _populated(self):
         clock = FakeClock(42.0)
         telemetry = Telemetry(clock=clock)
-        telemetry.counter("flows").inc(verdict="DROP")
-        telemetry.gauge("depth").set(7)
-        hist = telemetry.histogram("rtt")
+        telemetry.counter("flows").register(lambda: 1, verdict="DROP")
+        telemetry.gauge("depth").register(lambda: 7)
+        hist = telemetry.histogram("rtt").bind()
         hist.observe(0.01)
         hist.observe(0.02)
         clock.now = 43.0

@@ -137,7 +137,8 @@ def test_telemetry_only_flow_keeps_no_per_flow_observation_state():
     assert router.expire_idle_flows(max_idle=-1.0) == 1
     assert router._trace_ids == {}
     # The metrics the spans sat beside are all still there.
-    rtt = farm.telemetry.get("router.shim.rtt").summary(subfarm="smoke")
+    rtt = farm.telemetry.get("router.shim.rtt").cells()[
+        (("subfarm", "smoke"),)].summary()
     assert rtt["count"] == 1 and rtt["sum"] == pytest.approx(0.0026)
 
 
@@ -174,7 +175,8 @@ def test_journal_chain_carries_the_span_timestamps():
     assert chain[2]["fields"]["verdict"] == "FORWARD"
     assert chain[2]["fields"]["policy"] == "AllowAll"
     # And the histogram the span duplicated agrees with the chain.
-    rtt = farm.telemetry.get("router.shim.rtt").summary(subfarm="smoke")
+    rtt = farm.telemetry.get("router.shim.rtt").cells()[
+        (("subfarm", "smoke"),)].summary()
     assert rtt["sum"] == pytest.approx(chain[2]["t"] - chain[0]["t"])
 
 

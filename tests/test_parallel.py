@@ -30,6 +30,11 @@ NOOP_TASK = "repro.parallel.tasks:noop_shard"
 TINY_FARM = {"subfarms": 2, "inmates": 1, "rounds": 10, "duration": 30.0}
 
 
+def certificate_shard(seed: int, certificate) -> dict:
+    """A shard whose payload carries ``certificate`` as given."""
+    return {"seed": seed, "certificate": certificate}
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(5, 3) == derive_seed(5, 3)
@@ -203,6 +208,33 @@ class TestSerialFallback:
         (failure,) = result.failures
         assert failure["kind"] == "payload"
         assert "1024-byte frame" in failure["message"]
+
+    def test_malformed_certificate_fails_its_shard_only(self):
+        """A shard whose certificate has the wrong shape fails as kind
+        "payload"; the campaign completes and merges the others'."""
+        from repro.core.policy import AllowAll
+        from repro.farm import Farm
+        from repro.verify import certify_farm
+
+        farm = Farm(FarmConfig(seed=7))
+        farm.create_subfarm("c").set_default_policy(AllowAll())
+        good = certify_farm(farm, label="good")
+        task = task_name(certificate_shard)
+        campaign = Campaign("certs", [
+            ShardSpec(0, task, {"seed": 1, "certificate": good}),
+            ShardSpec(1, task, {"seed": 2,
+                                "certificate": {"states_explored": "x"}}),
+            ShardSpec(2, task, {"seed": 3, "certificate": good}),
+        ])
+        result = run_campaign(campaign, workers=1)
+        assert [r.ok for r in result.shard_results] == [True, False, True]
+        (failure,) = result.failures
+        assert failure["kind"] == "payload"
+        assert "certificate field" in failure["message"]
+        merged = result.merged["certificate"]
+        assert [shard["label"] for shard in merged["shards"]] == \
+            ["good", "good"]
+        assert merged["result"] == "CONTAINED"
 
     def test_merged_metrics_sum_across_shards(self):
         campaign = Campaign.config_sweep(

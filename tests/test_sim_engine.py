@@ -71,6 +71,7 @@ class TestScheduling:
         assert sim.schedule(1.0, lambda: None).seq == 1
 
     def test_post_is_schedule_without_a_handle(self):
+        from repro.obs.export import snapshot
         from repro.obs.telemetry import Telemetry
 
         sim = Simulator()
@@ -85,8 +86,7 @@ class TestScheduling:
         sim.run()
         assert fired == ["first", "a", "b", "c"]
         assert sim.events_processed == 4
-        scheduled = telemetry.counter("sim.events.scheduled").bind().value
-        assert scheduled == 4
+        assert snapshot(telemetry)["counters"]["sim.events.scheduled"] == 4
 
     def test_cancelled_events_do_not_fire(self):
         sim = Simulator()
@@ -251,6 +251,7 @@ class TestQueueKernel:
         assert sim.events_processed == 5
 
     def test_step_matches_run_instruments(self):
+        from repro.obs.export import snapshot
         from repro.obs.telemetry import Telemetry
 
         results = []
@@ -266,7 +267,7 @@ class TestQueueKernel:
             else:
                 sim.run()
             results.append({
-                "fired": telemetry.counter("sim.events.fired").bind().value,
+                "fired": snapshot(telemetry)["counters"]["sim.events.fired"],
                 "processed": sim.events_processed,
                 "now": sim.now,
             })

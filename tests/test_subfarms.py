@@ -151,4 +151,4 @@ class TestFigure1Separation:
         sub = farm.create_subfarm("test")
         sub.containment_server.issue_lifecycle("revert", 999)
         farm.run(until=10)
-        assert farm.controller.unknown_targets == 1
+        assert farm.controller.rejected["unknown-target"] == 1
