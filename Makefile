@@ -22,11 +22,11 @@ bench-parallel:
 bench-parallel-quick:
 	$(PYTHON) benchmarks/bench_parallel_scaling.py --quick-socket --workers $(WORKERS)
 
-# Determinism smoke: same-seed replay, plus the batched datapath
-# gates — ingest_batch wire/counter/stat parity vs scalar and
-# farm-level batch-window determinism (docs/PERFORMANCE.md) — then
-# serial-vs-parallel campaign parity over WORKERS local slots (serial
-# at 1).  Exits 1 on any drift.
+# Determinism smoke: same-seed replay, plus the batch-window gate — a
+# zero trunk window byte-identical to per-frame delivery, a positive
+# one with the same counters and table stats (docs/PERFORMANCE.md,
+# "Batching") — then serial-vs-parallel campaign parity over WORKERS
+# local slots (serial at 1).  Exits 1 on any drift.
 bench-quick:
 	$(PYTHON) benchmarks/bench_hotpath.py --quick
 	$(PYTHON) benchmarks/bench_parallel_scaling.py --quick --workers $(WORKERS)

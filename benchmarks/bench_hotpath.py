@@ -6,9 +6,7 @@ Three measurements (see docs/PERFORMANCE.md for methodology):
 1. *Forwarding* — a standalone :class:`SubfarmRouter` harness drives an
    established (post-verdict) TCP flow and pumps data packets through
    both directions of its flow-table entries, one frame at a time
-   (``forwarding``) and as prebuilt :class:`WireBatch` columns through
-   ``ingest_batch`` (``batch``, with a ≥3× floor over the scalar pump
-   and byte-parity gates).  This isolates the per-packet router cost.
+   (``forwarding``).  This isolates the per-packet router cost.
 2. *Flow setup* — the same harness measures full shim round-trips
    (SYN → CS handshake → request/response shim → handoff) per second:
    the slow-path cost every flow pays exactly once.
@@ -18,8 +16,9 @@ Three measurements (see docs/PERFORMANCE.md for methodology):
 
 Determinism: the end-to-end scenario is run twice with the same seed
 and digested (flow logs, counters, upstream trace bytes, telemetry);
-the digests must match.  ``--quick`` runs only the determinism and
-batch-parity gates (CI smoke) and exits non-zero on drift.
+the digests must match, and a farm under a trunk batch window
+(``batch``) must keep the unbatched farm's wire behaviour.  ``--quick``
+runs only these gates (CI smoke) and exits non-zero on drift.
 
 Usage::
 
@@ -42,11 +41,9 @@ from repro.core.shim import ResponseShim
 from repro.core.verdicts import Verdict
 from repro.farm import Farm, FarmConfig
 from repro.gateway.egress import Egress
-from repro.gateway.flowtable import EMIT_SERVICE, EMIT_UPSTREAM, EMIT_VLAN
 from repro.gateway.nat import AddressPool, InboundMode, NatTable
 from repro.gateway.router import SubfarmRouter
 from repro.gateway.safety import SafetyFilter
-from repro.net.wirebatch import BatchOutput, ORIGIN_UPSTREAM, WireBatch
 from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
 from repro.net.packet import (
     ACK,
@@ -76,9 +73,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 class CaptureEgress(Egress):
     """An egress that only appends what is sent through it to a log."""
 
-    def __init__(self, code: int, arg, log: list) -> None:
-        self.code = code
-        self.arg = arg
+    def __init__(self, log: list) -> None:
         self.log = log
 
     def send(self, packet) -> None:
@@ -102,8 +97,7 @@ class RouterHarness:
         self.to_vlan = []
         self.to_service = []
         self.upstream = []
-        self.upstream_egress = CaptureEgress(EMIT_UPSTREAM, None,
-                                             self.upstream)
+        self.upstream_egress = CaptureEgress(self.upstream)
         self._captures = {}
         self.router = SubfarmRouter(
             sim=self.sim,
@@ -126,19 +120,14 @@ class RouterHarness:
     def vlan_egress(self, vlan: int) -> CaptureEgress:
         egress = self._captures.get(vlan)
         if egress is None:
-            egress = self._captures[vlan] = CaptureEgress(
-                EMIT_VLAN, vlan, self.to_vlan)
+            egress = self._captures[vlan] = CaptureEgress(self.to_vlan)
         return egress
 
     def service_egress(self, ip: IPv4Address) -> CaptureEgress:
         egress = self._captures.get(ip)
         if egress is None:
-            egress = self._captures[ip] = CaptureEgress(
-                EMIT_SERVICE, ip, self.to_service)
+            egress = self._captures[ip] = CaptureEgress(self.to_service)
         return egress
-
-    def egresses(self) -> list:
-        return [self.upstream_egress, *self._captures.values()]
 
     def drain(self) -> None:
         self.to_vlan.clear()
@@ -280,133 +269,6 @@ def bench_forwarding(packets: int, seed: int = 7,
     }
 
 
-def _build_pump_batches(record, chunk: int, payload: bytes):
-    """The forwarding pump's two directions as prebuilt WireBatches:
-    ``chunk`` client→destination rows and ``chunk`` destination→client
-    rows, each a single same-key run (the shape the gateway's trunk
-    coalescing produces for a streaming flow)."""
-    inmate_ip = record.orig.orig_ip
-    nat_global = record.nat_global or inmate_ip
-    target = IPv4Address(TARGET_IP).value
-    size = len(payload)
-    c2d = WireBatch()
-    for index in range(chunk):
-        c2d.append_tcp(inmate_ip.value, 40000, target, TARGET_PORT,
-                       2000 + index * size, 9001, ACK | PSH, 65535,
-                       payload, vlan=2)
-    d2c = WireBatch()
-    for index in range(chunk):
-        d2c.append_tcp(target, TARGET_PORT, nat_global.value, 40000,
-                       9500 + index * size, 2001, ACK | PSH, 65535,
-                       payload, origin=ORIGIN_UPSTREAM)
-    return c2d, d2c
-
-
-def bench_batch(packets: int, seed: int = 7, chunk: int = 256,
-                repeats: int = 3) -> dict:
-    """Packets/sec through the batched struct-of-arrays datapath.
-
-    Same established flow and packet mix as :func:`bench_forwarding`,
-    but rows arrive as prebuilt :class:`WireBatch` chunks and run
-    through ``ingest_batch`` — measured once table-apply only
-    (``ingest``, comparable to the scalar pump, which also never
-    serializes) and once including the per-run wire serialization pass
-    (``wire``).
-    """
-    harness = RouterHarness(seed=seed)
-    record = harness.establish_flow(vlan=2, sport=40000)
-    assert record.phase.value == "enforced", record.phase
-    payload = b"x" * 512
-    c2d, d2c = _build_pump_batches(record, chunk, payload)
-    router = harness.router
-    iters = max(1, packets // (2 * chunk))
-    total = 2 * chunk * iters
-    best_ingest = best_wire = float("inf")
-    for _ in range(repeats):
-        harness.drain()
-        started = perf_counter()
-        for _ in range(iters):
-            out = BatchOutput()
-            router.ingest_batch(c2d, out)
-            router.ingest_batch(d2c, out)
-        best_ingest = min(best_ingest, perf_counter() - started)
-        started = perf_counter()
-        for _ in range(iters):
-            out = BatchOutput()
-            router.ingest_batch(c2d, out)
-            router.ingest_batch(d2c, out)
-            out.serialize()
-        best_wire = min(best_wire, perf_counter() - started)
-    return {
-        "packets": total,
-        "chunk": chunk,
-        "ingest_seconds": round(best_ingest, 4),
-        "ingest_packets_per_sec": round(total / best_ingest)
-        if best_ingest else 0,
-        "wire_seconds": round(best_wire, 4),
-        "wire_packets_per_sec": round(total / best_wire)
-        if best_wire else 0,
-    }
-
-
-def batch_parity(seed: int = 7, rows: int = 64) -> dict:
-    """Byte-parity gate: the same rows pumped scalar (one frame at a
-    time through ``inmate_frame``/``upstream_packet``) and batched
-    (one ``ingest_batch`` call) must produce identical wire bytes per
-    emission channel, identical router counters, and identical
-    flow-table stats."""
-    payload = b"x" * 512
-    target = IPv4Address(TARGET_IP)
-
-    scalar = RouterHarness(seed=seed)
-    record = scalar.establish_flow(vlan=2, sport=40000)
-    inmate_ip = record.orig.orig_ip
-    nat_global = record.nat_global or inmate_ip
-    scalar.drain()
-    for index in range(rows):
-        segment = TCPSegment(40000, TARGET_PORT, 2000 + index * 512,
-                             9001, ACK | PSH, payload=payload)
-        frame = EthernetFrame(scalar.mac, MacAddress("02:00:00:00:00:01"),
-                              IPv4Packet(inmate_ip, target, segment),
-                              vlan=2)
-        scalar.router.inmate_frame(frame, 2)
-    for index in range(rows):
-        scalar.router.upstream_packet(IPv4Packet(
-            target, nat_global,
-            TCPSegment(TARGET_PORT, 40000, 9500 + index * 512, 2001,
-                       ACK | PSH, payload=payload)))
-    reference = {
-        EMIT_UPSTREAM: [p.to_bytes() for p in scalar.upstream],
-        EMIT_VLAN: [p.to_bytes() for p in scalar.to_vlan],
-    }
-
-    batched = RouterHarness(seed=seed)
-    batched.establish_flow(vlan=2, sport=40000)
-    batch = WireBatch()
-    for index in range(rows):
-        batch.append_tcp(inmate_ip.value, 40000, target.value,
-                         TARGET_PORT, 2000 + index * 512, 9001,
-                         ACK | PSH, 65535, payload, vlan=2)
-    for index in range(rows):
-        batch.append_tcp(target.value, TARGET_PORT, nat_global.value,
-                         40000, 9500 + index * 512, 2001, ACK | PSH,
-                         65535, payload, origin=ORIGIN_UPSTREAM)
-    out = BatchOutput()
-    batched.router.ingest_batch(batch, out)
-    channels = out.by_channel()
-
-    return {
-        "rows": 2 * rows,
-        "wires_match": (
-            channels.get(EMIT_UPSTREAM, []) == reference[EMIT_UPSTREAM]
-            and channels.get(EMIT_VLAN, []) == reference[EMIT_VLAN]),
-        "counters_match": (dict(scalar.router.counters)
-                           == dict(batched.router.counters)),
-        "stats_match": (scalar.router.flowtable.stats()
-                        == batched.router.flowtable.stats()),
-    }
-
-
 def bench_flow_setup(flows: int, seed: int = 7) -> dict:
     """Full shim round-trips per second (the slow path, paid once per
     flow)."""
@@ -540,23 +402,16 @@ def main(argv=None) -> int:
     if args.quick:
         determinism = run_determinism(args.seed, inmates=3, rounds=40,
                                       duration=120.0)
-        parity = batch_parity(seed=args.seed)
         batch_det = run_batch_determinism(args.seed, inmates=3,
                                           rounds=40, duration=120.0)
         forwarding = bench_forwarding(5_000, seed=args.seed)
         print(json.dumps({"determinism": determinism,
-                          "batch_parity": parity,
                           "batch_determinism": batch_det,
                           "forward_smoke_pps":
                               forwarding["packets_per_sec"]},
                          indent=2))
         if not determinism["same_seed_match"]:
             print("FAIL: same-seed replay digests differ", file=sys.stderr)
-            return 1
-        if not (parity["wires_match"] and parity["counters_match"]
-                and parity["stats_match"]):
-            print("FAIL: batched datapath diverges from scalar "
-                  f"({parity})", file=sys.stderr)
             return 1
         if not batch_det["coincident_parity_match"]:
             print("FAIL: batch_window=0 farm digest differs from "
@@ -570,8 +425,6 @@ def main(argv=None) -> int:
         return 0
 
     forwarding = bench_forwarding(args.packets, seed=args.seed)
-    batch = bench_batch(args.packets, seed=args.seed)
-    parity = batch_parity(seed=args.seed)
     batch_det = run_batch_determinism(args.seed, inmates=3, rounds=40,
                                       duration=120.0)
     setup = bench_flow_setup(args.flows, seed=args.seed)
@@ -589,15 +442,7 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
         },
         "forwarding": forwarding,
-        "batch": {
-            "datapath": batch,
-            "speedup_vs_scalar": round(
-                batch["ingest_packets_per_sec"]
-                / forwarding["packets_per_sec"], 3)
-            if forwarding["packets_per_sec"] else 0.0,
-            "parity": parity,
-            "determinism": batch_det,
-        },
+        "batch": {"determinism": batch_det},
         "flow_setup": setup,
         "end_to_end": {k: v for k, v in end_to_end.items()
                        if k != "digest"},
@@ -609,8 +454,6 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(f"\nwrote {args.output}")
     ok = (determinism["same_seed_match"]
-          and parity["wires_match"] and parity["counters_match"]
-          and parity["stats_match"]
           and batch_det["coincident_parity_match"]
           and batch_det["window_counters_match"])
     return 0 if ok else 1

@@ -100,11 +100,12 @@ class FarmConfig:
         # leaves entries resident for the life of the flow.
         "flowtable_idle_timeout": None,
         "flowtable_hard_timeout": None,
-        # Batched trunk ingest: batch_window=None (default) keeps
+        # Batched trunk delivery: batch_window=None (default) keeps
         # per-frame delivery; 0.0 coalesces only naturally coincident
         # frames (timing untouched); a positive value quantizes trunk
         # delivery to window boundaries so concurrent inmates' frames
-        # arrive together and run the struct-of-arrays datapath.
+        # arrive together, in one receive_frame_batch call per instant
+        # (each frame is still ingested on its own).
         "batch_window": None,
     }
 
@@ -139,11 +140,15 @@ class FarmConfig:
             raise ValueError(
                 f"malice_policy must be one of {POLICIES}, "
                 f"not {self.malice_policy!r}")
-        if self.batch_window is not None and not (
-                isinstance(self.batch_window, (int, float))
-                and self.batch_window >= 0):
-            raise ValueError(f"batch_window must be a number >= 0, "
-                             f"not {self.batch_window!r}")
+        # A bool is an int to isinstance, and an infinite window would
+        # schedule every trunk frame at t = inf: refuse both.
+        window = self.batch_window
+        if window is not None and (
+                isinstance(window, bool)
+                or not isinstance(window, (int, float))
+                or not 0 <= window < float("inf")):
+            raise ValueError(f"batch_window must be a finite number >= 0, "
+                             f"not {window!r}")
 
     # ------------------------------------------------------------------
     # Serialization — ships configs to campaign workers

@@ -46,7 +46,6 @@ from repro.core.verdicts import Verdict
 from repro.gateway.egress import Egress
 from repro.gateway.failover import (CsFailoverPool, ResilienceConfig,
                                     RouterResilience)
-from repro.gateway.flowtable import EMIT_SERVICE, EMIT_UPSTREAM, EMIT_VLAN
 from repro.gateway.nat import AddressPool, InboundMode, NatTable
 from repro.gateway.router import SubfarmRouter
 from repro.gateway.safety import SafetyFilter
@@ -81,8 +80,8 @@ def digest(state: dict) -> str:
 class _Wire(Egress):
     """An egress that logs the wire bytes of what is sent through it."""
 
-    def __init__(self, code: int, arg, log: list) -> None:
-        self.code, self.arg, self.log = code, arg, log
+    def __init__(self, log: list) -> None:
+        self.log = log
 
     def send(self, packet: IPv4Packet) -> None:
         self.log.append(packet.to_bytes())
@@ -112,8 +111,7 @@ class RouterScript:
                             AddressPool([IPv4Network("198.18.0.0/24")]),
                             inbound_mode=InboundMode.FORWARD)
         self.logs = {"to_vlan": [], "to_service": [], "upstream": []}
-        self.upstream_egress = _Wire(EMIT_UPSTREAM, None,
-                                     self.logs["upstream"])
+        self.upstream_egress = _Wire(self.logs["upstream"])
         self._egresses = {}
         per_destination = 2 if rng.random() < 0.1 else 10 ** 9
         self.router = router = SubfarmRouter(
@@ -139,18 +137,15 @@ class RouterScript:
 
     # The router's egress side (what the Gateway is in a farm).
     def vlan_egress(self, vlan: int) -> _Wire:
-        return self._egress(EMIT_VLAN, vlan, "to_vlan")
+        return self._egress(vlan, "to_vlan")
 
     def service_egress(self, ip: IPv4Address) -> _Wire:
-        return self._egress(EMIT_SERVICE, ip, "to_service")
+        return self._egress(ip, "to_service")
 
-    def _egress(self, code: int, arg, log: str) -> _Wire:
-        if arg not in self._egresses:
-            self._egresses[arg] = _Wire(code, arg, self.logs[log])
-        return self._egresses[arg]
-
-    def egresses(self) -> list:
-        return [self.upstream_egress, *self._egresses.values()]
+    def _egress(self, target, log: str) -> _Wire:
+        if target not in self._egresses:
+            self._egresses[target] = _Wire(self.logs[log])
+        return self._egresses[target]
 
     # ------------------------------------------------------------------
     def enter(self, src, sport, dst, dport, flags=None, seq=0, ack=0,

@@ -11,8 +11,8 @@ egress from compile time, the controller's own emissions and
 ``Gateway.send_to_*`` look theirs up, and all of them end in the same
 ``send`` — there is no second emission implementation to bypass it
 with.  Whoever hands a router its egress side (the ``Gateway``; a test
-harness) provides ``vlan_egress(vlan)``, ``service_egress(ip)``,
-``upstream_egress`` and ``egresses()``.
+harness) provides ``vlan_egress(vlan)``, ``service_egress(ip)`` and
+``upstream_egress``.
 
 What may stand between a rule and its egress is a wrapper with the same
 ``send(packet)``: the flow's LIMIT shaper (:class:`Shaped`) and the
@@ -27,42 +27,22 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from repro.gateway.flowtable import EMIT_SERVICE, EMIT_UPSTREAM, EMIT_VLAN
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.packet import ETHERTYPE_IPV4, EthernetFrame, IPv4Packet
 
 _BROADCAST = MacAddress.broadcast()
 
-Sink = Callable[[IPv4Packet], None]
-
 
 class Egress:
-    """One emission target.  ``code``/``arg`` name it in flow-table
-    terms (``flowtable.EMIT_*``), as the batched datapath's output rows
-    do."""
-
-    code: int
-    arg: object = None
+    """One emission target."""
 
     def send(self, packet: IPv4Packet) -> None:
         raise NotImplementedError
-
-    def divert(self, sink: Sink) -> None:
-        """Hand every packet to ``sink`` instead of the wire until
-        :meth:`restore` — how ``SubfarmRouter.ingest_batch`` collects
-        what its scalar rows emit.  Costs the undiverted path nothing:
-        the sink shadows ``send`` on this instance only."""
-        self.send = sink
-
-    def restore(self) -> None:
-        del self.send
 
 
 class UpstreamEgress(Egress):
     """The upstream interface: everything bound for the outside world,
     recorded in the system-wide upstream trace (§5.6)."""
-
-    code = EMIT_UPSTREAM
 
     def __init__(self, sim, port, mac: MacAddress, trace,
                  tunnels: List) -> None:
@@ -90,14 +70,11 @@ class UpstreamEgress(Egress):
 class ServiceEgress(Egress):
     """One subfarm service host on its dedicated gateway port."""
 
-    code = EMIT_SERVICE
-
-    def __init__(self, sim, port, mac: MacAddress, host_ip: IPv4Address,
-                 host_mac: MacAddress, trace) -> None:
+    def __init__(self, sim, port, mac: MacAddress, host_mac: MacAddress,
+                 trace) -> None:
         self._sim = sim
         self._port = port
         self._mac = mac
-        self.arg = host_ip
         self._host_mac = host_mac
         self._trace = trace
 
@@ -117,14 +94,12 @@ class VlanEgress(Egress):
     no subfarm owns: frames flood unrecorded, as they always have.
     """
 
-    code = EMIT_VLAN
-
     def __init__(self, sim, port, mac: MacAddress, vlan: int,
                  router=None, gateway=None) -> None:
         self._sim = sim
         self._port = port
         self._mac = mac
-        self.arg = self._vlan = vlan
+        self._vlan = vlan
         # Bound once, probed per packet (LearningBridge.entries).
         self._learned = router.bridge.entries if router is not None else {}
         self._trace = router.trace if router is not None else None
@@ -156,8 +131,6 @@ class VlanEgress(Egress):
 
 class Unroutable(Egress):
     """No such service host: count the packet and drop it."""
-
-    code = EMIT_SERVICE
 
     def __init__(self, note_unroutable: Callable[[], None]) -> None:
         self._note = note_unroutable

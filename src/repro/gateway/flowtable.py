@@ -135,7 +135,7 @@ SPECS = {
 }
 
 # Emission codes: which egress the translated packet leaves through —
-# the rule's target as data (dumps, the verifier, batched output rows).
+# the rule's target as data (dumps, the report, the verifier).
 # The object itself is resolved once, at compile time (FlowEntry.egress).
 EMIT_VLAN = 0      # emit_arg = VLAN id
 EMIT_SERVICE = 1   # emit_arg = service IPv4Address
@@ -451,70 +451,3 @@ def apply(router, row: Rewrite, packet: IPv4Packet,
     if counter is not None:
         router.counters[counter] += 1
     egress.send(IPv4Packet.wrap(row.src_ip, row.dst_ip, out, proto))
-
-
-def run_soa(router, entry: FlowEntry, batch, i: int, j: int,
-            out) -> bool:
-    """Apply one live entry's action vectorized over rows [i, j) of
-    a WireBatch, appending a single run to ``out``: the executor's
-    reading of the entry and its kind spec, over columns.  Returns
-    False, having done nothing, for a run that must execute packet
-    by packet (a per-packet token bucket or fault view, or a
-    state-changing segment among the rows)."""
-    (_name, proto, packet_in_flags, originator, touch, counter,
-     ack_zero, fin_marks) = entry.spec
-    record = entry.record
-    rows = range(i, j)
-    flags_col = batch.flags
-    if (entry.shaped
-            or (entry.emit_code == EMIT_CS
-                and router.shim_link_faults is not None)
-            or (packet_in_flags and any(
-                flags_col[r] & packet_in_flags for r in rows))):
-        return False
-    count = j - i
-    entry.hits += count
-    router.flowtable.hits += count
-    if touch:
-        record.last_activity = router.sim.now
-    if originator is None:
-        return True
-    nbytes = sum(batch.pay_len[i:j])
-    if originator:
-        record.c2s_packets += count
-        record.c2s_bytes += nbytes
-        if fin_marks and any(flags_col[r] & FIN for r in rows):
-            record.client_fin = True
-    else:
-        record.s2c_packets += count
-        record.s2c_bytes += nbytes
-    if counter is not None:
-        router.counters[counter] += count
-    payloads = batch.pay_obj[i:j]
-    if proto == PROTO_UDP:
-        if entry.payload_prefix:
-            payloads = [entry.payload_prefix + p for p in payloads]
-        out.append_run(entry.emit_code, entry.emit_arg, PROTO_UDP,
-                       entry.src_ip, entry.dst_ip, entry.out_sport,
-                       entry.out_dport, None, None, None, None,
-                       payloads)
-        return True
-    seq_col = batch.seq
-    ack_col = batch.ack
-    sd = entry.seq_delta
-    ad = entry.ack_delta
-    mask = 0xFFFFFFFF
-    seqs = ([(seq_col[r] + sd) & mask for r in rows]
-            if sd else list(seq_col[i:j]))
-    if ack_zero:
-        acks = [(ack_col[r] + ad) & mask if flags_col[r] & ACK else 0
-                for r in rows]
-    else:
-        acks = [(ack_col[r] + ad) & mask
-                if flags_col[r] & ACK else ack_col[r] for r in rows]
-    out.append_run(entry.emit_code, entry.emit_arg, PROTO_TCP,
-                   entry.src_ip, entry.dst_ip, entry.out_sport,
-                   entry.out_dport, seqs, acks,
-                   list(flags_col[i:j]), list(batch.window[i:j]),
-                   payloads)
-    return True

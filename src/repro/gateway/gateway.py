@@ -129,7 +129,7 @@ class Gateway:
                            router)
         Link(self.sim, host.attach_port(), port, latency)
         self._service_egress[host.ip.value] = ServiceEgress(
-            self.sim, port, self.mac, host.ip, host.mac, router.trace)
+            self.sim, port, self.mac, host.mac, router.trace)
         host.configure(host.ip, gateway_ip=router.gateway_ip)
         router.register_service(host.ip, trusted=trusted)
 
@@ -186,11 +186,6 @@ class Gateway:
     def service_egress(self, service_ip: IPv4Address) -> Egress:
         return self._service_egress.get(service_ip.value, self._unroutable)
 
-    def egresses(self) -> List[Egress]:
-        """Every standing egress object."""
-        return [self.upstream_egress, self._unroutable,
-                *self._service_egress.values(), *self._vlan_egress.values()]
-
     def send_to_vlan(self, vlan: int, packet: IPv4Packet) -> None:
         self.vlan_egress(vlan).send(packet)
 
@@ -245,17 +240,14 @@ class Gateway:
 
     def receive_frame_batch(self, frames: List[EthernetFrame],
                             port: GatewayPort) -> None:
-        """Coalesced delivery from a batching port (Port.coalesce).
+        """Coalesced delivery from the trunk (the one port a farm sets
+        ``Port.coalesce`` on).
 
-        Trunk frames are grouped into contiguous same-router runs and
-        handed to the router's batched ingest; every other frame takes
-        the scalar path in arrival order, so output is byte-identical
-        to per-frame delivery.
+        Frames are grouped into contiguous same-router runs and handed
+        to the router's batch ingest; an ARP or unroutable frame ends
+        the run and is handled in place, so output is byte-identical to
+        per-frame delivery.
         """
-        if port.role != TRUNK:
-            for frame in frames:
-                self.receive_frame(frame, port)
-            return
         run_router = None
         run_items = None
         for frame in frames:

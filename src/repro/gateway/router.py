@@ -71,9 +71,7 @@ from repro.gateway.flowtable import (
     FlowTable,
     Row,
     apply,
-    run_soa,
 )
-from repro.net.wirebatch import ORIGIN_UPSTREAM
 from repro.gateway.nat import NatTable
 from repro.gateway.safety import SafetyFilter
 from repro.net.addresses import IPv4Address
@@ -85,6 +83,7 @@ from repro.net.packet import (
     PROTO_TCP,
     PROTO_UDP,
 )
+from repro.net.wirebatch import retired
 from repro.services.dhcp import DHCP_SERVER_PORT
 from repro.sim.engine import Simulator
 
@@ -142,8 +141,8 @@ class SubfarmRouter:
         self.gateway_ip = IPv4Address(gateway_ip)
         self.dns_ip = IPv4Address(dns_ip) if dns_ip is not None else None
         # The gateway's egress side (the Gateway itself, or a stand-in
-        # with the same vlan_egress / service_egress / upstream_egress /
-        # egresses names): one object per target.
+        # with the same vlan_egress / service_egress / upstream_egress
+        # names): one object per target.
         self.egress = egress
         # Shim link per containment server, keyed on the address's
         # 32-bit value (also the "is this a containment server" test).
@@ -448,8 +447,8 @@ class SubfarmRouter:
     def inmate_frame_batch(self, items) -> None:
         """Trunk ingest for a coalesced batch of ``(frame, vlan)``
         pairs delivered at the same virtual instant: per-frame
-        ingestion, in order.  (Vectorizing same-entry runs of packet
-        objects was measured to buy nothing end to end — see
+        ingestion, in order.  (Executing same-entry runs as columns was
+        measured to make the farm slower end to end — see
         docs/PERFORMANCE.md, "Batching".)"""
         barrier = self.barrier
         for frame, vlan in items:
@@ -461,73 +460,8 @@ class SubfarmRouter:
             except ParseError as error:
                 self._on_parse_error(error, vlan=vlan, frame=frame)
 
-    # ------------------------------------------------------------------
-    # Struct-of-arrays batched datapath
-    # ------------------------------------------------------------------
-    def ingest_batch(self, batch, out) -> None:
-        """Run a :class:`repro.net.wirebatch.WireBatch` through the
-        flow table, vectorized per same-key run, collecting all output
-        into ``out`` (a :class:`repro.net.wirebatch.BatchOutput`).
-
-        This is the raw datapath surface: rows are transport packets
-        already past frame admission (no trace capture or bridge
-        learning happens here).  Runs whose entry declines batching —
-        state-changing flags, shaped emission, an active shim-link
-        fault view — and table-miss rows are materialized back into
-        packet objects and take the ordinary scalar path row by row
-        (each row probes afresh: an earlier one may have installed or
-        evicted the rule), with their emissions captured into ``out``
-        so row order across the whole batch is preserved exactly.  A
-        shaped packet the token bucket delays is emitted later by the
-        simulator, straight to the wire like any scalar emission:
-        ``out`` only ever holds what left during this call.
-        Inmate-origin rows must carry their vlan.
-        """
-        barrier = self.barrier
-        if barrier.fail_stopped:
-            for _ in range(len(batch)):
-                barrier.note_failstop_drop()
-            return
-        entries = self.flowtable.entries
-        keys = batch.keys
-        n = len(keys)
-        # What the scalar rows emit during this call lands in ``out``.
-        diverted = self.egress.egresses()
-        for egress in diverted:
-            egress.divert(lambda packet, code=egress.code, arg=egress.arg:
-                          out.append_packet(code, arg, packet))
-        try:
-            i = 0
-            while i < n:
-                key = keys[i]
-                j = i + 1
-                while j < n and keys[j] == key:
-                    j += 1
-                entry = entries.get(key)
-                if entry is not None and entry.installed:
-                    now = self.sim.now
-                    if not (now < entry.expires_at and (
-                            entry.idle_timeout is None
-                            or now - entry.record.last_activity
-                            < entry.idle_timeout)):
-                        housekeeping.timeout(self, entry, now)
-                    elif run_soa(self, entry, batch, i, j, out):
-                        i = j
-                        continue
-                for row in range(i, j):
-                    packet = batch.materialize(row)
-                    if self._lookup(packet):
-                        continue
-                    if batch.origin[row] == ORIGIN_UPSTREAM:
-                        admission.upstream_unmatched(self, packet)
-                    else:
-                        admission.new_flow(self, packet,
-                                           vlan=batch.vlan[row],
-                                           inmate_is_originator=True)
-                i = j
-        finally:
-            for egress in diverted:
-                egress.restore()
+    #: A frozen name the layer ledger wraps (repro.net.wirebatch).
+    ingest_batch = retired
 
     # ------------------------------------------------------------------
     # Entry point: frames from subfarm service hosts

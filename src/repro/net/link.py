@@ -34,7 +34,8 @@ class Port:
         # Batch coalescing: set to the owning Simulator to let this
         # port claim all same-instant deliveries queued behind the one
         # firing and hand them to the owner's receive_frame_batch in
-        # one call.  None (the default) keeps scalar delivery.
+        # one call (the owner must have one).  None (the default) keeps
+        # scalar delivery.
         self.coalesce: Optional[Simulator] = None
 
     @property
@@ -75,19 +76,9 @@ class Port:
             else:
                 more = None
             if more:
-                receive_batch = getattr(self.owner, "receive_frame_batch",
-                                        None)
-                if receive_batch is not None:
-                    frames = [frame]
-                    frames.extend(args[0] for args in more)
-                    receive_batch(frames, self)
-                    return
-                # Owner cannot batch: replay the claimed frames
-                # individually, preserving order.
-                receive = self.owner.receive_frame
-                receive(frame, self)
-                for args in more:
-                    receive(args[0], self)
+                frames = [frame]
+                frames.extend(args[0] for args in more)
+                self.owner.receive_frame_batch(frames, self)
                 return
         self.owner.receive_frame(frame, self)
 

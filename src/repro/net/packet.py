@@ -40,8 +40,9 @@ ACK = 0x10
 _NEEDS_BYTESWAP = sys.byteorder == "little"
 
 
-def _ones_complement_sum(data: bytes) -> int:
-    """16-bit one's-complement sum used by IPv4/TCP/UDP checksums.
+def internet_checksum(data: bytes) -> int:
+    """RFC 1071 Internet checksum of ``data``: the complemented 16-bit
+    one's-complement sum used by IPv4/TCP/UDP.
 
     Implemented as one bulk ``array('H')`` sum followed by a fold loop
     rather than folding per word.  Both forms reduce the word sum S to a
@@ -55,31 +56,6 @@ def _ones_complement_sum(data: bytes) -> int:
     if _NEEDS_BYTESWAP:
         words.byteswap()
     total = sum(words)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
-
-
-def internet_checksum(data: bytes) -> int:
-    """RFC 1071 Internet checksum of ``data``."""
-    return (~_ones_complement_sum(data)) & 0xFFFF
-
-
-def ones_complement_sum(data: bytes) -> int:
-    """Public entry to the folded 16-bit one's-complement sum.
-
-    The batched serializer (repro.net.wirebatch) computes this once per
-    run over the invariant bytes (pseudo-header, flags/window header
-    fields, payload), then folds in only the per-packet seq/ack words —
-    one's-complement addition is associative, so the result is
-    bit-identical to checksumming each packet in full.
-    """
-    return _ones_complement_sum(data)
-
-
-def fold_checksum(total: int) -> int:
-    """Finish an accumulated one's-complement word sum into an RFC 1071
-    checksum value (fold carries, complement, mask)."""
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF

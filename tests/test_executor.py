@@ -15,8 +15,7 @@ so.  The expectations are written out here, not read from
 ``test_delivery_modes_agree`` is the property that used to be held by
 three hand-kept copies of the rewrite: a random script gives the same
 wire bytes, accounting and table statistics whether it is delivered one
-frame at a time, through ``inmate_frame_batch`` in arbitrary chunks, or
-as ``WireBatch`` columns through ``ingest_batch``.
+frame at a time or through ``inmate_frame_batch`` in arbitrary chunks.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from bench_hotpath import RouterHarness, TARGET_IP, TARGET_PORT  # noqa: E402
 from repro.core.shim import RequestShim  # noqa: E402
 from repro.core.verdicts import Verdict  # noqa: E402
 from repro.gateway.flowtable import (  # noqa: E402
-    EMIT_CS,
     EMIT_SERVICE,
     EMIT_UPSTREAM,
     EMIT_VLAN,
@@ -51,11 +49,6 @@ from repro.net.packet import (  # noqa: E402
     SYN,
     TCPSegment,
     UDPDatagram,
-)
-from repro.net.wirebatch import (  # noqa: E402
-    BatchOutput,
-    ORIGIN_UPSTREAM,
-    WireBatch,
 )
 
 VLAN = 2
@@ -378,8 +371,7 @@ steps = st.lists(
 
 class _Delivery:
     """One harness plus the emission log every mode fills the same way:
-    per channel, in emission order, the packets the harness captured
-    (or, from a serialized BatchOutput, their wire bytes)."""
+    per channel, in emission order, the packets the harness captured."""
 
     def __init__(self, flows, idle_timeout) -> None:
         self.harness = harness = RouterHarness(seed=7)
@@ -436,8 +428,7 @@ class _Delivery:
         return {
             # A sent packet is never mutated again, so its bytes now
             # are its bytes at emission.
-            "wires": {code: [wire if isinstance(wire, bytes)
-                             else wire.to_bytes() for wire in log]
+            "wires": {code: [packet.to_bytes() for packet in log]
                       for code, log in self.wires.items()},
             "counters": dict(router.counters),
             "flows": [(str(r.orig), r.phase.value, r.c2s_packets,
@@ -497,45 +488,6 @@ def _frame_batches(run: _Delivery, script, chunks) -> None:
     flush()
 
 
-def _wire_batches(run: _Delivery, script, chunks) -> None:
-    """Inmate and upstream packets pile up as WireBatch rows and go
-    through ingest_batch; the BatchOutput is put on the wire at once,
-    as a caller would."""
-    router = run.harness.router
-    batch = WireBatch()
-    sizes = iter(chunks)
-    limit = next(sizes, 1)
-
-    def flush():
-        nonlocal batch
-        if len(batch):
-            out = BatchOutput()
-            router.ingest_batch(batch, out)
-            for code, _arg, wire in out.serialize():
-                # A containment server is reached over the service port.
-                run.wires[EMIT_SERVICE if code == EMIT_CS
-                          else code].append(wire)
-            batch = WireBatch()
-
-    for step in script:
-        made = None if step[0] == "advance" else run.packet(step)
-        if made is not None and made[0] != "cs":
-            if made[0] == "inmate":
-                batch.append_packet(made[1], vlan=VLAN)
-            else:
-                batch.append_packet(made[1], origin=ORIGIN_UPSTREAM)
-            if len(batch) >= limit:
-                flush()
-                limit = next(sizes, 1)
-            continue
-        flush()
-        if step[0] == "advance":
-            run.advance()
-        elif made is not None:
-            router.service_frame(run.frame(made[1]))
-    flush()
-
-
 @settings(max_examples=60, deadline=None)
 @given(flows=st.lists(st.sampled_from(FLOW_MENU), min_size=2, max_size=3),
        script=steps,
@@ -548,7 +500,3 @@ def test_delivery_modes_agree(flows, script, chunks):
     framed = _Delivery(flows, idle_timeout=30.0)
     _frame_batches(framed, script, chunks)
     assert framed.result() == expected
-
-    columns = _Delivery(flows, idle_timeout=30.0)
-    _wire_batches(columns, script, chunks)
-    assert columns.result() == expected

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import pathlib
 
 import pytest
@@ -251,15 +252,23 @@ class TestFarmConfigShape:
         {"pending_policy": "shrug"}, {"malice_policy": "ignore"},
         {"batch_window": -1.0}, {"inbound_mode": "sideways"},
         {"control_network": "198.18.100.0"},
+        # A bool is an int (a 1-second window); inf delivers nothing.
+        {"batch_window": True}, {"batch_window": float("inf")},
     ])
     def test_bad_values_refused_at_construction(self, bad):
         with pytest.raises(ValueError):
             FarmConfig(**bad)
 
+    @pytest.mark.parametrize("window", [0, 0.0, 0.005])
+    def test_finite_batch_windows_accepted(self, window):
+        assert FarmConfig(batch_window=window).batch_window == window
+
     @pytest.mark.parametrize("document", [
         {"global_networks": 5}, {"global_networks": [1]},
         {"control_network": None}, {"batch_window": "x"},
         {"fault_plan": 7}, [], 1, None,
+        json.loads('{"batch_window": Infinity}'),
+        json.loads('{"batch_window": true}'),
     ])
     def test_wrongly_shaped_document_is_a_value_error(self, document):
         with pytest.raises(ValueError):

@@ -1,13 +1,13 @@
-"""Match-action flow tables and the batched SoA datapath.
+"""Match-action flow tables and batched trunk delivery.
 
 Covers the table's timeout semantics (idle and hard eviction on the
 virtual clock, re-miss re-install, byte parity of a flow expiring
 mid-conversation), the transactional install guarantee (a failed
-compile never leaves orphan entries), the struct-of-arrays wire
-serialization against per-packet ``to_bytes``, batched ingest parity
-with scalar execution at every layer (``ingest_batch``,
-``inmate_frame_batch``, the coalescing port, the whole farm), and the
-config/report/telemetry surfaces riding along.
+compile never leaves orphan entries), batch delivery parity with
+per-frame delivery at every layer (``inmate_frame_batch``, the
+coalescing port, the whole farm), the placeholders left where the
+struct-of-arrays datapath was, and the config/report/telemetry
+surfaces riding along.
 """
 
 from __future__ import annotations
@@ -21,32 +21,23 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
                                 "benchmarks"))
 from bench_hotpath import (  # noqa: E402
     RouterHarness,
-    batch_parity,
     run_farm_flow_digest,
 )
 
 from repro.farm import FarmConfig  # noqa: E402
 from repro.gateway import handoff  # noqa: E402
-from repro.gateway.flowtable import EMIT_UPSTREAM, EMIT_VLAN  # noqa: E402
+from repro.gateway.router import SubfarmRouter  # noqa: E402
 from repro.net.addresses import IPv4Address, MacAddress  # noqa: E402
 from repro.net.packet import (  # noqa: E402
     ACK,
     EthernetFrame,
-    FIN,
     IPv4Packet,
     PSH,
     SYN,
     TCPSegment,
-    UDPDatagram,
 )
 from repro.net.link import Link, Port  # noqa: E402
-from repro.net.wirebatch import (  # noqa: E402
-    BatchOutput,
-    ORIGIN_UPSTREAM,
-    WireBatch,
-    serialize_tcp_rows,
-    serialize_udp_rows,
-)
+from repro.net.wirebatch import BatchOutput, WireBatch  # noqa: E402
 from repro.parallel.tasks import (  # noqa: E402
     TARGET_IP,
     TARGET_PORT,
@@ -215,166 +206,6 @@ def test_failed_compile_installs_nothing_from_empty():
     assert not record.installed
 
 
-# ----------------------------------------------------------------------
-# Struct-of-arrays wire serialization
-# ----------------------------------------------------------------------
-def test_tcp_row_serialization_matches_to_bytes():
-    src = IPv4Address("198.18.0.7")
-    dst = IPv4Address(TARGET_IP)
-    pay_a = b"a" * 100
-    pay_b = b"b" * 31
-    rows = [
-        (0, 0, ACK, 65535, pay_a),
-        (1, 2, ACK, 65535, pay_a),            # same group: amortized
-        (0xFFFFFFFF, 0xFFFFFFFF, ACK, 65535, pay_a),  # carry-heavy fold
-        (50, 60, ACK | PSH, 65535, pay_a),    # flags break the group
-        (70, 80, ACK | PSH, 1024, pay_a),     # window breaks the group
-        (90, 100, ACK | PSH, 1024, pay_b),    # payload breaks the group
-        (110, 120, ACK | PSH, 1024, b"b" * 31),  # equal bytes, new object
-        (130, 140, FIN | ACK, 1024, b""),
-    ]
-    seqs = [r[0] for r in rows]
-    acks = [r[1] for r in rows]
-    flags = [r[2] for r in rows]
-    windows = [r[3] for r in rows]
-    payloads = [r[4] for r in rows]
-    wires = serialize_tcp_rows(src, dst, 40000, 80, seqs, acks, flags,
-                               windows, payloads)
-    expected = [
-        IPv4Packet(src, dst, TCPSegment(40000, 80, seq, ack, flag,
-                                        window, payload)).to_bytes()
-        for seq, ack, flag, window, payload in rows
-    ]
-    assert wires == expected
-
-
-def test_udp_row_serialization_matches_to_bytes():
-    src = IPv4Address("198.18.0.7")
-    dst = IPv4Address(TARGET_IP)
-    shared = b"q" * 64
-    payloads = [shared, shared, b"q" * 64, b"z" * 9, b""]
-    wires = serialize_udp_rows(src, dst, 5353, 53, payloads)
-    expected = [
-        IPv4Packet(src, dst, UDPDatagram(5353, 53, payload)).to_bytes()
-        for payload in payloads
-    ]
-    assert wires == expected
-    # Equal consecutive payloads reuse the identical wire object.
-    assert wires[0] is wires[1] is wires[2]
-
-
-def test_wirebatch_materialize_roundtrip():
-    batch = WireBatch()
-    src = IPv4Address("198.18.0.7")
-    dst = IPv4Address(TARGET_IP)
-    batch.append_packet(IPv4Packet(src, dst, TCPSegment(
-        40000, 80, 7, 9, ACK | PSH, 2048, b"pp")), vlan=4)
-    batch.append_packet(IPv4Packet(dst, src, UDPDatagram(53, 5353,
-                                                         b"dns")),
-                        origin=ORIGIN_UPSTREAM)
-    assert len(batch) == 2
-    tcp = batch.materialize(0)
-    assert tcp.to_bytes() == IPv4Packet(src, dst, TCPSegment(
-        40000, 80, 7, 9, ACK | PSH, 2048, b"pp")).to_bytes()
-    assert batch.vlan[0] == 4
-    udp = batch.materialize(1)
-    assert udp.payload.payload == b"dns"
-    assert batch.origin[1] == ORIGIN_UPSTREAM
-
-
-# ----------------------------------------------------------------------
-# Batched ingest parity
-# ----------------------------------------------------------------------
-def test_ingest_batch_matches_scalar_datapath():
-    parity = batch_parity(seed=7, rows=48)
-    assert parity["wires_match"]
-    assert parity["counters_match"]
-    assert parity["stats_match"]
-
-
-def test_ingest_batch_miss_rows_take_slow_path():
-    """Rows whose key misses the table (a brand-new flow mid-batch)
-    fall back to the scalar slow path, in row order, with the new
-    flow's shim emissions captured in the batch output."""
-    harness = RouterHarness(seed=7)
-    record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
-                                    dst_isn=DST_ISN)
-    inmate_ip = record.orig.orig_ip
-    target = IPv4Address(TARGET_IP)
-    batch = WireBatch()
-    batch.append_tcp(inmate_ip.value, SPORT, target.value, TARGET_PORT,
-                     CLIENT_ISN + 1, 5001, ACK | PSH, 65535, b"d" * 64,
-                     vlan=VLAN)
-    # A second flow's SYN — no table entry, must create a flow.
-    batch.append_tcp(inmate_ip.value, SPORT + 1, target.value,
-                     TARGET_PORT, 777, 0, SYN, 65535, b"", vlan=VLAN)
-    flows_before = len(harness.router.flows())
-    out = BatchOutput()
-    harness.router.ingest_batch(batch, out)
-    assert len(harness.router.flows()) == flows_before + 1
-    codes = [run[0] for run in out.runs]
-    # Hit row emitted upstream first, then the SYN's shim handshake
-    # emission toward the inmate (the CS SYN proxying).
-    assert codes[0] == EMIT_UPSTREAM
-    assert len(codes) >= 2
-
-
-class _Stamped:
-    """A capture log that keeps ``(virtual time, wire bytes)``."""
-
-    def __init__(self, sim, log) -> None:
-        self.sim = sim
-        self.log = log
-
-    def append(self, packet) -> None:
-        self.log.append((self.sim.now, packet.to_bytes()))
-
-
-def test_shaped_rows_through_ingest_batch_reach_the_wire():
-    """A LIMIT flow's rows run scalar inside ingest_batch; the packets
-    its token bucket delays must leave through the real egress when
-    their time comes — not into a BatchOutput the caller has already
-    consumed — at exactly the instants the scalar path emits them."""
-    from repro.core.verdicts import Verdict
-
-    def limited(log):
-        harness = RouterHarness(seed=7)
-        record = harness.establish_flow(VLAN, SPORT, verdict=Verdict.LIMIT,
-                                        rate=4000.0, client_isn=CLIENT_ISN,
-                                        dst_isn=DST_ISN)
-        harness.upstream_egress.log = _Stamped(harness.sim, log)
-        return harness, record.orig.orig_ip
-
-    target = IPv4Address(TARGET_IP)
-    rows = [(CLIENT_ISN + 1 + 512 * index, b"s" * 512)
-            for index in range(20)]
-
-    scalar_log = []
-    harness, inmate_ip = limited(scalar_log)
-    for seq, payload in rows:
-        harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, seq, 5001,
-                           ACK | PSH, payload)
-    harness.sim.run()
-
-    batched_log = []
-    harness, inmate_ip = limited(batched_log)
-    batch = WireBatch()
-    for seq, payload in rows:
-        batch.append_tcp(inmate_ip.value, SPORT, target.value, TARGET_PORT,
-                         seq, 5001, ACK | PSH, 65535, payload, vlan=VLAN)
-    out = BatchOutput()
-    harness.router.ingest_batch(batch, out)
-    held = out.rows()
-    batched_log.extend((harness.sim.now, wire)
-                       for _code, _arg, wire in out.serialize())
-    harness.sim.run()
-    assert out.rows() == held, "late emissions leaked into a spent output"
-
-    assert len(scalar_log) == 20
-    assert 0 < held < 20, "the bucket should pass a burst and delay the rest"
-    assert batched_log == scalar_log
-
-
 def test_inmate_frame_batch_matches_scalar():
     """The trunk batch entry point: interleaved flows plus a mid-batch
     new flow must emit byte-identically to per-frame ingestion."""
@@ -417,6 +248,20 @@ def test_inmate_frame_batch_matches_scalar():
         outcomes.append(wire_state(harness))
     fast, slow = outcomes
     assert fast == slow
+
+
+@pytest.mark.parametrize("owner,name", [
+    (WireBatch, "append_tcp"), (WireBatch, "append_udp"),
+    (WireBatch, "append_packet"), (WireBatch, "materialize"),
+    (BatchOutput, "append_run"), (BatchOutput, "serialize"),
+    (SubfarmRouter, "ingest_batch"),
+])
+def test_retired_column_names_raise(owner, name):
+    """The column datapath is gone; the names the layer ledger wraps
+    remain, in each owner's own namespace, and refuse to run."""
+    assert name in owner.__dict__
+    with pytest.raises(NotImplementedError):
+        owner.__dict__[name](None)
 
 
 # ----------------------------------------------------------------------
@@ -475,14 +320,6 @@ class _BatchingDevice:
         self.frames.append(frame)
 
 
-class _ScalarDevice:
-    def __init__(self):
-        self.frames = []
-
-    def receive_frame(self, frame, port):
-        self.frames.append(frame)
-
-
 def _frame(tag: int) -> EthernetFrame:
     return EthernetFrame(MacAddress(0x02 << 40 | tag),
                          MacAddress.broadcast(), b"payload", vlan=2)
@@ -501,20 +338,6 @@ def test_port_coalesce_merges_coincident_frames():
     assert device.batches == [3]
     assert device.frames == frames
     assert sender.frames_sent == 3
-
-
-def test_port_coalesce_without_batch_handler_replays_in_order():
-    sim = Simulator(seed=1)
-    device = _ScalarDevice()
-    sender, receiver = Port(object(), "tx"), Port(device, "rx")
-    Link(sim, sender, receiver, latency=0.001)
-    receiver.coalesce = sim
-    frames = [_frame(1), _frame(2)]
-    for frame in frames:
-        sender.send(frame)
-    sim.run(until=1.0)
-    assert device.frames == frames
-    assert sender.frames_sent == 2
 
 
 def test_link_batch_window_quantizes_delivery():
