@@ -43,6 +43,7 @@ from repro.net.router import Router
 from repro.services.resolver import RecursiveResolver
 from repro.services.sink import CatchAllSink
 from repro.services.smtp_sink import SmtpSink
+from repro.shape import Table, check
 from repro.sim.engine import Simulator
 
 
@@ -167,13 +168,9 @@ class FarmConfig:
     def from_dict(cls, data: dict) -> "FarmConfig":
         """Rebuild a config from :meth:`to_dict` output (unknown keys
         rejected so config drift fails loudly)."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a FarmConfig is an object, not {data!r}")
-        unknown = set(data) - set(cls.FIELDS)
-        if unknown:
-            raise ValueError(
-                f"unknown FarmConfig keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**check(Table("FarmConfig", {
+            name: (object, default)
+            for name, default in cls.FIELDS.items()}), data))
 
     def __repr__(self) -> str:
         return (f"<FarmConfig seed={self.seed} "

@@ -59,7 +59,11 @@ import hashlib
 import json
 from typing import Any, Dict, List, Sequence, Union
 
+from repro.shape import NUMBER, REQUIRED, Table, check
+
 __all__ = [
+    "FAULT_PLAN",
+    "FAULT_SPEC",
     "FaultPlan",
     "FaultSpec",
     "LIFECYCLE_KINDS",
@@ -74,62 +78,46 @@ LIFECYCLE_KINDS = frozenset({"revert_fail", "reboot_fail"})
 WORKER_KINDS = frozenset({"worker_crash", "worker_hang", "worker_error"})
 KINDS = LINK_KINDS | SERVER_KINDS | LIFECYCLE_KINDS | WORKER_KINDS
 
-# Field defaults, in canonical emission order.  ``to_dict`` emits only
-# non-default fields (plus ``kind``) so plans stay readable and their
-# digests stable under future field additions.
-_DEFAULTS = {
-    "subfarm": None,
-    "server": 0,
-    "vlan": None,
-    "shard": None,
-    "at": None,
-    "start": 0.0,
-    "end": None,
-    "probability": 1.0,
-    "delay": 0.0,
-    "jitter": 0.0,
-    "extra": 0.0,
-    "count": None,
-    "exitcode": 134,
-    "wall_seconds": 3600.0,
-    "message": "injected worker error",
-    "restore_after": None,
-}
-
-#: What each field holds besides a default of None: a plan read from a
-#: payload or a file can say anything, and a wrong type is refused as
-#: a ValueError like any other bad value.
-_NUMBER = (int, float)
-_TYPES = {"subfarm": str, "server": int, "vlan": int, "shard": int,
-          "at": _NUMBER, "start": _NUMBER, "end": _NUMBER,
-          "probability": _NUMBER, "delay": _NUMBER, "jitter": _NUMBER,
-          "extra": _NUMBER, "count": int, "exitcode": int,
-          "wall_seconds": _NUMBER, "message": str, "restore_after": _NUMBER}
+#: Every field with its kind and default, in canonical emission order.
+#: ``to_dict`` emits only non-default fields (plus ``kind``) so plans
+#: stay readable and their digests stable under future field additions.
+FAULT_SPEC = Table("FaultSpec", {
+    "kind": (str, REQUIRED),
+    "subfarm": (str, None),
+    "server": (int, 0),
+    "vlan": (int, None),
+    "shard": (int, None),
+    "at": (NUMBER, None),
+    "start": (NUMBER, 0.0),
+    "end": (NUMBER, None),
+    "probability": (NUMBER, 1.0),
+    "delay": (NUMBER, 0.0),
+    "jitter": (NUMBER, 0.0),
+    "extra": (NUMBER, 0.0),
+    "count": (int, None),
+    "exitcode": (int, 134),
+    "wall_seconds": (NUMBER, 3600.0),
+    "message": (str, "injected worker error"),
+    "restore_after": (NUMBER, None),
+})
+FAULT_PLAN = Table("FaultPlan", {"specs": ([FAULT_SPEC], None)})
 
 
 class FaultSpec:
     """One fault: a kind plus targeting and timing fields."""
 
-    __slots__ = ("kind",) + tuple(_DEFAULTS)
+    __slots__ = tuple(FAULT_SPEC.fields)
 
     def __init__(self, kind: str, **fields: Any) -> None:
-        self.kind = kind
-        for name, default in _DEFAULTS.items():
-            setattr(self, name, fields.pop(name, default))
-        if fields:
-            raise ValueError(
-                f"unknown FaultSpec fields: {sorted(fields)}")
+        for name, value in check(FAULT_SPEC,
+                                 dict(fields, kind=kind)).items():
+            setattr(self, name, value)
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.kind, str) or self.kind not in KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(known: {sorted(KINDS)})")
-        for name, kind in _TYPES.items():
-            value = getattr(self, name)
-            if not isinstance(value, kind) and not (
-                    value is None and _DEFAULTS[name] is None):
-                raise ValueError(f"{name} has the wrong type: {value!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be within [0, 1]")
         for name in ("delay", "jitter", "extra", "start", "wall_seconds"):
@@ -155,27 +143,13 @@ class FaultSpec:
         return self.start <= now and (self.end is None or now < self.end)
 
     def to_dict(self) -> dict:
-        out: Dict[str, Any] = {"kind": self.kind}
-        for name, default in _DEFAULTS.items():
-            value = getattr(self, name)
-            if value != default:
-                out[name] = value
-        return out
+        return {name: getattr(self, name)
+                for name, (_kind, default) in FAULT_SPEC.fields.items()
+                if getattr(self, name) != default}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"a fault spec is an object, not {data!r}")
-        fields = dict(data)
-        try:
-            kind = fields.pop("kind")
-        except KeyError:
-            raise ValueError("fault spec needs a kind") from None
-        unknown = set(fields) - set(_DEFAULTS)
-        if unknown:
-            raise ValueError(
-                f"unknown FaultSpec fields: {sorted(unknown)}")
-        return cls(kind, **fields)
+        return cls(**check(FAULT_SPEC, data))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items()
@@ -303,15 +277,9 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise ValueError(f"a fault plan is an object, not {data!r}")
-        unknown = set(data) - {"specs"}
-        if unknown:
-            raise ValueError(f"unknown FaultPlan keys: {sorted(unknown)}")
-        specs = data.get("specs") or ()
-        if not isinstance(specs, (list, tuple)):
-            raise ValueError(f"fault plan specs are a list, not {specs!r}")
-        return cls(specs)
+        if isinstance(data, dict) and not data.get("specs"):
+            data = dict(data, specs=None)  # any empty value is no specs
+        return cls(check(FAULT_PLAN, data)["specs"] or ())
 
     def digest(self) -> str:
         """sha256 over the canonical JSON of the plan."""

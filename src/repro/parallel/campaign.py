@@ -32,7 +32,11 @@ import importlib
 import json
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.shape import NUMBER, REQUIRED, Table, check
+
 __all__ = [
+    "CAMPAIGN",
+    "SHARD_SPEC",
     "Campaign",
     "ShardSpec",
     "derive_seed",
@@ -73,6 +77,15 @@ def resolve_task(task: str) -> Callable[..., dict]:
 def task_name(fn: Callable) -> str:
     """The ``"pkg.module:function"`` name of a module-level callable."""
     return f"{fn.__module__}:{fn.__qualname__}"
+
+
+#: A shard spec as it travels to a slot.  ``fault`` is the worker
+#: fault :func:`repro.parallel.run_campaign` stamps onto the wire copy
+#: of a spec; the slot enacts it and :class:`ShardSpec` does not keep it.
+SHARD_SPEC = Table("ShardSpec", {
+    "index": (int, REQUIRED), "task": (str, REQUIRED),
+    "params": (dict, None), "timeout": (NUMBER, None),
+    "label": (str, None), "fault": (dict, None)})
 
 
 class ShardSpec:
@@ -117,13 +130,17 @@ class ShardSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardSpec":
-        return cls(index=data["index"], task=data["task"],
-                   params=data.get("params"),
-                   timeout=data.get("timeout"),
-                   label=data.get("label"))
+        fields = check(SHARD_SPEC, data)
+        del fields["fault"]
+        return cls(**fields)
 
     def __repr__(self) -> str:
         return f"<ShardSpec {self.index} {self.label} task={self.task}>"
+
+
+CAMPAIGN = Table("Campaign", {
+    "name": (str, REQUIRED), "base_seed": (int, 0),
+    "metadata": (dict, None), "shards": ([SHARD_SPEC], REQUIRED)})
 
 
 class Campaign:
@@ -216,10 +233,11 @@ class Campaign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Campaign":
-        return cls(data["name"],
-                   [ShardSpec.from_dict(s) for s in data["shards"]],
-                   base_seed=data.get("base_seed", 0),
-                   metadata=data.get("metadata"))
+        fields = check(CAMPAIGN, data)
+        return cls(fields["name"],
+                   [ShardSpec.from_dict(s) for s in fields["shards"]],
+                   base_seed=fields["base_seed"],
+                   metadata=fields["metadata"])
 
     def __repr__(self) -> str:
         return f"<Campaign {self.name!r} shards={len(self.shards)}>"

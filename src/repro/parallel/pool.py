@@ -286,13 +286,24 @@ def _run_scheduled(campaign: Campaign, workers: int, transport,
             worker=slot.handle.id, host=slot.host_key)
 
     def ingest(slot: _Slot, messages) -> None:
+        """Apply a slot's frames (shaped by ``drain``).  A ``start`` or
+        ``done`` for a shard the slot was not sent, or an ``ok`` result
+        without a payload, breaks the wire: :class:`TransportError`."""
         for message in messages:
             tag = message[0]
             if tag == "ready":
                 record_ready(slot, message[1])
-            elif tag == "start":
+                continue
+            if slot.spec is None or message[1] != slot.spec["index"] or (
+                    tag == "done" and message[2]["ok"]
+                    and message[2]["payload"] is None):
+                raise TransportError(
+                    f"worker {slot.handle.id} on {slot.handle.host} broke "
+                    f"the wire: {tag} {message[1]} while running "
+                    f"{slot.spec and slot.spec['index']}")
+            if tag == "start":
                 slot.current = message[1]
-            elif tag == "done":
+            else:
                 record_done(slot, message[1], message[2])
 
     def release_slot(slot: _Slot) -> None:

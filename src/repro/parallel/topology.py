@@ -40,6 +40,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.parallel.campaign import Campaign, ShardSpec, derive_seed
+from repro.shape import REQUIRED, ShapeError, Table, check
 
 __all__ = [
     "FarmTopology",
@@ -64,45 +65,26 @@ class TopologyError(ValueError):
         self.errors: List[dict] = list(errors or [])
 
 
-def _parse_error(code: str, detail: str) -> TopologyError:
-    return TopologyError(detail, errors=[{"pass": "parse", "error": code,
-                                          "detail": detail}])
+def _parse(table: Table, document: object) -> dict:
+    """``check`` with its refusal restated as a ``parse`` pass error."""
+    try:
+        return check(table, document)
+    except ShapeError as error:
+        raise TopologyError(str(error), errors=[
+            {"pass": "parse", **problem} for problem in error.errors]) \
+            from None
 
 
-def _reject_unknown_keys(data: dict, allowed: Sequence[str],
-                         where: str) -> None:
-    if not isinstance(data, dict):
-        raise _parse_error("bad_type", f"{where} must be a JSON object, "
-                                       f"got {type(data).__name__}")
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise TopologyError(
-            f"unknown {where} keys: {', '.join(unknown)}",
-            errors=[{"pass": "parse", "error": "unknown_key",
-                     "detail": f"{where} key {key!r}"}
-                    for key in unknown])
-
-
-_REQUIRED = object()
-
-
-def _field(data: dict, key: str, kind: type, where: str,
-           default: Any = _REQUIRED) -> Any:
-    """``data[key]`` if it is a ``kind`` (a bool is no int).  A missing
-    key takes ``default``; ``null`` is accepted where that is None."""
-    if key not in data:
-        if default is _REQUIRED:
-            raise _parse_error("missing_key",
-                               f"{where} key {key!r} is required")
-        return default
-    value = data[key]
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise _parse_error("bad_type",
-                           f"{where} key {key!r} must be {kind.__name__}, "
-                           f"got {type(value).__name__}")
-    return value
+HOST = Table("host", {"name": (str, REQUIRED), "address": (str, "local"),
+                      "cpus": (int, None), "max_workers": (int, None)})
+SUBFARM = Table("subfarm", {"name": (str, None), "host": (str, None)})
+TOPOLOGY = Table("topology", {
+    "name": (str, REQUIRED), "subfarms": (int, REQUIRED),
+    "hosts": ([HOST], None), "subfarm_specs": ([SUBFARM], None),
+    "subfarms_per_shard": (int, 1), "inmates_per_subfarm": (int, 2),
+    "metadata": (dict, None)})
+# Every subfarm takes at least one 802.1Q VLAN on the gateway trunk.
+_MAX_SUBFARMS = 4094
 
 
 class HostSpec:
@@ -132,25 +114,10 @@ class HostSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HostSpec":
-        _reject_unknown_keys(data, ("name", "address", "cpus",
-                                    "max_workers"), "host")
-        return cls(name=_field(data, "name", str, "host"),
-                   address=_field(data, "address", str, "host", "local"),
-                   cpus=_field(data, "cpus", int, "host", None),
-                   max_workers=_field(data, "max_workers", int, "host",
-                                      None))
+        return cls(**_parse(HOST, data))
 
     def __repr__(self) -> str:
         return f"<HostSpec {self.name} @ {self.address}>"
-
-
-_TOPOLOGY_KEYS = (
-    "name", "subfarms", "hosts", "subfarm_specs",
-    "subfarms_per_shard", "inmates_per_subfarm", "metadata",
-)
-_SUBFARM_KEYS = ("name", "host")
-# Every subfarm takes at least one 802.1Q VLAN on the gateway trunk.
-_MAX_SUBFARMS = 4094
 
 
 class FarmTopology:
@@ -193,24 +160,12 @@ class FarmTopology:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FarmTopology":
-        _reject_unknown_keys(data, _TOPOLOGY_KEYS, "topology")
-        specs = _field(data, "subfarm_specs", list, "topology", None)
-        for spec in specs or []:
-            _reject_unknown_keys(spec, _SUBFARM_KEYS, "subfarm")
-            for key in _SUBFARM_KEYS:
-                _field(spec, key, str, "subfarm", None)
-        hosts = _field(data, "hosts", list, "topology", None)
-        return cls(
-            name=_field(data, "name", str, "topology"),
-            subfarms=_field(data, "subfarms", int, "topology"),
-            hosts=[HostSpec.from_dict(h) for h in hosts or []] or None,
-            subfarm_specs=specs,
-            subfarms_per_shard=_field(data, "subfarms_per_shard", int,
-                                      "topology", 1),
-            inmates_per_subfarm=_field(data, "inmates_per_subfarm", int,
-                                       "topology", 2),
-            metadata=_field(data, "metadata", dict, "topology", None),
-        )
+        fields = _parse(TOPOLOGY, data)
+        # Overrides keep only the keys they were given, so a file's
+        # digest does not depend on which defaults it spelled out.
+        return cls(**dict(fields, subfarm_specs=data.get("subfarm_specs"),
+                          hosts=[HostSpec(**host)
+                                 for host in fields["hosts"] or ()]))
 
     def spec_digest(self) -> str:
         """sha256 over the canonical JSON of the declaration."""
@@ -288,7 +243,7 @@ def _pass_normalize(state: _CompileState) -> None:
     for index in range(topo.subfarms):
         override = topo.subfarm_specs[index] \
             if index < len(topo.subfarm_specs) else {}
-        unknown = sorted(set(override) - set(_SUBFARM_KEYS))
+        unknown = sorted(set(override) - set(SUBFARM.fields))
         for key in unknown:
             state.error("unknown_key",
                         f"subfarm {index} override key {key!r}")
@@ -364,9 +319,16 @@ def _pass_validate_placement(state: _CompileState) -> None:
                         f"host {shard['host']!r}")
 
 
-_PLACEMENT_KEYS = ("topology", "topology_digest", "passes_used",
-                   "subfarms", "shards", "hosts",
-                   "inmates_per_subfarm")
+PLACEMENT = Table("placement", {
+    "topology": (str, REQUIRED), "topology_digest": (str, REQUIRED),
+    "passes_used": ([str], None),
+    "subfarms": ([Table("placed subfarm", {
+        "index": (int, REQUIRED), "name": (str, REQUIRED),
+        "host": (str, REQUIRED)})], REQUIRED),
+    "shards": ([Table("shard", {
+        "index": (int, REQUIRED), "host": (str, REQUIRED),
+        "subfarms": ([str], REQUIRED)})], REQUIRED),
+    "hosts": (dict, None), "inmates_per_subfarm": (int, 2)})
 
 
 class Placement:
@@ -406,15 +368,15 @@ class Placement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Placement":
-        _reject_unknown_keys(data, _PLACEMENT_KEYS, "placement")
-        return cls(topology_name=data["topology"],
-                   topology_digest=data["topology_digest"],
-                   passes_used=data.get("passes_used") or [],
-                   subfarms=data["subfarms"],
-                   shards=data["shards"],
-                   hosts=data.get("hosts") or {},
-                   inmates_per_subfarm=data.get("inmates_per_subfarm",
-                                                2))
+        fields = _parse(PLACEMENT, data)
+        return cls(topology_name=fields["topology"],
+                   topology_digest=fields["topology_digest"],
+                   passes_used=fields["passes_used"] or [],
+                   subfarms=fields["subfarms"],
+                   shards=fields["shards"],
+                   hosts={name: _parse(HOST, info) for name, info
+                          in (fields["hosts"] or {}).items()},
+                   inmates_per_subfarm=fields["inmates_per_subfarm"])
 
     def digest(self) -> str:
         """sha256 over the canonical JSON of the placement."""

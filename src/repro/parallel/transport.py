@@ -40,9 +40,13 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.shape import NUMBER, REQUIRED, Table, check
 
 __all__ = [
+    "MASTER_FRAMES",
+    "SLOT_FRAMES",
     "FrameDecoder",
     "LocalTransport",
     "LocalWorkerHandle",
@@ -51,6 +55,7 @@ __all__ = [
     "encode_frame",
     "local_agents",
     "parse_endpoint",
+    "read_frame",
     "start_local_agent",
 ]
 
@@ -63,6 +68,38 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 class TransportError(RuntimeError):
     """A worker endpoint failed: died, unreachable, or spoke garbage."""
+
+
+#: Every frame of the wire by tag: the rows of its table are the
+#: frame's elements after the tag, in order.  A ``run`` spec needs a
+#: readable index here; the rest of it is the slot's to check, so that
+#: a bad spec fails its shard rather than the connection.
+MASTER_FRAMES: Dict[str, Table] = {
+    "run": Table("run frame", {"spec": (Table("run spec", {
+        "index": (int, REQUIRED)}, open=True), REQUIRED)}),
+}
+SLOT_FRAMES: Dict[str, Table] = {
+    "ready": Table("ready frame", {"info": (Table("host info", {
+        "host": (str, None), "host_cpus": (int, None),
+        "sched_cpus": (int, None)}, open=True), REQUIRED)}),
+    "start": Table("start frame", {"index": (int, REQUIRED)}),
+    "done": Table("done frame", {"index": (int, REQUIRED), "result": (
+        Table("shard result", {
+            "ok": (bool, REQUIRED), "payload": ((dict, type(None)), REQUIRED),
+            "error": ((dict, type(None)), REQUIRED),
+            "seconds": (NUMBER, REQUIRED)}), REQUIRED)}),
+}
+
+
+def read_frame(frames: Dict[str, Table], message) -> dict:
+    """``message``'s elements by name if it is one of ``frames``: a
+    list of a known tag and exactly its table's elements, each of the
+    right shape.  A ``ValueError`` otherwise."""
+    tag = message[0] if isinstance(message, list) and message else None
+    table = frames.get(tag) if isinstance(tag, str) else None
+    if table is None or len(message) != 1 + len(table.fields):
+        raise ValueError(f"not a frame of this wire: {message!r:.80}")
+    return check(table, dict(zip(table.fields, message[1:])))
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +180,8 @@ class LocalWorkerHandle:
         self.sock = sock
         self.proc = proc
         self._decoder = FrameDecoder()
-        self._open = True
+        # Why the connection is over, once it is.
+        self._closed: Optional[str] = None
 
     def send(self, message) -> None:
         try:
@@ -154,28 +192,35 @@ class LocalWorkerHandle:
                 f"(send to {self.host} failed: {exc})") from exc
 
     def drain(self) -> List[tuple]:
-        """All queued messages, non-blocking.  Raises
-        :class:`TransportError` (message contains ``died``) once the
-        slot is gone and nothing is left to deliver."""
+        """All queued messages, non-blocking, each a frame of
+        :data:`SLOT_FRAMES`.  Raises :class:`TransportError` once the
+        slot is gone (message contains ``died``) or has sent a frame
+        that is not one, and nothing before it is left to deliver."""
         out: List[tuple] = []
-        while self._open and select.select([self.sock], [], [], 0)[0]:
+        while self._closed is None \
+                and select.select([self.sock], [], [], 0)[0]:
             try:
                 data = self.sock.recv(1 << 16)
             except OSError:
                 data = b""
             if not data:
-                self._open = False
+                self._closed = \
+                    f"worker died (connection to {self.host} closed)"
                 break
-            out.extend(tuple(message)
-                       for message in self._decoder.feed(data))
-        if not self._open and not out:
-            raise TransportError(
-                f"worker died (connection to {self.host} closed)")
+            try:
+                for message in self._decoder.feed(data):
+                    read_frame(SLOT_FRAMES, message)
+                    out.append(tuple(message))
+            except (TransportError, ValueError) as exc:
+                self._closed = (f"worker {self.id} on {self.host} broke "
+                                f"the wire: {exc}")
+        if self._closed is not None and not out:
+            raise TransportError(self._closed)
         return out
 
     def close(self) -> None:
         """Close the connection, which ends the slot (mid-shard too)."""
-        self._open = False
+        self._closed = "closed by the master"
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:

@@ -34,14 +34,18 @@ import sys
 import threading
 import time
 import traceback
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.parallel import transport
-from repro.parallel.campaign import resolve_task
+from repro.parallel.campaign import ShardSpec, resolve_task
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultSpec
 
 __all__ = [
     "execute_spec",
     "host_info",
+    "read_spec",
     "serve",
     "worker_main",
 ]
@@ -79,33 +83,51 @@ def host_info() -> dict:
 # ----------------------------------------------------------------------
 # Shard execution — shared by the serial path and every worker kind
 # ----------------------------------------------------------------------
+def read_spec(spec_dict: dict) -> Tuple[ShardSpec, Optional["FaultSpec"]]:
+    """What a slot checks before it runs a shard: the spec against
+    :data:`~repro.parallel.campaign.SHARD_SPEC`, and its ``fault``, if
+    it has one, as a worker-kind :class:`~repro.faults.FaultSpec`.  A
+    ``ValueError`` otherwise.  It never imports or runs the task."""
+    spec = ShardSpec.from_dict(spec_dict)
+    if spec_dict.get("fault") is None:
+        return spec, None
+    from repro.faults.plan import WORKER_KINDS, FaultSpec
+
+    fault = FaultSpec.from_dict(spec_dict["fault"])
+    if fault.kind not in WORKER_KINDS:
+        raise ValueError(f"shard {spec.index} carries a {fault.kind} "
+                         "fault, which is not a worker fault")
+    return spec, fault
+
+
+def _failure(started: float, kind: str, message: str, **error) -> dict:
+    return {"ok": False, "payload": None,
+            "error": {"kind": kind, "message": message, **error},
+            "seconds": time.perf_counter() - started}
+
+
+def _caught(started: float, kind: str, exc: BaseException) -> dict:
+    return _failure(started, kind, f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc(limit=20))
+
+
 def execute_spec(spec_dict: dict) -> dict:
-    """Run one shard spec; always returns a structured result dict."""
+    """Run one shard spec; always returns a structured result dict.
+    A spec :func:`read_spec` refuses fails as kind ``payload``."""
     started = time.perf_counter()
-
-    def failure(kind: str, exc: BaseException) -> dict:
-        return {
-            "ok": False,
-            "payload": None,
-            "error": {
-                "kind": kind,
-                "message": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(limit=20),
-            },
-            "seconds": time.perf_counter() - started,
-        }
-
-    fault = spec_dict.get("fault")
+    try:
+        spec, fault = read_spec(spec_dict)
+    except ValueError as exc:
+        return _caught(started, "payload", exc)
     if fault is not None:
         outcome = _apply_worker_fault(fault, started)
         if outcome is not None:
             return outcome
 
     try:
-        fn = resolve_task(spec_dict["task"])
-        payload = fn(**spec_dict.get("params", {}))
+        payload = resolve_task(spec.task)(**spec.params)
     except Exception as exc:  # noqa: BLE001 — becomes a structured error
-        return failure("error", exc)
+        return _caught(started, "error", exc)
     try:
         if not isinstance(payload, dict):
             raise TypeError(
@@ -124,7 +146,7 @@ def execute_spec(spec_dict: dict) -> dict:
             from repro.verify.certificate import check_certificate
             check_certificate(payload["certificate"])
     except Exception as exc:  # noqa: BLE001
-        return failure("payload", exc)
+        return _caught(started, "payload", exc)
     result = {"ok": True, "payload": payload, "error": None,
               "seconds": time.perf_counter() - started}
     # The shard's farm is dead but cyclic, and a farm allocates too few
@@ -134,7 +156,7 @@ def execute_spec(spec_dict: dict) -> dict:
     return result
 
 
-def _apply_worker_fault(fault: dict, started: float) -> Optional[dict]:
+def _apply_worker_fault(fault: "FaultSpec", started: float) -> Optional[dict]:
     """Enact a worker-process fault stamped onto a shard spec.
 
     In a real worker the crash and hang are genuine (the scheduler's
@@ -142,38 +164,18 @@ def _apply_worker_fault(fault: dict, started: float) -> Optional[dict]:
     path they degrade to the structured failure the scheduler would
     eventually record, so running with ``workers=1`` stays hermetic.
     """
-    kind = fault.get("kind")
-    if kind == "worker_crash":
+    if fault.kind == "worker_crash":
         if _IN_WORKER:
-            os._exit(int(fault.get("exitcode", 134)))
-        return {
-            "ok": False,
-            "payload": None,
-            "error": {"kind": "crash",
-                      "message": "injected worker crash (serial path)"},
-            "seconds": time.perf_counter() - started,
-        }
-    if kind == "worker_hang":
+            os._exit(fault.exitcode)
+        return _failure(started, "crash",
+                        "injected worker crash (serial path)")
+    if fault.kind == "worker_hang":
         if _IN_WORKER:
-            time.sleep(float(fault.get("wall_seconds", 3600.0)))
+            time.sleep(fault.wall_seconds)
             return None  # killed long before this on any sane timeout
-        return {
-            "ok": False,
-            "payload": None,
-            "error": {"kind": "timeout",
-                      "message": "injected worker hang (serial path)"},
-            "seconds": time.perf_counter() - started,
-        }
-    if kind == "worker_error":
-        return {
-            "ok": False,
-            "payload": None,
-            "error": {"kind": "error",
-                      "message": str(fault.get("message",
-                                               "injected worker error"))},
-            "seconds": time.perf_counter() - started,
-        }
-    return None
+        return _failure(started, "timeout",
+                        "injected worker hang (serial path)")
+    return _failure(started, "error", fault.message)
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +206,14 @@ def worker_main(sock, worker_id: int) -> None:
         send(["ready", host_info()])
         while True:
             spec_dict = specs.get()
-            send(["start", spec_dict["index"]])
-            send(["done", spec_dict["index"], execute_spec(spec_dict)])
+            index = spec_dict["index"]
+            try:
+                read_spec(spec_dict)
+            except ValueError:
+                pass  # not run, so not announced: execute_spec fails it
+            else:
+                send(["start", index])
+            send(["done", index, execute_spec(spec_dict)])
     except (OSError, KeyboardInterrupt):
         pass
 
@@ -216,11 +224,13 @@ def _read_specs(sock, specs: queue.SimpleQueue) -> None:
     decoder = transport.FrameDecoder()
     try:
         for data in iter(lambda: sock.recv(1 << 16), b""):
-            for _run, spec_dict in decoder.feed(data):
-                specs.put(spec_dict)
-    # A broken connection, or a peer that does not speak the protocol,
-    # is a closed one.
-    except (OSError, ValueError, TypeError, transport.TransportError):
+            for message in decoder.feed(data):
+                specs.put(transport.read_frame(
+                    transport.MASTER_FRAMES, message)["spec"])
+    # A broken connection, or a peer that does not speak the protocol
+    # (anything but a run frame whose spec has an int index), is a
+    # closed one.
+    except (OSError, ValueError, transport.TransportError):
         pass
     os._exit(0)
 

@@ -24,6 +24,7 @@ import hashlib
 import json
 from typing import List, Optional
 
+from repro.shape import REQUIRED, Table, check
 from repro.verify.explore import ExplorationResult, explore
 from repro.verify.model import IsolationModel
 
@@ -48,31 +49,24 @@ _MAX_LEAKS = 16
 
 
 #: What the merge, the digest check and the grant index read from a
-#: farm or campaign certificate, and from each of its grants, by type.
-_FIELDS = {"label": str, "digest": str, "states_explored": int,
-           "leak_count": int, "result": str, "grants": list}
-_GRANT_FIELDS = {"subfarm": str, "vlan": str, "proto": str,
-                 "verdict": str, "ports": list}
-
-
-def _check_fields(what: str, document: object, fields: dict) -> None:
-    if not isinstance(document, dict):
-        raise ValueError(f"a {what} is an object, not {document!r:.40}")
-    for name, kind in fields.items():
-        value = document.get(name)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"{what} field {name!r} is not a "
-                             f"{kind.__name__}: {value!r:.40}")
+#: farm or campaign certificate, and from each of its grants.  Both
+#: are open: a certificate carries more than its readers check.
+GRANT = Table("grant", {
+    "subfarm": (str, REQUIRED), "vlan": (str, REQUIRED),
+    "proto": (str, REQUIRED), "verdict": (str, REQUIRED),
+    "ports": ([int], REQUIRED)}, open=True)
+CERTIFICATE = Table("certificate", {
+    "label": (str, REQUIRED), "digest": (str, REQUIRED),
+    "states_explored": (int, REQUIRED), "leak_count": (int, REQUIRED),
+    "result": (str, REQUIRED), "grants": ([GRANT], REQUIRED)}, open=True)
 
 
 def check_certificate(certificate: object) -> dict:
     """``certificate`` if it has the shape every reader of one relies
     on; a ValueError naming the first thing wrong otherwise.  A
     certificate comes back in a shard payload or from disk."""
-    _check_fields("certificate", certificate, _FIELDS)
-    for grant in certificate["grants"]:
-        _check_fields("grant", grant, _GRANT_FIELDS)
-        if [type(port) for port in grant["ports"]] != [int, int]:
+    for grant in check(CERTIFICATE, certificate)["grants"]:
+        if len(grant["ports"]) != 2:
             raise ValueError(f"grant ports are not [lo, hi]: {grant!r:.60}")
     return certificate
 

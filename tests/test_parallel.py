@@ -61,6 +61,23 @@ class TestShardSpec:
         with pytest.raises(ValueError):
             ShardSpec(0, NOOP_TASK, {"seed": object()})
 
+    @pytest.mark.parametrize("document", [
+        [], {"task": NOOP_TASK}, {"index": True, "task": NOOP_TASK},
+        {"index": 0, "task": 7}, {"index": 0, "task": None},
+        {"index": 0, "task": NOOP_TASK, "timeout": "x"},
+        {"index": 0, "task": NOOP_TASK, "params": [1]},
+        {"index": 0, "task": NOOP_TASK, "label": 5},
+        {"index": 0, "task": NOOP_TASK, "seed": 1},
+    ])
+    def test_wrong_shapes_come_back_as_value_errors(self, document):
+        # At the parent of the shard-spec table these were KeyError,
+        # TypeError, or accepted (index true as shard 1, task 7, an
+        # unknown key); a campaign carrying one fails the same way.
+        with pytest.raises(ValueError):
+            ShardSpec.from_dict(document)
+        with pytest.raises(ValueError):
+            Campaign.from_dict({"name": "c", "shards": [document]})
+
     def test_resolve_task_round_trip(self):
         assert resolve_task(task_name(noop_shard)) is noop_shard
         assert resolve_task(FARM_TASK) is streaming_farm_shard
@@ -109,6 +126,17 @@ class TestCampaign:
         with pytest.raises(ValueError):
             Campaign("dup", [ShardSpec(0, NOOP_TASK, {"seed": 1}),
                              ShardSpec(0, NOOP_TASK, {"seed": 2})])
+
+    @pytest.mark.parametrize("document", [
+        {}, [], {"name": "c"}, {"name": 1, "shards": []},
+        {"name": "c", "shards": {}}, {"name": "c", "shards": [1]},
+        {"name": "c", "shards": [], "base_seed": "x"},
+        {"name": "c", "shards": [], "metadata": []},
+        {"name": "c", "shards": [], "kind": "seed_sweep"},
+    ])
+    def test_wrong_shapes_come_back_as_value_errors(self, document):
+        with pytest.raises(ValueError):
+            Campaign.from_dict(document)
 
 
 class TestFarmConfigRoundTrip:

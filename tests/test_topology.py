@@ -150,6 +150,23 @@ class TestSerialization:
         assert {e["detail"] for e in excinfo.value.errors} == {
             "subfarm key 'cs'", "subfarm key 'vlans'"}
 
+    def test_wrong_placements_come_back_as_parse_errors(self):
+        """At the parent of the placement table a missing key, or a
+        subfarm, shard or host that was not an object, escaped as
+        KeyError, TypeError or AttributeError."""
+        good = two_host_topology().compile().to_dict()
+        for document in (
+                {}, [], dict(good, topology=None),
+                dict(good, subfarms=[{}]), dict(good, shards=[1]),
+                dict(good, shards=[dict(good["shards"][0], host=[])]),
+                dict(good, hosts={"alpha": 5}),
+                dict(good, passes_used="normalize"),
+                dict(good, inmates_per_subfarm=None),
+                dict(good, vlans=[100])):
+            with pytest.raises(TopologyError) as excinfo:
+                Placement.from_dict(document)
+            assert {e["pass"] for e in excinfo.value.errors} == {"parse"}
+
     def test_recompile_is_deterministic(self):
         topo = two_host_topology()
         assert topo.compile().digest() == topo.compile().digest()

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import os
 import select
+import socket
 import sys
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -227,6 +230,115 @@ class TestSlotLifetime:
         finally:
             agent.kill()
             agent.wait(timeout=10.0)
+
+
+@pytest.fixture(scope="class")
+def agent():
+    with local_agents(1) as endpoints:
+        yield endpoints[0]
+
+
+@pytest.mark.integration
+class TestSlotReadsTheWire:
+    """A slot checks every frame it is sent: a spec it cannot read
+    fails its shard as kind ``payload`` and the slot runs the next one;
+    a frame without a readable shard index closes the connection."""
+
+    @pytest.mark.parametrize("spec", [
+        {"index": 0, "task": 7},
+        {"index": 0, "task": NOOP, "params": {"seed": 1}, "fault": 3},
+        {"index": 0, "task": NOOP, "params": {"seed": 1},
+         "fault": {"kind": "cs_crash", "at": 1.0}},
+    ])
+    def test_a_bad_spec_fails_its_shard_only(self, agent, spec):
+        handle = SocketTransport([agent]).launch()
+        try:
+            await_frame(handle, "ready")
+            handle.send(["run", spec])
+            _done, index, result = await_frame(handle, "done")
+            assert (index, result["ok"], result["error"]["kind"]) \
+                == (0, False, "payload")
+            handle.send(["run", ShardSpec(1, NOOP, {"seed": 2}).to_dict()])
+            assert await_frame(handle, "done")[2]["ok"]
+        finally:
+            handle.close()
+
+    @pytest.mark.parametrize("message", [
+        ["run", 5], ["run", {"task": NOOP, "params": {"seed": 1}}],
+        ["run", {"index": "0", "task": NOOP}], ["run"], ["stop"]])
+    def test_an_unreadable_frame_closes_the_slot(self, agent, message):
+        handle = SocketTransport([agent]).launch()
+        try:
+            await_frame(handle, "ready")
+            handle.send(message)
+            with pytest.raises(TransportError, match="died"):
+                await_frame(handle, "done")
+        finally:
+            handle.close()
+
+    def test_closing_is_not_a_crash(self, capfd):
+        handle = LocalTransport().launch()
+        await_frame(handle, "ready")
+        handle.send(["run", 5])
+        with pytest.raises(TransportError, match="died"):
+            await_frame(handle, "done")
+        handle.close()
+        assert handle.proc.exitcode == 0
+        assert "Traceback" not in capfd.readouterr().err
+
+
+@contextmanager
+def fake_agent(reply):
+    """A localhost stand-in for a worker agent: each connection says
+    ``ready``, announces the shard of the first ``run`` it is sent,
+    answers ``reply`` and waits for the master to hang up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _addr = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(None)
+                conn.sendall(encode_frame(["ready", {"host": "fake"}]))
+                decoder, messages = FrameDecoder(), []
+                while not messages:
+                    messages = decoder.feed(conn.recv(1 << 16) or b"")
+                conn.sendall(encode_frame(["start", messages[0][1]["index"]])
+                             + encode_frame(reply))
+                while conn.recv(1 << 16):
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        listener.close()
+
+
+@pytest.mark.parametrize("reply", [
+    ["done", 99, {"ok": True, "payload": {}, "error": None, "seconds": 0}],
+    ["done", 0, {}],
+    ["done"],
+    ["done", 0, {"ok": True, "payload": None, "error": None, "seconds": 0}],
+    ["start", "0"],
+])
+def test_a_slot_that_breaks_the_wire_is_a_crash(reply):
+    # At the parent of the frame tables the first three raised KeyError
+    # or IndexError out of run_campaign.
+    campaign = Campaign("fake", [ShardSpec(0, NOOP, {"seed": 1})])
+    with fake_agent(reply) as endpoint:
+        result = run_campaign(campaign, workers=1, hosts=[endpoint])
+    (failure,) = result.failures
+    assert failure["kind"] == "crash"
+    assert "broke the wire" in failure["message"]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="stand-in is a sh script")
