@@ -43,7 +43,7 @@ from repro.net.router import Router
 from repro.services.resolver import RecursiveResolver
 from repro.services.sink import CatchAllSink
 from repro.services.smtp_sink import SmtpSink
-from repro.shape import Table, check
+from repro.shape import NUMBER, Table, check
 from repro.sim.engine import Simulator
 
 
@@ -57,57 +57,58 @@ class FarmConfig:
     behaviour.
     """
 
-    #: Field -> default, in :meth:`to_dict` order.
-    FIELDS: Dict[str, Any] = {
-        "seed": 0,
+    #: Field -> (kind read by :meth:`from_dict`, default), in
+    #: :meth:`to_dict` order (kinds as in :mod:`repro.shape`).
+    FIELDS: Dict[str, Tuple[Any, Any]] = {
+        "seed": (int, 0),
         # Given as CIDR strings, held as IPv4Network: four /24s for
         # the inmate population when None, one for control (§6.7).
-        "global_networks": None,
-        "control_network": "198.18.100.0/24",
-        "inbound_mode": InboundMode.FORWARD,
-        "safety_max_flows_per_window": 100000,
-        "safety_max_flows_per_destination": 50000,
-        "safety_window": 60.0,
-        "telemetry": False,
-        "telemetry_snapshot_interval": None,
+        "global_networks": ([str], None),
+        "control_network": (str, "198.18.100.0/24"),
+        "inbound_mode": (str, InboundMode.FORWARD),
+        "safety_max_flows_per_window": (int, 100000),
+        "safety_max_flows_per_destination": (int, 50000),
+        "safety_window": (NUMBER, 60.0),
+        "telemetry": (bool, False),
+        "telemetry_snapshot_interval": (NUMBER, None),
         # Decision journal (repro.obs.journal, docs/OBSERVABILITY.md):
         # off by default so a plain run schedules no sampling events
         # and stays byte-identical to a build without the journal.
-        "journal": False,
-        "journal_capacity": 65536,
-        "journal_sample_interval": None,
+        "journal": (bool, False),
+        "journal_capacity": (int, 65536),
+        "journal_sample_interval": (NUMBER, None),
         # Fault plane + shim resilience (repro.faults,
         # docs/RESILIENCE.md).  An empty plan and verdict_deadline=None
         # leave every run path byte-identical to a build without the
         # fault plane.  None, a plan dict or a spec list are coerced
         # to a FaultPlan.
-        "fault_plan": None,
-        "verdict_deadline": None,
-        "verdict_retries": 2,
-        "retry_backoff": 2.0,
-        "pending_policy": "drop",
-        "lifecycle_retry_limit": 2,
-        "lifecycle_retry_backoff": 30.0,
+        "fault_plan": ((dict, list), None),
+        "verdict_deadline": (NUMBER, None),
+        "verdict_retries": (int, 2),
+        "retry_backoff": (NUMBER, 2.0),
+        "pending_policy": (str, "drop"),
+        "lifecycle_retry_limit": (int, 2),
+        "lifecycle_retry_backoff": (NUMBER, 30.0),
         # Malice barrier (docs/HARDENING.md): what happens when a
         # parser rejects ingested bytes — "isolate" aborts the
         # offending flow, "fail-stop" freezes the subfarm's ingest,
         # "count" only records.
-        "malice_policy": "isolate",
-        "quarantine_max_frames": 1024,
+        "malice_policy": (str, "isolate"),
+        "quarantine_max_frames": (int, 1024),
         # Match-action flow tables (docs/PERFORMANCE.md): entries for
         # flows idle longer than flowtable_idle_timeout (or older than
         # flowtable_hard_timeout) are evicted; the flow's next packet
         # is a table miss and re-installs them.  None (the default)
         # leaves entries resident for the life of the flow.
-        "flowtable_idle_timeout": None,
-        "flowtable_hard_timeout": None,
+        "flowtable_idle_timeout": (NUMBER, None),
+        "flowtable_hard_timeout": (NUMBER, None),
         # Batched trunk delivery: batch_window=None (default) keeps
         # per-frame delivery; 0.0 coalesces only naturally coincident
         # frames (timing untouched); a positive value quantizes trunk
         # delivery to window boundaries so concurrent inmates' frames
         # arrive together, in one receive_frame_batch call per instant
         # (each frame is still ingested on its own).
-        "batch_window": None,
+        "batch_window": (NUMBER, None),
     }
 
     def __init__(self, **values: Any) -> None:
@@ -121,15 +122,11 @@ class FarmConfig:
             raise TypeError(
                 f"FarmConfig() got unexpected keyword arguments "
                 f"{sorted(unknown)}")
-        for name, default in self.FIELDS.items():
+        for name, (_kind, default) in self.FIELDS.items():
             setattr(self, name, values.get(name, default))
-        networks = self.global_networks or [
-            "198.18.0.0/24", "198.18.1.0/24", "198.18.2.0/24",
-            "198.18.3.0/24"]
-        if not isinstance(networks, (list, tuple)):
-            raise ValueError(
-                f"global_networks must be a list, not {networks!r}")
-        self.global_networks = [IPv4Network(cidr) for cidr in networks]
+        self.global_networks = [IPv4Network(cidr) for cidr in (
+            self.global_networks or ["198.18.0.0/24", "198.18.1.0/24",
+                                     "198.18.2.0/24", "198.18.3.0/24"])]
         self.control_network = IPv4Network(self.control_network)
         self.inbound_mode = InboundMode(self.inbound_mode)
         self.fault_plan = FaultPlan.coerce(self.fault_plan)
@@ -166,11 +163,10 @@ class FarmConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FarmConfig":
-        """Rebuild a config from :meth:`to_dict` output (unknown keys
-        rejected so config drift fails loudly)."""
-        return cls(**check(Table("FarmConfig", {
-            name: (object, default)
-            for name, default in cls.FIELDS.items()}), data))
+        """Rebuild a config from :meth:`to_dict` output.  Every field's
+        kind is checked and unknown keys are rejected, so a bad document
+        or config drift fails here, loudly, not later in a worker."""
+        return cls(**check(Table("FarmConfig", cls.FIELDS), data))
 
     def __repr__(self) -> str:
         return (f"<FarmConfig seed={self.seed} "

@@ -188,9 +188,6 @@ class FaultPlan:
             return value
         if isinstance(value, dict):
             return cls.from_dict(value)
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(
-                f"a fault plan is an object or a spec list, not {value!r}")
         return cls(value)
 
     # ------------------------------------------------------------------
@@ -277,8 +274,6 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        if isinstance(data, dict) and not data.get("specs"):
-            data = dict(data, specs=None)  # any empty value is no specs
         return cls(check(FAULT_PLAN, data)["specs"] or ())
 
     def digest(self) -> str:

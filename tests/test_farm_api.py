@@ -274,6 +274,20 @@ class TestFarmConfigShape:
         with pytest.raises(ValueError):
             FarmConfig.from_dict(document)
 
+    @pytest.mark.parametrize("document", [
+        {"seed": "x"}, {"seed": 1.5}, {"safety_window": "x"},
+        {"safety_max_flows_per_window": None}, {"telemetry": None},
+        {"journal": 1}, {"journal_capacity": True},
+        {"verdict_retries": 2.0}, {"global_networks": ""},
+        {"control_network": 5}, {"quarantine_max_frames": "1024"},
+        {"fault_plan": {"specs": ""}},
+    ])
+    def test_every_field_is_typed_at_from_dict(self, document):
+        # Before the typed field table each of these built a config,
+        # which then failed later, inside a worker, or never.
+        with pytest.raises(ValueError, match="field"):
+            FarmConfig.from_dict(document)
+
     def test_keyword_that_is_not_a_field_is_a_type_error(self):
         with pytest.raises(TypeError, match="cs_probe_interval"):
             FarmConfig(seed=1, cs_probe_interval=2.5)
