@@ -40,13 +40,16 @@ chaos-quick:
 # Fuzz smoke, under two hash seeds: fixed-seed hostile inputs through
 # every parser (twice, asserting a byte-identical corpus digest), broken
 # policy programs through the DSL parser, worker frames through the
-# campaign transport, fault plans through FaultPlan.from_dict, farm
+# campaign transport, then five JSON documents broken by one
+# table-driven mutator: fault plans through FaultPlan.from_dict, farm
 # configs through FarmConfig.from_dict and back, topologies through
-# FarmTopology.from_dict, compile and the Placement round trip, hostile
-# frames through a live farm trunk under both isolate and fail-stop
-# malice policies, then the first hundred router differential scripts
-# — all compared against the digests tracked in FUZZ_quick.json
-# (docs/HARDENING.md).
+# FarmTopology.from_dict, compile and the Placement round trip,
+# isolation certificates through the digest check, the campaign merge
+# and GrantIndex, and shard specs through what a slot checks before it
+# runs one (never importing the task).  Then hostile frames through a
+# live farm trunk under both isolate and fail-stop malice policies,
+# and the first hundred router differential scripts — all compared
+# against the digests tracked in FUZZ_quick.json (docs/HARDENING.md).
 fuzz-quick:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m repro.fuzz --quick || exit 1; \

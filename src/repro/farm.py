@@ -52,7 +52,7 @@ class FarmConfig:
 
     Each field is stated once, in :attr:`FIELDS`: the constructor's
     keywords and defaults, :meth:`to_dict` and :meth:`from_dict`'s
-    unknown-key check all follow that table, and
+    shape check all follow that table, and
     ``tests/test_farm_api.py`` names the test showing each one changes
     behaviour.
     """

@@ -14,8 +14,10 @@ seed-driven fuzzing subsystem with four pieces:
   IRC, FTP, SOCKS, DHCP, ARP, GRE, TCP options, Ethernet/IPv4 framing,
   the shim protocol itself, policy programs, the campaign
   transport's worker frames, fault plans, farm configs, farm
-  topologies and isolation certificates), registered as named
-  :class:`~repro.fuzz.generators.FuzzTarget` entries.
+  topologies, isolation certificates and shard specs — the last five
+  broken by one mutator drawn from their :mod:`repro.shape` tables),
+  registered as named :class:`~repro.fuzz.generators.FuzzTarget`
+  entries.
 * :mod:`repro.fuzz.corpus` + :mod:`repro.fuzz.runner` — a corpus
   store with a shrinking minimizer, a replay-regression runner (every
   crash found becomes a pinned test under ``tests/fuzz_corpus/``), and

@@ -7,6 +7,10 @@ what reach the deep branches.  Each generator here builds a valid
 message with the real serializers, then breaks it in a
 protocol-specific way chosen by the caller's ``random.Random``.
 
+The JSON documents the farm accepts from outside share one breaker,
+:func:`wrong_shapes`, which swaps, drops or adds fields, entries and
+containers where the document's :mod:`repro.shape` table names them.
+
 Every generator is paired with the parser it attacks in
 :data:`TARGETS`.  The parser contract under test: *succeed, or raise*
 :class:`~repro.net.errors.ParseError`.  The stream engines (SMTP, IRC,
@@ -27,7 +31,8 @@ from repro.core.dsl import DslError, parse_program
 from repro.core.shim import RequestShim, ResponseShim, peek_length
 from repro.core.verdicts import Verdict
 from repro.farm import FarmConfig
-from repro.faults.plan import KINDS, FaultPlan, FaultSpec
+from repro.faults.plan import (FAULT_PLAN, FAULT_SPEC, KINDS, WORKER_KINDS,
+                               FaultPlan, FaultSpec)
 from repro.gateway.nat import InboundMode
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.arp import ArpMessage
@@ -49,15 +54,20 @@ from repro.net.packet import (
 )
 from repro.net.smtp import SmtpServerEngine, Strictness
 from repro.net.socks import Socks4Reply, Socks4Request
-from repro.parallel.topology import FarmTopology, Placement, TopologyError
+from repro.parallel.campaign import SHARD_SPEC, ShardSpec
+from repro.parallel.topology import (TOPOLOGY, FarmTopology, Placement,
+                                     TopologyError)
 from repro.parallel.transport import (
     MAX_FRAME_BYTES,
     FrameDecoder,
     TransportError,
 )
+from repro.parallel.worker import read_spec
 from repro.services.dhcp import DhcpMessage
+from repro.shape import Table
 from repro.verify import (GrantIndex, canonical_digest, merge_certificates,
                           verify_digest)
+from repro.verify.certificate import CERTIFICATE
 
 
 class FuzzTarget(NamedTuple):
@@ -455,147 +465,116 @@ def _parse_dsl(data: bytes) -> object:
         raise ParseError("dsl", str(error)) from None
 
 
-#: Values of the wrong shape for a fault-plan or farm-config field,
-#: kind or container.
-_FAULT_BREAKS = ("tarpit", "", None, True, -1, 1e308, [], [1], {}, {"a": 1})
+#: Values of the wrong shape for a field, an entry or a document.
+_WRONG_SHAPES = ("tarpit", "", None, True, -1, 1e308, [], [1], {},
+                 {"a": 1})
 
 
-def gen_fault_plan(rng: random.Random) -> bytes:
-    """A fault plan as the JSON a campaign payload carries: up to three
-    well-formed specs, then up to two fields, specs or containers
-    swapped for a value of the wrong shape."""
-    specs = [{"kind": kind, "at": 10.0, "shard": rng.randrange(4),
-              "start": 5.0, "end": rng.choice((None, 50.0)),
-              rng.choice(("delay", "jitter", "extra")): 0.5}
-             for kind in rng.sample(sorted(KINDS), rng.randrange(4))]
-    plan: object = {"specs": specs}
-    # Fields first, then whole specs, then the containers.
-    for case in sorted(rng.randrange(4) for _ in range(rng.randrange(3))):
-        wrong = rng.choice(_FAULT_BREAKS)
-        if case == 0 and specs:
-            rng.choice(specs)[rng.choice(FaultSpec.__slots__)] = wrong
-        elif case == 1 and specs:
-            specs[rng.randrange(len(specs))] = wrong
-        elif case == 2:
-            plan = {"specs": wrong}
-        elif case == 3:
-            plan = wrong
-    return json.dumps(plan, sort_keys=True).encode()
+def _sites(table: Table, document: dict) -> list:
+    """Every object in ``document`` with the table that describes it,
+    and every list in it (with ``None``), depth first."""
+    sites = [(table, document)]
+    for key, (kind, _default) in table.fields.items():
+        value = document.get(key)
+        if isinstance(kind, list) and isinstance(value, list):
+            sites.append((None, value))
+            if isinstance(kind[0], Table):
+                for item in value:
+                    sites += _sites(kind[0], item)
+        elif isinstance(kind, Table) and isinstance(value, dict):
+            sites += _sites(kind, value)
+    return sites
 
 
-def _parse_fault_plan(data: bytes) -> object:
-    """Build the plan and ask it what the isolation verifier and the
-    campaign runner ask; ``ValueError`` is the taxonomy's ParseError
-    here (what ``json`` refuses, the plan never sees)."""
-    try:
-        document = json.loads(data)
-    except (ValueError, RecursionError) as error:
-        raise ParseError("fault-plan", f"not JSON: {error}") from None
-    try:
-        plan = FaultPlan.from_dict(document)
-    except ValueError as error:
-        raise ParseError("fault-plan", str(error)) from None
+def wrong_shapes(rng: random.Random, table: Table, document: dict) -> bytes:
+    """``document``, well-formed for ``table``, as JSON after up to two
+    wrong-shape swaps drawn from the table: a field it names (present
+    or not) set to a value of the wrong shape or dropped, an unknown
+    key added, a list entry swapped, or the whole document swapped."""
+    sites = _sites(table, document)
+    for _ in range(rng.randrange(3)):
+        site, node = rng.choice(sites)
+        wrong, case = rng.choice(_WRONG_SHAPES), rng.randrange(4)
+        if case == 0:
+            document = wrong
+        elif site is None:
+            if node:
+                node[rng.randrange(len(node))] = wrong
+        elif case == 1:
+            node.pop(rng.choice(list(site.fields)), None)
+        else:
+            node[rng.choice([*site.fields, "tarpit"])] = wrong
+    return json.dumps(document, sort_keys=True).encode()
+
+
+def _document_target(name: str, table: Table, build, read,
+                     refused=ValueError) -> FuzzTarget:
+    """A solo target for a JSON document: ``build`` makes a well-formed
+    one, :func:`wrong_shapes` breaks it, and ``read`` asks of it what
+    its loader's callers ask.  ``refused`` is the taxonomy's ParseError
+    here; what ``json`` itself refuses never reaches ``read``."""
+    def parse(data: bytes) -> object:
+        try:
+            document = json.loads(data)
+        except (ValueError, RecursionError) as error:
+            raise ParseError(name, f"not JSON: {error}") from None
+        try:
+            return read(document)
+        except refused as error:
+            raise ParseError(name, str(error)) from None
+
+    return FuzzTarget(name, lambda rng: wrong_shapes(rng, table, build(rng)),
+                      parse)
+
+
+def _fault_plan(rng: random.Random) -> dict:
+    """Up to three well-formed specs, as a campaign payload carries
+    them."""
+    return {"specs": [{"kind": kind, "at": 10.0, "shard": rng.randrange(4),
+                       "start": 5.0, "end": rng.choice((None, 50.0)),
+                       rng.choice(("delay", "jitter", "extra")): 0.5}
+                      for kind in rng.sample(sorted(KINDS),
+                                             rng.randrange(4))]}
+
+
+def _read_fault_plan(document: object) -> object:
+    """What the isolation verifier and the campaign runner ask."""
+    plan = FaultPlan.from_dict(document)
     return (plan.verdict_outage_windows("fuzz", 2), plan.worker_faults(),
             plan.digest())
 
 
-def gen_farm_config(rng: random.Random) -> bytes:
-    """A farm config as the JSON a campaign shard carries: a
-    well-formed config, then up to two fields or the document itself
-    swapped for a value of the wrong shape."""
-    config = FarmConfig(
+def _farm_config(rng: random.Random) -> dict:
+    """A config as a campaign shard carries it to its worker."""
+    return FarmConfig(
         seed=rng.randrange(1 << 16),
         inbound_mode=rng.choice(list(InboundMode)),
         journal=rng.random() < 0.5,
         batch_window=rng.choice((None, 0.0, 0.005)),
         fault_plan=[{"kind": "cs_crash", "at": 10.0}]
         if rng.random() < 0.5 else None).to_dict()
-    document: object = config
-    # Fields first, then the container.
-    for case in sorted(rng.randrange(3) for _ in range(rng.randrange(3))):
-        wrong = rng.choice(_FAULT_BREAKS)
-        if case < 2:
-            config[rng.choice(sorted(config))] = wrong
-        else:
-            document = wrong
-    return json.dumps(document, sort_keys=True).encode()
 
 
-def _parse_farm_config(data: bytes) -> object:
-    """Build the config a worker would, then ship it back: ``to_dict``
-    must round-trip through ``from_dict``.  ``ValueError`` is the
-    taxonomy's ParseError here."""
-    try:
-        document = json.loads(data)
-    except (ValueError, RecursionError) as error:
-        raise ParseError("farm-config", f"not JSON: {error}") from None
-    try:
-        config = FarmConfig.from_dict(document)
-    except ValueError as error:
-        raise ParseError("farm-config", str(error)) from None
-    out = config.to_dict()
-    if FarmConfig.from_dict(out).to_dict() != out:
-        raise AssertionError("FarmConfig.to_dict does not round-trip")
-    return out
-
-
-def gen_topology(rng: random.Random) -> bytes:
-    """A topology as a ``--topology FILE`` holds it: a well-formed
-    declaration (hosts, pins, packing), then up to two fields of the
-    topology, a host or a subfarm override, or the document itself
-    swapped for a value of the wrong shape."""
+def _topology(rng: random.Random) -> dict:
+    """A declaration as a ``--topology FILE`` holds it: hosts, pinned
+    and unpinned subfarm overrides, packing, metadata."""
     hosts = [{"name": f"h{i}", "address": rng.choice(("local", "h:9000")),
               "cpus": rng.choice((None, 8)),
               "max_workers": rng.choice((None, 2))}
              for i in range(rng.randrange(1, 4))]
     subfarms = rng.randrange(1, 7)
     pins = [None] + [host["name"] for host in hosts]
-    overrides = [{"name": f"sf{i}", "host": rng.choice(pins)}
-                 for i in range(rng.randrange(subfarms + 1))]
-    topology = {"name": "fuzz", "subfarms": subfarms, "hosts": hosts,
-                "subfarm_specs": overrides,
-                "subfarms_per_shard": rng.randrange(1, 4),
-                "inmates_per_subfarm": rng.randrange(1, 5),
-                "metadata": {"seed": rng.randrange(100)}}
-    document: object = topology
-    # Fields first, then whole entries, then the container.
-    for case in sorted(rng.randrange(4) for _ in range(rng.randrange(3))):
-        wrong = rng.choice(_FAULT_BREAKS)
-        entries = rng.choice((hosts, overrides)) or hosts
-        if case == 0:
-            topology[rng.choice(sorted(topology))] = wrong
-        elif case == 1:
-            entry = rng.choice(entries)
-            entry[rng.choice(sorted(entry))] = wrong
-        elif case == 2:
-            entries[rng.randrange(len(entries))] = wrong
-        else:
-            document = wrong
-    return json.dumps(document, sort_keys=True).encode()
+    return {"name": "fuzz", "subfarms": subfarms, "hosts": hosts,
+            "subfarm_specs": [{"name": f"sf{i}", "host": rng.choice(pins)}
+                              for i in range(rng.randrange(subfarms + 1))],
+            "subfarms_per_shard": rng.randrange(1, 4),
+            "inmates_per_subfarm": rng.randrange(1, 5),
+            "metadata": {"seed": rng.randrange(100)}}
 
 
-def _parse_topology(data: bytes) -> object:
-    """Parse, compile and ship the placement back: ``to_dict`` must
-    round-trip through ``from_dict``.  ``TopologyError`` is the
-    taxonomy's ParseError here."""
-    try:
-        document = json.loads(data)
-    except (ValueError, RecursionError) as error:
-        raise ParseError("topology", f"not JSON: {error}") from None
-    try:
-        placement = FarmTopology.from_dict(document).compile()
-    except TopologyError as error:
-        raise ParseError("topology", str(error)) from None
-    out = placement.to_dict()
-    if Placement.from_dict(out).to_dict() != out:
-        raise AssertionError("Placement.to_dict does not round-trip")
-    return out
-
-
-def gen_certificate(rng: random.Random) -> bytes:
+def _certificate(rng: random.Random) -> dict:
     """A self-signed isolation certificate as a shard payload carries
-    it, then up to two fields of it or of a grant, a whole grant, or
-    the document itself swapped for a value of the wrong shape."""
+    it back (zero to three grants)."""
     grants = [{"subfarm": "sf0", "vlan": rng.choice(("*", "3", "2-9")),
                "proto": rng.choice(("tcp", "udp")),
                "ports": sorted(rng.randrange(1, 1024) for _ in range(2)),
@@ -606,30 +585,28 @@ def gen_certificate(rng: random.Random) -> bytes:
                    "grants": grants, "leak_count": 0,
                    "counterexample": None, "result": "CONTAINED"}
     certificate["digest"] = canonical_digest(certificate)
-    document: object = certificate
-    for case in sorted(rng.randrange(4) for _ in range(rng.randrange(3))):
-        wrong = rng.choice(_FAULT_BREAKS)
-        if case == 3:
-            document = wrong
-        elif case == 2 and grants:
-            grants[rng.randrange(len(grants))] = wrong
-        else:
-            entry = rng.choice(grants) if case and grants else certificate
-            entry[rng.choice(sorted(entry))] = wrong
-    return json.dumps(document, sort_keys=True).encode()
+    return certificate
 
 
-def _parse_certificate(data: bytes) -> object:
-    """What ``verify``, the campaign merge and the runtime cross-check
-    ask of a certificate: its digest, a merge with itself, the grant
-    covering a flow.  ``ValueError`` is the taxonomy's ParseError."""
-    try:
-        document = json.loads(data)
-        return (verify_digest(document),
-                merge_certificates([document, document]),
-                GrantIndex(document).cover(3, "tcp", "FORWARD", 80, "sf0"))
-    except (ValueError, RecursionError) as error:
-        raise ParseError("certificate", str(error)) from None
+def _shard_spec(rng: random.Random) -> dict:
+    """A spec as ``run_campaign`` sends it to a slot, with a worker
+    fault stamped on it half the time."""
+    index = rng.randrange(64)
+    spec = ShardSpec(index, "repro.parallel.tasks:noop_shard",
+                     {"seed": rng.randrange(1 << 31)},
+                     timeout=rng.choice((None, 30.0)),
+                     label=rng.choice((None, "fuzz"))).to_dict()
+    if rng.random() < 0.5:
+        spec["fault"] = FaultSpec(rng.choice(sorted(WORKER_KINDS)),
+                                  shard=index).to_dict()
+    return spec
+
+
+def _shipped_back(out: dict, load) -> dict:
+    """``out``, which ``load`` must read back to the same ``to_dict``."""
+    if load(out).to_dict() != out:
+        raise AssertionError(f"{load.__qualname__} does not round-trip")
+    return out
 
 
 def _worker_message(rng: random.Random) -> list:
@@ -766,19 +743,40 @@ TARGETS: Dict[str, FuzzTarget] = {
 #: analyst text, a worker agent's port reads length-prefixed JSON
 #: frames from anyone, a fault plan is the isolation verifier's other
 #: input, a farm config rides in every campaign shard, a topology is
-#: read from the file ``--topology`` names, and an isolation
-#: certificate comes back in a shard payload or from disk.
+#: read from the file ``--topology`` names, an isolation certificate
+#: comes back in a shard payload or from disk, and a shard spec is
+#: what a slot reads off the campaign wire.
 SOLO_TARGETS: Dict[str, FuzzTarget] = {
     "dsl": FuzzTarget("dsl", gen_dsl, _parse_dsl),
     "worker_frame": FuzzTarget("worker-frame", gen_worker_frame,
                                _parse_worker_frame),
-    "fault_plan": FuzzTarget("fault-plan", gen_fault_plan,
-                             _parse_fault_plan),
-    "farm_config": FuzzTarget("farm-config", gen_farm_config,
-                              _parse_farm_config),
-    "topology": FuzzTarget("topology", gen_topology, _parse_topology),
-    "certificate": FuzzTarget("certificate", gen_certificate,
-                              _parse_certificate),
+    "fault_plan": _document_target("fault-plan", FAULT_PLAN, _fault_plan,
+                                   _read_fault_plan),
+    # Build the config a worker would, then ship it back.
+    "farm_config": _document_target(
+        "farm-config", Table("FarmConfig", FarmConfig.FIELDS), _farm_config,
+        lambda document: _shipped_back(
+            FarmConfig.from_dict(document).to_dict(), FarmConfig.from_dict)),
+    # Parse, compile and ship the placement back.
+    "topology": _document_target(
+        "topology", TOPOLOGY, _topology,
+        lambda document: _shipped_back(
+            FarmTopology.from_dict(document).compile().to_dict(),
+            Placement.from_dict), refused=TopologyError),
+    # What verify, the campaign merge and the runtime cross-check ask.
+    "certificate": _document_target(
+        "certificate", CERTIFICATE, _certificate,
+        lambda document: (
+            verify_digest(document), merge_certificates([document] * 2),
+            GrantIndex(document).cover(3, "tcp", "FORWARD", 80, "sf0"))),
+    # What a slot checks before it runs a shard (it never imports the
+    # task), then the spec shipped back.  The fault is mutated as a
+    # fault spec, not as an opaque object.
+    "shard_spec": _document_target(
+        "shard-spec", Table("ShardSpec", dict(
+            SHARD_SPEC.fields, fault=(FAULT_SPEC, None))), _shard_spec,
+        lambda document: _shipped_back(
+            read_spec(document)[0].to_dict(), ShardSpec.from_dict)),
 }
 
 __all__ = ["FuzzTarget", "SOLO_TARGETS", "TARGETS", "hostile_frame"]

@@ -81,7 +81,8 @@ def fuzz_target(target: FuzzTarget, seed: int, iterations: int,
                 corpus_dir: Optional[str] = None) -> dict:
     """The same loop over one target alone: the policy-language parser,
     the worker frame decoder, the fault plan, the farm config, the
-    topology or an isolation certificate (docs/HARDENING.md)."""
+    topology, an isolation certificate or a shard spec
+    (docs/HARDENING.md)."""
     return _fuzz_targets({target.name: target}, seed, iterations,
                          corpus_dir)
 
@@ -226,9 +227,9 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
               pinned_path: Optional[str] = None) -> dict:
     """The ``make fuzz-quick`` smoke: parser loop (twice, for the
     determinism digest), policy-program, worker-frame, fault-plan,
-    farm-config, topology and certificate loops, farm loop under both
-    isolate and fail-stop, the first hundred router scripts, all
-    compared against the tracked ``FUZZ_quick.json``."""
+    farm-config, topology, certificate and shard-spec loops, farm loop
+    under both isolate and fail-stop, the first hundred router
+    scripts, all compared against the tracked ``FUZZ_quick.json``."""
     violations: List[str] = []
 
     parsers = fuzz_parsers(seed, iterations)

@@ -98,7 +98,7 @@ class HostSpec:
     or not (the merged ``hosts`` record says where shards ran).
     """
 
-    __slots__ = ("name", "address", "cpus", "max_workers")
+    __slots__ = tuple(HOST.fields)
 
     def __init__(self, name: str, address: str = "local",
                  cpus: Optional[int] = None,
@@ -109,8 +109,7 @@ class HostSpec:
         self.max_workers = max_workers
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "address": self.address,
-                "cpus": self.cpus, "max_workers": self.max_workers}
+        return {key: getattr(self, key) for key in HOST.fields}
 
     @classmethod
     def from_dict(cls, data: dict) -> "HostSpec":
@@ -148,15 +147,9 @@ class FarmTopology:
     # Serialization — strict both ways, digest-stable
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "subfarms": self.subfarms,
-            "hosts": [host.to_dict() for host in self.hosts],
-            "subfarm_specs": [dict(s) for s in self.subfarm_specs],
-            "subfarms_per_shard": self.subfarms_per_shard,
-            "inmates_per_subfarm": self.inmates_per_subfarm,
-            "metadata": self.metadata,
-        }
+        return dict({key: getattr(self, key) for key in TOPOLOGY.fields},
+                    hosts=[host.to_dict() for host in self.hosts],
+                    subfarm_specs=[dict(s) for s in self.subfarm_specs])
 
     @classmethod
     def from_dict(cls, data: dict) -> "FarmTopology":

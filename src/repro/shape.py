@@ -1,21 +1,16 @@
 """One shape check for every document the farm accepts from outside.
 
 Fault plans, farm configs, ``--topology`` files, isolation
-certificates, shard specs and the frames of the worker wire all arrive
-as JSON, from a file, a shard payload or a socket.  Each is described
-by a :class:`Table` of ``{key: (kind, default)}`` rows, and
-:func:`check` is the one validator that reads a document against its
-table.  It refuses a document that is not an object, every key the
-table does not name (unless the table is open), a missing required key
-and a value of the wrong kind, naming where the offending value sits
-(``topology.hosts[1] field 'max_workers'``), and returns the
-document's fields with the defaults filled in.
-
-A kind is a type, a tuple of types, a nested :class:`Table`, or a
-one-element list ``[kind]`` meaning a list of that kind.  A bool is
-not an ``int`` or a number; ``object`` accepts anything; ``null`` is
-accepted where the default is ``None``.  What a well-shaped value
-*means* (a range, an enum member, a CIDR) stays with the loader.
+certificates, shard specs and worker-wire frames arrive as JSON from a
+file, a payload or a socket.  Each is described by a :class:`Table` of
+``{key: (kind, default)}`` rows, and :func:`check` reads a document
+against it: an object, no key the table does not name (unless it is
+open), every required key, every value of its kind.  A kind is a type
+or tuple of types (a bool is no ``int`` or number, ``object`` is
+anything), a nested :class:`Table`, or ``[kind]`` for a list of that
+kind; ``null`` passes where the default is ``None``.  What a
+well-shaped value *means* (a range, an enum, a CIDR) stays with the
+loader.
 """
 
 from __future__ import annotations
@@ -32,8 +27,8 @@ NUMBER = (int, float)
 
 
 class Table(NamedTuple):
-    """A document's rows, ``{key: (kind, default)}`` in order.  An
-    ``open`` table lets keys it does not name through unchecked."""
+    """A document's rows in order; an ``open`` table lets keys it does
+    not name through unchecked."""
 
     name: str
     fields: Dict[str, Tuple[Any, Any]]
@@ -41,10 +36,10 @@ class Table(NamedTuple):
 
 
 class ShapeError(ValueError):
-    """A document of the wrong shape.  The message names the path;
-    ``errors`` holds one ``{"error": code, "detail": text}`` per
-    problem, ``code`` being ``bad_type``, ``missing_key`` or
-    ``unknown_key`` and ``detail`` naming the table and the key."""
+    """The message names where the problem is
+    (``topology.hosts[1] field 'max_workers'``); ``errors`` holds one
+    ``{"error": code, "detail": text}`` per problem, the code being
+    ``bad_type``, ``missing_key`` or ``unknown_key``."""
 
     def __init__(self, message: str, errors: List[dict]) -> None:
         super().__init__(message)
@@ -58,16 +53,13 @@ def _refusal(code: str, where: str, subject: str,
 
 
 def check(table: Table, document: Any, path: str = "") -> dict:
-    """``document``'s fields if it has ``table``'s shape, defaults
-    filled (an open table keeps its other keys too); a
-    :class:`ShapeError` for the first problem otherwise, or for every
-    unknown key at once.  ``path`` names the document in messages
-    (the table's name by default)."""
+    """``document``'s fields, defaults filled (and, for an open table,
+    its other keys); a :class:`ShapeError` for the first problem, or
+    for every unknown key at once.  ``path`` names the document."""
     path = path or table.name
     if not isinstance(document, dict):
-        raise _refusal("bad_type", path, table.name,
-                       "must be a JSON object, got "
-                       f"{type(document).__name__}")
+        raise _refusal("bad_type", path, table.name, "must be a JSON "
+                       f"object, got {type(document).__name__}")
     unknown = [] if table.open else sorted(set(document) - set(table.fields))
     if unknown:
         raise ShapeError(f"unknown {path} keys: {unknown}",

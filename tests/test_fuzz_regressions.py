@@ -269,6 +269,48 @@ class TestCertificateTarget:
                     load(document)
 
 
+class TestShardSpecTarget:
+    """Shard specs as a slot reads them off the campaign wire: JSON
+    passes the shard-spec table, carries a worker fault if any, and
+    round-trips, or raises ``ValueError`` (``ParseError`` through the
+    target)."""
+
+    def test_loop_is_deterministic_and_escape_free(self):
+        target = SOLO_TARGETS["shard_spec"]
+        first = fuzz_target(target, seed=42, iterations=300)
+        assert first["escapes"] == []
+        assert first["ok"] and first["parse_errors"]  # both sides reached
+        assert first["digest"] == \
+            fuzz_target(target, seed=42, iterations=300)["digest"]
+
+    def test_it_stays_out_of_the_tracked_round_robin(self):
+        assert SOLO_TARGETS["shard_spec"].name not in TARGETS
+
+    def test_it_never_imports_the_task(self):
+        spec = b'{"index": 0, "task": "no_such_module:task"}'
+        assert SOLO_TARGETS["shard_spec"].parse(spec)["task"] \
+            == "no_such_module:task"
+
+    def test_wrong_shapes_come_back_as_value_errors(self):
+        """The escapes at the parent of this target (pinned as
+        ``shard-spec__*.bin``): a spec that was not an object or had no
+        index or task, an index or params of the wrong shape, and a
+        fault that was not an object reached a subscript, ``int()``,
+        ``dict()`` or ``.get`` as KeyError, TypeError or
+        AttributeError.  A fault a worker cannot enact is refused too."""
+        from repro.parallel.worker import read_spec
+
+        good = {"index": 0, "task": "repro.parallel.tasks:noop_shard"}
+        for document in (
+                [], 1, None, {}, {"index": 0}, {"task": good["task"]},
+                dict(good, index={}), dict(good, params=-1),
+                dict(good, fault=[1]), dict(good, fault=-1),
+                dict(good, fault={"kind": "cs_crash", "at": 1.0}),
+                dict(good, fault={"kind": "worker_crash"})):
+            with pytest.raises(ValueError):
+                read_spec(document)
+
+
 class TestMinimizer:
     def test_shrinks_while_predicate_holds(self):
         # Failure depends only on a marker byte: the minimizer should

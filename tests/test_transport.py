@@ -296,6 +296,19 @@ def fake_agent(reply):
     listener.settimeout(0.1)
     stop = threading.Event()
 
+    def slot(conn):
+        conn.sendall(encode_frame(["ready", {"host": "fake"}]))
+        decoder, messages = FrameDecoder(), []
+        while not messages:
+            data = conn.recv(1 << 16)
+            if not data:
+                return
+            messages = decoder.feed(data)
+        conn.sendall(encode_frame(["start", messages[0][1]["index"]])
+                     + encode_frame(reply))
+        while conn.recv(1 << 16):
+            pass
+
     def serve():
         while not stop.is_set():
             try:
@@ -304,14 +317,7 @@ def fake_agent(reply):
                 continue
             with conn:
                 conn.settimeout(None)
-                conn.sendall(encode_frame(["ready", {"host": "fake"}]))
-                decoder, messages = FrameDecoder(), []
-                while not messages:
-                    messages = decoder.feed(conn.recv(1 << 16) or b"")
-                conn.sendall(encode_frame(["start", messages[0][1]["index"]])
-                             + encode_frame(reply))
-                while conn.recv(1 << 16):
-                    pass
+                slot(conn)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
