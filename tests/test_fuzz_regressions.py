@@ -292,11 +292,11 @@ class TestShardSpecTarget:
             == "no_such_module:task"
 
     def test_wrong_shapes_come_back_as_value_errors(self):
-        """The escapes at the parent of this target (pinned as
-        ``shard-spec__*.bin``): a spec that was not an object or had no
-        index or task, an index or params of the wrong shape, and a
-        fault that was not an object reached a subscript, ``int()``,
-        ``dict()`` or ``.get`` as KeyError, TypeError or
+        """The escapes this target found before the shard-spec table
+        (pinned as ``shard-spec__*.bin``): a spec that was not an
+        object or had no index or task, an index or params of the wrong
+        shape, and a fault that was not an object reached a subscript,
+        ``int()``, ``dict()`` or ``.get`` as KeyError, TypeError or
         AttributeError.  A fault a worker cannot enact is refused too."""
         from repro.parallel.worker import read_spec
 

@@ -70,7 +70,7 @@ class TestShardSpec:
         {"index": 0, "task": NOOP_TASK, "seed": 1},
     ])
     def test_wrong_shapes_come_back_as_value_errors(self, document):
-        # At the parent of the shard-spec table these were KeyError,
+        # Before the shard-spec table these were KeyError,
         # TypeError, or accepted (index true as shard 1, task 7, an
         # unknown key); a campaign carrying one fails the same way.
         with pytest.raises(ValueError):

@@ -151,7 +151,7 @@ class TestSerialization:
             "subfarm key 'cs'", "subfarm key 'vlans'"}
 
     def test_wrong_placements_come_back_as_parse_errors(self):
-        """At the parent of the placement table a missing key, or a
+        """Before the placement table a missing key, or a
         subfarm, shard or host that was not an object, escaped as
         KeyError, TypeError or AttributeError."""
         good = two_host_topology().compile().to_dict()

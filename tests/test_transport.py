@@ -337,7 +337,7 @@ def fake_agent(reply):
     ["start", "0"],
 ])
 def test_a_slot_that_breaks_the_wire_is_a_crash(reply):
-    # At the parent of the frame tables the first three raised KeyError
+    # Before the frame tables the first three raised KeyError
     # or IndexError out of run_campaign.
     campaign = Campaign("fake", [ShardSpec(0, NOOP, {"seed": 1})])
     with fake_agent(reply) as endpoint:
