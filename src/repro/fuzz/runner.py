@@ -222,14 +222,13 @@ def _digests(summary: dict, prefix: str = "") -> Dict[str, str]:
     return found
 
 
-def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
-              frames: int = QUICK_FRAMES,
-              pinned_path: Optional[str] = None) -> dict:
-    """The ``make fuzz-quick`` smoke: parser loop (twice, for the
-    determinism digest), policy-program, worker-frame, fault-plan,
-    farm-config, topology, certificate and shard-spec loops, farm loop
-    under both isolate and fail-stop, the first hundred router
-    scripts, all compared against the tracked ``FUZZ_quick.json``."""
+def quick_summary(seed: int = QUICK_SEED,
+                  iterations: int = QUICK_ITERATIONS,
+                  frames: int = QUICK_FRAMES) -> dict:
+    """The quick smoke's loops, summarised as ``FUZZ_quick.json`` pins
+    them: parser loop (twice, for the determinism digest), the solo
+    loops, farm loop under both isolate and fail-stop, the first
+    hundred router scripts."""
     violations: List[str] = []
 
     parsers = fuzz_parsers(seed, iterations)
@@ -275,7 +274,7 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
         violations.append(f"router script crashed the bare router: "
                           f"{type(exc).__name__}: {exc}")
 
-    summary = {
+    return {
         "experiment": "fuzz-quick",
         "seed": seed,
         "parsers": {
@@ -307,19 +306,31 @@ def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
         "violations": violations,
     }
 
-    path = pinned_path if pinned_path is not None \
-        else os.path.join(REPO_ROOT, PINNED_NAME)
-    if os.path.exists(path):
-        with open(path) as handle:
-            tracked = _digests(json.load(handle))
-        current = _digests(summary)
-        drifted = sorted(name for name in tracked.keys() & current.keys()
-                         if tracked[name] != current[name])
-        violations.extend(
-            f"{name} drifted from {PINNED_NAME} ({tracked[name]} != "
-            f"{current[name]})" for name in drifted)
-        summary["pinned"] = {"path": os.path.basename(path),
-                             "match": not drifted}
+
+def pin_violations(summary: dict, path: str) -> List[str]:
+    """Each digest that drifted from, has no pin in or is no longer
+    produced for the pin file at ``path``; or that file is missing."""
+    name = os.path.basename(path)
+    if not os.path.exists(path):
+        return [f"{name} is missing"]
+    with open(path) as handle:
+        tracked = _digests(json.load(handle))
+    current = _digests(summary)
+    return [f"{key}: {tracked.get(key, 'no pin')} in {name}, "
+            f"{current.get(key, 'not produced')} now"
+            for key in sorted(tracked.keys() | current.keys())
+            if tracked.get(key) != current.get(key)]
+
+
+def run_quick(seed: int = QUICK_SEED, iterations: int = QUICK_ITERATIONS,
+              frames: int = QUICK_FRAMES,
+              pinned_path: Optional[str] = None) -> dict:
+    """``make fuzz-quick``: :func:`quick_summary` vs the pin file."""
+    summary = quick_summary(seed, iterations, frames)
+    path = pinned_path or os.path.join(REPO_ROOT, PINNED_NAME)
+    drift = pin_violations(summary, path)
+    summary["violations"] += drift
+    summary["pinned"] = {"path": os.path.basename(path), "match": not drift}
     return summary
 
 

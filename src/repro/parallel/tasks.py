@@ -3,24 +3,17 @@
 A *shard task* is a module-level function a spawn-started worker can
 import by name (``"repro.parallel.tasks:streaming_farm_shard"``); it
 takes JSON-safe keyword arguments and returns a JSON-safe dict.  The
-tasks here are the workloads the parallel benchmark and the parity
-tests share; experiments define their own next to the harness they
-wrap (see :mod:`repro.experiments.scalability`).
+tasks here are the workloads the parity tests and the experiment
+registry's sweeps share; experiments define their own next to the
+harness they wrap (see :mod:`repro.experiments.scalability`).
 
 ``streaming_farm_shard`` is the canonical one: a complete farm —
 gateway, subfarm routers, containment servers, host TCP stacks — under
 a streaming workload, returning counters, a telemetry snapshot, and a
 determinism digest.  :func:`farm_digest` is that digest's one recipe
-(flow logs, counters, upstream trace bytes, the metric surface);
-``bench_hotpath``, ``bench_obs_overhead`` and the fault-baseline tests
-call it rather than spell it out again.
-
-``detonation_wait`` models the *real-time* cost that dominates
-production campaigns — §6.3's multi-hour malware runs and §7.3's 6-10
-minute raw-iron reimage cycles are wall-clock time during which the
-coordinating process just waits.  The simulation itself runs on a
-virtual clock, so the wait is an explicit, clearly-labeled stand-in
-for that operational reality; it never affects results or digests.
+(flow logs, counters, upstream trace bytes, the metric surface); the
+pinned seed-farm digests (``tests/golden/farm_digests.json``) and the
+fault-baseline tests call it rather than spell it out again.
 
 The ``*_shard`` helpers at the bottom exist for failure-mode tests and
 pool smoke checks only.
@@ -117,8 +110,8 @@ def farm_digest(farm) -> Tuple[str, dict]:
 
 def streaming_farm_shard(seed: int, subfarms: int = 2, inmates: int = 2,
                          rounds: int = 60, duration: float = 120.0,
-                         telemetry: bool = True, journal: bool = False,
-                         detonation_wait: float = 0.0) -> dict:
+                         telemetry: bool = True,
+                         journal: bool = False) -> dict:
     """One complete farm run: N subfarms of streaming inmates against
     an external echo server, digested deterministically."""
     farm = Farm(FarmConfig(seed=seed, telemetry=telemetry,
@@ -134,10 +127,6 @@ def streaming_farm_shard(seed: int, subfarms: int = 2, inmates: int = 2,
     counters = {name: dict(sub.router.counters)
                 for name, sub in farm.subfarms.items()}
     digest, snapshot = farm_digest(farm)
-
-    if detonation_wait > 0:
-        time.sleep(detonation_wait)
-
     result = {
         "seed": seed,
         "virtual_seconds": farm.sim.now,

@@ -1,15 +1,46 @@
-"""Shared test fixtures and topology builders."""
+"""Shared test fixtures and topology builders: a flat LAN, a Python
+call counter, a standalone router harness, and the seed farm runs the
+tracked digests pin (``tests/golden/farm_digests.json``)."""
 
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import sys
 from collections import Counter
+from time import perf_counter
 from typing import Callable, List, Tuple
 
-from repro.net.addresses import IPv4Address
+from repro.core.policy import AllowAll
+from repro.core.server import CS_DEFAULT_PORT
+from repro.core.shim import ResponseShim
+from repro.core.verdicts import Verdict
+from repro.farm import Farm, FarmConfig
+from repro.gateway.egress import Egress
+from repro.gateway.nat import AddressPool, InboundMode, NatTable
+from repro.gateway.router import SubfarmRouter
+from repro.gateway.safety import SafetyFilter
+from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
+from repro.net.flow import FiveTuple
 from repro.net.host import Host
 from repro.net.link import Link, Switch
+from repro.net.packet import (
+    ACK,
+    EthernetFrame,
+    IPv4Packet,
+    PSH,
+    SYN,
+    TCPSegment,
+    UDPDatagram,
+)
+from repro.parallel.tasks import (
+    TARGET_IP,
+    TARGET_PORT,
+    _echo_server,
+    _streaming_image,
+    farm_digest,
+)
 from repro.sim.engine import Simulator
 
 
@@ -50,3 +81,224 @@ def lan(
         Link(sim, host.attach_port(), switch.attach_port(access_vlan=1))
         hosts.append(host)
     return sim, switch, hosts
+
+
+# ----------------------------------------------------------------------
+# Router micro-harness
+# ----------------------------------------------------------------------
+class CaptureEgress(Egress):
+    """An egress that only appends what is sent through it to a log."""
+
+    def __init__(self, log: list) -> None:
+        self.log = log
+
+    def send(self, packet) -> None:
+        self.log.append(packet)
+
+
+class RouterHarness:
+    """A SubfarmRouter wired to capture-only egress stubs, driven by
+    hand-crafted packets so no host stacks or links dilute the
+    measurement.  The harness is the router's egress side — what the
+    Gateway is in a farm: one :class:`CaptureEgress` per target, all
+    VLANs appending to ``to_vlan``, all service hosts to
+    ``to_service``."""
+
+    def __init__(self, seed: int = 7) -> None:
+        self.sim = Simulator(seed=seed)
+        internal = AddressPool([IPv4Network("10.100.0.0/16")])
+        global_pool = AddressPool([IPv4Network("198.18.0.0/24")])
+        self.nat = NatTable(internal, global_pool,
+                            inbound_mode=InboundMode.FORWARD)
+        self.to_vlan = []
+        self.to_service = []
+        self.upstream = []
+        self.upstream_egress = CaptureEgress(self.upstream)
+        self._captures = {}
+        self.router = SubfarmRouter(
+            sim=self.sim,
+            name="bench",
+            vlan_ids={2},
+            nat=self.nat,
+            safety=SafetyFilter(10 ** 9, 10 ** 9, 60.0),
+            cs_ip=IPv4Address("10.3.0.1"),
+            cs_tcp_port=CS_DEFAULT_PORT,
+            cs_udp_port=CS_DEFAULT_PORT,
+            gateway_ip=IPv4Address("10.100.0.1"),
+            dns_ip=None,
+            egress=self,
+        )
+        # Bound capture so multi-hundred-thousand-packet pumps do not
+        # hold every frame (identical cost in both modes).
+        self.router.trace.max_records = 256
+        self.mac = MacAddress("02:00:00:00:00:02")
+
+    def vlan_egress(self, vlan: int) -> CaptureEgress:
+        egress = self._captures.get(vlan)
+        if egress is None:
+            egress = self._captures[vlan] = CaptureEgress(self.to_vlan)
+        return egress
+
+    def service_egress(self, ip: IPv4Address) -> CaptureEgress:
+        egress = self._captures.get(ip)
+        if egress is None:
+            egress = self._captures[ip] = CaptureEgress(self.to_service)
+        return egress
+
+    def drain(self) -> None:
+        self.to_vlan.clear()
+        self.to_service.clear()
+        self.upstream.clear()
+
+    def inmate_tcp(self, vlan, src, sport, dport, seq, ack, flags,
+                   payload=b"") -> None:
+        segment = TCPSegment(sport, dport, seq, ack, flags, payload=payload)
+        packet = IPv4Packet(src, IPv4Address(TARGET_IP), segment)
+        frame = EthernetFrame(self.mac, MacAddress("02:00:00:00:00:01"),
+                              packet, vlan=vlan)
+        self.router.inmate_frame(frame, vlan)
+
+    def _shim_flow(self, record, target, target_port):
+        if target is None:
+            return record.orig
+        orig = record.orig
+        return FiveTuple(orig.orig_ip, orig.orig_port, IPv4Address(target),
+                         target_port if target_port is not None
+                         else orig.resp_port, orig.proto)
+
+    def establish_flow(self, vlan: int, sport: int,
+                       verdict: Verdict = Verdict.FORWARD,
+                       target=None, target_port=None, rate=None,
+                       client_isn: int = 1000, dst_isn: int = 9000):
+        """Run one TCP flow through the full shim protocol to its
+        post-verdict phase and return the FlowRecord."""
+        router = self.router
+        inmate_ip = self.nat.bind(vlan)
+        cs_isn = 5000
+        self.inmate_tcp(vlan, inmate_ip, sport, TARGET_PORT,
+                        client_isn, 0, SYN)
+        record = router.flows()[-1]
+        mux = record.mux_port
+        # Containment server SYN-ACK.
+        synack = TCPSegment(CS_DEFAULT_PORT, mux, cs_isn,
+                            client_isn + 1, SYN | ACK)
+        router.service_frame(EthernetFrame(
+            MacAddress("02:00:00:00:00:03"), self.mac,
+            IPv4Packet(router.cs_ip, inmate_ip, synack)))
+        # Client ACK completes the handshake; the request shim goes in.
+        self.inmate_tcp(vlan, inmate_ip, sport, TARGET_PORT,
+                        client_isn + 1, cs_isn + 1, ACK)
+        # Containment server answers with the response shim.
+        shim = ResponseShim(self._shim_flow(record, target, target_port),
+                            verdict, policy="bench", rate=rate).to_bytes()
+        response = TCPSegment(CS_DEFAULT_PORT, mux, cs_isn + 1,
+                              client_isn + 1 + record.c2s_inj,
+                              ACK | PSH, payload=shim)
+        router.service_frame(EthernetFrame(
+            MacAddress("02:00:00:00:00:03"), self.mac,
+            IPv4Packet(router.cs_ip, inmate_ip, response)))
+        if verdict & (Verdict.DROP | Verdict.REWRITE):
+            return record  # no handoff: terminal or CS-coupled
+        # Destination SYN-ACK completes the handoff.  REFLECT preserves
+        # the spoofed original destination; REDIRECT answers from the
+        # new target; FORWARD/LIMIT from the original one.
+        if record.spoof_preserve:
+            reply_ip, local_ip = record.orig.resp_ip, inmate_ip
+        else:
+            reply_ip = record.dst_ip
+            local_ip = record.nat_global or inmate_ip
+        dst_synack = TCPSegment(record.dst_port, sport, dst_isn,
+                                client_isn + 1, SYN | ACK)
+        router.upstream_packet(IPv4Packet(reply_ip, local_ip, dst_synack))
+        return record
+
+    def inmate_udp(self, vlan, src, sport, dport, payload=b"") -> None:
+        datagram = UDPDatagram(sport, dport, payload)
+        packet = IPv4Packet(src, IPv4Address(TARGET_IP), datagram)
+        frame = EthernetFrame(self.mac, MacAddress("02:00:00:00:00:01"),
+                              packet, vlan=vlan)
+        self.router.inmate_frame(frame, vlan)
+
+    def establish_udp_flow(self, vlan: int, sport: int,
+                           verdict: Verdict = Verdict.FORWARD,
+                           target=None, target_port=None, rate=None,
+                           first_payload: bytes = b"hello"):
+        """Run one UDP flow through the shim protocol (first datagram
+        diverted to the CS, shim response applies the verdict)."""
+        router = self.router
+        inmate_ip = self.nat.bind(vlan)
+        self.inmate_udp(vlan, inmate_ip, sport, TARGET_PORT, first_payload)
+        record = router.flows()[-1]
+        shim = ResponseShim(self._shim_flow(record, target, target_port),
+                            verdict, policy="bench", rate=rate).to_bytes()
+        reply = UDPDatagram(CS_DEFAULT_PORT, record.mux_port, shim)
+        router.service_frame(EthernetFrame(
+            MacAddress("02:00:00:00:00:03"), self.mac,
+            IPv4Packet(router.cs_ip, inmate_ip, reply)))
+        return record
+
+
+# ----------------------------------------------------------------------
+# Seed farm runs
+# ----------------------------------------------------------------------
+def streaming_farm(seed: int, inmates: int, rounds: int, **config):
+    """The digest-pinned farm, not yet run: one ``bench`` subfarm of
+    streaming inmates under ``AllowAll`` against an external echo host.
+    Returns ``(farm, subfarm)``."""
+    farm = Farm(FarmConfig(seed=seed, telemetry=True, **config))
+    _echo_server(farm.add_external_host("echo", TARGET_IP))
+    sub = farm.create_subfarm("bench")
+    sub.set_default_policy(AllowAll())
+    for _ in range(inmates):
+        sub.create_inmate(image_factory=_streaming_image(rounds))
+    return farm, sub
+
+
+def run_farm(seed: int, inmates: int, rounds: int,
+             duration: float) -> dict:
+    farm, sub = streaming_farm(seed, inmates, rounds)
+    started = perf_counter()
+    farm.run(until=duration)
+    elapsed = perf_counter() - started
+    counters = dict(sub.router.counters)
+    digest, _ = farm_digest(farm)
+    return {
+        "events": farm.sim.events_processed,
+        "packets_relayed": counters["packets_relayed"],
+        "flows_created": counters["flows_created"],
+        "virtual_seconds": farm.sim.now,
+        "seconds": round(elapsed, 4),
+        "events_per_sec": round(farm.sim.events_processed / elapsed)
+        if elapsed else 0,
+        "packets_per_sec": round(counters["packets_relayed"] / elapsed)
+        if elapsed else 0,
+        "digest": digest,
+    }
+
+
+def run_farm_flow_digest(seed: int, inmates: int, rounds: int,
+                         duration: float,
+                         batch_window=None) -> dict:
+    """``run_farm`` with a configurable trunk batch window, digesting
+    only wire-level evidence (counters, flow log, upstream trace
+    bytes).  Telemetry stays out: a positive window legitimately
+    shifts event-stride gauge samples without changing any wire
+    behavior, and this digest must isolate the latter."""
+    farm, sub = streaming_farm(seed, inmates, rounds,
+                               batch_window=batch_window)
+    farm.run(until=duration)
+    counters = dict(sub.router.counters)
+    digest = hashlib.sha256()
+    digest.update(json.dumps(counters, sort_keys=True).encode())
+    for entry in sub.router.flow_log:
+        digest.update(
+            f"{entry.timestamp:.9f}|{entry.vlan}|{entry.verdict}"
+            f"|{entry.orig}|{entry.policy}".encode())
+    for rec in farm.gateway.upstream_trace.records:
+        digest.update(rec.frame.to_bytes())
+    return {
+        "batch_window": batch_window,
+        "digest": digest.hexdigest(),
+        "counters": counters,
+        "flowtable": sub.router.flowtable.stats(),
+    }

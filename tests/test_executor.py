@@ -20,26 +20,19 @@ frame at a time or through ``inmate_frame_batch`` in arbitrary chunks.
 
 from __future__ import annotations
 
-import os
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
-                                "benchmarks"))
-from bench_hotpath import RouterHarness, TARGET_IP, TARGET_PORT  # noqa: E402
-
-from repro.core.shim import RequestShim  # noqa: E402
-from repro.core.verdicts import Verdict  # noqa: E402
-from repro.gateway.flowtable import (  # noqa: E402
+from repro.core.shim import RequestShim
+from repro.core.verdicts import Verdict
+from repro.gateway.flowtable import (
     EMIT_SERVICE,
     EMIT_UPSTREAM,
     EMIT_VLAN,
     apply,
 )
-from repro.net.addresses import IPv4Address, MacAddress  # noqa: E402
-from repro.net.packet import (  # noqa: E402
+from repro.net.addresses import IPv4Address, MacAddress
+from repro.net.packet import (
     ACK,
     EthernetFrame,
     FIN,
@@ -50,6 +43,7 @@ from repro.net.packet import (  # noqa: E402
     TCPSegment,
     UDPDatagram,
 )
+from tests.helpers import RouterHarness, TARGET_IP, TARGET_PORT
 
 VLAN = 2
 SPORT = 40000

@@ -12,25 +12,12 @@ cannot: both paths drifting together.
 
 from __future__ import annotations
 
-import os
-import sys
-
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
-                                "benchmarks"))
-from bench_hotpath import (  # noqa: E402
-    RouterHarness,
-    TARGET_IP,
-    TARGET_PORT,
-    run_farm,
-)
-
-from repro.core.server import CS_DEFAULT_PORT  # noqa: E402
-from repro.core.verdicts import Verdict  # noqa: E402
-from repro.gateway import housekeeping  # noqa: E402
-from repro.net.addresses import IPv4Address  # noqa: E402
-from repro.net.packet import (  # noqa: E402
+from repro.core.server import CS_DEFAULT_PORT
+from repro.core.verdicts import Verdict
+from repro.gateway import housekeeping
+from repro.net.packet import (
     ACK,
     FIN,
     IPv4Packet,
@@ -39,7 +26,8 @@ from repro.net.packet import (  # noqa: E402
     TCPSegment,
     UDPDatagram,
 )
-from tests.golden import expected, wire_digest  # noqa: E402
+from tests.golden import expected, wire_digest
+from tests.helpers import RouterHarness, TARGET_PORT, run_farm
 
 VLAN = 2
 SPORT = 40000

@@ -4,58 +4,35 @@ The fault plane's determinism contract (docs/RESILIENCE.md): an empty
 `FaultPlan` installs nothing — no injector, no RNG streams, no
 scheduled events, no telemetry families — so a faultless farm's run
 digest is byte-identical to the pre-fault-plane build.  These tests
-pin that against the digests tracked in `BENCH_hotpath.json` and
-`BENCH_parallel.json`.
+pin that against the seed-farm and campaign digests tracked in
+`tests/golden/farm_digests.json`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-
 import pytest
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO, "benchmarks"))
-
-from bench_hotpath import run_farm  # noqa: E402
-from bench_parallel_scaling import build_sweep  # noqa: E402
-
-from tests.golden import wire_digest  # noqa: E402
-
-from repro.core.policy import AllowAll  # noqa: E402
-from repro.farm import Farm, FarmConfig  # noqa: E402
-from repro.faults import FaultPlan  # noqa: E402
-from repro.parallel.pool import run_campaign  # noqa: E402
+from repro.core.policy import AllowAll
+from repro.farm import Farm, FarmConfig
+from repro.faults import FaultPlan
 from repro.parallel.tasks import TARGET_IP, _echo_server, \
-    _streaming_image, farm_digest  # noqa: E402
+    _streaming_image, farm_digest
+from tests.golden import FARM_PINS, farm_pin, wire_digest
+from tests.helpers import run_farm
 
 pytestmark = pytest.mark.integration
 
 
-def tracked(name):
-    with open(os.path.join(REPO, name)) as handle:
-        return json.load(handle)
-
-
 class TestTrackedBaselines:
-    def test_farm_digest_matches_bench_hotpath(self):
-        """run_farm with the tracked determinism parameters must still
-        produce the digest recorded in BENCH_hotpath.json."""
-        baseline = tracked("BENCH_hotpath.json")["determinism"]["digest"]
-        result = run_farm(seed=11, inmates=3, rounds=40, duration=120.0)
-        assert result["digest"] == baseline
+    def test_farm_digest_matches_the_pin(self):
+        """run_farm on the seed farm must still produce the pinned
+        digest."""
+        assert FARM_PINS["farm"]() == farm_pin("farm")
 
-    def test_campaign_digest_matches_bench_parallel(self):
+    def test_campaign_digest_matches_the_pin(self):
         """The tracked 8-shard campaign digest must be reproducible
         serially, fault plane present but empty."""
-        baseline = tracked("BENCH_parallel.json")["campaign"]["digest"]
-        campaign = build_sweep(8, 11, 0.0, subfarms=2, inmates=4,
-                               rounds=100, duration=200.0)
-        result = run_campaign(campaign, workers=1)
-        assert result.ok
-        assert result.digest == baseline
+        assert FARM_PINS["campaign"]() == farm_pin("campaign")
 
 
 #: The pins that folded the whole ``gq.telemetry/1`` snapshot JSON, as
@@ -64,8 +41,7 @@ class TestTrackedBaselines:
 #: are what its per-flow span recorder had seen by the end of each
 #: run).
 V1_PINS = [
-    # BENCH_hotpath.json /determinism/digest, BENCH_obs.json
-    # /digest_identity/*.
+    # tests/golden/farm_digests.json "farm", as it read under /1.
     ((11, 3, 40, 120.0), {"spans": 15, "traces": 3, "evicted": 0},
      lambda result: result["digest"],
      "8621645c7cf7d77b3152a43ec6d82e83873871c4ce28b6f4a5ad71575637a91f"),
@@ -79,7 +55,7 @@ V1_PINS = [
 
 
 @pytest.mark.parametrize("params, tracer, fold, old_pin", V1_PINS,
-                         ids=["bench-hotpath", "golden-farm-seed-23"])
+                         ids=["seed-farm", "golden-farm-seed-23"])
 def test_v1_digest_reconstructs(monkeypatch, params, tracer, fold,
                                 old_pin):
     """Schema /1 -> /2 moved the snapshot's own keys and not one other

@@ -12,23 +12,13 @@ surfaces riding along.
 
 from __future__ import annotations
 
-import os
-import sys
-
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
-                                "benchmarks"))
-from bench_hotpath import (  # noqa: E402
-    RouterHarness,
-    run_farm_flow_digest,
-)
-
-from repro.farm import FarmConfig  # noqa: E402
-from repro.gateway import handoff  # noqa: E402
-from repro.gateway.router import SubfarmRouter  # noqa: E402
-from repro.net.addresses import IPv4Address, MacAddress  # noqa: E402
-from repro.net.packet import (  # noqa: E402
+from repro.farm import FarmConfig
+from repro.gateway import handoff
+from repro.gateway.router import SubfarmRouter
+from repro.net.addresses import IPv4Address, MacAddress
+from repro.net.packet import (
     ACK,
     EthernetFrame,
     IPv4Packet,
@@ -36,16 +26,17 @@ from repro.net.packet import (  # noqa: E402
     SYN,
     TCPSegment,
 )
-from repro.net.link import Link, Port  # noqa: E402
-from repro.net.wirebatch import BatchOutput, WireBatch  # noqa: E402
-from repro.parallel.tasks import (  # noqa: E402
+from repro.net.link import Link, Port
+from repro.net.wirebatch import BatchOutput, WireBatch
+from repro.parallel.tasks import (
     TARGET_IP,
     TARGET_PORT,
     _echo_server,
     _streaming_image,
 )
-from repro.sim.engine import Simulator  # noqa: E402
-from tests.golden import expected, wire_digest  # noqa: E402
+from repro.sim.engine import Simulator
+from tests.golden import expected, wire_digest
+from tests.helpers import RouterHarness, run_farm_flow_digest
 
 VLAN = 2
 SPORT = 40000

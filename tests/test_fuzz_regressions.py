@@ -11,6 +11,7 @@ quietly return.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 
@@ -27,6 +28,7 @@ from repro.fuzz import (
     minimize,
     replay_corpus,
 )
+from repro.fuzz.runner import pin_violations
 from repro.net.errors import ParseError
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -309,6 +311,48 @@ class TestShardSpecTarget:
                 dict(good, fault={"kind": "worker_crash"})):
             with pytest.raises(ValueError):
                 read_spec(document)
+
+
+class TestQuickPins:
+    """``fuzz-quick`` fails closed: every digest the smoke produces
+    must have a pin, and every pin a digest."""
+
+    SUMMARY = {"parsers": {"digest": "aa", "ok": 3},
+               "farm": {"isolate": {"digest": "bb", "journal_digest": "cc"}}}
+
+    def pins(self, tmp_path, summary):
+        path = tmp_path / "FUZZ_quick.json"
+        path.write_text(json.dumps(summary))
+        return str(path)
+
+    def test_matching_pins_pass(self, tmp_path):
+        path = self.pins(tmp_path, self.SUMMARY)
+        assert pin_violations(self.SUMMARY, path) == []
+
+    def test_a_drifted_digest_fails(self, tmp_path):
+        path = self.pins(tmp_path, self.SUMMARY)
+        moved = {**self.SUMMARY, "parsers": {"digest": "ab"}}
+        assert pin_violations(moved, path) == [
+            "parsers.digest: aa in FUZZ_quick.json, ab now"]
+
+    def test_a_new_target_without_a_pin_fails(self, tmp_path):
+        path = self.pins(tmp_path, self.SUMMARY)
+        grown = {**self.SUMMARY, "shard_spec": {"digest": "dd"}}
+        assert pin_violations(grown, path) == [
+            "shard_spec.digest: no pin in FUZZ_quick.json, dd now"]
+
+    def test_a_pin_whose_target_is_gone_fails(self, tmp_path):
+        path = self.pins(tmp_path, self.SUMMARY)
+        shrunk = {"parsers": self.SUMMARY["parsers"]}
+        assert pin_violations(shrunk, path) == [
+            "farm.isolate.digest: bb in FUZZ_quick.json, not produced now",
+            "farm.isolate.journal_digest: cc in FUZZ_quick.json, "
+            "not produced now"]
+
+    def test_a_missing_pin_file_fails(self, tmp_path):
+        path = str(tmp_path / "FUZZ_quick.json")
+        assert pin_violations(self.SUMMARY, path) == [
+            "FUZZ_quick.json is missing"]
 
 
 class TestMinimizer:

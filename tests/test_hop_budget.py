@@ -11,28 +11,21 @@ all.
 
 from __future__ import annotations
 
-import os
-import sys
-
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
-                                "benchmarks"))
-from bench_hotpath import RouterHarness, TARGET_IP, TARGET_PORT  # noqa: E402
-
-from repro.net.addresses import IPv4Address, MacAddress  # noqa: E402
-from repro.net.link import Link, Port  # noqa: E402
-from repro.net.packet import (  # noqa: E402
+from repro.net.addresses import IPv4Address, MacAddress
+from repro.net.link import Link, Port
+from repro.net.packet import (
     ACK,
     EthernetFrame,
     IPv4Packet,
     PSH,
     TCPSegment,
 )
-from repro.obs.export import snapshot  # noqa: E402
-from repro.obs.telemetry import Telemetry  # noqa: E402
-from repro.sim.engine import Simulator  # noqa: E402
-from tests.helpers import python_calls  # noqa: E402
+from repro.obs.export import snapshot
+from repro.obs.telemetry import Telemetry
+from repro.sim.engine import Simulator
+from tests.helpers import RouterHarness, TARGET_IP, TARGET_PORT, python_calls
 
 FRAMES_EACH_WAY = 1000
 
@@ -234,7 +227,7 @@ def test_router_table_hit_budget():
         ("flowtable.py", "apply"): 1,
         ("packet.py", "rebind"): 1,
         ("packet.py", "wrap"): 1,
-        ("bench_hotpath.py", "send"): 1,       # the entry's egress
+        ("helpers.py", "send"): 1,            # the entry's egress
     }
 
     upstream = python_calls(lambda: router.upstream_packet(reply))
@@ -246,5 +239,5 @@ def test_router_table_hit_budget():
         ("flowtable.py", "apply"): 1,
         ("packet.py", "rebind"): 1,
         ("packet.py", "wrap"): 1,
-        ("bench_hotpath.py", "send"): 1,       # the entry's egress
+        ("helpers.py", "send"): 1,            # the entry's egress
     }

@@ -296,13 +296,6 @@ def record() -> dict:
             "runs": {name: run() for name, run in RUNS.items()}}
 
 
-def write_corpus() -> str:
-    with open(CORPUS_PATH, "w") as handle:
-        json.dump(record(), handle, separators=(",", ":"), sort_keys=True)
-        handle.write("\n")
-    return CORPUS_PATH
-
-
 # ----------------------------------------------------------------------
 # Replay
 # ----------------------------------------------------------------------

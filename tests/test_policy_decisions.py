@@ -400,13 +400,6 @@ def record() -> dict:
             "content": {tag: data.hex() for tag, data in CONTENT.items()}}
 
 
-def write_corpus() -> str:
-    with open(CORPUS_PATH, "w") as handle:
-        json.dump(record(), handle, separators=(",", ":"), sort_keys=True)
-        handle.write("\n")
-    return CORPUS_PATH
-
-
 # ----------------------------------------------------------------------
 # Replay
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ gives back everything that is not.
 
 A GQ deployment runs for years (the paper's did for six), so anything
 the router does per tick or per inmate revert must not grow with the
-flow history.  Scripted against the bare router (the bench harness):
+flow history.  Scripted against the bare router (``RouterHarness``):
 ``expire_idle_flows`` / ``active_flow_count`` / ``forget_inmate`` walk
 the live demux table, evict in creation order and never touch the
 history list; every record idle past ``flow_idle_timeout`` — dropped
@@ -16,19 +16,12 @@ tuple — a tuple the flow has a row for but no rule — is dropped.
 
 from __future__ import annotations
 
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
-                                "benchmarks"))
-from bench_hotpath import RouterHarness, TARGET_IP, TARGET_PORT  # noqa: E402
-
-from repro.core.shim import ResponseShim  # noqa: E402
-from repro.core.verdicts import Verdict  # noqa: E402
-from repro.gateway import housekeeping  # noqa: E402
-from repro.gateway.flows import FlowPhase  # noqa: E402
-from repro.net.addresses import IPv4Address, MacAddress  # noqa: E402
-from repro.net.packet import (  # noqa: E402
+from repro.core.shim import ResponseShim
+from repro.core.verdicts import Verdict
+from repro.gateway import housekeeping
+from repro.gateway.flows import FlowPhase
+from repro.net.addresses import IPv4Address, MacAddress
+from repro.net.packet import (
     ACK,
     EthernetFrame,
     IPv4Packet,
@@ -38,7 +31,8 @@ from repro.net.packet import (  # noqa: E402
     TCPSegment,
     UDPDatagram,
 )
-from repro.obs.journal import Journal  # noqa: E402
+from repro.obs.journal import Journal
+from tests.helpers import RouterHarness, TARGET_IP, TARGET_PORT
 
 VLAN = 2
 HISTORY, LIVE = 120, 5

@@ -117,6 +117,7 @@ class TestSocketDispatch:
             sock = run_campaign(campaign, workers=2, hosts=endpoints)
         assert sock.ok
         assert sock.digest == serial.digest
+        assert sock.merged["telemetry"] == serial.merged["telemetry"]
         assert sock.merged["scheduler"]["transport"] == "socket"
         # Scheduling honesty: the agent's host record is persisted.
         (host_record,) = sock.merged["hosts"].values()
