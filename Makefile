@@ -16,12 +16,11 @@ chaos-quick:
 # Fuzz smoke, under two hash seeds: fixed-seed hostile inputs through
 # every parser (twice, asserting a byte-identical corpus digest), broken
 # policy programs through the DSL parser, worker frames through the
-# campaign transport, then five JSON documents broken by one
+# campaign transport, then four JSON documents broken by one
 # table-driven mutator: fault plans through FaultPlan.from_dict, farm
-# configs through FarmConfig.from_dict and back, topologies through
-# FarmTopology.from_dict, compile and the Placement round trip,
-# isolation certificates through the digest check, the campaign merge
-# and GrantIndex, and shard specs through what a slot checks before it
+# configs through FarmConfig.from_dict and back, isolation
+# certificates through the digest check, the campaign merge and
+# GrantIndex, and shard specs through what a slot checks before it
 # runs one (never importing the task).  Then hostile frames through a
 # live farm trunk under both isolate and fail-stop malice policies,
 # and the first hundred router differential scripts — all compared

@@ -16,7 +16,9 @@ Without a path argument the rendered artefact — the paper's table as
 text, a sweep's summary as JSON — goes to stdout.  ``--out DIR`` writes
 it to ``DIR/<file>``; ``--check DIR`` byte-compares it against that
 file, prints a unified diff and exits 1 on drift.  A row that reports
-violations (``fault-matrix``) exits 1 when there are any.
+violations (``fault-matrix``) exits 1 when there are any; a parameter
+a run refuses (``--count 0``: a sweep of no shards) exits 2, as a
+usage error does.
 
 Sweeps fan out over independent whole-farm runs: ``--workers N``
 shards across a spawn-safe worker pool, ``--hosts h1:9000,h2:9000``
@@ -114,7 +116,8 @@ def _deliver(row: Artefact, text: str, args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command in (None, "list"):
         for row in ARTEFACTS.values():
             print(f"{row.id:<22} {row.paper:<20} {row.help}")
@@ -127,7 +130,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         runs = [(row, {name: getattr(args, name) for name in row.params})]
     status = 0
     for row, params in runs:
-        result = row.run(**params)
+        try:
+            result = row.run(**params)
+        except ValueError as error:     # e.g. a sweep of no shards
+            parser.error(f"{row.id}: {error}")
         status |= _deliver(row, row.render(result), args)
         violations = row.violations(result) if row.violations else []
         if violations:

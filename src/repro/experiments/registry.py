@@ -67,9 +67,6 @@ HOSTS = Param(str, "H:P,H:P",
               "worker-agent endpoints (python -m repro.parallel.worker); "
               "shards dispatch over TCP, not to the local pool")
 SEEDS = Param(parse_seeds, "A..B", "inclusive seed range or comma list")
-TOPOLOGY = Param(str, "FILE",
-                 "compile a FarmTopology JSON file into a placement and "
-                 "derive the campaign and the agent endpoints from it")
 
 
 class Artefact(NamedTuple):
@@ -115,28 +112,18 @@ def _campaign_json(result) -> str:
     return _json(summary)
 
 
-def _streaming_farm(workers, hosts, topology, seeds, count, seed, duration,
-                    subfarms, inmates_per, journal):
+def _streaming_farm(workers, hosts, seeds, count, seed, duration, subfarms,
+                    inmates_per, journal):
     from repro.parallel import Campaign, run_campaign
-    from repro.parallel.topology import FarmTopology
 
-    task = "repro.parallel.tasks:streaming_farm_shard"
     # journal=True turns shard journaling on so the campaign merge has
     # journals to fold (determinism digests are unchanged either way).
-    params = {"duration": duration, "journal": journal}
-    if topology:
-        with open(topology, "r", encoding="utf-8") as handle:
-            placement = FarmTopology.from_dict(json.load(handle)).compile()
-        campaign = placement.campaign(task, params=params, base_seed=seed)
-        # The compiled placement names the worker agents; an explicit
-        # --hosts still wins (e.g. re-running a placement locally).
-        hosts = hosts or (placement.endpoints() or None)
-    else:
-        campaign = Campaign.seed_sweep(
-            "streaming-farm-sweep", task,
-            params=dict(params, subfarms=subfarms, inmates=inmates_per),
-            seeds=seeds, count=None if seeds is not None else count,
-            base_seed=seed)
+    campaign = Campaign.seed_sweep(
+        "streaming-farm-sweep", "repro.parallel.tasks:streaming_farm_shard",
+        params={"duration": duration, "journal": journal,
+                "subfarms": subfarms, "inmates": inmates_per},
+        seeds=seeds, count=None if seeds is not None else count,
+        base_seed=seed)
     return run_campaign(campaign, workers=workers, hosts=hosts)
 
 
@@ -228,7 +215,7 @@ _ROWS = (
              "seed sweep of streaming whole-farm runs (the parallel "
              "benchmark workload)",
              _streaming_farm, _campaign_json,
-             dict(_SWEEP_SHAPE, topology=TOPOLOGY, seed=11, duration=120.0,
+             dict(_SWEEP_SHAPE, seed=11, duration=120.0,
                   journal=False), sweep=True),
     Artefact("fault-matrix", "docs/RESILIENCE.md",
              "chaos scenarios x seeds over resilient farm runs; --quick "

@@ -111,6 +111,21 @@ class FarmConfig:
         "batch_window": (NUMBER, None),
     }
 
+    #: Numeric field -> the least value it takes.  Each must also be a
+    #: finite number of its kind (a bool is none), or None where that
+    #: is the default; a window or a deadline of 0 is none at all.
+    _LEAST: Dict[str, float] = {
+        "safety_max_flows_per_window": 0,
+        "safety_max_flows_per_destination": 0, "safety_window": 0,
+        "telemetry_snapshot_interval": 0, "journal_capacity": 0,
+        "journal_sample_interval": 0, "verdict_deadline": 0,
+        "verdict_retries": 0, "retry_backoff": 1,
+        "lifecycle_retry_limit": 0, "lifecycle_retry_backoff": 0,
+        "quarantine_max_frames": 0, "flowtable_idle_timeout": 0,
+        "flowtable_hard_timeout": 0, "batch_window": 0,
+    }
+    _ABOVE_LEAST = ("safety_window", "verdict_deadline")
+
     def __init__(self, **values: Any) -> None:
         """``FarmConfig(seed=7, journal=True)``: any of :attr:`FIELDS`
         by keyword.  Coerces the JSON-safe spellings and validates —
@@ -138,15 +153,22 @@ class FarmConfig:
             raise ValueError(
                 f"malice_policy must be one of {POLICIES}, "
                 f"not {self.malice_policy!r}")
-        # A bool is an int to isinstance, and an infinite window would
-        # schedule every trunk frame at t = inf: refuse both.
-        window = self.batch_window
-        if window is not None and (
-                isinstance(window, bool)
-                or not isinstance(window, (int, float))
-                or not 0 <= window < float("inf")):
-            raise ValueError(f"batch_window must be a finite number >= 0, "
-                             f"not {window!r}")
+        # Refused here, not in a worker's create_subfarm or never: an
+        # infinite batch window schedules every trunk frame at t = inf,
+        # and a NaN safety window never expires the filter's history.
+        for name, least in self._LEAST.items():
+            kind, default = self.FIELDS[name]
+            value = getattr(self, name)
+            if value is None and default is None:
+                continue
+            above = name in self._ABOVE_LEAST
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not least <= value < float("inf")
+                    or (above and value == least)):
+                raise ValueError(
+                    f"{name} must be "
+                    f"{'an int' if kind is int else 'a finite number'} "
+                    f"{'>' if above else '>='} {least}, not {value!r}")
 
     # ------------------------------------------------------------------
     # Serialization — ships configs to campaign workers

@@ -13,9 +13,9 @@ seed-driven fuzzing subsystem with four pieces:
   generators for every protocol the farm parses (DNS, SMTP, HTTP,
   IRC, FTP, SOCKS, DHCP, ARP, GRE, TCP options, Ethernet/IPv4 framing,
   the shim protocol itself, policy programs, the campaign
-  transport's worker frames, fault plans, farm configs, farm
-  topologies, isolation certificates and shard specs — the last five
-  broken by one mutator drawn from their :mod:`repro.shape` tables),
+  transport's worker frames, fault plans, farm configs, isolation
+  certificates and shard specs — the last four broken by one mutator
+  drawn from their :mod:`repro.shape` tables),
   registered as named :class:`~repro.fuzz.generators.FuzzTarget`
   entries.
 * :mod:`repro.fuzz.corpus` + :mod:`repro.fuzz.runner` — a corpus

@@ -8,11 +8,10 @@ Usage::
     python -m repro.fuzz --replay tests/fuzz_corpus
 
 ``--quick`` runs the fixed-seed smoke (parser determinism replay,
-policy-program, worker-frame, fault-plan, farm-config, topology,
-certificate and shard-spec loops, farm loop under isolate and
-fail-stop, the first hundred router differential scripts, comparison
-against the tracked ``FUZZ_quick.json``) and exits non-zero on any
-violation.  Without it, the parser loop and every solo loop run
+policy-program, worker-frame, fault-plan, farm-config, certificate
+and shard-spec loops, farm loop under isolate and fail-stop, the
+first hundred router differential scripts, comparison against the
+tracked ``FUZZ_quick.json``) and exits non-zero on any violation.  Without it, the parser loop and every solo loop run
 ``--iterations`` inputs each, pinning minimized escapes into
 ``--corpus``, and the farm loop runs once.
 ``--replay`` re-parses a pinned corpus directory and exits non-zero if

@@ -55,8 +55,6 @@ from repro.net.packet import (
 from repro.net.smtp import SmtpServerEngine, Strictness
 from repro.net.socks import Socks4Reply, Socks4Request
 from repro.parallel.campaign import SHARD_SPEC, ShardSpec
-from repro.parallel.topology import (TOPOLOGY, FarmTopology, Placement,
-                                     TopologyError)
 from repro.parallel.transport import (
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -507,12 +505,12 @@ def wrong_shapes(rng: random.Random, table: Table, document: dict) -> bytes:
     return json.dumps(document, sort_keys=True).encode()
 
 
-def _document_target(name: str, table: Table, build, read,
-                     refused=ValueError) -> FuzzTarget:
+def _document_target(name: str, table: Table, build, read) -> FuzzTarget:
     """A solo target for a JSON document: ``build`` makes a well-formed
     one, :func:`wrong_shapes` breaks it, and ``read`` asks of it what
-    its loader's callers ask.  ``refused`` is the taxonomy's ParseError
-    here; what ``json`` itself refuses never reaches ``read``."""
+    its loader's callers ask.  ``ValueError`` is the taxonomy's
+    ParseError here; what ``json`` itself refuses never reaches
+    ``read``."""
     def parse(data: bytes) -> object:
         try:
             document = json.loads(data)
@@ -520,7 +518,7 @@ def _document_target(name: str, table: Table, build, read,
             raise ParseError(name, f"not JSON: {error}") from None
         try:
             return read(document)
-        except refused as error:
+        except ValueError as error:
             raise ParseError(name, str(error)) from None
 
     return FuzzTarget(name, lambda rng: wrong_shapes(rng, table, build(rng)),
@@ -553,23 +551,6 @@ def _farm_config(rng: random.Random) -> dict:
         batch_window=rng.choice((None, 0.0, 0.005)),
         fault_plan=[{"kind": "cs_crash", "at": 10.0}]
         if rng.random() < 0.5 else None).to_dict()
-
-
-def _topology(rng: random.Random) -> dict:
-    """A declaration as a ``--topology FILE`` holds it: hosts, pinned
-    and unpinned subfarm overrides, packing, metadata."""
-    hosts = [{"name": f"h{i}", "address": rng.choice(("local", "h:9000")),
-              "cpus": rng.choice((None, 8)),
-              "max_workers": rng.choice((None, 2))}
-             for i in range(rng.randrange(1, 4))]
-    subfarms = rng.randrange(1, 7)
-    pins = [None] + [host["name"] for host in hosts]
-    return {"name": "fuzz", "subfarms": subfarms, "hosts": hosts,
-            "subfarm_specs": [{"name": f"sf{i}", "host": rng.choice(pins)}
-                              for i in range(rng.randrange(subfarms + 1))],
-            "subfarms_per_shard": rng.randrange(1, 4),
-            "inmates_per_subfarm": rng.randrange(1, 5),
-            "metadata": {"seed": rng.randrange(100)}}
 
 
 def _certificate(rng: random.Random) -> dict:
@@ -742,10 +723,9 @@ TARGETS: Dict[str, FuzzTarget] = {
 #: the parser corpus digest that file tracks.  The policy language is
 #: analyst text, a worker agent's port reads length-prefixed JSON
 #: frames from anyone, a fault plan is the isolation verifier's other
-#: input, a farm config rides in every campaign shard, a topology is
-#: read from the file ``--topology`` names, an isolation certificate
-#: comes back in a shard payload or from disk, and a shard spec is
-#: what a slot reads off the campaign wire.
+#: input, a farm config rides in every campaign shard, an isolation
+#: certificate comes back in a shard payload or from disk, and a shard
+#: spec is what a slot reads off the campaign wire.
 SOLO_TARGETS: Dict[str, FuzzTarget] = {
     "dsl": FuzzTarget("dsl", gen_dsl, _parse_dsl),
     "worker_frame": FuzzTarget("worker-frame", gen_worker_frame,
@@ -757,12 +737,6 @@ SOLO_TARGETS: Dict[str, FuzzTarget] = {
         "farm-config", Table("FarmConfig", FarmConfig.FIELDS), _farm_config,
         lambda document: _shipped_back(
             FarmConfig.from_dict(document).to_dict(), FarmConfig.from_dict)),
-    # Parse, compile and ship the placement back.
-    "topology": _document_target(
-        "topology", TOPOLOGY, _topology,
-        lambda document: _shipped_back(
-            FarmTopology.from_dict(document).compile().to_dict(),
-            Placement.from_dict), refused=TopologyError),
     # What verify, the campaign merge and the runtime cross-check ask.
     "certificate": _document_target(
         "certificate", CERTIFICATE, _certificate,

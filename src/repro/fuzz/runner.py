@@ -80,9 +80,8 @@ def fuzz_parsers(seed: int, iterations: int,
 def fuzz_target(target: FuzzTarget, seed: int, iterations: int,
                 corpus_dir: Optional[str] = None) -> dict:
     """The same loop over one target alone: the policy-language parser,
-    the worker frame decoder, the fault plan, the farm config, the
-    topology, an isolation certificate or a shard spec
-    (docs/HARDENING.md)."""
+    the worker frame decoder, the fault plan, the farm config, an
+    isolation certificate or a shard spec (docs/HARDENING.md)."""
     return _fuzz_targets({target.name: target}, seed, iterations,
                          corpus_dir)
 

@@ -8,8 +8,6 @@ hosts and merge back into one deterministic result.
 
 * :mod:`repro.parallel.campaign` — :class:`Campaign`/:class:`ShardSpec`
   descriptions and :func:`derive_seed`,
-* :mod:`repro.parallel.topology` — declarative farm-of-farms layouts
-  lowered by compiler passes into a concrete :class:`Placement`,
 * :mod:`repro.parallel.pool` — the scheduler (:func:`run_campaign`):
   one FIFO shard queue that idle workers take from, each shard on at
   most one worker, per-shard timeouts, crash isolation,
@@ -36,12 +34,6 @@ from repro.parallel.campaign import (
 )
 from repro.parallel.merge import CampaignResult, campaign_digest
 from repro.parallel.pool import ShardResult, run_campaign
-from repro.parallel.topology import (
-    FarmTopology,
-    HostSpec,
-    Placement,
-    TopologyError,
-)
 from repro.parallel.transport import (
     LocalTransport,
     SocketTransport,
@@ -54,14 +46,10 @@ from repro.parallel.worker import execute_spec, host_info
 __all__ = [
     "Campaign",
     "CampaignResult",
-    "FarmTopology",
-    "HostSpec",
     "LocalTransport",
-    "Placement",
     "ShardResult",
     "ShardSpec",
     "SocketTransport",
-    "TopologyError",
     "TransportError",
     "campaign_digest",
     "derive_seed",

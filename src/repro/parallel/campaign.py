@@ -144,7 +144,8 @@ CAMPAIGN = Table("Campaign", {
 
 
 class Campaign:
-    """An ordered set of independent shards plus campaign identity."""
+    """An ordered, non-empty set of independent shards plus campaign
+    identity."""
 
     def __init__(self, name: str, shards: Sequence[ShardSpec],
                  base_seed: int = 0,
@@ -153,6 +154,8 @@ class Campaign:
         self.shards: List[ShardSpec] = list(shards)
         self.base_seed = base_seed
         self.metadata = dict(metadata or {})
+        if not self.shards:
+            raise ValueError(f"campaign {name!r} has no shards")
         indices = [spec.index for spec in self.shards]
         if len(set(indices)) != len(indices):
             raise ValueError("shard indices must be unique")

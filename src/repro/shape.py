@@ -1,8 +1,8 @@
 """One shape check for every document the farm accepts from outside.
 
-Fault plans, farm configs, ``--topology`` files, isolation
-certificates, shard specs and worker-wire frames arrive as JSON from a
-file, a payload or a socket.  Each is described by a :class:`Table` of
+Fault plans, farm configs, isolation certificates, campaigns and
+their shard specs, and worker-wire frames arrive as JSON from a file,
+a payload or a socket.  Each is described by a :class:`Table` of
 ``{key: (kind, default)}`` rows, and :func:`check` reads a document
 against it: an object, no key the table does not name (unless it is
 open), every required key, every value of its kind.  A kind is a type
@@ -15,7 +15,7 @@ loader.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 __all__ = ["NUMBER", "REQUIRED", "ShapeError", "Table", "check"]
 
@@ -37,19 +37,7 @@ class Table(NamedTuple):
 
 class ShapeError(ValueError):
     """The message names where the problem is
-    (``topology.hosts[1] field 'max_workers'``); ``errors`` holds one
-    ``{"error": code, "detail": text}`` per problem, the code being
-    ``bad_type``, ``missing_key`` or ``unknown_key``."""
-
-    def __init__(self, message: str, errors: List[dict]) -> None:
-        super().__init__(message)
-        self.errors = errors
-
-
-def _refusal(code: str, where: str, subject: str,
-             problem: str) -> ShapeError:
-    return ShapeError(f"{where} {problem}",
-                      [{"error": code, "detail": f"{subject} {problem}"}])
+    (``Campaign.shards[1] field 'index' must be int, got str``)."""
 
 
 def check(table: Table, document: Any, path: str = "") -> dict:
@@ -58,45 +46,41 @@ def check(table: Table, document: Any, path: str = "") -> dict:
     for every unknown key at once.  ``path`` names the document."""
     path = path or table.name
     if not isinstance(document, dict):
-        raise _refusal("bad_type", path, table.name, "must be a JSON "
-                       f"object, got {type(document).__name__}")
+        raise ShapeError(f"{path} must be a JSON object, got "
+                         f"{type(document).__name__}")
     unknown = [] if table.open else sorted(set(document) - set(table.fields))
     if unknown:
-        raise ShapeError(f"unknown {path} keys: {unknown}",
-                         [{"error": "unknown_key",
-                           "detail": f"{table.name} key {key!r}"}
-                          for key in unknown])
+        raise ShapeError(f"unknown {path} keys: {unknown}")
     out = dict(document) if table.open else {}
     for key, (kind, default) in table.fields.items():
         where = f"{path} field {key!r}"
-        subject = f"{table.name} key {key!r}"
         if key in document:
             out[key] = _value(kind, document[key], default,
-                              f"{path}.{key}", where, subject)
+                              f"{path}.{key}", where)
         elif default is REQUIRED:
-            raise _refusal("missing_key", where, subject, "is required")
+            raise ShapeError(f"{where} is required")
         else:
             out[key] = default
     return out
 
 
-def _value(kind: Any, value: Any, default: Any, path: str, where: str,
-           subject: str) -> Any:
+def _value(kind: Any, value: Any, default: Any, path: str,
+           where: str) -> Any:
     if value is None and default is None:
         return None
     if isinstance(kind, Table):
         return check(kind, value, path)
     if isinstance(kind, list):
         if not isinstance(value, list):
-            raise _refusal("bad_type", where, subject,
-                           f"must be list, got {type(value).__name__}")
+            raise ShapeError(f"{where} must be list, got "
+                             f"{type(value).__name__}")
         return [_value(kind[0], item, REQUIRED, f"{path}[{index}]",
-                       f"{where} item {index}", subject)
+                       f"{where} item {index}")
                 for index, item in enumerate(value)]
     if not isinstance(value, kind) or (
             isinstance(value, bool) and kind not in (bool, object)):
         names = kind if isinstance(kind, tuple) else (kind,)
-        raise _refusal("bad_type", where, subject,
-                       f"must be {' or '.join(k.__name__ for k in names)}, "
-                       f"got {type(value).__name__}")
+        raise ShapeError(f"{where} must be "
+                         f"{' or '.join(k.__name__ for k in names)}, "
+                         f"got {type(value).__name__}")
     return value

@@ -65,6 +65,15 @@ class TestCli:
         assert "unrecognized arguments: --workers" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shards", [["--count", "-2"], ["--seeds", ","],
+                                        ["--count", "0"]])
+    def test_sweep_of_no_shards_is_a_usage_error(self, shards, capsys):
+        # Before, each ran zero shards and exited 0.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gateway-load-sweep", *shards])
+        assert excinfo.value.code == 2
+        assert "has no shards" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ARTEFACTS.values(), ids=list(ARTEFACTS))
     def test_subcommand_takes_exactly_what_its_run_reads(self, row, capsys):
         inspect.signature(row.run).bind(**row.defaults())

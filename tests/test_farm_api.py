@@ -19,6 +19,8 @@ from tests.test_containment_end_to_end import (
     http_server,
 )
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestFarmApi:
     def test_package_reexports(self):
@@ -258,6 +260,46 @@ class TestFarmConfigShape:
     def test_bad_values_refused_at_construction(self, bad):
         with pytest.raises(ValueError):
             FarmConfig(**bad)
+
+    @pytest.mark.parametrize("field, value, legal", [
+        # Each refusal used to be accepted, then raised in a worker's
+        # create_subfarm (the zeros) or ran wrong: a NaN safety window
+        # never expires the filter's history.
+        ("safety_window", 0, False), ("safety_window", NAN, False),
+        ("safety_window", INF, False), ("safety_window", 0.5, True),
+        ("verdict_deadline", 0.0, False), ("verdict_deadline", -1, False),
+        ("verdict_deadline", 0.25, True),
+        ("safety_max_flows_per_window", -1, False),
+        ("safety_max_flows_per_window", 0, True),
+        ("safety_max_flows_per_destination", -3, False),
+        ("journal_capacity", -1, False), ("journal_capacity", 0, True),
+        ("verdict_retries", -1, False), ("verdict_retries", 0, True),
+        ("retry_backoff", -2.0, False), ("retry_backoff", 0.5, False),
+        ("retry_backoff", 1, True),
+        ("lifecycle_retry_limit", -1, False),
+        ("lifecycle_retry_backoff", -30.0, False),
+        ("lifecycle_retry_backoff", 0, True),
+        ("quarantine_max_frames", -1, False),
+        ("flowtable_idle_timeout", -1.0, False),
+        ("flowtable_idle_timeout", NAN, False),
+        ("flowtable_hard_timeout", -5, False),
+        ("flowtable_hard_timeout", NAN, False),
+        ("flowtable_hard_timeout", 50, True),
+        ("telemetry_snapshot_interval", -1.0, False),
+        ("telemetry_snapshot_interval", NAN, False),
+        ("journal_sample_interval", INF, False),
+        ("journal_sample_interval", 0, True),
+    ])
+    def test_numbers_that_break_later_are_refused_at_construction(
+            self, field, value, legal):
+        document = json.loads(json.dumps({field: value}))
+        for build in (lambda: FarmConfig(**{field: value}),
+                      lambda: FarmConfig.from_dict(document)):
+            if legal:
+                assert getattr(build(), field) == value
+            else:
+                with pytest.raises(ValueError, match=f"^{field} must be"):
+                    build()
 
     @pytest.mark.parametrize("window", [0, 0.0, 0.005])
     def test_finite_batch_windows_accepted(self, window):

@@ -188,47 +188,6 @@ class TestFaultPlanTarget:
                 FaultPlan.from_dict(document)
 
 
-class TestTopologyTarget:
-    """``--topology FILE`` documents: JSON parses, compiles and
-    round-trips its placement, or raises ``TopologyError``
-    (``ParseError`` through the target)."""
-
-    def test_loop_is_deterministic_and_escape_free(self):
-        target = SOLO_TARGETS["topology"]
-        first = fuzz_target(target, seed=42, iterations=300)
-        assert first["escapes"] == []
-        assert first["ok"] and first["parse_errors"]  # both sides reached
-        assert first["digest"] == \
-            fuzz_target(target, seed=42, iterations=300)["digest"]
-
-    def test_it_stays_out_of_the_tracked_round_robin(self):
-        assert SOLO_TARGETS["topology"].name not in TARGETS
-
-    def test_wrong_shapes_come_back_as_parse_errors(self):
-        """The escapes at the parent of this target (pinned as
-        ``topology__*.bin``): a missing name, a document, host or
-        override that is not an object, and wrongly typed counts,
-        metadata, pins or worker caps escaped as KeyError,
-        AttributeError, TypeError or a bare ValueError."""
-        from repro.parallel.topology import FarmTopology, TopologyError
-
-        for document in (
-                {"subfarms": 2}, [],
-                {"name": "t", "subfarms": None},
-                {"name": "t", "subfarms": ""},
-                {"name": "t", "subfarms": 1, "hosts": [1]},
-                {"name": "t", "subfarms": 1, "subfarm_specs": [1]},
-                {"name": "t", "subfarms": 1,
-                 "subfarm_specs": [{"host": {}}]},
-                {"name": "t", "subfarms": 1, "metadata": [1]},
-                {"name": "t", "subfarms": 1,
-                 "hosts": [{"name": "h", "max_workers": "x"}]}):
-            with pytest.raises(TopologyError) as excinfo:
-                FarmTopology.from_dict(document)
-            (error,) = excinfo.value.errors
-            assert error["pass"] == "parse"
-
-
 class TestCertificateTarget:
     """Isolation certificates, from a shard payload or from disk: JSON
     digests, merges and indexes its grants, or raises ``ValueError``

@@ -127,6 +127,19 @@ class TestCampaign:
             Campaign("dup", [ShardSpec(0, NOOP_TASK, {"seed": 1}),
                              ShardSpec(0, NOOP_TASK, {"seed": 2})])
 
+    @pytest.mark.parametrize("build", [
+        lambda: Campaign("none", []),
+        lambda: Campaign.seed_sweep("s", NOOP_TASK, count=0),
+        lambda: Campaign.seed_sweep("s", NOOP_TASK, count=-2),
+        lambda: Campaign.seed_sweep("s", NOOP_TASK, seeds=[]),
+        lambda: Campaign.config_sweep("c", NOOP_TASK, []),
+        lambda: Campaign.from_dict({"name": "d", "shards": []}),
+    ])
+    def test_no_shards_rejected(self, build):
+        # A sweep of nothing ran zero shards and reported success.
+        with pytest.raises(ValueError, match="has no shards"):
+            build()
+
     @pytest.mark.parametrize("document", [
         {}, [], {"name": "c"}, {"name": 1, "shards": []},
         {"name": "c", "shards": {}}, {"name": "c", "shards": [1]},
