@@ -2,7 +2,7 @@ PYTHON ?= python
 WORKERS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test chaos-quick fuzz-quick verify-quick trace-budget budget ledger-test ledger-selftest paper loc
+.PHONY: test chaos-quick fuzz-quick verify-quick trace-budget budget ledger-test ledger-selftest paper examples loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -103,6 +103,19 @@ ledger-selftest:
 # `python -m repro.experiments <id> --out benchmarks/output`.
 paper:
 	$(PYTHON) -m repro.experiments paper --check benchmarks/output
+
+# Every script in examples/, each from a fresh temp directory (none
+# may lean on, or leave files in, the checkout); fails on the first
+# non-zero exit, its traceback on stderr (~10 s).
+examples:
+	@for script in examples/*.py; do \
+		echo "$$script"; \
+		dir=$$(mktemp -d); \
+		(cd "$$dir" && PYTHONPATH="$(CURDIR)/src" \
+			$(PYTHON) "$(CURDIR)/$$script" > /dev/null); \
+		status=$$?; rm -rf "$$dir"; \
+		[ $$status -eq 0 ] || { echo "$$script exited $$status"; exit 1; }; \
+	done
 
 # Files and Python lines per src/repro package, then benchmarks/
 # (ex-ledger) and examples/ beside src/, so code moved between them

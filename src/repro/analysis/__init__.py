@@ -12,19 +12,9 @@ from repro.analysis.fingerprint import (
     FingerprintClassifier,
     fingerprint_from_sink,
 )
-from repro.analysis.policy_testing import (
-    check_invariants,
-    enumerate_surface,
-    generate_probes,
-    verify_enforcement,
-)
 
 __all__ = [
     "Fingerprint",
     "FingerprintClassifier",
     "fingerprint_from_sink",
-    "generate_probes",
-    "enumerate_surface",
-    "check_invariants",
-    "verify_enforcement",
 ]

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
-from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.net.packet import PROTO_TCP, TCPSegment, UDPDatagram
 from repro.parallel import Campaign, ShardSpec, run_campaign
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _echo_server, \
     _streaming_image
@@ -83,24 +83,17 @@ SCENARIOS: Dict[str, dict] = {
 QUICK_SCENARIOS = ("cs_crash", "shim_partition", "cs_hang")
 
 
-def _flow_seen_upstream(record, nat_global, upstream_records) -> bool:
-    """Did any upstream frame carry this flow's NAT'd originator tuple?"""
-    orig = record.orig
-    for rec in upstream_records:
+def _upstream_tuples(records) -> set:
+    """``(src, dst, proto, sport, dport)`` of every TCP segment and UDP
+    datagram on the upstream trace."""
+    tuples = set()
+    for rec in records:
         ip = rec.ip
-        if ip is None or ip.proto != orig.proto:
-            continue
-        if ip.src != nat_global or ip.dst != orig.resp_ip:
-            continue
-        if ip.proto == PROTO_TCP:
-            sport, dport = ip.tcp.sport, ip.tcp.dport
-        elif ip.proto == PROTO_UDP:
-            sport, dport = ip.udp.sport, ip.udp.dport
-        else:
-            continue
-        if sport == orig.orig_port and dport == orig.resp_port:
-            return True
-    return False
+        if ip is not None and isinstance(ip.payload,
+                                         (TCPSegment, UDPDatagram)):
+            tuples.add((ip.src, ip.dst, ip.proto, ip.payload.sport,
+                        ip.payload.dport))
+    return tuples
 
 
 def _leak_details(farm, subs) -> List[dict]:
@@ -109,8 +102,7 @@ def _leak_details(farm, subs) -> List[dict]:
     must not appear upstream.  Each violation is returned with the
     leaking flow's (vlan, dst, proto) tuple so the matrix summary can
     name the path, not just count it."""
-    # Scanned once per unverdicted flow: rebuild the records once.
-    upstream = list(farm.gateway.upstream_trace.records)
+    upstream = _upstream_tuples(farm.gateway.upstream_trace.records)
     leaks: List[dict] = []
     for sub in subs:
         for record in sub.router._flows:
@@ -122,14 +114,15 @@ def _leak_details(farm, subs) -> List[dict]:
             nat_global = sub.nat.global_for(record.vlan)
             if nat_global is None:
                 continue
-            if _flow_seen_upstream(record, nat_global, upstream):
+            orig = record.orig
+            if (nat_global, orig.resp_ip, orig.proto, orig.orig_port,
+                    orig.resp_port) in upstream:
                 leaks.append({
                     "subfarm": sub.name,
                     "vlan": record.vlan,
-                    "dst": str(record.orig.resp_ip),
-                    "proto": ("tcp" if record.orig.proto == PROTO_TCP
-                              else "udp"),
-                    "dport": record.orig.resp_port,
+                    "dst": str(orig.resp_ip),
+                    "proto": "tcp" if orig.proto == PROTO_TCP else "udp",
+                    "dport": orig.resp_port,
                 })
     return leaks
 

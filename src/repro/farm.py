@@ -25,6 +25,7 @@ from repro.core.policy import ContainmentPolicy, DefaultDeny, PolicyMap
 from repro.core.server import CS_DEFAULT_PORT, ContainmentServer
 from repro.core.triggers import TriggerEngine
 from repro.faults import FaultInjector, FaultPlan
+from repro.gateway.failover import PENDING_POLICIES
 from repro.gateway.gateway import Gateway
 from repro.gateway.nat import AddressPool, InboundMode, NatTable
 from repro.gateway.router import SubfarmRouter
@@ -145,7 +146,7 @@ class FarmConfig:
         self.control_network = IPv4Network(self.control_network)
         self.inbound_mode = InboundMode(self.inbound_mode)
         self.fault_plan = FaultPlan.coerce(self.fault_plan)
-        if self.pending_policy not in ("drop", "forward"):
+        if self.pending_policy not in PENDING_POLICIES:
             raise ValueError(
                 f"pending_policy must be 'drop' or 'forward', "
                 f"not {self.pending_policy!r}")
@@ -332,7 +333,7 @@ class Subfarm:
         ``"forward"`` (fail open — for subfarms whose study would lose
         more from dropped flows than from briefly unconstrained ones;
         the safety filter stays authoritative either way)."""
-        if policy not in ("drop", "forward"):
+        if policy not in PENDING_POLICIES:
             raise ValueError(
                 f"pending policy must be 'drop' or 'forward', "
                 f"not {policy!r}")

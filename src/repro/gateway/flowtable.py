@@ -385,12 +385,14 @@ class FlowTable:
         checks against a certificate's grant table: an upstream-emitting
         entry outside any certified grant is a leak in the *installed*
         rules even if no packet has hit it yet (the P4Control stance —
-        verify what was compiled, not just what was decided).
+        verify what was compiled, not just what was decided).  A rule
+        with no egress swallows what it matches (a DROP flow's): it
+        emits nowhere, whatever its emit code says.
         """
         grants = []
         for entry in sorted(self.rules(),
                             key=lambda e: (e.installed_at, e.key)):
-            if entry.emit_code != EMIT_UPSTREAM:
+            if entry.emit_code != EMIT_UPSTREAM or entry.egress is None:
                 continue
             record = entry.record
             grants.append({

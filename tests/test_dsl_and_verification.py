@@ -1,20 +1,22 @@
-"""The policy DSL (§8 future work) and the verification tool-chain."""
+"""The policy DSL (§8 future work) and checking one policy against
+the surface it publishes: its cells (``compile_policy``), invariants
+as predicates over them, and a live farm judged by ``certify_farm`` +
+``check_farm``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.policy_testing import (
-    DEFAULT_CONTENT,
-    check_invariants,
-    enumerate_surface,
-    generate_probes,
-    verify_enforcement,
-)
 from repro.core.dsl import DslError, DslPolicy, parse_program
 from repro.core.policy import AllowAll, DefaultDeny
 from repro.core.verdicts import Verdict
+from repro.farm import Farm, FarmConfig
+from repro.net.addresses import IPv4Address
+from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.policies.spambot import GrumPolicy
+from repro.services.dhcp import DhcpClient
+from repro.verify import certify_farm, check_farm, compile_policy
+from tests.test_policy_decisions import DEFAULT_CONTENT, SERVICE_SETS, context
 
 GRUM_PROGRAM = """
 # Grum containment, as a policy program
@@ -22,6 +24,36 @@ outbound port 25/tcp                          -> reflect smtp_sink
 outbound port 80/tcp content ~ "GET /grum/"   -> forward
 default                                       -> reflect sink
 """
+SERVICES = SERVICE_SETS["sink+smtp"]
+
+
+def _verdicts_at(policy, direction, port, proto=PROTO_TCP):
+    """``{content class: verdict}`` of the cells covering one port."""
+    return {cell.content: cell.verdict
+            for cell in compile_policy(policy).cells(direction, proto)
+            if cell.port_lo <= port <= cell.port_hi}
+
+
+def _grants_world(cell) -> bool:
+    return (Verdict.from_label(cell.verdict).grants_world
+            or cell.target_class == "world")
+
+
+#: Each invariant names the cells that break it.
+INVARIANTS = {
+    "no-smtp-escape": lambda cell: (
+        cell.direction == "outbound" and _grants_world(cell)
+        and cell.port_lo <= 25 <= cell.port_hi),
+    "no-blanket-forward": lambda cell: bool(
+        Verdict.from_label(cell.verdict) & Verdict.FORWARD
+        and cell.content in ("*", "other")),
+}
+
+
+def _violations(policy):
+    return sorted({name for name, broken in INVARIANTS.items()
+                   for cell in compile_policy(policy).outcomes
+                   if broken(cell)})
 
 
 class TestDslParsing:
@@ -174,81 +206,143 @@ class TestDslSemantics:
         policy = DslPolicy(
             "port 80-100/tcp -> drop\nport 80-443/tcp -> forward\n"
             "default -> forward\n")
-        surface = enumerate_surface(policy)
-        matrix = surface.verdict_matrix()
-        assert matrix[("outbound", 80, "http-get")] == "DROP"
-        assert matrix[("outbound", 443, "http-get")] == "FORWARD"
+        assert _verdicts_at(policy, "outbound", 80) == {"*": "DROP"}
+        assert _verdicts_at(policy, "outbound", 443) == {"*": "FORWARD"}
 
     def test_grum_program_matches_handwritten_policy(self):
-        """The DSL program and the Python GrumPolicy must agree on the
-        full probe surface (modulo annotation details)."""
-        dsl_surface = enumerate_surface(DslPolicy(GRUM_PROGRAM))
-        py_surface = enumerate_surface(GrumPolicy())
-        dsl_matrix = dsl_surface.verdict_matrix()
-        py_matrix = py_surface.verdict_matrix()
-        for key, py_verdict in py_matrix.items():
-            direction, port, tag = key
-            if direction == "inbound":
-                continue  # handwritten policy treats inbound via autoinfect path
-            if tag == "empty":
-                continue  # undecidable without content either way
-            if py_verdict == "REWRITE":
-                continue  # autoinfection specifics are out of DSL scope
-            assert dsl_matrix.get(key) == py_verdict, key
+        """The DSL program and the Python GrumPolicy publish the same
+        outbound verdicts at every port either one's cells start or
+        end on, for the content cell and the fallback alike
+        (autoinfection's REWRITE is out of DSL scope), and both let
+        Grum's C&C request out."""
+        def shape(model, proto, port):
+            """(fallback?, verdict) of each cell covering the port."""
+            return sorted((cell.content in ("*", "other"), cell.verdict)
+                          for cell in model.cells("outbound", proto)
+                          if cell.port_lo <= port <= cell.port_hi
+                          and cell.verdict != "REWRITE")
+
+        dsl = DslPolicy(GRUM_PROGRAM, services=SERVICES)
+        python = GrumPolicy(services=SERVICES)
+        dsl_model, python_model = compile_policy(dsl), compile_policy(python)
+        for proto in (PROTO_TCP, PROTO_UDP):
+            edges = {edge for model in (dsl_model, python_model)
+                     for cell in model.cells("outbound", proto)
+                     for edge in (cell.port_lo, cell.port_hi)}
+            for port in sorted(edges):
+                assert shape(dsl_model, proto, port) == shape(
+                    python_model, proto, port), (proto, port)
+        for policy in (dsl, python):
+            ctx = context(SERVICES, "outbound", PROTO_TCP, 80, None, 2)
+            assert policy.decide(ctx) is None
+            decision = policy.decide_content(ctx, DEFAULT_CONTENT["grum-cnc"])
+            assert decision.verdict.label == "FORWARD"
 
     def test_direction_guards(self):
         policy = DslPolicy(
             "inbound any -> forward\ndefault -> drop\n")
-        surface = enumerate_surface(policy)
-        matrix = surface.verdict_matrix()
-        assert matrix[("inbound", 80, "http-get")] == "FORWARD"
-        assert matrix[("outbound", 80, "http-get")] == "DROP"
+        assert _verdicts_at(policy, "inbound", 80) == {"*": "FORWARD"}
+        assert _verdicts_at(policy, "outbound", 80) == {"*": "DROP"}
 
     def test_coverage_counts_hits(self):
-        policy = DslPolicy(GRUM_PROGRAM)
-        enumerate_surface(policy)
-        coverage = dict(policy.coverage())
-        assert any(count > 0 for count in coverage.values())
+        policy = DslPolicy(GRUM_PROGRAM, services=SERVICES)
+        policy.decide(context(SERVICES, "outbound", PROTO_TCP, 25, None, 2))
+        assert [hits for _line, hits in policy.coverage()] == [1, 0]
 
 
 class TestSurfaceEnumeration:
     def test_default_deny_forwards_nothing(self):
-        surface = enumerate_surface(DefaultDeny())
-        assert surface.forwarded() == []
+        cells = compile_policy(DefaultDeny(services=SERVICES)).outcomes
+        assert cells and not any(_grants_world(cell) for cell in cells)
 
     def test_allow_all_forwards_everything(self):
-        surface = enumerate_surface(AllowAll())
-        assert len(surface.forwarded()) == len(surface.outcomes)
+        cells = compile_policy(AllowAll(services=SERVICES)).outcomes
+        assert cells and all(_grants_world(cell) for cell in cells)
 
-    def test_probe_matrix_dimensions(self):
-        probes = generate_probes(ports=[25, 80], directions=("outbound",))
-        assert len(probes) == 2 * len(DEFAULT_CONTENT)
+    def test_surface_dimensions(self):
+        """Outbound TCP splits into the atoms the rules' ports cut, port
+        80 into the prefix and what it misses; every other (direction,
+        protocol) is one atom."""
+        model = compile_policy(DslPolicy(GRUM_PROGRAM, services=SERVICES))
+        assert [(cell.port_lo, cell.port_hi, cell.content, cell.verdict)
+                for cell in model.cells("outbound", PROTO_TCP)] == [
+            (0, 24, "*", "REFLECT"), (25, 25, "*", "REFLECT"),
+            (26, 79, "*", "REFLECT"),
+            (80, 80, "prefix:'GET /grum/'", "FORWARD"),
+            (80, 80, "other", "REFLECT"), (81, 65535, "*", "REFLECT")]
+        assert len(model.outcomes) == 6 + 3
 
 
 class TestInvariants:
     def test_allow_all_violates_smtp_escape(self):
-        surface = enumerate_surface(AllowAll())
-        violations = check_invariants(surface)
-        names = {name for name, _outcome, _msg in violations}
-        assert "no-smtp-escape" in names
-        assert "no-blanket-forward" in names
+        assert _violations(AllowAll(services=SERVICES)) == [
+            "no-blanket-forward", "no-smtp-escape"]
 
     def test_grum_policy_is_clean(self):
-        surface = enumerate_surface(GrumPolicy())
-        assert check_invariants(surface) == []
+        assert _violations(GrumPolicy(services=SERVICES)) == []
 
     def test_dsl_grum_program_is_clean(self):
-        surface = enumerate_surface(DslPolicy(GRUM_PROGRAM))
-        assert check_invariants(surface) == []
+        assert _violations(DslPolicy(GRUM_PROGRAM, services=SERVICES)) == []
+
+
+WITNESS_IP = "203.0.113.200"
+
+
+def _live_farm(policy, plan):
+    """One inmate under ``policy`` dials the witness once per ``(port,
+    payload)`` of ``plan``, five seconds apart, on a journaled farm
+    with a catch-all and an SMTP sink.  Returns the farm, its
+    subfarm and what the witness heard."""
+    farm = Farm(FarmConfig(seed=41, journal=True))
+    sub = farm.create_subfarm("verify")
+    sub.add_catchall_sink()
+    sub.add_smtp_sink()
+    heard = []
+
+    def accept(conn):
+        conn.on_data = lambda c, data: heard.append(bytes(data))
+
+    farm.add_external_host("witness", WITNESS_IP).tcp.listen_any(accept)
+
+    def image(host):
+        def configured(h):
+            for index, (port, payload) in enumerate(plan):
+                def dial(port=port, payload=payload):
+                    h.tcp.connect(IPv4Address(WITNESS_IP), port).send(
+                        payload)
+                h.sim.schedule(5.0 * index, dial, label="test-flow")
+
+        DhcpClient(host, on_configured=configured).start()
+
+    sub.create_inmate(image_factory=image, policy=policy)
+    farm.run(until=40.0 + 5.0 * len(plan))
+    return farm, sub, heard
+
+
+def _assert_contained(farm):
+    """Certify and check ``farm``; returns the coverage report, whose
+    ``checked`` counts one journal verdict and one installed upstream
+    rule per forwarded flow (a dropped flow's rule emits nothing)."""
+    certificate = certify_farm(farm, label="live")
+    report = check_farm(certificate, farm)
+    assert certificate["result"] == "CONTAINED"
+    assert report.violations == []
+    assert report.covered == report.checked
+    return report
 
 
 @pytest.mark.integration
 class TestLiveEnforcement:
     def test_dsl_policy_enforced_without_mismatch(self):
-        summary, mismatches = verify_enforcement(
-            lambda: DslPolicy(GRUM_PROGRAM))
-        assert mismatches == []
-        assert summary["verdicts"].get("REFLECT", 0) > 0
+        plan = [(port, DEFAULT_CONTENT[tag]) for port in (25, 80, 443, 6667)
+                for tag in ("http-get", "grum-cnc", "smtp-dialogue")]
+        farm, sub, heard = _live_farm(
+            DslPolicy(GRUM_PROGRAM, services=SERVICES), plan)
+        assert _assert_contained(farm).checked == 2
+        assert sub.containment_server.verdict_counts == {
+            "REFLECT": 11, "FORWARD": 1}
+        assert heard == [DEFAULT_CONTENT["grum-cnc"]]
+        assert sub.sinks["smtp_sink"].sessions_accepted == 3
 
     def test_content_rule_ahead_of_its_fallback_rule_is_enforced(self):
         """Whitelist on port 80, blacklist on port 8080: in both the
@@ -261,21 +355,23 @@ class TestLiveEnforcement:
             'port 8080/tcp content ~ "GET /evil" -> drop\n'
             "port 8080/tcp -> forward\n"
             "default -> drop\n")
-        content = {"grum-cnc": DEFAULT_CONTENT["grum-cnc"],
-                   "evil": b"GET /evil.exe HTTP/1.1\r\n\r\n",
-                   "http-get": DEFAULT_CONTENT["http-get"]}
-        summary, mismatches = verify_enforcement(
-            lambda: DslPolicy(program), ports=[80, 8080], content=content)
-        assert mismatches == []
+        content = [DEFAULT_CONTENT["grum-cnc"],
+                   b"GET /evil.exe HTTP/1.1\r\n\r\n",
+                   DEFAULT_CONTENT["http-get"]]
+        farm, sub, heard = _live_farm(
+            DslPolicy(program, services=SERVICES),
+            [(port, payload) for port in (80, 8080) for payload in content])
+        assert _assert_contained(farm).checked == 2 * 3
         # 80: grum forwarded, two reflected; 8080: evil dropped, two
         # forwarded.
-        assert summary["verdicts"] == {"FORWARD": 3, "REFLECT": 2, "DROP": 1}
-        heard = summary["witness_heard"]
+        assert sub.containment_server.verdict_counts == {
+            "FORWARD": 3, "REFLECT": 2, "DROP": 1}
         assert sorted(heard) == sorted(
-            [content["grum-cnc"], content["grum-cnc"], content["http-get"]])
-        assert not any(data.startswith(b"GET /evil") for data in heard)
+            [content[0], content[0], content[2]])
 
     def test_forward_policy_reaches_witness(self):
-        summary, mismatches = verify_enforcement(AllowAll)
-        assert mismatches == []
-        assert summary["witness_ports"], "forwards must reach the witness"
+        plan = [(port, DEFAULT_CONTENT["http-get"])
+                for port in (25, 80, 443, 6667)]
+        farm, _sub, heard = _live_farm(AllowAll(), plan)
+        assert _assert_contained(farm).checked == 2 * len(plan)
+        assert heard == [payload for _port, payload in plan]

@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.fault_matrix import QUICK_SCENARIOS, fault_farm_shard
+from repro.core.verdicts import ContainmentDecision
+from repro.experiments.fault_matrix import (
+    QUICK_SCENARIOS,
+    _leak_details,
+    build_fault_farm,
+    fault_farm_shard,
+)
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
 from repro.parallel.campaign import Campaign, ShardSpec
 from repro.parallel.pool import run_campaign
+from repro.parallel.tasks import TARGET_IP, TARGET_PORT
 
 pytestmark = pytest.mark.integration
 
@@ -43,6 +50,25 @@ class TestScenarios:
         resilience = payload["resilience"]
         assert any(s["failovers"] >= 1 or s["fail_closed"] >= 1
                    for s in resilience.values())
+
+
+class TestLeakDetails:
+    @pytest.mark.parametrize("decision", [
+        None, ContainmentDecision.drop(policy="fail-closed")],
+        ids=["unverdicted", "fail-closed"])
+    def test_unverdicted_flow_seen_upstream_is_reported(self, decision):
+        # Plant a leak: take a forwarded flow, whose NAT'd tuple is on
+        # the upstream trace, and make it one the fail-closed property
+        # says must never get there.
+        farm = build_fault_farm(11, **SMALL)
+        (sub,) = farm.subfarms.values()
+        assert _leak_details(farm, [sub]) == []
+        record = next(record for record in sub.router._flows
+                      if record.inmate_is_originator)
+        record.decision = decision
+        assert _leak_details(farm, [sub]) == [{
+            "subfarm": sub.name, "vlan": record.vlan, "dst": TARGET_IP,
+            "proto": "tcp", "dport": TARGET_PORT}]
 
 
 class TestDeterminism:

@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import pytest
 
 from repro.analysis.fingerprint import normalize_payload
-from repro.analysis.policy_testing import DEFAULT_CONTENT
 from repro.baselines.policies import (
     BotlabStaticPolicy,
     FullIsolationPolicy,
@@ -93,8 +92,24 @@ DIRECTIONS = ("outbound", "inbound")
 PROTOS = {"tcp": PROTO_TCP, "udp": PROTO_UDP}
 DELIVERIES = ("whole", "halves", "thirds", "bytes")
 
-#: The prober's corpus plus a witness for every family's content rule
-#: and the lengths its wait rule turns on (16, 8, 512, len(MAGIC)).
+#: A generic corpus: empty, ordinary HTTP, each spam family's C&C
+#: shape, SMTP, IRC, an injection and raw bytes.
+DEFAULT_CONTENT: Dict[str, bytes] = {
+    "empty": b"",
+    "http-get": b"GET /index.html HTTP/1.1\r\nHost: x\r\n\r\n",
+    "grum-cnc": b"GET /grum/spm?id=0a1b2c3d HTTP/1.1\r\n\r\n",
+    "rustock-beacon": b"GET /stat?r=7&sent=120 HTTP/1.1\r\n\r\n",
+    "rustock-cnc": b"GET /mod/cmd?id=0a1b2c3d HTTP/1.1\r\n\r\n",
+    "waledac-cnc": b"POST /waledac/ctrl HTTP/1.1\r\n\r\n<lm/>",
+    "megad-magic": b"MEGAD\x0100aabbcc",
+    "smtp-dialogue": b"HELO wergvan\r\nMAIL FROM:<a@b.c>\r\n",
+    "irc-session": b"NICK gqbot\r\nUSER gq 0 * :gq\r\n",
+    "sql-injection": b"GET /page.php?id=1;DROP%20TABLE%20users HTTP/1.1\r\n\r\n",
+    "raw-binary": bytes(range(48)),
+}
+
+#: That corpus plus a witness for every family's content rule and the
+#: lengths its wait rule turns on (16, 8, 512, len(MAGIC)).
 CONTENT: Dict[str, bytes] = dict(
     DEFAULT_CONTENT,
     **{

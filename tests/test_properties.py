@@ -210,13 +210,19 @@ class TestDslProperties:
             assert exc.reason == "shadowed-rule"
             assume(False)
         assert len(parsed_rules) == len(rules)
-        # Every endpoint probe must produce a decision (or a
-        # deliberate wait-for-content None) without raising.
-        from repro.analysis.policy_testing import enumerate_surface
+        # The policy publishes a surface, and a flow at the low port
+        # of each of its cells gets a decision (or a deliberate
+        # wait-for-content None) without raising.
+        from repro.verify import compile_policy
+        from tests.test_policy_decisions import SERVICE_SETS, context
 
-        policy = DslPolicy(program)
-        surface = enumerate_surface(policy)
-        assert len(surface.outcomes) + len(surface.undecided) > 0
+        policy = DslPolicy(program, services=SERVICE_SETS["sink+smtp"])
+        cells = compile_policy(policy).outcomes
+        assert cells
+        for cell in cells:
+            ctx = context(policy.services, cell.direction, cell.proto,
+                          cell.port_lo, None, 2)
+            policy.decide(ctx) or policy.decide_content(ctx, b"GET /")
 
 
 class TestHardenedRoundTrips:

@@ -175,9 +175,12 @@ class TestBuiltDecisions:
 
     @staticmethod
     def decide(policy):
-        from repro.analysis.policy_testing import Probe, drive
+        """An outbound flow to 445 put to the policy the way the
+        containment server puts it: the endpoint, then empty content."""
+        from tests.test_policy_decisions import context
 
-        return drive(policy, Probe("outbound", 445, PROTO_TCP, "", b""))
+        ctx = context(policy.services, "outbound", PROTO_TCP, 445, None, 2)
+        return policy.decide(ctx) or policy.decide_content(ctx, b"")
 
     def test_a_world_reaching_alternative_is_refused(self):
         for otherwise in (Action("forward"),

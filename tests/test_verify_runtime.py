@@ -143,6 +143,21 @@ class TestFlowtableCoverage:
             assert violation["dport"] == _WORLD_PORT
             assert violation["dst"] == _WORLD_IP
 
+    def test_drop_rules_are_not_world_grants(self):
+        # A DROP flow's installed rule has no egress: it swallows what
+        # it matches and emits nothing upstream, whatever its emit code.
+        from repro.core.dsl import DslPolicy
+
+        farm = _active_farm(DslPolicy(
+            f"outbound port {_WORLD_PORT}/tcp -> drop\n"
+            "default -> forward\n"))
+        table = farm.subfarms["live"].router.flowtable
+        assert [entry.spec.name for entry in table.rules()] == ["drop-tcp"]
+        assert table.world_grants() == []
+        report = check_farm(certify_farm(farm, label="drop"), farm)
+        assert report.ok
+        assert report.checked == 0
+
     def test_check_farm_combines_both_passes(self):
         farm = _active_farm()
         cert = certify_farm(farm, label="combined")
