@@ -37,17 +37,28 @@ WITNESS_IP = "203.0.113.200"
 OTHER_LINE = b"HELLO gq\r\n"
 
 
-#: Each invariant names the cells that break it.  A cell grants the
-#: world when it forwards (or limits) or its target is outside the farm.
+def grants_world(cell) -> bool:
+    """A cell grants the world when it forwards (or limits) or its
+    target is outside the farm."""
+    return (Verdict.from_label(cell.verdict).grants_world
+            or cell.target_class == "world")
+
+
+#: Each invariant names the cells that break it.
 INVARIANTS = {
     "no-smtp-escape": lambda cell: (
-        cell.direction == "outbound" and cell.port_lo <= 25 <= cell.port_hi
-        and (Verdict.from_label(cell.verdict).grants_world
-             or cell.target_class == "world")),
+        cell.direction == "outbound" and grants_world(cell)
+        and cell.port_lo <= 25 <= cell.port_hi),
     "no-blanket-forward": lambda cell: bool(
         Verdict.from_label(cell.verdict) & Verdict.FORWARD
         and cell.content in ("*", "other")),
 }
+
+
+def violations(cells):
+    """``(invariant, cell)`` for every cell an invariant names."""
+    return [(name, cell) for name, broken in INVARIANTS.items()
+            for cell in cells if broken(cell)]
 
 
 def flow_for(cell):
@@ -59,11 +70,12 @@ def flow_for(cell):
 
 
 def run_flows(policy, plan):
-    """One inmate under ``policy`` dials the witness once per
-    ``(port, payload)`` of ``plan``, five seconds apart."""
+    """One inmate under ``policy`` dials the witness once per ``(port,
+    payload)`` of ``plan``, five seconds apart, on a journaled farm with
+    sinks ``sink`` and ``smtp_sink``.  Returns (farm, subfarm, heard)."""
     farm = Farm(FarmConfig(seed=41, journal=True))
     sub = farm.create_subfarm("verify")
-    sink = sub.add_catchall_sink()
+    sub.add_catchall_sink()
     sub.add_smtp_sink()
     heard = []
 
@@ -84,7 +96,7 @@ def run_flows(policy, plan):
 
     sub.create_inmate(image_factory=image, policy=policy)
     farm.run(until=40.0 + 5.0 * len(plan))
-    return farm, sink, heard
+    return farm, sub, heard
 
 
 def main() -> None:
@@ -104,11 +116,10 @@ def main() -> None:
               f"{cell.content:<20} -> {cell.verdict}")
 
     print("\n2. Safety invariants:")
-    violations = [(name, cell) for name, broken in INVARIANTS.items()
-                  for cell in cells if broken(cell)]
-    for name, cell in violations:
+    broken = violations(cells)
+    for name, cell in broken:
         print(f"    VIOLATION [{name}] {cell!r}")
-    if not violations:
+    if not broken:
         print("    no violations: SMTP never escapes, nothing "
               "unrecognized is forwarded")
 
@@ -116,7 +127,7 @@ def main() -> None:
     plan = [flow_for(cell) for cell in cells
             if cell.direction == "outbound" and cell.proto == PROTO_TCP]
     print("\n".join(f"    :{port:<5} {payload!r}" for port, payload in plan))
-    farm, sink, heard = run_flows(policy, plan)
+    farm, sub, heard = run_flows(policy, plan)
     certificate = certify_farm(farm, label="policy-language")
     coverage = check_farm(certificate, farm)
     print(f"    certificate          : {certificate['result']}")
@@ -124,14 +135,14 @@ def main() -> None:
           f"{coverage.checked}, {len(coverage.violations)} violations")
     for violation in coverage.violations:
         print(f"    VIOLATION: {violation}")
+    ports = sorted({record.dst_port for record in sub.sinks["sink"].records})
     print(f"    the witness heard    : {heard}")
-    print(f"    the sink heard ports : "
-          f"{sorted({record.dst_port for record in sink.records})}")
+    print(f"    the sink heard ports : {ports}")
 
     print("\nRule coverage after the live run:")
     for line, hits in policy.coverage():
         print(f"    {hits:>4}  {line}")
-    if violations or certificate["result"] != "CONTAINED" or not coverage.ok:
+    if broken or certificate["result"] != "CONTAINED" or not coverage.ok:
         raise SystemExit(1)
 
 

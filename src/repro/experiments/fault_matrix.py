@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
-from repro.net.packet import PROTO_TCP, TCPSegment, UDPDatagram
+from repro.net.packet import PROTO_TCP
 from repro.parallel import Campaign, ShardSpec, run_campaign
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _echo_server, \
     _streaming_image
@@ -83,26 +83,14 @@ SCENARIOS: Dict[str, dict] = {
 QUICK_SCENARIOS = ("cs_crash", "shim_partition", "cs_hang")
 
 
-def _upstream_tuples(records) -> set:
-    """``(src, dst, proto, sport, dport)`` of every TCP segment and UDP
-    datagram on the upstream trace."""
-    tuples = set()
-    for rec in records:
-        ip = rec.ip
-        if ip is not None and isinstance(ip.payload,
-                                         (TCPSegment, UDPDatagram)):
-            tuples.add((ip.src, ip.dst, ip.proto, ip.payload.sport,
-                        ip.payload.dport))
-    return tuples
-
-
 def _leak_details(farm, subs) -> List[dict]:
     """Fail-closed property, runtime half: flows that never received a
     verdict (or were closed out by the fail-closed pending policy)
     must not appear upstream.  Each violation is returned with the
     leaking flow's (vlan, dst, proto) tuple so the matrix summary can
     name the path, not just count it."""
-    upstream = _upstream_tuples(farm.gateway.upstream_trace.records)
+    upstream = {rec.five_tuple
+                for rec in farm.gateway.upstream_trace.records}
     leaks: List[dict] = []
     for sub in subs:
         for record in sub.router._flows:
@@ -115,8 +103,8 @@ def _leak_details(farm, subs) -> List[dict]:
             if nat_global is None:
                 continue
             orig = record.orig
-            if (nat_global, orig.resp_ip, orig.proto, orig.orig_port,
-                    orig.resp_port) in upstream:
+            if (nat_global, orig.orig_port, orig.resp_ip, orig.resp_port,
+                    orig.proto) in upstream:
                 leaks.append({
                     "subfarm": sub.name,
                     "vlan": record.vlan,

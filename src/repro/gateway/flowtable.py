@@ -141,6 +141,7 @@ EMIT_VLAN = 0      # emit_arg = VLAN id
 EMIT_SERVICE = 1   # emit_arg = service IPv4Address
 EMIT_UPSTREAM = 2  # emit_arg unused
 EMIT_CS = 3        # emit_arg = containment-server IPv4Address (fault seam)
+EMIT_NONE = 4      # no egress: the rule swallows (a DROP flow's)
 
 
 class Row:
@@ -185,7 +186,7 @@ class Rewrite(Row):
 
     def __init__(self, key, record, leg, kind, out_sport, out_dport,
                  src_ip, dst_ip, egress=None, seq_delta=0, ack_delta=0,
-                 emit_code=EMIT_UPSTREAM, emit_arg=None, shaped=False,
+                 emit_code=EMIT_NONE, emit_arg=None, shaped=False,
                  payload_prefix=b""):
         self.key = key
         self.record = record
@@ -253,7 +254,8 @@ class FlowEntry(Rewrite):
             "out_dport": self.out_dport,
             "seq_delta": self.seq_delta,
             "ack_delta": self.ack_delta,
-            "emit": ("vlan", "service", "upstream", "cs")[self.emit_code],
+            "emit": ("vlan", "service", "upstream", "cs",
+                     "none")[self.emit_code],
             "shaped": self.shaped,
             "hits": self.hits,
             "installed_at": self.installed_at,
@@ -386,8 +388,8 @@ class FlowTable:
         entry outside any certified grant is a leak in the *installed*
         rules even if no packet has hit it yet (the P4Control stance —
         verify what was compiled, not just what was decided).  A rule
-        with no egress swallows what it matches (a DROP flow's): it
-        emits nowhere, whatever its emit code says.
+        with no egress swallows what it matches (a DROP flow's,
+        ``EMIT_NONE``): it emits nowhere.
         """
         grants = []
         for entry in sorted(self.rules(),

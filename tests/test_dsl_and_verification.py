@@ -5,16 +5,15 @@ as predicates over them, and a live farm judged by ``certify_farm`` +
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.core.dsl import DslError, DslPolicy, parse_program
 from repro.core.policy import AllowAll, DefaultDeny
-from repro.core.verdicts import Verdict
-from repro.farm import Farm, FarmConfig
-from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.policies.spambot import GrumPolicy
-from repro.services.dhcp import DhcpClient
 from repro.verify import certify_farm, check_farm, compile_policy
 from tests.test_policy_decisions import DEFAULT_CONTENT, SERVICE_SETS, context
 
@@ -26,6 +25,14 @@ default                                       -> reflect sink
 """
 SERVICES = SERVICE_SETS["sink+smtp"]
 
+# The invariants and the live-farm harness are the example's own, so
+# the example and these tests cannot drift apart.
+_spec = importlib.util.spec_from_file_location(
+    "policy_language",
+    Path(__file__).resolve().parents[1] / "examples" / "policy_language.py")
+POLICY_LANGUAGE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(POLICY_LANGUAGE)
+
 
 def _verdicts_at(policy, direction, port, proto=PROTO_TCP):
     """``{content class: verdict}`` of the cells covering one port."""
@@ -34,26 +41,9 @@ def _verdicts_at(policy, direction, port, proto=PROTO_TCP):
             if cell.port_lo <= port <= cell.port_hi}
 
 
-def _grants_world(cell) -> bool:
-    return (Verdict.from_label(cell.verdict).grants_world
-            or cell.target_class == "world")
-
-
-#: Each invariant names the cells that break it.
-INVARIANTS = {
-    "no-smtp-escape": lambda cell: (
-        cell.direction == "outbound" and _grants_world(cell)
-        and cell.port_lo <= 25 <= cell.port_hi),
-    "no-blanket-forward": lambda cell: bool(
-        Verdict.from_label(cell.verdict) & Verdict.FORWARD
-        and cell.content in ("*", "other")),
-}
-
-
 def _violations(policy):
-    return sorted({name for name, broken in INVARIANTS.items()
-                   for cell in compile_policy(policy).outcomes
-                   if broken(cell)})
+    return sorted({name for name, _cell in POLICY_LANGUAGE.violations(
+        compile_policy(policy).outcomes)})
 
 
 class TestDslParsing:
@@ -253,11 +243,11 @@ class TestDslSemantics:
 class TestSurfaceEnumeration:
     def test_default_deny_forwards_nothing(self):
         cells = compile_policy(DefaultDeny(services=SERVICES)).outcomes
-        assert cells and not any(_grants_world(cell) for cell in cells)
+        assert cells and not any(POLICY_LANGUAGE.grants_world(cell) for cell in cells)
 
     def test_allow_all_forwards_everything(self):
         cells = compile_policy(AllowAll(services=SERVICES)).outcomes
-        assert cells and all(_grants_world(cell) for cell in cells)
+        assert cells and all(POLICY_LANGUAGE.grants_world(cell) for cell in cells)
 
     def test_surface_dimensions(self):
         """Outbound TCP splits into the atoms the rules' ports cut, port
@@ -285,38 +275,11 @@ class TestInvariants:
         assert _violations(DslPolicy(GRUM_PROGRAM, services=SERVICES)) == []
 
 
-WITNESS_IP = "203.0.113.200"
-
-
-def _live_farm(policy, plan):
-    """One inmate under ``policy`` dials the witness once per ``(port,
-    payload)`` of ``plan``, five seconds apart, on a journaled farm
-    with a catch-all and an SMTP sink.  Returns the farm, its
-    subfarm and what the witness heard."""
-    farm = Farm(FarmConfig(seed=41, journal=True))
-    sub = farm.create_subfarm("verify")
-    sub.add_catchall_sink()
-    sub.add_smtp_sink()
-    heard = []
-
-    def accept(conn):
-        conn.on_data = lambda c, data: heard.append(bytes(data))
-
-    farm.add_external_host("witness", WITNESS_IP).tcp.listen_any(accept)
-
-    def image(host):
-        def configured(h):
-            for index, (port, payload) in enumerate(plan):
-                def dial(port=port, payload=payload):
-                    h.tcp.connect(IPv4Address(WITNESS_IP), port).send(
-                        payload)
-                h.sim.schedule(5.0 * index, dial, label="test-flow")
-
-        DhcpClient(host, on_configured=configured).start()
-
-    sub.create_inmate(image_factory=image, policy=policy)
-    farm.run(until=40.0 + 5.0 * len(plan))
-    return farm, sub, heard
+def _sink_heard(sub):
+    """``(dst_port, payload)`` of every flow the catch-all sink took,
+    sorted."""
+    return sorted((record.dst_port, bytes(record.payload))
+                  for record in sub.sinks["sink"].records)
 
 
 def _assert_contained(farm):
@@ -336,13 +299,18 @@ class TestLiveEnforcement:
     def test_dsl_policy_enforced_without_mismatch(self):
         plan = [(port, DEFAULT_CONTENT[tag]) for port in (25, 80, 443, 6667)
                 for tag in ("http-get", "grum-cnc", "smtp-dialogue")]
-        farm, sub, heard = _live_farm(
+        farm, sub, heard = POLICY_LANGUAGE.run_flows(
             DslPolicy(GRUM_PROGRAM, services=SERVICES), plan)
         assert _assert_contained(farm).checked == 2
         assert sub.containment_server.verdict_counts == {
             "REFLECT": 11, "FORWARD": 1}
         assert heard == [DEFAULT_CONTENT["grum-cnc"]]
         assert sub.sinks["smtp_sink"].sessions_accepted == 3
+        # The other eight reflected flows land at the catch-all sink.
+        assert _sink_heard(sub) == sorted(
+            (port, payload) for port, payload in plan
+            if port != 25
+            and (port, payload) != (80, DEFAULT_CONTENT["grum-cnc"]))
 
     def test_content_rule_ahead_of_its_fallback_rule_is_enforced(self):
         """Whitelist on port 80, blacklist on port 8080: in both the
@@ -358,7 +326,7 @@ class TestLiveEnforcement:
         content = [DEFAULT_CONTENT["grum-cnc"],
                    b"GET /evil.exe HTTP/1.1\r\n\r\n",
                    DEFAULT_CONTENT["http-get"]]
-        farm, sub, heard = _live_farm(
+        farm, sub, heard = POLICY_LANGUAGE.run_flows(
             DslPolicy(program, services=SERVICES),
             [(port, payload) for port in (80, 8080) for payload in content])
         assert _assert_contained(farm).checked == 2 * 3
@@ -368,10 +336,13 @@ class TestLiveEnforcement:
             "FORWARD": 3, "REFLECT": 2, "DROP": 1}
         assert sorted(heard) == sorted(
             [content[0], content[0], content[2]])
+        assert _sink_heard(sub) == sorted(
+            [(80, content[1]), (80, content[2])])
 
     def test_forward_policy_reaches_witness(self):
         plan = [(port, DEFAULT_CONTENT["http-get"])
                 for port in (25, 80, 443, 6667)]
-        farm, _sub, heard = _live_farm(AllowAll(), plan)
+        farm, sub, heard = POLICY_LANGUAGE.run_flows(AllowAll(), plan)
         assert _assert_contained(farm).checked == 2 * len(plan)
         assert heard == [payload for _port, payload in plan]
+        assert _sink_heard(sub) == []

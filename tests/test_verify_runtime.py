@@ -145,14 +145,15 @@ class TestFlowtableCoverage:
 
     def test_drop_rules_are_not_world_grants(self):
         # A DROP flow's installed rule has no egress: it swallows what
-        # it matches and emits nothing upstream, whatever its emit code.
+        # it matches, emits nothing upstream and is dumped as such.
         from repro.core.dsl import DslPolicy
 
         farm = _active_farm(DslPolicy(
             f"outbound port {_WORLD_PORT}/tcp -> drop\n"
             "default -> forward\n"))
         table = farm.subfarms["live"].router.flowtable
-        assert [entry.spec.name for entry in table.rules()] == ["drop-tcp"]
+        assert [(entry["action"], entry["emit"])
+                for entry in table.snapshot()] == [("drop-tcp", "none")]
         assert table.world_grants() == []
         report = check_farm(certify_farm(farm, label="drop"), farm)
         assert report.ok
