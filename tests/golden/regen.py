@@ -13,6 +13,8 @@ Every value the tree pins is produced by code this manifest names:
 ``farm``    ``farm_digests.json``, the seed farm's digest and journal
             digest and the 8-shard campaign digest
             (:data:`tests.golden.FARM_PINS`);
+``verify``  ``certificates.json``, the certificate digest of every farm
+            of the certificate corpus (``tests/test_certificate_corpus.py``);
 ``fuzz``    ``FUZZ_quick.json``, the quick fuzz smoke's summary
             (:func:`repro.fuzz.runner.quick_summary`);
 ``paper``   ``benchmarks/output/*``, Table 1, Figures 1-7 and the case
@@ -49,8 +51,8 @@ import sys
 from repro.experiments.registry import ARTEFACTS
 from repro.fuzz.router import run_script
 from repro.fuzz.runner import PINNED_NAME, quick_summary
-from tests import (test_fastpath, test_flowtable, test_obs_parity,
-                   test_policy_decisions)
+from tests import (test_certificate_corpus, test_fastpath, test_flowtable,
+                   test_obs_parity, test_policy_decisions)
 from tests.golden import (FARM_PATH, FARM_PINS, GOLDEN_PATH, SCRIPTS_PATH,
                           script_digests, wire_digest)
 
@@ -93,6 +95,9 @@ MANIFEST = {
                     _corpus(test_obs_parity.record())},
     "farm": lambda: {FARM_PATH: _digest_file(
         {name: produce() for name, produce in FARM_PINS.items()})},
+    "verify": lambda: {test_certificate_corpus.CORPUS_PATH: _digest_file(
+        {"recorded_from": _commit(),
+         "certificates": test_certificate_corpus.record()})},
     "fuzz": lambda: {os.path.join(ROOT, PINNED_NAME):
                      _digest_file(quick_summary())},
     "paper": lambda: {
