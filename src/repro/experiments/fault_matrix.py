@@ -6,10 +6,10 @@ failover pool, fail-closed pending policy) under one named fault
 scenario from :data:`SCENARIOS`.  Every cell proves the fail-closed
 property in-shard two ways: an **isolation certificate**
 (:func:`repro.verify.certify_farm` — the static decision surface,
-fault windows included, explored exhaustively) and a runtime sweep
-(an unverdicted flow must never appear on the upstream trace; any
-that does is reported with its (vlan, dst, proto) tuple and checked
-against the certificate's grant table).  Because the fault plane
+fault windows included, each abstract flow classified once) and a
+runtime sweep (an unverdicted flow must never appear on the upstream
+trace; any that does is reported with its (vlan, dst, proto) tuple
+and checked against the certificate's grant table).  Because the fault plane
 draws all randomness from named RNG streams off the farm seed,
 identical seed + identical scenario ⇒ identical digest, which
 ``--quick`` asserts by running one cell twice.
@@ -333,17 +333,12 @@ def summarize(result) -> dict:
             violations.append(
                 f"{shard.label}: report missing degradation section")
 
-    from repro.verify import merge_certificates
-
-    campaign_certificate = merge_certificates(
-        [shard.payload.get("certificate")
-         for shard in result.shard_results if shard.ok],
-        label="fault-matrix")
     return {
         "experiment": "fault-matrix",
         "campaign_digest": result.digest,
         "cells": cells,
-        "certificate": campaign_certificate,
+        # run_campaign's merge has folded the shard certificates.
+        "certificate": result.merged.get("certificate"),
         "violations": violations,
     }
 

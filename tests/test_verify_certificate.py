@@ -160,3 +160,15 @@ class TestSerialParallelParity:
         assert cert_serial is not None
         assert cert_serial["digest"] == cert_parallel["digest"]
         assert cert_serial["result"] == "CONTAINED"
+
+    def test_matrix_summary_reads_the_merged_certificate(self):
+        """The matrix summary reports the campaign certificate the
+        campaign merge made, under the campaign's name."""
+        from repro.experiments.fault_matrix import run_matrix, summarize
+
+        result = run_matrix(scenarios=["baseline", "cs_crash"], seeds=[11],
+                            subfarms=1, inmates=2, rounds=6)
+        summary = summarize(result)
+        assert summary["certificate"] == result.merged["certificate"]
+        assert summary["certificate"]["label"] == "fault-matrix"
+        assert len(summary["certificate"]["shards"]) == 2
