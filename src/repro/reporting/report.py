@@ -253,55 +253,11 @@ def _render_certificate(lines: List[str], certificate: dict,
                         coverage: Optional[dict]) -> None:
     """The proof section: what the verifier certified, the world-grant
     table, and (when attached) how runtime evidence covered it."""
+    from repro.verify.certificate import render_certificate
+
     header = "Isolation certificate"
-    lines.append(header)
-    lines.append("=" * len(header))
-    lines.append("")
-    lines.append(f"Result: {certificate.get('result')}   "
-                 f"schema {certificate.get('schema')}")
-    lines.append(f"Certificate digest: {certificate.get('digest')}")
-    model_digest = certificate.get("model_digest")
-    if model_digest:
-        lines.append(f"Model digest:       {model_digest}")
-    lines.append(f"States explored: "
-                 f"{certificate.get('states_explored', 0)}   "
-                 f"leak paths: {certificate.get('leak_count', 0)}")
-    grants = certificate.get("grants", [])
-    if grants:
-        lines.append("")
-        lines.append("World grants")
-        lines.append(f"  {'subfarm':<14} {'vlan':<9} {'dir':<9} "
-                     f"{'dst':<6} {'proto':<5} {'ports':<12} verdict")
-        for grant in grants:
-            ports = grant["ports"]
-            span = (str(ports[0]) if ports[0] == ports[1]
-                    else f"{ports[0]}-{ports[1]}")
-            lines.append(
-                f"  {grant['subfarm']:<14} {grant['vlan']:<9} "
-                f"{grant['direction']:<9} {grant['dst']:<6} "
-                f"{grant['proto']:<5} {span:<12} {grant['verdict']} "
-                f"({grant['grant_kind']})")
-    counterexample = certificate.get("counterexample")
-    if counterexample:
-        path = counterexample.get("path", {})
-        lines.append("")
-        lines.append(f"Counterexample ({counterexample.get('kind')}): "
-                     f"subfarm={path.get('subfarm')} "
-                     f"src_vlan={path.get('src_vlan')} "
-                     f"dst={path.get('dst')} proto={path.get('proto')} "
-                     f"ports={path.get('ports')}")
-    if coverage is not None:
-        lines.append("")
-        lines.append(f"Runtime coverage: {coverage.get('covered', 0)}/"
-                     f"{coverage.get('checked', 0)} world-reaching "
-                     f"observations covered, "
-                     f"{len(coverage.get('violations', []))} violation(s)")
-        for violation in coverage.get("violations", []):
-            lines.append(f"  UNCOVERED {violation.get('source')}: "
-                         f"vlan={violation.get('vlan')} "
-                         f"proto={violation.get('proto')} "
-                         f"verdict={violation.get('verdict')} "
-                         f"dst={violation.get('destination') or violation.get('dst')}")
+    lines += [header, "=" * len(header), ""]
+    lines += render_certificate(certificate, coverage)
     lines.append("")
 
 

@@ -8,15 +8,13 @@ obligation:
 
 1. :mod:`repro.verify.model` compiles the entire containment decision
    surface (per-VLAN policies, safety filter, failover pending policy,
-   fault-plan outage windows) into a finite transition model over
-   abstract flows;
-2. :mod:`repro.verify.explore` exhaustively walks every abstract flow
-   to a terminal state, collecting the world-grant table and any leak
-   paths with full transition traces;
-3. :mod:`repro.verify.certificate` signs the result into a canonical
-   JSON certificate (digest-stable across runs; per-shard certificates
-   merge deterministically into a campaign certificate);
-4. :mod:`repro.verify.runtime` cross-validates the static proof
+   fault-plan outage windows) into a finite model over abstract flows;
+2. :mod:`repro.verify.certificate` classifies every abstract flow once
+   — grant, leak with its trace, or contained — and signs the result
+   into a canonical JSON certificate (digest-stable across runs;
+   per-shard certificates merge deterministically into a campaign
+   certificate);
+3. :mod:`repro.verify.runtime` cross-validates the static proof
    against runtime evidence — every world-reaching journal verdict and
    every installed upstream flow-table entry must be covered by a
    certificate grant.
@@ -34,7 +32,6 @@ from repro.verify.certificate import (
     merge_certificates,
     verify_digest,
 )
-from repro.verify.explore import ExplorationResult, explore
 from repro.verify.model import (
     IsolationModel,
     Outcome,
@@ -56,7 +53,6 @@ __all__ = [
     "CAMPAIGN_SCHEMA",
     "SCHEMA",
     "CoverageReport",
-    "ExplorationResult",
     "GrantIndex",
     "IsolationModel",
     "Outcome",
@@ -70,7 +66,6 @@ __all__ = [
     "check_journal",
     "compile_farm",
     "compile_policy",
-    "explore",
     "merge_certificates",
     "render_violations",
     "verify_digest",

@@ -7,10 +7,10 @@ Usage::
     python -m repro.verify quick
 
 ``certify`` compiles the golden-seed farm (or a named fault-matrix
-scenario farm) into an isolation model, exhaustively explores it, and
-prints the certificate — exit 0 when CONTAINED, 1 when LEAKY (the
-minimal counterexample prints with the leaking (src-vlan, dst, proto)
-path).
+scenario farm) into an isolation model, classifies every abstract
+flow once, and prints the certificate — exit 0 when CONTAINED, 1 when
+LEAKY (the minimal counterexample prints with the leaking (src-vlan,
+dst, proto) path).
 
 ``check`` certifies and then cross-validates the certificate against
 the same run's runtime evidence: journal coverage plus installed
@@ -33,7 +33,8 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.verify.certificate import certify_farm, verify_digest
+from repro.verify.certificate import (certify_farm, render_certificate,
+                                      verify_digest)
 from repro.verify.model import compile_farm, compile_policy
 from repro.verify.runtime import check_farm, render_violations
 
@@ -64,32 +65,8 @@ def _print_certificate(cert: dict, as_json: bool, out: Optional[str]) -> None:
         print(text)
         return
     print(f"isolation certificate [{cert['result']}]")
-    print(f"  schema           {cert['schema']}")
-    print(f"  model digest     {cert['model_digest']}")
-    print(f"  certificate      {cert['digest']}")
-    print(f"  states explored  {cert['states_explored']}")
-    print(f"  transitions      {cert['transitions']}")
-    print(f"  world grants     {len(cert['grants'])}")
-    for grant in cert["grants"]:
-        ports = grant["ports"]
-        span = (str(ports[0]) if ports[0] == ports[1]
-                else f"{ports[0]}-{ports[1]}")
-        print(f"    {grant['subfarm']} vlan={grant['vlan']} "
-              f"{grant['direction']} dst={grant['dst']} "
-              f"{grant['proto']}:{span} content={grant['content']} "
-              f"-> {grant['verdict']} ({grant['grant_kind']})")
-    print(f"  leak paths       {cert['leak_count']}")
-    counterexample = cert.get("counterexample")
-    if counterexample:
-        path = counterexample["path"]
-        print(f"  counterexample   {counterexample['kind']}: "
-              f"subfarm={path['subfarm']} src_vlan={path['src_vlan']} "
-              f"dst={path['dst']} proto={path['proto']} "
-              f"ports={path['ports'][0]}-{path['ports'][1]}")
-        for step in counterexample["trace"]:
-            detail = ", ".join(f"{k}={v}" for k, v in step.items()
-                               if k != "step")
-            print(f"    -> {step['step']}  {detail}")
+    for line in render_certificate(cert):
+        print(f"  {line}" if line else "")
 
 
 def _cmd_certify(args) -> int:
@@ -207,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the raw certificate JSON")
 
     p_certify = sub.add_parser(
-        "certify", help="compile, explore, and print a certificate")
+        "certify", help="compile, classify, and print a certificate")
     common(p_certify)
     p_certify.add_argument("--out", metavar="PATH",
                            help="write the certificate JSON to a file")

@@ -170,7 +170,7 @@ class SubfarmModel:
 
 
 class IsolationModel:
-    """The farm-level transition model the explorer walks."""
+    """The farm-level model a certificate classifies."""
 
     SCHEMA = "gq.verify.model/2"
 
