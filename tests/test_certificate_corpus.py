@@ -14,9 +14,9 @@ reads only configuration.  The corpus has three parts:
    :data:`ALLOW`;
 2. every ``fault_matrix.SCENARIOS`` plan under pending policy drop or
    forward, with zero or one extra containment server;
-3. :data:`PROGRAM_SEEDS` seeded DSL programs, two per farm on VLAN
-   ranges, with and without a shim-partition window under a fail-open
-   pending policy.
+3. :data:`PROGRAM_SEEDS` seeded DSL programs, three per farm (two on
+   VLAN ranges, one the default), with and without a shim-partition
+   window under a fail-open pending policy.
 
 ``python -m tests.golden.regen verify`` rewrites the file; a refactor
 of ``repro.verify`` records it from its parent commit and never again.
@@ -59,6 +59,7 @@ CLAUSES = (
     'port {p}/tcp content ~ "GET /" -> rewrite',
     'outbound port {p}-{q}/tcp content =~ "HELO|EHLO" -> reflect smtp_sink',
     "port {p}/udp -> redirect 203.0.113.{h}:{p}",
+    "outbound port {p}-{q}/tcp -> redirect 198.51.100.{h}",
     "port {p}/tcp -> redirect 10.3.0.9:25",
     "inbound port {p}/tcp -> forward",
     "port {p}-{q}/tcp -> reflect sink",
@@ -129,8 +130,9 @@ def program_farm(seed: int, window: bool) -> Farm:
     farm = Farm(FarmConfig(**config))
     sub = farm.create_subfarm("dsl")
     _sinks(sub)
-    sub.assign_policy(DslPolicy(program(2 * seed)), 2, 9)
-    sub.assign_policy(DslPolicy(program(2 * seed + 1)), 10, 10)
+    sub.assign_policy(DslPolicy(program(3 * seed)), 2, 9)
+    sub.assign_policy(DslPolicy(program(3 * seed + 1)), 10, 10)
+    sub.set_default_policy(DslPolicy(program(3 * seed + 2)))
     return farm
 
 
@@ -184,7 +186,9 @@ def test_every_certificate_holds_its_pin():
 
 def test_corpus_reaches_every_verifier_conclusion():
     """What the pins hold: every grant kind, every leak kind, the leak
-    cap and both results occur somewhere in the corpus."""
+    cap, both results, and a counterexample that the tie-break's low
+    port picks over an earlier leak of its (subfarm, vlan, proto)
+    occur somewhere in the corpus."""
     certs = certificates().values()
     grant_kinds = {grant["grant_kind"] for cert in certs
                    for grant in cert["grants"]}
@@ -195,3 +199,16 @@ def test_corpus_reaches_every_verifier_conclusion():
                           "pending-forward"}
     assert {cert["result"] for cert in certs} == {"CONTAINED", "LEAKY"}
     assert any(cert["leak_count"] > len(cert["leaks"]) for cert in certs)
+    assert any(_first_on_path(cert) not in (
+        None, cert["counterexample"]["trace"])
+        for cert in certs if cert["counterexample"])
+
+
+def _first_on_path(cert: dict):
+    """The trace of the first kept leak on the counterexample's
+    (subfarm, vlan, proto), if one was kept."""
+    path = cert["counterexample"]["path"]
+    return next((leak["trace"] for leak in cert["leaks"]
+                 if (leak["subfarm"], leak["vlan"], leak["proto"])
+                 == (path["subfarm"], path["src_vlan"], path["proto"])),
+                None)
