@@ -20,6 +20,11 @@ from __future__ import annotations
 import enum
 from typing import Callable, List, Optional
 
+from repro.inmates.rawiron import (
+    LOCAL_BOOT_TIME,
+    LOCAL_RESTORE_CYCLE,
+    NETWORK_REIMAGE_CYCLE,
+)
 from repro.net.host import Host
 from repro.net.link import Link, Port, Switch
 from repro.sim.engine import Simulator
@@ -73,20 +78,21 @@ class EmulatedBackend(HostingBackend):
 class RawIronBackend(HostingBackend):
     """Unvirtualized execution on small form-factor x86 systems.
 
-    Reverting means reimaging through the Raw Iron Controller (§6.4):
-    around 6 minutes per cycle when network-booting the image, or
-    around 10 minutes when restoring from the hidden local partition
-    (which however reimages all machines simultaneously).
+    Reverting means reimaging through the Raw Iron Controller (§6.4),
+    and takes its cycle (:mod:`repro.inmates.rawiron`): around 6
+    minutes when network-booting the image, or around 10 when
+    restoring from the hidden local partition (which however reimages
+    all machines simultaneously); the fresh image then boots locally.
     """
 
     platform = "raw-iron"
     detectable_virtualization = False
-    boot_latency = 60.0
-    revert_latency = 360.0  # network reimage, ~6 minutes
+    boot_latency = LOCAL_BOOT_TIME
+    revert_latency = NETWORK_REIMAGE_CYCLE
 
     def __init__(self, local_partition_restore: bool = False) -> None:
         if local_partition_restore:
-            self.revert_latency = 600.0  # ~10 minutes, but parallelizable
+            self.revert_latency = LOCAL_RESTORE_CYCLE
         self.local_partition_restore = local_partition_restore
 
 

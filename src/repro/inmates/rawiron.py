@@ -36,6 +36,12 @@ IMAGE_TRANSFER_TIME = 240.0   # compressed Windows image over TFTP/NFS
 IMAGE_WRITE_TIME = 60.0       # NTFS-aware write to disk
 LOCAL_RESTORE_TIME = 540.0    # hidden-partition restore (no network)
 LOCAL_BOOT_TIME = 30.0
+#: Power-cycle to the fresh image booting, per strategy, as the
+#: controller runs the phases (340 s and 560 s); ``RawIronBackend``
+#: reverts in these.
+NETWORK_REIMAGE_CYCLE = (2 * POWER_CYCLE_TIME + PXE_BOOT_TIME
+                         + IMAGE_TRANSFER_TIME + IMAGE_WRITE_TIME)
+LOCAL_RESTORE_CYCLE = 2 * POWER_CYCLE_TIME + LOCAL_RESTORE_TIME
 
 
 class MachineState(enum.Enum):

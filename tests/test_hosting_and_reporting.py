@@ -54,6 +54,31 @@ class TestHostingBackends:
                 < EmulatedBackend().revert_latency
                 < RawIronBackend().revert_latency)
 
+    @pytest.mark.parametrize("local", [False, True],
+                             ids=["network-boot", "local-partition"])
+    def test_raw_iron_revert_takes_the_controllers_cycle(self, local):
+        """A reverted raw-iron inmate runs again when the controller's
+        reimage of its machine has booted: the cycle plus local boot."""
+        sim = Simulator(seed=7)
+        controller = RawIronController(sim)
+        controller.add_machine("ri0")
+        booted_at = []
+        if local:
+            controller.restore_all_from_local_partition(
+                on_done=lambda _machine: booted_at.append(sim.now))
+        else:
+            controller.reimage(
+                "ri0", on_done=lambda _machine: booted_at.append(sim.now))
+        sim.run()
+        sim, inmate, _ = make_inmate(
+            RawIronBackend(local_partition_restore=local))
+        inmate.start()
+        sim.run()
+        reverted = sim.now
+        inmate.revert()
+        assert sim.run() == reverted + booted_at[0]
+        assert inmate.state is InmateState.RUNNING
+
     def test_reboot_keeps_generation(self):
         sim, inmate, booted = make_inmate()
         inmate.start()
