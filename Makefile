@@ -36,21 +36,24 @@ fuzz-quick:
 # differential (derandomized: the decision table a policy executes = a
 # brute-force first-match evaluator = the model's cells, over random
 # DSL programs and every registered policy class x atom-edge probes x
-# content in 1-3 chunks; every table decides every datagram) and the
+# content in 1-3 chunks; every table decides every datagram), the
 # decision corpus (every library and experiment policy replays what
-# its hand-written methods answered before they became rules).  Then
-# certify the golden-seed farm twice (exhaustive reachability over the
-# published decision surface must be CONTAINED with a byte-stable
-# certificate digest), the Figure 6 Botfarm, a worm honeyfarm (its
-# redirect an in-farm cell) and one fault-matrix scenario
-# cross-validated against its own runtime journal and flow tables, and
-# compile a model of every registered policy class
+# its hand-written methods answered before they became rules) and the
+# certificate corpus (every farm of tests/test_certificate_corpus.py
+# certifies to the digest pinned in tests/golden/certificates.json).
+# Then certify the golden-seed farm twice (one classification pass
+# over the published decision surface must be CONTAINED with a
+# byte-stable certificate digest), the Figure 6 Botfarm, a worm
+# honeyfarm (its redirect an in-farm cell) and one fault-matrix
+# scenario cross-validated against its own runtime journal and flow
+# tables, and compile a model of every registered policy class
 # (docs/VERIFICATION.md).
 verify-quick:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
 			tests/test_policy_differential.py \
-			tests/test_policy_decisions.py || exit 1; \
+			tests/test_policy_decisions.py \
+			tests/test_certificate_corpus.py || exit 1; \
 	done
 	$(PYTHON) -m repro.verify quick
 
