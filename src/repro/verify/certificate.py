@@ -34,7 +34,8 @@ from repro.core.verdicts import Verdict
 from repro.gateway.failover import fail_open_possible
 from repro.net.packet import PROTO_TCP
 from repro.shape import REQUIRED, Table, check
-from repro.verify.model import DIRECTIONS, PROTO_NAMES, IsolationModel
+from repro.verify.model import (DIRECTIONS, PROTO_NAMES, IsolationModel,
+                                compile_farm)
 
 __all__ = [
     "SCHEMA",
@@ -235,8 +236,6 @@ def build_certificate(model: IsolationModel, label: str = "",
 
 def certify_farm(farm, plan=None, label: str = "", allow=None) -> dict:
     """Compile + classify + sign in one call (the common path)."""
-    from repro.verify.model import compile_farm
-
     return build_certificate(compile_farm(farm, plan=plan), label=label,
                              allow=allow)
 
@@ -255,15 +254,16 @@ def render_certificate(cert: dict,
     if cert["grants"]:
         lines += ["", f"World grants ({len(cert['grants'])})",
                   f"  {'subfarm':<14} {'vlan':<9} {'dir':<9} {'dst':<6} "
-                  f"{'proto':<5} {'ports':<12} verdict"]
+                  f"{'proto':<5} {'ports':<12} {'verdict':<28} content"]
     for grant in cert["grants"]:
         lo, hi = grant["ports"]
         span = str(lo) if lo == hi else f"{lo}-{hi}"
+        verdict = f"{grant['verdict']} ({grant['grant_kind']})"
         lines.append(
             f"  {grant['subfarm']:<14} {grant['vlan']:<9} "
             f"{grant['direction']:<9} {grant['dst']:<6} "
-            f"{grant['proto']:<5} {span:<12} {grant['verdict']} "
-            f"({grant['grant_kind']})")
+            f"{grant['proto']:<5} {span:<12} {verdict:<28} "
+            f"{grant['content']}")
     counterexample = cert.get("counterexample")
     if counterexample:
         path = counterexample["path"]

@@ -83,8 +83,9 @@ def program(seed: int) -> str:
     while True:
         lines = []
         for template in rng.sample(CLAUSES, rng.randrange(1, 5)):
-            p, q = sorted(rng.choice((25, 53, 80, 443, rng.randrange(1, 65535)))
-                          for _ in range(2))
+            p, q = sorted(
+                rng.choice((25, 53, 80, 443, rng.randrange(1, 65535)))
+                for _ in range(2))
             lines.append(template.format(p=p, q=max(q, p + 1),
                                          h=rng.randrange(1, 255)))
         text = "\n".join(lines + [f"default -> {rng.choice(DEFAULTS)}"])
