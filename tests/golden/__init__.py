@@ -11,8 +11,10 @@ remaining path and compare.
 
 ``farm_digests.json`` holds the whole-run digests of the seed farm
 (:data:`SEED_FARM` through ``tests.helpers.run_farm``), of its journal
-with the flight recorder on, and of the 8-shard streaming campaign
-(:func:`seed_campaign_digest`): :data:`FARM_PINS` names the code that
+with the flight recorder on, of the 8-shard streaming campaign
+(:func:`seed_campaign_digest`), and the payload digest of every
+fault-matrix scenario under both pending policies
+(:func:`fault_shard_digest`): :data:`FARM_PINS` names the code that
 produces each.  ``regen.py`` rewrites every pin, deliberately,
 when a change alters behaviour on purpose.
 """
@@ -21,8 +23,11 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 
+from repro.experiments.fault_matrix import SCENARIOS, fault_farm_shard
 from repro.fuzz.router import digest as wire_digest  # noqa: F401
+from repro.gateway.failover import PENDING_POLICIES
 from repro.parallel import Campaign, run_campaign
 from tests.helpers import run_farm, streaming_farm
 
@@ -71,9 +76,21 @@ def seed_campaign_digest() -> str:
     return run_campaign(campaign, workers=1).digest
 
 
+def fault_shard_digest(scenario: str, pending_policy: str) -> str:
+    """One seed-11 fault-matrix cell of the default shape — two
+    subfarms of three inmates, one standby containment server each, a
+    5 s verdict deadline — under ``pending_policy``.  The digest folds
+    every subfarm's ``resilience.summary()``."""
+    return fault_farm_shard(11, scenario=scenario,
+                            pending_policy=pending_policy)["digest"]
+
+
 #: What ``farm_digests.json`` pins, by key.
 FARM_PINS = {
     "farm": lambda: run_farm(**SEED_FARM)["digest"],
     "farm_journal": lambda: journaled_seed_farm().journal.digest(),
     "campaign": seed_campaign_digest,
+    **{f"fault/{scenario}/{policy}":
+       partial(fault_shard_digest, scenario, policy)
+       for scenario in SCENARIOS for policy in PENDING_POLICIES},
 }

@@ -11,8 +11,8 @@ Every value the tree pins is produced by code this manifest names:
 ``obs``     ``obs_parity.json``, the telemetry and journal snapshots of
             three observed runs (``tests/test_obs_parity.py``);
 ``farm``    ``farm_digests.json``, the seed farm's digest and journal
-            digest and the 8-shard campaign digest
-            (:data:`tests.golden.FARM_PINS`);
+            digest, the 8-shard campaign digest and the 14 fault-matrix
+            cell digests (:data:`tests.golden.FARM_PINS`);
 ``verify``  ``certificates.json``, the certificate digest of every farm
             of the certificate corpus (``tests/test_certificate_corpus.py``);
 ``fuzz``    ``FUZZ_quick.json``, the quick fuzz smoke's summary

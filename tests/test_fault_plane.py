@@ -22,10 +22,13 @@ from repro.faults import FaultPlan
 from repro.parallel.campaign import Campaign, ShardSpec
 from repro.parallel.pool import run_campaign
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT
+from tests.golden import FARM_PINS, farm_pin
 
 pytestmark = pytest.mark.integration
 
 SMALL = dict(subfarms=1, inmates=2, rounds=8)
+#: The fault-matrix cells of tests/golden/farm_digests.json.
+FAULT_PINS = sorted(name for name in FARM_PINS if name.startswith("fault/"))
 
 
 class TestScenarios:
@@ -76,6 +79,14 @@ class TestDeterminism:
         first = fault_farm_shard(seed=11, scenario="cs_crash", **SMALL)
         second = fault_farm_shard(seed=11, scenario="cs_crash", **SMALL)
         assert first["digest"] == second["digest"]
+
+    @pytest.mark.parametrize("name", FAULT_PINS)
+    def test_scenario_digest_matches_the_pin(self, name):
+        """Every scenario under both pending policies, at the default
+        shape with one standby server, replays to its pinned digest —
+        which folds each subfarm's resilience summary (server health
+        transitions, probes, degraded intervals, failovers)."""
+        assert FARM_PINS[name]() == farm_pin(name)
 
     def test_different_scenarios_diverge(self):
         baseline = fault_farm_shard(seed=11, scenario="baseline", **SMALL)
