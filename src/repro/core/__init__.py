@@ -6,7 +6,7 @@
 * :mod:`repro.core.server` — the containment server.
 * :mod:`repro.core.triggers` — activity triggers driving inmate life-cycle.
 * :mod:`repro.core.config` — the configuration file format of Figure 6.
-* :mod:`repro.core.cluster` — containment-server clustering (§7.2).
+* Server clusters (§7.2): ``Subfarm.add_containment_servers``.
 """
 
 from repro.core.verdicts import Verdict, ContainmentDecision

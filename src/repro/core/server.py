@@ -302,7 +302,7 @@ class ContainmentServer:
 
     def responsive(self) -> bool:
         """Management-network health check: would this server answer a
-        probe right now?  (The failover pool's prober calls this.)"""
+        probe right now?  (The resilience layer's health probe calls this.)"""
         fault = self.fault_state
         return fault is None or fault.responsive(self.sim.now)
 

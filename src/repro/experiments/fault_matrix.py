@@ -2,7 +2,7 @@
 
 Each cell runs :func:`fault_farm_shard` — the streaming whole-farm
 workload with the resilience layer enabled (verdict deadlines, CS
-failover pool, fail-closed pending policy) under one named fault
+failover, fail-closed pending policy) under one named fault
 scenario from :data:`SCENARIOS`.  Every cell proves the fail-closed
 property in-shard two ways: an **isolation certificate**
 (:func:`repro.verify.certify_farm` — the static decision surface,

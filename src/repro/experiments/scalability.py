@@ -101,18 +101,21 @@ def run_cs_load(
     sub = farm.create_subfarm("load")
     web = farm.add_external_host("webserver", WEB_IP)
     _web_server(web)
-    cluster = sub.add_containment_servers(cluster_size - 1,
-                                          service_time=service_time)
+    servers = sub.add_containment_servers(cluster_size - 1)
+    sub.set_cs_service_time(service_time)
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):
         sub.create_inmate(image_factory=flowgen_image(flow_interval))
     farm.run(until=duration)
 
     result = CsLoadResult(inmates, cluster_size)
-    result.verdicts = cluster.total_verdicts()
-    result.mean_queue_delay = cluster.mean_queue_delay()
-    result.max_queue_delay = cluster.max_queue_delay()
-    result.load_balance = cluster.load_balance()
+    result.load_balance = [sum(server.verdict_counts.values())
+                           for server in servers]
+    result.verdicts = sum(result.load_balance)
+    delays = [delay for server in servers for delay in server.queue_delays]
+    if delays:
+        result.mean_queue_delay = sum(delays) / len(delays)
+        result.max_queue_delay = max(delays)
     return result
 
 

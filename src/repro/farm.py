@@ -286,46 +286,33 @@ class Subfarm:
 
         self.inmates: Dict[int, Inmate] = {}
         self.sinks: Dict[str, object] = {}
-        self.extra_containment_servers: List[ContainmentServer] = []
+        # Every containment server, primary first: the order the
+        # router selects in and a fault spec's ``server`` index counts.
+        self.containment_servers: List[ContainmentServer] = [
+            self.containment_server]
 
         # Resilience (verdict deadlines, CS failover, fail-closed
         # pending policy): opt-in via config.verdict_deadline.
-        self._cs_servers: Dict[IPv4Address, ContainmentServer] = {
-            self.cs_ip: self.containment_server,
-        }
         self.resilience = None
-        if farm.config.verdict_deadline is not None:
-            self._enable_resilience()
+        config = farm.config
+        if config.verdict_deadline is not None:
+            from repro.gateway.failover import RouterResilience
 
-    # ------------------------------------------------------------------
-    # Resilience (repro.gateway.failover)
-    # ------------------------------------------------------------------
-    def _enable_resilience(self) -> None:
-        from repro.gateway.failover import (
-            CsFailoverPool,
-            ResilienceConfig,
-            RouterResilience,
-        )
+            self.resilience = self.router.resilience = RouterResilience(
+                sim, self.router, name, self._probe_cs,
+                config.verdict_deadline, config.verdict_retries,
+                config.retry_backoff, config.pending_policy,
+                trigger_engine=self.trigger_engine)
 
-        config = self.farm.config
-        rconfig = ResilienceConfig(
-            verdict_deadline=config.verdict_deadline,
-            verdict_retries=config.verdict_retries,
-            retry_backoff=config.retry_backoff,
-            pending_policy=config.pending_policy,
-        )
-        pool = CsFailoverPool(self.farm.sim, self.router, rconfig,
-                              prober=self._probe_cs)
-        self.resilience = RouterResilience(
-            self.farm.sim, self.router, rconfig, pool, self.name,
-            trigger_engine=self.trigger_engine,
-        )
-        self.router.resilience = self.resilience
+    @property
+    def extra_containment_servers(self) -> List[ContainmentServer]:
+        """The servers :meth:`add_containment_servers` added."""
+        return self.containment_servers[1:]
 
     def _probe_cs(self, ip: IPv4Address) -> bool:
         """Health probe: would this containment server answer now?"""
-        server = self._cs_servers.get(ip)
-        return server is not None and server.responsive()
+        return any(server.host.ip == ip and server.responsive()
+                   for server in self.containment_servers)
 
     def set_pending_policy(self, policy: str) -> None:
         """Per-subfarm override of what happens to flows whose verdict
@@ -340,7 +327,7 @@ class Subfarm:
         if self.resilience is None:
             raise RuntimeError(
                 "resilience is not enabled (set config.verdict_deadline)")
-        self.resilience.config.pending_policy = policy
+        self.resilience.pending_policy = policy
 
     # ------------------------------------------------------------------
     # Services
@@ -377,25 +364,31 @@ class Subfarm:
 
     def set_cs_service_time(self, service_time: float) -> None:
         """Enable the §7.2 processing model on every containment
-        server in this subfarm."""
-        self.containment_server.service_time = service_time
-        for server in self.extra_containment_servers:
+        server in this subfarm (servers added later inherit it)."""
+        for server in self.containment_servers:
             server.service_time = service_time
 
-    def add_containment_servers(self, count: int,
-                                service_time: float = 0.0):
-        """Grow the subfarm into containment-cluster mode (§7.2).
+    def add_containment_servers(self, count: int) -> List[ContainmentServer]:
+        """Add ``count`` containment servers (§7.2): "With a large
+        number of inmates in a single subfarm, a single containment
+        server becomes a bottleneck, as it has to interpose on all
+        flows in the subfarm.  We can address this situation in a
+        straightforward manner by moving to a cluster of containment
+        servers, managed by the subfarm's packet router ...  Several
+        containment server selection policies come to mind, such as
+        random selection under the constraint that the same
+        containment server always handles the same inmate."
 
-        Adds ``count`` additional servers sharing this subfarm's
-        policy map and services; the router spreads inmates across the
-        cluster (sticky per VLAN).  Returns the full cluster.
+        The servers share this subfarm's policy map and services, so a
+        verdict does not depend on which one answers — only capacity
+        changes — and take the primary's service time; the router
+        spreads inmates across them, sticky per VLAN.  Each host is
+        named by its position (``cs2``, ``cs3``, ...).  Returns
+        :attr:`containment_servers`.
         """
-        from repro.core.cluster import ContainmentServerCluster
-
-        self.containment_server.service_time = service_time
-        for index in range(count):
-            host = self.add_service_host(
-                f"cs{index + 2}", trusted=False)
+        for _ in range(count):
+            index = len(self.containment_servers)
+            host = self.add_service_host(f"cs{index + 1}")
             server = ContainmentServer(
                 sim=self.farm.sim,
                 host=host,
@@ -403,20 +396,16 @@ class Subfarm:
                 services=self.services,
                 lifecycle=self.containment_server.lifecycle,
                 subfarm=self,
-                service_time=service_time,
+                service_time=self.containment_server.service_time,
             )
             server.attach_triggers(self.trigger_engine)
             server.barrier = self.router.barrier
-            self.extra_containment_servers.append(server)
+            self.containment_servers.append(server)
             self.router.add_containment_server(host.ip)
-            self._cs_servers[host.ip] = server
             injector = self.farm.fault_injector
             if injector is not None:
-                injector.attach_server(self, server, len(
-                    self.extra_containment_servers))
-        return ContainmentServerCluster(
-            [self.containment_server] + self.extra_containment_servers
-        )
+                injector.attach_server(self, server, index)
+        return self.containment_servers
 
     def add_smtp_sink(self, name: str = "smtp_sink",
                       **kwargs) -> SmtpSink:

@@ -26,7 +26,7 @@ Containment server (``server`` selects the index within the subfarm,
     At virtual time ``at`` the server falls silent: it stops issuing
     verdicts and the link view drops its traffic both ways.  With
     ``restore_after`` it comes back that many seconds later (health
-    probes then return it to the failover pool).
+    probes then return it to service).
 ``cs_hang``
     Verdicts computed inside the window are held and flushed when the
     window ends — the late-verdict case the router must tolerate.
@@ -228,7 +228,7 @@ class FaultPlan:
           at once: one window regardless of ``server_count``.
         * Server faults only open a window when the plan takes out
           every one of ``server_count`` servers for that period; a
-          single crashed server of two leaves the failover pool able to
+          single crashed server of two leaves the other one able to
           answer, so no overlay.
         """
         windows: List[dict] = []

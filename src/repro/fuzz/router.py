@@ -44,8 +44,7 @@ from typing import List, Optional
 from repro.core.shim import ResponseShim
 from repro.core.verdicts import Verdict
 from repro.gateway.egress import Egress
-from repro.gateway.failover import (CsFailoverPool, ResilienceConfig,
-                                    RouterResilience)
+from repro.gateway.failover import RouterResilience
 from repro.gateway.nat import AddressPool, InboundMode, NatTable
 from repro.gateway.router import SubfarmRouter
 from repro.gateway.safety import SafetyFilter
@@ -124,12 +123,10 @@ class RouterScript:
         router.flowtable_hard_timeout = rng.choice([None, None, 50.0])
         self.resilience = None
         if rng.random() < 0.2:
-            config = ResilienceConfig(verdict_deadline=20.0,
-                                      pending_policy=rng.choice(
-                                          ["drop", "forward"]))
-            pool = CsFailoverPool(self.sim, router, config, lambda ip: True)
             self.resilience = router.resilience = RouterResilience(
-                self.sim, router, config, pool, "fuzz")
+                self.sim, router, "fuzz", lambda ip: True,
+                verdict_deadline=20.0, verdict_retries=2, retry_backoff=2.0,
+                pending_policy=rng.choice(["drop", "forward"]))
         self.inmates = {vlan: self.nat.bind(vlan) for vlan in (2, 3, 4)}
         self.flows: List[_Flow] = []
         self.clustered = False

@@ -5,20 +5,22 @@ GQ couples every flow to a containment server across a real link
 coming.  The paper's stance for that situation is unambiguous — "when
 in doubt, drop" — and this module is its mechanism:
 
-* :class:`RouterResilience` arms a **verdict deadline** on every flow
-  entering the SHIM phase.  A missed deadline is reported to the
-  failover pool and answered with a bounded, exponentially backed-off
-  **retry** — re-homed to a standby containment server when one is
-  healthier than the flow's current home.  When the retry budget is
+One :class:`RouterResilience` per subfarm owns all of it:
+
+* a **verdict deadline** on every flow entering the SHIM phase.  A
+  missed deadline counts against the flow's containment server and is
+  answered with a bounded, exponentially backed-off **retry** —
+  re-homed to whichever server the router's one sticky selector
+  (:meth:`~repro.gateway.router.SubfarmRouter._select_cs`) now picks,
+  which skips servers marked down.  When the retry budget is
   exhausted the flow is resolved by the **pending policy**: DROP by
   default (fail-closed), or FORWARD for operators who prefer
   availability over containment on a particular subfarm.
-* :class:`CsFailoverPool` tracks per-server health
-  (``healthy → suspect → down``) from deadline reports, recovers
-  servers through periodic **health probes** over the management
-  network, and declares **degraded mode** when every server is down.
-  In degraded mode new flows never wait on a dead link — they are
-  resolved immediately by the pending policy — while the
+* per-server **health** (``healthy → suspect → down``) from deadline
+  reports, recovered through periodic **health probes** over the
+  management network, and **degraded mode** when every server is
+  down.  In degraded mode new flows never wait on a dead link — they
+  are resolved immediately by the pending policy — while the
   :class:`~repro.gateway.safety.SafetyFilter` stays authoritative:
   it runs *before* flow admission and is never bypassed, so the
   outbound rate bounds hold no matter how degraded the verdict plane
@@ -38,7 +40,7 @@ byte-identical to pre-resilience builds.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.gateway import coupling, handoff
@@ -47,8 +49,6 @@ from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, SYN, TCPSegment
 
 __all__ = [
-    "CsFailoverPool",
-    "ResilienceConfig",
     "RouterResilience",
     "fail_open_possible",
     "HEALTHY",
@@ -84,168 +84,46 @@ def fail_open_possible(proto: int, handshake_complete: bool) -> bool:
     return handshake_complete
 
 
-class ResilienceConfig:
-    """Knobs for one subfarm's shim resilience."""
+class RouterResilience:
+    """One subfarm's fail-closed verdict plane, for its
+    :class:`~repro.gateway.router.SubfarmRouter`: verdict deadlines,
+    bounded retry, the pending policy, and the health of every
+    containment server the router selects from.
 
-    __slots__ = ("verdict_deadline", "verdict_retries", "retry_backoff",
-                 "pending_policy")
-
-    def __init__(self, verdict_deadline: float, verdict_retries: int = 2,
-                 retry_backoff: float = 2.0,
-                 pending_policy: str = "drop") -> None:
-        if verdict_deadline <= 0.0:
-            raise ValueError("verdict_deadline must be > 0")
-        if pending_policy not in PENDING_POLICIES:
-            raise ValueError(
-                f"pending_policy must be one of {PENDING_POLICIES}")
-        if retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
-        if verdict_retries < 0:
-            raise ValueError("verdict_retries must be >= 0")
-        self.verdict_deadline = float(verdict_deadline)
-        self.verdict_retries = int(verdict_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.pending_policy = pending_policy
-
-
-class CsFailoverPool:
-    """Health state machine over a router's containment-server list.
-
-    ``healthy`` servers take new flows as usual (sticky by VLAN); a
-    missed verdict deadline moves a server to ``suspect`` and, at
+    ``healthy`` servers take new flows as usual (sticky by VLAN,
+    :meth:`~repro.gateway.router.SubfarmRouter._select_cs`); a missed
+    verdict deadline moves a server to ``suspect`` and, at
     :data:`FAILURE_THRESHOLD` misses, to ``down``.  Down and suspect
     servers are probed every :data:`PROBE_INTERVAL` virtual seconds via
     the ``prober`` callable (wired by the subfarm to the server's
     management-network health check); a passing probe restores
-    ``healthy``.  All servers down ⇒ *degraded mode* (callbacks fire
-    on entry and exit)."""
+    ``healthy``.  All servers down ⇒ *degraded mode*.
 
-    def __init__(self, sim, router, config: ResilienceConfig,
-                 prober: Callable[[IPv4Address], bool]) -> None:
+    The four knobs are ``FarmConfig``'s, which validated them."""
+
+    def __init__(self, sim, router, subfarm: str,
+                 prober: Callable[[IPv4Address], bool],
+                 verdict_deadline: float, verdict_retries: int,
+                 retry_backoff: float, pending_policy: str,
+                 trigger_engine=None) -> None:
         self.sim = sim
         self.router = router
-        self.config = config
+        self.subfarm = subfarm
         self.prober = prober
-        self.on_degraded: Optional[Callable[[], None]] = None
-        self.on_recovered: Optional[Callable[[], None]] = None
+        self.verdict_deadline = float(verdict_deadline)
+        self.verdict_retries = int(verdict_retries)
+        self.retry_backoff = float(retry_backoff)
+        self.pending_policy = pending_policy
+        self.trigger_engine = trigger_engine
+        # Decision journal (NULL_JOURNAL unless the farm attached one).
+        self.journal = sim.journal
+
         self._states: Dict[IPv4Address, str] = {}
         self._failures: Dict[IPv4Address, int] = {}
         self.transitions: List[list] = []  # [time, ip, state]
         self.probes = 0
         self.degraded_intervals: List[list] = []  # [start, end|None]
         self._probe_armed = False
-
-    # ------------------------------------------------------------------
-    def state(self, ip: IPv4Address) -> str:
-        return self._states.get(ip, HEALTHY)
-
-    @property
-    def degraded(self) -> bool:
-        servers = self.router._cs_list
-        return bool(servers) and all(
-            self._states.get(ip, HEALTHY) == DOWN for ip in servers)
-
-    def select(self, vlan: int) -> Optional[IPv4Address]:
-        """Sticky-preferred selection skipping down servers; ``None``
-        when every server is down (degraded)."""
-        servers = self.router._cs_list
-        count = len(servers)
-        base = vlan % count
-        for offset in range(count):
-            ip = servers[(base + offset) % count]
-            if self._states.get(ip, HEALTHY) != DOWN:
-                return ip
-        return None
-
-    # ------------------------------------------------------------------
-    def report_timeout(self, ip: IPv4Address) -> None:
-        was_degraded = self.degraded
-        failures = self._failures.get(ip, 0) + 1
-        self._failures[ip] = failures
-        if failures >= FAILURE_THRESHOLD:
-            self._set_state(ip, DOWN)
-        else:
-            self._set_state(ip, SUSPECT)
-        self._arm_probe()
-        if not was_degraded and self.degraded:
-            self.degraded_intervals.append([self.sim.now, None])
-            if self.on_degraded is not None:
-                self.on_degraded()
-
-    def report_verdict(self, ip: IPv4Address) -> None:
-        """A genuine verdict arrived from ``ip`` — it is alive."""
-        if self._states.get(ip, HEALTHY) == HEALTHY \
-                and not self._failures.get(ip):
-            return
-        self._mark_healthy(ip)
-
-    def _mark_healthy(self, ip: IPv4Address) -> None:
-        was_degraded = self.degraded
-        self._failures[ip] = 0
-        self._set_state(ip, HEALTHY)
-        if was_degraded and not self.degraded:
-            if self.degraded_intervals \
-                    and self.degraded_intervals[-1][1] is None:
-                self.degraded_intervals[-1][1] = self.sim.now
-            if self.on_recovered is not None:
-                self.on_recovered()
-
-    def _set_state(self, ip: IPv4Address, state: str) -> None:
-        if self._states.get(ip, HEALTHY) != state:
-            self._states[ip] = state
-            self.transitions.append([self.sim.now, str(ip), state])
-            journal = self.sim.journal
-            if journal.enabled:
-                journal.record("cs.state", server=str(ip), state=state)
-
-    # ------------------------------------------------------------------
-    # Health probes: armed only while a server is unhealthy, so a
-    # fault-free farm schedules nothing.
-    # ------------------------------------------------------------------
-    def _arm_probe(self) -> None:
-        if self._probe_armed:
-            return
-        if all(self._states.get(ip, HEALTHY) == HEALTHY
-               for ip in self.router._cs_list):
-            return
-        self._probe_armed = True
-        self.sim.schedule(PROBE_INTERVAL, self._probe,
-                          label="cs-health-probe")
-
-    def _probe(self) -> None:
-        self._probe_armed = False
-        for ip in list(self.router._cs_list):
-            if self._states.get(ip, HEALTHY) == HEALTHY:
-                continue
-            self.probes += 1
-            if self.prober(ip):
-                self._mark_healthy(ip)
-        self._arm_probe()
-
-    def degraded_seconds(self, now: float) -> float:
-        total = 0.0
-        for start, end in self.degraded_intervals:
-            total += (end if end is not None else now) - start
-        return total
-
-
-class RouterResilience:
-    """Verdict deadlines, bounded retry, and pending-policy resolution
-    for one :class:`~repro.gateway.router.SubfarmRouter`."""
-
-    def __init__(self, sim, router, config: ResilienceConfig,
-                 pool: CsFailoverPool, subfarm: str,
-                 trigger_engine=None) -> None:
-        self.sim = sim
-        self.router = router
-        self.config = config
-        self.pool = pool
-        self.subfarm = subfarm
-        self.trigger_engine = trigger_engine
-        # Decision journal (NULL_JOURNAL unless the farm attached one).
-        self.journal = sim.journal
-        pool.on_degraded = self._enter_degraded
-        pool.on_recovered = self._exit_degraded
 
         self.fail_closed = 0
         self.fail_open = 0
@@ -268,7 +146,7 @@ class RouterResilience:
         tel.gauge(
             "resilience.degraded",
             "1 while every containment server is down"
-        ).register(self._degraded, subfarm=subfarm)
+        ).register(self._in_degraded_interval, subfarm=subfarm)
         self._h_attempts = tel.histogram(
             "resilience.verdict.attempts",
             "Shim delivery attempts per deadline-missing flow",
@@ -276,39 +154,101 @@ class RouterResilience:
         ).bind(subfarm=subfarm)
 
     # ------------------------------------------------------------------
-    # Degraded-mode state machine hooks
+    # Per-server health
     # ------------------------------------------------------------------
-    def _degraded(self) -> float:
-        """1.0 inside a degraded interval the pool has logged."""
-        intervals = self.pool.degraded_intervals
+    def state(self, ip: IPv4Address) -> str:
+        return self._states.get(ip, HEALTHY)
+
+    def is_down(self, ip: IPv4Address) -> bool:
+        return self.state(ip) == DOWN
+
+    @property
+    def degraded(self) -> bool:
+        """Every containment server is down."""
+        return all(self.is_down(ip) for ip in self.router._cs_list)
+
+    def _report_timeout(self, ip: IPv4Address) -> None:
+        was_degraded = self.degraded
+        failures = self._failures.get(ip, 0) + 1
+        self._failures[ip] = failures
+        self._set_state(ip, DOWN if failures >= FAILURE_THRESHOLD
+                        else SUSPECT)
+        self._arm_probe()
+        if not was_degraded and self.degraded:
+            self.degraded_intervals.append([self.sim.now, None])
+            if self.journal.enabled:
+                self.journal.record("degraded.entered",
+                                    subfarm=self.subfarm)
+            if self.trigger_engine is not None:
+                # An outage is not inmate inactivity: absence-of-activity
+                # triggers must not mass-revert the subfarm.
+                self.trigger_engine.suspend()
+
+    def note_verdict(self, ip: IPv4Address) -> None:
+        """A genuine verdict arrived from ``ip`` — it is alive."""
+        if self.state(ip) == HEALTHY \
+                and not self._failures.get(ip):
+            return
+        self._mark_healthy(ip)
+
+    def _mark_healthy(self, ip: IPv4Address) -> None:
+        was_degraded = self.degraded
+        self._failures[ip] = 0
+        self._set_state(ip, HEALTHY)
+        if was_degraded and not self.degraded:
+            if self.degraded_intervals \
+                    and self.degraded_intervals[-1][1] is None:
+                self.degraded_intervals[-1][1] = self.sim.now
+            if self.journal.enabled:
+                self.journal.record("degraded.exited",
+                                    subfarm=self.subfarm)
+            if self.trigger_engine is not None:
+                self.trigger_engine.resume()
+
+    def _set_state(self, ip: IPv4Address, state: str) -> None:
+        if self.state(ip) != state:
+            self._states[ip] = state
+            self.transitions.append([self.sim.now, str(ip), state])
+            if self.journal.enabled:
+                self.journal.record("cs.state", server=str(ip),
+                                    state=state)
+
+    # Health probes: armed only while a server is unhealthy, so a
+    # fault-free farm schedules nothing.
+    def _arm_probe(self) -> None:
+        if self._probe_armed:
+            return
+        if all(self.state(ip) == HEALTHY
+               for ip in self.router._cs_list):
+            return
+        self._probe_armed = True
+        self.sim.schedule(PROBE_INTERVAL, self._probe,
+                          label="cs-health-probe")
+
+    def _probe(self) -> None:
+        self._probe_armed = False
+        for ip in list(self.router._cs_list):
+            if self.state(ip) == HEALTHY:
+                continue
+            self.probes += 1
+            if self.prober(ip):
+                self._mark_healthy(ip)
+        self._arm_probe()
+
+    def _in_degraded_interval(self) -> float:
+        """1.0 inside a degraded interval (the ``resilience.degraded``
+        gauge)."""
+        intervals = self.degraded_intervals
         return float(bool(intervals) and intervals[-1][1] is None)
-
-    def _enter_degraded(self) -> None:
-        if self.journal.enabled:
-            self.journal.record("degraded.entered", subfarm=self.subfarm)
-        if self.trigger_engine is not None:
-            # An outage is not inmate inactivity: absence-of-activity
-            # triggers must not mass-revert the subfarm.
-            self.trigger_engine.suspend()
-
-    def _exit_degraded(self) -> None:
-        if self.journal.enabled:
-            self.journal.record("degraded.exited", subfarm=self.subfarm)
-        if self.trigger_engine is not None:
-            self.trigger_engine.resume()
 
     # ------------------------------------------------------------------
     # New-flow hook (called from admission.new_flow)
     # ------------------------------------------------------------------
     def handle_new_flow(self, record: FlowRecord) -> bool:
-        """Pick the flow's containment server.  Returns ``True`` when
-        the pool is degraded and the flow was resolved immediately by
-        the pending policy (the caller must not open a CS leg)."""
-        cs_ip = self.pool.select(record.vlan)
-        if cs_ip is not None:
-            if cs_ip != record.cs_ip:
-                record.cs_ip = cs_ip
-                coupling.couple(self.router, record)
+        """Is the subfarm degraded?  Then the just-coupled flow is
+        resolved at once by the pending policy and ``True`` returned
+        (the caller must not open a CS leg)."""
+        if not self.degraded:
             return False
         self.degraded_refusals += 1
         self._apply_pending(record, annotation="containment degraded")
@@ -316,11 +256,8 @@ class RouterResilience:
 
     def arm(self, record: FlowRecord) -> None:
         """Start the verdict deadline clock for a just-coupled flow."""
-        self.sim.schedule(self.config.verdict_deadline, self._check,
+        self.sim.schedule(self.verdict_deadline, self._check,
                           record, 1, label="verdict-deadline")
-
-    def note_verdict(self, cs_ip: IPv4Address) -> None:
-        self.pool.report_verdict(cs_ip)
 
     # ------------------------------------------------------------------
     # Deadline machinery
@@ -335,33 +272,31 @@ class RouterResilience:
                 flow=self.router._trace_ids.get(record.mux_port),
                 vlan=record.vlan, attempt=attempt,
                 server=str(record.cs_ip))
-        self.pool.report_timeout(record.cs_ip)
-        if attempt > self.config.verdict_retries:
+        self._report_timeout(record.cs_ip)
+        if attempt > self.verdict_retries:
             self._h_attempts.observe(float(attempt))
             self._apply_pending(record,
                                 annotation="verdict deadline exceeded")
             return
         if self._retry(record):
-            return  # resolved inline (pool fully degraded)
-        delay = self.config.verdict_deadline \
-            * (self.config.retry_backoff ** attempt)
+            return  # resolved inline (every server down)
+        delay = self.verdict_deadline * (self.retry_backoff ** attempt)
         self.sim.schedule(delay, self._check, record, attempt + 1,
                           label="verdict-deadline")
 
     def _retry(self, record: FlowRecord) -> bool:
         """One bounded retry.  Returns ``True`` if the flow was
-        resolved inline instead (no healthy server left)."""
-        target = self.pool.select(record.vlan)
-        if target is None:
+        resolved inline instead (every server down)."""
+        if self.degraded:
             self._apply_pending(record, annotation="containment degraded")
             return True
+        target = self.router._select_cs(record.vlan)
         self.retries += 1
         if self.journal.enabled:
             self.journal.record(
                 "failover.retry",
                 flow=self.router._trace_ids.get(record.mux_port),
                 vlan=record.vlan, target=str(target))
-        router = self.router
         if target != record.cs_ip:
             self.failovers += 1
             self._rehome(record, target)
@@ -437,7 +372,7 @@ class RouterResilience:
 
     def _pending_decision(self, record: FlowRecord,
                           annotation: str) -> ContainmentDecision:
-        if self.config.pending_policy == "forward" \
+        if self.pending_policy == "forward" \
                 and self._can_fail_open(record):
             return ContainmentDecision.forward(policy="fail-open",
                                                annotation=annotation)
@@ -455,20 +390,21 @@ class RouterResilience:
         """JSON-safe degradation summary for reports and shard
         payloads."""
         now = self.sim.now
-        pool = self.pool
         return {
-            "pending_policy": self.config.pending_policy,
-            "verdict_deadline": self.config.verdict_deadline,
+            "pending_policy": self.pending_policy,
+            "verdict_deadline": self.verdict_deadline,
             "fail_closed": self.fail_closed,
             "fail_open": self.fail_open,
             "retries": self.retries,
             "failovers": self.failovers,
             "degraded_refusals": self.degraded_refusals,
-            "servers": {str(ip): pool.state(ip)
+            "servers": {str(ip): self.state(ip)
                         for ip in self.router._cs_list},
-            "transitions": [list(t) for t in pool.transitions],
-            "probes": pool.probes,
+            "transitions": [list(t) for t in self.transitions],
+            "probes": self.probes,
             "degraded_intervals": [
-                [start, end] for start, end in pool.degraded_intervals],
-            "degraded_seconds": round(pool.degraded_seconds(now), 9),
+                [start, end] for start, end in self.degraded_intervals],
+            "degraded_seconds": round(sum(
+                ((end if end is not None else now) - start
+                 for start, end in self.degraded_intervals), 0.0), 9),
         }

@@ -132,9 +132,8 @@ class SubfarmRouter:
         self.nat = nat
         self.safety = safety
         self.cs_ip = IPv4Address(cs_ip)
-        # Containment-server cluster support (§7.2): additional
-        # servers registered via add_containment_server(); selection
-        # is sticky per inmate (same VLAN -> same server).
+        # Every containment server, primary first (§7.2's cluster:
+        # Subfarm.add_containment_servers); _select_cs picks from it.
         self._cs_list = [self.cs_ip]
         self.cs_tcp_port = cs_tcp_port
         self.cs_udp_port = cs_udp_port
@@ -297,9 +296,17 @@ class SubfarmRouter:
                 self.flowtable.bind(coupling.cs_row(self, record, ip))
 
     def _select_cs(self, vlan: int) -> IPv4Address:
-        """Sticky selection: the same server always handles the same
-        inmate (§7.2's suggested policy)."""
-        return self._cs_list[vlan % len(self._cs_list)]
+        """The one server selector.  Sticky: the same server always
+        handles the same inmate (§7.2's suggested policy) — the next
+        one round the list while the resilience layer has it marked
+        down, the sticky one again when every server is."""
+        servers = self._cs_list
+        base = vlan % len(servers)
+        if self.resilience is not None:
+            for ip in servers[base:] + servers[:base]:
+                if not self.resilience.is_down(ip):
+                    return ip
+        return servers[base]
 
     # ------------------------------------------------------------------
     # Egress: resolved objects, one path

@@ -203,9 +203,9 @@ def compile_subfarm(subfarm, plan: FaultPlan) -> SubfarmModel:
                         compile_policy(subfarm.policy_map.default)))
 
     resilience = subfarm.resilience
-    pending = (resilience.config.pending_policy
+    pending = (resilience.pending_policy
                if resilience is not None else None)
-    server_count = max(1, len(subfarm._cs_servers))
+    server_count = len(subfarm.containment_servers)
     overlays = (plan.verdict_outage_windows(subfarm.name, server_count)
                 if resilience is not None else [])
     return SubfarmModel(

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
-from repro.gateway.failover import ResilienceConfig
 from tests.test_containment_end_to_end import (
     EXTERNAL_WEB_IP,
     http_fetch_image,
@@ -142,7 +141,39 @@ class TestFailover:
         start, end = summary["degraded_intervals"][0]
         assert end is not None and end > start
         assert summary["degraded_seconds"] > 0
-        assert not sub.resilience.pool.degraded
+        assert not sub.resilience.degraded
+
+    def test_probe_restores_crashed_standby_by_its_own_address(self):
+        """cs_crash on server 1: the VLAN homed on the standby fails
+        over to the primary, and only the standby's own health check
+        brings it back — once the crash is over, not before."""
+        farm, sub, results = resilient_farm(
+            [{"kind": "cs_crash", "at": 10.0, "server": 1,
+              "restore_after": 40.0}],
+            extra_cs=1, inmates=2, verdict_deadline=2.0)
+        farm.run(until=120.0)
+
+        primary, standby = sub.containment_servers
+        assert standby.fault_state is not None
+        assert primary.fault_state is None
+        homed = [record for record in sub.router.flows()
+                 if sub.router._cs_list[record.vlan % 2] == standby.host.ip]
+        assert homed and all(record.cs_ip == primary.host.ip
+                             for record in homed)
+        assert sum(1 for r in results
+                   if getattr(r, "status", None) == 200) == 2
+
+        summary = sub.resilience.summary()
+        assert summary["failovers"] >= 1
+        assert summary["fail_closed"] == 0
+        transitions = summary["transitions"]
+        assert {ip for _, ip, _ in transitions} == {str(standby.host.ip)}
+        assert [state for _, _, state in transitions] == [
+            "suspect", "down", "healthy"]
+        assert transitions[-1][0] >= 50.0   # crashed at 10 for 40 s
+        assert summary["probes"] >= 1
+        assert summary["servers"] == {str(primary.host.ip): "healthy",
+                                      str(standby.host.ip): "healthy"}
 
 
 class TestDegradedMode:
@@ -182,14 +213,15 @@ class TestDegradedMode:
 
 class TestConfigSurface:
     def test_resilience_config_validation(self):
+        """FarmConfig is the one validator of the resilience knobs."""
         with pytest.raises(ValueError):
-            ResilienceConfig(verdict_deadline=0.0)
+            FarmConfig(verdict_deadline=0.0)
         with pytest.raises(ValueError):
-            ResilienceConfig(verdict_deadline=5.0, verdict_retries=-1)
+            FarmConfig(verdict_deadline=5.0, verdict_retries=-1)
         with pytest.raises(ValueError):
-            ResilienceConfig(verdict_deadline=5.0, pending_policy="maybe")
+            FarmConfig(verdict_deadline=5.0, pending_policy="maybe")
         with pytest.raises(ValueError):
-            ResilienceConfig(verdict_deadline=5.0, retry_backoff=0.5)
+            FarmConfig(verdict_deadline=5.0, retry_backoff=0.5)
 
     def test_farm_config_rejects_bad_pending_policy(self):
         with pytest.raises(ValueError):
@@ -208,7 +240,7 @@ class TestConfigSurface:
         with pytest.raises(ValueError):
             sub.set_pending_policy("yolo")
         sub.set_pending_policy("forward")
-        assert sub.resilience.config.pending_policy == "forward"
+        assert sub.resilience.pending_policy == "forward"
 
     def test_default_farm_has_no_resilience_objects(self):
         farm = Farm(FarmConfig(seed=1))

@@ -61,7 +61,7 @@ class TestSafetyUnderDegradedMode:
 
         # The pool went degraded before the first connection attempt
         # (crash at t=5, inmates boot at t=30)...
-        assert sub.resilience.pool.degraded
+        assert sub.resilience.degraded
         # ...yet the safety budget still capped admission: only
         # max_per_window flows ever became flow records.
         assert sub.safety.flows_refused >= 1

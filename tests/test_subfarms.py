@@ -99,6 +99,38 @@ class TestFigure3Subfarms:
         assert len(networks) == 3  # 10.100/, 10.101/, 10.102/
 
 
+class TestContainmentCluster:
+    """§7.2: a subfarm grown into a cluster of containment servers."""
+
+    def servers(self, sub):
+        return [sub.containment_server] + sub.extra_containment_servers
+
+    def test_added_servers_take_the_primary_service_time(self):
+        """Adding servers never resets a service time already set."""
+        sub = Farm(FarmConfig(seed=1)).create_subfarm("load")
+        sub.set_cs_service_time(0.05)
+        sub.add_containment_servers(1)
+        assert [s.service_time for s in self.servers(sub)] == [0.05, 0.05]
+
+    def test_each_call_names_hosts_by_position(self):
+        """A second call numbers on from the first: distinct names,
+        hence distinct name-derived MACs and RNG streams."""
+        sub = Farm(FarmConfig(seed=1)).create_subfarm("grow")
+        sub.add_containment_servers(1)
+        sub.add_containment_servers(1)
+        hosts = [server.host for server in self.servers(sub)]
+        assert [host.name for host in hosts] == [
+            "grow-cs", "grow-cs2", "grow-cs3"]
+        assert len({host.mac.value for host in hosts}) == 3
+
+    def test_the_list_is_what_the_router_selects_from(self):
+        sub = Farm(FarmConfig(seed=1)).create_subfarm("sel")
+        servers = sub.add_containment_servers(2)
+        assert servers is sub.containment_servers
+        assert servers == self.servers(sub)
+        assert [s.host.ip for s in servers] == sub.router._cs_list
+
+
 class TestFigure1Separation:
     def test_inmates_cannot_reach_management_network(self):
         """The management network is physically separate: an inmate
