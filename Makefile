@@ -67,8 +67,9 @@ trace-budget:
 	done
 
 # Frame and memory budgets, counted not timed, under two hash seeds:
-# what a hop, an endpoint segment, a table hit, an echo round and an
-# HTTP fetch may cost in Python frames, one flow-table probe per packet
+# what a hop (send | receive_frame), an endpoint segment (12), a table
+# hit (7; 4 upstream), an echo round (at most 92) and an HTTP fetch (at
+# most 631) may cost in Python frames, one flow-table probe per packet
 # in every phase of a flow's life, no payload copy made by the send
 # path, and a journal digest whose peak does not grow with the journal.
 # Then what observing costs: the seed farm keeps its pinned digest with

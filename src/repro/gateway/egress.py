@@ -21,6 +21,10 @@ shim-link fault view (:class:`ShimLink`).
 Per-packet instrument sites hold their bound cell, or ``None`` while
 telemetry is off, so a disabled run makes no instrument call at all
 (docs/OBSERVABILITY.md).
+
+Each ``send`` builds its frame by slot fill, with no constructor
+frame: the MACs and the VLAN it tags with are checked once, when the
+egress is built, and a learned MAC came off a frame.
 """
 
 from __future__ import annotations
@@ -28,9 +32,15 @@ from __future__ import annotations
 from typing import Callable, List
 
 from repro.net.addresses import IPv4Address, MacAddress
-from repro.net.packet import ETHERTYPE_IPV4, EthernetFrame, IPv4Packet
+from repro.net.packet import (
+    ETHERTYPE_IPV4,
+    EthernetFrame,
+    IPv4Packet,
+    check_vlan,
+)
 
 _BROADCAST = MacAddress.broadcast()
+_new = object.__new__
 
 
 class Egress:
@@ -48,7 +58,7 @@ class UpstreamEgress(Egress):
                  tunnels: List) -> None:
         self._sim = sim
         self._port = port
-        self._mac = mac
+        self._mac = MacAddress(mac)
         self._trace = trace
         # The gateway's own list: tunnels added later are seen here.
         self._tunnels = tunnels
@@ -61,8 +71,12 @@ class UpstreamEgress(Egress):
                 if tunnel.carries(packet.src):
                     packet = tunnel.encapsulate(packet)
                     break
-        frame = EthernetFrame(self._mac, _BROADCAST, packet, None,
-                              ETHERTYPE_IPV4)
+        frame = _new(EthernetFrame)
+        frame.src = self._mac
+        frame.dst = _BROADCAST
+        frame.vlan = None
+        frame.ethertype = ETHERTYPE_IPV4
+        frame.payload = packet
         self._trace.capture(self._sim.now, frame, "upstream-out")
         self._port.send(frame)
 
@@ -74,13 +88,17 @@ class ServiceEgress(Egress):
                  trace) -> None:
         self._sim = sim
         self._port = port
-        self._mac = mac
-        self._host_mac = host_mac
+        self._mac = MacAddress(mac)
+        self._host_mac = MacAddress(host_mac)
         self._trace = trace
 
     def send(self, packet: IPv4Packet) -> None:
-        frame = EthernetFrame(self._mac, self._host_mac, packet, None,
-                              ETHERTYPE_IPV4)
+        frame = _new(EthernetFrame)
+        frame.src = self._mac
+        frame.dst = self._host_mac
+        frame.vlan = None
+        frame.ethertype = ETHERTYPE_IPV4
+        frame.payload = packet
         self._trace.capture(self._sim.now, frame, "containment")
         self._port.send(frame)
 
@@ -98,8 +116,8 @@ class VlanEgress(Egress):
                  router=None, gateway=None) -> None:
         self._sim = sim
         self._port = port
-        self._mac = mac
-        self._vlan = vlan
+        self._mac = MacAddress(mac)
+        self._vlan = check_vlan(vlan)
         # Bound once, probed per packet (LearningBridge.entries).
         self._learned = router.bridge.entries if router is not None else {}
         self._trace = router.trace if router is not None else None
@@ -121,8 +139,12 @@ class VlanEgress(Egress):
             dst_mac = _BROADCAST
             if self._counts is not None:
                 self._counts.floods += 1
-        frame = EthernetFrame(self._mac, dst_mac, packet, self._vlan,
-                              ETHERTYPE_IPV4)
+        frame = _new(EthernetFrame)
+        frame.src = self._mac
+        frame.dst = dst_mac
+        frame.vlan = self._vlan
+        frame.ethertype = ETHERTYPE_IPV4
+        frame.payload = packet
         trace = self._trace
         if trace is not None:
             trace.capture(self._sim.now, frame, "inmate")

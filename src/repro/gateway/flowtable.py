@@ -50,10 +50,12 @@ from repro.net.packet import (
     PROTO_UDP,
     RST,
     SYN,
+    TCPSegment,
     UDPDatagram,
 )
 
 _MASK = 0xFFFFFFFF
+_new = object.__new__
 _INF = float("inf")
 
 # Action kinds: which row of SPECS governs the entry.
@@ -448,10 +450,27 @@ def apply(router, row: Rewrite, packet: IPv4Packet,
             ack = (transport.ack + row.ack_delta) & _MASK
         else:
             ack = 0 if ack_zero else transport.ack
-        out = transport.rebind(row.out_sport, row.out_dport, seq, ack)
+        # Slot fill, no constructor frame: the ports and addresses were
+        # compiled into the row, seq and ack are masked above or the
+        # arriving segment's own.
+        out = _new(TCPSegment)
+        out.sport = row.out_sport
+        out.dport = row.out_dport
+        out.seq = seq
+        out.ack = ack
+        out.flags = flags
+        out.window = transport.window
+        out.payload = payload
     else:
         out = UDPDatagram(row.out_sport, row.out_dport,
                           row.payload_prefix + payload)
     if counter is not None:
         router.counters[counter] += 1
-    egress.send(IPv4Packet.wrap(row.src_ip, row.dst_ip, out, proto))
+    wrapped = _new(IPv4Packet)
+    wrapped.src = row.src_ip
+    wrapped.dst = row.dst_ip
+    wrapped.proto = proto
+    wrapped.ttl = 64
+    wrapped.ident = 0
+    wrapped.payload = out
+    egress.send(wrapped)

@@ -31,6 +31,8 @@ from repro.sim.engine import Simulator
 
 BROADCAST_IP = IPv4Address("255.255.255.255")
 
+_new = object.__new__
+
 UdpHandler = Callable[["Host", IPv4Packet, UDPDatagram], None]
 
 
@@ -109,7 +111,8 @@ class Host:
         self.prefix_len = prefix_len
         self.gateway_ip = IPv4Address(gateway_ip) if gateway_ip is not None else None
         self._bind_subnet()
-        self.mac = mac if mac is not None else self._derive_mac(name)
+        self.mac = (MacAddress(mac) if mac is not None
+                    else self._derive_mac(name))
         self.rng = sim.rng(f"host/{name}")
 
         self.port = Port(self, name=f"{name}.eth0")
@@ -189,7 +192,15 @@ class Host:
                 return
         mac = self._arp_cache.get(next_hop.value)
         if mac is not None:
-            self.port.send(EthernetFrame(self.mac, mac, packet))
+            # Slot fill: our MAC is checked at construction and a cached
+            # one came off an ARP message.
+            frame = _new(EthernetFrame)
+            frame.src = self.mac
+            frame.dst = mac
+            frame.vlan = None
+            frame.ethertype = ETHERTYPE_IPV4
+            frame.payload = packet
+            self.port.send(frame)
             return
         queue = self._arp_pending.setdefault(next_hop.value, [])
         queue.append(packet)

@@ -14,11 +14,14 @@ cross VLANs here.  Controlled crosstalk between inmate VLANs is the
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.addresses import MacAddress
-from repro.net.packet import EthernetFrame
+from repro.net.packet import EthernetFrame, check_vlan
 from repro.sim.engine import Simulator
+
+_new = object.__new__
 
 
 class Port:
@@ -53,24 +56,33 @@ class Port:
         if link.batch_window or peer.coalesce is not None:
             link.transmit(self, frame)
             return
-        # The default hop: one plain heap entry, straight to the peer
-        # device (docs/PERFORMANCE.md, "The per-hop kernel").  The
-        # owner's receive_frame is looked up now, not when the link was
-        # built, so a device that replaces it still sees its frames;
-        # post() rejects a latency reassigned to NaN or below zero.
+        # The default hop: send pushes one plain heap entry itself,
+        # straight to the peer device, drawing the (time, seq) that
+        # Simulator.schedule would (docs/PERFORMANCE.md, "The per-hop
+        # kernel").  The owner's receive_frame is looked up now, not
+        # when the link was built, so a device that replaces it still
+        # sees its frames.  A latency reassigned to NaN or below zero
+        # is refused before a seq is drawn, as schedule refuses it.
         link.frames_carried += 1
-        link.sim.post(link.latency, peer.owner.receive_frame, frame, peer)
+        latency = link.latency
+        if not latency >= 0:
+            raise ValueError(
+                f"cannot schedule in the past (delay={latency})")
+        sim = link.sim
+        heappush(sim._queue, [sim._now + latency, next(sim._seq),
+                              peer.owner.receive_frame, (frame, peer), "",
+                              None, False])
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Receive a frame sent over a windowed link or to a coalescing
-        port (:meth:`Link.transmit`); every other send is posted to the
+        port (:meth:`Link.transmit`); every other send is queued for the
         owner's ``receive_frame`` directly."""
         sim = self.coalesce
         if sim is not None:
             # Peek before paying a call: drain_coincident can claim (or
             # discard) only a head entry due this instant (or dead).
             queue = sim._queue
-            # Entries are read by index: a posted one is a plain list.
+            # Entries are read by index: a default hop's is a plain list.
             if queue and (queue[0][0] == sim.now or queue[0][6]):
                 more = sim.drain_coincident(self.deliver)
             else:
@@ -170,9 +182,15 @@ class SwitchPortConfig:
         access_vlan: int = 1,
         trunk_vlans: Optional[frozenset] = None,
     ) -> None:
+        # Checked here, once: the switch builds its egress frames by
+        # slot fill, so a VLAN outside 1-4094 would otherwise surface
+        # only inside the event loop, on the first frame it tags.
         self.mode = mode
-        self.access_vlan = access_vlan
-        self.trunk_vlans = trunk_vlans  # None => all VLANs allowed
+        self.access_vlan = check_vlan(access_vlan)
+        # None => all VLANs allowed
+        self.trunk_vlans = (None if trunk_vlans is None else
+                            frozenset(check_vlan(vlan)
+                                      for vlan in trunk_vlans))
 
     def carries(self, vlan: int) -> bool:
         if self.mode is PortMode.ACCESS:
@@ -208,9 +226,10 @@ class Switch:
         access_vlan: int = 1,
         trunk_vlans: Optional[frozenset] = None,
     ) -> Port:
+        config = SwitchPortConfig(mode, access_vlan, trunk_vlans)
         port = Port(self, name=f"{self.name}.p{len(self.ports)}")
         self.ports.append(port)
-        self.configs[port] = SwitchPortConfig(mode, access_vlan, trunk_vlans)
+        self.configs[port] = config
         return port
 
     def receive_frame(self, frame: EthernetFrame, port: Port) -> None:
@@ -247,11 +266,18 @@ class Switch:
                        and configs[candidate].carries(vlan)]
         # Only the Ethernet header differs per egress port; a sent
         # frame is never mutated again, so the IPv4 payload is shared.
+        # Built by slot fill: the addresses are the arriving frame's
+        # own, and the VLAN an access port's checked one or a tag the
+        # arriving frame already carried.
         for target in targets:
-            tag = (None if configs[target].mode is PortMode.ACCESS
-                   else vlan)
-            target.send(EthernetFrame(frame.src, frame.dst, frame.payload,
-                                      tag, frame.ethertype))
+            out = _new(EthernetFrame)
+            out.src = frame.src
+            out.dst = frame.dst
+            out.vlan = (None if configs[target].mode is PortMode.ACCESS
+                        else vlan)
+            out.ethertype = frame.ethertype
+            out.payload = frame.payload
+            target.send(out)
 
     def mac_table_snapshot(self) -> Dict[Tuple[int, MacAddress], Port]:
         return {(vlan, MacAddress(mac)): port

@@ -40,6 +40,16 @@ ACK = 0x10
 _NEEDS_BYTESWAP = sys.byteorder == "little"
 
 
+def check_vlan(vlan: int) -> int:
+    """Return ``vlan`` if it is a usable 802.1Q VLAN ID (1-4094), else
+    raise the ``ValueError`` :class:`EthernetFrame` raises for it.  For
+    where a VLAN is configured: frames built by slot fill from a checked
+    VLAN need no per-packet test."""
+    if not 1 <= vlan <= 4094:
+        raise ValueError(f"VLAN ID out of 802.1Q range: {vlan}")
+    return vlan
+
+
 def internet_checksum(data: bytes) -> int:
     """RFC 1071 Internet checksum of ``data``: the complemented 16-bit
     one's-complement sum used by IPv4/TCP/UDP.

@@ -22,6 +22,9 @@ from repro.net.link import Link, Port
 from repro.net.packet import ETHERTYPE_IPV4, EthernetFrame, IPv4Packet
 from repro.sim.engine import Simulator
 
+_new = object.__new__
+_BROADCAST = MacAddress.broadcast()
+
 
 class Router:
     """Longest-prefix-match IP router with proxy ARP."""
@@ -77,7 +80,7 @@ class Router:
         Link(self.sim, peer_port, port, latency)
         for network in networks:
             self.add_route(network, port)
-        self._neighbor_macs[port] = port_owner_mac
+        self._neighbor_macs[port] = MacAddress(port_owner_mac)
         return port
 
     # ------------------------------------------------------------------
@@ -85,36 +88,48 @@ class Router:
         if frame.ethertype == ETHERTYPE_ARP:
             self._handle_arp(frame, port)
             return
+        packet = frame.payload
         if frame.ethertype != ETHERTYPE_IPV4 or not isinstance(
-            frame.payload, IPv4Packet
+            packet, IPv4Packet
         ):
             return
-        self.forward(frame.payload, arrived_on=port)
+        # The whole forward in this one frame: the LPM walk, the TTL
+        # rewrite and both headers built by slot fill (the packet's
+        # fields are already canonical, and so are our MAC and the
+        # neighbours').  The sender may still hold (and a trace may
+        # share) this packet: forward a header rebuild, never decrement
+        # in place.
+        value = packet.dst.value
+        for mask, network, out in self._routes:
+            if value & mask == network:
+                break
+        else:
+            out = None
+        if out is None or out is port or packet.ttl <= 1:
+            self.packets_dropped += 1
+            return
+        clone = _new(IPv4Packet)
+        clone.src = packet.src
+        clone.dst = packet.dst
+        clone.proto = packet.proto
+        clone.ttl = packet.ttl - 1
+        clone.ident = packet.ident
+        clone.payload = packet.payload
+        forwarded = _new(EthernetFrame)
+        forwarded.src = self.mac
+        forwarded.dst = self._neighbor_macs.get(out, _BROADCAST)
+        forwarded.vlan = None
+        forwarded.ethertype = ETHERTYPE_IPV4
+        forwarded.payload = clone
+        self.packets_forwarded += 1
+        out.send(forwarded)
 
     def forward(self, packet: IPv4Packet, arrived_on: Optional[Port] = None) -> None:
-        out = self._lookup(packet.dst)
-        if out is None or out is arrived_on:
-            self.packets_dropped += 1
-            return
-        if packet.ttl <= 1:
-            self.packets_dropped += 1
-            return
-        # The sender may still hold (and a trace may share) this packet:
-        # forward a header rebuild, never decrement in place.
-        packet = IPv4Packet(packet.src, packet.dst, packet.payload,
-                            packet.proto, packet.ttl - 1, packet.ident)
-        dst_mac = self._neighbor_macs.get(out)
-        if dst_mac is None:
-            dst_mac = MacAddress.broadcast()
-        self.packets_forwarded += 1
-        out.send(EthernetFrame(self.mac, dst_mac, packet, ethertype=ETHERTYPE_IPV4))
-
-    def _lookup(self, dst: IPv4Address) -> Optional[Port]:
-        value = dst.value
-        for mask, network, port in self._routes:
-            if value & mask == network:
-                return port
-        return None
+        """Route ``packet`` as if it had arrived on ``arrived_on`` (or
+        from the router itself), through :meth:`receive_frame`'s one
+        forwarding path."""
+        self.receive_frame(EthernetFrame(self.mac, self.mac, packet),
+                           arrived_on)
 
     def _handle_arp(self, frame: EthernetFrame, port: Port) -> None:
         try:

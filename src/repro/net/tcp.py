@@ -39,6 +39,8 @@ MSS = 1460
 
 SEQ_MOD = 1 << 32
 
+_new = object.__new__
+
 _PSH_ACK = PSH | ACK  # every data segment
 _SYN_ACK = SYN | ACK
 
@@ -398,11 +400,24 @@ class TcpConnection:
             self.state = TcpState.LAST_ACK
 
     def _emit(self, flags: int, seq: int, ack: int, payload: bytes = b"") -> None:
-        self.host.send_ip(IPv4Packet.wrap(
-            self.local_ip, self.remote_ip,
-            TCPSegment(self.local_port, self.remote_port, seq, ack, flags,
-                       65535, payload),
-            PROTO_TCP))
+        # The segment and its IPv4 wrap by slot fill, no constructor
+        # frame: the addresses are canonical, seq and ack still masked.
+        segment = _new(TCPSegment)
+        segment.sport = self.local_port
+        segment.dport = self.remote_port
+        segment.seq = seq & 0xFFFFFFFF
+        segment.ack = ack & 0xFFFFFFFF
+        segment.flags = flags
+        segment.window = 65535
+        segment.payload = payload
+        packet = _new(IPv4Packet)
+        packet.src = self.local_ip
+        packet.dst = self.remote_ip
+        packet.proto = PROTO_TCP
+        packet.ttl = 64
+        packet.ident = 0
+        packet.payload = segment
+        self.host.send_ip(packet)
 
     # ------------------------------------------------------------------
     # Teardown

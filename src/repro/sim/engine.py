@@ -1,13 +1,20 @@
 """The discrete-event simulation engine.
 
 A :class:`Simulator` owns a virtual clock and a priority queue of
-:class:`Event` records (and the plain lists of the same shape that
-:meth:`Simulator.post` pushes).  Components schedule callbacks at
-absolute or relative virtual times; :meth:`Simulator.run` drains the
-queue in timestamp order.  Ties are broken by a monotonically
-increasing sequence number so that two events scheduled for the same
-instant fire in the order they were scheduled — this keeps runs
-deterministic.
+heap entries laid out ``[time, seq, callback, args, label, sim,
+cancelled]``.  Components schedule callbacks at absolute or relative
+virtual times; :meth:`Simulator.run` drains the queue in timestamp
+order.  Ties are broken by a monotonically increasing sequence number
+so that two events scheduled for the same instant fire in the order
+they were scheduled — this keeps runs deterministic.
+
+Two kinds of entry share the heap: the :class:`Event` handles
+:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` return,
+and the plain lists of the same shape that ``Port.send``
+(``repro.net.link``) pushes for a default link delivery — drawn from
+the same counter at the same moment, with ``sim`` already ``None``,
+never cancelled.  Everything that walks the queue reads an entry by
+index.
 
 The engine knows nothing about networks or malware; it is the substrate
 every other subsystem builds on.
@@ -93,7 +100,8 @@ class Simulator:
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self, seed: int = 0) -> None:
-        # Event handles and post()'s plain lists, one shape, read by index.
+        # Event handles and Port.send's plain lists, one shape, read by
+        # index.
         self._queue: List[list] = []
         self._seq = itertools.count()
         self._now = 0.0
@@ -209,18 +217,6 @@ class Simulator:
         heappush(self._queue, event)
         return event
 
-    def post(self, delay: float, callback: Callable[..., None],
-             *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: the same ``(time, seq)``
-        drawn at the same moment, so the run is the same run, but the
-        heap entry is a plain list and no handle comes back.  For the
-        caller that never cancels (a link delivery); anything that
-        keeps or cancels its event wants :meth:`schedule`."""
-        if not delay >= 0:  # also rejects NaN, which would unorder the heap
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        heappush(self._queue, [self._now + delay, next(self._seq), callback,
-                               args, "", None, False])
-
     # ------------------------------------------------------------------
     # Cancellation accounting and heap compaction
     # ------------------------------------------------------------------
@@ -257,7 +253,12 @@ class Simulator:
         or ``max_events`` callbacks have fired.  Returns the virtual time
         at which execution stopped.  When stopped by ``until``, the clock
         is advanced to exactly ``until`` (events beyond it stay queued).
+        An ``until`` before the current time (or NaN) is refused before
+        anything is popped: the clock never runs backwards.
         """
+        if until is not None and not until >= self._now:  # also NaN
+            raise ValueError(
+                f"cannot run until t={until} < now={self._now}")
         processed = 0
         # Hot-loop kernel: bind everything the per-event path touches to
         # locals, index the entry directly, and fold the two optional

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from repro.net.addresses import IPv4Address, IPv4Network
+from types import SimpleNamespace
+
+from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
 from repro.net.host import Host
+from repro.net.link import Link, Port
 from repro.net.packet import IPv4Packet, UDPDatagram
 from repro.net.router import Router
 from repro.sim.engine import Simulator
@@ -83,3 +86,42 @@ class TestBackbone:
         sim.run(until=1.0)
         assert a.gateway_ip in a.arp_cache_snapshot()
         assert a.arp_cache_snapshot()[a.gateway_ip] == backbone.mac
+
+    def test_hairpin_is_dropped_and_counted(self):
+        sim, backbone, (a, b) = backbone_with_hosts()
+        # A destination routed back out of the port it arrives on.
+        backbone.add_route(IPv4Network("198.51.100.7/32"), backbone.ports[0])
+        a.udp.sendto(b"boomerang", IPv4Address("198.51.100.7"), 9)
+        sim.run(until=1.0)
+        assert (backbone.packets_dropped, backbone.packets_forwarded) == (1, 0)
+        assert a.packets_received == b.packets_received == 0
+
+    def test_unknown_neighbour_gets_a_broadcast_destination(self):
+        sim, backbone, (a, b) = backbone_with_hosts()
+        # A port with a route but no neighbour MAC: no host attached
+        # through attach_host, and nothing behind it ever ARPs.
+        seen = []
+        silent = Port(SimpleNamespace(
+            receive_frame=lambda frame, port: seen.append(frame)), "silent")
+        out = backbone.attach_port()
+        Link(sim, silent, out, latency=0.001)
+        backbone.add_route(IPv4Network("192.0.2.0/24"), out)
+        a.udp.sendto(b"anyone", IPv4Address("192.0.2.5"), 9)
+        sim.run(until=1.0)
+        (frame,) = seen
+        assert frame.dst == MacAddress.broadcast()
+        assert frame.src == backbone.mac
+        assert frame.payload.ttl == 63
+        assert frame.payload.udp.payload == b"anyone"
+        assert backbone.packets_forwarded == 1
+
+    def test_forward_takes_the_receive_path(self):
+        sim, backbone, (a, b) = backbone_with_hosts()
+        received = []
+        b.udp.bind(9, lambda h, p, d: received.append(p.ttl))
+        packet = IPv4Packet(a.ip, b.ip, UDPDatagram(1, 9, b"direct"), ttl=5)
+        backbone.forward(packet)
+        backbone.forward(packet, arrived_on=backbone.ports[1])  # hairpin
+        sim.run(until=1.0)
+        assert received == [4] and packet.ttl == 5
+        assert (backbone.packets_forwarded, backbone.packets_dropped) == (1, 1)

@@ -89,7 +89,7 @@ def _established_echo(peer: _Peer, isn: int = 1000):
     return conn
 
 
-def test_echoed_data_segment_is_eighteen_python_frames():
+def test_echoed_data_segment_is_twelve_python_frames():
     peer = _Peer()
     conn = _established_echo(peer)
     frame = peer.frame(conn.rcv_nxt, conn.snd_nxt, ACK | PSH, b"x" * 512)
@@ -111,7 +111,9 @@ def test_echoed_data_segment_is_eighteen_python_frames():
                 if key[1] in ("syn", "fin", "rst", "has_ack", "seq_len",
                               "tcp", "ip")]
     # The same measurement before the endpoint kernel: 42 frames, 8 of
-    # them IPv4Address/MacAddress methods and 6 flag properties.
+    # them IPv4Address/MacAddress methods and 6 flag properties; 18
+    # before the segment, its IPv4 header and the frame were built by
+    # slot fill (four constructor frames and two wrap calls).
     assert endpoint == {
         ("test_endpoint_budget.py", "<lambda>"): 2,   # driver, on_data
         ("host.py", "receive_frame"): 1,
@@ -121,14 +123,12 @@ def test_echoed_data_segment_is_eighteen_python_frames():
         ("tcp.py", "_deliver"): 1,
         ("tcp.py", "send"): 1,
         ("tcp.py", "_flush"): 1,
-        # Echo out and ACK out, each: _emit -> TCPSegment() -> wrap ->
-        # send_ip -> EthernetFrame().
+        # Echo out and ACK out, each: _emit -> send_ip, the segment, its
+        # IPv4 header and the frame all built by slot fill.
         ("tcp.py", "_emit"): 2,
-        ("packet.py", "__init__"): 4,
-        ("packet.py", "wrap"): 2,
         ("host.py", "send_ip"): 2,
     }
-    assert sum(endpoint.values()) - 1 == 18       # less the driver lambda
+    assert sum(endpoint.values()) - 1 == 12       # less the calling lambda
 
 
 # ----------------------------------------------------------------------

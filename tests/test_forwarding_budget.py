@@ -45,19 +45,25 @@ from repro.services.dhcp import DhcpClient  # noqa: E402
 from tests.helpers import python_calls  # noqa: E402
 
 #: 234 at the parent of the gateway kernel, 179 with it, 147 with the
-#: three-frame link hop.
-FRAMES_PER_ECHO_ROUND = 152
+#: three-frame link hop, 87.4 with the two-frame hop and packets built
+#: by slot fill on the forwarding path (the bound is that figure + 5 %).
+FRAMES_PER_ECHO_ROUND = 92
 #: 1,262 at the parent of the gateway kernel, 948 with it, 945 with the
 #: coupled legs in the flow table, 831 with the three-frame link hop,
-#: 803 with verdict flags tested against int masks (enum.py: 33 -> 3;
-#: the bound is that figure + 5 %).
-FRAMES_PER_FETCH = 843
+#: 803 with verdict flags tested against int masks (enum.py: 33 -> 3),
+#: 600.7 with the two-frame hop and packets built by slot fill on the
+#: forwarding path (the bound is that figure + 5 %).
+FRAMES_PER_FETCH = 631
 #: The router's own share of a fetch, gateway/router.py and the
 #: controller modules split from it (the backbone router of the world
-#: model shares the basename and 22 of these): 155.5 before the split.
+#: model shares the basename: 11 of these, 33 before its one-frame
+#: forward):
+#: 155.5 before the split, 145.4 before the one-frame backbone forward
+#: and the slot-built executor, 123.4 with them (the bound is that
+#: figure + 5 %).
 ROUTER_FAMILY = ("router.py", "admission.py", "coupling.py", "handoff.py",
                  "housekeeping.py")
-ROUTER_FRAMES_PER_FETCH = 155.5
+ROUTER_FRAMES_PER_FETCH = 129.6
 
 
 def _frames_by_file(calls) -> dict:

@@ -3,7 +3,7 @@
 A hop is the path a frame takes from ``Port.send`` on one device to
 ``receive_frame`` on the next.  These tests pin what it may cost in
 Python frames (docs/PERFORMANCE.md, "The per-hop kernel"): heap
-ordering never enters Python, the plumbing is three calls (five when
+ordering never enters Python, the plumbing is two calls (five when
 the link has a batch window or the receiving port coalesces), and a
 simulator without a live telemetry domain makes no instrument call at
 all.
@@ -64,14 +64,15 @@ def test_hop_is_five_python_frames_and_no_python_ordering(coalesce):
     assert (a.received, b.received) == (FRAMES_EACH_WAY, FRAMES_EACH_WAY)
     hops = 2 * FRAMES_EACH_WAY
     assert not [key for key in calls if key[1] == "__lt__"]
-    # send -> post | receive_frame by default; to a coalescing port,
-    # send -> transmit -> schedule | deliver -> receive_frame.  And the
-    # one run() that drove them.  Nothing else: no Event.__init__, no
-    # instrument, no clock property, no drain_coincident.
+    # send | receive_frame by default (send pushes the heap entry
+    # itself); to a coalescing port, send -> transmit -> schedule |
+    # deliver -> receive_frame.  And the one run() that drove them.
+    # Nothing else: no Event.__init__, no instrument, no clock
+    # property, no drain_coincident.
     plumbing = ({("link.py", "transmit"): hops,
                  ("engine.py", "schedule"): hops,
                  ("link.py", "deliver"): hops} if coalesce
-                else {("engine.py", "post"): hops})
+                else {})
     assert calls == {
         ("engine.py", "run"): 1,
         ("link.py", "send"): hops,
@@ -210,8 +211,11 @@ def test_router_table_hit_budget():
     ``IPv4Address`` ``__eq__``/``__hash__`` and no-op ``metrics.inc``
     calls) and an upstream one 8; with int-keyed tables, instrument
     sites that make no call while telemetry is off, and the entry's
-    egress called directly there are 10 and 6, the last of each being
-    the egress itself (docs/PERFORMANCE.md, "The gateway kernel")."""
+    egress called directly there were 9 and 6; with the executor
+    building the rewritten segment and its IPv4 header by slot fill
+    (no ``rebind``, no ``wrap``) there are 7 and 4, the last of each
+    being the egress itself (docs/PERFORMANCE.md, "The gateway
+    kernel")."""
     harness, frame, reply = _established_router()
     router = harness.router
 
@@ -225,8 +229,6 @@ def test_router_table_hit_budget():
         ("bridge.py", "learn"): 1,
         ("router.py", "_lookup"): 1,
         ("flowtable.py", "apply"): 1,
-        ("packet.py", "rebind"): 1,
-        ("packet.py", "wrap"): 1,
         ("helpers.py", "send"): 1,            # the entry's egress
     }
 
@@ -237,7 +239,5 @@ def test_router_table_hit_budget():
         ("router.py", "upstream_packet"): 1,
         ("router.py", "_lookup"): 1,
         ("flowtable.py", "apply"): 1,
-        ("packet.py", "rebind"): 1,
-        ("packet.py", "wrap"): 1,
         ("helpers.py", "send"): 1,            # the entry's egress
     }

@@ -5,8 +5,27 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net.link import Link, Port
 from repro.sim.engine import Simulator
 from repro.sim.process import Process, Timer
+
+
+class _Receiver:
+    """A device whose ``receive_frame`` is the callable it is given."""
+
+    def __init__(self, receive_frame) -> None:
+        self.receive_frame = receive_frame
+        self.port = Port(self, "rx")
+
+
+def _stub_link(sim, receive_frame):
+    """A bare sending port linked to a :class:`_Receiver`; returns
+    ``(port, link)``.  ``Port.send`` on it is the default hop: one
+    plain heap entry for ``receive_frame(frame, port)``, due after the
+    link's latency."""
+    sender = Port(object(), "tx")
+    link = Link(sim, sender, _Receiver(receive_frame).port, latency=0.0)
+    return sender, link
 
 
 class TestScheduling:
@@ -59,18 +78,40 @@ class TestScheduling:
         assert sim.run(until=5.0) == 5.0
         assert sim.now == 5.0
 
-    def test_post_rejects_what_schedule_rejects(self):
+    def test_run_until_before_now_is_refused(self):
+        # The clock never runs backwards: an until already passed (or
+        # NaN, which would silently drain the whole queue) is refused
+        # before anything is popped.
         sim = Simulator()
+        fired = []
+        sim.schedule(10.0, fired.append, "ten")
+        sim.schedule(20.0, fired.append, "twenty")
+        assert sim.run(until=11.0) == 11.0
+        for until in (5.0, 10.999, float("nan"), float("-inf")):
+            with pytest.raises(ValueError):
+                sim.run(until=until)
+            assert sim.now == 11.0 and sim.pending == 1
+        # A later event still fires after the one that ran at 10.
+        sim.schedule_at(12.0, fired.append, "twelve")
+        assert sim.run(until=11.0) == 11.0      # until == now is fine
+        sim.run()
+        assert fired == ["ten", "twelve", "twenty"]
+        assert sim.now == 20.0
+
+    def test_port_send_rejects_what_schedule_rejects(self):
+        sim = Simulator()
+        sender, link = _stub_link(sim, lambda frame, port: None)
         sim.schedule(1.0, lambda: None)
         before = list(sim._queue)
-        for delay in (-1.0, -0.0001, float("nan"), float("-inf")):
+        for latency in (-1.0, -0.0001, float("nan"), float("-inf")):
+            link.latency = latency
             with pytest.raises(ValueError):
-                sim.post(delay, lambda: None)
+                sender.send("frame")
         # Nothing was pushed and no sequence number was drawn.
         assert sim._queue == before and sim.pending == 1
         assert sim.schedule(1.0, lambda: None).seq == 1
 
-    def test_post_is_schedule_without_a_handle(self):
+    def test_port_send_is_schedule_without_a_handle(self):
         from repro.obs.export import snapshot
         from repro.obs.telemetry import Telemetry
 
@@ -78,10 +119,13 @@ class TestScheduling:
         telemetry = Telemetry(clock=lambda: sim.now)
         sim.attach_telemetry(telemetry)
         fired = []
+        sender, link = _stub_link(sim, lambda frame, port: fired.append(frame))
         sim.schedule(1.0, fired.append, "a")
-        assert sim.post(1.0, fired.append, "b") is None
+        link.latency = 1.0
+        assert sender.send("b") is None
         sim.schedule_at(1.0, fired.append, "c")
-        sim.post(0.5, fired.append, "first")
+        link.latency = 0.5
+        sender.send("first")
         assert type(sim._queue[0]) is list and sim.pending == 4
         sim.run()
         assert fired == ["first", "a", "b", "c"]
@@ -288,7 +332,8 @@ class TestQueueKernel:
 # ----------------------------------------------------------------------
 # Binary-exact delays, few of them, so equal timestamps are the norm.
 DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])
-# (delay, what the child does, whether it is posted or scheduled)
+# (delay, what the child does, whether it is sent over a link or
+# scheduled)
 CHILD = st.tuples(DELAYS, st.sampled_from(["plain", "drain"]),
                   st.booleans())
 ACTIONS = st.one_of(
@@ -301,7 +346,7 @@ ACTIONS = st.one_of(
 OPS = st.one_of(
     st.tuples(st.just("schedule"), DELAYS, ACTIONS),
     st.tuples(st.just("schedule_at"), DELAYS, ACTIONS),
-    st.tuples(st.just("post"), DELAYS, ACTIONS),
+    st.tuples(st.just("send"), DELAYS, ACTIONS),
     st.tuples(st.just("cancel"), st.integers(0, 200)),
     st.tuples(st.just("run_until"), DELAYS),
     st.tuples(st.just("run_max"), st.integers(0, 4)),
@@ -330,7 +375,7 @@ class _Reference:
         record = [time, self.seq, self.seq, action, False]
         self.seq += 1
         self.queued.append(record)
-        if handle:  # a posted entry has none, so is never cancelled
+        if handle:  # a link delivery has none, so is never cancelled
             self.records.append(record)
 
     def cancel(self, index):
@@ -375,15 +420,18 @@ class _Reference:
                 self.events_processed += 1
                 self.log.append(("drained", head[2]))
         elif action[0] == "spawn":
-            delay, kind, posted = action[1]
-            self.schedule_at(self.now + delay, (kind,), handle=not posted)
+            delay, kind, sent = action[1]
+            self.schedule_at(self.now + delay, (kind,), handle=not sent)
         elif action[0] == "cancel":
             self.cancel(action[1])
         self.log.append(("fired", ident, self.now))
 
 
 class _Driver:
-    """The same program against the real engine."""
+    """The same program against the real engine.  Every callback takes
+    ``((ident, action), port)``: a scheduled one gets ``None`` for the
+    port, a link delivery the receiving port, so ``drain_coincident``
+    hands back the same shape for both."""
 
     def __init__(self, compact_min_queue):
         self.sim = Simulator()
@@ -391,39 +439,50 @@ class _Driver:
         self.handles = []
         self.idents = 0
         self.log = []
+        # One link per callback: a delivery's callback is the receiving
+        # device's receive_frame, which is _plain or _drainer itself.
+        self.links = {"plain": _stub_link(self.sim, self._plain),
+                      "drain": _stub_link(self.sim, self._drainer)}
 
-    def schedule_at(self, time, action, relative=None, post=False):
+    def schedule_at(self, time, action, relative=None, send=False):
         ident = self.idents
         self.idents += 1
-        callback = self._drainer if action[0] == "drain" else self._plain
-        if post:
-            assert self.sim.post(relative, callback, ident, action) is None
+        if send:
+            sender, link = self.links[
+                "drain" if action[0] == "drain" else "plain"]
+            link.latency = relative
+            assert sender.send((ident, action)) is None
             return
+        callback = self._drainer if action[0] == "drain" else self._plain
         if relative is None:
-            event = self.sim.schedule_at(time, callback, ident, action)
+            event = self.sim.schedule_at(time, callback, (ident, action),
+                                         None)
         else:
-            event = self.sim.schedule(relative, callback, ident, action)
+            event = self.sim.schedule(relative, callback, (ident, action),
+                                      None)
         self.handles.append(event)
 
     def cancel(self, index):
         if self.handles:
             self.handles[index % len(self.handles)].cancel()
 
-    def _plain(self, ident, action):
+    def _plain(self, item, _port):
+        ident, action = item
         sim = self.sim
         if action[0] == "spawn":
-            delay, kind, posted = action[1]
-            self.schedule_at(None, (kind,), relative=delay, post=posted)
+            delay, kind, sent = action[1]
+            self.schedule_at(None, (kind,), relative=delay, send=sent)
         elif action[0] == "cancel":
             self.cancel(action[1])
         elif action[0] == "compact":
             sim._compact()
         self.log.append(("fired", ident, sim.now))
 
-    def _drainer(self, ident, action):
-        for drained_ident, _ in self.sim.drain_coincident(self._drainer):
+    def _drainer(self, item, _port):
+        for (drained_ident, _), _ in self.sim.drain_coincident(
+                self._drainer):
             self.log.append(("drained", drained_ident))
-        self.log.append(("fired", ident, self.sim.now))
+        self.log.append(("fired", item[0], self.sim.now))
 
 
 def _play(program, compact_min_queue):
@@ -436,9 +495,9 @@ def _play(program, compact_min_queue):
         elif op[0] == "schedule_at":
             ref.schedule_at(ref.now + op[1], op[2])
             real.schedule_at(sim.now + op[1], op[2])
-        elif op[0] == "post":
+        elif op[0] == "send":
             ref.schedule_at(ref.now + op[1], op[2], handle=False)
-            real.schedule_at(None, op[2], relative=op[1], post=True)
+            real.schedule_at(None, op[2], relative=op[1], send=True)
         elif op[0] == "cancel":
             ref.cancel(op[1])
             real.cancel(op[1])
@@ -469,14 +528,14 @@ def _play(program, compact_min_queue):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(OPS, max_size=60))
 def test_engine_matches_sorting_reference(program):
-    """Random interleavings of schedule / schedule_at / post / cancel
-    (before and after firing, repeatedly) / bounded runs / step /
-    in-callback drain_coincident, cancel, spawn and compaction fire in
-    exactly the reference's ``(time, seq)`` order — with compaction
-    eager (floor of 2 entries, so it triggers mid-run) and with it
-    never running.  A posted entry is a plain list beside the ``Event``
-    handles: it draws from the same counter, survives compaction, is
-    claimed by drain_coincident like any other, and is never
-    cancelled."""
+    """Random interleavings of schedule / schedule_at / ``Port.send``
+    over a stub link / cancel (before and after firing, repeatedly) /
+    bounded runs / step / in-callback drain_coincident, cancel, spawn
+    and compaction fire in exactly the reference's ``(time, seq)``
+    order — with compaction eager (floor of 2 entries, so it triggers
+    mid-run) and with it never running.  A link delivery is a plain
+    list beside the ``Event`` handles: it draws from the same counter,
+    survives compaction, is claimed by drain_coincident like any other,
+    and is never cancelled."""
     _play(program, compact_min_queue=2)
     _play(program, compact_min_queue=10 ** 9)
