@@ -19,18 +19,11 @@ Run:  python examples/flowtable_dump.py
 from repro import Farm, FarmConfig
 from repro.core.policy import AllowAll
 from repro.net.addresses import IPv4Address
+from repro.net.http import echo
 from repro.services.dhcp import DhcpClient
 
 ECHO_IP = "203.0.113.80"
 ECHO_PORT = 7
-
-
-def echo_server(host):
-    def on_accept(conn):
-        conn.on_data = lambda c, data: c.send(data)
-        conn.on_remote_close = lambda c: c.close()
-
-    host.tcp.listen(ECHO_PORT, on_accept)
 
 
 def chatty_image(host):
@@ -87,7 +80,7 @@ def main():
     sub = farm.create_subfarm("dump-demo")
     sub.set_default_policy(AllowAll())
     sub.add_catchall_sink()
-    echo_server(farm.add_external_host("echo", ECHO_IP))
+    echo(farm.add_external_host("echo", ECHO_IP), ECHO_PORT)
     sub.create_inmate(image_factory=chatty_image)
 
     # Mid-run dump: the early burst's rules are live.

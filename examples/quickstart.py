@@ -23,7 +23,7 @@ from repro.core.policy import (
     shorter_than,
 )
 from repro.net.addresses import IPv4Address
-from repro.net.http import HttpParser, HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, request, serve
 from repro.services.dhcp import DhcpClient
 
 CNC_IP = "198.51.100.7"
@@ -31,37 +31,22 @@ CNC_IP = "198.51.100.7"
 
 def cnc_server(host):
     """A command-and-control server in the simulated outside world."""
-    def on_accept(conn):
-        parser = HttpParser("request")
-
-        def on_data(c, data):
-            for request in parser.feed(data):
-                c.send(HttpResponse(
-                    200, body=b'{"cmd": "sleep", "interval": 60}'
-                ).to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
-
-    host.tcp.listen(80, on_accept)
+    serve(host, 80, lambda _request: HttpResponse(
+        200, body=b'{"cmd": "sleep", "interval": 60}'))
 
 
 def phone_home_image(log):
     """An inmate image: DHCP, then periodically fetch C&C commands."""
     def image(host):
         def fetch(configured_host):
-            conn = configured_host.tcp.connect(IPv4Address(CNC_IP), 80)
-            parser = HttpParser("response")
+            def on_response(conn, response):
+                log.append(("cnc-response", response.body))
+                conn.close()
 
-            def on_data(c, data):
-                for response in parser.feed(data):
-                    log.append(("cnc-response", response.body))
-                    c.close()
-
-            conn.on_established = lambda c: c.send(
-                HttpRequest("GET", "/gate.php?id=bot1",
-                            {"Host": "cnc.example"}).to_bytes())
-            conn.on_data = on_data
+            request(configured_host, IPv4Address(CNC_IP), 80,
+                    HttpRequest("GET", "/gate.php?id=bot1",
+                                {"Host": "cnc.example"}),
+                    on_response)
             configured_host.sim.schedule(30.0, lambda: fetch(configured_host))
 
         DhcpClient(host, on_configured=fetch).start()

@@ -20,7 +20,7 @@ import json
 from repro import Farm, FarmConfig
 from repro.core.policy import AllowAll
 from repro.net.addresses import IPv4Address
-from repro.net.http import HttpParser, HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, request, serve
 from repro.obs.export import to_json
 from repro.obs.provenance import flows_in, render_why
 from repro.services.dhcp import DhcpClient
@@ -29,28 +29,16 @@ WEB_IP = "203.0.113.80"
 
 
 def web_server(host):
-    def on_accept(conn):
-        parser = HttpParser("request")
-
-        def on_data(c, data):
-            for _request in parser.feed(data):
-                c.send(HttpResponse(200, body=b"PAYLOAD").to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
-
-    host.tcp.listen(80, on_accept)
+    serve(host, 80, lambda _request: HttpResponse(200, body=b"PAYLOAD"))
 
 
 def fetch_image(host):
     """Inmate image: DHCP, then one HTTP fetch of the outside world."""
     def fetch(configured_host):
         def connect():
-            conn = configured_host.tcp.connect(IPv4Address(WEB_IP), 80)
-            parser = HttpParser("response")
-            conn.on_established = lambda c: c.send(
-                HttpRequest("GET", "/payload", {"Host": "evil"}).to_bytes())
-            conn.on_data = lambda c, d: parser.feed(d)
+            request(configured_host, IPv4Address(WEB_IP), 80,
+                    HttpRequest("GET", "/payload", {"Host": "evil"}),
+                    lambda conn, response: None)
 
         configured_host.sim.schedule(1.0, connect)
 

@@ -28,10 +28,10 @@ from typing import Dict, List, Optional
 
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
+from repro.net.http import echo
 from repro.net.packet import PROTO_TCP
 from repro.parallel import Campaign, ShardSpec, run_campaign
-from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _echo_server, \
-    _streaming_image
+from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _streaming_image
 
 __all__ = [
     "SCENARIOS",
@@ -135,7 +135,7 @@ def build_fault_farm(seed: int, scenario: str = "baseline",
         pending_policy=pending_policy,
     )
     farm = Farm(config)
-    _echo_server(farm.add_external_host("echo", TARGET_IP))
+    echo(farm.add_external_host("echo", TARGET_IP), TARGET_PORT)
     for index in range(subfarms):
         sub = farm.create_subfarm(f"fault-sub-{index}")
         sub.set_default_policy(AllowAll())

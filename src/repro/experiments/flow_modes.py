@@ -20,7 +20,7 @@ from repro.core.policy import (
 )
 from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
-from repro.net.http import HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, request, serve
 
 WEB_IP = "203.0.113.80"
 ALT_IP = "203.0.113.99"
@@ -79,7 +79,6 @@ POLICIES = {
 def observe_mode(mode: str, duration: float = 120.0,
                  seed: int = 2) -> ModeObservation:
     from repro.inmates.images import autoinfect_image  # noqa: F401 (doc)
-    from repro.net.http import HttpParser, HttpRequest
     from repro.services.dhcp import DhcpClient
 
     farm = Farm(FarmConfig(seed=seed))
@@ -90,40 +89,28 @@ def observe_mode(mode: str, duration: float = 120.0,
 
     web = farm.add_external_host("webserver", WEB_IP)
 
-    def serve(host, marker):
-        def on_accept(conn):
-            parser = HttpParser("request")
+    def serve_marker(host, marker):
+        def respond(_request):
+            if marker == b"REAL":
+                observation.reached_real_target = True
+            else:
+                observation.reached_alternate = True
+            return HttpResponse(200, body=marker)
 
-            def on_data(c, data):
-                for _request in parser.feed(data):
-                    if marker == b"REAL":
-                        observation.reached_real_target = True
-                    else:
-                        observation.reached_alternate = True
-                    c.send(HttpResponse(200, body=marker).to_bytes())
+        serve(host, 80, respond)
 
-            conn.on_data = on_data
-            conn.on_remote_close = lambda c: c.close()
-
-        host.tcp.listen(80, on_accept)
-
-    serve(web, b"REAL")
+    serve_marker(web, b"REAL")
     alt = farm.add_external_host("altserver", ALT_IP)
-    serve(alt, b"ALTERNATE")
+    serve_marker(alt, b"ALTERNATE")
 
     def image(host):
         def fetch(configured_host):
-            conn = configured_host.tcp.connect(IPv4Address(WEB_IP), 80)
-            parser = HttpParser("response")
+            def on_response(_conn, response):
+                observation.client_saw_response = response.body
+                observation.completion_time = farm.sim.now
 
-            def on_data(c, data):
-                for response in parser.feed(data):
-                    observation.client_saw_response = response.body
-                    observation.completion_time = farm.sim.now
-
-            conn.on_established = lambda c: c.send(
-                HttpRequest("GET", "/payload").to_bytes())
-            conn.on_data = on_data
+            conn = request(configured_host, IPv4Address(WEB_IP), 80,
+                           HttpRequest("GET", "/payload"), on_response)
             conn.on_reset = lambda c: setattr(observation, "client_reset",
                                               True)
 

@@ -17,7 +17,7 @@ from typing import Dict
 from repro.core.policy import Action, AllowAll, ContainmentPolicy
 from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
-from repro.net.http import HttpParser, HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, request, serve
 from repro.services.dhcp import DhcpClient
 
 WEB_IP = "203.0.113.80"
@@ -42,18 +42,7 @@ def run_mode(policy_cls, seed: int = 33, fetches: int = 8,
     sub = farm.create_subfarm("ablation")
     web = farm.add_external_host("webserver", WEB_IP)
     body = b"X" * TRANSFER_SIZE
-
-    def on_accept(conn):
-        parser = HttpParser("request")
-
-        def on_data(c, data):
-            for _request in parser.feed(data):
-                c.send(HttpResponse(200, body=body).to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
-
-    web.tcp.listen(80, on_accept)
+    serve(web, 80, lambda _request: HttpResponse(200, body=body))
 
     completed = []
 
@@ -61,19 +50,15 @@ def run_mode(policy_cls, seed: int = 33, fetches: int = 8,
         def fetch(configured_host, remaining):
             if remaining <= 0:
                 return
-            conn = configured_host.tcp.connect(IPv4Address(WEB_IP), 80)
-            parser = HttpParser("response")
 
-            def on_data(c, data):
-                for response in parser.feed(data):
-                    completed.append(len(response.body))
-                    c.close()
-                    configured_host.sim.schedule(
-                        2.0, fetch, configured_host, remaining - 1)
+            def on_response(conn, response):
+                completed.append(len(response.body))
+                conn.close()
+                configured_host.sim.schedule(
+                    2.0, fetch, configured_host, remaining - 1)
 
-            conn.on_established = lambda c: c.send(
-                HttpRequest("GET", "/blob").to_bytes())
-            conn.on_data = on_data
+            request(configured_host, IPv4Address(WEB_IP), 80,
+                    HttpRequest("GET", "/blob"), on_response)
 
         DhcpClient(host, on_configured=lambda h: fetch(h, fetches)).start()
 

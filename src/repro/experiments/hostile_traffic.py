@@ -29,7 +29,8 @@ from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.fuzz.generators import hostile_frame
 from repro.gateway.barrier import POLICIES
-from repro.parallel.tasks import TARGET_IP, _echo_server, _streaming_image
+from repro.net.http import echo
+from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _streaming_image
 
 __all__ = ["run_cell", "run_hostile_traffic"]
 
@@ -39,7 +40,7 @@ def run_cell(policy: str, seed: int = 11, frames: int = 200,
     """One policy cell: benign streaming workload + hostile frames."""
     rng = random.Random(seed ^ 0xBADF)
     farm = Farm(FarmConfig(seed=seed, malice_policy=policy))
-    _echo_server(farm.add_external_host("echo", TARGET_IP))
+    echo(farm.add_external_host("echo", TARGET_IP), TARGET_PORT)
     sub = farm.create_subfarm("hostile")
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):

@@ -18,7 +18,7 @@ from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.inmates.vlan_pool import VlanPool, VlanPoolExhausted
 from repro.net.addresses import IPv4Address
-from repro.net.http import HttpParser, HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, request, serve
 from repro.services.dhcp import DhcpClient
 
 WEB_IP = "203.0.113.80"
@@ -31,16 +31,9 @@ def flowgen_image(interval: float, target: str = WEB_IP,
     def image(host):
         def configured(configured_host):
             def tick():
-                conn = configured_host.tcp.connect(IPv4Address(target), port)
-                parser = HttpParser("response")
-
-                def on_data(c, data):
-                    if parser.feed(data):
-                        c.close()
-
-                conn.on_established = lambda c: c.send(
-                    HttpRequest("GET", "/ping").to_bytes())
-                conn.on_data = on_data
+                request(configured_host, IPv4Address(target), port,
+                        HttpRequest("GET", "/ping"),
+                        lambda conn, _response: conn.close())
                 configured_host.sim.schedule(
                     interval * configured_host.rng.uniform(0.7, 1.3),
                     tick, label="flowgen")
@@ -57,18 +50,11 @@ def _web_server(host):
     requests served."""
     served = []
 
-    def on_accept(conn):
-        parser = HttpParser("request")
+    def respond(message):
+        served.append(message)
+        return HttpResponse(200, body=b"pong")
 
-        def on_data(c, data):
-            for request in parser.feed(data):
-                served.append(request)
-                c.send(HttpResponse(200, body=b"pong").to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
-
-    host.tcp.listen(80, on_accept)
+    serve(host, 80, respond)
     return served
 
 

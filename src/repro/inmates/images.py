@@ -20,7 +20,7 @@ from typing import Callable, List, Optional
 from repro.malware.corpus import execute_blob
 from repro.malware.worms import VulnerableServices
 from repro.net.addresses import IPv4Address
-from repro.net.http import HttpParser, HttpRequest
+from repro.net.http import HttpRequest, HttpResponse, request
 from repro.net.host import Host
 from repro.net.tcp import TcpConnection
 from repro.services.dhcp import DhcpClient
@@ -51,24 +51,19 @@ class InfectionScript:
         if self.specimen is not None:
             return
         self.attempts += 1
-        conn = self.host.tcp.connect(self.address, self.port)
-        parser = HttpParser("response")
+        request(self.host, self.address, self.port,
+                HttpRequest("GET", "/sample",
+                            {"Host": str(self.address),
+                             "User-Agent": "gq-infect/1.0"}),
+                self._on_response, lambda c: self._retry())
 
-        def on_data(c: TcpConnection, data: bytes) -> None:
-            for response in parser.feed(data):
-                c.close()
-                if response.status == 200 and response.body:
-                    self._execute(response.body)
-                else:
-                    self._retry()
-
-        request = HttpRequest("GET", "/sample",
-                              {"Host": str(self.address),
-                               "User-Agent": "gq-infect/1.0"})
-        conn.on_established = lambda c: c.send(request.to_bytes())
-        conn.on_data = on_data
-        conn.on_fail = lambda c: self._retry()
-        conn.on_reset = lambda c: self._retry()
+    def _on_response(self, conn: TcpConnection,
+                     response: HttpResponse) -> None:
+        conn.close()
+        if response.status == 200 and response.body:
+            self._execute(response.body)
+        else:
+            self._retry()
 
     def _execute(self, blob: bytes) -> None:
         try:
@@ -203,22 +198,15 @@ def honeycrawler_image(
                 resolver.resolve(name, resolved, QTYPE_A)
 
             def fetch(ip, site: str, path: str, done) -> None:
-                conn = configured_host.tcp.connect(ip, 80)
-                parser = HttpParser("response")
+                def on_response(conn, response):
+                    conn.close()
+                    done(response.body)
 
-                def on_data(c, data):
-                    for response in parser.feed(data):
-                        c.close()
-                        done(response.body)
-
-                conn.on_established = lambda c: c.send(
-                    HttpRequest("GET", path, {"Host": site,
-                                              "User-Agent":
-                                              "MSIE/6.0 (vulnerable)"}
-                                ).to_bytes())
-                conn.on_data = on_data
-                conn.on_fail = lambda c: None
-                conn.on_reset = lambda c: None
+                request(configured_host, ip, 80,
+                        HttpRequest("GET", path,
+                                    {"Host": site,
+                                     "User-Agent": "MSIE/6.0 (vulnerable)"}),
+                        on_response)
 
             visit(0)
 

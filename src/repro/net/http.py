@@ -4,14 +4,21 @@ HTTP carries most modern C&C: the auto-infection server (§6.6) is an
 HTTP server realized as a REWRITE containment, the Figure 5 walkthrough
 rewrites an HTTP GET in flight, and clickbot/spambot C&C rides on GET
 and POST.  This module gives all of those a shared, incremental parser
-that works over TCP byte streams (partial delivery is the norm).
+that works over TCP byte streams (partial delivery is the norm), and
+the one server loop (:func:`serve`) and one client exchange
+(:func:`request`) that every simulated application builds on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.net.errors import ParseError
+
+if TYPE_CHECKING:
+    from repro.net.addresses import IPv4Address
+    from repro.net.host import Host
+    from repro.net.tcp import TcpConnection
 
 CRLF = b"\r\n"
 HEADER_END = b"\r\n\r\n"
@@ -232,3 +239,80 @@ class HttpParser:
         self._headers_done = False
         self._body_remaining = 0
         return message
+
+
+def serve(host: "Host", port: int,
+          respond: Callable[[HttpRequest], HttpResponse]) -> None:
+    """Listen on ``port`` and answer each request with ``respond(request)``.
+
+    Every connection gets its own request parser and closes when the
+    peer closes.  Application servers sit outside the malice barrier,
+    yet an inmate's bytes reach them: a request the parser refuses
+    aborts that one connection (RST) instead of unwinding the event
+    loop.  Only the parser is guarded; an error in ``respond`` is the
+    server's own bug and propagates.
+    """
+
+    def on_accept(conn: "TcpConnection") -> None:
+        parser = HttpParser("request")
+
+        def on_data(c: "TcpConnection", data: bytes) -> None:
+            try:
+                requests = parser.feed(data)
+            except ParseError:
+                c.abort()
+                return
+            for message in requests:
+                c.send(respond(message).to_bytes())
+
+        conn.on_data = on_data
+        conn.on_remote_close = _close
+
+    host.tcp.listen(port, on_accept)
+
+
+def request(
+    host: "Host",
+    ip: "IPv4Address",
+    port: int,
+    message: HttpRequest,
+    on_response: Callable[["TcpConnection", HttpResponse], None],
+    on_fail: Optional[Callable[["TcpConnection"], None]] = None,
+) -> "TcpConnection":
+    """Connect to ``ip:port`` and send ``message`` once established.
+
+    ``on_response(conn, response)`` runs for each parsed response; the
+    caller decides whether and when to close.  ``on_fail(conn)`` runs
+    on a refused connect and on a reset alike.  Returns the connection.
+    """
+    conn = host.tcp.connect(ip, port)
+    parser = HttpParser("response")
+
+    def on_data(c: "TcpConnection", data: bytes) -> None:
+        for response in parser.feed(data):
+            on_response(c, response)
+
+    conn.on_established = lambda c: c.send(message.to_bytes())
+    conn.on_data = on_data
+    if on_fail is not None:
+        conn.on_fail = conn.on_reset = on_fail
+    return conn
+
+
+def echo(host: "Host", port: int) -> None:
+    """Listen on ``port`` and send every byte back (a plain TCP echo,
+    not HTTP); close when the peer closes."""
+
+    def on_accept(conn: "TcpConnection") -> None:
+        conn.on_data = _echo_data
+        conn.on_remote_close = _close
+
+    host.tcp.listen(port, on_accept)
+
+
+def _echo_data(conn: "TcpConnection", data: bytes) -> None:
+    conn.send(data)
+
+
+def _close(conn: "TcpConnection") -> None:
+    conn.close()

@@ -91,6 +91,7 @@ def golden_farm(seed: int = GOLDEN_SEED,
     from repro.core.policy import AllowAll
     from repro.farm import Farm, FarmConfig
     from repro.faults.plan import FaultPlan, FaultSpec
+    from repro.net.http import echo
 
     config = FarmConfig(
         seed=seed,
@@ -104,14 +105,7 @@ def golden_farm(seed: int = GOLDEN_SEED,
     )
     farm = Farm(config)
 
-    def echo(host) -> None:
-        def on_accept(conn):
-            conn.on_data = lambda c, data: c.send(data)
-            conn.on_remote_close = lambda c: c.close()
-
-        host.tcp.listen(_TARGET_PORT, on_accept)
-
-    echo(farm.add_external_host("echo", _TARGET_IP))
+    echo(farm.add_external_host("echo", _TARGET_IP), _TARGET_PORT)
     sub = farm.create_subfarm("gold")
     sub.set_default_policy(AllowAll())
     inmates = [sub.create_inmate(image_factory=_beacon_image())

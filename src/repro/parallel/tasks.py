@@ -29,6 +29,7 @@ from typing import Tuple
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
+from repro.net.http import echo
 from repro.services.dhcp import DhcpClient
 
 __all__ = [
@@ -71,14 +72,6 @@ def _streaming_image(rounds: int, chunk: int = 512):
     return image
 
 
-def _echo_server(host) -> None:
-    def on_accept(conn):
-        conn.on_data = lambda c, data: c.send(data)
-        conn.on_remote_close = lambda c: c.close()
-
-    host.tcp.listen(TARGET_PORT, on_accept)
-
-
 def farm_digest(farm) -> Tuple[str, dict]:
     """The farm determinism digest, defined once: sha256 over, per
     subfarm in name order, the router counters and flow log, then the
@@ -116,7 +109,7 @@ def streaming_farm_shard(seed: int, subfarms: int = 2, inmates: int = 2,
     an external echo server, digested deterministically."""
     farm = Farm(FarmConfig(seed=seed, telemetry=telemetry,
                            journal=journal))
-    _echo_server(farm.add_external_host("echo", TARGET_IP))
+    echo(farm.add_external_host("echo", TARGET_IP), TARGET_PORT)
     for index in range(subfarms):
         sub = farm.create_subfarm(f"shard-sub-{index}")
         sub.set_default_policy(AllowAll())

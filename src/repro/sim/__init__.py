@@ -2,10 +2,9 @@
 
 Everything in the GQ reproduction runs on a single virtual clock driven
 by :class:`~repro.sim.engine.Simulator`.  The engine is deliberately
-minimal: a priority queue of timestamped events plus a handful of helper
-abstractions (:class:`~repro.sim.process.Process`,
-:class:`~repro.sim.process.Timer`) that make it comfortable to express
-protocol state machines and periodic behaviours.
+minimal: a priority queue of timestamped events plus a periodic-activity
+helper (:class:`~repro.sim.process.Process`) that makes it comfortable to
+express periodic behaviours.
 
 Determinism is a design requirement — experiments that reproduce the
 paper's tables must be replayable — so all randomness is funnelled
@@ -14,6 +13,6 @@ single experiment seed (see :func:`~repro.sim.engine.Simulator.rng`).
 """
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.process import Process, Timer
+from repro.sim.process import Process
 
-__all__ = ["Event", "Simulator", "Process", "Timer"]
+__all__ = ["Event", "Simulator", "Process"]

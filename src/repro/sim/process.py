@@ -1,14 +1,9 @@
-"""Process and timer helpers layered on the event engine.
+"""Periodic-activity helper layered on the event engine.
 
-Protocol implementations want two recurring idioms:
-
-* :class:`Timer` — a restartable one-shot (think TCP retransmission
-  timers, inmate activity-trigger windows).
-* :class:`Process` — a periodic activity with start/stop semantics
-  (think a spambot's sending loop or a DHCP server's lease reaper).
-
-Both wrap raw :class:`~repro.sim.engine.Event` scheduling so callers
-never juggle event handles themselves.
+:class:`Process` is a periodic activity with start/stop semantics
+(think a spambot's sending loop or a DHCP server's lease reaper).  It
+wraps raw :class:`~repro.sim.engine.Event` scheduling so callers never
+juggle event handles themselves.
 """
 
 from __future__ import annotations
@@ -16,56 +11,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
-
-
-class Timer:
-    """A restartable one-shot timer.
-
-    ``start()`` schedules the callback; ``restart()`` cancels any pending
-    firing and re-arms; ``stop()`` cancels.  The timer can be re-armed
-    from inside its own callback.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        duration: float,
-        callback: Callable[[], None],
-        label: str = "timer",
-    ) -> None:
-        self.sim = sim
-        self.duration = duration
-        self.callback = callback
-        self.label = label
-        self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled
-
-    def start(self, duration: Optional[float] = None) -> None:
-        """Arm the timer.  A second ``start`` while armed is an error."""
-        if self.armed:
-            raise RuntimeError(f"timer {self.label!r} already armed")
-        if duration is not None:
-            self.duration = duration
-        self._event = self.sim.schedule(
-            self.duration, self._fire, label=self.label
-        )
-
-    def restart(self, duration: Optional[float] = None) -> None:
-        """Cancel any pending firing and re-arm."""
-        self.stop()
-        self.start(duration)
-
-    def stop(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self.callback()
 
 
 class Process:

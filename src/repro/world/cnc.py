@@ -29,7 +29,7 @@ import json
 from typing import Callable, Dict, List, Optional
 
 from repro.net.host import Host
-from repro.net.http import HttpParser, HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, serve
 from repro.net.tcp import TcpConnection
 
 MEGAD_PORT = 4443
@@ -86,20 +86,10 @@ class HttpCncServer:
         self.extra_routes = dict(extra_routes or {})
         self.requests_served: List[HttpRequest] = []
         self.unknown_paths = 0
-        host.tcp.listen(port, self._accept)
-
-    def _accept(self, conn: TcpConnection) -> None:
-        parser = HttpParser("request")
-
-        def on_data(c: TcpConnection, data: bytes) -> None:
-            for request in parser.feed(data):
-                self.requests_served.append(request)
-                c.send(self._respond(request).to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
+        serve(host, port, self._respond)
 
     def _respond(self, request: HttpRequest) -> HttpResponse:
+        self.requests_served.append(request)
         path = request.path.split("?", 1)[0]
         for prefix, handler in self.extra_routes.items():
             if path.startswith(prefix):

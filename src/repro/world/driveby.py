@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from repro.malware.corpus import Sample
 from repro.net.host import Host
-from repro.net.http import HttpParser, HttpRequest, HttpResponse
-from repro.net.tcp import TcpConnection
+from repro.net.http import HttpRequest, HttpResponse, serve
 
 EXPLOIT_MARKER = b'<script src="/exploit.js"></script>'
 
@@ -31,17 +30,7 @@ class DrivebySite:
         self.page_hits = 0
         self.exploit_hits = 0
         self.payload_downloads = 0
-        host.tcp.listen(port, self._accept)
-
-    def _accept(self, conn: TcpConnection) -> None:
-        parser = HttpParser("request")
-
-        def on_data(c: TcpConnection, data: bytes) -> None:
-            for request in parser.feed(data):
-                c.send(self._respond(request).to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
+        serve(host, port, self._respond)
 
     def _respond(self, request: HttpRequest) -> HttpResponse:
         path = request.path.split("?", 1)[0]
@@ -71,18 +60,11 @@ class BenignSite:
     def __init__(self, host: Host, port: int = 80) -> None:
         self.host = host
         self.page_hits = 0
-        host.tcp.listen(port, self._accept)
+        serve(host, port, self._respond)
 
-    def _accept(self, conn: TcpConnection) -> None:
-        parser = HttpParser("request")
-
-        def on_data(c: TcpConnection, data: bytes) -> None:
-            for _request in parser.feed(data):
-                self.page_hits += 1
-                c.send(HttpResponse(
-                    200, {"Content-Type": "text/html"},
-                    body=b"<html><body>cat pictures</body></html>",
-                ).to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
+    def _respond(self, _request: HttpRequest) -> HttpResponse:
+        self.page_hits += 1
+        return HttpResponse(
+            200, {"Content-Type": "text/html"},
+            body=b"<html><body>cat pictures</body></html>",
+        )

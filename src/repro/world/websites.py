@@ -12,8 +12,7 @@ import json
 from typing import List
 
 from repro.net.host import Host
-from repro.net.http import HttpParser, HttpRequest, HttpResponse
-from repro.net.tcp import TcpConnection
+from repro.net.http import HttpRequest, HttpResponse, serve
 
 
 class PublisherSite:
@@ -25,18 +24,11 @@ class PublisherSite:
         self.port = port
         self.body = body
         self.hits: List[HttpRequest] = []
-        host.tcp.listen(port, self._accept)
+        serve(host, port, self._respond)
 
-    def _accept(self, conn: TcpConnection) -> None:
-        parser = HttpParser("request")
-
-        def on_data(c: TcpConnection, data: bytes) -> None:
-            for request in parser.feed(data):
-                self.hits.append(request)
-                c.send(HttpResponse(200, body=self.body).to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
+    def _respond(self, request: HttpRequest) -> HttpResponse:
+        self.hits.append(request)
+        return HttpResponse(200, body=self.body)
 
     @property
     def click_count(self) -> int:
@@ -53,21 +45,13 @@ class ClickCncServer:
         self.interval = interval
         self.port = port
         self.requests_served = 0
-        host.tcp.listen(port, self._accept)
+        serve(host, port, self._respond)
 
-    def _accept(self, conn: TcpConnection) -> None:
-        parser = HttpParser("request")
-
-        def on_data(c: TcpConnection, data: bytes) -> None:
-            for request in parser.feed(data):
-                if request.path.startswith("/click/tasks"):
-                    self.requests_served += 1
-                    payload = json.dumps(
-                        {"urls": self.tasks, "interval": self.interval}
-                    ).encode("ascii")
-                    c.send(HttpResponse(200, body=payload).to_bytes())
-                else:
-                    c.send(HttpResponse(404).to_bytes())
-
-        conn.on_data = on_data
-        conn.on_remote_close = lambda c: c.close()
+    def _respond(self, request: HttpRequest) -> HttpResponse:
+        if not request.path.startswith("/click/tasks"):
+            return HttpResponse(404)
+        self.requests_served += 1
+        payload = json.dumps(
+            {"urls": self.tasks, "interval": self.interval}
+        ).encode("ascii")
+        return HttpResponse(200, body=payload)

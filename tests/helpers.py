@@ -24,6 +24,7 @@ from repro.gateway.safety import SafetyFilter
 from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
 from repro.net.flow import FiveTuple
 from repro.net.host import Host
+from repro.net.http import echo
 from repro.net.link import Link, Switch
 from repro.net.packet import (
     ACK,
@@ -37,7 +38,6 @@ from repro.net.packet import (
 from repro.parallel.tasks import (
     TARGET_IP,
     TARGET_PORT,
-    _echo_server,
     _streaming_image,
     farm_digest,
 )
@@ -246,7 +246,7 @@ def streaming_farm(seed: int, inmates: int, rounds: int, **config):
     streaming inmates under ``AllowAll`` against an external echo host.
     Returns ``(farm, subfarm)``."""
     farm = Farm(FarmConfig(seed=seed, telemetry=True, **config))
-    _echo_server(farm.add_external_host("echo", TARGET_IP))
+    echo(farm.add_external_host("echo", TARGET_IP), TARGET_PORT)
     sub = farm.create_subfarm("bench")
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):

@@ -15,7 +15,8 @@ import pytest
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
-from repro.parallel.tasks import TARGET_IP, _echo_server, \
+from repro.net.http import echo
+from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
 from tests.golden import FARM_PINS, farm_pin, wire_digest
 from tests.helpers import run_farm
@@ -83,7 +84,7 @@ def test_v1_digest_reconstructs(monkeypatch, params, tracer, fold,
 def digest_farm(config):
     """The one farm digest recipe over an explicit FarmConfig."""
     farm = Farm(config)
-    _echo_server(farm.add_external_host("echo", TARGET_IP))
+    echo(farm.add_external_host("echo", TARGET_IP), TARGET_PORT)
     sub = farm.create_subfarm("bench")
     sub.set_default_policy(AllowAll())
     for _ in range(3):

@@ -26,12 +26,12 @@ from repro.net.packet import (
     SYN,
     TCPSegment,
 )
+from repro.net.http import echo
 from repro.net.link import Link, Port
 from repro.net.wirebatch import BatchOutput, WireBatch
 from repro.parallel.tasks import (
     TARGET_IP,
     TARGET_PORT,
-    _echo_server,
     _streaming_image,
 )
 from repro.sim.engine import Simulator
@@ -428,7 +428,7 @@ def _report_of_streaming_farm(inmates):
     from repro.reporting.report import ActivityReport
 
     farm = Farm(FarmConfig(seed=5, telemetry=True))
-    _echo_server(farm.add_external_host("echo", TARGET_IP))
+    echo(farm.add_external_host("echo", TARGET_IP), TARGET_PORT)
     sub = farm.create_subfarm("tables")
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):

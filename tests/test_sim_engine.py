@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.link import Link, Port
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, Timer
+from repro.sim.process import Process
 
 
 class _Receiver:
@@ -173,32 +173,6 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         assert Simulator(seed=1).rng("x").random() != \
             Simulator(seed=2).rng("x").random()
-
-
-class TestTimer:
-    def test_fires_once(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, 5.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.run(until=20.0)
-        assert fired == [5.0]
-
-    def test_restart_postpones(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, 5.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.schedule(3.0, timer.restart)
-        sim.run(until=20.0)
-        assert fired == [8.0]
-
-    def test_double_start_raises(self):
-        sim = Simulator()
-        timer = Timer(sim, 1.0, lambda: None)
-        timer.start()
-        with pytest.raises(RuntimeError):
-            timer.start()
 
 
 class TestProcess:
