@@ -67,17 +67,18 @@ trace-budget:
 	done
 
 # Frame and memory budgets, counted not timed, under two hash seeds:
-# what a hop (send | receive_frame), an endpoint segment (12), a table
-# hit (7; 4 upstream), an echo round (at most 92) and an HTTP fetch (at
-# most 631) may cost in Python frames, one flow-table probe per packet
+# what a hop (send | receive_frame), an endpoint segment (10), a table
+# hit (7; 4 upstream), an echo round (at most 52) and an HTTP fetch (at
+# most 549) may cost in Python frames, one flow-table probe per packet
 # in every phase of a flow's life, no payload copy made by the send
 # path, and a journal digest whose peak does not grow with the journal.
 # Then what observing costs: the seed farm keeps its pinned digest with
 # the journal on and pins its journal digest, a fast-path pump journals
 # at most 8 events, a scan journals 4-5 events per flow and keeps its
 # digest with the journal on or off, Python frames entered in
-# repro/obs/metrics.py stay within 0.043 per simulator event with
-# telemetry off and 0.058 with it on (at least 20 instruments reading),
+# repro/obs/metrics.py stay within 0.058 per simulator event on the
+# observed scan, and within 2.53 per flow with telemetry off and 2.75
+# with it on over a flow workload (at least 20 instruments reading),
 # and in repro/obs/ within 16 per journaled flow.  Last, the
 # frames-by-file table behind the fetch and the echo round
 # (docs/PERFORMANCE.md, "The gateway kernel" and "Trace memory";

@@ -136,6 +136,7 @@ class TcpConnection:
         self.snd_nxt = 0       # next sequence to send
         self.rcv_nxt = 0       # next sequence expected
         self.irs = 0           # initial receive sequence
+        self.ack_sent = 0      # the ack field of the last segment sent
 
         # The queued application writes, each an immutable ``bytes``.
         self._send_buffer: List[bytes] = []
@@ -325,7 +326,9 @@ class TcpConnection:
         reassembly = self._reassembly
         while reassembly and self.rcv_nxt in reassembly:
             self._deliver(reassembly.pop(self.rcv_nxt))
-        self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+        # A bare ACK only if no segment on_data sent carried rcv_nxt.
+        if self.ack_sent != self.rcv_nxt:
+            self._emit(ACK, self.snd_nxt, self.rcv_nxt)
 
     def _deliver(self, payload: bytes) -> None:
         size = len(payload)
@@ -350,13 +353,17 @@ class TcpConnection:
         if fin_seq != self.rcv_nxt:
             return  # FIN for data we have not seen; ignore (no retransmit model)
         self.rcv_nxt = seq_add(self.rcv_nxt, 1)
-        self._emit(ACK, self.snd_nxt, self.rcv_nxt)
         state = self.state
         if state is _ESTABLISHED or state is _SYN_RCVD:
             self.state = TcpState.CLOSE_WAIT
             if self.on_remote_close:
                 self.on_remote_close(self)
-        elif state is _FIN_WAIT_1:
+            # A close() there sent FIN|ACK, which acknowledged the FIN.
+            if self.ack_sent != self.rcv_nxt:
+                self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+            return
+        self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+        if state is _FIN_WAIT_1:
             self.state = TcpState.CLOSING
         elif state is _FIN_WAIT_2:
             self._enter_time_wait()
@@ -406,7 +413,7 @@ class TcpConnection:
         segment.sport = self.local_port
         segment.dport = self.remote_port
         segment.seq = seq & 0xFFFFFFFF
-        segment.ack = ack & 0xFFFFFFFF
+        segment.ack = self.ack_sent = ack & 0xFFFFFFFF
         segment.flags = flags
         segment.window = 65535
         segment.payload = payload

@@ -3,13 +3,15 @@ the receive path's contract under arbitrary segment interleavings.
 
 The budget is the path one in-order data segment takes through an
 ESTABLISHED endpoint whose application echoes it — receive, deliver,
-application send, data out, ACK out — up to ``Port.send`` (the hop
-beyond is ``tests/test_hop_budget.py``'s).  docs/PERFORMANCE.md, "The
+application send, data out — up to ``Port.send`` (the hop beyond is
+``tests/test_hop_budget.py``'s).  The echo carries the ACK: no pure ACK
+follows it.  docs/PERFORMANCE.md, "The
 endpoint kernel", has the table.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.addresses import IPv4Address, MacAddress
@@ -89,17 +91,18 @@ def _established_echo(peer: _Peer, isn: int = 1000):
     return conn
 
 
-def test_echoed_data_segment_is_twelve_python_frames():
+def test_echoed_data_segment_is_ten_python_frames():
     peer = _Peer()
     conn = _established_echo(peer)
     frame = peer.frame(conn.rcv_nxt, conn.snd_nxt, ACK | PSH, b"x" * 512)
+    before = len(peer.sent)
     calls = python_calls(
         lambda: peer.host.receive_frame(frame, peer.host.port))
     peer.sim.run(until=peer.sim.now + 0.01)
 
-    echo, ack = peer.sent[-2:]
-    assert (echo.payload, echo.flags) == (b"x" * 512, ACK | PSH)
-    assert (ack.payload, ack.flags, ack.ack) == (b"", ACK, conn.rcv_nxt)
+    (echo,) = peer.sent[before:]
+    assert (echo.payload, echo.flags, echo.ack) == (
+        b"x" * 512, ACK | PSH, conn.rcv_nxt)
     assert conn.bytes_received == conn.bytes_sent == 512
 
     endpoint = {key: count for key, count in calls.items()
@@ -113,7 +116,8 @@ def test_echoed_data_segment_is_twelve_python_frames():
     # The same measurement before the endpoint kernel: 42 frames, 8 of
     # them IPv4Address/MacAddress methods and 6 flag properties; 18
     # before the segment, its IPv4 header and the frame were built by
-    # slot fill (four constructor frames and two wrap calls).
+    # slot fill (four constructor frames and two wrap calls); 12 while
+    # a pure ACK followed the echo that had already carried it.
     assert endpoint == {
         ("test_endpoint_budget.py", "<lambda>"): 2,   # driver, on_data
         ("host.py", "receive_frame"): 1,
@@ -123,12 +127,43 @@ def test_echoed_data_segment_is_twelve_python_frames():
         ("tcp.py", "_deliver"): 1,
         ("tcp.py", "send"): 1,
         ("tcp.py", "_flush"): 1,
-        # Echo out and ACK out, each: _emit -> send_ip, the segment, its
-        # IPv4 header and the frame all built by slot fill.
-        ("tcp.py", "_emit"): 2,
-        ("host.py", "send_ip"): 2,
+        # Echo out, carrying the ACK: _emit -> send_ip, the segment,
+        # its IPv4 header and the frame all built by slot fill.
+        ("tcp.py", "_emit"): 1,
+        ("host.py", "send_ip"): 1,
     }
-    assert sum(endpoint.values()) - 1 == 12       # less the calling lambda
+    assert sum(endpoint.values()) - 1 == 10       # less the calling lambda
+
+
+# ----------------------------------------------------------------------
+# A pure ACK only when nothing the application sent carried it
+# ----------------------------------------------------------------------
+#: What an application does in its callback -> the flags of what the
+#: endpoint then sends, every segment acknowledging what arrived.
+ANSWERS = {
+    "silent": (lambda c: None, [ACK]),
+    "reply": (lambda c: c.send(b"r"), [ACK | PSH]),
+    "reply+close": (lambda c: (c.send(b"r"), c.close()),
+                    [ACK | PSH, FIN | ACK]),
+    "close": (lambda c: c.close(), [FIN | ACK]),
+    "abort": (lambda c: c.abort(), [RST | ACK]),
+}
+
+
+@pytest.mark.parametrize("answer", sorted(ANSWERS))
+@pytest.mark.parametrize("arrival", ["data", "fin"])
+def test_a_pure_ack_only_when_the_answer_carried_none(arrival, answer):
+    peer = _Peer()
+    conn = _established_echo(peer)
+    act, flags = ANSWERS[answer]
+    if arrival == "data":
+        conn.on_data = lambda c, data: act(c)
+        replies = peer.inject(conn.rcv_nxt, conn.snd_nxt, ACK | PSH, b"q")
+    else:
+        conn.on_remote_close = act
+        replies = peer.inject(conn.rcv_nxt, conn.snd_nxt, FIN | ACK)
+    assert [reply.flags for reply in replies] == flags
+    assert [reply.ack for reply in replies] == [conn.rcv_nxt] * len(flags)
 
 
 # ----------------------------------------------------------------------
@@ -237,16 +272,18 @@ def test_any_interleaving_delivers_the_stream_once(script):
         assert stack.connection_count() == 0
         return
 
-    # FIN (alone or on the last data segment): the data ACK if any,
-    # the FIN's ACK, then the application's close() sends our FIN.
+    # FIN (alone or on the last data segment): the data's ACK if any,
+    # then the application's close() sends our FIN, which acknowledges
+    # the peer's: no pure ACK of the FIN.
     if not fin_with_data:
         replies = peer.inject(seq_at(len(data)), our_ack, FIN | ACK)
     assert bytes(delivered) == data
     *acks, fin = replies
-    assert [reply.flags for reply in acks] == [ACK] * len(acks)
-    assert acks[-1].ack == seq_at(len(data) + 1) == conn.rcv_nxt
+    assert [(reply.flags, reply.ack) for reply in acks] == (
+        [(ACK, seq_at(len(data)))] if fin_with_data else [])
     assert (fin.flags, fin.seq, fin.ack) == (
         FIN | ACK, our_ack, seq_at(len(data) + 1))
+    assert conn.rcv_nxt == seq_at(len(data) + 1)
     assert conn.state is TcpState.LAST_ACK
     assert events == ["accept", "established", "remote_close"]
     assert peer.inject(seq_at(len(data) + 1), our_ack + 1, ACK) == []

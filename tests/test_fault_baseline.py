@@ -6,9 +6,18 @@ scheduled events, no telemetry families — so a faultless farm's run
 digest is byte-identical to the pre-fault-plane build.  These tests
 pin that against the seed-farm and campaign digests tracked in
 `tests/golden/farm_digests.json`.
+
+A deliberate re-pin is shown to have moved nothing else by putting the
+old behaviour back with a monkeypatch and reproducing the old pins,
+held here as constants: `V1_PINS` (the `gq.telemetry/1` snapshot) and
+`ACKING_PINS` (the endpoint that sent a pure ACK behind every delivery
+and every FIN).
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
@@ -16,8 +25,11 @@ from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
 from repro.net.http import echo
+from repro.net.packet import ACK
+from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
+from tests import test_obs_parity
 from tests.golden import FARM_PINS, farm_pin, wire_digest
 from tests.helpers import run_farm
 
@@ -55,13 +67,137 @@ V1_PINS = [
 ]
 
 
+# ----------------------------------------------------------------------
+# The endpoint every pin up to the pure-ACK re-pin was recorded with
+# ----------------------------------------------------------------------
+def _acking_process_payload(self, segment):
+    """``_process_payload`` as it was: a pure ACK after every in-order
+    delivery, whatever ``on_data`` had sent."""
+    payload = segment.payload
+    seg_seq = segment.seq
+    rcv_nxt = self.rcv_nxt
+    if seg_seq != rcv_nxt:
+        if not seq_lt(seg_seq, rcv_nxt):
+            self._reassembly[seg_seq] = payload
+            self._emit(ACK, self.snd_nxt, rcv_nxt)
+            return
+        overlap = seq_sub(rcv_nxt, seg_seq)
+        if overlap >= len(payload):
+            self._emit(ACK, self.snd_nxt, rcv_nxt)
+            return
+        payload = payload[overlap:]
+    self._deliver(payload)
+    reassembly = self._reassembly
+    while reassembly and self.rcv_nxt in reassembly:
+        self._deliver(reassembly.pop(self.rcv_nxt))
+    self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+
+
+def _acking_handle_fin(self, segment):
+    """``_handle_fin`` as it was: the FIN's pure ACK before
+    ``on_remote_close`` could answer it."""
+    fin_seq = seq_add(segment.seq, len(segment.payload))
+    if fin_seq != self.rcv_nxt:
+        return
+    self.rcv_nxt = seq_add(self.rcv_nxt, 1)
+    self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+    state = self.state
+    if state is TcpState.ESTABLISHED or state is TcpState.SYN_RCVD:
+        self.state = TcpState.CLOSE_WAIT
+        if self.on_remote_close:
+            self.on_remote_close(self)
+    elif state is TcpState.FIN_WAIT_1:
+        self.state = TcpState.CLOSING
+    elif state is TcpState.FIN_WAIT_2:
+        self._enter_time_wait()
+
+
+@pytest.fixture
+def acking_stack(monkeypatch):
+    """Put back the endpoint that acked every delivery and every FIN
+    with a segment of its own."""
+    monkeypatch.setattr(TcpConnection, "_process_payload",
+                        _acking_process_payload)
+    monkeypatch.setattr(TcpConnection, "_handle_fin", _acking_handle_fin)
+
+
+def _obs_corpus_digest() -> str:
+    """What ``tests.golden.regen`` pins of ``obs_parity.json``."""
+    runs = {name: run() for name, run in test_obs_parity.RUNS.items()}
+    return hashlib.sha256(json.dumps({"runs": runs}, sort_keys=True)
+                          .encode("utf-8")).hexdigest()
+
+
+#: Every pin that runs in-process, as recorded before the endpoint
+#: stopped sending a pure ACK behind a segment that had carried it:
+#: ``tests/golden/farm_digests.json``, the obs-parity journal digests
+#: and the obs-parity corpus as a whole.
+ACKING_PINS = {
+    "farm": "87c998a934a76bf8370b333ef453518b5e64bb0551e501d8965e349a6bdaa676",
+    "farm_journal":
+        "021291dcd7ae309fef0d4f3b6ef9f2b98dc56604e5d28dea12d1eaed6c188ce8",
+    "campaign":
+        "7f5c5d59e60de14154ba6412cd1c029273afac53af1ba95615d71921468a48d3",
+    "fault/baseline/drop":
+        "919914412edaa0a42ab03ae20693fef8b42e80dba9de1996b069e962b913445a",
+    "fault/baseline/forward":
+        "9c2229748616231e77da686b9c3c3207ef15fe330593a8dd5d7c4f2c5f409fee",
+    "fault/cs_crash/drop":
+        "fa6ac5db2f8a487873949b348d4e6cc9598a61b9b8afa495fe64682f0fc03125",
+    "fault/cs_crash/forward":
+        "b6470a5f9a83953be3648c77e9ab48cfe2d070d120a9d4832549b464e61b17fe",
+    "fault/cs_crash_restore/drop":
+        "272a039e29019c7bac7e7918044c8445284da3b396081470315ee734c870862c",
+    "fault/cs_crash_restore/forward":
+        "ea8b8e4a784ddddbad1bd189c6abc34ebf4fd494148307a02e74b1d7c399eab6",
+    "fault/cs_hang/drop":
+        "14327f9518fd2d0ce2347fe161331930172145bf17fcfeaaf6817be4a0af6e26",
+    "fault/cs_hang/forward":
+        "25e9dcf6b80b21e8f3fe17ea7bf298f3ebe85039041248736b9bcabaecbdb340",
+    "fault/revert_fail/drop":
+        "47d31d672ff5e4a8b3c12ab2d44ebce0da71895562f03f5f60cacad3ec344e54",
+    "fault/revert_fail/forward":
+        "5113719c8906b7d27214c2526b00d0f1de41a4f5a2be1aa5304ffad1e17da5da",
+    "fault/shim_degraded/drop":
+        "d94c8a0c2548e442376646a941bf36ea83d240f638f21e2a0abd4ad88e6ebd06",
+    "fault/shim_degraded/forward":
+        "42a85099b0d34b686aa19e7d167cf24f5bf0ce858324e5e8215385b5c3efef60",
+    "fault/shim_partition/drop":
+        "615988016df559f40e280a8d89fa25181f7bab1e4b6473452f284703a27b7744",
+    "fault/shim_partition/forward":
+        "55a911dfeee2f93859a2c3323a989d982532a37b40532f91fc730e2bfe8d1850",
+    "obs/seed11/journal_digest":
+        "5bc17cb8cb30e441ccd6a0e5aec57610f8cad0c61a9c534119af521184a955c7",
+    "obs/seed12-small-journal/journal_digest":
+        "c225ec2d95beb600577b08cd0985ca10adf0da3939e607b7b9ec41accf4a095a",
+    "obs/seed13-every-family/journal_digest":
+        "4f5a3b183298b93199c94fbb6b1d41ef1082386069530a4bdb6ae7d58bd3a9ad",
+    "obs": "2a018413101a4fabdb369b9bf208a1cb060a76805af2b5a7ab558935899f11d2",
+}
+ACKING_PRODUCERS = {
+    **FARM_PINS,
+    **{f"obs/{name}/journal_digest":
+       (lambda run=run: run()["journal_digest"])
+       for name, run in test_obs_parity.RUNS.items()},
+    "obs": _obs_corpus_digest,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACKING_PINS))
+def test_pins_reconstruct_under_the_acking_stack(acking_stack, name):
+    """The pure-ACK re-pin moved what pure ACKs move and nothing else:
+    with the old endpoint put back, every pin reads as it was."""
+    assert ACKING_PRODUCERS[name]() == ACKING_PINS[name]
+
+
 @pytest.mark.parametrize("params, tracer, fold, old_pin", V1_PINS,
                          ids=["seed-farm", "golden-farm-seed-23"])
-def test_v1_digest_reconstructs(monkeypatch, params, tracer, fold,
-                                old_pin):
+def test_v1_digest_reconstructs(monkeypatch, acking_stack, params, tracer,
+                                fold, old_pin):
     """Schema /1 -> /2 moved the snapshot's own keys and not one other
     byte of the snapshot or the wire: today's snapshot plus the
-    constants the old schema emitted hashes to the old pin."""
+    constants the old schema emitted, from the endpoint those pins
+    were recorded with, hashes to the old pin."""
     real = Farm.telemetry_snapshot
 
     def v1_snapshot(farm, include_traces=True):

@@ -46,24 +46,27 @@ from tests.helpers import python_calls  # noqa: E402
 
 #: 234 at the parent of the gateway kernel, 179 with it, 147 with the
 #: three-frame link hop, 87.4 with the two-frame hop and packets built
-#: by slot fill on the forwarding path (the bound is that figure + 5 %).
-FRAMES_PER_ECHO_ROUND = 92
+#: by slot fill on the forwarding path, 49.6 with no pure ACK behind a
+#: segment that already carried it (the bound is that figure + 5 %).
+FRAMES_PER_ECHO_ROUND = 52
 #: 1,262 at the parent of the gateway kernel, 948 with it, 945 with the
 #: coupled legs in the flow table, 831 with the three-frame link hop,
 #: 803 with verdict flags tested against int masks (enum.py: 33 -> 3),
 #: 600.7 with the two-frame hop and packets built by slot fill on the
-#: forwarding path (the bound is that figure + 5 %).
-FRAMES_PER_FETCH = 631
+#: forwarding path, 522.7 with no pure ACK behind a segment that already
+#: carried it (the bound is that figure + 5 %).
+FRAMES_PER_FETCH = 549
 #: The router's own share of a fetch, gateway/router.py and the
 #: controller modules split from it (the backbone router of the world
 #: model shares the basename: 11 of these, 33 before its one-frame
 #: forward):
 #: 155.5 before the split, 145.4 before the one-frame backbone forward
-#: and the slot-built executor, 123.4 with them (the bound is that
-#: figure + 5 %).
+#: and the slot-built executor, 123.4 with them, 108.4 with no pure ACK
+#: behind a segment that already carried it (the bound is that figure
+#: + 5 %).
 ROUTER_FAMILY = ("router.py", "admission.py", "coupling.py", "handoff.py",
                  "housekeeping.py")
-ROUTER_FRAMES_PER_FETCH = 129.6
+ROUTER_FRAMES_PER_FETCH = 113.8
 
 
 def _frames_by_file(calls) -> dict:
@@ -124,7 +127,9 @@ def test_echo_round_budget_on_a_stream_shaped_farm():
 def test_fetch_budget_and_upstream_demux_on_a_churn_shaped_farm(subfarms):
     _farm, calls, fetches, upstream_packets = _churn_window(subfarms)
     assert fetches >= 50 * subfarms
-    assert upstream_packets >= 4 * fetches   # five per fetch
+    # Three per fetch (SYN|ACK, the response, FIN|ACK), less the
+    # window's edges.
+    assert upstream_packets >= 2.9 * fetches
 
     # The upstream demux is one dict probe, however many subfarms
     # there are: no router is asked.
@@ -217,7 +222,7 @@ def test_one_probe_per_packet_over_whole_fetches():
     assert app.correct == app.progress and app.progress - before >= 50
     entered = _assert_one_probe_per_packet(table, others, calls)
     stats = sub.router.flowtable.stats()
-    assert entered >= 15 * (app.progress - before)
+    assert entered >= 10 * (app.progress - before)   # eleven per fetch
     assert stats["hits"] and stats["misses"] and stats["installs"]
 
 
