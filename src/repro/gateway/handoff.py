@@ -378,13 +378,13 @@ def compile_endpoint(router, record: FlowRecord):
         # ISN delta after handoff (Figure 5): the client handshook
         # against the containment server, so it acks in that ISN
         # space and the destination's sequence numbers must be
-        # shifted into it.  The return ack_delta is the one
-        # docs/VERIFICATION.md gap 7 is about.
+        # shifted into it.  The destination saw the client's own
+        # sequence numbers (the replay carries no shim), so its acks
+        # pass as they are.
         isn_delta = record.isn_delta
         c2d, d2c = ACT_TCP_C2D, ACT_TCP_D2C
         c2d_shift = {"ack_delta": (-isn_delta) & 0xFFFFFFFF}
-        d2c_shift = {"seq_delta": isn_delta,
-                     "ack_delta": (-record.c2s_inj) & 0xFFFFFFFF}
+        d2c_shift = {"seq_delta": isn_delta}
     else:
         c2d, d2c = ACT_UDP_C2D, ACT_UDP_D2C
         c2d_shift = d2c_shift = {}

@@ -12,6 +12,10 @@ in and the response shim has come out) — and the two nonce kinds only
 so.  The expectations are written out here, not read from
 ``flowtable.SPECS`` — the table under test cannot vouch for itself.
 
+``test_an_ack_counts_what_its_peer_received`` holds every paired leg
+kind to the one property its sequence translation exists for, over
+random ISNs and shim sizes.
+
 ``test_delivery_modes_agree`` is the property that used to be held by
 three hand-kept copies of the rewrite: a random script gives the same
 wire bytes, accounting and table statistics whether it is delivered one
@@ -25,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.shim import RequestShim
 from repro.core.verdicts import Verdict
+from repro.gateway import coupling, handoff
 from repro.gateway.flowtable import (
     EMIT_SERVICE,
     EMIT_UPSTREAM,
@@ -142,18 +147,12 @@ EXPECT = {
                          False, True, "packets_relayed"),
     ("tcp-c2d", "syn"): PACKET_IN,
     ("tcp-c2d", "rst"): PACKET_IN,
-    # Destination -> originator: seq into the CS ISN space, the request
-    # shim out of the ack; nothing is state-changing on this leg.
-    ("tcp-d2c", "data"): ((SEQ + ISN_SHIFT) & M, ACK_FIELD - REQ_SHIM,
-                          "s2c", False, True, "packets_relayed"),
-    ("tcp-d2c", "ackless"): ((SEQ + ISN_SHIFT) & M, ACK_FIELD, "s2c",
-                             False, True, "packets_relayed"),
-    ("tcp-d2c", "fin"): ((SEQ + ISN_SHIFT) & M, ACK_FIELD - REQ_SHIM,
-                         "s2c", False, True, "packets_relayed"),
-    ("tcp-d2c", "syn"): ((SEQ + ISN_SHIFT) & M, ACK_FIELD, "s2c",
-                         False, True, "packets_relayed"),
-    ("tcp-d2c", "rst"): ((SEQ + ISN_SHIFT) & M, ACK_FIELD - REQ_SHIM,
-                         "s2c", False, True, "packets_relayed"),
+    # Destination -> originator: seq into the CS ISN space; the ack
+    # passes as it is (the destination never saw the request shim);
+    # nothing is state-changing on this leg.
+    **{("tcp-d2c", shape): ((SEQ + ISN_SHIFT) & M, ACK_FIELD, "s2c",
+                            False, True, "packets_relayed")
+       for shape in SEGMENTS},
     # Originator -> containment server: SEQ += |REQ SHIM|, the stripped
     # response shim back into the ack, ack zeroed without ACK, FIN noted.
     ("tcp-c2cs", "data"): (SEQ + REQ_SHIM, ACK_FIELD + RSP_SHIM, "c2s",
@@ -338,6 +337,71 @@ def test_reinjection_ignores_packet_in_flags():
         SPORT, TARGET_PORT, CLIENT_ISN, 0, SYN)).to_bytes()
     assert record.phase.value == "enforced"
     assert harness.router.flowtable.stats()["installs"] == 2
+
+
+# ----------------------------------------------------------------------
+# Translation consistency
+# ----------------------------------------------------------------------
+def _leg_pair(harness, record, pair: str):
+    """The two rows of one paired leg kind of ``record``, the
+    originator's (or the server's, for the nonce leg) first, compiled
+    from the record's present state."""
+    router = harness.router
+    if pair == "tcp-c2d/tcp-d2c":
+        return handoff.compile_endpoint(router, record)
+    if pair == "tcp-c2cs/tcp-cs2c":
+        return (coupling.c2cs_row(router, record),
+                coupling.cs_row(router, record, record.cs_ip))
+    router.service_frame(EthernetFrame(
+        MacAddress("02:00:00:00:00:03"), harness.mac,
+        IPv4Packet(CS, WORLD, TCPSegment(NONCE, WORLD_PORT, 1, 0, SYN))))
+    return (router._table[(CS.value, NONCE, WORLD.value, WORLD_PORT, 6)],
+            router._table[(WORLD.value, WORLD_PORT, GLOBAL.value, SPORT, 6)])
+
+
+def _through(harness, row, seq: int, ack: int, size: int) -> TCPSegment:
+    """The segment ``row`` emits for one ``ACK|PSH`` of ``size``
+    bytes."""
+    harness.drain()
+    apply(harness.router, row, IPv4Packet(INMATE, TARGET, TCPSegment(
+        SPORT, TARGET_PORT, seq, ack, ACK | PSH, payload=b"s" * size)),
+        packet_in=False)
+    (out,) = harness.to_vlan + harness.upstream + harness.to_service
+    return out.payload
+
+
+@pytest.mark.parametrize("pair", ["tcp-c2d/tcp-d2c", "tcp-c2cs/tcp-cs2c",
+                                  "tcp-cs2w/tcp-w2cs"])
+@settings(max_examples=60, deadline=None)
+@given(isns=st.tuples(st.integers(0, M), st.integers(0, M),
+                      st.integers(0, M)),
+       shims=st.tuples(st.integers(0, 4096), st.integers(0, 4096)),
+       seqs=st.tuples(st.integers(0, M), st.integers(0, M)),
+       size=st.integers(0, 4 * 1460))
+def test_an_ack_counts_what_its_peer_received(pair, isns, shims, seqs,
+                                              size):
+    """Whatever the ISNs and the shim sizes, on every paired leg kind:
+    the ack an endpoint receives, through one row, for what it sent
+    through the other, is its own sequence number past the bytes the
+    peer received — in both directions."""
+    client_isn, cs_isn, dst_isn = isns
+    harness = RouterHarness(seed=7)
+    verdict = Verdict.FORWARD if pair == "tcp-c2d/tcp-d2c" \
+        else Verdict.REWRITE
+    record = harness.establish_flow(VLAN, SPORT, verdict=verdict,
+                                    client_isn=client_isn, dst_isn=dst_isn)
+    record.cs_isn = cs_isn
+    record.c2s_inj, record.s2c_rem = shims
+    near, far = _leg_pair(harness, record, pair)
+
+    near_seq, far_seq = seqs
+    received = _through(harness, near, near_seq, 0, size)
+    acked = _through(harness, far, 0, (received.seq + size) & M, 0)
+    assert acked.ack == (near_seq + size) & M
+
+    received = _through(harness, far, far_seq, 0, size)
+    acked = _through(harness, near, 0, (received.seq + size) & M, 0)
+    assert acked.ack == (far_seq + size) & M
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ pin that against the seed-farm and campaign digests tracked in
 A deliberate re-pin is shown to have moved nothing else by putting the
 old behaviour back with a monkeypatch and reproducing the old pins,
 held here as constants: `V1_PINS` (the `gq.telemetry/1` snapshot) and
-`ACKING_PINS` (the endpoint that sent a pure ACK behind every delivery
-and every FIN).
+`OLD_WIRE_PINS` (the endpoint that sent a pure ACK behind every
+delivery and every FIN, and the gateway that took the request shim
+out of a forwarded destination's acks).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import pytest
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
+from repro.gateway import handoff
 from repro.net.http import echo
-from repro.net.packet import ACK
+from repro.net.packet import ACK, PROTO_TCP
 from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
@@ -68,7 +70,7 @@ V1_PINS = [
 
 
 # ----------------------------------------------------------------------
-# The endpoint every pin up to the pure-ACK re-pin was recorded with
+# The wire every pin up to the pure-ACK and d2c re-pins was recorded on
 # ----------------------------------------------------------------------
 def _acking_process_payload(self, segment):
     """``_process_payload`` as it was: a pure ACK after every in-order
@@ -113,12 +115,22 @@ def _acking_handle_fin(self, segment):
 
 
 @pytest.fixture
-def acking_stack(monkeypatch):
+def old_wire(monkeypatch):
     """Put back the endpoint that acked every delivery and every FIN
-    with a segment of its own."""
+    with a segment of its own, and the ``tcp-d2c`` row that subtracted
+    the request shim from a forwarded destination's acks."""
     monkeypatch.setattr(TcpConnection, "_process_payload",
                         _acking_process_payload)
     monkeypatch.setattr(TcpConnection, "_handle_fin", _acking_handle_fin)
+    compile_endpoint = handoff.compile_endpoint
+
+    def shim_in_the_ack(router, record):
+        rows = compile_endpoint(router, record)
+        if record.orig.proto == PROTO_TCP:
+            rows[1].ack_delta = (-record.c2s_inj) & 0xFFFFFFFF
+        return rows
+
+    monkeypatch.setattr(handoff, "compile_endpoint", shim_in_the_ack)
 
 
 def _obs_corpus_digest() -> str:
@@ -129,10 +141,11 @@ def _obs_corpus_digest() -> str:
 
 
 #: Every pin that runs in-process, as recorded before the endpoint
-#: stopped sending a pure ACK behind a segment that had carried it:
+#: stopped sending a pure ACK behind a segment that had carried it and
+#: the ``tcp-d2c`` row stopped taking the request shim out of the ack:
 #: ``tests/golden/farm_digests.json``, the obs-parity journal digests
 #: and the obs-parity corpus as a whole.
-ACKING_PINS = {
+OLD_WIRE_PINS = {
     "farm": "87c998a934a76bf8370b333ef453518b5e64bb0551e501d8965e349a6bdaa676",
     "farm_journal":
         "021291dcd7ae309fef0d4f3b6ef9f2b98dc56604e5d28dea12d1eaed6c188ce8",
@@ -174,7 +187,7 @@ ACKING_PINS = {
         "4f5a3b183298b93199c94fbb6b1d41ef1082386069530a4bdb6ae7d58bd3a9ad",
     "obs": "2a018413101a4fabdb369b9bf208a1cb060a76805af2b5a7ab558935899f11d2",
 }
-ACKING_PRODUCERS = {
+OLD_WIRE_PRODUCERS = {
     **FARM_PINS,
     **{f"obs/{name}/journal_digest":
        (lambda run=run: run()["journal_digest"])
@@ -183,21 +196,22 @@ ACKING_PRODUCERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ACKING_PINS))
-def test_pins_reconstruct_under_the_acking_stack(acking_stack, name):
-    """The pure-ACK re-pin moved what pure ACKs move and nothing else:
-    with the old endpoint put back, every pin reads as it was."""
-    assert ACKING_PRODUCERS[name]() == ACKING_PINS[name]
+@pytest.mark.parametrize("name", sorted(OLD_WIRE_PINS))
+def test_pins_reconstruct_on_the_old_wire(old_wire, name):
+    """The pure-ACK and d2c re-pins moved what those two move and
+    nothing else: with the old endpoint and the old row put back,
+    every pin reads as it was."""
+    assert OLD_WIRE_PRODUCERS[name]() == OLD_WIRE_PINS[name]
 
 
 @pytest.mark.parametrize("params, tracer, fold, old_pin", V1_PINS,
                          ids=["seed-farm", "golden-farm-seed-23"])
-def test_v1_digest_reconstructs(monkeypatch, acking_stack, params, tracer,
+def test_v1_digest_reconstructs(monkeypatch, old_wire, params, tracer,
                                 fold, old_pin):
     """Schema /1 -> /2 moved the snapshot's own keys and not one other
     byte of the snapshot or the wire: today's snapshot plus the
-    constants the old schema emitted, from the endpoint those pins
-    were recorded with, hashes to the old pin."""
+    constants the old schema emitted, on the wire those pins were
+    recorded on, hashes to the old pin."""
     real = Farm.telemetry_snapshot
 
     def v1_snapshot(farm, include_traces=True):

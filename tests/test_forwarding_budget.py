@@ -54,7 +54,9 @@ FRAMES_PER_ECHO_ROUND = 52
 #: 803 with verdict flags tested against int masks (enum.py: 33 -> 3),
 #: 600.7 with the two-frame hop and packets built by slot fill on the
 #: forwarding path, 522.7 with no pure ACK behind a segment that already
-#: carried it (the bound is that figure + 5 %).
+#: carried it (the bound is that figure + 5 %), 528.6 since the inmate's
+#: end of a forwarded fetch closes (its TIME_WAIT expiry) instead of
+#: waiting in CLOSING for an ACK it could not recognise.
 FRAMES_PER_FETCH = 549
 #: The router's own share of a fetch, gateway/router.py and the
 #: controller modules split from it (the backbone router of the world

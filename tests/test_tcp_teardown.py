@@ -47,17 +47,10 @@ def _fetch_then_close(conns, closed):
     return image
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "After a FORWARD handoff the gateway still subtracts c2s_inj (the "
-    "24-byte request shim the destination never saw) from every "
-    "destination->inmate ACK (the compiled tcp-d2c entry's ack_delta, "
-    "handoff.compile_endpoint), so the ACK of the inmate's FIN is "
-    "24 too low: "
-    "the inmate sits in CLOSING forever, on_closed never fires and its "
-    "TcpStack keeps one connection per flow.  The fix changes inmate-side "
-    "wire bytes and adds TIME_WAIT events, so it lands with a deliberate "
-    "digest re-pin (docs/VERIFICATION.md, abstraction gaps)."))
 def test_forwarded_fetch_reaches_time_wait():
+    """After a FORWARD handoff the destination's ACK of the inmate's FIN
+    reaches the inmate in the inmate's own sequence space: its
+    connection closes and leaves the stack's table."""
     farm = Farm(FarmConfig(seed=7))
     sub = farm.create_subfarm("teardown")
     sub.add_catchall_sink()
