@@ -12,6 +12,9 @@ Every value the tree pins is produced by code this manifest names:
             three observed runs (``tests/test_obs_parity.py``);
 ``carriers`` ``carriers.json``, the SYN/FIN/payload frames and flow
             logs of three small farms (``tests/test_wire_carriers.py``);
+``lines``   ``lines.json``, what the SMTP, IRC and FTP servers send and
+            keep for their fuzz generators' inputs, fed whole and in
+            7-byte chunks (``tests/test_line_framing.py``);
 ``farm``    ``farm_digests.json``, the seed farm's digest and journal
             digest, the 8-shard campaign digest and the 14 fault-matrix
             cell digests (:data:`tests.golden.FARM_PINS`);
@@ -54,7 +57,8 @@ from repro.experiments.registry import ARTEFACTS
 from repro.fuzz.router import run_script
 from repro.fuzz.runner import PINNED_NAME, quick_summary
 from tests import (test_certificate_corpus, test_fastpath, test_flowtable,
-                   test_obs_parity, test_policy_decisions, test_wire_carriers)
+                   test_line_framing, test_obs_parity, test_policy_decisions,
+                   test_wire_carriers)
 from tests.golden import (FARM_PATH, FARM_PINS, GOLDEN_PATH, SCRIPTS_PATH,
                           script_digests, wire_digest)
 
@@ -97,6 +101,8 @@ MANIFEST = {
                     _corpus(test_obs_parity.record())},
     "carriers": lambda: {test_wire_carriers.CORPUS_PATH: _digest_file(
         test_wire_carriers.record())},
+    "lines": lambda: {test_line_framing.CORPUS_PATH: _digest_file(
+        test_line_framing.record())},
     "farm": lambda: {FARM_PATH: _digest_file(
         {name: produce() for name, produce in FARM_PINS.items()})},
     "verify": lambda: {test_certificate_corpus.CORPUS_PATH: _digest_file(
