@@ -14,7 +14,11 @@ chaos-quick:
 	$(PYTHON) -m repro.experiments fault-matrix --quick --workers $(WORKERS)
 
 # Fuzz smoke, under two hash seeds: fixed-seed hostile inputs through
-# every parser (twice, asserting a byte-identical corpus digest), broken
+# every parser (twice, asserting a byte-identical corpus digest; an
+# SMTP, IRC or FTP engine still reading that holds more than MAX_LINE
+# = 8192 bytes of an unfinished line escapes, and the framing those
+# engines give the generators' inputs is the `lines` pin,
+# tests/golden/lines.json, checked in Tier-1), broken
 # policy programs through the DSL parser, worker frames through the
 # campaign transport, then four JSON documents broken by one
 # table-driven mutator: fault plans through FaultPlan.from_dict, farm

@@ -14,9 +14,10 @@ containers where the document's :mod:`repro.shape` table names them.
 Every generator is paired with the parser it attacks in
 :data:`TARGETS`.  The parser contract under test: *succeed, or raise*
 :class:`~repro.net.errors.ParseError`.  The stream engines (SMTP, IRC,
-FTP) have a stronger contract — they must never raise at all; feeding
-them is still routed through the same harness, which simply observes
-that nothing escapes.
+FTP) have a stronger contract — they must never raise at all, and an
+engine still reading its peer may hold no more than ``MAX_LINE`` bytes
+of an unfinished line; feeding them is still routed through the same
+harness, which counts a breach of either as an escape.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.net.ftp import FtpServerEngine
 from repro.net.gre import GRE_PROTO_IPV4, PROTO_GRE, encapsulate, unwrap
 from repro.net.http import HttpParser, MAX_HEADER_BYTES
 from repro.net.irc import IrcNetwork, IrcServerEngine
+from repro.net.lines import MAX_LINE
 from repro.net.packet import (
     ACK,
     EthernetFrame,
@@ -394,6 +396,18 @@ def _gen_lines(rng: random.Random, verbs) -> bytes:
     return bytes(out)
 
 
+def _fed(engine, data: bytes):
+    """``engine`` fed ``data``; an escape if it still reads its peer but
+    holds more than ``MAX_LINE`` bytes of an unfinished line (an SMTP
+    server that has received QUIT reads no further)."""
+    engine.feed(data)
+    held = len(engine.reader)
+    if held > MAX_LINE and not getattr(engine, "quit_received", False):
+        raise AssertionError(f"{type(engine).__name__} holds {held} bytes "
+                             f"of an unfinished line (MAX_LINE {MAX_LINE})")
+    return engine
+
+
 def gen_smtp(rng: random.Random) -> bytes:
     return _gen_lines(rng, (b"HELO", b"MAIL FROM:<a@b>", b"RCPT TO:<c@d>",
                             b"DATA", b"QUIT", b"XFUZZ"))
@@ -401,9 +415,8 @@ def gen_smtp(rng: random.Random) -> bytes:
 
 def _parse_smtp(data: bytes) -> object:
     strictness = Strictness.STRICT if len(data) % 2 else Strictness.LENIENT
-    engine = SmtpServerEngine(send=lambda _b: None, strictness=strictness)
-    engine.feed(data)
-    return engine
+    return _fed(SmtpServerEngine(send=lambda _b: None,
+                                 strictness=strictness), data)
 
 
 def gen_irc(rng: random.Random) -> bytes:
@@ -412,9 +425,7 @@ def gen_irc(rng: random.Random) -> bytes:
 
 
 def _parse_irc(data: bytes) -> object:
-    engine = IrcServerEngine(IrcNetwork(), send=lambda _b: None)
-    engine.feed(data)
-    return engine
+    return _fed(IrcServerEngine(IrcNetwork(), send=lambda _b: None), data)
 
 
 def gen_ftp(rng: random.Random) -> bytes:
@@ -423,10 +434,8 @@ def gen_ftp(rng: random.Random) -> bytes:
 
 
 def _parse_ftp(data: bytes) -> object:
-    engine = FtpServerEngine(send=lambda _b: None,
-                             accounts={"bot": "hunter2"})
-    engine.feed(data)
-    return engine
+    return _fed(FtpServerEngine(send=lambda _b: None,
+                                accounts={"bot": "hunter2"}), data)
 
 
 #: Every clause of the grammar once; ``{a}``-``{c}`` are random ports.

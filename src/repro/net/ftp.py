@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-CRLF = b"\r\n"
+from repro.net.lines import CRLF, LineReader
 
 
 class FtpServerEngine:
@@ -35,11 +35,12 @@ class FtpServerEngine:
         # Kept by reference: all sessions of one site share the same
         # filesystem, so uploads are visible site-wide.
         self.files: Dict[str, bytes] = files if files is not None else {}
-        self._buffer = bytearray()
+        self.reader = LineReader()
         self._user: Optional[str] = None
         self.authenticated = False
+        # The file a STOR is writing, and its lines so far.
         self._storing: Optional[str] = None
-        self._store_buffer = bytearray()
+        self._stored: List[bytes] = []
         self.uploads: List[Tuple[str, bytes]] = []
         self.downloads: List[str] = []
         self.login_failures = 0
@@ -52,25 +53,17 @@ class FtpServerEngine:
         self._send(f"{code} {text}".encode("latin-1", "replace") + CRLF)
 
     def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-        while True:
-            if self._storing is not None:
-                end = self._buffer.find(b"\r\n.\r\n")
-                if end < 0:
-                    return
-                content = bytes(self._buffer[:end])
-                del self._buffer[:end + 5]
+        for line in self.reader.feed(data):
+            if self._storing is None:
+                self._command(line.decode("latin-1"))
+            elif line != b".":
+                self._stored.append(line)
+            else:
+                content = CRLF.join(self._stored)
                 self.files[self._storing] = content
                 self.uploads.append((self._storing, content))
                 self._storing = None
                 self._reply(226, "transfer complete")
-                continue
-            index = self._buffer.find(CRLF)
-            if index < 0:
-                return
-            line = bytes(self._buffer[:index]).decode("latin-1")
-            del self._buffer[:index + 2]
-            self._command(line)
 
     def _command(self, line: str) -> None:
         verb, _, argument = line.partition(" ")
@@ -101,7 +94,7 @@ class FtpServerEngine:
                 self._reply(530, "not logged in")
             else:
                 self._storing = argument.strip()
-                self._store_buffer.clear()
+                self._stored = []
                 self._reply(150, "ok to send data")
         elif verb == "QUIT":
             self._reply(221, "goodbye")
@@ -133,10 +126,10 @@ class FtpClientEngine:
         self.transform = transform
         self.on_done = on_done
 
-        self._buffer = bytearray()
+        self.reader = LineReader()
         self._phase = "banner"
-        self._downloading = False
-        self._download = bytearray()
+        # The lines of a RETR in progress; None when not downloading.
+        self._downloading: Optional[List[bytes]] = None
         self.downloaded: Optional[bytes] = None
         self.uploaded = False
         self.failed = False
@@ -145,24 +138,16 @@ class FtpClientEngine:
         self._send(text.encode("latin-1") + CRLF)
 
     def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-        while True:
-            if self._downloading:
-                end = self._buffer.find(b"\r\n.\r\n")
-                if end < 0:
+        for line in self.reader.feed(data):
+            if self._downloading is None:
+                self._reply(line.decode("latin-1"))
+                if self.failed:
                     return
-                self.downloaded = bytes(self._buffer[:end])
-                del self._buffer[:end + 5]
-                self._downloading = False
-                continue
-            index = self._buffer.find(CRLF)
-            if index < 0:
-                return
-            line = bytes(self._buffer[:index]).decode("latin-1")
-            del self._buffer[:index + 2]
-            self._reply(line)
-            if self.failed:
-                return
+            elif line != b".":
+                self._downloading.append(line)
+            else:
+                self.downloaded = CRLF.join(self._downloading)
+                self._downloading = None
 
     def _reply(self, line: str) -> None:
         code = int(line[:3]) if line[:3].isdigit() else 0
@@ -183,7 +168,7 @@ class FtpClientEngine:
             self._phase = "retr"
         elif self._phase == "retr":
             if code == 150:
-                self._downloading = True  # data follows in-band
+                self._downloading = []  # data follows in-band
                 return
             if code != 226 or self.downloaded is None:
                 self._fail()

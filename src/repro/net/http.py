@@ -14,13 +14,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.net.errors import ParseError
+from repro.net.lines import CRLF
 
 if TYPE_CHECKING:
     from repro.net.addresses import IPv4Address
     from repro.net.host import Host
     from repro.net.tcp import TcpConnection
 
-CRLF = b"\r\n"
 HEADER_END = b"\r\n\r\n"
 
 #: A header block that exceeds this without terminating is rejected —

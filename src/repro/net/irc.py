@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
 
-CRLF = b"\r\n"
+from repro.net.lines import CRLF, LineReader
 
 
 class IrcChannel:
@@ -35,22 +35,15 @@ class IrcServerEngine:
         self._send = send
         self.nick: Optional[str] = None
         self.registered = False
-        self._buffer = bytearray()
+        self.reader = LineReader(bare_lf=True)
 
     def _line(self, text: str) -> None:
         self._send(text.encode("latin-1") + CRLF)
 
     def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-        while True:
-            index = self._buffer.find(b"\n")
-            if index < 0:
-                return
-            line = bytes(self._buffer[:index]).rstrip(b"\r").decode(
-                "latin-1", "replace")
-            del self._buffer[:index + 1]
+        for line in self.reader.feed(data):
             if line:
-                self._command(line)
+                self._command(line.decode("latin-1"))
 
     def _command(self, line: str) -> None:
         verb, _, rest = line.partition(" ")
@@ -154,7 +147,7 @@ class IrcClientEngine:
         self.on_command = on_command
         self.registered = False
         self.joined = False
-        self._buffer = bytearray()
+        self.reader = LineReader(bare_lf=True)
         self._line(f"NICK {nick}")
         self._line(f"USER {nick} 0 * :{nick}")
 
@@ -162,16 +155,9 @@ class IrcClientEngine:
         self._send(text.encode("latin-1") + CRLF)
 
     def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-        while True:
-            index = self._buffer.find(b"\n")
-            if index < 0:
-                return
-            line = bytes(self._buffer[:index]).rstrip(b"\r").decode(
-                "latin-1", "replace")
-            del self._buffer[:index + 1]
+        for line in self.reader.feed(data):
             if line:
-                self._reply(line)
+                self._reply(line.decode("latin-1"))
 
     def _reply(self, line: str) -> None:
         parts = line.split(" ")

@@ -23,11 +23,7 @@ import enum
 import re
 from typing import Callable, List, Optional
 
-CRLF = b"\r\n"
-
-#: Sentinel returned by the line framer when a strict-mode engine has
-#: already answered 500 for an oversized line and discarded it.
-_DISCARDED_LINE = object()
+from repro.net.lines import CRLF, LineReader
 
 # How forgiving the server-side parser is (§7.1 "Protocol violations").
 class Strictness(enum.Enum):
@@ -97,11 +93,6 @@ class SmtpServerEngine:
         Name used in replies.
     """
 
-    #: Lines longer than this are protocol anomalies: lenient engines
-    #: truncate and carry on (real spambots do send them), strict ones
-    #: answer 500.  Also bounds the buffer for never-terminated input.
-    MAX_LINE_LENGTH = 8192
-
     def __init__(
         self,
         send: Callable[[bytes], None],
@@ -110,7 +101,6 @@ class SmtpServerEngine:
         on_message: Optional[Callable[[SmtpTransaction], None]] = None,
         hostname: str = "mail.example.com",
         fault: Optional[dict] = None,
-        max_line_length: Optional[int] = None,
         on_anomaly: Optional[Callable[[str, int], None]] = None,
     ) -> None:
         self._send = send
@@ -121,16 +111,15 @@ class SmtpServerEngine:
         # Scripted fault injection for exploratory containment (§7.1):
         # {"stage": "mail"|"rcpt"|"data", "code": 550, "text": "..."}.
         self.fault = fault
-        self.max_line_length = (max_line_length if max_line_length is not None
-                                else self.MAX_LINE_LENGTH)
         self.on_anomaly = on_anomaly
+        # Lenient: sloppy clients end lines at a bare LF.
+        self.reader = LineReader(bare_lf=strictness is Strictness.LENIENT,
+                                 on_anomaly=self._note_anomaly)
 
         self.state = SmtpState.COMMAND
         self.helo: str = ""
-        self._buffer = bytearray()
         self._transaction: Optional[SmtpTransaction] = None
         self._data_lines: List[bytes] = []
-        self._last_byte = 0
 
         self.transactions: List[SmtpTransaction] = []
         self.commands_seen: List[str] = []
@@ -149,77 +138,30 @@ class SmtpServerEngine:
         # upper-casing left latin-1 (e.g. µ -> Μ); never crash on it.
         self._send(f"{code} {text}".encode("latin-1", "replace") + CRLF)
 
-    def _note_anomaly(self, kind: str, count: int = 1) -> None:
+    def _note_anomaly(self, kind: str, count: int) -> None:
         self.anomalies[kind] = self.anomalies.get(kind, 0) + count
         if self.on_anomaly is not None:
             self.on_anomaly(kind, count)
 
     def feed(self, data: bytes) -> None:
         """Consume raw bytes from the client."""
-        if data:
-            # Count bare-LF line endings (C-speed; zero on CRLF input).
-            bare = data.count(b"\n") - data.count(b"\r\n")
-            if data[:1] == b"\n" and self._last_byte == 0x0D:
-                bare -= 1  # CRLF split across feed chunks
-            if bare:
-                self._note_anomaly("bare_lf", bare)
-            self._last_byte = data[-1]
-        self._buffer.extend(data)
-        while True:
-            line = self._next_line()
-            if line is None:
-                return
-            if line is _DISCARDED_LINE:
-                continue
-            if self.state == SmtpState.DATA:
+        for line in self.reader.feed(data):
+            if (self.reader.cut and self.strictness is Strictness.STRICT
+                    and self.state != SmtpState.DATA):
+                # Lenient engines, and message bodies either way, take
+                # an over-long line cut (real spambots do send them).
+                self.syntax_errors += 1
+                self._reply(500, "line too long")
+            elif self.state == SmtpState.DATA:
                 self._data_line(line)
             else:
                 self._command_line(line)
             if self.state == SmtpState.CLOSED:
                 return
 
-    def _next_line(self):
-        """One framed line, ``_DISCARDED_LINE`` (strict-mode oversize
-        rejection), or None when the buffer holds no complete line."""
-        index = self._buffer.find(CRLF)
-        if index < 0 and self.strictness is Strictness.LENIENT:
-            # Tolerate bare-LF line endings from sloppy clients.
-            index_lf = self._buffer.find(b"\n")
-            if index_lf >= 0:
-                line = bytes(self._buffer[:index_lf]).rstrip(b"\r")
-                del self._buffer[:index_lf + 1]
-                return self._clip_line(line)
-        if index < 0:
-            if len(self._buffer) > self.max_line_length:
-                # Never-terminated "line": bound the buffer instead of
-                # letting a hostile sender grow it without limit.
-                line = bytes(self._buffer[:self.max_line_length])
-                self._buffer.clear()
-                return self._clip_line(line, oversized=True)
-            return None
-        line = bytes(self._buffer[:index])
-        del self._buffer[:index + len(CRLF)]
-        return self._clip_line(line)
-
-    def _clip_line(self, line: bytes, oversized: bool = False):
-        if not oversized and len(line) <= self.max_line_length:
-            return line
-        self._note_anomaly("oversized_line")
-        if (self.strictness is Strictness.STRICT
-                and self.state != SmtpState.DATA):
-            self.syntax_errors += 1
-            self._reply(500, "line too long")
-            return _DISCARDED_LINE
-        # Lenient (or message body either way): truncate and carry on.
-        return line[:self.max_line_length]
-
     # ------------------------------------------------------------------
     def _command_line(self, line: bytes) -> None:
-        try:
-            text = line.decode("latin-1")
-        except UnicodeDecodeError:  # pragma: no cover - latin-1 never fails
-            text = ""
-        verb, _, argument = text.partition(" ")
+        verb, _, argument = line.decode("latin-1").partition(" ")
         verb = verb.upper().strip()
         self.commands_seen.append(verb)
 
@@ -390,7 +332,7 @@ class SmtpClientEngine:
         self.banner: Optional[str] = None
         self.replies: List[str] = []
 
-        self._buffer = bytearray()
+        self.reader = LineReader()
         self._phase = "banner"
         self._current: Optional[dict] = None
         self._rcpt_index = 0
@@ -406,13 +348,8 @@ class SmtpClientEngine:
 
     def feed(self, data: bytes) -> None:
         """Consume server reply bytes and advance the dialogue."""
-        self._buffer.extend(data)
-        while True:
-            index = self._buffer.find(CRLF)
-            if index < 0:
-                return
-            line = bytes(self._buffer[:index]).decode("latin-1")
-            del self._buffer[:index + len(CRLF)]
+        for raw in self.reader.feed(data):
+            line = raw.decode("latin-1")
             self.replies.append(line)
             self._handle_reply(line)
             if self.aborted:

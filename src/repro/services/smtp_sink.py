@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.net.addresses import IPv4Address
 from repro.net.host import Host
+from repro.net.lines import LineReader
 from repro.net.smtp import SmtpServerEngine, SmtpTransaction, Strictness
 from repro.net.tcp import TcpConnection
 from repro.obs.telemetry import tally
@@ -141,17 +142,21 @@ class SmtpSink:
         target = self.banner_target_resolver(conn.local_ip)
         self.banner_fetches += 1
         upstream = self.host.tcp.connect(target, SMTP_PORT)
-        grabbed = bytearray()
+        reader = LineReader()
 
         def on_data(c: TcpConnection, data: bytes) -> None:
-            grabbed.extend(data)
-            if b"\r\n" in grabbed:
-                line = bytes(grabbed).split(b"\r\n", 1)[0].decode("latin-1")
-                banner = line[4:] if line[:3].isdigit() else line
-                self.banner_cache[conn.local_ip] = banner
-                c.close()
-                if not conn.fully_closed:
-                    self._start_engine(conn, banner)
+            line = next(reader.feed(data), None)
+            if line is None:
+                return
+            line = line.decode("latin-1")
+            banner = line[4:] if line[:3].isdigit() else line
+            if reader.cut:
+                # A greeting that never ends is no banner to serve.
+                banner = self.default_banner
+            self.banner_cache[conn.local_ip] = banner
+            c.close()
+            if not conn.fully_closed:
+                self._start_engine(conn, banner)
 
         def on_fail(c: TcpConnection) -> None:
             self.banner_cache[conn.local_ip] = self.default_banner

@@ -14,7 +14,9 @@ Every value the tree pins is produced by code this manifest names:
             logs of three small farms (``tests/test_wire_carriers.py``);
 ``lines``   ``lines.json``, what the SMTP, IRC and FTP servers send and
             keep for their fuzz generators' inputs, fed whole and in
-            7-byte chunks (``tests/test_line_framing.py``);
+            7-byte chunks, leaving out inputs with a line past the
+            ``MAX_LINE`` bound of :mod:`repro.net.lines`
+            (``tests/test_line_framing.py``);
 ``farm``    ``farm_digests.json``, the seed farm's digest and journal
             digest, the 8-shard campaign digest and the 14 fault-matrix
             cell digests (:data:`tests.golden.FARM_PINS`);

@@ -29,16 +29,17 @@ import random
 import subprocess
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fuzz.generators import gen_ftp, gen_irc, gen_smtp
 from repro.net.ftp import FtpServerEngine
 from repro.net.irc import IrcNetwork, IrcServerEngine
+from repro.net.lines import MAX_LINE, LineReader
 from repro.net.smtp import SmtpServerEngine, Strictness
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "lines.json")
 
-MAX_LINE = SmtpServerEngine.MAX_LINE_LENGTH
 #: Generator outputs per engine, and the seed of their stream.
 INPUTS = 2000
 SEED = 42
@@ -142,3 +143,50 @@ def test_framing_matches_the_pin(name):
 def test_the_pin_keeps_enough_inputs():
     for name in ENGINES:
         assert len(inputs(name)) > INPUTS // 4, name
+
+
+# ----------------------------------------------------------------------
+# The reader itself
+def read(data: bytes, bare_lf: bool, cuts=()):
+    """Feed ``data`` split at ``cuts``: the (line, cut) pairs handed
+    out, the anomalies reported, and the most the reader held."""
+    anomalies = {}
+    reader = LineReader(bare_lf, lambda kind, count: anomalies.update(
+        {kind: anomalies.get(kind, 0) + count}))
+    lines, held = [], 0
+    bounds = [0, *sorted(cuts), len(data)]
+    for start, end in zip(bounds, bounds[1:]):
+        lines += [(line, reader.cut) for line in reader.feed(data[start:end])]
+        held = max(held, len(reader))
+    return lines, anomalies, held
+
+
+LONG = b"y" * (MAX_LINE + 3)
+
+
+@pytest.mark.parametrize("bare_lf, data, lines, anomalies", [
+    (False, b"a\nb\r\nc", [(b"a\nb", False)], {"bare_lf": 1}),
+    (True, b"a\nb\r\n\r\r\nc", [(b"a", False), (b"b", False),
+                                 (b"\r", False)], {"bare_lf": 1}),
+    (False, LONG + b"\r\nz\r\n", [(LONG[:MAX_LINE], True), (b"z", False)],
+     {"oversized_line": 1}),
+    (True, LONG + b"\r\nz\n", [(LONG[:MAX_LINE], True), (b"z", False)],
+     {"oversized_line": 1, "bare_lf": 1}),
+    (False, LONG, [(LONG[:MAX_LINE], True)], {"oversized_line": 1}),
+], ids=["crlf", "bare-lf", "long-crlf", "long-lf", "unterminated"])
+def test_framing_rules(bare_lf, data, lines, anomalies):
+    assert read(data, bare_lf)[:2] == (lines, anomalies)
+
+
+pieces = st.sampled_from([b"a", b"\r", b"\n", b"\r\n", b".", LONG])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.lists(pieces, max_size=12).map(b"".join),
+       st.lists(st.integers(min_value=0, max_value=4 * MAX_LINE),
+                max_size=6))
+def test_chunking_never_changes_the_lines(bare_lf, data, cuts):
+    whole = read(data, bare_lf)
+    chunked = read(data, bare_lf, [cut for cut in cuts if cut < len(data)])
+    assert chunked[:2] == whole[:2]
+    assert max(whole[2], chunked[2]) <= MAX_LINE

@@ -14,6 +14,7 @@ from repro.net.dns import (
 )
 from repro.net.ftp import FtpClientEngine, FtpServerEngine
 from repro.net.http import HttpParser, HttpRequest, HttpResponse
+from repro.net.lines import MAX_LINE
 from repro.net.smtp import (
     SmtpClientEngine,
     SmtpServerEngine,
@@ -315,6 +316,12 @@ class TestSmtpAnomalies:
         # the banner.
         assert all(b"250" not in reply for reply in replies)
 
+    def test_mixed_line_endings_end_at_each_lf_when_lenient(self):
+        server, replies = self.make_server()
+        server.feed(b"HELO x\nMAIL FROM:<a@b.c>\r\n")
+        assert [reply[:4] for reply in replies[1:]] == [b"250 ", b"250 "]
+        assert server.helo == "x"
+
     def test_crlf_split_across_feeds_is_not_bare_lf(self):
         server, _ = self.make_server()
         server.feed(b"HELO spambot\r")
@@ -322,24 +329,23 @@ class TestSmtpAnomalies:
         assert server.anomalies["bare_lf"] == 0
 
     def test_oversized_line_truncated_when_lenient(self):
-        server, _ = self.make_server(max_line_length=64)
-        server.feed(b"HELO " + b"x" * 500 + b"\r\n")
+        server, _ = self.make_server()
+        server.feed(b"HELO " + b"x" * MAX_LINE + b"\r\n")
         assert server.anomalies["oversized_line"] == 1
 
     def test_oversized_line_rejected_when_strict(self):
-        server, replies = self.make_server(strictness=Strictness.STRICT,
-                                           max_line_length=64)
+        server, replies = self.make_server(strictness=Strictness.STRICT)
         before = server.syntax_errors
-        server.feed(b"HELO " + b"y" * 500 + b"\r\n")
+        server.feed(b"HELO " + b"y" * MAX_LINE + b"\r\n")
         assert server.anomalies["oversized_line"] == 1
         assert server.syntax_errors == before + 1
         assert any(b"500" in reply for reply in replies)
 
     def test_unterminated_flood_is_bounded(self):
-        server, _ = self.make_server(max_line_length=64)
+        server, _ = self.make_server()
         server.feed(b"z" * 10_000)  # no terminator at all
         assert server.anomalies["oversized_line"] >= 1
-        assert len(server._buffer) <= 64
+        assert len(server.reader) <= MAX_LINE
 
     def test_on_anomaly_callback_fires(self):
         events = []
