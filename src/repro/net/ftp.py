@@ -38,9 +38,8 @@ class FtpServerEngine:
         self.reader = LineReader()
         self._user: Optional[str] = None
         self.authenticated = False
-        # The file a STOR is writing, and its lines so far.
-        self._storing: Optional[str] = None
-        self._stored: List[bytes] = []
+        # The file a STOR is writing and its lines so far; None when idle.
+        self._storing: Optional[Tuple[str, List[bytes]]] = None
         self.uploads: List[Tuple[str, bytes]] = []
         self.downloads: List[str] = []
         self.login_failures = 0
@@ -57,11 +56,12 @@ class FtpServerEngine:
             if self._storing is None:
                 self._command(line.decode("latin-1"))
             elif line != b".":
-                self._stored.append(line)
+                self._storing[1].append(line)
             else:
-                content = CRLF.join(self._stored)
-                self.files[self._storing] = content
-                self.uploads.append((self._storing, content))
+                name, lines = self._storing
+                content = CRLF.join(lines)
+                self.files[name] = content
+                self.uploads.append((name, content))
                 self._storing = None
                 self._reply(226, "transfer complete")
 
@@ -93,8 +93,7 @@ class FtpServerEngine:
             if not self.authenticated:
                 self._reply(530, "not logged in")
             else:
-                self._storing = argument.strip()
-                self._stored = []
+                self._storing = (argument.strip(), [])
                 self._reply(150, "ok to send data")
         elif verb == "QUIT":
             self._reply(221, "goodbye")
