@@ -92,8 +92,8 @@ budget:
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
 			tests/test_hop_budget.py tests/test_endpoint_budget.py \
 			tests/test_forwarding_budget.py \
-			tests/test_memory_budget.py tests/test_obs_budget.py \
-			|| exit 1; \
+			tests/test_memory_budget.py tests/test_flow_memory.py \
+			tests/test_obs_budget.py || exit 1; \
 	done
 	$(PYTHON) -m tests.test_forwarding_budget
 

@@ -24,7 +24,7 @@ from repro.gateway.safety import SafetyFilter
 from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
 from repro.net.flow import FiveTuple
 from repro.net.host import Host
-from repro.net.http import echo
+from repro.net.http import HttpRequest, HttpResponse, echo, request, serve
 from repro.net.link import Link, Switch
 from repro.net.packet import (
     ACK,
@@ -41,6 +41,7 @@ from repro.parallel.tasks import (
     _streaming_image,
     farm_digest,
 )
+from repro.services.dhcp import DhcpClient
 from repro.sim.engine import Simulator
 
 
@@ -302,3 +303,44 @@ def run_farm_flow_digest(seed: int, inmates: int, rounds: int,
         "counters": counters,
         "flowtable": sub.router.flowtable.stats(),
     }
+
+
+def churn_farm(seed: int, subfarms: int, inmates_per: int,
+               interval: float = 2.5, start: float = 31.0,
+               stop: float = 60.0):
+    """A ``flow_churn``-shaped farm, not yet run: ``subfarms`` subfarms
+    of ``inmates_per`` inmates under ``AllowAll``, each fetching
+    ``/ping`` from an external web host about every ``interval``
+    virtual seconds from ``start`` until ``stop``, closing each fetch
+    once its response is in.  Returns ``(farm, fetched)``: one bool
+    per finished fetch, whether its response was the expected one."""
+    farm = Farm(FarmConfig(seed=seed))
+    web = farm.add_external_host("web", TARGET_IP)
+    serve(web, 80, lambda _request: HttpResponse(200, body=b"pong"))
+    fetched: List[bool] = []
+
+    def done(conn, response) -> None:
+        fetched.append(response.status == 200 and response.body == b"pong")
+        conn.close()
+
+    def image(host):
+        def configured(h):
+            def tick():
+                if h.sim.now >= stop:
+                    return
+                request(h, IPv4Address(TARGET_IP), 80,
+                        HttpRequest("GET", "/ping"), done)
+                h.sim.schedule(interval * h.rng.uniform(0.7, 1.3), tick,
+                               label="fetch")
+
+            h.sim.schedule_at(start + interval * h.rng.random(), tick,
+                              label="fetch-start")
+
+        DhcpClient(host, on_configured=configured).start()
+
+    for index in range(subfarms):
+        sub = farm.create_subfarm(f"churn-{index}")
+        sub.set_default_policy(AllowAll())
+        for _ in range(inmates_per):
+            sub.create_inmate(image_factory=image)
+    return farm, fetched
