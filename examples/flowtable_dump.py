@@ -57,7 +57,7 @@ def dump(subfarm):
     print(f"\nSubfarm '{subfarm.name}' flow table:")
     print(f"  occupancy={stats['occupancy']} hits={stats['hits']} "
           f"misses={stats['misses']} installs={stats['installs']}")
-    print(f"  evictions={stats['evictions']} "
+    print(f"  evictions={stats['evictions']} retired={stats['retired']} "
           f"idle timeouts={timeouts['idle']} "
           f"hard timeouts={timeouts['hard']}")
     for entry in table.snapshot():

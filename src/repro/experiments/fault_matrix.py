@@ -88,26 +88,32 @@ def _leak_details(farm, subs) -> List[dict]:
     verdict (or were closed out by the fail-closed pending policy)
     must not appear upstream.  Each violation is returned with the
     leaking flow's (vlan, dst, proto) tuple so the matrix summary can
-    name the path, not just count it."""
+    name the path, not just count it.
+
+    The unverdicted flows are the flow log's refused and fail-closed
+    lines and the live records still without a decision."""
     upstream = {rec.five_tuple
                 for rec in farm.gateway.upstream_trace.records}
     leaks: List[dict] = []
     for sub in subs:
-        for record in sub.router._flows:
-            decision = record.decision
-            unverdicted = decision is None or (
-                decision.policy == "fail-closed")
-            if not unverdicted or not record.inmate_is_originator:
+        router = sub.router
+        unverdicted = [entry for entry in router.flow_log
+                       if entry.verdict == "REFUSED"
+                       or entry.policy == "fail-closed"]
+        unverdicted += [record for record in router._by_mux.values()
+                        if record.decision is None]
+        for flow in unverdicted:
+            if not flow.inmate_is_originator:
                 continue
-            nat_global = sub.nat.global_for(record.vlan)
+            nat_global = sub.nat.global_for(flow.vlan)
             if nat_global is None:
                 continue
-            orig = record.orig
+            orig = flow.orig
             if (nat_global, orig.orig_port, orig.resp_ip, orig.resp_port,
                     orig.proto) in upstream:
                 leaks.append({
                     "subfarm": sub.name,
-                    "vlan": record.vlan,
+                    "vlan": flow.vlan,
                     "dst": str(orig.resp_ip),
                     "proto": "tcp" if orig.proto == PROTO_TCP else "udp",
                     "dport": orig.resp_port,

@@ -45,6 +45,7 @@ from repro.core.shim import ResponseShim
 from repro.core.verdicts import Verdict
 from repro.gateway.egress import Egress
 from repro.gateway.failover import RouterResilience
+from repro.gateway.flows import FlowLogEntry
 from repro.gateway.nat import AddressPool, InboundMode, NatTable
 from repro.gateway.router import SubfarmRouter
 from repro.gateway.safety import SafetyFilter
@@ -129,6 +130,10 @@ class RouterScript:
                 pending_policy=rng.choice(["drop", "forward"]))
         self.inmates = {vlan: self.nat.bind(vlan) for vlan in (2, 3, 4)}
         self.flows: List[_Flow] = []
+        # Every flow the router created or refused, in that order: its
+        # record, or a refused flow's flow-log line (the router keeps
+        # a record only while the flow holds keys).
+        self.records: list = []
         self.clustered = False
         self.spent = 0.0
 
@@ -153,6 +158,15 @@ class RouterScript:
                      else TCPSegment(sport, dport, seq, ack, flags,
                                      payload=payload))
         packet = IPv4Packet(src, dst, transport)
+        counters = self.router.counters
+        created, refused = counters["flows_created"], counters["flows_refused"]
+        self._dispatch(src, packet)
+        if counters["flows_created"] > created:
+            self.records.append(next(reversed(self.router._by_mux.values())))
+        elif counters["flows_refused"] > refused:
+            self.records.append(self.router.flow_log[-1])
+
+    def _dispatch(self, src, packet: IPv4Packet) -> None:
         vlan = self.nat.vlan_for_internal(src)
         if vlan is not None:
             self.router.inmate_frame(EthernetFrame(
@@ -178,14 +192,15 @@ class RouterScript:
             self.flows.append(flow)
         else:
             flow.isn += 7000
-        known = len(self.router.flows())
+        known = len(self.records)
         self.enter(flow.src, flow.sport, flow.dst, flow.dport,
                    None if flow.udp else SYN, flow.isn, payload=b"open"
                    if flow.udp else b"")
-        if len(self.router.flows()) > known:
-            record = self.router.flows()[-1]
+        if len(self.records) > known:
+            record = self.records[-1]
             # A flow the safety filter refused has no legs to play.
-            flow.record = record if record.mux_port else None
+            flow.record = (None if isinstance(record, FlowLogEntry)
+                           else record)
             flow.nonce_open = False
 
     def client(self, flow: _Flow, flags: int, size: int) -> None:
@@ -335,11 +350,19 @@ class RouterScript:
         return dict(self.logs, counters=dict(router.counters),
                     flow_log=[(e.timestamp, e.vlan, str(e.orig), e.verdict,
                                e.policy) for e in router.flow_log],
-                    flows=[(str(r.orig), r.phase.value, r.verdict_name,
-                            r.c2s_packets, r.s2c_packets, r.c2s_bytes,
-                            r.s2c_bytes, r.client_fin, r.last_activity)
-                           for r in router.flows()],
+                    flows=[_accounting(r) for r in self.records],
                     table=router.flowtable.stats())
+
+
+def _accounting(flow) -> tuple:
+    """What :meth:`RouterScript.state` reports of one flow: a record,
+    or a refused flow's flow-log line (refused, so nothing counted)."""
+    if isinstance(flow, FlowLogEntry):
+        return (str(flow.orig), "refused", flow.verdict, 0, 0, 0, 0,
+                False, flow.timestamp)
+    return (str(flow.orig), flow.phase.value, flow.verdict_name,
+            flow.c2s_packets, flow.s2c_packets, flow.c2s_bytes,
+            flow.s2c_bytes, flow.client_fin, flow.last_activity)
 
 
 def run_script(seed: int) -> dict:

@@ -103,7 +103,6 @@ def new_flow(router, packet: IPv4Packet, vlan: int,
                         mux, router.NONCE_PORT_BASE + slot)
     record.cs_ip = router._select_cs(vlan)
     housekeeping.arm(router)
-    router._flows.append(record)
     router.counters["flows_created"] += 1
     router._by_mux[mux] = record
     router._by_nonce[record.nonce_port] = record
@@ -145,7 +144,6 @@ def refuse(router, key: FiveTuple, vlan: int, inmate_is_originator: bool,
     record = FlowRecord(key, vlan, inmate_is_originator,
                         router.sim.now, 0, 0)
     record.phase = FlowPhase.REFUSED
-    router._flows.append(record)
     router.flow_log.append(FlowLogEntry(router.sim.now, record))
     router.counters["flows_refused"] += 1
     if router.journal.enabled:

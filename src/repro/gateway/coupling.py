@@ -170,6 +170,10 @@ def from_originator(router, row: Row, packet: IPv4Packet) -> None:
         record.c2s_packets += 1
         record.c2s_bytes += len(transport.payload)
         housekeeping.abort_flow(router, record, notify_client=False)
+        if (record.decision is not None
+                and not record.decision.verdict.is_content_control):
+            # Reset under an endpoint verdict: the flow is finished.
+            housekeeping.retire(router, record)
     elif phase is FlowPhase.ENFORCED:
         # Decided: forwarded by the flow's own rule and nothing
         # else, packet-in disabled.

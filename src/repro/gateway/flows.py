@@ -61,9 +61,11 @@ DECIDED_PHASES = (FlowPhase.ENFORCED, FlowPhase.DROPPED)
 class FlowRecord:
     """Containment state for one flow.
 
-    Slotted: the router keeps every record for the whole run
-    (``flows()``), so a ``__dict__`` apiece is the single largest item
-    on a churn workload's heap.
+    The router holds a record only while the flow holds keys in its
+    flow table (``SubfarmRouter._by_mux``): a TCP flow under an endpoint
+    verdict gives it up the moment it finishes, any other at its idle
+    eviction.  What outlives it is its line in the flow log.  Slotted,
+    because a busy farm holds thousands at once.
     """
 
     __slots__ = (
@@ -76,7 +78,7 @@ class FlowRecord:
         "c2s_bytes", "s2c_bytes", "c2s_packets", "s2c_packets",
         "dst_ip", "dst_port", "dst_is_inmate_vlan", "nat_global",
         "spoof_preserve", "udp_pending", "shaper",
-        "keys", "installed",
+        "keys", "installed", "closing",
     )
 
     def __init__(
@@ -155,6 +157,9 @@ class FlowRecord:
         # scan; and whether its rules are installed there now.
         self.keys: list = []
         self.installed = False
+        # A handed-off TCP flow's close, per direction, once a FIN has
+        # passed (flowtable.CLOSE_RETIRE).
+        self.closing: Optional[list] = None
 
     # ------------------------------------------------------------------
     @property

@@ -40,6 +40,7 @@ single float compare):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.net.packet import (
@@ -101,39 +102,51 @@ class KindSpec(NamedTuple):
     #: Emit ``ack = 0`` when the segment carries no ACK flag (the
     #: containment server never sees a client's garbage ack field).
     ack_zero: bool
-    #: Whether a FIN marks ``record.client_fin`` (content-control flows
-    #: need it to synthesize the client's next sequence number).
-    fin_marks: bool
+    #: What the flow's close means to the table (``CLOSE_*``).
+    close: int
 
+
+# Close tracking: what a FIN (or RST) through an entry of the kind does.
+CLOSE_NONE = 0
+#: A FIN marks ``record.client_fin``: a coupled flow needs it to
+#: synthesize the client's next sequence number.
+CLOSE_MARK = 1
+#: Both directions of a handed-off flow: once each FIN has been relayed
+#: and acknowledged, or an RST relayed, the flow is finished and
+#: retired — after the packet that finished it has been emitted.
+#: ``record.closing`` holds, per direction (index: ``originator``), the
+#: ack that acknowledges its FIN, or :data:`FIN_ACKED`.
+CLOSE_RETIRE = 2
+FIN_ACKED = -1
 
 SPECS = {
     ACT_TCP_C2D: KindSpec("tcp-c2d", PROTO_TCP, SYN | RST, True, True,
-                          "packets_relayed", False, False),
+                          "packets_relayed", False, CLOSE_RETIRE),
     ACT_TCP_D2C: KindSpec("tcp-d2c", PROTO_TCP, 0, False, True,
-                          "packets_relayed", False, False),
+                          "packets_relayed", False, CLOSE_RETIRE),
     ACT_TCP_C2CS: KindSpec("tcp-c2cs", PROTO_TCP, SYN | RST, True, True,
-                           "packets_relayed", True, True),
+                           "packets_relayed", True, CLOSE_MARK),
     # The CS leg never refreshed last_activity on the slow path; an RST
     # from the server is its abort and belongs to the controller.
     ACT_TCP_CS2C: KindSpec("tcp-cs2c", PROTO_TCP, RST, False, False,
-                           "packets_relayed", False, False),
+                           "packets_relayed", False, CLOSE_NONE),
     ACT_UDP_C2D: KindSpec("udp-c2d", PROTO_UDP, 0, True, True,
-                          "packets_relayed", False, False),
+                          "packets_relayed", False, CLOSE_NONE),
     ACT_UDP_D2C: KindSpec("udp-d2c", PROTO_UDP, 0, False, True,
-                          None, False, False),
+                          None, False, CLOSE_NONE),
     ACT_UDP_C2CS: KindSpec("udp-c2cs", PROTO_UDP, 0, True, True,
-                           "shims_injected", False, False),
+                           "shims_injected", False, CLOSE_NONE),
     # A SYN on a dropped tuple may be a new incarnation of the flow.
     ACT_DROP_TCP: KindSpec("drop-tcp", PROTO_TCP, SYN, None, True,
-                           None, False, False),
+                           None, False, CLOSE_NONE),
     ACT_DROP_UDP: KindSpec("drop-udp", PROTO_UDP, 0, None, True,
-                           None, False, False),
+                           None, False, CLOSE_NONE),
     # The nonce leg is NAT only; like the mux-port leg, what the server
     # sends is not the flow's activity, what comes back for it is.
     ACT_TCP_CS2W: KindSpec("tcp-cs2w", PROTO_TCP, 0, None, False,
-                           "packets_relayed", False, False),
+                           "packets_relayed", False, CLOSE_NONE),
     ACT_TCP_W2CS: KindSpec("tcp-w2cs", PROTO_TCP, 0, None, True,
-                           "packets_relayed", False, False),
+                           "packets_relayed", False, CLOSE_NONE),
 }
 
 # Emission codes: which egress the translated packet leaves through —
@@ -277,9 +290,11 @@ class FlowTable:
     router aliases it as ``_table`` so the per-packet path is one
     C-level dict hit.  Keys enter it through :meth:`bind` and leave
     through :meth:`unbind` only; everything the table reports is about
-    *installed* rules.  Stats are plain ints bumped on the packet path;
-    telemetry reads the copy :meth:`sync_metrics` takes at flow-rate
-    events (install/evict/stats), costing the datapath nothing.
+    *installed* rules, every one of which is still installed
+    (``occupancy``), was displaced or demoted (``evictions``) or went
+    with its finished flow (``retired``).  Stats are plain ints bumped
+    on the packet path; telemetry reads them when it snapshots,
+    costing the datapath nothing.
     """
 
     def __init__(self, name: str, telemetry=None) -> None:
@@ -290,29 +305,26 @@ class FlowTable:
         self.misses = 0
         self.installs = 0
         self.evictions = 0
+        self.retired = 0
         self.timeout_idle = 0
         self.timeout_hard = 0
-        # (occupancy, hits, misses, installs, idle, hard) for telemetry.
-        self._synced = None
         tel = telemetry
         if tel is not None and tel.enabled:
-            self._synced = (0, 0, 0, 0, 0, 0)
             tel.gauge(
                 "flowtable.occupancy", "Installed flow-table entries"
-            ).register(lambda: float(self._synced[0]), subfarm=name)
-            for index, (metric, help, labels) in enumerate((
-                ("flowtable.hits", "Flow-table probe hits", {}),
-                ("flowtable.misses",
+            ).register(lambda: float(self.occupancy), subfarm=name)
+            for attr, metric, help, labels in (
+                ("hits", "flowtable.hits", "Flow-table probe hits", {}),
+                ("misses", "flowtable.misses",
                  "Flow-table misses (slow-path packets)", {}),
-                ("flowtable.installs", "Entries installed", {}),
-                ("flowtable.evictions.timeout", "Entries aged out",
-                 {"reason": "idle"}),
-                ("flowtable.evictions.timeout", "Entries aged out",
-                 {"reason": "hard"}),
-            ), 1):
+                ("installs", "flowtable.installs", "Entries installed", {}),
+                ("timeout_idle", "flowtable.evictions.timeout",
+                 "Entries aged out", {"reason": "idle"}),
+                ("timeout_hard", "flowtable.evictions.timeout",
+                 "Entries aged out", {"reason": "hard"}),
+            ):
                 tel.counter(metric, help).register(
-                    lambda index=index: self._synced[index],
-                    subfarm=name, **labels)
+                    partial(getattr, self, attr), subfarm=name, **labels)
 
     def __len__(self) -> int:
         return self.occupancy
@@ -332,16 +344,22 @@ class FlowTable:
         if row.installed:
             self.occupancy += 1
 
-    def unbind(self, record) -> None:
-        """Take every key ``record`` still answers to out of the table
-        (its rules uninstalled first).  A key a newer flow has since
-        bound is that flow's, and stays."""
+    def unbind(self, record) -> int:
+        """Take every key ``record`` still answers to out of the table,
+        its installed rules with them, as they are.  A key a newer flow
+        has since bound is that flow's, and stays.  Returns how many
+        installed rules went."""
         entries = self.entries
+        rules = 0
         for key in record.keys:
             row = entries.get(key)
             if row is not None and row.record is record:
                 del entries[key]
+                rules += row.installed
         record.keys.clear()
+        record.installed = False
+        self.occupancy -= rules
+        return rules
 
     def rules(self, record=None) -> List[FlowEntry]:
         """The installed rules, of one flow or of the whole table."""
@@ -351,22 +369,14 @@ class FlowTable:
                 if row is not None and row.installed
                 and row.record is record]
 
-    def sync_metrics(self) -> None:
-        """Publish the plain-int stats to telemetry: a snapshot shows
-        them as of the last call, as it always has."""
-        if self._synced is not None:
-            self._synced = (self.occupancy, self.hits, self.misses,
-                            self.installs, self.timeout_idle,
-                            self.timeout_hard)
-
     def stats(self) -> dict:
-        self.sync_metrics()
         return {
             "occupancy": self.occupancy,
             "hits": self.hits,
             "misses": self.misses,
             "installs": self.installs,
             "evictions": self.evictions,
+            "retired": self.retired,
             "timeout_evictions": {"idle": self.timeout_idle,
                                   "hard": self.timeout_hard},
         }
@@ -415,10 +425,11 @@ def apply(router, row: Rewrite, packet: IPv4Packet,
     """The executor: rewrite ``packet`` as ``row`` prescribes and emit
     it.  Table hits arrive with ``packet_in`` enabled, so
     state-changing segments go to the controller; the controller runs
-    packets through their rows with it disabled.  Nothing here may
-    allocate per-flow state."""
+    packets through their rows with it disabled.  Nothing here
+    allocates per-flow state but a closing flow's ``closing`` pair,
+    and the packet that finishes a flow retires it once emitted."""
     (_name, proto, packet_in_flags, originator, touch, counter, ack_zero,
-     fin_marks) = row.spec
+     close) = row.spec
     record = row.record
     transport = packet.payload
     flags = transport.flags if proto == PROTO_TCP else 0
@@ -434,7 +445,7 @@ def apply(router, row: Rewrite, packet: IPv4Packet,
     if originator:
         record.c2s_packets += 1
         record.c2s_bytes += len(payload)
-        if fin_marks and flags & FIN:
+        if close == CLOSE_MARK and flags & FIN:
             record.client_fin = True
     elif originator is False:
         record.s2c_packets += 1
@@ -474,3 +485,24 @@ def apply(router, row: Rewrite, packet: IPv4Packet,
     wrapped.ident = 0
     wrapped.payload = out
     egress.send(wrapped)
+    if close != CLOSE_RETIRE:
+        return
+    closing = record.closing
+    if closing is None and not flags & (FIN | RST):
+        return
+    if flags & RST:
+        router._retire(record)
+        return
+    if closing is None:
+        closing = record.closing = [None, None]
+    # This packet's ack may acknowledge the other direction's FIN (in
+    # the sequence space that direction was emitted in, which is the
+    # one this side acks in); its own FIN is acknowledged by the ack
+    # just past it, as emitted.
+    theirs = not originator
+    if flags & ACK and transport.ack == closing[theirs]:
+        closing[theirs] = FIN_ACKED
+    if flags & FIN:
+        closing[originator] = (seq + len(payload) + 1) & _MASK
+    elif closing[0] == closing[1] == FIN_ACKED:
+        router._retire(record)

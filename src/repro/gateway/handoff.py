@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.verdicts import ContainmentDecision, Verdict
-from repro.gateway import coupling
+from repro.gateway import coupling, housekeeping
 from repro.gateway.egress import Shaped
 from repro.gateway.flows import (
     DECIDED_PHASES,
@@ -255,7 +255,7 @@ def from_return(router, row: Row, packet: IPv4Packet) -> None:
         answering = phase is FlowPhase.HANDOFF  # the replayed SYN
         if answering and segment.flags & RST:
             coupling.synthesize_client_rst(router, record)
-            record.phase = FlowPhase.CLOSED
+            housekeeping.retire(router, record)
         elif answering and segment.flags & (SYN | ACK) == SYN | ACK:
             record.dst_isn = segment.seq
             complete_handoff(router, record)
@@ -288,6 +288,10 @@ def complete_handoff(router, record: FlowRecord) -> None:
     if record.client_fin and not record.client_fin_relayed:
         record.client_fin_relayed = True
         replay(seq, FIN | ACK)
+    if record.client_fin_relayed:
+        # The replayed FIN is the originator's side of the close
+        # (flowtable.CLOSE_RETIRE): acknowledged by the ack past it.
+        record.closing = [None, seq_add(seq, 1)]
     install(router, record)
 
 
@@ -324,7 +328,6 @@ def install(router, record: FlowRecord) -> None:
                              router.flowtable_hard_timeout))
     table.installs += len(rows)
     record.installed = True
-    table.sync_metrics()
     if router.journal.enabled:
         router.journal.record(
             "fastpath.install",
@@ -349,8 +352,6 @@ def uninstall(router, record: FlowRecord,
         if reason is not None:
             payload["reason"] = reason
         router.journal.record("fastpath.evict", **payload)
-    if rules:
-        router.flowtable.sync_metrics()
 
 
 def compile_row(router, record: FlowRecord, key: tuple, leg: int, kind: int,

@@ -1,13 +1,16 @@
 """Housekeeping: giving a flow's rows and ports back (§5.1).
 
-A flow leaves the table when its tuple starts over (a new incarnation),
-its inmate is reverted, hostile bytes arrive on it, or it has been idle
-past ``flow_idle_timeout`` — whatever its phase; its rules are demoted
-sooner, when an idle or hard timeout passes or the flow aborts.  The
-periodic tick arms itself while records hold rows and goes quiet with
-them.  (``SubfarmRouter.sweep_flowtable`` / ``expire_idle_flows`` /
-``forget_inmate`` are the entry points.)  Plain functions over
-``(router, record)``.
+A TCP flow under an endpoint verdict leaves the table the moment it
+finishes (``retire``: both FINs acknowledged, or an RST).  Any flow
+leaves it when its tuple starts over (a new incarnation), its inmate
+is reverted, hostile bytes arrive on it, or it has been idle past
+``flow_idle_timeout`` — whatever its phase (``evict``); its rules are
+demoted sooner, when an idle or hard timeout passes or the flow
+aborts.  Both go through ``release``, after which the router holds
+nothing of the flow.  The periodic tick arms itself while records hold
+rows and goes quiet with them.  (``SubfarmRouter.sweep_flowtable`` /
+``expire_idle_flows`` / ``forget_inmate`` are the entry points.)
+Plain functions over ``(router, record)``.
 """
 
 from __future__ import annotations
@@ -18,22 +21,41 @@ from repro.gateway.flowtable import FlowEntry
 from repro.net.packet import IPv4Packet, PROTO_TCP, PROTO_UDP
 
 
-def evict(router, record: FlowRecord) -> None:
-    """Give a record's rows and ports back so its tuples can be
-    reused."""
-    if router.journal.enabled:
-        flow_id = router._trace_ids.get(record.mux_port)
-        if flow_id is not None:
-            router.journal.record("flow.evicted", flow=flow_id,
-                                  vlan=record.vlan,
-                                  phase=record.phase.value)
-    handoff.uninstall(router, record)
-    router.flowtable.unbind(record)
+def release(router, record: FlowRecord) -> int:
+    """Take the flow's keys out of the table — its installed rules
+    with them, not demoted first — and give its port slot back: the
+    router holds nothing of it after this.  Returns how many installed
+    rules went."""
+    rules = router.flowtable.unbind(record)
     router._by_mux.pop(record.mux_port, None)
     router._by_nonce.pop(record.nonce_port, None)
     router._trace_ids.pop(record.mux_port, None)
+    return rules
+
+
+def evict(router, record: FlowRecord) -> None:
+    """Give a record's rows and ports back so its tuples can be
+    reused, journalled; its installed rules count as evicted."""
+    journal = router.journal
+    flow_id = router._trace_ids.get(record.mux_port)
+    if journal.enabled and flow_id is not None:
+        journal.record("flow.evicted", flow=flow_id, vlan=record.vlan,
+                       phase=record.phase.value)
+    rules = release(router, record)
+    router.flowtable.evictions += rules
+    if rules and journal.enabled:
+        journal.record("fastpath.evict", flow=flow_id, vlan=record.vlan,
+                       handlers=rules)
     if record.phase not in (FlowPhase.DROPPED, FlowPhase.REFUSED):
         record.phase = FlowPhase.CLOSED
+
+
+def retire(router, record: FlowRecord) -> None:
+    """A TCP flow under an endpoint verdict has finished (the packet
+    that finished it is out): release it at once.  No event, no
+    journal line, no router counter — only ``flowtable.retired``."""
+    router.flowtable.retired += release(router, record)
+    record.phase = FlowPhase.CLOSED
 
 
 def abort_flow(router, record: FlowRecord, notify_client: bool) -> None:

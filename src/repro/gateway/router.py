@@ -183,9 +183,10 @@ class SubfarmRouter:
         if self.dns_ip is not None:
             self.trusted_ips.add(self.dns_ip.value)
 
-        self._flows: List[FlowRecord] = []
-        # Records that still hold rows, by mux port (creation order),
-        # and by the nonce port their server's onward leg starts from.
+        # Records that still hold rows — the router's live set, and all
+        # it holds of any flow; ``flow_log`` is its history — by mux
+        # port (creation order), and by the nonce port their server's
+        # onward leg starts from.
         self._by_mux: Dict[int, FlowRecord] = {}
         self._by_nonce: Dict[int, FlowRecord] = {}
         self._next_slot = 0
@@ -206,6 +207,9 @@ class SubfarmRouter:
         self._legs = (partial(coupling.from_originator, self),
                       partial(handoff.from_return, self),
                       partial(coupling.from_cs, self), partial(apply, self))
+        # What the executor calls when the packet it emitted finished
+        # its flow (flowtable.CLOSE_RETIRE).
+        self._retire = partial(housekeeping.retire, self)
         # Entry aging on the virtual clock (None = no aging): consulted
         # at install time, enforced lazily at probe time and eagerly by
         # the housekeeping sweep.
@@ -259,16 +263,13 @@ class SubfarmRouter:
     # ------------------------------------------------------------------
     # Public queries
     # ------------------------------------------------------------------
-    def flows(self) -> List[FlowRecord]:
-        return list(self._flows)
-
     def _live_flows(self) -> List[FlowRecord]:
         """Records still coupled or forwarding, oldest first.
 
         Read off ``_by_mux``, which holds exactly the records not yet
-        evicted, in creation order — so it costs what holds rows, not
-        everything the deployment ever saw (``_flows``).  A list,
-        because callers evict while they walk it.
+        released, in creation order — so it costs what holds rows, not
+        everything the deployment ever saw.  A list, because callers
+        evict while they walk it.
         """
         return [record for record in self._by_mux.values()
                 if record.phase in LIVE_PHASES]
@@ -594,9 +595,8 @@ class SubfarmRouter:
         its verdict again; anything else is dropped as mid-flow).
 
         Long deployments (the paper ran for six years) must not grow
-        the flow table without bound; run this periodically.  Records
-        stay in the history list for reporting — only the packet-path
-        lookup state is released.
+        the flow table without bound; run this periodically.  An
+        evicted flow's line in ``flow_log`` is all that stays.
         """
         expired = 0
         horizon = self.sim.now - max_idle

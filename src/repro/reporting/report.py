@@ -361,6 +361,7 @@ def render_report(report: ActivityReport, telemetry=None,
                 f"installs {summary['installs']:>6}")
             lines.append(
                 f"  evictions {summary['evictions']:>6}   "
+                f"retired {summary['retired']:>6}   "
                 f"idle timeouts {timeouts['idle']:>6}   "
                 f"hard timeouts {timeouts['hard']:>6}")
             # The busiest rules only: a day-scale run installs

@@ -97,13 +97,36 @@ class CaptureEgress(Egress):
         self.log.append(packet)
 
 
+def newest_flow(router):
+    """The record of the flow ``router`` created last, while it holds
+    keys (the router keeps no record past that)."""
+    live = router._by_mux
+    return live[next(reversed(live))]
+
+
+class Admitted(dict):
+    """A router's ``_by_mux`` that also keeps, in creation order, every
+    record it was given: what a script or a farm created, after the
+    router has let it go (``router._by_mux = Admitted()`` before the
+    first flow)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records = []
+
+    def __setitem__(self, mux, record) -> None:
+        super().__setitem__(mux, record)
+        self.records.append(record)
+
+
 class RouterHarness:
     """A SubfarmRouter wired to capture-only egress stubs, driven by
     hand-crafted packets so no host stacks or links dilute the
     measurement.  The harness is the router's egress side — what the
     Gateway is in a farm: one :class:`CaptureEgress` per target, all
     VLANs appending to ``to_vlan``, all service hosts to
-    ``to_service``."""
+    ``to_service``.  ``records`` is every flow the router created, in
+    order."""
 
     def __init__(self, seed: int = 7) -> None:
         self.sim = Simulator(seed=seed)
@@ -132,6 +155,8 @@ class RouterHarness:
         # Bound capture so multi-hundred-thousand-packet pumps do not
         # hold every frame (identical cost in both modes).
         self.router.trace.max_records = 256
+        self.router._by_mux = Admitted()
+        self.records = self.router._by_mux.records
         self.mac = MacAddress("02:00:00:00:00:02")
 
     def vlan_egress(self, vlan: int) -> CaptureEgress:
@@ -178,7 +203,7 @@ class RouterHarness:
         cs_isn = 5000
         self.inmate_tcp(vlan, inmate_ip, sport, TARGET_PORT,
                         client_isn, 0, SYN)
-        record = router.flows()[-1]
+        record = newest_flow(router)
         mux = record.mux_port
         # Containment server SYN-ACK.
         synack = TCPSegment(CS_DEFAULT_PORT, mux, cs_isn,
@@ -229,7 +254,7 @@ class RouterHarness:
         router = self.router
         inmate_ip = self.nat.bind(vlan)
         self.inmate_udp(vlan, inmate_ip, sport, TARGET_PORT, first_payload)
-        record = router.flows()[-1]
+        record = newest_flow(router)
         shim = ResponseShim(self._shim_flow(record, target, target_port),
                             verdict, policy="bench", rate=rate).to_bytes()
         reply = UDPDatagram(CS_DEFAULT_PORT, record.mux_port, shim)

@@ -48,7 +48,7 @@ from repro.net.packet import (
     TCPSegment,
     UDPDatagram,
 )
-from tests.helpers import RouterHarness, TARGET_IP, TARGET_PORT
+from tests.helpers import RouterHarness, TARGET_IP, TARGET_PORT, newest_flow
 
 VLAN = 2
 SPORT = 40000
@@ -222,7 +222,7 @@ def _coupled(harness, udp: bool):
     inmate_ip = harness.nat.bind(VLAN)
     if udp:
         harness.inmate_udp(VLAN, inmate_ip, SPORT, TARGET_PORT, b"hello")
-        return harness.router.flows()[-1]
+        return newest_flow(harness.router)
     harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, CLIENT_ISN, 0,
                        SYN)
     harness.router.service_frame(EthernetFrame(
@@ -231,7 +231,7 @@ def _coupled(harness, udp: bool):
             CS_PORT, MUX, CS_ISN, CLIENT_ISN + 1, SYN | ACK))))
     harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, CLIENT_ISN + 1,
                        CS_ISN + 1, ACK)
-    return harness.router.flows()[-1]
+    return newest_flow(harness.router)
 
 
 @pytest.mark.parametrize("kind,shape", sorted(EXPECT))
@@ -492,7 +492,7 @@ class _Delivery:
             "flows": [(str(r.orig), r.phase.value, r.c2s_packets,
                        r.s2c_packets, r.c2s_bytes, r.s2c_bytes,
                        r.client_fin, r.last_activity)
-                      for r in router.flows()],
+                      for r in self.harness.records],
             "table": router.flowtable.stats(),
         }
 

@@ -18,6 +18,7 @@ from repro.core.policy import (
     Rule,
 )
 from repro.farm import Farm, FarmConfig
+from tests.helpers import Admitted
 from tests.test_containment_end_to_end import (
     EXTERNAL_WEB_IP,
     http_fetch_image,
@@ -102,6 +103,7 @@ class TestInmateLifecycleFailures:
         http_server(web)
         image, results = http_fetch_image(delay=5.0)
         inmate = sub.create_inmate(image_factory=image, policy=AllowAll())
+        sub.router._by_mux = admitted = Admitted()
         farm.run(until=40)
         active_before = sub.router.active_flow_count()
         # Through the controller, as the architecture routes it — the
@@ -110,7 +112,7 @@ class TestInmateLifecycleFailures:
         farm.run(until=45)
         from repro.gateway.flows import FlowPhase
 
-        for record in sub.router.flows():
+        for record in admitted.records:
             if record.vlan == inmate.vlan:
                 assert record.phase in (FlowPhase.CLOSED, FlowPhase.DROPPED,
                                         FlowPhase.REFUSED), record

@@ -121,8 +121,8 @@ class TestKnobsChangeBehaviour:
             scanner = farm.add_external_host("scanner", "203.0.113.66")
             scanner.tcp.connect(sub.nat.global_for(inmate.vlan), 445)
             farm.run(until=90.0)
-            return [record for record in sub.router._flows
-                    if not record.inmate_is_originator]
+            return [entry for entry in sub.router.flow_log
+                    if not entry.inmate_is_originator]
 
         assert len(unsolicited(InboundMode.FORWARD)) == 1
         assert unsolicited(InboundMode.DROP) == []

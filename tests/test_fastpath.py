@@ -27,7 +27,7 @@ from repro.net.packet import (
     UDPDatagram,
 )
 from tests.golden import expected, wire_digest
-from tests.helpers import RouterHarness, TARGET_PORT, run_farm
+from tests.helpers import RouterHarness, TARGET_PORT, newest_flow, run_farm
 
 VLAN = 2
 SPORT = 40000
@@ -51,7 +51,7 @@ def wire_state(harness: RouterHarness) -> dict:
             (str(r.orig), r.phase.value, r.verdict_name,
              r.c2s_packets, r.s2c_packets, r.c2s_bytes, r.s2c_bytes,
              r.last_activity)
-            for r in harness.router.flows()
+            for r in harness.records
         ],
     }
 
@@ -210,7 +210,7 @@ def _reverdict_after_eviction(harness):
     harness.establish_flow(
         VLAN, SPORT, verdict=Verdict.DROP,
         client_isn=CLIENT_ISN + 77777, dst_isn=DST_ISN)
-    newest = harness.router.flows()[-1]
+    newest = newest_flow(harness.router)
     pump_tcp(harness, newest, rounds=3)
 
 
@@ -242,7 +242,7 @@ def test_reverdict_reinstalls_fresh_handlers():
     first_keys = [rule.key for rule in table.rules(first)]
     harness.establish_flow(VLAN, SPORT, verdict=Verdict.DROP,
                            client_isn=CLIENT_ISN + 5, dst_isn=DST_ISN)
-    second = harness.router.flows()[-1]
+    second = newest_flow(harness.router)
     assert second is not first
     assert not first.keys, "stale rows must not survive eviction"
     (handler,) = table.rules(second)

@@ -9,10 +9,12 @@ pin that against the seed-farm and campaign digests tracked in
 
 A deliberate re-pin is shown to have moved nothing else by putting the
 old behaviour back with a monkeypatch and reproducing the old pins,
-held here as constants: `V1_PINS` (the `gq.telemetry/1` snapshot) and
+held here as constants: `V1_PINS` (the `gq.telemetry/1` snapshot),
 `OLD_WIRE_PINS` (the endpoint that sent a pure ACK behind every
 delivery and every FIN, and the gateway that took the request shim
-out of a forwarded destination's acks).
+out of a forwarded destination's acks) and `OLD_TABLE_PINS` (the flow
+table that kept a finished flow until the idle sweep, and whose
+telemetry read its stats as of the last install or eviction).
 """
 
 from __future__ import annotations
@@ -23,16 +25,21 @@ import json
 import pytest
 
 from repro.core.policy import AllowAll
+from repro.experiments.registry import ARTEFACTS
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
-from repro.gateway import handoff
+from repro.fuzz.router import run_script
+from repro.fuzz.runner import QUICK_ROUTER_SCRIPTS
+from repro.gateway import handoff, housekeeping
+from repro.gateway.flows import FlowPhase
+from repro.gateway.flowtable import FlowTable
 from repro.net.http import echo
 from repro.net.packet import ACK, PROTO_TCP
 from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
 from tests import test_obs_parity
-from tests.golden import FARM_PINS, farm_pin, wire_digest
+from tests.golden import FARM_PINS, farm_pin, script_digests, wire_digest
 from tests.helpers import run_farm
 
 pytestmark = pytest.mark.integration
@@ -67,6 +74,174 @@ V1_PINS = [
           for key in ("digest", "events", "packets_relayed")}),
      "85835cfef3e0674fe5e2f59d10eebb0df833d705474f615cd6e0c4ce7a48c6b7"),
 ]
+
+
+# ----------------------------------------------------------------------
+# The table every pin up to retirement was recorded on
+# ----------------------------------------------------------------------
+def _sync(table) -> None:
+    table._synced = (table.occupancy, table.hits, table.misses,
+                     table.installs, table.timeout_idle, table.timeout_hard)
+
+
+@pytest.fixture
+def old_table(monkeypatch):
+    """Put back the flow table before retirement: a finished flow keeps
+    its keys, rules and slot until the idle sweep (a handoff its
+    destination resets is closed in place), and the ``flowtable.*``
+    instruments read the stats as of the table's last install,
+    demotion or eviction with rules."""
+    def unretired(router, record):
+        if record.phase is FlowPhase.HANDOFF:
+            record.phase = FlowPhase.CLOSED
+
+    monkeypatch.setattr(housekeeping, "retire", unretired)
+
+    init, stats = FlowTable.__init__, FlowTable.stats
+
+    def synced_init(self, name, telemetry=None):
+        init(self, name)
+        _sync(self)
+        if telemetry is not None and telemetry.enabled:
+            telemetry.gauge(
+                "flowtable.occupancy", "Installed flow-table entries"
+            ).register(lambda: float(self._synced[0]), subfarm=name)
+            for index, (metric, help, labels) in enumerate((
+                ("flowtable.hits", "Flow-table probe hits", {}),
+                ("flowtable.misses",
+                 "Flow-table misses (slow-path packets)", {}),
+                ("flowtable.installs", "Entries installed", {}),
+                ("flowtable.evictions.timeout", "Entries aged out",
+                 {"reason": "idle"}),
+                ("flowtable.evictions.timeout", "Entries aged out",
+                 {"reason": "hard"}),
+            ), 1):
+                telemetry.counter(metric, help).register(
+                    lambda index=index: self._synced[index],
+                    subfarm=name, **labels)
+
+    def synced_stats(self):
+        _sync(self)
+        return stats(self)
+
+    monkeypatch.setattr(FlowTable, "__init__", synced_init)
+    monkeypatch.setattr(FlowTable, "stats", synced_stats)
+    install, uninstall = handoff.install, handoff.uninstall
+    release = housekeeping.release
+
+    def synced_install(router, record):
+        install(router, record)
+        if record.installed:
+            _sync(router.flowtable)
+
+    def synced_uninstall(router, record, reason=None):
+        installed = record.installed
+        uninstall(router, record, reason)
+        if installed:
+            _sync(router.flowtable)
+
+    def synced_release(router, record):
+        rules = release(router, record)
+        if rules:
+            _sync(router.flowtable)
+        return rules
+
+    monkeypatch.setattr(handoff, "install", synced_install)
+    monkeypatch.setattr(handoff, "uninstall", synced_uninstall)
+    monkeypatch.setattr(housekeeping, "release", synced_release)
+
+
+def _old_script_digests(scripts: int) -> list:
+    """The router scripts' digests less ``flowtable.stats()``'s
+    ``retired``, which the old table did not count."""
+    digests = []
+    for seed in range(scripts):
+        state = run_script(seed)
+        assert state["table"].pop("retired") == 0
+        digests.append(wire_digest(state))
+    return digests
+
+
+def _scripts_digest() -> str:
+    """One digest over every router script's, in seed order."""
+    digests = _old_script_digests(len(script_digests()))
+    return hashlib.sha256(json.dumps(digests).encode()).hexdigest()
+
+
+def _fuzz_router_digest() -> str:
+    """``FUZZ_quick.json``'s ``router.digest``, as
+    :func:`repro.fuzz.runner.fuzz_router` folds it."""
+    rollup = hashlib.sha256()
+    for digest in _old_script_digests(QUICK_ROUTER_SCRIPTS):
+        rollup.update(digest.encode())
+    return rollup.hexdigest()
+
+
+def _fig7_report() -> str:
+    """``benchmarks/output/fig7_report.txt`` less the flow-table
+    section's ``retired`` column, which the old table did not have."""
+    row = ARTEFACTS["fig7-report"]
+    text = row.render(row.run(**row.defaults()))
+    text = text.replace(f"   retired {0:>6}", "")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: Every pin retirement and the live ``flowtable.*`` reads moved, as
+#: recorded before them: the fault-matrix cells (their snapshots carry
+#: ``flowtable.*``), the obs-parity corpus, the router scripts (their
+#: state folds ``flowtable.stats()``), the quick fuzz slice of them and
+#: the Figure 7 report (its flow-table section).
+OLD_TABLE_PINS = {
+    "fault/baseline/drop":
+        "98938331b0fa7d3b700733bb712e84ffc7f7d5d80e753c3f9257805035208a47",
+    "fault/baseline/forward":
+        "609d445fe50fc32a296959ee57ac2a390c39523a01ac2f3d3c57a8681e4b9143",
+    "fault/cs_crash/drop":
+        "4c64cb7f36da9d99e02772bcc410eba10ca111916361902c250ada1d08aad92d",
+    "fault/cs_crash/forward":
+        "4ea487aab5486ddff2896e02ad64a05de738b2d4e9c12e0024c047b421a37442",
+    "fault/cs_crash_restore/drop":
+        "8e9f3be1fa0c26e1a452769637f7d9cedeed4120f8943df8a235038d9dff5c0d",
+    "fault/cs_crash_restore/forward":
+        "75d919fd26f51435754b34a3c6d4ae73807dc78aef6ee1b2d3692de602fd2d06",
+    "fault/cs_hang/drop":
+        "5be22bb6902e5a53fe3b4698323de1310a978b62c86317187bf9354e3eba7b38",
+    "fault/cs_hang/forward":
+        "52be00ec57ca75f7ae3aed41cd7216dfb56ea5bb0b3a286274685efbb3c45870",
+    "fault/revert_fail/drop":
+        "266103032096ab79d3d330d74b228b2cee9d6132d7f98d40e834927d650475af",
+    "fault/revert_fail/forward":
+        "c841a8c3a232a6d6d81da3803ef9b4d537fa136c58839b8f38ff99b685669e76",
+    "fault/shim_degraded/drop":
+        "d4cf3c2d8731441b2178b5b87caa78398e8eac1aea1736418e91b635afa71c5e",
+    "fault/shim_degraded/forward":
+        "95572c922dba6237508164f18fbef762508b8d718c6b9b1c9d24cb13ea5740fd",
+    "obs": "3c6b0ce011faeff976f87479a56c53df28e8af56e26514ee2baf3ce0f8e73a8c",
+    "router_scripts":
+        "e518d2a1ec2a2a6106d9549df7540d636aab75b8dd9f48e059c4f1a1aa1107d7",
+    "fuzz/router":
+        "c9f49e133a849116fd7c05daf0b0c5d537abb6c2e5eec8469b8dad6c22bc530b",
+    "fig7_report":
+        "aa78bb1f677f08731d485410e8e2ec69fc8acc5c65dc3eff35fc082a2311627c",
+}
+
+
+def _old_table_producers() -> dict:
+    return {
+        **FARM_PINS,
+        "obs": _obs_corpus_digest,
+        "router_scripts": _scripts_digest,
+        "fuzz/router": _fuzz_router_digest,
+        "fig7_report": _fig7_report,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(OLD_TABLE_PINS))
+def test_pins_reconstruct_on_the_old_table(old_table, name):
+    """Retirement and the live ``flowtable.*`` reads moved what they
+    move and nothing else: with the old table put back, every pin they
+    moved reads as it was."""
+    assert _old_table_producers()[name]() == OLD_TABLE_PINS[name]
 
 
 # ----------------------------------------------------------------------
@@ -115,10 +290,11 @@ def _acking_handle_fin(self, segment):
 
 
 @pytest.fixture
-def old_wire(monkeypatch):
+def old_wire(monkeypatch, old_table):
     """Put back the endpoint that acked every delivery and every FIN
     with a segment of its own, and the ``tcp-d2c`` row that subtracted
-    the request shim from a forwarded destination's acks."""
+    the request shim from a forwarded destination's acks — on the
+    table those pins were recorded on."""
     monkeypatch.setattr(TcpConnection, "_process_payload",
                         _acking_process_payload)
     monkeypatch.setattr(TcpConnection, "_handle_fin", _acking_handle_fin)

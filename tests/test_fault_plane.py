@@ -19,6 +19,7 @@ from repro.experiments.fault_matrix import (
 )
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
+from repro.gateway.flows import FlowRecord
 from repro.parallel.campaign import Campaign, ShardSpec
 from repro.parallel.pool import run_campaign
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT
@@ -66,11 +67,17 @@ class TestLeakDetails:
         farm = build_fault_farm(11, **SMALL)
         (sub,) = farm.subfarms.values()
         assert _leak_details(farm, [sub]) == []
-        record = next(record for record in sub.router._flows
-                      if record.inmate_is_originator)
-        record.decision = decision
+        forwarded = next(entry for entry in sub.router.flow_log
+                         if entry.inmate_is_originator)
+        if decision is None:
+            # The flow as a live record still waiting for its verdict.
+            record = FlowRecord(forwarded.orig, forwarded.vlan, True,
+                                forwarded.timestamp, 1, 1)
+            sub.router._by_mux[record.mux_port] = record
+        else:
+            forwarded.policy = decision.policy
         assert _leak_details(farm, [sub]) == [{
-            "subfarm": sub.name, "vlan": record.vlan, "dst": TARGET_IP,
+            "subfarm": sub.name, "vlan": forwarded.vlan, "dst": TARGET_IP,
             "proto": "tcp", "dport": TARGET_PORT}]
 
 

@@ -29,11 +29,8 @@ from repro.net.packet import (
 from repro.net.http import echo
 from repro.net.link import Link, Port
 from repro.net.wirebatch import BatchOutput, WireBatch
-from repro.parallel.tasks import (
-    TARGET_IP,
-    TARGET_PORT,
-    _streaming_image,
-)
+from repro.parallel.tasks import TARGET_IP, TARGET_PORT
+from repro.services.dhcp import DhcpClient
 from repro.sim.engine import Simulator
 from tests.golden import expected, wire_digest
 from tests.helpers import RouterHarness, run_farm_flow_digest
@@ -54,7 +51,7 @@ def wire_state(harness: RouterHarness) -> dict:
             (str(r.orig), r.phase.value, r.verdict_name,
              r.c2s_packets, r.s2c_packets, r.c2s_bytes, r.s2c_bytes,
              r.last_activity)
-            for r in harness.router.flows()
+            for r in harness.records
         ],
     }
 
@@ -422,6 +419,31 @@ def test_flowtable_stats_and_snapshot():
         assert entry["hard_expires_at"] is None
 
 
+def _held_stream_image(rounds: int, chunk: int = 512):
+    """An inmate that ping-pongs ``rounds`` chunks with the echo host
+    and then holds its connection open: a finished flow leaves the
+    table, so only an open one has rules for a report to list."""
+    def image(host):
+        def configured(h):
+            def start():
+                conn = h.tcp.connect(IPv4Address(TARGET_IP), TARGET_PORT)
+                sent = [1]
+
+                def on_data(c, data):
+                    if sent[0] < rounds:
+                        sent[0] += 1
+                        c.send(b"x" * chunk)
+
+                conn.on_established = lambda c: c.send(b"x" * chunk)
+                conn.on_data = on_data
+
+            h.sim.schedule(1.0, start, label="stream-start")
+
+        DhcpClient(host, on_configured=configured).start()
+
+    return image
+
+
 def _report_of_streaming_farm(inmates):
     from repro.core.policy import AllowAll
     from repro.farm import Farm
@@ -432,7 +454,7 @@ def _report_of_streaming_farm(inmates):
     sub = farm.create_subfarm("tables")
     sub.set_default_policy(AllowAll())
     for _ in range(inmates):
-        sub.create_inmate(image_factory=_streaming_image(6))
+        sub.create_inmate(image_factory=_held_stream_image(6))
     farm.run(until=40.0)
     return sub, ActivityReport.from_subfarms([sub])
 

@@ -40,6 +40,7 @@ import workloads  # noqa: E402
 
 from repro.core.dsl import DslPolicy  # noqa: E402
 from repro.farm import Farm, FarmConfig  # noqa: E402
+from repro.gateway import housekeeping  # noqa: E402
 from repro.net.addresses import IPv4Address  # noqa: E402
 from repro.services.dhcp import DhcpClient  # noqa: E402
 from tests.helpers import python_calls  # noqa: E402
@@ -191,7 +192,7 @@ def _probe_router(router):
     return table, others
 
 
-def _assert_one_probe_per_packet(table, others, calls) -> int:
+def _assert_one_probe_per_packet(table, others, calls, released) -> int:
     entered = sum(calls[("router.py", name)] for name in
                   ("inmate_frame", "service_frame", "upstream_packet"))
     # Every packet that entered was looked up, once, with one ``get``;
@@ -200,18 +201,39 @@ def _assert_one_probe_per_packet(table, others, calls) -> int:
     # re-installed, and the opening packet's coupled row, by item.)
     assert table.reads["_lookup"] == entered
     assert set(table.reads) <= {"_lookup", "bind", "offer",
-                                "from_originator", "from_return"}
+                                "from_originator", "from_return", "unbind"}
     assert table.reads["offer"] <= others["_by_mux"].reads["allocate_slot"]
     assert (table.reads["from_originator"] + table.reads["from_return"]
             <= calls[("handoff.py", "install")])
-    # A flow is created under a free slot; nothing else reads a
-    # per-flow map on a packet's way.
-    assert set(others["_by_mux"].reads) <= {"allocate_slot"}
-    assert not others["_by_nonce"].reads and not others["_trace_ids"].reads
+    # A finished flow is released on the packet that finished it: one
+    # read per key it held, to take the key out.
+    assert table.reads["unbind"] == released["keys"]
+    # A flow is created under a free slot and gives it back at release;
+    # nothing else reads a per-flow map on a packet's way.
+    assert set(others["_by_mux"].reads) <= {"allocate_slot", "release"}
+    for name in ("_by_mux", "_by_nonce", "_trace_ids"):
+        assert others[name].reads["release"] == released["flows"]
+    assert set(others["_by_nonce"].reads) <= {"release"}
+    assert set(others["_trace_ids"].reads) <= {"release"}
     return entered
 
 
-def test_one_probe_per_packet_over_whole_fetches():
+def _count_releases(monkeypatch) -> Counter:
+    """How many flows ``housekeeping.release`` is handed from now on,
+    and how many flow-table keys they held between them."""
+    released: Counter = Counter()
+    release = housekeeping.release
+
+    def counted(router, record):
+        released["flows"] += 1
+        released["keys"] += len(record.keys)
+        return release(router, record)
+
+    monkeypatch.setattr(housekeeping, "release", counted)
+    return released
+
+
+def test_one_probe_per_packet_over_whole_fetches(monkeypatch):
     """SHIM, HANDOFF, ENFORCED and teardown, on a churn-shaped farm."""
     built = workloads.build_churn(seed=11, seconds=2.0, subfarms=1,
                                   inmates_per=12)
@@ -219,16 +241,23 @@ def test_one_probe_per_packet_over_whole_fetches():
     farm.run(until=40.0)
     (sub,) = farm.subfarms.values()
     table, others = _probe_router(sub.router)
+    released = _count_releases(monkeypatch)
     before = app.progress
     calls = python_calls(lambda: farm.run(until=52.0))
     assert app.correct == app.progress and app.progress - before >= 50
-    entered = _assert_one_probe_per_packet(table, others, calls)
+    entered = _assert_one_probe_per_packet(table, others, calls, released)
     stats = sub.router.flowtable.stats()
     assert entered >= 10 * (app.progress - before)   # eleven per fetch
     assert stats["hits"] and stats["misses"] and stats["installs"]
+    # Every fetch of the window that finished was released, by
+    # retirement: four keys apiece (both tuples, the server's leg, the
+    # destination's alias), its two rules with them.
+    assert released["flows"] >= app.progress - before - 12
+    assert released["keys"] == 4 * released["flows"]
+    assert stats["retired"] >= 2 * released["flows"]
 
 
-def test_one_probe_per_packet_for_drop_and_udp_reflect_probes():
+def test_one_probe_per_packet_for_drop_and_udp_reflect_probes(monkeypatch):
     target = IPv4Address("198.51.100.99")
 
     def image(host):
@@ -250,8 +279,12 @@ def test_one_probe_per_packet_for_drop_and_udp_reflect_probes():
     sub.create_inmate(image_factory=image)
     farm.run(until=34.0)
     table, others = _probe_router(sub.router)
+    released = _count_releases(monkeypatch)
     calls = python_calls(lambda: farm.run(until=40.0))
-    assert _assert_one_probe_per_packet(table, others, calls) >= 6
+    # Neither verdict retires its flow: the idle sweep releases it.
+    assert _assert_one_probe_per_packet(table, others, calls,
+                                        released) >= 6
+    assert not released
     assert [entry.verdict for entry in sub.router.flow_log] == [
         "DROP", "REFLECT"]
     assert sink.datagrams_received == 2   # held-and-replayed, then a hit

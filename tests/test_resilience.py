@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
+from tests.helpers import Admitted
 from tests.test_containment_end_to_end import (
     EXTERNAL_WEB_IP,
     http_fetch_image,
@@ -151,12 +152,13 @@ class TestFailover:
             [{"kind": "cs_crash", "at": 10.0, "server": 1,
               "restore_after": 40.0}],
             extra_cs=1, inmates=2, verdict_deadline=2.0)
+        sub.router._by_mux = admitted = Admitted()
         farm.run(until=120.0)
 
         primary, standby = sub.containment_servers
         assert standby.fault_state is not None
         assert primary.fault_state is None
-        homed = [record for record in sub.router.flows()
+        homed = [record for record in admitted.records
                  if sub.router._cs_list[record.vlan % 2] == standby.host.ip]
         assert homed and all(record.cs_ip == primary.host.ip
                              for record in homed)

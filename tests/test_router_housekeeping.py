@@ -5,13 +5,13 @@ A GQ deployment runs for years (the paper's did for six), so anything
 the router does per tick or per inmate revert must not grow with the
 flow history.  Scripted against the bare router (``RouterHarness``):
 ``expire_idle_flows`` / ``active_flow_count`` / ``forget_inmate`` walk
-the live demux table, evict in creation order and never touch the
-history list; every record idle past ``flow_idle_timeout`` — dropped
-and aborted flows as much as live ones — gives its ports and rows
-back, and a port space that is genuinely full refuses the flow instead
-of unwinding the event loop; a flow's UDP hold queue exists only while
-it is needed; and a stray on an ENFORCED flow's reversed originator
-tuple — a tuple the flow has a row for but no rule — is dropped.
+the live demux table and evict in creation order; every record idle
+past ``flow_idle_timeout`` — dropped and aborted flows as much as live
+ones — gives its ports and rows back, and a port space that is
+genuinely full refuses the flow instead of unwinding the event loop; a
+flow's UDP hold queue exists only while it is needed; and a stray on an
+ENFORCED flow's reversed originator tuple — a tuple the flow has a row
+for but no rule — is dropped.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.packet import (
     ACK,
     EthernetFrame,
+    FIN,
     IPv4Packet,
     PSH,
     RST,
@@ -32,7 +33,7 @@ from repro.net.packet import (
     UDPDatagram,
 )
 from repro.obs.journal import Journal
-from tests.helpers import RouterHarness, TARGET_IP, TARGET_PORT
+from tests.helpers import RouterHarness, TARGET_IP, TARGET_PORT, newest_flow
 
 VLAN = 2
 HISTORY, LIVE = 120, 5
@@ -47,16 +48,6 @@ class _CountingMux(dict):
         for record in super().values():
             self.visited += 1
             yield record
-
-
-class _NeverWalked(list):
-    """``_flows`` that fails the test if housekeeping iterates it."""
-
-    housekeeping = True
-
-    def __iter__(self):
-        assert not self.housekeeping, "walked the flow history"
-        return super().__iter__()
 
 
 def _aged_router(monkeypatch):
@@ -75,7 +66,6 @@ def _aged_router(monkeypatch):
         record.last_activity = -1000.0
     harness.drain()
     router._by_mux = mux = _CountingMux(router._by_mux)
-    router._flows = _NeverWalked(router._flows)
     evicted = []
     evict = housekeeping.evict
     monkeypatch.setattr(housekeeping, "evict", lambda router, record: (
@@ -89,7 +79,7 @@ def test_expiry_visits_only_records_that_still_hold_demux_state(monkeypatch):
     # The whole history — the dropped flows too — is gone from the
     # demux table.
     in_table = LIVE
-    assert len(mux) == in_table and len(router._flows) == HISTORY + LIVE
+    assert len(mux) == in_table
 
     assert router.active_flow_count() == LIVE
     assert mux.visited == in_table
@@ -112,7 +102,6 @@ def test_forget_inmate_evicts_the_inmates_live_flows_in_order(monkeypatch):
     assert mux.visited == 2 * LIVE
     assert router.active_flow_count() == 0
     # Their tuples are free again: the same five-tuple starts afresh.
-    router._flows.housekeeping = False
     again = harness.establish_flow(VLAN, 40000)
     assert again is not live[0] and again.phase is FlowPhase.ENFORCED
 
@@ -149,11 +138,14 @@ def test_terminal_flows_give_their_demux_state_back():
 
 
 def test_aborted_flows_are_reclaimed_like_any_other():
+    """A coupled (REWRITE) flow the client resets keeps its rows until
+    the idle sweep, like any flow that is not handed off."""
     harness = RouterHarness()
     router = harness.router
     inmate_ip = harness.nat.bind(VLAN)
     for index in range(100):
-        record = harness.establish_flow(VLAN, 30000 + index)
+        record = harness.establish_flow(VLAN, 30000 + index,
+                                        verdict=Verdict.REWRITE)
         harness.inmate_tcp(VLAN, inmate_ip, 30000 + index, TARGET_PORT,
                            2000, 9001, RST | ACK)
         assert record.phase is FlowPhase.CLOSED
@@ -183,9 +175,7 @@ def test_a_full_port_space_refuses_the_flow():
 
     inmate_ip = harness.nat.bind(VLAN)
     harness.inmate_tcp(VLAN, inmate_ip, 31000, TARGET_PORT, 1000, 0, SYN)
-    refused = router.flows()[-1]
-    assert refused.phase is FlowPhase.REFUSED and not refused.keys
-    assert router.counters["flows_refused"] == 1
+    assert router.counters["flows_refused"] == 1 and len(router._by_mux) == 8
     assert router.flow_log[-1].verdict == "REFUSED"
     assert harness.to_service == harness.to_vlan == harness.upstream == []
     (event,) = [event for event in router.journal.events()
@@ -195,7 +185,7 @@ def test_a_full_port_space_refuses_the_flow():
     # Housekeeping frees a slot; the retransmitted SYN is admitted.
     router.expire_idle_flows(max_idle=-1.0)
     harness.inmate_tcp(VLAN, inmate_ip, 31000, TARGET_PORT, 1000, 0, SYN)
-    assert router.flows()[-1].phase is FlowPhase.SHIM
+    assert newest_flow(router).phase is FlowPhase.SHIM
 
 
 def test_udp_hold_queue_exists_only_while_the_verdict_is_pending():
@@ -207,7 +197,7 @@ def test_udp_hold_queue_exists_only_while_the_verdict_is_pending():
 
     inmate_ip = harness.nat.bind(VLAN)
     harness.inmate_udp(VLAN, inmate_ip, 5353, TARGET_PORT, b"first")
-    record = router.flows()[-1]
+    record = newest_flow(router)
     harness.inmate_udp(VLAN, inmate_ip, 5353, TARGET_PORT, b"second")
     assert [held.payload for held in record.udp_pending] == [
         b"first", b"second"]
@@ -254,3 +244,218 @@ def test_stray_on_the_reversed_originator_tuple_is_dropped():
     router.upstream_packet(from_target(global_ip))
     (delivered,) = harness.to_vlan
     assert delivered.dst == inmate_ip and delivered.tcp.payload == b"stray"
+
+
+# ----------------------------------------------------------------------
+# Retirement: a handed-off TCP flow gives everything back as it closes
+# ----------------------------------------------------------------------
+CLIENT_ISN, CS_ISN, DST_ISN = 1000, 5000, 9000
+
+
+class _Ends:
+    """The two ends of a handed-off flow on a ``RouterHarness``: the
+    inmate (sequence space from ``CLIENT_ISN``, acking the containment
+    server's) and the enforced destination (from ``DST_ISN``)."""
+
+    def __init__(self, harness, record) -> None:
+        self.harness, self.record = harness, record
+        self.sport = record.orig.orig_port
+
+    def client(self, seq: int, ack: int, flags: int,
+               payload: bytes = b"") -> None:
+        self.harness.inmate_tcp(VLAN, self.record.orig.orig_ip, self.sport,
+                                TARGET_PORT, CLIENT_ISN + seq, CS_ISN + ack,
+                                flags, payload)
+
+    def destination(self, seq: int, ack: int, flags: int,
+                    payload: bytes = b"") -> None:
+        record = self.record
+        self.harness.router.upstream_packet(IPv4Packet(
+            record.dst_ip, record.nat_global,
+            TCPSegment(record.dst_port, self.sport, DST_ISN + seq,
+                       CLIENT_ISN + ack, flags, payload=payload)))
+
+
+def _forwarded(verdict=Verdict.FORWARD, rate=None):
+    harness = RouterHarness()
+    record = harness.establish_flow(VLAN, 40000, verdict=verdict, rate=rate,
+                                    client_isn=CLIENT_ISN, dst_isn=DST_ISN)
+    assert record.phase is FlowPhase.ENFORCED and record.installed
+    harness.drain()
+    return harness, record, _Ends(harness, record)
+
+
+def _retired(router, record, keys) -> bool:
+    """Whether the router holds nothing of ``record`` any more."""
+    gone = not any(router._table.get(key) is not None
+                   and router._table[key].record is record for key in keys)
+    free = record.mux_port not in router._by_mux
+    assert gone == free == (record.mux_port not in router._by_nonce
+                            and record.nonce_port not in router._by_nonce)
+    return gone
+
+
+def test_a_closed_forward_fetch_leaves_no_key_and_frees_its_slot():
+    harness, record, ends = _forwarded()
+    router = harness.router
+    keys = list(record.keys)
+    ends.client(1, 1, ACK | PSH, b"GET")
+    ends.destination(1, 4, ACK | PSH, b"200")
+    ends.client(4, 4, FIN | ACK)            # the inmate closes
+    ends.destination(4, 5, FIN | ACK)       # acked, and closed back
+    assert not _retired(router, record, keys)
+    ends.client(5, 5, ACK)                  # the last FIN acknowledged
+    assert _retired(router, record, keys)
+    assert record.phase is FlowPhase.CLOSED and not record.keys
+    # The final ACK went out first, translated into the destination's
+    # sequence space.
+    final = harness.upstream[-1].tcp
+    assert (final.flags, final.seq, final.ack) == (
+        ACK, CLIENT_ISN + 5, DST_ISN + 5)
+    stats = router.flowtable.stats()
+    assert stats["retired"] == 2 and stats["occupancy"] == 0
+    assert stats["installs"] == stats["retired"] + stats["evictions"]
+    assert not router.flowtable.entries and router.active_flow_count() == 0
+    # Nothing was journalled, counted or scheduled for it.
+    assert router.counters["flows_created"] == 1
+
+
+def test_both_peers_of_a_farm_fetch_finish_their_close():
+    """The packet that finishes a flow is relayed before the flow is
+    retired: the inmate reaches TIME_WAIT (or CLOSED once it expires)
+    and the web server, which closed second, CLOSED."""
+    from repro.core.policy import AllowAll
+    from repro.farm import Farm, FarmConfig
+    from repro.net.tcp import TcpState
+    from repro.services.dhcp import DhcpClient
+
+    farm = Farm(FarmConfig(seed=3))
+    web = farm.add_external_host("web", TARGET_IP)
+    ends = {}
+
+    def on_accept(conn):
+        ends["server"] = conn
+        conn.on_data = lambda c, data: c.send(b"pong")
+        conn.on_remote_close = lambda c: c.close()
+
+    web.tcp.listen(TARGET_PORT, on_accept)
+
+    def image(host):
+        def configured(h):
+            def fetch():
+                conn = ends["inmate"] = h.tcp.connect(
+                    IPv4Address(TARGET_IP), TARGET_PORT)
+                conn.on_established = lambda c: c.send(b"ping")
+                conn.on_data = lambda c, data: c.close()
+
+            h.sim.schedule(1.0, fetch, label="fetch")
+
+        DhcpClient(host, on_configured=configured).start()
+
+    sub = farm.create_subfarm("close")
+    sub.set_default_policy(AllowAll())
+    sub.create_inmate(image_factory=image)
+    farm.run(until=60.0)
+    done = (TcpState.TIME_WAIT, TcpState.CLOSED)
+    assert ends["inmate"].state in done
+    assert ends["server"].state is TcpState.CLOSED
+    router = sub.router
+    assert not router._by_mux and not router.flowtable.entries
+    assert router.flowtable.stats()["retired"] == 2
+
+
+def test_a_simultaneous_close_retires_once_both_fins_are_acked():
+    harness, record, ends = _forwarded()
+    router = harness.router
+    keys = list(record.keys)
+    ends.client(1, 1, FIN | ACK)    # the two FINs cross
+    ends.destination(1, 1, FIN | ACK)
+    assert not _retired(router, record, keys)
+    ends.client(2, 2, ACK)          # the destination's FIN acknowledged
+    assert not _retired(router, record, keys)
+    ends.destination(2, 2, ACK)     # and the inmate's
+    assert _retired(router, record, keys)
+    assert harness.to_vlan[-1].tcp.flags == ACK
+
+
+def test_an_rst_ended_flow_is_retired():
+    for side in ("client", "destination"):
+        harness, record, ends = _forwarded()
+        router = harness.router
+        keys = list(record.keys)
+        getattr(ends, side)(1, 1, RST | ACK)
+        assert _retired(router, record, keys), side
+        assert record.phase is FlowPhase.CLOSED
+    # The destination's reset reaches the inmate on its way out.
+    assert harness.to_vlan[-1].tcp.flags == RST | ACK
+
+
+def test_a_syn_on_a_retired_tuple_is_a_new_flow():
+    harness, record, ends = _forwarded()
+    router = harness.router
+    ends.client(1, 1, FIN | ACK)
+    ends.destination(1, 2, FIN | ACK)
+    ends.client(2, 2, ACK)
+    # The same tuple and ISN again: not the old flow's, a fresh one
+    # with its own verdict.
+    again = harness.establish_flow(VLAN, 40000, verdict=Verdict.DROP,
+                                   client_isn=CLIENT_ISN, dst_isn=DST_ISN)
+    assert again is not record and again.phase is FlowPhase.DROPPED
+    assert router.counters["flows_created"] == 2
+    assert [entry.verdict for entry in router.flow_log] == ["FORWARD",
+                                                           "DROP"]
+
+
+def test_a_stray_ack_on_a_retired_tuple_is_dropped():
+    harness, record, ends = _forwarded()
+    ends.client(1, 1, FIN | ACK)
+    ends.destination(1, 2, FIN | ACK)
+    ends.client(2, 2, ACK)
+    harness.drain()
+    before = dict(harness.router.counters)
+    ends.client(2, 2, ACK | PSH, b"late")
+    ends.destination(2, 2, ACK | PSH, b"late")
+    assert harness.to_vlan == harness.upstream == harness.to_service == []
+    assert harness.router.counters == before
+    assert not harness.router._by_mux
+
+
+def test_a_limited_flows_final_ack_still_reaches_the_world():
+    harness, record, ends = _forwarded(verdict=Verdict.LIMIT, rate=1000.0)
+    router = harness.router
+    keys = list(record.keys)
+    block = b"x" * 1460
+    ends.client(1, 1, ACK | PSH, block)     # the shaper's burst, spent
+    ends.client(1461, 1, ACK | PSH, block)
+    ends.client(2921, 1, FIN | ACK)
+    ends.destination(1, 2922, FIN | ACK)
+    ends.client(2922, 2, ACK)
+    assert _retired(router, record, keys)
+    assert not any(packet.tcp.flags == ACK and not packet.tcp.payload
+                   for packet in harness.upstream), "shaped: still held"
+    harness.sim.run(until=harness.sim.now + 30.0)
+    final = harness.upstream[-1].tcp
+    assert (final.flags, final.seq, final.ack) == (
+        ACK, CLIENT_ISN + 2922, DST_ISN + 2)
+
+
+def test_drop_udp_and_rewrite_flows_wait_for_the_idle_timeout():
+    harness = RouterHarness()
+    router = harness.router
+    inmate_ip = harness.nat.bind(VLAN)
+    dropped = harness.establish_flow(VLAN, 40000, verdict=Verdict.DROP)
+    rewritten = harness.establish_flow(VLAN, 40001, verdict=Verdict.REWRITE)
+    datagrams = harness.establish_udp_flow(VLAN, 40002)
+    for sport in (40000, 40001):
+        harness.inmate_tcp(VLAN, inmate_ip, sport, TARGET_PORT, 1001, 5001,
+                           FIN | ACK)
+        harness.inmate_tcp(VLAN, inmate_ip, sport, TARGET_PORT, 1002, 5002,
+                           ACK)
+    harness.inmate_tcp(VLAN, inmate_ip, 40001, TARGET_PORT, 1002, 5002,
+                       RST | ACK)
+    held = [dropped, rewritten, datagrams]
+    assert all(record.keys for record in held)
+    assert list(router._by_mux.values()) == held
+    harness.sim.run(until=harness.sim.now + router.flow_idle_timeout
+                    + 2 * router.housekeeping_interval)
+    assert not router._by_mux and not router.flowtable.entries

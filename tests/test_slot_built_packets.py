@@ -252,7 +252,8 @@ def _vlan_egress(learned):
 
 def _flowtable_apply(kind, seq_delta, ack_delta, flags):
     record = SimpleNamespace(last_activity=0.0, c2s_packets=0, c2s_bytes=0,
-                             s2c_packets=0, s2c_bytes=0, client_fin=False)
+                             s2c_packets=0, s2c_bytes=0, client_fin=False,
+                             closing=None)
     router = SimpleNamespace(sim=SimpleNamespace(now=3.0),
                              counters=Counter(), _legs=None)
     log = []
