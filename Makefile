@@ -74,9 +74,12 @@ trace-budget:
 # what a hop (send | receive_frame), an endpoint segment (10), a table
 # hit (7; 4 upstream), an echo round (at most 52) and an HTTP fetch (at
 # most 549) may cost in Python frames, one flow-table probe per packet
-# in every phase of a flow's life, no payload copy made by the send
-# path, and a journal digest whose peak does not grow with the journal.
-# Then what observing costs: the seed farm keeps its pinned digest with
+# in every phase of a flow's life (and one table read per key when a
+# finished flow is released), no payload copy made by the send path, a
+# journal digest whose peak does not grow with the journal, and a churn
+# farm that keeps no record, row or rule of a finished flow and at most
+# 1,500 bytes per finished fetch outside its traces (docs/PERFORMANCE.md,
+# "Flow memory").  Then what observing costs: the seed farm keeps its pinned digest with
 # the journal on and pins its journal digest, a fast-path pump journals
 # at most 8 events, a scan journals 4-5 events per flow and keeps its
 # digest with the journal on or off, Python frames entered in

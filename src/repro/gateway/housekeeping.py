@@ -37,8 +37,9 @@ def evict(router, record: FlowRecord) -> None:
     """Give a record's rows and ports back so its tuples can be
     reused, journalled; its installed rules count as evicted."""
     journal = router.journal
-    flow_id = router._trace_ids.get(record.mux_port)
-    if journal.enabled and flow_id is not None:
+    flow_id = (router._trace_ids.get(record.mux_port) if journal.enabled
+               else None)
+    if flow_id is not None:
         journal.record("flow.evicted", flow=flow_id, vlan=record.vlan,
                        phase=record.phase.value)
     rules = release(router, record)
