@@ -31,7 +31,7 @@ re-homed flow that has been resolved meanwhile (the shim used to be
 re-injected on the dead flow); only a flow under a REWRITE verdict gets
 a nonce leg (on a handed-off flow, a table miss from the enforced
 destination used to be mistaken for the nonce leg's return); and an
-evicted flow is only ever restarted, never answered.
+evicted or retired flow is only ever restarted, never answered.
 """
 
 from __future__ import annotations
@@ -314,8 +314,9 @@ class RouterScript:
         flow = rng.choice(live)
         size = rng.choice([0, 1, 64, 512])
         if self.router._by_mux.get(flow.record.mux_port) is not flow.record:
-            # Evicted (forget_inmate, isolation): all that is left to
-            # play on the tuple is a fresh start.  (Answering it from
+            # Evicted (forget_inmate, isolation) or retired (closed,
+            # reset): all that is left to play on the tuple is a fresh
+            # start.  (Answering it from
             # the far side instead would open the mirror-image inbound
             # flow, and two flows over one pair of tuples is a contest
             # no recording should pin.)

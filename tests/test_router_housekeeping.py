@@ -300,9 +300,12 @@ def test_a_closed_forward_fetch_leaves_no_key_and_frees_its_slot():
     router = harness.router
     keys = list(record.keys)
     ends.client(1, 1, ACK | PSH, b"GET")
-    ends.destination(1, 4, ACK | PSH, b"200")
-    ends.client(4, 4, FIN | ACK)            # the inmate closes
-    ends.destination(4, 5, FIN | ACK)       # acked, and closed back
+    ends.client(4, 1, FIN | ACK)            # the inmate closes its side
+    ends.destination(1, 5, ACK)             # acked; the other side open
+    ends.destination(1, 5, ACK | PSH, b"200")
+    ends.client(5, 4, ACK)
+    assert not _retired(router, record, keys)
+    ends.destination(4, 5, FIN | ACK)       # closed back
     assert not _retired(router, record, keys)
     ends.client(5, 5, ACK)                  # the last FIN acknowledged
     assert _retired(router, record, keys)
