@@ -36,6 +36,7 @@ from repro.gateway.flowtable import (
     ACT_TCP_CS2W,
     ACT_TCP_W2CS,
     ACT_UDP_C2CS,
+    CLOSE_RETIRE,
     EMIT_CS,
     EMIT_UPSTREAM,
     LEG_CS,
@@ -166,14 +167,12 @@ def from_originator(router, row: Row, packet: IPv4Packet) -> None:
         row = router._table[row.key]
     if phase not in LIVE_PHASES:
         return  # dropped or aborted: swallowed
-    if flags & RST:
+    if flags & RST and row.spec.close != CLOSE_RETIRE:
+        # A handed-off flow's reset is relayed below, ending the
+        # destination's side too, and finishes the flow (``apply``).
         record.c2s_packets += 1
         record.c2s_bytes += len(transport.payload)
         housekeeping.abort_flow(router, record, notify_client=False)
-        if (record.decision is not None
-                and not record.decision.verdict.is_content_control):
-            # Reset under an endpoint verdict: the flow is finished.
-            housekeeping.retire(router, record)
     elif phase is FlowPhase.ENFORCED:
         # Decided: forwarded by the flow's own rule and nothing
         # else, packet-in disabled.

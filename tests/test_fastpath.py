@@ -194,8 +194,8 @@ def _fin_and_rst(harness):
 
 
 def test_tcp_fin_and_rst_parity():
-    """FIN close rides the table entry; RST goes packet-in and aborts
-    the flow, exactly as the slow path did."""
+    """FIN close rides the table entry; RST goes packet-in, which
+    relays it to the destination and retires the flow."""
     check_golden("tcp-fin-and-rst")
 
 

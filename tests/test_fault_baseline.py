@@ -32,13 +32,19 @@ from repro.fuzz.router import run_script
 from repro.fuzz.runner import QUICK_ROUTER_SCRIPTS
 from repro.gateway import handoff, housekeeping
 from repro.gateway.flows import FlowPhase
-from repro.gateway.flowtable import FlowTable
+from repro.gateway.flowtable import (
+    ACT_TCP_C2D,
+    ACT_TCP_D2C,
+    CLOSE_NONE,
+    SPECS,
+    FlowTable,
+)
 from repro.net.http import echo
 from repro.net.packet import ACK, PROTO_TCP
 from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
-from tests import test_obs_parity
+from tests import test_fastpath, test_obs_parity
 from tests.golden import FARM_PINS, farm_pin, script_digests, wire_digest
 from tests.helpers import run_farm
 
@@ -90,12 +96,16 @@ def old_table(monkeypatch):
     its keys, rules and slot until the idle sweep (a handoff its
     destination resets is closed in place), and the ``flowtable.*``
     instruments read the stats as of the table's last install,
-    demotion or eviction with rules."""
+    demotion or eviction with rules.  A handed-off flow's rows track no
+    close, so the controller aborts a client's reset and swallows it."""
     def unretired(router, record):
         if record.phase is FlowPhase.HANDOFF:
             record.phase = FlowPhase.CLOSED
 
     monkeypatch.setattr(housekeeping, "retire", unretired)
+    for kind in (ACT_TCP_C2D, ACT_TCP_D2C):
+        monkeypatch.setitem(SPECS, kind, SPECS[kind]._replace(
+            close=CLOSE_NONE))
 
     init, stats = FlowTable.__init__, FlowTable.stats
 
@@ -189,8 +199,10 @@ def _fig7_report() -> str:
 #: Every pin retirement and the live ``flowtable.*`` reads moved, as
 #: recorded before them: the fault-matrix cells (their snapshots carry
 #: ``flowtable.*``), the obs-parity corpus, the router scripts (their
-#: state folds ``flowtable.stats()``), the quick fuzz slice of them and
-#: the Figure 7 report (its flow-table section).
+#: state folds ``flowtable.stats()``, and a reset handed-off flow is
+#: relayed and retired), the quick fuzz slice of them, the Figure 7
+#: report (its flow-table section) and the scripted client reset of
+#: ``router_wire.json``.
 OLD_TABLE_PINS = {
     "fault/baseline/drop":
         "98938331b0fa7d3b700733bb712e84ffc7f7d5d80e753c3f9257805035208a47",
@@ -223,6 +235,8 @@ OLD_TABLE_PINS = {
         "c9f49e133a849116fd7c05daf0b0c5d537abb6c2e5eec8469b8dad6c22bc530b",
     "fig7_report":
         "aa78bb1f677f08731d485410e8e2ec69fc8acc5c65dc3eff35fc082a2311627c",
+    "router_wire/tcp-fin-and-rst":
+        "d13bd05508a210f8bc8730262620ac8830a8cbd50b287ab0e11dd3fdaedefe0a",
 }
 
 
@@ -233,6 +247,8 @@ def _old_table_producers() -> dict:
         "router_scripts": _scripts_digest,
         "fuzz/router": _fuzz_router_digest,
         "fig7_report": _fig7_report,
+        "router_wire/tcp-fin-and-rst": lambda: wire_digest(
+            test_fastpath.GOLDEN["tcp-fin-and-rst"]()),
     }
 
 

@@ -382,15 +382,84 @@ def test_a_simultaneous_close_retires_once_both_fins_are_acked():
 
 
 def test_an_rst_ended_flow_is_retired():
-    for side in ("client", "destination"):
+    """Either end's reset goes on to the other, translated, and
+    finishes the flow: its rules count as retired, none as evicted."""
+    for side, relayed, translated in (
+            ("client", "upstream", (CLIENT_ISN + 1, DST_ISN + 1)),
+            ("destination", "to_vlan", (CS_ISN + 1, CLIENT_ISN + 1))):
         harness, record, ends = _forwarded()
         router = harness.router
         keys = list(record.keys)
         getattr(ends, side)(1, 1, RST | ACK)
         assert _retired(router, record, keys), side
         assert record.phase is FlowPhase.CLOSED
-    # The destination's reset reaches the inmate on its way out.
-    assert harness.to_vlan[-1].tcp.flags == RST | ACK
+        (reset,) = getattr(harness, relayed)
+        assert (reset.tcp.flags, reset.tcp.seq, reset.tcp.ack) == (
+            (RST | ACK,) + translated), side
+        assert harness.to_service == [], side
+        stats = router.flowtable.stats()
+        assert (stats["retired"], stats["evictions"]) == (2, 0), side
+
+
+def test_a_reset_reflected_flow_ends_at_the_sink_too():
+    """The inmate resets a flow reflected to a subfarm sink that keeps
+    talking: the reset reaches the sink, whose side closes, so nothing
+    the sink sends after reaches the inmate from the sink's own
+    address."""
+    from repro.core.policy import ReflectAll
+    from repro.farm import Farm, FarmConfig
+    from repro.net.tcp import TcpState
+    from repro.services.dhcp import DhcpClient
+
+    farm = Farm(FarmConfig(seed=3))
+    sub = farm.create_subfarm("reflect")
+    sink = sub.add_service_host("sink", accept_any_ip=True)
+    sub.register_service("sink", sink.ip, 0)
+    ends = {}
+
+    def on_accept(conn):
+        ends["sink"] = conn
+
+        def tick():
+            if conn.state is TcpState.ESTABLISHED:
+                conn.send(b"tick")
+                sink.sim.schedule(1.0, tick, label="tick")
+
+        sink.sim.schedule(1.0, tick, label="tick")
+
+    sink.tcp.listen_any(on_accept)
+
+    def image(host):
+        def configured(h):
+            def fetch():
+                conn = h.tcp.connect(IPv4Address(TARGET_IP), TARGET_PORT)
+                heard = []
+
+                def on_data(c, data):
+                    heard.append(data)
+                    if len(heard) == 3:
+                        ends["reset_at"] = h.sim.now
+                        c.abort()
+
+                conn.on_data = on_data
+
+            h.sim.schedule(1.0, fetch, label="fetch")
+
+        DhcpClient(host, on_configured=configured).start()
+
+    sub.set_default_policy(ReflectAll())
+    sub.create_inmate(image_factory=image)
+    farm.run(until=90.0)
+    assert "reset_at" in ends
+    assert ends["sink"].state is TcpState.CLOSED
+    router = sub.router
+    after = [rec for rec in router.trace.records
+             if rec.timestamp > ends["reset_at"] and rec.ip is not None
+             and rec.ip.src == sink.ip]
+    assert after == []
+    assert not router._by_mux and not router.flowtable.entries
+    stats = router.flowtable.stats()
+    assert (stats["retired"], stats["evictions"]) == (2, 0)
 
 
 def test_a_syn_on_a_retired_tuple_is_a_new_flow():
