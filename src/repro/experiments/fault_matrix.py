@@ -29,7 +29,8 @@ from typing import Dict, List, Optional
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.net.http import echo
-from repro.net.packet import PROTO_TCP
+from repro.net.addresses import IPv4Address
+from repro.net.packet import ACK, PROTO_TCP, SYN
 from repro.parallel import Campaign, ShardSpec, run_campaign
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _streaming_image
 
@@ -90,35 +91,74 @@ def _leak_details(farm, subs) -> List[dict]:
     leaking flow's (vlan, dst, proto) tuple so the matrix summary can
     name the path, not just count it.
 
-    The unverdicted flows are the flow log's refused and fail-closed
-    lines and the live records still without a decision."""
-    upstream = {rec.five_tuple
-                for rec in farm.gateway.upstream_trace.records}
+    Checked from the upstream side, which needs no record of a flow
+    once it is gone: every packet an inmate's NAT'd address sends on
+    an inmate-originated tuple must follow, on that tuple, a flow-log
+    line with a verdict that is neither a refusal nor the fail-closed
+    policy's, and each TCP incarnation of the tuple (an outgoing SYN
+    with a new sequence number) needs a line of its own.  A packet
+    without one is a leak, whether its flow is live, evicted, retired
+    or refused."""
+    outbound: Dict[tuple, list] = {}
+    for rec in farm.gateway.upstream_trace.records:
+        five = rec.five_tuple
+        if five is None:
+            continue
+        segment = rec.ip.payload
+        syn = (segment.seq if five.proto == PROTO_TCP
+               and segment.flags & (SYN | ACK) == SYN else None)
+        outbound.setdefault(five.as_key(), []).append((rec.timestamp, syn))
     leaks: List[dict] = []
     for sub in subs:
-        router = sub.router
-        unverdicted = [entry for entry in router.flow_log
-                       if entry.verdict == "REFUSED"
-                       or entry.policy == "fail-closed"]
-        unverdicted += [record for record in router._by_mux.values()
-                        if record.decision is None]
-        for flow in unverdicted:
-            if not flow.inmate_is_originator:
+        lines: Dict[tuple, list] = {}
+        answering = set()
+        for entry in sub.router.flow_log:
+            orig = entry.orig
+            if entry.inmate_is_originator:
+                nat_global = sub.nat.global_for(entry.vlan)
+                if nat_global is None:
+                    continue
+                key = (nat_global.value, orig.orig_port, orig.resp_ip.value,
+                       orig.resp_port, orig.proto)
+                lines.setdefault(key, []).append((
+                    entry.timestamp, entry.verdict != "REFUSED"
+                    and entry.policy != "fail-closed"))
+            else:
+                # The inmate answers an inbound flow: not checked.
+                answering.add(orig.reversed().as_key())
+        for key, packets in outbound.items():
+            vlan = sub.nat.vlan_for_global(IPv4Address(key[0]))
+            if (vlan is None or key in answering
+                    or not _unlicensed(lines.get(key, ()), packets)):
                 continue
-            nat_global = sub.nat.global_for(flow.vlan)
-            if nat_global is None:
-                continue
-            orig = flow.orig
-            if (nat_global, orig.orig_port, orig.resp_ip, orig.resp_port,
-                    orig.proto) in upstream:
-                leaks.append({
-                    "subfarm": sub.name,
-                    "vlan": flow.vlan,
-                    "dst": str(orig.resp_ip),
-                    "proto": "tcp" if orig.proto == PROTO_TCP else "udp",
-                    "dport": orig.resp_port,
-                })
+            leaks.append({
+                "subfarm": sub.name,
+                "vlan": vlan,
+                "dst": str(IPv4Address(key[2])),
+                "proto": "tcp" if key[4] == PROTO_TCP else "udp",
+                "dport": key[3],
+            })
     return leaks
+
+
+def _unlicensed(lines, packets) -> bool:
+    """Whether any of one tuple's outgoing ``(time, syn)`` packets
+    goes out without a flow-log line, of ``(time, permitted)``
+    ``lines``, that lets it (a line at the packet's own time counts)."""
+    index, permitted, fresh, isn, ok = 0, False, False, None, False
+    for time, syn in packets:
+        while index < len(lines) and lines[index][0] <= time:
+            permitted, fresh = lines[index][1], True
+            index += 1
+        if syn is not None and syn != isn:
+            # A new TCP incarnation: licensed by a line no earlier one
+            # took.
+            isn, ok, fresh = syn, permitted and fresh, False
+        elif isn is None:
+            ok = permitted
+        if not ok:
+            return True
+    return False
 
 
 def build_fault_farm(seed: int, scenario: str = "baseline",

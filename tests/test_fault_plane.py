@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.policy import AllowAll
 from repro.core.verdicts import ContainmentDecision
 from repro.experiments.fault_matrix import (
     QUICK_SCENARIOS,
@@ -19,10 +20,12 @@ from repro.experiments.fault_matrix import (
 )
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
-from repro.gateway.flows import FlowRecord
+from repro.gateway.flowtable import EMIT_UPSTREAM
+from repro.net.http import echo
+from repro.net.packet import SYN, IPv4Packet, TCPSegment
 from repro.parallel.campaign import Campaign, ShardSpec
 from repro.parallel.pool import run_campaign
-from repro.parallel.tasks import TARGET_IP, TARGET_PORT
+from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _streaming_image
 from tests.golden import FARM_PINS, farm_pin
 
 pytestmark = pytest.mark.integration
@@ -70,12 +73,53 @@ class TestLeakDetails:
         forwarded = next(entry for entry in sub.router.flow_log
                          if entry.inmate_is_originator)
         if decision is None:
-            # The flow as a live record still waiting for its verdict.
-            record = FlowRecord(forwarded.orig, forwarded.vlan, True,
-                                forwarded.timestamp, 1, 1)
-            sub.router._by_mux[record.mux_port] = record
+            # The flow as one that never got a verdict: no line.
+            sub.router.flow_log.remove(forwarded)
         else:
             forwarded.policy = decision.policy
+        assert _leak_details(farm, [sub]) == [{
+            "subfarm": sub.name, "vlan": forwarded.vlan, "dst": TARGET_IP,
+            "proto": "tcp", "dport": TARGET_PORT}]
+
+    def test_a_leak_of_a_flow_evicted_before_its_verdict_is_reported(self):
+        # The containment server hangs the whole run and no deadline
+        # closes the flow out, so it is still waiting for its verdict
+        # when a copy of its SYN is planted upstream.  Then its inmate
+        # is reverted: the flow is evicted with no verdict and no line,
+        # and the router holds nothing of it.
+        farm = Farm(FarmConfig(seed=11, fault_plan={"specs": [
+            {"kind": "cs_hang", "start": 0.0, "end": 1000.0}]}))
+        echo(farm.add_external_host("echo", TARGET_IP), TARGET_PORT)
+        sub = farm.create_subfarm("hung")
+        sub.set_default_policy(AllowAll())
+        sub.create_inmate(image_factory=_streaming_image(8))
+        farm.run(until=40.0)
+        router = sub.router
+        (record,) = router._by_mux.values()
+        assert record.decision is None
+        orig = record.orig
+        router._send((EMIT_UPSTREAM, None), IPv4Packet(
+            sub.nat.global_for(record.vlan), orig.resp_ip,
+            TCPSegment(orig.orig_port, orig.resp_port, record.client_isn,
+                       0, SYN)))
+        router.forget_inmate(record.vlan)
+        assert not router._by_mux and not router.flow_log
+        assert _leak_details(farm, [sub]) == [{
+            "subfarm": "hung", "vlan": record.vlan, "dst": TARGET_IP,
+            "proto": "tcp", "dport": TARGET_PORT}]
+
+    def test_a_new_incarnation_needs_its_own_verdict(self):
+        # A tuple whose first flow was forwarded, then reused by a flow
+        # with no verdict that got out: the first flow's line does not
+        # license the second's SYN.
+        farm = build_fault_farm(11, **SMALL)
+        (sub,) = farm.subfarms.values()
+        forwarded = next(entry for entry in sub.router.flow_log
+                         if entry.inmate_is_originator)
+        orig = forwarded.orig
+        sub.router._send((EMIT_UPSTREAM, None), IPv4Packet(
+            sub.nat.global_for(forwarded.vlan), orig.resp_ip,
+            TCPSegment(orig.orig_port, orig.resp_port, 4242, 0, SYN)))
         assert _leak_details(farm, [sub]) == [{
             "subfarm": sub.name, "vlan": forwarded.vlan, "dst": TARGET_IP,
             "proto": "tcp", "dport": TARGET_PORT}]
