@@ -49,9 +49,10 @@ fuzz-quick:
 # over the published decision surface must be CONTAINED with a
 # byte-stable certificate digest), the Figure 6 Botfarm, a worm
 # honeyfarm (its redirect an in-farm cell) and one fault-matrix
-# scenario cross-validated against its own runtime journal and flow
-# tables, and compile a model of every registered policy class
-# (docs/VERIFICATION.md).
+# scenario; cross-validate the golden run against its journal and
+# flow tables (it must leave evidence to check) and the scenario's
+# against its flow tables; and compile a model of every registered
+# policy class (docs/VERIFICATION.md).
 verify-quick:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \

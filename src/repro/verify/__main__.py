@@ -22,8 +22,11 @@ golden-seed farm twice, the Figure 6 Botfarm, a worm honeyfarm and one
 fault-matrix scenario; assert every certificate is CONTAINED, that the
 two golden runs produced the same certificate digest (the determinism
 claim, checked), that every registered policy class compiles a model
-(every policy declares) and that the honeyfarm's model redirects into
-the farm (a target picked per flow is still a published cell).
+(every policy declares), that the honeyfarm's model redirects into
+the farm (a target picked per flow is still a published cell), and
+that the golden run and the scenario's run are covered by their
+certificates, the golden run's journal giving its pass something to
+check.
 """
 
 from __future__ import annotations
@@ -150,13 +153,20 @@ def _cmd_quick(args) -> int:
                    farms[3]).subfarms[0].assignments
                for cell in model.outcomes):
         failures.append("WormHoneyfarm model has no in-farm REDIRECT cell")
-    # The proof against what the scenario's run (the last farm) did.
-    report = check_farm(scenario, farm)
-    print(f"  coverage {report.covered}/{report.checked} covered, "
-          f"{len(report.violations)} violation(s)")
-    if not report.ok:
-        failures.append(f"runtime coverage violations in {QUICK_SCENARIO}")
-        print(render_violations(report, farm.journal_snapshot()))
+    # The proofs against what the runs did.  The golden run journals
+    # every verdict, so its pass checks every flow however its rules
+    # ended; the scenario's run has no journal, and its pass sees only
+    # the rules of flows still open (a finished flow's are retired).
+    for label, cert, run in (("golden", golden_a, farms[0]),
+                             (QUICK_SCENARIO, scenario, farm)):
+        report = check_farm(cert, run)
+        print(f"  {label} coverage {report.covered}/{report.checked} "
+              f"covered, {len(report.violations)} violation(s)")
+        if not report.ok:
+            failures.append(f"runtime coverage violations in {label}")
+            print(render_violations(report, run.journal_snapshot()))
+        if label == "golden" and not report.checked:
+            failures.append("golden run left no runtime evidence")
 
     if failures:
         for failure in failures:

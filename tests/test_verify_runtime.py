@@ -49,14 +49,31 @@ def _talker(host) -> None:
     DhcpClient(host, on_configured=configured).start()
 
 
-def _active_farm(policy=None, seed=9, journal=True, **config):
+def _holder(host) -> None:
+    """A talker that keeps its connection open: a finished flow leaves
+    the flow table, so only an open one has rules to check."""
+    from repro.net.addresses import IPv4Address
+    from repro.services.dhcp import DhcpClient
+
+    def configured(h):
+        def talk():
+            conn = h.tcp.connect(IPv4Address(_WORLD_IP), _WORLD_PORT)
+            conn.on_established = lambda c: c.send(b"hello world")
+
+        h.sim.schedule(1.0, talk, label="talk")
+
+    DhcpClient(host, on_configured=configured).start()
+
+
+def _active_farm(policy=None, seed=9, journal=True, image=_talker,
+                 **config):
     """A farm whose inmate actually reaches the world, so runtime
     evidence (journal events, flow-table entries) exists."""
     farm = Farm(FarmConfig(seed=seed, journal=journal, **config))
     _echo(farm.add_external_host("echo", _WORLD_IP))
     sub = farm.create_subfarm("live")
     sub.set_default_policy(policy or AllowAll())
-    sub.create_inmate(image_factory=lambda host: _talker(host))
+    sub.create_inmate(image_factory=image)
     # Inmate boot + DHCP completes around t=31; run past it so the
     # talker's flow actually happens.
     farm.run(until=60.0)
@@ -123,25 +140,26 @@ class TestJournalCoverage:
 
 class TestFlowtableCoverage:
     def test_installed_upstream_entries_covered(self):
-        farm = _active_farm()
+        farm = _active_farm(image=_holder)
         cert = certify_farm(farm, label="fast")
         report = check_flowtables(cert, farm)
         assert report.ok
+        assert report.checked > 0
 
     def test_uncovered_entry_reported_with_port(self):
-        farm = _active_farm()
+        farm = _active_farm(image=_holder)
         deny = Farm(FarmConfig(seed=9))
         deny_sub = deny.create_subfarm("live")
         deny_sub.set_default_policy(DefaultDeny())
         deny.run(until=1.0)
         deny_cert = certify_farm(deny, label="deny")
         report = check_flowtables(deny_cert, farm)
-        if report.checked:  # fastpath installed at least one entry
-            assert not report.ok
-            violation = report.violations[0]
-            assert violation["source"] == "flowtable"
-            assert violation["dport"] == _WORLD_PORT
-            assert violation["dst"] == _WORLD_IP
+        assert report.checked  # the open flow's rules are installed
+        assert not report.ok
+        violation = report.violations[0]
+        assert violation["source"] == "flowtable"
+        assert violation["dport"] == _WORLD_PORT
+        assert violation["dst"] == _WORLD_IP
 
     def test_drop_rules_are_not_world_grants(self):
         # A DROP flow's installed rule has no egress: it swallows what
