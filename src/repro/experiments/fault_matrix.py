@@ -6,10 +6,13 @@ failover, fail-closed pending policy) under one named fault
 scenario from :data:`SCENARIOS`.  Every cell proves the fail-closed
 property in-shard two ways: an **isolation certificate**
 (:func:`repro.verify.certify_farm` — the static decision surface,
-fault windows included, each abstract flow classified once) and a
-runtime sweep (an unverdicted flow must never appear on the upstream
-trace; any that does is reported with its (vlan, dst, proto) tuple
-and checked against the certificate's grant table).  Because the fault plane
+fault windows included, each abstract flow classified once) and the
+wire check (:func:`repro.verify.check_wire`: a frame on the upstream
+trace that no verdict lets out, an unverdicted or fail-closed flow's,
+is an ``unlicensed`` violation, and one whose verdict no grant covers
+is ``uncovered``; each names its (vlan, dst, dport, proto) path).  A
+cell that handed a flow off but whose wire check checked nothing is a
+violation too: it would pass vacuously.  Because the fault plane
 draws all randomness from named RNG streams off the farm seed,
 identical seed + identical scenario ⇒ identical digest, which
 ``--quick`` asserts by running one cell twice.
@@ -29,8 +32,6 @@ from typing import Dict, List, Optional
 from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.net.http import echo
-from repro.net.addresses import IPv4Address
-from repro.net.packet import ACK, PROTO_TCP, SYN
 from repro.parallel import Campaign, ShardSpec, run_campaign
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _streaming_image
 
@@ -84,83 +85,6 @@ SCENARIOS: Dict[str, dict] = {
 QUICK_SCENARIOS = ("cs_crash", "shim_partition", "cs_hang")
 
 
-def _leak_details(farm, subs) -> List[dict]:
-    """Fail-closed property, runtime half: flows that never received a
-    verdict (or were closed out by the fail-closed pending policy)
-    must not appear upstream.  Each violation is returned with the
-    leaking flow's (vlan, dst, proto) tuple so the matrix summary can
-    name the path, not just count it.
-
-    Checked from the upstream side, which needs no record of a flow
-    once it is gone: every packet an inmate's NAT'd address sends on
-    an inmate-originated tuple must follow, on that tuple, a flow-log
-    line with a verdict that is neither a refusal nor the fail-closed
-    policy's, and each TCP incarnation of the tuple (an outgoing SYN
-    with a new sequence number) needs a line of its own.  A packet
-    without one is a leak, whether its flow is live, evicted, retired
-    or refused."""
-    outbound: Dict[tuple, list] = {}
-    for rec in farm.gateway.upstream_trace.records:
-        five = rec.five_tuple
-        if five is None:
-            continue
-        segment = rec.ip.payload
-        syn = (segment.seq if five.proto == PROTO_TCP
-               and segment.flags & (SYN | ACK) == SYN else None)
-        outbound.setdefault(five.as_key(), []).append((rec.timestamp, syn))
-    leaks: List[dict] = []
-    for sub in subs:
-        lines: Dict[tuple, list] = {}
-        answering = set()
-        for entry in sub.router.flow_log:
-            orig = entry.orig
-            if entry.inmate_is_originator:
-                nat_global = sub.nat.global_for(entry.vlan)
-                if nat_global is None:
-                    continue
-                key = (nat_global.value, orig.orig_port, orig.resp_ip.value,
-                       orig.resp_port, orig.proto)
-                lines.setdefault(key, []).append((
-                    entry.timestamp, entry.verdict != "REFUSED"
-                    and entry.policy != "fail-closed"))
-            else:
-                # The inmate answers an inbound flow: not checked.
-                answering.add(orig.reversed().as_key())
-        for key, packets in outbound.items():
-            vlan = sub.nat.vlan_for_global(IPv4Address(key[0]))
-            if (vlan is None or key in answering
-                    or not _unlicensed(lines.get(key, ()), packets)):
-                continue
-            leaks.append({
-                "subfarm": sub.name,
-                "vlan": vlan,
-                "dst": str(IPv4Address(key[2])),
-                "proto": "tcp" if key[4] == PROTO_TCP else "udp",
-                "dport": key[3],
-            })
-    return leaks
-
-
-def _unlicensed(lines, packets) -> bool:
-    """Whether any of one tuple's outgoing ``(time, syn)`` packets
-    goes out without a flow-log line, of ``(time, permitted)``
-    ``lines``, that lets it (a line at the packet's own time counts)."""
-    index, permitted, fresh, isn, ok = 0, False, False, None, False
-    for time, syn in packets:
-        while index < len(lines) and lines[index][0] <= time:
-            permitted, fresh = lines[index][1], True
-            index += 1
-        if syn is not None and syn != isn:
-            # A new TCP incarnation: licensed by a line no earlier one
-            # took.
-            isn, ok, fresh = syn, permitted and fresh, False
-        elif isn is None:
-            ok = permitted
-        if not ok:
-            return True
-    return False
-
-
 def build_fault_farm(seed: int, scenario: str = "baseline",
                      subfarms: int = 2, inmates: int = 3,
                      rounds: int = 30, duration: float = 120.0,
@@ -211,7 +135,7 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
     Same workload and digest recipe as
     :func:`repro.parallel.tasks.streaming_farm_shard`, plus: the
     scenario's fault plan installed, ``extra_cs`` standby containment
-    servers per subfarm, the certificate-backed leak check,
+    servers per subfarm, the certificate and the wire check,
     per-subfarm resilience summaries, and the rendered report's
     degradation section.  The payload's determinism digest predates
     the certificate fields, so certifying does not perturb replay
@@ -250,16 +174,15 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
                                  sort_keys=True).encode())
 
     from repro.reporting.report import ActivityReport, render_report
-    from repro.verify import certify_farm, check_farm
+    from repro.verify import certify_farm, check_wire
 
     certificate = certify_farm(farm, label=f"{scenario}/s{seed}")
-    coverage = check_farm(certificate, farm)
+    coverage = check_wire(certificate, farm)
 
     report = ActivityReport.from_subfarms(subs)
     report.attach_certificate(certificate, coverage=coverage.to_dict())
     rendered = render_report(report)
 
-    leak_flows = _leak_details(farm, subs)
     return {
         "seed": seed,
         "scenario": scenario,
@@ -271,8 +194,6 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
         },
         "counters": counters,
         "resilience": resilience,
-        "leaks": len(leak_flows),
-        "leak_flows": leak_flows,
         # The proof artifact rides in the payload (outside the replay
         # digest) so merge_results can fold shard certificates into
         # one campaign certificate.
@@ -333,18 +254,18 @@ def summarize(result) -> dict:
             continue
         payload = shard.payload
         certificate = payload.get("certificate") or {}
-        coverage = payload.get("coverage") or {}
+        coverage = payload["coverage"]
         cells[shard.label] = {
             "digest": payload["digest"],
             "flows_created": payload["metrics"]["flows_created"],
-            "leaks": payload["leaks"],
             "certificate": {
                 "result": certificate.get("result"),
                 "digest": certificate.get("digest"),
                 "grants": len(certificate.get("grants", [])),
             },
-            "coverage": {key: coverage.get(key, 0)
-                         for key in ("checked", "covered")},
+            "coverage": {"checked": coverage["checked"],
+                         "covered": coverage["covered"],
+                         "violations": len(coverage["violations"])},
             "degradation_reported": payload["degradation_reported"],
             "resilience": {
                 name: {key: summary[key] for key in
@@ -354,14 +275,6 @@ def summarize(result) -> dict:
                 for name, summary in payload["resilience"].items()
             },
         }
-        if payload["leaks"]:
-            paths = "; ".join(
-                f"(vlan={leak['vlan']}, dst={leak['dst']}:{leak['dport']}, "
-                f"proto={leak['proto']})"
-                for leak in payload.get("leak_flows", []))
-            violations.append(
-                f"{shard.label}: {payload['leaks']} unverdicted flow(s) "
-                f"leaked upstream{': ' + paths if paths else ''}")
         if certificate.get("result") not in (None, "CONTAINED"):
             path = (certificate.get("counterexample") or {}).get("path", {})
             violations.append(
@@ -369,12 +282,20 @@ def summarize(result) -> dict:
                 f"{certificate.get('result')} "
                 f"(src_vlan={path.get('src_vlan')}, dst={path.get('dst')}, "
                 f"proto={path.get('proto')})")
-        for entry in coverage.get("violations", []):
+        for entry in coverage["violations"]:
             violations.append(
-                f"{shard.label}: uncovered {entry.get('source')} "
-                f"observation (vlan={entry.get('vlan')}, "
-                f"dst={entry.get('destination') or entry.get('dst')}, "
-                f"proto={entry.get('proto')})")
+                f"{shard.label}: {entry['class']} frame upstream "
+                f"(vlan={entry['vlan']}, dst={entry['dst']}:{entry['dport']}, "
+                f"proto={entry['proto']})")
+        # Every handoff of this AllowAll workload replays a flow toward
+        # the world, so a cell that handed one off must have had
+        # something on the wire to check; one whose flows all failed
+        # closed or still wait for a verdict put nothing there.
+        if not coverage["checked"] and any(
+                sub_counters["handoffs"]
+                for sub_counters in payload["counters"].values()):
+            violations.append(
+                f"{shard.label}: wire check checked nothing")
         if not payload["degradation_reported"]:
             violations.append(
                 f"{shard.label}: report missing degradation section")

@@ -391,34 +391,6 @@ class FlowTable:
     def expired_entries(self, now: float) -> List[FlowEntry]:
         return [entry for entry in self.rules() if entry.expired(now)]
 
-    def world_grants(self) -> List[dict]:
-        """Every installed rule that emits toward the upstream trunk,
-        as abstract ``(vlan, proto, dport, verdict)`` tuples.
-
-        This is the compiled-plane evidence the isolation verifier
-        checks against a certificate's grant table: an upstream-emitting
-        entry outside any certified grant is a leak in the *installed*
-        rules even if no packet has hit it yet (the P4Control stance —
-        verify what was compiled, not just what was decided).  A rule
-        with no egress swallows what it matches (a DROP flow's,
-        ``EMIT_NONE``): it emits nowhere.
-        """
-        grants = []
-        for entry in sorted(self.rules(),
-                            key=lambda e: (e.installed_at, e.key)):
-            if entry.emit_code != EMIT_UPSTREAM or entry.egress is None:
-                continue
-            record = entry.record
-            grants.append({
-                "vlan": record.vlan,
-                "proto": entry.key[4],
-                "dport": entry.out_dport,
-                "dst": str(entry.dst_ip),
-                "verdict": record.verdict_name,
-                "kind": entry.spec.name,
-            })
-        return grants
-
 
 def apply(router, row: Rewrite, packet: IPv4Packet,
           packet_in: bool = True) -> None:

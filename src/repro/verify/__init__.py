@@ -15,9 +15,9 @@ obligation:
    per-shard certificates merge deterministically into a campaign
    certificate);
 3. :mod:`repro.verify.runtime` cross-validates the static proof
-   against runtime evidence — every world-reaching journal verdict and
-   every installed upstream flow-table entry must be covered by a
-   certificate grant.
+   against runtime evidence — every frame an inmate sent upstream must
+   follow a flow-log line that lets it out, and that line must be
+   covered by a certificate grant at the frame's port.
 
 CLI: ``python -m repro.verify certify`` / ``check`` / ``--quick``.
 Semantics, schema, and known abstraction gaps: docs/VERIFICATION.md.
@@ -44,8 +44,8 @@ from repro.verify.runtime import (
     CoverageReport,
     GrantIndex,
     check_farm,
-    check_flowtables,
     check_journal,
+    check_wire,
     render_violations,
 )
 
@@ -62,8 +62,8 @@ __all__ = [
     "canonical_digest",
     "certify_farm",
     "check_farm",
-    "check_flowtables",
     "check_journal",
+    "check_wire",
     "compile_farm",
     "compile_policy",
     "merge_certificates",

@@ -13,9 +13,9 @@ LEAKY (the minimal counterexample prints with the leaking (src-vlan,
 dst, proto) path).
 
 ``check`` certifies and then cross-validates the certificate against
-the same run's runtime evidence: journal coverage plus installed
-flow-table coverage.  Exit 0 when both the certificate and the
-coverage pass are clean.
+the same run's wire: every frame an inmate sent upstream must follow
+a flow-log line that lets it out, covered by a grant at its port.
+Exit 0 when both the certificate and the wire check are clean.
 
 ``quick`` is the CI gate behind ``make verify-quick``: certify the
 golden-seed farm twice, the Figure 6 Botfarm, a worm honeyfarm and one
@@ -24,9 +24,8 @@ two golden runs produced the same certificate digest (the determinism
 claim, checked), that every registered policy class compiles a model
 (every policy declares), that the honeyfarm's model redirects into
 the farm (a target picked per flow is still a published cell), and
-that the golden run and the scenario's run are covered by their
-certificates, the golden run's journal giving its pass something to
-check.
+that what the golden run and the scenario's run put on the wire is
+covered by their certificates, each run's check checking something.
 """
 
 from __future__ import annotations
@@ -153,10 +152,8 @@ def _cmd_quick(args) -> int:
                    farms[3]).subfarms[0].assignments
                for cell in model.outcomes):
         failures.append("WormHoneyfarm model has no in-farm REDIRECT cell")
-    # The proofs against what the runs did.  The golden run journals
-    # every verdict, so its pass checks every flow however its rules
-    # ended; the scenario's run has no journal, and its pass sees only
-    # the rules of flows still open (a finished flow's are retired).
+    # The proofs against what the runs put on the wire; a run that
+    # put nothing there would pass vacuously.
     for label, cert, run in (("golden", golden_a, farms[0]),
                              (QUICK_SCENARIO, scenario, farm)):
         report = check_farm(cert, run)
@@ -165,8 +162,8 @@ def _cmd_quick(args) -> int:
         if not report.ok:
             failures.append(f"runtime coverage violations in {label}")
             print(render_violations(report, run.journal_snapshot()))
-        if label == "golden" and not report.checked:
-            failures.append("golden run left no runtime evidence")
+        if not report.checked:
+            failures.append(f"{label} run left no runtime evidence")
 
     if failures:
         for failure in failures:

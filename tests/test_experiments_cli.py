@@ -130,16 +130,18 @@ class TestCli:
 
         def leaky(**params):
             payload = real(**params)
-            payload["leaks"] = 1
-            payload["leak_flows"] = [{"vlan": 2, "dst": "203.0.113.80",
-                                      "dport": 7, "proto": "tcp"}]
+            payload["coverage"]["violations"].append({
+                "source": "wire", "class": "unlicensed", "subfarm": "s",
+                "vlan": 2, "dst": "203.0.113.80", "dport": 7,
+                "proto": "tcp", "reason": "planted"})
             return payload
 
         monkeypatch.setattr(fault_matrix, "fault_farm_shard", leaky)
         assert main(quick) == 1
         captured = capsys.readouterr()
-        assert any("leaked upstream" in violation for violation
-                   in json.loads(captured.out)["violations"])
+        assert any("unlicensed frame upstream (vlan=2, "
+                   "dst=203.0.113.80:7, proto=tcp)" in violation
+                   for violation in json.loads(captured.out)["violations"])
         assert "fault-matrix: 3 violation(s)" in captured.err
 
 

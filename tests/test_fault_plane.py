@@ -14,9 +14,9 @@ from repro.core.policy import AllowAll
 from repro.core.verdicts import ContainmentDecision
 from repro.experiments.fault_matrix import (
     QUICK_SCENARIOS,
-    _leak_details,
     build_fault_farm,
     fault_farm_shard,
+    summarize,
 )
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
@@ -26,6 +26,7 @@ from repro.net.packet import SYN, IPv4Packet, TCPSegment
 from repro.parallel.campaign import Campaign, ShardSpec
 from repro.parallel.pool import run_campaign
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _streaming_image
+from repro.verify import certify_farm, check_wire
 from tests.golden import FARM_PINS, farm_pin
 
 pytestmark = pytest.mark.integration
@@ -39,24 +40,32 @@ class TestScenarios:
     @pytest.mark.parametrize("scenario", QUICK_SCENARIOS)
     def test_quick_scenario_fails_closed(self, scenario):
         payload = fault_farm_shard(seed=11, scenario=scenario, **SMALL)
-        assert payload["leaks"] == 0
-        assert payload["leak_flows"] == []
         assert payload["degradation_reported"]
-        # The in-shard leak check is certificate-backed: the static
-        # proof must be CONTAINED and the runtime evidence covered.
+        # The in-shard check is certificate-backed: the static proof
+        # must be CONTAINED and the wire neither unlicensed nor
+        # uncovered.
         assert payload["certificate"]["result"] == "CONTAINED"
         assert payload["coverage"]["violations"] == []
 
     def test_cs_slow_still_verdicts(self):
         payload = fault_farm_shard(seed=11, scenario="shim_degraded",
                                    **SMALL)
-        assert payload["leaks"] == 0
+        assert payload["coverage"]["violations"] == []
 
     def test_crash_scenario_records_failover(self):
         payload = fault_farm_shard(seed=11, scenario="cs_crash", **SMALL)
         resilience = payload["resilience"]
         assert any(s["failovers"] >= 1 or s["fail_closed"] >= 1
                    for s in resilience.values())
+
+
+def _unlicensed(farm):
+    """The wire check's ``unlicensed`` violations of ``farm``, by path."""
+    report = check_wire(certify_farm(farm), farm)
+    return [{key: violation[key] for key in
+             ("subfarm", "vlan", "dst", "proto", "dport")}
+            for violation in report.violations
+            if violation["class"] == "unlicensed"]
 
 
 class TestLeakDetails:
@@ -69,7 +78,7 @@ class TestLeakDetails:
         # says must never get there.
         farm = build_fault_farm(11, **SMALL)
         (sub,) = farm.subfarms.values()
-        assert _leak_details(farm, [sub]) == []
+        assert _unlicensed(farm) == []
         forwarded = next(entry for entry in sub.router.flow_log
                          if entry.inmate_is_originator)
         if decision is None:
@@ -77,7 +86,7 @@ class TestLeakDetails:
             sub.router.flow_log.remove(forwarded)
         else:
             forwarded.policy = decision.policy
-        assert _leak_details(farm, [sub]) == [{
+        assert _unlicensed(farm) == [{
             "subfarm": sub.name, "vlan": forwarded.vlan, "dst": TARGET_IP,
             "proto": "tcp", "dport": TARGET_PORT}]
 
@@ -104,7 +113,7 @@ class TestLeakDetails:
                        0, SYN)))
         router.forget_inmate(record.vlan)
         assert not router._by_mux and not router.flow_log
-        assert _leak_details(farm, [sub]) == [{
+        assert _unlicensed(farm) == [{
             "subfarm": "hung", "vlan": record.vlan, "dst": TARGET_IP,
             "proto": "tcp", "dport": TARGET_PORT}]
 
@@ -120,9 +129,30 @@ class TestLeakDetails:
         sub.router._send((EMIT_UPSTREAM, None), IPv4Packet(
             sub.nat.global_for(forwarded.vlan), orig.resp_ip,
             TCPSegment(orig.orig_port, orig.resp_port, 4242, 0, SYN)))
-        assert _leak_details(farm, [sub]) == [{
+        assert _unlicensed(farm) == [{
             "subfarm": sub.name, "vlan": forwarded.vlan, "dst": TARGET_IP,
             "proto": "tcp", "dport": TARGET_PORT}]
+
+
+class TestSummary:
+    def test_a_cell_that_forwarded_and_checked_nothing_is_a_violation(self):
+        from types import SimpleNamespace
+
+        seen = fault_farm_shard(seed=11, scenario="cs_crash", **SMALL)
+        assert seen["coverage"]["checked"] > 0
+        blind = dict(seen, coverage={"checked": 0, "covered": 0,
+                                     "violations": []})
+        # Every flow of a partitioned cell fails closed: nothing goes
+        # out, so there is nothing to check.
+        closed = fault_farm_shard(seed=11, scenario="shim_partition",
+                                  **SMALL)
+        assert closed["coverage"]["checked"] == 0
+        result = SimpleNamespace(digest="", merged={}, shard_results=[
+            SimpleNamespace(ok=True, label=label, payload=payload)
+            for label, payload in (("seen", seen), ("blind", blind),
+                                   ("closed", closed))])
+        assert summarize(result)["violations"] == [
+            "blind: wire check checked nothing"]
 
 
 class TestDeterminism:
@@ -143,7 +173,7 @@ class TestDeterminism:
         baseline = fault_farm_shard(seed=11, scenario="baseline", **SMALL)
         chaos = fault_farm_shard(seed=11, scenario="cs_crash", **SMALL)
         assert baseline["digest"] != chaos["digest"]
-        assert baseline["leaks"] == 0
+        assert baseline["coverage"]["violations"] == []
 
 
 class TestLifecycleFaults:
@@ -151,7 +181,7 @@ class TestLifecycleFaults:
         payload = fault_farm_shard(seed=11, scenario="revert_fail",
                                    subfarms=1, inmates=2, rounds=8)
         assert payload["lifecycle"]["retries"] >= 1
-        assert payload["leaks"] == 0
+        assert payload["coverage"]["violations"] == []
 
     def test_exhausted_retry_budget_abandons_inmate(self):
         farm = Farm(FarmConfig(
