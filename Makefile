@@ -2,7 +2,7 @@ PYTHON ?= python
 WORKERS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test chaos-quick fuzz-quick verify-quick trace-budget budget ledger-test ledger-selftest paper examples loc
+.PHONY: test chaos-quick fuzz-quick verify-quick trace-budget budget ledger-test ledger-selftest ledger-pairs paper examples loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -81,14 +81,17 @@ trace-budget:
 # journal digest whose peak does not grow with the journal, and a churn
 # farm that keeps no record, row or rule of a finished flow and at most
 # 1,500 bytes per finished fetch outside its traces (docs/PERFORMANCE.md,
-# "Flow memory").  Then what observing costs: the seed farm keeps its pinned digest with
-# the journal on and pins its journal digest, a fast-path pump journals
-# at most 8 events, a scan journals 4-5 events per flow and keeps its
-# digest with the journal on or off, Python frames entered in
-# repro/obs/metrics.py stay within 0.058 per simulator event on the
-# observed scan, and within 2.53 per flow with telemetry off and 2.75
-# with it on over a flow workload (at least 20 instruments reading),
-# and in repro/obs/ within 16 per journaled flow.  Last, the
+# "Flow memory"), and a small scan that holds nothing after its probes
+# but its dropped datagram flows.  Then what observing costs: the seed
+# farm keeps its pinned digest with the journal on and pins its journal
+# digest, a fast-path pump journals at most 8 events, a scan journals
+# three events for a TCP DROP and four for every other flow and keeps
+# its digest with the journal on or off, Python frames entered in
+# repro/obs/metrics.py stay within 2.196 per flow on the observed scan
+# (0.058 per event of its 47,408 events over 1,252 flows), and within
+# 2.53 per flow with telemetry off and 2.75 with it on over a flow
+# workload (at least 20 instruments reading), and in repro/obs/ within
+# 16 per journaled flow.  Last, the
 # frames-by-file table behind the fetch and the echo round
 # (docs/PERFORMANCE.md, "The gateway kernel" and "Trace memory";
 # docs/OBSERVABILITY.md, "Overhead").
@@ -109,6 +112,19 @@ ledger-test:
 
 ledger-selftest:
 	$(PYTHON) benchmarks/ledger/run.py --selftest
+
+# Alternating ledger pairs of two revisions, each run from a fresh
+# `git archive` tree: every end-to-end metric's medians, quartiles and
+# wins; exits 1 on any run that is not correct (benchmarks/pairs.py).
+# `make ledger-pairs WORKLOAD=flow_churn PAIRS=4 BASE=HEAD~1 SEED=12`.
+WORKLOAD ?= scan_journaled
+PAIRS ?= 10
+BASE ?= HEAD~1
+CHANGE ?= HEAD
+SEED ?= 11
+ledger-pairs:
+	$(PYTHON) benchmarks/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) \
+		--base $(BASE) --change $(CHANGE) --seed $(SEED)
 
 # The paper gate: regenerate Table 1, Figures 1-7 and the case studies
 # (every row of repro.experiments.registry.ARTEFACTS that is not a

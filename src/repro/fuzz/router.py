@@ -24,14 +24,13 @@ and ``python -m repro.fuzz --quick`` to the first hundred
 What the scripts stay clear of, so that a recording outlives the
 changes it is there to check: a script spans under 600 virtual seconds
 (no record is ever idle past ``flow_idle_timeout`` at a housekeeping
-tick, like every tracked run); a containment server never speaks on a
-flow whose handoff has completed (that segment used to be shifted by
-the *destination's* ISN delta), nor completes the handshake of a
-re-homed flow that has been resolved meanwhile (the shim used to be
-re-injected on the dead flow); only a flow under a REWRITE verdict gets
-a nonce leg (on a handed-off flow, a table miss from the enforced
-destination used to be mistaken for the nonce leg's return); and an
-evicted or retired flow is only ever restarted, never answered.
+tick, like every tracked run); a containment server never completes
+the handshake of a re-homed flow that has been resolved meanwhile (the
+shim used to be re-injected on the dead flow); only a flow under a
+REWRITE verdict gets a nonce leg (on a handed-off flow, a table miss
+from the enforced destination used to be mistaken for the nonce leg's
+return); and an evicted or retired flow is only ever restarted, never
+answered.
 """
 
 from __future__ import annotations
@@ -216,9 +215,8 @@ class RouterScript:
         ``"verdict"`` (the response shim, ``size`` bytes of content
         behind it), ``"junk"`` (no shim at all) or stray TCP flags."""
         record = flow.record
-        if (record.dst_isn is not None and record.cs_isn is not None
-                and not flow.udp) or (kind == "synack" and record.decision
-                                      and record.cs_handshake_replay):
+        if kind == "synack" and record.decision \
+                and record.cs_handshake_replay:
             return
         seq, body, flags = flow.cs_isn + 100, b"s" * size, kind
         if kind == "synack":

@@ -9,9 +9,9 @@ first packet (``c2cs_row`` / ``cs_row``: the only place their
 translation is written down); the controller handlers here do the
 bookkeeping — buffer for the handoff replay, inject and strip the
 shims, learn ISNs, parse the verdict — and run each packet through its
-row.  Also here: the server's onward (nonce) leg, the teardown of its
-leg, and the router-built segments toward the client that go with a
-verdict.  Plain functions over ``(router, record)``.
+row.  Also here: the server's onward (nonce) leg, its leaving the path
+(``uncouple``), and the router-built segments that go with a verdict.
+Plain functions over ``(router, record)``.
 """
 
 from __future__ import annotations
@@ -70,17 +70,27 @@ def couple(router, record: FlowRecord) -> None:
     """Bind the coupled legs — originator to the flow's containment
     server, every server of the cluster back on the flow's mux port
     — from the record's present state: at creation, when the
-    request shim goes in, at a failover re-home."""
+    request shim goes in, at a failover re-home, at a REWRITE verdict
+    (the response shim has come out, a shaper may have gone in)."""
     router.flowtable.bind(c2cs_row(router, record))
-    bind_cs_legs(router, record)
-
-
-def bind_cs_legs(router, record: FlowRecord) -> None:
-    """The servers' side of the coupling alone — all the verdict still
-    has to refresh: the response shim has come out, a shaper may have
-    gone in."""
     for cs_ip in router._cs_list:
         router.flowtable.bind(cs_row(router, record, cs_ip))
+
+
+def uncouple(router, record: FlowRecord) -> None:
+    """Take the servers off the flow's path: their keys leave."""
+    for cs_ip in router._cs_list:
+        key = cs_key(router, record, cs_ip)
+        if router._table.pop(key, None) is not None:
+            record.keys.remove(key)
+
+
+def cs_key(router, record: FlowRecord, cs_ip: IPv4Address) -> tuple:
+    """Server ``cs_ip``'s flow key on the flow's mux port."""
+    orig = record.orig
+    port = router.cs_udp_port if orig.proto == PROTO_UDP else \
+        router.cs_tcp_port
+    return (cs_ip.value, port, orig.orig_ip.value, record.mux_port, orig.proto)
 
 
 def c2cs_row(router, record: FlowRecord) -> Rewrite:
@@ -111,12 +121,11 @@ def cs_row(router, record: FlowRecord, cs_ip: IPv4Address) -> Row:
     out, the request shim out of the ack.  A datagram from the
     server is parsed, never relayed: its row names the leg only."""
     orig = record.orig
+    key = cs_key(router, record, cs_ip)
     if orig.proto == PROTO_UDP:
-        return Row((cs_ip.value, router.cs_udp_port, orig.orig_ip.value,
-                    record.mux_port, PROTO_UDP), record, LEG_CS)
+        return Row(key, record, LEG_CS)
     return handoff.compile_row(
-        router, record, (cs_ip.value, router.cs_tcp_port, orig.orig_ip.value,
-                         record.mux_port, PROTO_TCP), LEG_CS, ACT_TCP_CS2C,
+        router, record, key, LEG_CS, ACT_TCP_CS2C,
         orig.resp_port, orig.orig_port, orig.resp_ip, orig.orig_ip,
         handoff.client_plan(record), shaped=True,
         seq_delta=(-record.s2c_rem) & 0xFFFFFFFF,
@@ -215,12 +224,11 @@ def inject_request_shim(router, record: FlowRecord) -> None:
 # Containment-server leg: learn its ISN, strip the response shim
 # ----------------------------------------------------------------------
 def from_cs(router, row: Row, packet: IPv4Packet) -> None:
-    """A containment server on the flow's mux port.  This leg never
-    refreshes last_activity, whatever the flow's phase; what the
+    """A containment server on the mux port of a flow still coupled
+    to it.  This leg never refreshes last_activity; what the
     controller does not consume — an RST, the SYN-ACK of a replayed
     handshake, the response shim, a close without one — is relayed
-    through the row, a late segment after an endpoint verdict
-    included."""
+    through the row."""
     record = row.record
     if packet.proto != PROTO_TCP:
         handle_cs_udp(router, record, packet)
@@ -229,13 +237,9 @@ def from_cs(router, row: Row, packet: IPv4Packet) -> None:
     flags = segment.flags
     if flags & RST:
         # The containment server aborted (or acknowledged our own
-        # teardown); surface as reset to the client if still coupled.
+        # teardown); surface as reset to the client.
         record.s2c_packets += 1
-        if record.phase is FlowPhase.SHIM or (
-            record.decision is not None
-            and record.decision.verdict.is_content_control
-        ):
-            housekeeping.abort_flow(router, record, notify_client=True)
+        housekeeping.abort_flow(router, record, notify_client=True)
         return
     if flags & (SYN | ACK) == SYN | ACK and record.cs_isn is None:
         record.cs_isn = segment.seq

@@ -15,7 +15,7 @@ journey through containment:
    the path, exactly as §5.4 prescribes ("the gateway alone enforces
    endpoint control, conserving resources on the containment server").
    REWRITE flows stay coupled to the containment server for life.
-3. ``DROPPED`` / ``REFUSED`` — terminal.
+3. ``DROPPED`` / ``REFUSED`` — terminal (a TCP DROP's resets end it).
 
 The sequence-number bookkeeping matches Figure 5:
 
@@ -63,7 +63,7 @@ class FlowRecord:
 
     The router holds a record only while the flow holds keys in its
     flow table (``SubfarmRouter._by_mux``): a TCP flow under an endpoint
-    verdict gives it up the moment it finishes, any other at its idle
+    verdict gives it up as it ends on the wire, any other at its idle
     eviction.  What outlives it is its line in the flow log.  Slotted,
     because a busy farm holds thousands at once.
     """

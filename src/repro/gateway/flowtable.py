@@ -2,12 +2,13 @@
 
 The table is the router's one per-packet lookup structure.  Every flow
 key a live flow answers to — the originator tuple, its reverse, the
-mux-port leg of every containment server of the cluster, the enforced
-destination's return alias, both directions of a nonce leg — is bound
-to a :class:`Row` naming the flow and the *leg* the key is, and, where
-that leg's packets are relayed at all, a :class:`Rewrite`: pure data —
-ports, an address pair, sequence-number deltas, a resolved egress —
-interpreted by the one executor in this module, :func:`apply`.
+mux-port leg of every containment server of a coupled flow, the
+enforced destination's return alias, both directions of a nonce leg —
+is bound to a :class:`Row` naming the flow and the *leg* the key is,
+and, where that leg's packets are relayed at all, a :class:`Rewrite`:
+pure data — ports, an address pair, sequence-number deltas, a resolved
+egress — interpreted by the one executor in this module,
+:func:`apply`.
 Rules-as-data is what lets a row be inspected, journaled, dumped
 (examples/flowtable_dump.py), aged out on the virtual clock and
 re-installed on the next table miss.
@@ -67,10 +68,9 @@ ACT_TCP_CS2C = 3   # coupled, containment server -> originator
 ACT_UDP_C2D = 4
 ACT_UDP_D2C = 5
 ACT_UDP_C2CS = 6   # coupled UDP request leg (the shim is the payload prefix)
-ACT_DROP_TCP = 7
-ACT_DROP_UDP = 8
-ACT_TCP_CS2W = 9   # nonce leg: the server's onward connection -> the world
-ACT_TCP_W2CS = 10  # nonce leg, return path
+ACT_DROP_UDP = 7
+ACT_TCP_CS2W = 8   # nonce leg: the server's onward connection -> the world
+ACT_TCP_W2CS = 9   # nonce leg, return path
 
 # Legs: which party a key's packets come from, i.e. which controller
 # handler takes a packet no installed rule did (SubfarmRouter._legs).
@@ -136,9 +136,6 @@ SPECS = {
                           None, False, CLOSE_NONE),
     ACT_UDP_C2CS: KindSpec("udp-c2cs", PROTO_UDP, 0, True, True,
                            "shims_injected", False, CLOSE_NONE),
-    # A SYN on a dropped tuple may be a new incarnation of the flow.
-    ACT_DROP_TCP: KindSpec("drop-tcp", PROTO_TCP, SYN, None, True,
-                           None, False, CLOSE_NONE),
     ACT_DROP_UDP: KindSpec("drop-udp", PROTO_UDP, 0, None, True,
                            None, False, CLOSE_NONE),
     # The nonce leg is NAT only; like the mux-port leg, what the server

@@ -2,7 +2,8 @@
 
 ``apply_decision`` records the verdict and fixes the flow's forwarding.
 REWRITE keeps the flow coupled: the coupled rows become its rules.
-Every other verdict takes the containment server out of the path: the
+Every other verdict takes the containment server out of the path; a TCP
+DROP, reset both ways, ends there and is released.  Otherwise the
 enforced destination is resolved into a *destination plan*, the
 originator's SYN and buffered payload are replayed along it
 (``begin_handoff`` / ``complete_handoff``), and the flow's legs are
@@ -28,7 +29,6 @@ from repro.gateway.flows import (
     TokenBucket,
 )
 from repro.gateway.flowtable import (
-    ACT_DROP_TCP,
     ACT_DROP_UDP,
     ACT_TCP_C2D,
     ACT_TCP_D2C,
@@ -65,7 +65,8 @@ def apply_decision(router, record: FlowRecord,
                    decision: ContainmentDecision,
                    leftover: bytes = b"") -> None:
     """Decide and install: record the verdict, fix the flow's
-    forwarding, compile it into table entries."""
+    forwarding, compile it into table entries.  Nothing a server sends
+    after an endpoint verdict reaches the client."""
     record.decision = decision
     router.flow_log.append(FlowLogEntry(router.sim.now, record))
     record_verdict(router, record, decision)
@@ -74,14 +75,13 @@ def apply_decision(router, record: FlowRecord,
 
     if verdict.is_content_control:
         # Content control: stay coupled to the containment server —
-        # the coupled rows, as the record stands now (the response
-        # shim out, maybe a shaper in), become its rules.
+        # the coupled rows, as the record stands now, become its rules.
         record.phase = FlowPhase.ENFORCED
         record.udp_pending = None
         if tcp and decision.rate is not None:
             record.shaper = TokenBucket(decision.rate)
         if tcp:
-            coupling.bind_cs_legs(router, record)
+            coupling.couple(router, record)
         if leftover and tcp:
             coupling.deliver_cs_content(router, record, leftover)
         elif leftover:
@@ -93,16 +93,17 @@ def apply_decision(router, record: FlowRecord,
     if verdict.is_limited and decision.rate is not None:
         record.shaper = TokenBucket(decision.rate)
     if tcp:
-        # The server leaves the path, but what it still sends on
-        # the flow's mux port keeps its translation (the response
-        # shim is out now) until the flow's rows are reclaimed.
-        coupling.bind_cs_legs(router, record)
+        coupling.uncouple(router, record)
+        coupling.teardown_cs_leg(router, record)
     if endpoint == Verdict.DROP:
         record.phase = FlowPhase.DROPPED
         record.udp_pending = None
-        coupling.teardown_cs_leg(router, record)
         coupling.synthesize_client_rst(router, record)
-        install(router, record)
+        if tcp:
+            # Both resets are out: the flow has ended on the wire.
+            housekeeping.release(router, record)
+        else:
+            install(router, record)
         return
 
     # FORWARD / LIMIT / REDIRECT / REFLECT: resolve destination,
@@ -129,7 +130,6 @@ def apply_decision(router, record: FlowRecord,
             record.dst_port = record.orig.resp_port
 
     classify_destination(router, record)
-    coupling.teardown_cs_leg(router, record)
     # The destination's return alias, to the controller until the
     # handoff completes and the rules go in.
     router.flowtable.bind(Row(dst_alias(router, record), record, LEG_RETURN))
@@ -412,10 +412,9 @@ def compile_rewrite(router, record: FlowRecord):
 
 
 def compile_dropped(router, record: FlowRecord):
-    """Terminal-phase rule: touch and swallow (no egress), except
-    TCP SYNs which may be a new incarnation of the tuple."""
+    """A dropped datagram flow's rule: touch and swallow (no egress).
+    (A TCP DROP ends on the wire at its verdict and is released.)"""
     orig = record.orig
-    kind = ACT_DROP_TCP if orig.proto == PROTO_TCP else ACT_DROP_UDP
-    return [Rewrite(record.orig_key, record, LEG_ORIGINATOR, kind,
+    return [Rewrite(record.orig_key, record, LEG_ORIGINATOR, ACT_DROP_UDP,
                     orig.orig_port, orig.resp_port, orig.orig_ip,
                     orig.resp_ip)]

@@ -1,16 +1,16 @@
 """Housekeeping: giving a flow's rows and ports back (§5.1).
 
 A TCP flow under an endpoint verdict leaves the table the moment it
-finishes (``retire``: both FINs acknowledged, or an RST).  Any flow
-leaves it when its tuple starts over (a new incarnation), its inmate
-is reverted, hostile bytes arrive on it, or it has been idle past
-``flow_idle_timeout`` — whatever its phase (``evict``); its rules are
-demoted sooner, when an idle or hard timeout passes or the flow
-aborts.  Both go through ``release``, after which the router holds
-nothing of the flow.  The periodic tick arms itself while records hold
-rows and goes quiet with them.  (``SubfarmRouter.sweep_flowtable`` /
-``expire_idle_flows`` / ``forget_inmate`` are the entry points.)
-Plain functions over ``(router, record)``.
+ends on the wire (``retire``: both FINs acknowledged, or an RST; a
+DROP at its verdict).  Any flow leaves it when its tuple starts over
+(a new incarnation), its inmate is reverted, hostile bytes arrive on
+it, or it has been idle past ``flow_idle_timeout`` — whatever its
+phase (``evict``); its rules are demoted sooner, when an idle or hard
+timeout passes or the flow aborts.  All go through ``release``, after
+which the router holds nothing of the flow.  The periodic tick arms
+itself while records hold rows and goes quiet with them.  (The router's
+``sweep_flowtable`` / ``expire_idle_flows`` / ``forget_inmate`` are the
+entry points.)  Plain functions over ``(router, record)``.
 """
 
 from __future__ import annotations

@@ -24,11 +24,11 @@ TCP containment walk-through (Figure 5, REWRITE case):
 4. REWRITE flows stay coupled to the server (content control); the
    server may open an onward connection through its nonce port, which
    the router NATs to the inmate's global address so the real target
-   sees the inmate.  All other verdicts are *handed off*: the router
-   replays the original SYN (plus any buffered payload) toward the
-   enforced destination, aborts the containment-server leg, and
-   translates sequence numbers between the two server ISNs for the
-   rest of the flow's life.
+   sees the inmate.  All other verdicts take the server off the path
+   and abort its leg; a TCP DROP ends there.  The rest are *handed
+   off*: the router replays the original SYN (plus any buffered
+   payload) toward the enforced destination and translates sequence
+   numbers between the two server ISNs for the rest of the flow's life.
 
 Division of labour (docs/PERFORMANCE.md, "The flow table and the
 controller"): every relayed packet is rewritten by data — each leg of a
@@ -291,10 +291,11 @@ class SubfarmRouter:
         if ip.value not in self._cs_links:
             self._link_cs(ip)
             self._cs_list.append(ip)
-            # Any server of the cluster may come to answer a live
+            # Any server of the cluster may come to answer a coupled
             # flow's mux port (failover re-homes pending flows).
             for record in self._by_mux.values():
-                self.flowtable.bind(coupling.cs_row(self, record, ip))
+                if coupling.cs_key(self, record, record.cs_ip) in self._table:
+                    self.flowtable.bind(coupling.cs_row(self, record, ip))
 
     def _select_cs(self, vlan: int) -> IPv4Address:
         """The one server selector.  Sticky: the same server always
@@ -499,19 +500,20 @@ class SubfarmRouter:
 
     def _service_frame_inner(self, frame) -> None:
         packet = frame.payload
-        # The containment server's mux-port leg is in the table from
-        # the flow's first packet (coupling.couple), so _lookup finds
-        # it like any other leg.
+        # A coupled flow's mux-port legs are rows like any other.
         if not isinstance(packet, IPv4Packet) or self._lookup(packet):
             return
-        # The server's onward (nonce) leg has no key until the router
-        # has learned the target from its first packet, which is
-        # matched by its source port.
-        if packet.proto == PROTO_TCP and packet.src.value in self._cs_links:
-            record = self._by_nonce.get(packet.payload.sport)
+        # A server's onward (nonce) leg has no key until the router has
+        # learned the target from its first packet, matched by its
+        # source port.  Anything else a server sends is on no flow (or
+        # on one whose verdict took the server off its path): dropped,
+        # never shown to an inmate.
+        if packet.src.value in self._cs_links:
+            record = (self._by_nonce.get(packet.payload.sport)
+                      if packet.proto == PROTO_TCP else None)
             if record is not None:
                 coupling.open_nonce_leg(self, record, packet)
-                return
+            return
         # Stateless service traffic: replies to inmates, service-to-
         # service chatter, or service-originated outbound (DNS
         # recursion, banner grabs) which rides the control-network NAT.

@@ -1,10 +1,10 @@
 """The one flow-table executor, kind by kind and delivery by delivery.
 
 ``test_executor_table`` drives ``flowtable.apply`` with five segment
-shapes against a row of each of the eleven action kinds and checks, per
+shapes against a row of each of the ten action kinds and checks, per
 packet, everything the executor may do: the emitted bytes, the flow's
 accounting, the router counter, and whether the packet went to the
-controller instead.  Nine kinds are met as installed rules; the coupled
+controller instead.  Eight kinds are met as installed rules; the coupled
 ones are met a second time as what they are before the verdict — the
 same rows, not installed, every packet a packet-in that the controller
 runs through the row itself (deltas 0 until the request shim has gone
@@ -122,8 +122,6 @@ KINDS = {
     "udp-c2cs": (Verdict.REWRITE, True,
                  (INMATE, SPORT, TARGET, TARGET_PORT),
                  ("to_service", INMATE, MUX, CS, CS_PORT)),
-    "drop-tcp": (Verdict.DROP, False,
-                 (INMATE, SPORT, TARGET, TARGET_PORT), None),
     "drop-udp": (Verdict.DROP, True,
                  (INMATE, SPORT, TARGET, TARGET_PORT), None),
 }
@@ -180,12 +178,8 @@ EXPECT = {
     ("udp-d2c", "data"): (None, None, "s2c", False, True, None),
     ("udp-c2cs", "data"): (None, None, "c2s", False, True,
                            "shims_injected"),
-    # A dropped tuple swallows everything but a SYN (new incarnation?).
-    ("drop-tcp", "data"): SWALLOW,
-    ("drop-tcp", "ackless"): SWALLOW,
-    ("drop-tcp", "fin"): SWALLOW,
-    ("drop-tcp", "syn"): PACKET_IN,
-    ("drop-tcp", "rst"): SWALLOW,
+    # A dropped datagram flow's tuple swallows.  (A TCP DROP ends at
+    # its verdict and leaves no rule.)
     ("drop-udp", "data"): SWALLOW,
     # The nonce leg is NAT: nothing moves but addresses and ports, and
     # the flow's own accounting does not see it.  Only what comes back

@@ -206,11 +206,11 @@ def _reverdict_after_eviction(harness):
     pump_tcp(harness, record, rounds=3)
     # Same five-tuple, new ISN: port reuse after close.  The old
     # record is evicted mid-establishment and the new flow draws a
-    # DROP this time.
-    harness.establish_flow(
+    # DROP this time, which ends it on the wire: what the client
+    # sends after is a mid-flow packet of no flow.
+    newest = harness.establish_flow(
         VLAN, SPORT, verdict=Verdict.DROP,
         client_isn=CLIENT_ISN + 77777, dst_isn=DST_ISN)
-    newest = newest_flow(harness.router)
     pump_tcp(harness, newest, rounds=3)
 
 
@@ -218,6 +218,13 @@ def test_reverdict_after_eviction_parity():
     """A new SYN incarnation evicts the flow (and its entries); the
     re-contained flow can land on a different verdict."""
     check_golden("reverdict-after-eviction")
+    harness = RouterHarness(seed=7)
+    _reverdict_after_eviction(harness)
+    (first, second) = harness.records
+    assert [entry.verdict for entry in harness.router.flow_log] == [
+        "FORWARD", "DROP"]
+    assert not first.keys and not second.keys
+    assert not harness.router._by_mux and not harness.router._table
 
 
 def test_evicted_handlers_are_uninstalled():
@@ -227,7 +234,9 @@ def test_evicted_handlers_are_uninstalled():
     table = harness.router.flowtable
     assert len(table.rules(record)) == 2 and record.installed
     bound = list(record.keys)
-    assert len(bound) >= 4   # both tuples, the server's leg, the alias
+    # Both tuples and the alias: the server's leg went at the verdict.
+    assert len(bound) == 3 and record.cs_ip.value not in [
+        key[0] for key in bound]
     housekeeping.evict(harness.router, record)
     for key in bound:
         assert key not in table.entries
@@ -240,16 +249,26 @@ def test_reverdict_reinstalls_fresh_handlers():
                                    dst_isn=DST_ISN)
     table = harness.router.flowtable
     first_keys = [rule.key for rule in table.rules(first)]
-    harness.establish_flow(VLAN, SPORT, verdict=Verdict.DROP,
-                           client_isn=CLIENT_ISN + 5, dst_isn=DST_ISN)
-    second = newest_flow(harness.router)
-    assert second is not first
+    second = harness.establish_flow(VLAN, SPORT, verdict=Verdict.LIMIT,
+                                    rate=4000.0, client_isn=CLIENT_ISN + 5,
+                                    dst_isn=DST_ISN)
+    assert second is not first and second is newest_flow(harness.router)
     assert not first.keys, "stale rows must not survive eviction"
-    (handler,) = table.rules(second)
-    assert table.entries[handler.key] is handler
+    handlers = table.rules(second)
+    assert len(handlers) == 2 and all(handler.shaped
+                                      for handler in handlers)
+    for handler in handlers:
+        assert table.entries[handler.key] is handler
     # The orig-tuple key is shared between incarnations; the live
     # handler must belong to the newest record.
-    assert handler.key in first_keys
+    assert first_keys[0] == handlers[0].key == second.orig_key
+    # A third incarnation that draws a DROP ends at its verdict: it
+    # leaves no handler, and takes the second's with it.
+    third = harness.establish_flow(VLAN, SPORT, verdict=Verdict.DROP,
+                                   client_isn=CLIENT_ISN + 9,
+                                   dst_isn=DST_ISN)
+    assert not second.keys and not third.keys
+    assert not table.rules() and not harness.router._by_mux
 
 
 def test_pumped_packets_bypass_slow_dispatch():

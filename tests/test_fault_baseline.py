@@ -12,9 +12,14 @@ old behaviour back with a monkeypatch and reproducing the old pins,
 held here as constants: `V1_PINS` (the `gq.telemetry/1` snapshot),
 `OLD_WIRE_PINS` (the endpoint that sent a pure ACK behind every
 delivery and every FIN, and the gateway that took the request shim
-out of a forwarded destination's acks) and `OLD_TABLE_PINS` (the flow
+out of a forwarded destination's acks), `OLD_TABLE_PINS` (the flow
 table that kept a finished flow until the idle sweep, and whose
-telemetry read its stats as of the last install or eviction).
+telemetry read its stats as of the last install or eviction) and
+`OLD_PATH_PINS` (the gateway that kept the containment server on a
+flow's path after an endpoint verdict and a TCP DROP until the idle
+sweep, and let a server's frame on no flow out raw).  Each older
+fixture stands on the newer ones, since its pins were recorded before
+them too.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from repro.core.policy import AllowAll
 from repro.experiments.registry import ARTEFACTS
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
-from repro.fuzz.router import run_script
+from repro.core.verdicts import Verdict
+from repro.fuzz.router import RouterScript, run_script
 from repro.fuzz.runner import QUICK_ROUTER_SCRIPTS
-from repro.gateway import handoff, housekeeping
+from repro.gateway import admission, coupling, handoff, housekeeping
 from repro.gateway.flows import FlowPhase
 from repro.gateway.flowtable import (
     ACT_TCP_C2D,
@@ -38,9 +44,12 @@ from repro.gateway.flowtable import (
     CLOSE_NONE,
     SPECS,
     FlowTable,
+    KindSpec,
 )
+from repro.gateway.router import SubfarmRouter
+from repro.net.addresses import IPv4Address
 from repro.net.http import echo
-from repro.net.packet import ACK, PROTO_TCP
+from repro.net.packet import ACK, IPv4Packet, PROTO_TCP, RST, SYN
 from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
@@ -83,6 +92,220 @@ V1_PINS = [
 
 
 # ----------------------------------------------------------------------
+# The path every pin up to the server leaving it was recorded on
+# ----------------------------------------------------------------------
+#: The ``drop-tcp`` kind: a dropped TCP tuple's rule swallowed all but
+#: a SYN, which might be a new incarnation of the flow.
+DROP_TCP = max(SPECS) + 1
+DROP_TCP_SPEC = KindSpec("drop-tcp", PROTO_TCP, SYN, None, True, None,
+                         False, CLOSE_NONE)
+
+
+def _raw_service_frame_inner(self, frame) -> None:
+    """``SubfarmRouter._service_frame_inner`` as it was: a server's
+    frame on no flow went where its address led, like any service's."""
+    packet = frame.payload
+    if not isinstance(packet, IPv4Packet) or self._lookup(packet):
+        return
+    if packet.proto == PROTO_TCP and packet.src.value in self._cs_links:
+        record = self._by_nonce.get(packet.payload.sport)
+        if record is not None:
+            coupling.open_nonce_leg(self, record, packet)
+            return
+    vlan = self.bridge.vlan_for_ip(packet.dst)
+    if vlan is not None:
+        self.egress.vlan_egress(vlan).send(packet)
+        return
+    if packet.dst.value in self.service_ips:
+        self.egress.service_egress(packet.dst).send(packet)
+        return
+    admission.service_outbound(self, packet)
+
+
+def _every_flow_gets_the_server(self, ip) -> None:
+    """``SubfarmRouter.add_containment_server`` as it was: the new
+    server's row on every held flow's mux port, decided or not."""
+    ip = IPv4Address(ip)
+    if ip.value not in self._cs_links:
+        self._link_cs(ip)
+        self._cs_list.append(ip)
+        for record in self._by_mux.values():
+            self.flowtable.bind(coupling.cs_row(self, record, ip))
+
+
+@pytest.fixture
+def old_path(monkeypatch):
+    """Put back the gateway that held a flow past its end on the wire:
+    an endpoint verdict re-bound every server's mux-port row (what a
+    server still sent reached the client, translated, but for a reset,
+    counted and swallowed) and a new server got a row on every held
+    flow; a TCP DROP installed a ``drop-tcp`` rule and waited for the
+    idle sweep; a server's frame on no flow went out raw; and the router
+    scripts kept a server quiet on a flow whose handoff had completed."""
+    def rebind(router, record):
+        for cs_ip in router._cs_list:
+            router.flowtable.bind(coupling.cs_row(router, record, cs_ip))
+
+    from_cs = coupling.from_cs
+
+    def from_a_server(router, row, packet):
+        record, decision = row.record, row.record.decision
+        if (packet.proto == PROTO_TCP and packet.payload.flags & RST
+                and record.phase is not FlowPhase.SHIM
+                and not (decision is not None
+                         and decision.verdict.is_content_control)):
+            record.s2c_packets += 1
+            return
+        from_cs(router, row, packet)
+
+    monkeypatch.setattr(coupling, "uncouple", rebind)
+    monkeypatch.setattr(coupling, "from_cs", from_a_server)
+    monkeypatch.setattr(SubfarmRouter, "add_containment_server",
+                        _every_flow_gets_the_server)
+    monkeypatch.setattr(SubfarmRouter, "_service_frame_inner",
+                        _raw_service_frame_inner)
+    monkeypatch.setitem(SPECS, DROP_TCP, DROP_TCP_SPEC)
+    compile_dropped, apply_decision = (handoff.compile_dropped,
+                                       handoff.apply_decision)
+
+    def dropped(router, record):
+        rows = compile_dropped(router, record)
+        if record.orig.proto == PROTO_TCP:
+            rows[0].spec = DROP_TCP_SPEC
+        return rows
+
+    def held(router, record, decision, leftover=b""):
+        verdict = decision.verdict
+        if (record.orig.proto != PROTO_TCP or verdict.is_content_control
+                or verdict.endpoint_op != Verdict.DROP):
+            return apply_decision(router, record, decision, leftover)
+        with monkeypatch.context() as patch:
+            patch.setattr(housekeeping, "release",
+                          lambda router, record: handoff.install(router,
+                                                                 record))
+            apply_decision(router, record, decision, leftover)
+
+    monkeypatch.setattr(handoff, "compile_dropped", dropped)
+    monkeypatch.setattr(handoff, "apply_decision", held)
+    server = RouterScript.server
+
+    def steered(self, flow, kind, size=0):
+        record = flow.record
+        if (record.dst_isn is not None and record.cs_isn is not None
+                and not flow.udp):
+            return
+        server(self, flow, kind, size)
+
+    monkeypatch.setattr(RouterScript, "server", steered)
+
+
+def _script_digests(scripts: int, old_table: bool = False) -> list:
+    """The router scripts' digests; on the old table less
+    ``flowtable.stats()``'s ``retired``, which it did not count."""
+    digests = []
+    for seed in range(scripts):
+        state = run_script(seed)
+        if old_table:
+            assert state["table"].pop("retired") == 0
+        digests.append(wire_digest(state))
+    return digests
+
+
+def _scripts_digest(old_table: bool = False) -> str:
+    """One digest over every router script's, in seed order."""
+    digests = _script_digests(len(script_digests()), old_table)
+    return hashlib.sha256(json.dumps(digests).encode()).hexdigest()
+
+
+def _fuzz_router_digest(old_table: bool = False) -> str:
+    """``FUZZ_quick.json``'s ``router.digest``, as
+    :func:`repro.fuzz.runner.fuzz_router` folds it."""
+    rollup = hashlib.sha256()
+    for digest in _script_digests(QUICK_ROUTER_SCRIPTS, old_table):
+        rollup.update(digest.encode())
+    return rollup.hexdigest()
+
+
+def _artefact(name: str) -> str:
+    """sha256 of a rendered ``benchmarks/output`` artefact."""
+    row = ARTEFACTS[name]
+    text = row.render(row.run(**row.defaults()))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: Every pin the server leaving the path, a TCP DROP ending at its
+#: verdict and the dropped server frame moved, as recorded before them:
+#: the seed farm and the campaign (their streams' closes), every
+#: fault-matrix cell, the obs-parity corpus, the router scripts and
+#: their quick fuzz slice (a server speaking after a handoff, DROPs,
+#: the generator's steering gone), the scripted seed farm of
+#: ``router_wire.json`` and the Figure 7.2 gateway's packets relayed.
+OLD_PATH_PINS = {
+    "farm": "2f3a707220e928a4ea895b06e92cf2e3552359125f2de7881c723ab474e58bf9",
+    "campaign":
+        "8b863e838a63854b960efda5956213d1d2c0ad50a309a2a82c61dce01663c451",
+    "fault/baseline/drop":
+        "2cb2c581edef05e5540c164265ec79dc9cafb40e73cdcaaa7d18a592734c6835",
+    "fault/baseline/forward":
+        "28151875426da6ae13569c37ab11fbdf56255fc8abd820ef56e0b821acd08201",
+    "fault/cs_crash/drop":
+        "bbfd63175ae0659d37f3108a5025173621323c37d9b2bdd1ee902687135d685c",
+    "fault/cs_crash/forward":
+        "bea0f74d09ccbb0f28db1868abc2c50c3d19fad4a0107e2696526ac80e4c39a6",
+    "fault/cs_crash_restore/drop":
+        "6c6f734ef102f4853a591b6290799a0687cab8c4ad688bb5928d7550b4f91602",
+    "fault/cs_crash_restore/forward":
+        "5ea9cfea9f69cc11e49de55829aabc7f74dfb74145ce2710a4f294779e1b7aeb",
+    "fault/cs_hang/drop":
+        "ef61451b74db3d65d2190d7bd376b9da307afdbbb172770c411442d54d5dda22",
+    "fault/cs_hang/forward":
+        "0bc1da7ea89daa3bb0c5517a36c004fc3906de2b839206a3470bd239449ec186",
+    "fault/revert_fail/drop":
+        "bbd9354d6043cfdeb8e451db53522c52710cf9d3c6e91d4f6cf67e3688bb2c26",
+    "fault/revert_fail/forward":
+        "4ea7ecf9146028769208600b089e7389b9eb27e6a4043a60fe5b9896bf1875ff",
+    "fault/shim_degraded/drop":
+        "a058a5bf50297b326816668bf5ecac22c52669f2094c59930480f28d0c235549",
+    "fault/shim_degraded/forward":
+        "b47cd1c2319b3bc215fbe7ecffd6aa70b44788f2c15162dc7da1c1780ca9a97d",
+    "fault/shim_partition/drop":
+        "615988016df559f40e280a8d89fa25181f7bab1e4b6473452f284703a27b7744",
+    "fault/shim_partition/forward":
+        "55a911dfeee2f93859a2c3323a989d982532a37b40532f91fc730e2bfe8d1850",
+    "obs": "29f4bf00f7c6bc1581f384f31b05f2392b782dd84ac544dc47baae6f5cd26119",
+    "router_scripts":
+        "199fdf7c4f745a6fbc528953525f5026835cd6e68fb8c16fda6a7e1f175a6c78",
+    "fuzz/router":
+        "2a1182422c319cd90a72389678d08f805d2f9e2d322e1d9b8a1abec6e4084015",
+    "router_wire/farm-seed-23":
+        "a51adcca7d950a96fc1fc454117df3ef728e8211283fc3bf3889f293bdb3865c",
+    "scalability":
+        "39c7c4ce323b4e1661a616003834a67fbaa29bbaca25a86f37c5136d2fc458c0",
+}
+
+
+def _old_path_producers() -> dict:
+    return {
+        **FARM_PINS,
+        "obs": _obs_corpus_digest,
+        "router_scripts": _scripts_digest,
+        "fuzz/router": _fuzz_router_digest,
+        "router_wire/farm-seed-23": lambda: wire_digest(
+            test_fastpath.GOLDEN["farm-seed-23"]()),
+        "scalability": lambda: _artefact("scalability"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(OLD_PATH_PINS))
+def test_pins_reconstruct_on_the_old_path(old_path, name):
+    """The server leaving the path at the verdict, a TCP DROP released
+    at it and a server's frame on no flow dropped moved what they move
+    and nothing else: with all three put back, every pin they moved
+    reads as it was."""
+    assert _old_path_producers()[name]() == OLD_PATH_PINS[name]
+
+
+# ----------------------------------------------------------------------
 # The table every pin up to retirement was recorded on
 # ----------------------------------------------------------------------
 def _sync(table) -> None:
@@ -91,7 +314,7 @@ def _sync(table) -> None:
 
 
 @pytest.fixture
-def old_table(monkeypatch):
+def old_table(monkeypatch, old_path):
     """Put back the flow table before retirement: a finished flow keeps
     its keys, rules and slot until the idle sweep (a handoff its
     destination resets is closed in place), and the ``flowtable.*``
@@ -161,32 +384,6 @@ def old_table(monkeypatch):
     monkeypatch.setattr(housekeeping, "release", synced_release)
 
 
-def _old_script_digests(scripts: int) -> list:
-    """The router scripts' digests less ``flowtable.stats()``'s
-    ``retired``, which the old table did not count."""
-    digests = []
-    for seed in range(scripts):
-        state = run_script(seed)
-        assert state["table"].pop("retired") == 0
-        digests.append(wire_digest(state))
-    return digests
-
-
-def _scripts_digest() -> str:
-    """One digest over every router script's, in seed order."""
-    digests = _old_script_digests(len(script_digests()))
-    return hashlib.sha256(json.dumps(digests).encode()).hexdigest()
-
-
-def _fuzz_router_digest() -> str:
-    """``FUZZ_quick.json``'s ``router.digest``, as
-    :func:`repro.fuzz.runner.fuzz_router` folds it."""
-    rollup = hashlib.sha256()
-    for digest in _old_script_digests(QUICK_ROUTER_SCRIPTS):
-        rollup.update(digest.encode())
-    return rollup.hexdigest()
-
-
 def _fig7_report() -> str:
     """``benchmarks/output/fig7_report.txt`` less the flow-table
     section's ``retired`` column, which the old table did not have."""
@@ -244,8 +441,8 @@ def _old_table_producers() -> dict:
     return {
         **FARM_PINS,
         "obs": _obs_corpus_digest,
-        "router_scripts": _scripts_digest,
-        "fuzz/router": _fuzz_router_digest,
+        "router_scripts": lambda: _scripts_digest(old_table=True),
+        "fuzz/router": lambda: _fuzz_router_digest(old_table=True),
         "fig7_report": _fig7_report,
         "router_wire/tcp-fin-and-rst": lambda: wire_digest(
             test_fastpath.GOLDEN["tcp-fin-and-rst"]()),

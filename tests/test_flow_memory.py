@@ -13,11 +13,18 @@ fetches have all finished:
 * what the run still holds, outside the packet traces
   (``repro/net/capture.py``, budgeted by ``make trace-budget``), stays
   within :data:`BYTES_PER_FETCH` per finished fetch.
+
+And on a small ``scan_journaled``-shaped farm, once its probes are
+over, every record a router still holds is a dropped datagram flow:
+the one kind with no end on the wire (a TCP DROP ends at its verdict,
+a probe that half-closed before its verdict at its close).
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -25,8 +32,12 @@ from repro.core.verdicts import Verdict
 from repro.gateway.flows import FlowRecord
 from repro.gateway.flowtable import Row
 from repro.net import capture
-from repro.net.packet import PROTO_TCP
+from repro.net.packet import PROTO_TCP, PROTO_UDP
 from tests.helpers import churn_farm
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
+                                "benchmarks", "ledger"))
+import workloads  # noqa: E402
 
 #: Bytes held per finished fetch once the run is over: 3,654 when every
 #: closed flow kept its record, rows, rules and verdict until an idle
@@ -83,3 +94,16 @@ def test_bytes_held_per_finished_fetch():
     _farm, fetched, held = _run_churn()
     assert len(fetched) >= 200 and all(fetched)
     assert held / len(fetched) <= BYTES_PER_FETCH, held / len(fetched)
+
+
+def test_a_scan_holds_only_its_dropped_datagram_flows():
+    built = workloads.build_scan(seed=11, seconds=0.5)
+    built.farm.run(until=built.until)
+    routers = [sub.router for sub in built.farm.subfarms.values()]
+    assert sum(router.counters["flows_created"] for router in routers) > 400
+    held = [record for router in routers
+            for record in router._by_mux.values()]
+    assert held and all(record.orig.proto == PROTO_UDP
+                        and record.verdict_name == "DROP"
+                        for record in held), sorted(
+        {(record.orig.proto, record.verdict_name) for record in held})

@@ -200,8 +200,11 @@ def _assert_one_probe_per_packet(table, others, calls, released) -> int:
     # swaps it in with ``pop``; the controller reads a row it has just
     # re-installed, and the opening packet's coupled row, by item.)
     assert table.reads["_lookup"] == entered
-    assert set(table.reads) <= {"_lookup", "bind", "offer",
+    assert set(table.reads) <= {"_lookup", "bind", "offer", "uncouple",
                                 "from_originator", "from_return", "unbind"}
+    # An endpoint verdict takes the server's mux-port key out (one
+    # server here): one read to find it.
+    assert table.reads["uncouple"] == calls[("coupling.py", "uncouple")]
     assert table.reads["offer"] <= others["_by_mux"].reads["allocate_slot"]
     assert (table.reads["from_originator"] + table.reads["from_return"]
             <= calls[("handoff.py", "install")])
@@ -213,7 +216,11 @@ def _assert_one_probe_per_packet(table, others, calls, released) -> int:
     assert set(others["_by_mux"].reads) <= {"allocate_slot", "release"}
     for name in ("_by_mux", "_by_nonce", "_trace_ids"):
         assert others[name].reads["release"] == released["flows"]
-    assert set(others["_by_nonce"].reads) <= {"release"}
+    # A server's segment on no flow (what it sends after the verdict
+    # took it off the path) is looked up as a nonce leg's opening
+    # before it is dropped.
+    assert set(others["_by_nonce"].reads) <= {"release",
+                                              "_service_frame_inner"}
     assert set(others["_trace_ids"].reads) <= {"release"}
     return entered
 
@@ -250,10 +257,11 @@ def test_one_probe_per_packet_over_whole_fetches(monkeypatch):
     assert entered >= 10 * (app.progress - before)   # eleven per fetch
     assert stats["hits"] and stats["misses"] and stats["installs"]
     # Every fetch of the window that finished was released, by
-    # retirement: four keys apiece (both tuples, the server's leg, the
-    # destination's alias), its two rules with them.
+    # retirement: three keys apiece (both tuples and the destination's
+    # alias; the server's leg went at the verdict), its two rules with
+    # them.
     assert released["flows"] >= app.progress - before - 12
-    assert released["keys"] == 4 * released["flows"]
+    assert released["keys"] == 3 * released["flows"]
     assert stats["retired"] >= 2 * released["flows"]
 
 
@@ -281,10 +289,12 @@ def test_one_probe_per_packet_for_drop_and_udp_reflect_probes(monkeypatch):
     table, others = _probe_router(sub.router)
     released = _count_releases(monkeypatch)
     calls = python_calls(lambda: farm.run(until=40.0))
-    # Neither verdict retires its flow: the idle sweep releases it.
+    # The TCP DROP is released at its verdict, with its two keys
+    # (both tuples; the server's leg went first); the reflected
+    # datagrams wait for the idle sweep.
     assert _assert_one_probe_per_packet(table, others, calls,
                                         released) >= 6
-    assert not released
+    assert released == {"flows": 1, "keys": 2}
     assert [entry.verdict for entry in sub.router.flow_log] == [
         "DROP", "REFLECT"]
     assert sink.datagrams_received == 2   # held-and-replayed, then a hit

@@ -11,7 +11,10 @@ ones — gives its ports and rows back, and a port space that is
 genuinely full refuses the flow instead of unwinding the event loop; a
 flow's UDP hold queue exists only while it is needed; and a stray on an
 ENFORCED flow's reversed originator tuple — a tuple the flow has a row
-for but no rule — is dropped.
+for but no rule — is dropped.  A flow that has ended on the wire leaves
+at once: a handed-off TCP flow as it closes, a TCP DROP at its verdict;
+and nothing a containment server sends after an endpoint verdict, or
+on no flow at all, reaches an inmate.
 """
 
 from __future__ import annotations
@@ -51,14 +54,17 @@ class _CountingMux(dict):
 
 
 def _aged_router(monkeypatch):
-    """HISTORY flows long since evicted (a few refused or dropped among
-    them), then LIVE enforced ones — every other one of those idle."""
+    """HISTORY flows long since gone (every tenth dropped, and released
+    at its verdict; the rest evicted), then LIVE enforced ones — every
+    other one of those idle."""
     harness = RouterHarness()
     router = harness.router
     for index in range(HISTORY):
         verdict = Verdict.DROP if index % 10 == 0 else Verdict.FORWARD
         harness.establish_flow(VLAN, 30000 + index, verdict=verdict)
-    assert router.expire_idle_flows(max_idle=-1.0) == HISTORY
+    forwarded = HISTORY - HISTORY // 10
+    assert len(router._by_mux) == forwarded
+    assert router.expire_idle_flows(max_idle=-1.0) == forwarded
     assert not router._by_mux and not router.flowtable.entries
     live = [harness.establish_flow(VLAN, 40000 + index)
             for index in range(LIVE)]
@@ -107,10 +113,10 @@ def test_forget_inmate_evicts_the_inmates_live_flows_in_order(monkeypatch):
 
 
 def test_terminal_flows_give_their_demux_state_back():
-    """A dropped flow keeps its mux port, rows and drop rule only while
-    it is of any use: 20,050 DROP verdicts — more than there are mux
-    ports — on one router with housekeeping running raise nothing, and
-    what is held at any time is what was active within
+    """A dropped datagram flow keeps its mux port, rows and drop rule
+    only while it is of any use: 20,050 DROP verdicts — more than there
+    are mux ports — on one router with housekeeping running raise
+    nothing, and what is held at any time is what was active within
     ``flow_idle_timeout`` (plus one housekeeping interval)."""
     harness = RouterHarness()
     router = harness.router
@@ -119,8 +125,8 @@ def test_terminal_flows_give_their_demux_state_back():
         / spacing + 1
     peak = 0
     for index in range(20050):
-        harness.establish_flow(VLAN, 1024 + index % 50000,
-                               verdict=Verdict.DROP)
+        harness.establish_udp_flow(VLAN, 1024 + index % 50000,
+                                   verdict=Verdict.DROP)
         harness.sim.run(until=harness.sim.now + spacing)
         harness.drain()
         peak = max(peak, len(router._by_mux))
@@ -512,22 +518,142 @@ def test_a_limited_flows_final_ack_still_reaches_the_world():
 
 
 def test_drop_udp_and_rewrite_flows_wait_for_the_idle_timeout():
+    """What has no end on the wire keeps the idle sweep: a dropped or a
+    forwarded datagram flow, and a REWRITE flow, closed or reset.  A
+    TCP DROP does not wait: its verdict ended it."""
     harness = RouterHarness()
     router = harness.router
     inmate_ip = harness.nat.bind(VLAN)
-    dropped = harness.establish_flow(VLAN, 40000, verdict=Verdict.DROP)
+    tcp_dropped = harness.establish_flow(VLAN, 40000, verdict=Verdict.DROP)
     rewritten = harness.establish_flow(VLAN, 40001, verdict=Verdict.REWRITE)
     datagrams = harness.establish_udp_flow(VLAN, 40002)
-    for sport in (40000, 40001):
-        harness.inmate_tcp(VLAN, inmate_ip, sport, TARGET_PORT, 1001, 5001,
-                           FIN | ACK)
-        harness.inmate_tcp(VLAN, inmate_ip, sport, TARGET_PORT, 1002, 5002,
-                           ACK)
+    dropped = harness.establish_udp_flow(VLAN, 40003, verdict=Verdict.DROP)
+    harness.inmate_tcp(VLAN, inmate_ip, 40001, TARGET_PORT, 1001, 5001,
+                       FIN | ACK)
+    harness.inmate_tcp(VLAN, inmate_ip, 40001, TARGET_PORT, 1002, 5002, ACK)
     harness.inmate_tcp(VLAN, inmate_ip, 40001, TARGET_PORT, 1002, 5002,
                        RST | ACK)
-    held = [dropped, rewritten, datagrams]
+    assert not tcp_dropped.keys
+    held = [rewritten, datagrams, dropped]
     assert all(record.keys for record in held)
     assert list(router._by_mux.values()) == held
     harness.sim.run(until=harness.sim.now + router.flow_idle_timeout
                     + 2 * router.housekeeping_interval)
     assert not router._by_mux and not router.flowtable.entries
+
+
+# ----------------------------------------------------------------------
+# The containment server leaves the path at an endpoint verdict
+# ----------------------------------------------------------------------
+def _from_cs(harness, record, seq: int, ack: int, flags: int,
+             mux_port=None, payload: bytes = b"") -> None:
+    """A segment from the containment server toward the inmate, on
+    ``record``'s mux port (or ``mux_port``)."""
+    router = harness.router
+    segment = TCPSegment(router.cs_tcp_port,
+                         mux_port if mux_port is not None
+                         else record.mux_port, seq, ack, flags,
+                         payload=payload)
+    router.service_frame(EthernetFrame(
+        MacAddress("02:00:00:00:00:03"), harness.mac,
+        IPv4Packet(router.cs_ip, record.orig.orig_ip, segment)))
+
+
+def test_a_server_speaking_after_a_forward_handoff_emits_nothing():
+    """The verdict took the server off the flow: its ACK of what the
+    inmate sent while coupled, and its FIN, reach no one and move no
+    counter — each is a table miss, and no more."""
+    harness, record, ends = _forwarded()
+    router = harness.router
+
+    def observable():
+        stats = router.flowtable.stats()
+        return (dict(router.counters), stats.pop("misses"), stats,
+                record.s2c_packets, record.s2c_bytes, record.last_activity)
+
+    counters, misses, stats, *accounting = observable()
+    _from_cs(harness, record, CS_ISN + 57, CLIENT_ISN + 1 + 24, ACK)
+    _from_cs(harness, record, CS_ISN + 57, CLIENT_ISN + 1 + 24, FIN | ACK)
+    assert harness.to_vlan == harness.upstream == harness.to_service == []
+    assert observable() == (counters, misses + 2, stats, *accounting)
+    assert record.phase is FlowPhase.ENFORCED and record.installed
+
+
+def test_a_server_frame_on_no_flow_never_reaches_the_inmate_vlan():
+    """A server's segment that matches no flow — a mux port never
+    handed out, or one whose flow was evicted — is dropped, not
+    delivered raw to the inmate from the server's own address."""
+    harness, record, ends = _forwarded()
+    router = harness.router
+    _from_cs(harness, record, CS_ISN + 1, CLIENT_ISN + 1, ACK | PSH,
+             mux_port=record.mux_port + 7, payload=b"planted")
+    housekeeping.evict(router, record)
+    _from_cs(harness, record, CS_ISN + 57, CLIENT_ISN + 25, ACK | PSH,
+             payload=b"late")
+    assert harness.to_vlan == harness.upstream == harness.to_service == []
+
+
+def test_a_tcp_drop_ends_at_its_verdict():
+    """The gateway's resets to the inmate and to the server end a TCP
+    DROP on the wire: nothing of it is held, no rule goes in, and the
+    same SYN again is a new flow with a verdict of its own."""
+    harness = RouterHarness()
+    router = harness.router
+    record = harness.establish_flow(VLAN, 40000, verdict=Verdict.DROP,
+                                    client_isn=CLIENT_ISN)
+    assert record.phase is FlowPhase.DROPPED and not record.keys
+    assert not router._by_mux and not router._by_nonce
+    assert not router._table and router.flowtable.stats()["installs"] == 0
+    assert [packet.tcp.flags for packet in harness.to_vlan] == [
+        SYN | ACK, RST | ACK]
+    assert harness.to_service[-1].tcp.flags == RST | ACK
+    again = harness.establish_flow(VLAN, 40000, verdict=Verdict.DROP,
+                                   client_isn=CLIENT_ISN)
+    assert again is not record and router.counters["flows_created"] == 2
+    assert [entry.verdict for entry in router.flow_log] == ["DROP", "DROP"]
+    assert not router._by_mux and not router._table
+
+
+def test_a_half_closing_client_gets_the_whole_response():
+    """An HTTP/1.0-style client sends its request and closes its side
+    before the verdict.  The server's FIN answering that close is not
+    relayed after the verdict, so the response arrives whole from the
+    real destination, and the flow retires as it closes."""
+    from repro.core.policy import AllowAll
+    from repro.farm import Farm, FarmConfig
+    from repro.net.tcp import TcpState
+    from repro.services.dhcp import DhcpClient
+
+    response = b"HTTP/1.0 200 OK\r\n\r\npong"
+    farm = Farm(FarmConfig(seed=3))
+    web = farm.add_external_host("web", TARGET_IP)
+
+    def on_accept(conn):
+        conn.on_data = lambda c, data: (c.send(response), c.close())
+
+    web.tcp.listen(TARGET_PORT, on_accept)
+    heard, ends = [], {}
+
+    def image(host):
+        def configured(h):
+            def fetch():
+                conn = ends["inmate"] = h.tcp.connect(
+                    IPv4Address(TARGET_IP), TARGET_PORT)
+                conn.on_established = lambda c: (
+                    c.send(b"GET / HTTP/1.0\r\n\r\n"), c.close())
+                conn.on_data = lambda c, data: heard.append(data)
+
+            h.sim.schedule(1.0, fetch, label="fetch")
+
+        DhcpClient(host, on_configured=configured).start()
+
+    sub = farm.create_subfarm("half-close")
+    sub.set_default_policy(AllowAll())
+    sub.create_inmate(image_factory=image)
+    farm.run(until=60.0)
+    assert b"".join(heard) == response
+    assert ends["inmate"].state in (TcpState.TIME_WAIT, TcpState.CLOSED)
+    router = sub.router
+    assert [entry.verdict for entry in router.flow_log] == ["FORWARD"]
+    assert not router._by_mux and not router.flowtable.entries
+    assert router.flowtable.stats()["retired"] == 2
