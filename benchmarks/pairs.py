@@ -60,6 +60,13 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def value(result: dict, name: str):
+    """The value of end-to-end metric ``name`` in a run's result, or
+    None when the run did not report it."""
+    metric = result.get("metrics", {}).get(name)
+    return None if metric is None else metric["value"]
+
+
 def spread(values: list) -> tuple:
     """(median, first quartile, third quartile)."""
     if len(values) < 2:
@@ -78,10 +85,10 @@ def report(metrics: list, base: list, change: list) -> list:
     rows = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        pairs = [(b["metrics"][name], c["metrics"][name])
+        pairs = [(value(b, name), value(c, name))
                  for b, c in zip(base, change)
-                 if name in b.get("metrics", {})
-                 and name in c.get("metrics", {})]
+                 if value(b, name) is not None
+                 and value(c, name) is not None]
         if not pairs:
             continue
         before = spread([b for b, _ in pairs])
@@ -92,6 +99,16 @@ def report(metrics: list, base: list, change: list) -> list:
         rows.append((name, metric["unit"], metric["better"], before, after,
                      delta, f"{wins}/{len(pairs)}", beyond))
     return rows
+
+
+def print_table(rows: list) -> None:
+    print(f"{'metric':<13}{'unit':>7}{'better':>7}  "
+          f"{'base median [q1, q3]':<34}{'change median [q1, q3]':<34}"
+          f"{'delta':>7}{'wins':>7}  > base IQR")
+    for name, unit, better, before, after, delta, wins, beyond in rows:
+        print(f"{name:<13}{unit:>7}{better:>7}  {_cell(before):<34}"
+              f"{_cell(after):<34}{delta:>+7.1%}{wins:>7}  "
+              f"{'yes' if beyond else 'no'}")
 
 
 def main(argv=None) -> int:
@@ -120,11 +137,9 @@ def main(argv=None) -> int:
                 result = run(trees[side], args.workload, args.seed, seconds)
                 runs[side].append(result)
                 print(f"pair {index + 1} {side}: correct="
-                      f"{result.get('correct')} "
-                      f"wall_s={result.get('metrics', {}).get('wall_s')} "
-                      f"peak_rss_mb="
-                      f"{result.get('metrics', {}).get('peak_rss_mb')}",
-                      file=sys.stderr)
+                      f"{result.get('correct')} wall_s="
+                      f"{value(result, 'wall_s')} peak_rss_mb="
+                      f"{value(result, 'peak_rss_mb')}", file=sys.stderr)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(runs, handle, indent=1)
@@ -132,14 +147,8 @@ def main(argv=None) -> int:
           f"{args.pairs} alternating pairs: base {args.base} "
           f"({short(args.base)}) -> change {args.change} "
           f"({short(args.change)})")
-    print(f"{'metric':<13}{'unit':>7}{'better':>7}  "
-          f"{'base median [q1, q3]':<28}{'change median [q1, q3]':<28}"
-          f"{'delta':>7}{'wins':>7}  > base IQR")
-    for name, unit, better, before, after, delta, wins, beyond in report(
-            declared["end_to_end"], runs["base"], runs["change"]):
-        print(f"{name:<13}{unit:>7}{better:>7}  {_cell(before):<28}"
-              f"{_cell(after):<28}{delta:>+7.1%}{wins:>7}  "
-              f"{'yes' if beyond else 'no'}")
+    print_table(report(declared["end_to_end"], runs["base"],
+                       runs["change"]))
     wrong = [(side, index + 1) for side, results in runs.items()
              for index, result in enumerate(results)
              if not result.get("correct")]
