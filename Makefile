@@ -114,8 +114,9 @@ ledger-selftest:
 	$(PYTHON) benchmarks/ledger/run.py --selftest
 
 # Alternating ledger pairs of two revisions, each run from a fresh
-# `git archive` tree: every end-to-end metric's medians, quartiles and
-# wins; exits 1 on any run that is not correct (benchmarks/pairs.py).
+# `git archive` tree, judged by benchmarks/ledger/compare.py against
+# BENCHMARK.json's bounds, with each metric's wins per pair; exits 1 on
+# any run that is not correct or a failed gate (benchmarks/pairs.py).
 # `make ledger-pairs WORKLOAD=flow_churn PAIRS=4 BASE=HEAD~1 SEED=12`.
 WORKLOAD ?= scan_journaled
 PAIRS ?= 10

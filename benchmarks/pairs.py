@@ -7,14 +7,14 @@
 Each revision is ``git archive``d into a temporary directory of its own,
 so both sides run from fresh trees (no ``__pycache__``).  Then ``--pairs``
 pairs of the ledger's one-run command (``benchmarks/ledger/run.py
---workload W --seed S --seconds T --trace 0``, the command
-``BENCHMARK.json`` names) run one after the other, alternating which side
-goes first.  For every end-to-end metric ``BENCHMARK.json`` declares, it
-prints each side's median and quartiles, the change in the medians, how
-many pairs the change won (ties count for neither), and whether the
-medians differ by more than the base's interquartile range.  ``--out``
-keeps every run's result object as JSON.  Exit status 1 when any run is
-not ``correct``.
+--workload W --seed S --trace 0``, the command ``BENCHMARK.json`` names,
+at its ``run_seconds``) run one after the other, alternating which side
+goes first.  Each side's runs are gathered into the result set that
+``run.py --out`` writes and judged by ``benchmarks/ledger/compare.py``
+against the bounds in ``BENCHMARK.json`` (ok / regressed / unresolved);
+below that verdict a table gives, per end-to-end metric, how many pairs
+the change won (ties count for neither).  Exit status 1 when any run is
+not ``correct`` or the gate fails, 2 when the sets are not comparable.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ import argparse
 import io
 import json
 import os
-import statistics
+import platform
 import subprocess
 import sys
 import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "benchmarks", "ledger"))
+from compare import compare  # noqa: E402
 
 
 def checkout(revision: str, tree: str) -> str:
@@ -41,18 +43,17 @@ def checkout(revision: str, tree: str) -> str:
     return tree
 
 
-def short(revision: str) -> str:
-    return subprocess.run(["git", "-C", ROOT, "rev-parse", "--short",
-                           revision], check=True, capture_output=True,
+def resolve(revision: str) -> str:
+    return subprocess.run(["git", "-C", ROOT, "rev-parse", revision],
+                          check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: str, workload: str, seed: int) -> dict:
     """One untraced ledger run in ``tree``: its result object."""
     done = subprocess.run(
         [sys.executable, os.path.join("benchmarks", "ledger", "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--workload", workload, "--seed", str(seed), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -60,55 +61,38 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def value(result: dict, name: str):
-    """The value of end-to-end metric ``name`` in a run's result, or
-    None when the run did not report it."""
-    metric = result.get("metrics", {}).get(name)
-    return None if metric is None else metric["value"]
+def result_set(commit: str, workload: str, seed: int, seconds: float,
+               results: list) -> dict:
+    """One side's runs in the shape ``run.py --out`` writes.  Both sides
+    run on this host, so the host fields are this host's.  The one-run
+    object folds containment into ``correct`` and carries no
+    exact-repeat counts, so those read as unchanged."""
+    return {
+        "host": {"seed": seed, "seconds": seconds,
+                 "host_cpus": os.cpu_count(),
+                 "sched_cpus": len(os.sched_getaffinity(0)),
+                 "python": platform.python_version(), "commit": commit},
+        "workloads": {workload: {
+            "runs": [{name: metric["value"]
+                      for name, metric in result["metrics"].items()}
+                     for result in results],
+            "failed": sum(result["failed"] for result in results),
+            "contained": all(result["correct"] for result in results),
+            "exact": {}, "exact_stable": True, "workers": None,
+        }},
+    }
 
 
-def spread(values: list) -> tuple:
-    """(median, first quartile, third quartile)."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return median, q1, q3
-
-
-def _cell(stats: tuple) -> str:
-    median, q1, q3 = stats
-    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
-
-
-def report(metrics: list, base: list, change: list) -> list:
-    """One row per end-to-end metric both sides reported."""
+def wins(metrics: list, base: list, change: list) -> list:
+    """``(name, better, pairs the change won)`` per end-to-end metric."""
     rows = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        pairs = [(value(b, name), value(c, name))
-                 for b, c in zip(base, change)
-                 if value(b, name) is not None
-                 and value(c, name) is not None]
-        if not pairs:
-            continue
-        before = spread([b for b, _ in pairs])
-        after = spread([c for _, c in pairs])
-        wins = sum((c < b) if lower else (c > b) for b, c in pairs)
-        delta = (after[0] - before[0]) / before[0] if before[0] else 0.0
-        beyond = abs(after[0] - before[0]) > before[2] - before[1]
-        rows.append((name, metric["unit"], metric["better"], before, after,
-                     delta, f"{wins}/{len(pairs)}", beyond))
+        pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for b, c in zip(base, change)]
+        won = sum((c < b) if lower else (c > b) for b, c in pairs)
+        rows.append((name, metric["better"], won))
     return rows
-
-
-def print_table(rows: list) -> None:
-    print(f"{'metric':<13}{'unit':>7}{'better':>7}  "
-          f"{'base median [q1, q3]':<34}{'change median [q1, q3]':<34}"
-          f"{'delta':>7}{'wins':>7}  > base IQR")
-    for name, unit, better, before, after, delta, wins, beyond in rows:
-        print(f"{name:<13}{unit:>7}{better:>7}  {_cell(before):<34}"
-              f"{_cell(after):<34}{delta:>+7.1%}{wins:>7}  "
-              f"{'yes' if beyond else 'no'}")
 
 
 def main(argv=None) -> int:
@@ -119,12 +103,9 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--out", help="write every run's result here")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         declared = json.load(handle)
-    seconds = args.seconds or declared["run_seconds"]
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch:
         trees = {side: checkout(getattr(args, side),
@@ -134,27 +115,29 @@ def main(argv=None) -> int:
             order = ("base", "change") if index % 2 == 0 else (
                 "change", "base")
             for side in order:
-                result = run(trees[side], args.workload, args.seed, seconds)
+                result = run(trees[side], args.workload, args.seed)
                 runs[side].append(result)
                 print(f"pair {index + 1} {side}: correct="
-                      f"{result.get('correct')} wall_s="
-                      f"{value(result, 'wall_s')} peak_rss_mb="
-                      f"{value(result, 'peak_rss_mb')}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(runs, handle, indent=1)
-    print(f"{args.workload}, seed {args.seed}, {seconds:g} s, "
-          f"{args.pairs} alternating pairs: base {args.base} "
-          f"({short(args.base)}) -> change {args.change} "
-          f"({short(args.change)})")
-    print_table(report(declared["end_to_end"], runs["base"],
-                       runs["change"]))
+                      f"{result.get('correct')}", file=sys.stderr)
     wrong = [(side, index + 1) for side, results in runs.items()
              for index, result in enumerate(results)
              if not result.get("correct")]
     for side, pair in wrong:
         print(f"NOT CORRECT: {side} run of pair {pair}", file=sys.stderr)
-    return 1 if wrong else 0
+    if any("metrics" not in result
+           for results in runs.values() for result in results):
+        return 1
+    seconds = float(declared["run_seconds"])
+    status = compare(*(result_set(resolve(getattr(args, side)),
+                                  args.workload, args.seed, seconds,
+                                  runs[side]) for side in runs),
+                     declared["end_to_end"])
+    print(f"\npairs the change won of {args.pairs} (ties count for "
+          f"neither):")
+    for name, better, won in wins(declared["end_to_end"], runs["base"],
+                                  runs["change"]):
+        print(f"  {name:<14}{better:>7}  {won}/{args.pairs}")
+    return 1 if wrong else status
 
 
 if __name__ == "__main__":

@@ -79,10 +79,8 @@ def couple(router, record: FlowRecord) -> None:
 
 def uncouple(router, record: FlowRecord) -> None:
     """Take the servers off the flow's path: their keys leave."""
-    for cs_ip in router._cs_list:
-        key = cs_key(router, record, cs_ip)
-        if router._table.pop(key, None) is not None:
-            record.keys.remove(key)
+    router.flowtable.unbind(record, [cs_key(router, record, cs_ip)
+                                     for cs_ip in router._cs_list])
 
 
 def cs_key(router, record: FlowRecord, cs_ip: IPv4Address) -> tuple:

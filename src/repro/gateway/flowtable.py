@@ -341,20 +341,23 @@ class FlowTable:
         if row.installed:
             self.occupancy += 1
 
-    def unbind(self, record) -> int:
-        """Take every key ``record`` still answers to out of the table,
-        its installed rules with them, as they are.  A key a newer flow
-        has since bound is that flow's, and stays.  Returns how many
-        installed rules went."""
+    def unbind(self, record, keys=None) -> int:
+        """Take ``keys`` of ``record`` (default: every key it still
+        answers to) out of the table, their installed rules with them,
+        as they are.  A key a newer flow has since bound is that
+        flow's, and stays.  Returns how many installed rules went."""
         entries = self.entries
         rules = 0
-        for key in record.keys:
+        for key in record.keys if keys is None else keys:
             row = entries.get(key)
             if row is not None and row.record is record:
                 del entries[key]
                 rules += row.installed
-        record.keys.clear()
-        record.installed = False
+        if keys is None:
+            record.keys.clear()
+            record.installed = False
+        else:
+            record.keys[:] = [key for key in record.keys if key not in keys]
         self.occupancy -= rules
         return rules
 

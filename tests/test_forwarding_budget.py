@@ -200,17 +200,17 @@ def _assert_one_probe_per_packet(table, others, calls, released) -> int:
     # swaps it in with ``pop``; the controller reads a row it has just
     # re-installed, and the opening packet's coupled row, by item.)
     assert table.reads["_lookup"] == entered
-    assert set(table.reads) <= {"_lookup", "bind", "offer", "uncouple",
+    assert set(table.reads) <= {"_lookup", "bind", "offer",
                                 "from_originator", "from_return", "unbind"}
-    # An endpoint verdict takes the server's mux-port key out (one
-    # server here): one read to find it.
-    assert table.reads["uncouple"] == calls[("coupling.py", "uncouple")]
     assert table.reads["offer"] <= others["_by_mux"].reads["allocate_slot"]
     assert (table.reads["from_originator"] + table.reads["from_return"]
             <= calls[("handoff.py", "install")])
     # A finished flow is released on the packet that finished it: one
-    # read per key it held, to take the key out.
-    assert table.reads["unbind"] == released["keys"]
+    # read per key it held, to take the key out.  An endpoint verdict
+    # takes the server's mux-port key out (one server here): one read
+    # more.
+    assert table.reads["unbind"] == (released["keys"]
+                                     + calls[("coupling.py", "uncouple")])
     # A flow is created under a free slot and gives it back at release;
     # nothing else reads a per-flow map on a packet's way.
     assert set(others["_by_mux"].reads) <= {"allocate_slot", "release"}
