@@ -342,10 +342,9 @@ class FlowTable:
             self.occupancy += 1
 
     def unbind(self, record, keys=None) -> int:
-        """Take ``keys`` of ``record`` (default: every key it still
-        answers to) out of the table, their installed rules with them,
-        as they are.  A key a newer flow has since bound is that
-        flow's, and stays.  Returns how many installed rules went."""
+        """Take ``keys`` (default: every key ``record`` answers to) out
+        of the table with their installed rules; a key a newer flow has
+        since bound is that flow's, and stays.  Returns the rules gone."""
         entries = self.entries
         rules = 0
         for key in record.keys if keys is None else keys:

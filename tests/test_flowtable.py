@@ -12,10 +12,13 @@ surfaces riding along.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.farm import FarmConfig
 from repro.gateway import handoff
+from repro.gateway.flowtable import FlowTable, Row
 from repro.gateway.router import SubfarmRouter
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.packet import (
@@ -192,6 +195,27 @@ def test_failed_compile_installs_nothing_from_empty():
         handoff.install(harness.router, record)
     assert not table.rules() and not len(table)
     assert not record.installed
+
+
+def test_unbind_a_subset_of_a_flows_keys():
+    """Some of a flow's keys leave with their rules, and the flow keeps
+    the rest; a key a newer flow has since bound stays that flow's."""
+
+    class Rule(Row):
+        installed = True
+
+    table = FlowTable("sub")
+    old, new = SimpleNamespace(keys=[]), SimpleNamespace(keys=[])
+    for row in (Row("a", old, 0), Row("b", old, 0), Rule("r", old, 0),
+                Row("b", new, 0)):
+        table.bind(row)
+    assert len(table) == 1
+    assert table.unbind(old, ["a", "b"]) == 0
+    assert old.keys == ["r"] and new.keys == ["b"]
+    assert set(table.entries) == {"b", "r"}
+    assert table.entries["b"].record is new
+    assert table.unbind(old, ["r"]) == 1
+    assert old.keys == [] and len(table) == 0
 
 
 def test_inmate_frame_batch_matches_scalar():
