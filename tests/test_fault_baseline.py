@@ -274,9 +274,9 @@ OLD_PATH_PINS = {
         "55a911dfeee2f93859a2c3323a989d982532a37b40532f91fc730e2bfe8d1850",
     "obs": "29f4bf00f7c6bc1581f384f31b05f2392b782dd84ac544dc47baae6f5cd26119",
     "router_scripts":
-        "199fdf7c4f745a6fbc528953525f5026835cd6e68fb8c16fda6a7e1f175a6c78",
+        "d13a9f395643a749fc7bcec50273a062a032b2bea320406c472636a9c06ae733",
     "fuzz/router":
-        "2a1182422c319cd90a72389678d08f805d2f9e2d322e1d9b8a1abec6e4084015",
+        "47eb5c133bbc18fa2e8566662a57b1037806a2c5a016ec857032c9f882cbbdda",
     "router_wire/farm-seed-23":
         "a51adcca7d950a96fc1fc454117df3ef728e8211283fc3bf3889f293bdb3865c",
     "scalability":
@@ -427,9 +427,9 @@ OLD_TABLE_PINS = {
         "95572c922dba6237508164f18fbef762508b8d718c6b9b1c9d24cb13ea5740fd",
     "obs": "3c6b0ce011faeff976f87479a56c53df28e8af56e26514ee2baf3ce0f8e73a8c",
     "router_scripts":
-        "e518d2a1ec2a2a6106d9549df7540d636aab75b8dd9f48e059c4f1a1aa1107d7",
+        "37228179b3ddaabe32e416a891730311f6d8c153895a432bbb040d9c036900c7",
     "fuzz/router":
-        "c9f49e133a849116fd7c05daf0b0c5d537abb6c2e5eec8469b8dad6c22bc530b",
+        "39ca8fe4d9eb9985e551f8d7792eedef4db3138a2ddaa6c37302b0bc364de92b",
     "fig7_report":
         "aa78bb1f677f08731d485410e8e2ec69fc8acc5c65dc3eff35fc082a2311627c",
     "router_wire/tcp-fin-and-rst":

@@ -35,8 +35,8 @@ def test_router_answers_every_recorded_script_alike(start):
 def test_scripts_exercise_what_they_claim():
     """The corpus is only a net if the scripts reach the corners: over
     the first hundred, every verdict shape is enforced, flows end in
-    every phase, rules time out both ways, and every counter moves."""
-    phases, verdicts, table = set(), set(), {"idle": 0, "hard": 0}
+    every phase, and every counter moves."""
+    phases, verdicts = set(), set()
     counters: dict = {}
     for seed in range(QUICK_ROUTER_SCRIPTS):
         state = run_script(seed)
@@ -45,13 +45,10 @@ def test_scripts_exercise_what_they_claim():
             verdicts.add(flow[2])
         for name, count in state["counters"].items():
             counters[name] = counters.get(name, 0) + count
-        for reason, count in state["table"]["timeout_evictions"].items():
-            table[reason] += count
     assert phases == {"shim", "handoff", "enforced", "dropped", "refused",
                       "closed"}
     assert verdicts >= {"FORWARD", "LIMIT", "DROP", "REDIRECT", "REFLECT",
                         "REWRITE", "LIMIT|REWRITE", "PENDING", "REFUSED"}
-    assert table["idle"] and table["hard"]
     assert all(counters[name] for name in counters if name != "dhcp_leases")
 
 
