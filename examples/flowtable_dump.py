@@ -5,13 +5,13 @@ Every subfarm router compiles post-verdict flows into an exact-match
 flow table (``docs/PERFORMANCE.md``).  Because the rules are pure data
 — not closures — the table can be inspected like a switch's flow dump:
 
-1. Build a farm with an idle timeout on the tables, so rules age out
-   on the virtual clock.
-2. Run one inmate through a talk / go-quiet / talk-again script: the
-   quiet gap outlives the idle timeout, so its rules are evicted and
-   then re-installed when the conversation resumes.
+1. Build a farm on the default configuration.
+2. Run one inmate through a talk / go-quiet / talk-again script: a
+   rule lives as long as its flow, so the quiet gap leaves the rules
+   installed at the verdict in place and the resumed conversation
+   hits them again — no miss, no re-install.
 3. Print each table's statistics and a per-entry dump (match, action,
-   hit counts, timeouts), the way ``ovs-ofctl dump-flows`` would.
+   hit counts, install time), the way ``ovs-ofctl dump-flows`` would.
 
 Run:  python examples/flowtable_dump.py
 """
@@ -28,7 +28,7 @@ ECHO_PORT = 7
 
 def chatty_image(host):
     """Inmate image: one long-lived connection that talks, goes quiet
-    long enough for its flow-table rules to idle out, then resumes."""
+    for ~50 s, then resumes."""
     def start(configured_host):
         def connect():
             conn = configured_host.tcp.connect(
@@ -40,9 +40,6 @@ def chatty_image(host):
                         index * 0.5, conn.send, b"%s-%d" % (tag, index))
 
             conn.on_established = lambda c: burst(b"early", 8)
-            # Quiet for ~50s after the early burst: with a 20s idle
-            # timeout the rules age out mid-conversation, then
-            # re-install when this resumes.
             configured_host.sim.schedule(55.0, burst, b"late", 8)
 
         configured_host.sim.schedule(1.0, connect)
@@ -53,30 +50,22 @@ def chatty_image(host):
 def dump(subfarm):
     table = subfarm.router.flowtable
     stats = table.stats()
-    timeouts = stats["timeout_evictions"]
     print(f"\nSubfarm '{subfarm.name}' flow table:")
     print(f"  occupancy={stats['occupancy']} hits={stats['hits']} "
           f"misses={stats['misses']} installs={stats['installs']}")
-    print(f"  evictions={stats['evictions']} retired={stats['retired']} "
-          f"idle timeouts={timeouts['idle']} "
-          f"hard timeouts={timeouts['hard']}")
+    print(f"  evictions={stats['evictions']} retired={stats['retired']}")
     for entry in table.snapshot():
         match = entry["match"]
         where = (f"{IPv4Address(match['src'])}:{match['sport']} -> "
                  f"{IPv4Address(match['dst'])}:{match['dport']}")
-        idle = entry["idle_timeout"]
-        hard = entry["hard_expires_at"]
         print(f"    {entry['action']:<9} vlan={entry['vlan']} "
               f"verdict={entry['verdict']:<8} hits={entry['hits']:<4} "
               f"emit={entry['emit']:<8} {where}")
-        print(f"      installed_at={entry['installed_at']:.3f} "
-              f"idle_timeout={'-' if idle is None else idle} "
-              f"hard_expires_at="
-              f"{'-' if hard is None else f'{hard:.3f}'}")
+        print(f"      installed_at={entry['installed_at']:.3f}")
 
 
 def main():
-    farm = Farm(FarmConfig(seed=11, flowtable_idle_timeout=20.0))
+    farm = Farm(FarmConfig(seed=11))
     sub = farm.create_subfarm("dump-demo")
     sub.set_default_policy(AllowAll())
     sub.add_catchall_sink()
@@ -88,10 +77,10 @@ def main():
     print("t=40: after the early burst")
     dump(sub)
 
-    # Past the quiet gap: the idle timeout evicted, the late burst
-    # re-missed and re-installed fresh rules.
+    # Past the quiet gap: the same rules, installed at the verdict,
+    # carried the late burst.
     farm.run(until=95.0)
-    print("\nt=95: after idling out and resuming")
+    print("\nt=95: after going quiet and resuming")
     dump(sub)
 
 

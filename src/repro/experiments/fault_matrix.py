@@ -33,7 +33,8 @@ from repro.core.policy import AllowAll
 from repro.farm import Farm, FarmConfig
 from repro.net.http import echo
 from repro.parallel import Campaign, ShardSpec, run_campaign
-from repro.parallel.tasks import TARGET_IP, TARGET_PORT, _streaming_image
+from repro.parallel.tasks import (TARGET_IP, TARGET_PORT, _streaming_image,
+                                  farm_digest)
 
 __all__ = [
     "SCENARIOS",
@@ -132,41 +133,25 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
                      telemetry: bool = True) -> dict:
     """One resilient farm run under one named fault scenario.
 
-    Same workload and digest recipe as
+    Same workload as
     :func:`repro.parallel.tasks.streaming_farm_shard`, plus: the
     scenario's fault plan installed, ``extra_cs`` standby containment
     servers per subfarm, the certificate and the wire check,
     per-subfarm resilience summaries, and the rendered report's
-    degradation section.  The payload's determinism digest predates
-    the certificate fields, so certifying does not perturb replay
-    parity.
+    degradation section.  The determinism digest is
+    :func:`~repro.parallel.tasks.farm_digest`'s with the resilience
+    summaries folded on top; it leaves the certificate fields out, so
+    certifying does not perturb replay parity.
     """
     farm = build_fault_farm(
         seed, scenario=scenario, subfarms=subfarms, inmates=inmates,
         rounds=rounds, duration=duration, extra_cs=extra_cs,
         verdict_deadline=verdict_deadline, pending_policy=pending_policy,
         telemetry=telemetry)
-    subs = list(farm.subfarms.values())  # creation order, digest-stable
-
-    digest = hashlib.sha256()
-    counters = {}
-    flows_created = packets_relayed = 0
-    for sub in subs:
-        sub_counters = dict(sub.router.counters)
-        counters[sub.name] = sub_counters
-        flows_created += sub_counters.get("flows_created", 0)
-        packets_relayed += sub_counters.get("packets_relayed", 0)
-        digest.update(json.dumps({sub.name: sub_counters},
-                                 sort_keys=True).encode())
-        for entry in sub.router.flow_log:
-            digest.update(
-                f"{entry.timestamp:.9f}|{entry.vlan}|{entry.verdict}"
-                f"|{entry.orig}|{entry.policy}".encode())
-    for rec in farm.gateway.upstream_trace.records:
-        digest.update(rec.frame.to_bytes())
-    snapshot = farm.telemetry_snapshot()
-    digest.update(json.dumps(snapshot, sort_keys=True).encode())
-
+    subs = list(farm.subfarms.values())
+    counters = {sub.name: dict(sub.router.counters) for sub in subs}
+    run_digest, snapshot = farm_digest(farm)
+    digest = hashlib.sha256(run_digest.encode())
     resilience = {sub.name: sub.resilience.summary() for sub in subs
                   if sub.resilience is not None}
     for name in sorted(resilience):
@@ -189,8 +174,10 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
         "virtual_seconds": farm.sim.now,
         "metrics": {
             "events": farm.sim.events_processed,
-            "flows_created": flows_created,
-            "packets_relayed": packets_relayed,
+            "flows_created": sum(c.get("flows_created", 0)
+                                 for c in counters.values()),
+            "packets_relayed": sum(c.get("packets_relayed", 0)
+                                   for c in counters.values()),
         },
         "counters": counters,
         "resilience": resilience,

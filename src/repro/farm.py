@@ -96,13 +96,6 @@ class FarmConfig:
         # "count" only records.
         "malice_policy": (str, "isolate"),
         "quarantine_max_frames": (int, 1024),
-        # Match-action flow tables (docs/PERFORMANCE.md): entries for
-        # flows idle longer than flowtable_idle_timeout (or older than
-        # flowtable_hard_timeout) are evicted; the flow's next packet
-        # is a table miss and re-installs them.  None (the default)
-        # leaves entries resident for the life of the flow.
-        "flowtable_idle_timeout": (NUMBER, None),
-        "flowtable_hard_timeout": (NUMBER, None),
         # Batched trunk delivery: batch_window=None (default) keeps
         # per-frame delivery; 0.0 coalesces only naturally coincident
         # frames (timing untouched); a positive value quantizes trunk
@@ -122,8 +115,7 @@ class FarmConfig:
         "journal_sample_interval": 0, "verdict_deadline": 0,
         "verdict_retries": 0, "retry_backoff": 1,
         "lifecycle_retry_limit": 0, "lifecycle_retry_backoff": 0,
-        "quarantine_max_frames": 0, "flowtable_idle_timeout": 0,
-        "flowtable_hard_timeout": 0, "batch_window": 0,
+        "quarantine_max_frames": 0, "batch_window": 0,
     }
     _ABOVE_LEAST = ("safety_window", "verdict_deadline")
 
@@ -243,10 +235,6 @@ class Subfarm:
             control_pool=farm.control_pool,
         )
         farm.gateway.add_router(self.router)
-        self.router.flowtable_idle_timeout = \
-            farm.config.flowtable_idle_timeout
-        self.router.flowtable_hard_timeout = \
-            farm.config.flowtable_hard_timeout
         self.router.barrier.policy = farm.config.malice_policy
         self.router.barrier.quarantine_max_frames = \
             farm.config.quarantine_max_frames

@@ -347,9 +347,7 @@ class RouterScript:
                     flow_log=[(e.timestamp, e.vlan, str(e.orig), e.verdict,
                                e.policy) for e in router.flow_log],
                     flows=[_accounting(r) for r in self.records],
-                    table={name: value for name, value
-                           in router.flowtable.stats().items()
-                           if name != "timeout_evictions"})
+                    table=router.flowtable.stats())
 
 
 def _accounting(flow) -> tuple:

@@ -24,12 +24,7 @@ from repro.core.shim import (
 )
 from repro.core.verdicts import ContainmentDecision
 from repro.gateway import admission, handoff, housekeeping
-from repro.gateway.flows import (
-    DECIDED_PHASES,
-    LIVE_PHASES,
-    FlowPhase,
-    FlowRecord,
-)
+from repro.gateway.flows import LIVE_PHASES, FlowPhase, FlowRecord
 from repro.gateway.flowtable import (
     ACT_TCP_C2CS,
     ACT_TCP_CS2C,
@@ -149,8 +144,8 @@ def offer(router, record: FlowRecord, transport) -> None:
 # ----------------------------------------------------------------------
 def from_originator(router, row: Row, packet: IPv4Packet) -> None:
     """A packet on the originator's tuple: a new incarnation of it,
-    a miss or SYN retransmit of a decided flow, the client's RST,
-    or anything before the verdict."""
+    a SYN retransmit of a decided flow, the client's RST, or anything
+    before the verdict."""
     record = row.record
     record.last_activity = router.sim.now
     transport = packet.payload
@@ -166,12 +161,6 @@ def from_originator(router, row: Row, packet: IPv4Packet) -> None:
                        inmate_is_originator=record.inmate_is_originator)
         return
     phase = record.phase
-    if phase in DECIDED_PHASES and not record.installed:
-        # Table miss on a flow whose verdict stands — an idle/hard
-        # timeout demoted its rules: install them afresh (OpenFlow's
-        # table-miss -> flow_mod cycle).
-        handoff.install(router, record)
-        row = router._table[row.key]
     if phase not in LIVE_PHASES:
         return  # dropped or aborted: swallowed
     if flags & RST and row.spec.close != CLOSE_RETIRE:

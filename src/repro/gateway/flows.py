@@ -54,8 +54,6 @@ class FlowPhase(enum.Enum):
 
 # Phases in which a record still owns demux state worth housekeeping.
 LIVE_PHASES = (FlowPhase.SHIM, FlowPhase.HANDOFF, FlowPhase.ENFORCED)
-# Phases in which a verdict stands as installed rules.
-DECIDED_PHASES = (FlowPhase.ENFORCED, FlowPhase.DROPPED)
 
 
 class FlowRecord:
@@ -78,7 +76,7 @@ class FlowRecord:
         "c2s_bytes", "s2c_bytes", "c2s_packets", "s2c_packets",
         "dst_ip", "dst_port", "dst_is_inmate_vlan", "nat_global",
         "spoof_preserve", "udp_pending", "shaper",
-        "keys", "installed", "closing",
+        "keys", "closing",
     )
 
     def __init__(
@@ -154,9 +152,8 @@ class FlowRecord:
         # Router bookkeeping ----------------------------------------------
         # Every flow key this record is bound under in the router's
         # flow table, so eviction is O(legs) instead of an O(table)
-        # scan; and whether its rules are installed there now.
+        # scan.
         self.keys: list = []
-        self.installed = False
         # A handed-off TCP flow's close, per direction, once a FIN has
         # passed (flowtable.CLOSE_RETIRE).
         self.closing: Optional[list] = None

@@ -9,9 +9,8 @@ and, where that leg's packets are relayed at all, a :class:`Rewrite`:
 pure data — ports, an address pair, sequence-number deltas, a resolved
 egress — interpreted by the one executor in this module,
 :func:`apply`.
-Rules-as-data is what lets a row be inspected, journaled, dumped
-(examples/flowtable_dump.py), aged out on the virtual clock and
-re-installed on the next table miss.
+Rules-as-data is what lets a row be inspected, journaled and dumped
+(examples/flowtable_dump.py).
 
 The table is exact-match on the router's one flow key, the directed int
 tuple ``(src_ip, sport, dst_ip, dport, proto)`` that
@@ -21,22 +20,14 @@ each row inherits from its flow record.  In OpenFlow terms: a
 :class:`FlowEntry` is a rewrite *installed* (``ofp_flow_mod`` add), the
 router's slow path is the controller, and a row that is not installed
 is the send-to-controller entry for its key.  The controller sees a
-packet only on a miss — no installed rule, or one whose idle/hard
-timeout expired, which demotes the flow's rules back to bare rewrites —
-or when an entry's kind marks the segment's TCP flags as state-changing
-(:data:`SPECS`); having decided, it installs entries and runs the
-packet through its row with packet-in disabled, so there is no second
-copy of the rewrite.
-
-Timeout semantics (both default off, so the steady-state probe pays a
-single float compare):
-
-* *hard* — the entry dies ``hard_timeout`` virtual seconds after
-  install, unconditionally (``expires_at``).
-* *idle* — the entry dies once the flow has seen no activity for
-  ``idle_timeout`` virtual seconds, judged against the record's
-  ``last_activity`` (the same clock ``expire_idle_flows`` uses, so the
-  two aging mechanisms cannot disagree about what "idle" means).
+packet only on a miss — no installed rule — or when an entry's kind
+marks the segment's TCP flags as state-changing (:data:`SPECS`);
+having decided, it installs entries and runs the packet through its
+row with packet-in disabled, so there is no second copy of the
+rewrite.  Rules are permanent (``OFP_FLOW_PERMANENT``): installed at
+the verdict, they leave with their flow's keys (``FlowTable.unbind``)
+— at its close, its eviction or its abort — and never age on their
+own.
 """
 
 from __future__ import annotations
@@ -58,7 +49,6 @@ from repro.net.packet import (
 
 _MASK = 0xFFFFFFFF
 _new = object.__new__
-_INF = float("inf")
 
 # Action kinds: which row of SPECS governs the entry.
 ACT_TCP_C2D = 0    # endpoint verdicts, originator -> enforced destination
@@ -222,36 +212,24 @@ _REWRITE_FIELDS = Row.__slots__ + Rewrite.__slots__
 
 class FlowEntry(Rewrite):
     """One match-action rule: a rewrite installed under its key, with
-    timeouts and a hit count."""
+    its install time and a hit count."""
 
-    __slots__ = ("hits", "installed_at", "idle_timeout", "expires_at")
+    __slots__ = ("hits", "installed_at")
     installed = True
 
-    def __init__(self, rewrite, installed_at=0.0, idle_timeout=None,
-                 hard_timeout=None):
+    def __init__(self, rewrite, installed_at=0.0):
         for name in _REWRITE_FIELDS:
             setattr(self, name, getattr(rewrite, name))
         self.hits = 0
         self.installed_at = installed_at
-        self.idle_timeout = idle_timeout
-        self.expires_at = (installed_at + hard_timeout
-                          if hard_timeout is not None else _INF)
 
     def demoted(self) -> Rewrite:
-        """The rewrite alone again, to take the key back when the rule
-        times out or its flow aborts."""
+        """The rewrite alone again, to take the key back when the
+        flow aborts."""
         rewrite = object.__new__(Rewrite)
         for name in _REWRITE_FIELDS:
             setattr(rewrite, name, getattr(self, name))
         return rewrite
-
-    def expired(self, now: float) -> bool:
-        return now >= self.expires_at or (
-            self.idle_timeout is not None
-            and now - self.record.last_activity >= self.idle_timeout)
-
-    def timeout_reason(self, now: float) -> str:
-        return "hard" if now >= self.expires_at else "idle"
 
     def describe(self) -> dict:
         """Flow_mod-style view of the rule for dumps and the report."""
@@ -271,9 +249,6 @@ class FlowEntry(Rewrite):
             "shaped": self.shaped,
             "hits": self.hits,
             "installed_at": self.installed_at,
-            "idle_timeout": self.idle_timeout,
-            "hard_expires_at": (None if self.expires_at == _INF
-                                else self.expires_at),
             "vlan": self.record.vlan,
             "phase": self.record.phase.value,
             "verdict": self.record.verdict_name,
@@ -303,25 +278,18 @@ class FlowTable:
         self.installs = 0
         self.evictions = 0
         self.retired = 0
-        self.timeout_idle = 0
-        self.timeout_hard = 0
         tel = telemetry
         if tel is not None and tel.enabled:
             tel.gauge(
                 "flowtable.occupancy", "Installed flow-table entries"
             ).register(lambda: float(self.occupancy), subfarm=name)
-            for attr, metric, help, labels in (
-                ("hits", "flowtable.hits", "Flow-table probe hits", {}),
-                ("misses", "flowtable.misses",
-                 "Flow-table misses (slow-path packets)", {}),
-                ("installs", "flowtable.installs", "Entries installed", {}),
-                ("timeout_idle", "flowtable.evictions.timeout",
-                 "Entries aged out", {"reason": "idle"}),
-                ("timeout_hard", "flowtable.evictions.timeout",
-                 "Entries aged out", {"reason": "hard"}),
+            for attr, help in (
+                ("hits", "Flow-table probe hits"),
+                ("misses", "Flow-table misses (slow-path packets)"),
+                ("installs", "Entries installed"),
             ):
-                tel.counter(metric, help).register(
-                    partial(getattr, self, attr), subfarm=name, **labels)
+                tel.counter(f"flowtable.{attr}", help).register(
+                    partial(getattr, self, attr), subfarm=name)
 
     def __len__(self) -> int:
         return self.occupancy
@@ -329,8 +297,7 @@ class FlowTable:
     def bind(self, row: Row) -> None:
         """Put ``row`` under its key, whatever answered the key before
         (an installed rule it displaces counts as evicted).  The key is
-        re-inserted, so the table iterates in binding order: the sweep
-        ages flows in the order their rules went in."""
+        re-inserted, so the table iterates in binding order."""
         held = self.entries.pop(row.key, None)
         if held is None or held.record is not row.record:
             row.record.keys.append(row.key)
@@ -354,7 +321,6 @@ class FlowTable:
                 rules += row.installed
         if keys is None:
             record.keys.clear()
-            record.installed = False
         else:
             record.keys[:] = [key for key in record.keys if key not in keys]
         self.occupancy -= rules
@@ -376,8 +342,6 @@ class FlowTable:
             "installs": self.installs,
             "evictions": self.evictions,
             "retired": self.retired,
-            "timeout_evictions": {"idle": self.timeout_idle,
-                                  "hard": self.timeout_hard},
         }
 
     def snapshot(self) -> List[dict]:
@@ -386,9 +350,6 @@ class FlowTable:
         return [entry.describe() for entry in
                 sorted(self.rules(),
                        key=lambda e: (e.installed_at, e.key))]
-
-    def expired_entries(self, now: float) -> List[FlowEntry]:
-        return [entry for entry in self.rules() if entry.expired(now)]
 
 
 def apply(router, row: Rewrite, packet: IPv4Packet,

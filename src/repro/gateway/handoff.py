@@ -15,13 +15,10 @@ Figure 5 are written down.  Plain functions over ``(router, record)``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.gateway import coupling, housekeeping
 from repro.gateway.egress import Shaped
 from repro.gateway.flows import (
-    DECIDED_PHASES,
     LIVE_PHASES,
     FlowLogEntry,
     FlowPhase,
@@ -242,9 +239,6 @@ def from_return(router, row: Row, packet: IPv4Packet) -> None:
     record = row.record
     record.last_activity = router.sim.now
     phase = record.phase
-    if phase in DECIDED_PHASES and not record.installed:
-        install(router, record)  # table miss: coupling.from_originator
-        row = router._table[row.key]
     if phase not in LIVE_PHASES:
         return
     if row.spec is not None:
@@ -320,14 +314,11 @@ def install(router, record: FlowRecord) -> None:
     # Transactional commit: compilation finished (and may have
     # raised) before any table mutation, so a failed compile can
     # never leave orphan entries or a half-installed rule set.
-    uninstall(router, record)
     table = router.flowtable
+    now = router.sim.now
     for row in rows:
-        table.bind(FlowEntry(row, router.sim.now,
-                             router.flowtable_idle_timeout,
-                             router.flowtable_hard_timeout))
+        table.bind(FlowEntry(row, now))
     table.installs += len(rows)
-    record.installed = True
     if router.journal.enabled:
         router.journal.record(
             "fastpath.install",
@@ -336,22 +327,17 @@ def install(router, record: FlowRecord) -> None:
             handlers=len(rows))
 
 
-def uninstall(router, record: FlowRecord,
-              reason: Optional[str] = None) -> None:
+def uninstall(router, record: FlowRecord) -> None:
     """Demote the flow's rules to the plain rows they were
-    installed from: its keys go back to the controller."""
-    if not record.installed:
-        return
-    record.installed = False
+    installed from (an aborted flow): its keys go back to the
+    controller."""
     rules = router.flowtable.rules(record)
     for entry in rules:
         router.flowtable.bind(entry.demoted())
     if rules and router.journal.enabled:
-        payload = dict(flow=router._trace_ids.get(record.mux_port),
-                       vlan=record.vlan, handlers=len(rules))
-        if reason is not None:
-            payload["reason"] = reason
-        router.journal.record("fastpath.evict", **payload)
+        router.journal.record(
+            "fastpath.evict", flow=router._trace_ids.get(record.mux_port),
+            vlan=record.vlan, handlers=len(rules))
 
 
 def compile_row(router, record: FlowRecord, key: tuple, leg: int, kind: int,

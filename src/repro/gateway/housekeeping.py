@@ -5,19 +5,19 @@ ends on the wire (``retire``: both FINs acknowledged, or an RST; a
 DROP at its verdict).  Any flow leaves it when its tuple starts over
 (a new incarnation), its inmate is reverted, hostile bytes arrive on
 it, or it has been idle past ``flow_idle_timeout`` — whatever its
-phase (``evict``); its rules are demoted sooner, when an idle or hard
-timeout passes or the flow aborts.  All go through ``release``, after
+phase (``evict``).  A rule lives exactly as long as its flow's keys:
+only an abort demotes it sooner.  All go through ``release``, after
 which the router holds nothing of the flow.  The periodic tick arms
-itself while records hold rows and goes quiet with them.  (The router's
-``sweep_flowtable`` / ``expire_idle_flows`` / ``forget_inmate`` are the
-entry points.)  Plain functions over ``(router, record)``.
+itself while records hold rows and goes quiet with them; each tick is
+one ``sweep_flowtable``.  (The router's ``sweep_flowtable`` /
+``expire_idle_flows`` / ``forget_inmate`` are the entry points.)
+Plain functions over ``(router, record)``.
 """
 
 from __future__ import annotations
 
 from repro.gateway import coupling, handoff
 from repro.gateway.flows import LIVE_PHASES, FlowPhase, FlowRecord
-from repro.gateway.flowtable import FlowEntry
 from repro.net.packet import IPv4Packet, PROTO_TCP, PROTO_UDP
 
 
@@ -92,19 +92,6 @@ def isolate_offender(router, packet: IPv4Packet) -> None:
     router.barrier.note_isolation()
 
 
-def timeout(router, entry: FlowEntry, now: float) -> None:
-    """An entry's idle or hard timeout has passed: demote the whole
-    flow's rules (both directions age together, like
-    expire_idle_flows) and journal the reason.  The next packet
-    re-installs via the table-miss path if the flow is still live."""
-    reason = entry.timeout_reason(now)
-    if reason == "hard":
-        router.flowtable.timeout_hard += 1
-    else:
-        router.flowtable.timeout_idle += 1
-    handoff.uninstall(router, entry.record, reason=reason)
-
-
 def arm(router) -> None:
     if router._housekeeping_armed:
         return
@@ -116,6 +103,5 @@ def arm(router) -> None:
 def housekeep(router) -> None:
     router._housekeeping_armed = False
     router.sweep_flowtable()
-    router.expire_idle_flows(router.flow_idle_timeout)
     if router._by_mux:
         arm(router)

@@ -34,14 +34,14 @@ Division of labour (docs/PERFORMANCE.md, "The flow table and the
 controller"): every relayed packet is rewritten by data — each leg of a
 flow's life is a :class:`~repro.gateway.flowtable.Row` of the flow
 table, the coupled SHIM-phase legs from the flow's first packet on, and
-``flowtable.apply`` is the only code that translates one.  After the
+``flowtable.apply`` is the only code that translates one.  At the
 verdict the rows are installed as
-:class:`~repro.gateway.flowtable.FlowEntry` rules and packets never
-reach the controller; before it (and on a table miss after a timeout,
-a SYN retransmit, an RST) the row hands the packet to the controller's
-handler for its leg, which does the bookkeeping — buffer for the
-handoff replay, strip the shim, learn ISNs — and runs the packet
-through the row itself.  What is written out as code here is what
+:class:`~repro.gateway.flowtable.FlowEntry` rules for the rest of the
+flow's life and packets never reach the controller; before it (and for
+a SYN retransmit or an RST) the row hands the packet to the
+controller's handler for its leg, which does the bookkeeping — buffer
+for the handoff replay, strip the shim, learn ISNs — and runs the
+packet through the row itself.  What is written out as code here is what
 decides or changes flow state: admission and the safety filter, the
 shim handshake, the handoff, eviction and housekeeping.
 
@@ -210,11 +210,6 @@ class SubfarmRouter:
         # What the executor calls when the packet it emitted finished
         # its flow (flowtable.CLOSE_RETIRE).
         self._retire = partial(housekeeping.retire, self)
-        # Entry aging on the virtual clock (None = no aging): consulted
-        # at install time, enforced lazily at probe time and eagerly by
-        # the housekeeping sweep.
-        self.flowtable_idle_timeout: Optional[float] = None
-        self.flowtable_hard_timeout: Optional[float] = None
 
         # Per-service NAT for outbound service traffic (control /24),
         # both ways keyed on the address's 32-bit value.
@@ -425,7 +420,7 @@ class SubfarmRouter:
         """Probe the flow table, once, with the packet's flow key —
         ``(src ip as int, sport, dst ip as int, dport, proto)``,
         computed here and nowhere else on the packet's way through.
-        True when the packet found its flow and was handled.  A live
+        True when the packet found its flow and was handled.  An
         installed rule is a hit and runs the executor; any other row is
         a miss and hands the packet to the controller's handler for
         the leg the row names."""
@@ -436,17 +431,10 @@ class SubfarmRouter:
         row = self._table.get((packet.src.value, transport.sport,
                                packet.dst.value, transport.dport, proto))
         if row is not None and row.installed:
-            now = self.sim.now
-            if now < row.expires_at and (
-                    row.idle_timeout is None
-                    or now - row.record.last_activity
-                    < row.idle_timeout):
-                row.hits += 1
-                self.flowtable.hits += 1
-                apply(self, row, packet)
-                return True
-            housekeeping.timeout(self, row, now)
-            row = self._table[row.key]   # demoted: the rewrite alone
+            row.hits += 1
+            self.flowtable.hits += 1
+            apply(self, row, packet)
+            return True
         self.flowtable.misses += 1
         if row is None:
             return False
@@ -570,25 +558,10 @@ class SubfarmRouter:
     # Housekeeping entry points (the rest is repro.gateway.housekeeping)
     # ------------------------------------------------------------------
     def sweep_flowtable(self) -> int:
-        """Evict flow-table entries whose idle/hard timeout has passed.
-
-        The probe only ages entries that traffic still touches; this
-        sweep (riding the existing housekeeping event, so the event
-        schedule is unchanged) reclaims rules for flows that went
-        quiet.  Returns the number of flows whose rules were evicted.
-        """
-        table = self.flowtable
-        if not len(table):
-            return 0
-        now = self.sim.now
-        swept = 0
-        for entry in table.expired_entries(now):
-            # A flow's first expired entry evicts all of its rules, so
-            # re-check liveness before timing out the next one.
-            if table.entries.get(entry.key) is entry:
-                housekeeping.timeout(self, entry, now)
-                swept += 1
-        return swept
+        """The housekeeping sweep: evict every record idle past
+        ``flow_idle_timeout`` (:meth:`expire_idle_flows`), its rules
+        with it.  Returns how many went."""
+        return self.expire_idle_flows(self.flow_idle_timeout)
 
     def expire_idle_flows(self, max_idle: float) -> int:
         """Evict every record idle longer than ``max_idle`` that still

@@ -352,7 +352,6 @@ def render_report(report: ActivityReport, telemetry=None,
         lines.append("")
         for name in sorted(report.flowtables):
             summary = report.flowtables[name]
-            timeouts = summary["timeout_evictions"]
             lines.append(f"Subfarm '{name}'")
             lines.append(
                 f"  occupancy {summary['occupancy']:>6}   "
@@ -361,9 +360,7 @@ def render_report(report: ActivityReport, telemetry=None,
                 f"installs {summary['installs']:>6}")
             lines.append(
                 f"  evictions {summary['evictions']:>6}   "
-                f"retired {summary['retired']:>6}   "
-                f"idle timeouts {timeouts['idle']:>6}   "
-                f"hard timeouts {timeouts['hard']:>6}")
+                f"retired {summary['retired']:>6}")
             # The busiest rules only: a day-scale run installs
             # thousands, and report.flowtables keeps them all.
             entries = sorted(summary["entries"],

@@ -425,9 +425,8 @@ class _Delivery:
     """One harness plus the emission log every mode fills the same way:
     per channel, in emission order, the packets the harness captured."""
 
-    def __init__(self, flows, idle_timeout) -> None:
+    def __init__(self, flows) -> None:
         self.harness = harness = RouterHarness(seed=7)
-        harness.router.flowtable_idle_timeout = idle_timeout
         self.flows = []
         for index, (udp, verdict, kwargs) in enumerate(flows):
             establish = (harness.establish_udp_flow if udp
@@ -471,7 +470,7 @@ class _Delivery:
                              vlan=VLAN)
 
     def advance(self) -> None:
-        self.now += 50.0     # past the 30 s idle timeout
+        self.now += 50.0
         self.harness.sim.run(until=self.now)
 
     def result(self) -> dict:
@@ -545,10 +544,10 @@ def _frame_batches(run: _Delivery, script, chunks) -> None:
        script=steps,
        chunks=st.lists(st.integers(1, 6), max_size=12))
 def test_delivery_modes_agree(flows, script, chunks):
-    scalar = _Delivery(flows, idle_timeout=30.0)
+    scalar = _Delivery(flows)
     _per_frame(scalar, script)
     expected = scalar.result()
 
-    framed = _Delivery(flows, idle_timeout=30.0)
+    framed = _Delivery(flows)
     _frame_batches(framed, script, chunks)
     assert framed.result() == expected

@@ -206,10 +206,6 @@ FIELD_EVIDENCE = {
                      "::test_fail_stop_policy_stops_the_subfarm",
     "quarantine_max_frames": "tests/test_malice_barrier.py::TestRouterBarrier"
                              "::test_config_controls_quarantine_bound",
-    "flowtable_idle_timeout":
-        "tests/test_flowtable.py::test_farm_wires_timeouts_to_routers",
-    "flowtable_hard_timeout":
-        "tests/test_flowtable.py::test_farm_wires_timeouts_to_routers",
     "batch_window": "tests/test_flowtable.py::test_farm_batch_window_parity",
 }
 
@@ -250,6 +246,16 @@ class TestFarmConfigShape:
         assert str(excinfo.value) == (
             "unknown FarmConfig keys: ['cs_probe_interval', 'not_a_knob']")
 
+    @pytest.mark.parametrize("key", ["flowtable_idle_timeout",
+                                     "flowtable_hard_timeout"])
+    def test_an_entry_timeout_is_an_unknown_key(self, key):
+        """Flow-table rules no longer age: an old document that sets
+        either entry timeout is refused, naming the key."""
+        document = dict(FarmConfig().to_dict(), **{key: 30.0})
+        with pytest.raises(ValueError) as excinfo:
+            FarmConfig.from_dict(document)
+        assert str(excinfo.value) == f"unknown FarmConfig keys: ['{key}']"
+
     @pytest.mark.parametrize("bad", [
         {"pending_policy": "shrug"}, {"malice_policy": "ignore"},
         {"batch_window": -1.0}, {"inbound_mode": "sideways"},
@@ -280,11 +286,6 @@ class TestFarmConfigShape:
         ("lifecycle_retry_backoff", -30.0, False),
         ("lifecycle_retry_backoff", 0, True),
         ("quarantine_max_frames", -1, False),
-        ("flowtable_idle_timeout", -1.0, False),
-        ("flowtable_idle_timeout", NAN, False),
-        ("flowtable_hard_timeout", -5, False),
-        ("flowtable_hard_timeout", NAN, False),
-        ("flowtable_hard_timeout", 50, True),
         ("telemetry_snapshot_interval", -1.0, False),
         ("telemetry_snapshot_interval", NAN, False),
         ("journal_sample_interval", INF, False),

@@ -232,7 +232,7 @@ def test_evicted_handlers_are_uninstalled():
     record = harness.establish_flow(VLAN, SPORT, client_isn=CLIENT_ISN,
                                     dst_isn=DST_ISN)
     table = harness.router.flowtable
-    assert len(table.rules(record)) == 2 and record.installed
+    assert len(table.rules(record)) == 2
     bound = list(record.keys)
     # Both tuples and the alias: the server's leg went at the verdict.
     assert len(bound) == 3 and record.cs_ip.value not in [
@@ -240,7 +240,7 @@ def test_evicted_handlers_are_uninstalled():
     housekeeping.evict(harness.router, record)
     for key in bound:
         assert key not in table.entries
-    assert not record.keys and not record.installed and not len(table)
+    assert not record.keys and not table.rules(record) and not len(table)
 
 
 def test_reverdict_reinstalls_fresh_handlers():

@@ -17,25 +17,31 @@ table that kept a finished flow until the idle sweep, and whose
 telemetry read its stats as of the last install or eviction) and
 `OLD_PATH_PINS` (the gateway that kept the containment server on a
 flow's path after an endpoint verdict and a TCP DROP until the idle
-sweep, and let a server's frame on no flow out raw).  Each older
-fixture stands on the newer ones, since its pins were recorded before
-them too.
+sweep, and let a server's frame on no flow out raw) and
+`OLD_AGING_PINS` (the flow table whose entries had idle and hard
+timeouts, and the fault-matrix shard that digested its whole snapshot
+inline).  Each older fixture stands on the newer ones, since its pins
+were recorded before them too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from repro.core.policy import AllowAll
+from repro.experiments.fault_matrix import build_fault_farm
 from repro.experiments.registry import ARTEFACTS
 from repro.farm import Farm, FarmConfig
 from repro.faults import FaultPlan
 from repro.core.verdicts import Verdict
+from repro.fuzz.generators import SOLO_TARGETS
 from repro.fuzz.router import RouterScript, run_script
-from repro.fuzz.runner import QUICK_ROUTER_SCRIPTS
+from repro.fuzz.runner import (QUICK_ROUTER_SCRIPTS, QUICK_SEED,
+                               QUICK_SOLO_ITERATIONS, fuzz_target)
 from repro.gateway import admission, coupling, handoff, housekeeping
 from repro.gateway.flows import FlowPhase
 from repro.gateway.flowtable import (
@@ -53,7 +59,8 @@ from repro.net.packet import ACK, IPv4Packet, PROTO_TCP, RST, SYN
 from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
-from tests import test_fastpath, test_obs_parity
+from repro.shape import NUMBER
+from tests import golden, test_fastpath, test_obs_parity
 from tests.golden import FARM_PINS, farm_pin, script_digests, wire_digest
 from tests.helpers import run_farm
 
@@ -89,6 +96,166 @@ V1_PINS = [
           for key in ("digest", "events", "packets_relayed")}),
      "85835cfef3e0674fe5e2f59d10eebb0df833d705474f615cd6e0c4ce7a48c6b7"),
 ]
+
+
+# ----------------------------------------------------------------------
+# The table every pin up to the deletion of entry aging was recorded on
+# ----------------------------------------------------------------------
+#: FarmConfig's entry timeouts, which stood just before ``batch_window``
+#: in FIELDS and in _LEAST.
+AGING_FIELDS = {"flowtable_idle_timeout": (NUMBER, None),
+                "flowtable_hard_timeout": (NUMBER, None)}
+
+
+def _before_batch_window(table: dict, rows: dict) -> dict:
+    out = {}
+    for name, row in table.items():
+        if name == "batch_window":
+            out.update(rows)
+        out[name] = row
+    return out
+
+
+def _inline_fault_shard(seed, scenario="baseline", pending_policy="drop"):
+    """``fault_farm_shard``'s digest as the shard folded it inline:
+    counters per subfarm in creation order, flow logs, the upstream
+    trace, the whole telemetry snapshot (``flowtable.*`` included),
+    then the resilience summaries."""
+    farm = build_fault_farm(seed, scenario=scenario,
+                            pending_policy=pending_policy)
+    subs = list(farm.subfarms.values())
+    digest = hashlib.sha256()
+    for sub in subs:
+        digest.update(json.dumps({sub.name: dict(sub.router.counters)},
+                                 sort_keys=True).encode())
+        for entry in sub.router.flow_log:
+            digest.update(
+                f"{entry.timestamp:.9f}|{entry.vlan}|{entry.verdict}"
+                f"|{entry.orig}|{entry.policy}".encode())
+    for rec in farm.gateway.upstream_trace.records:
+        digest.update(rec.frame.to_bytes())
+    digest.update(json.dumps(farm.telemetry_snapshot(),
+                             sort_keys=True).encode())
+    for sub in sorted(subs, key=lambda sub: sub.name):
+        if sub.resilience is not None:
+            digest.update(json.dumps({sub.name: sub.resilience.summary()},
+                                     sort_keys=True).encode())
+    return {"digest": digest.hexdigest()}
+
+
+def _register_aging_counters(telemetry, name, read) -> None:
+    for reason in ("idle", "hard"):
+        telemetry.counter("flowtable.evictions.timeout",
+                          "Entries aged out").register(
+            read, subfarm=name, reason=reason)
+
+
+@pytest.fixture
+def old_aging(monkeypatch):
+    """Put back what flow-table entry aging left in the pins: the
+    ``flowtable.evictions.timeout`` counters by reason (no pinned run
+    set a timeout, so each read 0), FarmConfig's two timeout fields
+    (rows the fuzz loop mutates) and the fault-matrix shard's inline
+    digest, which folded those counters."""
+    init = FlowTable.__init__
+
+    def counted(self, name, telemetry=None):
+        init(self, name, telemetry)
+        if telemetry is not None and telemetry.enabled:
+            _register_aging_counters(telemetry, name, lambda: 0)
+
+    monkeypatch.setattr(FlowTable, "__init__", counted)
+    fields = FarmConfig.FIELDS
+    kept = dict(fields)
+    fields.clear()   # in place: the fuzz loop's Table holds this dict
+    fields.update(_before_batch_window(kept, AGING_FIELDS))
+    monkeypatch.setattr(FarmConfig, "_LEAST", _before_batch_window(
+        FarmConfig._LEAST, dict.fromkeys(AGING_FIELDS, 0)))
+    monkeypatch.setattr(golden, "fault_farm_shard", _inline_fault_shard)
+    yield
+    fields.clear()
+    fields.update(kept)
+
+
+def _fig7_text() -> str:
+    """``benchmarks/output/fig7_report.txt`` with the flow-table
+    section's timeout columns, which read 0, put back."""
+    row = ARTEFACTS["fig7-report"]
+    return re.sub(r"(?m)^(  evictions +\d+   retired +\d+)$",
+                  lambda match: match[1] + f"   idle timeouts {0:>6}"
+                                           f"   hard timeouts {0:>6}",
+                  row.render(row.run(**row.defaults())))
+
+
+def _farm_config_fuzz() -> dict:
+    """``FUZZ_quick.json``'s ``farm_config`` section."""
+    run = fuzz_target(SOLO_TARGETS["farm_config"], QUICK_SEED,
+                      QUICK_SOLO_ITERATIONS)
+    return {key: run[key]
+            for key in ("iterations", "ok", "parse_errors", "digest")}
+
+
+#: Every pin the deletion of entry aging and the fault shard's move to
+#: ``farm_digest`` moved, as recorded before them: the fault-matrix
+#: cells, the obs-parity corpus (the two counters), the Figure 7 report
+#: (its flow-table line) and the quick fuzz loop over FarmConfig
+#: documents (its rows).
+OLD_AGING_PINS = {
+    "fault/baseline/drop":
+        "a8bb3f6ec502c5560d32a3f226fee83516ab33106ffb51c241360dfef1b7bfa0",
+    "fault/baseline/forward":
+        "fbbdbfbad7121a7caafa4afcf1c0d828b53b275e6ff2d21b5dce6c75930af8d2",
+    "fault/cs_crash/drop":
+        "71fe8a59f89c361ba816bcceaefecee44ddb4be292fb1eff558fa12efe090fae",
+    "fault/cs_crash/forward":
+        "673246508f6a675ad3a5533514bf2993e8b20112766bc67ef43b11837cf16852",
+    "fault/cs_crash_restore/drop":
+        "34a524d000cf08179a717d310090ec6dbb3e8f80a34fc42505ddc3f7c7ded91f",
+    "fault/cs_crash_restore/forward":
+        "c189b3d5267149e597b5da15a0806c5fe9dbc2e9892d072764557a7dde6dffa9",
+    "fault/cs_hang/drop":
+        "b12bd83783ec3eaa1206364199db074d9355086607c6c52afb5fc3196f04ba35",
+    "fault/cs_hang/forward":
+        "9a2995815fd6db7223e861fb8cb7f68cdfa30fc857ef11b02905477c65116e85",
+    "fault/revert_fail/drop":
+        "b15745fd6bbd8b089b99e66c1860ac116d76fcdfa1b14a275280e2b7d8ab76fd",
+    "fault/revert_fail/forward":
+        "fa0394785d7f6ff4eb3b6527350ab1f956095a4c5bf9656941932290bcb3b5e0",
+    "fault/shim_degraded/drop":
+        "bb4817aa37aaf45e7905ce8da3ed86613213c77d723a8e784224de7057870f73",
+    "fault/shim_degraded/forward":
+        "942a082844fc4b647ff0baa4f71c9b9f4598bd1b57ea1c77ddf29b22b7742d28",
+    "fault/shim_partition/drop":
+        "1e5d6a9ba7270293b68db1977f4e654c004571e109254649d34207b287439763",
+    "fault/shim_partition/forward":
+        "c6382eb28b46898088163ca5b1ef828cb69e5d68365c77cc40f68a8b04dddc84",
+    "obs": "6bd0a3c0e2728465ccc2caf083fb9926d8983a9f3036e8a85048beebd4ce6634",
+    "fig7_report":
+        "17589c9ff4b1792b8b8f5727d3872d9d72c2e12d0452de08cb77dc129c959e01",
+    "fuzz/farm_config": {
+        "digest":
+            "db2cb9564b10fd4bea88e772ed89b105da294b8add6d66295baec1d394368fdc",
+        "iterations": 500, "ok": 104, "parse_errors": 396},
+}
+
+
+def _old_aging_producers() -> dict:
+    return {
+        **FARM_PINS,
+        "obs": _obs_corpus_digest,
+        "fig7_report": lambda: hashlib.sha256(
+            _fig7_text().encode("utf-8")).hexdigest(),
+        "fuzz/farm_config": _farm_config_fuzz,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(OLD_AGING_PINS))
+def test_pins_reconstruct_with_entry_aging(old_aging, name):
+    """Deleting entry aging and digesting the fault shard through
+    ``farm_digest`` moved what they move and nothing else: with the
+    counters, the config rows, the report columns and the inline
+    digest put back, every pin they moved reads as it was."""
+    assert _old_aging_producers()[name]() == OLD_AGING_PINS[name]
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +301,7 @@ def _every_flow_gets_the_server(self, ip) -> None:
 
 
 @pytest.fixture
-def old_path(monkeypatch):
+def old_path(monkeypatch, old_aging):
     """Put back the gateway that held a flow past its end on the wire:
     an endpoint verdict re-bound every server's mux-port row (what a
     server still sent reached the client, translated, but for a reset,
@@ -310,7 +477,7 @@ def test_pins_reconstruct_on_the_old_path(old_path, name):
 # ----------------------------------------------------------------------
 def _sync(table) -> None:
     table._synced = (table.occupancy, table.hits, table.misses,
-                     table.installs, table.timeout_idle, table.timeout_hard)
+                     table.installs)
 
 
 @pytest.fixture
@@ -339,19 +506,16 @@ def old_table(monkeypatch, old_path):
             telemetry.gauge(
                 "flowtable.occupancy", "Installed flow-table entries"
             ).register(lambda: float(self._synced[0]), subfarm=name)
-            for index, (metric, help, labels) in enumerate((
-                ("flowtable.hits", "Flow-table probe hits", {}),
+            for index, (metric, help) in enumerate((
+                ("flowtable.hits", "Flow-table probe hits"),
                 ("flowtable.misses",
-                 "Flow-table misses (slow-path packets)", {}),
-                ("flowtable.installs", "Entries installed", {}),
-                ("flowtable.evictions.timeout", "Entries aged out",
-                 {"reason": "idle"}),
-                ("flowtable.evictions.timeout", "Entries aged out",
-                 {"reason": "hard"}),
+                 "Flow-table misses (slow-path packets)"),
+                ("flowtable.installs", "Entries installed"),
             ), 1):
                 telemetry.counter(metric, help).register(
                     lambda index=index: self._synced[index],
-                    subfarm=name, **labels)
+                    subfarm=name)
+            _register_aging_counters(telemetry, name, lambda: 0)
 
     def synced_stats(self):
         _sync(self)
@@ -363,13 +527,14 @@ def old_table(monkeypatch, old_path):
     release = housekeeping.release
 
     def synced_install(router, record):
+        installs = router.flowtable.installs
         install(router, record)
-        if record.installed:
+        if router.flowtable.installs != installs:
             _sync(router.flowtable)
 
-    def synced_uninstall(router, record, reason=None):
-        installed = record.installed
-        uninstall(router, record, reason)
+    def synced_uninstall(router, record):
+        installed = router.flowtable.rules(record)
+        uninstall(router, record)
         if installed:
             _sync(router.flowtable)
 
@@ -385,11 +550,9 @@ def old_table(monkeypatch, old_path):
 
 
 def _fig7_report() -> str:
-    """``benchmarks/output/fig7_report.txt`` less the flow-table
-    section's ``retired`` column, which the old table did not have."""
-    row = ARTEFACTS["fig7-report"]
-    text = row.render(row.run(**row.defaults()))
-    text = text.replace(f"   retired {0:>6}", "")
+    """:func:`_fig7_text` less the flow-table section's ``retired``
+    column, which the old table did not have."""
+    text = _fig7_text().replace(f"   retired {0:>6}", "")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

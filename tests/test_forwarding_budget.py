@@ -197,11 +197,10 @@ def _assert_one_probe_per_packet(table, others, calls, released) -> int:
                   ("inmate_frame", "service_frame", "upstream_packet"))
     # Every packet that entered was looked up, once, with one ``get``;
     # no handler on its way probed the table again.  (Binding a row
-    # swaps it in with ``pop``; the controller reads a row it has just
-    # re-installed, and the opening packet's coupled row, by item.)
+    # swaps it in with ``pop``; the opening packet's coupled row is
+    # read by item.)
     assert table.reads["_lookup"] == entered
-    assert set(table.reads) <= {"_lookup", "bind", "offer",
-                                "from_originator", "from_return", "unbind"}
+    assert set(table.reads) <= {"_lookup", "bind", "offer", "unbind"}
     assert table.reads["offer"] <= others["_by_mux"].reads["allocate_slot"]
     assert (table.reads["from_originator"] + table.reads["from_return"]
             <= calls[("handoff.py", "install")])

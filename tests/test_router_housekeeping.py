@@ -286,7 +286,8 @@ def _forwarded(verdict=Verdict.FORWARD, rate=None):
     harness = RouterHarness()
     record = harness.establish_flow(VLAN, 40000, verdict=verdict, rate=rate,
                                     client_isn=CLIENT_ISN, dst_isn=DST_ISN)
-    assert record.phase is FlowPhase.ENFORCED and record.installed
+    assert record.phase is FlowPhase.ENFORCED
+    assert harness.router.flowtable.rules(record)
     harness.drain()
     return harness, record, _Ends(harness, record)
 
@@ -576,7 +577,8 @@ def test_a_server_speaking_after_a_forward_handoff_emits_nothing():
     _from_cs(harness, record, CS_ISN + 57, CLIENT_ISN + 1 + 24, FIN | ACK)
     assert harness.to_vlan == harness.upstream == harness.to_service == []
     assert observable() == (counters, misses + 2, stats, *accounting)
-    assert record.phase is FlowPhase.ENFORCED and record.installed
+    assert record.phase is FlowPhase.ENFORCED
+    assert router.flowtable.rules(record)
 
 
 def test_a_server_frame_on_no_flow_never_reaches_the_inmate_vlan():
