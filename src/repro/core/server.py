@@ -286,8 +286,15 @@ class ContainmentServer:
         self._busy_until = 0.0
         self.queue_delays: List[float] = []
 
-        # Per-flow decisions for UDP (keyed on the original tuple).
-        self._udp_decisions: Dict[FiveTuple, ContainmentDecision] = {}
+        # Per-flow decisions for UDP, keyed on the incarnation the
+        # request shim names: the original tuple and the gateway's
+        # per-record slot (its nonce port).  A failover resend or a
+        # REWRITE flow's later datagram reuses its decision; a flow the
+        # gateway evicted and re-created on the same tuple is asked
+        # afresh.  Left open: the same tuple landing on the same slot
+        # after the gateway's allocator has wrapped all 20,000.
+        self._udp_decisions: Dict[Tuple[FiveTuple, int],
+                                  ContainmentDecision] = {}
 
         host.tcp.listen(tcp_port, self._accept)
         host.udp.bind(udp_port, self._udp_datagram)
@@ -407,13 +414,14 @@ class ContainmentServer:
         content = payload[REQUEST_SHIM_LEN:]
         policy, ctx = self._resolve(shim)
 
-        decision = self._udp_decisions.get(shim.flow)
+        incarnation = (shim.flow, shim.nonce_port)
+        decision = self._udp_decisions.get(incarnation)
         first = decision is None
         if first:
             decision = policy.decide(ctx)
             if decision is None:
                 decision = policy.decide_datagram(ctx, content)
-            self._udp_decisions[shim.flow] = decision
+            self._udp_decisions[incarnation] = decision
             self._record(shim, decision)
 
         response = ResponseShim.from_decision(shim.flow, decision).to_bytes()

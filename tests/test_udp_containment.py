@@ -91,6 +91,44 @@ class TestUdpForward:
         assert sources and sources[0] == sub.nat.global_for(inmate.vlan)
 
 
+class TestUdpReincarnation:
+    def test_a_recreated_flow_is_decided_afresh(self):
+        """The gateway evicts an idle UDP flow; the same tuple sent on
+        later is a new flow, and the containment server asks the policy
+        in force then instead of re-applying the first verdict."""
+        farm = Farm(FarmConfig(seed=81, journal=True))
+        sub = farm.create_subfarm("udp")
+        received = echo_service(farm.add_external_host("echo",
+                                                       EXTERNAL_ECHO))
+
+        def image(host):
+            def probe(configured):
+                src_port = configured.udp.allocate_port()
+                configured.udp.bind(src_port, lambda *args: None)
+
+                def send(payload):
+                    configured.udp.sendto(payload, IPv4Address(EXTERNAL_ECHO),
+                                          7777, src_port)
+
+                send(b"first")
+                configured.sim.schedule_at(1530.0, send, b"second")
+
+            DhcpClient(host, on_configured=probe).start()
+
+        inmate = sub.create_inmate(image_factory=image, policy=AllowAll())
+        farm.run(until=1000)
+        sub.assign_policy(DefaultDeny(), inmate.vlan)
+        farm.run(until=1600)
+        assert received == [b"first"]
+        assert [line.verdict for line in sub.router.flow_log] == [
+            "FORWARD", "DROP"]
+        assert sub.containment_server.verdict_counts == {"FORWARD": 1,
+                                                         "DROP": 1}
+        kinds = [event.kind for event in farm.journal.events()]
+        assert kinds.count("verdict.issued") == 2
+        assert kinds.count("verdict.applied") == 2
+
+
 class TestUdpDrop:
     def test_dropped_datagram_vanishes(self):
         farm = Farm(FarmConfig(seed=82))
