@@ -284,17 +284,22 @@ class ContainmentServer:
         # seconds; concurrent flows queue.
         self.service_time = service_time
         self._busy_until = 0.0
-        self.queue_delays: List[float] = []
+        # Verdicts that queued, and their delay in total and at most.
+        self.queued = 0
+        self.queue_delay_total = 0.0
+        self.queue_delay_max = 0.0
 
-        # Per-flow decisions for UDP, keyed on the incarnation the
-        # request shim names: the original tuple and the gateway's
-        # per-record slot (its nonce port).  A failover resend or a
-        # REWRITE flow's later datagram reuses its decision; a flow the
-        # gateway evicted and re-created on the same tuple is asked
-        # afresh.  Left open: the same tuple landing on the same slot
-        # after the gateway's allocator has wrapped all 20,000.
-        self._udp_decisions: Dict[Tuple[FiveTuple, int],
-                                  ContainmentDecision] = {}
+        # UDP decisions by the request shim's nonce port (the gateway's
+        # per-record slot), each with the flow it was made for.  A
+        # failover resend or a REWRITE flow's later datagram names the
+        # same flow on the same slot and reuses its decision; the next
+        # flow on the slot (a new tuple, or this one re-created after an
+        # eviction) is asked afresh and replaces it, so the cache is
+        # bounded by the slot space, as the gateway's records are.  Left
+        # open: the same tuple landing on the same slot after the
+        # gateway's allocator has wrapped reuses the old decision.
+        self._udp_decisions: Dict[int, Tuple[FiveTuple,
+                                             ContainmentDecision]] = {}
 
         host.tcp.listen(tcp_port, self._accept)
         host.udp.bind(udp_port, self._udp_datagram)
@@ -335,7 +340,9 @@ class ContainmentServer:
         start = max(now, self._busy_until)
         self._busy_until = start + self.service_time + extra
         delay = self._busy_until - now
-        self.queue_delays.append(delay)
+        self.queued += 1
+        self.queue_delay_total += delay
+        self.queue_delay_max = max(self.queue_delay_max, delay)
         self.sim.schedule(delay, cs_conn._issue, decision,
                           label="cs-service")
 
@@ -414,15 +421,16 @@ class ContainmentServer:
         content = payload[REQUEST_SHIM_LEN:]
         policy, ctx = self._resolve(shim)
 
-        incarnation = (shim.flow, shim.nonce_port)
-        decision = self._udp_decisions.get(incarnation)
-        first = decision is None
+        cached = self._udp_decisions.get(shim.nonce_port)
+        first = cached is None or cached[0] != shim.flow
         if first:
             decision = policy.decide(ctx)
             if decision is None:
                 decision = policy.decide_datagram(ctx, content)
-            self._udp_decisions[incarnation] = decision
+            self._udp_decisions[shim.nonce_port] = (shim.flow, decision)
             self._record(shim, decision)
+        else:
+            decision = cached[1]
 
         response = ResponseShim.from_decision(shim.flow, decision).to_bytes()
         if decision.verdict.is_content_control:

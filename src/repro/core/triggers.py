@@ -26,7 +26,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.net.addresses import IPv4Address
 from repro.net.flow import FiveTuple
 from repro.net.packet import PROTO_TCP, PROTO_UDP
-from repro.obs.telemetry import register_first
+from repro.obs.telemetry import tally
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -116,23 +116,6 @@ class _TriggerState:
         self.ever_active = False
 
 
-class TriggerFiring:
-    __slots__ = ("timestamp", "vlan", "action", "spec")
-
-    def __init__(self, timestamp: float, vlan: int, action: str,
-                 spec: TriggerSpec) -> None:
-        self.timestamp = timestamp
-        self.vlan = vlan
-        self.action = action
-        self.spec = spec
-
-    def __repr__(self) -> str:
-        return (
-            f"<TriggerFiring t={self.timestamp:.0f} vlan={self.vlan} "
-            f"{self.action}>"
-        )
-
-
 class TriggerEngine:
     """Evaluates trigger rules against the flow-event stream."""
 
@@ -143,7 +126,9 @@ class TriggerEngine:
         self.check_interval = check_interval
         self._rules: List[Tuple[TriggerSpec, Set[int]]] = []
         self._state: Dict[Tuple[int, int], _TriggerState] = {}
-        self.firings: List[TriggerFiring] = []
+        # Firings, by life-cycle action: a count, not a list (with the
+        # journal on, each firing is also a ``trigger.fired`` event).
+        self.fired: Dict[str, int] = {}
         self._sweeper = Process(sim, check_interval, self._sweep,
                                 label="trigger-sweep")
         self._sweeper_started = False
@@ -251,10 +236,5 @@ class TriggerEngine:
         state.last_fired = self.sim.now
         state.events.clear()
         state.ever_active = False
-        self.firings.append(
-            TriggerFiring(self.sim.now, vlan, spec.action, spec)
-        )
-        register_first(self._m_fired, lambda: sum(
-            firing.action == spec.action for firing in self.firings),
-            action=spec.action)
+        tally(self.fired, spec.action, self._m_fired, action=spec.action)
         self.lifecycle(spec.action, vlan)

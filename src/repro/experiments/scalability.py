@@ -98,10 +98,12 @@ def run_cs_load(
     result.load_balance = [sum(server.verdict_counts.values())
                            for server in servers]
     result.verdicts = sum(result.load_balance)
-    delays = [delay for server in servers for delay in server.queue_delays]
-    if delays:
-        result.mean_queue_delay = sum(delays) / len(delays)
-        result.max_queue_delay = max(delays)
+    queued = sum(server.queued for server in servers)
+    if queued:
+        result.mean_queue_delay = sum(
+            server.queue_delay_total for server in servers) / queued
+        result.max_queue_delay = max(server.queue_delay_max
+                                     for server in servers)
     return result
 
 

@@ -8,39 +8,21 @@ into a usable flooder.
 
 Implementation: sliding-window counters per inmate (across all
 destinations) and per (inmate, destination) pair.  Flows beyond a
-threshold are refused at creation and counted as alerts.  A pair's
-history is dropped once its newest flow has left the window, so a
-scanning inmate costs memory for one window of destinations, not for
-every destination it ever tried.
+threshold are refused at creation and counted as alerts, by the budget
+that tripped (``trips``); the refused flow's REFUSED line in the
+gateway's flow log is its record.  A pair's history is dropped once its
+newest flow has left the window, so a scanning inmate costs memory for
+one window of destinations, not for every destination it ever tried.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.obs.telemetry import NULL_TELEMETRY
-
-
-class SafetyAlert:
-    """One refused flow, kept for reporting."""
-
-    __slots__ = ("timestamp", "vlan", "destination", "reason")
-
-    def __init__(self, timestamp: float, vlan: int,
-                 destination: IPv4Address, reason: str) -> None:
-        self.timestamp = timestamp
-        self.vlan = vlan
-        self.destination = destination
-        self.reason = reason
-
-    def __repr__(self) -> str:
-        return (
-            f"<SafetyAlert t={self.timestamp:.1f} vlan={self.vlan} "
-            f"dst={self.destination} {self.reason}>"
-        )
 
 
 class SafetyFilter:
@@ -76,7 +58,6 @@ class SafetyFilter:
         # what tells admit() which pair histories may have gone stale
         # without walking the table.  ``now`` must not run backwards.
         self._pair_clock: Deque[Tuple[float, Tuple[int, int]]] = deque()
-        self.alerts: List[SafetyAlert] = []
         self.flows_admitted = 0
         # Flows refused, by the budget that tripped.
         self.trips = {"per-inmate": 0, "per-destination": 0}
@@ -123,10 +104,10 @@ class SafetyFilter:
             pair_flows = len(pair_history)
 
         if len(inmate_history) >= self.max_flows_per_window:
-            self._refuse(now, vlan, destination, "per-inmate")
+            self.trips["per-inmate"] += 1
             return False
         if pair_flows >= self.max_flows_per_destination:
-            self._refuse(now, vlan, destination, "per-destination")
+            self.trips["per-destination"] += 1
             return False
 
         inmate_history.append(now)
@@ -136,12 +117,6 @@ class SafetyFilter:
         clock.append((now, pair_key))
         self.flows_admitted += 1
         return True
-
-    def _refuse(self, now: float, vlan: int, destination: IPv4Address,
-                budget: str) -> None:
-        self.trips[budget] += 1
-        self.alerts.append(SafetyAlert(now, vlan, destination,
-                                       f"{budget} flow rate"))
 
     def bounds(self) -> dict:
         """The filter's static rate envelope, for isolation

@@ -7,11 +7,7 @@ down by subfarm, inmate, and containment decision (Figure 7) and
 cross-checks inmate addresses against blacklists.
 """
 
-from repro.reporting.analyzer import (
-    ContainmentEvent,
-    ShimAnalyzer,
-    SmtpActivityAnalyzer,
-)
+from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
 from repro.reporting.health import HealthChecker, HealthWarning
 from repro.reporting.report import (
     ActivityReport,
@@ -20,7 +16,6 @@ from repro.reporting.report import (
 )
 
 __all__ = [
-    "ContainmentEvent",
     "ShimAnalyzer",
     "SmtpActivityAnalyzer",
     "ActivityReport",

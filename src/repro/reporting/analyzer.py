@@ -9,12 +9,13 @@ for our spambots)."
 Both analyzers work from captured packet traces — the same evidence a
 real Bro instance would see — not from internal gateway state, so the
 reports double as an independent check that the gateway enforces
-verdicts as configured.
+verdicts as configured.  Both keep counts, never a copy per event: a
+flow's one per-flow record is the gateway's flow log.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.shim import (
     RequestShim,
@@ -28,29 +29,6 @@ from repro.core.shim import (
 from repro.net.capture import PacketTrace, TraceRecord
 from repro.net.flow import FiveTuple
 from repro.net.packet import PROTO_TCP, PROTO_UDP
-
-
-class ContainmentEvent:
-    """One contained flow: request shim matched to its response."""
-
-    __slots__ = ("timestamp", "vlan", "flow", "verdict", "policy",
-                 "annotation", "resulting_flow")
-
-    def __init__(self, timestamp: float, request: RequestShim,
-                 response: ResponseShim) -> None:
-        self.timestamp = timestamp
-        self.vlan = request.vlan_id
-        self.flow = request.flow
-        self.verdict = response.verdict.label
-        self.policy = response.policy
-        self.annotation = response.annotation
-        self.resulting_flow = response.flow
-
-    def __repr__(self) -> str:
-        return (
-            f"<ContainmentEvent t={self.timestamp:.1f} vlan={self.vlan} "
-            f"{self.verdict} policy={self.policy!r} {self.flow}>"
-        )
 
 
 def _shim_payload(record: TraceRecord) -> Optional[bytes]:
@@ -70,16 +48,26 @@ def _shim_payload(record: TraceRecord) -> Optional[bytes]:
 
 
 class ShimAnalyzer:
-    """Reconstructs containment events from shim-protocol traffic.
+    """Counts containment activity from shim-protocol traffic.
+
+    Each request shim matched to its response is folded into its
+    VLAN's aggregates at once: ``policies[vlan]`` (the newest policy a
+    response named) and ``groups[vlan][verdict][(annotation, target,
+    port)]`` (flows).  Counts go in as responses arrive, so ties in a
+    report sorted by count keep that order.
 
     Post-hoc (pass a trace) or streaming (:meth:`streaming` subscribes
     the analyzer so day-scale runs never retain packets).
     """
 
     def __init__(self, trace: Optional[PacketTrace] = None) -> None:
-        self.events: List[ContainmentEvent] = []
+        self.policies: Dict[int, str] = {}
+        self.groups: Dict[int, Dict[str, Dict[Tuple[str, str, int],
+                                              int]]] = {}
         self.parse_errors = 0
-        self._pending: Dict[FiveTuple, Tuple[float, RequestShim]] = {}
+        # Requests awaiting their response, by originator endpoint
+        # (ip, port, proto), oldest first: flow -> VLAN.
+        self._pending: Dict[tuple, Dict[FiveTuple, int]] = {}
         if trace is not None:
             for record in trace.records:
                 self.process(record)
@@ -105,10 +93,12 @@ class ShimAnalyzer:
             try:
                 if msg_type == TYPE_REQUEST:
                     shim = RequestShim.from_bytes(blob, proto=proto)
-                    self._pending[shim.flow] = (record.timestamp, shim)
+                    flow = shim.flow
+                    self._pending.setdefault(
+                        (flow.orig_ip, flow.orig_port, flow.proto),
+                        {})[flow] = shim.vlan_id
                 elif msg_type == TYPE_RESPONSE:
-                    response = ResponseShim.from_bytes(blob, proto=proto)
-                    self._match(record.timestamp, response, self._pending)
+                    self._match(ResponseShim.from_bytes(blob, proto=proto))
                 else:
                     self.parse_errors += 1
             except ShimError:
@@ -121,28 +111,35 @@ class ShimAnalyzer:
                 if int.from_bytes(next_magic, "big") != SHIM_MAGIC:
                     break
 
-    def _match(self, timestamp: float, response: ResponseShim,
-               pending: Dict[FiveTuple, Tuple[float, RequestShim]]) -> None:
+    def _match(self, response: ResponseShim) -> None:
         # The response's four-tuple is the *resulting* endpoint pair;
         # for REDIRECT/REFLECT it differs from the request's, so match
-        # on the originator side.
-        for flow, (req_time, request) in list(pending.items()):
-            if (flow.orig_ip == response.flow.orig_ip
-                    and flow.orig_port == response.flow.orig_port
-                    and flow.proto == response.flow.proto):
-                del pending[flow]
-                self.events.append(
-                    ContainmentEvent(req_time, request, response))
-                return
-        self.parse_errors += 1
+        # on the originator side, its oldest pending request first.
+        result = response.flow
+        endpoint = (result.orig_ip, result.orig_port, result.proto)
+        requests = self._pending.get(endpoint)
+        if requests is None:
+            self.parse_errors += 1
+            return
+        vlan = requests.pop(next(iter(requests)))
+        if not requests:
+            del self._pending[endpoint]
+        if response.policy:
+            self.policies[vlan] = response.policy
+        groups = self.groups.setdefault(vlan, {})
+        bucket = groups.setdefault(response.verdict.label, {})
+        key = (response.annotation, str(result.resp_ip), result.resp_port)
+        bucket[key] = bucket.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     def verdict_counts(self, vlan: Optional[int] = None) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for event in self.events:
-            if vlan is not None and event.vlan != vlan:
+        for inmate, groups in self.groups.items():
+            if vlan is not None and inmate != vlan:
                 continue
-            counts[event.verdict] = counts.get(event.verdict, 0) + 1
+            for verdict, bucket in groups.items():
+                counts[verdict] = counts.get(verdict, 0) + sum(
+                    bucket.values())
         return counts
 
 

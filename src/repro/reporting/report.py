@@ -20,11 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.addresses import IPv4Address
-from repro.reporting.analyzer import (
-    ContainmentEvent,
-    ShimAnalyzer,
-    SmtpActivityAnalyzer,
-)
+from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
 
 VERDICT_ORDER = ["FORWARD", "LIMIT", "DROP", "REDIRECT", "REFLECT",
                  "REWRITE", "FORWARD|LIMIT", "REDIRECT|REWRITE"]
@@ -45,14 +41,6 @@ class InmateActivity:
         self.smtp_sessions = 0
         self.smtp_data_transfers = 0
         self.blacklisted: Optional[bool] = None
-
-    def add_event(self, event: ContainmentEvent) -> None:
-        if event.policy:
-            self.policy = event.policy
-        key = (event.annotation, str(event.resulting_flow.resp_ip),
-               event.resulting_flow.resp_port)
-        bucket = self.groups.setdefault(event.verdict, {})
-        bucket[key] = bucket.get(key, 0) + 1
 
     def verdict_total(self, verdict: str) -> int:
         return sum(self.groups.get(verdict, {}).values())
@@ -117,11 +105,11 @@ class ActivityReport:
         smtp = smtp if smtp is not None else SmtpActivityAnalyzer(
             subfarm.router.trace)
         inmates: Dict[int, InmateActivity] = {}
-        for event in shims.events:
-            activity = inmates.setdefault(event.vlan,
-                                          InmateActivity(event.vlan))
-            activity.add_event(event)
-        for vlan, activity in inmates.items():
+        for vlan, groups in shims.groups.items():
+            activity = inmates[vlan] = InmateActivity(vlan)
+            activity.policy = shims.policies.get(vlan, "")
+            activity.groups = {verdict: dict(bucket)
+                               for verdict, bucket in groups.items()}
             activity.internal_ip = subfarm.nat.internal_for(vlan)
             activity.global_ip = subfarm.nat.global_for(vlan)
             activity.smtp_sessions = smtp.sessions.get(vlan, 0)

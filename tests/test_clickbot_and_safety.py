@@ -105,7 +105,10 @@ class TestSafetyFilter:
         farm.run(until=120)
 
         assert sub.safety.flows_refused > 0
-        assert sub.safety.alerts, "refusals must be visible to operators"
+        refused = [line for line in sub.router.flow_log
+                   if line.verdict == "REFUSED"]
+        assert len(refused) == sub.safety.flows_refused, \
+            "refusals must be visible to operators"
         # At most the window budget got through per 60s window (plus
         # slack for windows spanning the run).
         assert sub.safety.flows_admitted <= 50 * 3
@@ -124,4 +127,7 @@ class TestSafetyFilter:
             image_factory=flooder_image("203.0.113.66"),
             policy=AllowAll())
         farm.run(until=120)
-        assert all(alert.vlan == inmate.vlan for alert in sub.safety.alerts)
+        refused = [line for line in sub.router.flow_log
+                   if line.verdict == "REFUSED"]
+        assert len(refused) == sub.safety.flows_refused > 0
+        assert all(line.vlan == inmate.vlan for line in refused)

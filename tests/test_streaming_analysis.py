@@ -10,6 +10,7 @@ from repro.net.capture import PacketTrace
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.packet import EthernetFrame, IPv4Packet, SYN, TCPSegment
 from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
+from repro.reporting.report import ActivityReport, render_report
 from tests.test_containment_end_to_end import http_fetch_image
 
 pytestmark = pytest.mark.integration
@@ -43,6 +44,12 @@ class TestTraceRotation:
         assert len(trace.records) == 5
 
 
+def rendered(sub, shims, smtp):
+    report = ActivityReport()
+    report.add_subfarm(sub, shims=shims, smtp=smtp)
+    return render_report(report)
+
+
 class TestStreamingEqualsPostHoc:
     def test_identical_results_on_the_same_run(self):
         farm = Farm(FarmConfig(seed=161))
@@ -56,10 +63,18 @@ class TestStreamingEqualsPostHoc:
 
         posthoc_shims = ShimAnalyzer(sub.router.trace)
         posthoc_smtp = SmtpActivityAnalyzer(sub.router.trace)
+        assert streaming_shims.groups == posthoc_shims.groups
+        assert streaming_shims.groups, "the run must contain flows"
+        assert streaming_shims.policies == posthoc_shims.policies
         assert (streaming_shims.verdict_counts()
                 == posthoc_shims.verdict_counts())
-        assert len(streaming_shims.events) == len(posthoc_shims.events)
+        assert (streaming_shims.parse_errors, streaming_shims._pending) \
+            == (posthoc_shims.parse_errors, posthoc_shims._pending)
         assert streaming_smtp.sessions == posthoc_smtp.sessions
+        # The report's order (ties sorted by count keep arrival order)
+        # agrees too.
+        assert rendered(sub, streaming_shims, streaming_smtp) \
+            == rendered(sub, posthoc_shims, posthoc_smtp)
 
     def test_streaming_survives_rotation_posthoc_does_not(self):
         farm = Farm(FarmConfig(seed=162))

@@ -129,6 +129,36 @@ class TestUdpReincarnation:
         assert kinds.count("verdict.applied") == 2
 
 
+    def test_decisions_are_bounded_by_the_slot_space(self):
+        """The server keeps one UDP decision per gateway slot, not one
+        per incarnation for the farm's life: ten flows evicted one after
+        another on four slots leave at most four decisions behind."""
+        farm = Farm(FarmConfig(seed=81))
+        sub = farm.create_subfarm("udp")
+        sub.router.PORT_SLOTS = 4
+        received = echo_service(farm.add_external_host("echo",
+                                                       EXTERNAL_ECHO))
+        configured = []
+
+        def image(host):
+            DhcpClient(host, on_configured=configured.append).start()
+
+        sub.create_inmate(image_factory=image, policy=AllowAll())
+        farm.run(until=60)
+        host, = configured
+        for n in range(10):
+            src_port = host.udp.allocate_port()
+            host.udp.bind(src_port, lambda *args: None)
+            host.udp.sendto(b"%d" % n, IPv4Address(EXTERNAL_ECHO), 7777,
+                            src_port)
+            farm.run(until=farm.sim.now + 10)
+            assert sub.router.expire_idle_flows(0.0) == 1
+        assert received == [b"%d" % n for n in range(10)]
+        assert [line.verdict for line in sub.router.flow_log] == \
+            ["FORWARD"] * 10
+        assert len(sub.containment_server._udp_decisions) <= 4
+
+
 class TestUdpDrop:
     def test_dropped_datagram_vanishes(self):
         farm = Farm(FarmConfig(seed=82))
