@@ -83,10 +83,6 @@ class FingerprintClassifier:
     def train(self, family: str, fingerprint: Fingerprint) -> None:
         self._prototypes.setdefault(family, []).append(fingerprint)
 
-    @property
-    def families(self) -> List[str]:
-        return sorted(self._prototypes)
-
     def classify(self, fingerprint: Fingerprint) -> Tuple[Optional[str], float]:
         """Returns (family, similarity); family is None below the
         confidence floor (an unknown specimen)."""

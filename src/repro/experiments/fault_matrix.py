@@ -187,8 +187,8 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
         "certificate": certificate,
         "coverage": coverage.to_dict(),
         "lifecycle": {
-            "retries": len(farm.controller.retries_scheduled),
-            "abandoned": len(farm.controller.abandoned),
+            "retries": farm.controller.failed.get("retry", 0),
+            "abandoned": farm.controller.failed.get("abandoned", 0),
         },
         "degradation_reported": "Containment degradation" in rendered,
         "telemetry": snapshot,

@@ -55,7 +55,7 @@ class FarmConfig:
     keywords and defaults, :meth:`to_dict` and :meth:`from_dict`'s
     shape check all follow that table, and
     ``tests/test_farm_api.py`` names the test showing each one changes
-    behaviour.
+    behaviour and the caller outside the tests that sets it.
     """
 
     #: Field -> (kind read by :meth:`from_dict`, default), in
@@ -76,7 +76,6 @@ class FarmConfig:
         # off by default so a plain run schedules no sampling events
         # and stays byte-identical to a build without the journal.
         "journal": (bool, False),
-        "journal_capacity": (int, 65536),
         "journal_sample_interval": (NUMBER, None),
         # Fault plane + shim resilience (repro.faults,
         # docs/RESILIENCE.md).  An empty plan and verdict_deadline=None
@@ -85,17 +84,12 @@ class FarmConfig:
         # to a FaultPlan.
         "fault_plan": ((dict, list), None),
         "verdict_deadline": (NUMBER, None),
-        "verdict_retries": (int, 2),
-        "retry_backoff": (NUMBER, 2.0),
         "pending_policy": (str, "drop"),
-        "lifecycle_retry_limit": (int, 2),
-        "lifecycle_retry_backoff": (NUMBER, 30.0),
         # Malice barrier (docs/HARDENING.md): what happens when a
         # parser rejects ingested bytes — "isolate" aborts the
         # offending flow, "fail-stop" freezes the subfarm's ingest,
         # "count" only records.
         "malice_policy": (str, "isolate"),
-        "quarantine_max_frames": (int, 1024),
         # Batched trunk delivery: batch_window=None (default) keeps
         # per-frame delivery; 0.0 coalesces only naturally coincident
         # frames (timing untouched); a positive value quantizes trunk
@@ -111,11 +105,8 @@ class FarmConfig:
     _LEAST: Dict[str, float] = {
         "safety_max_flows_per_window": 0,
         "safety_max_flows_per_destination": 0, "safety_window": 0,
-        "telemetry_snapshot_interval": 0, "journal_capacity": 0,
-        "journal_sample_interval": 0, "verdict_deadline": 0,
-        "verdict_retries": 0, "retry_backoff": 1,
-        "lifecycle_retry_limit": 0, "lifecycle_retry_backoff": 0,
-        "quarantine_max_frames": 0, "batch_window": 0,
+        "telemetry_snapshot_interval": 0, "journal_sample_interval": 0,
+        "verdict_deadline": 0, "batch_window": 0,
     }
     _ABOVE_LEAST = ("safety_window", "verdict_deadline")
 
@@ -236,8 +227,6 @@ class Subfarm:
         )
         farm.gateway.add_router(self.router)
         self.router.barrier.policy = farm.config.malice_policy
-        self.router.barrier.quarantine_max_frames = \
-            farm.config.quarantine_max_frames
 
         # Containment server: a host on the service segment plus an
         # out-of-band interface on the management network (§5.5).
@@ -288,8 +277,7 @@ class Subfarm:
 
             self.resilience = self.router.resilience = RouterResilience(
                 sim, self.router, name, self._probe_cs,
-                config.verdict_deadline, config.verdict_retries,
-                config.retry_backoff, config.pending_policy,
+                config.verdict_deadline, config.pending_policy,
                 trigger_engine=self.trigger_engine)
 
     @property
@@ -301,21 +289,6 @@ class Subfarm:
         """Health probe: would this containment server answer now?"""
         return any(server.host.ip == ip and server.responsive()
                    for server in self.containment_servers)
-
-    def set_pending_policy(self, policy: str) -> None:
-        """Per-subfarm override of what happens to flows whose verdict
-        never arrives: ``"drop"`` (fail closed, default) or
-        ``"forward"`` (fail open — for subfarms whose study would lose
-        more from dropped flows than from briefly unconstrained ones;
-        the safety filter stays authoritative either way)."""
-        if policy not in PENDING_POLICIES:
-            raise ValueError(
-                f"pending policy must be 'drop' or 'forward', "
-                f"not {policy!r}")
-        if self.resilience is None:
-            raise RuntimeError(
-                "resilience is not enabled (set config.verdict_deadline)")
-        self.resilience.pending_policy = policy
 
     # ------------------------------------------------------------------
     # Services
@@ -513,10 +486,7 @@ class Farm:
         if self.config.journal:
             from repro.obs.journal import Journal
 
-            self.sim.attach_journal(Journal(
-                clock=lambda: self.sim.now,
-                capacity=self.config.journal_capacity,
-            ))
+            self.sim.attach_journal(Journal(clock=lambda: self.sim.now))
             interval = self.config.journal_sample_interval
             if interval is not None and interval > 0:
                 self._schedule_journal_samples(interval)
@@ -558,12 +528,8 @@ class Farm:
                                     ip=self.controller_ip, prefix_len=16)
         Link(self.sim, self.controller_host.attach_port(),
              self.mgmt_switch.attach_port(access_vlan=1))
-        self.controller = InmateController(
-            self.sim,
-            on_action=self._on_lifecycle,
-            retry_limit=self.config.lifecycle_retry_limit,
-            retry_backoff=self.config.lifecycle_retry_backoff,
-        )
+        self.controller = InmateController(self.sim,
+                                           on_action=self._on_lifecycle)
         self.controller.bind(self.controller_host)
 
         # The simulated external universe's authoritative DNS: wired in

@@ -122,7 +122,7 @@ class RouterScript:
         if rng.random() < 0.2:
             self.resilience = router.resilience = RouterResilience(
                 self.sim, router, "fuzz", lambda ip: True,
-                verdict_deadline=20.0, verdict_retries=2, retry_backoff=2.0,
+                verdict_deadline=20.0,
                 pending_policy=rng.choice(["drop", "forward"]))
         self.inmates = {vlan: self.nat.bind(vlan) for vlan in (2, 3, 4)}
         self.flows: List[_Flow] = []

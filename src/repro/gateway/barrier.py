@@ -88,8 +88,7 @@ class MaliceBarrier:
     """
 
     def __init__(self, sim, name: str, telemetry=None,
-                 policy: str = "isolate",
-                 quarantine_max_frames: int = DEFAULT_QUARANTINE_MAX) -> None:
+                 policy: str = "isolate") -> None:
         if policy not in POLICIES:
             raise ValueError(f"malice policy must be one of {POLICIES}, "
                              f"got {policy!r}")
@@ -102,7 +101,7 @@ class MaliceBarrier:
         # before constructing the subfarm).
         self.journal = sim.journal
         self.policy = policy
-        self.quarantine_max_frames = quarantine_max_frames
+        self.quarantine_max_frames = DEFAULT_QUARANTINE_MAX
 
         #: (vlan, protocol) -> dropped-frame count.  vlan 0 means "not
         #: attributable to a VLAN" (e.g. CS stream bytes, upstream).

@@ -84,9 +84,6 @@ class LearningBridge:
         if entry is not None and entry.ip is not None:
             self._vlan_by_ip.pop(entry.ip.value, None)
 
-    def entry(self, vlan: int) -> Optional[BridgeEntry]:
-        return self.entries.get(vlan)
-
     def mac_for(self, vlan: int) -> Optional[MacAddress]:
         entry = self.entries.get(vlan)
         return entry.mac if entry else None

@@ -66,6 +66,11 @@ PENDING_POLICIES = ("drop", "forward")
 FAILURE_THRESHOLD = 2
 #: Virtual seconds between health probes of a suspect or down server.
 PROBE_INTERVAL = 5.0
+#: Retries of a flow whose verdict deadline passed, before the
+#: pending policy resolves it.
+VERDICT_RETRIES = 2
+#: Retry ``n`` waits ``verdict_deadline * RETRY_BACKOFF ** n``.
+RETRY_BACKOFF = 2.0
 
 
 def fail_open_possible(proto: int, handshake_complete: bool) -> bool:
@@ -99,20 +104,18 @@ class RouterResilience:
     management-network health check); a passing probe restores
     ``healthy``.  All servers down ⇒ *degraded mode*.
 
-    The four knobs are ``FarmConfig``'s, which validated them."""
+    The two knobs, ``verdict_deadline`` and ``pending_policy``, are
+    ``FarmConfig``'s, which validated them."""
 
     def __init__(self, sim, router, subfarm: str,
                  prober: Callable[[IPv4Address], bool],
-                 verdict_deadline: float, verdict_retries: int,
-                 retry_backoff: float, pending_policy: str,
+                 verdict_deadline: float, pending_policy: str,
                  trigger_engine=None) -> None:
         self.sim = sim
         self.router = router
         self.subfarm = subfarm
         self.prober = prober
         self.verdict_deadline = float(verdict_deadline)
-        self.verdict_retries = int(verdict_retries)
-        self.retry_backoff = float(retry_backoff)
         self.pending_policy = pending_policy
         self.trigger_engine = trigger_engine
         # Decision journal (NULL_JOURNAL unless the farm attached one).
@@ -273,14 +276,14 @@ class RouterResilience:
                 vlan=record.vlan, attempt=attempt,
                 server=str(record.cs_ip))
         self._report_timeout(record.cs_ip)
-        if attempt > self.verdict_retries:
+        if attempt > VERDICT_RETRIES:
             self._h_attempts.observe(float(attempt))
             self._apply_pending(record,
                                 annotation="verdict deadline exceeded")
             return
         if self._retry(record):
             return  # resolved inline (every server down)
-        delay = self.verdict_deadline * (self.retry_backoff ** attempt)
+        delay = self.verdict_deadline * (RETRY_BACKOFF ** attempt)
         self.sim.schedule(delay, self._check, record, attempt + 1,
                           label="verdict-deadline")
 

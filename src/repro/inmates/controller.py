@@ -13,13 +13,13 @@ side, speaking the text protocol over UDP.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.inmates.hosting import Inmate
 from repro.net.addresses import IPv4Address
 from repro.net.host import Host
 from repro.net.packet import IPv4Packet, UDPDatagram
-from repro.obs.telemetry import register_first, tally
+from repro.obs.telemetry import tally
 from repro.sim.engine import Simulator
 
 CONTROLLER_PORT = 9048
@@ -30,28 +30,30 @@ ACTIONS = ("start", "stop", "reboot", "revert", "terminate")
 class InmateController:
     """VLAN-keyed life-cycle executor on the gateway."""
 
+    #: Bounded retry for failed life-cycle completions (fault plane):
+    #: a failed revert/boot is retried up to ``RETRY_LIMIT`` times,
+    #: retry ``n`` after ``RETRY_BACKOFF * 2 ** n`` virtual seconds,
+    #: then the inmate is abandoned.
+    RETRY_LIMIT = 2
+    RETRY_BACKOFF = 30.0
+
     def __init__(self, sim: Simulator,
-                 on_action: Optional[Callable[[str, int], None]] = None,
-                 retry_limit: int = 2,
-                 retry_backoff: float = 30.0) -> None:
+                 on_action: Optional[Callable[[str, int], None]] = None
+                 ) -> None:
         self.sim = sim
         self._inmates: Dict[int, Inmate] = {}
-        self.actions_executed: List[Tuple[float, str, int]] = []
+        # Actions executed, by action.
+        self.executed: Dict[str, int] = {}
         # Rejected requests, by kind ("malformed", "unknown-target").
         self.rejected: Dict[str, int] = {}
+        # Failed completions, by outcome ("retry", "abandoned").
+        self.failed: Dict[str, int] = {}
         # Hook for the subfarm router to clear per-inmate state
         # (safety-filter history, bridge entries, open flows).
         self.on_action = on_action
-        # Bounded retry for failed life-cycle completions (fault plane):
-        # a failed revert/boot is retried up to ``retry_limit`` times
-        # with exponential backoff, then the inmate is abandoned.
-        self.retry_limit = retry_limit
-        self.retry_backoff = retry_backoff
         self._retry_state: Dict[Tuple[str, int], int] = {}
-        self.retries_scheduled: List[Tuple[float, str, int]] = []
-        self.abandoned: List[Tuple[float, str, int]] = []
-        # Telemetry reads the counts and logs above, each kind from the
-        # first time it happens.
+        # Telemetry reads the counts above, each kind from the first
+        # time it happens.
         tel = sim.telemetry
         self._m_lifecycle = tel.counter(
             "inmates.lifecycle", "Life-cycle actions executed, by kind")
@@ -73,9 +75,6 @@ class InmateController:
     def inmate(self, vlan: int) -> Optional[Inmate]:
         return self._inmates.get(vlan)
 
-    def inventory(self) -> Dict[int, Inmate]:
-        return dict(self._inmates)
-
     # ------------------------------------------------------------------
     # Action execution ("the controller requires only the inmate's
     # VLAN ID in order to identify the target of a life-cycle action")
@@ -90,10 +89,7 @@ class InmateController:
         if not _from_retry:
             # A fresh external request resets the retry budget.
             self._retry_state.pop((action, vlan), None)
-        self.actions_executed.append((self.sim.now, action, vlan))
-        register_first(self._m_lifecycle, lambda: sum(
-            done[1] == action for done in self.actions_executed),
-            action=action)
+        tally(self.executed, action, self._m_lifecycle, action=action)
         getattr(inmate, action)()
         if self.on_action is not None:
             self.on_action(action, vlan)
@@ -105,17 +101,13 @@ class InmateController:
     def _lifecycle_failure(self, action: str, inmate: Inmate) -> None:
         key = (action, inmate.vlan)
         attempt = self._retry_state.get(key, 0)
-        if attempt >= self.retry_limit:
-            self.abandoned.append((self.sim.now, action, inmate.vlan))
-            register_first(self._m_errors, lambda: len(self.abandoned),
-                           kind="abandoned")
+        if attempt >= self.RETRY_LIMIT:
+            tally(self.failed, "abandoned", self._m_errors, kind="abandoned")
             self._retry_state.pop(key, None)
             return
         self._retry_state[key] = attempt + 1
-        delay = self.retry_backoff * (2 ** attempt)
-        self.retries_scheduled.append((self.sim.now, action, inmate.vlan))
-        register_first(self._m_errors, lambda: len(self.retries_scheduled),
-                       kind="retry")
+        delay = self.RETRY_BACKOFF * (2 ** attempt)
+        tally(self.failed, "retry", self._m_errors, kind="retry")
         self.sim.schedule(
             delay, self.execute, action, inmate.vlan, True,
             label=f"lifecycle-retry-{action}-v{inmate.vlan}")

@@ -62,8 +62,6 @@ _ROW_SIZE = _ROW.size
 _pack = _ROW.pack
 _unpack_from = _ROW.unpack_from
 _iter_unpack = _ROW.iter_unpack
-(_TS, _ETH_SRC, _ETH_DST, _VLAN, _ETHERTYPE, _SRC, _DST, _PROTO, _TTL,
- _IDENT, _SPORT, _DPORT, _SEQ, _ACK, _FLAGS, _WINDOW, _POINT) = range(17)
 _UNTAGGED = 0xFFFF
 _MAX_POINTS = 256
 # A frame that is not plain TCP/UDP over IPv4, or whose fields do not
@@ -81,21 +79,6 @@ _READ_CHUNK = 1024
 _new = object.__new__
 _IP_INTERNED = IPv4Address._intern
 _MAC_INTERNED = MacAddress._intern
-
-
-def _frame_columns(frame: EthernetFrame) -> tuple:
-    """``(vlan, proto, src, sport, dst, dport, seq, payload)`` of a
-    stored frame copy, addresses as ints; whatever the frame does not
-    carry is None."""
-    packet = frame.payload
-    if not isinstance(packet, IPv4Packet):
-        return frame.vlan, None, None, None, None, None, None, None
-    transport = packet.payload
-    if not isinstance(transport, (TCPSegment, UDPDatagram)):
-        return frame.vlan, packet.proto, None, None, None, None, None, None
-    return (frame.vlan, packet.proto, packet.src.value, transport.sport,
-            packet.dst.value, transport.dport,
-            getattr(transport, "seq", None), transport.payload)
 
 
 class _RecordView(Sequence):
@@ -148,12 +131,12 @@ class _RecordView(Sequence):
 
 
 class PacketTrace:
-    """A capture buffer with query helpers and live observers.
+    """A capture buffer with live observers.
 
     Two consumption models, mirroring §5.6/§6.5 practice:
 
-    * *Post-hoc*: ``records`` holds captured frames for querying and
-      pcap export.  ``max_records`` bounds the buffer (oldest frames
+    * *Post-hoc*: ``records`` holds captured frames, read by iterating
+      it (analysis, reports, pcap export).  ``max_records`` bounds the buffer (oldest frames
       rotate out, counted in ``rotated_out``) so day-scale runs do not
       hold every packet in memory.
     * *Streaming*: observers registered via :meth:`subscribe` see every
@@ -320,104 +303,6 @@ class PacketTrace:
     def _record(self, slot: int) -> TraceRecord:
         return self._build(_unpack_from(self._headers, slot * _ROW_SIZE),
                            self._payloads[slot])
-
-    def _columns(self) -> Iterator[tuple]:
-        """``(slot, point, vlan, proto, src, sport, dst, dport, seq,
-        payload)`` of every live row, read off the packed headers —
-        what the queries filter on without building a record."""
-        headers, payloads, points = self._headers, self._payloads, self._points
-        for slot in range(self._head, len(payloads)):
-            fields = _unpack_from(headers, slot * _ROW_SIZE)
-            proto = fields[_PROTO]
-            if proto:
-                vlan = fields[_VLAN]
-                yield (slot, points[fields[_POINT]],
-                       None if vlan == _UNTAGGED else vlan, proto,
-                       fields[_SRC], fields[_SPORT], fields[_DST],
-                       fields[_DPORT],
-                       fields[_SEQ] if proto == PROTO_TCP else None,
-                       payloads[slot])
-            else:
-                _timestamp, point, frame = payloads[slot]
-                yield (slot, point) + _frame_columns(frame)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def select(
-        self,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-        point: Optional[str] = None,
-        vlan: Optional[int] = None,
-        proto: Optional[int] = None,
-        dport: Optional[int] = None,
-    ) -> List[TraceRecord]:
-        """Filter records by capture point, VLAN tag, proto, dst port."""
-        out = []
-        for (slot, row_point, row_vlan, row_proto, _src, _sport, _dst,
-             row_dport, _seq, _payload) in self._columns():
-            if point is not None and row_point != point:
-                continue
-            if vlan is not None and row_vlan != vlan:
-                continue
-            if proto is not None and row_proto != proto:
-                continue
-            if dport is not None and row_dport != dport:
-                continue
-            record = self._record(slot)
-            if predicate is not None and not predicate(record):
-                continue
-            out.append(record)
-        return out
-
-    def flows(self) -> List[FiveTuple]:
-        """Distinct originator-oriented five-tuples, first-seen order.
-
-        A flow's originator is whoever sent the first packet we saw;
-        for TCP that is the SYN sender.
-        """
-        seen = {}
-        for (_slot, _point, _vlan, proto, src, sport, dst, dport, _seq,
-             _payload) in self._columns():
-            if sport is None or proto not in (PROTO_TCP, PROTO_UDP):
-                continue
-            if ((src, sport, dst, dport, proto) in seen
-                    or (dst, dport, src, sport, proto) in seen):
-                continue
-            seen[(src, sport, dst, dport, proto)] = True
-        return [FiveTuple(IPv4Address(src), sport, IPv4Address(dst), dport,
-                          proto)
-                for src, sport, dst, dport, proto in seen]
-
-    def tcp_payload(self, flow: FiveTuple, direction: str = "orig") -> bytes:
-        """Concatenated TCP payload bytes for one direction of a flow.
-
-        Duplicate segments (same sequence number) are ignored so NAT'd
-        captures of retransmissions do not double bytes.
-        """
-        if flow.proto != PROTO_TCP:
-            return b""
-        orig = (flow.orig_ip.value, flow.orig_port)
-        resp = (flow.resp_ip.value, flow.resp_port)
-        forward, backward = orig + resp, resp + orig
-        chunks = {}
-        for (_slot, _point, _vlan, proto, src, sport, dst, dport, seq,
-             payload) in self._columns():
-            if proto != PROTO_TCP:
-                continue
-            # Originator direction wins for a flow that is its own
-            # reverse, as in FiveTuple.matches_packet.
-            if (src, sport, dst, dport) == forward:
-                match = "orig"
-            elif (src, sport, dst, dport) == backward:
-                match = "resp"
-            else:
-                continue
-            if match != direction:
-                continue
-            if payload and seq not in chunks:
-                chunks[seq] = payload
-        return b"".join(chunks[seq] for seq in sorted(chunks))
 
 
 def write_pcap(path: str, records: Iterable[TraceRecord],

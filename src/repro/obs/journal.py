@@ -49,7 +49,8 @@ Clock = Callable[[], float]
 
 JOURNAL_SCHEMA = "gq.journal/1"
 
-#: Default bounded-ring capacity (events kept before FIFO eviction).
+#: Default bounded-ring capacity (events kept before FIFO eviction),
+#: read when a journal is built.
 DEFAULT_CAPACITY = 65536
 
 #: Samples kept per time-series ring before FIFO eviction.
@@ -126,10 +127,11 @@ class Journal:
 
     enabled = True
 
-    def __init__(self, clock: Clock, capacity: int = DEFAULT_CAPACITY,
+    def __init__(self, clock: Clock, capacity: Optional[int] = None,
                  ring_capacity: int = DEFAULT_RING_CAPACITY) -> None:
         self.clock = clock
-        self.capacity = max(1, int(capacity))
+        self.capacity = max(1, int(
+            DEFAULT_CAPACITY if capacity is None else capacity))
         self.ring_capacity = ring_capacity
         # Two rings in step, ``(seq, time, kind, flow, vlan, parent)``
         # and the event's fields: a tuple of atoms and a dict of atoms

@@ -43,13 +43,6 @@ def tally(counts: dict, key, metric, amount: int = 1, **labels) -> None:
     counts[key] += amount
 
 
-def register_first(metric, read, **labels) -> None:
-    """Register ``read`` once it reads 1.  A component that logs events
-    calls this after each, so the identity appears with the first."""
-    if read() == 1:
-        metric.register(read, **labels)
-
-
 class Telemetry:
     """Live telemetry domain, normally one per farm."""
 

@@ -183,7 +183,3 @@ class SmtpActivityAnalyzer:
             self.data_transfers[vlan] = (
                 self.data_transfers.get(vlan, 0) + count
             )
-
-    def totals(self) -> Tuple[int, int]:
-        return (sum(self.sessions.values()),
-                sum(self.data_transfers.values()))

@@ -62,9 +62,6 @@ class BlockingList:
         entry = self._entries.get(IPv4Address(address))
         return entry is not None and entry.reports >= self.reports_to_list
 
-    def entry(self, address: IPv4Address) -> Optional[BlacklistEntry]:
-        return self._entries.get(IPv4Address(address))
-
     def listed_addresses(self) -> Set[IPv4Address]:
         return {
             address for address, entry in self._entries.items()

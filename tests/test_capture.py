@@ -1,4 +1,5 @@
-"""Trace capture: selection, reassembly, pcap interoperability."""
+"""Trace capture: the packed store, its record view, pcap
+interoperability."""
 
 from __future__ import annotations
 
@@ -10,14 +11,11 @@ from hypothesis import given, settings, strategies as st
 from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
 from repro.net.arp import ETHERTYPE_ARP, ArpMessage
 from repro.net.capture import PacketTrace, TraceRecord, read_pcap, write_pcap
-from repro.net.flow import FiveTuple
 from repro.net.host import Host
 from repro.net.link import Link, Port, PortMode, Switch
 from repro.net.packet import (
-    ACK,
     EthernetFrame,
     IPv4Packet,
-    PROTO_TCP,
     SYN,
     TCPSegment,
     UDPDatagram,
@@ -37,78 +35,12 @@ def frame(transport, vlan=None, src=IP_A, dst=IP_B):
 
 
 class TestSelection:
-    def build(self):
-        trace = PacketTrace()
-        trace.capture(1.0, frame(TCPSegment(1000, 80, flags=SYN), vlan=5),
-                      point="inmate")
-        trace.capture(2.0, frame(UDPDatagram(53, 53, b"q"), vlan=5),
-                      point="inmate")
-        trace.capture(3.0, frame(TCPSegment(1001, 25, flags=SYN), vlan=6),
-                      point="inmate")
-        trace.capture(4.0, frame(TCPSegment(1000, 80, flags=SYN)),
-                      point="upstream-out")
-        return trace
-
-    def test_by_point(self):
-        trace = self.build()
-        assert len(trace.select(point="inmate")) == 3
-        assert len(trace.select(point="upstream-out")) == 1
-
-    def test_by_vlan(self):
-        trace = self.build()
-        assert len(trace.select(vlan=5)) == 2
-        assert len(trace.select(vlan=6)) == 1
-
-    def test_by_proto_and_port(self):
-        trace = self.build()
-        assert len(trace.select(proto=PROTO_TCP)) == 3
-        assert len(trace.select(dport=25)) == 1
-
     def test_capture_is_deep_copy(self):
         trace = PacketTrace()
         original = frame(TCPSegment(1, 2, seq=5, flags=SYN))
         trace.capture(0.0, original, point="x")
         original.ip.tcp.seq = 999  # mutate after capture
         assert trace.records[0].ip.tcp.seq == 5
-
-    def test_flows_first_seen_orientation(self):
-        trace = PacketTrace()
-        trace.capture(1.0, frame(TCPSegment(1000, 80, flags=SYN)))
-        trace.capture(2.0, frame(TCPSegment(80, 1000, flags=SYN | ACK),
-                                 src=IP_B, dst=IP_A))
-        flows = trace.flows()
-        assert len(flows) == 1
-        assert flows[0].orig_port == 1000
-
-
-class TestPayloadReassembly:
-    def test_in_order_payload(self):
-        trace = PacketTrace()
-        key = FiveTuple(IP_A, 1000, IP_B, 80, PROTO_TCP)
-        trace.capture(1.0, frame(TCPSegment(1000, 80, seq=100, flags=ACK,
-                                            payload=b"hello ")))
-        trace.capture(2.0, frame(TCPSegment(1000, 80, seq=106, flags=ACK,
-                                            payload=b"world")))
-        assert trace.tcp_payload(key, "orig") == b"hello world"
-
-    def test_duplicates_ignored(self):
-        trace = PacketTrace()
-        key = FiveTuple(IP_A, 1000, IP_B, 80, PROTO_TCP)
-        segment = TCPSegment(1000, 80, seq=100, flags=ACK, payload=b"dup")
-        trace.capture(1.0, frame(segment))
-        trace.capture(2.0, frame(segment.copy()))
-        assert trace.tcp_payload(key, "orig") == b"dup"
-
-    def test_directions_separate(self):
-        trace = PacketTrace()
-        key = FiveTuple(IP_A, 1000, IP_B, 80, PROTO_TCP)
-        trace.capture(1.0, frame(TCPSegment(1000, 80, seq=1, flags=ACK,
-                                            payload=b"request")))
-        trace.capture(2.0, frame(TCPSegment(80, 1000, seq=1, flags=ACK,
-                                            payload=b"response"),
-                                 src=IP_B, dst=IP_A))
-        assert trace.tcp_payload(key, "orig") == b"request"
-        assert trace.tcp_payload(key, "resp") == b"response"
 
 
 class TestPcap:
@@ -254,8 +186,8 @@ class TestPcapTimestamps:
 # ----------------------------------------------------------------------
 class ListTrace:
     """The deep-copy design the packed store replaced — a list of records
-    each holding ``frame.copy()`` — kept as the reference the view and
-    the column queries must agree with."""
+    each holding ``frame.copy()`` — kept as the reference the view must
+    agree with."""
 
     def __init__(self, max_records=None):
         self.max_records = max_records
@@ -272,44 +204,6 @@ class ListTrace:
             overflow = len(self.records) - self.max_records
             del self.records[:overflow]
             self.rotated_out += overflow
-
-    def select(self, point=None, vlan=None, proto=None, dport=None):
-        out = []
-        for record in self.records:
-            ip = record.ip
-            transport = getattr(ip, "payload", None)
-            if point is not None and record.point != point:
-                continue
-            if vlan is not None and record.frame.vlan != vlan:
-                continue
-            if proto is not None and (ip is None or ip.proto != proto):
-                continue
-            if dport is not None and getattr(transport, "dport",
-                                             None) != dport:
-                continue
-            out.append(record)
-        return out
-
-    def flows(self):
-        seen = {}
-        for record in self.records:
-            key = record.five_tuple
-            if key is not None and key not in seen \
-                    and key.reversed() not in seen:
-                seen[key] = True
-        return list(seen)
-
-    def tcp_payload(self, flow, direction):
-        chunks = {}
-        for record in self.records:
-            ip = record.ip
-            if ip is None or ip.proto != PROTO_TCP:
-                continue
-            match = flow.matches_packet(ip)
-            if match is not None and match.value == direction \
-                    and ip.tcp.payload:
-                chunks.setdefault(ip.tcp.seq, ip.tcp.payload)
-        return b"".join(chunks[seq] for seq in sorted(chunks))
 
 
 def wire(records):
@@ -428,20 +322,6 @@ class TestByValueRows:
             assert wire([records[-1]]) == wire([reference.records[-1]])
         with pytest.raises(IndexError):
             records[len(reference.records)]
-
-        for query in ({}, {"point": "inmate"}, {"vlan": 5},
-                      {"proto": PROTO_TCP}, {"dport": 80},
-                      {"point": "upstream-out", "vlan": 6, "proto": 17,
-                       "dport": 25}):
-            assert wire(trace.select(**query)) == wire(
-                reference.select(**query)), query
-        assert wire(trace.select(lambda r: r.frame.vlan is None)) == wire(
-            r for r in reference.records if r.frame.vlan is None)
-        assert trace.flows() == reference.flows()
-        for flow in reference.flows():
-            for direction in ("orig", "resp"):
-                assert trace.tcp_payload(flow, direction) \
-                    == reference.tcp_payload(flow, direction)
 
     def test_records_is_a_read_only_view(self):
         trace = PacketTrace()
@@ -602,7 +482,7 @@ class TestPackedStore:
         trace = PacketTrace()
         trace.capture(1.0, original)
         assert trace.records[0].frame.to_bytes() == original.to_bytes()
-        assert trace.select(vlan=0xFFFF) and not trace.select(vlan=5)
+        assert [r.frame.vlan for r in trace.records] == [0xFFFF]
 
     def test_capture_points_beyond_the_code_space_fall_back(self):
         trace = PacketTrace()
@@ -613,31 +493,6 @@ class TestPackedStore:
             f"tap-{index}" for index in range(300)]
         assert [type(slot) for slot in trace._payloads] == (
             [bytes] * 256 + [tuple] * 44)
-        assert len(trace.select(point="tap-7")) == 1
-        assert len(trace.select(point="tap-299")) == 1
-        assert trace.select(point="never") == []
-
-    def test_queries_read_columns_without_building_records(self):
-        """Header-only filters build a record only for the rows the
-        caller receives."""
-        trace = PacketTrace()
-        for index in range(50):
-            trace.capture(float(index), frame(
-                TCPSegment(1000 + index, 80, seq=index, flags=ACK,
-                           payload=b"x"), vlan=5), point="inmate")
-        trace.capture(99.0, frame(TCPSegment(7, 25, flags=SYN), vlan=6),
-                      point="inmate")
-        built = []
-        build = trace._build
-        trace._build = lambda fields, slot: built.append(1) or build(
-            fields, slot)
-        assert len(trace.select(vlan=6)) == 1
-        assert len(trace.select(dport=25, proto=PROTO_TCP)) == 1
-        assert len(built) == 2
-        assert len(trace.flows()) == 51
-        key = FiveTuple(IP_A, 1003, IP_B, 80, PROTO_TCP)
-        assert trace.tcp_payload(key, "orig") == b"x"
-        assert len(built) == 2
 
     def test_iterating_while_capturing(self):
         """``records`` is position-based like a list: a consumer may

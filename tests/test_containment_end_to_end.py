@@ -125,10 +125,9 @@ class TestForward:
         farm, sub, inmate, served, results = build_farm(AllowAll())
         farm.run(until=120)
         # The external server must never see RFC 1918 space.
-        upstream = farm.gateway.upstream_trace
-        for record in upstream.select(point="upstream-out"):
+        for record in farm.gateway.upstream_trace.records:
             ip = record.ip
-            if ip is not None:
+            if record.point == "upstream-out" and ip is not None:
                 assert not ip.src.is_rfc1918(), f"leaked internal src: {ip}"
 
     def test_verdict_logged_as_forward(self):
@@ -149,8 +148,9 @@ class TestDrop:
         farm, sub, inmate, served, _results = build_farm(DefaultDeny())
         farm.run(until=120)
         outbound = [
-            r for r in farm.gateway.upstream_trace.select(point="upstream-out")
-            if r.ip is not None and str(r.ip.dst) == EXTERNAL_WEB_IP
+            r for r in farm.gateway.upstream_trace.records
+            if r.point == "upstream-out" and r.ip is not None
+            and str(r.ip.dst) == EXTERNAL_WEB_IP
         ]
         assert outbound == []
 

@@ -128,33 +128,23 @@ class TestKnobsChangeBehaviour:
         assert unsolicited(InboundMode.DROP) == []
 
     def test_verdict_retries(self):
-        def give_up(**config):
-            _farm, sub, _ = fetching_farm(**self.PARTITIONED, **config)
-            (entry,) = sub.router.flow_log
-            assert entry.policy == "fail-closed"
-            return sub.resilience.retries, round(entry.timestamp)
+        """``failover.VERDICT_RETRIES`` and ``RETRY_BACKOFF`` are
+        constants, not fields: two retries, deadlines doubling."""
+        _farm, sub, _ = fetching_farm(**self.PARTITIONED)
+        (entry,) = sub.router.flow_log
+        assert entry.policy == "fail-closed"
+        # Deadlines of 3, 6 and 12 s after the SYN at t=31.
+        assert (sub.resilience.retries, round(entry.timestamp)) == (2, 52)
 
-        # Deadlines of 3, 6 and 12 s after the SYN at t=31, or just one.
-        assert give_up() == (2, 52)
-        assert give_up(verdict_retries=0) == (0, 34)
-
-    def test_retry_backoff(self):
-        _farm, sub, _ = fetching_farm(**self.PARTITIONED, retry_backoff=4.0)
-        # 3 + 12 + 48 s: still waiting where the default has given up.
-        assert sub.resilience.retries == 2
-        assert sub.router.flow_log == []
-
-    def test_journal_capacity_and_sample_interval(self):
+    def test_journal_sample_interval(self):
         farm, _sub, _ = fetching_farm(journal=True)
-        roomy = farm.journal_snapshot()
-        assert roomy["evicted"] == 0 and roomy["rings"] == {}
-        farm, _sub, _ = fetching_farm(journal=True, journal_capacity=2,
+        plain = farm.journal_snapshot()
+        assert plain["rings"] == {}
+        farm, _sub, _ = fetching_farm(journal=True,
                                       journal_sample_interval=30.0)
-        tight = farm.journal_snapshot()
-        assert tight["recorded"] == roomy["recorded"] > 2
-        assert tight["evicted"] == tight["recorded"] - 2
-        assert len(tight["events"]) == 2
-        assert "sim.events" in tight["rings"]
+        sampled = farm.journal_snapshot()
+        assert sampled["recorded"] == plain["recorded"] > 2
+        assert "sim.events" in sampled["rings"]
 
 
 #: ROADMAP: "every FarmConfig field either has a test showing it
@@ -182,30 +172,17 @@ FIELD_EVIDENCE = {
         "tests/test_obs_smoke.py::test_farm_run_emits_valid_snapshot",
     "journal": "tests/test_obs_journal.py::TestFarmDeterminism"
                "::test_journal_never_perturbs_the_run",
-    "journal_capacity": "tests/test_farm_api.py::TestKnobsChangeBehaviour"
-                        "::test_journal_capacity_and_sample_interval",
     "journal_sample_interval":
         "tests/test_farm_api.py::TestKnobsChangeBehaviour"
-        "::test_journal_capacity_and_sample_interval",
+        "::test_journal_sample_interval",
     "fault_plan": "tests/test_resilience.py::TestFailClosed"
                   "::test_partition_drops_unverdicted_flow",
     "verdict_deadline": "tests/test_resilience.py::TestConfigSurface"
                         "::test_default_farm_has_no_resilience_objects",
-    "verdict_retries": "tests/test_farm_api.py::TestKnobsChangeBehaviour"
-                       "::test_verdict_retries",
-    "retry_backoff": "tests/test_farm_api.py::TestKnobsChangeBehaviour"
-                     "::test_retry_backoff",
     "pending_policy": "tests/test_resilience.py::TestFailOpen"
                       "::test_hung_server_with_forward_policy_fails_open",
-    "lifecycle_retry_limit": "tests/test_fault_plane.py::TestLifecycleFaults"
-                             "::test_exhausted_retry_budget_abandons_inmate",
-    "lifecycle_retry_backoff":
-        "tests/test_fault_plane.py::TestLifecycleFaults"
-        "::test_exhausted_retry_budget_abandons_inmate",
     "malice_policy": "tests/test_malice_barrier.py::TestRouterBarrier"
                      "::test_fail_stop_policy_stops_the_subfarm",
-    "quarantine_max_frames": "tests/test_malice_barrier.py::TestRouterBarrier"
-                             "::test_config_controls_quarantine_bound",
     "batch_window": "tests/test_flowtable.py::test_farm_batch_window_parity",
 }
 
@@ -226,6 +203,58 @@ def test_every_field_names_a_test_that_exists(field):
                    if getattr(node, "name", None) == name]
         body = node.body
     assert isinstance(node, ast.FunctionDef)
+
+
+#: What a deployment sets and no shipped caller does: the paper's
+#: address plan (§6.7) and its §5.1 safety thresholds.
+ADDRESS_PLAN = "deployment setting: the address plan"
+SAFETY_THRESHOLD = "deployment setting: a §5.1 safety threshold"
+
+#: ROADMAP: a field that nothing outside tests/ sets is a constant.
+#: Field -> a file under src/, examples/ or benchmarks/ whose
+#: ``FarmConfig(...)`` call passes it, or the deployment setting it is.
+FIELD_CALLERS = {
+    "seed": "src/repro/experiments/figure1.py",
+    "global_networks": ADDRESS_PLAN,
+    "control_network": ADDRESS_PLAN,
+    "inbound_mode": "src/repro/experiments/worm_capture.py",
+    "safety_max_flows_per_window": SAFETY_THRESHOLD,
+    "safety_max_flows_per_destination": SAFETY_THRESHOLD,
+    "safety_window": SAFETY_THRESHOLD,
+    "telemetry": "examples/telemetry_snapshot.py",
+    "telemetry_snapshot_interval": "examples/telemetry_snapshot.py",
+    "journal": "examples/policy_language.py",
+    "journal_sample_interval": "src/repro/obs/__main__.py",
+    "fault_plan": "src/repro/experiments/fault_matrix.py",
+    "verdict_deadline": "src/repro/experiments/fault_matrix.py",
+    "pending_policy": "src/repro/experiments/fault_matrix.py",
+    "malice_policy": "src/repro/experiments/hostile_traffic.py",
+    "batch_window": "benchmarks/ledger/workloads.py",
+}
+
+
+def test_callers_table_names_exactly_the_fields():
+    assert list(FIELD_CALLERS) == FIELDS
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_every_field_has_a_caller_outside_the_tests(field):
+    caller = FIELD_CALLERS[field]
+    if caller == ADDRESS_PLAN:
+        assert field in ("global_networks", "control_network")
+        return
+    if caller == SAFETY_THRESHOLD:
+        assert field.startswith("safety_")
+        return
+    assert pathlib.PurePath(caller).parts[0] in (
+        "src", "examples", "benchmarks")
+    path = pathlib.Path(__file__).parent.parent / caller
+    passed = {keyword.arg
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "FarmConfig"
+              for keyword in node.keywords}
+    assert field in passed, f"{caller} passes no {field}= to FarmConfig"
 
 
 class TestFarmConfigShape:
@@ -256,6 +285,18 @@ class TestFarmConfigShape:
             FarmConfig.from_dict(document)
         assert str(excinfo.value) == f"unknown FarmConfig keys: ['{key}']"
 
+    @pytest.mark.parametrize("key", [
+        "journal_capacity", "verdict_retries", "retry_backoff",
+        "lifecycle_retry_limit", "lifecycle_retry_backoff",
+        "quarantine_max_frames"])
+    def test_a_constant_is_an_unknown_key(self, key):
+        """The six knobs no caller set are constants of their
+        components now: an old document that sets one is refused."""
+        document = dict(FarmConfig().to_dict(), **{key: 2})
+        with pytest.raises(ValueError) as excinfo:
+            FarmConfig.from_dict(document)
+        assert str(excinfo.value) == f"unknown FarmConfig keys: ['{key}']"
+
     @pytest.mark.parametrize("bad", [
         {"pending_policy": "shrug"}, {"malice_policy": "ignore"},
         {"batch_window": -1.0}, {"inbound_mode": "sideways"},
@@ -278,14 +319,6 @@ class TestFarmConfigShape:
         ("safety_max_flows_per_window", -1, False),
         ("safety_max_flows_per_window", 0, True),
         ("safety_max_flows_per_destination", -3, False),
-        ("journal_capacity", -1, False), ("journal_capacity", 0, True),
-        ("verdict_retries", -1, False), ("verdict_retries", 0, True),
-        ("retry_backoff", -2.0, False), ("retry_backoff", 0.5, False),
-        ("retry_backoff", 1, True),
-        ("lifecycle_retry_limit", -1, False),
-        ("lifecycle_retry_backoff", -30.0, False),
-        ("lifecycle_retry_backoff", 0, True),
-        ("quarantine_max_frames", -1, False),
         ("telemetry_snapshot_interval", -1.0, False),
         ("telemetry_snapshot_interval", NAN, False),
         ("journal_sample_interval", INF, False),
@@ -320,9 +353,9 @@ class TestFarmConfigShape:
     @pytest.mark.parametrize("document", [
         {"seed": "x"}, {"seed": 1.5}, {"safety_window": "x"},
         {"safety_max_flows_per_window": None}, {"telemetry": None},
-        {"journal": 1}, {"journal_capacity": True},
-        {"verdict_retries": 2.0}, {"global_networks": ""},
-        {"control_network": 5}, {"quarantine_max_frames": "1024"},
+        {"journal": 1}, {"journal_sample_interval": True},
+        {"verdict_deadline": "5"}, {"global_networks": ""},
+        {"control_network": 5}, {"malice_policy": None},
         {"fault_plan": {"specs": ""}},
     ])
     def test_every_field_is_typed_at_from_dict(self, document):

@@ -20,8 +20,9 @@ flow's path after an endpoint verdict and a TCP DROP until the idle
 sweep, and let a server's frame on no flow out raw) and
 `OLD_AGING_PINS` (the flow table whose entries had idle and hard
 timeouts, and the fault-matrix shard that digested its whole snapshot
-inline).  Each older fixture stands on the newer ones, since its pins
-were recorded before them too.
+inline) and `OLD_KNOBS_PINS` (FarmConfig's six fields that no caller
+set, now constants of their components).  Each older fixture stands
+on the newer ones, since its pins were recorded before them too.
 """
 
 from __future__ import annotations
@@ -143,6 +144,68 @@ def _inline_fault_shard(seed, scenario="baseline", pending_policy="drop"):
     return {"digest": digest.hexdigest()}
 
 
+# ----------------------------------------------------------------------
+# The config every pin up to the knobs becoming constants was recorded on
+# ----------------------------------------------------------------------
+#: FarmConfig's FIELDS rows that became component constants, each list
+#: after the row it stood behind.
+KNOB_FIELDS = {
+    "journal": {"journal_capacity": (int, 65536)},
+    "verdict_deadline": {"verdict_retries": (int, 2),
+                         "retry_backoff": (NUMBER, 2.0)},
+    "pending_policy": {"lifecycle_retry_limit": (int, 2),
+                       "lifecycle_retry_backoff": (NUMBER, 30.0)},
+    "malice_policy": {"quarantine_max_frames": (int, 1024)},
+}
+#: And their _LEAST rows, likewise.
+KNOB_LEAST = {
+    "telemetry_snapshot_interval": {"journal_capacity": 0},
+    "verdict_deadline": {"verdict_retries": 0, "retry_backoff": 1,
+                         "lifecycle_retry_limit": 0,
+                         "lifecycle_retry_backoff": 0,
+                         "quarantine_max_frames": 0},
+}
+
+
+def _after(table: dict, rows_after: dict) -> dict:
+    out = {}
+    for name, row in table.items():
+        out[name] = row
+        out.update(rows_after.get(name, {}))
+    return out
+
+
+@pytest.fixture
+def old_knobs(monkeypatch):
+    """Put FarmConfig's six retired rows back in place (the rows the
+    fuzz loop mutates, and the least values it is refused by)."""
+    fields = FarmConfig.FIELDS
+    kept = dict(fields)
+    fields.clear()   # in place: the fuzz loop's Table holds this dict
+    fields.update(_after(kept, KNOB_FIELDS))
+    monkeypatch.setattr(FarmConfig, "_LEAST",
+                        _after(FarmConfig._LEAST, KNOB_LEAST))
+    yield
+    fields.clear()
+    fields.update(kept)
+
+
+#: The one pin the six fields becoming constants moved, as recorded
+#: before: the quick fuzz loop over FarmConfig documents (its rows).
+OLD_KNOBS_PINS = {
+    "fuzz/farm_config": {
+        "digest":
+            "b089acd29c2d8462b7b66adeb9ddeac27eb60b9f97e5decc0ee42003e72bd64d",
+        "iterations": 500, "ok": 107, "parse_errors": 393},
+}
+
+
+def test_pins_reconstruct_with_the_old_knobs(old_knobs):
+    """With the six rows put back, the fuzz loop's pin reads as it
+    was."""
+    assert _farm_config_fuzz() == OLD_KNOBS_PINS["fuzz/farm_config"]
+
+
 def _register_aging_counters(telemetry, name, read) -> None:
     for reason in ("idle", "hard"):
         telemetry.counter("flowtable.evictions.timeout",
@@ -151,7 +214,7 @@ def _register_aging_counters(telemetry, name, read) -> None:
 
 
 @pytest.fixture
-def old_aging(monkeypatch):
+def old_aging(monkeypatch, old_knobs):
     """Put back what flow-table entry aging left in the pins: the
     ``flowtable.evictions.timeout`` counters by reason (no pinned run
     set a timeout, so each read 0), FarmConfig's two timeout fields

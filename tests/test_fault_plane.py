@@ -186,12 +186,12 @@ class TestLifecycleFaults:
     def test_exhausted_retry_budget_abandons_inmate(self):
         farm = Farm(FarmConfig(
             seed=3,
-            lifecycle_retry_limit=1,
-            lifecycle_retry_backoff=5.0,
             fault_plan={"specs": [
                 {"kind": "revert_fail", "count": 5},
             ]},
         ))
+        farm.controller.RETRY_LIMIT = 1
+        farm.controller.RETRY_BACKOFF = 5.0
         sub = farm.create_subfarm("lab")
         inmate = sub.create_inmate(image_factory=lambda host: None)
         farm.sim.schedule(40.0, farm.controller.execute, "revert",
@@ -200,10 +200,8 @@ class TestLifecycleFaults:
 
         # One external revert + one retry, both injected to fail, then
         # the controller gives up and records the abandonment.
-        assert len(farm.controller.retries_scheduled) == 1
-        assert len(farm.controller.abandoned) == 1
-        _, action, vlan = farm.controller.abandoned[0]
-        assert (action, vlan) == ("revert", inmate.vlan)
+        assert farm.controller.failed == {"retry": 1, "abandoned": 1}
+        assert farm.controller.executed == {"revert": 2}
 
 
 class TestWorkerFaults:

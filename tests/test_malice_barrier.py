@@ -50,7 +50,8 @@ class TestBarrierUnit:
         assert barrier.counts[(0, "shim")] == 1
 
     def test_quarantine_ring_rotates(self):
-        barrier = make_barrier(quarantine_max_frames=3)
+        barrier = make_barrier()
+        barrier.quarantine_max_frames = 3
         for index in range(5):
             barrier.record(ParseError("udp", "short"), vlan=1,
                            data=bytes([index]))
@@ -111,11 +112,12 @@ class TestRouterBarrier:
         assert sub.router.barrier.parse_errors == 1
         assert sub.router.barrier.failstop_drops == 1
 
-    def test_config_controls_quarantine_bound(self):
-        farm, sub = self.make_farm(quarantine_max_frames=2)
+    def test_router_barrier_bounds_its_quarantine(self):
+        farm, sub = self.make_farm()
+        barrier = sub.router.barrier
+        barrier.quarantine_max_frames = 2
         for index in range(4):
             sub.router.ingest_wire(5, GARBAGE + bytes([index]))
-        barrier = sub.router.barrier
         assert len(barrier.quarantine) == 2
         assert barrier.quarantine_rotated == 2
 
@@ -136,11 +138,9 @@ class TestRouterBarrier:
 
 class TestConfigKnobs:
     def test_round_trip(self):
-        config = FarmConfig(seed=1, malice_policy="fail-stop",
-                            quarantine_max_frames=16)
+        config = FarmConfig(seed=1, malice_policy="fail-stop")
         restored = FarmConfig.from_dict(config.to_dict())
         assert restored.malice_policy == "fail-stop"
-        assert restored.quarantine_max_frames == 16
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

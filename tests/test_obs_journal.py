@@ -392,11 +392,10 @@ class TestFarmDeterminism:
         assert "flow.created" in render_why(events, flow)
 
     def test_farm_config_round_trips_journal_knobs(self):
-        config = FarmConfig(seed=5, journal=True, journal_capacity=128,
+        config = FarmConfig(seed=5, journal=True,
                             journal_sample_interval=15.0)
         clone = FarmConfig.from_dict(config.to_dict())
         assert clone.journal is True
-        assert clone.journal_capacity == 128
         assert clone.journal_sample_interval == 15.0
 
 

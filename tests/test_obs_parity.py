@@ -34,6 +34,7 @@ import functools
 import json
 import os
 import subprocess
+from unittest import mock
 
 import pytest
 
@@ -43,6 +44,7 @@ from repro.farm import Farm, FarmConfig
 from repro.inmates.hosting import HostingBackend
 from repro.net.addresses import IPv4Address
 from repro.net.dns import StubResolverClient
+from repro.obs import journal as journal_module
 from repro.services.dhcp import DhcpClient
 from repro.world.dns_authority import AuthoritativeDns
 from repro.world.mail import MailExchanger
@@ -101,10 +103,10 @@ def observe(seed: int, journal_capacity: int, journal_every: float,
     """Run one scan-shaped farm; the telemetry snapshots at every
     ``SNAPSHOT_INTERVAL``, the journal's at every ``journal_every``,
     and both at the end."""
-    farm = Farm(FarmConfig(
+    farm = _farm_with_journal_capacity(journal_capacity, FarmConfig(
         seed=seed, journal=True, telemetry=True,
         telemetry_snapshot_interval=SNAPSHOT_INTERVAL,
-        journal_capacity=journal_capacity, journal_sample_interval=10.0))
+        journal_sample_interval=10.0))
     _web_server(farm.add_external_host("web", WEB_IP))
     journals = []
 
@@ -122,6 +124,13 @@ def observe(seed: int, journal_capacity: int, journal_every: float,
             sub.create_inmate(image_factory=_scan_image(interval, linger))
     farm.run(until=DURATION)
     return _exported(farm, journals)
+
+
+def _farm_with_journal_capacity(capacity: int, config: FarmConfig) -> Farm:
+    """A farm whose journal keeps ``capacity`` events (the journal's
+    ``DEFAULT_CAPACITY``, patched while the farm is built)."""
+    with mock.patch.object(journal_module, "DEFAULT_CAPACITY", capacity):
+        return Farm(config)
 
 
 def _exported(farm, journals) -> dict:
@@ -234,12 +243,13 @@ def observe_every_family() -> dict:
     plan = [{"kind": "cs_crash", "subfarm": "fam-1", "at": 24.0,
              "restore_after": 15.0},
             {"kind": "revert_fail", "subfarm": "fam-0", "count": 2}]
-    farm = Farm(FarmConfig(
+    farm = _farm_with_journal_capacity(256, FarmConfig(
         seed=13, journal=True, telemetry=True,
-        telemetry_snapshot_interval=10.0, journal_capacity=256,
+        telemetry_snapshot_interval=10.0,
         safety_max_flows_per_window=25, safety_max_flows_per_destination=4,
-        safety_window=10.0, verdict_deadline=1.0, fault_plan=plan,
-        lifecycle_retry_limit=1, lifecycle_retry_backoff=1.0))
+        safety_window=10.0, verdict_deadline=1.0, fault_plan=plan))
+    farm.controller.RETRY_LIMIT = 1
+    farm.controller.RETRY_BACKOFF = 1.0
     _web_server(farm.add_external_host("web", WEB_IP))
     echo = farm.add_external_host("echo", ECHO_IP)
     echo.udp.bind(7, lambda h, p, d: h.udp.sendto(d.payload, p.src, d.sport,

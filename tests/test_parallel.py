@@ -180,11 +180,7 @@ class TestFarmConfigRoundTrip:
                  "start": 10.0, "end": 80.0, "subfarm": "alpha"},
             ]},
             verdict_deadline=5.0,
-            verdict_retries=3,
-            retry_backoff=1.5,
             pending_policy="forward",
-            lifecycle_retry_limit=1,
-            lifecycle_retry_backoff=10.0,
         )
         clone = FarmConfig.from_dict(
             json.loads(json.dumps(config.to_dict())))

@@ -87,17 +87,18 @@ class TestGrumWorkflow:
     def test_no_internal_addresses_leak_upstream(self):
         farm, sub, world, cnc, inmate = build_spam_farm("grum", GrumPolicy)
         farm.run(until=300)
-        for record in farm.gateway.upstream_trace.select(point="upstream-out"):
+        for record in farm.gateway.upstream_trace.records:
             ip = record.ip
-            if ip is not None:
+            if record.point == "upstream-out" and ip is not None:
                 assert not ip.src.is_rfc1918()
 
     def test_no_spam_escapes_to_any_port25(self):
         farm, sub, world, cnc, inmate = build_spam_farm("grum", GrumPolicy)
         farm.run(until=600)
         escaped = [
-            r for r in farm.gateway.upstream_trace.select(point="upstream-out")
-            if r.ip is not None and r.ip.proto == 6 and r.ip.tcp.dport == 25
+            r for r in farm.gateway.upstream_trace.records
+            if r.point == "upstream-out" and r.ip is not None
+            and r.ip.proto == 6 and r.ip.tcp.dport == 25
         ]
         assert escaped == []
 

@@ -160,7 +160,7 @@ class TestFigure1Separation:
         # The flow was dropped, and the controller host saw nothing.
         assert "reset" in outcome or "refused" in outcome
         assert farm.controller_host.packets_received == before
-        assert farm.controller.actions_executed == []
+        assert farm.controller.executed == {}
         counts = sub.containment_server.verdict_counts
         assert counts.get("DROP", 0) == 1
 
@@ -175,8 +175,7 @@ class TestFigure1Separation:
         sub.containment_server.issue_lifecycle("stop", inmate.vlan)
         farm.run(until=70)
         assert inmate.state.value == "stopped"
-        assert farm.controller.actions_executed[-1][1:] == ("stop",
-                                                            inmate.vlan)
+        assert farm.controller.executed == {"stop": 1}
 
     def test_unknown_vlan_lifecycle_ignored(self):
         farm = Farm(FarmConfig(seed=23))
