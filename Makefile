@@ -64,12 +64,15 @@ verify-quick:
 	$(PYTHON) -m repro.verify quick
 
 # Trace-memory gate: the packed capture store's round-trip, ring and
-# bytes-per-frame budget tests under two hash seeds — what a captured
-# frame costs, counted not timed (docs/PERFORMANCE.md, "Trace memory").
+# bytes-per-frame budget tests, and the streaming tests (the inmate-side
+# window, observers' port filters, whole-trace readers refusing a
+# rotated trace), under two hash seeds — what a captured frame costs,
+# counted not timed (docs/PERFORMANCE.md, "Trace memory").
 trace-budget:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
-			tests/test_capture.py tests/test_capture_budget.py || exit 1; \
+			tests/test_capture.py tests/test_capture_budget.py \
+			tests/test_streaming_analysis.py || exit 1; \
 	done
 
 # Frame and memory budgets, counted not timed, under two hash seeds:
@@ -79,10 +82,11 @@ trace-budget:
 # in every phase of a flow's life (and one table read per key when a
 # finished flow is released), no payload copy made by the send path, a
 # journal digest whose peak does not grow with the journal, and a churn
-# farm that keeps no record, row or rule of a finished flow and at most
-# 1,500 bytes per finished fetch outside its traces (docs/PERFORMANCE.md,
-# "Flow memory"), and a small scan that holds nothing after its probes
-# but its dropped datagram flows.  Then what observing costs: the seed
+# farm that keeps no record, row or rule of a finished flow and grows
+# by at most 1,500 bytes, traces included, per extra finished fetch
+# (docs/PERFORMANCE.md, "Flow memory"), and a small scan that holds
+# nothing after its probes but its dropped datagram flows.  Then what
+# observing costs: the seed
 # farm keeps its pinned digest with the journal on and pins its journal
 # digest, a fast-path pump journals at most 8 events, a scan journals
 # three events for a TCP DROP and four for every other flow and keeps

@@ -17,6 +17,7 @@ from repro.experiments.figure7 import BOTFARM_CONFIG
 from repro.farm import Farm, FarmConfig
 from repro.inmates.images import autoinfect_image
 from repro.malware.corpus import Sample
+from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
 from repro.reporting.report import ActivityReport, render_report
 from repro.world.builder import ExternalWorld
 
@@ -69,18 +70,25 @@ def main() -> None:
     development.assign_policy(dev_policy, fresh.vlan)
     dev_policy.set_sample(fresh.vlan, fresh.vlan, Sample("waledac"))
 
+    # The report's analyzers read each subfarm's trace as it is
+    # captured: an hour overflows the stored window.
+    streams = {sub: (ShimAnalyzer.streaming(sub.router),
+                     SmtpActivityAnalyzer.streaming(sub.router))
+               for sub in (deployment, development)}
+
     print("Running one simulated hour...")
     farm.run(until=3600)
 
-    report = ActivityReport.from_subfarms(
-        [deployment, development], world.blocklist)
+    report = ActivityReport()
+    for sub, (shims, smtp) in streams.items():
+        report.add_subfarm(sub, world.blocklist, shims=shims, smtp=smtp)
     print(render_report(report))
 
     sink = deployment.sinks["smtp_sink"]
     print("Harvest summary (deployment subfarm):")
     print(f"  messages harvested : {sink.data_transfers}")
-    print(f"  distinct campaigns : {len(sink.campaigns())}")
-    for body, count in sorted(sink.campaigns().items(),
+    print(f"  distinct campaigns : {len(sink.campaigns)}")
+    for body, count in sorted(sink.campaigns.items(),
                               key=lambda kv: -kv[1])[:3]:
         subject = body.splitlines()[0].decode("latin-1", "replace")
         print(f"    {count:>6} x {subject}")

@@ -35,6 +35,7 @@ from repro.net.http import echo
 from repro.parallel import Campaign, ShardSpec, run_campaign
 from repro.parallel.tasks import (TARGET_IP, TARGET_PORT, _streaming_image,
                                   farm_digest)
+from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
 
 __all__ = [
     "SCENARIOS",
@@ -92,10 +93,12 @@ def build_fault_farm(seed: int, scenario: str = "baseline",
                      extra_cs: int = 1,
                      verdict_deadline: float = 5.0,
                      pending_policy: str = "drop",
-                     telemetry: bool = True):
+                     telemetry: bool = True,
+                     streams: Optional[dict] = None):
     """Build and run one resilient fault-scenario farm; returns the
     completed farm (subfarms under ``farm.subfarms``).  Shared by
-    :func:`fault_farm_shard` and ``python -m repro.verify``."""
+    :func:`fault_farm_shard` and ``python -m repro.verify``.
+    ``streams`` gets each subfarm's streaming report analyzers."""
     cell = SCENARIOS[scenario]
     duration = cell.get("duration", duration)
     config = FarmConfig(
@@ -110,6 +113,9 @@ def build_fault_farm(seed: int, scenario: str = "baseline",
     for index in range(subfarms):
         sub = farm.create_subfarm(f"fault-sub-{index}")
         sub.set_default_policy(AllowAll())
+        if streams is not None:
+            streams[sub.name] = (ShimAnalyzer.streaming(sub.router),
+                                 SmtpActivityAnalyzer.streaming(sub.router))
         if extra_cs > 0:
             sub.add_containment_servers(extra_cs)
         vlans = set()
@@ -143,11 +149,12 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
     summaries folded on top; it leaves the certificate fields out, so
     certifying does not perturb replay parity.
     """
+    streams: Dict[str, tuple] = {}
     farm = build_fault_farm(
         seed, scenario=scenario, subfarms=subfarms, inmates=inmates,
         rounds=rounds, duration=duration, extra_cs=extra_cs,
         verdict_deadline=verdict_deadline, pending_policy=pending_policy,
-        telemetry=telemetry)
+        telemetry=telemetry, streams=streams)
     subs = list(farm.subfarms.values())
     counters = {sub.name: dict(sub.router.counters) for sub in subs}
     run_digest, snapshot = farm_digest(farm)
@@ -164,7 +171,9 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
     certificate = certify_farm(farm, label=f"{scenario}/s{seed}")
     coverage = check_wire(certificate, farm)
 
-    report = ActivityReport.from_subfarms(subs)
+    report = ActivityReport()
+    for sub in subs:
+        report.add_subfarm(sub, None, *streams[sub.name])
     report.attach_certificate(certificate, coverage=coverage.to_dict())
     rendered = render_report(report)
 

@@ -77,6 +77,7 @@ def run_figure5(seed: int = 9, duration: float = 120.0) -> Figure5Result:
         DhcpClient(host, on_configured=fetch).start()
 
     sub.create_inmate(image_factory=image, policy=Figure5Policy())
+    sub.router.trace.max_records = None  # the ladder reads every frame
     farm.run(until=duration)
 
     result = Figure5Result()

@@ -103,14 +103,14 @@ def run_figure7(duration: float = 1200.0, seed: int = 7,
     farm, sub, world, samples = build_botfarm(seed, drop_probability,
                                               send_interval)
 
-    # Bro-style streaming analysis: the analyzers see every frame as
-    # it is captured, so the stored trace can rotate — day-scale runs
-    # stay in bounded memory (§6.5's hourly/daily reporting model).
+    # Bro-style streaming analysis: the analyzers see the frames on
+    # their ports as they are captured, so the stored window rotates —
+    # day-scale runs stay in bounded memory (§6.5's hourly/daily
+    # reporting model).
     from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
 
-    shims = ShimAnalyzer.streaming(sub.router.trace)
-    smtp = SmtpActivityAnalyzer.streaming(sub.router.trace)
-    sub.router.trace.max_records = 50_000
+    shims = ShimAnalyzer.streaming(sub.router)
+    smtp = SmtpActivityAnalyzer.streaming(sub.router)
 
     farm.run(until=duration)
 

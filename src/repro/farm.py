@@ -422,7 +422,8 @@ class Subfarm:
         upstream trace) as real pcap files — §5.6's two-pronged
         recording, ready for sharing.  The inmate-side capture uses
         the unroutable internal addresses, giving the "immediate
-        anonymity" the paper leans on for data sharing."""
+        anonymity" the paper leans on for data sharing.  Refuses a
+        rotated window (``trace.max_records = None`` keeps it whole)."""
         import os
 
         from repro.net.capture import write_pcap
@@ -430,7 +431,8 @@ class Subfarm:
         os.makedirs(directory, exist_ok=True)
         paths = {}
         inmate_path = os.path.join(directory, f"{self.name}-inmate.pcap")
-        write_pcap(inmate_path, self.router.trace.records)
+        write_pcap(inmate_path,
+                   self.router.trace.whole("Subfarm.export_traces"))
         paths["inmate"] = inmate_path
         upstream_path = os.path.join(directory, "upstream.pcap")
         write_pcap(upstream_path, self.farm.gateway.upstream_trace.records)

@@ -87,11 +87,7 @@ class MaliceBarrier:
     tell one coherent story per subfarm.
     """
 
-    def __init__(self, sim, name: str, telemetry=None,
-                 policy: str = "isolate") -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"malice policy must be one of {POLICIES}, "
-                             f"got {policy!r}")
+    def __init__(self, sim, name: str, telemetry=None) -> None:
         self.sim = sim
         self.name = name
         self._m_parse_errors = (telemetry or NULL_TELEMETRY).counter(
@@ -100,7 +96,9 @@ class MaliceBarrier:
         # Decision journal (NULL_JOURNAL unless the farm attached one
         # before constructing the subfarm).
         self.journal = sim.journal
-        self.policy = policy
+        # One of POLICIES; the subfarm sets its FarmConfig's, checked
+        # there.
+        self.policy = "isolate"
         self.quarantine_max_frames = DEFAULT_QUARANTINE_MAX
 
         #: (vlan, protocol) -> dropped-frame count.  vlan 0 means "not

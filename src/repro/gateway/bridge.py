@@ -84,10 +84,6 @@ class LearningBridge:
         if entry is not None and entry.ip is not None:
             self._vlan_by_ip.pop(entry.ip.value, None)
 
-    def mac_for(self, vlan: int) -> Optional[MacAddress]:
-        entry = self.entries.get(vlan)
-        return entry.mac if entry else None
-
     def vlan_for_ip(self, ip: IPv4Address) -> Optional[int]:
         return self._vlan_by_ip.get(ip.value)
 

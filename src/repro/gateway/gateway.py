@@ -71,6 +71,7 @@ class Gateway:
         # (SubfarmRouter.publish_globals): NAT bind/unbind and
         # service-NAT allocation write it, nothing scans.
         self._router_by_global: Dict[int, SubfarmRouter] = {}
+        # Whole, unlike a router's window: the wire check and digests.
         self.upstream_trace = PacketTrace(f"{name}-upstream")
         self.frames_received = 0
         self.frames_unroutable = 0
@@ -162,11 +163,6 @@ class Gateway:
 
     def router_for_vlan(self, vlan: int) -> Optional[SubfarmRouter]:
         return self._router_by_vlan.get(vlan)
-
-    def router_for_global(self, address: IPv4Address
-                          ) -> Optional[SubfarmRouter]:
-        """The subfarm answering for a global (upstream) address."""
-        return self._router_by_global.get(address.value)
 
     # ------------------------------------------------------------------
     # Egress: one object per target.  Routers resolve theirs through

@@ -177,14 +177,6 @@ class NatTable:
     def vlan_for_global(self, address: IPv4Address) -> Optional[int]:
         return self._vlan_by_global.get(address.value)
 
-    def to_global(self, internal: IPv4Address) -> Optional[IPv4Address]:
-        vlan = self._vlan_by_internal.get(internal.value)
-        return self._global_by_vlan.get(vlan) if vlan is not None else None
-
-    def to_internal(self, global_ip: IPv4Address) -> Optional[IPv4Address]:
-        vlan = self._vlan_by_global.get(global_ip.value)
-        return self._internal_by_vlan.get(vlan) if vlan is not None else None
-
     def bindings(self) -> Dict[int, tuple]:
         return {
             vlan: (self._internal_by_vlan[vlan], self._global_by_vlan[vlan])

@@ -110,6 +110,9 @@ class SubfarmRouter:
     MUX_PORT_BASE = 20000
     NONCE_PORT_BASE = 40000
     PORT_SLOTS = 20000
+    # Frames the inmate-side trace keeps: its readers stream it, and a
+    # whole-trace reader refuses it once it has rotated.
+    TRACE_WINDOW = 4096
 
     def __init__(
         self,
@@ -172,7 +175,8 @@ class SubfarmRouter:
         # attribute read on the slow path only.
         self.journal = sim.journal
         self.bridge = LearningBridge(telemetry=self.telemetry, subfarm=name)
-        self.trace = PacketTrace(f"{name}-inmate-side")
+        self.trace = PacketTrace(f"{name}-inmate-side",
+                                 max_records=self.TRACE_WINDOW)
 
         # Infra services reachable without containment (the restricted
         # broadcast domain of §5.3) plus all registered service hosts.

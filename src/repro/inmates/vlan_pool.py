@@ -9,7 +9,7 @@ discusses.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 VLAN_MIN = 1
 VLAN_MAX = 4094  # 802.1Q: 0 and 4095 are reserved
@@ -68,6 +68,3 @@ class VlanPool:
 
     def release(self, vlan: int) -> None:
         self._in_use.discard(vlan)
-
-    def allocated_ids(self) -> List[int]:
-        return sorted(self._in_use)

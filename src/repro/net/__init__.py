@@ -19,7 +19,7 @@ Fidelity goals (what must be real for the reproduction to be honest):
 
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.errors import ParseError
-from repro.net.flow import FiveTuple, FlowDirection
+from repro.net.flow import FiveTuple
 from repro.net.packet import (
     EthernetFrame,
     IPv4Packet,
@@ -34,7 +34,6 @@ __all__ = [
     "MacAddress",
     "ParseError",
     "FiveTuple",
-    "FlowDirection",
     "EthernetFrame",
     "IPv4Packet",
     "TCPSegment",

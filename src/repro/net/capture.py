@@ -5,7 +5,8 @@ perspective (internal RFC 1918 addresses: cheap anonymity for data
 sharing) and, separately, everything crossing the upstream interface
 as seen outside GQ.  :class:`PacketTrace` is the in-memory store both
 analysis and reporting read from; :func:`write_pcap` emits genuine
-libpcap files for interoperability.
+libpcap files for interoperability.  A subfarm's inmate-side trace is
+a window that observers read as a stream; the upstream trace is whole.
 """
 
 from __future__ import annotations
@@ -21,6 +22,18 @@ from repro.net.packet import (EthernetFrame, IPv4Packet, PROTO_TCP, PROTO_UDP,
 
 PCAP_MAGIC = 0xA1B2C3D4
 LINKTYPE_ETHERNET = 1
+
+
+class TraceRotated(RuntimeError):
+    """A whole-trace reader met a trace that has rotated frames out of
+    its window: it refuses rather than count part of the run."""
+
+    def __init__(self, reader: str, trace: str, rotated_out: int) -> None:
+        self.reader, self.trace, self.rotated_out = reader, trace, rotated_out
+        super().__init__(
+            f"{reader} needs every frame of trace {trace!r}, but "
+            f"{rotated_out} have rotated out: subscribe a streaming "
+            f"observer, or set its max_records to None, before the run")
 
 
 class TraceRecord:
@@ -136,12 +149,15 @@ class PacketTrace:
     Two consumption models, mirroring §5.6/§6.5 practice:
 
     * *Post-hoc*: ``records`` holds captured frames, read by iterating
-      it (analysis, reports, pcap export).  ``max_records`` bounds the buffer (oldest frames
-      rotate out, counted in ``rotated_out``) so day-scale runs do not
-      hold every packet in memory.
-    * *Streaming*: observers registered via :meth:`subscribe` see every
-      record as it is captured — how the Bro-style analyzers process
-      multi-day activity without retaining the packets.
+      it.  ``max_records`` bounds the buffer (oldest frames rotate
+      out, counted in ``rotated_out``) so day-scale runs do not hold
+      every packet in memory; a reader that needs every frame (an
+      analysis, a report, a pcap export) reads :meth:`whole`, which
+      refuses a trace that has rotated.
+    * *Streaming*: observers registered via :meth:`subscribe` see each
+      record they asked for as it is captured — how the Bro-style
+      analyzers process multi-day activity without retaining the
+      packets.
 
     A capture is, as in a pcap, the bytes at the capture instant: each
     TCP/UDP frame is one packed header appended to a single
@@ -167,11 +183,22 @@ class PacketTrace:
         self.records = _RecordView(self)
         self.rotated_out = 0
         self.compactions = 0
-        self._observers: List[Callable[[TraceRecord], None]] = []
+        self._observers: List[tuple] = []
 
-    def subscribe(self, observer: Callable[[TraceRecord], None]) -> None:
-        """Register a live observer; it sees each record at capture."""
-        self._observers.append(observer)
+    def subscribe(self, observer: Callable[[TraceRecord], None],
+                  ports: Optional[Iterable[int]] = None) -> None:
+        """Register a live observer; it sees each record at capture.
+        With ``ports``, only the frames with a source or destination
+        port among them, and the fallback rows, which have no ports."""
+        self._observers.append(
+            (observer, None if ports is None else frozenset(ports)))
+
+    def whole(self, reader: str) -> "_RecordView":
+        """``records`` for a reader that needs every frame; raises
+        :class:`TraceRotated` once any has rotated out."""
+        if self.rotated_out:
+            raise TraceRotated(reader, self.name, self.rotated_out)
+        return self.records
 
     def _point_code(self, point: str) -> Optional[int]:
         """Register a capture point; None once the codes are used up
@@ -225,9 +252,18 @@ class PacketTrace:
         if header is None:
             header, slot = _FALLBACK, (timestamp, point, frame.copy())
         if self._observers:
-            record = self._build(_unpack_from(header), slot)
-            for observer in self._observers:
-                observer(record)
+            # Ports from the frame just packed (a fallback row has none);
+            # one record, built when first wanted, serves every observer.
+            portless = header is _FALLBACK
+            if not portless:
+                sport, dport = transport.sport, transport.dport
+            record = None
+            for observer, ports in self._observers:
+                if (ports is None or portless or sport in ports
+                        or dport in ports):
+                    if record is None:
+                        record = self._build(_unpack_from(header), slot)
+                    observer(record)
         self._headers += header
         payloads = self._payloads
         payloads.append(slot)

@@ -7,18 +7,10 @@ five-tuple (plus the inmate's VLAN ID, which identifies the inmate).
 
 from __future__ import annotations
 
-import enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import IPv4Packet, PROTO_TCP, PROTO_UDP
-
-
-class FlowDirection(enum.Enum):
-    """Direction of a packet relative to the flow's originator."""
-
-    ORIG = "orig"  # originator -> responder
-    RESP = "resp"  # responder -> originator
 
 
 class FiveTuple(NamedTuple):
@@ -54,17 +46,6 @@ class FiveTuple(NamedTuple):
     @property
     def proto_name(self) -> str:
         return {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(self.proto, str(self.proto))
-
-    def matches_packet(self, packet: IPv4Packet) -> Optional[FlowDirection]:
-        """Classify a packet against this flow, or None if unrelated."""
-        if packet.proto != self.proto:
-            return None
-        key = FiveTuple.from_packet(packet)
-        if key == self:
-            return FlowDirection.ORIG
-        if key == self.reversed():
-            return FlowDirection.RESP
-        return None
 
     def __str__(self) -> str:
         return (

@@ -80,10 +80,6 @@ class HttpRequest(HttpMessage):
             f"{self.method} {self.path} {self.version}"
         ) + self.body
 
-    @property
-    def host_header(self) -> Optional[str]:
-        return self.header("Host")
-
     def __repr__(self) -> str:
         return f"<HttpRequest {self.method} {self.path}>"
 

@@ -45,14 +45,13 @@ class SmtpState(enum.Enum):
 class SmtpTransaction:
     """One accepted message: envelope plus body."""
 
-    __slots__ = ("mail_from", "rcpt_to", "body", "helo", "completed_at")
+    __slots__ = ("mail_from", "rcpt_to", "body", "helo")
 
     def __init__(self, mail_from: str, helo: str) -> None:
         self.mail_from = mail_from
         self.rcpt_to: List[str] = []
         self.body = b""
         self.helo = helo
-        self.completed_at: Optional[float] = None
 
 
 _STRICT_PATH = re.compile(r"^<[^<>\s]+@[^<>\s]+>$")

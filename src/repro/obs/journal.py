@@ -127,12 +127,12 @@ class Journal:
 
     enabled = True
 
-    def __init__(self, clock: Clock, capacity: Optional[int] = None,
-                 ring_capacity: int = DEFAULT_RING_CAPACITY) -> None:
+    def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        self.capacity = max(1, int(
-            DEFAULT_CAPACITY if capacity is None else capacity))
-        self.ring_capacity = ring_capacity
+        # Read when the journal is built, so patching either constant
+        # sets the next journal's bounds.
+        self.capacity = DEFAULT_CAPACITY
+        self.ring_capacity = DEFAULT_RING_CAPACITY
         # Two rings in step, ``(seq, time, kind, flow, vlan, parent)``
         # and the event's fields: a tuple of atoms and a dict of atoms
         # are not tracked by the cyclic collector, a tuple *holding*

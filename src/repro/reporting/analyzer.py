@@ -56,8 +56,9 @@ class ShimAnalyzer:
     port)]`` (flows).  Counts go in as responses arrive, so ties in a
     report sorted by count keep that order.
 
-    Post-hoc (pass a trace) or streaming (:meth:`streaming` subscribes
-    the analyzer so day-scale runs never retain packets).
+    Post-hoc (pass a whole trace) or streaming (:meth:`streaming`
+    subscribes the analyzer to a router's shim ports, so day-scale runs
+    never retain packets).
     """
 
     def __init__(self, trace: Optional[PacketTrace] = None) -> None:
@@ -69,13 +70,16 @@ class ShimAnalyzer:
         # (ip, port, proto), oldest first: flow -> VLAN.
         self._pending: Dict[tuple, Dict[FiveTuple, int]] = {}
         if trace is not None:
-            for record in trace.records:
+            for record in trace.whole("ShimAnalyzer(trace)"):
                 self.process(record)
 
     @classmethod
-    def streaming(cls, trace: PacketTrace) -> "ShimAnalyzer":
+    def streaming(cls, router) -> "ShimAnalyzer":
+        """An analyzer fed by ``router``'s inmate-side trace, on the
+        containment server's ports only."""
         analyzer = cls()
-        trace.subscribe(analyzer.process)
+        router.trace.subscribe(analyzer.process, ports=(
+            router.cs_tcp_port, router.cs_udp_port))
         return analyzer
 
     def process(self, record: TraceRecord) -> None:
@@ -132,11 +136,9 @@ class ShimAnalyzer:
         bucket[key] = bucket.get(key, 0) + 1
 
     # ------------------------------------------------------------------
-    def verdict_counts(self, vlan: Optional[int] = None) -> Dict[str, int]:
+    def verdict_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for inmate, groups in self.groups.items():
-            if vlan is not None and inmate != vlan:
-                continue
+        for groups in self.groups.values():
             for verdict, bucket in groups.items():
                 counts[verdict] = counts.get(verdict, 0) + sum(
                     bucket.values())
@@ -157,13 +159,15 @@ class SmtpActivityAnalyzer:
         self.sessions: Dict[int, int] = {}
         self.data_transfers: Dict[int, int] = {}
         if trace is not None:
-            for record in trace.records:
+            for record in trace.whole("SmtpActivityAnalyzer(trace)"):
                 self.process(record)
 
     @classmethod
-    def streaming(cls, trace: PacketTrace) -> "SmtpActivityAnalyzer":
+    def streaming(cls, router) -> "SmtpActivityAnalyzer":
+        """An analyzer fed by ``router``'s inmate-side trace, on the
+        SMTP port only."""
         analyzer = cls()
-        trace.subscribe(analyzer.process)
+        router.trace.subscribe(analyzer.process, ports=(25,))
         return analyzer
 
     def process(self, record: TraceRecord) -> None:

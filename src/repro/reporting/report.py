@@ -97,9 +97,10 @@ class ActivityReport:
     def add_subfarm(self, subfarm, blocklist=None,
                     shims: Optional[ShimAnalyzer] = None,
                     smtp: Optional[SmtpActivityAnalyzer] = None) -> None:
-        """Aggregate a subfarm's activity.  Pass pre-attached streaming
-        analyzers for runs whose traces rotate (day-scale and longer);
-        otherwise they are computed post-hoc from the stored trace."""
+        """Aggregate a subfarm's activity.  Pass streaming analyzers
+        attached before the run; without them they are computed
+        post-hoc, which raises :class:`~repro.net.capture.TraceRotated`
+        once the inmate-side window has rotated."""
         shims = shims if shims is not None else ShimAnalyzer(
             subfarm.router.trace)
         smtp = smtp if smtp is not None else SmtpActivityAnalyzer(

@@ -20,7 +20,7 @@ Fidelity knobs, each tied to a §7.1 lesson:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.net.addresses import IPv4Address
 from repro.net.host import Host
@@ -81,7 +81,10 @@ class SmtpSink:
         self.fault = fault
         self._rng = host.rng
 
-        self.messages: List[SmtpTransaction] = []
+        # Harvested messages: how many, and how many of each distinct
+        # body (a campaign).
+        self.data_transfers = 0
+        self.campaigns: Dict[bytes, int] = {}
         self.sessions_accepted = 0
         self.sessions_dropped = 0
         self.banner_cache: Dict[IPv4Address, str] = {}
@@ -184,19 +187,6 @@ class SmtpSink:
         conn.on_remote_close = lambda c: c.close()
 
     def _on_message(self, transaction: SmtpTransaction) -> None:
-        transaction.completed_at = self.host.sim.now
-        self.messages.append(transaction)
-
-    @property
-    def data_transfers(self) -> int:
-        return len(self.messages)
-
-    # ------------------------------------------------------------------
-    # Harvest-side analysis
-    # ------------------------------------------------------------------
-    def campaigns(self) -> Dict[bytes, int]:
-        """Distinct message bodies and their frequencies."""
-        counts: Dict[bytes, int] = {}
-        for message in self.messages:
-            counts[message.body] = counts.get(message.body, 0) + 1
-        return counts
+        self.data_transfers += 1
+        body = transaction.body
+        self.campaigns[body] = self.campaigns.get(body, 0) + 1

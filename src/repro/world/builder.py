@@ -128,7 +128,7 @@ class ExternalWorld:
         return None
 
     def total_spam_delivered(self) -> int:
-        return sum(len(v.mx.delivered) for v in self.victim_domains)
+        return sum(v.mx.delivered for v in self.victim_domains)
 
     # ------------------------------------------------------------------
     # C&C servers

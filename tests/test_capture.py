@@ -587,6 +587,7 @@ class TestPacketOwnership:
 
         reply = IPv4Packet(world, outbound.src, UDPDatagram(53, 5000, b"a"))
         sub.router.upstream_packet(reply)
+        assert sub.router.trace.rotated_out == 0
         inbound = sub.router.trace.records[-1].ip
         assert reply.dst == outbound.src and inbound.dst == probe.ip
         assert inbound.udp.payload == b"a"

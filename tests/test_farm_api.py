@@ -58,7 +58,7 @@ class TestFarmApi:
         assert farm.gateway.router_for_vlan(vlan) is None
         # The VLAN returns to the pool (reused after the pool cycles
         # around, like ephemeral ports — not immediately).
-        assert vlan not in farm.vlan_pool.allocated_ids()
+        assert vlan not in farm.vlan_pool._in_use
         replacement = sub.create_inmate(image_factory=idle_image())
         assert replacement.vlan != vlan
 
@@ -85,6 +85,7 @@ class TestFarmApi:
             sub = farm.create_subfarm("a")
             sub.create_inmate(image_factory=idle_image())
             farm.run(until=120)
+            assert sub.router.trace.rotated_out == 0
             return (farm.sim.events_processed,
                     len(sub.router.trace.records),
                     str(sub.nat.bindings()))

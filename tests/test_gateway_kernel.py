@@ -189,7 +189,7 @@ def test_demux_map_is_the_first_router_that_owns_the_address(script):
             owners = [router for router in gateway.routers
                       if router.owns_global(address)]
             assert len(owners) <= 1
-            assert gateway.router_for_global(address) is (
+            assert gateway._router_by_global.get(address.value) is (
                 owners[0] if owners else None), (op, str(address))
 
 

@@ -61,8 +61,7 @@ class TestNatTable:
         nat = make_nat()
         internal = nat.bind(5)
         global_ip = nat.global_for(5)
-        assert nat.to_global(internal) == global_ip
-        assert nat.to_internal(global_ip) == internal
+        assert nat.internal_for(5) == internal
         assert nat.vlan_for_internal(internal) == 5
         assert nat.vlan_for_global(global_ip) == 5
 
@@ -133,7 +132,7 @@ class TestLearningBridge:
         bridge = LearningBridge()
         mac = MacAddress("02:00:00:00:00:10")
         bridge.learn(5, mac, 1.0, ip=IPv4Address("10.100.0.2"))
-        assert bridge.mac_for(5) == mac
+        assert bridge.entries[5].mac == mac
         assert bridge.vlan_for_ip(IPv4Address("10.100.0.2")) == 5
 
     def test_ip_change_remaps(self):
@@ -159,7 +158,7 @@ class TestLearningBridge:
         bridge.learn(5, MacAddress("02:00:00:00:00:10"), 1.0,
                      ip=IPv4Address("10.100.0.2"))
         bridge.forget(5)
-        assert bridge.mac_for(5) is None
+        assert 5 not in bridge.entries
         assert bridge.vlan_for_ip(IPv4Address("10.100.0.2")) is None
 
 

@@ -26,8 +26,10 @@ from repro.sim.engine import Simulator
 GARBAGE = bytes(12) + b"\x08\x00" + b"\xff\xff\xff\xff"
 
 
-def make_barrier(**kwargs) -> MaliceBarrier:
-    return MaliceBarrier(Simulator(seed=1), "sub0", **kwargs)
+def make_barrier(policy: str = "isolate") -> MaliceBarrier:
+    barrier = MaliceBarrier(Simulator(seed=1), "sub0")
+    barrier.policy = policy  # as Subfarm sets it from FarmConfig
+    return barrier
 
 
 class TestBarrierUnit:
@@ -63,11 +65,6 @@ class TestBarrierUnit:
 
     def test_default_quarantine_bound(self):
         assert make_barrier().quarantine_max_frames == DEFAULT_QUARANTINE_MAX
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_barrier(policy="shrug")
-        assert "isolate" in POLICIES and "fail-stop" in POLICIES
 
     def test_fail_stop_latches_on_first_error(self):
         barrier = make_barrier(policy="fail-stop")
@@ -145,6 +142,7 @@ class TestConfigKnobs:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             FarmConfig(seed=1, malice_policy="ignore")
+        assert "isolate" in POLICIES and "fail-stop" in POLICIES
 
 
 class TestReporting:

@@ -1,8 +1,9 @@
 """What a run holds per captured frame and per exported event, counted
 by ``tracemalloc`` rather than read off RSS.
 
-GQ records every frame twice for the life of a deployment (§5.6), so
-the bytes a run holds per frame bound how long a farm can record
+GQ records every frame that crosses the upstream interface for the
+life of a deployment (§5.6; each subfarm's inmate side in a window),
+so the bytes a run holds per frame bound how long a farm can record
 (docs/PERFORMANCE.md, "Trace memory").  Two budgets:
 
 * **one copy per payload** — an application's ``bytes`` write is the
@@ -48,6 +49,8 @@ def _captured_payloads(farm) -> list:
 def test_no_bytes_allocated_in_tcp_survive_echo_rounds():
     built = workloads.build_stream(seed=11, seconds=0.2)
     farm, app = built.farm, built.app
+    for sub in farm.subfarms.values():
+        sub.router.trace.max_records = None  # hold every payload it saw
     farm.run(until=32.0)            # DHCP, verdicts, first rounds
     before = app.progress
     tracemalloc.start()

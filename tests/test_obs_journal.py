@@ -17,14 +17,17 @@ import hashlib
 import json
 import random
 from time import perf_counter
+from unittest import mock
 
 import pytest
 
 from repro.farm import FarmConfig
 from repro.obs import __main__ as obs_cli
 from repro.obs.export import render_chrome_trace, render_jsonl
+from repro.obs import journal as journal_module
 from repro.obs.journal import (
     DEFAULT_CAPACITY,
+    DEFAULT_RING_CAPACITY,
     DIGEST_CHUNK,
     JOURNAL_SCHEMA,
     NULL_JOURNAL,
@@ -46,9 +49,15 @@ from repro.reporting.report import ActivityReport, render_report
 pytestmark = pytest.mark.obs
 
 
-def make_journal(**kwargs) -> Journal:
+def make_journal(capacity: int = DEFAULT_CAPACITY,
+                 ring_capacity: int = DEFAULT_RING_CAPACITY) -> Journal:
+    """A journal on a hand-wound clock, bounded by patching the
+    constants a journal reads when it is built."""
     clock = [0.0]
-    journal = Journal(clock=lambda: clock[0], **kwargs)
+    with mock.patch.object(journal_module, "DEFAULT_CAPACITY", capacity), \
+            mock.patch.object(journal_module, "DEFAULT_RING_CAPACITY",
+                              ring_capacity):
+        journal = Journal(clock=lambda: clock[0])
     journal.tick = lambda dt=1.0: clock.__setitem__(0, clock[0] + dt)
     return journal
 

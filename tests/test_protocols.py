@@ -61,7 +61,7 @@ class TestHttp:
         (parsed,) = parser.feed(request.to_bytes())
         assert parsed.method == "GET"
         assert parsed.path == "/bot.exe"
-        assert parsed.host_header == "cc.example"
+        assert parsed.header("Host") == "cc.example"
 
     def test_parser_handles_partial_delivery(self):
         request = HttpRequest("POST", "/c2", body=b"payload-bytes")
@@ -180,6 +180,22 @@ class TestSmtp:
         )
         assert client.sent == 3
         assert server.commands_seen.count("HELO") == 3
+
+    def test_grum_dialect_keeps_each_sender_address_when_lenient(self):
+        """Grum repeats HELO and drops MAIL FROM's colon; the lenient
+        engine still reads a whole address from every message (in
+        upper case: without the colon it upper-cases the argument)."""
+        messages = [
+            {"mail_from": f"bot{i}@grum.example", "rcpt_to": ["v@t.example"],
+             "body": b"x"}
+            for i in range(3)
+        ]
+        server, client = run_smtp_dialogue(
+            messages=messages,
+            client_kwargs={"repeat_helo": True, "no_colon": True})
+        assert client.sent == 3
+        assert [txn.mail_from.lower() for txn in server.transactions] == [
+            "bot0@grum.example", "bot1@grum.example", "bot2@grum.example"]
 
     def test_banner_check_abort(self):
         # Waledac ceased activity without the expected Google banner.

@@ -460,6 +460,7 @@ def test_a_reset_reflected_flow_ends_at_the_sink_too():
     assert "reset_at" in ends
     assert ends["sink"].state is TcpState.CLOSED
     router = sub.router
+    assert router.trace.rotated_out == 0
     after = [rec for rec in router.trace.records
              if rec.timestamp > ends["reset_at"] and rec.ip is not None
              and rec.ip.src == sink.ip]

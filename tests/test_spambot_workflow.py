@@ -72,7 +72,6 @@ class TestGrumWorkflow:
         # Grum's repeated HELOs and missing colons).
         sink = sub.sinks["smtp_sink"]
         assert sink.data_transfers > 10
-        assert all("@" in t.mail_from for t in sink.messages)
 
     def test_grum_verdict_mix_matches_figure7(self):
         farm, sub, world, cnc, inmate = build_spam_farm("grum", GrumPolicy)

@@ -1,26 +1,40 @@
-"""Streaming trace analysis and rotation (the Bro model, §6.5)."""
+"""Streaming trace analysis and rotation (the Bro model, §6.5).
+
+A subfarm's inmate-side trace is a window of
+``SubfarmRouter.TRACE_WINDOW`` frames that observers read as a stream,
+each on the ports it declares; the upstream trace is whole.  A reader
+that needs every frame refuses a trace that has rotated
+(:class:`~repro.net.capture.TraceRotated`) rather than count part of
+the run.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.policy import ReflectAll
 from repro.farm import Farm, FarmConfig
-from repro.net.capture import PacketTrace
+from repro.gateway.router import SubfarmRouter
+from repro.net.capture import PacketTrace, TraceRotated
 from repro.net.addresses import IPv4Address, MacAddress
-from repro.net.packet import EthernetFrame, IPv4Packet, SYN, TCPSegment
+from repro.net.packet import (EthernetFrame, IPv4Packet, SYN, TCPSegment,
+                              UDPDatagram)
 from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
 from repro.reporting.report import ActivityReport, render_report
+from tests.helpers import churn_farm, python_calls
+from tests.test_capture import frames
 from tests.test_containment_end_to_end import http_fetch_image
 
 pytestmark = pytest.mark.integration
 
 
-def dummy_frame(i):
+def dummy_frame(i, sport=None, dport=80):
     return EthernetFrame(
         MacAddress("02:00:00:00:00:01"), MacAddress("02:00:00:00:00:02"),
         IPv4Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-                   TCPSegment(1000 + i, 80, flags=SYN)),
+                   TCPSegment(1000 + i if sport is None else sport, dport,
+                              flags=SYN)),
         vlan=5,
     )
 
@@ -44,6 +58,115 @@ class TestTraceRotation:
         assert len(trace.records) == 5
 
 
+class TestTheWindow:
+    def test_the_inmate_side_trace_is_a_window_the_upstream_is_whole(self):
+        farm = Farm(FarmConfig(seed=1))
+        sub = farm.create_subfarm("window")
+        assert SubfarmRouter.TRACE_WINDOW == 4096
+        assert sub.router.trace.max_records == SubfarmRouter.TRACE_WINDOW
+        assert farm.gateway.upstream_trace.max_records is None
+
+    def test_a_run_past_the_window_streams_what_a_whole_trace_reads(self):
+        """Two runs of one seed: the default window with streaming
+        analyzers, and a whole trace read post-hoc.  The window has
+        rotated most of the run out; the reports agree."""
+        def run(whole):
+            farm, fetched = churn_farm(seed=11, subfarms=1, inmates_per=6,
+                                       stop=300.0)
+            (sub,) = farm.subfarms.values()
+            streams = None
+            if whole:
+                sub.router.trace.max_records = None
+            else:
+                streams = (ShimAnalyzer.streaming(sub.router),
+                           SmtpActivityAnalyzer.streaming(sub.router))
+            farm.run(until=310.0)
+            return sub, fetched, streams
+
+        windowed, fetched, (shims, smtp) = run(whole=False)
+        whole, _fetched, _streams = run(whole=True)
+        assert len(fetched) > 600
+        assert len(windowed.router.trace) == SubfarmRouter.TRACE_WINDOW
+        assert windowed.router.trace.rotated_out > SubfarmRouter.TRACE_WINDOW
+        assert whole.router.trace.rotated_out == 0
+        # What the window kept is the tail of the whole trace.
+        tail = whole.router.trace.records[-SubfarmRouter.TRACE_WINDOW:]
+        assert [(r.timestamp, r.frame.to_bytes()) for r in tail] == [
+            (r.timestamp, r.frame.to_bytes())
+            for r in windowed.router.trace.records]
+        posthoc = ShimAnalyzer(whole.router.trace)
+        posthoc_smtp = SmtpActivityAnalyzer(whole.router.trace)
+        assert shims.groups == posthoc.groups
+        assert sum(shims.verdict_counts().values()) == len(fetched)
+        assert (shims.parse_errors, shims._pending) == (0, {})
+        assert smtp.sessions == posthoc_smtp.sessions
+        assert rendered(windowed, shims, smtp) == rendered(
+            whole, posthoc, posthoc_smtp)
+
+
+class TestPortFilter:
+    @settings(max_examples=200)
+    @given(st.lists(frames(), min_size=1, max_size=8),
+           st.sets(st.sampled_from([25, 80, 1000, 1001, 4242])))
+    def test_a_subscriber_sees_only_its_ports(self, captured, ports):
+        """A filtered subscriber sees, in capture order, exactly the
+        TCP/UDP frames with a port in its set, and every frame the
+        capture could not read ports from; an unfiltered one sees all."""
+        trace = PacketTrace()
+        everything, filtered = [], []
+        trace.subscribe(everything.append)
+        trace.subscribe(filtered.append, ports=ports)
+        for index, frame in enumerate(captured):
+            trace.capture(float(index), frame, point="inmate")
+
+        def wanted(record):
+            ip = record.ip
+            transport = ip.payload if ip is not None else None
+            if (type(transport) in (TCPSegment, UDPDatagram)
+                    and type(transport.payload) is bytes):
+                return transport.sport in ports or transport.dport in ports
+            return True  # a fallback row: the capture read no ports
+
+        assert [r.timestamp for r in everything] == [
+            float(i) for i in range(len(captured))]
+        assert [r.timestamp for r in filtered] == [
+            r.timestamp for r in everything if wanted(r)]
+        # Both observers of a frame share its one record.
+        by_time = {r.timestamp: r for r in everything}
+        assert all(by_time[r.timestamp] is r for r in filtered)
+
+    def test_no_record_is_built_for_a_frame_nobody_wants(self):
+        trace = PacketTrace()
+        seen = []
+        trace.subscribe(seen.append, ports=(25,))
+        trace.subscribe(seen.append, ports=(25, 7000))
+        outside = dummy_frame(0, sport=40000, dport=80)
+        inside = dummy_frame(0, sport=40000, dport=25)
+
+        def capture(frame, count):
+            for index in range(count):
+                trace.capture(index * 0.001, frame, point="inmate")
+
+        calls = python_calls(lambda: capture(outside, 1000))
+        assert calls[("capture.py", "_build")] == 0
+        assert calls[("capture.py", "capture")] == 1000
+        assert seen == [] and len(trace) == 1000
+        calls = python_calls(lambda: capture(inside, 10))
+        # One record per wanted frame, however many observers want it.
+        assert calls[("capture.py", "_build")] == 10
+        assert len(seen) == 20 and seen[0::2] == seen[1::2]
+        assert [r.ip.tcp.dport for r in seen] == [25] * 20
+
+    def test_the_report_analyzers_declare_their_ports(self):
+        farm = Farm(FarmConfig(seed=1))
+        router = farm.create_subfarm("ports").router
+        ShimAnalyzer.streaming(router)
+        SmtpActivityAnalyzer.streaming(router)
+        assert [ports for _observer, ports in router.trace._observers] == [
+            frozenset({router.cs_tcp_port, router.cs_udp_port}),
+            frozenset({25})]
+
+
 def rendered(sub, shims, smtp):
     report = ActivityReport()
     report.add_subfarm(sub, shims=shims, smtp=smtp)
@@ -55,12 +178,13 @@ class TestStreamingEqualsPostHoc:
         farm = Farm(FarmConfig(seed=161))
         sub = farm.create_subfarm("stream")
         sub.add_catchall_sink()
-        streaming_shims = ShimAnalyzer.streaming(sub.router.trace)
-        streaming_smtp = SmtpActivityAnalyzer.streaming(sub.router.trace)
+        streaming_shims = ShimAnalyzer.streaming(sub.router)
+        streaming_smtp = SmtpActivityAnalyzer.streaming(sub.router)
         image, _results = http_fetch_image()
         sub.create_inmate(image_factory=image, policy=ReflectAll())
         farm.run(until=120)
 
+        assert sub.router.trace.rotated_out == 0
         posthoc_shims = ShimAnalyzer(sub.router.trace)
         posthoc_smtp = SmtpActivityAnalyzer(sub.router.trace)
         assert streaming_shims.groups == posthoc_shims.groups
@@ -76,15 +200,42 @@ class TestStreamingEqualsPostHoc:
         assert rendered(sub, streaming_shims, streaming_smtp) \
             == rendered(sub, posthoc_shims, posthoc_smtp)
 
-    def test_streaming_survives_rotation_posthoc_does_not(self):
+    def test_streaming_survives_rotation_posthoc_does_not(self, tmp_path):
+        """Every whole-trace reader of a rotated trace raises, naming
+        itself and the remedy, where it used to count what was left."""
         farm = Farm(FarmConfig(seed=162))
         sub = farm.create_subfarm("stream")
         sub.add_catchall_sink()
-        streaming = ShimAnalyzer.streaming(sub.router.trace)
+        streaming = ShimAnalyzer.streaming(sub.router)
         sub.router.trace.max_records = 5  # brutal rotation
         image, _results = http_fetch_image()
         sub.create_inmate(image_factory=image, policy=ReflectAll())
         farm.run(until=120)
 
         assert streaming.verdict_counts().get("REFLECT", 0) == 1
-        assert sub.router.trace.rotated_out > 0
+        rotated = sub.router.trace.rotated_out
+        assert rotated > 0
+        readers = [
+            ("ShimAnalyzer(trace)", lambda: ShimAnalyzer(sub.router.trace)),
+            ("SmtpActivityAnalyzer(trace)",
+             lambda: SmtpActivityAnalyzer(sub.router.trace)),
+            # A report without streams computes them post-hoc.
+            ("ShimAnalyzer(trace)",
+             lambda: ActivityReport.from_subfarms([sub])),
+            ("Subfarm.export_traces",
+             lambda: sub.export_traces(str(tmp_path))),
+        ]
+        for reader, read in readers:
+            with pytest.raises(TraceRotated) as raised:
+                read()
+            error = raised.value
+            assert (error.reader, error.trace, error.rotated_out) == (
+                reader, sub.router.trace.name, rotated)
+            assert "max_records to None" in str(error)
+            assert "streaming observer" in str(error)
+        assert not list(tmp_path.iterdir()), "no partial pcap is written"
+        # With its streams, the report is built as before.
+        report = ActivityReport()
+        report.add_subfarm(sub, shims=streaming,
+                           smtp=SmtpActivityAnalyzer())
+        assert report.verdict_totals() == {"REFLECT": 1}

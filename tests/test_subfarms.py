@@ -76,6 +76,7 @@ class TestFigure3Subfarms:
         farm, subs, _results, _served = self.build()
         farm.run(until=120)
         for name, sub in subs.items():
+            assert sub.router.trace.rotated_out == 0, name
             vlans_in_trace = {
                 record.frame.vlan
                 for record in sub.router.trace.records

@@ -42,7 +42,7 @@ class TestTwoProngedCapture:
         the inmate's global address must never appear inmate-side."""
         farm, sub, inmate = run_small_farm()
         global_ip = sub.nat.global_for(inmate.vlan)
-        for record in sub.router.trace.records:
+        for record in sub.router.trace.whole("the anonymity check"):
             ip = record.ip
             if ip is None:
                 continue
