@@ -65,8 +65,9 @@ verify-quick:
 
 # Trace-memory gate: the packed capture store's round-trip, ring and
 # bytes-per-frame budget tests, and the streaming tests (the inmate-side
-# window, observers' port filters, whole-trace readers refusing a
-# rotated trace), under two hash seeds — what a captured frame costs,
+# window, one record per frame for all observers, streamed and scheduled
+# reports, whole-trace readers refusing a rotated trace), under two hash
+# seeds — what a captured frame costs,
 # counted not timed (docs/PERFORMANCE.md, "Trace memory").
 trace-budget:
 	for seed in 0 4242; do \

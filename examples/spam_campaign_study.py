@@ -17,8 +17,7 @@ from repro.experiments.figure7 import BOTFARM_CONFIG
 from repro.farm import Farm, FarmConfig
 from repro.inmates.images import autoinfect_image
 from repro.malware.corpus import Sample
-from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
-from repro.reporting.report import ActivityReport, render_report
+from repro.reporting.report import StreamingReport, render_report
 from repro.world.builder import ExternalWorld
 
 
@@ -72,17 +71,12 @@ def main() -> None:
 
     # The report's analyzers read each subfarm's trace as it is
     # captured: an hour overflows the stored window.
-    streams = {sub: (ShimAnalyzer.streaming(sub.router),
-                     SmtpActivityAnalyzer.streaming(sub.router))
-               for sub in (deployment, development)}
+    streams = StreamingReport([deployment, development])
 
     print("Running one simulated hour...")
     farm.run(until=3600)
 
-    report = ActivityReport()
-    for sub, (shims, smtp) in streams.items():
-        report.add_subfarm(sub, world.blocklist, shims=shims, smtp=smtp)
-    print(render_report(report))
+    print(render_report(streams.report(world.blocklist)))
 
     sink = deployment.sinks["smtp_sink"]
     print("Harvest summary (deployment subfarm):")

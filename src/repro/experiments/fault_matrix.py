@@ -35,7 +35,7 @@ from repro.net.http import echo
 from repro.parallel import Campaign, ShardSpec, run_campaign
 from repro.parallel.tasks import (TARGET_IP, TARGET_PORT, _streaming_image,
                                   farm_digest)
-from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
+from repro.reporting.report import StreamingReport, render_report
 
 __all__ = [
     "SCENARIOS",
@@ -87,18 +87,15 @@ SCENARIOS: Dict[str, dict] = {
 QUICK_SCENARIOS = ("cs_crash", "shim_partition", "cs_hang")
 
 
-def build_fault_farm(seed: int, scenario: str = "baseline",
-                     subfarms: int = 2, inmates: int = 3,
-                     rounds: int = 30, duration: float = 120.0,
-                     extra_cs: int = 1,
-                     verdict_deadline: float = 5.0,
-                     pending_policy: str = "drop",
-                     telemetry: bool = True,
-                     streams: Optional[dict] = None):
-    """Build and run one resilient fault-scenario farm; returns the
-    completed farm (subfarms under ``farm.subfarms``).  Shared by
-    :func:`fault_farm_shard` and ``python -m repro.verify``.
-    ``streams`` gets each subfarm's streaming report analyzers."""
+def _fault_farm(seed: int, scenario: str = "baseline",
+                subfarms: int = 2, inmates: int = 3,
+                rounds: int = 30, duration: float = 120.0,
+                extra_cs: int = 1,
+                verdict_deadline: float = 5.0,
+                pending_policy: str = "drop",
+                telemetry: bool = True):
+    """Build one resilient fault-scenario farm, not yet run; returns it
+    and the virtual time its scenario runs until."""
     cell = SCENARIOS[scenario]
     duration = cell.get("duration", duration)
     config = FarmConfig(
@@ -113,9 +110,6 @@ def build_fault_farm(seed: int, scenario: str = "baseline",
     for index in range(subfarms):
         sub = farm.create_subfarm(f"fault-sub-{index}")
         sub.set_default_policy(AllowAll())
-        if streams is not None:
-            streams[sub.name] = (ShimAnalyzer.streaming(sub.router),
-                                 SmtpActivityAnalyzer.streaming(sub.router))
         if extra_cs > 0:
             sub.add_containment_servers(extra_cs)
         vlans = set()
@@ -126,7 +120,15 @@ def build_fault_farm(seed: int, scenario: str = "baseline",
         if cell.get("trigger"):
             sub.trigger_engine.add_text(
                 f"*:{TARGET_PORT}/tcp / 30s < 1 -> revert", vlans)
-    farm.run(until=duration)
+    return farm, duration
+
+
+def build_fault_farm(seed: int, scenario: str = "baseline", **options):
+    """Build and run one resilient fault-scenario farm (``options`` as
+    :func:`_fault_farm`'s); returns the completed farm (subfarms under
+    ``farm.subfarms``).  Shared with ``python -m repro.verify``."""
+    farm, until = _fault_farm(seed, scenario, **options)
+    farm.run(until=until)
     return farm
 
 
@@ -149,12 +151,13 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
     summaries folded on top; it leaves the certificate fields out, so
     certifying does not perturb replay parity.
     """
-    streams: Dict[str, tuple] = {}
-    farm = build_fault_farm(
+    farm, until = _fault_farm(
         seed, scenario=scenario, subfarms=subfarms, inmates=inmates,
         rounds=rounds, duration=duration, extra_cs=extra_cs,
         verdict_deadline=verdict_deadline, pending_policy=pending_policy,
-        telemetry=telemetry, streams=streams)
+        telemetry=telemetry)
+    streams = StreamingReport(farm.subfarms.values())
+    farm.run(until=until)
     subs = list(farm.subfarms.values())
     counters = {sub.name: dict(sub.router.counters) for sub in subs}
     run_digest, snapshot = farm_digest(farm)
@@ -165,15 +168,12 @@ def fault_farm_shard(seed: int, scenario: str = "baseline",
         digest.update(json.dumps({name: resilience[name]},
                                  sort_keys=True).encode())
 
-    from repro.reporting.report import ActivityReport, render_report
     from repro.verify import certify_farm, check_wire
 
     certificate = certify_farm(farm, label=f"{scenario}/s{seed}")
     coverage = check_wire(certificate, farm)
 
-    report = ActivityReport()
-    for sub in subs:
-        report.add_subfarm(sub, None, *streams[sub.name])
+    report = streams.report()
     report.attach_certificate(certificate, coverage=coverage.to_dict())
     rendered = render_report(report)
 

@@ -89,7 +89,7 @@ def run_figure5(seed: int = 9, duration: float = 120.0) -> Figure5Result:
 
     from repro.core.shim import SHIM_MAGIC
 
-    for record in sub.router.trace.records:
+    for record in sub.router.trace.whole("figure5"):
         ip = record.ip
         if ip is None or ip.proto != PROTO_TCP:
             continue

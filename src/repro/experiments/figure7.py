@@ -19,7 +19,8 @@ from repro.core.config import ContainmentConfig, SampleLibrary, apply_config
 from repro.farm import Farm, FarmConfig
 from repro.inmates.images import autoinfect_image
 from repro.malware.corpus import Sample
-from repro.reporting.report import ActivityReport, render_report
+from repro.reporting.report import (ActivityReport, StreamingReport,
+                                    render_report)
 from repro.world.builder import ExternalWorld
 
 BOTFARM_CONFIG = """
@@ -103,20 +104,15 @@ def run_figure7(duration: float = 1200.0, seed: int = 7,
     farm, sub, world, samples = build_botfarm(seed, drop_probability,
                                               send_interval)
 
-    # Bro-style streaming analysis: the analyzers see the frames on
-    # their ports as they are captured, so the stored window rotates —
-    # day-scale runs stay in bounded memory (§6.5's hourly/daily
-    # reporting model).
-    from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
-
-    shims = ShimAnalyzer.streaming(sub.router)
-    smtp = SmtpActivityAnalyzer.streaming(sub.router)
+    # Bro-style streaming analysis: the analyzers see every frame as
+    # it is captured, so the stored window rotates — day-scale runs
+    # stay in bounded memory (§6.5's hourly/daily reporting model).
+    streams = StreamingReport([sub])
 
     farm.run(until=duration)
 
     result = Figure7Result()
-    result.report = ActivityReport()
-    result.report.add_subfarm(sub, world.blocklist, shims=shims, smtp=smtp)
+    result.report = streams.report(world.blocklist)
     result.rendered = render_report(result.report)
     result.verdict_totals = result.report.verdict_totals()
     sink = sub.sinks["smtp_sink"]

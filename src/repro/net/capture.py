@@ -154,10 +154,9 @@ class PacketTrace:
       every packet in memory; a reader that needs every frame (an
       analysis, a report, a pcap export) reads :meth:`whole`, which
       refuses a trace that has rotated.
-    * *Streaming*: observers registered via :meth:`subscribe` see each
-      record they asked for as it is captured — how the Bro-style
-      analyzers process multi-day activity without retaining the
-      packets.
+    * *Streaming*: observers registered via :meth:`subscribe` see every
+      record as it is captured — how the Bro-style analyzers process
+      multi-day activity without retaining the packets.
 
     A capture is, as in a pcap, the bytes at the capture instant: each
     TCP/UDP frame is one packed header appended to a single
@@ -183,15 +182,11 @@ class PacketTrace:
         self.records = _RecordView(self)
         self.rotated_out = 0
         self.compactions = 0
-        self._observers: List[tuple] = []
+        self._observers: List[Callable[[TraceRecord], None]] = []
 
-    def subscribe(self, observer: Callable[[TraceRecord], None],
-                  ports: Optional[Iterable[int]] = None) -> None:
-        """Register a live observer; it sees each record at capture.
-        With ``ports``, only the frames with a source or destination
-        port among them, and the fallback rows, which have no ports."""
-        self._observers.append(
-            (observer, None if ports is None else frozenset(ports)))
+    def subscribe(self, observer: Callable[[TraceRecord], None]) -> None:
+        """Register a live observer; it sees each record at capture."""
+        self._observers.append(observer)
 
     def whole(self, reader: str) -> "_RecordView":
         """``records`` for a reader that needs every frame; raises
@@ -252,18 +247,9 @@ class PacketTrace:
         if header is None:
             header, slot = _FALLBACK, (timestamp, point, frame.copy())
         if self._observers:
-            # Ports from the frame just packed (a fallback row has none);
-            # one record, built when first wanted, serves every observer.
-            portless = header is _FALLBACK
-            if not portless:
-                sport, dport = transport.sport, transport.dport
-            record = None
-            for observer, ports in self._observers:
-                if (ports is None or portless or sport in ports
-                        or dport in ports):
-                    if record is None:
-                        record = self._build(_unpack_from(header), slot)
-                    observer(record)
+            record = self._build(_unpack_from(header), slot)
+            for observer in self._observers:
+                observer(record)
         self._headers += header
         payloads = self._payloads
         payloads.append(slot)

@@ -57,8 +57,7 @@ class ShimAnalyzer:
     report sorted by count keep that order.
 
     Post-hoc (pass a whole trace) or streaming (:meth:`streaming`
-    subscribes the analyzer to a router's shim ports, so day-scale runs
-    never retain packets).
+    subscribes the analyzer so day-scale runs never retain packets).
     """
 
     def __init__(self, trace: Optional[PacketTrace] = None) -> None:
@@ -74,12 +73,9 @@ class ShimAnalyzer:
                 self.process(record)
 
     @classmethod
-    def streaming(cls, router) -> "ShimAnalyzer":
-        """An analyzer fed by ``router``'s inmate-side trace, on the
-        containment server's ports only."""
+    def streaming(cls, trace: PacketTrace) -> "ShimAnalyzer":
         analyzer = cls()
-        router.trace.subscribe(analyzer.process, ports=(
-            router.cs_tcp_port, router.cs_udp_port))
+        trace.subscribe(analyzer.process)
         return analyzer
 
     def process(self, record: TraceRecord) -> None:
@@ -163,11 +159,9 @@ class SmtpActivityAnalyzer:
                 self.process(record)
 
     @classmethod
-    def streaming(cls, router) -> "SmtpActivityAnalyzer":
-        """An analyzer fed by ``router``'s inmate-side trace, on the
-        SMTP port only."""
+    def streaming(cls, trace: PacketTrace) -> "SmtpActivityAnalyzer":
         analyzer = cls()
-        router.trace.subscribe(analyzer.process, ports=(25,))
+        trace.subscribe(analyzer.process)
         return analyzer
 
     def process(self, record: TraceRecord) -> None:

@@ -142,6 +142,25 @@ class ActivityReport:
         return totals
 
 
+class StreamingReport:
+    """A report's analyzers, streaming each subfarm's inmate-side trace
+    from construction on: build it before the run, then :meth:`report`
+    at any point, however far the stored window has rotated."""
+
+    def __init__(self, subfarms) -> None:
+        self.streams = [(subfarm,
+                         ShimAnalyzer.streaming(subfarm.router.trace),
+                         SmtpActivityAnalyzer.streaming(subfarm.router.trace))
+                        for subfarm in subfarms]
+
+    def report(self, blocklist=None,
+               title: str = "Inmate Activity") -> ActivityReport:
+        report = ActivityReport(title)
+        for subfarm, shims, smtp in self.streams:
+            report.add_subfarm(subfarm, blocklist, shims, smtp)
+        return report
+
+
 def _render_group(lines: List[str], verdict: str,
                   bucket: Dict[Tuple[str, str, int], int]) -> None:
     lines.append(f"{verdict}")
@@ -160,8 +179,9 @@ class ReportScheduler:
 
     "Bro's log-rotation functionality then initiates activity reports
     on an hourly and daily basis."  Each firing snapshots the given
-    subfarms into a rendered report; consumers read ``reports`` or
-    hook ``on_report``.
+    subfarms into a rendered report of everything since the scheduler
+    was built (its analyzers stream the traces); consumers read
+    ``reports`` or hook ``on_report``.
     """
 
     def __init__(self, sim, subfarms, blocklist=None,
@@ -170,7 +190,7 @@ class ReportScheduler:
         from repro.sim.process import Process
 
         self.sim = sim
-        self.subfarms = list(subfarms)
+        self.streams = StreamingReport(subfarms)
         self.blocklist = blocklist
         self.on_report = on_report
         self.telemetry = telemetry
@@ -183,9 +203,8 @@ class ReportScheduler:
         self._process.stop()
 
     def _fire(self) -> None:
-        report = ActivityReport.from_subfarms(
-            self.subfarms, self.blocklist,
-            title=f"Inmate Activity (t={self.sim.now:.0f}s)")
+        report = self.streams.report(
+            self.blocklist, title=f"Inmate Activity (t={self.sim.now:.0f}s)")
         rendered = render_report(report, telemetry=self.telemetry)
         self.reports.append((self.sim.now, rendered))
         if self.on_report is not None:

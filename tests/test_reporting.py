@@ -82,7 +82,7 @@ class TestShimAnalyzer:
         analyzer counts from the trace equals the gateway's flow log."""
         farm, sub, _world, _samples = build_botfarm(seed=7,
                                                     send_interval=4.0)
-        shims = ShimAnalyzer.streaming(sub.router)
+        shims = ShimAnalyzer.streaming(sub.router.trace)
         farm.run(until=1200)
         from_trace = {(vlan, verdict): sum(bucket.values())
                       for vlan, groups in shims.groups.items()

@@ -1,29 +1,27 @@
 """Streaming trace analysis and rotation (the Bro model, §6.5).
 
 A subfarm's inmate-side trace is a window of
-``SubfarmRouter.TRACE_WINDOW`` frames that observers read as a stream,
-each on the ports it declares; the upstream trace is whole.  A reader
-that needs every frame refuses a trace that has rotated
-(:class:`~repro.net.capture.TraceRotated`) rather than count part of
-the run.
+``SubfarmRouter.TRACE_WINDOW`` frames that observers read as a stream;
+the upstream trace is whole.  A reader that needs every frame refuses
+a trace that has rotated (:class:`~repro.net.capture.TraceRotated`)
+rather than count part of the run.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.policy import ReflectAll
 from repro.farm import Farm, FarmConfig
 from repro.gateway.router import SubfarmRouter
 from repro.net.capture import PacketTrace, TraceRotated
 from repro.net.addresses import IPv4Address, MacAddress
-from repro.net.packet import (EthernetFrame, IPv4Packet, SYN, TCPSegment,
-                              UDPDatagram)
+from repro.net.packet import EthernetFrame, IPv4Packet, SYN, TCPSegment
 from repro.reporting.analyzer import ShimAnalyzer, SmtpActivityAnalyzer
-from repro.reporting.report import ActivityReport, render_report
+from repro.reporting.report import (ActivityReport, ReportScheduler,
+                                    render_report)
+from repro.sim.process import Process
 from tests.helpers import churn_farm, python_calls
-from tests.test_capture import frames
 from tests.test_containment_end_to_end import http_fetch_image
 
 pytestmark = pytest.mark.integration
@@ -66,105 +64,107 @@ class TestTheWindow:
         assert sub.router.trace.max_records == SubfarmRouter.TRACE_WINDOW
         assert farm.gateway.upstream_trace.max_records is None
 
-    def test_a_run_past_the_window_streams_what_a_whole_trace_reads(self):
+    def test_a_run_past_the_window_streams_what_a_whole_trace_reads(
+            self, past_the_window):
         """Two runs of one seed: the default window with streaming
         analyzers, and a whole trace read post-hoc.  The window has
         rotated most of the run out; the reports agree."""
-        def run(whole):
-            farm, fetched = churn_farm(seed=11, subfarms=1, inmates_per=6,
-                                       stop=300.0)
-            (sub,) = farm.subfarms.values()
-            streams = None
-            if whole:
-                sub.router.trace.max_records = None
-            else:
-                streams = (ShimAnalyzer.streaming(sub.router),
-                           SmtpActivityAnalyzer.streaming(sub.router))
-            farm.run(until=310.0)
-            return sub, fetched, streams
-
-        windowed, fetched, (shims, smtp) = run(whole=False)
-        whole, _fetched, _streams = run(whole=True)
+        windowed, whole = past_the_window
+        sub, fetched, (shims, smtp) = windowed["sub"], windowed["fetched"], \
+            windowed["streams"]
         assert len(fetched) > 600
-        assert len(windowed.router.trace) == SubfarmRouter.TRACE_WINDOW
-        assert windowed.router.trace.rotated_out > SubfarmRouter.TRACE_WINDOW
-        assert whole.router.trace.rotated_out == 0
+        assert len(sub.router.trace) == SubfarmRouter.TRACE_WINDOW
+        assert sub.router.trace.rotated_out > SubfarmRouter.TRACE_WINDOW
+        assert whole["sub"].router.trace.rotated_out == 0
         # What the window kept is the tail of the whole trace.
-        tail = whole.router.trace.records[-SubfarmRouter.TRACE_WINDOW:]
+        tail = whole["sub"].router.trace.records[-SubfarmRouter.TRACE_WINDOW:]
         assert [(r.timestamp, r.frame.to_bytes()) for r in tail] == [
-            (r.timestamp, r.frame.to_bytes())
-            for r in windowed.router.trace.records]
-        posthoc = ShimAnalyzer(whole.router.trace)
-        posthoc_smtp = SmtpActivityAnalyzer(whole.router.trace)
+            (r.timestamp, r.frame.to_bytes()) for r in sub.router.trace.records]
+        posthoc = ShimAnalyzer(whole["sub"].router.trace)
+        posthoc_smtp = SmtpActivityAnalyzer(whole["sub"].router.trace)
         assert shims.groups == posthoc.groups
         assert sum(shims.verdict_counts().values()) == len(fetched)
         assert (shims.parse_errors, shims._pending) == (0, {})
         assert smtp.sessions == posthoc_smtp.sessions
-        assert rendered(windowed, shims, smtp) == rendered(
-            whole, posthoc, posthoc_smtp)
+        assert rendered(sub, shims, smtp) == rendered(
+            whole["sub"], posthoc, posthoc_smtp)
+
+    def test_scheduled_reports_past_the_window_match_a_whole_trace(
+            self, past_the_window):
+        """The hourly/daily scheduler streams its subfarms: each firing
+        renders what a post-hoc read of the whole trace renders at the
+        same instant, though the window rotated before the last."""
+        windowed, whole = past_the_window
+        reports = windowed["scheduler"].reports
+        assert [t for t, _rendered in reports] == [100.0, 200.0, 300.0]
+        assert reports == whole["reports"]
+        rotated = [r for r, _totals in windowed["fired"]]
+        assert rotated[0] < rotated[-1] and rotated[-1] > 0
+        forwarded = [totals["FORWARD"] for _r, totals in windowed["fired"]]
+        assert forwarded == sorted(forwarded) and forwarded[0] > 0
+        # A report computed post-hoc from the window refuses instead.
+        with pytest.raises(TraceRotated):
+            ActivityReport.from_subfarms([windowed["sub"]])
 
 
-class TestPortFilter:
-    @settings(max_examples=200)
-    @given(st.lists(frames(), min_size=1, max_size=8),
-           st.sets(st.sampled_from([25, 80, 1000, 1001, 4242])))
-    def test_a_subscriber_sees_only_its_ports(self, captured, ports):
-        """A filtered subscriber sees, in capture order, exactly the
-        TCP/UDP frames with a port in its set, and every frame the
-        capture could not read ports from; an unfiltered one sees all."""
+@pytest.fixture(scope="module")
+def past_the_window():
+    """One seed run twice for 310 s, past the window: with the default
+    window, streaming analyzers and a report scheduler every 100 s; and
+    with a whole trace, rendered post-hoc at the same instants."""
+    def run(whole):
+        farm, fetched = churn_farm(seed=11, subfarms=1, inmates_per=6,
+                                   stop=300.0)
+        (sub,) = farm.subfarms.values()
+        out = {"sub": sub, "fetched": fetched}
+        if whole:
+            sub.router.trace.max_records = None
+            out["reports"] = []
+
+            def posthoc():
+                now = farm.sim.now
+                report = ActivityReport.from_subfarms(
+                    [sub], title=f"Inmate Activity (t={now:.0f}s)")
+                out["reports"].append((now, render_report(report)))
+
+            Process(farm.sim, 100.0, posthoc, label="posthoc").start()
+        else:
+            out["streams"] = (ShimAnalyzer.streaming(sub.router.trace),
+                              SmtpActivityAnalyzer.streaming(sub.router.trace))
+            out["fired"] = []
+            out["scheduler"] = ReportScheduler(
+                farm.sim, [sub], interval=100.0,
+                on_report=lambda _now, report, _rendered: out["fired"].append(
+                    (sub.router.trace.rotated_out, report.verdict_totals())))
+        farm.run(until=310.0)
+        return out
+
+    return run(whole=False), run(whole=True)
+
+
+class TestObservers:
+    def test_no_record_is_built_without_an_observer(self):
+        """A capture with nobody subscribed builds no record; with two
+        observers it builds one per frame, and both see that one."""
         trace = PacketTrace()
-        everything, filtered = [], []
-        trace.subscribe(everything.append)
-        trace.subscribe(filtered.append, ports=ports)
-        for index, frame in enumerate(captured):
-            trace.capture(float(index), frame, point="inmate")
+        frame = dummy_frame(0, sport=40000, dport=25)
 
-        def wanted(record):
-            ip = record.ip
-            transport = ip.payload if ip is not None else None
-            if (type(transport) in (TCPSegment, UDPDatagram)
-                    and type(transport.payload) is bytes):
-                return transport.sport in ports or transport.dport in ports
-            return True  # a fallback row: the capture read no ports
-
-        assert [r.timestamp for r in everything] == [
-            float(i) for i in range(len(captured))]
-        assert [r.timestamp for r in filtered] == [
-            r.timestamp for r in everything if wanted(r)]
-        # Both observers of a frame share its one record.
-        by_time = {r.timestamp: r for r in everything}
-        assert all(by_time[r.timestamp] is r for r in filtered)
-
-    def test_no_record_is_built_for_a_frame_nobody_wants(self):
-        trace = PacketTrace()
-        seen = []
-        trace.subscribe(seen.append, ports=(25,))
-        trace.subscribe(seen.append, ports=(25, 7000))
-        outside = dummy_frame(0, sport=40000, dport=80)
-        inside = dummy_frame(0, sport=40000, dport=25)
-
-        def capture(frame, count):
+        def capture(count):
             for index in range(count):
                 trace.capture(index * 0.001, frame, point="inmate")
 
-        calls = python_calls(lambda: capture(outside, 1000))
+        calls = python_calls(lambda: capture(1000))
         assert calls[("capture.py", "_build")] == 0
         assert calls[("capture.py", "capture")] == 1000
-        assert seen == [] and len(trace) == 1000
-        calls = python_calls(lambda: capture(inside, 10))
-        # One record per wanted frame, however many observers want it.
+        assert len(trace) == 1000
+        seen = []
+        trace.subscribe(seen.append)
+        trace.subscribe(seen.append)
+        calls = python_calls(lambda: capture(10))
         assert calls[("capture.py", "_build")] == 10
-        assert len(seen) == 20 and seen[0::2] == seen[1::2]
+        assert len(seen) == 20
+        assert all(a is b for a, b in zip(seen[0::2], seen[1::2]))
         assert [r.ip.tcp.dport for r in seen] == [25] * 20
-
-    def test_the_report_analyzers_declare_their_ports(self):
-        farm = Farm(FarmConfig(seed=1))
-        router = farm.create_subfarm("ports").router
-        ShimAnalyzer.streaming(router)
-        SmtpActivityAnalyzer.streaming(router)
-        assert [ports for _observer, ports in router.trace._observers] == [
-            frozenset({router.cs_tcp_port, router.cs_udp_port}),
-            frozenset({25})]
 
 
 def rendered(sub, shims, smtp):
@@ -178,8 +178,8 @@ class TestStreamingEqualsPostHoc:
         farm = Farm(FarmConfig(seed=161))
         sub = farm.create_subfarm("stream")
         sub.add_catchall_sink()
-        streaming_shims = ShimAnalyzer.streaming(sub.router)
-        streaming_smtp = SmtpActivityAnalyzer.streaming(sub.router)
+        streaming_shims = ShimAnalyzer.streaming(sub.router.trace)
+        streaming_smtp = SmtpActivityAnalyzer.streaming(sub.router.trace)
         image, _results = http_fetch_image()
         sub.create_inmate(image_factory=image, policy=ReflectAll())
         farm.run(until=120)
@@ -206,7 +206,7 @@ class TestStreamingEqualsPostHoc:
         farm = Farm(FarmConfig(seed=162))
         sub = farm.create_subfarm("stream")
         sub.add_catchall_sink()
-        streaming = ShimAnalyzer.streaming(sub.router)
+        streaming = ShimAnalyzer.streaming(sub.router.trace)
         sub.router.trace.max_records = 5  # brutal rotation
         image, _results = http_fetch_image()
         sub.create_inmate(image_factory=image, policy=ReflectAll())
