@@ -105,8 +105,8 @@ def run_figure7(duration: float = 1200.0, seed: int = 7,
                                               send_interval)
 
     # Bro-style streaming analysis: the analyzers see every frame as
-    # it is captured, so the stored window rotates — day-scale runs
-    # stay in bounded memory (§6.5's hourly/daily reporting model).
+    # it is captured and the trace stores none, so day-scale runs stay
+    # in bounded memory (§6.5's hourly/daily reporting model).
     streams = StreamingReport([sub])
 
     farm.run(until=duration)

@@ -422,8 +422,8 @@ class Subfarm:
         upstream trace) as real pcap files — §5.6's two-pronged
         recording, ready for sharing.  The inmate-side capture uses
         the unroutable internal addresses, giving the "immediate
-        anonymity" the paper leans on for data sharing.  Refuses a
-        rotated window (``trace.max_records = None`` keeps it whole)."""
+        anonymity" the paper leans on for data sharing.  Refuses unless
+        ``trace.max_records = None`` was set before the run."""
         import os
 
         from repro.net.capture import write_pcap

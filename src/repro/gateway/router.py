@@ -110,9 +110,6 @@ class SubfarmRouter:
     MUX_PORT_BASE = 20000
     NONCE_PORT_BASE = 40000
     PORT_SLOTS = 20000
-    # Frames the inmate-side trace keeps: its readers stream it, and a
-    # whole-trace reader refuses it once it has rotated.
-    TRACE_WINDOW = 4096
 
     def __init__(
         self,
@@ -175,8 +172,10 @@ class SubfarmRouter:
         # attribute read on the slow path only.
         self.journal = sim.journal
         self.bridge = LearningBridge(telemetry=self.telemetry, subfarm=name)
-        self.trace = PacketTrace(f"{name}-inmate-side",
-                                 max_records=self.TRACE_WINDOW)
+        # The inmate-side trace stores nothing: its readers stream it,
+        # and one that wants stored frames sets max_records = None
+        # before the run.
+        self.trace = PacketTrace(f"{name}-inmate-side", max_records=0)
 
         # Infra services reachable without containment (the restricted
         # broadcast domain of §5.3) plus all registered service hosts.

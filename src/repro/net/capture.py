@@ -5,8 +5,9 @@ perspective (internal RFC 1918 addresses: cheap anonymity for data
 sharing) and, separately, everything crossing the upstream interface
 as seen outside GQ.  :class:`PacketTrace` is the in-memory store both
 analysis and reporting read from; :func:`write_pcap` emits genuine
-libpcap files for interoperability.  A subfarm's inmate-side trace is
-a window that observers read as a stream; the upstream trace is whole.
+libpcap files for interoperability.  A subfarm's inmate-side trace
+stores nothing unless a reader asks before the run: observers read it
+as a stream.  The upstream trace is whole.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ LINKTYPE_ETHERNET = 1
 
 
 class TraceRotated(RuntimeError):
-    """A whole-trace reader met a trace that has rotated frames out of
-    its window: it refuses rather than count part of the run."""
+    """A whole-trace reader met a trace that has rotated frames out
+    (or stored none): it refuses rather than count part of the run."""
 
     def __init__(self, reader: str, trace: str, rotated_out: int) -> None:
         self.reader, self.trace, self.rotated_out = reader, trace, rotated_out
@@ -151,12 +152,15 @@ class PacketTrace:
     * *Post-hoc*: ``records`` holds captured frames, read by iterating
       it.  ``max_records`` bounds the buffer (oldest frames rotate
       out, counted in ``rotated_out``) so day-scale runs do not hold
-      every packet in memory; a reader that needs every frame (an
-      analysis, a report, a pcap export) reads :meth:`whole`, which
-      refuses a trace that has rotated.
+      every packet in memory, and ``max_records = 0`` stores nothing
+      (each capture rotates out at once); a reader that needs every
+      frame (a pcap export, the Figure 5 ladder) reads :meth:`whole`,
+      which refuses a trace that has rotated.
     * *Streaming*: observers registered via :meth:`subscribe` see every
       record as it is captured — how the Bro-style analyzers process
-      multi-day activity without retaining the packets.
+      multi-day activity without retaining the packets.  The record
+      holds the captured frame itself, which nothing mutates once it
+      is sent (docs/PERFORMANCE.md, "Packet ownership").
 
     A capture is, as in a pcap, the bytes at the capture instant: each
     TCP/UDP frame is one packed header appended to a single
@@ -185,7 +189,8 @@ class PacketTrace:
         self._observers: List[Callable[[TraceRecord], None]] = []
 
     def subscribe(self, observer: Callable[[TraceRecord], None]) -> None:
-        """Register a live observer; it sees each record at capture."""
+        """Register a live observer; it sees each record at capture,
+        one record per capture shared by every observer."""
         self._observers.append(observer)
 
     def whole(self, reader: str) -> "_RecordView":
@@ -206,7 +211,18 @@ class PacketTrace:
 
     def capture(self, timestamp: float, frame: EthernetFrame,
                 point: str = "") -> None:
-        """Record the frame as it is now (it may be mutated later)."""
+        """Hand the frame to the observers, then store it as it is
+        now (it may be mutated later) unless the trace stores nothing."""
+        if self._observers:
+            record = _new(TraceRecord)
+            record.timestamp = timestamp
+            record.frame = frame
+            record.point = point
+            for observer in self._observers:
+                observer(record)
+        if self.max_records == 0 and not self._payloads:
+            self.rotated_out += 1
+            return
         header = slot = None
         packet = frame.payload
         if type(packet) is IPv4Packet:
@@ -246,10 +262,6 @@ class PacketTrace:
                 pass
         if header is None:
             header, slot = _FALLBACK, (timestamp, point, frame.copy())
-        if self._observers:
-            record = self._build(_unpack_from(header), slot)
-            for observer in self._observers:
-                observer(record)
         self._headers += header
         payloads = self._payloads
         payloads.append(slot)

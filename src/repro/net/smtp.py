@@ -219,7 +219,7 @@ class SmtpServerEngine:
                 self.syntax_errors += 1
                 self._reply(501, "syntax: MAIL FROM:<address>")
                 return
-            path = argument.upper().replace("FROM", "", 1) if "FROM" in argument.upper() else argument
+            path = re.sub(r"(?i)^\s*FROM", "", argument, count=1)
         if self.state not in (SmtpState.COMMAND,):
             if self.strictness is Strictness.STRICT:
                 self.syntax_errors += 1
@@ -248,7 +248,7 @@ class SmtpServerEngine:
                 self.syntax_errors += 1
                 self._reply(501, "syntax: RCPT TO:<address>")
                 return
-            path = argument
+            path = re.sub(r"(?i)^\s*TO", "", argument, count=1)
         address = parse_address(path, self.strictness)
         if address is None:
             self.syntax_errors += 1

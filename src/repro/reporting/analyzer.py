@@ -56,11 +56,11 @@ class ShimAnalyzer:
     port)]`` (flows).  Counts go in as responses arrive, so ties in a
     report sorted by count keep that order.
 
-    Post-hoc (pass a whole trace) or streaming (:meth:`streaming`
-    subscribes the analyzer so day-scale runs never retain packets).
+    :meth:`streaming` subscribes the analyzer to a trace, so day-scale
+    runs never retain packets.
     """
 
-    def __init__(self, trace: Optional[PacketTrace] = None) -> None:
+    def __init__(self) -> None:
         self.policies: Dict[int, str] = {}
         self.groups: Dict[int, Dict[str, Dict[Tuple[str, str, int],
                                               int]]] = {}
@@ -68,9 +68,6 @@ class ShimAnalyzer:
         # Requests awaiting their response, by originator endpoint
         # (ip, port, proto), oldest first: flow -> VLAN.
         self._pending: Dict[tuple, Dict[FiveTuple, int]] = {}
-        if trace is not None:
-            for record in trace.whole("ShimAnalyzer(trace)"):
-                self.process(record)
 
     @classmethod
     def streaming(cls, trace: PacketTrace) -> "ShimAnalyzer":
@@ -151,12 +148,9 @@ class SmtpActivityAnalyzer:
 
     DATA_ACCEPTED = b"250 OK: queued"
 
-    def __init__(self, trace: Optional[PacketTrace] = None) -> None:
+    def __init__(self) -> None:
         self.sessions: Dict[int, int] = {}
         self.data_transfers: Dict[int, int] = {}
-        if trace is not None:
-            for record in trace.whole("SmtpActivityAnalyzer(trace)"):
-                self.process(record)
 
     @classmethod
     def streaming(cls, trace: PacketTrace) -> "SmtpActivityAnalyzer":

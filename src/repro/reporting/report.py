@@ -86,25 +86,10 @@ class ActivityReport:
         self.certificate = certificate
         self.certificate_coverage = coverage
 
-    @classmethod
-    def from_subfarms(cls, subfarms, blocklist=None,
-                      title: str = "Inmate Activity") -> "ActivityReport":
-        report = cls(title)
-        for subfarm in subfarms:
-            report.add_subfarm(subfarm, blocklist)
-        return report
-
-    def add_subfarm(self, subfarm, blocklist=None,
-                    shims: Optional[ShimAnalyzer] = None,
-                    smtp: Optional[SmtpActivityAnalyzer] = None) -> None:
-        """Aggregate a subfarm's activity.  Pass streaming analyzers
-        attached before the run; without them they are computed
-        post-hoc, which raises :class:`~repro.net.capture.TraceRotated`
-        once the inmate-side window has rotated."""
-        shims = shims if shims is not None else ShimAnalyzer(
-            subfarm.router.trace)
-        smtp = smtp if smtp is not None else SmtpActivityAnalyzer(
-            subfarm.router.trace)
+    def add_subfarm(self, subfarm, shims: ShimAnalyzer,
+                    smtp: SmtpActivityAnalyzer, blocklist=None) -> None:
+        """Aggregate a subfarm's activity from the analyzers that
+        streamed its inmate-side trace (:class:`StreamingReport`)."""
         inmates: Dict[int, InmateActivity] = {}
         for vlan, groups in shims.groups.items():
             activity = inmates[vlan] = InmateActivity(vlan)
@@ -145,7 +130,7 @@ class ActivityReport:
 class StreamingReport:
     """A report's analyzers, streaming each subfarm's inmate-side trace
     from construction on: build it before the run, then :meth:`report`
-    at any point, however far the stored window has rotated."""
+    at any point: the trace itself stores nothing."""
 
     def __init__(self, subfarms) -> None:
         self.streams = [(subfarm,
@@ -157,7 +142,7 @@ class StreamingReport:
                title: str = "Inmate Activity") -> ActivityReport:
         report = ActivityReport(title)
         for subfarm, shims, smtp in self.streams:
-            report.add_subfarm(subfarm, blocklist, shims, smtp)
+            report.add_subfarm(subfarm, shims, smtp, blocklist)
         return report
 
 

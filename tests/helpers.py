@@ -152,9 +152,6 @@ class RouterHarness:
             dns_ip=None,
             egress=self,
         )
-        # Bound capture so multi-hundred-thousand-packet pumps do not
-        # hold every frame (identical cost in both modes).
-        self.router.trace.max_records = 256
         self.router._by_mux = Admitted()
         self.records = self.router._by_mux.records
         self.mac = MacAddress("02:00:00:00:00:02")

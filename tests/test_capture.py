@@ -284,7 +284,7 @@ class TestByValueRows:
     @given(st.lists(st.tuples(frames(),
                               st.sampled_from(["inmate", "upstream-out"])),
                     max_size=12),
-           st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+           st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
     def test_agrees_with_list_of_copies(self, captures, max_records):
         trace = PacketTrace(max_records=max_records)
         reference = ListTrace(max_records=max_records)
@@ -293,7 +293,7 @@ class TestByValueRows:
         # The drawn captures over and over, so that a bounded trace
         # runs to at least ten times its bound.
         laps = 1
-        if max_records is not None and captures:
+        if max_records and captures:
             laps = -(-10 * max_records // len(captures))
         for lap in range(laps):
             for index, (captured, point) in enumerate(captures):
@@ -303,8 +303,11 @@ class TestByValueRows:
 
         assert wire(observed) == wire(reference.observed)
         assert trace.rotated_out == reference.rotated_out
-        if max_records is None:
+        if not max_records:
+            # Unbounded, or storing nothing: there is no prefix to cut.
             assert trace.compactions == 0
+            if max_records == 0:
+                assert (trace._headers, trace._payloads) == (bytearray(), [])
         else:
             assert not captures or len(observed) >= 10 * max_records
             # The ring cuts its dead prefix once per bound's worth of
@@ -577,6 +580,7 @@ class TestPacketOwnership:
         farm = Farm(FarmConfig(seed=3))
         sub = farm.create_subfarm("nat")
         probe = sub.add_service_host("probe")
+        sub.router.trace.max_records = None  # store the inmate side
         world = IPv4Address("198.51.100.9")
         query = IPv4Packet(probe.ip, world, UDPDatagram(5000, 53, b"q"))
         sub.router.service_frame(

@@ -5,7 +5,10 @@ captured frame costs in memory bounds how long a farm can run.  These
 tests pin that cost (docs/PERFORMANCE.md, "Trace memory"): a TCP
 capture is one packed header and one payload reference — at most 80
 bytes of store, one Python frame, no object of its own — whether or
-not the trace is bounded.
+not the trace is bounded.  A subfarm's inmate-side trace stores
+nothing (``max_records = 0``): a capture there is one Python frame
+and no store at all, and an observer is handed the captured frame
+itself, never a rebuilt one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.capture import PacketTrace
 from repro.net.packet import ACK, EthernetFrame, IPv4Packet, TCPSegment
-from tests.helpers import python_calls
+from tests.helpers import churn_farm, python_calls
 
 FRAMES = 20_000
 BYTES_PER_FRAME = 80
@@ -98,6 +101,66 @@ def test_capture_is_one_python_frame(bound):
         ("capture.py", "capture"): 1000,
         ("capture.py", "_point_code"): 1,
     }
+
+
+def test_a_store_off_trace_keeps_nothing():
+    """``max_records = 0`` with nobody subscribed: no row, no payload,
+    no compaction, every capture counted as rotated out — in one Python
+    frame per capture (the point is never even registered)."""
+    trace = PacketTrace(max_records=0)
+    frame = tcp_frame()
+
+    def run():
+        for index in range(10_000):
+            trace.capture(index * 0.001, frame, point="inmate")
+
+    calls = python_calls(run)
+    assert calls == {
+        ("test_capture_budget.py", "run"): 1,
+        ("capture.py", "capture"): 10_000,
+    }
+    assert (trace._headers, trace._payloads) == (bytearray(), [])
+    assert (len(trace), trace.rotated_out, trace.compactions) == (
+        0, 10_000, 0)
+
+
+@pytest.mark.parametrize("bound", [None, 0])
+def test_an_observed_capture_hands_over_the_captured_frame(bound):
+    """No record is rebuilt from the packed row: every observer gets
+    the one record, around the very frame that was captured."""
+    trace = PacketTrace(max_records=bound)
+    frame = tcp_frame()
+    seen = []
+    trace.subscribe(seen.append)
+    trace.subscribe(seen.append)
+
+    def run():
+        for index in range(100):
+            trace.capture(index * 0.001, frame, point="inmate")
+
+    calls = python_calls(run)
+    assert calls[("capture.py", "_build")] == 0
+    assert calls[("capture.py", "capture")] == 100
+    assert len(seen) == 200
+    assert all(a is b for a, b in zip(seen[0::2], seen[1::2]))
+    assert all(record.frame is frame for record in seen)
+    assert [(r.timestamp, r.point) for r in seen[::2]] == [
+        (index * 0.001, "inmate") for index in range(100)]
+    assert len(trace) == (100 if bound is None else 0)
+
+
+def test_a_default_churn_farm_stores_no_inmate_side_frame():
+    farm, fetched = churn_farm(seed=11, subfarms=2, inmates_per=3,
+                               stop=60.0)
+    farm.run(until=70.0)
+    assert fetched and all(fetched)
+    for sub in farm.subfarms.values():
+        trace = sub.router.trace
+        assert trace.max_records == 0
+        assert (len(trace), len(trace._payloads), len(trace._headers)) \
+            == (0, 0, 0), sub.name
+        assert trace.rotated_out > 0, sub.name
+    assert len(farm.gateway.upstream_trace) > 0
 
 
 def test_reading_a_record_back_is_two_python_frames():

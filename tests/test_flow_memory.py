@@ -12,7 +12,7 @@ fetches have all finished:
   moment the flow closes, and keeps no history of records;
 * what the run holds, packet traces included, grows by at most
   :data:`BYTES_PER_FETCH` per extra finished fetch, between two run
-  lengths that both overflow the inmate-side trace's window.
+  lengths (the inmate-side trace stores none of their frames).
 
 And on a small ``scan_journaled``-shaped farm, once its probes are
 over, every record a router still holds is a dropped datagram flow:
@@ -46,7 +46,7 @@ import workloads  # noqa: E402
 #: kept its record, rows, rules and verdict until an idle sweep.
 BYTES_PER_FETCH = 1500
 
-#: The two run lengths; the shorter already rotates the window.
+#: The two run lengths.
 STOPS = (300.0, 600.0)
 
 
@@ -97,7 +97,9 @@ def test_bytes_held_per_finished_fetch():
     for farm, fetched, _held in runs:
         assert all(fetched)
         (sub,) = farm.subfarms.values()
-        assert sub.router.trace.rotated_out > 0, "both runs fill the window"
+        trace = sub.router.trace
+        assert len(trace) == 0 and trace.rotated_out > 0, \
+            "the inmate side stores no frame"
     (_, short, held_short), (_, long, held_long) = runs
     assert len(long) - len(short) > 600
     per_fetch = (held_long - held_short) / (len(long) - len(short))

@@ -436,16 +436,17 @@ def _held_stream_image(rounds: int, chunk: int = 512):
 def _report_of_streaming_farm(inmates):
     from repro.core.policy import AllowAll
     from repro.farm import Farm
-    from repro.reporting.report import ActivityReport
+    from repro.reporting.report import StreamingReport
 
     farm = Farm(FarmConfig(seed=5, telemetry=True))
     echo(farm.add_external_host("echo", TARGET_IP), TARGET_PORT)
     sub = farm.create_subfarm("tables")
     sub.set_default_policy(AllowAll())
+    streams = StreamingReport([sub])
     for _ in range(inmates):
         sub.create_inmate(image_factory=_held_stream_image(6))
     farm.run(until=40.0)
-    return sub, ActivityReport.from_subfarms([sub])
+    return sub, streams.report()
 
 
 def _rule_lines(rendered):

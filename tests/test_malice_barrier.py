@@ -147,21 +147,23 @@ class TestConfigKnobs:
 
 class TestReporting:
     def test_malformed_traffic_section(self):
-        from repro.reporting.report import ActivityReport, render_report
+        from repro.reporting.report import StreamingReport, render_report
 
         farm = Farm(FarmConfig(seed=3))
         sub = farm.create_subfarm("s")
+        streams = StreamingReport([sub])
         sub.router.ingest_wire(5, GARBAGE)
         farm.run(until=1.0)
-        rendered = render_report(ActivityReport.from_subfarms([sub]))
+        rendered = render_report(streams.report())
         assert "Malformed traffic" in rendered
         assert "vlan5/ipv4" in rendered
 
     def test_clean_run_has_no_malformed_section(self):
-        from repro.reporting.report import ActivityReport, render_report
+        from repro.reporting.report import StreamingReport, render_report
 
         farm = Farm(FarmConfig(seed=3))
         sub = farm.create_subfarm("s")
+        streams = StreamingReport([sub])
         farm.run(until=1.0)
-        rendered = render_report(ActivityReport.from_subfarms([sub]))
+        rendered = render_report(streams.report())
         assert "Malformed traffic" not in rendered

@@ -183,8 +183,7 @@ class TestSmtp:
 
     def test_grum_dialect_keeps_each_sender_address_when_lenient(self):
         """Grum repeats HELO and drops MAIL FROM's colon; the lenient
-        engine still reads a whole address from every message (in
-        upper case: without the colon it upper-cases the argument)."""
+        engine still reads a whole address from every message."""
         messages = [
             {"mail_from": f"bot{i}@grum.example", "rcpt_to": ["v@t.example"],
              "body": b"x"}
@@ -194,8 +193,35 @@ class TestSmtp:
             messages=messages,
             client_kwargs={"repeat_helo": True, "no_colon": True})
         assert client.sent == 3
-        assert [txn.mail_from.lower() for txn in server.transactions] == [
+        assert [txn.mail_from for txn in server.transactions] == [
             "bot0@grum.example", "bot1@grum.example", "bot2@grum.example"]
+
+    def test_colonless_mail_from_keeps_the_address_as_sent_when_lenient(self):
+        """``MAIL FROM<Bot@Spam.example>``: the verb goes, whatever its
+        case, and the address keeps the case it was sent in."""
+        sent = []
+        server = SmtpServerEngine(send=sent.append)
+        server.feed(b"HELO x\r\nMAIL FROM<Bot@Spam.example>\r\n"
+                    b"RCPT TO:<v@victim.example>\r\nDATA\r\nhi\r\n.\r\n"
+                    b"MAIL from<a@spam.example>\r\n"
+                    b"RCPT TO:<v@victim.example>\r\nDATA\r\nhi\r\n.\r\n")
+        assert [txn.mail_from for txn in server.transactions] == [
+            "Bot@Spam.example", "a@spam.example"]
+
+    def test_colonless_bare_rcpt_to_drops_the_verb_when_lenient(self):
+        """``RCPT TOv@victim.example`` names ``v@victim.example``, not
+        ``TOv@victim.example``."""
+        server, client = run_smtp_dialogue(
+            client_kwargs={"no_colon": True, "bare_addresses": True})
+        assert client.sent == 1
+        (txn,) = server.transactions
+        assert (txn.mail_from, txn.rcpt_to) == (
+            "a@spam.example", ["v@victim.example"])
+        sent = []
+        server = SmtpServerEngine(send=sent.append)
+        server.feed(b"HELO x\r\nMAIL FROM:<a@spam.example>\r\n"
+                    b"RCPT toV@Victim.example\r\n")
+        assert server._transaction.rcpt_to == ["V@Victim.example"]
 
     def test_banner_check_abort(self):
         # Waledac ceased activity without the expected Google banner.

@@ -9,7 +9,7 @@ from repro.experiments.figure7 import run_figure7
 from repro.experiments.waledac_fidelity import run_waledac
 from repro.farm import Farm, FarmConfig
 from repro.reporting.health import HealthChecker
-from repro.reporting.report import ActivityReport
+from repro.reporting.report import StreamingReport
 from repro.world.builder import ExternalWorld
 from tests.test_containment_end_to_end import (
     EXTERNAL_WEB_IP,
@@ -35,9 +35,10 @@ class TestHealthChecker:
         web = farm.add_external_host("webserver", EXTERNAL_WEB_IP)
         http_server(web)
         image, _results = http_fetch_image()
+        streams = StreamingReport([sub])
         sub.create_inmate(image_factory=image, policy=AllowAll())
         farm.run(until=120)
-        report = ActivityReport.from_subfarms([sub])
+        report = streams.report()
         warnings = HealthChecker().check(report)
         assert any(w.check == "forward-heavy" and w.severity == "critical"
                    for w in warnings)
@@ -67,6 +68,7 @@ class TestHealthChecker:
         sub.add_smtp_sink()
         gmail = world.mx_for_domain("gmail.example")
         policy = WaledacEarlyPolicy(gmail.mx.host.ip)
+        streams = StreamingReport([sub])
         inmate = sub.create_inmate(image_factory=autoinfect_image(),
                                    policy=policy)
         policy.set_sample(inmate.vlan, inmate.vlan,
@@ -74,7 +76,7 @@ class TestHealthChecker:
                                  params={"test_recipient":
                                          "probe@gmail.example"}))
         farm.run(until=400)
-        report = ActivityReport.from_subfarms([sub], world.blocklist)
+        report = streams.report(world.blocklist)
         warnings = HealthChecker().check(report)
         assert any(w.check == "blacklisted" for w in warnings)
 
@@ -87,8 +89,9 @@ class TestHealthChecker:
         from repro.core.policy import ReflectAll
 
         sub.add_catchall_sink()
+        streams = StreamingReport([sub])
         sub.create_inmate(image_factory=image, policy=ReflectAll())
         farm.run(until=120)
-        report = ActivityReport.from_subfarms([sub])
+        report = streams.report()
         warnings = HealthChecker(expect_autoinfection=True).check(report)
         assert any(w.check == "no-autoinfection" for w in warnings)

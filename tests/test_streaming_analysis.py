@@ -1,10 +1,12 @@
 """Streaming trace analysis and rotation (the Bro model, §6.5).
 
-A subfarm's inmate-side trace is a window of
-``SubfarmRouter.TRACE_WINDOW`` frames that observers read as a stream;
-the upstream trace is whole.  A reader that needs every frame refuses
-a trace that has rotated (:class:`~repro.net.capture.TraceRotated`)
-rather than count part of the run.
+A subfarm's inmate-side trace stores no frame unless a reader sets its
+``max_records`` to None before the run: observers read it as a stream,
+each handed one record around the captured frame itself.  The
+upstream trace is whole.  A reader that needs every frame refuses a
+trace that has rotated or stored nothing
+(:class:`~repro.net.capture.TraceRotated`) rather than count part of
+the run.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import pytest
 
 from repro.core.policy import ReflectAll
 from repro.farm import Farm, FarmConfig
-from repro.gateway.router import SubfarmRouter
 from repro.net.capture import PacketTrace, TraceRotated
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.packet import EthernetFrame, IPv4Packet, SYN, TCPSegment
@@ -56,78 +57,72 @@ class TestTraceRotation:
         assert len(trace.records) == 5
 
 
-class TestTheWindow:
-    def test_the_inmate_side_trace_is_a_window_the_upstream_is_whole(self):
+class TestStoreOff:
+    def test_inmate_side_stores_nothing_upstream_whole(self):
         farm = Farm(FarmConfig(seed=1))
-        sub = farm.create_subfarm("window")
-        assert SubfarmRouter.TRACE_WINDOW == 4096
-        assert sub.router.trace.max_records == SubfarmRouter.TRACE_WINDOW
+        sub = farm.create_subfarm("store-off")
+        assert sub.router.trace.max_records == 0
         assert farm.gateway.upstream_trace.max_records is None
 
-    def test_a_run_past_the_window_streams_what_a_whole_trace_reads(
-            self, past_the_window):
-        """Two runs of one seed: the default window with streaming
-        analyzers, and a whole trace read post-hoc.  The window has
-        rotated most of the run out; the reports agree."""
-        windowed, whole = past_the_window
-        sub, fetched, (shims, smtp) = windowed["sub"], windowed["fetched"], \
-            windowed["streams"]
+    def test_a_default_run_streams_what_a_stored_trace_reads(
+            self, store_off_and_stored):
+        """Two runs of one seed: the default, streamed and storing
+        nothing, and one that stores every frame, replayed into fresh
+        analyzers after the run.  The reports agree."""
+        default, stored = store_off_and_stored
+        sub, fetched, (shims, smtp) = default["sub"], default["fetched"], \
+            default["streams"]
         assert len(fetched) > 600
-        assert len(sub.router.trace) == SubfarmRouter.TRACE_WINDOW
-        assert sub.router.trace.rotated_out > SubfarmRouter.TRACE_WINDOW
-        assert whole["sub"].router.trace.rotated_out == 0
-        # What the window kept is the tail of the whole trace.
-        tail = whole["sub"].router.trace.records[-SubfarmRouter.TRACE_WINDOW:]
-        assert [(r.timestamp, r.frame.to_bytes()) for r in tail] == [
-            (r.timestamp, r.frame.to_bytes()) for r in sub.router.trace.records]
-        posthoc = ShimAnalyzer(whole["sub"].router.trace)
-        posthoc_smtp = SmtpActivityAnalyzer(whole["sub"].router.trace)
-        assert shims.groups == posthoc.groups
+        trace = sub.router.trace
+        assert len(trace) == 0 and not trace._payloads
+        # Every capture counted, and refused to a whole-trace reader.
+        assert trace.rotated_out == len(stored["sub"].router.trace) > 0
+        with pytest.raises(TraceRotated):
+            trace.whole("a whole-trace reader")
+        assert stored["sub"].router.trace.rotated_out == 0
+        replayed_shims, replayed_smtp = replayed(stored["sub"].router.trace)
+        assert shims.groups == replayed_shims.groups
         assert sum(shims.verdict_counts().values()) == len(fetched)
         assert (shims.parse_errors, shims._pending) == (0, {})
-        assert smtp.sessions == posthoc_smtp.sessions
+        assert smtp.sessions == replayed_smtp.sessions
         assert rendered(sub, shims, smtp) == rendered(
-            whole["sub"], posthoc, posthoc_smtp)
+            stored["sub"], replayed_shims, replayed_smtp)
 
-    def test_scheduled_reports_past_the_window_match_a_whole_trace(
-            self, past_the_window):
+    def test_scheduled_reports_match_a_stored_trace(self, store_off_and_stored):
         """The hourly/daily scheduler streams its subfarms: each firing
-        renders what a post-hoc read of the whole trace renders at the
-        same instant, though the window rotated before the last."""
-        windowed, whole = past_the_window
-        reports = windowed["scheduler"].reports
+        renders what a replay of the stored trace renders at the same
+        instant, though the default trace stored nothing."""
+        default, stored = store_off_and_stored
+        reports = default["scheduler"].reports
         assert [t for t, _rendered in reports] == [100.0, 200.0, 300.0]
-        assert reports == whole["reports"]
-        rotated = [r for r, _totals in windowed["fired"]]
-        assert rotated[0] < rotated[-1] and rotated[-1] > 0
-        forwarded = [totals["FORWARD"] for _r, totals in windowed["fired"]]
+        assert reports == stored["reports"]
+        rotated = [r for r, _totals in default["fired"]]
+        assert 0 < rotated[0] < rotated[-1]
+        forwarded = [totals["FORWARD"] for _r, totals in default["fired"]]
         assert forwarded == sorted(forwarded) and forwarded[0] > 0
-        # A report computed post-hoc from the window refuses instead.
-        with pytest.raises(TraceRotated):
-            ActivityReport.from_subfarms([windowed["sub"]])
 
 
 @pytest.fixture(scope="module")
-def past_the_window():
-    """One seed run twice for 310 s, past the window: with the default
-    window, streaming analyzers and a report scheduler every 100 s; and
-    with a whole trace, rendered post-hoc at the same instants."""
-    def run(whole):
+def store_off_and_stored():
+    """One seed run twice for 310 s: by default, with streaming
+    analyzers and a report scheduler every 100 s; and storing every
+    inmate-side frame, replayed and rendered at the same instants."""
+    def run(store):
         farm, fetched = churn_farm(seed=11, subfarms=1, inmates_per=6,
                                    stop=300.0)
         (sub,) = farm.subfarms.values()
         out = {"sub": sub, "fetched": fetched}
-        if whole:
+        if store:
             sub.router.trace.max_records = None
             out["reports"] = []
 
-            def posthoc():
+            def replay():
                 now = farm.sim.now
-                report = ActivityReport.from_subfarms(
-                    [sub], title=f"Inmate Activity (t={now:.0f}s)")
-                out["reports"].append((now, render_report(report)))
+                out["reports"].append((now, rendered(
+                    sub, *replayed(sub.router.trace),
+                    title=f"Inmate Activity (t={now:.0f}s)")))
 
-            Process(farm.sim, 100.0, posthoc, label="posthoc").start()
+            Process(farm.sim, 100.0, replay, label="replay").start()
         else:
             out["streams"] = (ShimAnalyzer.streaming(sub.router.trace),
                               SmtpActivityAnalyzer.streaming(sub.router.trace))
@@ -139,13 +134,14 @@ def past_the_window():
         farm.run(until=310.0)
         return out
 
-    return run(whole=False), run(whole=True)
+    return run(store=False), run(store=True)
 
 
 class TestObservers:
     def test_no_record_is_built_without_an_observer(self):
-        """A capture with nobody subscribed builds no record; with two
-        observers it builds one per frame, and both see that one."""
+        """No capture rebuilds a record from its packed row: with nobody
+        subscribed none is made, and with two observers both are handed
+        one record per frame, around the captured frame itself."""
         trace = PacketTrace()
         frame = dummy_frame(0, sport=40000, dport=25)
 
@@ -161,23 +157,36 @@ class TestObservers:
         trace.subscribe(seen.append)
         trace.subscribe(seen.append)
         calls = python_calls(lambda: capture(10))
-        assert calls[("capture.py", "_build")] == 10
+        assert calls[("capture.py", "_build")] == 0
         assert len(seen) == 20
         assert all(a is b for a, b in zip(seen[0::2], seen[1::2]))
+        assert all(record.frame is frame for record in seen)
         assert [r.ip.tcp.dport for r in seen] == [25] * 20
 
 
-def rendered(sub, shims, smtp):
-    report = ActivityReport()
-    report.add_subfarm(sub, shims=shims, smtp=smtp)
+def replayed(trace):
+    """Fresh analyzers fed every frame a trace stored, in order."""
+    shims, smtp = ShimAnalyzer(), SmtpActivityAnalyzer()
+    for record in trace.whole("the replay"):
+        shims.process(record)
+        smtp.process(record)
+    return shims, smtp
+
+
+def rendered(sub, shims, smtp, title="Inmate Activity"):
+    report = ActivityReport(title)
+    report.add_subfarm(sub, shims, smtp)
     return render_report(report)
 
 
 class TestStreamingEqualsPostHoc:
     def test_identical_results_on_the_same_run(self):
+        """The live frames the analyzers streamed and the packed rows
+        the trace stored of the same run read the same."""
         farm = Farm(FarmConfig(seed=161))
         sub = farm.create_subfarm("stream")
         sub.add_catchall_sink()
+        sub.router.trace.max_records = None  # replayed below
         streaming_shims = ShimAnalyzer.streaming(sub.router.trace)
         streaming_smtp = SmtpActivityAnalyzer.streaming(sub.router.trace)
         image, _results = http_fetch_image()
@@ -185,8 +194,7 @@ class TestStreamingEqualsPostHoc:
         farm.run(until=120)
 
         assert sub.router.trace.rotated_out == 0
-        posthoc_shims = ShimAnalyzer(sub.router.trace)
-        posthoc_smtp = SmtpActivityAnalyzer(sub.router.trace)
+        posthoc_shims, posthoc_smtp = replayed(sub.router.trace)
         assert streaming_shims.groups == posthoc_shims.groups
         assert streaming_shims.groups, "the run must contain flows"
         assert streaming_shims.policies == posthoc_shims.policies
@@ -201,41 +209,36 @@ class TestStreamingEqualsPostHoc:
             == rendered(sub, posthoc_shims, posthoc_smtp)
 
     def test_streaming_survives_rotation_posthoc_does_not(self, tmp_path):
-        """Every whole-trace reader of a rotated trace raises, naming
-        itself and the remedy, where it used to count what was left."""
-        farm = Farm(FarmConfig(seed=162))
-        sub = farm.create_subfarm("stream")
-        sub.add_catchall_sink()
-        streaming = ShimAnalyzer.streaming(sub.router.trace)
-        sub.router.trace.max_records = 5  # brutal rotation
-        image, _results = http_fetch_image()
-        sub.create_inmate(image_factory=image, policy=ReflectAll())
-        farm.run(until=120)
+        """Every whole-trace reader of a trace that stored nothing (the
+        default) or rotated raises, naming itself and the remedy."""
+        for bound in (0, 5):
+            farm = Farm(FarmConfig(seed=162))
+            sub = farm.create_subfarm("stream")
+            sub.add_catchall_sink()
+            streaming = ShimAnalyzer.streaming(sub.router.trace)
+            sub.router.trace.max_records = bound
+            image, _results = http_fetch_image()
+            sub.create_inmate(image_factory=image, policy=ReflectAll())
+            farm.run(until=120)
 
-        assert streaming.verdict_counts().get("REFLECT", 0) == 1
-        rotated = sub.router.trace.rotated_out
-        assert rotated > 0
-        readers = [
-            ("ShimAnalyzer(trace)", lambda: ShimAnalyzer(sub.router.trace)),
-            ("SmtpActivityAnalyzer(trace)",
-             lambda: SmtpActivityAnalyzer(sub.router.trace)),
-            # A report without streams computes them post-hoc.
-            ("ShimAnalyzer(trace)",
-             lambda: ActivityReport.from_subfarms([sub])),
-            ("Subfarm.export_traces",
-             lambda: sub.export_traces(str(tmp_path))),
-        ]
-        for reader, read in readers:
-            with pytest.raises(TraceRotated) as raised:
-                read()
-            error = raised.value
-            assert (error.reader, error.trace, error.rotated_out) == (
-                reader, sub.router.trace.name, rotated)
-            assert "max_records to None" in str(error)
-            assert "streaming observer" in str(error)
-        assert not list(tmp_path.iterdir()), "no partial pcap is written"
-        # With its streams, the report is built as before.
-        report = ActivityReport()
-        report.add_subfarm(sub, shims=streaming,
-                           smtp=SmtpActivityAnalyzer())
-        assert report.verdict_totals() == {"REFLECT": 1}
+            assert streaming.verdict_counts().get("REFLECT", 0) == 1
+            rotated = sub.router.trace.rotated_out
+            assert rotated > 0 and len(sub.router.trace) == bound
+            readers = [
+                ("the replay", lambda: replayed(sub.router.trace)),
+                ("Subfarm.export_traces",
+                 lambda: sub.export_traces(str(tmp_path))),
+            ]
+            for reader, read in readers:
+                with pytest.raises(TraceRotated) as raised:
+                    read()
+                error = raised.value
+                assert (error.reader, error.trace, error.rotated_out) == (
+                    reader, sub.router.trace.name, rotated)
+                assert "max_records to None" in str(error)
+                assert "streaming observer" in str(error)
+            assert not list(tmp_path.iterdir()), "no partial pcap is written"
+            # With its streams, the report is built as before.
+            report = ActivityReport()
+            report.add_subfarm(sub, streaming, SmtpActivityAnalyzer())
+            assert report.verdict_totals() == {"REFLECT": 1}

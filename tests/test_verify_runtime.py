@@ -49,18 +49,23 @@ def _talker(host) -> None:
     DhcpClient(host, on_configured=configured).start()
 
 
+ACTIVE_UNTIL = 60.0
+
+
 def _active_farm(policy=None, seed=9, journal=True, image=_talker,
-                 **config):
+                 run=True, **config):
     """A farm whose inmate actually reaches the world, so runtime
-    evidence (journal events, upstream frames) exists."""
+    evidence (journal events, upstream frames) exists; ``run=False``
+    builds it unrun."""
     farm = Farm(FarmConfig(seed=seed, journal=journal, **config))
     _echo(farm.add_external_host("echo", _WORLD_IP))
     sub = farm.create_subfarm("live")
     sub.set_default_policy(policy or AllowAll())
     sub.create_inmate(image_factory=image)
-    # Inmate boot + DHCP completes around t=31; run past it so the
-    # talker's flow actually happens.
-    farm.run(until=60.0)
+    if run:
+        # Inmate boot + DHCP completes around t=31; run past it so the
+        # talker's flow actually happens.
+        farm.run(until=ACTIVE_UNTIL)
     return farm
 
 
@@ -254,13 +259,14 @@ class TestCli:
 
 class TestReportSection:
     def test_report_renders_certificate_section(self):
-        from repro.reporting.report import ActivityReport, render_report
+        from repro.reporting.report import StreamingReport, render_report
 
-        farm = _active_farm()
+        farm = _active_farm(run=False)
+        streams = StreamingReport([farm.subfarms["live"]])
+        farm.run(until=ACTIVE_UNTIL)
         cert = certify_farm(farm, label="report")
         coverage = check_farm(cert, farm)
-        report = ActivityReport.from_subfarms(
-            [farm.subfarms["live"]])
+        report = streams.report()
         report.attach_certificate(cert, coverage=coverage.to_dict())
         rendered = render_report(report)
         assert "Isolation certificate" in rendered
@@ -270,9 +276,10 @@ class TestReportSection:
         assert "Runtime coverage" in rendered
 
     def test_report_without_certificate_unchanged(self):
-        from repro.reporting.report import ActivityReport, render_report
+        from repro.reporting.report import StreamingReport, render_report
 
-        farm = _active_farm()
-        report = ActivityReport.from_subfarms(
-            [farm.subfarms["live"]])
+        farm = _active_farm(run=False)
+        streams = StreamingReport([farm.subfarms["live"]])
+        farm.run(until=ACTIVE_UNTIL)
+        report = streams.report()
         assert "Isolation certificate" not in render_report(report)

@@ -9,8 +9,9 @@ that carries none of these is a pure ACK or a bare RST: a TCP stack
 may send fewer of them without moving any of the three.
 
 Every frame that is not a TCP segment (ARP, DHCP, DNS, a datagram) is
-a carrier.  The traces must hold every frame the run captured, so the
-farms are small enough that no ring bound rotates one out.
+a carrier.  The traces must hold every frame the run captured, so each
+farm sets its inmate-side traces (which store nothing by default) to
+keep every frame before it runs.
 
 Re-record only from a parent commit::
 
@@ -66,6 +67,13 @@ def _trace_digest(traces) -> str:
     return digest.hexdigest()
 
 
+def store_every_frame(farm) -> None:
+    """Before the run: every subfarm's inmate-side trace keeps each
+    frame (the upstream trace already does)."""
+    for sub in farm.subfarms.values():
+        sub.router.trace.max_records = None
+
+
 def carrier_digests(farm) -> dict:
     """The three parts of a run's carrier pin: upstream trace,
     inmate-side traces (subfarms in name order) and flow logs."""
@@ -86,6 +94,7 @@ def carrier_digests(farm) -> dict:
 def stream_farm() -> dict:
     """Two inmates echoing 30 rounds each through AllowAll."""
     farm, _sub = streaming_farm(seed=11, inmates=2, rounds=30)
+    store_every_frame(farm)
     farm.run(until=90.0)
     return carrier_digests(farm)
 
@@ -101,6 +110,7 @@ def churn_farm() -> dict:
         sub.set_default_policy(DslPolicy("default -> forward"))
         for _ in range(3):
             sub.create_inmate(image_factory=flowgen_image(1.0))
+    store_every_frame(farm)
     farm.run(until=60.0)
     return carrier_digests(farm)
 
@@ -118,6 +128,7 @@ def scan_farm() -> dict:
         for _ in range(2):
             sub.create_inmate(
                 image_factory=test_obs_parity._scan_image(0.5, 1.0))
+    store_every_frame(farm)
     farm.run(until=test_obs_parity.DURATION)
     return carrier_digests(farm)
 
