@@ -64,9 +64,10 @@ verify-quick:
 	$(PYTHON) -m repro.verify quick
 
 # Trace-memory gate: the packed capture store's round-trip, ring and
-# bytes-per-frame budget tests, and the streaming tests (the inmate-side
-# window, one record per frame for all observers, streamed and scheduled
-# reports, whole-trace readers refusing a rotated trace), under two hash
+# bytes-per-frame budget tests, and the streaming tests (the store-off
+# inmate side, one record around the captured frame itself for all
+# observers, streamed and scheduled reports, whole-trace readers
+# refusing a trace that stored nothing or rotated), under two hash
 # seeds — what a captured frame costs,
 # counted not timed (docs/PERFORMANCE.md, "Trace memory").
 trace-budget:

@@ -53,7 +53,6 @@ class ActivityReport:
         self.title = title
         # subfarm name -> vlan -> activity
         self.subfarms: Dict[str, Dict[int, InmateActivity]] = {}
-        self.cs_vlans: Dict[str, Optional[int]] = {}
         # subfarm name -> resilience summary (only for subfarms that
         # ran with the fault plane's resilience layer enabled).
         self.degradation: Dict[str, dict] = {}
@@ -103,7 +102,6 @@ class ActivityReport:
             if blocklist is not None and activity.global_ip is not None:
                 activity.blacklisted = blocklist.listed(activity.global_ip)
         self.subfarms[subfarm.name] = inmates
-        self.cs_vlans[subfarm.name] = None
         resilience = getattr(subfarm.router, "resilience", None)
         if resilience is not None:
             self.degradation[subfarm.name] = resilience.summary()

@@ -392,6 +392,16 @@ class TestByValueRows:
         trace.max_records = -1
         trace.capture(11.0, frame(UDPDatagram(53, 53, b"q")))
         assert len(trace) == 0 and trace.rotated_out == 12
+        # Lowered to 0: the next capture rotates the store out, and
+        # the trace stores nothing after it.
+        trace.max_records = None
+        for index in range(3):
+            trace.capture(12.0 + index, frame(UDPDatagram(53, 53, b"q")))
+        trace.max_records = 0
+        for index in range(3):
+            trace.capture(15.0 + index, frame(UDPDatagram(53, 53, b"q")))
+        assert len(trace) == 0 and trace.rotated_out == 18
+        assert (trace._headers, trace._payloads) == (bytearray(), [])
 
 
 # ----------------------------------------------------------------------

@@ -39,11 +39,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
 import workloads  # noqa: E402
 
 #: Bytes the run holds per extra finished fetch, traces included,
-#: from a 300 s to a 600 s run (649 → 1,372 fetches): 1,227, of which
-#: 442 in ``net/capture.py`` (the upstream trace's rows); 2,525 (1,533)
-#: when the inmate-side trace kept every frame.  Outside the traces,
-#: over one 120 s run, it was 3,654 per fetch when every closed flow
-#: kept its record, rows, rules and verdict until an idle sweep.
+#: from a 300 s to a 600 s run (649 → 1,372 fetches): 1,288 with the
+#: inmate-side trace storing nothing; 1,227 with a 4,096-frame window,
+#: of which 442 in ``net/capture.py`` (the upstream trace's rows);
+#: 2,525 (1,533) when the inmate-side trace kept every frame.  Outside
+#: the traces, over one 120 s run, it was 3,654 per fetch when every
+#: closed flow kept its record, rows, rules and verdict until an idle
+#: sweep.
 BYTES_PER_FETCH = 1500
 
 #: The two run lengths.
