@@ -63,12 +63,12 @@ verify-quick:
 	done
 	$(PYTHON) -m repro.verify quick
 
-# Trace-memory gate: the packed capture store's round-trip, ring and
-# bytes-per-frame budget tests, and the streaming tests (the store-off
-# inmate side, one record around the captured frame itself for all
-# observers, streamed and scheduled reports, whole-trace readers
-# refusing a trace that stored nothing or rotated), under two hash
-# seeds — what a captured frame costs,
+# Trace-memory gate: the packed capture store's round-trip, store-on/off
+# and bytes-per-frame budget tests, and the streaming tests (the
+# store-off inmate side, one record around the captured frame itself
+# for all observers, streamed and scheduled reports, readers of
+# records refusing a trace that let a frame go by unstored), under two
+# hash seeds — what a captured frame costs,
 # counted not timed (docs/PERFORMANCE.md, "Trace memory").
 trace-budget:
 	for seed in 0 4242; do \

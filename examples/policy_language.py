@@ -8,7 +8,7 @@ cases for a given concrete containment policy" (§8).  This example
 writes Grum's policy as a program and checks it on the one surface it
 publishes: its cells (``compile_policy``), two invariants stated as
 predicates over the cells, and one test flow per outbound TCP cell
-through a live farm judged by ``certify_farm`` + ``check_farm``.
+through a live farm judged by ``certify_farm`` + ``check_wire``.
 
 Run:  python examples/policy_language.py   (exits 1 when a check fails)
 """
@@ -21,7 +21,7 @@ from repro.core.verdicts import Verdict
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP
 from repro.services.dhcp import DhcpClient
-from repro.verify import certify_farm, check_farm, compile_policy
+from repro.verify import certify_farm, check_wire, compile_policy
 
 PROGRAM = """
 # Grum containment, as a policy program.
@@ -129,7 +129,7 @@ def main() -> None:
     print("\n".join(f"    :{port:<5} {payload!r}" for port, payload in plan))
     farm, sub, heard = run_flows(policy, plan)
     certificate = certify_farm(farm, label="policy-language")
-    coverage = check_farm(certificate, farm)
+    coverage = check_wire(certificate, farm)
     print(f"    certificate          : {certificate['result']}")
     print(f"    runtime coverage     : {coverage.covered}/"
           f"{coverage.checked}, {len(coverage.violations)} violations")

@@ -60,7 +60,6 @@ creation; content control stays in ``make_rewriter`` and
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from functools import cached_property
 from typing import (Callable, Dict, List, NamedTuple, Optional, Tuple, Type,
                     Union)
@@ -88,6 +87,14 @@ Surface = Dict[Tuple[str, int],
 #: redirect points before its flow picks the target: the isolation
 #: model records such a cell in the farm, without an address.
 UNBOUND = IPv4Address("0.0.0.0")
+
+
+class _Unbound(dict):
+    """A service map that answers a name it lacks with ``(UNBOUND, 0)``
+    without adding it, so ``has_service`` stays false for that name."""
+
+    def __missing__(self, name: str) -> Tuple[IPv4Address, int]:
+        return UNBOUND, 0
 
 
 # ----------------------------------------------------------------------
@@ -536,8 +543,7 @@ class ContainmentPolicy:
         executes, each action as the decision it declares."""
         # Published under no flow and the policy's own service map, an
         # unbound name answering UNBOUND, not the runtime's KeyError.
-        ctx = PolicyContext(None, 0, 0, 0.0, defaultdict(
-            lambda: (UNBOUND, 0), self.services))
+        ctx = PolicyContext(None, 0, 0, 0.0, _Unbound(self.services))
         published: Surface = {}
         for key, (los, atoms) in self.table.items():
             his = [lo - 1 for lo in los[1:]] + [65535]

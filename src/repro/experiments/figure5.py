@@ -77,7 +77,7 @@ def run_figure5(seed: int = 9, duration: float = 120.0) -> Figure5Result:
         DhcpClient(host, on_configured=fetch).start()
 
     sub.create_inmate(image_factory=image, policy=Figure5Policy())
-    sub.router.trace.max_records = None  # the ladder reads every frame
+    sub.router.trace.store = True  # the ladder reads every frame
     farm.run(until=duration)
 
     result = Figure5Result()
@@ -89,7 +89,7 @@ def run_figure5(seed: int = 9, duration: float = 120.0) -> Figure5Result:
 
     from repro.core.shim import SHIM_MAGIC
 
-    for record in sub.router.trace.whole("figure5"):
+    for record in sub.router.trace.records:
         ip = record.ip
         if ip is None or ip.proto != PROTO_TCP:
             continue

@@ -422,8 +422,9 @@ class Subfarm:
         upstream trace) as real pcap files — §5.6's two-pronged
         recording, ready for sharing.  The inmate-side capture uses
         the unroutable internal addresses, giving the "immediate
-        anonymity" the paper leans on for data sharing.  Refuses unless
-        ``trace.max_records = None`` was set before the run."""
+        anonymity" the paper leans on for data sharing.  Refuses
+        (:class:`~repro.net.capture.TraceRotated`) unless
+        ``trace.store = True`` was set before the run."""
         import os
 
         from repro.net.capture import write_pcap
@@ -431,8 +432,7 @@ class Subfarm:
         os.makedirs(directory, exist_ok=True)
         paths = {}
         inmate_path = os.path.join(directory, f"{self.name}-inmate.pcap")
-        write_pcap(inmate_path,
-                   self.router.trace.whole("Subfarm.export_traces"))
+        write_pcap(inmate_path, self.router.trace.records)
         paths["inmate"] = inmate_path
         upstream_path = os.path.join(directory, "upstream.pcap")
         write_pcap(upstream_path, self.farm.gateway.upstream_trace.records)

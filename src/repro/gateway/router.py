@@ -173,9 +173,9 @@ class SubfarmRouter:
         self.journal = sim.journal
         self.bridge = LearningBridge(telemetry=self.telemetry, subfarm=name)
         # The inmate-side trace stores nothing: its readers stream it,
-        # and one that wants stored frames sets max_records = None
-        # before the run.
-        self.trace = PacketTrace(f"{name}-inmate-side", max_records=0)
+        # and one that wants stored frames sets store = True before
+        # the run.
+        self.trace = PacketTrace(f"{name}-inmate-side", store=False)
 
         # Infra services reachable without containment (the restricted
         # broadcast domain of §5.3) plus all registered service hosts.

@@ -7,13 +7,14 @@ as seen outside GQ.  :class:`PacketTrace` is the in-memory store both
 analysis and reporting read from; :func:`write_pcap` emits genuine
 libpcap files for interoperability.  A subfarm's inmate-side trace
 stores nothing unless a reader asks before the run: observers read it
-as a stream.  The upstream trace is whole.
+as a stream.  The upstream trace stores every frame.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
+from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
@@ -26,15 +27,15 @@ LINKTYPE_ETHERNET = 1
 
 
 class TraceRotated(RuntimeError):
-    """A whole-trace reader met a trace that has rotated frames out
-    (or stored none): it refuses rather than count part of the run."""
+    """A reader of ``records`` met a trace that let frames go by
+    unstored: it refuses rather than hand back part of the run."""
 
-    def __init__(self, reader: str, trace: str, rotated_out: int) -> None:
-        self.reader, self.trace, self.rotated_out = reader, trace, rotated_out
+    def __init__(self, trace: str, rotated_out: int) -> None:
+        self.trace, self.rotated_out = trace, rotated_out
         super().__init__(
-            f"{reader} needs every frame of trace {trace!r}, but "
-            f"{rotated_out} have rotated out: subscribe a streaming "
-            f"observer, or set its max_records to None, before the run")
+            f"trace {trace!r} let {rotated_out} frames go by unstored: "
+            f"set its store = True before the run, or subscribe an "
+            f"observer")
 
 
 class TraceRecord:
@@ -98,7 +99,9 @@ _MAC_INTERNED = MacAddress._intern
 class _RecordView(Sequence):
     """``trace.records``: a read-only sequence over the trace's rows
     that builds each :class:`TraceRecord` when it is read.  Indexing
-    and iterating return fresh records; a slice returns a list."""
+    and iterating return fresh records; a slice returns a list.  Both
+    raise :class:`TraceRotated` on a trace that let a frame go by
+    unstored."""
 
     __slots__ = ("_trace",)
 
@@ -110,25 +113,27 @@ class _RecordView(Sequence):
 
     def __getitem__(self, index):
         trace = self._trace
-        # A range over the live slots indexes and slices as a list would.
-        picked = range(trace._head, len(trace._payloads))[index]
+        if trace.rotated_out:
+            raise TraceRotated(trace.name, trace.rotated_out)
+        # A range over the slots indexes and slices as a list would.
+        picked = range(len(trace._payloads))[index]
         if isinstance(index, slice):
-            return [trace._record(slot) for slot in picked]
-        return trace._record(picked)
+            return [self[slot] for slot in picked]
+        return trace._build(_unpack_from(trace._headers, picked * _ROW_SIZE),
+                            trace._payloads[picked])
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        # By position, as a list iterator would: the trace may grow (or
-        # rotate) while a consumer is part-way through.  Rows are
-        # decoded a chunk of headers at a time (copied, so a capture
-        # between two reads is free to grow the store); a rotation
-        # moves positions, so the chunk is dropped and re-read.
+        # By position, as a list iterator would: the trace may grow
+        # while a consumer is part-way through.  Rows are decoded a
+        # chunk of headers at a time (copied, so a capture between two
+        # reads is free to grow the store).
         trace = self._trace
+        if trace.rotated_out:
+            raise TraceRotated(trace.name, trace.rotated_out)
         build = trace._build
-        index = 0
+        start = 0
         while True:
-            rotated = trace.rotated_out
             payloads = trace._payloads
-            start = trace._head + index
             stop = min(len(payloads), start + _READ_CHUNK)
             if start >= stop:
                 return
@@ -136,9 +141,7 @@ class _RecordView(Sequence):
             for fields, slot in zip(_iter_unpack(headers),
                                     payloads[start:stop]):
                 yield build(fields, slot)
-                index += 1
-                if trace.rotated_out != rotated:
-                    break
+            start = stop
 
     def __repr__(self) -> str:
         return f"<records of {len(self._trace)} captured frames>"
@@ -149,13 +152,12 @@ class PacketTrace:
 
     Two consumption models, mirroring §5.6/§6.5 practice:
 
-    * *Post-hoc*: ``records`` holds captured frames, read by iterating
-      it.  ``max_records`` bounds the buffer (oldest frames rotate
-      out, counted in ``rotated_out``) so day-scale runs do not hold
-      every packet in memory, and ``max_records = 0`` stores nothing
-      (each capture rotates out at once); a reader that needs every
-      frame (a pcap export, the Figure 5 ladder) reads :meth:`whole`,
-      which refuses a trace that has rotated.
+    * *Post-hoc*: ``records`` holds every captured frame, read by
+      iterating it.  ``store = False`` stores nothing (each capture is
+      counted in ``rotated_out`` instead), so a trace read only as a
+      stream holds no packet in memory; reading ``records`` of a trace
+      that let any frame go by unstored raises :class:`TraceRotated`
+      rather than hand back part of the run.
     * *Streaming*: observers registered via :meth:`subscribe` see every
       record as it is captured — how the Bro-style analyzers process
       multi-day activity without retaining the packets.  The record
@@ -167,38 +169,23 @@ class PacketTrace:
     ``bytearray`` plus a reference to the (immutable) payload ``bytes``
     in a parallel list — no per-row Python object at all.  ``records``
     is a view that rebuilds :class:`TraceRecord` objects on access.
-
-    The store is a ring: rotation advances ``_head`` past the oldest
-    row, and the dead prefix is cut off (``compactions``) once it
-    outgrows the live rows, so a bounded trace costs the same per
-    capture as an unbounded one.
     """
 
-    def __init__(self, name: str = "trace",
-                 max_records: Optional[int] = None) -> None:
+    def __init__(self, name: str = "trace", store: bool = True) -> None:
         self.name = name
-        self.max_records = max_records
+        self.store = store
         self._headers = bytearray()
         self._payloads: list = []
-        self._head = 0
         self._points: List[str] = []
         self._point_codes: dict = {}
         self.records = _RecordView(self)
         self.rotated_out = 0
-        self.compactions = 0
         self._observers: List[Callable[[TraceRecord], None]] = []
 
     def subscribe(self, observer: Callable[[TraceRecord], None]) -> None:
         """Register a live observer; it sees each record at capture,
         one record per capture shared by every observer."""
         self._observers.append(observer)
-
-    def whole(self, reader: str) -> "_RecordView":
-        """``records`` for a reader that needs every frame; raises
-        :class:`TraceRotated` once any has rotated out."""
-        if self.rotated_out:
-            raise TraceRotated(reader, self.name, self.rotated_out)
-        return self.records
 
     def _point_code(self, point: str) -> Optional[int]:
         """Register a capture point; None once the codes are used up
@@ -220,7 +207,7 @@ class PacketTrace:
             record.point = point
             for observer in self._observers:
                 observer(record)
-        if self.max_records == 0 and not self._payloads:
+        if not self.store:
             self.rotated_out += 1
             return
         header = slot = None
@@ -263,36 +250,10 @@ class PacketTrace:
         if header is None:
             header, slot = _FALLBACK, (timestamp, point, frame.copy())
         self._headers += header
-        payloads = self._payloads
-        payloads.append(slot)
-        bound = self.max_records
-        if bound is None:
-            return
-        head = self._head
-        overflow = len(payloads) - head - bound
-        if overflow <= 0:
-            return
-        # Rotate the oldest rows out: release their payloads now, cut
-        # their slots off once the dead prefix outgrows the live rows.
-        if overflow == 1:
-            payloads[head] = None
-        else:  # the bound was lowered (below zero, even) on a full trace
-            overflow = min(overflow, len(payloads) - head)
-            payloads[head:head + overflow] = [None] * overflow
-        head += overflow
-        self.rotated_out += overflow
-        if head > bound:
-            del self._headers[:head * _ROW_SIZE]
-            del payloads[:head]
-            head = 0
-            self.compactions += 1
-        self._head = head
+        self._payloads.append(slot)
 
     def __len__(self) -> int:
-        return len(self._payloads) - self._head
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        return len(self._payloads)
 
     def _build(self, fields: tuple, slot) -> TraceRecord:
         """The record (and its frame) one unpacked header and its
@@ -334,10 +295,6 @@ class PacketTrace:
         record.point = self._points[point]
         return record
 
-    def _record(self, slot: int) -> TraceRecord:
-        return self._build(_unpack_from(self._headers, slot * _ROW_SIZE),
-                           self._payloads[slot])
-
 
 def write_pcap(path: str, records: Iterable[TraceRecord],
                snaplen: int = 65535) -> int:
@@ -349,6 +306,10 @@ def write_pcap(path: str, records: Iterable[TraceRecord],
     """
     if snaplen <= 0:
         raise ValueError("snaplen must be positive")
+    # The first record is read before the file is made: a trace that
+    # refuses its reader (TraceRotated) leaves no partial pcap behind.
+    records = iter(records)
+    first = next(records, None)
     count = 0
     with open(path, "wb") as handle:
         handle.write(
@@ -357,7 +318,7 @@ def write_pcap(path: str, records: Iterable[TraceRecord],
                 PCAP_MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET,
             )
         )
-        for record in records:
+        for record in () if first is None else chain((first,), records):
             data = record.frame.to_bytes()
             seconds = int(record.timestamp)
             micros = int(round((record.timestamp - seconds) * 1_000_000))

@@ -72,16 +72,11 @@ def _streaming_image(rounds: int, chunk: int = 512):
     return image
 
 
-def farm_digest(farm) -> Tuple[str, dict]:
-    """The farm determinism digest, defined once: sha256 over, per
+def farm_wire_digest(farm):
+    """The running sha256 over a farm's wire-level evidence: per
     subfarm in name order, the router counters and flow log, then the
-    upstream trace bytes, then the telemetry snapshot minus the
-    ``flowtable.*`` instruments (they say nothing about wire
-    behaviour, and the tracked digests have never included them).
-
-    Returns ``(hexdigest, snapshot)`` — the folded, stripped snapshot,
-    for callers that ship it beside the digest.
-    """
+    upstream trace bytes.  The ledger's ``farmrun.sim_digest`` is a
+    frozen copy of this recipe."""
     digest = hashlib.sha256()
     for name in sorted(farm.subfarms):
         router = farm.subfarms[name].router
@@ -93,6 +88,19 @@ def farm_digest(farm) -> Tuple[str, dict]:
                 f"|{entry.orig}|{entry.policy}".encode())
     for rec in farm.gateway.upstream_trace.records:
         digest.update(rec.frame.to_bytes())
+    return digest
+
+
+def farm_digest(farm) -> Tuple[str, dict]:
+    """The farm determinism digest, defined once: the wire evidence
+    (:func:`farm_wire_digest`), then the telemetry snapshot minus the
+    ``flowtable.*`` instruments (they say nothing about wire
+    behaviour, and the tracked digests have never included them).
+
+    Returns ``(hexdigest, snapshot)`` — the folded, stripped snapshot,
+    for callers that ship it beside the digest.
+    """
+    digest = farm_wire_digest(farm)
     snapshot = farm.telemetry_snapshot()
     for family in ("counters", "gauges"):
         snapshot[family] = {k: v for k, v in snapshot[family].items()

@@ -43,7 +43,6 @@ from repro.verify.model import (
 from repro.verify.runtime import (
     CoverageReport,
     GrantIndex,
-    check_farm,
     check_journal,
     check_wire,
     render_violations,
@@ -61,7 +60,6 @@ __all__ = [
     "build_certificate",
     "canonical_digest",
     "certify_farm",
-    "check_farm",
     "check_journal",
     "check_wire",
     "compile_farm",

@@ -38,7 +38,7 @@ from typing import List, Optional
 from repro.verify.certificate import (certify_farm, render_certificate,
                                       verify_digest)
 from repro.verify.model import compile_farm, compile_policy
-from repro.verify.runtime import check_farm, render_violations
+from repro.verify.runtime import check_wire, render_violations
 
 QUICK_SCENARIO = "cs_crash"
 
@@ -82,7 +82,7 @@ def _cmd_check(args) -> int:
     farm = _build_farm(args)
     cert = certify_farm(farm, label=args.label)
     journal = farm.journal_snapshot()
-    report = check_farm(cert, farm)
+    report = check_wire(cert, farm)
     if args.json:
         print(json.dumps({"certificate": cert,
                           "coverage": report.to_dict()},
@@ -156,7 +156,7 @@ def _cmd_quick(args) -> int:
     # put nothing there would pass vacuously.
     for label, cert, run in (("golden", golden_a, farms[0]),
                              (QUICK_SCENARIO, scenario, farm)):
-        report = check_farm(cert, run)
+        report = check_wire(cert, run)
         print(f"  {label} coverage {report.covered}/{report.checked} "
               f"covered, {len(report.violations)} violation(s)")
         if not report.ok:

@@ -3,7 +3,7 @@
 A certificate is only as good as its model, so this second pass
 checks the *runtime* evidence against the certified grant table.
 
-:func:`check_wire` (``check_farm``) is the pass over a live farm.
+:func:`check_wire` is the pass over a live farm.
 It reads what the network emitted, the gateway's upstream trace,
 against the routers' flow logs: every frame an inmate's NAT'd address
 sent upstream must follow a flow-log line that lets it out (else an
@@ -37,7 +37,6 @@ from repro.verify.certificate import check_certificate
 __all__ = [
     "CoverageReport",
     "GrantIndex",
-    "check_farm",
     "check_journal",
     "check_wire",
     "render_violations",
@@ -283,10 +282,6 @@ def _licences(lines, packets) -> Optional[list]:
         if not used or used[-1] is not licence[2]:
             used.append(licence[2])
     return used
-
-
-#: The runtime pass over a live farm.
-check_farm = check_wire
 
 
 def render_violations(report: CoverageReport,

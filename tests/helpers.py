@@ -5,8 +5,6 @@ tracked digests pin (``tests/golden/farm_digests.json``)."""
 from __future__ import annotations
 
 import gc
-import hashlib
-import json
 import sys
 from collections import Counter
 from time import perf_counter
@@ -40,6 +38,7 @@ from repro.parallel.tasks import (
     TARGET_PORT,
     _streaming_image,
     farm_digest,
+    farm_wire_digest,
 )
 from repro.services.dhcp import DhcpClient
 from repro.sim.engine import Simulator
@@ -310,19 +309,10 @@ def run_farm_flow_digest(seed: int, inmates: int, rounds: int,
     farm, sub = streaming_farm(seed, inmates, rounds,
                                batch_window=batch_window)
     farm.run(until=duration)
-    counters = dict(sub.router.counters)
-    digest = hashlib.sha256()
-    digest.update(json.dumps(counters, sort_keys=True).encode())
-    for entry in sub.router.flow_log:
-        digest.update(
-            f"{entry.timestamp:.9f}|{entry.vlan}|{entry.verdict}"
-            f"|{entry.orig}|{entry.policy}".encode())
-    for rec in farm.gateway.upstream_trace.records:
-        digest.update(rec.frame.to_bytes())
     return {
         "batch_window": batch_window,
-        "digest": digest.hexdigest(),
-        "counters": counters,
+        "digest": farm_wire_digest(farm).hexdigest(),
+        "counters": dict(sub.router.counters),
         "flowtable": sub.router.flowtable.stats(),
     }
 

@@ -1,5 +1,5 @@
-"""Trace capture: the packed store, its record view, pcap
-interoperability."""
+"""Trace capture: the packed store, its record view and its refusal,
+pcap interoperability."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
 from repro.net.arp import ETHERTYPE_ARP, ArpMessage
-from repro.net.capture import PacketTrace, TraceRecord, read_pcap, write_pcap
+from repro.net.capture import (PacketTrace, TraceRecord, TraceRotated,
+                                read_pcap, write_pcap)
 from repro.net.host import Host
 from repro.net.link import Link, Port, PortMode, Switch
 from repro.net.packet import (
@@ -189,8 +190,8 @@ class ListTrace:
     each holding ``frame.copy()`` — kept as the reference the view must
     agree with."""
 
-    def __init__(self, max_records=None):
-        self.max_records = max_records
+    def __init__(self, store=True):
+        self.store = store
         self.records = []
         self.rotated_out = 0
         self.observed = []
@@ -198,12 +199,10 @@ class ListTrace:
     def capture(self, timestamp, frame, point=""):
         record = TraceRecord(timestamp, frame.copy(), point)
         self.observed.append(record)
-        self.records.append(record)
-        if self.max_records is not None \
-                and len(self.records) > self.max_records:
-            overflow = len(self.records) - self.max_records
-            del self.records[:overflow]
-            self.rotated_out += overflow
+        if self.store:
+            self.records.append(record)
+        else:
+            self.rotated_out += 1
 
 
 def wire(records):
@@ -277,47 +276,39 @@ class TestByValueRows:
         for original in originals:
             scramble(original)
         assert [r.frame.to_bytes() for r in trace.records] == expected
-        assert [r.timestamp for r in trace] == [
+        assert [r.timestamp for r in trace.records] == [
             float(i) for i in range(len(originals))]
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(frames(),
                               st.sampled_from(["inmate", "upstream-out"])),
                     max_size=12),
-           st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
-    def test_agrees_with_list_of_copies(self, captures, max_records):
-        trace = PacketTrace(max_records=max_records)
-        reference = ListTrace(max_records=max_records)
+           st.one_of(st.none(), st.integers(min_value=0, max_value=12)))
+    def test_agrees_with_list_of_copies(self, captures, stored):
+        """``stored`` captures go into the store before it is switched
+        off: None never switches it off, 0 starts with it off."""
+        trace = PacketTrace(store=stored != 0)
+        reference = ListTrace(store=stored != 0)
         observed = []
         trace.subscribe(observed.append)
-        # The drawn captures over and over, so that a bounded trace
-        # runs to at least ten times its bound.
-        laps = 1
-        if max_records and captures:
-            laps = -(-10 * max_records // len(captures))
-        for lap in range(laps):
-            for index, (captured, point) in enumerate(captures):
-                stamp = float(lap * len(captures) + index)
-                trace.capture(stamp, captured, point=point)
-                reference.capture(stamp, captured, point=point)
+        for index, (captured, point) in enumerate(captures):
+            if index == stored:
+                trace.store = reference.store = False
+            trace.capture(float(index), captured, point=point)
+            reference.capture(float(index), captured, point=point)
 
         assert wire(observed) == wire(reference.observed)
         assert trace.rotated_out == reference.rotated_out
-        if not max_records:
-            # Unbounded, or storing nothing: there is no prefix to cut.
-            assert trace.compactions == 0
-            if max_records == 0:
-                assert (trace._headers, trace._payloads) == (bytearray(), [])
-        else:
-            assert not captures or len(observed) >= 10 * max_records
-            # The ring cuts its dead prefix once per bound's worth of
-            # rotations, not once per capture.
-            assert trace.compactions <= trace.rotated_out // (
-                max_records + 1)
         records = trace.records
         assert len(records) == len(trace) == len(reference.records)
         assert bool(records) == bool(reference.records)
-        assert wire(records) == wire(trace) == wire(reference.records)
+        if stored == 0:
+            assert (trace._headers, trace._payloads) == (bytearray(), [])
+        if trace.rotated_out:
+            with pytest.raises(TraceRotated):
+                list(records)
+            return
+        assert wire(records) == wire(reference.records)
         assert wire(records[1:4]) == wire(reference.records[1:4])
         assert wire(records[::-2]) == wire(reference.records[::-2])
         assert wire(reversed(records)) == wire(reversed(reference.records))
@@ -364,44 +355,33 @@ class TestByValueRows:
         assert [type(slot) for slot in trace._payloads] == [
             bytes, bytes, tuple]
 
-    def test_bounded_capture_compacts_in_chunks(self):
-        bound, captures = 100, 5000
-        trace = PacketTrace(max_records=bound)
+    @pytest.mark.parametrize("stored", [0, 3])
+    def test_reading_a_trace_that_let_frames_by_refuses(self, stored):
+        """A store-off trace, or one switched off after ``stored``
+        captures, refuses every read of ``records`` (by iteration or
+        by index) naming itself and the remedy; its observers saw every
+        frame, stored or not."""
+        trace = PacketTrace("probe", store=stored > 0)
+        seen = []
+        trace.subscribe(seen.append)
         captured = frame(TCPSegment(1000, 80, flags=SYN, payload=b"p"))
-        for index in range(captures):
+        for index in range(8):
+            if index == stored:
+                trace.store = False
             trace.capture(float(index), captured)
-        assert len(trace) == bound
-        assert trace.rotated_out == captures - bound
-        assert [r.timestamp for r in trace.records] == [
-            float(i) for i in range(captures - bound, captures)]
-        # Linear in chunks of the bound, not per capture (the store's
-        # size is held in tests/test_capture_budget.py) ...
-        assert 1 <= trace.compactions <= captures // bound
-        # ... and a rotated-out payload is released at once.
-        assert all(slot is None
-                   for slot in trace._payloads[:trace._head])
-
-    def test_lowering_the_bound_on_a_full_trace(self):
-        trace = PacketTrace()
-        for index in range(10):
-            trace.capture(float(index), frame(UDPDatagram(53, 53, b"q")))
-        trace.max_records = 3
-        trace.capture(10.0, frame(UDPDatagram(53, 53, b"q")))
-        assert trace.rotated_out == 8
-        assert [r.timestamp for r in trace] == [8.0, 9.0, 10.0]
-        trace.max_records = -1
-        trace.capture(11.0, frame(UDPDatagram(53, 53, b"q")))
-        assert len(trace) == 0 and trace.rotated_out == 12
-        # Lowered to 0: the next capture rotates the store out, and
-        # the trace stores nothing after it.
-        trace.max_records = None
-        for index in range(3):
-            trace.capture(12.0 + index, frame(UDPDatagram(53, 53, b"q")))
-        trace.max_records = 0
-        for index in range(3):
-            trace.capture(15.0 + index, frame(UDPDatagram(53, 53, b"q")))
-        assert len(trace) == 0 and trace.rotated_out == 18
-        assert (trace._headers, trace._payloads) == (bytearray(), [])
+        assert len(seen) == 8
+        assert (len(trace), trace.rotated_out) == (stored, 8 - stored)
+        reads = [lambda: list(trace.records),
+                 lambda: next(iter(trace.records)),
+                 lambda: trace.records[0], lambda: trace.records[-1],
+                 lambda: trace.records[:2]]
+        for read in reads:
+            with pytest.raises(TraceRotated) as raised:
+                read()
+            error = raised.value
+            assert (error.trace, error.rotated_out) == ("probe", 8 - stored)
+            assert "store = True" in str(error)
+            assert "observer" in str(error)
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +427,7 @@ class TestPackedStore:
             scramble(original)
         assert [(r.frame.to_bytes(), r.frame.vlan)
                 for r in trace.records] == expected
-        assert [r.timestamp for r in trace] == [
+        assert [r.timestamp for r in trace.records] == [
             i + 0.5 for i in range(len(originals))]
         # Every one of them fitted the header: no frame was copied.
         assert all(type(slot) is bytes for slot in trace._payloads)
@@ -502,7 +482,7 @@ class TestPackedStore:
         captured = frame(UDPDatagram(53, 53, b"q"))
         for index in range(300):
             trace.capture(float(index), captured, point=f"tap-{index}")
-        assert [r.point for r in trace] == [
+        assert [r.point for r in trace.records] == [
             f"tap-{index}" for index in range(300)]
         assert [type(slot) for slot in trace._payloads] == (
             [bytes] * 256 + [tuple] * 44)
@@ -590,7 +570,7 @@ class TestPacketOwnership:
         farm = Farm(FarmConfig(seed=3))
         sub = farm.create_subfarm("nat")
         probe = sub.add_service_host("probe")
-        sub.router.trace.max_records = None  # store the inmate side
+        sub.router.trace.store = True  # store the inmate side
         world = IPv4Address("198.51.100.9")
         query = IPv4Packet(probe.ip, world, UDPDatagram(5000, 53, b"q"))
         sub.router.service_frame(

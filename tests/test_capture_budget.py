@@ -4,10 +4,9 @@ GQ records every frame for the life of a deployment (§5.6), so what a
 captured frame costs in memory bounds how long a farm can run.  These
 tests pin that cost (docs/PERFORMANCE.md, "Trace memory"): a TCP
 capture is one packed header and one payload reference — at most 80
-bytes of store, one Python frame, no object of its own — whether or
-not the trace is bounded.  A subfarm's inmate-side trace stores
-nothing (``max_records = 0``): a capture there is one Python frame
-and no store at all, and an observer is handed the captured frame
+bytes of store, one Python frame, no object of its own.  A subfarm's
+inmate-side trace stores nothing (``store = False``): a capture there
+is one Python frame and no store at all, and an observer is handed the captured frame
 itself, never a rebuilt one.
 """
 
@@ -66,36 +65,36 @@ def test_two_captures_of_one_packet_share_its_payload():
     assert inmate.records[0].ip.tcp.payload is payload
 
 
-@pytest.mark.parametrize("bound", [None, 64, 5000])
-def test_a_bounded_trace_holds_a_bounded_store(bound):
-    trace = PacketTrace(max_records=bound)
+@pytest.mark.parametrize("stored", [None, 64, 5000])
+def test_a_bounded_trace_holds_a_bounded_store(stored):
+    """A trace whose store is switched off after ``stored`` captures
+    holds those and grows no further; one never switched off (None)
+    holds every frame."""
+    trace = PacketTrace()
     frame = tcp_frame()
-    peak = 0
     for index in range(FRAMES):
+        if index == stored:
+            trace.store = False
         trace.capture(index * 0.001, frame, point="inmate")
-        peak = max(peak, len(trace._payloads))
-    if bound is None:
-        assert peak == FRAMES
-        return
-    # Live rows plus at most one bound's worth of dead prefix ...
-    assert peak <= 2 * bound + 1
-    # ... reclaimed in chunks: amortised O(1) per capture.
-    assert trace.compactions <= FRAMES // bound
-    assert store_bytes(trace) <= (2 * bound + 1) * BYTES_PER_FRAME + 256
+    held = FRAMES if stored is None else stored
+    assert (len(trace), trace.rotated_out) == (held, FRAMES - held)
+    assert store_bytes(trace) <= held * BYTES_PER_FRAME + 256
 
 
-@pytest.mark.parametrize("bound", [None, 64])
-def test_capture_is_one_python_frame(bound):
-    trace = PacketTrace(max_records=bound)
+@pytest.mark.parametrize("stored", [None, 64])
+def test_capture_is_one_python_frame(stored):
+    trace = PacketTrace()
     frame = tcp_frame()
 
     def run():
         for index in range(1000):
+            if index == stored:
+                trace.store = False
             trace.capture(index * 0.001, frame, point="inmate")
 
     calls = python_calls(run)
-    # The first capture registers its point; rotation and compaction
-    # are inline.
+    # The first capture registers its point; a switched-off store adds
+    # no frame.
     assert calls == {
         ("test_capture_budget.py", "run"): 1,
         ("capture.py", "capture"): 1000,
@@ -104,10 +103,10 @@ def test_capture_is_one_python_frame(bound):
 
 
 def test_a_store_off_trace_keeps_nothing():
-    """``max_records = 0`` with nobody subscribed: no row, no payload,
-    no compaction, every capture counted as rotated out — in one Python
-    frame per capture (the point is never even registered)."""
-    trace = PacketTrace(max_records=0)
+    """``store = False`` with nobody subscribed: no row, no payload,
+    every capture counted as rotated out — in one Python frame per
+    capture (the point is never even registered)."""
+    trace = PacketTrace(store=False)
     frame = tcp_frame()
 
     def run():
@@ -120,15 +119,15 @@ def test_a_store_off_trace_keeps_nothing():
         ("capture.py", "capture"): 10_000,
     }
     assert (trace._headers, trace._payloads) == (bytearray(), [])
-    assert (len(trace), trace.rotated_out, trace.compactions) == (
-        0, 10_000, 0)
+    assert (len(trace), trace.rotated_out) == (0, 10_000)
 
 
-@pytest.mark.parametrize("bound", [None, 0])
-def test_an_observed_capture_hands_over_the_captured_frame(bound):
+@pytest.mark.parametrize("stored", [None, 0])
+def test_an_observed_capture_hands_over_the_captured_frame(stored):
     """No record is rebuilt from the packed row: every observer gets
-    the one record, around the very frame that was captured."""
-    trace = PacketTrace(max_records=bound)
+    the one record, around the very frame that was captured, whether
+    the store is on (``stored`` None) or off (0)."""
+    trace = PacketTrace(store=stored is None)
     frame = tcp_frame()
     seen = []
     trace.subscribe(seen.append)
@@ -146,7 +145,7 @@ def test_an_observed_capture_hands_over_the_captured_frame(bound):
     assert all(record.frame is frame for record in seen)
     assert [(r.timestamp, r.point) for r in seen[::2]] == [
         (index * 0.001, "inmate") for index in range(100)]
-    assert len(trace) == (100 if bound is None else 0)
+    assert len(trace) == (100 if stored is None else 0)
 
 
 def test_a_default_churn_farm_stores_no_inmate_side_frame():
@@ -156,7 +155,7 @@ def test_a_default_churn_farm_stores_no_inmate_side_frame():
     assert fetched and all(fetched)
     for sub in farm.subfarms.values():
         trace = sub.router.trace
-        assert trace.max_records == 0
+        assert not trace.store
         assert (len(trace), len(trace._payloads), len(trace._headers)) \
             == (0, 0, 0), sub.name
         assert trace.rotated_out > 0, sub.name

@@ -1,7 +1,7 @@
 """The policy DSL (§8 future work) and checking one policy against
 the surface it publishes: its cells (``compile_policy``), invariants
 as predicates over them, and a live farm judged by ``certify_farm`` +
-``check_farm``."""
+``check_wire``."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.core.dsl import DslError, DslPolicy, parse_program
 from repro.core.policy import AllowAll, DefaultDeny
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.policies.spambot import GrumPolicy
-from repro.verify import certify_farm, check_farm, compile_policy
+from repro.verify import certify_farm, check_wire, compile_policy
 from tests.test_policy_decisions import DEFAULT_CONTENT, SERVICE_SETS, context
 
 GRUM_PROGRAM = """
@@ -287,7 +287,7 @@ def _assert_contained(farm):
     ``checked`` counts one flow-log line per tuple forwarded onto the
     wire (a dropped or reflected flow puts nothing there)."""
     certificate = certify_farm(farm, label="live")
-    report = check_farm(certificate, farm)
+    report = check_wire(certificate, farm)
     assert certificate["result"] == "CONTAINED"
     assert report.violations == []
     assert report.covered == report.checked

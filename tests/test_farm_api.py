@@ -83,7 +83,7 @@ class TestFarmApi:
         def run():
             farm = Farm(FarmConfig(seed=99))
             sub = farm.create_subfarm("a")
-            sub.router.trace.max_records = None  # store the inmate side
+            sub.router.trace.store = True  # store the inmate side
             sub.create_inmate(image_factory=idle_image())
             farm.run(until=120)
             assert sub.router.trace.rotated_out == 0

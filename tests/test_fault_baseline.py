@@ -20,8 +20,10 @@ flow's path after an endpoint verdict and a TCP DROP until the idle
 sweep, and let a server's frame on no flow out raw) and
 `OLD_AGING_PINS` (the flow table whose entries had idle and hard
 timeouts, and the fault-matrix shard that digested its whole snapshot
-inline) and `OLD_KNOBS_PINS` (FarmConfig's six fields that no caller
-set, now constants of their components).  Each older fixture stands
+inline), `OLD_KNOBS_PINS` (FarmConfig's six fields that no caller
+set, now constants of their components) and `OLD_SURFACE_PINS` (the
+policy surface whose service lookup bound a missing service for every
+atom after its first reflect).  Each older fixture stands
 on the newer ones, since its pins were recorded before them too.
 """
 
@@ -30,10 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import defaultdict
 
 import pytest
 
-from repro.core.policy import AllowAll
+from repro.core import policy as policy_module
+from repro.core.policy import UNBOUND, AllowAll
 from repro.experiments.fault_matrix import build_fault_farm
 from repro.experiments.registry import ARTEFACTS
 from repro.farm import Farm, FarmConfig
@@ -61,7 +65,9 @@ from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
 from repro.shape import NUMBER
-from tests import golden, test_fastpath, test_obs_parity
+from repro.verify import certify_farm
+from tests import golden, test_certificate_corpus, test_fastpath, \
+    test_obs_parity
 from tests.golden import FARM_PINS, farm_pin, script_digests, wire_digest
 from tests.helpers import run_farm
 
@@ -844,6 +850,63 @@ def test_v1_digest_reconstructs(monkeypatch, old_wire, params, tracer,
 
     monkeypatch.setattr(Farm, "telemetry_snapshot", v1_snapshot)
     assert fold(run_farm(*params)) == old_pin
+
+
+# ----------------------------------------------------------------------
+# The surface whose service lookup bound every name it was asked for
+# ----------------------------------------------------------------------
+@pytest.fixture
+def old_surface(monkeypatch):
+    """Publish surfaces through the inserting lookup again: the first
+    reflect to a missing service added it, so every later atom of the
+    policy read as if the service were bound."""
+    monkeypatch.setattr(policy_module, "_Unbound", lambda services: (
+        defaultdict(lambda: (UNBOUND, 0), services)))
+
+
+#: The certificate pins the lookup fix moved, as recorded before: each
+#: sink-less library policy that reflects, with and without the
+#: allow-spec.
+OLD_SURFACE_PINS = {
+    "policy/DgaBotPolicy/bare/allow":
+        "320c84721e6576cfa5f230479b69bf37736eef07f9f20f2b0d40fc234801cbfe",
+    "policy/DgaBotPolicy/bare/open":
+        "83083c3d429316a2c3ac34729badfc5163f2ae4be77ff332e7886b1f6116c825",
+    "policy/Grum/bare/allow":
+        "2c21e296814706d5d92a4a0eca77aaa2f197c50e702314884e6734cc015d80f5",
+    "policy/Grum/bare/open":
+        "1e0ff3c23ce4bc30b40de56dc1825078252f34b86f981a5197bc4f274098b4b6",
+    "policy/IrcBotPolicy/bare/allow":
+        "16dfc354089d72ce4b3d1d683f7ca33e9ad97bab2eca92faa5081041d09bf875",
+    "policy/IrcBotPolicy/bare/open":
+        "6ccd4ad0b280fc8a6882abc9597bdf0c481987d6568dd3d5c6c9ac9ac4605878",
+    "policy/MegaDContainment/bare/allow":
+        "34ec535e77b606a7413259391e2df5539b1e3957f7fd9336ad99cc1c9606c2c9",
+    "policy/MegaDContainment/bare/open":
+        "e06d73a9649bfa50902904ef3949337d643a2c3a486264fcceaa2168613f24c3",
+    "policy/Rustock/bare/allow":
+        "dc92b188222479c36392fbc9c6e2d353fe05b3a168b5234f9bc89033487acd72",
+    "policy/Rustock/bare/open":
+        "91c564292a0162de2d8932cc5d087dde7487be10bb0fbfbccfd7bfafe4a225ca",
+    "policy/SpambotPolicy/bare/allow":
+        "f791bcc51df8818e29e138b074e6f69277b9ef724bff6ff6c8dfcbe32ad0cc11",
+    "policy/SpambotPolicy/bare/open":
+        "6574885acc37d0ddb1c824ec896fd3d82ec5df1515b06914148c6d3c36fa6581",
+    "policy/Waledac/bare/allow":
+        "f2c0ff629f86e9bf97b4b8766ede44563f0c2c4ed637ec248693cf649c6a51bf",
+    "policy/Waledac/bare/open":
+        "d29902c3565496948e2170982f93eea4512639fbea74c75a1a806864ec961e3a",
+}
+
+
+def test_pins_reconstruct_with_the_inserting_lookup(old_surface):
+    """The lookup fix moved these 14 certificates and no other: with
+    the inserting lookup put back, each reads as it was, and every
+    other certificate holds today's pin."""
+    pins = test_certificate_corpus.pinned()
+    for label, (build, allow) in test_certificate_corpus.corpus().items():
+        digest = certify_farm(build(), label=label, allow=allow)["digest"]
+        assert digest == OLD_SURFACE_PINS.get(label, pins[label]), label
 
 
 def digest_farm(config):

@@ -50,7 +50,7 @@ def test_no_bytes_allocated_in_tcp_survive_echo_rounds():
     built = workloads.build_stream(seed=11, seconds=0.2)
     farm, app = built.farm, built.app
     for sub in farm.subfarms.values():
-        sub.router.trace.max_records = None  # hold every payload it saw
+        sub.router.trace.store = True  # hold every payload it saw
     farm.run(until=32.0)            # DHCP, verdicts, first rounds
     before = app.progress
     tracemalloc.start()

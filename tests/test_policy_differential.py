@@ -43,9 +43,11 @@ from repro.core.policy import (
     ContainmentPolicy,
     PolicyContext,
     Rule,
+    UNBOUND,
     compile_table,
     policy_class,
 )
+from repro.core.verdicts import Verdict
 from repro.net.addresses import IPv4Address
 from repro.net.flow import FiveTuple
 from repro.net.packet import PROTO_TCP, PROTO_UDP
@@ -459,6 +461,36 @@ def test_library_policy_agrees_with_reference_and_model(name, services):
                             _check_probe(policy, declared, rules, model,
                                          direction, proto, port, dst, chunks)
     assert all(rule.hits for rule in declared)
+
+
+def _issued(decision):
+    return (decision.verdict, decision.target_ip, decision.target_port,
+            decision.rate, decision.annotation)
+
+
+@pytest.mark.parametrize("name", registered())
+def test_a_sinkless_surface_is_what_its_walker_decides(name):
+    """Under no service at all, every atom's unconditional cell is the
+    decision the walker issues there; where it can issue none (a
+    reflect to a missing service that names no alternative), the cell
+    is a reflect published to UNBOUND.  A reflect looked up once must
+    not bind its service for the atoms after it."""
+    policy = POLICY_REGISTRY[name]()
+    for key, atoms in policy.surface().items():
+        for (lo, _hi, published), branches in zip(atoms, policy.table[key][1]):
+            if branches[-1].action.build is not None:
+                continue    # decided per flow: the library leg's case
+            ctx = context(policy, *key, lo)
+            ctx.services = {}
+            where = f"{key[0]} {PROTO_NAMES[key[1]]}:{lo}"
+            cell = published[-1][1]
+            try:
+                decision = policy.decide_datagram(ctx, OTHER)
+            except KeyError:
+                assert (cell.verdict, cell.target_ip) == (
+                    Verdict.REFLECT, UNBOUND), where
+                continue
+            assert _issued(cell) == _issued(decision), where
 
 
 def _check_probe(policy, declared, rules, model, direction, proto, port,

@@ -420,7 +420,7 @@ def test_a_reset_reflected_flow_ends_at_the_sink_too():
 
     farm = Farm(FarmConfig(seed=3))
     sub = farm.create_subfarm("reflect")
-    sub.router.trace.max_records = None  # read back below
+    sub.router.trace.store = True  # read back below
     sink = sub.add_service_host("sink", accept_any_ip=True)
     sub.register_service("sink", sink.ip, 0)
     ends = {}

@@ -1,12 +1,11 @@
-"""Streaming trace analysis and rotation (the Bro model, §6.5).
+"""Streaming trace analysis (the Bro model, §6.5).
 
 A subfarm's inmate-side trace stores no frame unless a reader sets its
-``max_records`` to None before the run: observers read it as a stream,
-each handed one record around the captured frame itself.  The
-upstream trace is whole.  A reader that needs every frame refuses a
-trace that has rotated or stored nothing
-(:class:`~repro.net.capture.TraceRotated`) rather than count part of
-the run.
+``store`` to True before the run: observers read it as a stream, each
+handed one record around the captured frame itself.  The upstream
+trace stores every frame.  Reading ``records`` of a trace that let a
+frame go by unstored raises :class:`~repro.net.capture.TraceRotated`
+rather than hand back part of the run.
 """
 
 from __future__ import annotations
@@ -39,30 +38,26 @@ def dummy_frame(i, sport=None, dport=80):
 
 
 class TestTraceRotation:
-    def test_capped_trace_rotates_oldest(self):
-        trace = PacketTrace(max_records=10)
-        for i in range(25):
-            trace.capture(float(i), dummy_frame(i), point="inmate")
-        assert len(trace.records) == 10
-        assert trace.rotated_out == 15
-        assert trace.records[0].timestamp == 15.0
-
     def test_observers_see_rotated_records(self):
-        trace = PacketTrace(max_records=5)
+        """Frames that go by unstored (the store switched off after 5)
+        still reach every observer."""
+        trace = PacketTrace()
         seen = []
         trace.subscribe(lambda record: seen.append(record.timestamp))
         for i in range(20):
+            if i == 5:
+                trace.store = False
             trace.capture(float(i), dummy_frame(i))
         assert len(seen) == 20, "observers must see everything"
-        assert len(trace.records) == 5
+        assert (len(trace.records), trace.rotated_out) == (5, 15)
 
 
 class TestStoreOff:
     def test_inmate_side_stores_nothing_upstream_whole(self):
         farm = Farm(FarmConfig(seed=1))
         sub = farm.create_subfarm("store-off")
-        assert sub.router.trace.max_records == 0
-        assert farm.gateway.upstream_trace.max_records is None
+        assert not sub.router.trace.store
+        assert farm.gateway.upstream_trace.store
 
     def test_a_default_run_streams_what_a_stored_trace_reads(
             self, store_off_and_stored):
@@ -75,10 +70,10 @@ class TestStoreOff:
         assert len(fetched) > 600
         trace = sub.router.trace
         assert len(trace) == 0 and not trace._payloads
-        # Every capture counted, and refused to a whole-trace reader.
+        # Every capture counted, and refused to a reader of records.
         assert trace.rotated_out == len(stored["sub"].router.trace) > 0
         with pytest.raises(TraceRotated):
-            trace.whole("a whole-trace reader")
+            list(trace.records)
         assert stored["sub"].router.trace.rotated_out == 0
         replayed_shims, replayed_smtp = replayed(stored["sub"].router.trace)
         assert shims.groups == replayed_shims.groups
@@ -114,7 +109,7 @@ def store_off_and_stored():
         (sub,) = farm.subfarms.values()
         out = {"sub": sub, "fetched": fetched}
         if store:
-            sub.router.trace.max_records = None
+            sub.router.trace.store = True
             out["reports"] = []
 
             def replay():
@@ -159,7 +154,7 @@ class TestObservers:
 def replayed(trace):
     """Fresh analyzers fed every frame a trace stored, in order."""
     shims, smtp = ShimAnalyzer(), SmtpActivityAnalyzer()
-    for record in trace.whole("the replay"):
+    for record in trace.records:
         shims.process(record)
         smtp.process(record)
     return shims, smtp
@@ -178,7 +173,7 @@ class TestStreamingEqualsPostHoc:
         farm = Farm(FarmConfig(seed=161))
         sub = farm.create_subfarm("stream")
         sub.add_catchall_sink()
-        sub.router.trace.max_records = None  # replayed below
+        sub.router.trace.store = True  # replayed below
         streaming_shims = ShimAnalyzer.streaming(sub.router.trace)
         streaming_smtp = SmtpActivityAnalyzer.streaming(sub.router.trace)
         image, _results = http_fetch_image()
@@ -201,34 +196,37 @@ class TestStreamingEqualsPostHoc:
             == rendered(sub, posthoc_shims, posthoc_smtp)
 
     def test_streaming_survives_rotation_posthoc_does_not(self, tmp_path):
-        """Every whole-trace reader of a trace that stored nothing (the
-        default) or rotated raises, naming itself and the remedy."""
-        for bound in (0, 5):
+        """Every reader of the stored frames of a trace that stored
+        nothing (the default) or was switched off mid-run raises,
+        naming the trace and the remedy."""
+        for switch_off_at in (None, 31.0):  # after DHCP, before the fetch
             farm = Farm(FarmConfig(seed=162))
             sub = farm.create_subfarm("stream")
             sub.add_catchall_sink()
-            streaming = ShimAnalyzer.streaming(sub.router.trace)
-            sub.router.trace.max_records = bound
+            trace = sub.router.trace
+            streaming = ShimAnalyzer.streaming(trace)
+            if switch_off_at is not None:
+                trace.store = True
+                farm.sim.schedule_at(switch_off_at,
+                                     lambda: setattr(trace, "store", False))
             image, _results = http_fetch_image()
             sub.create_inmate(image_factory=image, policy=ReflectAll())
             farm.run(until=120)
 
             assert streaming.verdict_counts().get("REFLECT", 0) == 1
-            rotated = sub.router.trace.rotated_out
-            assert rotated > 0 and len(sub.router.trace) == bound
-            readers = [
-                ("the replay", lambda: replayed(sub.router.trace)),
-                ("Subfarm.export_traces",
-                 lambda: sub.export_traces(str(tmp_path))),
-            ]
-            for reader, read in readers:
+            rotated = trace.rotated_out
+            assert rotated > 0
+            assert (len(trace) > 0) == (switch_off_at is not None)
+            readers = [lambda: replayed(trace),
+                       lambda: sub.export_traces(str(tmp_path))]
+            for read in readers:
                 with pytest.raises(TraceRotated) as raised:
                     read()
                 error = raised.value
-                assert (error.reader, error.trace, error.rotated_out) == (
-                    reader, sub.router.trace.name, rotated)
-                assert "max_records to None" in str(error)
-                assert "streaming observer" in str(error)
+                assert (error.trace, error.rotated_out) == (
+                    trace.name, rotated)
+                assert "store = True" in str(error)
+                assert "subscribe an observer" in str(error)
             assert not list(tmp_path.iterdir()), "no partial pcap is written"
             # With its streams, the report is built as before.
             report = ActivityReport()

@@ -75,7 +75,7 @@ class TestFigure3Subfarms:
     def test_separate_traces(self):
         farm, subs, _results, _served = self.build()
         for sub in subs.values():
-            sub.router.trace.max_records = None  # store the inmate side
+            sub.router.trace.store = True  # store the inmate side
         farm.run(until=120)
         for name, sub in subs.items():
             assert sub.router.trace.rotated_out == 0, name

@@ -20,7 +20,7 @@ def run_small_farm(seed=151):
     farm = Farm(FarmConfig(seed=seed))
     sub = farm.create_subfarm("traced")
     # The export and the anonymity check read every inmate-side frame.
-    sub.router.trace.max_records = None
+    sub.router.trace.store = True
     web = farm.add_external_host("webserver", EXTERNAL_WEB_IP)
     http_server(web)
     image, _results = http_fetch_image()
@@ -44,7 +44,7 @@ class TestTwoProngedCapture:
         the inmate's global address must never appear inmate-side."""
         farm, sub, inmate = run_small_farm()
         global_ip = sub.nat.global_for(inmate.vlan)
-        for record in sub.router.trace.whole("the anonymity check"):
+        for record in sub.router.trace.records:
             ip = record.ip
             if ip is None:
                 continue

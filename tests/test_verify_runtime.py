@@ -13,7 +13,6 @@ from repro.core.policy import AllowAll, DefaultDeny
 from repro.farm import Farm, FarmConfig
 from repro.verify import (
     certify_farm,
-    check_farm,
     check_journal,
     check_wire,
     render_violations,
@@ -217,15 +216,14 @@ class TestWireCoverage:
                 in farm.subfarms["live"].router.flow_log] == ["DROP"]
         assert not any(rec.point == "upstream-out"
                        for rec in farm.gateway.upstream_trace.records)
-        report = check_farm(certify_farm(farm, label="drop"), farm)
+        report = check_wire(certify_farm(farm, label="drop"), farm)
         assert report.ok
         assert report.checked == 0
 
-    def test_check_farm_is_the_wire_check(self):
+    def test_the_wire_check_covers_the_one_flow(self):
         farm = _active_farm()
         cert = certify_farm(farm, label="combined")
-        assert check_farm(cert, farm).to_dict() \
-            == check_wire(cert, farm).to_dict() \
+        assert check_wire(cert, farm).to_dict() \
             == {"checked": 1, "covered": 1, "violations": []}
 
 
@@ -265,7 +263,7 @@ class TestReportSection:
         streams = StreamingReport([farm.subfarms["live"]])
         farm.run(until=ACTIVE_UNTIL)
         cert = certify_farm(farm, label="report")
-        coverage = check_farm(cert, farm)
+        coverage = check_wire(cert, farm)
         report = streams.report()
         report.attach_certificate(cert, coverage=coverage.to_dict())
         rendered = render_report(report)

@@ -71,7 +71,7 @@ def store_every_frame(farm) -> None:
     """Before the run: every subfarm's inmate-side trace keeps each
     frame (the upstream trace already does)."""
     for sub in farm.subfarms.values():
-        sub.router.trace.max_records = None
+        sub.router.trace.store = True
 
 
 def carrier_digests(farm) -> dict:
