@@ -86,8 +86,12 @@ trace-budget:
 # journal digest whose peak does not grow with the journal, and a churn
 # farm that keeps no record, row or rule of a finished flow and grows
 # by at most 1,500 bytes, traces included, per extra finished fetch
-# (docs/PERFORMANCE.md, "Flow memory"), and a small scan that holds
-# nothing after its probes but its dropped datagram flows.  Then what
+# (docs/PERFORMANCE.md, "Flow memory"), a small scan that holds
+# nothing after its probes but its dropped datagram flows, and a
+# connection census: after the drained churn farm and 300 s of the
+# Figure 7 Botfarm, every live TCP connection is an open flow's
+# endpoint or in TIME_WAIT (no half-closed or closed leg held on to,
+# as the REWRITE proxy once did).  Then what
 # observing costs: the seed
 # farm keeps its pinned digest with the journal on and pins its journal
 # digest, a fast-path pump journals at most 8 events, a scan journals

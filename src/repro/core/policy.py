@@ -61,13 +61,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from typing import (Callable, Dict, List, NamedTuple, Optional, Tuple, Type,
-                    Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
+                    Tuple, Type, Union)
 
 from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.net.addresses import IPv4Address
 from repro.net.flow import FiveTuple
 from repro.net.packet import PROTO_TCP, PROTO_UDP
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.server import FlowProxy
 
 ServiceMap = Dict[str, Tuple[IPv4Address, int]]
 
@@ -322,45 +325,20 @@ class PolicyContext:
         self.inmate_is_originator = inmate_is_originator
 
     def service(self, name: str) -> Tuple[IPv4Address, int]:
+        """The address of service ``name``.  A name this subfarm lacks
+        raises a ``KeyError`` whose ``service`` is the name (the
+        containment server drops such a flow)."""
         try:
             return self.services[name]
         except KeyError:
-            raise KeyError(
+            missing = KeyError(
                 f"policy requires service {name!r}, not configured in this "
-                f"subfarm (have: {sorted(self.services)})"
-            ) from None
+                f"subfarm (have: {sorted(self.services)})")
+            missing.service = name
+            raise missing from None
 
     def has_service(self, name: str) -> bool:
         return name in self.services
-
-
-class FlowProxy:
-    """The containment server's handle a :class:`Rewriter` drives.
-
-    Concrete implementation lives in :mod:`repro.core.server`; this
-    class documents the interface rewriters program against.
-    """
-
-    def send_to_client(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def send_to_server(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def connect_out(self, ip: Optional[IPv4Address] = None,
-                    port: Optional[int] = None) -> None:
-        """Open the onward connection through the nonce port."""
-        raise NotImplementedError
-
-    def close_client(self) -> None:
-        raise NotImplementedError
-
-    def close_server(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def context(self) -> PolicyContext:
-        raise NotImplementedError
 
 
 class Rewriter:
@@ -369,7 +347,8 @@ class Rewriter:
     The default implementation is a faithful transparent proxy: it
     opens the onward connection and copies bytes both ways.  Subclasses
     override the data hooks to rewrite, truncate, extend, or
-    impersonate (never calling :meth:`FlowProxy.connect_out` at all).
+    impersonate (never calling
+    :meth:`repro.core.server.FlowProxy.connect_out` at all).
     """
 
     def on_open(self, proxy: FlowProxy) -> None:

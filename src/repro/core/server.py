@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.policy import (
     ContainmentPolicy,
-    FlowProxy,
     PolicyContext,
     PolicyMap,
     Rewriter,
@@ -36,7 +35,7 @@ from repro.net.errors import ParseError
 from repro.net.flow import FiveTuple
 from repro.net.host import Host
 from repro.net.packet import IPv4Packet, PROTO_UDP, UDPDatagram
-from repro.net.tcp import TcpConnection
+from repro.net.tcp import TcpConnection, TcpState
 from repro.obs.telemetry import tally
 from repro.sim.engine import Simulator
 
@@ -58,8 +57,27 @@ class VerdictRecord:
         self.decision = decision
 
 
-class _ServerFlowProxy(FlowProxy):
-    """Concrete FlowProxy wired to the server's TCP machinery."""
+def _unserved(policy: ContainmentPolicy,
+              error: KeyError) -> ContainmentDecision:
+    """What the server issues when ``policy`` reflects to a service the
+    subfarm lacks (:meth:`PolicyContext.service`'s ``KeyError``): a DROP
+    that names it.  The flow reaches no one, as its certificate cell (a
+    REFLECT to UNBOUND) says, and the run goes on.  Any other
+    ``KeyError`` is a bug of the policy's and propagates."""
+    service = getattr(error, "service", None)
+    if service is None:
+        raise error
+    return ContainmentDecision.drop(
+        policy=policy.policy_name,
+        annotation=f"missing service {service!r}")
+
+
+class FlowProxy:
+    """The containment server's handle a :class:`Rewriter` drives: two
+    plain TCP connections, the inmate's to the server and, once
+    :meth:`connect_out` opened it, the server's onward one through the
+    flow's nonce port.  A write or close made before the onward
+    handshake completes is held by that connection until it does."""
 
     def __init__(self, server: "ContainmentServer",
                  client_conn: TcpConnection, ctx: PolicyContext,
@@ -69,32 +87,28 @@ class _ServerFlowProxy(FlowProxy):
         self._ctx = ctx
         self._rewriter = rewriter
         self._upstream: Optional[TcpConnection] = None
-        self._upstream_established = False
-        self._upstream_queue: List[bytes] = []
-        self._upstream_close_pending = False
 
     @property
     def context(self) -> PolicyContext:
         return self._ctx
 
     def send_to_client(self, data: bytes) -> None:
-        from repro.net.tcp import TcpState
-
         if self._client.is_open or self._client.state is TcpState.SYN_RCVD:
             self._client.send(data)
             self._server.bytes_to_client += len(data)
 
     def send_to_server(self, data: bytes) -> None:
-        if self._upstream is None:
+        upstream = self._upstream
+        if upstream is None:
             raise RuntimeError("rewriter never called connect_out()")
-        if self._upstream_established:
-            self._upstream.send(data)
-        else:
-            self._upstream_queue.append(data)
+        if upstream.state is TcpState.CLOSED and upstream.opened_at is not None:
+            return  # refused or reset: on_server_close has run
+        upstream.send(data)
         self._server.bytes_to_server += len(data)
 
     def connect_out(self, ip: Optional[IPv4Address] = None,
                     port: Optional[int] = None) -> None:
+        """Open the onward connection through the nonce port."""
         if self._upstream is not None:
             return
         target_ip = ip if ip is not None else self._ctx.flow.resp_ip
@@ -103,32 +117,16 @@ class _ServerFlowProxy(FlowProxy):
         conn = host.tcp.connect(target_ip, target_port,
                                 local_port=self._ctx.nonce_port)
         self._upstream = conn
-        conn.on_established = self._on_upstream_established
         conn.on_data = lambda c, d: self._rewriter.on_server_data(self, d)
         conn.on_remote_close = lambda c: self._rewriter.on_server_close(self)
         conn.on_reset = lambda c: self._rewriter.on_server_close(self)
-        conn.on_fail = lambda c: self._rewriter.on_server_close(self)
-
-    def _on_upstream_established(self, conn: TcpConnection) -> None:
-        self._upstream_established = True
-        for chunk in self._upstream_queue:
-            conn.send(chunk)
-        self._upstream_queue.clear()
-        if self._upstream_close_pending:
-            conn.close()
 
     def close_client(self) -> None:
-        if not self._client.fully_closed:
-            self._client.close()
+        self._client.close()
 
     def close_server(self) -> None:
-        if self._upstream is None:
-            return
-        if self._upstream_established:
-            if not self._upstream.fully_closed:
-                self._upstream.close()
-        else:
-            self._upstream_close_pending = True
+        if self._upstream is not None:
+            self._upstream.close()
 
 
 class _CsConnection:
@@ -144,7 +142,7 @@ class _CsConnection:
         self.ctx: Optional[PolicyContext] = None
         self.decision: Optional[ContainmentDecision] = None
         self.rewriter: Optional[Rewriter] = None
-        self.proxy: Optional[_ServerFlowProxy] = None
+        self.proxy: Optional[FlowProxy] = None
         self.shim_seen_at: Optional[float] = None
 
         conn.on_data = self._on_data
@@ -165,6 +163,8 @@ class _CsConnection:
             if barrier is not None:
                 barrier.record(error, data=bytes(data))
             conn.abort()
+        except KeyError as error:
+            self.server.schedule_issue(self, _unserved(self.policy, error))
 
     def _on_data_body(self, conn: TcpConnection, data: bytes) -> None:
         if self.decision is not None and self.rewriter is not None:
@@ -203,8 +203,8 @@ class _CsConnection:
         self.conn.send(response.to_bytes())
         if decision.verdict.is_content_control:
             self.rewriter = self.policy.make_rewriter(self.ctx)
-            self.proxy = _ServerFlowProxy(self.server, self.conn, self.ctx,
-                                          self.rewriter)
+            self.proxy = FlowProxy(self.server, self.conn, self.ctx,
+                                   self.rewriter)
             self.rewriter.on_open(self.proxy)
             if self.buffer:
                 pending = bytes(self.buffer)
@@ -424,9 +424,12 @@ class ContainmentServer:
         cached = self._udp_decisions.get(shim.nonce_port)
         first = cached is None or cached[0] != shim.flow
         if first:
-            decision = policy.decide(ctx)
-            if decision is None:
-                decision = policy.decide_datagram(ctx, content)
+            try:
+                decision = policy.decide(ctx)
+                if decision is None:
+                    decision = policy.decide_datagram(ctx, content)
+            except KeyError as error:
+                decision = _unserved(policy, error)
             self._udp_decisions[shim.nonce_port] = (shim.flow, decision)
             self._record(shim, decision)
         else:

@@ -278,8 +278,10 @@ def request(
     """Connect to ``ip:port`` and send ``message`` once established.
 
     ``on_response(conn, response)`` runs for each parsed response; the
-    caller decides whether and when to close.  ``on_fail(conn)`` runs
-    on a refused connect and on a reset alike.  Returns the connection.
+    caller decides whether and when to close.  ``on_fail(conn)`` is
+    bound as the connection's ``on_reset``, so it runs on a refused
+    connect (``conn.established_at`` is ``None``) and on a later reset
+    alike.  Returns the connection.
     """
     conn = host.tcp.connect(ip, port)
     parser = HttpParser("response")
@@ -291,7 +293,7 @@ def request(
     conn.on_established = lambda c: c.send(message.to_bytes())
     conn.on_data = on_data
     if on_fail is not None:
-        conn.on_fail = conn.on_reset = on_fail
+        conn.on_reset = on_fail
     return conn
 
 

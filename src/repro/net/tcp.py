@@ -88,6 +88,7 @@ _FIN_WAIT_2 = TcpState.FIN_WAIT_2
 _CLOSE_WAIT = TcpState.CLOSE_WAIT
 _LAST_ACK = TcpState.LAST_ACK
 _CLOSING = TcpState.CLOSING
+_TIME_WAIT = TcpState.TIME_WAIT
 
 #: Demultiplexing key: (local ip, local port, remote ip, remote port)
 #: with the addresses as plain ints, so a probe hashes in C.
@@ -111,10 +112,19 @@ class TcpConnection:
     """One endpoint of a TCP connection.
 
     Applications interact through :meth:`send`, :meth:`close`,
-    :meth:`abort` and the callback slots ``on_established``,
-    ``on_data``, ``on_remote_close``, ``on_closed``, ``on_reset`` and
-    ``on_fail``.  Callbacks receive the connection as sole argument
-    except ``on_data``, which receives ``(conn, data)``.
+    :meth:`abort` and five callback slots:
+
+    - ``on_established``: the handshake completed;
+    - ``on_data(conn, data)``: in-order bytes arrived;
+    - ``on_remote_close``: the peer's FIN was accepted, once, in any
+      state (the end of the peer's stream, whoever closed first);
+    - ``on_closed``: the connection closed without a reset (TIME_WAIT
+      entered, the last ACK received, or :meth:`abort` called);
+    - ``on_reset``: an RST arrived, including one that answers our
+      SYN (a refused connect: ``established_at`` is still ``None``).
+
+    Every callback but ``on_data`` receives the connection as its sole
+    argument.
     """
 
     def __init__(
@@ -156,7 +166,6 @@ class TcpConnection:
         self.on_remote_close: Optional[Callable[["TcpConnection"], None]] = None
         self.on_closed: Optional[Callable[["TcpConnection"], None]] = None
         self.on_reset: Optional[Callable[["TcpConnection"], None]] = None
-        self.on_fail: Optional[Callable[["TcpConnection"], None]] = None
 
         # Opaque slot for applications to hang per-connection state on.
         self.app: object = None
@@ -208,8 +217,11 @@ class TcpConnection:
             self._flush()
 
     def close(self) -> None:
-        """Half-close: flush pending data then send FIN."""
-        if self.state in (TcpState.CLOSED, TcpState.TIME_WAIT):
+        """Half-close: flush pending data then send FIN.  Before the
+        handshake completes the FIN waits for it, as a write does."""
+        state = self.state
+        if state is _TIME_WAIT or (state is _CLOSED
+                                   and self.opened_at is not None):
             return
         if self._fin_pending or self._fin_sent:
             return
@@ -273,8 +285,8 @@ class TcpConnection:
         flags = segment.flags
         if flags & RST:
             self.state = TcpState.CLOSED
-            if self.on_fail:
-                self.on_fail(self)
+            if self.on_reset:
+                self.on_reset(self)
             self._release()
             return
         if flags & SYN and flags & ACK and segment.ack == self.snd_nxt:
@@ -356,13 +368,13 @@ class TcpConnection:
         state = self.state
         if state is _ESTABLISHED or state is _SYN_RCVD:
             self.state = TcpState.CLOSE_WAIT
-            if self.on_remote_close:
-                self.on_remote_close(self)
-            # A close() there sent FIN|ACK, which acknowledged the FIN.
-            if self.ack_sent != self.rcv_nxt:
-                self._emit(ACK, self.snd_nxt, self.rcv_nxt)
-            return
-        self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+        # The end of the peer's stream, whoever closed first.
+        if self.on_remote_close:
+            self.on_remote_close(self)
+        # A close() there sent FIN|ACK, which acknowledged the FIN.
+        if self.ack_sent != self.rcv_nxt:
+            self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+        state = self.state
         if state is _FIN_WAIT_1:
             self.state = TcpState.CLOSING
         elif state is _FIN_WAIT_2:
@@ -458,7 +470,7 @@ class TcpConnection:
         an object holding this connection, a cycle per flow."""
         self.host.tcp.forget(self)
         self.on_established = self.on_data = self.on_remote_close = None
-        self.on_closed = self.on_reset = self.on_fail = None
+        self.on_closed = self.on_reset = None
 
     def __repr__(self) -> str:
         return (

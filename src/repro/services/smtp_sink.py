@@ -167,7 +167,6 @@ class SmtpSink:
                 self._start_engine(conn, self.default_banner)
 
         upstream.on_data = on_data
-        upstream.on_fail = on_fail
         upstream.on_reset = on_fail
 
     def _note_anomaly(self, kind: str, count: int) -> None:

@@ -68,8 +68,9 @@ def http_fetch_image(path="/bot.exe", target=EXTERNAL_WEB_IP, port=80,
                     HttpRequest("GET", path, {"Host": "cc.example"}).to_bytes()
                 )
                 conn.on_data = on_data
-                conn.on_reset = lambda c: results.append("RESET")
-                conn.on_fail = lambda c: results.append("FAIL")
+                # A reset that answers the SYN is a refused connect.
+                conn.on_reset = lambda c: results.append(
+                    "FAIL" if c.established_at is None else "RESET")
 
             configured_host.sim.schedule(delay, connect)
 
@@ -177,6 +178,32 @@ class TestReflect:
         assert "RESET" not in results and "FAIL" not in results
 
 
+    def test_reflect_to_a_missing_service_drops_the_flow(self):
+        """A reflect to a service the subfarm lacks, naming no
+        ``otherwise``, fails closed: the server drops the flow with an
+        annotation naming the service, and the run goes on."""
+        from repro.core.dsl import DslPolicy
+
+        farm = Farm(FarmConfig(seed=11))
+        sub = farm.create_subfarm("test")   # no sink
+        web = farm.add_external_host("webserver", EXTERNAL_WEB_IP)
+        served = http_server(web)
+        image, results = http_fetch_image()
+        sub.create_inmate(image_factory=image, policy=DslPolicy(
+            "port 80/tcp -> reflect sink\ndefault -> drop"))
+        farm.run(until=90)
+        assert farm.sim.now == 90
+        (line,) = [entry for entry in sub.router.flow_log
+                   if entry.orig.resp_port == 80]
+        assert (line.verdict, line.annotation) == (
+            "DROP", "missing service 'sink'")
+        assert sub.containment_server.verdict_counts == {"DROP": 1}
+        assert served == []
+        assert [r for r in farm.gateway.upstream_trace.records
+                if r.point == "upstream-out"] == []
+        assert "RESET" in results or "FAIL" in results
+
+
 class TestRedirect:
     def test_redirect_to_alternate_server(self):
         class RedirectToAlt(ContainmentPolicy):
@@ -200,6 +227,119 @@ class TestRedirect:
 
 
 class TestRewrite:
+    def test_an_inmate_that_closes_first_closes_every_leg(self):
+        """The proxy passes a close through both ways: when the inmate
+        closes first, the server's FIN on the onward leg reaches the
+        rewriter, which closes the inmate's leg.  Every connection of
+        the flow ends CLOSED or TIME_WAIT, and each stack forgets it."""
+
+        class Passthrough(ContainmentPolicy):
+            default = Action("rewrite")
+
+        farm = Farm(FarmConfig(seed=13))
+        sub = farm.create_subfarm("test")
+        web = farm.add_external_host("webserver", EXTERNAL_WEB_IP)
+        served = http_server(web)
+        legs = []
+
+        def image(host):
+            from repro.services.dhcp import DhcpClient
+
+            def fetch(h):
+                conn = h.tcp.connect(IPv4Address(EXTERNAL_WEB_IP), 80)
+                parser = HttpParser("response")
+
+                def on_data(c, data):
+                    if parser.feed(data):
+                        # Response in: every leg of the flow is open.
+                        legs.extend([c, *cs_host.tcp.connections(),
+                                     *web.tcp.connections()])
+                        c.close()
+
+                conn.on_established = lambda c: c.send(
+                    HttpRequest("GET", "/bot.exe").to_bytes())
+                conn.on_data = on_data
+
+            DhcpClient(host, on_configured=fetch).start()
+
+        sub.create_inmate(image_factory=image, policy=Passthrough())
+        cs_host = sub.containment_server.host
+        farm.run(until=100)
+        assert len(served) == 1
+        assert len(legs) == 4   # inmate, server's two legs, web server
+        assert all(leg.fully_closed for leg in legs), legs
+        farm.run(until=120)
+        for leg in legs:
+            assert leg.state.value == "closed", leg
+            assert leg not in leg.host.tcp.connections(), leg
+
+    def test_a_write_after_the_onward_connect_was_refused_is_dropped(self):
+        """The destination refuses the onward leg: the rewriter closes
+        the inmate's leg, and bytes the inmate sends after that go
+        nowhere instead of stopping the run."""
+
+        class Passthrough(ContainmentPolicy):
+            default = Action("rewrite")
+
+        farm = Farm(FarmConfig(seed=19))
+        sub = farm.create_subfarm("test")
+        farm.add_external_host("webserver", EXTERNAL_WEB_IP)  # no listener
+        closes = []
+
+        def image(host):
+            from repro.services.dhcp import DhcpClient
+
+            def fetch(h):
+                conn = h.tcp.connect(IPv4Address(EXTERNAL_WEB_IP), 80)
+                conn.on_established = lambda c: c.send(b"GET / HTTP/1.1\r\n")
+                conn.on_remote_close = closes.append
+                h.sim.schedule(5.0, lambda: conn.send(b"\r\n"))
+
+            DhcpClient(host, on_configured=fetch).start()
+
+        sub.create_inmate(image_factory=image, policy=Passthrough())
+        farm.run(until=120)
+        assert farm.sim.now == 120
+        assert len(closes) == 1
+
+    def test_a_write_and_close_before_the_onward_handshake_keep_order(self):
+        """A rewriter may write to and close the onward leg before its
+        handshake completes: the connection holds both, and the server
+        reads every byte in order, then the FIN."""
+
+        class OneShot(Rewriter):
+            def on_open(self, proxy):
+                proxy.connect_out()
+                proxy.send_to_server(b"one ")
+                proxy.send_to_server(b"two")
+                proxy.close_server()
+
+            def on_client_data(self, proxy, data):
+                pass
+
+        class OneShotPolicy(ContainmentPolicy):
+            default = Action("rewrite", "one-shot")
+
+            def make_rewriter(self, ctx):
+                return OneShot()
+
+        farm = Farm(FarmConfig(seed=17))
+        sub = farm.create_subfarm("test")
+        web = farm.add_external_host("webserver", EXTERNAL_WEB_IP)
+        heard = []
+
+        def on_accept(conn):
+            conn.on_data = lambda c, d: heard.append(bytes(d))
+            conn.on_remote_close = lambda c: (heard.append("FIN"),
+                                              c.close())
+
+        web.tcp.listen(80, on_accept)
+        image, _results = http_fetch_image()
+        sub.create_inmate(image_factory=image, policy=OneShotPolicy())
+        farm.run(until=120)
+        assert heard and heard[-1] == "FIN"
+        assert b"".join(heard[:-1]) == b"one two"
+
     def test_rewrite_impersonation_without_real_target(self):
         """The containment server can impersonate a destination that
         need not exist (the auto-infection pattern of §6.6)."""

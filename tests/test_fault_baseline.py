@@ -23,8 +23,11 @@ timeouts, and the fault-matrix shard that digested its whole snapshot
 inline), `OLD_KNOBS_PINS` (FarmConfig's six fields that no caller
 set, now constants of their components) and `OLD_SURFACE_PINS` (the
 policy surface whose service lookup bound a missing service for every
-atom after its first reflect).  Each older fixture stands
-on the newer ones, since its pins were recorded before them too.
+atom after its first reflect) and `OLD_CLOSE_PINS` (the end-of-stream
+event that fired only in ESTABLISHED and SYN_RCVD, so a REWRITE flow
+whose inmate closed first never closed its server's side).  Each older
+fixture stands on the newer ones, since its pins were recorded before
+them too.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def _after(table: dict, rows_after: dict) -> dict:
 
 
 @pytest.fixture
-def old_knobs(monkeypatch):
+def old_knobs(monkeypatch, old_close):
     """Put FarmConfig's six retired rows back in place (the rows the
     fuzz loop mutates, and the least values it is refused by)."""
     fields = FarmConfig.FIELDS
@@ -907,6 +910,67 @@ def test_pins_reconstruct_with_the_inserting_lookup(old_surface):
     for label, (build, allow) in test_certificate_corpus.corpus().items():
         digest = certify_farm(build(), label=label, allow=allow)["digest"]
         assert digest == OLD_SURFACE_PINS.get(label, pins[label]), label
+
+
+# ----------------------------------------------------------------------
+# The close every pin up to the two-way REWRITE close was recorded on
+# ----------------------------------------------------------------------
+def _handle_fin_when_open(self, segment):
+    """``_handle_fin`` as it was: ``on_remote_close`` only for a FIN
+    accepted in ESTABLISHED or SYN_RCVD; one accepted in FIN_WAIT moved
+    the state on and told no one."""
+    fin_seq = seq_add(segment.seq, len(segment.payload))
+    if fin_seq != self.rcv_nxt:
+        return
+    self.rcv_nxt = seq_add(self.rcv_nxt, 1)
+    state = self.state
+    if state is TcpState.ESTABLISHED or state is TcpState.SYN_RCVD:
+        self.state = TcpState.CLOSE_WAIT
+        if self.on_remote_close:
+            self.on_remote_close(self)
+        if self.ack_sent != self.rcv_nxt:
+            self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+        return
+    self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+    if state is TcpState.FIN_WAIT_1:
+        self.state = TcpState.CLOSING
+    elif state is TcpState.FIN_WAIT_2:
+        self._enter_time_wait()
+
+
+@pytest.fixture
+def old_close(monkeypatch):
+    """Put back the end-of-stream event that only an open connection
+    raised: the server's FIN on a REWRITE flow's onward leg, which the
+    proxy had closed first, never reached the rewriter, so the inmate
+    side stayed in CLOSE_WAIT."""
+    monkeypatch.setattr(TcpConnection, "_handle_fin", _handle_fin_when_open)
+
+
+#: Every pin the two-way REWRITE close moved, as recorded before it:
+#: the obs-parity corpus (its third run proxies), the Figure 7 report
+#: (one more ``tcp-cs2c`` hit per REWRITE flow: the server's FIN to the
+#: inmate) and the handoff ablation (one more server packet per fetch).
+OLD_CLOSE_PINS = {
+    "obs": "b86f929f98b240703f0558f08547e02588c78c713907ba0e6d5ec9d1d0945e4e",
+    "fig7_report":
+        "96b2d632ce20a5e9f710ba72d79361e939d19f2723d7e0d0b5f9bad9bd890fb0",
+    "ablation_handoff":
+        "38eb539b6690a098b0895f97e21e556f0821abb61c8527a6135eef43e843ad13",
+}
+OLD_CLOSE_PRODUCERS = {
+    "obs": _obs_corpus_digest,
+    "fig7_report": lambda: _artefact("fig7-report"),
+    "ablation_handoff": lambda: _artefact("ablation-handoff"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_CLOSE_PINS))
+def test_pins_reconstruct_with_the_one_way_close(old_close, name):
+    """The end-of-stream event in every state moved what it moves and
+    nothing else: with the old close put back, every pin it moved reads
+    as it was."""
+    assert OLD_CLOSE_PRODUCERS[name]() == OLD_CLOSE_PINS[name]
 
 
 def digest_farm(config):

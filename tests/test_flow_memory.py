@@ -18,6 +18,12 @@ And on a small ``scan_journaled``-shaped farm, once its probes are
 over, every record a router still holds is a dropped datagram flow:
 the one kind with no end on the wire (a TCP DROP ends at its verdict,
 a probe that half-closed before its verdict at its close).
+
+The connection census: after the drained churn farm and after the
+Figure 7 Botfarm, the live :class:`~repro.net.tcp.TcpConnection`
+objects number at most the open flows' endpoints (held by their host's
+stack, neither side closed yet) plus those lingering in TIME_WAIT.  A
+connection half-closed for good, or closed and still held, is a leak.
 """
 
 from __future__ import annotations
@@ -26,12 +32,15 @@ import gc
 import os
 import sys
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 
 from repro.core.verdicts import Verdict
+from repro.experiments.figure7 import build_botfarm
 from repro.gateway.flows import FlowRecord
 from repro.gateway.flowtable import Row
 from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.net.tcp import TcpConnection, TcpState
 from tests.helpers import churn_farm
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
@@ -119,3 +128,40 @@ def test_a_scan_holds_only_its_dropped_datagram_flows():
                         and record.verdict_name == "DROP"
                         for record in held), sorted(
         {(record.orig.proto, record.verdict_name) for record in held})
+
+
+#: An endpoint of an open flow: neither side has closed yet.
+OPEN = (TcpState.SYN_SENT, TcpState.SYN_RCVD, TcpState.ESTABLISHED)
+
+
+def _census(farm) -> tuple:
+    """``(live, open endpoints, in TIME_WAIT, by state)``: every
+    ``TcpConnection`` of ``farm`` still alive, counted."""
+    gc.collect()
+    live = [obj for obj in gc.get_objects()
+            if isinstance(obj, TcpConnection) and obj.host.sim is farm.sim]
+    held = {id(conn) for host in {conn.host for conn in live}
+            for conn in host.tcp.connections()}
+    open_ends = [conn for conn in live
+                 if conn.state in OPEN and id(conn) in held]
+    lingering = [conn for conn in live
+                 if conn.state is TcpState.TIME_WAIT and id(conn) in held]
+    by_state = Counter((conn.state.value, id(conn) in held) for conn in live)
+    return len(live), len(open_ends), len(lingering), by_state
+
+
+def test_connection_census_after_a_drained_churn():
+    farm, fetched, _held = _run_churn(STOPS[0])
+    assert len(fetched) >= 600 and all(fetched)
+    live, open_ends, lingering, by_state = _census(farm)
+    assert live <= open_ends + lingering, by_state
+
+
+def test_connection_census_after_figure7():
+    """Figure 7's REWRITE flows close first on the inmate's side: each
+    must still end on every leg of the proxy."""
+    farm, sub, _world, _samples = build_botfarm(7, 0.2, send_interval=4)
+    farm.run(until=300.0)
+    assert sub.containment_server.verdict_counts.get("REWRITE", 0) >= 10
+    live, open_ends, lingering, by_state = _census(farm)
+    assert live <= open_ends + lingering, by_state

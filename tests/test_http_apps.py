@@ -169,8 +169,8 @@ class TestRequest:
                           lambda _c, _r: None)
         reset = request(a, b.ip, 80, HttpRequest("GET", "/"),
                         lambda _c, _r: None)
-        assert refused.on_fail is refused.on_reset is None
-        assert reset.on_fail is reset.on_reset is None
+        assert refused.on_reset is None
+        assert reset.on_reset is None
         sim.run(until=2.0)
         assert refused.state is TcpState.CLOSED
         assert reset.state is TcpState.CLOSED

@@ -154,8 +154,8 @@ class TestFigure1Separation:
                 conn = configured_host.tcp.connect(
                     farm.controller_ip, 9048)
                 conn.on_established = lambda c: c.send(b"terminate 2")
-                conn.on_fail = lambda c: outcome.append("refused")
-                conn.on_reset = lambda c: outcome.append("reset")
+                conn.on_reset = lambda c: outcome.append(
+                    "refused" if c.established_at is None else "reset")
 
             DhcpClient(host, on_configured=attack).start()
 

@@ -34,13 +34,20 @@ class TestHandshake:
         assert accepted[0].state == TcpState.ESTABLISHED
 
     def test_connect_to_closed_port_fails_with_rst(self):
+        """A refused connect is a reset: ``on_reset`` runs exactly once,
+        with the handshake never completed, and the stack forgets the
+        connection."""
         sim, _switch, (a, b) = lan()
         conn = a.tcp.connect(b.ip, 999)
-        failures = []
-        conn.on_fail = failures.append
+        resets, closes = [], []
+        conn.on_reset = resets.append
+        conn.on_closed = closes.append
         sim.run(until=1.0)
         assert conn.state == TcpState.CLOSED
-        assert failures == [conn]
+        assert resets == [conn] and closes == []
+        assert conn.established_at is None
+        assert a.tcp.connection_count() == 0
+        assert not hasattr(conn, "on_fail")
 
     def test_isns_are_random_but_deterministic_per_seed(self):
         sim1, _s1, (a1, b1) = lan(seed=3)
@@ -161,6 +168,50 @@ class TestTeardown:
         sim.run(until=2.0)
         assert b"".join(received) == b"final payload"
         assert len(closes) == 1
+
+    def test_remote_close_fires_once_whoever_closed_first(self):
+        """The end of the peer's stream is one event in every state: the
+        side that closed first hears the peer's FIN too, once, before
+        its own ``on_closed``."""
+        sim, _switch, (a, b) = lan()
+        events = []
+
+        def on_accept(conn):
+            def remote_close(c):
+                events.append(("server", c.state.value))
+                c.close()
+
+            conn.on_remote_close = remote_close
+            conn.on_closed = lambda c: events.append(("server closed",))
+
+        b.tcp.listen(7, on_accept)
+        conn = a.tcp.connect(b.ip, 7)
+        conn.on_established = lambda c: c.close()
+        conn.on_remote_close = lambda c: events.append(
+            ("client", c.state.value))
+        conn.on_closed = lambda c: events.append(
+            ("client closed", c.state.value))
+        sim.run(until=5.0)
+        assert events == [("server", "close-wait"), ("client", "fin-wait-2"),
+                          ("client closed", "time-wait"), ("server closed",)]
+
+    def test_close_before_the_syn_waits_for_the_handshake(self):
+        """A write and a close made before the deferred SYN goes out
+        are both held: the peer reads the bytes, then the FIN."""
+        sim, _switch, (a, b) = lan()
+        heard = []
+
+        def on_accept(conn):
+            conn.on_data = lambda c, d: heard.append(d)
+            conn.on_remote_close = lambda c: (heard.append("FIN"), c.close())
+
+        b.tcp.listen(9, on_accept)
+        conn = a.tcp.connect(b.ip, 9)
+        conn.send(b"early")
+        conn.close()
+        sim.run(until=2.0)
+        assert heard == [b"early", "FIN"]
+        assert conn.fully_closed
 
     def test_abort_sends_rst(self):
         sim, _switch, (a, b) = lan()

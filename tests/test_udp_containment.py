@@ -199,6 +199,32 @@ class TestUdpReflect:
         assert udp_records[0].dst_port == 7777
 
 
+    def test_reflect_to_a_missing_service_drops_the_datagram(self):
+        """A reflect to a service the subfarm lacks fails closed on the
+        datagram path too: a DROP naming the service, and nothing
+        leaves the farm."""
+        from repro.core.dsl import DslPolicy
+
+        farm = Farm(FarmConfig(seed=83))
+        sub = farm.create_subfarm("udp")   # no sink
+        echo_host = farm.add_external_host("echo", EXTERNAL_ECHO)
+        received = echo_service(echo_host)
+        replies = []
+        sub.create_inmate(
+            image_factory=udp_probe_image(EXTERNAL_ECHO, 7777, b"probe",
+                                          replies),
+            policy=DslPolicy("port 7777/udp -> reflect sink\n"
+                             "default -> drop"))
+        farm.run(until=120)
+        assert received == [] and replies == []
+        (line,) = [entry for entry in sub.router.flow_log
+                   if entry.orig.resp_port == 7777]
+        assert (line.verdict, line.annotation) == (
+            "DROP", "missing service 'sink'")
+        assert [r for r in farm.gateway.upstream_trace.records
+                if r.point == "upstream-out"] == []
+
+
 class DnsTakeoverPolicy(ContainmentPolicy):
     """REWRITE external DNS: answer C&C lookups with an address we
     control — containment-grade sinkholing."""
