@@ -101,7 +101,8 @@ class FlowProxy:
         upstream = self._upstream
         if upstream is None:
             raise RuntimeError("rewriter never called connect_out()")
-        if upstream.state is TcpState.CLOSED and upstream.opened_at is not None:
+        if (upstream.state is TcpState.CLOSED
+                and upstream.opened_at is not None):
             return  # refused or reset: on_server_close has run
         upstream.send(data)
         self._server.bytes_to_server += len(data)
