@@ -11,6 +11,8 @@ This is the worked example behind ``docs/OBSERVABILITY.md``:
 3. Dump the metrics as JSON, then read the snapshot back the way an
    operator would — verdict mix, shim latency quantiles (*how many*)
    — and ask the journal for one flow's timeline (*why and when*).
+4. A time series is snapshots taken on a schedule: a ``Process`` on
+   the farm's clock appends one every 30 virtual seconds.
 
 Run:  python examples/telemetry_snapshot.py
 """
@@ -24,6 +26,7 @@ from repro.net.http import HttpRequest, HttpResponse, request, serve
 from repro.obs.export import to_json
 from repro.obs.provenance import flows_in, render_why
 from repro.services.dhcp import DhcpClient
+from repro.sim.process import Process
 
 WEB_IP = "203.0.113.80"
 
@@ -47,8 +50,10 @@ def fetch_image(host):
 
 def main():
     # -- 1. run a farm with both instruments on -----------------------
-    farm = Farm(FarmConfig(seed=7, telemetry=True, journal=True,
-                           telemetry_snapshot_interval=30.0))
+    farm = Farm(FarmConfig(seed=7, telemetry=True, journal=True))
+    series = []
+    Process(farm.sim, 30.0,
+            lambda: series.append(farm.telemetry_snapshot())).start()
     sub = farm.create_subfarm("demo")
     sub.add_catchall_sink()
     web_server(farm.add_external_host("webserver", WEB_IP))
@@ -79,8 +84,11 @@ def main():
     events = farm.journal_snapshot()["events"]
     print(render_why(events, flows_in(events)[0]))
 
-    print(f"\nPeriodic snapshots on the virtual clock: "
-          f"{[s['time'] for s in farm.telemetry_snapshots]}")
+    # -- 5. the series the Process took -------------------------------
+    print("\nSnapshots on the virtual clock (sim.events.fired):")
+    for taken in series:
+        print(f"  t={taken['time']:g}: "
+              f"{taken['counters']['sim.events.fired']:.0f}")
 
 
 if __name__ == "__main__":

@@ -77,7 +77,9 @@ class FlowProxy:
     plain TCP connections, the inmate's to the server and, once
     :meth:`connect_out` opened it, the server's onward one through the
     flow's nonce port.  A write or close made before the onward
-    handshake completes is held by that connection until it does."""
+    handshake completes is held by that connection until it does; a
+    held write counts as proxied when the handshake completes, and
+    never if it is refused."""
 
     def __init__(self, server: "ContainmentServer",
                  client_conn: TcpConnection, ctx: PolicyContext,
@@ -87,6 +89,7 @@ class FlowProxy:
         self._ctx = ctx
         self._rewriter = rewriter
         self._upstream: Optional[TcpConnection] = None
+        self._held = 0   # bytes written before the onward handshake
 
     @property
     def context(self) -> PolicyContext:
@@ -105,7 +108,10 @@ class FlowProxy:
                 and upstream.opened_at is not None):
             return  # refused or reset: on_server_close has run
         upstream.send(data)
-        self._server.bytes_to_server += len(data)
+        if upstream.established_at is None:
+            self._held += len(data)
+        else:
+            self._server.bytes_to_server += len(data)
 
     def connect_out(self, ip: Optional[IPv4Address] = None,
                     port: Optional[int] = None) -> None:
@@ -118,9 +124,14 @@ class FlowProxy:
         conn = host.tcp.connect(target_ip, target_port,
                                 local_port=self._ctx.nonce_port)
         self._upstream = conn
+        conn.on_established = self._count_held
         conn.on_data = lambda c, d: self._rewriter.on_server_data(self, d)
         conn.on_remote_close = lambda c: self._rewriter.on_server_close(self)
         conn.on_reset = lambda c: self._rewriter.on_server_close(self)
+
+    def _count_held(self, conn: TcpConnection) -> None:
+        self._server.bytes_to_server += self._held
+        self._held = 0
 
     def close_client(self) -> None:
         self._client.close()

@@ -70,13 +70,11 @@ class FarmConfig:
         "safety_max_flows_per_window": (int, 100000),
         "safety_max_flows_per_destination": (int, 50000),
         "safety_window": (NUMBER, 60.0),
+        # Metrics (repro.obs.telemetry) and the decision journal
+        # (repro.obs.journal; docs/OBSERVABILITY.md).  Neither schedules
+        # an event: a time series is snapshots its caller schedules.
         "telemetry": (bool, False),
-        "telemetry_snapshot_interval": (NUMBER, None),
-        # Decision journal (repro.obs.journal, docs/OBSERVABILITY.md):
-        # off by default so a plain run schedules no sampling events
-        # and stays byte-identical to a build without the journal.
         "journal": (bool, False),
-        "journal_sample_interval": (NUMBER, None),
         # Fault plane + shim resilience (repro.faults,
         # docs/RESILIENCE.md).  An empty plan and verdict_deadline=None
         # leave every run path byte-identical to a build without the
@@ -105,7 +103,6 @@ class FarmConfig:
     _LEAST: Dict[str, float] = {
         "safety_max_flows_per_window": 0,
         "safety_max_flows_per_destination": 0, "safety_window": 0,
-        "telemetry_snapshot_interval": 0, "journal_sample_interval": 0,
         "verdict_deadline": 0, "batch_window": 0,
     }
     _ABOVE_LEAST = ("safety_window", "verdict_deadline")
@@ -469,29 +466,21 @@ class Farm:
 
         # Telemetry must attach before any component binds instruments:
         # everything downstream discovers it through sim.telemetry.
-        self.telemetry_snapshots: List[dict] = []
         if self.config.telemetry:
             from repro.obs.telemetry import Telemetry
 
             self.sim.attach_telemetry(
                 Telemetry(clock=lambda: self.sim.now))
-            interval = self.config.telemetry_snapshot_interval
-            if interval is not None and interval > 0:
-                self._schedule_snapshot(interval)
 
         # Decision journal (the flight recorder): like telemetry, it
         # must attach before any component is built — routers, barriers
         # and servers capture sim.journal at construction.  A live
         # journal records flow-level decisions only (never per-packet
-        # work) and, when journal_sample_interval is set, schedules a
-        # periodic gauge/counter sampler into fixed-interval rings.
+        # work).
         if self.config.journal:
             from repro.obs.journal import Journal
 
             self.sim.attach_journal(Journal(clock=lambda: self.sim.now))
-            interval = self.config.journal_sample_interval
-            if interval is not None and interval > 0:
-                self._schedule_journal_samples(interval)
 
         # Fault plane: built only for a non-empty plan so a default
         # farm registers no fault telemetry, draws no RNG streams, and
@@ -617,13 +606,6 @@ class Farm:
 
         return snapshot(self.sim.telemetry)
 
-    def _schedule_snapshot(self, interval: float) -> None:
-        def capture() -> None:
-            self.telemetry_snapshots.append(self.telemetry_snapshot())
-            self.sim.schedule(interval, capture, label="telemetry-snapshot")
-
-        self.sim.schedule(interval, capture, label="telemetry-snapshot")
-
     # ------------------------------------------------------------------
     # Decision journal
     # ------------------------------------------------------------------
@@ -637,25 +619,6 @@ class Farm:
         """JSON-safe view of the decision journal (schema
         ``gq.journal/1``); see repro.obs.journal."""
         return self.sim.journal.snapshot()
-
-    def _schedule_journal_samples(self, interval: float) -> None:
-        """Periodic time-series sampling of key farm gauges/counters
-        into the journal's fixed-interval rings.  Only scheduled when
-        the journal is live, so disabled runs see no extra events."""
-        def sample() -> None:
-            journal = self.sim.journal
-            journal.sample("sim.events", self.sim.events_processed)
-            journal.sample("sim.queue.depth", self.sim.pending)
-            journal.sample("journal.recorded", journal.recorded)
-            for name in sorted(self.subfarms):
-                counters = self.subfarms[name].router.counters
-                journal.sample(f"router.{name}.flows_created",
-                               counters.get("flows_created", 0))
-                journal.sample(f"router.{name}.packets_relayed",
-                               counters.get("packets_relayed", 0))
-            self.sim.schedule(interval, sample, label="journal-sample")
-
-        self.sim.schedule(interval, sample, label="journal-sample")
 
     # ------------------------------------------------------------------
     def run(self, until: float, max_events: Optional[int] = None) -> float:

@@ -116,7 +116,7 @@ def new_flow(router, packet: IPv4Packet, vlan: int,
         # — journal onto the same causal chain.
         flow_id = (f"{router.name}/vlan{vlan}/mux{mux}"
                    f"/t{router.sim.now:.6f}")
-        router._trace_ids[mux] = flow_id
+        record.flow_id = flow_id
         router.journal.bind_flow((vlan, record.orig_key), flow_id)
         router.journal.record(
             "flow.created", flow=flow_id, vlan=vlan,

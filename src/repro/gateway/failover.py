@@ -272,7 +272,7 @@ class RouterResilience:
         if self.journal.enabled:
             self.journal.record(
                 "failover.deadline",
-                flow=self.router._trace_ids.get(record.mux_port),
+                flow=record.flow_id,
                 vlan=record.vlan, attempt=attempt,
                 server=str(record.cs_ip))
         self._report_timeout(record.cs_ip)
@@ -298,7 +298,7 @@ class RouterResilience:
         if self.journal.enabled:
             self.journal.record(
                 "failover.retry",
-                flow=self.router._trace_ids.get(record.mux_port),
+                flow=record.flow_id,
                 vlan=record.vlan, target=str(target))
         if target != record.cs_ip:
             self.failovers += 1
@@ -322,7 +322,7 @@ class RouterResilience:
         if self.journal.enabled:
             self.journal.record(
                 "failover.rehome",
-                flow=self.router._trace_ids.get(record.mux_port),
+                flow=record.flow_id,
                 vlan=record.vlan, source=str(record.cs_ip),
                 target=str(target))
         record.cs_ip = target
@@ -364,7 +364,7 @@ class RouterResilience:
         if self.journal.enabled:
             self.journal.record(
                 "failover.pending",
-                flow=self.router._trace_ids.get(record.mux_port),
+                flow=record.flow_id,
                 vlan=record.vlan, verdict=decision.verdict.label,
                 policy=decision.policy, annotation=annotation)
         if decision.verdict is Verdict.DROP:

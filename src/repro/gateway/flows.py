@@ -69,7 +69,7 @@ class FlowRecord:
     __slots__ = (
         "orig", "orig_key", "resp_key", "vlan", "inmate_is_originator",
         "created_at", "last_activity", "mux_port", "nonce_port",
-        "phase", "decision", "cs_ip",
+        "flow_id", "phase", "decision", "cs_ip",
         "client_isn", "cs_isn", "dst_isn", "c2s_inj", "s2c_rem",
         "shim_injected", "cs_handshake_replay", "shim_buffer",
         "client_buffer", "client_fin", "client_fin_relayed",
@@ -103,6 +103,9 @@ class FlowRecord:
         self.last_activity = created_at
         self.mux_port = mux_port
         self.nonce_port = nonce_port
+        # The journal's id for the flow: set at creation while a journal
+        # is live, cleared when the router releases the flow.
+        self.flow_id: Optional[str] = None
 
         self.phase = FlowPhase.SHIM
         self.decision: Optional[ContainmentDecision] = None

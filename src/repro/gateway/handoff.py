@@ -154,7 +154,7 @@ def record_verdict(router, record: FlowRecord,
     if router.journal.enabled:
         router.journal.record(
             "verdict.applied",
-            flow=router._trace_ids.get(record.mux_port),
+            flow=record.flow_id,
             vlan=record.vlan, verdict=verdict, proto=proto,
             policy=decision.policy,
             annotation=decision.annotation or "")
@@ -322,7 +322,7 @@ def install(router, record: FlowRecord) -> None:
     if router.journal.enabled:
         router.journal.record(
             "fastpath.install",
-            flow=router._trace_ids.get(record.mux_port),
+            flow=record.flow_id,
             vlan=record.vlan, phase=record.phase.value,
             handlers=len(rows))
 
@@ -336,7 +336,7 @@ def uninstall(router, record: FlowRecord) -> None:
         router.flowtable.bind(entry.demoted())
     if rules and router.journal.enabled:
         router.journal.record(
-            "fastpath.evict", flow=router._trace_ids.get(record.mux_port),
+            "fastpath.evict", flow=record.flow_id,
             vlan=record.vlan, handlers=len(rules))
 
 

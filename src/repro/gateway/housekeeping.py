@@ -29,7 +29,7 @@ def release(router, record: FlowRecord) -> int:
     rules = router.flowtable.unbind(record)
     router._by_mux.pop(record.mux_port, None)
     router._by_nonce.pop(record.nonce_port, None)
-    router._trace_ids.pop(record.mux_port, None)
+    record.flow_id = None
     return rules
 
 
@@ -37,8 +37,7 @@ def evict(router, record: FlowRecord) -> None:
     """Give a record's rows and ports back so its tuples can be
     reused, journalled; its installed rules count as evicted."""
     journal = router.journal
-    flow_id = (router._trace_ids.get(record.mux_port) if journal.enabled
-               else None)
+    flow_id = record.flow_id
     if flow_id is not None:
         journal.record("flow.evicted", flow=flow_id, vlan=record.vlan,
                        phase=record.phase.value)
@@ -85,7 +84,7 @@ def isolate_offender(router, packet: IPv4Packet) -> None:
     if router.journal.enabled:
         router.journal.record(
             "barrier.isolated",
-            flow=router._trace_ids.get(record.mux_port),
+            flow=record.flow_id,
             vlan=record.vlan)
     abort_flow(router, record, notify_client=False)
     evict(router, record)

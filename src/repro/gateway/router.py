@@ -253,10 +253,6 @@ class SubfarmRouter:
             "router.shim.rtt",
             "Virtual seconds from flow creation to verdict"
         ).bind(subfarm=name)
-        # mux port -> journal flow id; filled only while a journal is
-        # live (a telemetry-only run keeps no per-flow observation
-        # state).
-        self._trace_ids: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Public queries

@@ -239,7 +239,11 @@ class TcpConnection:
     # Stack-internal API
     # ------------------------------------------------------------------
     def open_active(self) -> None:
-        """Begin the three-way handshake (client side)."""
+        """Begin the three-way handshake (client side): the tick after
+        :meth:`TcpStack.connect`, unless the connection was aborted in
+        between."""
+        if self.closed_at is not None:
+            return
         self.iss = self.host.tcp.pick_isn()
         self.snd_nxt = seq_add(self.iss, 1)
         self.state = TcpState.SYN_SENT

@@ -16,7 +16,8 @@ Layout:
 * :mod:`repro.obs.telemetry` — the metrics domain (plus the disabled
   no-op),
 * :mod:`repro.obs.journal` — the flight recorder: bounded causal
-  decision journal plus time-series sample rings,
+  decision journal, events only (a time series is telemetry
+  snapshots taken on a schedule),
 * :mod:`repro.obs.provenance` — causal-chain reconstruction over
   journal snapshots (``why <flow>``),
 * :mod:`repro.obs.export` — JSON/text snapshot exporters plus

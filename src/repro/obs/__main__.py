@@ -97,7 +97,6 @@ def golden_farm(seed: int = GOLDEN_SEED,
         seed=seed,
         telemetry=True,
         journal=True,
-        journal_sample_interval=30.0,
         verdict_deadline=5.0,
         fault_plan=FaultPlan([
             FaultSpec(kind="cs_crash", at=120.0, restore_after=60.0),

@@ -158,7 +158,7 @@ def render_openmetrics(snap: dict) -> str:
 
 def render_jsonl(journal_snap: dict) -> str:
     """A journal snapshot as a JSONL event stream: one sorted-key JSON
-    object per line, header line first, ring samples last."""
+    object per line, header line first."""
     lines = [json.dumps(
         {"schema": journal_snap.get("schema"),
          "time": journal_snap.get("time"),
@@ -166,9 +166,6 @@ def render_jsonl(journal_snap: dict) -> str:
          "evicted": journal_snap.get("evicted")}, sort_keys=True)]
     for event in journal_snap.get("events", []):
         lines.append(json.dumps(event, sort_keys=True))
-    for name in sorted(journal_snap.get("rings") or {}):
-        ring = journal_snap["rings"][name]
-        lines.append(json.dumps({"ring": name, **ring}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 

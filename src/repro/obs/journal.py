@@ -43,7 +43,7 @@ import json
 from collections import OrderedDict, deque
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Iterable, List, Optional
 
 Clock = Callable[[], float]
 
@@ -52,9 +52,6 @@ JOURNAL_SCHEMA = "gq.journal/1"
 #: Default bounded-ring capacity (events kept before FIFO eviction),
 #: read when a journal is built.
 DEFAULT_CAPACITY = 65536
-
-#: Samples kept per time-series ring before FIFO eviction.
-DEFAULT_RING_CAPACITY = 512
 
 #: Events rendered and encoded per step of :func:`journal_digest`.
 DIGEST_CHUNK = 1024
@@ -96,32 +93,6 @@ class JournalEvent(tuple):
         return _event_dict(self, self[6])
 
 
-class SampleRing:
-    """Fixed-capacity ring of ``(virtual time, value)`` samples for one
-    gauge/counter series."""
-
-    __slots__ = ("name", "capacity", "samples", "dropped")
-
-    def __init__(self, name: str, capacity: int = DEFAULT_RING_CAPACITY
-                 ) -> None:
-        self.name = name
-        self.capacity = capacity
-        self.samples: Deque[List[float]] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def sample(self, time: float, value: float) -> None:
-        if len(self.samples) == self.capacity:
-            self.dropped += 1
-        self.samples.append([round(time, 9), value])
-
-    def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "dropped": self.dropped,
-            "samples": [list(pair) for pair in self.samples],
-        }
-
-
 class Journal:
     """The live flight recorder (see module docstring)."""
 
@@ -129,10 +100,9 @@ class Journal:
 
     def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        # Read when the journal is built, so patching either constant
-        # sets the next journal's bounds.
+        # Read when the journal is built, so patching the constant
+        # sets the next journal's bound.
         self.capacity = DEFAULT_CAPACITY
-        self.ring_capacity = DEFAULT_RING_CAPACITY
         # Two rings in step, ``(seq, time, kind, flow, vlan, parent)``
         # and the event's fields: a tuple of atoms and a dict of atoms
         # are not tracked by the cyclic collector, a tuple *holding*
@@ -140,7 +110,6 @@ class Journal:
         self._events: Deque[tuple] = deque(maxlen=self.capacity)
         self._fields: Deque[dict] = deque(maxlen=self.capacity)
         self.recorded = 0
-        self._rings: Dict[str, SampleRing] = {}
         # Causal bookkeeping: last event seq per flow id / per VLAN,
         # plus flow aliases → flow ids.  All bounded FIFO (by first
         # insertion) at the journal's own capacity so week-scale
@@ -198,18 +167,6 @@ class Journal:
         return self._aliases.get(alias)
 
     # ------------------------------------------------------------------
-    # Time-series rings
-    # ------------------------------------------------------------------
-    def ring(self, name: str) -> SampleRing:
-        ring = self._rings.get(name)
-        if ring is None:
-            ring = self._rings[name] = SampleRing(name, self.ring_capacity)
-        return ring
-
-    def sample(self, name: str, value: float) -> None:
-        self.ring(name).sample(self.clock(), float(value))
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def events(self) -> List[JournalEvent]:
@@ -237,8 +194,6 @@ class Journal:
             "recorded": self.recorded,
             "evicted": self.evicted,
             "events": events,
-            "rings": {name: self._rings[name].to_dict()
-                      for name in sorted(self._rings)},
         }
 
     def __len__(self) -> int:
@@ -268,9 +223,6 @@ class NullJournal:
     def flow_for(self, alias: object) -> Optional[str]:
         return None
 
-    def sample(self, name: str, value: float) -> None:
-        pass
-
     def events(self) -> List[JournalEvent]:
         return []
 
@@ -282,7 +234,6 @@ class NullJournal:
             "recorded": 0,
             "evicted": 0,
             "events": [],
-            "rings": {},
         }
 
     def digest(self) -> str:
@@ -327,7 +278,6 @@ def journal_digest(snapshot: dict) -> str:
 
 __all__ = [
     "DEFAULT_CAPACITY",
-    "DEFAULT_RING_CAPACITY",
     "DIGEST_CHUNK",
     "JOURNAL_SCHEMA",
     "Journal",
@@ -335,6 +285,5 @@ __all__ = [
     "NULL_JOURNAL",
     "NullJournal",
     "ROOT",
-    "SampleRing",
     "journal_digest",
 ]

@@ -20,8 +20,8 @@ What differs per schema is data (:data:`SHAPES`): which sections are
 identity-keyed unions, which are accounting sums, whether there is an
 event list, and how an identity takes labels — a metric identity
 ``name{a=b}`` becomes ``name{a=b,shard=3}`` (labels re-sorted so
-identities stay canonical); a journal ring name, event seq, parent or
-flow id ``x`` becomes ``shard=3/x``, so causal chains stay intact and
+identities stay canonical); a journal event's seq, parent or flow id
+``x`` becomes ``shard=3/x``, so causal chains stay intact and
 cannot collide across shards.  Events sort by ``(time, shard labels,
 per-shard seq)`` — a pure function of the shard snapshots.
 
@@ -77,8 +77,7 @@ class Shape(NamedTuple):
 SHAPES: Dict[str, Shape] = {
     SNAPSHOT_SCHEMA: Shape(("counters", "gauges", "histograms"), (),
                            False, _stamp_metric),
-    JOURNAL_SCHEMA: Shape(("rings",), ("recorded", "evicted"),
-                          True, _stamp_path),
+    JOURNAL_SCHEMA: Shape((), ("recorded", "evicted"), True, _stamp_path),
 }
 
 

@@ -90,11 +90,6 @@ class Simulator:
         it via :meth:`rng`, so a given seed replays identically.
     """
 
-    #: Sample the queue depth once per this many events rather than
-    #: per event (the stride is virtual-event-count based, so sampling
-    #: stays deterministic under a fixed seed).
-    QUEUE_DEPTH_STRIDE = 1024
-
     #: Compact the heap once dead entries outnumber live ones and the
     #: queue is at least this large (small queues aren't worth it).
     COMPACT_MIN_QUEUE = 64
@@ -118,14 +113,11 @@ class Simulator:
         self._dead = 0
 
         # Telemetry (disabled by default) reads those counts and the
-        # depth run() samples while a live domain is attached.  The
-        # decision journal (repro.obs.journal) is independent of it:
-        # components capture sim.journal at construction, so it must be
-        # attached before they are built.
+        # queue's length.  The decision journal (repro.obs.journal) is
+        # independent of it: components capture sim.journal at
+        # construction, so it must be attached before they are built.
         self.telemetry = NULL_TELEMETRY
         self.journal = NULL_JOURNAL
-        self._sample_depth = False
-        self.queue_depth_sample = 0.0
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -149,8 +141,7 @@ class Simulator:
         ).register(lambda: self.events_discarded - discarded)
         telemetry.gauge(
             "sim.queue.depth", "Events currently queued (incl. dead)"
-        ).register(lambda: self.queue_depth_sample)
-        self._sample_depth = telemetry.enabled
+        ).register(lambda: len(self._queue))
 
     def _left_or_queued(self) -> int:
         return (self.events_processed + self.events_discarded
@@ -266,40 +257,29 @@ class Simulator:
         queue = self._queue
         horizon = inf if until is None else until
         budget = inf if max_events is None else max_events
-        sample = self._sample_depth
-        stride = self.QUEUE_DEPTH_STRIDE
         self._in_flight += 1
-        try:
-            while queue:
-                event = queue[0]
-                if event[6]:
-                    heappop(queue)
-                    self._dead -= 1
-                    self.events_discarded += 1
-                    continue
-                time = event[0]
-                if time > horizon:
-                    self._now = until
-                    break
-                if processed >= budget:
-                    break
+        while queue:
+            event = queue[0]
+            if event[6]:
                 heappop(queue)
-                event[5] = None
-                self._now = time
-                event[2](*event[3])
-                processed += 1
-                self.events_processed += 1
-                # Sample the depth on a virtual-event stride: the
-                # trigger is event-count based, so with a fixed seed
-                # the sampled values replay identically.
-                if sample and not self.events_processed % stride:
-                    self.queue_depth_sample = len(queue)
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
-        finally:
-            if sample:
-                self.queue_depth_sample = len(queue)
+                self._dead -= 1
+                self.events_discarded += 1
+                continue
+            time = event[0]
+            if time > horizon:
+                self._now = until
+                break
+            if processed >= budget:
+                break
+            heappop(queue)
+            event[5] = None
+            self._now = time
+            event[2](*event[3])
+            processed += 1
+            self.events_processed += 1
+        else:
+            if until is not None and until > self._now:
+                self._now = until
         # Not reached when a callback raised: its event stays in flight.
         self._in_flight -= 1
         return self._now

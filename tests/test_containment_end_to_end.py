@@ -276,7 +276,8 @@ class TestRewrite:
     def test_a_write_after_the_onward_connect_was_refused_is_dropped(self):
         """The destination refuses the onward leg: the rewriter closes
         the inmate's leg, and bytes the inmate sends after that go
-        nowhere instead of stopping the run."""
+        nowhere instead of stopping the run.  The request line, held
+        for the refused handshake, never counts as proxied."""
 
         class Passthrough(ContainmentPolicy):
             default = Action("rewrite")
@@ -301,6 +302,7 @@ class TestRewrite:
         farm.run(until=120)
         assert farm.sim.now == 120
         assert len(closes) == 1
+        assert sub.containment_server.bytes_to_server == 0
 
     def test_a_write_and_close_before_the_onward_handshake_keep_order(self):
         """A rewriter may write to and close the onward leg before its
@@ -339,6 +341,7 @@ class TestRewrite:
         farm.run(until=120)
         assert heard and heard[-1] == "FIN"
         assert b"".join(heard[:-1]) == b"one two"
+        assert sub.containment_server.bytes_to_server == len(b"one two")
 
     def test_rewrite_impersonation_without_real_target(self):
         """The containment server can impersonate a destination that

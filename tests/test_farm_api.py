@@ -138,16 +138,6 @@ class TestKnobsChangeBehaviour:
         # Deadlines of 3, 6 and 12 s after the SYN at t=31.
         assert (sub.resilience.retries, round(entry.timestamp)) == (2, 52)
 
-    def test_journal_sample_interval(self):
-        farm, _sub, _ = fetching_farm(journal=True)
-        plain = farm.journal_snapshot()
-        assert plain["rings"] == {}
-        farm, _sub, _ = fetching_farm(journal=True,
-                                      journal_sample_interval=30.0)
-        sampled = farm.journal_snapshot()
-        assert sampled["recorded"] == plain["recorded"] > 2
-        assert "sim.events" in sampled["rings"]
-
 
 #: ROADMAP: "every FarmConfig field either has a test showing it
 #: changes behaviour or goes".  Field -> the test that shows it.
@@ -170,13 +160,8 @@ FIELD_EVIDENCE = {
         "::TestSafetyUnderDegradedMode::test_rate_bounds_hold_while_degraded",
     "telemetry": "tests/test_obs_smoke.py"
                  "::test_disabled_farm_has_null_telemetry",
-    "telemetry_snapshot_interval":
-        "tests/test_obs_smoke.py::test_farm_run_emits_valid_snapshot",
     "journal": "tests/test_obs_journal.py::TestFarmDeterminism"
                "::test_journal_never_perturbs_the_run",
-    "journal_sample_interval":
-        "tests/test_farm_api.py::TestKnobsChangeBehaviour"
-        "::test_journal_sample_interval",
     "fault_plan": "tests/test_resilience.py::TestFailClosed"
                   "::test_partition_drops_unverdicted_flow",
     "verdict_deadline": "tests/test_resilience.py::TestConfigSurface"
@@ -213,8 +198,9 @@ ADDRESS_PLAN = "deployment setting: the address plan"
 SAFETY_THRESHOLD = "deployment setting: a §5.1 safety threshold"
 
 #: ROADMAP: a field that nothing outside tests/ sets is a constant.
-#: Field -> a file under src/, examples/ or benchmarks/ whose
-#: ``FarmConfig(...)`` call passes it, or the deployment setting it is.
+#: Field -> a file under src/ or benchmarks/ whose ``FarmConfig(...)``
+#: call passes it, or the deployment setting it is.  An example is not
+#: a caller: it shows a field, it does not need one.
 FIELD_CALLERS = {
     "seed": "src/repro/experiments/figure1.py",
     "global_networks": ADDRESS_PLAN,
@@ -223,10 +209,8 @@ FIELD_CALLERS = {
     "safety_max_flows_per_window": SAFETY_THRESHOLD,
     "safety_max_flows_per_destination": SAFETY_THRESHOLD,
     "safety_window": SAFETY_THRESHOLD,
-    "telemetry": "examples/telemetry_snapshot.py",
-    "telemetry_snapshot_interval": "examples/telemetry_snapshot.py",
-    "journal": "examples/policy_language.py",
-    "journal_sample_interval": "src/repro/obs/__main__.py",
+    "telemetry": "src/repro/obs/__main__.py",
+    "journal": "src/repro/obs/__main__.py",
     "fault_plan": "src/repro/experiments/fault_matrix.py",
     "verdict_deadline": "src/repro/experiments/fault_matrix.py",
     "pending_policy": "src/repro/experiments/fault_matrix.py",
@@ -248,8 +232,7 @@ def test_every_field_has_a_caller_outside_the_tests(field):
     if caller == SAFETY_THRESHOLD:
         assert field.startswith("safety_")
         return
-    assert pathlib.PurePath(caller).parts[0] in (
-        "src", "examples", "benchmarks")
+    assert pathlib.PurePath(caller).parts[0] in ("src", "benchmarks")
     path = pathlib.Path(__file__).parent.parent / caller
     passed = {keyword.arg
               for node in ast.walk(ast.parse(path.read_text()))
@@ -290,10 +273,13 @@ class TestFarmConfigShape:
     @pytest.mark.parametrize("key", [
         "journal_capacity", "verdict_retries", "retry_backoff",
         "lifecycle_retry_limit", "lifecycle_retry_backoff",
-        "quarantine_max_frames"])
+        "quarantine_max_frames",
+        "telemetry_snapshot_interval", "journal_sample_interval"])
     def test_a_constant_is_an_unknown_key(self, key):
         """The six knobs no caller set are constants of their
-        components now: an old document that sets one is refused."""
+        components now, and the two sampling intervals are gone (a
+        series is snapshots its caller schedules): an old document
+        that sets one is refused."""
         document = dict(FarmConfig().to_dict(), **{key: 2})
         with pytest.raises(ValueError) as excinfo:
             FarmConfig.from_dict(document)
@@ -321,10 +307,6 @@ class TestFarmConfigShape:
         ("safety_max_flows_per_window", -1, False),
         ("safety_max_flows_per_window", 0, True),
         ("safety_max_flows_per_destination", -3, False),
-        ("telemetry_snapshot_interval", -1.0, False),
-        ("telemetry_snapshot_interval", NAN, False),
-        ("journal_sample_interval", INF, False),
-        ("journal_sample_interval", 0, True),
     ])
     def test_numbers_that_break_later_are_refused_at_construction(
             self, field, value, legal):
@@ -355,7 +337,7 @@ class TestFarmConfigShape:
     @pytest.mark.parametrize("document", [
         {"seed": "x"}, {"seed": 1.5}, {"safety_window": "x"},
         {"safety_max_flows_per_window": None}, {"telemetry": None},
-        {"journal": 1}, {"journal_sample_interval": True},
+        {"journal": 1}, {"safety_window": True},
         {"verdict_deadline": "5"}, {"global_networks": ""},
         {"control_network": 5}, {"malice_policy": None},
         {"fault_plan": {"specs": ""}},

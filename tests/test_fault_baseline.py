@@ -36,6 +36,8 @@ import hashlib
 import json
 import re
 from collections import defaultdict
+from heapq import heappop
+from math import inf
 
 import pytest
 
@@ -48,8 +50,9 @@ from repro.faults import FaultPlan
 from repro.core.verdicts import Verdict
 from repro.fuzz.generators import SOLO_TARGETS
 from repro.fuzz.router import RouterScript, run_script
-from repro.fuzz.runner import (QUICK_ROUTER_SCRIPTS, QUICK_SEED,
-                               QUICK_SOLO_ITERATIONS, fuzz_target)
+from repro.fuzz.runner import (QUICK_FRAMES, QUICK_ROUTER_SCRIPTS,
+                               QUICK_SEED, QUICK_SOLO_ITERATIONS,
+                               fuzz_farm, fuzz_target)
 from repro.gateway import admission, coupling, handoff, housekeeping
 from repro.gateway.flows import FlowPhase
 from repro.gateway.flowtable import (
@@ -65,9 +68,11 @@ from repro.net.addresses import IPv4Address
 from repro.net.http import echo
 from repro.net.packet import ACK, IPv4Packet, PROTO_TCP, RST, SYN
 from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
+from repro.obs.journal import Journal, NullJournal
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
     _streaming_image, farm_digest
 from repro.shape import NUMBER
+from repro.sim.engine import Simulator
 from repro.verify import certify_farm
 from tests import golden, test_certificate_corpus, test_fastpath, \
     test_obs_parity
@@ -939,7 +944,7 @@ def _handle_fin_when_open(self, segment):
 
 
 @pytest.fixture
-def old_close(monkeypatch):
+def old_close(monkeypatch, old_sampling):
     """Put back the end-of-stream event that only an open connection
     raised: the server's FIN on a REWRITE flow's onward leg, which the
     proxy had closed first, never reached the rewriter, so the inmate
@@ -971,6 +976,193 @@ def test_pins_reconstruct_with_the_one_way_close(old_close, name):
     nothing else: with the old close put back, every pin it moved reads
     as it was."""
     assert OLD_CLOSE_PRODUCERS[name]() == OLD_CLOSE_PINS[name]
+
+
+# ----------------------------------------------------------------------
+# The sampling every pin up to reads-only observation was recorded on
+# ----------------------------------------------------------------------
+#: FarmConfig's two sampling intervals, each after the row it stood
+#: behind, and their least values, after ``safety_window``'s.
+SAMPLING_FIELDS = {
+    "telemetry": {"telemetry_snapshot_interval": (NUMBER, None)},
+    "journal": {"journal_sample_interval": (NUMBER, None)},
+}
+SAMPLING_LEAST = {"safety_window": {"telemetry_snapshot_interval": 0,
+                                    "journal_sample_interval": 0}}
+#: Samples a journal ring kept, and events between two depth samples.
+RING_CAPACITY, QUEUE_DEPTH_STRIDE = 512, 1024
+
+
+def _strided_run(self, until=None, max_events=None):
+    """``Simulator.run`` as it was: with telemetry on, the depth gauge
+    read a sample taken every ``QUEUE_DEPTH_STRIDE`` events and when
+    the run stopped."""
+    if until is not None and not until >= self._now:
+        raise ValueError(f"cannot run until t={until} < now={self._now}")
+    processed = 0
+    queue = self._queue
+    horizon = inf if until is None else until
+    budget = inf if max_events is None else max_events
+    sample = self.telemetry.enabled
+    self._in_flight += 1
+    try:
+        while queue:
+            event = queue[0]
+            if event[6]:
+                heappop(queue)
+                self._dead -= 1
+                self.events_discarded += 1
+                continue
+            time = event[0]
+            if time > horizon:
+                self._now = until
+                break
+            if processed >= budget:
+                break
+            heappop(queue)
+            event[5] = None
+            self._now = time
+            event[2](*event[3])
+            processed += 1
+            self.events_processed += 1
+            if sample and not self.events_processed % QUEUE_DEPTH_STRIDE:
+                self.queue_depth_sample = len(queue)
+        else:
+            if until is not None and until > self._now:
+                self._now = until
+    finally:
+        if sample:
+            self.queue_depth_sample = len(queue)
+    self._in_flight -= 1
+    return self._now
+
+
+def _attach_sampled_depth(self, telemetry) -> None:
+    """``Simulator.attach_telemetry`` as it was: the depth gauge read
+    ``queue_depth_sample``, 0.0 until the first sample."""
+    self.telemetry = telemetry
+    self.queue_depth_sample = 0.0
+    fired, discarded = self.events_processed, self.events_discarded
+    scheduled = self._left_or_queued()
+    telemetry.counter(
+        "sim.events.scheduled", "Events pushed onto the queue"
+    ).register(lambda: self._left_or_queued() - scheduled)
+    telemetry.counter(
+        "sim.events.fired", "Callbacks executed"
+    ).register(lambda: self.events_processed - fired)
+    telemetry.counter(
+        "sim.events.cancelled", "Dead events discarded at pop"
+    ).register(lambda: self.events_discarded - discarded)
+    telemetry.gauge(
+        "sim.queue.depth", "Events currently queued (incl. dead)"
+    ).register(lambda: self.queue_depth_sample)
+
+
+def _sample(journal, name: str, value) -> None:
+    """One sample into the journal's ring ``name``, oldest dropped."""
+    ring = vars(journal).setdefault("rings", {}).setdefault(
+        name, {"capacity": RING_CAPACITY, "dropped": 0, "samples": []})
+    if len(ring["samples"]) == RING_CAPACITY:
+        del ring["samples"][0]
+        ring["dropped"] += 1
+    ring["samples"].append([round(journal.clock(), 9), float(value)])
+
+
+def _schedule_journal_samples(farm, interval: float) -> None:
+    """The farm's journal sampler: five counters and the journal's own
+    count, every ``interval`` virtual seconds."""
+    def sample() -> None:
+        journal = farm.sim.journal
+        _sample(journal, "sim.events", farm.sim.events_processed)
+        _sample(journal, "sim.queue.depth", farm.sim.pending)
+        _sample(journal, "journal.recorded", journal.recorded)
+        for name in sorted(farm.subfarms):
+            counters = farm.subfarms[name].router.counters
+            _sample(journal, f"router.{name}.flows_created",
+                    counters.get("flows_created", 0))
+            _sample(journal, f"router.{name}.packets_relayed",
+                    counters.get("packets_relayed", 0))
+        farm.sim.schedule(interval, sample, label="journal-sample")
+
+    farm.sim.schedule(interval, sample, label="journal-sample")
+
+
+@pytest.fixture
+def old_sampling(monkeypatch):
+    """Put back what observation sampled on a schedule: FarmConfig's
+    two interval rows (the rows the fuzz loop mutates, and the least
+    values it is refused by), the run loop's strided depth sample, the
+    journal's sample ticks at the scan runs' 10 s, and the ``rings``
+    every journal snapshot carried."""
+    fields = FarmConfig.FIELDS
+    kept = dict(fields)
+    fields.clear()   # in place: the fuzz loop's Table holds this dict
+    fields.update(_after(kept, SAMPLING_FIELDS))
+    monkeypatch.setattr(FarmConfig, "_LEAST",
+                        _after(FarmConfig._LEAST, SAMPLING_LEAST))
+    monkeypatch.setattr(Simulator, "run", _strided_run)
+    monkeypatch.setattr(Simulator, "attach_telemetry",
+                        _attach_sampled_depth)
+    init = Farm.__init__
+
+    def sampled_init(farm, config=None):
+        init(farm, config)
+        interval = farm.config.journal_sample_interval
+        if farm.config.journal and interval:
+            _schedule_journal_samples(farm, interval)
+
+    monkeypatch.setattr(Farm, "__init__", sampled_init)
+    snapshot, null_snapshot = Journal._snapshot, NullJournal.snapshot
+    monkeypatch.setattr(Journal, "_snapshot", lambda journal, events: dict(
+        snapshot(journal, events), rings={
+            name: dict(ring, samples=[list(pair)
+                                      for pair in ring["samples"]])
+            for name, ring in sorted(vars(journal).get("rings",
+                                                       {}).items())}))
+    monkeypatch.setattr(NullJournal, "snapshot", lambda journal: dict(
+        null_snapshot(journal), rings={}))
+    monkeypatch.setitem(test_obs_parity.SCAN_CONFIG,
+                        "journal_sample_interval", 10.0)
+    yield
+    fields.clear()
+    fields.update(kept)
+
+
+#: Every pin observation's reads moved, as recorded before: the
+#: obs-parity corpus (its mid-run ``sim.events.*`` without the sample
+#: ticks, its mid-run depth read live, its journals without
+#: ``rings``), the seed farm's journal digest and the quick fuzz loop's
+#: (no ``rings``) and its loop over FarmConfig documents (its rows).
+OLD_SAMPLING_PINS = {
+    "obs": "82f9deb118b966e5ef0914eb2c4fc837fc1ac4d49258d9b6f0f5c6179c53ec55",
+    "farm_journal":
+        "021291dcd7ae309fef0d4f3b6ef9f2b98dc56604e5d28dea12d1eaed6c188ce8",
+    "fuzz/farm_config": {
+        "digest":
+            "98083f1ae3b737ee44928a66ee253cb3a5dae90153c243810a0fd9d584b7af43",
+        "iterations": 500, "ok": 119, "parse_errors": 381},
+    "fuzz/farm/isolate/journal_digest":
+        "dd6c83e455cad38789bcdd83ee6504364f62d70f022c04ea7b871b07e456cd1a",
+    "fuzz/farm/fail-stop/journal_digest":
+        "36cda796aebf054b3a68df442eaaa115b1940f189aaeedc89cf83c9da3a76357",
+}
+OLD_SAMPLING_PRODUCERS = {
+    "obs": _obs_corpus_digest,
+    "farm_journal": FARM_PINS["farm_journal"],
+    "fuzz/farm_config": _farm_config_fuzz,
+    **{f"fuzz/farm/{policy}/journal_digest":
+       (lambda policy=policy: fuzz_farm(QUICK_SEED, QUICK_FRAMES,
+                                        policy=policy)["journal_digest"])
+       for policy in ("isolate", "fail-stop")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_SAMPLING_PINS))
+def test_pins_reconstruct_with_the_old_sampling(old_sampling, name):
+    """Reading observation only when it is read moved what it moves and
+    nothing else: with the intervals, the stride, the sample ticks and
+    the rings put back, every pin it moved reads as it was."""
+    assert OLD_SAMPLING_PRODUCERS[name]() == OLD_SAMPLING_PINS[name]
 
 
 def digest_farm(config):

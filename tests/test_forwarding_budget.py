@@ -186,7 +186,7 @@ def _probe_router(router):
     table = _Probed(router.flowtable.entries)
     router.flowtable.entries = router._table = table
     others = {}
-    for name in ("_by_mux", "_by_nonce", "_trace_ids"):
+    for name in ("_by_mux", "_by_nonce"):
         others[name] = _Probed(getattr(router, name))
         setattr(router, name, others[name])
     return table, others
@@ -213,14 +213,13 @@ def _assert_one_probe_per_packet(table, others, calls, released) -> int:
     # A flow is created under a free slot and gives it back at release;
     # nothing else reads a per-flow map on a packet's way.
     assert set(others["_by_mux"].reads) <= {"allocate_slot", "release"}
-    for name in ("_by_mux", "_by_nonce", "_trace_ids"):
+    for name in ("_by_mux", "_by_nonce"):
         assert others[name].reads["release"] == released["flows"]
     # A server's segment on no flow (what it sends after the verdict
     # took it off the path) is looked up as a nonce leg's opening
     # before it is dropped.
     assert set(others["_by_nonce"].reads) <= {"release",
                                               "_service_frame_inner"}
-    assert set(others["_trace_ids"].reads) <= {"release"}
     return entered
 
 

@@ -91,9 +91,8 @@ def test_batch_window_hop_costs_the_same():
 
 
 def _ticking_sim():
-    """40 ticks at t=1..40, the depth gauge sampled every 8 events."""
+    """40 ticks at t=1..40."""
     sim = Simulator()
-    sim.QUEUE_DEPTH_STRIDE = 8
     ticks = [sim.schedule_at(float(t), lambda: None) for t in range(1, 41)]
     return sim, ticks
 
@@ -120,9 +119,10 @@ def test_sim_instruments_in_a_mid_run_snapshot():
         "sim.events.fired": 18.0,      # ticks 1..20 less the two dead
         "sim.events.cancelled": 2.0,   # discarded lazily at the head
     }
-    # Sampled when the 16th callback returned (tick 18): 43 entries
-    # queued in all, 18 popped by then.
-    assert snap["gauges"] == {"sim.queue.depth": 43 - 18}
+    # Read live, inside the reader's own callback: 43 entries queued in
+    # all, 21 popped by then (ticks 1..20, the two dead among them, and
+    # the reader itself).
+    assert snap["gauges"] == {"sim.queue.depth": 43 - 21}
 
     final = snapshot(telemetry)
     assert final["counters"] == {

@@ -27,7 +27,6 @@ from repro.obs.export import render_chrome_trace, render_jsonl
 from repro.obs import journal as journal_module
 from repro.obs.journal import (
     DEFAULT_CAPACITY,
-    DEFAULT_RING_CAPACITY,
     DIGEST_CHUNK,
     JOURNAL_SCHEMA,
     NULL_JOURNAL,
@@ -49,14 +48,11 @@ from repro.reporting.report import ActivityReport, render_report
 pytestmark = pytest.mark.obs
 
 
-def make_journal(capacity: int = DEFAULT_CAPACITY,
-                 ring_capacity: int = DEFAULT_RING_CAPACITY) -> Journal:
+def make_journal(capacity: int = DEFAULT_CAPACITY) -> Journal:
     """A journal on a hand-wound clock, bounded by patching the
-    constants a journal reads when it is built."""
+    constant a journal reads when it is built."""
     clock = [0.0]
-    with mock.patch.object(journal_module, "DEFAULT_CAPACITY", capacity), \
-            mock.patch.object(journal_module, "DEFAULT_RING_CAPACITY",
-                              ring_capacity):
+    with mock.patch.object(journal_module, "DEFAULT_CAPACITY", capacity):
         journal = Journal(clock=lambda: clock[0])
     journal.tick = lambda dt=1.0: clock.__setitem__(0, clock[0] + dt)
     return journal
@@ -109,29 +105,18 @@ class TestRecording:
         assert NULL_JOURNAL.events() == []
         assert NULL_JOURNAL.snapshot()["enabled"] is False
 
-    def test_sample_rings_bounded(self):
-        journal = make_journal(ring_capacity=2)
-        for value in range(4):
-            journal.sample("gw.flows", value)
-            journal.tick()
-        ring = journal.snapshot()["rings"]["gw.flows"]
-        assert ring["dropped"] == 2
-        assert [pair[1] for pair in ring["samples"]] == [2.0, 3.0]
-
 
 class ListJournal:
     """Reference model: the journal's bookkeeping on plain lists and
     insertion-ordered dicts, every eviction a delete-the-first — the
     O(capacity) form the live journal's deques replaced."""
 
-    def __init__(self, clock, capacity, ring_capacity):
+    def __init__(self, clock, capacity):
         self.clock = clock
         self.capacity = capacity
-        self.ring_capacity = ring_capacity
         self.events = []
         self.seq = self.recorded = self.evicted = 0
         self.last_for_flow, self.last_for_vlan, self.aliases = {}, {}, {}
-        self.rings = {}
 
     def _remember(self, table, key, value):
         if key not in table and len(table) >= self.capacity:
@@ -164,21 +149,11 @@ class ListJournal:
     def bind_flow(self, alias, flow_id):
         self._remember(self.aliases, alias, flow_id)
 
-    def sample(self, name, value):
-        ring = self.rings.setdefault(name, {
-            "capacity": self.ring_capacity, "dropped": 0, "samples": []})
-        if len(ring["samples"]) >= self.ring_capacity:
-            del ring["samples"][0]
-            ring["dropped"] += 1
-        ring["samples"].append([round(self.clock(), 9), float(value)])
-
     def snapshot(self):
         return {"schema": JOURNAL_SCHEMA, "enabled": True,
                 "time": round(self.clock(), 9),
                 "recorded": self.recorded, "evicted": self.evicted,
-                "events": list(self.events),
-                "rings": {name: self.rings[name]
-                          for name in sorted(self.rings)}}
+                "events": list(self.events)}
 
 
 class TestAtCapacity:
@@ -191,8 +166,8 @@ class TestAtCapacity:
     @pytest.mark.parametrize("capacity", [1, 7, 32])
     def test_matches_list_model_past_capacity(self, capacity, seed):
         rng = random.Random(seed)
-        journal = make_journal(capacity=capacity, ring_capacity=2)
-        model = ListJournal(journal.clock, capacity, 2)
+        journal = make_journal(capacity=capacity)
+        model = ListJournal(journal.clock, capacity)
         # More distinct flows, VLANs and aliases than capacity, so all
         # three FIFO-bounded maps evict as well as the event store.
         flows = [f"flow-{n}" for n in range(3 * capacity)]
@@ -207,14 +182,10 @@ class TestAtCapacity:
                     parent=rng.choice([None, None, ROOT, 0]), step=step)
                 live = journal.record("k", **kwargs)
                 assert live.to_dict() == model.record("k", **kwargs)
-            elif op < 0.85:
+            else:
                 alias, flow = rng.choice(flows), rng.choice(flows)
                 journal.bind_flow(alias, flow)
                 model.bind_flow(alias, flow)
-            else:
-                name = rng.choice(["a", "b"])
-                journal.sample(name, step)
-                model.sample(name, step)
             for alias in rng.sample(flows, 3):
                 assert journal.flow_for(alias) == model.aliases.get(alias)
         assert journal.recorded >= 4 * capacity
@@ -224,8 +195,6 @@ class TestAtCapacity:
         snap = journal.snapshot()
         assert snap == model.snapshot()
         assert journal.digest() == journal_digest(model.snapshot())
-        assert all(ring["dropped"] >= 4 * 2
-                   for ring in snap["rings"].values())
 
     def test_full_journal_costs_what_a_filling_one_does(self):
         """Guard on O(1) eviction: per-event cost over 20k events at
@@ -275,25 +244,25 @@ class TestStreamingDigest:
         0, 1, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1,
         3 * DIGEST_CHUNK + 7])
     @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 1000])
-    @pytest.mark.parametrize("rings", [False, True])
-    def test_matches_the_whole_text(self, events, capacity, rings):
+    @pytest.mark.parametrize("fields", [False, True])
+    def test_matches_the_whole_text(self, events, capacity, fields):
+        """With ``fields`` each event carries non-ASCII text, floats,
+        lists and a nested dict; without, a count only."""
         rng = random.Random(events)
-        journal = make_journal(capacity=capacity, ring_capacity=8)
+        journal = make_journal(capacity=capacity)
         for n in range(events):
             journal.tick(rng.random())
+            payload = dict(
+                policy="Botfarm — «strict»", rate=rng.random() * 1e3,
+                ratio=n / 7, big=1e300, rules=["a", "☃"],
+                nested={"z": 1, "a": [0.1, None, True]}) if fields else {}
             journal.record(
                 rng.choice(["flow.created", "verdict.issued"]),
                 flow=f"vlan{n % 9}/ü-{n % 13}", vlan=n % 9,
-                parent=rng.choice([None, ROOT]),
-                policy="Botfarm — «strict»", rate=rng.random() * 1e3,
-                ratio=n / 7, big=1e300, count=n, rules=["a", "☃"],
-                nested={"z": 1, "a": [0.1, None, True]})
-            if rings and n % 5 == 0:
-                journal.sample(rng.choice(["gw.flows", "cs.p99"]), n / 3)
+                parent=rng.choice([None, ROOT]), count=n, **payload)
         assert journal.evicted == max(0, events - capacity)
         snapshot = journal.snapshot()
         assert len(snapshot["events"]) == min(events, capacity)
-        assert bool(snapshot["rings"]) == (rings and events > 0)
         expected = whole_text_digest(snapshot)
         assert journal.digest() == journal_digest(snapshot) == expected
 
@@ -354,17 +323,13 @@ class TestExporters:
     def snapshot(self):
         journal = make_journal()
         journal.record("flow.created", flow="f1", vlan=1, parent=ROOT)
-        journal.sample("gw.flows", 2)
         return journal.snapshot()
 
     def test_jsonl_round_trips(self):
-        lines = render_jsonl(self.snapshot()).splitlines()
-        header = json.loads(lines[0])
+        header, event = map(json.loads,
+                            render_jsonl(self.snapshot()).splitlines())
         assert header["schema"] == JOURNAL_SCHEMA
-        event = json.loads(lines[1])
         assert event["kind"] == "flow.created"
-        ring = json.loads(lines[2])
-        assert ring["ring"] == "gw.flows"
 
     def test_chrome_trace_emits_instants(self):
         doc = json.loads(render_chrome_trace(
@@ -401,11 +366,10 @@ class TestFarmDeterminism:
         assert "flow.created" in render_why(events, flow)
 
     def test_farm_config_round_trips_journal_knobs(self):
-        config = FarmConfig(seed=5, journal=True,
-                            journal_sample_interval=15.0)
+        config = FarmConfig(seed=5, journal=True)
         clone = FarmConfig.from_dict(config.to_dict())
         assert clone.journal is True
-        assert clone.journal_sample_interval == 15.0
+        assert clone.to_dict() == config.to_dict()
 
 
 class TestDecisionAuditSection:

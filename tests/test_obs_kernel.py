@@ -79,7 +79,7 @@ class TestMetrics:
 
     def test_gauge_exports_what_its_read_returns(self):
         """A gauge is not coerced: an int read exports as an int, as the
-        NAT gauges and the queue-depth sample always have."""
+        NAT gauges and the queue depth always have."""
         telemetry = Telemetry()
         depth = [10]
         telemetry.gauge("depth").register(lambda: depth[0])

@@ -36,8 +36,7 @@ def metric_snapshot(counters=None, gauges=None, histograms=None,
     }
 
 
-def journal_snapshot(events, time=0.0, rings=None, evicted=0,
-                     enabled=True):
+def journal_snapshot(events, time=0.0, evicted=0, enabled=True):
     return {
         "schema": JOURNAL_SCHEMA,
         "enabled": enabled,
@@ -45,7 +44,6 @@ def journal_snapshot(events, time=0.0, rings=None, evicted=0,
         "recorded": len(events) + evicted,
         "evicted": evicted,
         "events": events,
-        "rings": dict(rings or {}),
     }
 
 
@@ -117,18 +115,6 @@ class TestJournalMergeEdges:
         # Sorted by (t, shard, seq): shard 1's earlier event leads.
         assert [e["seq"] for e in forward["events"]] == \
             ["shard=1/0", "shard=0/0"]
-
-    def test_ring_collision_raises(self):
-        ring = {"capacity": 4, "dropped": 0, "samples": [[1.0, 2.0]]}
-        a = journal_snapshot([], rings={"gw.flows": ring})
-        b = journal_snapshot([], rings={"gw.flows": ring})
-        with pytest.raises(ValueError, match="duplicate shard labels"):
-            merge([a, b], labels=[{"shard": "3"}, {"shard": "3"}])
-        with pytest.raises(ValueError, match="collision.*gw.flows"):
-            merge([a, b])
-        merged = merge([a, b], labels=[{"shard": "0"}, {"shard": "1"}])
-        assert sorted(merged["rings"]) == \
-            ["shard=0/gw.flows", "shard=1/gw.flows"]
 
     def test_schema_mismatch_raises(self):
         a = journal_snapshot([])
@@ -238,13 +224,7 @@ def journal_shards(draw):
             parent=draw(st.sampled_from([None] + list(range(seq)))))
         for seq in range(count)
     ]
-    rings = draw(st.dictionaries(
-        st.sampled_from(["gw.flows", "sim.queue"]),
-        st.fixed_dictionaries({"capacity": st.just(4),
-                               "dropped": st.integers(0, 2),
-                               "samples": st.just([[1.0, 2.0]])}),
-        max_size=2))
-    return journal_snapshot(events, time=draw(TIMES), rings=rings,
+    return journal_snapshot(events, time=draw(TIMES),
                             evicted=draw(st.integers(0, 3)),
                             enabled=draw(st.booleans()))
 
@@ -294,12 +274,8 @@ def model_merge(shards, labels):
         union = {}
         for snap, label_set in zip(shards, labels):
             for identity, value in snap[section].items():
-                # Journal identities take labels as a path prefix,
-                # metric identities as sorted labels.
-                key = (f"{prefix_of(label_set)}/{identity}"
-                       if shape.events
-                       else label_identity(identity, **label_set))
-                union[key] = value
+                # Metric identities take labels as sorted labels.
+                union[label_identity(identity, **label_set)] = value
         out[section] = dict(sorted(union.items()))
     return out
 

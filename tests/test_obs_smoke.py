@@ -21,6 +21,8 @@ from repro.farm import Farm, FarmConfig
 from repro.net.addresses import IPv4Address
 from repro.net.http import HttpParser, HttpRequest, HttpResponse
 from repro.obs.export import SNAPSHOT_SCHEMA, to_json
+from repro.sim.process import Process
+from tests.helpers import newest_flow
 
 pytestmark = [pytest.mark.obs, pytest.mark.integration]
 
@@ -62,8 +64,7 @@ def _fetch_image(results):
 
 
 def build_farm(results, seed=7, journal=False):
-    farm = Farm(FarmConfig(seed=seed, telemetry=True, journal=journal,
-                           telemetry_snapshot_interval=30.0))
+    farm = Farm(FarmConfig(seed=seed, telemetry=True, journal=journal))
     sub = farm.create_subfarm("smoke")
     sub.add_catchall_sink()
     web = farm.add_external_host("webserver", EXTERNAL_WEB_IP)
@@ -81,7 +82,11 @@ def run_farm(seed=7):
 
 
 def test_farm_run_emits_valid_snapshot():
-    farm, results = run_farm()
+    results, series = [], []
+    farm = build_farm(results)
+    Process(farm.sim, 30.0,
+            lambda: series.append(farm.telemetry_snapshot())).start()
+    farm.run(until=60)
     assert results, "the contained HTTP fetch never completed"
 
     text = to_json(farm.telemetry)
@@ -112,30 +117,23 @@ def test_farm_run_emits_valid_snapshot():
     assert snap["counters"]["sim.events.fired"] > 0
     assert "sim.queue.depth" in snap["gauges"]
 
-    # Periodic snapshots were captured on the virtual clock.
-    assert len(farm.telemetry_snapshots) == 2
-    assert farm.telemetry_snapshots[0]["time"] == 30.0
-
-
-class _NeverFilled(dict):
-    """The router's flow-id map in a run that must not fill it."""
-
-    def __setitem__(self, key, value):
-        raise AssertionError(f"per-flow observation state: {key!r}")
+    # A series is snapshots the caller schedules on the virtual clock.
+    assert [snap["time"] for snap in series] == [30.0, 60.0]
 
 
 def test_telemetry_only_flow_keeps_no_per_flow_observation_state():
     results = []
     farm = build_farm(results)
     router = farm.subfarms["smoke"].router
-    router._trace_ids = _NeverFilled()
     farm.run(until=60)
     # A whole flow life: created, verdict, handoff, data ...
     assert results and router.counters["flows_created"] == 1
     assert router.active_flow_count() == 1
+    record = newest_flow(router)
+    assert record.flow_id is None
     # ... and eviction.
     assert router.expire_idle_flows(max_idle=-1.0) == 1
-    assert router._trace_ids == {}
+    assert record.flow_id is None and router._by_mux == {}
     # The metrics the spans sat beside are all still there.
     rtt = farm.telemetry.get("router.shim.rtt").cells()[
         (("subfarm", "smoke"),)].summary()
@@ -152,8 +150,10 @@ def test_journal_chain_carries_the_span_timestamps():
     farm = build_farm(results, journal=True)
     router = farm.subfarms["smoke"].router
     farm.run(until=60)
+    record = newest_flow(router)
+    assert record.flow_id == "smoke/vlan2/mux20000/t31.004900"
     assert router.expire_idle_flows(max_idle=-1.0) == 1
-    assert router._trace_ids == {}  # evicted flows leave nothing behind
+    assert record.flow_id is None  # evicted flows leave nothing behind
 
     events = farm.journal_snapshot()["events"]
     flow = "smoke/vlan2/mux20000/t31.004900"

@@ -155,8 +155,7 @@ class TestCampaign:
 class TestFarmConfigRoundTrip:
     def test_round_trip_through_json(self):
         config = FarmConfig(seed=9, inbound_mode=InboundMode.DROP,
-                            telemetry=True,
-                            telemetry_snapshot_interval=30.0,
+                            telemetry=True, journal=True,
                             global_networks=["192.0.2.0/24"],
                             safety_window=15.0)
         data = json.loads(json.dumps(config.to_dict()))

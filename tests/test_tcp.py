@@ -226,6 +226,20 @@ class TestTeardown:
         assert resets == [server_conns[0]]
         assert conn.state == TcpState.CLOSED
 
+    def test_abort_before_the_syn_sends_nothing(self):
+        """A connection aborted in the tick between ``connect`` and its
+        deferred SYN never opens: no SYN goes out, the peer accepts
+        nothing, and the connection stays closed and forgotten."""
+        sim, _switch, (a, b) = lan()
+        server_conns = echo_server(b)
+        conn = a.tcp.connect(b.ip, 7)
+        conn.abort()
+        sim.run(until=1.0)
+        assert conn.state == TcpState.CLOSED
+        assert conn.opened_at is None
+        assert server_conns == []
+        assert a.tcp.connection_count() == 0
+
     def test_send_after_close_raises(self):
         sim, _switch, (a, b) = lan()
         echo_server(b)
