@@ -25,9 +25,11 @@ set, now constants of their components) and `OLD_SURFACE_PINS` (the
 policy surface whose service lookup bound a missing service for every
 atom after its first reflect) and `OLD_CLOSE_PINS` (the end-of-stream
 event that fired only in ESTABLISHED and SYN_RCVD, so a REWRITE flow
-whose inmate closed first never closed its server's side).  Each older
-fixture stands on the newer ones, since its pins were recorded before
-them too.
+whose inmate closed first never closed its server's side) and
+`OLD_SAMPLING_PINS` (FarmConfig's two sampling intervals, the
+journal's sample ticks and rings, and the run loop's strided depth
+sample).  Each older fixture stands on the newer ones, since its pins
+were recorded before them too.
 """
 
 from __future__ import annotations
