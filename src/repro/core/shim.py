@@ -35,7 +35,7 @@ inside a byte stream.
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.verdicts import ContainmentDecision, Verdict
 from repro.net.addresses import IPv4Address
@@ -54,7 +54,22 @@ RESPONSE_SHIM_MIN_LEN = 56
 POLICY_TAG_LEN = 32
 
 _PREAMBLE = struct.Struct("!IHBB")
-_FOUR_TUPLE = struct.Struct("!4s4sHH")
+#: The request shim whole, and a response shim up to its verdict
+#: opcode: the preamble, then the four-tuple with its addresses as ints.
+_REQUEST = struct.Struct("!IHBBIIHHHH")
+_RESPONSE_HEAD = struct.Struct("!IHBBIIHH")
+_FOUR_TUPLE = struct.Struct("!IIHH")
+_OPCODE = struct.Struct("!I")
+
+#: A response shim's tail — verdict opcode, policy tag, annotation — is
+#: what a policy says, not which flow it says it of, and a policy says
+#: few things: each tail is encoded and decoded once, then interned by
+#: its fields and by its wire bytes.  Both caches map a key to what a
+#: pure function of it returns, immutable, so a process shares them
+#: safely; one that reaches this size starts over.
+TAIL_CACHE_MAX = 256
+_encoded_tails: Dict[tuple, bytes] = {}
+_decoded_tails: Dict[bytes, tuple] = {}
 
 
 class ShimError(ParseError):
@@ -71,10 +86,6 @@ class ShimError(ParseError):
 
     def __reduce__(self):
         return (self.__class__, (self.reason, self.offset))
-
-
-def _pack_preamble(length: int, msg_type: int) -> bytes:
-    return _PREAMBLE.pack(SHIM_MAGIC, length, msg_type, SHIM_VERSION)
 
 
 def _unpack_preamble(data: bytes) -> tuple:
@@ -109,13 +120,11 @@ class RequestShim:
         self.nonce_port = nonce_port
 
     def to_bytes(self) -> bytes:
-        body = _FOUR_TUPLE.pack(
-            self.flow.orig_ip.to_bytes(), self.flow.resp_ip.to_bytes(),
-            self.flow.orig_port, self.flow.resp_port,
-        ) + struct.pack("!HH", self.vlan_id, self.nonce_port)
-        message = _pack_preamble(REQUEST_SHIM_LEN, TYPE_REQUEST) + body
-        assert len(message) == REQUEST_SHIM_LEN
-        return message
+        flow = self.flow
+        return _REQUEST.pack(
+            SHIM_MAGIC, REQUEST_SHIM_LEN, TYPE_REQUEST, SHIM_VERSION,
+            flow.orig_ip.value, flow.resp_ip.value, flow.orig_port,
+            flow.resp_port, self.vlan_id, self.nonce_port)
 
     @classmethod
     def from_bytes(cls, data: bytes, proto: int = 6) -> "RequestShim":
@@ -130,14 +139,10 @@ class RequestShim:
             raise ShimError(f"request shim truncated mid-field "
                             f"({len(data)} of {REQUEST_SHIM_LEN} bytes)",
                             offset=len(data))
-        orig_raw, resp_raw, orig_port, resp_port = _FOUR_TUPLE.unpack(
-            data[8:20]
-        )
-        vlan_id, nonce_port = struct.unpack("!HH", data[20:24])
-        flow = FiveTuple(
-            IPv4Address.from_bytes(orig_raw), orig_port,
-            IPv4Address.from_bytes(resp_raw), resp_port, proto,
-        )
+        (_magic, _length, _type, _version, orig_ip, resp_ip, orig_port,
+         resp_port, vlan_id, nonce_port) = _REQUEST.unpack_from(data)
+        flow = FiveTuple(IPv4Address(orig_ip), orig_port,
+                         IPv4Address(resp_ip), resp_port, proto)
         return cls(flow, vlan_id, nonce_port)
 
     def __repr__(self) -> str:
@@ -198,32 +203,15 @@ class ResponseShim:
         )
 
     def to_bytes(self) -> bytes:
-        annotation = self.annotation.encode("utf-8")
-        if self.rate is not None:
-            # LIMIT budgets travel in the annotation, key=value style.
-            rate_blob = f"rate={self.rate:g}".encode("ascii")
-            annotation = rate_blob + (b";" + annotation if annotation else b"")
-        policy_tag = self.policy.encode("utf-8")[:POLICY_TAG_LEN]
-        # Never truncate mid-codepoint: drop trailing continuation
-        # bytes so the tag stays valid UTF-8.
-        while policy_tag and (policy_tag[-1] & 0xC0) == 0x80:
-            policy_tag = policy_tag[:-1]
-        if policy_tag and policy_tag[-1] >= 0xC0:
-            policy_tag = policy_tag[:-1]  # orphaned lead byte
-        policy_tag += b"\x00" * (POLICY_TAG_LEN - len(policy_tag))
-        body = (
-            _FOUR_TUPLE.pack(
-                self.flow.orig_ip.to_bytes(), self.flow.resp_ip.to_bytes(),
-                self.flow.orig_port, self.flow.resp_port,
-            )
-            + struct.pack("!I", int(self.verdict))
-            + policy_tag
-            + annotation
-        )
-        length = 8 + len(body)
-        if length < RESPONSE_SHIM_MIN_LEN:
-            raise ShimError("response shim below minimum length")  # pragma: no cover
-        return _pack_preamble(length, TYPE_RESPONSE) + body
+        fields = (self.verdict, self.policy, self.annotation, self.rate)
+        tail = _encoded_tails.get(fields)
+        if tail is None:
+            tail = _intern(_encoded_tails, fields, _encode_tail(*fields))
+        flow = self.flow
+        return _RESPONSE_HEAD.pack(
+            SHIM_MAGIC, 20 + len(tail), TYPE_RESPONSE, SHIM_VERSION,
+            flow.orig_ip.value, flow.resp_ip.value, flow.orig_port,
+            flow.resp_port) + tail
 
     @classmethod
     def from_bytes(cls, data: bytes, proto: int = 6) -> "ResponseShim":
@@ -238,33 +226,69 @@ class ResponseShim:
             raise ShimError(f"response shim truncated mid-field "
                             f"({len(data)} of {length} bytes)",
                             offset=len(data))
-        orig_raw, resp_raw, orig_port, resp_port = _FOUR_TUPLE.unpack(data[8:20])
-        (opcode,) = struct.unpack("!I", data[20:24])
-        policy = data[24:24 + POLICY_TAG_LEN].rstrip(b"\x00").decode(
-            "utf-8", "replace")
-        annotation_raw = data[24 + POLICY_TAG_LEN:length]
-        rate: Optional[float] = None
-        annotation = annotation_raw.decode("utf-8", "replace")
-        if annotation.startswith("rate="):
-            rate_text, _, rest = annotation.partition(";")
-            try:
-                rate = float(rate_text[5:])
-            except ValueError:
-                raise ShimError(
-                    f"malformed rate annotation {rate_text!r}",
-                    offset=24 + POLICY_TAG_LEN) from None
-            annotation = rest
-        flow = FiveTuple(
-            IPv4Address.from_bytes(orig_raw), orig_port,
-            IPv4Address.from_bytes(resp_raw), resp_port, proto,
-        )
-        try:
-            verdict = Verdict(opcode)
-            verdict.validate()
-        except ValueError:
-            raise ShimError(f"invalid verdict opcode {opcode:#x}",
-                            offset=20) from None
+        orig_ip, resp_ip, orig_port, resp_port = _FOUR_TUPLE.unpack_from(
+            data, 8)
+        tail = bytes(data[20:length])
+        decoded = _decoded_tails.get(tail)
+        if decoded is None:
+            decoded = _intern(_decoded_tails, tail, _decode_tail(tail))
+        verdict, policy, annotation, rate = decoded
+        flow = FiveTuple(IPv4Address(orig_ip), orig_port,
+                         IPv4Address(resp_ip), resp_port, proto)
         return cls(flow, verdict, policy, annotation, rate)
 
     def __repr__(self) -> str:
         return f"<ResponseShim {self.verdict!r} policy={self.policy!r} {self.flow}>"
+
+
+def _intern(cache: dict, key, value):
+    if len(cache) >= TAIL_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+def _encode_tail(verdict: Verdict, policy: str, annotation: str,
+                 rate: Optional[float]) -> bytes:
+    """A response shim's bytes from its verdict opcode on."""
+    annotation_raw = annotation.encode("utf-8")
+    if rate is not None:
+        # LIMIT budgets travel in the annotation, key=value style.
+        rate_blob = f"rate={rate:g}".encode("ascii")
+        annotation_raw = rate_blob + (b";" + annotation_raw
+                                      if annotation_raw else b"")
+    policy_tag = policy.encode("utf-8")[:POLICY_TAG_LEN]
+    # Never truncate mid-codepoint: drop trailing continuation
+    # bytes so the tag stays valid UTF-8.
+    while policy_tag and (policy_tag[-1] & 0xC0) == 0x80:
+        policy_tag = policy_tag[:-1]
+    if policy_tag and policy_tag[-1] >= 0xC0:
+        policy_tag = policy_tag[:-1]  # orphaned lead byte
+    policy_tag += b"\x00" * (POLICY_TAG_LEN - len(policy_tag))
+    return _OPCODE.pack(int(verdict)) + policy_tag + annotation_raw
+
+
+def _decode_tail(tail: bytes) -> tuple:
+    """``(verdict, policy, annotation, rate)`` from a response shim's
+    bytes from its verdict opcode on (at least 36 of them)."""
+    (opcode,) = _OPCODE.unpack_from(tail)
+    policy = tail[4:4 + POLICY_TAG_LEN].rstrip(b"\x00").decode(
+        "utf-8", "replace")
+    annotation = tail[4 + POLICY_TAG_LEN:].decode("utf-8", "replace")
+    rate: Optional[float] = None
+    if annotation.startswith("rate="):
+        rate_text, _, rest = annotation.partition(";")
+        try:
+            rate = float(rate_text[5:])
+        except ValueError:
+            raise ShimError(
+                f"malformed rate annotation {rate_text!r}",
+                offset=24 + POLICY_TAG_LEN) from None
+        annotation = rest
+    try:
+        verdict = Verdict(opcode)
+        verdict.validate()
+    except ValueError:
+        raise ShimError(f"invalid verdict opcode {opcode:#x}",
+                        offset=20) from None
+    return verdict, policy, annotation, rate

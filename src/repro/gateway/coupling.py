@@ -64,18 +64,32 @@ from repro.net.tcp import seq_add
 def couple(router, record: FlowRecord) -> None:
     """Bind the coupled legs — originator to the flow's containment
     server, every server of the cluster back on the flow's mux port
-    — from the record's present state: at creation, when the
-    request shim goes in, at a failover re-home, at a REWRITE verdict
-    (the response shim has come out, a shaper may have gone in)."""
-    router.flowtable.bind(c2cs_row(router, record))
-    for cs_ip in router._cs_list:
-        router.flowtable.bind(cs_row(router, record, cs_ip))
+    — from the record's present state: at creation, at a failover
+    re-home, at a REWRITE verdict (the response shim has come out, a
+    shaper may have gone in).  The record keeps the rows, so that
+    the request shim going in shifts them where they are
+    (:func:`shift_past_request_shim`)."""
+    rows = record.coupled = [c2cs_row(router, record)]
+    rows += [cs_row(router, record, cs_ip) for cs_ip in router._cs_list]
+    for row in rows:
+        router.flowtable.bind(row)
 
 
 def uncouple(router, record: FlowRecord) -> None:
     """Take the servers off the flow's path: their keys leave."""
     router.flowtable.unbind(record, [cs_key(router, record, cs_ip)
                                      for cs_ip in router._cs_list])
+
+
+def shift_past_request_shim(record: FlowRecord) -> None:
+    """The request shim is in: ``SEQ += |REQ SHIM|`` on the coupled
+    originator row, the shim out of every server row's ack.  The rows
+    stay bound; only their deltas change (TCP)."""
+    c2cs, *servers = record.coupled
+    c2cs.seq_delta = record.c2s_inj
+    ack_delta = (-record.c2s_inj) & 0xFFFFFFFF
+    for row in servers:
+        row.ack_delta = ack_delta
 
 
 def cs_key(router, record: FlowRecord, cs_ip: IPv4Address) -> tuple:
@@ -86,12 +100,12 @@ def cs_key(router, record: FlowRecord, cs_ip: IPv4Address) -> tuple:
     return (cs_ip.value, port, orig.orig_ip.value, record.mux_port, orig.proto)
 
 
-def c2cs_row(router, record: FlowRecord) -> Rewrite:
+def c2cs_row(router, record: FlowRecord, cls=Rewrite) -> Rewrite:
     """Originator -> the flow's containment server: the mux port,
     and ``SEQ += |REQ SHIM|`` once the request shim has gone in
     (for a datagram the shim is a prefix of every payload).  Emits
     on EMIT_CS (the shim-link fault seam is re-read per packet) and
-    is never shaped."""
+    is never shaped.  ``cls`` is FlowEntry for a rule."""
     orig = record.orig
     cs_ip = record.cs_ip
     if orig.proto == PROTO_UDP:
@@ -102,13 +116,14 @@ def c2cs_row(router, record: FlowRecord) -> Rewrite:
         kind, port = ACT_TCP_C2CS, router.cs_tcp_port
         translation = {"seq_delta": record.c2s_inj,
                        "ack_delta": record.s2c_rem}
-    return Rewrite(record.orig_key, record, LEG_ORIGINATOR, kind,
-                   record.mux_port, port, orig.orig_ip, cs_ip,
-                   router._cs_links[cs_ip.value], emit_code=EMIT_CS,
-                   emit_arg=cs_ip, **translation)
+    return cls(record.orig_key, record, LEG_ORIGINATOR, kind,
+               record.mux_port, port, orig.orig_ip, cs_ip,
+               router._cs_links[cs_ip.value], emit_code=EMIT_CS,
+               emit_arg=cs_ip, **translation)
 
 
-def cs_row(router, record: FlowRecord, cs_ip: IPv4Address) -> Row:
+def cs_row(router, record: FlowRecord, cs_ip: IPv4Address,
+           cls=Rewrite) -> Row:
     """Containment server ``cs_ip`` -> originator, on the flow's mux
     port: ``SEQ -= |RSP SHIM|`` once the response shim has come
     out, the request shim out of the ack.  A datagram from the
@@ -120,7 +135,7 @@ def cs_row(router, record: FlowRecord, cs_ip: IPv4Address) -> Row:
     return handoff.compile_row(
         router, record, key, LEG_CS, ACT_TCP_CS2C,
         orig.resp_port, orig.orig_port, orig.resp_ip, orig.orig_ip,
-        handoff.client_plan(record), shaped=True,
+        handoff.client_plan(record), shaped=True, cls=cls,
         seq_delta=(-record.s2c_rem) & 0xFFFFFFFF,
         ack_delta=(-record.c2s_inj) & 0xFFFFFFFF)
 
@@ -204,7 +219,7 @@ def inject_request_shim(router, record: FlowRecord) -> None:
     router.counters["shims_injected"] += 1
     to_cs(router, record, seq_add(record.client_isn, 1),
           seq_add(record.cs_isn, 1), ACK | PSH, payload)
-    couple(router, record)
+    shift_past_request_shim(record)
 
 
 # ----------------------------------------------------------------------

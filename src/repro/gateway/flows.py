@@ -76,7 +76,7 @@ class FlowRecord:
         "c2s_bytes", "s2c_bytes", "c2s_packets", "s2c_packets",
         "dst_ip", "dst_port", "dst_is_inmate_vlan", "nat_global",
         "spoof_preserve", "udp_pending", "shaper",
-        "keys", "closing",
+        "keys", "coupled", "closing",
     )
 
     def __init__(
@@ -157,6 +157,9 @@ class FlowRecord:
         # flow table, so eviction is O(legs) instead of an O(table)
         # scan.
         self.keys: list = []
+        # The coupled rows as ``coupling.couple`` last bound them (the
+        # originator's first), until the router releases the flow.
+        self.coupled: Optional[list] = None
         # A handed-off TCP flow's close, per direction, once a FIN has
         # passed (flowtable.CLOSE_RETIRE).
         self.closing: Optional[list] = None

@@ -211,17 +211,15 @@ _REWRITE_FIELDS = Row.__slots__ + Rewrite.__slots__
 
 
 class FlowEntry(Rewrite):
-    """One match-action rule: a rewrite installed under its key, with
-    its install time and a hit count."""
+    """One match-action rule: a rewrite compiled to be installed under
+    its key.  :func:`~repro.gateway.handoff.install` stamps its install
+    time and zeroes its hit count as it binds it."""
 
     __slots__ = ("hits", "installed_at")
     installed = True
-
-    def __init__(self, rewrite, installed_at=0.0):
-        for name in _REWRITE_FIELDS:
-            setattr(self, name, getattr(rewrite, name))
-        self.hits = 0
-        self.installed_at = installed_at
+    # The rewrite's constructor under the rule's own name, so a rule
+    # can be counted as it is built (the ledger's tracer wraps it).
+    __init__ = Rewrite.__init__
 
     def demoted(self) -> Rewrite:
         """The rewrite alone again, to take the key back when the

@@ -316,8 +316,10 @@ def install(router, record: FlowRecord) -> None:
     # never leave orphan entries or a half-installed rule set.
     table = router.flowtable
     now = router.sim.now
-    for row in rows:
-        table.bind(FlowEntry(row, now))
+    for entry in rows:
+        entry.hits = 0
+        entry.installed_at = now
+        table.bind(entry)
     table.installs += len(rows)
     if router.journal.enabled:
         router.journal.record(
@@ -342,18 +344,21 @@ def uninstall(router, record: FlowRecord) -> None:
 
 def compile_row(router, record: FlowRecord, key: tuple, leg: int, kind: int,
                 out_sport: int, out_dport: int, src_ip, dst_ip, emit,
-                shaped: bool = False, **translation) -> Rewrite:
+                shaped: bool = False, cls=Rewrite,
+                **translation) -> Rewrite:
     """One leg's rewrite for ``record`` under flow key ``key``,
     holding its resolved egress; ``shaped`` puts the flow's LIMIT
-    shaper, if it has one, in front of it."""
+    shaper, if it has one, in front of it.  ``cls`` is
+    :class:`~repro.gateway.flowtable.FlowEntry` for a rule
+    :func:`install` binds."""
     emit_code, emit_arg = emit
     egress = router._egress_for(emit_code, emit_arg)
     shaped = shaped and record.shaper is not None
     if shaped:
         egress = Shaped(router.sim, record.shaper, egress)
-    return Rewrite(key, record, leg, kind, out_sport, out_dport, src_ip,
-                   dst_ip, egress, emit_code=emit_code, emit_arg=emit_arg,
-                   shaped=shaped, **translation)
+    return cls(key, record, leg, kind, out_sport, out_dport, src_ip,
+               dst_ip, egress, emit_code=emit_code, emit_arg=emit_arg,
+               shaped=shaped, **translation)
 
 
 def compile_endpoint(router, record: FlowRecord):
@@ -378,11 +383,13 @@ def compile_endpoint(router, record: FlowRecord):
     return [
         compile_row(router, record, record.orig_key, LEG_ORIGINATOR, c2d,
                     orig.orig_port, record.dst_port, src_ip, dst_ip,
-                    (dst_code, dst_arg), shaped=True, **c2d_shift),
+                    (dst_code, dst_arg), shaped=True, cls=FlowEntry,
+                    **c2d_shift),
         compile_row(router, record, dst_alias(router, record), LEG_RETURN,
                     d2c, orig.resp_port, orig.orig_port,
                     orig.resp_ip, orig.orig_ip,
-                    client_plan(record), shaped=True, **d2c_shift),
+                    client_plan(record), shaped=True, cls=FlowEntry,
+                    **d2c_shift),
     ]
 
 
@@ -391,9 +398,10 @@ def compile_rewrite(router, record: FlowRecord):
     its containment server for life.  (Return datagrams carry a
     response shim each and must be parsed, so a UDP flow's
     CS->client direction stays with the controller.)"""
-    rows = [coupling.c2cs_row(router, record)]
+    rows = [coupling.c2cs_row(router, record, FlowEntry)]
     if record.orig.proto == PROTO_TCP:
-        rows.append(coupling.cs_row(router, record, record.cs_ip))
+        rows.append(coupling.cs_row(router, record, record.cs_ip,
+                                    FlowEntry))
     return rows
 
 
@@ -401,6 +409,6 @@ def compile_dropped(router, record: FlowRecord):
     """A dropped datagram flow's rule: touch and swallow (no egress).
     (A TCP DROP ends on the wire at its verdict and is released.)"""
     orig = record.orig
-    return [Rewrite(record.orig_key, record, LEG_ORIGINATOR, ACT_DROP_UDP,
-                    orig.orig_port, orig.resp_port, orig.orig_ip,
-                    orig.resp_ip)]
+    return [FlowEntry(record.orig_key, record, LEG_ORIGINATOR, ACT_DROP_UDP,
+                      orig.orig_port, orig.resp_port, orig.orig_ip,
+                      orig.resp_ip)]

@@ -30,6 +30,7 @@ def release(router, record: FlowRecord) -> int:
     router._by_mux.pop(record.mux_port, None)
     router._by_nonce.pop(record.nonce_port, None)
     record.flow_id = None
+    record.coupled = None
     return rules
 
 

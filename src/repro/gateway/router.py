@@ -289,7 +289,10 @@ class SubfarmRouter:
             # flow's mux port (failover re-homes pending flows).
             for record in self._by_mux.values():
                 if coupling.cs_key(self, record, record.cs_ip) in self._table:
-                    self.flowtable.bind(coupling.cs_row(self, record, ip))
+                    row = coupling.cs_row(self, record, ip)
+                    self.flowtable.bind(row)
+                    if record.coupled is not None:
+                        record.coupled.append(row)
 
     def _select_cs(self, vlan: int) -> IPv4Address:
         """The one server selector.  Sticky: the same server always
