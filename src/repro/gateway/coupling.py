@@ -4,9 +4,13 @@ Every new flow is physically coupled to a containment server: the
 originator's packets go to the server's fixed address on a per-flow mux
 port, the request shim is injected into the stream the moment the
 handshake completes, and the response shim is stripped from what comes
-back.  The coupled legs are rows of the flow table from the flow's
-first packet (``c2cs_row`` / ``cs_row``: the only place their
-translation is written down); the controller handlers here do the
+back.  The originator's handshake-completing segment may carry its
+first data or its FIN (an endpoint sends no bare third ACK when a write
+is pending): the shim still goes first, as its own segment, and that
+segment follows it.  The coupled legs are rows of the flow table from
+the flow's first packet (``c2cs_row`` / ``cs_row``: the only place
+their translation is written down); injecting the shim shifts them in
+place.  The controller handlers here do the
 bookkeeping — buffer for the handoff replay, inject and strip the
 shims, learn ISNs, parse the verdict — and run each packet through its
 row.  Also here: the server's onward (nonce) leg, its leaving the path
@@ -191,11 +195,19 @@ def from_originator(router, row: Row, packet: IPv4Packet) -> None:
     elif tcp and phase is FlowPhase.SHIM:
         # Coupled: buffer for the handoff replay, relay through the
         # row, and put the request shim in the moment the inmate
-        # completes the handshake.
+        # completes the handshake.  A bare handshake ACK goes first,
+        # then the shim; one that carries data or a FIN follows the
+        # shim, through the row the shim just shifted, so the shim
+        # leads the server's stream either way.
         record.client_buffer.extend(transport.payload)
+        completes = (not record.shim_injected
+                     and record.cs_isn is not None
+                     and flags & (SYN | ACK) == ACK)
+        carries = transport.payload or flags & FIN
+        if completes and carries:
+            inject_request_shim(router, record)
         apply(router, row, packet, packet_in=False)
-        if (not record.shim_injected and record.cs_isn is not None
-                and flags & (SYN | ACK) == ACK):
+        if completes and not carries:
             inject_request_shim(router, record)
     else:
         # Held for the verdict (a datagram after the first is not
@@ -211,6 +223,12 @@ def from_originator(router, row: Row, packet: IPv4Packet) -> None:
 
 
 def inject_request_shim(router, record: FlowRecord) -> None:
+    """Send the request shim to the flow's containment server as its
+    own 24-byte segment, first in the server's stream (at the
+    originator's ISN + 1), and shift the coupled rows past it: what
+    the originator sends after, the segment that completed the
+    handshake included when it carried data or a FIN, reaches the
+    server behind the shim (Figure 5)."""
     payload = RequestShim(record.orig, record.vlan,
                           record.nonce_port).to_bytes()
     # SEQ += |REQ SHIM| for everything the originator sends after.

@@ -265,9 +265,12 @@ def complete_handoff(router, record: FlowRecord) -> None:
             seq=seq, ack=ack, flags=flags, payload=payload))
 
     seq = seq_add(record.client_isn, 1)
-    replay(seq, ACK)
     buffered = bytes(record.client_buffer)
     record.client_buffer.clear()
+    if not buffered and not record.client_fin:
+        # The handshake's ACK, bare only when no replayed data or FIN
+        # is there to carry it.
+        replay(seq, ACK)
     offset = 0
     while offset < len(buffered):
         chunk = buffered[offset:offset + 1460]

@@ -125,6 +125,12 @@ class TcpConnection:
 
     Every callback but ``on_data`` receives the connection as its sole
     argument.
+
+    A pure ACK goes out only when nothing the application sent already
+    carried ``rcv_nxt``: not behind a delivery ``on_data`` answered,
+    nor behind a FIN ``on_remote_close`` answered, nor as the
+    handshake's third ACK when ``on_established`` wrote or closed (or
+    a write or close was queued before the handshake completed).
     """
 
     def __init__(
@@ -296,8 +302,13 @@ class TcpConnection:
         if flags & SYN and flags & ACK and segment.ack == self.snd_nxt:
             self.irs = segment.seq
             self.rcv_nxt = seq_add(segment.seq, 1)
-            self._emit(flags=ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
             self._enter_established()
+            # The handshake's third ACK rides on what the application
+            # sent from on_established, or queued before it: bare only
+            # if nothing carried rcv_nxt (as Linux does with a write
+            # pending).
+            if self.ack_sent != self.rcv_nxt:
+                self._emit(ACK, self.snd_nxt, self.rcv_nxt)
             if segment.payload:
                 self._process_payload(segment)
 

@@ -14,20 +14,27 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.server import CS_DEFAULT_PORT
+from repro.core.policy import AllowAll, PolicyMap
+from repro.core.server import CS_DEFAULT_PORT, ContainmentServer
+from repro.core.shim import RequestShim
 from repro.core.verdicts import Verdict
 from repro.gateway import housekeeping
+from repro.net.addresses import IPv4Address
+from repro.net.host import Host
 from repro.net.packet import (
     ACK,
     FIN,
+    EthernetFrame,
     IPv4Packet,
     PSH,
     RST,
+    SYN,
     TCPSegment,
     UDPDatagram,
 )
 from tests.golden import expected, wire_digest
-from tests.helpers import RouterHarness, TARGET_PORT, newest_flow, run_farm
+from tests.helpers import (RouterHarness, TARGET_IP, TARGET_PORT,
+                           newest_flow, run_farm)
 
 VLAN = 2
 SPORT = 40000
@@ -283,6 +290,82 @@ def test_pumped_packets_bypass_slow_dispatch():
     assert table.misses == misses and table.hits >= 8, \
         "post-verdict data should never hit the slow path"
     assert record.c2s_packets > 1 and record.s2c_packets > 1
+
+
+# ----------------------------------------------------------------------
+# A handshake ACK that carries the first data (and the FIN)
+# ----------------------------------------------------------------------
+class LiveServer:
+    """A real containment server behind a harness's service egress:
+    every packet the router sent toward it is handed to its TCP stack,
+    and every packet it answers with goes back to the router as a
+    service frame, until neither side has anything left."""
+
+    def __init__(self, harness: RouterHarness, policy) -> None:
+        self.harness = harness
+        self.host = Host(harness.sim, "cs", ip=harness.router.cs_ip)
+        self.outbox = []
+        self.host.send_ip = self.outbox.append
+        self.server = ContainmentServer(harness.sim, self.host,
+                                        PolicyMap(default=policy))
+        self.delivered = 0
+
+    def pump(self) -> None:
+        harness = self.harness
+        while self.delivered < len(harness.to_service) or self.outbox:
+            while self.delivered < len(harness.to_service):
+                self.delivered += 1
+                self.host.tcp.packet_arrived(
+                    harness.to_service[self.delivered - 1])
+            while self.outbox:
+                harness.router.service_frame(EthernetFrame(
+                    self.host.mac, harness.mac, self.outbox.pop(0)))
+
+
+@pytest.mark.parametrize("flags", [ACK | PSH, ACK | PSH | FIN],
+                         ids=["data", "data-and-fin"])
+def test_a_handshake_ack_carrying_data_follows_the_request_shim(flags):
+    """An inmate whose third handshake segment already carries its
+    request (and its FIN): the server's stream is the 24-byte request
+    shim, then the request, so the server reads the shim, the policy
+    decides and the flow gets its verdict and its flow-log line; the
+    handoff replay carries the destination's handshake ACK on the
+    request itself."""
+    harness = RouterHarness(seed=7)
+    router = harness.router
+    server = LiveServer(harness, AllowAll())
+    inmate_ip = harness.nat.bind(VLAN)
+    request = b"GET / HTTP/1.0\r\n\r\n"
+    harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, CLIENT_ISN, 0,
+                       SYN)
+    record = newest_flow(router)
+    server.pump()
+    assert record.cs_isn is not None
+    harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, CLIENT_ISN + 1,
+                       record.cs_isn + 1, flags, request)
+    server.pump()
+
+    shim = RequestShim(record.orig, VLAN, record.nonce_port).to_bytes()
+    carried = [(packet.payload.seq, packet.payload.payload,
+                packet.payload.flags & FIN)
+               for packet in harness.to_service if packet.payload.payload]
+    assert carried == [(CLIENT_ISN + 1, shim, 0),
+                       (CLIENT_ISN + 1 + len(shim), request, flags & FIN)]
+    (issued,) = server.server.verdict_log
+    assert issued.flow == record.orig
+    assert [(entry.verdict, entry.policy) for entry in router.flow_log] == [
+        ("FORWARD", issued.decision.policy)]
+
+    # The destination answers the replayed SYN; the replay's first
+    # segment is the request, acking its SYN-ACK.
+    local_ip = record.nat_global or inmate_ip
+    router.upstream_packet(IPv4Packet(IPv4Address(TARGET_IP), local_ip,
+                                      TCPSegment(TARGET_PORT, SPORT, DST_ISN,
+                                                 CLIENT_ISN + 1, SYN | ACK)))
+    replayed = [(packet.payload.flags, packet.payload.ack,
+                 packet.payload.payload) for packet in harness.upstream]
+    assert replayed == [(SYN, 0, b""), (flags, DST_ISN + 1, request)]
+    assert record.c2s_bytes == len(request)
 
 
 @golden("udp-rewrite-return-content")

@@ -28,8 +28,10 @@ event that fired only in ESTABLISHED and SYN_RCVD, so a REWRITE flow
 whose inmate closed first never closed its server's side) and
 `OLD_SAMPLING_PINS` (FarmConfig's two sampling intervals, the
 journal's sample ticks and rings, and the run loop's strided depth
-sample).  Each older fixture stands on the newer ones, since its pins
-were recorded before them too.
+sample) and `OLD_HANDSHAKE_PINS` (the bare third ACK of every
+handshake: the endpoint's, the gateway's ahead of the request shim,
+and the handoff replay's).  Each older fixture stands on the newer
+ones, since its pins were recorded before them too.
 """
 
 from __future__ import annotations
@@ -56,19 +58,22 @@ from repro.fuzz.runner import (QUICK_FRAMES, QUICK_ROUTER_SCRIPTS,
                                QUICK_SEED, QUICK_SOLO_ITERATIONS,
                                fuzz_farm, fuzz_target)
 from repro.gateway import admission, coupling, handoff, housekeeping
-from repro.gateway.flows import FlowPhase
+from repro.gateway.flows import LIVE_PHASES, FlowPhase
 from repro.gateway.flowtable import (
     ACT_TCP_C2D,
     ACT_TCP_D2C,
     CLOSE_NONE,
+    CLOSE_RETIRE,
     SPECS,
     FlowTable,
     KindSpec,
+    apply,
 )
 from repro.gateway.router import SubfarmRouter
 from repro.net.addresses import IPv4Address
 from repro.net.http import echo
-from repro.net.packet import ACK, IPv4Packet, PROTO_TCP, RST, SYN
+from repro.net.packet import (ACK, FIN, PSH, IPv4Packet, PROTO_TCP, RST,
+                              SYN, TCPSegment)
 from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.obs.journal import Journal, NullJournal
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
@@ -77,7 +82,7 @@ from repro.shape import NUMBER
 from repro.sim.engine import Simulator
 from repro.verify import certify_farm
 from tests import golden, test_certificate_corpus, test_fastpath, \
-    test_obs_parity
+    test_obs_parity, test_wire_carriers
 from tests.golden import FARM_PINS, farm_pin, script_digests, wire_digest
 from tests.helpers import run_farm
 
@@ -1090,7 +1095,7 @@ def _schedule_journal_samples(farm, interval: float) -> None:
 
 
 @pytest.fixture
-def old_sampling(monkeypatch):
+def old_sampling(monkeypatch, old_handshake):
     """Put back what observation sampled on a schedule: FarmConfig's
     two interval rows (the rows the fuzz loop mutates, and the least
     values it is refused by), the run loop's strided depth sample, the
@@ -1165,6 +1170,229 @@ def test_pins_reconstruct_with_the_old_sampling(old_sampling, name):
     nothing else: with the intervals, the stride, the sample ticks and
     the rings put back, every pin it moved reads as it was."""
     assert OLD_SAMPLING_PRODUCERS[name]() == OLD_SAMPLING_PINS[name]
+
+
+# ----------------------------------------------------------------------
+# The handshake every pin up to the piggybacked third ACK was recorded on
+# ----------------------------------------------------------------------
+def _bare_ack_handle_syn_sent(self, segment):
+    """``_handle_syn_sent`` as it was: the handshake's third ACK went
+    out bare, ahead of anything ``on_established`` sent."""
+    flags = segment.flags
+    if flags & RST:
+        self.state = TcpState.CLOSED
+        if self.on_reset:
+            self.on_reset(self)
+        self._release()
+        return
+    if flags & SYN and flags & ACK and segment.ack == self.snd_nxt:
+        self.irs = segment.seq
+        self.rcv_nxt = seq_add(segment.seq, 1)
+        self._emit(flags=ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
+        self._enter_established()
+        if segment.payload:
+            self._process_payload(segment)
+
+
+def _shim_behind_from_originator(router, row, packet):
+    """``coupling.from_originator`` as it was: the segment that
+    completed the handshake was relayed first and the request shim
+    injected behind it, at the same sequence number, whatever the
+    segment carried."""
+    record = row.record
+    record.last_activity = router.sim.now
+    transport = packet.payload
+    tcp = packet.proto == PROTO_TCP
+    flags = transport.flags if tcp else 0
+    if (flags & (SYN | ACK) == SYN
+            and transport.seq != record.client_isn):
+        housekeeping.evict(router, record)
+        admission.new_flow(router, packet, vlan=record.vlan,
+                           inmate_is_originator=record.inmate_is_originator)
+        return
+    phase = record.phase
+    if phase not in LIVE_PHASES:
+        return
+    if flags & RST and row.spec.close != CLOSE_RETIRE:
+        record.c2s_packets += 1
+        record.c2s_bytes += len(transport.payload)
+        housekeeping.abort_flow(router, record, notify_client=False)
+    elif phase is FlowPhase.ENFORCED:
+        apply(router, row, packet, packet_in=False)
+    elif tcp and phase is FlowPhase.SHIM:
+        record.client_buffer.extend(transport.payload)
+        apply(router, row, packet, packet_in=False)
+        if (not record.shim_injected and record.cs_isn is not None
+                and flags & (SYN | ACK) == ACK):
+            coupling.inject_request_shim(router, record)
+    else:
+        record.c2s_packets += 1
+        record.c2s_bytes += len(transport.payload)
+        if not tcp:
+            record.hold_udp(transport.copy())
+            return
+        record.client_buffer.extend(transport.payload)
+        if flags & FIN:
+            record.client_fin = True
+
+
+def _bare_ack_complete_handoff(router, record):
+    """``handoff.complete_handoff`` as it was: the replay opened with a
+    bare ACK of the destination's SYN-ACK, data or not."""
+    record.phase = FlowPhase.ENFORCED
+    ack = seq_add(record.dst_isn, 1)
+
+    def replay(seq, flags, payload=b""):
+        handoff.send_to_dst(router, record, TCPSegment(
+            sport=record.orig.orig_port, dport=record.dst_port,
+            seq=seq, ack=ack, flags=flags, payload=payload))
+
+    seq = seq_add(record.client_isn, 1)
+    replay(seq, ACK)
+    buffered = bytes(record.client_buffer)
+    record.client_buffer.clear()
+    offset = 0
+    while offset < len(buffered):
+        chunk = buffered[offset:offset + 1460]
+        offset += len(chunk)
+        flags = ACK | PSH
+        if record.client_fin and offset >= len(buffered):
+            flags |= FIN
+            record.client_fin_relayed = True
+        replay(seq, flags, chunk)
+        seq = seq_add(seq, len(chunk))
+    if record.client_fin and not record.client_fin_relayed:
+        record.client_fin_relayed = True
+        replay(seq, FIN | ACK)
+    if record.client_fin_relayed:
+        record.closing = [None, seq_add(seq, 1)]
+    handoff.install(router, record)
+
+
+@pytest.fixture
+def old_handshake(monkeypatch):
+    """Put back the bare third ACK of every handshake: the endpoint's,
+    ahead of what ``on_established`` sent; the gateway's order, which
+    relayed a handshake-completing segment ahead of the request shim;
+    and the handoff replay's, ahead of the replayed data."""
+    monkeypatch.setattr(TcpConnection, "_handle_syn_sent",
+                        _bare_ack_handle_syn_sent)
+    monkeypatch.setattr(coupling, "from_originator",
+                        _shim_behind_from_originator)
+    monkeypatch.setattr(handoff, "complete_handoff",
+                        _bare_ack_complete_handoff)
+
+
+#: Every pin the piggybacked third ACK moved, as recorded before it:
+#: the seed farm, the campaign and every fault cell but the partition's
+#: (frames and events fewer), the obs-parity corpus, the router
+#: scripts and their quick fuzz slice (a script's handshake-completing
+#: segment that carries data now follows the request shim), the
+#: scripted seed farm of ``router_wire.json``, the inmate-side carriers
+#: of the three carrier farms (the shim frame is captured after the
+#: inmate segment it now precedes, at the same time and with the same
+#: bytes) and four artefacts: the Figure 5 ladder (no bare ACKs), the
+#: Figure 7 report (table misses), the handoff ablation (server
+#: packets) and the gateway's packets relayed in the scalability run.
+OLD_HANDSHAKE_PINS = {
+    "farm": "ef87a898c6b5e9008bddb99ec2f24fb5a4ce8c5810e7dd3d0e1b6634817b4ede",
+    "campaign":
+        "c59ed2cfe0ec32bddc61b2ccef2db3c677e33b35dbf75219c7b6b7c8d0ab6006",
+    "fault/baseline/drop":
+        "8bad87c737ce6b342a2bb3d48555c7ab4335f962bbbb6f201d828601d2baad7e",
+    "fault/baseline/forward":
+        "dce746ee85122d570d26625931e1fbe3d595f0c8652ace85cd6ea11818bca49c",
+    "fault/cs_crash/drop":
+        "6e6cfeabc32c7198357c52b7e93bfb9e51e8fb7ce460709c714ad95de288996e",
+    "fault/cs_crash/forward":
+        "d91cf78b361e824a88d41dbbc193572c8d60cd238be7742a65f95baa3dec85b5",
+    "fault/cs_crash_restore/drop":
+        "10c44bb9248c1ff3c9c80708c1341bcafd16247ff82777b9f217a47146ecb7c5",
+    "fault/cs_crash_restore/forward":
+        "844d44494c7b8ebb0b6d399f848c054bad4b9b56fb18530fdd9413808340d61f",
+    "fault/cs_hang/drop":
+        "1e48c6b3b635f4ca923ba9dde1fed746a652ccc36f7426a1fa4bfbe604daf029",
+    "fault/cs_hang/forward":
+        "a0826d3ff2cfd468d865994ecf3aacab5f8c997b7d9defa8918cafa64411f914",
+    "fault/revert_fail/drop":
+        "aa1abe7affbb17453212884899588ccb397564c3a8be53d134982e9817aef016",
+    "fault/revert_fail/forward":
+        "cc7c94e8e2352f2db8c1507965d29fe2526b3ff482ab4547293e519bc5ca4cdd",
+    "fault/shim_degraded/drop":
+        "a61d71bfdf0677c33dc8d08e25be89d038dc6ae60048090ef608e6e18d2af4da",
+    "fault/shim_degraded/forward":
+        "6b70a25c50579b46c68a428ba3e6a09a0f1605c9db6afa412ccf2bde90561bfd",
+    "obs": "25451c0660897b7d63f318193ccdde45611600c842f29dd3ab04b44671e154d2",
+    "router_scripts":
+        "807e7c44fe787e68ce8014f7a6854ce5782990d11f28566bffdc1dad6a8e6bb4",
+    "fuzz/router":
+        "5a5f5436aa56384677f953e2434a9510d58b495dfe2c983e9c035869a2a31193",
+    "router_wire/farm-seed-23":
+        "13bb2356c8f20f0d95247d7c363e993eb3e2ea499634232fc9c7e0460b54417c",
+    "carriers/churn/inmate":
+        "fd98eb42b8c09f6171456f7903c89a11ae14342615bb180aa629fa649b3a9bb2",
+    "carriers/scan/inmate":
+        "a266fa40821d2e58f90a2595a9c6050063d77a690463b052729f051054038876",
+    "carriers/stream/inmate":
+        "16b34f36472ac3743aabeb9373178c0f8a76ee24b5c0fb7dce677bfe3c62f1e0",
+    "fig5_rewrite_ladder":
+        "9aea6496aba5399ecad662e42ac4830a513c2f0e75e59b54237b0ab3764d5fd6",
+    "fig7_report":
+        "9e63d7a02290dfb4a4ce7d8148f15039a8f442006836a141464d14e54a86286d",
+    "ablation_handoff":
+        "0cc43202a487fd95be91a89521b8a7e9eff520b0cc66c1695f65fb1d00e1960d",
+    "scalability":
+        "5b522a612bf5fff6a0600e8a809516d0c6212c7bddcca5e9834b1748aea5ea02",
+}
+OLD_HANDSHAKE_PRODUCERS = {
+    **FARM_PINS,
+    "obs": _obs_corpus_digest,
+    "router_scripts": _scripts_digest,
+    "fuzz/router": _fuzz_router_digest,
+    "router_wire/farm-seed-23": lambda: wire_digest(
+        test_fastpath.GOLDEN["farm-seed-23"]()),
+    **{f"carriers/{name}/inmate": (lambda run=run: run()["inmate"])
+       for name, run in test_wire_carriers.FARMS.items()},
+    **{row.filename[:-len(".txt")]: (lambda name=name: _artefact(name))
+       for name, row in ARTEFACTS.items()
+       if name in ("fig5-rewrite-ladder", "fig7-report", "ablation-handoff",
+                   "scalability")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_HANDSHAKE_PINS))
+def test_pins_reconstruct_with_the_bare_third_ack(old_handshake, name):
+    """The third ACK riding on the first data moved what it moves and
+    nothing else: with the endpoint, the gateway and the handoff replay
+    that sent it bare put back, every pin it moved reads as it was."""
+    assert OLD_HANDSHAKE_PRODUCERS[name]() == OLD_HANDSHAKE_PINS[name]
+
+
+def _inmate_carriers(name: str) -> list:
+    """``(timestamp, point, bytes)`` of every carrier frame on the
+    inmate-side traces of carrier farm ``name``, in capture order."""
+    held = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(test_wire_carriers, "carrier_digests", held.append)
+        test_wire_carriers.FARMS[name]()
+    (farm,) = held
+    return [(record.timestamp, record.point, record.frame.to_bytes())
+            for sub in farm.subfarms.values()
+            for record in sub.router.trace.records
+            if test_wire_carriers.carries(record.frame)]
+
+
+@pytest.mark.parametrize("name", sorted(test_wire_carriers.FARMS))
+def test_inmate_carriers_move_only_in_order(request, name):
+    """The inmate-side carrier pins moved by order alone: the request
+    shim is captured after the inmate segment it now precedes on the
+    server's leg, and every carrier frame is the one the bare third
+    ACK's run captured, at the same time and with the same bytes."""
+    frames = _inmate_carriers(name)
+    request.getfixturevalue("old_handshake")
+    old = _inmate_carriers(name)
+    assert frames != old
+    assert sorted(frames) == sorted(old)
 
 
 def digest_farm(config):
