@@ -80,7 +80,8 @@ trace-budget:
 # Frame and memory budgets, counted not timed, under two hash seeds:
 # what a hop (send | receive_frame), an endpoint segment (10), a table
 # hit (7; 4 upstream), an echo round (at most 52) and an HTTP fetch (at
-# most 479) may cost in Python frames, one flow-table probe per packet
+# most 438) may cost in Python frames, what a scan probe may cost in
+# frame hops (at most 15.5), one flow-table probe per packet
 # in every phase of a flow's life (and one table read per key when a
 # finished flow is released), no payload copy made by the send path, a
 # journal digest whose peak does not grow with the journal, and a churn

@@ -222,8 +222,13 @@ class _CsConnection:
                 pending = bytes(self.buffer)
                 self.buffer.clear()
                 self.rewriter.on_client_data(self.proxy, pending)
-        # For endpoint verdicts the gateway hands the flow off and
-        # aborts this leg; nothing further to do here.
+        else:
+            # An endpoint verdict: the gateway takes this leg off the
+            # flow's path as the response arrives and resets it, so
+            # nothing this end would send (an ACK of the request behind
+            # the shim, a FIN) reaches anyone.  Send the response and
+            # go silent until that RST.
+            self.conn.abandon()
 
     def _on_remote_close(self, conn: TcpConnection) -> None:
         if self.rewriter is not None:

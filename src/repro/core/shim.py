@@ -167,7 +167,8 @@ class ResponseShim:
         annotation: str = "",
         rate: Optional[float] = None,
     ) -> None:
-        verdict.validate()
+        # The verdict is validated once per distinct tail, where the
+        # tail is encoded (to_bytes) or decoded (from_bytes) and cached.
         self.flow = flow
         self.verdict = verdict
         self.policy = policy
@@ -206,6 +207,7 @@ class ResponseShim:
         fields = (self.verdict, self.policy, self.annotation, self.rate)
         tail = _encoded_tails.get(fields)
         if tail is None:
+            self.verdict.validate()
             tail = _intern(_encoded_tails, fields, _encode_tail(*fields))
         flow = self.flow
         return _RESPONSE_HEAD.pack(

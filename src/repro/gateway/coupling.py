@@ -59,7 +59,6 @@ from repro.net.packet import (
     TCPSegment,
     UDPDatagram,
 )
-from repro.net.tcp import seq_add
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +234,8 @@ def inject_request_shim(router, record: FlowRecord) -> None:
     record.c2s_inj = len(payload)
     record.shim_injected = True
     router.counters["shims_injected"] += 1
-    to_cs(router, record, seq_add(record.client_isn, 1),
-          seq_add(record.cs_isn, 1), ACK | PSH, payload)
+    to_cs(router, record, (record.client_isn + 1) & 0xFFFFFFFF,
+          (record.cs_isn + 1) & 0xFFFFFFFF, ACK | PSH, payload)
     shift_past_request_shim(record)
 
 
@@ -298,8 +297,9 @@ def replay_cs_handshake(router, record: FlowRecord) -> None:
     def as_client(flags: int, payload: bytes = b"") -> TCPSegment:
         return TCPSegment(
             sport=orig.orig_port, dport=orig.resp_port,
-            seq=seq_add(record.client_isn, 1),
-            ack=seq_add(record.cs_isn, 1), flags=flags, payload=payload)
+            seq=(record.client_isn + 1) & 0xFFFFFFFF,
+            ack=(record.cs_isn + 1) & 0xFFFFFFFF, flags=flags,
+            payload=payload)
 
     offer(router, record, as_client(ACK))
     inject_request_shim(router, record)
@@ -355,7 +355,7 @@ def deliver_cs_content(router, record: FlowRecord, payload: bytes) -> None:
     response shim."""
     segment = TCPSegment(
         sport=record.orig.resp_port, dport=record.orig.orig_port,
-        seq=seq_add(record.cs_isn, 1),
+        seq=(record.cs_isn + 1) & 0xFFFFFFFF,
         ack=client_snd_nxt(record),
         flags=ACK | PSH, payload=payload,
     )
@@ -419,9 +419,9 @@ def teardown_cs_leg(router, record: FlowRecord) -> None:
     if record.orig.proto != PROTO_TCP or record.cs_isn is None:
         return
     to_cs(router, record,
-          seq_add(record.client_isn, 1 + record.c2s_inj
-                  + len(record.client_buffer) + record.c2s_bytes),
-          seq_add(record.cs_isn, 1 + record.s2c_rem), RST | ACK)
+          (record.client_isn + 1 + record.c2s_inj
+           + len(record.client_buffer) + record.c2s_bytes) & 0xFFFFFFFF,
+          (record.cs_isn + 1 + record.s2c_rem) & 0xFFFFFFFF, RST | ACK)
 
 
 def to_client(router, record: FlowRecord, transport) -> None:
@@ -433,14 +433,15 @@ def to_client(router, record: FlowRecord, transport) -> None:
 
 
 def client_snd_nxt(record: FlowRecord) -> int:
-    return seq_add(record.client_isn, 1 + record.c2s_bytes
-                   + (1 if record.client_fin else 0))
+    return (record.client_isn + 1 + record.c2s_bytes
+            + (1 if record.client_fin else 0)) & 0xFFFFFFFF
 
 
 def synthesize_client_rst(router, record: FlowRecord) -> None:
     if record.orig.proto != PROTO_TCP:
         return
-    seq = seq_add(record.cs_isn, 1) if record.cs_isn is not None else 0
+    seq = ((record.cs_isn + 1) & 0xFFFFFFFF
+           if record.cs_isn is not None else 0)
     to_client(router, record, TCPSegment(
         sport=record.orig.resp_port, dport=record.orig.orig_port,
         seq=seq, ack=client_snd_nxt(record), flags=RST | ACK))

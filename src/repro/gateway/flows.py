@@ -75,7 +75,7 @@ class FlowRecord:
         "client_buffer", "client_fin", "client_fin_relayed",
         "c2s_bytes", "s2c_bytes", "c2s_packets", "s2c_packets",
         "dst_ip", "dst_port", "dst_is_inmate_vlan", "nat_global",
-        "spoof_preserve", "udp_pending", "shaper",
+        "dst_plan", "spoof_preserve", "udp_pending", "shaper",
         "keys", "coupled", "closing",
     )
 
@@ -139,6 +139,8 @@ class FlowRecord:
         self.dst_port: Optional[int] = None
         self.dst_is_inmate_vlan: Optional[int] = None  # crosstalk target
         self.nat_global: Optional[IPv4Address] = None
+        # How packets reach it (handoff.dst_plan), fixed with the above.
+        self.dst_plan: Optional[tuple] = None
         # REFLECT keeps the original (spoofed) destination address in
         # the packets while physically delivering them to the sink, so
         # the sink can see what the specimen actually dialled.

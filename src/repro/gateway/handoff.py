@@ -51,7 +51,6 @@ from repro.net.packet import (
     SYN,
     TCPSegment,
 )
-from repro.net.tcp import seq_add
 from repro.obs.telemetry import tally
 
 
@@ -162,7 +161,8 @@ def record_verdict(router, record: FlowRecord,
 
 def classify_destination(router, record: FlowRecord) -> None:
     """Work out whether the enforced destination is an inmate, a
-    subfarm service, or an external host (and NAT accordingly)."""
+    subfarm service, or an external host (and NAT accordingly), and
+    fix the flow's destination plan on the record."""
     assert record.dst_ip is not None and record.dst_port is not None
     record.dst_is_inmate_vlan = None
     vlan = router.bridge.vlan_for_ip(record.dst_ip)
@@ -170,12 +170,11 @@ def classify_destination(router, record: FlowRecord) -> None:
         vlan = router.nat.vlan_for_internal(record.dst_ip)
     if vlan is not None:
         record.dst_is_inmate_vlan = vlan
-        return
-    if record.dst_ip.value in router.service_ips:
-        return
-    # External: the inmate-side endpoint needs its global address.
-    if record.inmate_is_originator:
+    elif (record.dst_ip.value not in router.service_ips
+          and record.inmate_is_originator):
+        # External: the inmate-side endpoint needs its global address.
         record.nat_global = router.nat.global_for(record.vlan)
+    record.dst_plan = dst_plan(router, record)
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +191,10 @@ def client_plan(record: FlowRecord):
 def dst_plan(router, record: FlowRecord):
     """How packets reach the enforced destination, as ``(src_ip,
     dst_ip, emit_code, emit_arg)`` — a function of what the verdict
-    and ``classify_destination`` fixed on the record.  Everything
-    that addresses the destination leg (handoff replay, the
-    compiled entries, the return alias) reads this one plan."""
+    and ``classify_destination`` fixed on the record, computed once,
+    there, as ``record.dst_plan``.  Everything that addresses the
+    destination leg (handoff replay, the compiled entries, the return
+    alias) reads that one plan."""
     orig = record.orig
     if record.dst_is_inmate_vlan is not None:
         src_ip, emit = orig.orig_ip, (EMIT_VLAN, record.dst_is_inmate_vlan)
@@ -213,7 +213,7 @@ def dst_plan(router, record: FlowRecord):
 def dst_alias(router, record: FlowRecord) -> tuple:
     """The flow key of return traffic from the enforced
     destination: its plan's addresses, reversed."""
-    src_ip, dst_ip, _code, _arg = dst_plan(router, record)
+    src_ip, dst_ip, _code, _arg = record.dst_plan
     return (dst_ip.value, record.dst_port, src_ip.value,
             record.orig.orig_port, record.orig.proto)
 
@@ -257,14 +257,14 @@ def from_return(router, row: Row, packet: IPv4Packet) -> None:
 
 def complete_handoff(router, record: FlowRecord) -> None:
     record.phase = FlowPhase.ENFORCED
-    ack = seq_add(record.dst_isn, 1)
+    ack = (record.dst_isn + 1) & 0xFFFFFFFF
 
     def replay(seq: int, flags: int, payload: bytes = b"") -> None:
         send_to_dst(router, record, TCPSegment(
             sport=record.orig.orig_port, dport=record.dst_port,
             seq=seq, ack=ack, flags=flags, payload=payload))
 
-    seq = seq_add(record.client_isn, 1)
+    seq = (record.client_isn + 1) & 0xFFFFFFFF
     buffered = bytes(record.client_buffer)
     record.client_buffer.clear()
     if not buffered and not record.client_fin:
@@ -281,21 +281,21 @@ def complete_handoff(router, record: FlowRecord) -> None:
             flags |= FIN
             record.client_fin_relayed = True
         replay(seq, flags, chunk)
-        seq = seq_add(seq, len(chunk))
+        seq = (seq + len(chunk)) & 0xFFFFFFFF
     if record.client_fin and not record.client_fin_relayed:
         record.client_fin_relayed = True
         replay(seq, FIN | ACK)
     if record.client_fin_relayed:
         # The replayed FIN is the originator's side of the close
         # (flowtable.CLOSE_RETIRE): acknowledged by the ack past it.
-        record.closing = [None, seq_add(seq, 1)]
+        record.closing = [None, (seq + 1) & 0xFFFFFFFF]
     install(router, record)
 
 
 def send_to_dst(router, record: FlowRecord, transport) -> None:
     """Emit a router-built segment or datagram (handoff replay,
     a datagram held for the verdict) along the destination plan."""
-    src_ip, dst_ip, code, arg = dst_plan(router, record)
+    src_ip, dst_ip, code, arg = record.dst_plan
     router.counters["packets_relayed"] += 1
     router._send((code, arg), IPv4Packet(src_ip, dst_ip, transport),
                  record.shaper)
@@ -368,7 +368,7 @@ def compile_endpoint(router, record: FlowRecord):
     """Entries for handed-off flows (FORWARD/LIMIT/REDIRECT/
     REFLECT over TCP, plus all UDP endpoint verdicts)."""
     orig = record.orig
-    src_ip, dst_ip, dst_code, dst_arg = dst_plan(router, record)
+    src_ip, dst_ip, dst_code, dst_arg = record.dst_plan
     if orig.proto == PROTO_TCP:
         # ISN delta after handoff (Figure 5): the client handshook
         # against the containment server, so it acks in that ISN

@@ -126,11 +126,21 @@ class TcpConnection:
     Every callback but ``on_data`` receives the connection as its sole
     argument.
 
+    Writes and a :meth:`close` made inside ``on_established``,
+    ``on_data`` or ``on_remote_close`` are queued and leave together
+    when the callback returns (as ``TCP_CORK`` would have them), so a
+    write followed by a close is one FIN-carrying segment; a write made
+    anywhere else (a timer, another connection's callback) leaves at
+    once.  A segment that carries data and an in-order FIN is answered
+    once, after both were delivered.
+
     A pure ACK goes out only when nothing the application sent already
     carried ``rcv_nxt``: not behind a delivery ``on_data`` answered,
-    nor behind a FIN ``on_remote_close`` answered, nor as the
-    handshake's third ACK when ``on_established`` wrote or closed (or
-    a write or close was queued before the handshake completed).
+    nor behind a FIN ``on_remote_close`` answered (nor behind data and
+    FIN arriving together that either answered), nor as the handshake's
+    third ACK when ``on_established`` wrote or closed (or a write or
+    close was queued before the handshake completed).  After
+    :meth:`abandon` the connection sends nothing at all.
     """
 
     def __init__(
@@ -158,6 +168,9 @@ class TcpConnection:
         self._send_buffer: List[bytes] = []
         self._fin_pending = False
         self._fin_sent = False
+        # Set while a callback runs: its writes and close wait for it
+        # to return, then leave in one flush.
+        self._corked = False
         self._reassembly: Dict[int, bytes] = {}
 
         self.bytes_sent = 0
@@ -219,12 +232,14 @@ class TcpConnection:
             data = _owned(data)
         if data:
             self._send_buffer.append(data)
-        if state is _ESTABLISHED or state is _CLOSE_WAIT:
+        if (state is _ESTABLISHED or state is _CLOSE_WAIT) \
+                and not self._corked:
             self._flush()
 
     def close(self) -> None:
         """Half-close: flush pending data then send FIN.  Before the
-        handshake completes the FIN waits for it, as a write does."""
+        handshake completes the FIN waits for it, as a write does;
+        inside a callback it leaves with the callback's writes."""
         state = self.state
         if state is _TIME_WAIT or (state is _CLOSED
                                    and self.opened_at is not None):
@@ -232,14 +247,33 @@ class TcpConnection:
         if self._fin_pending or self._fin_sent:
             return
         self._fin_pending = True
-        if self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+        if (state is _ESTABLISHED or state is _CLOSE_WAIT) \
+                and not self._corked:
             self._flush()
 
     def abort(self) -> None:
-        """Send RST and drop to CLOSED immediately."""
-        if self.state not in (TcpState.CLOSED, TcpState.LISTEN):
+        """Send RST and drop to CLOSED immediately; what a callback
+        queued before it leaves first."""
+        state = self.state
+        if state is _ESTABLISHED or state is _CLOSE_WAIT:
+            self._flush()
+        if state not in (TcpState.CLOSED, TcpState.LISTEN):
             self._emit(flags=RST | ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
         self._enter_closed(notify_reset=False)
+
+    def abandon(self) -> None:
+        """Send what is queued, then nothing more: no ACK, no FIN, no
+        callback.  The connection stays in its stack's table, swallowing
+        whatever arrives, until an RST takes it out.  For an endpoint
+        whose peer ends the connection itself (the containment server
+        after an endpoint verdict: the gateway resets its leg)."""
+        state = self.state
+        if state is _ESTABLISHED or state is _CLOSE_WAIT:
+            self._flush()
+        self.state = TcpState.CLOSED
+        self.closed_at = self.host.sim.now
+        self.on_established = self.on_data = self.on_remote_close = None
+        self.on_closed = self.on_reset = None
 
     # ------------------------------------------------------------------
     # Stack-internal API
@@ -251,7 +285,7 @@ class TcpConnection:
         if self.closed_at is not None:
             return
         self.iss = self.host.tcp.pick_isn()
-        self.snd_nxt = seq_add(self.iss, 1)
+        self.snd_nxt = (self.iss + 1) & 0xFFFFFFFF
         self.state = TcpState.SYN_SENT
         self.opened_at = self.host.sim.now
         self._emit(flags=SYN, seq=self.iss, ack=0)
@@ -262,10 +296,13 @@ class TcpConnection:
         if state is _SYN_SENT:
             self._handle_syn_sent(segment)
             return
+        flags = segment.flags
         if state is _CLOSED:
+            # Still in the table only if abandoned: silent until an RST.
+            if flags & RST and self.closed_at is not None:
+                self._release()
             return
 
-        flags = segment.flags
         if flags & RST:
             self._enter_closed(notify_reset=True)
             return
@@ -285,7 +322,7 @@ class TcpConnection:
         # states care what a segment acknowledges.
         if flags & ACK and self.state is not _ESTABLISHED:
             self._process_ack_side_effects(segment)
-        if flags & FIN:
+        if flags & FIN and self.state is not _CLOSED:
             self._handle_fin(segment)
 
     # ------------------------------------------------------------------
@@ -301,7 +338,7 @@ class TcpConnection:
             return
         if flags & SYN and flags & ACK and segment.ack == self.snd_nxt:
             self.irs = segment.seq
-            self.rcv_nxt = seq_add(segment.seq, 1)
+            self.rcv_nxt = (segment.seq + 1) & 0xFFFFFFFF
             self._enter_established()
             # The handshake's third ACK rides on what the application
             # sent from on_established, or queued before it: bare only
@@ -315,9 +352,9 @@ class TcpConnection:
     def handle_passive_syn(self, segment: TCPSegment) -> None:
         """Server side: respond to an incoming SYN."""
         self.irs = segment.seq
-        self.rcv_nxt = seq_add(segment.seq, 1)
+        self.rcv_nxt = (segment.seq + 1) & 0xFFFFFFFF
         self.iss = self.host.tcp.pick_isn()
-        self.snd_nxt = seq_add(self.iss, 1)
+        self.snd_nxt = (self.iss + 1) & 0xFFFFFFFF
         self.state = TcpState.SYN_RCVD
         self.opened_at = self.host.sim.now
         self._emit(flags=SYN | ACK, seq=self.iss, ack=self.rcv_nxt)
@@ -326,8 +363,13 @@ class TcpConnection:
         self.state = TcpState.ESTABLISHED
         self.established_at = self.host.sim.now
         if self.on_established:
-            self.on_established(self)
-        self._flush()
+            self._corked = True
+            try:
+                self.on_established(self)
+            finally:
+                self._corked = False
+        if self.state is _ESTABLISHED:
+            self._flush()
 
     # ------------------------------------------------------------------
     # Data path
@@ -345,17 +387,33 @@ class TcpConnection:
             # Trim the already-received prefix.
             overlap = seq_sub(rcv_nxt, seg_seq)
             if overlap >= len(payload):
-                self._emit(ACK, self.snd_nxt, rcv_nxt)
+                # Nothing new: a duplicate ACK, unless an in-order FIN
+                # rides on it, which _handle_fin answers.
+                if not (segment.flags & FIN and overlap == len(payload)):
+                    self._emit(ACK, self.snd_nxt, rcv_nxt)
                 return
             payload = payload[overlap:]
-        self._deliver(payload)
-        # Drain any contiguous buffered segments.
-        reassembly = self._reassembly
-        while reassembly and self.rcv_nxt in reassembly:
-            self._deliver(reassembly.pop(self.rcv_nxt))
-        # A bare ACK only if no segment on_data sent carried rcv_nxt.
-        if self.ack_sent != self.rcv_nxt:
-            self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+        self._corked = True
+        try:
+            self._deliver(payload)
+            # Drain any contiguous buffered segments.
+            reassembly = self._reassembly
+            while reassembly and self.rcv_nxt in reassembly:
+                self._deliver(reassembly.pop(self.rcv_nxt))
+        finally:
+            self._corked = False
+        rcv_nxt = self.rcv_nxt
+        if (segment.flags & FIN
+                and (seg_seq + len(segment.payload)) & 0xFFFFFFFF == rcv_nxt):
+            return  # _handle_fin answers the data and the FIN at once
+        # What on_data wrote, in one flush; a bare ACK only if that
+        # did not carry rcv_nxt.
+        state = self.state
+        if self._send_buffer or self._fin_pending:
+            if state is _ESTABLISHED or state is _CLOSE_WAIT:
+                self._flush()
+        if self.ack_sent != rcv_nxt and state is not _CLOSED:
+            self._emit(ACK, self.snd_nxt, rcv_nxt)
 
     def _deliver(self, payload: bytes) -> None:
         size = len(payload)
@@ -376,20 +434,30 @@ class TcpConnection:
             self._enter_closed(notify_reset=False)
 
     def _handle_fin(self, segment: TCPSegment) -> None:
-        fin_seq = seq_add(segment.seq, len(segment.payload))
-        if fin_seq != self.rcv_nxt:
+        rcv_nxt = self.rcv_nxt
+        if (segment.seq + len(segment.payload)) & 0xFFFFFFFF != rcv_nxt:
             return  # FIN for data we have not seen; ignore (no retransmit model)
-        self.rcv_nxt = seq_add(self.rcv_nxt, 1)
+        self.rcv_nxt = rcv_nxt = (rcv_nxt + 1) & 0xFFFFFFFF
         state = self.state
         if state is _ESTABLISHED or state is _SYN_RCVD:
             self.state = TcpState.CLOSE_WAIT
         # The end of the peer's stream, whoever closed first.
         if self.on_remote_close:
-            self.on_remote_close(self)
-        # A close() there sent FIN|ACK, which acknowledged the FIN.
-        if self.ack_sent != self.rcv_nxt:
-            self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+            self._corked = True
+            try:
+                self.on_remote_close(self)
+            finally:
+                self._corked = False
+        # One answer to the FIN and any data it came with: what the
+        # callbacks wrote and closed (a FIN|ACK acknowledges the FIN),
+        # else a bare ACK.
         state = self.state
+        if self._send_buffer or self._fin_pending:
+            if state is _ESTABLISHED or state is _CLOSE_WAIT:
+                self._flush()
+                state = self.state
+        if self.ack_sent != rcv_nxt and state is not _CLOSED:
+            self._emit(ACK, self.snd_nxt, rcv_nxt)
         if state is _FIN_WAIT_1:
             self.state = TcpState.CLOSING
         elif state is _FIN_WAIT_2:
@@ -424,7 +492,7 @@ class TcpConnection:
             self._fin_pending = False
             self._fin_sent = True
             self._emit(FIN | ACK, self.snd_nxt, self.rcv_nxt)
-            self.snd_nxt = seq_add(self.snd_nxt, 1)
+            self.snd_nxt = (self.snd_nxt + 1) & 0xFFFFFFFF
             self._after_fin_sent()
 
     def _after_fin_sent(self) -> None:

@@ -139,31 +139,75 @@ def test_echoed_data_segment_is_ten_python_frames():
 # A pure ACK only when nothing the application sent carried it
 # ----------------------------------------------------------------------
 #: What an application does in its callback -> the flags of what the
-#: endpoint then sends, every segment acknowledging what arrived.
+#: endpoint then sends, every segment acknowledging what arrived.  A
+#: callback's writes and close leave together when it returns.
 ANSWERS = {
     "silent": (lambda c: None, [ACK]),
     "reply": (lambda c: c.send(b"r"), [ACK | PSH]),
     "reply+close": (lambda c: (c.send(b"r"), c.close()),
-                    [ACK | PSH, FIN | ACK]),
+                    [ACK | PSH | FIN]),
     "close": (lambda c: c.close(), [FIN | ACK]),
     "abort": (lambda c: c.abort(), [RST | ACK]),
 }
 
 
 @pytest.mark.parametrize("answer", sorted(ANSWERS))
-@pytest.mark.parametrize("arrival", ["data", "fin"])
+@pytest.mark.parametrize("arrival", ["data", "fin", "data+fin"])
 def test_a_pure_ack_only_when_the_answer_carried_none(arrival, answer):
+    """One answer per arrival.  Data and a FIN on one segment are both
+    delivered before the endpoint answers: what ``on_remote_close`` sent
+    acknowledges the data and the FIN, else one bare ACK does."""
     peer = _Peer()
     conn = _established_echo(peer)
     act, flags = ANSWERS[answer]
     if arrival == "data":
         conn.on_data = lambda c, data: act(c)
         replies = peer.inject(conn.rcv_nxt, conn.snd_nxt, ACK | PSH, b"q")
-    else:
+    elif arrival == "fin":
         conn.on_remote_close = act
         replies = peer.inject(conn.rcv_nxt, conn.snd_nxt, FIN | ACK)
+    else:
+        conn.on_data = lambda c, data: None
+        conn.on_remote_close = act
+        replies = peer.inject(conn.rcv_nxt, conn.snd_nxt,
+                              ACK | PSH | FIN, b"q")
+        assert conn.bytes_received == 1
     assert [reply.flags for reply in replies] == flags
     assert [reply.ack for reply in replies] == [conn.rcv_nxt] * len(flags)
+
+
+@pytest.mark.parametrize("opening", ["passive", "active"])
+def test_a_write_and_close_on_establishment_leave_as_one_segment(opening):
+    """``on_established`` writes and closes: one FIN|PSH|ACK, which also
+    carries the handshake's ACK on an active open."""
+    peer = _Peer()
+    conns = []
+
+    def established(conn):
+        conn.send(b"hello")
+        conn.close()
+
+    if opening == "passive":
+        def on_accept(conn):
+            conns.append(conn)
+            conn.on_established = established
+
+        peer.host.tcp.listen(SERVICE_PORT, on_accept)
+        (syn_ack,) = peer.inject(1000, 0, SYN)
+        replies = peer.inject(1001, syn_ack.seq + 1, ACK)
+        (conn,) = conns
+    else:
+        conn = peer.host.tcp.connect(PEER_IP, PEER_PORT,
+                                     local_port=SERVICE_PORT)
+        conn.on_established = established
+        peer.sim.run(until=peer.sim.now + 0.01)
+        (syn,) = peer.sent
+        replies = peer.inject(1000, syn.seq + 1, SYN | ACK)
+    (segment,) = replies
+    assert (segment.flags, segment.payload, segment.ack) == (
+        ACK | PSH | FIN, b"hello", 1001)
+    assert conn.state is TcpState.FIN_WAIT_1
+    assert conn.snd_nxt == (segment.seq + len(b"hello") + 1) & MASK
 
 
 # ----------------------------------------------------------------------
@@ -272,15 +316,13 @@ def test_any_interleaving_delivers_the_stream_once(script):
         assert stack.connection_count() == 0
         return
 
-    # FIN (alone or on the last data segment): the data's ACK if any,
-    # then the application's close() sends our FIN, which acknowledges
-    # the peer's: no pure ACK of the FIN.
+    # FIN (alone or on the last data segment): the application's
+    # close() sends our FIN, which acknowledges the peer's FIN and any
+    # data it came with: no pure ACK of either.
     if not fin_with_data:
         replies = peer.inject(seq_at(len(data)), our_ack, FIN | ACK)
     assert bytes(delivered) == data
-    *acks, fin = replies
-    assert [(reply.flags, reply.ack) for reply in acks] == (
-        [(ACK, seq_at(len(data)))] if fin_with_data else [])
+    (fin,) = replies
     assert (fin.flags, fin.seq, fin.ack) == (
         FIN | ACK, our_ack, seq_at(len(data) + 1))
     assert conn.rcv_nxt == seq_at(len(data) + 1)

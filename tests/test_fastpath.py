@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.dsl import DslPolicy
 from repro.core.policy import AllowAll, PolicyMap
 from repro.core.server import CS_DEFAULT_PORT, ContainmentServer
-from repro.core.shim import RequestShim
+from repro.core.shim import RequestShim, ResponseShim
 from repro.core.verdicts import Verdict
 from repro.gateway import housekeeping
 from repro.net.addresses import IPv4Address
@@ -299,12 +300,14 @@ class LiveServer:
     """A real containment server behind a harness's service egress:
     every packet the router sent toward it is handed to its TCP stack,
     and every packet it answers with goes back to the router as a
-    service frame, until neither side has anything left."""
+    service frame (and is kept in ``sent``), until neither side has
+    anything left."""
 
     def __init__(self, harness: RouterHarness, policy) -> None:
         self.harness = harness
         self.host = Host(harness.sim, "cs", ip=harness.router.cs_ip)
         self.outbox = []
+        self.sent = []
         self.host.send_ip = self.outbox.append
         self.server = ContainmentServer(harness.sim, self.host,
                                         PolicyMap(default=policy))
@@ -318,8 +321,10 @@ class LiveServer:
                 self.host.tcp.packet_arrived(
                     harness.to_service[self.delivered - 1])
             while self.outbox:
+                packet = self.outbox.pop(0)
+                self.sent.append(packet)
                 harness.router.service_frame(EthernetFrame(
-                    self.host.mac, harness.mac, self.outbox.pop(0)))
+                    self.host.mac, harness.mac, packet))
 
 
 @pytest.mark.parametrize("flags", [ACK | PSH, ACK | PSH | FIN],
@@ -368,10 +373,41 @@ def test_a_handshake_ack_carrying_data_follows_the_request_shim(flags):
     assert record.c2s_bytes == len(request)
 
 
+@pytest.mark.parametrize("verdict", ["forward", "drop"])
+@pytest.mark.parametrize("flags", [ACK | PSH, ACK | PSH | FIN],
+                         ids=["data", "data-and-fin"])
+def test_the_server_goes_silent_after_an_endpoint_verdict(flags, verdict):
+    """The request (and the inmate's FIN) follow the shim to the server
+    before the gateway has its verdict, and the gateway resets the
+    server's leg as the verdict arrives.  The server sends its SYN|ACK
+    and the response shim and nothing more — no ACK of the request, no
+    FIN — and the RST takes its connection out of the host's table."""
+    harness = RouterHarness(seed=7)
+    router = harness.router
+    server = LiveServer(harness, AllowAll() if verdict == "forward"
+                        else DslPolicy("default -> drop"))
+    inmate_ip = harness.nat.bind(VLAN)
+    harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, CLIENT_ISN, 0,
+                       SYN)
+    record = newest_flow(router)
+    server.pump()
+    harness.inmate_tcp(VLAN, inmate_ip, SPORT, TARGET_PORT, CLIENT_ISN + 1,
+                       record.cs_isn + 1, flags, b"GET / HTTP/1.0\r\n\r\n")
+    server.pump()
+
+    assert [packet.payload.flags for packet in harness.to_service] == [
+        SYN, ACK | PSH, flags, RST | ACK]
+    syn_ack, response = server.sent
+    assert syn_ack.payload.flags == SYN | ACK
+    assert response.payload.flags == ACK | PSH
+    shim = ResponseShim.from_bytes(response.payload.payload)
+    assert shim.verdict.label == verdict.upper()
+    assert [entry.verdict for entry in router.flow_log] == [verdict.upper()]
+    assert server.host.tcp.connection_count() == 0
+
+
 @golden("udp-rewrite-return-content")
 def _udp_rewrite_return_content(harness):
-    from repro.core.shim import ResponseShim
-
     record = harness.establish_udp_flow(VLAN, SPORT,
                                         verdict=Verdict.REWRITE)
     pump_udp(harness, record, rounds=3)

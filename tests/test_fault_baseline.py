@@ -30,8 +30,12 @@ whose inmate closed first never closed its server's side) and
 journal's sample ticks and rings, and the run loop's strided depth
 sample) and `OLD_HANDSHAKE_PINS` (the bare third ACK of every
 handshake: the endpoint's, the gateway's ahead of the request shim,
-and the handoff replay's).  Each older fixture stands on the newer
-ones, since its pins were recorded before them too.
+and the handoff replay's) and `OLD_SEGMENTS_PINS` (the endpoint that
+flushed every write and close at once, answered the data of a
+data-and-FIN segment before its FIN, and the containment server that
+went on acking and closing after an endpoint verdict).  Each older
+fixture stands on the newer ones, since its pins were recorded before
+them too.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ from repro.net.addresses import IPv4Address
 from repro.net.http import echo
 from repro.net.packet import (ACK, FIN, PSH, IPv4Packet, PROTO_TCP, RST,
                               SYN, TCPSegment)
+from repro.net import tcp as tcp_module
 from repro.net.tcp import TcpConnection, TcpState, seq_add, seq_lt, seq_sub
 from repro.obs.journal import Journal, NullJournal
 from repro.parallel.tasks import TARGET_IP, TARGET_PORT, \
@@ -1173,6 +1178,214 @@ def test_pins_reconstruct_with_the_old_sampling(old_sampling, name):
 
 
 # ----------------------------------------------------------------------
+# The segments every pin up to the coalesced answers was recorded on
+# ----------------------------------------------------------------------
+def _flushing_send(self, data):
+    """``send`` as it was: every write in ESTABLISHED or CLOSE_WAIT
+    left at once, callback or not."""
+    state = self.state
+    if (state is not TcpState.ESTABLISHED
+            and state is not TcpState.CLOSE_WAIT
+            and state is not TcpState.SYN_SENT
+            and state is not TcpState.SYN_RCVD
+            and (state is not TcpState.CLOSED or self.opened_at is not None)):
+        raise RuntimeError(f"cannot send in state {state}")
+    if self._fin_pending or self._fin_sent:
+        raise RuntimeError("cannot send after close()")
+    if type(data) is not bytes:
+        data = tcp_module._owned(data)
+    if data:
+        self._send_buffer.append(data)
+    if state is TcpState.ESTABLISHED or state is TcpState.CLOSE_WAIT:
+        self._flush()
+
+
+def _flushing_close(self):
+    """``close`` as it was: the FIN left at once."""
+    state = self.state
+    if state is TcpState.TIME_WAIT or (state is TcpState.CLOSED
+                                       and self.opened_at is not None):
+        return
+    if self._fin_pending or self._fin_sent:
+        return
+    self._fin_pending = True
+    if self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+        self._flush()
+
+
+def _flushless_abort(self):
+    """``abort`` as it was: nothing could be queued to flush first."""
+    if self.state not in (TcpState.CLOSED, TcpState.LISTEN):
+        self._emit(flags=RST | ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
+    self._enter_closed(notify_reset=False)
+
+
+def _uncorked_enter_established(self):
+    """``_enter_established`` as it was: ``on_established`` ran
+    uncorked, then whatever had been queued before the handshake
+    left."""
+    self.state = TcpState.ESTABLISHED
+    self.established_at = self.host.sim.now
+    if self.on_established:
+        self.on_established(self)
+    self._flush()
+
+
+def _segment_arrived_fin_after_close(self, segment):
+    """``segment_arrived`` as it was: a CLOSED connection ignored even
+    an RST (none was left in the table), and a FIN was handled whatever
+    the callbacks had done to the connection."""
+    state = self.state
+    if state is TcpState.SYN_SENT:
+        self._handle_syn_sent(segment)
+        return
+    if state is TcpState.CLOSED:
+        return
+    flags = segment.flags
+    if flags & RST:
+        self._enter_closed(notify_reset=True)
+        return
+    if state is TcpState.SYN_RCVD:
+        if flags & SYN:
+            self._emit(SYN | ACK, self.iss, self.rcv_nxt)
+            return
+        if flags & ACK and segment.ack == self.snd_nxt:
+            self._enter_established()
+    if segment.payload:
+        self._process_payload(segment)
+    if flags & ACK and self.state is not TcpState.ESTABLISHED:
+        self._process_ack_side_effects(segment)
+    if flags & FIN:
+        self._handle_fin(segment)
+
+
+def _answering_process_payload(self, segment):
+    """``_process_payload`` as it was: the data answered on its own,
+    ahead of a FIN on the same segment, and ``on_data`` uncorked."""
+    payload = segment.payload
+    seg_seq = segment.seq
+    rcv_nxt = self.rcv_nxt
+    if seg_seq != rcv_nxt:
+        if not seq_lt(seg_seq, rcv_nxt):
+            self._reassembly[seg_seq] = payload
+            self._emit(ACK, self.snd_nxt, rcv_nxt)
+            return
+        overlap = seq_sub(rcv_nxt, seg_seq)
+        if overlap >= len(payload):
+            self._emit(ACK, self.snd_nxt, rcv_nxt)
+            return
+        payload = payload[overlap:]
+    self._deliver(payload)
+    reassembly = self._reassembly
+    while reassembly and self.rcv_nxt in reassembly:
+        self._deliver(reassembly.pop(self.rcv_nxt))
+    if self.ack_sent != self.rcv_nxt:
+        self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+
+
+def _uncorked_handle_fin(self, segment):
+    """``_handle_fin`` as it was: ``on_remote_close`` uncorked, its
+    writes and close already out when the FIN's ACK was judged."""
+    fin_seq = seq_add(segment.seq, len(segment.payload))
+    if fin_seq != self.rcv_nxt:
+        return
+    self.rcv_nxt = seq_add(self.rcv_nxt, 1)
+    state = self.state
+    if state is TcpState.ESTABLISHED or state is TcpState.SYN_RCVD:
+        self.state = TcpState.CLOSE_WAIT
+    if self.on_remote_close:
+        self.on_remote_close(self)
+    if self.ack_sent != self.rcv_nxt:
+        self._emit(ACK, self.snd_nxt, self.rcv_nxt)
+    state = self.state
+    if state is TcpState.FIN_WAIT_1:
+        self.state = TcpState.CLOSING
+    elif state is TcpState.FIN_WAIT_2:
+        self._enter_time_wait()
+
+
+@pytest.fixture
+def old_segments(monkeypatch):
+    """Put back an endpoint that sent a segment per write and per
+    close, inside a callback or not, and answered a data-and-FIN
+    segment's data before its FIN; and a containment server that,
+    after an endpoint verdict, kept its leg open (``abandon`` does
+    nothing): it acked what followed the shim and closed on the
+    client's FIN."""
+    for name, method in (("send", _flushing_send),
+                         ("close", _flushing_close),
+                         ("abort", _flushless_abort),
+                         ("abandon", lambda self: None),
+                         ("_enter_established", _uncorked_enter_established),
+                         ("segment_arrived",
+                          _segment_arrived_fin_after_close),
+                         ("_process_payload", _answering_process_payload),
+                         ("_handle_fin", _uncorked_handle_fin)):
+        monkeypatch.setattr(TcpConnection, name, method)
+
+
+#: Every pin the coalesced answers and the silent server moved, as
+#: recorded before them: the seed farm and the campaign, every fault
+#: cell but the partition's, the obs-parity corpus, the scripted seed
+#: farm of ``router_wire.json`` (each an endpoint verdict's server ACK
+#: or FIN fewer, or a sink's or a web host's ACK of data that came with
+#: a FIN) and the Figure 7 report (flow-table hits and misses: fewer
+#: segments in its SMTP and C&C conversations, and no server frame on
+#: a decided flow).
+OLD_SEGMENTS_PINS = {
+    "farm": "55b34027303d388340d9b076d0b9d0d0191f57fe2c755a7ea05ebd12391f9da0",
+    "campaign":
+        "96efc31f272f13e56e3fd0e1af0d44ca2e3484d9822a988b386024fac24af24a",
+    "fault/baseline/drop":
+        "69c577f3f540a70bce1e45539158531e5feaee5f81701ddddcc1c884fc121eb6",
+    "fault/baseline/forward":
+        "941655ad9d3e5960592c9f0738a83a045bfa7a2f8040ac938a08c574e81e1eff",
+    "fault/cs_crash/drop":
+        "1067aa96e20a1b1f26b619f25bf6af8dccdeacc7197aa2336eb41cbaa496f868",
+    "fault/cs_crash/forward":
+        "b7780ca4cb495a6056ff4978bb6a0b10b36421d32babdf5e146e23f562d6d1c7",
+    "fault/cs_crash_restore/drop":
+        "c1e0d044a8b9c5b2fac4c01a3017ef2333bf067a47df1700bcdc5ec6aaded970",
+    "fault/cs_crash_restore/forward":
+        "edf8c965aa8b1459760671ee5f1d624061c0729f2284a7ef2e87f143ad117d59",
+    "fault/cs_hang/drop":
+        "dd0ea1b8bbddd3b188eefcd9b5434503c826e3f210db1857017de853a32ac17c",
+    "fault/cs_hang/forward":
+        "4b0ece284f1a70e95aa2676eb867db32933742d40962bcb1ace3547a89bbf596",
+    "fault/revert_fail/drop":
+        "0c8554157b7cdf88a6d986759fab9fd3d782fee99c2e9438b96d7a5dee5f8e97",
+    "fault/revert_fail/forward":
+        "a8aacc51526f2e1e001cdfcd75c3b3a320be9e0fdbb4eccd6b73d0f43d774f38",
+    "fault/shim_degraded/drop":
+        "b828f8cf04b28413805a33846b0f62aa50123cb709c61635f339856fbc8e53ea",
+    "fault/shim_degraded/forward":
+        "235724f5710d14ac2d848aaf73f16dc7595111db416a39764ccea722bc7a4a7c",
+    "obs": "490fa95cb52ce88e5df6dd79baa50f353c0910af8189841f14b46d851da038d8",
+    "router_wire/farm-seed-23":
+        "38d450cad6b6be720eaf9051a4a5f3db8007fa31699cea302f92982ec0b0c811",
+    "fig7_report":
+        "f60d8016fea1564bdfedd68012a20edcb0c2ec49fc99f36b51fd2aa240faadfc",
+}
+OLD_SEGMENTS_PRODUCERS = {
+    **FARM_PINS,
+    "obs": _obs_corpus_digest,
+    "router_wire/farm-seed-23": lambda: wire_digest(
+        test_fastpath.GOLDEN["farm-seed-23"]()),
+    "fig7_report": lambda: _artefact("fig7-report"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_SEGMENTS_PINS))
+def test_pins_reconstruct_with_the_old_segments(old_segments, name):
+    """Coalescing a callback's writes, answering data and FIN at once
+    and silencing the server after an endpoint verdict moved what they
+    move and nothing else: with the endpoint that answered each on its
+    own and the server that kept talking put back, every pin they moved
+    reads as it was."""
+    assert OLD_SEGMENTS_PRODUCERS[name]() == OLD_SEGMENTS_PINS[name]
+
+
+# ----------------------------------------------------------------------
 # The handshake every pin up to the piggybacked third ACK was recorded on
 # ----------------------------------------------------------------------
 def _bare_ack_handle_syn_sent(self, segment):
@@ -1270,7 +1483,7 @@ def _bare_ack_complete_handoff(router, record):
 
 
 @pytest.fixture
-def old_handshake(monkeypatch):
+def old_handshake(monkeypatch, old_segments):
     """Put back the bare third ACK of every handshake: the endpoint's,
     ahead of what ``on_established`` sent; the gateway's order, which
     relayed a handshake-completing segment ahead of the request shim;
