@@ -128,7 +128,7 @@ def apply_decision(router, record: FlowRecord,
     classify_destination(router, record)
     # The destination's return alias, to the controller until the
     # handoff completes and the rules go in.
-    router.flowtable.bind(Row(dst_alias(router, record), record, LEG_RETURN))
+    router.flowtable.bind(Row(dst_alias(record), record, LEG_RETURN))
     if tcp:
         begin_handoff(router, record)
     else:
@@ -210,7 +210,7 @@ def dst_plan(router, record: FlowRecord):
     return (src_ip, record.dst_ip) + emit
 
 
-def dst_alias(router, record: FlowRecord) -> tuple:
+def dst_alias(record: FlowRecord) -> tuple:
     """The flow key of return traffic from the enforced
     destination: its plan's addresses, reversed."""
     src_ip, dst_ip, _code, _arg = record.dst_plan
@@ -388,7 +388,7 @@ def compile_endpoint(router, record: FlowRecord):
                     orig.orig_port, record.dst_port, src_ip, dst_ip,
                     (dst_code, dst_arg), shaped=True, cls=FlowEntry,
                     **c2d_shift),
-        compile_row(router, record, dst_alias(router, record), LEG_RETURN,
+        compile_row(router, record, dst_alias(record), LEG_RETURN,
                     d2c, orig.resp_port, orig.orig_port,
                     orig.resp_ip, orig.orig_ip,
                     client_plan(record), shaped=True, cls=FlowEntry,
