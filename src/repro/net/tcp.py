@@ -232,8 +232,8 @@ class TcpConnection:
             data = _owned(data)
         if data:
             self._send_buffer.append(data)
-        if (state is _ESTABLISHED or state is _CLOSE_WAIT) \
-                and not self._corked:
+        if not self._corked and (state is _ESTABLISHED
+                                 or state is _CLOSE_WAIT):
             self._flush()
 
     def close(self) -> None:
@@ -247,8 +247,8 @@ class TcpConnection:
         if self._fin_pending or self._fin_sent:
             return
         self._fin_pending = True
-        if (state is _ESTABLISHED or state is _CLOSE_WAIT) \
-                and not self._corked:
+        if not self._corked and (state is _ESTABLISHED
+                                 or state is _CLOSE_WAIT):
             self._flush()
 
     def abort(self) -> None:
@@ -402,18 +402,17 @@ class TcpConnection:
                 self._deliver(reassembly.pop(self.rcv_nxt))
         finally:
             self._corked = False
-        rcv_nxt = self.rcv_nxt
         if (segment.flags & FIN
-                and (seg_seq + len(segment.payload)) & 0xFFFFFFFF == rcv_nxt):
+                and (seg_seq + len(segment.payload)) & 0xFFFFFFFF
+                == self.rcv_nxt):
             return  # _handle_fin answers the data and the FIN at once
-        # What on_data wrote, in one flush; a bare ACK only if that
-        # did not carry rcv_nxt.
-        state = self.state
-        if self._send_buffer or self._fin_pending:
-            if state is _ESTABLISHED or state is _CLOSE_WAIT:
-                self._flush()
-        if self.ack_sent != rcv_nxt and state is not _CLOSED:
-            self._emit(ACK, self.snd_nxt, rcv_nxt)
+        # What on_data wrote leaves in one flush, which carries the
+        # ACK; else a bare ACK if nothing sent carried rcv_nxt.
+        if (self._send_buffer or self._fin_pending) and (
+                self.state is _ESTABLISHED or self.state is _CLOSE_WAIT):
+            self._flush()
+        elif self.ack_sent != self.rcv_nxt and self.state is not _CLOSED:
+            self._emit(ACK, self.snd_nxt, self.rcv_nxt)
 
     def _deliver(self, payload: bytes) -> None:
         size = len(payload)
@@ -452,11 +451,11 @@ class TcpConnection:
         # callbacks wrote and closed (a FIN|ACK acknowledges the FIN),
         # else a bare ACK.
         state = self.state
-        if self._send_buffer or self._fin_pending:
-            if state is _ESTABLISHED or state is _CLOSE_WAIT:
-                self._flush()
-                state = self.state
-        if self.ack_sent != rcv_nxt and state is not _CLOSED:
+        if (self._send_buffer or self._fin_pending) and (
+                state is _ESTABLISHED or state is _CLOSE_WAIT):
+            self._flush()
+            state = self.state
+        elif self.ack_sent != rcv_nxt and state is not _CLOSED:
             self._emit(ACK, self.snd_nxt, rcv_nxt)
         if state is _FIN_WAIT_1:
             self.state = TcpState.CLOSING
