@@ -216,7 +216,8 @@ class TcpConnection:
         segment it becomes, in every trace and at the peer's
         ``on_data``, whenever it fits one MSS.  Any other input is
         copied once, here, so the caller may reuse it after ``send``
-        returns.
+        returns.  Inside a callback the write waits for the callback to
+        return and leaves with whatever else it wrote.
         """
         state = self.state
         if (state is not _ESTABLISHED and state is not _CLOSE_WAIT
