@@ -19,6 +19,7 @@ Typical use::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.policy import ContainmentPolicy, DefaultDeny, PolicyMap
@@ -463,14 +464,17 @@ class Farm:
     def __init__(self, config: Optional[FarmConfig] = None) -> None:
         self.config = config or FarmConfig()
         self.sim = Simulator(seed=self.config.seed)
+        # The virtual clock as a C-level callable (the property's own
+        # getter bound to this simulator): the journal reads it once
+        # per event, and a lambda would cost a Python frame each time.
+        clock = partial(type(self.sim).now.fget, self.sim)
 
         # Telemetry must attach before any component binds instruments:
         # everything downstream discovers it through sim.telemetry.
         if self.config.telemetry:
             from repro.obs.telemetry import Telemetry
 
-            self.sim.attach_telemetry(
-                Telemetry(clock=lambda: self.sim.now))
+            self.sim.attach_telemetry(Telemetry(clock=clock))
 
         # Decision journal (the flight recorder): like telemetry, it
         # must attach before any component is built — routers, barriers
@@ -480,7 +484,7 @@ class Farm:
         if self.config.journal:
             from repro.obs.journal import Journal
 
-            self.sim.attach_journal(Journal(clock=lambda: self.sim.now))
+            self.sim.attach_journal(Journal(clock=clock))
 
         # Fault plane: built only for a non-empty plan so a default
         # farm registers no fault telemetry, draws no RNG streams, and

@@ -23,6 +23,17 @@ Determinism contract
   silent.  Eviction is O(1), so a full journal costs what a filling
   one does.
 
+Storage
+-------
+Each event is stored as one flat tuple of atoms, ``(seq, time, kind,
+flow, vlan, parent, names, *values)``: ``names`` is the tuple of the
+event's field names, interned once per distinct schema, and the
+values follow in the order the recording call passed them.  The
+fields dict is rebuilt, in that order, only on export
+(:meth:`Journal.events`, :meth:`Journal.snapshot`,
+:meth:`Journal.digest`), so an event costs one tuple and what it
+holds (docs/PERFORMANCE.md, "Journal memory").
+
 Causal parenting
 ----------------
 Decisions cross component boundaries through *serialized* shim bytes,
@@ -53,8 +64,9 @@ JOURNAL_SCHEMA = "gq.journal/1"
 #: read when a journal is built.
 DEFAULT_CAPACITY = 65536
 
-#: Events rendered and encoded per step of :func:`journal_digest`.
-DIGEST_CHUNK = 1024
+#: Events rendered and encoded per step of :func:`journal_digest`:
+#: what digesting holds at once is one chunk's dicts and text.
+DIGEST_CHUNK = 64
 
 #: Pass as ``parent=`` to force a chain root: the event records with
 #: no parent even when flow/VLAN history exists (e.g. ``flow.created``
@@ -75,9 +87,33 @@ def _event_dict(row: tuple, fields: dict) -> dict:
     }
 
 
+def _row_dict(row: tuple) -> dict:
+    """A stored row as its event dict, the fields rebuilt in the order
+    they were recorded (one frame per event: the digest's loop)."""
+    return {
+        "seq": row[0],
+        "t": round(row[1], 9),
+        "kind": row[2],
+        "flow": row[3],
+        "vlan": row[4],
+        "parent": row[5],
+        "fields": dict(zip(row[6], row[7:])),
+    }
+
+
+class _Schemas(dict):
+    """Field-name tuples, each interned at its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, names: tuple) -> tuple:
+        self[names] = names
+        return names
+
+
 class JournalEvent(tuple):
     """One recorded decision: a named view ``(seq, time, kind, flow,
-    vlan, parent, fields)`` of a stored row and its fields."""
+    vlan, parent, fields)`` of a stored row, its fields rebuilt."""
 
     __slots__ = ()
 
@@ -103,12 +139,15 @@ class Journal:
         # Read when the journal is built, so patching the constant
         # sets the next journal's bound.
         self.capacity = DEFAULT_CAPACITY
-        # Two rings in step, ``(seq, time, kind, flow, vlan, parent)``
-        # and the event's fields: a tuple of atoms and a dict of atoms
-        # are not tracked by the cyclic collector, a tuple *holding*
-        # the dict would be.  The next seq is ``recorded``.
+        # One ring of rows ``(seq, time, kind, flow, vlan, parent,
+        # names, *values)`` (module docstring).  A row holds atoms only
+        # — numbers, strings, None and the interned tuple of name
+        # strings — so the cyclic collector untracks it at its first
+        # pass and never walks the ring again; a row holding the fields
+        # dict would stay tracked for as long as the dict did.  The
+        # next seq is ``recorded``.
         self._events: Deque[tuple] = deque(maxlen=self.capacity)
-        self._fields: Deque[dict] = deque(maxlen=self.capacity)
+        self._schemas = _Schemas()
         self.recorded = 0
         # Causal bookkeeping: last event seq per flow id / per VLAN,
         # plus flow aliases → flow ids.  All bounded FIFO (by first
@@ -128,8 +167,9 @@ class Journal:
     # ------------------------------------------------------------------
     def record(self, kind: str, flow: Optional[str] = None,
                vlan: Optional[int] = None, parent: Optional[int] = None,
-               **fields) -> JournalEvent:
-        """Append one event; auto-parent from the flow/VLAN history."""
+               **fields) -> None:
+        """Append one event; auto-parent from the flow/VLAN history.
+        Read it back with :meth:`events`."""
         if parent is ROOT:
             parent = None
         elif parent is None:
@@ -139,17 +179,19 @@ class Journal:
                 parent = self._last_for_vlan.get(vlan)
         seq = self.recorded
         self.recorded = seq + 1
-        row = (seq, self.clock(), kind, flow, vlan, parent)
-        self._events.append(row)
-        self._fields.append(fields)
-        # Neither map can be full before the ring is: plain stores.
-        remember = (OrderedDict.__setitem__ if seq < self.capacity
-                    else self._remember)
-        if flow is not None:
-            remember(self._last_for_flow, flow, seq)
-        if vlan is not None:
-            remember(self._last_for_vlan, vlan, seq)
-        return JournalEvent((*row, fields))
+        self._events.append((seq, self.clock(), kind, flow, vlan, parent,
+                             self._schemas[tuple(fields)], *fields.values()))
+        if seq < self.capacity:
+            # Neither map can be full before the ring is: plain stores.
+            if flow is not None:
+                self._last_for_flow[flow] = seq
+            if vlan is not None:
+                self._last_for_vlan[vlan] = seq
+        else:
+            if flow is not None:
+                self._remember(self._last_for_flow, flow, seq)
+            if vlan is not None:
+                self._remember(self._last_for_vlan, vlan, seq)
 
     def _remember(self, table: OrderedDict, key, value) -> None:
         if len(table) >= self.capacity and key not in table:
@@ -161,7 +203,11 @@ class Journal:
     # the shim protocol can compute without rendering — to flow ids.
     # ------------------------------------------------------------------
     def bind_flow(self, alias: object, flow_id: str) -> None:
-        self._remember(self._aliases, alias, flow_id)
+        aliases = self._aliases
+        if len(aliases) < self.capacity:
+            aliases[alias] = flow_id
+        else:
+            self._remember(aliases, alias, flow_id)
 
     def flow_for(self, alias: object) -> Optional[str]:
         return self._aliases.get(alias)
@@ -170,21 +216,19 @@ class Journal:
     # Export
     # ------------------------------------------------------------------
     def events(self) -> List[JournalEvent]:
-        return [JournalEvent((*row, fields))
-                for row, fields in zip(self._events, self._fields)]
+        return [JournalEvent((*row[:6], dict(zip(row[6], row[7:]))))
+                for row in self._events]
 
     def snapshot(self) -> dict:
         """JSON-safe view of the whole journal (schema
         ``gq.journal/1``) — the unit the merge and the exporters
         consume."""
-        return self._snapshot(list(map(_event_dict, self._events,
-                                       self._fields)))
+        return self._snapshot(list(map(_row_dict, self._events)))
 
     def digest(self) -> str:
         """``journal_digest(self.snapshot())`` without the snapshot:
         each event is rendered as its chunk is hashed."""
-        return journal_digest(self._snapshot(map(_event_dict, self._events,
-                                                 self._fields)))
+        return journal_digest(self._snapshot(map(_row_dict, self._events)))
 
     def _snapshot(self, events: Iterable[dict]) -> dict:
         return {

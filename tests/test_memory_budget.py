@@ -33,6 +33,15 @@ from repro.net.packet import TCPSegment  # noqa: E402
 from repro.obs.journal import ROOT, Journal  # noqa: E402
 
 
+#: What digesting a 30,000-event journal may hold at its peak: one
+#: 64-event chunk's dicts and text (2.2 MB at 1,024 events a chunk).
+MAX_DIGEST_PEAK_BYTES = 500_000
+#: What the journal may hold per event of the scan's mix: one row of
+#: atoms and the bookkeeping beside it (341 while each event was a row
+#: plus its fields dict).
+MAX_JOURNAL_BYTES_PER_EVENT = 200
+
+
 def _captured_payloads(farm) -> list:
     """Every distinct non-empty TCP payload the farm's traces hold."""
     traces = [sub.router.trace for sub in farm.subfarms.values()]
@@ -73,26 +82,45 @@ def test_no_bytes_allocated_in_tcp_survive_echo_rounds():
     assert any(len(payload) == workloads.CHUNK for payload in payloads)
 
 
-def _scan_shaped_journal(events: int) -> Journal:
-    """The four events a scanned flow journals, as ``scan_journaled``
-    records them, ``events`` in all."""
+def _scan_event_mix(events: int) -> list:
+    """``(time, kind, fields)`` for the four events a scanned flow
+    journals, with the fields ``scan_journaled`` gives them, ``events``
+    in all.  A flow's verdict is issued and applied a little after the
+    flow is created; its rules go in at the verdict's instant."""
+    mix = []
+    for index in range(events // 4):
+        start = 0.031 * (index + 1)
+        vlan = index % 16 + 2
+        flow = f"scan-{index % 2}/vlan{vlan}/mux{index}/t{start:.6f}"
+        common = dict(flow=flow, vlan=vlan)
+        mix += [
+            (start, "flow.created", dict(
+                common, parent=ROOT, proto="tcp",
+                destination=f"10.9.{index % 250}.7")),
+            (start + 0.004, "verdict.issued", dict(
+                common, server="cs-0", verdict="DROP", policy="worm-dsl",
+                trigger_rules=0, trigger_suspended=False)),
+            (start + 0.008, "verdict.applied", dict(
+                common, verdict="DROP", proto="tcp", policy="worm-dsl",
+                annotation="rule 3")),
+            (start + 0.008, "fastpath.install", dict(
+                common, phase="dropped", handlers=2)),
+        ]
+    return mix
+
+
+def _replay(mix: list) -> Journal:
+    """A fresh journal holding ``mix``, each event at its own time."""
     clock = [0.0]
     journal = Journal(clock=lambda: clock[0])
-    for index in range(events // 4):
-        clock[0] += 0.031
-        flow = f"scan/vlan{index % 16 + 2}/mux{index}"
-        vlan = index % 16 + 2
-        journal.record("flow.created", flow=flow, vlan=vlan, parent=ROOT,
-                       proto="tcp", destination=f"10.9.{index % 250}.7:445")
-        journal.record("verdict.issued", flow=flow, vlan=vlan,
-                       server="cs-0", verdict="DROP", policy="worm-dsl",
-                       trigger_rules=[], trigger_suspended=False)
-        journal.record("verdict.applied", flow=flow, vlan=vlan,
-                       verdict="DROP", proto="tcp", policy="worm-dsl",
-                       annotation="rule 3")
-        journal.record("fastpath.install", flow=flow, vlan=vlan,
-                       phase="dropped", handlers=2)
+    for time, kind, fields in mix:
+        clock[0] = time
+        journal.record(kind, **fields)
     return journal
+
+
+def _scan_shaped_journal(events: int) -> Journal:
+    return _replay(_scan_event_mix(events))
 
 
 def _digest_peak(events: int) -> int:
@@ -107,6 +135,24 @@ def _digest_peak(events: int) -> int:
 
 def test_journal_digest_peak_does_not_grow_with_the_journal():
     small, large = _digest_peak(3_000), _digest_peak(30_000)
-    # One chunk of events either way: 2.19 and 2.21 MB.  The whole-text
-    # digest before it: 4.6 and 20.8 MB.
+    # One chunk of events either way: 2.19 and 2.21 MB at 1,024 events
+    # a chunk; 0.16 and 0.16 MB at 64.  The whole-text digest before
+    # it: 4.6 and 20.8 MB.
     assert large <= 1.5 * small, (small, large)
+    assert large <= MAX_DIGEST_PEAK_BYTES, large
+
+
+def test_journal_bytes_per_event():
+    """What the journal holds per event of the scan's mix: the ring's
+    row, its seq and time, and the flow's last-event entry — not the
+    values the recording sites hand it, which exist either way."""
+    mix = _scan_event_mix(30_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        journal = _replay(mix)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(journal) == len(mix)
+    assert held / len(mix) <= MAX_JOURNAL_BYTES_PER_EVENT, held / len(mix)

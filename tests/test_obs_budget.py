@@ -69,10 +69,15 @@ INSTALLED_EVENTS = DROP_TCP_EVENTS + ("fastpath.install",)
 #: 47,408 events and 1,252 flows, so the same 2,714 frames sit where
 #: they did (2.17 per flow).  And in repro/obs/ per journaled flow
 #: (138, then 10.5, then 9.1: four record() calls, bind_flow, flow_for
-#: and the two histograms).  Each bound was the larger measured figure
-#: plus 25%.
+#: and the two histograms; 10.8 as measured before the one-ring
+#: journal: 3.6 record() calls, two tally, two observe, bind_flow and
+#: the _remember it stored through, flow_for; 9.8 with bind_flow
+#: storing in place below capacity.  The journal's clock is now the
+#: simulator's own C-level getter; the lambda it replaced lived in
+#: farm.py, so no figure here counted its 3.6 frames per flow).  Each
+#: bound was the larger measured figure plus 25%.
 MAX_ENABLED_FRAMES_PER_SCAN_FLOW = 0.058 * 47_408 / 1_252
-MAX_OBS_FRAMES_PER_FLOW = 16.0
+MAX_OBS_FRAMES_PER_FLOW = 12.2
 
 #: The flow workload, per flow: with telemetry off the no-op histogram
 #: observe and 14 no-op registers (1,092 frames over 539 flows, 2.03),

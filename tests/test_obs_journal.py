@@ -61,24 +61,25 @@ def make_journal(capacity: int = DEFAULT_CAPACITY) -> Journal:
 class TestRecording:
     def test_auto_parent_prefers_flow_over_vlan(self):
         journal = make_journal()
-        a = journal.record("flow.created", flow="f1", vlan=1,
-                           parent=ROOT)
+        journal.record("flow.created", flow="f1", vlan=1, parent=ROOT)
         journal.record("trigger.fired", vlan=1)
-        b = journal.record("verdict.issued", flow="f1", vlan=1)
+        journal.record("verdict.issued", flow="f1", vlan=1)
+        a, _fired, b = journal.events()
         assert a.parent is None
         assert b.parent == a.seq
 
     def test_vlan_fallback_when_flow_unknown(self):
         journal = make_journal()
-        fired = journal.record("trigger.fired", vlan=7)
-        lifecycle = journal.record("lifecycle", flow="new-flow", vlan=7)
+        journal.record("trigger.fired", vlan=7)
+        journal.record("lifecycle", flow="new-flow", vlan=7)
+        fired, lifecycle = journal.events()
         assert lifecycle.parent == fired.seq
 
     def test_root_sentinel_suppresses_auto_parenting(self):
         journal = make_journal()
         journal.record("barrier.quarantine", vlan=3)
-        fresh = journal.record("flow.created", flow="f2", vlan=3,
-                               parent=ROOT)
+        journal.record("flow.created", flow="f2", vlan=3, parent=ROOT)
+        _quarantine, fresh = journal.events()
         assert fresh.parent is None
 
     def test_bounded_eviction_is_counted(self):
@@ -180,7 +181,8 @@ class TestAtCapacity:
                     flow=rng.choice(flows + [None]),
                     vlan=rng.choice(vlans + [None]),
                     parent=rng.choice([None, None, ROOT, 0]), step=step)
-                live = journal.record("k", **kwargs)
+                journal.record("k", **kwargs)
+                live = journal.events()[-1]
                 assert live.to_dict() == model.record("k", **kwargs)
             else:
                 alias, flow = rng.choice(flows), rng.choice(flows)

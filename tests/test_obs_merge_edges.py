@@ -181,10 +181,10 @@ class TestJournalMergeEdges:
         for shard in range(2):
             journal = Journal(clock=lambda: clock[0])
             clock[0] = 1.0 + shard
-            root = journal.record("flow.created", flow="tcp/1",
-                                  vlan=1)
+            journal.record("flow.created", flow="tcp/1", vlan=1)
             journal.record("verdict.issued", flow="tcp/1", vlan=1,
                            verdict="allow")
+            root, _verdict = journal.events()
             assert root.parent is None
             journals.append(journal.snapshot())
         merged = merge(journals, labels=[{"shard": "0"}, {"shard": "1"}])
