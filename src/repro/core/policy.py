@@ -464,6 +464,13 @@ class ContainmentPolicy:
                     return decision
             return self._decision_for(ctx, action)
 
+    @cached_property
+    def _decisions(self) -> dict:
+        """The decision each action declares, built at its first flow
+        and shared by every later one (nothing assigns to a decision's
+        fields): by the action, and a reflect's also by its sink."""
+        return {}
+
     def _decision_for(self, ctx: PolicyContext,
                       action: Action) -> ContainmentDecision:
         """The decision ``action`` declares, under ``ctx``'s services (a
@@ -471,12 +478,21 @@ class ContainmentPolicy:
         while (action.otherwise is not None and action.build is None
                and not ctx.has_service(action.service)):
             action = action.otherwise
-        if action.kind == "reflect":
-            return self.reflect(ctx, action.service, action.annotation)
-        return ContainmentDecision(
-            Verdict[action.kind.upper()], action.target_ip,
-            action.target_port, action.rate, self.policy_name,
-            action.annotation)
+        reflect = action.kind == "reflect"
+        if reflect:
+            sink_ip, sink_port = ctx.service(action.service)
+            key = (action, sink_ip.value, sink_port)
+        else:
+            key = action
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decisions[key] = (
+                self.reflect(ctx, action.service, action.annotation)
+                if reflect else ContainmentDecision(
+                    Verdict[action.kind.upper()], action.target_ip,
+                    action.target_port, action.rate, self.policy_name,
+                    action.annotation))
+        return decision
 
     def make_rewriter(self, ctx: PolicyContext) -> Rewriter:
         """Rewriter for flows this policy answered with REWRITE."""

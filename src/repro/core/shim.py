@@ -64,8 +64,10 @@ _OPCODE = struct.Struct("!I")
 #: A response shim's tail — verdict opcode, policy tag, annotation — is
 #: what a policy says, not which flow it says it of, and a policy says
 #: few things: each tail is encoded and decoded once, then interned by
-#: its fields and by its wire bytes.  Both caches map a key to what a
-#: pure function of it returns, immutable, so a process shares them
+#: its fields and by its wire bytes, a decoded tail with the decision
+#: it declares (one per tail, for every flow it decides).  Both caches
+#: map a key to what a pure function of it returns, never modified (no
+#: code assigns to a decision's fields), so a process shares them
 #: safely; one that reaches this size starts over.
 TAIL_CACHE_MAX = 256
 _encoded_tails: Dict[tuple, bytes] = {}
@@ -157,7 +159,8 @@ class ResponseShim:
     for REDIRECT/REFLECT.
     """
 
-    __slots__ = ("flow", "verdict", "policy", "annotation", "rate")
+    __slots__ = ("flow", "verdict", "policy", "annotation", "rate",
+                 "decision")
 
     def __init__(
         self,
@@ -166,14 +169,18 @@ class ResponseShim:
         policy: str = "",
         annotation: str = "",
         rate: Optional[float] = None,
+        decision: Optional[ContainmentDecision] = None,
     ) -> None:
         # The verdict is validated once per distinct tail, where the
         # tail is encoded (to_bytes) or decoded (from_bytes) and cached.
+        # ``decision`` is the decoded tail's shared decision, when its
+        # verdict names no target (from_bytes).
         self.flow = flow
         self.verdict = verdict
         self.policy = policy
         self.annotation = annotation
         self.rate = rate
+        self.decision = decision
 
     @classmethod
     def from_decision(
@@ -193,7 +200,10 @@ class ResponseShim:
                    decision.annotation, decision.rate)
 
     def to_decision(self, original: FiveTuple) -> ContainmentDecision:
-        """Reconstruct the decision the gateway must enforce."""
+        """Reconstruct the decision the gateway must enforce: a decoded
+        tail's own when its verdict names no target."""
+        if self.decision is not None:
+            return self.decision
         target_ip = target_port = None
         if self.verdict.needs_target:
             target_ip = self.flow.resp_ip
@@ -234,10 +244,9 @@ class ResponseShim:
         decoded = _decoded_tails.get(tail)
         if decoded is None:
             decoded = _intern(_decoded_tails, tail, _decode_tail(tail))
-        verdict, policy, annotation, rate = decoded
         flow = FiveTuple(IPv4Address(orig_ip), orig_port,
                          IPv4Address(resp_ip), resp_port, proto)
-        return cls(flow, verdict, policy, annotation, rate)
+        return cls(flow, *decoded)
 
     def __repr__(self) -> str:
         return f"<ResponseShim {self.verdict!r} policy={self.policy!r} {self.flow}>"
@@ -271,8 +280,11 @@ def _encode_tail(verdict: Verdict, policy: str, annotation: str,
 
 
 def _decode_tail(tail: bytes) -> tuple:
-    """``(verdict, policy, annotation, rate)`` from a response shim's
-    bytes from its verdict opcode on (at least 36 of them)."""
+    """``(verdict, policy, annotation, rate, decision)`` from a response
+    shim's bytes from its verdict opcode on (at least 36 of them):
+    ``decision`` is the one every shim with this tail enforces, or None
+    when the verdict names a target, which the shim's four-tuple
+    carries."""
     (opcode,) = _OPCODE.unpack_from(tail)
     policy = tail[4:4 + POLICY_TAG_LEN].rstrip(b"\x00").decode(
         "utf-8", "replace")
@@ -293,4 +305,6 @@ def _decode_tail(tail: bytes) -> tuple:
     except ValueError:
         raise ShimError(f"invalid verdict opcode {opcode:#x}",
                         offset=20) from None
-    return verdict, policy, annotation, rate
+    decision = None if verdict.needs_target else ContainmentDecision(
+        verdict, None, None, rate, policy, annotation)
+    return verdict, policy, annotation, rate, decision

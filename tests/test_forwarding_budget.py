@@ -62,9 +62,10 @@ FRAMES_PER_ECHO_ROUND = 52
 #: interned, 456.3 with the handshake's third ACK riding on the request,
 #: 417.1 with the containment server silent after its verdict, the
 #: destination plan fixed once, sequence sums inlined and a verdict
-#: validated once per response-shim tail (the bound is that figure
-#: + 5 %).
-FRAMES_PER_FETCH = 438
+#: validated once per response-shim tail, 410.1 with one decision per
+#: policy action and one per interned response-shim tail, none built
+#: per flow (the bound is that figure + 5 %).
+FRAMES_PER_FETCH = 431
 #: The router's own share of a fetch, gateway/router.py and the
 #: controller modules split from it (the backbone router of the world
 #: model shares the basename: 11 of these, 33 before its one-frame
