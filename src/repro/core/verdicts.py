@@ -138,6 +138,10 @@ class ContainmentDecision:
     carries the LIMIT budget in new-flow-bytes per second.  ``policy``
     and ``annotation`` flow into the response shim verbatim and end up
     in the activity reports.
+
+    A decision is read-only once built: a policy hands every flow one
+    of its actions decides the same decision, and the gateway one per
+    response-shim tail.
     """
 
     __slots__ = ("verdict", "target_ip", "target_port", "rate",
@@ -153,14 +157,21 @@ class ContainmentDecision:
         annotation: str = "",
     ) -> None:
         verdict.validate()
-        self.verdict = verdict
-        self.target_ip = IPv4Address(target_ip) if target_ip is not None else None
-        self.target_port = target_port
-        self.rate = rate
-        self.policy = policy
-        self.annotation = annotation
-        if verdict._value_ & _NEEDS_TARGET and self.target_ip is None:
+        if target_ip is not None:
+            target_ip = IPv4Address(target_ip)
+        elif verdict._value_ & _NEEDS_TARGET:
             raise ValueError(f"{verdict!r} requires a target address")
+        init = object.__setattr__
+        init(self, "verdict", verdict)
+        init(self, "target_ip", target_ip)
+        init(self, "target_port", target_port)
+        init(self, "rate", rate)
+        init(self, "policy", policy)
+        init(self, "annotation", annotation)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a ContainmentDecision is shared and "
+                             f"read-only: cannot set {name!r}")
 
     # Convenience constructors mirror Figure 2 -------------------------
     @classmethod

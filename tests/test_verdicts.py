@@ -2,14 +2,22 @@
 
 ``validate`` / ``label`` / ``endpoint_op`` answer from per-value tables
 (repro.core.verdicts); the reference below is the unmemoized definition
-they replaced, evaluated over all 64 bit patterns.
+they replaced, evaluated over all 64 bit patterns.  And decisions: one
+per policy action and one per response-shim tail, shared by every flow
+they decide, so none may be modified.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.verdicts import Verdict
+from repro.core.dsl import DslPolicy
+from repro.core.policy import PolicyContext
+from repro.core.shim import ResponseShim
+from repro.core.verdicts import ContainmentDecision, Verdict
+from repro.net.addresses import IPv4Address
+from repro.net.flow import FiveTuple
+from repro.net.packet import PROTO_TCP
 
 OPS = (Verdict.FORWARD, Verdict.LIMIT, Verdict.DROP, Verdict.REDIRECT,
        Verdict.REFLECT, Verdict.REWRITE)
@@ -82,3 +90,50 @@ def test_world_reaching_is_spelled_once():
     # Text from disk: names from_label does not know contribute nothing.
     assert Verdict.from_label("FORWARD|BOGUS") == Verdict.FORWARD
     assert Verdict.from_label("") == Verdict(0)
+
+
+SINK_A, SINK_B = IPv4Address("10.3.0.9"), IPv4Address("10.4.0.9")
+
+
+def _decide(policy, port: int, sink: IPv4Address, sport: int = 40000):
+    flow = FiveTuple(IPv4Address("10.3.0.2"), sport,
+                     IPv4Address("93.184.216.34"), port, PROTO_TCP)
+    ctx = PolicyContext(flow, 3, 0, 0.0, {"sink": (sink, 0)})
+    return policy.decide(ctx)
+
+
+def test_a_policy_shares_one_decision_per_action_and_sink():
+    policy = DslPolicy("port 445/tcp -> reflect sink\n"
+                       "port 80/tcp -> forward\n"
+                       "default -> drop\n")
+    for port in (80, 25):
+        first, second = (_decide(policy, port, SINK_A, sport)
+                         for sport in (40000, 40001))
+        assert first is second
+    a, b = (_decide(policy, 445, sink) for sink in (SINK_A, SINK_B))
+    assert (a.target_ip, b.target_ip) == (SINK_A, SINK_B)
+    assert _decide(policy, 445, SINK_A, 40002) is a
+
+
+def test_a_decoded_tail_shares_its_decision_unless_it_names_a_target():
+    flow = FiveTuple(IPv4Address("10.3.0.2"), 40000,
+                     IPv4Address("93.184.216.34"), 80, PROTO_TCP)
+    dropped = [ResponseShim.from_bytes(ResponseShim.from_decision(
+        flow._replace(orig_port=port), ContainmentDecision.drop(
+            policy="p", annotation="a")).to_bytes()).to_decision(flow)
+        for port in (40000, 40001)]
+    assert dropped[0] is dropped[1]
+    assert (dropped[0].verdict, dropped[0].policy) == (Verdict.DROP, "p")
+    reflected = [ResponseShim.from_bytes(ResponseShim.from_decision(
+        flow, ContainmentDecision.reflect(sink, policy="p")).to_bytes()
+    ).to_decision(flow) for sink in (SINK_A, SINK_B)]
+    assert [d.target_ip for d in reflected] == [SINK_A, SINK_B]
+
+
+@pytest.mark.parametrize("field", ["verdict", "target_ip", "target_port",
+                                   "rate", "policy", "annotation"])
+def test_a_decision_is_read_only(field):
+    decision = ContainmentDecision.drop(policy="p")
+    with pytest.raises(AttributeError):
+        setattr(decision, field, None)
+    assert (decision.verdict, decision.policy) == (Verdict.DROP, "p")
