@@ -80,11 +80,13 @@ trace-budget:
 # Frame and memory budgets, counted not timed, under two hash seeds:
 # what a hop (send | receive_frame), an endpoint segment (10), a table
 # hit (7; 4 upstream), an echo round (at most 52) and an HTTP fetch (at
-# most 438) may cost in Python frames, what a scan probe may cost in
+# most 431) may cost in Python frames, what a scan probe may cost in
 # frame hops (at most 15.5), one flow-table probe per packet
 # in every phase of a flow's life (and one table read per key when a
 # finished flow is released), no payload copy made by the send path, a
-# journal digest whose peak does not grow with the journal, and a churn
+# journal that holds at most 200 bytes per event of the scan's mix, a
+# journal digest whose peak does not grow with the journal and stays
+# within 0.5 MB at 30,000 events, and a churn
 # farm that keeps no record, row or rule of a finished flow and grows
 # by at most 1,500 bytes, traces included, per extra finished fetch
 # (docs/PERFORMANCE.md, "Flow memory"), a small scan that holds
@@ -102,7 +104,7 @@ trace-budget:
 # (0.058 per event of its 47,408 events over 1,252 flows), and within
 # 2.53 per flow with telemetry off and 2.75 with it on over a flow
 # workload (at least 20 instruments reading), and in repro/obs/ within
-# 16 per journaled flow.  Last, the
+# 12.2 per journaled flow.  Last, the
 # frames-by-file table behind the fetch and the echo round
 # (docs/PERFORMANCE.md, "The gateway kernel" and "Trace memory";
 # docs/OBSERVABILITY.md, "Overhead").

@@ -25,14 +25,19 @@ Determinism contract
 
 Storage
 -------
-Each event is stored as one flat tuple of atoms, ``(seq, time, kind,
-flow, vlan, parent, names, *values)``: ``names`` is the tuple of the
-event's field names, interned once per distinct schema, and the
-values follow in the order the recording call passed them.  The
-fields dict is rebuilt, in that order, only on export
-(:meth:`Journal.events`, :meth:`Journal.snapshot`,
-:meth:`Journal.digest`), so an event costs one tuple and what it
-holds (docs/PERFORMANCE.md, "Journal memory").
+Each event is stored as one flat tuple, ``(seq, time, kind, flow,
+vlan, parent, names, *values)``: ``names`` is the tuple of the
+event's field names, interned once per distinct schema (a recording
+site's keyword names), and the values follow in the order the call
+passed them.  The fields dict is rebuilt, in that order, only on
+export (:meth:`Journal.events`, :meth:`Journal.snapshot`,
+:meth:`Journal.digest`), so an event costs one tuple where it cost a
+row and a dict.  The recording sites pass atoms — numbers, strings,
+None — so the row is a tuple of atoms: the cyclic collector stops
+tracking such a tuple at its first pass over it and never walks the
+ring again (a tuple holding a dict, as a row with its fields would,
+stays tracked for life).  docs/PERFORMANCE.md, "Journal memory", has
+the bytes.
 
 Causal parenting
 ----------------
@@ -140,11 +145,10 @@ class Journal:
         # sets the next journal's bound.
         self.capacity = DEFAULT_CAPACITY
         # One ring of rows ``(seq, time, kind, flow, vlan, parent,
-        # names, *values)`` (module docstring).  A row holds atoms only
-        # — numbers, strings, None and the interned tuple of name
-        # strings — so the cyclic collector untracks it at its first
-        # pass and never walks the ring again; a row holding the fields
-        # dict would stay tracked for as long as the dict did.  The
+        # names, *values)``, the names interned in ``_schemas`` (module
+        # docstring).  A row holds atoms and the names tuple of strings,
+        # so the cyclic collector untracks it at its first pass; a row
+        # holding the fields dict would stay tracked for life.  The
         # next seq is ``recorded``.
         self._events: Deque[tuple] = deque(maxlen=self.capacity)
         self._schemas = _Schemas()
