@@ -4,7 +4,7 @@ by ``tracemalloc`` rather than read off RSS.
 GQ records every frame that crosses the upstream interface for the
 life of a deployment (§5.6; each subfarm's inmate side in a window),
 so the bytes a run holds per frame bound how long a farm can record
-(docs/PERFORMANCE.md, "Trace memory").  Two budgets:
+(docs/PERFORMANCE.md, "Trace memory").  Three budgets:
 
 * **one copy per payload** — an application's ``bytes`` write is the
   payload of its segment, in both traces and at the peer, so on the
@@ -15,7 +15,11 @@ so the bytes a run holds per frame bound how long a farm can record
 * **a streaming journal digest** — ``Journal.digest()`` hashes the
   canonical text a chunk of events at a time, so what it allocates at
   its peak does not grow with the journal (the whole-text digest held
-  the snapshot, its text and the text's encoding at once).
+  the snapshot, its text and the text's encoding at once) and is one
+  small chunk's worth;
+* **one row per journal event** — an event is one tuple of atoms, so
+  the journal holds at most 200 bytes per event of the scan's mix
+  (docs/PERFORMANCE.md, "Journal memory").
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.obs.journal import ROOT, Journal  # noqa: E402
 #: 64-event chunk's dicts and text (2.2 MB at 1,024 events a chunk).
 MAX_DIGEST_PEAK_BYTES = 500_000
 #: What the journal may hold per event of the scan's mix: one row of
-#: atoms and the bookkeeping beside it (341 while each event was a row
+#: atoms and the bookkeeping beside it (339 while each event was a row
 #: plus its fields dict).
 MAX_JOURNAL_BYTES_PER_EVENT = 200
 
@@ -135,8 +139,8 @@ def _digest_peak(events: int) -> int:
 
 def test_journal_digest_peak_does_not_grow_with_the_journal():
     small, large = _digest_peak(3_000), _digest_peak(30_000)
-    # One chunk of events either way: 2.19 and 2.21 MB at 1,024 events
-    # a chunk; 0.16 and 0.16 MB at 64.  The whole-text digest before
+    # One chunk of events either way: 2.24 and 2.26 MB at 1,024 events
+    # a chunk, 0.16 and 0.16 MB at 64.  The whole-text digest before
     # it: 4.6 and 20.8 MB.
     assert large <= 1.5 * small, (small, large)
     assert large <= MAX_DIGEST_PEAK_BYTES, large

@@ -100,6 +100,19 @@ class TestRecording:
             "gold/vlan4/mux7"
         assert journal.flow_for("unknown") is None
 
+    def test_fields_come_back_in_the_order_recorded(self):
+        journal = make_journal()
+        journal.record("verdict.issued", flow="f", verdict="DROP",
+                       policy="p", annotation="", rules=3)
+        journal.record("lifecycle", vlan=2, zulu=1, alpha=None)
+        order = [["verdict", "policy", "annotation", "rules"],
+                 ["zulu", "alpha"]]
+        assert [list(event.fields) for event in journal.events()] == order
+        assert [list(event["fields"])
+                for event in journal.snapshot()["events"]] == order
+        assert [list(event.to_dict()) for event in journal.events()] == [
+            ["seq", "t", "kind", "flow", "vlan", "parent", "fields"]] * 2
+
     def test_null_journal_is_inert(self):
         assert NULL_JOURNAL.enabled is False
         assert NULL_JOURNAL.record("verdict.issued", flow="f") is None
@@ -242,9 +255,11 @@ class TestStreamingDigest:
     encoder.  Both must hash exactly the whole snapshot's canonical
     text, at and around every chunk boundary."""
 
+    # Around the chunk's boundaries, and around those of the 1,024-event
+    # chunk the digest once took (multiples of today's chunk as well).
     @pytest.mark.parametrize("events", [
         0, 1, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1,
-        3 * DIGEST_CHUNK + 7])
+        3 * DIGEST_CHUNK + 7, 1023, 1024, 1025, 3079])
     @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 1000])
     @pytest.mark.parametrize("fields", [False, True])
     def test_matches_the_whole_text(self, events, capacity, fields):
