@@ -89,12 +89,10 @@ class FarmConfig:
         # offending flow, "fail-stop" freezes the subfarm's ingest,
         # "count" only records.
         "malice_policy": (str, "isolate"),
-        # Batched trunk delivery: batch_window=None (default) keeps
-        # per-frame delivery; 0.0 coalesces only naturally coincident
-        # frames (timing untouched); a positive value quantizes trunk
-        # delivery to window boundaries so concurrent inmates' frames
-        # arrive together, in one receive_frame_batch call per instant
-        # (each frame is still ingested on its own).
+        # Trunk delivery window: a positive value rounds each trunk
+        # arrival up to the next window boundary (Link.batch_window);
+        # None (default) and 0.0 leave per-frame timing untouched.
+        # Every frame is still delivered and ingested on its own.
         "batch_window": (NUMBER, None),
     }
 
@@ -498,13 +496,12 @@ class Farm:
         self.gateway = Gateway(self.sim)
         self.inmate_switch = Switch(self.sim, "inmate-net")
         self.gateway.attach_trunk(self.inmate_switch)
-        # Batched trunk ingest (docs/PERFORMANCE.md): opt-in, so the
-        # default farm's delivery schedule is untouched.
-        if self.config.batch_window is not None:
-            self.gateway.trunk_port.coalesce = self.sim
-            if self.config.batch_window > 0:
-                self.gateway.trunk_port.link.batch_window = \
-                    self.config.batch_window
+        # The trunk's delivery window (docs/PERFORMANCE.md,
+        # "Batching"): opt-in, so the default farm's delivery schedule
+        # is untouched.
+        if self.config.batch_window:
+            self.gateway.trunk_port.link.batch_window = \
+                self.config.batch_window
         self.gateway.attach_upstream(
             self.backbone,
             self.config.global_networks + [self.config.control_network],

@@ -30,7 +30,7 @@ from repro.gateway.router import SubfarmRouter
 from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
 from repro.net.arp import ETHERTYPE_ARP, OP_REQUEST, ArpMessage
 from repro.net.capture import PacketTrace
-from repro.net.link import Link, Port, PortMode, Switch
+from repro.net.link import Link, Port, PortMode, Switch, retired
 from repro.net.packet import EthernetFrame, IPv4Packet
 from repro.net.router import Router
 from repro.net.host import Host
@@ -234,45 +234,8 @@ class Gateway:
             router.trace.capture(self.sim.now, frame, "containment")
             router.service_frame(frame)
 
-    def receive_frame_batch(self, frames: List[EthernetFrame],
-                            port: GatewayPort) -> None:
-        """Coalesced delivery from the trunk (the one port a farm sets
-        ``Port.coalesce`` on).
-
-        Frames are grouped into contiguous same-router runs and handed
-        to the router's batch ingest; an ARP or unroutable frame ends
-        the run and is handled in place, so output is byte-identical to
-        per-frame delivery.
-        """
-        run_router = None
-        run_items = None
-        for frame in frames:
-            self.frames_received += 1
-            if frame.ethertype == ETHERTYPE_ARP:
-                if run_router is not None:
-                    run_router.inmate_frame_batch(run_items)
-                    run_router = None
-                self._proxy_arp(frame, port)
-                continue
-            vlan = frame.vlan
-            router = (self._router_by_vlan.get(vlan)
-                      if vlan is not None else None)
-            if router is None:
-                if run_router is not None:
-                    run_router.inmate_frame_batch(run_items)
-                    run_router = None
-                if vlan is not None:
-                    self._note_unroutable()
-                continue
-            if router is run_router:
-                run_items.append((frame, vlan))
-                continue
-            if run_router is not None:
-                run_router.inmate_frame_batch(run_items)
-            run_router = router
-            run_items = [(frame, vlan)]
-        if run_router is not None:
-            run_router.inmate_frame_batch(run_items)
+    #: A frozen name the layer ledger wraps (repro.net.link.retired).
+    receive_frame_batch = retired
 
     def _proxy_arp(self, frame: EthernetFrame, port: GatewayPort) -> None:
         """Answer every ARP request with our own MAC — the gateway is

@@ -443,24 +443,8 @@ class SubfarmRouter:
         self._legs[row.leg](row, packet)
         return True
 
-    def inmate_frame_batch(self, items) -> None:
-        """Trunk ingest for a coalesced batch of ``(frame, vlan)``
-        pairs delivered at the same virtual instant: per-frame
-        ingestion, in order.  (Executing same-entry runs as columns was
-        measured to make the farm slower end to end — see
-        docs/PERFORMANCE.md, "Batching".)"""
-        barrier = self.barrier
-        for frame, vlan in items:
-            if barrier.fail_stopped:
-                barrier.note_failstop_drop()
-                continue
-            try:
-                self._inmate_frame_body(frame, vlan)
-            except ParseError as error:
-                self._on_parse_error(error, vlan=vlan, frame=frame)
-
-    #: A frozen name the layer ledger wraps (repro.net.wirebatch).
-    ingest_batch = retired
+    #: Frozen names the layer ledger wraps (repro.net.wirebatch).
+    inmate_frame_batch = ingest_batch = retired
 
     # ------------------------------------------------------------------
     # Entry point: frames from subfarm service hosts

@@ -24,6 +24,18 @@ from repro.sim.engine import Simulator
 _new = object.__new__
 
 
+def retired(*args, **kwargs):
+    """Stands in for a name the layer ledger's tracer wraps through its
+    class's ``__dict__`` after the code behind it was deleted:
+    ``Port.deliver`` and ``Link.transmit`` here, the batch entry points
+    of the gateway and router, and the column datapath's
+    (:mod:`repro.net.wirebatch`).  ROADMAP direction 1(e) deletes them.
+    Nothing calls one, and each raises if anything does."""
+    raise NotImplementedError(
+        "a retired batch path: every frame takes Port.send and is "
+        "ingested on its own (docs/PERFORMANCE.md, \"Batching\")")
+
+
 class Port:
     """One end of a link, owned by a device."""
 
@@ -34,65 +46,44 @@ class Port:
         # The other end of the link, set by Link and cleared with it.
         self.peer: Optional["Port"] = None
         self.frames_sent = 0
-        # Batch coalescing: set to the owning Simulator to let this
-        # port claim all same-instant deliveries queued behind the one
-        # firing and hand them to the owner's receive_frame_batch in
-        # one call (the owner must have one).  None (the default) keeps
-        # scalar delivery.
-        self.coalesce: Optional[Simulator] = None
 
     @property
     def connected(self) -> bool:
         return self.link is not None
 
     def send(self, frame: EthernetFrame) -> None:
-        """Transmit a frame out this port (no-op when unplugged)."""
+        """Transmit a frame out this port (no-op when unplugged).
+
+        The only hop: send pushes one plain heap entry itself, straight
+        to the peer device, drawing the (time, seq) that
+        Simulator.schedule would (docs/PERFORMANCE.md, "The per-hop
+        kernel").  The owner's receive_frame is looked up now, not when
+        the link was built, so a device that replaces it still sees its
+        frames.  A latency reassigned to NaN or below zero is refused
+        before a seq is drawn, as schedule refuses it.
+        """
         link = self.link
         if link is None:
             return
         self.frames_sent += 1
-        peer = self.peer
-        # Decided per send: farm.py sets both after the link exists.
-        if link.batch_window or peer.coalesce is not None:
-            link.transmit(self, frame)
-            return
-        # The default hop: send pushes one plain heap entry itself,
-        # straight to the peer device, drawing the (time, seq) that
-        # Simulator.schedule would (docs/PERFORMANCE.md, "The per-hop
-        # kernel").  The owner's receive_frame is looked up now, not
-        # when the link was built, so a device that replaces it still
-        # sees its frames.  A latency reassigned to NaN or below zero
-        # is refused before a seq is drawn, as schedule refuses it.
         link.frames_carried += 1
         latency = link.latency
         if not latency >= 0:
             raise ValueError(
                 f"cannot schedule in the past (delay={latency})")
         sim = link.sim
-        heappush(sim._queue, [sim._now + latency, next(sim._seq),
+        when = sim._now + latency
+        window = link.batch_window
+        if window:
+            # Round the arrival up to the next window boundary.
+            when = -(-when // window) * window
+        peer = self.peer
+        heappush(sim._queue, [when, next(sim._seq),
                               peer.owner.receive_frame, (frame, peer), "",
                               None, False])
 
-    def deliver(self, frame: EthernetFrame) -> None:
-        """Receive a frame sent over a windowed link or to a coalescing
-        port (:meth:`Link.transmit`); every other send is queued for the
-        owner's ``receive_frame`` directly."""
-        sim = self.coalesce
-        if sim is not None:
-            # Peek before paying a call: drain_coincident can claim (or
-            # discard) only a head entry due this instant (or dead).
-            queue = sim._queue
-            # Entries are read by index: a default hop's is a plain list.
-            if queue and (queue[0][0] == sim.now or queue[0][6]):
-                more = sim.drain_coincident(self.deliver)
-            else:
-                more = None
-            if more:
-                frames = [frame]
-                frames.extend(args[0] for args in more)
-                self.owner.receive_frame_batch(frames, self)
-                return
-        self.owner.receive_frame(frame, self)
+    #: A frozen name the layer ledger wraps.
+    deliver = retired
 
     def __repr__(self) -> str:
         return f"<Port {self.name or id(self)} of {self.owner!r}>"
@@ -111,7 +102,8 @@ class Link:
     ) -> None:
         if port_a.link is not None or port_b.link is not None:
             raise RuntimeError("port already linked")
-        # Checked once here (NaN fails too) so transmit never has to.
+        # Checked here (NaN fails too), and again per send: the
+        # attribute may be reassigned.
         if not latency >= 0:
             raise ValueError(f"link latency must be >= 0, not {latency}")
         if batch_window is not None and not batch_window >= 0:
@@ -120,16 +112,11 @@ class Link:
         self.sim = sim
         self.port_a = port_a
         self.port_b = port_b
-        # Each direction's receiver, bound once rather than per frame.
-        self._deliver_a = port_a.deliver
-        self._deliver_b = port_b.deliver
         self.latency = latency
-        # Coalescing window (virtual seconds).  A positive window
-        # quantizes delivery times up to the next window boundary, so
-        # frames in flight during the same window arrive at the same
-        # instant and a coalescing receiver (Port.coalesce) batches
-        # them.  0.0 or None leaves per-frame timing untouched — with a
-        # coalescing receiver, only naturally coincident frames merge.
+        # Delivery window (virtual seconds).  A positive window rounds
+        # each arrival up to the next window boundary, so frames in
+        # flight during the same window arrive at the same instant, one
+        # event each.  0.0 or None leaves per-frame timing untouched.
         self.batch_window = batch_window
         self.frames_carried = 0
         port_a.link = self
@@ -137,19 +124,8 @@ class Link:
         port_a.peer = port_b
         port_b.peer = port_a
 
-    def transmit(self, from_port: Port, frame: EthernetFrame) -> None:
-        """The windowed/coalescing hop (:meth:`Port.send` takes it when
-        the link has a ``batch_window`` or the peer port coalesces)."""
-        deliver = (self._deliver_b if from_port is self.port_a
-                   else self._deliver_a)
-        self.frames_carried += 1
-        window = self.batch_window
-        if window:
-            when = self.sim.now + self.latency
-            self.sim.schedule_at(-(-when // window) * window, deliver,
-                                 frame, label="link-deliver")
-            return
-        self.sim.schedule(self.latency, deliver, frame, label="link-deliver")
+    #: A frozen name the layer ledger wraps.
+    transmit = retired
 
     def disconnect(self) -> None:
         self.port_a.link = self.port_a.peer = None

@@ -6,13 +6,7 @@ These names exist for the layer ledger's tracer only
 farm calls them, and each raises if anything does.
 """
 
-
-def retired(*args, **kwargs):
-    """Stands in for ``WireBatch.*``, ``BatchOutput.*`` and
-    ``SubfarmRouter.ingest_batch``; the column datapath is gone."""
-    raise NotImplementedError(
-        "the struct-of-arrays datapath was removed (docs/PERFORMANCE.md, "
-        "\"Batching\")")
+from repro.net.link import retired
 
 
 class WireBatch:

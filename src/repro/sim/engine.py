@@ -11,7 +11,7 @@ they were scheduled — this keeps runs deterministic.
 Two kinds of entry share the heap: the :class:`Event` handles
 :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` return,
 and the plain lists of the same shape that ``Port.send``
-(``repro.net.link``) pushes for a default link delivery — drawn from
+(``repro.net.link``) pushes for every link delivery — drawn from
 the same counter at the same moment, with ``sim`` already ``None``,
 never cancelled.  Everything that walks the queue reads an entry by
 index.
@@ -283,38 +283,6 @@ class Simulator:
         # Not reached when a callback raised: its event stays in flight.
         self._in_flight -= 1
         return self._now
-
-    def drain_coincident(self, callback: Callable[..., None]) -> List[tuple]:
-        """Pop every consecutive head event due *now* for ``callback``
-        and return their argument tuples, in scheduling order.
-
-        This is the batch-coalescing primitive: a component whose
-        callback is firing can claim the other deliveries scheduled for
-        the same virtual instant and process them together.  Only a
-        consecutive head run is taken — the first event with a
-        different time or callback stops the scan — so the exact
-        scalar execution order is preserved for everything left queued.
-        Drained events are accounted as fired (they did run, just
-        inside the claimant's batch), keeping event counters identical
-        to unbatched execution.
-        """
-        queue = self._queue
-        drained: List[tuple] = []
-        now = self._now
-        while queue:
-            head = queue[0]
-            if head[6]:
-                heappop(queue)
-                self._dead -= 1
-                self.events_discarded += 1
-                continue
-            if head[0] != now or head[2] != callback:
-                break
-            heappop(queue)
-            head[5] = None
-            drained.append(head[3])
-            self.events_processed += 1
-        return drained
 
     def step(self) -> bool:
         """Run a single event.  Returns False if the queue is empty."""

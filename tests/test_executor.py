@@ -15,11 +15,6 @@ so.  The expectations are written out here, not read from
 ``test_an_ack_counts_what_its_peer_received`` holds every paired leg
 kind to the one property its sequence translation exists for, over
 random ISNs and shim sizes.
-
-``test_delivery_modes_agree`` is the property that used to be held by
-three hand-kept copies of the rewrite: a random script gives the same
-wire bytes, accounting and table statistics whether it is delivered one
-frame at a time or through ``inmate_frame_batch`` in arbitrary chunks.
 """
 
 from __future__ import annotations
@@ -30,12 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.shim import RequestShim
 from repro.core.verdicts import Verdict
 from repro.gateway import coupling, handoff
-from repro.gateway.flowtable import (
-    EMIT_SERVICE,
-    EMIT_UPSTREAM,
-    EMIT_VLAN,
-    apply,
-)
+from repro.gateway.flowtable import apply
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.packet import (
     ACK,
@@ -396,158 +386,3 @@ def test_an_ack_counts_what_its_peer_received(pair, isns, shims, seqs,
     received = _through(harness, far, far_seq, 0, size)
     acked = _through(harness, near, 0, (received.seq + size) & M, 0)
     assert acked.ack == (far_seq + size) & M
-
-
-# ----------------------------------------------------------------------
-# Delivery modes
-# ----------------------------------------------------------------------
-FLOW_MENU = [
-    (False, Verdict.FORWARD, {}),
-    (False, Verdict.LIMIT, {"rate": 4000.0}),   # shaped
-    (False, Verdict.REWRITE, {}),
-    (False, Verdict.DROP, {}),
-    (True, Verdict.FORWARD, {}),
-    (True, Verdict.REWRITE, {}),
-]
-FLAG_MENU = [ACK | PSH, ACK, PSH, FIN | ACK, SYN, RST | ACK]
-
-steps = st.lists(
-    st.tuples(st.sampled_from(["inmate", "inmate", "upstream", "cs",
-                               "advance"]),
-              st.integers(0, 2),                      # flow index
-              st.sampled_from(FLAG_MENU),
-              st.sampled_from([0, 1, 64, 512]),       # payload size
-              st.integers(0, 4000)),                  # seq/ack offset
-    min_size=1, max_size=40)
-
-
-class _Delivery:
-    """One harness plus the emission log every mode fills the same way:
-    per channel, in emission order, the packets the harness captured."""
-
-    def __init__(self, flows) -> None:
-        self.harness = harness = RouterHarness(seed=7)
-        self.flows = []
-        for index, (udp, verdict, kwargs) in enumerate(flows):
-            establish = (harness.establish_udp_flow if udp
-                         else harness.establish_flow)
-            self.flows.append((udp, establish(VLAN, SPORT + index,
-                                              verdict=verdict, **kwargs)))
-        harness.drain()
-        self.wires = {EMIT_VLAN: harness.to_vlan,
-                      EMIT_SERVICE: harness.to_service,
-                      EMIT_UPSTREAM: harness.upstream}
-        self.now = 0.0
-
-    def packet(self, step):
-        """The step as ``(origin, IPv4Packet)``; None when the flow has
-        no such leg."""
-        where, index, flags, size, offset = step
-        udp, record = self.flows[index % len(self.flows)]
-        sport = record.orig.orig_port
-        body = b"p" * size
-        if where == "inmate":
-            src, dst, ports = INMATE, TARGET, (sport, TARGET_PORT)
-            seq, ack = CLIENT_ISN + 1 + offset, CS_ISN + 1 + offset
-        elif where == "upstream":
-            if record.dst_ip is None:
-                return None
-            src, dst = record.dst_ip, record.nat_global or INMATE
-            ports = (record.dst_port, sport)
-            seq, ack = DST_ISN + 1 + offset, CLIENT_ISN + 1 + offset
-        else:
-            if udp:
-                return None  # CS datagrams carry shims: controller only
-            src, dst, ports = CS, INMATE, (CS_PORT, record.mux_port)
-            seq, ack = CS_ISN + 100 + offset, CLIENT_ISN + 1 + offset
-        transport = (UDPDatagram(*ports, body) if udp
-                     else TCPSegment(*ports, seq, ack, flags, payload=body))
-        return where, IPv4Packet(src, dst, transport)
-
-    def frame(self, packet):
-        return EthernetFrame(self.harness.mac,
-                             MacAddress("02:00:00:00:00:01"), packet,
-                             vlan=VLAN)
-
-    def advance(self) -> None:
-        self.now += 50.0
-        self.harness.sim.run(until=self.now)
-
-    def result(self) -> dict:
-        self.harness.sim.run(until=self.now + 600.0)  # flush the shaper
-        router = self.harness.router
-        return {
-            # A sent packet is never mutated again, so its bytes now
-            # are its bytes at emission.
-            "wires": {code: [packet.to_bytes() for packet in log]
-                      for code, log in self.wires.items()},
-            "counters": dict(router.counters),
-            "flows": [(str(r.orig), r.phase.value, r.c2s_packets,
-                       r.s2c_packets, r.c2s_bytes, r.s2c_bytes,
-                       r.client_fin, r.last_activity)
-                      for r in self.harness.records],
-            "table": router.flowtable.stats(),
-        }
-
-
-def _per_frame(run: _Delivery, script) -> None:
-    router = run.harness.router
-    for step in script:
-        if step[0] == "advance":
-            run.advance()
-            continue
-        made = run.packet(step)
-        if made is None:
-            continue
-        where, packet = made
-        if where == "inmate":
-            router.inmate_frame(run.frame(packet), VLAN)
-        elif where == "upstream":
-            router.upstream_packet(packet)
-        else:
-            router.service_frame(run.frame(packet))
-
-
-def _frame_batches(run: _Delivery, script, chunks) -> None:
-    """Inmate frames pile up and are delivered ``chunk`` at a time
-    through inmate_frame_batch; anything else flushes the pile first."""
-    router = run.harness.router
-    pile = []
-    sizes = iter(chunks)
-    limit = next(sizes, 1)
-
-    def flush():
-        if pile:
-            router.inmate_frame_batch(list(pile))
-            pile.clear()
-
-    for step in script:
-        made = None if step[0] == "advance" else run.packet(step)
-        if made is not None and made[0] == "inmate":
-            pile.append((run.frame(made[1]), VLAN))
-            if len(pile) >= limit:
-                flush()
-                limit = next(sizes, 1)
-            continue
-        flush()
-        if step[0] == "advance":
-            run.advance()
-        elif made is not None and made[0] == "upstream":
-            router.upstream_packet(made[1])
-        elif made is not None:
-            router.service_frame(run.frame(made[1]))
-    flush()
-
-
-@settings(max_examples=60, deadline=None)
-@given(flows=st.lists(st.sampled_from(FLOW_MENU), min_size=2, max_size=3),
-       script=steps,
-       chunks=st.lists(st.integers(1, 6), max_size=12))
-def test_delivery_modes_agree(flows, script, chunks):
-    scalar = _Delivery(flows)
-    _per_frame(scalar, script)
-    expected = scalar.result()
-
-    framed = _Delivery(flows)
-    _frame_batches(framed, script, chunks)
-    assert framed.result() == expected

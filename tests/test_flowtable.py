@@ -1,17 +1,18 @@
-"""Match-action flow tables and batched trunk delivery.
+"""Match-action flow tables and the trunk's delivery window.
 
 Covers a rule's lifetime (it stays installed through a quiet gap and
 leaves with its flow at the housekeeping sweep, byte parity of a flow
 quiet mid-conversation), the transactional install guarantee (a failed
-compile never leaves orphan entries), batch delivery parity with
-per-frame delivery at every layer (``inmate_frame_batch``, the
-coalescing port, the whole farm), the placeholders left where the
-struct-of-arrays datapath was, and the config/report/telemetry
-surfaces riding along.
+compile never leaves orphan entries), the delivery window (arrival
+instants on a windowed link, whole-farm parity and pins), the
+placeholders left where the batch paths were, and the
+config/report/telemetry surfaces riding along.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from repro.farm import FarmConfig
 from repro.gateway import handoff
 from repro.gateway.flowtable import FlowTable, Row
+from repro.gateway.gateway import Gateway
 from repro.gateway.router import SubfarmRouter
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.packet import (
@@ -26,17 +28,20 @@ from repro.net.packet import (
     EthernetFrame,
     IPv4Packet,
     PSH,
-    SYN,
     TCPSegment,
 )
 from repro.net.http import echo
 from repro.net.link import Link, Port
 from repro.net.wirebatch import BatchOutput, WireBatch
-from repro.parallel.tasks import TARGET_IP, TARGET_PORT
+from repro.parallel.tasks import TARGET_IP, TARGET_PORT, farm_digest
 from repro.services.dhcp import DhcpClient
 from repro.sim.engine import Simulator
 from tests.golden import expected, wire_digest
 from tests.helpers import RouterHarness, run_farm_flow_digest
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
+                                "benchmarks", "ledger"))
+import workloads  # noqa: E402
 
 VLAN = 2
 SPORT = 40000
@@ -197,118 +202,33 @@ def test_unbind_a_subset_of_a_flows_keys():
     assert old.keys == [] and len(table) == 0
 
 
-def test_inmate_frame_batch_matches_scalar():
-    """The trunk batch entry point: interleaved flows plus a mid-batch
-    new flow must emit byte-identically to per-frame ingestion."""
-    def build_frames(harness, first, second):
-        frames = []
-        target = IPv4Address(TARGET_IP)
-        for index, record in ((0, first), (1, second), (2, first),
-                              (3, first), (4, second)):
-            segment = TCPSegment(record.orig.orig_port, TARGET_PORT,
-                                 CLIENT_ISN + 1 + 64 * index, 5001,
-                                 ACK | PSH, payload=b"d" * 64)
-            frames.append(EthernetFrame(
-                harness.mac, MacAddress("02:00:00:00:00:01"),
-                IPv4Packet(record.orig.orig_ip, target, segment),
-                vlan=VLAN))
-        # A brand-new flow's SYN lands mid-batch.
-        syn = TCPSegment(SPORT + 9, TARGET_PORT, 50, 0, SYN)
-        frames.insert(3, EthernetFrame(
-            harness.mac, MacAddress("02:00:00:00:00:01"),
-            IPv4Packet(first.orig.orig_ip, target, syn), vlan=VLAN))
-        return frames
-
-    outcomes = []
-    for batched in (True, False):
-        harness = RouterHarness(seed=7)
-        first = harness.establish_flow(VLAN, SPORT,
-                                       client_isn=CLIENT_ISN,
-                                       dst_isn=DST_ISN)
-        second = harness.establish_flow(VLAN, SPORT + 1,
-                                        client_isn=CLIENT_ISN,
-                                        dst_isn=DST_ISN)
-        harness.drain()
-        frames = build_frames(harness, first, second)
-        if batched:
-            harness.router.inmate_frame_batch(
-                [(frame, VLAN) for frame in frames])
-        else:
-            for frame in frames:
-                harness.router.inmate_frame(frame, VLAN)
-        outcomes.append(wire_state(harness))
-    fast, slow = outcomes
-    assert fast == slow
-
-
 @pytest.mark.parametrize("owner,name", [
     (WireBatch, "append_tcp"), (WireBatch, "append_udp"),
     (WireBatch, "append_packet"), (WireBatch, "materialize"),
     (BatchOutput, "append_run"), (BatchOutput, "serialize"),
     (SubfarmRouter, "ingest_batch"),
+    (Port, "deliver"), (Link, "transmit"),
+    (Gateway, "receive_frame_batch"), (SubfarmRouter, "inmate_frame_batch"),
 ])
 def test_retired_column_names_raise(owner, name):
-    """The column datapath is gone; the names the layer ledger wraps
-    remain, in each owner's own namespace, and refuse to run."""
+    """The column datapath and the coalesced trunk delivery are gone;
+    the names the layer ledger wraps remain, in each owner's own
+    namespace, and refuse to run."""
     assert name in owner.__dict__
     with pytest.raises(NotImplementedError):
         owner.__dict__[name](None)
 
 
 # ----------------------------------------------------------------------
-# Engine and link coalescing
+# The delivery window
 # ----------------------------------------------------------------------
-def test_drain_coincident_claims_head_run_only():
-    sim = Simulator(seed=1)
-    seen = []
-
-    def cb(value):
-        if value == 1:
-            drained = [args[0] for args in sim.drain_coincident(cb)]
-            seen.append(("drained", drained))
-        seen.append(value)
-
-    def other():
-        seen.append("other")
-
-    sim.schedule_at(1.0, cb, 1)
-    sim.schedule_at(1.0, cb, 2)
-    sim.schedule_at(1.0, other)
-    sim.schedule_at(1.0, cb, 3)
-    sim.run(until=2.0)
-    # cb(1) claims only cb(2): `other` ends the head run, so cb(3)
-    # still fires in its original scalar position.
-    assert seen == [("drained", [2]), 1, "other", 3]
-    assert sim.events_processed == 4
-
-
-def test_drain_coincident_stops_at_future_events():
-    sim = Simulator(seed=1)
-    seen = []
-
-    def cb(value):
-        if value == 1:
-            seen.append([args[0] for args in sim.drain_coincident(cb)])
-        seen.append(value)
-
-    sim.schedule_at(1.0, cb, 1)
-    sim.schedule_at(1.5, cb, 2)
-    sim.run(until=2.0)
-    assert seen == [[], 1, 2]
-
-
-class _BatchingDevice:
-    def __init__(self):
-        self.batches = []
-        self.frames = []
-
-    def receive_frame_batch(self, frames, port):
-        self.batches.append(len(frames))
-        self.frames.extend(frames)
+class _RecordingDevice:
+    def __init__(self, sim):
+        self.sim = sim
+        self.arrivals = []
 
     def receive_frame(self, frame, port):
-        self.batches.append(1)
-        self.frames.append(frame)
+        self.arrivals.append((self.sim.now, frame))
 
 
 def _frame(tag: int) -> EthernetFrame:
@@ -316,33 +236,21 @@ def _frame(tag: int) -> EthernetFrame:
                          MacAddress.broadcast(), b"payload", vlan=2)
 
 
-def test_port_coalesce_merges_coincident_frames():
-    sim = Simulator(seed=1)
-    device = _BatchingDevice()
-    sender, receiver = Port(object(), "tx"), Port(device, "rx")
-    Link(sim, sender, receiver, latency=0.001)
-    receiver.coalesce = sim
-    frames = [_frame(1), _frame(2), _frame(3)]
-    for frame in frames:
-        sender.send(frame)
-    sim.run(until=1.0)
-    assert device.batches == [3]
-    assert device.frames == frames
-    assert sender.frames_sent == 3
-
-
 def test_link_batch_window_quantizes_delivery():
+    """A windowed link rounds each arrival up to the next window
+    boundary; the frames still arrive one event each, in send order."""
     sim = Simulator(seed=1)
-    device = _BatchingDevice()
+    device = _RecordingDevice(sim)
     sender, receiver = Port(object(), "tx"), Port(device, "rx")
     Link(sim, sender, receiver, latency=0.001, batch_window=0.01)
-    receiver.coalesce = sim
-    first, second = _frame(1), _frame(2)
+    first, second, third = _frame(1), _frame(2), _frame(3)
     sender.send(first)                               # t=0 -> due 0.01
     sim.schedule_at(0.004, sender.send, second)      # 0.005 -> due 0.01
+    sim.schedule_at(0.0095, sender.send, third)      # 0.0105 -> due 0.02
     sim.run(until=1.0)
-    assert device.batches == [2]
-    assert device.frames == [first, second]
+    assert device.arrivals == [(0.01, first), (0.01, second),
+                               (0.02, third)]
+    assert sim.events_processed == 5
 
 
 # ----------------------------------------------------------------------
@@ -361,15 +269,11 @@ def test_farmconfig_roundtrips_batch_window():
 def test_farm_wires_batch_window_to_the_trunk():
     from repro.farm import Farm
 
-    farm = Farm(FarmConfig(seed=3))
-    assert farm.gateway.trunk_port.coalesce is None
-
     batched = Farm(FarmConfig(seed=3, batch_window=0.005))
-    assert batched.gateway.trunk_port.coalesce is batched.sim
     assert batched.gateway.trunk_port.link.batch_window == 0.005
-    coincident = Farm(FarmConfig(seed=3, batch_window=0.0))
-    assert coincident.gateway.trunk_port.coalesce is coincident.sim
-    assert coincident.gateway.trunk_port.link.batch_window is None
+    for window in (None, 0.0):
+        farm = Farm(FarmConfig(seed=3, batch_window=window))
+        assert farm.gateway.trunk_port.link.batch_window is None
 
 
 def test_farm_batch_window_parity():
@@ -384,6 +288,31 @@ def test_farm_batch_window_parity():
     assert zero["digest"] == base["digest"]
     assert windowed["counters"] == base["counters"]
     assert windowed["flowtable"] == base["flowtable"]
+
+
+#: The ledger-shaped stream farm (``workloads.build_stream(seed=11,
+#: seconds=3.0)``) run to its cutoff: ``(farm_digest, events
+#: processed, frames the gateway received)`` per trunk window, recorded
+#: while a window still went through the coalescing trunk delivery.  A
+#: zero window is no window; a positive one moves only arrival times.
+WINDOWED_TRUNK_PINS = {
+    None: ("e12196e97acfe138b566da47d903408ca9b3a384d03c85418d91f27b59a08b1d",
+           96340, 24081),
+    0.0: ("e12196e97acfe138b566da47d903408ca9b3a384d03c85418d91f27b59a08b1d",
+          96340, 24081),
+    0.005: ("a06ebf79451b0ec97833eb0dfb85970959795abf73638e77f2f7f9f66fa5893f",
+            96340, 24081),
+}
+
+
+@pytest.mark.parametrize("window", list(WINDOWED_TRUNK_PINS))
+def test_windowed_stream_farm_is_pinned(window):
+    built = workloads.build_stream(seed=11, seconds=3.0,
+                                   batch_window=window)
+    farm = built.farm
+    farm.run(until=built.until)
+    assert (farm_digest(farm)[0], farm.sim.events_processed,
+            farm.gateway.frames_received) == WINDOWED_TRUNK_PINS[window]
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""The link hop's two paths, held to one behaviour.
+"""The link hop: one path for every frame.
 
-By default ``Port.send`` posts the peer device's ``receive_frame``
-straight onto the simulator's queue as a plain list; a link with a
-``batch_window`` or a coalescing peer port goes through
-``Link.transmit`` / ``Port.deliver`` and an ``Event``
-(docs/PERFORMANCE.md, "The per-hop kernel").  Both kinds of entry share
-one heap, so whatever peeks at it reads entries by index.
+``Port.send`` posts the peer device's ``receive_frame`` straight onto
+the simulator's queue as a plain list, on a windowed link too (its
+arrival is rounded up to the window boundary); ``Port.deliver`` and
+``Link.transmit`` are retired names (docs/PERFORMANCE.md, "The per-hop
+kernel").  The ``coalescing`` shape sets the ``Port.coalesce``
+attribute that once sent frames down a second, batching path; it now
+changes nothing, and the shape is held to the plain hop's behaviour.
 """
 
 from __future__ import annotations
@@ -15,28 +16,19 @@ import pytest
 from repro.net.addresses import MacAddress
 from repro.net.link import Link, Port
 from repro.net.packet import EthernetFrame
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 class _Device:
-    """Records ``(virtual time, frame, port)`` per delivery and the
-    size of every batch."""
+    """Records ``(virtual time, frame, port)`` per delivery."""
 
-    def __init__(self, sim: Simulator, batching: bool = False) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.port = Port(self, "dev")
         self.seen = []
-        self.batches = []
-        if batching:
-            self.receive_frame_batch = self._receive_batch
 
     def receive_frame(self, frame, port) -> None:
         self.seen.append((self.sim.now, frame, port))
-        self.batches.append(1)
-
-    def _receive_batch(self, frames, port) -> None:
-        self.seen.extend((self.sim.now, frame, port) for frame in frames)
-        self.batches.append(len(frames))
 
 
 def _frame(tag: int) -> EthernetFrame:
@@ -51,45 +43,7 @@ def _pair(sim, **link_kwargs):
 
 
 # ----------------------------------------------------------------------
-# A posted entry at the head of a coalescing port's queue
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("window", [None, 0.25])
-@pytest.mark.parametrize("plain_latency", [0.5, 2.0])
-def test_coalescing_port_peeks_past_a_posted_head(window, plain_latency):
-    """Two links: one into a coalescing port (an ``Event`` for
-    ``Port.deliver``), one plain (a posted list).  When a coalescing
-    delivery fires, the head of the queue it peeks at is the plain
-    link's posted frame — due the same instant, or due later."""
-    sim = Simulator()
-    tx, rx = _Device(sim), _Device(sim, batching=True)
-    Link(sim, tx.port, rx.port, latency=0.5, batch_window=window)
-    rx.port.coalesce = sim
-    a, b, _link = _pair(sim, latency=plain_latency)
-
-    first, second, other, third = (_frame(tag) for tag in range(4))
-    tx.port.send(first)
-    a.port.send(other)
-    tx.port.send(second)
-    assert sorted(type(entry) is Event for entry in sim._queue) == [
-        False, True, True]
-    # Delivered at 1.5, with the later-due posted frame (if it is still
-    # queued) the only other entry.
-    sim.schedule_at(1.0, tx.port.send, third)
-    sim.run()
-
-    # Due the same instant, the posted frame sits between the two
-    # coalescing deliveries in (time, seq) order and stops the drain,
-    # exactly as an interleaved Event did.
-    coincident = plain_latency == 0.5
-    assert rx.batches == ([1, 1, 1] if coincident else [2, 1])
-    assert [(when, frame) for when, frame, _ in rx.seen] == [
-        (0.5, first), (0.5, second), (1.5, third)]
-    assert b.seen == [(plain_latency, other, b.port)]
-    assert sim.events_processed == 5 and sim.pending == 0
-
-
-# ----------------------------------------------------------------------
-# Counters are exact on both paths
+# Counters are exact on every link shape
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shape", ["plain", "windowed", "coalescing"])
 def test_frames_sent_and_carried_are_exact_on_every_path(shape):
@@ -118,9 +72,9 @@ def test_frames_sent_and_carried_are_exact_on_every_path(shape):
 
 
 def test_default_hop_arrives_when_the_five_frame_hop_did():
-    """Same sends over a plain link and over one whose peer coalesces
-    (the ``transmit``/``deliver`` path): same arrival times, same
-    order, same event count."""
+    """Same sends over a plain link and over one whose peer port
+    carries the retired ``coalesce`` attribute: the arrival times, order
+    and event count the five-frame ``transmit``/``deliver`` hop gave."""
     arrivals = []
     for coalesce in (False, True):
         sim = Simulator()
@@ -132,7 +86,9 @@ def test_default_hop_arrives_when_the_five_frame_hop_did():
         sim.run()
         arrivals.append(([(when, frame.src) for when, frame, _ in b.seen],
                          sim.events_processed))
-    assert arrivals[0] == arrivals[1]
+    assert arrivals[0] == arrivals[1] == (
+        [(0.125 + index * 0.0625, _frame(index).src) for index in range(5)],
+        10)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ class _Receiver:
 
 def _stub_link(sim, receive_frame):
     """A bare sending port linked to a :class:`_Receiver`; returns
-    ``(port, link)``.  ``Port.send`` on it is the default hop: one
+    ``(port, link)``.  ``Port.send`` on it is the one hop: one
     plain heap entry for ``receive_frame(frame, port)``, due after the
     link's latency."""
     sender = Port(object(), "tx")
@@ -306,13 +306,10 @@ class TestQueueKernel:
 # ----------------------------------------------------------------------
 # Binary-exact delays, few of them, so equal timestamps are the norm.
 DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])
-# (delay, what the child does, whether it is sent over a link or
-# scheduled)
-CHILD = st.tuples(DELAYS, st.sampled_from(["plain", "drain"]),
-                  st.booleans())
+# (delay, whether it is sent over a link or scheduled)
+CHILD = st.tuples(DELAYS, st.booleans())
 ACTIONS = st.one_of(
     st.tuples(st.just("plain")),
-    st.tuples(st.just("drain")),
     st.tuples(st.just("spawn"), CHILD),
     st.tuples(st.just("cancel"), st.integers(0, 200)),
     st.tuples(st.just("compact")),
@@ -384,18 +381,9 @@ class _Reference:
 
     def _fire(self, record):
         ident, action = record[2], record[3]
-        if action[0] == "drain":
-            while True:
-                head = self._head()
-                if (head is None or head[0] != self.now
-                        or head[3][0] != "drain"):
-                    break
-                self.queued.pop(0)
-                self.events_processed += 1
-                self.log.append(("drained", head[2]))
-        elif action[0] == "spawn":
-            delay, kind, sent = action[1]
-            self.schedule_at(self.now + delay, (kind,), handle=not sent)
+        if action[0] == "spawn":
+            delay, sent = action[1]
+            self.schedule_at(self.now + delay, ("plain",), handle=not sent)
         elif action[0] == "cancel":
             self.cancel(action[1])
         self.log.append(("fired", ident, self.now))
@@ -404,8 +392,7 @@ class _Reference:
 class _Driver:
     """The same program against the real engine.  Every callback takes
     ``((ident, action), port)``: a scheduled one gets ``None`` for the
-    port, a link delivery the receiving port, so ``drain_coincident``
-    hands back the same shape for both."""
+    port, a link delivery the receiving port."""
 
     def __init__(self, compact_min_queue):
         self.sim = Simulator()
@@ -413,27 +400,23 @@ class _Driver:
         self.handles = []
         self.idents = 0
         self.log = []
-        # One link per callback: a delivery's callback is the receiving
-        # device's receive_frame, which is _plain or _drainer itself.
-        self.links = {"plain": _stub_link(self.sim, self._plain),
-                      "drain": _stub_link(self.sim, self._drainer)}
+        # A delivery's callback is the receiving device's
+        # receive_frame, which is _plain itself.
+        self.sender, self.link = _stub_link(self.sim, self._plain)
 
     def schedule_at(self, time, action, relative=None, send=False):
         ident = self.idents
         self.idents += 1
         if send:
-            sender, link = self.links[
-                "drain" if action[0] == "drain" else "plain"]
-            link.latency = relative
-            assert sender.send((ident, action)) is None
+            self.link.latency = relative
+            assert self.sender.send((ident, action)) is None
             return
-        callback = self._drainer if action[0] == "drain" else self._plain
         if relative is None:
-            event = self.sim.schedule_at(time, callback, (ident, action),
-                                         None)
+            event = self.sim.schedule_at(time, self._plain,
+                                         (ident, action), None)
         else:
-            event = self.sim.schedule(relative, callback, (ident, action),
-                                      None)
+            event = self.sim.schedule(relative, self._plain,
+                                      (ident, action), None)
         self.handles.append(event)
 
     def cancel(self, index):
@@ -444,19 +427,13 @@ class _Driver:
         ident, action = item
         sim = self.sim
         if action[0] == "spawn":
-            delay, kind, sent = action[1]
-            self.schedule_at(None, (kind,), relative=delay, send=sent)
+            delay, sent = action[1]
+            self.schedule_at(None, ("plain",), relative=delay, send=sent)
         elif action[0] == "cancel":
             self.cancel(action[1])
         elif action[0] == "compact":
             sim._compact()
         self.log.append(("fired", ident, sim.now))
-
-    def _drainer(self, item, _port):
-        for (drained_ident, _), _ in self.sim.drain_coincident(
-                self._drainer):
-            self.log.append(("drained", drained_ident))
-        self.log.append(("fired", item[0], self.sim.now))
 
 
 def _play(program, compact_min_queue):
@@ -504,12 +481,11 @@ def _play(program, compact_min_queue):
 def test_engine_matches_sorting_reference(program):
     """Random interleavings of schedule / schedule_at / ``Port.send``
     over a stub link / cancel (before and after firing, repeatedly) /
-    bounded runs / step / in-callback drain_coincident, cancel, spawn
-    and compaction fire in exactly the reference's ``(time, seq)``
-    order — with compaction eager (floor of 2 entries, so it triggers
-    mid-run) and with it never running.  A link delivery is a plain
+    bounded runs / step / in-callback cancel, spawn and compaction fire
+    in exactly the reference's ``(time, seq)`` order — with compaction
+    eager (floor of 2 entries, so it triggers mid-run) and with it
+    never running.  A link delivery is a plain
     list beside the ``Event`` handles: it draws from the same counter,
-    survives compaction, is claimed by drain_coincident like any other,
-    and is never cancelled."""
+    survives compaction, and is never cancelled."""
     _play(program, compact_min_queue=2)
     _play(program, compact_min_queue=10 ** 9)
